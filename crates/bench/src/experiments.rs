@@ -934,8 +934,7 @@ pub fn e10_contention(scale: Scale) -> Table {
 /// pure function of per-thread program order (DESIGN.md §7). The
 /// migration count, remote-access counts, and run-length histogram
 /// are asserted **bit-equal**; the runtime's measured throughput
-/// (host wall-clock, masked in digests) is the ops/sec column and the
-/// `BENCH.json` runtime calibration.
+/// (host wall-clock, masked in digests) is the ops/sec column.
 pub fn e11_runtime_agreement(scale: Scale) -> Table {
     let cores = scale.cores();
     let mut t = Table::new(
@@ -1018,11 +1017,11 @@ pub fn e11_runtime_agreement(scale: Scale) -> Table {
 /// cross-node context envelopes, frames, bytes — as the new
 /// observable. The suite rows use in-process loopback clusters, so
 /// every wire number is deterministic (message counts are per-thread
-/// program-order functions; see DESIGN.md §9) and digest-stable; the
-/// *real* two-OS-process UDS measurement runs in the `BENCH.json`
-/// telemetry path (`crate::netproc`) where wall-clock numbers belong.
-/// Throughput (the last column) is host wall-clock and masked, like
-/// E11's.
+/// program-order functions; see DESIGN.md §9) and digest-stable; real
+/// two-OS-process UDS agreement is pinned by `net/tests/multiproc.rs`
+/// and real-socket throughput is measured by `benchmark/`
+/// (`uds2-migrate`, `uds2-remote`). Throughput (the last column) is
+/// host wall-clock and masked, like E11's.
 pub fn e12_transport(scale: Scale) -> Table {
     use em2_net::{run_workload_cluster_in_process, ClusterSpec, CounterSummary};
     let cores = scale.cores();
@@ -1098,7 +1097,7 @@ pub fn e12_transport(scale: Scale) -> Table {
     }
     t.note("every cluster row's counters (migrations, RA, locals, run histogram) asserted bit-equal to the single-process runtime before rendering");
     t.note("x-node ctxs = task envelopes that crossed a node boundary; ctx bytes = serialized continuations inside them (the paper's migrated-context traffic, now on a real wire)");
-    t.note("rt Mops/s is host wall-clock (masked in digests); the two-OS-process UDS measurement is recorded in BENCH.json's transport block");
+    t.note("rt Mops/s is host wall-clock (masked in digests); real-socket throughput is measured by benchmark/ (uds2-migrate, uds2-remote)");
     t
 }
 

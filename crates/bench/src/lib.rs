@@ -20,9 +20,10 @@
 //! | E13 | elastic membership: live shard handoff agreement | [`experiments::e13_elastic_membership`] |
 //! | E14 | placement scorecard: attributed cost vs DP bound | [`experiments::e14_placement_scorecard`] |
 //!
-//! The `experiments` binary prints these as aligned text tables and
-//! writes `BENCH.json` perf telemetry ([`perf`]); the benches in
-//! `benches/` time the underlying kernels.
+//! The `experiments` binary prints these as aligned text tables,
+//! followed by their determinism fingerprint ([`perf::tables_digest`]).
+//! Performance is not measured here: `benchmark/` (see its README) is
+//! the repo's one measurement harness.
 //!
 //! The suite runs on the [`par`] sweep engine: independent
 //! (config, workload, scheme) cells fan out across OS threads with a
@@ -34,7 +35,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod netproc;
 pub mod par;
 pub mod perf;
 pub mod scorecard;

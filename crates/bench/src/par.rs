@@ -10,9 +10,8 @@
 //! Scoped `std::thread` workers pull cell indices from an atomic
 //! counter (work stealing without queues), which keeps long cells from
 //! serializing behind short ones. The worker count defaults to the
-//! host parallelism and can be forced with [`set_threads`] or the
-//! `EM2_BENCH_THREADS` environment variable — `--serial` in the
-//! experiments binary maps to `set_threads(1)`.
+//! host parallelism and can be forced with [`set_threads`] —
+//! `--serial` in the experiments binary maps to `set_threads(1)`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -27,16 +26,11 @@ pub fn set_threads(n: usize) {
 }
 
 /// The worker count the next sweep will use: the [`set_threads`]
-/// override, else `EM2_BENCH_THREADS`, else the host parallelism.
+/// override, else the host parallelism.
 pub fn threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
-    }
-    if let Some(n) = em2_model::env::parse::<usize>("EM2_BENCH_THREADS") {
-        if n > 0 {
-            return n;
-        }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -1,318 +1,14 @@
-//! Performance telemetry: the `BENCH.json` emitter.
+//! The determinism fingerprint of a suite run.
 //!
-//! Every full run of the `experiments` binary writes a machine-readable
-//! summary — suite wall-clock, per-experiment timings, the sweep-engine
-//! worker count, a simulated-cycles/second calibration, and a digest of
-//! the rendered tables (E5's measured-timing cells masked). CI uploads
-//! the file as an artifact, establishing the perf trajectory across
-//! PRs: a regression shows up as a falling `sim_cycles_per_sec` or a
-//! rising `suite_wall_s` at the same scale/threads, and a correctness
-//! drift shows up as a changed `tables_digest`.
-//!
-//! JSON is emitted by a small hand-rolled writer (the build environment
-//! has no serde; see `shims/README.md`).
+//! [`tables_digest`] folds the rendered tables (host wall-clock cells
+//! masked by [`render_masked`]) into one FNV-1a value. The
+//! `experiments` binary prints it as its last line; it must be
+//! identical across `--serial` and `--threads N`, and the E1–E9 quick
+//! prefix is pinned in `tests/parallel_determinism.rs` — a correctness
+//! drift shows up as a changed digest. Performance numbers are not
+//! produced here: `benchmark/` is the repo's one measurement harness.
 
-use crate::experiments::SuiteResult;
 use crate::table::Table;
-use crate::workloads::{self, Scale};
-use em2_core::machine::MachineConfig;
-use em2_core::sim::run_em2;
-use em2_placement::Placement;
-use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// A single timed reference simulation, giving the headline
-/// "simulated cycles per second" throughput number.
-pub struct Calibration {
-    /// Workload the calibration ran (quick-scale OCEAN under EM²).
-    pub workload: String,
-    /// Total trace accesses simulated.
-    pub accesses: u64,
-    /// Simulated cycles of the run (deterministic).
-    pub sim_cycles: u64,
-    /// Host wall-clock for the run (build + simulate).
-    pub wall: Duration,
-}
-
-impl Calibration {
-    /// Simulated cycles advanced per host second.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.sim_cycles as f64 / s
-        }
-    }
-
-    /// Trace accesses replayed per host second.
-    pub fn accesses_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.accesses as f64 / s
-        }
-    }
-}
-
-/// Time one quick-scale OCEAN EM² simulation end to end.
-pub fn calibrate() -> Calibration {
-    let w = workloads::ocean(Scale::Quick);
-    let p = workloads::first_touch(&w, Scale::Quick);
-    let accesses = w.total_accesses() as u64;
-    let t0 = Instant::now();
-    let r = run_em2(MachineConfig::with_cores(Scale::Quick.cores()), &w, &p);
-    Calibration {
-        workload: "ocean/quick/em2".to_string(),
-        accesses,
-        sim_cycles: r.cycles,
-        wall: t0.elapsed(),
-    }
-}
-
-/// One timed run of the executable `em2-rt` runtime — the measured
-/// ops/sec counterpart to the simulator's cycles/sec calibration.
-/// Wraps the runtime's own report so the throughput definition lives
-/// in exactly one place ([`em2_rt::RtReport::ops_per_sec`]).
-pub struct RuntimeCalibration {
-    /// Workload/scheme the calibration ran.
-    pub workload: String,
-    /// The runtime's report (shards, flow counters, wall-clock).
-    pub report: em2_rt::RtReport,
-}
-
-impl RuntimeCalibration {
-    /// Memory operations served per host second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.report.ops_per_sec()
-    }
-}
-
-/// Time one quick-scale OCEAN replay on the `em2-rt` runtime (pure
-/// EM²: every non-local access migrates for real) under the given
-/// executor — one definition of the calibration workload, so the
-/// multiplexed/baseline pair in `BENCH.json` always measures the same
-/// thing.
-fn calibrate_runtime_mode(executor: em2_rt::ExecutorMode, label: &str) -> RuntimeCalibration {
-    calibrate_runtime_with(executor, None, label)
-}
-
-fn calibrate_runtime_with(
-    executor: em2_rt::ExecutorMode,
-    obs: Option<em2_obs::ObsConfig>,
-    label: &str,
-) -> RuntimeCalibration {
-    let scale = Scale::Quick;
-    calibrate_runtime_on(workloads::ocean(scale), executor, obs, label)
-}
-
-fn calibrate_runtime_on(
-    w: em2_trace::Workload,
-    executor: em2_rt::ExecutorMode,
-    obs: Option<em2_obs::ObsConfig>,
-    label: &str,
-) -> RuntimeCalibration {
-    let scale = Scale::Quick;
-    let placement: Arc<dyn Placement> = Arc::new(workloads::first_touch(&w, scale));
-    let threads = w.num_threads();
-    let w = Arc::new(w);
-    let mut cfg = em2_rt::RtConfig::eviction_free(scale.cores(), threads);
-    cfg.executor = executor;
-    if obs.is_some() {
-        cfg.obs = obs;
-    }
-    let report = em2_rt::run_workload(cfg, &w, placement, || Box::new(em2_core::AlwaysMigrate));
-    RuntimeCalibration {
-        workload: label.to_string(),
-        report,
-    }
-}
-
-/// The multiplexed-executor runtime calibration.
-pub fn calibrate_runtime() -> RuntimeCalibration {
-    calibrate_runtime_mode(em2_rt::ExecutorMode::Multiplexed, "ocean/quick/rt-em2")
-}
-
-/// The same calibration on the thread-per-shard baseline (the PR 3
-/// runtime layout): identical workload, placement, and scheme, so the
-/// `ops_per_sec` pair in `BENCH.json` is a same-host measurement of
-/// the multiplexed executor against its predecessor.
-pub fn calibrate_runtime_thread_per_shard() -> RuntimeCalibration {
-    calibrate_runtime_mode(
-        em2_rt::ExecutorMode::ThreadPerShard,
-        "ocean/quick/rt-em2/thread-per-shard",
-    )
-}
-
-/// The obs-plane overhead measurement: the identical calibration
-/// workload with the observability plane forced **off** and forced
-/// **on** (metrics + tracing, no exporter), both programmatically —
-/// ambient `EM2_OBS` cannot skew either side. The acceptance bar for
-/// the obs subsystem is `overhead_pct() <= 5` on an unloaded host.
-pub struct ObsOverhead {
-    /// Plane resolved to `None`: the disabled-mode branch only.
-    pub off: RuntimeCalibration,
-    /// Metrics registry + per-shard trace rings fully active.
-    pub on: RuntimeCalibration,
-}
-
-impl ObsOverhead {
-    /// Throughput lost to the enabled plane, in percent (negative
-    /// values are measurement noise on a loaded host).
-    pub fn overhead_pct(&self) -> f64 {
-        let (off, on) = (self.off.ops_per_sec(), self.on.ops_per_sec());
-        if off <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - on / off) * 100.0
-    }
-}
-
-/// Measure the obs plane's cost on the multiplexed-executor
-/// calibration shape, stretched to 4× the quick iterations
-/// ([`workloads::ocean_obs_calibration`]) so each timed run is ~60 ms
-/// instead of ~15 ms — long enough that page faults, frequency ramps,
-/// and allocator-layout luck stop dominating a ±5% comparison.
-/// Interleaved best-of-9 per mode: host noise (scheduler preemption,
-/// frequency shifts) only ever *lowers* a run's throughput, so the
-/// fastest of the alternated off/on pairs is the closest observable
-/// to each mode's true cost — a single off-then-on pair routinely
-/// reads ±15% on a shared CI host, and a busy window has to outlast
-/// all nine pairs (~1 s) to bias the comparison.
-///
-/// One level up, [`calibrate_obs_overhead`] repeats the whole
-/// calibration up to five times and keeps the *lowest* overhead:
-/// interference that survives the interleaving can only inflate the
-/// ratio, never deflate it below the plane's true cost, so the min
-/// over repetitions is the robust estimate the CI gate compares
-/// against. A repetition already comfortably under the bar ends the
-/// loop early.
-pub fn calibrate_obs_overhead() -> ObsOverhead {
-    let mut best = calibrate_obs_overhead_once();
-    for _ in 0..4 {
-        if best.overhead_pct() <= 3.5 {
-            break;
-        }
-        let again = calibrate_obs_overhead_once();
-        if again.overhead_pct() < best.overhead_pct() {
-            best = again;
-        }
-    }
-    best
-}
-
-/// One interleaved best-of-9 off/on calibration pass (see
-/// [`calibrate_obs_overhead`] for the repetition layer above it).
-fn calibrate_obs_overhead_once() -> ObsOverhead {
-    let run = |obs: em2_obs::ObsConfig, label: &str| {
-        calibrate_runtime_on(
-            workloads::ocean_obs_calibration(),
-            em2_rt::ExecutorMode::Multiplexed,
-            Some(obs),
-            label,
-        )
-    };
-    let best = |a: RuntimeCalibration, b: RuntimeCalibration| {
-        if b.ops_per_sec() > a.ops_per_sec() {
-            b
-        } else {
-            a
-        }
-    };
-    let mut off = run(em2_obs::ObsConfig::off(), "ocean/obs-cal/rt-em2/obs-off");
-    let mut on = run(em2_obs::ObsConfig::on(), "ocean/obs-cal/rt-em2/obs-on");
-    for _ in 0..8 {
-        off = best(
-            off,
-            run(em2_obs::ObsConfig::off(), "ocean/obs-cal/rt-em2/obs-off"),
-        );
-        on = best(
-            on,
-            run(em2_obs::ObsConfig::on(), "ocean/obs-cal/rt-em2/obs-on"),
-        );
-    }
-    ObsOverhead { off, on }
-}
-
-/// One point of the shard-scaling sweep: the same fixed-size workload
-/// on `shards` shards, multiplexed vs thread-per-shard.
-pub struct ScalingPoint {
-    /// Shard count of this point.
-    pub shards: usize,
-    /// Multiplexed-executor report.
-    pub multiplexed: em2_rt::RtReport,
-    /// Thread-per-shard baseline report (`shards` OS threads).
-    pub thread_per_shard: em2_rt::RtReport,
-}
-
-/// The shard-scaling sweep: S ∈ {16, 64, 256, 1024} shards on a fixed
-/// worker pool (the host's parallelism), total op count held constant,
-/// so ops/sec isolates executor overhead. The multiplexed curve must
-/// stay flat while the thread-per-shard baseline pays for S OS threads
-/// — the collapse `BENCH.json` records.
-pub fn shard_scaling_sweep() -> Vec<ScalingPoint> {
-    [16usize, 64, 256, 1024]
-        .into_iter()
-        .map(scaling_point)
-        .collect()
-}
-
-/// One shard-scaling measurement: 64 tasks, ~200k total accesses,
-/// uniformly shared lines — the same work at every S; only the shard
-/// geometry grows.
-pub fn scaling_point(shards: usize) -> ScalingPoint {
-    let tasks = 64;
-    let w = Arc::new(em2_trace::gen::micro::uniform(
-        tasks,
-        shards,
-        3_000,
-        2_048,
-        0.3,
-        0x5ca1e + shards as u64,
-    ));
-    let placement: Arc<dyn Placement> = Arc::new(em2_placement::FirstTouch::build(&w, shards, 64));
-    let run = |executor: em2_rt::ExecutorMode| {
-        let mut cfg = em2_rt::RtConfig::eviction_free(shards, tasks);
-        cfg.executor = executor;
-        em2_rt::run_workload(cfg, &w, Arc::clone(&placement), || {
-            Box::new(em2_core::AlwaysMigrate)
-        })
-    };
-    ScalingPoint {
-        shards,
-        multiplexed: run(em2_rt::ExecutorMode::Multiplexed),
-        thread_per_shard: run(em2_rt::ExecutorMode::ThreadPerShard),
-    }
-}
-
-/// The host's available parallelism, as the sweep engine and the
-/// runtime's shard threads see it. Recorded next to the configured
-/// worker count so `BENCH.json` shows whether parallel sweeps could
-/// actually engage on the build host.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Escape a string for a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render a table with its measured-timing cells replaced by `<t>`:
 /// E5's DP wall-time columns and E11's/E12's runtime-throughput
@@ -354,7 +50,7 @@ pub fn render_masked(table: &Table) -> String {
 }
 
 /// FNV-1a digest over the masked rendering of a table sequence — the
-/// determinism fingerprint recorded in `BENCH.json`.
+/// determinism fingerprint `experiments` prints as `tables_digest:`.
 pub fn tables_digest<'a>(tables: impl Iterator<Item = &'a Table>) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for t in tables {
@@ -366,343 +62,9 @@ pub fn tables_digest<'a>(tables: impl Iterator<Item = &'a Table>) -> String {
     format!("fnv1a:{h:016x}")
 }
 
-/// Serialize a suite run (plus calibrations, the shard-scaling sweep,
-/// the open-loop latency panel, and the cross-process transport
-/// calibration) as the `BENCH.json` body — schema 8. Every schema-7
-/// field survives unchanged (trajectory tooling keeps parsing); the
-/// body gains a top-level `placement` block — E14's placement
-/// scorecard (DESIGN.md §14): per-scheme attributed cost of the
-/// placement the obs-on runtime actually executed, against the DP
-/// bound on the same KV-shaped stream. The schema-7 `obs_overhead`
-/// (acceptance bar ≤ 5%), the schema-6 egress-pipeline telemetry, and
-/// the schema-5 transport/kv/fault-matrix blocks remain as they were.
-#[allow(clippy::too_many_arguments)]
-pub fn bench_json(
-    suite: &SuiteResult,
-    calibration: &Calibration,
-    runtime: &RuntimeCalibration,
-    baseline: &RuntimeCalibration,
-    obs: &ObsOverhead,
-    placement: &crate::scorecard::PlacementScorecard,
-    scaling: &[ScalingPoint],
-    latency: &[crate::serving::LatencyReport],
-    transport: &[crate::netproc::TransportPoint],
-    kv_uds: Option<&crate::netproc::KvUdsPoint>,
-    fault_matrix: &[crate::netproc::FaultClassPoint],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": 8,");
-    let _ = writeln!(
-        s,
-        "  \"scale\": \"{}\",",
-        match suite.scale {
-            Scale::Full => "full",
-            Scale::Quick => "quick",
-        }
-    );
-    let _ = writeln!(s, "  \"threads\": {},", suite.threads);
-    let _ = writeln!(
-        s,
-        "  \"host_available_parallelism\": {},",
-        host_parallelism()
-    );
-    let _ = writeln!(s, "  \"suite_wall_s\": {:.6},", suite.wall.as_secs_f64());
-    s.push_str("  \"experiments\": [\n");
-    for (i, run) in suite.runs.iter().enumerate() {
-        let title = run
-            .tables
-            .first()
-            .map(|t| t.title.as_str())
-            .unwrap_or_default();
-        let _ = write!(
-            s,
-            "    {{\"id\": \"{}\", \"title\": \"{}\", \"wall_s\": {:.6}}}",
-            json_escape(run.id),
-            json_escape(title),
-            run.wall.as_secs_f64()
-        );
-        s.push_str(if i + 1 < suite.runs.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(s, "  \"calibration\": {{");
-    let _ = writeln!(
-        s,
-        "    \"workload\": \"{}\",",
-        json_escape(&calibration.workload)
-    );
-    let _ = writeln!(s, "    \"accesses\": {},", calibration.accesses);
-    let _ = writeln!(s, "    \"sim_cycles\": {},", calibration.sim_cycles);
-    let _ = writeln!(s, "    \"wall_s\": {:.6},", calibration.wall.as_secs_f64());
-    let _ = writeln!(
-        s,
-        "    \"sim_cycles_per_sec\": {:.1},",
-        calibration.sim_cycles_per_sec()
-    );
-    let _ = writeln!(
-        s,
-        "    \"accesses_per_sec\": {:.1}",
-        calibration.accesses_per_sec()
-    );
-    s.push_str("  },\n");
-    let _ = writeln!(s, "  \"runtime\": {{");
-    let _ = writeln!(
-        s,
-        "    \"workload\": \"{}\",",
-        json_escape(&runtime.workload)
-    );
-    let _ = writeln!(s, "    \"shards\": {},", runtime.report.shards);
-    let _ = writeln!(s, "    \"ops\": {},", runtime.report.total_ops());
-    let _ = writeln!(
-        s,
-        "    \"wall_s\": {:.6},",
-        runtime.report.wall.as_secs_f64()
-    );
-    let _ = writeln!(s, "    \"ops_per_sec\": {:.1},", runtime.ops_per_sec());
-    let _ = writeln!(s, "    \"executor\": \"multiplexed\",");
-    let _ = writeln!(s, "    \"workers\": {},", runtime.report.sched.workers);
-    let _ = writeln!(s, "    \"baseline_thread_per_shard\": {{");
-    let _ = writeln!(
-        s,
-        "      \"wall_s\": {:.6},",
-        baseline.report.wall.as_secs_f64()
-    );
-    let _ = writeln!(s, "      \"ops_per_sec\": {:.1}", baseline.ops_per_sec());
-    s.push_str("    },\n");
-    let speedup = if baseline.ops_per_sec() > 0.0 {
-        runtime.ops_per_sec() / baseline.ops_per_sec()
-    } else {
-        0.0
-    };
-    let _ = writeln!(s, "    \"speedup_vs_thread_per_shard\": {speedup:.3},");
-    let _ = writeln!(s, "    \"obs_overhead\": {{");
-    let _ = writeln!(
-        s,
-        "      \"workload\": \"{}\",",
-        json_escape(&obs.off.workload)
-    );
-    let _ = writeln!(s, "      \"ops\": {},", obs.off.report.total_ops());
-    let _ = writeln!(
-        s,
-        "      \"off_ops_per_sec\": {:.1},",
-        obs.off.ops_per_sec()
-    );
-    let _ = writeln!(s, "      \"on_ops_per_sec\": {:.1},", obs.on.ops_per_sec());
-    let _ = writeln!(s, "      \"overhead_pct\": {:.3}", obs.overhead_pct());
-    s.push_str("    },\n");
-    s.push_str("    \"shard_scaling\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"shards\": {}, \"ops\": {}, \"multiplexed_ops_per_sec\": {:.1}, \"thread_per_shard_ops_per_sec\": {:.1}}}",
-            p.shards,
-            p.multiplexed.total_ops(),
-            p.multiplexed.ops_per_sec(),
-            p.thread_per_shard.ops_per_sec()
-        );
-        s.push_str(if i + 1 < scaling.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    ],\n");
-    let _ = writeln!(s, "    \"latency\": {{");
-    let _ = writeln!(s, "      \"workload\": \"kv-open-loop\",");
-    let _ = writeln!(
-        s,
-        "      \"utilization\": {},",
-        latency.first().map_or(0.0, |l| l.utilization)
-    );
-    s.push_str("      \"schemes\": [\n");
-    for (i, l) in latency.iter().enumerate() {
-        let _ = write!(
-            s,
-            "        {{\"scheme\": \"{}\", \"requests\": {}, \"offered_rps\": {:.1}, \"achieved_rps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}}}",
-            json_escape(&l.scheme),
-            l.requests,
-            l.offered_rps,
-            l.achieved_rps,
-            l.p50_us,
-            l.p95_us,
-            l.p99_us,
-            l.max_us
-        );
-        s.push_str(if i + 1 < latency.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("      ]\n");
-    s.push_str("    },\n");
-    let _ = writeln!(s, "    \"transport\": {{");
-    s.push_str("      \"modes\": [\n");
-    for (i, p) in transport.iter().enumerate() {
-        let frames_per_flush = if p.wire.flushes_tx > 0 {
-            p.wire.frames_tx_total as f64 / p.wire.flushes_tx as f64
-        } else {
-            0.0
-        };
-        let _ = write!(
-            s,
-            "        {{\"mode\": \"{}\", \"nodes\": {}, \"processes\": {}, \"ops\": {}, \
-             \"wall_s\": {:.6}, \"ops_per_sec\": {:.1}, \"wire_frames\": {}, \
-             \"wire_bytes\": {}, \"xnode_contexts\": {}, \"context_bytes_on_wire\": {}, \
-             \"wire_frames_total\": {}, \"wire_bytes_total\": {}, \"wire_flushes\": {}, \
-             \"frames_per_flush\": {:.3}, \"egress_queue_hwm\": {}}}",
-            json_escape(&p.mode),
-            p.nodes,
-            p.processes,
-            p.ops,
-            p.wall_s,
-            p.ops_per_sec,
-            p.wire.frames_tx,
-            p.wire.bytes_tx,
-            p.wire.arrives_tx,
-            p.wire.context_bytes_tx,
-            p.wire.frames_tx_total,
-            p.wire.bytes_tx_total,
-            p.wire.flushes_tx,
-            frames_per_flush,
-            p.wire.egress_hwm,
-        );
-        s.push_str(if i + 1 < transport.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("      ],\n");
-    s.push_str("      \"fault_matrix\": [\n");
-    for (i, f) in fault_matrix.iter().enumerate() {
-        let _ = write!(
-            s,
-            "        {{\"class\": \"{}\", \"runs\": {}, \"completed\": {}, \
-             \"errored\": {}, \"settle_ms_mean\": {:.3}, \"settle_ms_max\": {:.3}}}",
-            json_escape(f.class),
-            f.runs,
-            f.completed,
-            f.errored,
-            f.settle_ms_mean,
-            f.settle_ms_max,
-        );
-        s.push_str(if i + 1 < fault_matrix.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("      ],\n");
-    match kv_uds {
-        None => {
-            let _ = writeln!(s, "      \"kv_uds\": null");
-        }
-        Some(k) => {
-            let _ = writeln!(
-                s,
-                "      \"kv_uds\": {{\"requests\": {}, \"ops\": {}, \"wall_s\": {:.6}, \
-                 \"requests_per_sec\": {:.1}, \"wire_frames\": {}, \"wire_bytes\": {}, \
-                 \"xnode_contexts\": {}, \"context_bytes_on_wire\": {}, \
-                 \"wire_flushes\": {}, \"egress_queue_hwm\": {}}}",
-                k.requests,
-                k.ops,
-                k.wall_s,
-                k.requests_per_sec,
-                k.wire.frames_tx,
-                k.wire.bytes_tx,
-                k.wire.arrives_tx,
-                k.wire.context_bytes_tx,
-                k.wire.flushes_tx,
-                k.wire.egress_hwm,
-            );
-        }
-    }
-    s.push_str("    }\n");
-    s.push_str("  },\n");
-    let _ = writeln!(s, "  \"placement\": {{");
-    let _ = writeln!(s, "    \"workload\": \"kv-replay\",");
-    let _ = writeln!(s, "    \"shards\": {},", placement.shards);
-    let _ = writeln!(s, "    \"threads\": {},", placement.threads);
-    let _ = writeln!(s, "    \"rounds\": {},", placement.rounds);
-    let _ = writeln!(s, "    \"dp_bound\": {},", placement.bound);
-    s.push_str("    \"schemes\": [\n");
-    for (i, sc) in placement.scores.iter().enumerate() {
-        let pct = if placement.bound == 0 {
-            0.0
-        } else {
-            100.0 * sc.observed as f64 / placement.bound as f64
-        };
-        let _ = write!(
-            s,
-            "      {{\"scheme\": \"{}\", \"observed_cost\": {}, \"pct_of_bound\": {:.1}}}",
-            json_escape(sc.scheme),
-            sc.observed,
-            pct
-        );
-        s.push_str(if i + 1 < placement.scores.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    let _ = writeln!(
-        s,
-        "  \"tables_digest\": \"{}\"",
-        tables_digest(suite.tables())
-    );
-    s.push_str("}\n");
-    s
-}
-
-/// Write `BENCH.json` to `path`.
-#[allow(clippy::too_many_arguments)]
-pub fn write_bench_json(
-    path: &std::path::Path,
-    suite: &SuiteResult,
-    calibration: &Calibration,
-    runtime: &RuntimeCalibration,
-    baseline: &RuntimeCalibration,
-    obs: &ObsOverhead,
-    placement: &crate::scorecard::PlacementScorecard,
-    scaling: &[ScalingPoint],
-    latency: &[crate::serving::LatencyReport],
-    transport: &[crate::netproc::TransportPoint],
-    kv_uds: Option<&crate::netproc::KvUdsPoint>,
-    fault_matrix: &[crate::netproc::FaultClassPoint],
-) -> std::io::Result<()> {
-    std::fs::write(
-        path,
-        bench_json(
-            suite,
-            calibration,
-            runtime,
-            baseline,
-            obs,
-            placement,
-            scaling,
-            latency,
-            transport,
-            kv_uds,
-            fault_matrix,
-        ),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::run_suite;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("§µ²"), "§µ²");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn calibration_reports_positive_throughput() {
-        let c = calibrate();
-        assert!(c.sim_cycles > 0);
-        assert!(c.accesses > 0);
-        assert!(c.sim_cycles_per_sec() > 0.0);
-        assert!(c.accesses_per_sec() > 0.0);
-    }
 
     #[test]
     fn e5_masking_hides_only_timing_cells() {
@@ -779,129 +141,5 @@ mod tests {
             "handoff-timing-dependent cells are masked"
         );
         assert!(m.contains("<t>"));
-    }
-
-    #[test]
-    fn runtime_calibration_reports_positive_throughput() {
-        let c = calibrate_runtime();
-        assert!(c.report.total_ops() > 0);
-        assert!(c.report.shards > 0);
-        assert!(c.ops_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn bench_json_is_syntactically_plausible() {
-        let suite = run_suite(crate::workloads::Scale::Quick, &["e9"]);
-        let cal = calibrate();
-        let rt_cal = calibrate_runtime();
-        let baseline = calibrate_runtime_thread_per_shard();
-        let latency = [crate::serving::kv_open_loop(8, 300, 0.5, || {
-            Box::new(em2_core::AlwaysMigrate)
-        })];
-        let transport = [crate::netproc::TransportPoint {
-            mode: "in-process".into(),
-            nodes: 1,
-            processes: 1,
-            ops: 100,
-            wall_s: 0.01,
-            ops_per_sec: 10_000.0,
-            wire: Default::default(),
-        }];
-        let fault_matrix = [crate::netproc::FaultClassPoint {
-            class: "drop",
-            runs: 5,
-            completed: 1,
-            errored: 4,
-            settle_ms_mean: 12.5,
-            settle_ms_max: 30.0,
-        }];
-        let obs = calibrate_obs_overhead();
-        let placement =
-            crate::scorecard::PlacementScorecard::measure(crate::workloads::Scale::Quick);
-        let j = bench_json(
-            &suite,
-            &cal,
-            &rt_cal,
-            &baseline,
-            &obs,
-            &placement,
-            &[],
-            &latency,
-            &transport,
-            None,
-            &fault_matrix,
-        );
-        assert!(j.starts_with("{\n") && j.ends_with("}\n"));
-        for key in [
-            "\"schema\": 8",
-            "\"obs_overhead\"",
-            "\"placement\"",
-            "\"dp_bound\"",
-            "\"observed_cost\"",
-            "\"pct_of_bound\"",
-            "\"off_ops_per_sec\"",
-            "\"on_ops_per_sec\"",
-            "\"overhead_pct\"",
-            "\"wire_flushes\"",
-            "\"frames_per_flush\"",
-            "\"egress_queue_hwm\"",
-            "\"wire_frames_total\"",
-            "\"fault_matrix\"",
-            "\"settle_ms_max\"",
-            "\"scale\"",
-            "\"threads\"",
-            "\"host_available_parallelism\"",
-            "\"suite_wall_s\"",
-            "\"experiments\"",
-            "\"calibration\"",
-            "\"sim_cycles_per_sec\"",
-            "\"runtime\"",
-            "\"ops_per_sec\"",
-            "\"baseline_thread_per_shard\"",
-            "\"speedup_vs_thread_per_shard\"",
-            "\"shard_scaling\"",
-            "\"latency\"",
-            "\"p99_us\"",
-            "\"transport\"",
-            "\"context_bytes_on_wire\"",
-            "\"kv_uds\": null",
-            "\"tables_digest\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "balanced braces"
-        );
-        assert_eq!(
-            j.matches('[').count(),
-            j.matches(']').count(),
-            "balanced brackets"
-        );
-    }
-
-    #[test]
-    fn obs_overhead_pair_measures_the_identical_workload() {
-        let o = calibrate_obs_overhead();
-        // Work conservation: the plane observes, it never perturbs.
-        assert_eq!(o.off.report.total_ops(), o.on.report.total_ops());
-        assert!(o.off.ops_per_sec() > 0.0);
-        assert!(o.on.ops_per_sec() > 0.0);
-        // No throughput bar here — CI hosts are noisy; the acceptance
-        // number is recorded in BENCH.json for the trajectory.
-        assert!(o.overhead_pct().is_finite());
-    }
-
-    #[test]
-    fn scaling_sweep_points_conserve_work_across_executors() {
-        // One cheap point of the sweep shape (the full sweep runs in
-        // the experiments binary): both executors serve the identical
-        // workload, so ops must match exactly.
-        let p = scaling_point(16);
-        assert_eq!(p.shards, 16);
-        assert_eq!(p.multiplexed.total_ops(), p.thread_per_shard.total_ops());
-        assert!(p.multiplexed.ops_per_sec() > 0.0);
-        assert!(p.thread_per_shard.ops_per_sec() > 0.0);
     }
 }

@@ -12,8 +12,9 @@
 //! The offered rate is derived from a closed-loop capacity probe of
 //! the same configuration (`utilization × capacity`), so one knob
 //! produces comparable load across decision schemes and hosts. Results
-//! land in `BENCH.json` under `runtime.latency` (schema 3) and in the
-//! `runtime_kv` example's table.
+//! land in the `runtime_kv` example's table; the gated latency numbers
+//! are `benchmark/`'s `kv-serve-uds2` workload, which ships this
+//! module's [`KvRequest`] across a real UDS cluster.
 
 use em2_core::decision::DecisionScheme;
 use em2_model::{Addr, CoreId, DetRng};
@@ -137,9 +138,6 @@ pub struct LatencyReport {
     pub scheme: String,
     /// Requests injected.
     pub requests: u64,
-    /// Fraction of probed capacity the run targeted (the load point
-    /// `BENCH.json` attributes the percentiles to).
-    pub utilization: f64,
     /// Injection rate the run targeted (requests/second).
     pub offered_rps: f64,
     /// Retirement rate actually achieved.
@@ -165,10 +163,11 @@ fn kv_config(shards: usize) -> RtConfig {
     RtConfig::with_shards(shards)
 }
 
-fn submit_request(rt: &mut Runtime, i: u64, shards: usize, rng: &mut DetRng, at: Option<Instant>) {
+/// Request `i` is native to shard `i % natives`.
+fn submit_request(rt: &mut Runtime, i: u64, natives: usize, rng: &mut DetRng, at: Option<Instant>) {
     let spec = TaskSpec {
         task: Box::new(KvRequest::new(i, rng)) as Box<dyn Task>,
-        native: CoreId::from((i % shards as u64) as usize),
+        native: CoreId::from((i % natives as u64) as usize),
         arrival: at,
     };
     rt.submit(spec);
@@ -181,17 +180,21 @@ pub fn kv_capacity(
     requests: u64,
     scheme: fn() -> Box<dyn DecisionScheme>,
 ) -> RtReport {
+    kv_closed_loop(kv_config(shards), shards, requests, scheme)
+}
+
+fn kv_closed_loop(
+    cfg: RtConfig,
+    natives: usize,
+    requests: u64,
+    scheme: fn() -> Box<dyn DecisionScheme>,
+) -> RtReport {
+    let shards = cfg.shards;
     let placement: Arc<dyn Placement> = Arc::new(Striped::new(shards, 64));
-    let mut rt = Runtime::start(
-        kv_config(shards),
-        "kv-capacity",
-        placement,
-        scheme,
-        Vec::new(),
-    );
+    let mut rt = Runtime::start(cfg, "kv-capacity", placement, scheme, Vec::new());
     let mut rng = DetRng::new(0x4b56);
     for i in 0..requests {
-        submit_request(&mut rt, i, shards, &mut rng, None);
+        submit_request(&mut rt, i, natives, &mut rng, None);
     }
     rt.finish()
 }
@@ -261,7 +264,6 @@ pub fn kv_open_loop(
     LatencyReport {
         scheme: report.scheme.clone(),
         requests,
-        utilization,
         offered_rps,
         achieved_rps,
         p50_us: quantile_us(&report, 0.50),
@@ -270,31 +272,6 @@ pub fn kv_open_loop(
         max_us: quantile_us(&report, 1.0),
         report,
     }
-}
-
-/// A named decision-scheme constructor (panel entry).
-pub type SchemeFactory = fn() -> Box<dyn DecisionScheme>;
-
-/// The scheme panel measured for `BENCH.json`'s `runtime.latency`
-/// block and the `runtime_kv` example. Every report carries the
-/// scheme's own `name()`, so the panel is just the constructors.
-pub fn scheme_panel() -> Vec<SchemeFactory> {
-    use em2_core::decision::{AlwaysMigrate, AlwaysRemote, DistanceThreshold, HistoryPredictor};
-    vec![
-        || Box::new(AlwaysMigrate),
-        || Box::new(AlwaysRemote),
-        || Box::new(DistanceThreshold { max_hops: 2 }),
-        || Box::new(HistoryPredictor::new(1.0, 0.5)),
-    ]
-}
-
-/// Run the whole panel at one load point (the `BENCH.json` entry
-/// point: `shards = 16`, 2000 requests, 50% utilization).
-pub fn measure_latency_panel() -> Vec<LatencyReport> {
-    scheme_panel()
-        .into_iter()
-        .map(|factory| kv_open_loop(16, 2_000, 0.5, factory))
-        .collect()
 }
 
 #[cfg(test)]
@@ -309,6 +286,67 @@ mod tests {
         // 3 accesses per request (hot read, own write, own read-back).
         assert_eq!(r.total_ops(), 900);
         assert!(r.heap_words > 0);
+    }
+
+    /// The KV service as a distributed service: node 0 submits every
+    /// request native to its own span, node 1 is a pure server that
+    /// rebuilds migrated-in requests through [`kv_registry`]. Guest
+    /// pools are eviction-free
+    /// so the counters are functions of program order alone and must
+    /// sum to the single-process run's.
+    #[test]
+    fn kv_requests_cross_a_two_node_cluster_and_sum_to_single_process() {
+        use em2_net::{ClusterSpec, CounterSummary, NodeRuntime};
+        const SHARDS: usize = 8;
+        const NATIVES: usize = SHARDS / 2; // node 0's span
+        const REQUESTS: u64 = 300;
+        let scheme: fn() -> Box<dyn DecisionScheme> = || Box::new(AlwaysMigrate);
+        let cfg = RtConfig::eviction_free(SHARDS, REQUESTS as usize);
+        let expected =
+            CounterSummary::from_rt(&kv_closed_loop(cfg.clone(), NATIVES, REQUESTS, scheme));
+
+        let spec = ClusterSpec::loopback(2, SHARDS);
+        let start = |node: usize| {
+            let placement: Arc<dyn Placement> = Arc::new(Striped::new(SHARDS, 64));
+            NodeRuntime::start(
+                spec.clone(),
+                node,
+                cfg.clone(),
+                "kv-cluster",
+                placement,
+                kv_registry(),
+                scheme,
+                Vec::new(),
+            )
+            .expect("join the loopback cluster")
+        };
+        let reports = std::thread::scope(|s| {
+            let server = s.spawn(|| start(1).finish().expect("server node"));
+            let mut front = start(0);
+            let mut rng = DetRng::new(0x4b56);
+            for i in 0..REQUESTS {
+                front.submit(
+                    TaskSpec::new(
+                        Box::new(KvRequest::new(i, &mut rng)),
+                        CoreId::from((i % NATIVES as u64) as usize),
+                    ),
+                    em2_model::ThreadId(i as u32),
+                );
+            }
+            let front = front.finish().expect("front node");
+            [front, server.join().expect("server thread")]
+        });
+        let retired: usize = reports.iter().map(|r| r.rt.task_latency_ns.len()).sum();
+        assert_eq!(retired as u64, REQUESTS, "every request retired verified");
+        let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
+        assert!(
+            total.counters_equal(&expected),
+            "cluster sum diverged from the single-process run:\n{total:?}\nvs\n{expected:?}"
+        );
+        assert!(
+            total.wire.arrives_tx > 0,
+            "request contexts crossed the wire"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! * **Full** — the paper's configuration (64 cores / 64 threads,
 //!   256² OCEAN grid); minutes of wall time across all experiments.
 //! * **Quick** — a 16-core shrink preserving every structural feature;
-//!   seconds of wall time. Used by the criterion benches and CI.
+//!   seconds of wall time. Used by the tests and CI.
 
 use em2_placement::{FirstTouch, Placement};
 use em2_trace::gen::{

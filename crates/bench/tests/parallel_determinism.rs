@@ -32,7 +32,8 @@ fn parallel_suite_is_byte_identical_to_serial() {
             );
         }
     }
-    // The digest recorded in BENCH.json is the same comparison, folded.
+    // The `tables_digest:` line `experiments` prints is the same
+    // comparison, folded.
     assert_eq!(
         tables_digest(serial.tables()),
         tables_digest(parallel.tables()),
@@ -49,9 +50,9 @@ fn parallel_suite_is_byte_identical_to_serial() {
     // excluded here, as are E11 (the executable-runtime
     // cross-validation), E12 (the distributed-runtime
     // cross-validation), E13 (elastic membership), and E14 (the
-    // placement scorecard), all post-freeze: the full-suite digest in
-    // BENCH.json differs from this pinned prefix by exactly their
-    // tables.
+    // placement scorecard), all post-freeze: the full-suite digest
+    // `experiments` prints differs from this pinned prefix by exactly
+    // their tables.
     let pre_refactor = "fnv1a:8fd102978e26f354";
     assert_eq!(
         tables_digest(

@@ -40,14 +40,6 @@ pub const KNOWN: &[VarDef] = &[
         doc: "worker-thread count for the multiplexed executor (default: host parallelism)",
     },
     VarDef {
-        name: "EM2_NET_CONNECT_TIMEOUT_MS",
-        doc: "cluster connect budget in ms, overriding the spec's connect_timeout_ms",
-    },
-    VarDef {
-        name: "EM2_NET_COALESCE",
-        doc: "egress frame coalescing: 1 = batched flushes (default), 0 = one frame per flush",
-    },
-    VarDef {
         name: "EM2_OBS",
         doc: "1 = enable the observability plane (metrics registry, tracing, snapshot exporter)",
     },
@@ -60,28 +52,12 @@ pub const KNOWN: &[VarDef] = &[
         doc: "obs snapshot JSONL path (appended; default em2-obs-<pid>.jsonl in the working dir)",
     },
     VarDef {
-        name: "EM2_OBS_RING",
-        doc: "per-shard trace ring-buffer capacity in events (default 256)",
-    },
-    VarDef {
         name: "EM2_OBS_DIR",
         doc: "directory for flight-recorder post-mortem JSONL dumps (default: temp dir)",
     },
     VarDef {
-        name: "EM2_OBS_ATTRIB_SLOTS",
-        doc: "per-shard cost-attribution matrix capacity in (thread, home) cells (default 512)",
-    },
-    VarDef {
-        name: "EM2_BENCH_THREADS",
-        doc: "sweep worker count for the em2-bench experiment harness",
-    },
-    VarDef {
         name: "EM2_CHAOS_SEEDS",
         doc: "number of seeded fault plans each chaos sweep test runs",
-    },
-    VarDef {
-        name: "EM2_E12_CHILD",
-        doc: "internal: marks a re-executed experiments binary as an E12 cluster child",
     },
     VarDef {
         name: "EM2_NET_MP_ROLE",
@@ -98,14 +74,6 @@ pub const KNOWN: &[VarDef] = &[
     VarDef {
         name: "EM2_CHAOS_KILL_DIR",
         doc: "internal: scratch directory of a kill-recovery-test child process",
-    },
-    VarDef {
-        name: "EM2_NET_HANDOFF_TIMEOUT_MS",
-        doc: "coordinator watchdog budget per live shard handoff in ms (default 5000)",
-    },
-    VarDef {
-        name: "EM2_NET_BOUNCE_RETRIES",
-        doc: "max re-routes of an epoch-fenced frame before the run fails typed (default 16)",
     },
     VarDef {
         name: "EM2_NET_DEBUG_WEDGE",

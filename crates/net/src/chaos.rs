@@ -31,7 +31,7 @@ use em2_trace::Workload;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One scripted mutation of a single frame on one directed edge.
@@ -269,8 +269,6 @@ pub struct ChaosState {
     /// Faults that actually fired (scripted faults on frames never
     /// sent do not count).
     injected: AtomicU32,
-    /// Instant the first fault fired.
-    injected_at: Mutex<Option<Instant>>,
     /// Inbound accepts refused so far.
     refused: AtomicU32,
 }
@@ -278,15 +276,6 @@ pub struct ChaosState {
 impl ChaosState {
     fn record_injection(&self) {
         self.injected.fetch_add(1, Ordering::Relaxed);
-        self.injected_at
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get_or_insert_with(Instant::now);
-    }
-
-    /// When the first fault fired, if any did.
-    pub fn injected_at(&self) -> Option<Instant> {
-        *self.injected_at.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// How many scripted faults actually fired.
@@ -818,7 +807,6 @@ mod tests {
             .collect();
         assert_eq!(got, vec![0, 2, 2, 3]);
         assert_eq!(chaos.state().injected(), 2);
-        assert!(chaos.state().injected_at().is_some());
     }
 
     #[test]

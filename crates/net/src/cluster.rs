@@ -52,8 +52,7 @@ impl TransportKind {
 pub struct ClusterTimeouts {
     /// Per-peer dial + handshake budget in milliseconds
     /// (`connect_timeout_ms=`). Dial retries back off exponentially
-    /// with jitter inside this budget. Overridable for tests via the
-    /// `EM2_NET_CONNECT_TIMEOUT_MS` environment variable.
+    /// with jitter inside this budget.
     pub connect_ms: u64,
     /// Run deadline in milliseconds (`timeout_ms=`): the longest
     /// `finish()` waits for cluster quiesce before returning a

@@ -90,8 +90,7 @@ pub use error::ClusterError;
 pub use node::{
     run_workload_cluster, run_workload_cluster_in_process,
     run_workload_cluster_in_process_with_handoffs, run_workload_cluster_with,
-    run_workload_cluster_with_handoffs, NetReport, NodeRuntime, WireSnapshot, BOUNCE_RETRIES_ENV,
-    CONNECT_TIMEOUT_ENV, HANDOFF_TIMEOUT_ENV,
+    run_workload_cluster_with_handoffs, NetReport, NodeRuntime, WireSnapshot,
 };
 pub use report::{merge_obs_sidecars, obs_sidecar, write_summary_with_obs, CounterSummary};
 pub use transport::{

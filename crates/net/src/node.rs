@@ -86,42 +86,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Environment override for the connect budget
-/// (`ClusterTimeouts::connect_ms`), so test runs can fail fast without
-/// editing every spec string.
-pub const CONNECT_TIMEOUT_ENV: &str = "EM2_NET_CONNECT_TIMEOUT_MS";
+/// The coordinator's per-handoff watchdog budget: a live shard handoff
+/// stuck in any phase for longer than this fails the cluster typed
+/// ([`ClusterError::Handoff`]) instead of wedging quiesce forever.
+const HANDOFF_TIMEOUT_MS: u64 = 5000;
 
-/// Environment override for the egress coalesce window: `0` forces
-/// one frame per flush (the pre-batching wire behavior, for A/B bit-
-/// equality smoke runs); anything else keeps the default window.
-/// Coalescing never changes which frames cross the wire or their
-/// order — only how many share a syscall — so both settings must
-/// produce identical counters.
-pub const COALESCE_ENV: &str = "EM2_NET_COALESCE";
-
-/// Environment override for the coordinator's per-handoff watchdog
-/// budget: a live shard handoff stuck in any phase for longer than
-/// this fails the cluster typed ([`ClusterError::Handoff`]) instead of
-/// wedging quiesce forever.
-pub const HANDOFF_TIMEOUT_ENV: &str = "EM2_NET_HANDOFF_TIMEOUT_MS";
-
-/// Environment override for the epoch-fencing bounce budget: how many
-/// times one frame may be re-routed while ownership moves before the
-/// run fails typed (a bound on fencing ping-pong, not a hot-path
-/// knob — a healthy handoff resolves every bounce in one epoch).
-pub const BOUNCE_RETRIES_ENV: &str = "EM2_NET_BOUNCE_RETRIES";
-
-fn handoff_timeout_ms() -> u64 {
-    em2_model::env::parse::<u64>(HANDOFF_TIMEOUT_ENV)
-        .unwrap_or(5000)
-        .max(1)
-}
-
-fn bounce_retry_cap() -> u32 {
-    em2_model::env::parse::<u32>(BOUNCE_RETRIES_ENV)
-        .unwrap_or(16)
-        .max(1)
-}
+/// The epoch-fencing bounce budget: how many times one frame may be
+/// re-routed while ownership moves before the run fails typed (a bound
+/// on fencing ping-pong — a healthy handoff resolves every bounce in
+/// one epoch).
+const BOUNCE_RETRY_CAP: u32 = 16;
 
 /// Frames one writer flush may coalesce (the bounded window that keeps
 /// a burst from turning into unbounded latency for the frame at its
@@ -131,13 +105,6 @@ const COALESCE_FRAMES: usize = 64;
 /// Byte bound on one coalesced flush (a window of maximum-size frames
 /// must not buffer tens of MiB before the first byte moves).
 const COALESCE_BYTES: usize = 256 << 10;
-
-fn coalesce_window() -> usize {
-    match em2_model::env::raw(COALESCE_ENV) {
-        Some(v) if v.trim() == "0" => 1,
-        _ => COALESCE_FRAMES,
-    }
-}
 
 /// Per-node wire telemetry (atomics: writer threads, readers, and
 /// shard workers bump them concurrently). In `frames_tx`/`bytes_tx`
@@ -392,9 +359,6 @@ struct Links {
     inbox: OnceLock<em2_rt::RemoteInbox>,
     coord: Option<Coordinator>,
     stats: WireStats,
-    /// Frames one flush may coalesce (read once from [`COALESCE_ENV`]
-    /// at startup; `1` disables batching for A/B smoke runs).
-    coalesce_window: usize,
     /// First failure observed on this node; `finish` refuses to report
     /// counters from a cluster that broke mid-run.
     failure: Mutex<Option<ClusterError>>,
@@ -870,17 +834,6 @@ impl Links {
     /// source-node half of the Transfer step. Returns `false` when the
     /// handoff cannot proceed (failure already recorded).
     fn freeze_and_ship(&self, hid: u64, shard: usize, to: u32) -> bool {
-        if !self.inbox().supports_handoff() {
-            self.fail(ClusterError::Handoff {
-                phase: "freeze".into(),
-                detail: format!(
-                    "node {} runs the thread-per-shard executor, which cannot freeze \
-                     a live shard (use the multiplexed executor for elastic clusters)",
-                    self.me
-                ),
-            });
-            return false;
-        }
         if self.directory.owner_of(shard) != self.me as u32 {
             self.fail(ClusterError::Handoff {
                 phase: "freeze".into(),
@@ -1144,13 +1097,12 @@ impl Links {
             return;
         }
         let r = retries + 1;
-        if r > bounce_retry_cap() {
+        if r > BOUNCE_RETRY_CAP {
             self.fail(ClusterError::Handoff {
                 phase: "bounce".into(),
                 detail: format!(
                     "a frame for shard {to} was re-routed {r} times without finding an \
-                     owner (bounce budget {}; epoch {})",
-                    bounce_retry_cap(),
+                     owner (bounce budget {BOUNCE_RETRY_CAP}; epoch {})",
                     self.directory.epoch()
                 ),
             });
@@ -1662,7 +1614,7 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
 /// raced their pushes (DESIGN.md §11).
 ///
 /// Each wakeup drains the urgent lane first (aborts overtake data),
-/// then pops up to `coalesce_window` frames / [`COALESCE_BYTES`] from
+/// then pops up to [`COALESCE_FRAMES`] frames / [`COALESCE_BYTES`] from
 /// the main FIFO and writes them as **one flush**
 /// ([`FrameTx::send_frames`]). When both lanes go empty the writer
 /// parks with a bounded tick and absorbs the old heartbeat thread's
@@ -1681,11 +1633,10 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     let hb = links.spec.timeouts.heartbeat_ms;
     let deadline = links.spec.timeouts.peer_deadline_ms();
     let tick = Duration::from_millis(if hb > 0 { (hb / 4).clamp(1, 50) } else { 200 });
-    let window = links.coalesce_window.max(1);
     let mut conn = Some(conn);
     // The handshake frame consumed sequence 0 in this direction.
     let mut next_seq: u64 = 1;
-    let mut batch: Vec<Vec<u8>> = Vec::with_capacity(window);
+    let mut batch: Vec<Vec<u8>> = Vec::with_capacity(COALESCE_FRAMES);
     loop {
         // Urgent lane first: an Abort overtakes any queued data.
         let urgent = std::mem::take(&mut *peer.urgent.lock().unwrap_or_else(|p| p.into_inner()));
@@ -1717,7 +1668,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
         let mut popped_msgs: u64 = 0;
         let mut bytes: usize = 0;
         let mut close: Option<bool> = None;
-        while batch.len() < window && bytes < COALESCE_BYTES {
+        while batch.len() < COALESCE_FRAMES && bytes < COALESCE_BYTES {
             match peer.egress.pop() {
                 Some(EgressItem::Msg(msg)) => {
                     popped_msgs += 1;
@@ -1911,11 +1862,11 @@ fn watchdog_loop(links: &Links, run_ms: u64) {
 }
 
 /// Handoff watchdog (coordinator only): a handoff stuck in any phase
-/// past the [`HANDOFF_TIMEOUT_ENV`] budget fails the cluster typed,
+/// past the [`HANDOFF_TIMEOUT_MS`] budget fails the cluster typed,
 /// naming the handoff and its phase — a SIGKILL'd participant turns
 /// into a bounded, explained error instead of a wedged quiesce.
-fn handoff_watchdog_loop(links: &Links, timeout_ms: u64) {
-    let tick = Duration::from_millis((timeout_ms / 8).clamp(5, 50));
+fn handoff_watchdog_loop(links: &Links) {
+    let tick = Duration::from_millis(50);
     loop {
         if links.done.load(Ordering::Acquire)
             || links.quiesced.load(Ordering::Acquire)
@@ -1926,7 +1877,7 @@ fn handoff_watchdog_loop(links: &Links, timeout_ms: u64) {
         let stuck = {
             let lg = links.coord_handoffs();
             lg.active.as_ref().and_then(|a| {
-                (a.started.elapsed() >= Duration::from_millis(timeout_ms)).then(|| {
+                (a.started.elapsed() >= Duration::from_millis(HANDOFF_TIMEOUT_MS)).then(|| {
                     (
                         a.shard,
                         a.from,
@@ -1942,7 +1893,7 @@ fn handoff_watchdog_loop(links: &Links, timeout_ms: u64) {
                 phase: phase.into(),
                 detail: format!(
                     "handoff of shard {shard} (node {from} -> node {to}) made no progress \
-                     for {waited} ms (budget {timeout_ms} ms)"
+                     for {waited} ms (budget {HANDOFF_TIMEOUT_MS} ms)"
                 ),
             });
             return;
@@ -1987,18 +1938,13 @@ pub struct NodeRuntime {
     transport: &'static str,
 }
 
-fn connect_budget_ms(spec: &ClusterSpec) -> u64 {
-    em2_model::env::parse::<u64>(CONNECT_TIMEOUT_ENV).unwrap_or(spec.timeouts.connect_ms)
-}
-
 impl NodeRuntime {
     /// Join the cluster as `node` and bring the local shard range up,
     /// over the transport named by `spec.kind`.
     ///
     /// Blocks until connected to every peer: the handshake tolerates
     /// peers launching in any order within the spec's connect budget
-    /// (`connect_timeout_ms=`, overridable via
-    /// [`CONNECT_TIMEOUT_ENV`]), retrying with jittered exponential
+    /// (`connect_timeout_ms=`), retrying with jittered exponential
     /// backoff. `cfg.shards` must equal the spec's cluster-wide shard
     /// count; `registry` must know every task kind the cluster
     /// migrates, and `scheme_factory` / `barrier_quotas` must be
@@ -2062,7 +2008,7 @@ impl NodeRuntime {
         }
         let digest = spec.digest();
         let nodes = spec.num_nodes();
-        let budget = Duration::from_millis(connect_budget_ms(&spec).max(1));
+        let budget = Duration::from_millis(spec.timeouts.connect_ms.max(1));
         let handshake_deadline = Instant::now() + budget;
 
         // Accept from higher ids, dial lower ids.
@@ -2194,7 +2140,6 @@ impl NodeRuntime {
                 }),
             }),
             stats: WireStats::default(),
-            coalesce_window: coalesce_window(),
             failure: Mutex::new(None),
             quiesced: AtomicBool::new(false),
             done: AtomicBool::new(false),
@@ -2263,10 +2208,9 @@ impl NodeRuntime {
         // phase instead of a wedged quiesce.
         let handoff_watchdog = (node == 0 && nodes > 1).then(|| {
             let links = Arc::clone(&links);
-            let timeout_ms = handoff_timeout_ms();
             std::thread::Builder::new()
                 .name("em2-net-handoff-watchdog".into())
-                .spawn(move || handoff_watchdog_loop(&links, timeout_ms))
+                .spawn(move || handoff_watchdog_loop(&links))
                 .expect("spawn handoff watchdog")
         });
 
@@ -2308,9 +2252,8 @@ impl NodeRuntime {
     /// background while the workload keeps running. Watch
     /// [`NodeRuntime::directory_epoch`] advance to observe commits; a
     /// handoff that cannot complete fails the run typed
-    /// ([`ClusterError::Handoff`]) within the
-    /// [`HANDOFF_TIMEOUT_ENV`] budget. A request naming the current
-    /// owner is a no-op.
+    /// ([`ClusterError::Handoff`]) within the handoff watchdog's 5 s
+    /// budget. A request naming the current owner is a no-op.
     ///
     /// # Panics
     /// Panics if `shard` or `to` is outside the cluster — misdirecting

@@ -76,7 +76,7 @@ pub enum NetMsg {
         /// and re-routes when that `EpochUpdate` lands.
         epoch: u64,
         /// How many times ownership movement has already re-routed
-        /// this frame; capped by `EM2_NET_BOUNCE_RETRIES`.
+        /// this frame; capped by the node's bounce budget.
         retries: u32,
         /// The runtime message.
         msg: WireMsg,
@@ -203,7 +203,7 @@ pub enum NetMsg {
         /// names the bouncer" alone proves nothing about the future.
         epoch: u64,
         /// Re-routes already consumed (the receiver increments before
-        /// forwarding; exceeding `EM2_NET_BOUNCE_RETRIES` fails typed).
+        /// forwarding; exceeding the bounce budget fails typed).
         retries: u32,
         /// The original runtime message, unmodified.
         msg: WireMsg,

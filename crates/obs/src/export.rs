@@ -57,15 +57,15 @@ impl Exporter {
                     .spawn(move || {
                         let (lock, cv) = &*stop;
                         let mut stopped = lock.lock().expect("exporter stop lock");
-                        loop {
+                        // Check the flag before every wait, the first
+                        // included: a `finish()` that took the lock
+                        // before this thread did has already notified.
+                        while !*stopped {
                             let (guard, timeout) = cv
                                 .wait_timeout(stopped, interval)
                                 .expect("exporter stop cv");
                             stopped = guard;
-                            if *stopped {
-                                return;
-                            }
-                            if timeout.timed_out() {
+                            if !*stopped && timeout.timed_out() {
                                 // Snapshot without the lock held? The
                                 // lock only guards the stop flag and is
                                 // never contended by recorders; holding

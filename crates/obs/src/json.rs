@@ -1,8 +1,7 @@
 //! A minimal JSON writer (objects, arrays, scalars, escaping) shared
 //! by the snapshot exporter and the flight recorder. This crate is
-//! dependency-free, so — like `em2-bench`'s `BENCH.json` emitter — it
-//! writes JSON by hand; unlike it, the pieces here are reusable
-//! builders because several modules emit JSONL.
+//! dependency-free, so it writes JSON by hand; the pieces here are
+//! reusable builders because several modules emit JSONL.
 
 /// Append a JSON string literal (quoted, escaped) to `out`.
 pub fn push_str_escaped(out: &mut String, s: &str) {

@@ -131,8 +131,7 @@ pub const DEFAULT_ATTRIB_SLOTS: usize = 512;
 
 impl ObsConfig {
     /// Resolve the plane from `EM2_OBS` / `EM2_OBS_INTERVAL_MS` /
-    /// `EM2_OBS_PATH` / `EM2_OBS_DIR` / `EM2_OBS_RING` /
-    /// `EM2_OBS_ATTRIB_SLOTS`.
+    /// `EM2_OBS_PATH` / `EM2_OBS_DIR`.
     pub fn from_env() -> Self {
         use em2_model::env;
         let enabled = env_enabled();
@@ -145,8 +144,8 @@ impl ObsConfig {
             },
             export_path: env::raw("EM2_OBS_PATH").map(PathBuf::from),
             flight_dir: env::raw("EM2_OBS_DIR").map(PathBuf::from),
-            ring: env::parse("EM2_OBS_RING").unwrap_or(DEFAULT_RING),
-            attrib_slots: env::parse("EM2_OBS_ATTRIB_SLOTS").unwrap_or(DEFAULT_ATTRIB_SLOTS),
+            ring: DEFAULT_RING,
+            attrib_slots: DEFAULT_ATTRIB_SLOTS,
         }
     }
 

@@ -1,5 +1,4 @@
-//! The multiplexed work-stealing executor (and the thread-per-shard
-//! baseline driver).
+//! The multiplexed work-stealing executor.
 //!
 //! `W` worker threads cooperatively run `S ≫ W` shard state machines.
 //! Each shard's mailbox carries a scheduling state
@@ -15,8 +14,8 @@
 //! A shard that blocks on a remote reply or a barrier parks its
 //! *continuation* (the envelope sits in `awaiting`/`parked` inside the
 //! shard core); the worker moves on to the next shard. This is what
-//! lets S = 1024 shards run on a 1-CPU host where the thread-per-shard
-//! baseline would stand up 1024 OS threads.
+//! lets S = 1024 shards run on a 1-CPU host without standing up 1024
+//! OS threads.
 //!
 //! Wakeup correctness: a parking worker increments `sleepers` and
 //! re-checks `pending` *after* that increment (both SeqCst, under the
@@ -140,7 +139,7 @@ impl Sched {
 
 /// Body of one executor worker thread.
 pub(crate) fn worker_loop(shared: &Shared, w: usize) {
-    let sched = shared.sched.as_ref().expect("multiplexed mode");
+    let sched = &shared.sched;
     // Timing-plane handle for this worker (`None` when obs is off).
     let wobs = shared
         .obs
@@ -174,7 +173,6 @@ fn run_shard(shared: &Shared, shard: usize) {
         let mut core = shared.cores[shard].lock().expect("shard core");
         core.poll(shared)
     };
-    let sched = shared.sched.as_ref().expect("multiplexed mode");
     // `ready()`, not `is_empty()`: the poller is the consumer here, so
     // it may inspect the pop link directly — `len`'s transient
     // over-report during a mid-flight push would requeue for a drain
@@ -193,34 +191,6 @@ fn run_shard(shared: &Shared, shard: usize) {
             .is_err();
     if requeue && !shared.shutdown.load(Ordering::Acquire) {
         mb.state.store(SHARD_QUEUED, Ordering::SeqCst);
-        sched.schedule(shard);
-    }
-}
-
-/// Body of one dedicated shard thread (the thread-per-shard baseline,
-/// kept for the shard-scaling comparison in `BENCH.json`). Parks when
-/// idle — no spin loop here either: the thread commits by setting
-/// `sleeping` (SeqCst), re-checks the lock-free queue, and only then
-/// parks; a sender pushes first and swaps `sleeping`, so in any
-/// sequentially-consistent interleaving either the sender sees the
-/// commitment (and unparks) or the re-check sees the message.
-pub(crate) fn shard_thread_loop(shared: &Shared, shard: usize) {
-    let mb = &shared.mailboxes[shard];
-    let _ = mb.thread.set(std::thread::current());
-    let mut core = shared.cores[shard].lock().expect("shard core");
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let drained = core.take_batch(&mb.queue);
-        if drained == 0 && core.runq.is_empty() {
-            mb.sleeping.store(true, Ordering::SeqCst);
-            if mb.queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                std::thread::park();
-            }
-            mb.sleeping.store(false, Ordering::SeqCst);
-            continue;
-        }
-        core.step(shared);
+        shared.sched.schedule(shard);
     }
 }

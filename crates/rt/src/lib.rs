@@ -11,9 +11,7 @@
 //!   `S ≫ W` shards on `W` worker threads (default: the host's
 //!   parallelism) — the paper's 64–1024-core geometries instantiate
 //!   on any host, and a shard blocked on a remote reply or barrier
-//!   parks its continuation, never a thread (the thread-per-shard
-//!   layout survives as [`ExecutorMode::ThreadPerShard`], the
-//!   benchmark baseline);
+//!   parks its continuation, never a thread;
 //! * user code runs as **migratable task continuations**
 //!   ([`Task`]): sequential programs yielding memory operations, whose
 //!   live state serializes to a small context ([`Task::context_bytes`])
@@ -69,7 +67,7 @@ pub mod wire;
 
 pub use directory::ShardDirectory;
 pub use runtime::{
-    run_tasks, run_workload, ExecutorMode, InboxBacklog, NodeLink, NodeRole, RemoteInbox, RtConfig,
-    RtReport, Runtime, SchedStats, TaskSpec,
+    run_tasks, run_workload, InboxBacklog, NodeLink, NodeRole, RemoteInbox, RtConfig, RtReport,
+    Runtime, SchedStats, TaskSpec,
 };
 pub use task::{Op, Task, TaskRegistry, TraceTask};

@@ -1,7 +1,7 @@
 //! Runtime assembly: configuration, launch, submission, and the
 //! report.
 
-use crate::exec::{shard_thread_loop, worker_loop, Sched};
+use crate::exec::{worker_loop, Sched};
 use crate::shard::{Envelope, Msg, ShardCore, Shared};
 use crate::task::{Task, TaskRegistry, TraceTask};
 use crate::wire::{WireError, WireMsg};
@@ -81,19 +81,6 @@ pub struct NodeRole {
     pub link: Arc<dyn NodeLink>,
 }
 
-/// How shards map onto OS threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorMode {
-    /// The multiplexed work-stealing executor: `workers` threads
-    /// cooperatively poll all shards; a blocked shard parks its
-    /// continuation, not a thread. The default — this is what lets
-    /// S = 1024 shards run on any host.
-    Multiplexed,
-    /// One dedicated OS thread per shard (the PR 3 runtime), kept as
-    /// the baseline for the shard-scaling comparison in `BENCH.json`.
-    ThreadPerShard,
-}
-
 /// Runtime configuration.
 #[derive(Clone, Debug)]
 pub struct RtConfig {
@@ -101,13 +88,11 @@ pub struct RtConfig {
     /// machines, not threads: any count instantiable by memory runs on
     /// any host.
     pub shards: usize,
-    /// Worker threads for [`ExecutorMode::Multiplexed`]; `0` = auto
-    /// (the `EM2_RT_WORKERS` environment variable if set, else the
-    /// host's available parallelism), capped at the shard count.
-    /// Ignored by [`ExecutorMode::ThreadPerShard`].
+    /// Worker threads cooperatively polling all shards (a blocked
+    /// shard parks its continuation, not a thread); `0` = auto (the
+    /// `EM2_RT_WORKERS` environment variable if set, else the host's
+    /// available parallelism), capped at the shard count.
     pub workers: usize,
-    /// Shard→thread mapping (default [`ExecutorMode::Multiplexed`]).
-    pub executor: ExecutorMode,
     /// Guest contexts per shard (besides reserved natives). With fewer
     /// guests than visiting tasks, arrivals evict — set this to the
     /// task count for the eviction-free configuration whose counters
@@ -141,7 +126,6 @@ impl RtConfig {
         RtConfig {
             shards,
             workers: 0,
-            executor: ExecutorMode::Multiplexed,
             guest_contexts: 2,
             cost: CostModel::builder().cores(shards).build(),
             quantum: 256,
@@ -202,8 +186,7 @@ impl TaskSpec {
 /// Scheduling telemetry from one run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SchedStats {
-    /// OS threads that drove the shards (workers, or the shard count
-    /// in thread-per-shard mode).
+    /// Worker threads that drove the shards.
     pub workers: usize,
     /// Shard polls across all workers. Every poll is provoked by a
     /// message or a requeue — an idle runtime performs none (the
@@ -227,8 +210,6 @@ pub struct RtReport {
     pub scheme: String,
     /// Shard count.
     pub shards: usize,
-    /// Executor that drove the shards.
-    pub executor: ExecutorMode,
     /// The Figure-1/3 flow counters, measured by execution. One unit
     /// caveat: `stalled_arrivals` counts each arrival that had to wait
     /// *once*, while the simulator counts every failed retry poll
@@ -265,8 +246,7 @@ impl RtReport {
         self.flow.total_accesses()
     }
 
-    /// Memory operations per wall-clock second — the headline
-    /// throughput number recorded in `BENCH.json`.
+    /// Memory operations per wall-clock second.
     pub fn ops_per_sec(&self) -> f64 {
         let s = self.wall.as_secs_f64();
         if s <= 0.0 {
@@ -345,7 +325,6 @@ pub struct Runtime {
     next_thread: u32,
     shards: usize,
     run_bins: u64,
-    executor: ExecutorMode,
     workers: usize,
     /// Tasks submitted through this handle (reported to the cluster on
     /// close in node mode).
@@ -462,17 +441,11 @@ impl Runtime {
         let node_mode = role.is_some();
         let scheme_name = make_scheme().name();
 
-        // Shards this node owns at launch. Zero is legal in node mode
-        // (a joining member acquires shards by live handoff). The
-        // multiplexed pool is sized for the cluster's shard space, not
-        // the launch-time owned count: ownership is elastic, so a
-        // member that joins with one shard may end up polling many
-        // after a drain rebalances onto it.
-        let owned_at_start = directory.owned_shards(node_id);
-        let workers = match cfg.executor {
-            ExecutorMode::Multiplexed => cfg.resolved_workers().clamp(1, shards.max(1)),
-            ExecutorMode::ThreadPerShard => owned_at_start.len(),
-        };
+        // The worker pool is sized for the cluster's shard space, not
+        // the launch-time owned count (zero is legal in node mode):
+        // ownership is elastic, so a member that joins with one shard
+        // may end up polling many after a drain rebalances onto it.
+        let workers = cfg.resolved_workers();
         // The timing plane: `None` unless configured (explicitly or via
         // EM2_OBS). Everything below records into it with relaxed
         // atomics; nothing in it feeds the deterministic counters.
@@ -509,10 +482,7 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             cost: cfg.cost,
             quantum: cfg.quantum,
-            sched: match cfg.executor {
-                ExecutorMode::Multiplexed => Some(Sched::new(workers)),
-                ExecutorMode::ThreadPerShard => None,
-            },
+            sched: Sched::new(workers),
             obs: obs.clone(),
         });
         let exporter = obs
@@ -523,29 +493,11 @@ impl Runtime {
         let handles = (0..workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
-                // Thread-per-shard dedicates one thread per *owned*
-                // shard (a node's owned set need not be contiguous).
-                // That thread holds the shard's core lock for the whole
-                // run, which is also why live handoff requires the
-                // multiplexed executor: a freeze could never take the
-                // lock.
-                let target = match cfg.executor {
-                    ExecutorMode::Multiplexed => w,
-                    ExecutorMode::ThreadPerShard => owned_at_start[w],
-                };
-                let label = match cfg.executor {
-                    ExecutorMode::Multiplexed => format!("em2-rt-worker-{w}"),
-                    ExecutorMode::ThreadPerShard => format!("em2-rt-shard-{target}"),
-                };
-                let mode = cfg.executor;
                 std::thread::Builder::new()
-                    .name(label)
+                    .name(format!("em2-rt-worker-{w}"))
                     .spawn(move || {
                         let _fanout = PanicFanout(Arc::clone(&shared));
-                        match mode {
-                            ExecutorMode::Multiplexed => worker_loop(&shared, target),
-                            ExecutorMode::ThreadPerShard => shard_thread_loop(&shared, target),
-                        }
+                        worker_loop(&shared, w)
                     })
                     .expect("spawn runtime worker")
             })
@@ -560,7 +512,6 @@ impl Runtime {
             next_thread: 0,
             shards,
             run_bins: cfg.run_bins,
-            executor: cfg.executor,
             workers,
             submitted: 0,
             node_mode,
@@ -746,22 +697,13 @@ impl Runtime {
             task_latency_ns.extend(c.task_latency_ns);
         }
         task_latency_ns.sort_unstable();
-        let (steals, parks) = shared
-            .sched
-            .as_ref()
-            .map(|s| {
-                (
-                    s.steals.load(Ordering::Relaxed),
-                    s.parks.load(Ordering::Relaxed),
-                )
-            })
-            .unwrap_or((0, 0));
+        let steals = shared.sched.steals.load(Ordering::Relaxed);
+        let parks = shared.sched.parks.load(Ordering::Relaxed);
 
         RtReport {
             workload: std::mem::take(&mut self.name),
             scheme: std::mem::take(&mut self.scheme_name),
             shards: self.shards,
-            executor: self.executor,
             flow,
             run_lengths,
             context_bytes_sent,
@@ -881,14 +823,6 @@ impl RemoteInbox {
         true
     }
 
-    /// Whether this runtime can take part in live shard handoffs
-    /// (multiplexed executor only: a thread-per-shard driver holds its
-    /// core lock for the whole run, so a freeze could never acquire
-    /// it).
-    pub fn supports_handoff(&self) -> bool {
-        self.shared.upgrade().is_some_and(|s| s.sched.is_some())
-    }
-
     /// Freeze locally owned shard `shard` for a live handoff to
     /// `new_owner`: flip the directory owner (new senders route over
     /// the link from here on), wait out producers already inside the
@@ -901,10 +835,6 @@ impl RemoteInbox {
     /// in-flight poll — relays over the link toward the new owner.
     pub fn freeze_shard(&self, shard: usize, new_owner: u32) -> Option<crate::wire::FrozenShard> {
         let shared = self.shared.upgrade()?;
-        assert!(
-            shared.sched.is_some(),
-            "live handoff requires the multiplexed executor"
-        );
         debug_assert_eq!(
             shared.directory.owner_of(shard),
             shared.node_id,

@@ -11,8 +11,7 @@
 //! finds them full evicts a resident evictable guest back to *its*
 //! native shard — the paper's §2 deadlock-avoidance protocol, executed
 //! for real. Which OS thread polls a shard is the executor's business
-//! (`exec.rs`): `W` workers multiplex `S ≫ W` shards, or the
-//! thread-per-shard baseline dedicates one thread per shard.
+//! (`exec.rs`): `W` workers multiplex `S ≫ W` shards.
 //!
 //! A task runs on its resident shard until it blocks: a non-local
 //! access consults the **envelope-carried** [`DecisionScheme`] and
@@ -48,7 +47,7 @@ use em2_obs::{EventKind, NodeObs, ShardObs, SingleWriterCounter};
 use em2_placement::Placement;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Messages drained from a mailbox per poll (the drain-k batch bounds
@@ -192,20 +191,11 @@ pub(crate) const SHARD_RUNNING_DIRTY: u8 = 3;
 
 /// One shard's mailbox: a lock-free MPSC queue (producers never take
 /// any lock — see `crate::mpsc` for the algorithm and the wakeup
-/// soundness argument), the executor scheduling state, and the
-/// park-token handshake the thread-per-shard driver sleeps on.
+/// soundness argument) and the executor scheduling state.
 pub(crate) struct Mailbox {
     pub queue: MpscQueue<Msg>,
-    /// `SHARD_*` scheduling state (multiplexed executor only).
+    /// `SHARD_*` scheduling state.
     pub state: AtomicU8,
-    /// Thread-per-shard mode: `true` while the dedicated thread is
-    /// committed to parking. A sender swaps it to `false` and unparks
-    /// on observing `true`; the driver re-checks the queue after
-    /// setting it (both SeqCst), so wakeups are never lost.
-    pub sleeping: AtomicBool,
-    /// Thread-per-shard mode: the dedicated thread's handle, registered
-    /// by the thread itself before it first sets `sleeping`.
-    pub thread: OnceLock<std::thread::Thread>,
     /// Node mode only: senders currently inside the push path, used by
     /// a shard handoff's freeze step. The freeze flips the directory
     /// owner first, then waits for this to reach zero; a sender that
@@ -222,28 +212,14 @@ impl Mailbox {
         Mailbox {
             queue: MpscQueue::new(),
             state: AtomicU8::new(SHARD_IDLE),
-            sleeping: AtomicBool::new(false),
-            thread: OnceLock::new(),
             producers: AtomicU32::new(0),
-        }
-    }
-
-    /// Wake the dedicated shard thread if it committed to parking
-    /// (thread-per-shard mode; no-op contention-free otherwise).
-    pub(crate) fn wake_dedicated(&self) {
-        if self.sleeping.swap(false, Ordering::SeqCst) {
-            if let Some(t) = self.thread.get() {
-                t.unpark();
-            }
         }
     }
 }
 
 /// State shared by every worker. The hot paths touch only per-shard
-/// locks (a mailbox push, an uncontended core lock) and atomics; the
-/// global mutexes of the thread-per-shard runtime (`scheme`, `runs`,
-/// `barriers`) are gone — see the lock-elimination table in DESIGN.md
-/// §8.
+/// locks (a mailbox push, an uncontended core lock) and atomics — see
+/// the lock-elimination table in DESIGN.md §8.
 pub(crate) struct Shared {
     /// Mailboxes for **every** shard in the cluster, indexed by global
     /// shard id. A cluster node instantiates all of them (ownership is
@@ -254,8 +230,7 @@ pub(crate) struct Shared {
     /// Shard state machines (global ids, like `mailboxes`). The mutex
     /// is a hand-off device, not a contention point: the scheduling
     /// protocol admits at most one poller per shard, so every
-    /// acquisition is uncontended (the thread-per-shard driver holds
-    /// its shard's lock for the whole run). A live handoff's freeze
+    /// acquisition is uncontended. A live handoff's freeze
     /// step takes this lock to drain the core, which is what makes a
     /// freeze wait out any in-flight poll.
     pub cores: Vec<Mutex<ShardCore>>,
@@ -290,9 +265,8 @@ pub(crate) struct Shared {
     pub shutdown: AtomicBool,
     pub cost: CostModel,
     pub quantum: usize,
-    /// `Some` when the multiplexed executor drives the shards; `None`
-    /// in thread-per-shard mode.
-    pub sched: Option<Sched>,
+    /// The multiplexed executor's run queues and sleep gate.
+    pub sched: Sched,
     /// Observability registry (`em2-obs`), `None` when the timing
     /// plane is off. Strictly timing-plane: nothing here ever feeds
     /// the deterministic counters.
@@ -323,8 +297,8 @@ impl Shared {
     /// [`Shared::send`] with an explicit re-route budget: `retries` is
     /// how many times ownership movement has already bounced this
     /// message between nodes. Organic sends start at 0; the transport
-    /// layer passes the count carried on the frame so the
-    /// `EM2_NET_BOUNCE_RETRIES` budget survives a delivery that races
+    /// layer passes the count carried on the frame so the transport's
+    /// bounce budget survives a delivery that races
     /// an outbound ownership flip and re-forwards over the link.
     pub(crate) fn send_routed(&self, to: usize, retries: u32, msg: Msg) {
         debug_assert!(to < self.total_shards, "shard {to} outside the cluster");
@@ -373,44 +347,41 @@ impl Shared {
         // the completed push, which is what makes the queue's mid-push
         // blip benign (see `crate::mpsc`).
         mb.queue.push(msg);
-        match &self.sched {
-            None => mb.wake_dedicated(),
-            Some(sched) => loop {
-                match mb.state.load(Ordering::SeqCst) {
-                    SHARD_IDLE => {
-                        if mb
-                            .state
-                            .compare_exchange(
-                                SHARD_IDLE,
-                                SHARD_QUEUED,
-                                Ordering::SeqCst,
-                                Ordering::SeqCst,
-                            )
-                            .is_ok()
-                        {
-                            sched.schedule(to);
-                            break;
-                        }
+        loop {
+            match mb.state.load(Ordering::SeqCst) {
+                SHARD_IDLE => {
+                    if mb
+                        .state
+                        .compare_exchange(
+                            SHARD_IDLE,
+                            SHARD_QUEUED,
+                            Ordering::SeqCst,
+                            Ordering::SeqCst,
+                        )
+                        .is_ok()
+                    {
+                        self.sched.schedule(to);
+                        break;
                     }
-                    SHARD_RUNNING => {
-                        if mb
-                            .state
-                            .compare_exchange(
-                                SHARD_RUNNING,
-                                SHARD_RUNNING_DIRTY,
-                                Ordering::SeqCst,
-                                Ordering::SeqCst,
-                            )
-                            .is_ok()
-                        {
-                            break;
-                        }
-                    }
-                    // Already queued, or already flagged dirty: the
-                    // pending poll will drain this message.
-                    _ => break,
                 }
-            },
+                SHARD_RUNNING => {
+                    if mb
+                        .state
+                        .compare_exchange(
+                            SHARD_RUNNING,
+                            SHARD_RUNNING_DIRTY,
+                            Ordering::SeqCst,
+                            Ordering::SeqCst,
+                        )
+                        .is_ok()
+                    {
+                        break;
+                    }
+                }
+                // Already queued, or already flagged dirty: the
+                // pending poll will drain this message.
+                _ => break,
+            }
         }
     }
 
@@ -419,40 +390,21 @@ impl Shared {
     /// run queue serviced.
     pub(crate) fn kick(&self, shard: usize) {
         let mb = &self.mailboxes[shard];
-        match &self.sched {
-            None => mb.wake_dedicated(),
-            Some(sched) => {
-                if mb
-                    .state
-                    .compare_exchange(SHARD_IDLE, SHARD_QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    sched.schedule(shard);
-                }
-            }
+        if mb
+            .state
+            .compare_exchange(SHARD_IDLE, SHARD_QUEUED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            self.sched.schedule(shard);
         }
     }
 
-    /// Flip the global shutdown flag and wake everything that might be
-    /// parked (executor workers or dedicated shard threads). Safe to
-    /// call from a panicking thread: poisoned mailbox locks are
-    /// tolerated.
+    /// Flip the global shutdown flag and wake every parked executor
+    /// worker. Safe to call from a panicking thread: a poisoned sleep
+    /// lock is tolerated.
     pub(crate) fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        match &self.sched {
-            Some(sched) => sched.wake_all(),
-            None => {
-                for mb in &self.mailboxes {
-                    // Unpark unconditionally: a thread past its
-                    // shutdown check but not yet parked banks the
-                    // token and returns from `park` immediately.
-                    mb.sleeping.store(false, Ordering::SeqCst);
-                    if let Some(t) = mb.thread.get() {
-                        t.unpark();
-                    }
-                }
-            }
-        }
+        self.sched.wake_all();
     }
 }
 
@@ -803,38 +755,6 @@ impl ShardCore {
             }
         }
         !self.runq.is_empty()
-    }
-
-    /// One iteration of the thread-per-shard driver: caller has
-    /// already drained the mailbox into `scratch` (or woken for
-    /// runnable work).
-    pub(crate) fn step(&mut self, shared: &Shared) {
-        self.counters.polls += 1;
-        self.obs_poll();
-        self.process_batch(shared);
-        self.retry_stalled(shared);
-        if let Some(env) = self.runq.pop_front() {
-            self.execute(shared, env);
-            self.retry_stalled(shared);
-        }
-    }
-
-    /// Drain the mailbox into the reusable scratch buffer, returning
-    /// the number of messages taken (thread-per-shard driver; the
-    /// executor drains in `poll`).
-    pub(crate) fn take_batch(&mut self, q: &MpscQueue<Msg>) -> usize {
-        let mut n = 0;
-        while let Some(msg) = q.pop() {
-            self.scratch.push(msg);
-            n += 1;
-        }
-        if n > 0 {
-            if let Some(o) = &self.obs {
-                o.msgs.bump(n as u64);
-                o.mailbox_batch.record(n as u64);
-            }
-        }
-        n
     }
 
     fn process_batch(&mut self, shared: &Shared) {

@@ -16,8 +16,7 @@
 //!    independent KV request *tasks* at 50% of the scheme's measured
 //!    capacity; every request is stamped with its intended arrival
 //!    time, so the p50/p95/p99 latencies include queueing delay even
-//!    when the injector falls behind (no coordinated omission). The
-//!    same panel is recorded in `BENCH.json` under `runtime.latency`.
+//!    when the injector falls behind (no coordinated omission).
 //!
 //! ```text
 //! cargo run --release --example runtime_kv
@@ -50,7 +49,8 @@ use em2::net::{ClusterSpec, NodeRuntime};
 use em2::obs::{NodeObs, ObsConfig};
 use em2::placement::{Placement, Striped};
 use em2::rt::{Op, RtConfig, RtReport, Runtime, Task, TaskRegistry, TaskSpec};
-use em2_bench::serving::{kv_open_loop, scheme_panel};
+use em2_bench::scorecard::scheme_panel;
+use em2_bench::serving::kv_open_loop;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -386,7 +386,7 @@ fn main_cluster(spec: ClusterSpec, node: usize, stats_ms: Option<u64>) {
         "{:<18} {:>10} {:>9} {:>10} {:>12} {:>12} {:>9}",
         "scheme", "migrations", "RA", "local", "x-node ctxs", "wire bytes", "Mops/s"
     );
-    for factory in scheme_panel() {
+    for (_, factory) in scheme_panel() {
         let r = run_closed_loop_cluster(&spec, node, factory, stats_ms);
         println!(
             "{:<18} {:>10} {:>9} {:>10} {:>12} {:>12} {:>9.2}",
@@ -457,7 +457,7 @@ fn main() {
         "{:<18} {:>10} {:>9} {:>9} {:>10} {:>12} {:>9}",
         "scheme", "migrations", "RA", "evictions", "local", "ctx bytes", "Mops/s"
     );
-    for factory in scheme_panel() {
+    for (_, factory) in scheme_panel() {
         let r = run_closed_loop(factory, stats_ms);
         println!(
             "{:<18} {:>10} {:>9} {:>9} {:>10} {:>12} {:>9.2}",
@@ -477,7 +477,7 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>9} {:>9} {:>9} {:>10}",
         "scheme", "offered/s", "served/s", "p50 us", "p95 us", "p99 us", "max us"
     );
-    for factory in scheme_panel() {
+    for (_, factory) in scheme_panel() {
         let l = kv_open_loop(SHARDS, REQUESTS, 0.5, factory);
         println!(
             "{:<18} {:>10.0} {:>10.0} {:>9.1} {:>9.1} {:>9.1} {:>10.1}",
