@@ -1023,7 +1023,7 @@ pub fn e11_runtime_agreement(scale: Scale) -> Table {
 /// (`uds2-migrate`, `uds2-remote`). Throughput (the last column) is
 /// host wall-clock and masked, like E11's.
 pub fn e12_transport(scale: Scale) -> Table {
-    use em2_net::{run_workload_cluster_in_process, ClusterSpec, CounterSummary};
+    use em2_net::{ClusterRun, ClusterSpec, CounterSummary};
     let cores = scale.cores();
     let mut t = Table::new(
         "E12 / distributed runtime — cluster vs single-process (loopback transport)",
@@ -1064,14 +1064,12 @@ pub fn e12_transport(scale: Scale) -> Table {
             fmt_f(single.ops_per_sec() / 1e6, 2),
         ]);
         for nodes in [2usize, 4] {
-            let reports = run_workload_cluster_in_process(
-                &ClusterSpec::loopback(nodes, cores),
-                &cfg,
-                &w,
-                &placement,
-                factory,
-            )
-            .expect("loopback cluster");
+            let spec = ClusterSpec::loopback(nodes, cores);
+            let reports: Vec<_> = ClusterRun::new(&spec, &cfg, &w, &placement, factory)
+                .run()
+                .into_iter()
+                .map(|r| r.expect("loopback cluster"))
+                .collect();
             let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
             assert!(
                 total.counters_equal(&expected),
@@ -1118,8 +1116,7 @@ fn history_scheme() -> Box<dyn DecisionScheme> {
 /// hang or a wrong sum.
 pub fn e13_elastic_membership(scale: Scale) -> Table {
     use em2_net::{
-        run_workload_cluster_chaos_with_handoffs, run_workload_cluster_in_process_with_handoffs,
-        ClusterSpec, ClusterTimeouts, CounterSummary, FaultPlan, TransportKind,
+        ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, FaultPlan, TransportKind,
     };
     let cores = scale.cores();
     let mut t = Table::new(
@@ -1190,10 +1187,12 @@ pub fn e13_elastic_membership(scale: Scale) -> Table {
             // Three genuine moves: a shard out of node 0, a shard into
             // node 0, and the first one back again.
             let handoffs = [(1usize, nodes - 1), (cores - 2, 0), (1, 0)];
-            let reports = run_workload_cluster_in_process_with_handoffs(
-                &spec, &cfg, &w, &placement, factory, &handoffs,
-            )
-            .expect("E13 handoff cluster");
+            let reports: Vec<_> = ClusterRun::new(&spec, &cfg, &w, &placement, factory)
+                .handoffs(&handoffs)
+                .run()
+                .into_iter()
+                .map(|r| r.expect("E13 handoff cluster"))
+                .collect();
             let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
             assert!(
                 total.counters_equal(&expected),
@@ -1236,22 +1235,17 @@ pub fn e13_elastic_membership(scale: Scale) -> Table {
         });
         let plan = Arc::new(FaultPlan::new().crash_node(1, 6));
         let t0 = Instant::now();
-        let results = run_workload_cluster_chaos_with_handoffs(
-            &spec,
-            &cfg,
-            &w,
-            &placement,
-            history_scheme,
-            &plan,
-            &[(1, 1), (cores - 2, 0)],
-        );
+        let results = ClusterRun::new(&spec, &cfg, &w, &placement, history_scheme)
+            .chaos(&plan)
+            .handoffs(&[(1, 1), (cores - 2, 0)])
+            .run();
         let elapsed = t0.elapsed();
         assert!(
             elapsed < Duration::from_secs(30),
             "E13 crash: nodes took {elapsed:?} to settle — deadline discipline broken"
         );
         assert!(
-            results.iter().all(|(r, _)| r.is_err()),
+            results.iter().all(|r| r.is_err()),
             "E13 crash: a node dying mid-handoff must fail the whole cluster typed"
         );
         t.row(vec![
@@ -1287,7 +1281,7 @@ pub fn e13_elastic_membership(scale: Scale) -> Table {
 /// process.
 pub fn e14_placement_scorecard(scale: Scale) -> Table {
     use crate::scorecard::{kv_workload, scheme_panel, PlacementScorecard};
-    use em2_net::{run_workload_cluster_in_process, ClusterSpec};
+    use em2_net::{ClusterRun, ClusterSpec};
     let sc = PlacementScorecard::measure(scale);
     let mut t = Table::new(
         "E14 / placement scorecard — attributed cost vs DP bound (KV replay)",
@@ -1308,17 +1302,12 @@ pub fn e14_placement_scorecard(scale: Scale) -> Table {
     cfg.obs = Some(em2_obs::ObsConfig::on());
     for (score, (sname, factory)) in sc.scores.iter().zip(scheme_panel()) {
         debug_assert_eq!(score.scheme, sname, "panel order is shared");
-        let reports = run_workload_cluster_in_process(
-            &ClusterSpec::loopback(2, shards),
-            &cfg,
-            &w,
-            &placement,
-            factory,
-        )
-        .expect("E14 loopback cluster");
-        let summed: u64 = reports
-            .iter()
-            .map(|r| r.obs.as_ref().expect("obs was configured on").attrib_cost)
+        let spec = ClusterSpec::loopback(2, shards);
+        let summed: u64 = ClusterRun::new(&spec, &cfg, &w, &placement, factory)
+            .run()
+            .into_iter()
+            .map(|r| r.expect("E14 loopback cluster"))
+            .map(|r| r.obs.expect("obs was configured on").attrib_cost)
             .sum();
         assert_eq!(
             summed, score.observed,

@@ -20,14 +20,9 @@
 //! Never a hang, never a silently wrong sum.
 
 use crate::cluster::ClusterSpec;
-use crate::error::ClusterError;
-use crate::node::{run_workload_cluster_with_handoffs, NetReport};
 use crate::proto::NetMsg;
 use crate::transport::{Acceptor, Duplex, FrameRx, FrameTx, Transport};
 use em2_model::DetRng;
-use em2_placement::Placement;
-use em2_rt::RtConfig;
-use em2_trace::Workload;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -255,12 +250,11 @@ impl FaultPlan {
     }
 }
 
-/// Live injection telemetry for one node's [`ChaosTransport`]:
-/// whether the scripted crash tripped, how many faults actually
-/// fired, and when the first one did (the `fault_matrix` experiment's
-/// detection-latency origin).
+/// Live injection state of one node's [`ChaosTransport`], shared by
+/// its connection halves: whether the scripted crash tripped and how
+/// many faults actually fired.
 #[derive(Debug, Default)]
-pub struct ChaosState {
+struct ChaosState {
     /// Frames this node's transport was asked to send, across all
     /// edges (the crash-trigger clock).
     sent: AtomicU64,
@@ -276,16 +270,6 @@ pub struct ChaosState {
 impl ChaosState {
     fn record_injection(&self) {
         self.injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// How many scripted faults actually fired.
-    pub fn injected(&self) -> u32 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Whether the scripted node crash tripped.
-    pub fn crashed(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
     }
 
     fn crash_err() -> io::Error {
@@ -321,11 +305,6 @@ impl ChaosTransport {
             plan,
             state: Arc::new(ChaosState::default()),
         }
-    }
-
-    /// This node's injection telemetry.
-    pub fn state(&self) -> Arc<ChaosState> {
-        Arc::clone(&self.state)
     }
 
     fn wrap_duplex(&self, d: Duplex, peer: Arc<OnceLock<usize>>, sniff: bool) -> Duplex {
@@ -682,84 +661,6 @@ impl FrameRx for ChaosRx {
     }
 }
 
-/// Run a whole cluster in-process with every node's transport wrapped
-/// in the same [`FaultPlan`]. Returns each node's outcome in node
-/// order, plus the per-node [`ChaosState`] so harnesses can measure
-/// injection-to-detection latency. Never panics on an injected fault:
-/// the property under test is precisely that faults surface as typed
-/// errors.
-pub fn run_workload_cluster_chaos(
-    spec: &ClusterSpec,
-    cfg: &RtConfig,
-    workload: &Arc<Workload>,
-    placement: &Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-    plan: &Arc<FaultPlan>,
-) -> Vec<(Result<NetReport, ClusterError>, Arc<ChaosState>)> {
-    run_workload_cluster_chaos_with_handoffs(
-        spec,
-        cfg,
-        workload,
-        placement,
-        scheme_factory,
-        plan,
-        &[],
-    )
-}
-
-/// [`run_workload_cluster_chaos`] with node 0 driving live shard
-/// handoffs mid-workload — the harness for faults landing **inside
-/// the handoff window**: frames dropped, truncated, or severed while
-/// a frozen shard is in flight must surface as typed errors (usually
-/// [`ClusterError::Handoff`] naming the stuck phase, via the
-/// coordinator's watchdog), never a hang or a wrong sum.
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_cluster_chaos_with_handoffs(
-    spec: &ClusterSpec,
-    cfg: &RtConfig,
-    workload: &Arc<Workload>,
-    placement: &Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-    plan: &Arc<FaultPlan>,
-    handoffs: &[(usize, usize)],
-) -> Vec<(Result<NetReport, ClusterError>, Arc<ChaosState>)> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..spec.num_nodes())
-            .map(|node| {
-                let spec = spec.clone();
-                let cfg = cfg.clone();
-                let workload = Arc::clone(workload);
-                let placement = Arc::clone(placement);
-                let plan = Arc::clone(plan);
-                let handoffs: Vec<(usize, usize)> = if node == 0 {
-                    handoffs.to_vec()
-                } else {
-                    Vec::new()
-                };
-                s.spawn(move || {
-                    let transport = ChaosTransport::wrap(&spec, node, plan);
-                    let state = transport.state();
-                    let r = run_workload_cluster_with_handoffs(
-                        Box::new(transport),
-                        spec,
-                        node,
-                        cfg,
-                        &workload,
-                        placement,
-                        scheme_factory,
-                        &handoffs,
-                    );
-                    (r, state)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chaos node thread"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,7 +707,7 @@ mod tests {
             .map(|_| server.rx.recv_frame().expect("recv").expect("frame")[0])
             .collect();
         assert_eq!(got, vec![0, 2, 2, 3]);
-        assert_eq!(chaos.state().injected(), 2);
+        assert_eq!(chaos.state.injected.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -825,7 +726,7 @@ mod tests {
         dialer.tx.send_frame(&[0]).expect("frame 0");
         dialer.tx.send_frame(&[1]).expect("frame 1");
         assert!(dialer.tx.send_frame(&[2]).is_err(), "threshold trips");
-        assert!(chaos.state().crashed());
+        assert!(chaos.state.crashed.load(Ordering::Relaxed));
         assert!(dialer.rx.recv_frame().is_err(), "rx dies with the node");
         assert!(
             chaos.connect(&spec.nodes[0].addr).is_err(),

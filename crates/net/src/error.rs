@@ -95,7 +95,7 @@ pub enum ClusterError {
         detail: String,
     },
     /// A live shard handoff could not complete: the coordinator's
-    /// watchdog expired with a handoff stuck in one phase, a frozen
+    /// handoff deadline expired with a handoff stuck in one phase, a frozen
     /// shard's state failed to decode on the receiving node, or a
     /// fenced frame exhausted its bounce budget while ownership moved.
     Handoff {

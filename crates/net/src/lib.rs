@@ -21,8 +21,13 @@
 //!   range, parseable from a CLI string
 //!   (`uds:/tmp/em2.sock,nodes=2,shards=16`);
 //! * [`node`] — the [`NodeRuntime`]: one process's shard fleet wired
-//!   to its peers, with node 0 coordinating barriers and the
-//!   cluster-wide quiesce decision;
+//!   to its peers, with node 0 coordinating barriers, live shard
+//!   handoffs and the cluster-wide quiesce decision. Its threads are
+//!   drivers; the protocol itself is one sans-IO state machine
+//!   (`control.rs`: `Control::on(Event) -> Actions`, one lock);
+//! * [`run`] — [`ClusterRun`], the one entry point that replays a
+//!   traced workload across a cluster (optionally with live handoffs
+//!   and a fault plan);
 //! * [`report`] — summable per-node counter summaries, so separate
 //!   processes can prove the agreement property (counters sum
 //!   **bit-equal** to the single-process run) through plain files;
@@ -48,7 +53,7 @@
 //! preserves E11 exactness.
 //!
 //! ```no_run
-//! use em2_net::{run_workload_cluster, ClusterSpec};
+//! use em2_net::{ClusterRun, ClusterSpec};
 //! use em2_placement::FirstTouch;
 //! use em2_rt::RtConfig;
 //! use std::sync::Arc;
@@ -57,15 +62,12 @@
 //! let spec = ClusterSpec::parse("uds:/tmp/em2.sock,nodes=2,shards=16").unwrap();
 //! let node = 0; // from the command line
 //! let w = Arc::new(em2_trace::gen::micro::uniform(16, 16, 500, 256, 0.3, 7));
-//! let placement = Arc::new(FirstTouch::build(&w, 16, 64));
-//! let report = run_workload_cluster(
-//!     spec,
-//!     node,
-//!     RtConfig::eviction_free(16, 16),
-//!     &w,
-//!     placement,
-//!     || Box::new(em2_core::AlwaysMigrate),
-//! )
+//! let placement: Arc<dyn em2_placement::Placement> = Arc::new(FirstTouch::build(&w, 16, 64));
+//! let cfg = RtConfig::eviction_free(16, 16);
+//! let report = ClusterRun::new(&spec, &cfg, &w, &placement, || {
+//!     Box::new(em2_core::AlwaysMigrate)
+//! })
+//! .run_node(node)
 //! .unwrap();
 //! println!("{} over {}", report.rt, report.transport);
 //! ```
@@ -75,24 +77,20 @@
 
 pub mod chaos;
 pub mod cluster;
+mod control;
 pub mod error;
 pub mod node;
 pub mod proto;
 pub mod report;
+pub mod run;
 pub mod transport;
 
-pub use chaos::{
-    run_workload_cluster_chaos, run_workload_cluster_chaos_with_handoffs, ChaosState,
-    ChaosTransport, FaultAction, FaultPlan,
-};
+pub use chaos::{ChaosTransport, FaultAction, FaultPlan};
 pub use cluster::{ClusterSpec, ClusterTimeouts, NodeSpec, TransportKind};
 pub use error::ClusterError;
-pub use node::{
-    run_workload_cluster, run_workload_cluster_in_process,
-    run_workload_cluster_in_process_with_handoffs, run_workload_cluster_with,
-    run_workload_cluster_with_handoffs, NetReport, NodeRuntime, WireSnapshot,
-};
-pub use report::{merge_obs_sidecars, obs_sidecar, write_summary_with_obs, CounterSummary};
+pub use node::{NetReport, NodeRuntime, WireSnapshot};
+pub use report::CounterSummary;
+pub use run::ClusterRun;
 pub use transport::{
     Acceptor, Duplex, FrameRx, FrameTx, LoopbackTransport, TcpTransport, Transport, UdsTransport,
 };

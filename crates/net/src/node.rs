@@ -1,5 +1,5 @@
-//! The node layer: membership, routing, distributed barriers,
-//! cluster-wide quiesce, and fail-fast error recovery.
+//! The node layer: connections, routing, and the threads that drive
+//! the control plane (barriers, live handoffs, quiesce) and fail fast.
 //!
 //! A [`NodeRuntime`] wraps one `em2-rt` [`Runtime`] owning this
 //! process's shard range and wires it to its peers:
@@ -26,34 +26,26 @@
 //!   thread per peer** decodes inbound frames and injects them through
 //!   [`em2_rt::RemoteInbox`] — the executor's ordinary mailbox/waker
 //!   seam; the workers never know a message crossed a process.
-//! * **Barriers.** Node 0 is the coordinator: it holds the cluster's
-//!   real [`AtomicBarriers`]. Arrivals anywhere park locally and
-//!   travel to the coordinator; the quota-meeting arrival triggers a
-//!   `BarrierRelease` fan-out, which each node mirrors into its local
-//!   hub and parked shards.
-//! * **Elastic membership.** Ownership is not static: node 0 also
-//!   coordinates **live shard handoffs** (`Prepare → Freeze →
-//!   Transfer → Commit`, one at a time). The source freezes the shard
-//!   ([`em2_rt::RemoteInbox::freeze_shard`]), ships its heap words,
-//!   guest contexts, parked envelopes and scheme state as a
-//!   [`FrozenShard`] inside [`NetMsg::HandoffTransfer`]; the
-//!   destination installs it and acks; the coordinator bumps the
-//!   directory **epoch** and broadcasts the new ownership map.
-//!   In-flight frames are epoch-fenced: a node that receives a shard
-//!   frame it no longer (or does not yet) expect bounces it back to
-//!   the sender for re-route against the updated directory — stale
-//!   frames are never silently applied (DESIGN.md §13).
-//! * **Quiesce.** Submissions are counted per node and reported on
-//!   close (`Closed{submitted}`); every retirement anywhere sends
-//!   `Retired`. When all nodes have closed and `retired == submitted`,
-//!   the coordinator broadcasts `Quiesce` and every runtime's workers
-//!   stop. Because a task retires only after its final access, quiesce
-//!   implies no shard message is in flight anywhere (DESIGN.md §9).
+//! * **The control plane.** Everything that is a *decision* — node 0
+//!   coordinating barriers, completion accounting and the cluster-wide
+//!   quiesce (DESIGN.md §9); **live shard handoffs** (`Prepare →
+//!   Freeze → Transfer → Commit`, one at a time, each commit bumping
+//!   the directory **epoch**); the epoch fence that buffers, parks,
+//!   bounces or re-routes an in-flight frame for a shard in motion so
+//!   that stale frames are never silently applied (DESIGN.md §13); the
+//!   run and handoff deadlines — is one sans-IO state machine,
+//!   `control.rs`: `Control::on(Event) -> Actions` behind one lock.
+//!   The threads here are its drivers: readers feed it every frame
+//!   their lock-free fast path (run traffic for a shard we own) does
+//!   not consume, workers feed it barrier arrivals and retirements,
+//!   one parked ticker feeds it time, and `Links::control` performs
+//!   what it decides — sends, deliveries, [`em2_rt::RemoteInbox`]
+//!   freezes and installs, failures.
 //! * **Failure.** Nothing in this module panics or hangs on a sick
 //!   cluster (DESIGN.md §10). The first failure a node observes — a
 //!   dead send, an EOF without the protocol's goodbye, a checksum or
-//!   sequence-gap decode error, a heartbeat deadline, the run
-//!   watchdog — is recorded as a typed [`ClusterError`] in the node's
+//!   sequence-gap decode error, a heartbeat deadline, a control-plane
+//!   deadline — is recorded as a typed [`ClusterError`] in the node's
 //!   failure slot, the local workers are woken and drained through
 //!   [`em2_rt::RemoteInbox::begin_shutdown`], an [`NetMsg::Abort`] is
 //!   propagated (to the coordinator, which rebroadcasts), and
@@ -69,33 +61,21 @@
 //! under benign injected faults (delays, duplicates).
 
 use crate::cluster::ClusterSpec;
+use crate::control::{Action, Control, Event, Note};
 use crate::error::ClusterError;
 use crate::proto::NetMsg;
 use crate::transport::{Duplex, FrameRx, FrameTx, Transport};
-use em2_engine::AtomicBarriers;
 use em2_model::{DetRng, ThreadId};
 use em2_placement::Placement;
 use em2_rt::mpsc::MpscQueue;
-use em2_rt::wire::{FrozenShard, WireMsg, WIRE_VERSION};
+use em2_rt::wire::{WireMsg, WIRE_VERSION};
 use em2_rt::{
-    NodeLink, NodeRole, RtConfig, RtReport, Runtime, ShardDirectory, TaskRegistry, TaskSpec,
+    InboxBacklog, NodeLink, NodeRole, RtConfig, RtReport, Runtime, ShardDirectory, TaskRegistry,
+    TaskSpec,
 };
-use em2_trace::Workload;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
-
-/// The coordinator's per-handoff watchdog budget: a live shard handoff
-/// stuck in any phase for longer than this fails the cluster typed
-/// ([`ClusterError::Handoff`]) instead of wedging quiesce forever.
-const HANDOFF_TIMEOUT_MS: u64 = 5000;
-
-/// The epoch-fencing bounce budget: how many times one frame may be
-/// re-routed while ownership moves before the run fails typed (a bound
-/// on fencing ping-pong — a healthy handoff resolves every bounce in
-/// one epoch).
-const BOUNCE_RETRY_CAP: u32 = 16;
 
 /// Frames one writer flush may coalesce (the bounded window that keeps
 /// a burst from turning into unbounded latency for the frame at its
@@ -192,76 +172,6 @@ impl WireSnapshot {
     }
 }
 
-/// Cluster-global completion accounting (coordinator only).
-struct CoordState {
-    closed_nodes: usize,
-    submitted: u64,
-    retired: u64,
-    quiesced: bool,
-}
-
-/// Coordinator-only state: the cluster's real barrier hub, the
-/// quiesce ledger, and the handoff ledger.
-struct Coordinator {
-    barriers: AtomicBarriers,
-    state: Mutex<CoordState>,
-    handoffs: Mutex<HandoffLedger>,
-}
-
-/// The handoff currently in flight (the coordinator runs handoffs one
-/// at a time: the epoch is a total order of ownership changes, and a
-/// single transfer in flight keeps the fencing argument simple).
-struct ActiveHandoff {
-    hid: u64,
-    shard: u32,
-    from: u32,
-    to: u32,
-    /// Which protocol step the handoff is in (`prepare` → `transfer`);
-    /// stamped onto any error observed while the handoff is active and
-    /// named by the watchdog when a step never completes.
-    phase: &'static str,
-    started: Instant,
-}
-
-/// Coordinator-only handoff ledger: the one in-flight handoff plus the
-/// queue of requested-but-not-started ones.
-///
-/// Lock ordering: the quiesce ledger (`Coordinator::state`) may be
-/// held while taking this lock (`maybe_quiesce` checks handoff
-/// idleness), never the reverse — `coord_handoff_done` drops this
-/// guard before re-checking quiesce.
-struct HandoffLedger {
-    next_hid: u64,
-    active: Option<ActiveHandoff>,
-    queue: VecDeque<(u32, u32)>,
-}
-
-/// Frames buffered for a shard whose state is in flight toward us:
-/// `(from_node, bounce_retries, msg)` tuples replayed after install.
-type BufferedFrames = Vec<(usize, u32, WireMsg)>;
-
-/// Per-node fencing state for shards in motion.
-struct HandoffState {
-    /// Shards this node has been told to expect (`HandoffExpect`)
-    /// whose `HandoffTransfer` has not yet installed: inbound frames
-    /// for them are buffered here `(from_node, retries, msg)` and
-    /// replayed after install, instead of bouncing back and forth
-    /// while the state is in flight.
-    expecting: HashMap<usize, (u64, BufferedFrames)>,
-    /// Frames waiting out a stale local map: bounces proven still in
-    /// motion and frames stamped ahead of our epoch. They park here
-    /// until the next `EpochUpdate` installs a newer map, then
-    /// re-route through it.
-    parked_bounces: Vec<(usize, u32, WireMsg)>,
-    /// Highest handoff id whose `HandoffTransfer` this node already
-    /// installed as the destination. A `HandoffExpect` at or below it
-    /// is stale — the transfer it announces beat it here over the
-    /// source's connection — and must be dropped: honoring it would
-    /// plant an expect entry whose removal (the install) already
-    /// happened, a trap that swallows any frame buffered into it.
-    done_dest_hid: u64,
-}
-
 /// What travels down a peer's egress queue.
 enum EgressItem {
     /// An encodable message; the writer assigns its sequence number at
@@ -341,7 +251,7 @@ impl Peer {
 }
 
 /// Everything shared between shard workers (via [`NodeLink`]), reader
-/// threads, the per-peer writer threads, the watchdog, and the
+/// threads, the per-peer writer threads, the ticker, and the
 /// [`NodeRuntime`] handle.
 struct Links {
     spec: ClusterSpec,
@@ -351,13 +261,15 @@ struct Links {
     /// handoff is observed atomically by workers, readers, and
     /// writers.
     directory: Arc<ShardDirectory>,
-    /// Per-node fencing state for shards in motion.
-    handoff: Mutex<HandoffState>,
+    /// The control plane (`control.rs`): every decision about a frame
+    /// that is not run traffic for a shard we own. The protocol's only
+    /// lock; the data path (`route_shard`, `send_to`, `forward_many`,
+    /// the writers) never takes it.
+    control: Mutex<Control>,
     /// Indexed by node id; `None` at `me`.
     peers: Vec<Option<Peer>>,
     /// Set once the runtime is up; readers start after that.
     inbox: OnceLock<em2_rt::RemoteInbox>,
-    coord: Option<Coordinator>,
     stats: WireStats,
     /// First failure observed on this node; `finish` refuses to report
     /// counters from a cluster that broke mid-run.
@@ -366,15 +278,19 @@ struct Links {
     /// racing our heartbeat) is no longer a failure.
     quiesced: AtomicBool,
     /// The local run is over (set by `finish` after the workers
-    /// joined); stops the heartbeat and watchdog threads.
+    /// joined); stops the heartbeats and the ticker.
     done: AtomicBool,
-    /// Origin of the `last_*_ms` clocks.
+    /// Origin of the `last_*_ms` clocks and of every `Tick`.
     epoch: Instant,
     /// The runtime's timing-plane registry, set after the local
     /// `Runtime` comes up (readers/writers start later, so they always
     /// observe it). Arms per-peer wire telemetry and the crash flight
     /// recorder; `OnceLock` stays empty when obs is off.
     obs: OnceLock<Arc<em2_obs::NodeObs>>,
+    /// The ticker thread, parked until the control plane's earliest
+    /// deadline; unparked when an event arms an earlier one and by
+    /// `finish`.
+    ticker: OnceLock<std::thread::Thread>,
 }
 
 /// Which peer a failure names, for the flight recorder's final event.
@@ -401,10 +317,21 @@ impl Links {
         self.peers[node].as_ref().expect("no connection to self")
     }
 
+    /// The runtime's census of resident envelopes (empty before the
+    /// runtime is attached and after it is gone).
+    fn backlog(&self) -> InboxBacklog {
+        self.inbox.get().map(|i| i.backlog()).unwrap_or_default()
+    }
+
     /// The failure slot, poison-tolerant: a panicking holder must not
     /// cascade into every other thread's error path.
     fn lock_failure(&self) -> MutexGuard<'_, Option<ClusterError>> {
         self.failure.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The control plane, poison-tolerant for the same reason.
+    fn lock_control(&self) -> MutexGuard<'_, Control> {
+        self.control.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Record the run's first failure, wake the local workers, and
@@ -416,18 +343,31 @@ impl Links {
     /// Abort jumps every data frame still queued in the main egress
     /// FIFO, so a wedged bulk queue cannot delay the cluster's failure
     /// signal. Callable from any thread, including a writer: it only
-    /// enqueues, never touches a connection.
+    /// enqueues, never touches a connection. It visits the control
+    /// plane once, so it must never run under the control guard —
+    /// `control` performs `Fail` actions after dropping it.
     fn fail(&self, err: ClusterError) {
         if self.quiesced.load(Ordering::Acquire) {
             // The run already completed; connection teardown noise
             // cannot invalidate counters that converged.
             return;
         }
+        let origin = match &err {
+            ClusterError::Aborted { from, .. } => Some(*from),
+            _ => None,
+        };
         // A failure observed while a shard is mid-handoff names the
         // handoff and its phase — the post-mortem must say *where* the
-        // transfer died. `try_lock` because fail() may already hold
-        // the ledger (a freeze failure inside the pump).
-        let err = match self.handoff_note() {
+        // transfer died.
+        let (note, census, relay) = {
+            let c = self.lock_control();
+            (
+                c.handoff_note(),
+                c.census(&self.directory, &self.backlog()),
+                c.abort_targets(origin),
+            )
+        };
+        let err = match note {
             Some(note) => err.annotate(&note),
             None => err,
         };
@@ -446,6 +386,11 @@ impl Links {
         if !first {
             return;
         }
+        // Only the first error survives the abort fan-out, so every
+        // node prints its own view of what was holding quiesce open.
+        if em2_model::env::flag("EM2_NET_DEBUG_WEDGE").unwrap_or(false) {
+            eprintln!("[em2-net wedge] {census}");
+        }
         // The crash flight recorder: the run's *first* failure dumps
         // the last trace events + a full metrics snapshot to JSONL.
         // Best-effort by design — post-mortem I/O must never mask or
@@ -455,51 +400,23 @@ impl Links {
             if let Some(p) = peer {
                 obs.node_event(em2_obs::EventKind::PeerDown, p, 0);
             }
-            let _ = obs.flight_dump(
-                err.kind(),
-                &err.to_string(),
-                peer,
-                Some(&self.wedge_census_json()),
-            );
+            let _ = obs.flight_dump(err.kind(), &err.to_string(), peer, Some(&census));
         }
-        match &err {
-            ClusterError::Aborted { from, reason } => {
-                // Sympathetic failure: the origin already knows. The
-                // coordinator relays to everyone else; leaves stop.
-                if self.me == 0 {
-                    for node in 0..self.spec.num_nodes() {
-                        if node != self.me && node != *from {
-                            self.send_urgent(
-                                node,
-                                NetMsg::Abort {
-                                    reason: reason.clone(),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            _ => {
-                let reason = err.to_string();
-                if self.me == 0 {
-                    for node in 0..self.spec.num_nodes() {
-                        if node != self.me {
-                            self.send_urgent(
-                                node,
-                                NetMsg::Abort {
-                                    reason: reason.clone(),
-                                },
-                            );
-                        }
-                    }
-                } else {
-                    self.send_urgent(0, NetMsg::Abort { reason });
-                }
-            }
+        // A sympathetic failure relays the origin's reason verbatim.
+        let reason = match &err {
+            ClusterError::Aborted { reason, .. } => reason.clone(),
+            _ => err.to_string(),
+        };
+        for node in relay {
+            self.send_urgent(
+                node,
+                NetMsg::Abort {
+                    reason: reason.clone(),
+                },
+            );
         }
     }
 
-    /// Best-effort control send: consumes a sequence number on
     /// Enqueue one message on a peer's main egress FIFO and wake its
     /// writer. This is the whole hot path for a sender: one lock-free
     /// push plus at most one `unpark` — no mutex, no syscall, no
@@ -550,123 +467,135 @@ impl Links {
         }
     }
 
-    // ---------------------------------------------- coordinator logic
+    // ------------------------------------------- control-plane driver
 
-    fn coord(&self) -> &Coordinator {
-        self.coord.as_ref().expect("only node 0 coordinates")
-    }
-
-    fn coord_lock(&self) -> MutexGuard<'_, CoordState> {
-        // Poison-tolerant: the ledger is monotone counters, never
-        // half-updated, so a panicking holder leaves a usable state.
-        self.coord().state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn coord_barrier_arrive(&self, k: usize) {
-        if self.coord().barriers.arrive(k) == em2_engine::BarrierArrival::Completes {
-            for node in 0..self.spec.num_nodes() {
-                if node != self.me {
-                    self.send_to(node, NetMsg::BarrierRelease { k: k as u32 });
+    /// Feed one event to the control plane and perform what it
+    /// decides. Returns whether that failed the run.
+    ///
+    /// `Send`s leave under the guard — a lock-free push — so frames
+    /// reach each peer's FIFO in decision order even when two threads'
+    /// events interleave (the `Quiesce` after a commit never overtakes
+    /// that commit's `EpochUpdate`). Whatever calls into the runtime or
+    /// re-enters the control plane (`fail` reads the handoff note;
+    /// freeze and install report back) runs after the guard drops, in
+    /// decision order; `Control` phrases a send that has to wait for
+    /// one of those as a `Tell`.
+    fn control(&self, ev: Event) -> bool {
+        let mut rest = Vec::new();
+        let earlier = {
+            let mut c = self.lock_control();
+            let before = c.next_deadline_ms();
+            let mut out = Vec::new();
+            c.on(&self.directory, self.now_ms(), ev, &mut out);
+            for a in out {
+                match a {
+                    Action::Send { to, msg } => self.send_to(to, msg),
+                    a => rest.push(a),
                 }
             }
-            self.inbox().release_barrier(k);
-        }
-    }
-
-    fn coord_retired(&self) {
-        let mut st = self.coord_lock();
-        st.retired += 1;
-        self.maybe_quiesce(&mut st);
-    }
-
-    fn coord_closed(&self, submitted: u64) -> Result<(), ClusterError> {
-        let mut st = self.coord_lock();
-        st.closed_nodes += 1;
-        if st.closed_nodes > self.spec.num_nodes() {
-            return Err(ClusterError::Protocol {
-                from: self.me,
-                detail: "more Closed messages than nodes".into(),
-            });
-        }
-        st.submitted += submitted;
-        self.maybe_quiesce(&mut st);
-        Ok(())
-    }
-
-    /// Declare cluster quiesce exactly once, when every node has
-    /// closed admission and every submitted task has retired. The
-    /// gate order matters: `retired` may transiently exceed the
-    /// `submitted` sum while some node's `Closed` is still queued, so
-    /// the count comparison is only meaningful after all closes.
-    fn maybe_quiesce(&self, st: &mut CoordState) {
-        if st.quiesced || st.closed_nodes < self.spec.num_nodes() || st.retired != st.submitted {
-            return;
-        }
-        // A frozen shard in transit holds heap words and possibly
-        // parked envelopes; the cluster is not done until every
-        // requested handoff has committed. (Lock order: quiesce state
-        // → handoff ledger, here and everywhere.)
-        {
-            let lg = self.coord_handoffs();
-            if lg.active.is_some() || !lg.queue.is_empty() {
-                return;
+            // The ticker sleeps toward `before` (forever on `None`).
+            let next = c.next_deadline_ms();
+            next.is_some_and(|t| before.is_none_or(|b| t < b))
+        };
+        if earlier {
+            if let Some(t) = self.ticker.get() {
+                t.unpark();
             }
         }
-        st.quiesced = true;
-        self.quiesced.store(true, Ordering::Release);
-        for node in 0..self.spec.num_nodes() {
-            if node != self.me {
-                self.send_to(node, NetMsg::Quiesce);
+        // A failure ends the event: what it had still queued (the rest
+        // of a replay, its ack) belongs to a run that is over.
+        rest.into_iter().any(|a| self.perform(a))
+    }
+
+    /// Perform one action outside the control guard. Returns whether
+    /// it failed the run.
+    fn perform(&self, a: Action) -> bool {
+        let failure = match a {
+            Action::Send { .. } => unreachable!("sent under the control guard"),
+            Action::Deliver {
+                from,
+                shard,
+                retries,
+                msg,
+            } => self.deliver(from, shard, retries, msg).err(),
+            Action::Route {
+                shard,
+                retries,
+                msg,
+            } => self.route_shard(shard, retries, msg).err(),
+            Action::ReleaseBarrier { k } => {
+                self.inbox().release_barrier(k);
+                None
             }
-        }
-        self.inbox().begin_shutdown();
-    }
-
-    // ---------------------------------------------- handoff protocol
-
-    /// The per-node fencing state, poison-tolerant.
-    fn lock_handoff(&self) -> MutexGuard<'_, HandoffState> {
-        self.handoff.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The coordinator's handoff ledger, poison-tolerant.
-    fn coord_handoffs(&self) -> MutexGuard<'_, HandoffLedger> {
-        self.coord()
-            .handoffs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// If a handoff is active (or this node is mid-receive), a note
-    /// naming it for error annotation. `try_lock` everywhere: this
-    /// runs on the failure path, possibly under the very locks it
-    /// inspects.
-    fn handoff_note(&self) -> Option<String> {
-        if let Some(c) = self.coord.as_ref() {
-            if let Ok(lg) = c.handoffs.try_lock() {
-                if let Some(a) = lg.active.as_ref() {
-                    return Some(format!(
-                        "during shard handoff of shard {} (node {} -> node {}), phase {}",
-                        a.shard, a.from, a.to, a.phase
-                    ));
+            Action::Tell(msg) => return self.control(Event::Local(msg)),
+            Action::Quiesced => {
+                self.quiesced.store(true, Ordering::Release);
+                self.inbox().begin_shutdown();
+                None
+            }
+            Action::Freeze { hid, shard, to } => {
+                // `None`: the local runtime is already torn down; the
+                // run is over.
+                let Some(frozen) = self.inbox().freeze_shard(shard as usize, to) else {
+                    return false;
+                };
+                if let Some(obs) = self.obs.get() {
+                    let bytes = frozen.encode().len() as u64;
+                    obs.node_event(em2_obs::EventKind::HandoffFreeze, shard as u64, bytes);
+                    obs.handoff_freeze(hid, shard as u64, bytes);
+                }
+                return self.control(Event::Froze {
+                    hid,
+                    shard,
+                    to,
+                    state: Box::new(frozen),
+                });
+            }
+            Action::Install { from, hid, state } => {
+                let shard = state.shard;
+                match self.inbox().install_shard(*state) {
+                    Ok(_) => return self.control(Event::Installed { hid, shard }),
+                    Err(e) => Some(ClusterError::Handoff {
+                        phase: "transfer".into(),
+                        detail: format!(
+                            "frozen state for shard {shard} from node {from} failed to install: \
+                             {e}"
+                        ),
+                    }),
                 }
             }
-        }
-        if let Ok(hs) = self.handoff.try_lock() {
-            if let Some(&shard) = hs.expecting.keys().next() {
-                return Some(format!(
-                    "while awaiting the frozen state of shard {shard} (handoff transfer phase)"
-                ));
+            Action::Fail(e) => Some(e),
+            Action::Note(n) => {
+                if let Some(obs) = self.obs.get() {
+                    note(obs, n);
+                }
+                None
             }
-        }
-        None
+        };
+        failure.map(|e| self.fail(e)).is_some()
+    }
+
+    /// Hand one message that node `from` sent (`me`: a local worker)
+    /// to the local runtime. One it cannot rebuild is a codec failure.
+    fn deliver(
+        &self,
+        from: usize,
+        shard: usize,
+        retries: u32,
+        msg: WireMsg,
+    ) -> Result<(), ClusterError> {
+        let delivered = self.inbox().deliver(shard, retries, msg);
+        delivered.map(drop).map_err(|e| ClusterError::Codec {
+            from,
+            detail: format!("undeliverable message for shard {shard}: {e}"),
+        })
     }
 
     /// Route one shard-addressed message by the current directory:
     /// deliver locally if this node owns it (ownership can flip toward
     /// us between enqueue and here), otherwise ship it to the owner
     /// stamped with our epoch and the frame's re-route count.
-    fn route_shard(&self, to: usize, retries: u32, msg: WireMsg) {
+    fn route_shard(&self, to: usize, retries: u32, msg: WireMsg) -> Result<(), ClusterError> {
         // Epoch *before* owner: `ShardDirectory::install` publishes
         // the owners before the epoch, so reading in the opposite
         // order guarantees the stamp is never newer than the map that
@@ -679,13 +608,7 @@ impl Links {
         let epoch = self.directory.epoch();
         let owner = self.directory.owner_of(to) as usize;
         if owner == self.me {
-            if let Err(e) = self.inbox().deliver(to, retries, msg) {
-                self.fail(ClusterError::Codec {
-                    from: self.me,
-                    detail: format!("undeliverable local message for shard {to}: {e}"),
-                });
-            }
-            return;
+            return self.deliver(self.me, to, retries, msg);
         }
         if let WireMsg::Arrive(_) = &msg {
             self.stats.arrives_tx.fetch_add(1, Ordering::Relaxed);
@@ -702,466 +625,53 @@ impl Links {
                 msg,
             },
         );
+        Ok(())
     }
+}
 
-    /// Re-route every frame parked on a stale ownership map — called
-    /// after an `EpochUpdate` (or, on the coordinator, a local commit)
-    /// installs the map the frames were waiting for.
-    fn drain_parked_bounces(&self) {
-        let parked = std::mem::take(&mut self.lock_handoff().parked_bounces);
-        for (shard, retries, msg) in parked {
-            self.route_shard(shard, retries, msg);
+/// Record one control-plane breadcrumb on the obs plane.
+fn note(obs: &em2_obs::NodeObs, n: Note) {
+    use em2_obs::EventKind as K;
+    match n {
+        Note::Prepare {
+            hid,
+            shard,
+            from,
+            to,
+        } => {
+            obs.node_event(K::HandoffPrepare, shard as u64, to as u64);
+            obs.handoff_prepare(hid, shard as u64, from as u64, to as u64);
         }
-    }
-
-    /// One-line census of everything that can hold cluster quiesce
-    /// open on this node — the watchdogs report it so a wedged run
-    /// names its stuck frame instead of timing out mute.
-    fn wedge_census(&self) -> String {
-        let b = self.inbox.get().map(|i| i.backlog()).unwrap_or_default();
-        let (parked, expecting) = {
-            let hs = self.lock_handoff();
-            (
-                hs.parked_bounces
-                    .iter()
-                    .map(|(s, r, _)| format!("shard {s} (retries {r})"))
-                    .collect::<Vec<_>>(),
-                hs.expecting.keys().copied().collect::<Vec<_>>(),
-            )
-        };
-        let coord = if self.me == 0 {
-            let st = self.coord_lock();
-            format!(
-                "; quiesce ledger: {}/{} nodes closed, {}/{} retired",
-                st.closed_nodes,
-                self.spec.num_nodes(),
-                st.retired,
-                st.submitted
-            )
-        } else {
-            String::new()
-        };
-        format!(
-            "node {}: {} runnable, {} parked at barriers, {} awaiting replies, \
-             {} stalled on admission ({} shards busy); parked frames: [{}], \
-             expecting: {:?}, epoch {}{}",
-            self.me,
-            b.runnable,
-            b.parked_barrier,
-            b.awaiting_reply,
-            b.stalled_admission,
-            b.skipped_shards,
-            parked.join(", "),
-            expecting,
-            self.directory.epoch(),
-            coord
-        )
-    }
-
-    /// The same census as one machine-readable JSON line, for the
-    /// crash flight recorder. `try_lock` everywhere: `fail` invokes
-    /// this under whatever locks the failing thread already holds (the
-    /// handoff pump calls `fail` while holding the coordinator's
-    /// ledger), so a busy lock is reported as such instead of
-    /// deadlocking the dump.
-    fn wedge_census_json(&self) -> String {
-        use std::fmt::Write as _;
-        let b = self.inbox.get().map(|i| i.backlog()).unwrap_or_default();
-        let mut s = format!(
-            "{{\"kind\":\"census\",\"node\":{},\"runnable\":{},\"parked_barrier\":{},\
-             \"awaiting_reply\":{},\"stalled_admission\":{},\"busy_shards\":{},\"epoch\":{}",
-            self.me,
-            b.runnable,
-            b.parked_barrier,
-            b.awaiting_reply,
-            b.stalled_admission,
-            b.skipped_shards,
-            self.directory.epoch()
-        );
-        match self.handoff.try_lock() {
-            Ok(hs) => {
-                let parked: Vec<String> = hs
-                    .parked_bounces
-                    .iter()
-                    .map(|(sh, r, _)| format!("[{sh},{r}]"))
-                    .collect();
-                let mut expecting: Vec<usize> = hs.expecting.keys().copied().collect();
-                expecting.sort_unstable();
-                let expecting: Vec<String> = expecting.iter().map(|sh| sh.to_string()).collect();
-                let _ = write!(
-                    s,
-                    ",\"parked_frames\":[{}],\"expecting\":[{}]",
-                    parked.join(","),
-                    expecting.join(",")
-                );
-            }
-            Err(_) => s.push_str(",\"fence_state\":\"busy\""),
+        Note::Transfer {
+            hid,
+            shard,
+            replayed,
+        } => {
+            obs.node_event(K::HandoffTransfer, shard as u64, replayed);
+            obs.handoff_transfer(hid, shard as u64, replayed, replayed);
         }
-        if let Some(c) = self.coord.as_ref() {
-            match c.handoffs.try_lock() {
-                Ok(lg) => {
-                    match lg.active.as_ref() {
-                        Some(a) => {
-                            let _ = write!(
-                                s,
-                                ",\"handoff_active\":{{\"hid\":{},\"shard\":{},\"from\":{},\
-                                 \"to\":{},\"phase\":\"{}\"}}",
-                                a.hid, a.shard, a.from, a.to, a.phase
-                            );
-                        }
-                        None => s.push_str(",\"handoff_active\":null"),
-                    }
-                    let _ = write!(s, ",\"handoff_queued\":{}", lg.queue.len());
-                }
-                Err(_) => s.push_str(",\"handoff_ledger\":\"busy\""),
-            }
-            match c.state.try_lock() {
-                Ok(st) => {
-                    let _ = write!(
-                        s,
-                        ",\"closed_nodes\":{},\"submitted\":{},\"retired\":{}",
-                        st.closed_nodes, st.submitted, st.retired
-                    );
-                }
-                Err(_) => s.push_str(",\"quiesce_ledger\":\"busy\""),
-            }
+        Note::Commit { hid, shard, epoch } => {
+            obs.node_event(K::HandoffCommit, shard as u64, epoch);
+            obs.handoff_commit(hid);
         }
-        s.push('}');
-        s
-    }
-
-    /// Freeze `shard` locally and ship its state to `to` — the
-    /// source-node half of the Transfer step. Returns `false` when the
-    /// handoff cannot proceed (failure already recorded).
-    fn freeze_and_ship(&self, hid: u64, shard: usize, to: u32) -> bool {
-        if self.directory.owner_of(shard) != self.me as u32 {
-            self.fail(ClusterError::Handoff {
-                phase: "freeze".into(),
-                detail: format!(
-                    "node {} was asked to freeze shard {shard}, which it does not own",
-                    self.me
-                ),
-            });
-            return false;
-        }
-        let Some(frozen) = self.inbox().freeze_shard(shard, to) else {
-            // The local runtime is already torn down; the run is over.
-            return false;
-        };
-        if let Some(obs) = self.obs.get() {
-            let bytes = frozen.encode().len() as u64;
-            obs.node_event(em2_obs::EventKind::HandoffFreeze, shard as u64, bytes);
-            obs.handoff_freeze(hid, shard as u64, bytes);
-        }
-        self.send_to(
-            to as usize,
-            NetMsg::HandoffTransfer {
-                hid,
-                shard: shard as u32,
-                state: Box::new(frozen),
-            },
-        );
-        true
-    }
-
-    /// Destination-node half of the Transfer step: install the frozen
-    /// state, replay every frame buffered while it was in flight, and
-    /// ack the coordinator.
-    fn handle_transfer(&self, from_node: usize, hid: u64, shard: usize, state: FrozenShard) {
-        if shard >= self.spec.total_shards || state.shard as usize != shard {
-            self.fail(ClusterError::Protocol {
-                from: from_node,
-                detail: format!(
-                    "HandoffTransfer for shard {shard} carried state for shard {}",
-                    state.shard
-                ),
-            });
-            return;
-        }
-        match self.inbox().install_shard(state) {
-            Ok(_) => {}
-            Err(e) => {
-                self.fail(ClusterError::Handoff {
-                    phase: "transfer".into(),
-                    detail: format!(
-                        "frozen state for shard {shard} from node {from_node} failed to \
-                         install: {e}"
-                    ),
-                });
-                return;
-            }
-        }
-        // Ownership flipped toward us inside install_shard, so frames
-        // buffered from now on cannot exist; replay what accumulated
-        // while the state was in flight, in arrival order. Recording
-        // the hid (same lock hold) lets the Expect handler drop the
-        // announcement for this transfer when it loses the race and
-        // arrives after us — the coordinator's connection is not
-        // ordered with the source's.
-        let buffered = {
-            let mut hs = self.lock_handoff();
-            hs.done_dest_hid = hs.done_dest_hid.max(hid);
-            hs.expecting
-                .remove(&shard)
-                .map(|(_, b)| b)
-                .unwrap_or_default()
-        };
-        let replayed = buffered.len();
-        for (from, retries, mut msg) in buffered {
-            // A replayed arrival records the detour in its journey —
-            // unconditionally, like every hop: journeys are wire
-            // state, not obs state (see `em2_rt::wire::Journey`).
-            if let WireMsg::Arrive(we) = &mut msg {
-                we.journey.push(em2_rt::wire::JourneyHop {
-                    shard: shard as u32,
-                    node: self.me as u32,
-                    epoch: self.directory.epoch(),
-                    cause: em2_rt::wire::HopCause::HandoffReplay,
-                });
-            }
-            // The carried re-route count rides through the local
-            // delivery: should the shard flip away again before the
-            // push lands, the re-forward keeps counting against the
-            // frame's bounce budget instead of restarting it.
-            if let Err(e) = self.inbox().deliver(shard, retries, msg) {
-                self.fail(ClusterError::Codec {
-                    from,
-                    detail: format!("undeliverable buffered message for shard {shard}: {e}"),
-                });
-                return;
-            }
-        }
-        if let Some(obs) = self.obs.get() {
-            obs.node_event(
-                em2_obs::EventKind::HandoffTransfer,
-                shard as u64,
-                replayed as u64,
-            );
-            obs.handoff_transfer(hid, shard as u64, replayed as u64, replayed as u64);
-        }
-        if self.me == 0 {
-            self.coord_handoff_done(hid, shard);
-        } else {
-            self.send_to(
-                0,
-                NetMsg::HandoffDone {
-                    hid,
-                    shard: shard as u32,
-                },
-            );
-        }
-    }
-
-    /// Coordinator: enqueue a handoff request and start it if the line
-    /// is free.
-    fn coord_handoff_request(&self, shard: u32, to: u32) {
-        let mut lg = self.coord_handoffs();
-        lg.queue.push_back((shard, to));
-        self.pump_handoffs(&mut lg);
-    }
-
-    /// Coordinator: start queued handoffs until one is in flight (or
-    /// the queue is empty). Caller holds the ledger.
-    fn pump_handoffs(&self, lg: &mut HandoffLedger) {
-        while lg.active.is_none() {
-            let Some((shard, to)) = lg.queue.pop_front() else {
-                return;
-            };
-            let from = self.directory.owner_of(shard as usize);
-            if from == to {
-                // Already where it should be (a drain raced a commit,
-                // or the request was a no-op). Nothing to move.
-                continue;
-            }
-            let hid = lg.next_hid;
-            lg.next_hid += 1;
-            lg.active = Some(ActiveHandoff {
-                hid,
-                shard,
-                from,
-                to,
-                phase: "prepare",
-                started: Instant::now(),
-            });
-            if let Some(obs) = self.obs.get() {
-                obs.node_event(em2_obs::EventKind::HandoffPrepare, shard as u64, to as u64);
-                obs.handoff_prepare(hid, shard as u64, from as u64, to as u64);
-            }
-            let epoch = self.directory.epoch();
-            // Tell the destination to fence (buffer) frames for the
-            // shard before anything ships.
-            if to as usize == self.me {
-                self.lock_handoff()
-                    .expecting
-                    .entry(shard as usize)
-                    .or_insert((hid, Vec::new()));
-            } else {
-                self.send_to(
-                    to as usize,
-                    NetMsg::HandoffExpect {
-                        hid,
-                        shard,
-                        from,
-                        epoch,
-                    },
-                );
-            }
-            if let Some(a) = lg.active.as_mut() {
-                a.phase = "transfer";
-            }
-            if from as usize == self.me {
-                // Coordinator is the source: freeze and ship directly.
-                // (fail() inside uses try_lock on this ledger, so
-                // holding it here cannot deadlock.)
-                if !self.freeze_and_ship(hid, shard as usize, to) {
-                    return;
-                }
-            } else {
-                self.send_to(
-                    from as usize,
-                    NetMsg::HandoffPrepare {
-                        hid,
-                        shard,
-                        to,
-                        epoch,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Coordinator: the destination confirmed the install. Commit —
-    /// bump the epoch, broadcast the new ownership map, start the next
-    /// queued handoff, and re-check quiesce.
-    fn coord_handoff_done(&self, hid: u64, shard: usize) {
-        {
-            let mut lg = self.coord_handoffs();
-            let matches = lg
-                .active
-                .as_ref()
-                .is_some_and(|a| a.hid == hid && a.shard as usize == shard);
-            if !matches {
-                // A stale or duplicate ack; the watchdog or a failure
-                // already retired this handoff.
-                return;
-            }
-            let a = lg.active.take().expect("checked above");
-            self.directory.set_owner(shard, a.to);
-            let epoch = self.directory.epoch() + 1;
-            let owners = self.directory.snapshot();
-            let installed = self.directory.install(epoch, &owners);
-            debug_assert!(installed, "the coordinator's epoch only moves here");
-            if let Some(obs) = self.obs.get() {
-                obs.node_event(em2_obs::EventKind::HandoffCommit, shard as u64, epoch);
-                obs.handoff_commit(hid);
-                obs.set_dir_epoch(epoch);
-            }
-            for node in 0..self.spec.num_nodes() {
-                if node != self.me {
-                    self.send_to(
-                        node,
-                        NetMsg::EpochUpdate {
-                            epoch,
-                            owners: owners.clone(),
-                        },
-                    );
-                }
-            }
-            self.pump_handoffs(&mut lg);
-        }
-        // Ledger dropped before touching the quiesce state (lock
-        // order) and before re-routing parked frames (route may fail).
-        self.drain_parked_bounces();
-        let mut st = self.coord_lock();
-        self.maybe_quiesce(&mut st);
-    }
-
-    /// A peer refused one of our frames: ownership moved under it.
-    /// Park the frame when the bounce proves a future `EpochUpdate`
-    /// will re-route it, re-route by our own directory otherwise, and
-    /// fail typed if the frame has bounced more times than the
-    /// fencing budget allows.
-    fn handle_bounce(
-        &self,
-        from_node: usize,
-        to: usize,
-        bouncer_epoch: u64,
-        retries: u32,
-        mut msg: WireMsg,
-    ) {
-        if to >= self.spec.total_shards {
-            self.fail(ClusterError::Protocol {
-                from: from_node,
-                detail: format!("bounced a frame for shard {to}, which does not exist"),
-            });
-            return;
-        }
-        let r = retries + 1;
-        if r > BOUNCE_RETRY_CAP {
-            self.fail(ClusterError::Handoff {
-                phase: "bounce".into(),
-                detail: format!(
-                    "a frame for shard {to} was re-routed {r} times without finding an \
-                     owner (bounce budget {BOUNCE_RETRY_CAP}; epoch {})",
-                    self.directory.epoch()
-                ),
-            });
-            return;
-        }
-        // A bounced arrival records the detour in its journey —
-        // unconditionally, like every hop: journeys are wire state,
-        // not obs state (see `em2_rt::wire::Journey`).
-        if let WireMsg::Arrive(we) = &mut msg {
-            we.journey.push(em2_rt::wire::JourneyHop {
-                shard: to as u32,
-                node: self.me as u32,
-                epoch: self.directory.epoch(),
-                cause: em2_rt::wire::HopCause::Bounce,
-            });
-        }
-        if let Some(obs) = self.obs.get() {
-            obs.node_event(em2_obs::EventKind::HandoffBounce, to as u64, r as u64);
-            obs.handoff_bounce(to as u64);
-            if let WireMsg::Arrive(we) = &msg {
+        Note::Epoch(epoch) => obs.set_dir_epoch(epoch),
+        Note::Bounce {
+            shard,
+            retries,
+            thread,
+        } => {
+            obs.node_event(K::HandoffBounce, shard as u64, retries as u64);
+            obs.handoff_bounce(shard as u64);
+            if let Some(thread) = thread {
                 // Node-level attribution (reader threads are
                 // multi-writer, hence fetch_add rather than the
                 // shard-local single-writer bump).
                 obs.attrib
-                    .cell(we.thread, to as u32)
+                    .cell(thread, shard)
                     .bounces
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
-        {
-            // Park only on *proof* that a future `EpochUpdate` will
-            // drain the frame — the bouncer's epoch stamp supplies it.
-            // Stamp ahead of our map: we are behind, the catch-up
-            // broadcast is in flight. Stamp equal to our map while our
-            // map names the bouncer: the refusal can only come from an
-            // uncommitted freeze flip (same epoch, different owner),
-            // so that handoff's commit is still pending. Anything
-            // else re-routes by our own directory — in particular a
-            // bounce *older* than our map: a shard can return to a
-            // previous owner (rolling restart), so "my map still names
-            // the bouncer" alone is no evidence of staleness on our
-            // side, and parking on it stranded frames forever when the
-            // stale bounce arrived after the run's last epoch bump.
-            // All of it under the handoff lock, which serializes
-            // against `drain_parked_bounces`: an `EpochUpdate`
-            // installs the new map before draining, so from behind
-            // the lock we either see the updated epoch and re-route
-            // below, or our park lands before the drain takes the
-            // vec — never just after the drain meant to release it.
-            let mut hs = self.lock_handoff();
-            let ours = self.directory.epoch();
-            if bouncer_epoch > ours
-                || (bouncer_epoch == ours && self.directory.owner_of(to) as usize == from_node)
-            {
-                hs.parked_bounces.push((to, r, msg));
-                return;
-            }
-        }
-        self.route_shard(to, r, msg);
     }
 }
 
@@ -1175,7 +685,9 @@ impl NodeLink for Links {
         // runtime passes through the re-route count of the frame it
         // was delivering (0 for its own sends), so the bounce budget
         // survives the local hop.
-        self.route_shard(to_shard, retries, msg);
+        if let Err(e) = self.route_shard(to_shard, retries, msg) {
+            self.fail(e);
+        }
     }
 
     fn forward_many(&self, msgs: Vec<(usize, WireMsg)>) {
@@ -1220,45 +732,32 @@ impl NodeLink for Links {
             self.peer(owner).wake_writer();
         }
         for (to_shard, msg) in local {
-            if let Err(e) = self.inbox().deliver(to_shard, 0, msg) {
-                self.fail(ClusterError::Codec {
-                    from: self.me,
-                    detail: format!("undeliverable local message for shard {to_shard}: {e}"),
-                });
+            if let Err(e) = self.deliver(self.me, to_shard, 0, msg) {
+                self.fail(e);
             }
         }
     }
 
     fn barrier_arrive(&self, k: usize) {
-        if self.me == 0 {
-            self.coord_barrier_arrive(k);
-        } else {
-            self.send_to(0, NetMsg::BarrierArrive { k: k as u32 });
-        }
+        self.control(Event::Local(NetMsg::BarrierArrive { k: k as u32 }));
     }
 
     fn task_retired(&self) {
-        if self.me == 0 {
-            self.coord_retired();
-        } else {
-            self.send_to(0, NetMsg::Retired);
-        }
+        self.control(Event::Local(NetMsg::Retired));
     }
 
     fn node_closed(&self, submitted: u64) {
-        if self.me == 0 {
-            if let Err(e) = self.coord_closed(submitted) {
-                self.fail(e);
-            }
-        } else {
-            self.send_to(0, NetMsg::Closed { submitted });
-        }
+        self.control(Event::Local(NetMsg::Closed { submitted }));
     }
 }
 
 /// One reader thread: drain a peer connection into the runtime.
 /// Returns on clean EOF (after the peer's [`NetMsg::Bye`] or the
 /// cluster's quiesce) or after recording a failure.
+///
+/// The hot path never takes a lock: decode, sequence check, *we own
+/// the shard*, `inbox.deliver`. Every other frame is an event for the
+/// control plane.
 fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
     // The handshake frame consumed sequence 0 in each direction.
     let mut expected_seq: u64 = 1;
@@ -1326,282 +825,28 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
         }
         match msg {
             NetMsg::Shard {
-                to,
-                epoch,
-                retries,
-                msg,
-            } => {
-                let to = to as usize;
-                if to >= links.spec.total_shards {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: format!("sent a message for shard {to}, which does not exist"),
-                    });
-                    return;
-                }
-                // Epoch fencing. Fast path: we own the shard, deliver.
-                // Otherwise re-check under the fencing lock — an
-                // install racing this frame either flips ownership
-                // before our check or still holds the `expecting`
-                // entry we buffer into. A frame for a shard we neither
-                // own nor expect is fenced by its epoch stamp, which
-                // decides *who* is stale. A stamp at or behind our map
-                // means the sender routed by an old world: bounce the
-                // frame back for re-route — never silently applied or
-                // dropped. A stamp *ahead* of our map means *we* are
-                // the laggard — the stamp is never newer than the map
-                // that chose the route (senders read epoch before
-                // owner; installs publish owners before epoch), so a
-                // commit we have not seen exists and its `EpochUpdate`
-                // broadcast is already in flight toward us. Park the
-                // frame with the other map-lagged traffic and re-route
-                // it when the update lands: a bounce round trip could
-                // teach the cluster nothing we are not already about
-                // to learn, and would burn the frame's retry budget on
-                // our slowness. Both decisions happen under the
-                // handoff lock — `EpochUpdate` installs the new map
-                // before draining the parked frames, so a park cannot
-                // slip in behind the drain that was meant to release
-                // it.
-                let deliver = if links.directory.owner_of(to) as usize == links.me {
-                    true
-                } else {
-                    let mut hs = links.lock_handoff();
-                    if links.directory.owner_of(to) as usize == links.me {
-                        true
-                    } else {
-                        // Our epoch, read right after the ownership
-                        // check: no install can flip this shard toward
-                        // us in between (a grant always lands through
-                        // `install_shard` first, guarded by the
-                        // expecting entry), so the pair "epoch `ours`,
-                        // not the owner" is a true statement about one
-                        // instant — the bounce below stamps it so the
-                        // sender can reason from it.
-                        let ours = links.directory.epoch();
-                        if let Some((_hid, buf)) = hs.expecting.get_mut(&to) {
-                            buf.push((from_node, retries, msg));
-                            continue;
-                        } else if epoch > ours {
-                            hs.parked_bounces.push((to, retries, msg));
-                            continue;
-                        } else {
-                            drop(hs);
-                            links.send_to(
-                                from_node,
-                                NetMsg::Bounce {
-                                    to: to as u32,
-                                    epoch: ours,
-                                    retries,
-                                    msg,
-                                },
-                            );
-                            continue;
-                        }
-                    }
-                };
-                debug_assert!(deliver);
-                if let Err(e) = links.inbox().deliver(to, retries, msg) {
-                    links.fail(ClusterError::Codec {
-                        from: from_node,
-                        detail: format!("undeliverable message: {e}"),
-                    });
-                    return;
-                }
-            }
-            NetMsg::BarrierArrive { k } => {
-                if links.me != 0 {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: "sent BarrierArrive to a non-coordinator".into(),
-                    });
-                    return;
-                }
-                links.coord_barrier_arrive(k as usize);
-            }
-            NetMsg::BarrierRelease { k } => {
-                links.inbox().release_barrier(k as usize);
-            }
-            NetMsg::Retired => {
-                if links.me != 0 {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: "sent Retired to a non-coordinator".into(),
-                    });
-                    return;
-                }
-                links.coord_retired();
-            }
-            NetMsg::Closed { submitted } => {
-                if links.me != 0 {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: "sent Closed to a non-coordinator".into(),
-                    });
-                    return;
-                }
-                if let Err(e) = links.coord_closed(submitted) {
+                to, retries, msg, ..
+            } if (to as usize) < links.spec.total_shards
+                && links.directory.owner_of(to as usize) as usize == links.me =>
+            {
+                if let Err(e) = links.deliver(from_node, to as usize, retries, msg) {
                     links.fail(e);
                     return;
                 }
             }
-            NetMsg::Quiesce => {
-                links.quiesced.store(true, Ordering::Release);
-                links.inbox().begin_shutdown();
-                // Keep reading to EOF so the close is clean.
-            }
-            NetMsg::Heartbeat => {
-                // Pure liveness: `last_rx_ms` is already refreshed.
-            }
-            NetMsg::Abort { reason } => {
-                links.fail(ClusterError::Aborted {
+            // Pure liveness: `last_rx_ms` is already refreshed.
+            NetMsg::Heartbeat => {}
+            // EOF follows; the loop top takes the clean-close path.
+            NetMsg::Bye => peer.bye.store(true, Ordering::Release),
+            // A `Quiesce` keeps us reading to EOF so the close is
+            // clean; a failure (ours or an `Abort`) ends the stream.
+            msg => {
+                if links.control(Event::Msg {
                     from: from_node,
-                    reason,
-                });
-                return;
-            }
-            NetMsg::Bye => {
-                peer.bye.store(true, Ordering::Release);
-                // EOF follows; fall through to the clean-close path.
-            }
-            NetMsg::HandoffRequest { shard, to } => {
-                if links.me != 0 {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: "sent HandoffRequest to a non-coordinator".into(),
-                    });
+                    msg,
+                }) {
                     return;
                 }
-                if shard as usize >= links.spec.total_shards
-                    || to as usize >= links.spec.num_nodes()
-                {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: format!(
-                            "requested a handoff of shard {shard} to node {to}, which is \
-                             outside the cluster"
-                        ),
-                    });
-                    return;
-                }
-                links.coord_handoff_request(shard, to);
-            }
-            NetMsg::HandoffPrepare {
-                hid,
-                shard,
-                to,
-                epoch: _,
-            } => {
-                if from_node != 0 {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: "sent HandoffPrepare without being the coordinator".into(),
-                    });
-                    return;
-                }
-                if shard as usize >= links.spec.total_shards
-                    || to as usize >= links.spec.num_nodes()
-                {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: format!("HandoffPrepare names shard {shard} / node {to}"),
-                    });
-                    return;
-                }
-                // Failures are recorded inside; nothing more to do
-                // here either way.
-                let _ = links.freeze_and_ship(hid, shard as usize, to);
-            }
-            NetMsg::HandoffExpect {
-                hid,
-                shard,
-                from: _,
-                epoch: _,
-            } => {
-                if from_node != 0 {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: "sent HandoffExpect without being the coordinator".into(),
-                    });
-                    return;
-                }
-                let shard = shard as usize;
-                if shard >= links.spec.total_shards {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: format!("HandoffExpect names shard {shard}"),
-                    });
-                    return;
-                }
-                // The Transfer travels on a different connection (the
-                // source node's) and may have installed already — in
-                // which case this Expect is stale and must be dropped,
-                // not planted: its removal (the install) already ran,
-                // so the entry would never be taken out and any frame
-                // buffered into it would be stranded. Ownership is no
-                // guide here (an interleaved EpochUpdate carrying a
-                // pre-handoff snapshot can flip the shard away from us
-                // again until the commit lands); the handoff id is —
-                // the coordinator assigns them serially, so an Expect
-                // at or below the last transfer we installed announces
-                // the past.
-                let mut hs = links.lock_handoff();
-                if hid > hs.done_dest_hid {
-                    hs.expecting.entry(shard).or_insert((hid, Vec::new()));
-                }
-            }
-            NetMsg::HandoffTransfer { hid, shard, state } => {
-                links.handle_transfer(from_node, hid, shard as usize, *state);
-            }
-            NetMsg::HandoffDone { hid, shard } => {
-                if links.me != 0 {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: "sent HandoffDone to a non-coordinator".into(),
-                    });
-                    return;
-                }
-                links.coord_handoff_done(hid, shard as usize);
-            }
-            NetMsg::EpochUpdate { epoch, owners } => {
-                if from_node != 0 {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: "broadcast EpochUpdate without being the coordinator".into(),
-                    });
-                    return;
-                }
-                if owners.len() != links.spec.total_shards {
-                    links.fail(ClusterError::Protocol {
-                        from: from_node,
-                        detail: format!(
-                            "EpochUpdate covers {} shards, cluster has {}",
-                            owners.len(),
-                            links.spec.total_shards
-                        ),
-                    });
-                    return;
-                }
-                links.directory.install(epoch, &owners);
-                if let Some(obs) = links.obs.get() {
-                    obs.set_dir_epoch(epoch);
-                }
-                links.drain_parked_bounces();
-            }
-            NetMsg::Bounce {
-                to,
-                epoch,
-                retries,
-                msg,
-            } => {
-                links.handle_bounce(from_node, to as usize, epoch, retries, msg);
-            }
-            NetMsg::Hello { .. } | NetMsg::HelloAck { .. } => {
-                links.fail(ClusterError::Protocol {
-                    from: from_node,
-                    detail: "re-sent a handshake mid-run".into(),
-                });
-                return;
             }
         }
     }
@@ -1611,7 +856,8 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
 /// and the sole owner of the connection's send half and its sequence
 /// counter — sequence numbers are assigned in **pop order**, so the
 /// wire stream is gap-free by construction no matter how producers
-/// raced their pushes (DESIGN.md §11).
+/// raced their pushes (DESIGN.md §11). Every frame it writes goes
+/// through [`stage`].
 ///
 /// Each wakeup drains the urgent lane first (aborts overtake data),
 /// then pops up to [`COALESCE_FRAMES`] frames / [`COALESCE_BYTES`] from
@@ -1644,12 +890,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             if let Some(c) = conn.as_mut() {
                 batch.clear();
                 for msg in &urgent {
-                    let payload = msg.encode(next_seq);
-                    next_seq += 1;
-                    peer.frames_tx.fetch_add(1, Ordering::Relaxed);
-                    peer.bytes_tx
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    batch.push(payload);
+                    stage(links, peer, &mut next_seq, msg, &mut batch);
                 }
                 // Best-effort, like the old quiet path: the failure
                 // fan-out must not recurse into fail().
@@ -1677,20 +918,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
                     if conn.is_none() {
                         continue;
                     }
-                    let payload = msg.encode(next_seq);
-                    next_seq += 1;
-                    peer.frames_tx.fetch_add(1, Ordering::Relaxed);
-                    peer.bytes_tx
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    if !msg.is_control() {
-                        links.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-                        links
-                            .stats
-                            .bytes_tx
-                            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    }
-                    bytes += payload.len();
-                    batch.push(payload);
+                    bytes += stage(links, peer, &mut next_seq, &msg, &mut batch);
                 }
                 Some(EgressItem::Close { bye }) => {
                     close = Some(bye);
@@ -1706,11 +934,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
         if let Some(bye) = close {
             if let Some(mut c) = conn.take() {
                 if bye {
-                    let payload = NetMsg::Bye.encode(next_seq);
-                    peer.frames_tx.fetch_add(1, Ordering::Relaxed);
-                    peer.bytes_tx
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    batch.push(payload);
+                    stage(links, peer, &mut next_seq, &NetMsg::Bye, &mut batch);
                 }
                 if !batch.is_empty() && c.send_frames(&batch).is_ok() {
                     links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
@@ -1764,13 +988,9 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
         {
             let now = links.now_ms();
             if now.saturating_sub(peer.last_tx_ms.load(Ordering::Relaxed)) >= hb {
-                let payload = NetMsg::Heartbeat.encode(next_seq);
-                next_seq += 1;
-                peer.frames_tx.fetch_add(1, Ordering::Relaxed);
-                peer.bytes_tx
-                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                let hb_batch = [payload];
-                match conn.as_mut().expect("checked above").send_frames(&hb_batch) {
+                batch.clear();
+                stage(links, peer, &mut next_seq, &NetMsg::Heartbeat, &mut batch);
+                match conn.as_mut().expect("checked above").send_frames(&batch) {
                     Ok(()) => {
                         links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
                         peer.last_tx_ms.store(now, Ordering::Relaxed);
@@ -1812,61 +1032,43 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     }
 }
 
-/// Run-deadline watchdog: if the run neither quiesces nor fails
-/// within `run_ms` of [`NodeRuntime::finish`], record a typed timeout
-/// (classified by what the local shards are stuck on) and force the
-/// shutdown so `finish` returns instead of hanging.
-fn watchdog_loop(links: &Links, run_ms: u64) {
-    let deadline = Instant::now() + Duration::from_millis(run_ms);
-    loop {
-        if links.done.load(Ordering::Acquire) || links.quiesced.load(Ordering::Acquire) {
-            return;
-        }
-        if links.lock_failure().is_some() {
-            // Already failing; the shutdown is underway. The census
-            // still prints under EM2_NET_DEBUG_WEDGE so one failing
-            // run shows every node's view, not just the first
-            // watchdog's — the node holding the wedged frame is
-            // rarely the one whose deadline fires first.
-            if em2_model::env::flag("EM2_NET_DEBUG_WEDGE").unwrap_or(false) {
-                eprintln!("[em2-net wedge] {}", links.wedge_census());
-            }
-            return;
-        }
-        if Instant::now() >= deadline {
-            let b = links.inbox.get().map(|i| i.backlog()).unwrap_or_default();
-            let detail = format!("local backlog: {}", links.wedge_census());
-            // All nodes' deadlines fire within one tick of each other
-            // and only the first error is kept, so the debug census
-            // prints here too — the loser watchdogs' views would
-            // otherwise vanish into the sympathetic-abort shutdown.
-            if em2_model::env::flag("EM2_NET_DEBUG_WEDGE").unwrap_or(false) {
-                eprintln!("[em2-net wedge] {detail}");
-            }
-            let err = if b.parked_barrier > 0 {
-                ClusterError::BarrierTimeout {
-                    waited_ms: run_ms,
-                    detail,
-                }
-            } else {
-                ClusterError::QuiesceTimeout {
-                    waited_ms: run_ms,
-                    detail,
-                }
-            };
-            links.fail(err);
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
+/// Encode `msg` under the writer's next sequence number and append it
+/// to `batch`, counting it on the edge's ledger (every frame) and on
+/// the deterministic one (run traffic only). Returns the payload
+/// length.
+fn stage(
+    links: &Links,
+    peer: &Peer,
+    next_seq: &mut u64,
+    msg: &NetMsg,
+    batch: &mut Vec<Vec<u8>>,
+) -> usize {
+    let payload = msg.encode(*next_seq);
+    *next_seq += 1;
+    let len = payload.len();
+    peer.frames_tx.fetch_add(1, Ordering::Relaxed);
+    peer.bytes_tx.fetch_add(len as u64, Ordering::Relaxed);
+    if !msg.is_control() {
+        links.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
+        links
+            .stats
+            .bytes_tx
+            .fetch_add(len as u64, Ordering::Relaxed);
     }
+    batch.push(payload);
+    len
 }
 
-/// Handoff watchdog (coordinator only): a handoff stuck in any phase
-/// past the [`HANDOFF_TIMEOUT_MS`] budget fails the cluster typed,
-/// naming the handoff and its phase — a SIGKILL'd participant turns
-/// into a bounded, explained error instead of a wedged quiesce.
-fn handoff_watchdog_loop(links: &Links) {
-    let tick = Duration::from_millis(50);
+/// The node's one timer thread. `Control` owns the two deadlines —
+/// the run deadline armed when this node closes admission, and on the
+/// coordinator the per-handoff budget — each stamped by the event that
+/// arms it, but it cannot wake itself, so this thread supplies the
+/// `Tick`s: it parks until the earliest deadline (indefinitely when
+/// there is none), and is unparked when an event arms an earlier one
+/// and by `finish`. On expiry `Control` fails the run typed: `finish`
+/// returns instead of hanging, and a participant dead mid-transfer is
+/// a bounded error.
+fn ticker_loop(links: &Links) {
     loop {
         if links.done.load(Ordering::Acquire)
             || links.quiesced.load(Ordering::Acquire)
@@ -1874,31 +1076,18 @@ fn handoff_watchdog_loop(links: &Links) {
         {
             return;
         }
-        let stuck = {
-            let lg = links.coord_handoffs();
-            lg.active.as_ref().and_then(|a| {
-                (a.started.elapsed() >= Duration::from_millis(HANDOFF_TIMEOUT_MS)).then(|| {
-                    (
-                        a.shard,
-                        a.from,
-                        a.to,
-                        a.phase,
-                        a.started.elapsed().as_millis(),
-                    )
-                })
-            })
-        };
-        if let Some((shard, from, to, phase, waited)) = stuck {
-            links.fail(ClusterError::Handoff {
-                phase: phase.into(),
-                detail: format!(
-                    "handoff of shard {shard} (node {from} -> node {to}) made no progress \
-                     for {waited} ms (budget {HANDOFF_TIMEOUT_MS} ms)"
-                ),
-            });
-            return;
+        let backlog = links.backlog();
+        links.control(Event::Tick { backlog });
+        // An arm that lands after this read unparks us; the token
+        // makes the park below return at once.
+        let next = links.lock_control().next_deadline_ms();
+        match next {
+            Some(t) => {
+                let left = t.saturating_sub(links.now_ms()).max(1);
+                std::thread::park_timeout(Duration::from_millis(left))
+            }
+            None => std::thread::park(),
         }
-        std::thread::sleep(tick);
     }
 }
 
@@ -1933,7 +1122,7 @@ pub struct NodeRuntime {
     links: Arc<Links>,
     readers: Vec<std::thread::JoinHandle<()>>,
     writers: Vec<std::thread::JoinHandle<()>>,
-    handoff_watchdog: Option<std::thread::JoinHandle<()>>,
+    ticker: std::thread::JoinHandle<()>,
     node: usize,
     transport: &'static str,
 }
@@ -2100,7 +1289,7 @@ impl NodeRuntime {
                 None => peers.push(None),
                 Some(mut d) => {
                     // Clear any handshake receive deadline: run-phase
-                    // liveness belongs to heartbeats and the watchdog.
+                    // liveness belongs to heartbeats and the run deadline.
                     let _ = d.rx.set_recv_timeout(None);
                     peers.push(Some(Peer::new()));
                     rxs.push((i, d.rx));
@@ -2114,37 +1303,31 @@ impl NodeRuntime {
         let owners: Vec<u32> = (0..spec.total_shards)
             .map(|s| spec.owner_of(s) as u32)
             .collect();
-        let directory = Arc::new(ShardDirectory::new(spec.initial_epoch, &owners));
+        let directory = Arc::new(ShardDirectory::new(
+            node as u32,
+            spec.initial_epoch,
+            &owners,
+        ));
+        let control = Control::new(
+            node,
+            nodes,
+            spec.total_shards,
+            barrier_quotas.clone(),
+            spec.timeouts.run_ms,
+        );
         let links = Arc::new(Links {
             me: node,
             directory: Arc::clone(&directory),
-            handoff: Mutex::new(HandoffState {
-                expecting: HashMap::new(),
-                parked_bounces: Vec::new(),
-                done_dest_hid: 0,
-            }),
+            control: Mutex::new(control),
             peers,
             inbox: OnceLock::new(),
-            coord: (node == 0).then(|| Coordinator {
-                barriers: AtomicBarriers::new(barrier_quotas.clone()),
-                state: Mutex::new(CoordState {
-                    closed_nodes: 0,
-                    submitted: 0,
-                    retired: 0,
-                    quiesced: false,
-                }),
-                handoffs: Mutex::new(HandoffLedger {
-                    next_hid: 1,
-                    active: None,
-                    queue: VecDeque::new(),
-                }),
-            }),
             stats: WireStats::default(),
             failure: Mutex::new(None),
             quiesced: AtomicBool::new(false),
             done: AtomicBool::new(false),
             epoch,
             obs: OnceLock::new(),
+            ticker: OnceLock::new(),
             spec,
         });
 
@@ -2181,6 +1364,19 @@ impl NodeRuntime {
             .expect("inbox set once");
 
         let kind_name = transport.kind();
+        // The ticker first, registered before any reader can deliver
+        // an event that arms a deadline.
+        let ticker = {
+            let links = Arc::clone(&links);
+            std::thread::Builder::new()
+                .name("em2-net-ticker".into())
+                .spawn(move || ticker_loop(&links))
+                .expect("spawn ticker")
+        };
+        links
+            .ticker
+            .set(ticker.thread().clone())
+            .expect("ticker set once");
         let readers = rxs
             .into_iter()
             .map(|(peer, rx)| {
@@ -2202,24 +1398,12 @@ impl NodeRuntime {
             })
             .collect();
 
-        // The coordinator's handoff watchdog: bounds every handoff
-        // phase so a participant that dies mid-transfer (SIGKILL, a
-        // dropped Transfer frame) turns into a typed error naming the
-        // phase instead of a wedged quiesce.
-        let handoff_watchdog = (node == 0 && nodes > 1).then(|| {
-            let links = Arc::clone(&links);
-            std::thread::Builder::new()
-                .name("em2-net-handoff-watchdog".into())
-                .spawn(move || handoff_watchdog_loop(&links))
-                .expect("spawn handoff watchdog")
-        });
-
         Ok(NodeRuntime {
             rt: Some(rt),
             links,
             readers,
             writers,
-            handoff_watchdog,
+            ticker,
             node,
             transport: kind_name,
         })
@@ -2247,13 +1431,13 @@ impl NodeRuntime {
 
     /// Ask the coordinator to move `shard` to node `to`, live. The
     /// request is asynchronous: it enqueues on the coordinator's
-    /// handoff ledger (directly on node 0, via
-    /// [`NetMsg::HandoffRequest`] elsewhere) and commits in the
-    /// background while the workload keeps running. Watch
+    /// handoff ledger (a [`NetMsg::HandoffRequest`], handled on the
+    /// spot on node 0) and commits in the background while the
+    /// workload keeps running. Watch
     /// [`NodeRuntime::directory_epoch`] advance to observe commits; a
     /// handoff that cannot complete fails the run typed
-    /// ([`ClusterError::Handoff`]) within the handoff watchdog's 5 s
-    /// budget. A request naming the current owner is a no-op.
+    /// ([`ClusterError::Handoff`]) within the coordinator's 5 s
+    /// handoff budget. A request naming the current owner is a no-op.
     ///
     /// # Panics
     /// Panics if `shard` or `to` is outside the cluster — misdirecting
@@ -2269,17 +1453,10 @@ impl NodeRuntime {
             "node {to} outside the {}-node cluster",
             self.links.spec.num_nodes()
         );
-        if self.node == 0 {
-            self.links.coord_handoff_request(shard as u32, to as u32);
-        } else {
-            self.links.send_to(
-                0,
-                NetMsg::HandoffRequest {
-                    shard: shard as u32,
-                    to: to as u32,
-                },
-            );
-        }
+        self.links.control(Event::Local(NetMsg::HandoffRequest {
+            shard: shard as u32,
+            to: to as u32,
+        }));
     }
 
     /// Drain this node: request a handoff of every shard it currently
@@ -2288,7 +1465,7 @@ impl NodeRuntime {
     /// and reporting) — it just ends up owning nothing, the state a
     /// rolling restart wants before taking the process down.
     pub fn request_drain(&self, to: usize) -> usize {
-        let owned = self.links.directory.owned_shards(self.node as u32);
+        let owned = self.owned_shards();
         for &s in &owned {
             self.request_handoff(s, to);
         }
@@ -2335,25 +1512,14 @@ impl NodeRuntime {
     /// re-raises it) — infrastructure failures are all `Err`.
     pub fn finish(mut self) -> Result<NetReport, ClusterError> {
         let rt = self.rt.take().expect("finish called once");
-        let run_ms = self.links.spec.timeouts.run_ms;
-        let watchdog = (run_ms > 0).then(|| {
-            let links = Arc::clone(&self.links);
-            std::thread::Builder::new()
-                .name("em2-net-watchdog".into())
-                .spawn(move || watchdog_loop(&links, run_ms))
-                .expect("spawn watchdog")
-        });
-        // Blocks until the coordinator's quiesce decision reaches the
-        // local workers (via our reader threads) — or until fail()
-        // forces the shutdown — and the workers exit.
+        // Closing admission arms the run deadline (`timeout_ms`) in
+        // the control plane. Blocks until the coordinator's quiesce
+        // decision reaches the local workers (via our reader threads)
+        // — or until fail() forces the shutdown — and the workers exit.
         let report = rt.finish();
         self.links.done.store(true, Ordering::Release);
-        if let Some(w) = watchdog {
-            let _ = w.join();
-        }
-        if let Some(w) = self.handoff_watchdog.take() {
-            let _ = w.join();
-        }
+        self.ticker.thread().unpark();
+        let ticker_panicked = self.ticker.join().is_err();
         let failed = self.links.lock_failure().clone();
         // Teardown: push the Close sentinel after everything already
         // queued — each writer drains its FIFO up to the sentinel,
@@ -2369,12 +1535,12 @@ impl NodeRuntime {
         }
         let writer_panicked = self.writers.drain(..).any(|w| w.join().is_err());
         // Readers exit when peers close theirs (every node does this
-        // after its own finish, deadline-bounded by its own watchdog).
+        // after its own finish, bounded by its own run deadline).
         let reader_panicked = self.readers.drain(..).any(|r| r.join().is_err());
         if let Some(e) = failed {
             return Err(e);
         }
-        if writer_panicked || reader_panicked {
+        if writer_panicked || reader_panicked || ticker_panicked {
             return Err(ClusterError::Io {
                 detail: "a link thread panicked without recording a failure".into(),
             });
@@ -2452,201 +1618,4 @@ fn connect_with_retry(
             }
         }
     }
-}
-
-/// Replay a traced workload across the cluster: this node submits one
-/// [`em2_rt::TraceTask`] per workload thread whose **native shard it
-/// owns**, under the thread's own id — together the nodes submit
-/// exactly the tasks a single-process [`em2_rt::run_workload`] would,
-/// and the summed counters must match it bit-for-bit (eviction-free
-/// config; the E12 agreement property).
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_cluster(
-    spec: ClusterSpec,
-    node: usize,
-    cfg: RtConfig,
-    workload: &Arc<Workload>,
-    placement: Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-) -> Result<NetReport, ClusterError> {
-    let transport = spec.kind.make();
-    run_workload_cluster_with(
-        transport,
-        spec,
-        node,
-        cfg,
-        workload,
-        placement,
-        scheme_factory,
-    )
-}
-
-/// [`run_workload_cluster`] over an explicit transport (the chaos
-/// harness's entry point).
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_cluster_with(
-    transport: Box<dyn Transport>,
-    spec: ClusterSpec,
-    node: usize,
-    cfg: RtConfig,
-    workload: &Arc<Workload>,
-    placement: Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-) -> Result<NetReport, ClusterError> {
-    run_workload_cluster_with_handoffs(
-        transport,
-        spec,
-        node,
-        cfg,
-        workload,
-        placement,
-        scheme_factory,
-        &[],
-    )
-}
-
-/// [`run_workload_cluster_with`] plus **live shard handoffs**: after
-/// submitting its tasks, node 0 requests each `(shard, to)` handoff
-/// and blocks until every one that actually moves a shard has
-/// committed (the directory epoch counts commits) *before* closing
-/// admission — so the handoffs demonstrably overlap the workload, and
-/// a wedged handoff surfaces as the coordinator watchdog's typed
-/// error rather than a hang here. Other nodes ignore `handoffs`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_cluster_with_handoffs(
-    transport: Box<dyn Transport>,
-    spec: ClusterSpec,
-    node: usize,
-    cfg: RtConfig,
-    workload: &Arc<Workload>,
-    placement: Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-    handoffs: &[(usize, usize)],
-) -> Result<NetReport, ClusterError> {
-    let quotas = em2_engine::barrier_quotas(workload.threads.iter().map(|t| t.barriers.len()));
-    let (first, count) = spec.span(node);
-    let initial_epoch = spec.initial_epoch;
-    let mut nrt = NodeRuntime::start_with_transport(
-        transport,
-        spec,
-        node,
-        cfg,
-        workload.name.clone(),
-        placement,
-        TaskRegistry::for_workload(Arc::clone(workload)),
-        scheme_factory,
-        quotas,
-    )?;
-    for t in &workload.threads {
-        let native = t.native.index();
-        if native >= first && native < first + count {
-            nrt.submit(
-                TaskSpec::new(
-                    Box::new(em2_rt::TraceTask::new(Arc::clone(workload), t.thread)),
-                    t.native,
-                ),
-                t.thread,
-            );
-        }
-    }
-    if node == 0 && !handoffs.is_empty() {
-        // How many of the requests will actually commit (a request
-        // naming the current owner is a no-op): simulate the
-        // ownership walk the coordinator will take.
-        let mut owners: Vec<usize> = (0..nrt.links.spec.total_shards)
-            .map(|s| nrt.links.spec.owner_of(s))
-            .collect();
-        let mut expected: u64 = 0;
-        for &(shard, to) in handoffs {
-            if owners[shard] != to {
-                owners[shard] = to;
-                expected += 1;
-            }
-        }
-        for &(shard, to) in handoffs {
-            nrt.request_handoff(shard, to);
-        }
-        // Wait for the commits before closing admission: quiesce
-        // cannot be declared while this node's Closed is unsent, so
-        // polling here guarantees every handoff ran *during* the
-        // workload. A stuck handoff trips the coordinator watchdog,
-        // which flips has_failed and lets finish() report it typed.
-        let target = initial_epoch + expected;
-        while nrt.directory_epoch() < target && !nrt.has_failed() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    nrt.finish()
-}
-
-/// Run a whole cluster inside one process (one OS thread per node
-/// driving [`run_workload_cluster`]) — the loopback configuration the
-/// E12 experiment and the agreement tests use. Reports are returned in
-/// node order; the first node failure is the `Err`.
-pub fn run_workload_cluster_in_process(
-    spec: &ClusterSpec,
-    cfg: &RtConfig,
-    workload: &Arc<Workload>,
-    placement: &Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-) -> Result<Vec<NetReport>, ClusterError> {
-    run_workload_cluster_in_process_with_handoffs(
-        spec,
-        cfg,
-        workload,
-        placement,
-        scheme_factory,
-        &[],
-    )
-}
-
-/// [`run_workload_cluster_in_process`] with node 0 driving the given
-/// live shard handoffs mid-workload (the E13 configuration): each
-/// `(shard, to)` commits while tasks are still running, and the summed
-/// counters must *still* match the single-process run bit-for-bit.
-pub fn run_workload_cluster_in_process_with_handoffs(
-    spec: &ClusterSpec,
-    cfg: &RtConfig,
-    workload: &Arc<Workload>,
-    placement: &Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-    handoffs: &[(usize, usize)],
-) -> Result<Vec<NetReport>, ClusterError> {
-    let mut reports: Vec<Result<NetReport, ClusterError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..spec.num_nodes())
-            .map(|node| {
-                let spec = spec.clone();
-                let cfg = cfg.clone();
-                let workload = Arc::clone(workload);
-                let placement = Arc::clone(placement);
-                let handoffs: Vec<(usize, usize)> = if node == 0 {
-                    handoffs.to_vec()
-                } else {
-                    Vec::new()
-                };
-                s.spawn(move || {
-                    let transport = spec.kind.make();
-                    run_workload_cluster_with_handoffs(
-                        transport,
-                        spec,
-                        node,
-                        cfg,
-                        &workload,
-                        placement,
-                        scheme_factory,
-                        &handoffs,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(reports.len());
-    for r in reports.drain(..) {
-        out.push(r?);
-    }
-    Ok(out)
 }

@@ -273,61 +273,6 @@ impl CounterSummary {
     }
 }
 
-/// Where a node's timing-plane snapshot rides next to its counter
-/// summary: `node0.txt` → `node0.obs`. A *separate* file on purpose —
-/// obs metrics must never leak into the deterministic `key=value`
-/// artifact that the agreement comparison reads.
-pub fn obs_sidecar(summary_path: &Path) -> std::path::PathBuf {
-    summary_path.with_extension("obs")
-}
-
-/// Write a node's counter summary plus, when the run carried an armed
-/// obs registry, its metrics snapshot to the sidecar. The sidecar
-/// write is best-effort: telemetry must never fail the parent/child
-/// handoff that the correctness claim rides on.
-pub fn write_summary_with_obs(
-    summary: &CounterSummary,
-    obs: Option<&em2_obs::Snapshot>,
-    path: &Path,
-) -> io::Result<()> {
-    summary.write_to(path)?;
-    if let Some(s) = obs {
-        let _ = s.write_to(&obs_sidecar(path));
-    }
-    Ok(())
-}
-
-/// Read and merge every obs sidecar present next to the given summary
-/// paths — cluster-wide timing-plane totals. `None` when obs was off
-/// everywhere (no sidecar written). Sidecars are all-or-nothing per
-/// cluster (the env/config is shared), so a partial set is reported as
-/// an error rather than silently under-counted.
-pub fn merge_obs_sidecars<'a>(
-    summary_paths: impl IntoIterator<Item = &'a Path>,
-) -> io::Result<Option<em2_obs::Snapshot>> {
-    let mut merged: Option<em2_obs::Snapshot> = None;
-    let mut missing = 0usize;
-    for p in summary_paths {
-        let side = obs_sidecar(p);
-        if !side.exists() {
-            missing += 1;
-            continue;
-        }
-        let s = em2_obs::Snapshot::read_from(&side)?;
-        match &mut merged {
-            Some(m) => m.merge(&s),
-            None => merged = Some(s),
-        }
-    }
-    if merged.is_some() && missing > 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{missing} node(s) wrote no obs sidecar while others did"),
-        ));
-    }
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,39 +341,6 @@ mod tests {
         assert!(a.counters_equal(&b));
         b.migrations += 1;
         assert!(!a.counters_equal(&b));
-    }
-
-    #[test]
-    fn obs_sidecar_rides_next_to_the_summary() {
-        let dir = std::env::temp_dir().join(format!(
-            "em2-net-obs-sidecar-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let p0 = dir.join("node0.txt");
-        let p1 = dir.join("node1.txt");
-        let mut snap = em2_obs::Snapshot {
-            nodes: 1,
-            retired: 5,
-            ..Default::default()
-        };
-        snap.task_latency_ns.record(1000);
-        write_summary_with_obs(&sample(), Some(&snap), &p0).expect("node0");
-        write_summary_with_obs(&sample(), Some(&snap), &p1).expect("node1");
-        let merged = merge_obs_sidecars([p0.as_path(), p1.as_path()])
-            .expect("merge")
-            .expect("sidecars present");
-        assert_eq!(merged.nodes, 2);
-        assert_eq!(merged.retired, 10);
-        assert_eq!(merged.task_latency_ns.count, 2);
-        // Obs off everywhere → no sidecar, no totals, no error.
-        let bare = dir.join("node2.txt");
-        write_summary_with_obs(&sample(), None, &bare).expect("node2");
-        assert!(merge_obs_sidecars([bare.as_path()]).expect("ok").is_none());
-        // A partial set is a hard error, not a silent undercount.
-        assert!(merge_obs_sidecars([p0.as_path(), bare.as_path()]).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

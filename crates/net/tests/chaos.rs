@@ -19,8 +19,8 @@
 
 use em2_core::decision::{DecisionScheme, HistoryPredictor};
 use em2_net::{
-    run_workload_cluster_chaos, run_workload_cluster_chaos_with_handoffs, ClusterError,
-    ClusterSpec, ClusterTimeouts, CounterSummary, FaultAction, FaultPlan, TransportKind,
+    ClusterError, ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, FaultAction, FaultPlan,
+    TransportKind,
 };
 use em2_placement::{FirstTouch, Placement};
 use em2_rt::{run_workload, RtConfig};
@@ -66,6 +66,8 @@ struct Fixture {
     placement: Arc<dyn Placement>,
     cfg: RtConfig,
     expected: CounterSummary,
+    /// Live handoffs node 0 drives while the plan's faults land.
+    handoffs: &'static [(usize, usize)],
 }
 
 fn fixture() -> Fixture {
@@ -81,6 +83,7 @@ fn fixture() -> Fixture {
         placement,
         cfg,
         expected,
+        handoffs: &[],
     }
 }
 
@@ -110,7 +113,10 @@ fn assert_chaos_property(
 ) -> Vec<Result<CounterSummary, ClusterError>> {
     let plan = Arc::new(plan);
     let t0 = Instant::now();
-    let results = run_workload_cluster_chaos(spec, &fx.cfg, &fx.w, &fx.placement, scheme, &plan);
+    let results = ClusterRun::new(spec, &fx.cfg, &fx.w, &fx.placement, scheme)
+        .chaos(&plan)
+        .handoffs(fx.handoffs)
+        .run();
     let elapsed = t0.elapsed();
     assert!(
         elapsed < RUN_BOUND,
@@ -118,12 +124,12 @@ fn assert_chaos_property(
         plan.kinds()
     );
     assert_eq!(results.len(), NODES);
-    let all_ok = results.iter().all(|(r, _)| r.is_ok());
+    let all_ok = results.iter().all(|r| r.is_ok());
     if all_ok {
         let total = CounterSummary::sum(
             results
                 .iter()
-                .map(|(r, _)| CounterSummary::from_net(r.as_ref().expect("checked ok"))),
+                .map(|r| CounterSummary::from_net(r.as_ref().expect("checked ok"))),
         );
         assert!(
             total.counters_equal(&fx.expected),
@@ -135,7 +141,7 @@ fn assert_chaos_property(
     } else if benign {
         let errs: Vec<String> = results
             .iter()
-            .filter_map(|(r, _)| r.as_ref().err().map(|e| e.to_string()))
+            .filter_map(|r| r.as_ref().err().map(|e| e.to_string()))
             .collect();
         panic!(
             "seed {seed}: benign plan {:?} must complete bit-equal, got {errs:?}",
@@ -144,7 +150,7 @@ fn assert_chaos_property(
     }
     results
         .into_iter()
-        .map(|(r, _)| r.map(|rep| CounterSummary::from_net(&rep)))
+        .map(|r| r.map(|rep| CounterSummary::from_net(&rep)))
         .collect()
 }
 
@@ -377,46 +383,59 @@ const KILL_ROLE_ENV: &str = "EM2_CHAOS_KILL_ROLE";
 #[cfg(unix)]
 const KILL_DIR_ENV: &str = "EM2_CHAOS_KILL_DIR";
 
+/// The two-process kill cluster; `role` names the scenario (and its
+/// socket) and doubles as the child's `KILL_ROLE_ENV` value.
 #[cfg(unix)]
-fn kill_spec(dir: &std::path::Path) -> ClusterSpec {
+fn kill_spec(dir: &std::path::Path, role: &str, heartbeat_ms: u64) -> ClusterSpec {
     ClusterSpec::even(
         TransportKind::Uds,
-        dir.join("kill.sock").to_str().expect("utf8 temp path"),
+        dir.join(format!("{role}.sock"))
+            .to_str()
+            .expect("utf8 temp path"),
         NODES,
         SHARDS,
     )
     .with_timeouts(ClusterTimeouts {
         connect_ms: 15_000,
         run_ms: 10_000,
-        heartbeat_ms: 50,
+        heartbeat_ms,
     })
 }
 
-/// Child entry point: join the cluster as node 1, signal readiness,
-/// then idle (its heartbeat thread keeps the link warm) until the
-/// parent SIGKILLs this process. Inert without the role env var.
+/// One kill-cluster node, up and idle.
 #[cfg(unix)]
-#[test]
-fn chaos_kill_child_role() {
-    use em2_net::NodeRuntime;
-    use em2_rt::TaskRegistry;
-    if em2_model::env::raw(KILL_ROLE_ENV).is_none() {
-        return;
-    }
-    let dir = std::path::PathBuf::from(em2_model::env::raw(KILL_DIR_ENV).expect("scratch dir env"));
+fn start_kill_node(
+    transport: Box<dyn em2_net::Transport>,
+    spec: ClusterSpec,
+    node: usize,
+) -> em2_net::NodeRuntime {
     let w = Arc::new(chaos_workload());
     let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
-    let nrt = NodeRuntime::start(
-        kill_spec(&dir),
-        1,
+    em2_net::NodeRuntime::start_with_transport(
+        transport,
+        spec,
+        node,
         RtConfig::with_shards(SHARDS),
         "chaos-kill",
         placement,
-        TaskRegistry::for_workload(w),
+        em2_rt::TaskRegistry::for_workload(w),
         scheme,
         Vec::new(),
     )
-    .expect("child joins the cluster");
+    .expect("node joins the kill cluster")
+}
+
+/// Child body: join the `role` cluster as node 1, signal readiness,
+/// then idle (its writers keep the link warm) until the parent
+/// SIGKILLs this process. Inert unless spawned with that role.
+#[cfg(unix)]
+fn kill_child(role: &str, heartbeat_ms: u64) {
+    if em2_model::env::raw(KILL_ROLE_ENV).as_deref() != Some(role) {
+        return;
+    }
+    let dir = std::path::PathBuf::from(em2_model::env::raw(KILL_DIR_ENV).expect("scratch dir env"));
+    let spec = kill_spec(&dir, role, heartbeat_ms);
+    let nrt = start_kill_node(spec.kind.make(), spec, 1);
     std::fs::write(dir.join("child-ready"), b"1").expect("ready marker");
     std::thread::sleep(Duration::from_secs(30));
     // Only reached if the parent never killed us: exit without
@@ -425,50 +444,53 @@ fn chaos_kill_child_role() {
     std::process::exit(0);
 }
 
+/// Parent half: re-execute this test binary as the `role` child.
+#[cfg(unix)]
+fn spawn_kill_child(test: &str, role: &str, dir: &std::path::Path) -> std::process::Child {
+    std::process::Command::new(std::env::current_exe().expect("own test binary"))
+        .args([test, "--exact", "--nocapture"])
+        .env(KILL_ROLE_ENV, role)
+        .env(KILL_DIR_ENV, dir)
+        .spawn()
+        .expect("spawn child node")
+}
+
+/// Wait (bounded) for the child to park in its run phase.
+#[cfg(unix)]
+fn wait_child_ready(dir: &std::path::Path) {
+    let ready = dir.join("child-ready");
+    let wait_deadline = Instant::now() + Duration::from_secs(10);
+    while !ready.exists() && Instant::now() < wait_deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(ready.exists(), "child never reached its run phase");
+}
+
+#[cfg(unix)]
+#[test]
+fn chaos_kill_child_role() {
+    kill_child("kill", 50);
+}
+
 #[cfg(unix)]
 #[test]
 fn killed_peer_process_is_detected_within_the_heartbeat_deadline() {
-    use em2_net::NodeRuntime;
-    use em2_rt::TaskRegistry;
     if em2_model::env::raw(KILL_ROLE_ENV).is_some() {
         return; // never recurse
     }
     let dir = std::env::temp_dir().join(format!("em2-chaos-kill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-
-    let exe = std::env::current_exe().expect("own test binary");
-    let child = std::process::Command::new(&exe)
-        .args(["chaos_kill_child_role", "--exact", "--nocapture"])
-        .env(KILL_ROLE_ENV, "1")
-        .env(KILL_DIR_ENV, &dir)
-        .spawn()
-        .expect("spawn child node");
-
-    let w = Arc::new(chaos_workload());
-    let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
+    let mut child = spawn_kill_child("chaos_kill_child_role", "kill", &dir);
     // Blocks until the child connects and handshakes.
-    let nrt = NodeRuntime::start(
-        kill_spec(&dir),
-        0,
-        RtConfig::with_shards(SHARDS),
-        "chaos-kill",
-        placement,
-        TaskRegistry::for_workload(w),
-        scheme,
-        Vec::new(),
-    )
-    .expect("parent joins the cluster");
+    let spec = kill_spec(&dir, "kill", 50);
+    let nrt = start_kill_node(spec.kind.make(), spec, 0);
 
     // SIGKILL the child once it confirms it is parked in its run
     // phase; record when, so the detection latency is measurable.
     let killer = std::thread::spawn({
-        let ready = dir.join("child-ready");
+        let dir = dir.clone();
         move || {
-            let mut child = child;
-            let wait_deadline = Instant::now() + Duration::from_secs(10);
-            while !ready.exists() && Instant::now() < wait_deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            wait_child_ready(&dir);
             std::thread::sleep(Duration::from_millis(100));
             let killed_at = Instant::now();
             child.kill().expect("SIGKILL the child");
@@ -625,71 +647,19 @@ fn crash_mid_coalesce_window_is_typed_within_the_bound() {
 // stuck phase.
 // ---------------------------------------------------------------- //
 
-/// Handoffs exercised under fault: one shard each way, so both nodes
-/// freeze, ship, install, and re-route during the plan's window.
-const CHAOS_HANDOFFS: [(usize, usize); 2] = [(1, 1), (6, 0)];
-
-/// [`assert_chaos_property`] with live handoffs in flight.
-fn assert_handoff_chaos_property(
-    fx: &Fixture,
-    spec: &ClusterSpec,
-    plan: FaultPlan,
-    seed: u64,
-    benign: bool,
-) -> Vec<Result<CounterSummary, ClusterError>> {
-    let plan = Arc::new(plan);
-    let t0 = Instant::now();
-    let results = run_workload_cluster_chaos_with_handoffs(
-        spec,
-        &fx.cfg,
-        &fx.w,
-        &fx.placement,
-        scheme,
-        &plan,
-        &CHAOS_HANDOFFS,
-    );
-    let elapsed = t0.elapsed();
-    assert!(
-        elapsed < RUN_BOUND,
-        "seed {seed} ({:?}): nodes took {elapsed:?} to return mid-handoff — deadline \
-         discipline broken",
-        plan.kinds()
-    );
-    assert_eq!(results.len(), NODES);
-    let all_ok = results.iter().all(|(r, _)| r.is_ok());
-    if all_ok {
-        let total = CounterSummary::sum(
-            results
-                .iter()
-                .map(|(r, _)| CounterSummary::from_net(r.as_ref().expect("checked ok"))),
-        );
-        assert!(
-            total.counters_equal(&fx.expected),
-            "seed {seed} ({:?}): handoffs committed under fault but the sum is WRONG\n\
-             cluster: {total:?}\nsingle:  {expected:?}",
-            plan.kinds(),
-            expected = fx.expected
-        );
-    } else if benign {
-        let errs: Vec<String> = results
-            .iter()
-            .filter_map(|(r, _)| r.as_ref().err().map(|e| e.to_string()))
-            .collect();
-        panic!(
-            "seed {seed}: benign plan {:?} must complete bit-equal through a handoff, \
-             got {errs:?}",
-            plan.kinds()
-        );
+/// The fixture with handoffs exercised under fault: one shard each
+/// way, so both nodes freeze, ship, install, and re-route during the
+/// plan's window.
+fn handoff_fixture() -> Fixture {
+    Fixture {
+        handoffs: &[(1, 1), (6, 0)],
+        ..fixture()
     }
-    results
-        .into_iter()
-        .map(|(r, _)| r.map(|rep| CounterSummary::from_net(&rep)))
-        .collect()
 }
 
 #[test]
 fn handoff_window_frame_faults_are_typed_or_bit_equal() {
-    let fx = fixture();
+    let fx = handoff_fixture();
     let mut errored = 0u32;
     for (i, action) in [
         FaultAction::Drop,
@@ -704,7 +674,7 @@ fn handoff_window_frame_faults_are_typed_or_bit_equal() {
         // with workload traffic.
         for nth in [2u64, 5, 9] {
             let plan = FaultPlan::new().fault(0, 1, nth, action);
-            let outcomes = assert_handoff_chaos_property(
+            let outcomes = assert_chaos_property(
                 &fx,
                 &loopback_spec(&format!("ho-{i}-{nth}")),
                 plan,
@@ -728,11 +698,11 @@ fn handoff_window_frame_faults_are_typed_or_bit_equal() {
 
 #[test]
 fn seeded_fault_sweep_with_live_handoffs() {
-    let fx = fixture();
+    let fx = handoff_fixture();
     let n = seeds_per_sweep().min(24);
     for seed in 7_000..7_000 + n {
         let plan = FaultPlan::seeded(seed, NODES, false);
-        assert_handoff_chaos_property(
+        assert_chaos_property(
             &fx,
             &loopback_spec(&format!("hos-{seed}")),
             plan,
@@ -748,11 +718,11 @@ fn seeded_benign_sweep_with_live_handoffs_is_bit_equal() {
     // replayed HandoffTransfer, a delayed EpochUpdate) must be
     // absorbed exactly like workload traffic: the run completes and
     // the sum is still bit-equal.
-    let fx = fixture();
+    let fx = handoff_fixture();
     let n = seeds_per_sweep().min(16);
     for seed in 8_000..8_000 + n {
         let plan = FaultPlan::seeded(seed, NODES, true);
-        assert_handoff_chaos_property(
+        assert_chaos_property(
             &fx,
             &loopback_spec(&format!("hob-{seed}")),
             plan,
@@ -769,109 +739,43 @@ fn seeded_benign_sweep_with_live_handoffs_is_bit_equal() {
 // and its phase, which is exactly what a post-mortem needs.
 // ---------------------------------------------------------------- //
 
-#[cfg(unix)]
-fn handoff_kill_spec(dir: &std::path::Path) -> ClusterSpec {
-    ClusterSpec::even(
-        TransportKind::Uds,
-        dir.join("hkill.sock").to_str().expect("utf8 temp path"),
-        NODES,
-        SHARDS,
-    )
-    .with_timeouts(ClusterTimeouts {
-        connect_ms: 15_000,
-        run_ms: 10_000,
-        // Heartbeats off: the parent → child frame sequence is then
-        // deterministic (0 = HelloAck, 1 = HandoffExpect,
-        // 2 = HandoffTransfer), so the plan can drop exactly the
-        // Transfer. EOF detection does not need heartbeats.
-        heartbeat_ms: 0,
-    })
-}
-
-/// Child entry point for the mid-Transfer kill: join as node 1 (the
-/// handoff destination), signal readiness, and idle until SIGKILLed.
-/// Inert unless spawned with the `handoff` role.
+/// Child entry point for the mid-Transfer kill: node 1 is the handoff
+/// destination. Heartbeats off: the parent → child frame sequence is
+/// then deterministic (0 = HelloAck, 1 = HandoffExpect,
+/// 2 = HandoffTransfer), so the plan can drop exactly the Transfer.
+/// EOF detection does not need heartbeats.
 #[cfg(unix)]
 #[test]
 fn chaos_handoff_kill_child_role() {
-    use em2_net::NodeRuntime;
-    use em2_rt::TaskRegistry;
-    if em2_model::env::raw(KILL_ROLE_ENV).as_deref() != Some("handoff") {
-        return;
-    }
-    let dir = std::path::PathBuf::from(em2_model::env::raw(KILL_DIR_ENV).expect("scratch dir env"));
-    let w = Arc::new(chaos_workload());
-    let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
-    let nrt = NodeRuntime::start(
-        handoff_kill_spec(&dir),
-        1,
-        RtConfig::with_shards(SHARDS),
-        "chaos-handoff-kill",
-        placement,
-        TaskRegistry::for_workload(w),
-        scheme,
-        Vec::new(),
-    )
-    .expect("child joins the cluster");
-    std::fs::write(dir.join("child-ready"), b"1").expect("ready marker");
-    std::thread::sleep(Duration::from_secs(30));
-    drop(nrt);
-    std::process::exit(0);
+    kill_child("handoff", 0);
 }
 
 #[cfg(unix)]
 #[test]
 fn killed_peer_mid_transfer_fails_typed_naming_the_handoff_phase() {
-    use em2_net::{ChaosTransport, NodeRuntime};
-    use em2_rt::TaskRegistry;
     if em2_model::env::raw(KILL_ROLE_ENV).is_some() {
         return; // never recurse
     }
     let dir = std::env::temp_dir().join(format!("em2-chaos-hkill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-
-    let exe = std::env::current_exe().expect("own test binary");
-    let child = std::process::Command::new(&exe)
-        .args(["chaos_handoff_kill_child_role", "--exact", "--nocapture"])
-        .env(KILL_ROLE_ENV, "handoff")
-        .env(KILL_DIR_ENV, &dir)
-        .spawn()
-        .expect("spawn child node");
+    let mut child = spawn_kill_child("chaos_handoff_kill_child_role", "handoff", &dir);
 
     // The parent (node 0) is coordinator AND handoff source, behind a
     // chaos layer that swallows its third frame to the child — the
     // HandoffTransfer. The handoff wedges in the transfer phase with
     // the frozen shard "lost on the wire".
-    let spec = handoff_kill_spec(&dir);
+    let spec = kill_spec(&dir, "handoff", 0);
     let plan = Arc::new(FaultPlan::new().fault(0, 1, 2, FaultAction::Drop));
-    let w = Arc::new(chaos_workload());
-    let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
-    let nrt = NodeRuntime::start_with_transport(
-        Box::new(ChaosTransport::wrap(&spec, 0, plan)),
-        spec,
-        0,
-        RtConfig::with_shards(SHARDS),
-        "chaos-handoff-kill",
-        placement,
-        TaskRegistry::for_workload(w),
-        scheme,
-        Vec::new(),
-    )
-    .expect("parent joins the cluster");
+    let chaos = em2_net::ChaosTransport::wrap(&spec, 0, plan);
+    let nrt = start_kill_node(Box::new(chaos), spec, 0);
 
     // Wait for the child to park in its run phase, start the handoff
     // (Expect arrives; Transfer is dropped), then SIGKILL the child
     // with the handoff still active.
-    let ready = dir.join("child-ready");
-    let wait_deadline = Instant::now() + Duration::from_secs(10);
-    while !ready.exists() && Instant::now() < wait_deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(ready.exists(), "child never reached its run phase");
+    wait_child_ready(&dir);
     nrt.request_handoff(0, 1);
     std::thread::sleep(Duration::from_millis(500));
     let killed_at = Instant::now();
-    let mut child = child;
     child.kill().expect("SIGKILL the child");
     let _ = child.wait();
 

@@ -9,7 +9,7 @@
 //! does not care that both ends share a PID).
 
 use em2_core::decision::{AlwaysMigrate, AlwaysRemote, DecisionScheme, HistoryPredictor};
-use em2_net::{run_workload_cluster_in_process, ClusterSpec, CounterSummary, TransportKind};
+use em2_net::{ClusterRun, ClusterSpec, CounterSummary, TransportKind};
 use em2_placement::{FirstTouch, Placement};
 use em2_rt::{run_workload, RtConfig};
 use em2_trace::gen::micro;
@@ -35,8 +35,11 @@ fn assert_cluster_agreement(
     let single = run_workload(cfg.clone(), &w, Arc::clone(&placement), factory);
     let expected = CounterSummary::from_rt(&single);
 
-    let reports =
-        run_workload_cluster_in_process(&spec, &cfg, &w, &placement, factory).expect("cluster run");
+    let reports: Vec<_> = ClusterRun::new(&spec, &cfg, &w, &placement, factory)
+        .run()
+        .into_iter()
+        .map(|r| r.expect("cluster run"))
+        .collect();
     assert_eq!(reports.len(), spec.num_nodes());
     let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
 
@@ -147,11 +150,12 @@ fn bounded_pool_evictions_cross_the_wire_and_conserve_work() {
     let mut cfg = RtConfig::with_shards(8);
     cfg.guest_contexts = 1;
     cfg.quantum = 1;
-    let reports =
-        run_workload_cluster_in_process(&ClusterSpec::loopback(2, 8), &cfg, &w, &placement, || {
-            Box::new(AlwaysMigrate)
-        })
-        .expect("cluster run");
+    let spec = ClusterSpec::loopback(2, 8);
+    let reports: Vec<_> = ClusterRun::new(&spec, &cfg, &w, &placement, || Box::new(AlwaysMigrate))
+        .run()
+        .into_iter()
+        .map(|r| r.expect("cluster run"))
+        .collect();
     let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
     assert_eq!(
         total.total_ops(),

@@ -12,10 +12,7 @@
 //! epoch (on all three transports).
 
 use em2_core::decision::{AlwaysMigrate, DecisionScheme, HistoryPredictor};
-use em2_net::{
-    run_workload_cluster_in_process_with_handoffs, ClusterSpec, ClusterTimeouts, CounterSummary,
-    NodeSpec, TransportKind,
-};
+use em2_net::{ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, NodeSpec, TransportKind};
 use em2_placement::{FirstTouch, Placement};
 use em2_rt::{run_workload, RtConfig};
 use em2_trace::gen::micro;
@@ -81,10 +78,12 @@ fn assert_handoff_agreement(
     }
     assert!(commits >= 2, "{what}: the scenario must move shards");
 
-    let reports = run_workload_cluster_in_process_with_handoffs(
-        spec, &cfg, &w, &placement, factory, handoffs,
-    )
-    .unwrap_or_else(|e| panic!("{what}: cluster run failed: {e}"));
+    let reports: Vec<_> = ClusterRun::new(spec, &cfg, &w, &placement, factory)
+        .handoffs(handoffs)
+        .run()
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{what}: cluster run failed: {e}")))
+        .collect();
     assert_eq!(reports.len(), spec.num_nodes());
     for r in &reports {
         assert_eq!(
@@ -241,33 +240,23 @@ fn assert_epoch_mismatch_refused(spec_a: ClusterSpec, what: &str) {
         "{what}: the digest must cover the initial epoch"
     );
 
+    let start = move |spec: ClusterSpec, node: usize| {
+        NodeRuntime::start(
+            spec,
+            node,
+            RtConfig::eviction_free(4, 4),
+            "epoch-mismatch",
+            Arc::clone(&placement),
+            TaskRegistry::for_workload(Arc::clone(&w)),
+            || Box::new(AlwaysMigrate),
+            Vec::new(),
+        )
+    };
     let t = std::thread::spawn({
-        let spec_a = spec_a.clone();
-        let placement = Arc::clone(&placement);
-        let w = Arc::clone(&w);
-        move || {
-            NodeRuntime::start(
-                spec_a,
-                0,
-                RtConfig::eviction_free(4, 4),
-                "epoch-mismatch",
-                placement,
-                TaskRegistry::for_workload(w),
-                || Box::new(AlwaysMigrate),
-                Vec::new(),
-            )
-        }
+        let start = start.clone();
+        move || start(spec_a, 0)
     });
-    let r1 = NodeRuntime::start(
-        spec_b,
-        1,
-        RtConfig::eviction_free(4, 4),
-        "epoch-mismatch",
-        placement,
-        TaskRegistry::for_workload(Arc::clone(&w)),
-        || Box::new(AlwaysMigrate),
-        Vec::new(),
-    );
+    let r1 = start(spec_b, 1);
     let e1 = r1.err().unwrap_or_else(|| {
         panic!("{what}: a dialer with a different initial epoch must be refused")
     });

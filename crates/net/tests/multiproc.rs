@@ -15,7 +15,7 @@
 #![cfg(unix)]
 
 use em2_core::decision::{DecisionScheme, HistoryPredictor};
-use em2_net::{run_workload_cluster, ClusterSpec, CounterSummary, TransportKind};
+use em2_net::{ClusterRun, ClusterSpec, CounterSummary, TransportKind};
 use em2_placement::{FirstTouch, Placement};
 use em2_rt::{run_workload, RtConfig};
 use em2_trace::gen::ocean::OceanConfig;
@@ -74,24 +74,15 @@ fn multiproc_child_role() {
     let threads = w.num_threads();
     let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, CORES, 64));
     let w = Arc::new(w);
-    let report = run_workload_cluster(
-        spec_for(&dir),
-        node,
-        RtConfig::eviction_free(CORES, threads),
-        &w,
-        placement,
-        scheme,
-    )
-    .expect("child cluster run");
-    // Counters plus (when EM2_OBS=1, e.g. the CI obs smoke) the
-    // timing-plane sidecar — the obs numbers ride the same file seam
-    // but never enter the agreement comparison below.
-    em2_net::write_summary_with_obs(
-        &CounterSummary::from_net(&report),
-        report.obs.as_ref(),
-        &dir.join(format!("node{node}.txt")),
-    )
-    .expect("write summary");
+    let cfg = RtConfig::eviction_free(CORES, threads);
+    let report = ClusterRun::new(&spec_for(&dir), &cfg, &w, &placement, scheme)
+        .run_node(node)
+        .expect("child cluster run");
+    // Deterministic counters only: under EM2_OBS=1 (the CI obs smoke)
+    // the timing plane's one artifact is the exporter's JSONL.
+    CounterSummary::from_net(&report)
+        .write_to(&dir.join(format!("node{node}.txt")))
+        .expect("write summary");
 }
 
 #[test]
@@ -147,33 +138,12 @@ fn two_process_uds_agreement_sums_bit_equal() {
         }
     }
 
-    let paths: Vec<PathBuf> = (0..NODES)
-        .map(|node| dir.join(format!("node{node}.txt")))
-        .collect();
-    let summaries: Vec<CounterSummary> = paths
-        .iter()
-        .map(|p| CounterSummary::read_from(p).expect("child summary"))
-        .collect();
-    let total = CounterSummary::sum(summaries);
+    let total = CounterSummary::sum((0..NODES).map(|node| {
+        CounterSummary::read_from(&dir.join(format!("node{node}.txt"))).expect("child summary")
+    }));
 
-    // Cluster-wide obs aggregation rides the same seam. When the
-    // children ran with EM2_OBS=1 (the CI obs smoke does), both wrote
-    // sidecars; merging them must account for every node and every
-    // retirement — and none of it feeds the counter assertions below.
-    let obs = em2_net::merge_obs_sidecars(paths.iter().map(PathBuf::as_path))
-        .expect("consistent obs sidecars");
-    if em2_model::env::flag("EM2_OBS").unwrap_or(false) {
-        assert!(
-            obs.is_some(),
-            "EM2_OBS=1 but the children wrote no obs sidecars"
-        );
-    }
-    if let Some(obs) = obs {
-        assert_eq!(obs.nodes as usize, NODES);
-        assert!(obs.retired > 0, "obs saw no retirements: {obs:?}");
-        assert_eq!(obs.task_latency_ns.count, obs.retired);
-    }
-
+    // Bit-equal whether or not the children ran with EM2_OBS=1 (the CI
+    // obs smoke does): the timing plane is invisible to the counters.
     assert!(
         total.counters_equal(&expected),
         "two-process counters diverged from the single-process run\n\

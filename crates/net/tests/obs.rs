@@ -16,9 +16,7 @@
 
 use em2_core::decision::{DecisionScheme, HistoryPredictor};
 use em2_net::{
-    run_workload_cluster_chaos, run_workload_cluster_in_process,
-    run_workload_cluster_in_process_with_handoffs, ClusterSpec, ClusterTimeouts, CounterSummary,
-    FaultPlan, TransportKind,
+    ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, FaultPlan, NetReport, TransportKind,
 };
 use em2_obs::{NodeObs, ObsConfig, Snapshot};
 use em2_placement::{FirstTouch, Placement};
@@ -55,6 +53,14 @@ fn spec(tag: &str) -> ClusterSpec {
     })
 }
 
+/// Every node's report, or a panic naming the first failure.
+fn all_ok(results: Vec<Result<NetReport, em2_net::ClusterError>>) -> Vec<NetReport> {
+    results
+        .into_iter()
+        .map(|r| r.expect("cluster node"))
+        .collect()
+}
+
 #[test]
 fn enabled_obs_is_invisible_to_the_deterministic_counters() {
     let w = workload();
@@ -68,10 +74,8 @@ fn enabled_obs_is_invisible_to_the_deterministic_counters() {
     let mut cfg_on = cfg_off.clone();
     cfg_on.obs = Some(ObsConfig::on());
 
-    let off = run_workload_cluster_in_process(&spec("off"), &cfg_off, &w, &placement, scheme)
-        .expect("obs-off cluster");
-    let on = run_workload_cluster_in_process(&spec("on"), &cfg_on, &w, &placement, scheme)
-        .expect("obs-on cluster");
+    let off = all_ok(ClusterRun::new(&spec("off"), &cfg_off, &w, &placement, scheme).run());
+    let on = all_ok(ClusterRun::new(&spec("on"), &cfg_on, &w, &placement, scheme).run());
 
     let sum_off = CounterSummary::sum(off.iter().map(CounterSummary::from_net));
     let sum_on = CounterSummary::sum(on.iter().map(CounterSummary::from_net));
@@ -145,10 +149,11 @@ fn snapshot_merge_is_exact_across_live_handoffs() {
         .filter(|&&(s, to)| spec.owner_of(s) != to)
         .count() as u64;
     assert_eq!(commits, 2, "the scenario must move shards");
-    let reports = run_workload_cluster_in_process_with_handoffs(
-        &spec, &cfg, &w, &placement, scheme, &handoffs,
-    )
-    .expect("handoff cluster");
+    let reports = all_ok(
+        ClusterRun::new(&spec, &cfg, &w, &placement, scheme)
+            .handoffs(&handoffs)
+            .run(),
+    );
     assert_eq!(reports.len(), NODES);
 
     let parts: Vec<Snapshot> = reports
@@ -287,9 +292,11 @@ fn crashed_peer_leaves_a_flight_recording_naming_the_edge() {
     // Node 1 dies abruptly after its 4th egress frame; node 0 survives
     // to observe the loss and must dump a post-mortem.
     let plan = Arc::new(FaultPlan::new().crash_node(1, 4));
-    let results = run_workload_cluster_chaos(&spec("flight"), &cfg, &w, &placement, scheme, &plan);
+    let results = ClusterRun::new(&spec("flight"), &cfg, &w, &placement, scheme)
+        .chaos(&plan)
+        .run();
     assert!(
-        results.iter().any(|(r, _)| r.is_err()),
+        results.iter().any(|r| r.is_err()),
         "a crashed node must produce a typed error"
     );
 

@@ -10,8 +10,8 @@
 //! (thread, home) pair, updated with the registry's single-writer
 //! relaxed-counter idiom on the shard hot path (no locked RMW, no
 //! allocation, no lock) and folded bin-wise into [`crate::Snapshot`]s
-//! at quiesce, where cluster-wide sums ride the same render/parse seam
-//! as every other obs metric.
+//! at quiesce, where cluster-wide sums merge like every other obs
+//! metric.
 //!
 //! **Totals are exact even when the table fills.** A resolution that
 //! finds neither its key nor a free slot within the probe window lands
@@ -24,8 +24,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters per attribution cell, in the render order used by
-/// `attrib.{thread}.{home}=…` snapshot lines:
+/// Counters per attribution cell, in the order snapshot rows
+/// ([`crate::AttribEntry::counts`]) carry them:
 /// `migrations,remote_reads,remote_writes,locals,context_bytes,bounces,parks,cost`.
 pub const ATTRIB_COUNTERS: usize = 8;
 
@@ -41,13 +41,13 @@ const MAX_PROBE: usize = 16;
 /// threads).
 ///
 /// The cell is exactly one cache line, and the fields are *declared*
-/// in hot-path order, not render order: a Migrate verdict touches
+/// in hot-path order, not snapshot order: a Migrate verdict touches
 /// `migrations`/`context_bytes`/`cost` (first 24 bytes), a Remote
 /// verdict touches `cost`/`remote_reads`/`remote_writes` (bytes
 /// 16–48), so either verdict dirties a single line. The shard hot
 /// path pays one line per matrix update — measurably cheaper than the
-/// two a render-ordered 72-byte key+cell slot cost. [`counts`] still
-/// reads out in render order ([`ATTRIB_COUNTERS`] doc).
+/// two a snapshot-ordered 72-byte key+cell slot cost. [`counts`] still
+/// reads out in snapshot order ([`ATTRIB_COUNTERS`] doc).
 ///
 /// [`counts`]: AttribCell::counts
 #[derive(Debug, Default)]
@@ -74,7 +74,7 @@ pub struct AttribCell {
 }
 
 impl AttribCell {
-    /// Relaxed read of all eight counters in render order.
+    /// Relaxed read of all eight counters in snapshot order.
     pub fn counts(&self) -> [u64; ATTRIB_COUNTERS] {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
@@ -95,7 +95,7 @@ impl AttribCell {
     }
 }
 
-/// The thread/home key of the overflow cell in rendered output:
+/// The thread/home key of the overflow cell in snapshots:
 /// `(u32::MAX, u32::MAX)` can never be a real (thread, home) pair
 /// because the runtime's shard and thread ids are dense from zero.
 pub const OVERFLOW_KEY: (u32, u32) = (u32::MAX, u32::MAX);

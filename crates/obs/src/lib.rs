@@ -43,10 +43,8 @@
 //! * [`trace`] — fixed-size lifecycle events and the bounded ring;
 //! * [`metrics`] — the registry: [`NodeObs`] and its per-shard /
 //!   per-worker / per-peer handles, plus the flight recorder;
-//! * [`snapshot`] — mergeable node-level [`Snapshot`]s with a
-//!   `render`/`parse` text form (the `CounterSummary` pattern, so
-//!   cluster-wide aggregation rides the same file seam) and a JSONL
-//!   form;
+//! * [`snapshot`] — mergeable node-level [`Snapshot`]s and their
+//!   JSONL form;
 //! * [`export`] — the periodic snapshot exporter thread
 //!   (`EM2_OBS_INTERVAL_MS`);
 //! * [`json`] — the tiny hand-rolled JSON writer everything above

@@ -2,14 +2,11 @@
 //!
 //! A [`Snapshot`] is the flat, summable form of one node's obs
 //! registry at an instant — the timing-plane sibling of
-//! `em2_net::CounterSummary`, and it rides the same seam: a node can
-//! [`render`](Snapshot::render) it to `key=value` text, write it next
-//! to its counter summary at quiesce, and a parent process can
-//! [`parse`](Snapshot::parse) and [`merge`](Snapshot::merge) the
-//! pieces into cluster-wide totals without sharing an address space.
-//! The [`to_json`](Snapshot::to_json) form is what the periodic
-//! exporter appends to its JSONL stream and what the flight recorder
-//! embeds in a post-mortem.
+//! `em2_net::CounterSummary`. Node snapshots [`merge`](Snapshot::merge)
+//! into cluster-wide totals (`NetReport.obs` of an in-process cluster),
+//! and the one serialised form is [`to_json`](Snapshot::to_json): what
+//! the periodic exporter appends to its JSONL stream and what the
+//! flight recorder embeds in a post-mortem.
 //!
 //! Nothing in here participates in any agreement check — merging is
 //! for *aggregation*, never for equality assertions.
@@ -17,14 +14,10 @@
 use crate::attrib::ATTRIB_COUNTERS;
 use crate::hist::HistSnapshot;
 use crate::json::JsonObj;
-use std::fmt::Write as _;
 
 /// One (thread, home) row of the cost-attribution matrix in its
-/// snapshot form. Rendered as
-/// `attrib.{thread}.{home}=migrations,remote_reads,remote_writes,locals,context_bytes,bounces,parks,cost`
-/// and summed counter-wise by key under merge, so cluster-wide
-/// attribution rides the same text seam as every scalar. The overflow
-/// cell renders under `(u32::MAX, u32::MAX)`
+/// snapshot form, summed counter-wise by key under merge. The overflow
+/// cell appears under `(u32::MAX, u32::MAX)`
 /// ([`crate::attrib::OVERFLOW_KEY`]) and merges like any other key —
 /// which is what keeps summed totals exact across nodes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,7 +26,7 @@ pub struct AttribEntry {
     pub thread: u32,
     /// Home shard the thread's accesses targeted.
     pub home: u32,
-    /// The eight counters, in the render order documented on
+    /// The eight counters, in the order documented on
     /// [`crate::attrib::ATTRIB_COUNTERS`].
     pub counts: [u64; ATTRIB_COUNTERS],
 }
@@ -49,8 +42,7 @@ impl AttribEntry {
 /// Each node only witnesses the phases it participated in (the
 /// coordinator stamps Prepare/Commit, the source Freeze, the
 /// destination Transfer), so under merge the timestamps take the max
-/// (`0` = not witnessed) while the frame counters sum. Rendered as
-/// `handoff.{hid}=shard,from,to,prepare_ns,freeze_ns,transfer_ns,commit_ns,frozen_bytes,buffered,replayed,bounced`.
+/// (`0` = not witnessed) while the frame counters sum.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HandoffTrace {
     /// Coordinator-assigned handoff id.
@@ -199,11 +191,6 @@ pub struct Snapshot {
     pub handoffs: Vec<HandoffTrace>,
 }
 
-/// Version tag of the `render`/`parse` text form. v2 added the
-/// decision-plane telemetry: nine scalars plus the dynamic `attrib.*`
-/// and `handoff.*` line families.
-const VERSION_LINE: &str = "em2-obs=2";
-
 impl Snapshot {
     /// Fold another node's snapshot in (see the struct docs for the
     /// per-field rule).
@@ -341,231 +328,6 @@ impl Snapshot {
         ]
     }
 
-    fn field_mut(&mut self, k: &str) -> Option<&mut u64> {
-        Some(match k {
-            "node" => &mut self.node,
-            "nodes" => &mut self.nodes,
-            "seq" => &mut self.seq,
-            "uptime_ms" => &mut self.uptime_ms,
-            "arrivals" => &mut self.arrivals,
-            "migrations_in" => &mut self.migrations_in,
-            "migrations_out" => &mut self.migrations_out,
-            "remote_reads" => &mut self.remote_reads,
-            "remote_writes" => &mut self.remote_writes,
-            "remote_served" => &mut self.remote_served,
-            "context_bytes_out" => &mut self.context_bytes_out,
-            "guest_admits" => &mut self.guest_admits,
-            "evictions" => &mut self.evictions,
-            "stalls" => &mut self.stalls,
-            "retries" => &mut self.retries,
-            "retired" => &mut self.retired,
-            "polls" => &mut self.polls,
-            "msgs" => &mut self.msgs,
-            "steals" => &mut self.steals,
-            "steal_attempts" => &mut self.steal_attempts,
-            "worker_parks" => &mut self.worker_parks,
-            "wire_flushes" => &mut self.wire_flushes,
-            "wire_frames" => &mut self.wire_frames,
-            "wire_bytes" => &mut self.wire_bytes,
-            "trace_dropped" => &mut self.trace_dropped,
-            "guest_occupancy" => &mut self.guest_occupancy,
-            "guest_hwm" => &mut self.guest_hwm,
-            "egress_depth_hwm" => &mut self.egress_depth_hwm,
-            "egress_depth" => &mut self.egress_depth,
-            "attrib_cost" => &mut self.attrib_cost,
-            "attrib_dropped" => &mut self.attrib_dropped,
-            "journey_hops" => &mut self.journey_hops,
-            "journey_dropped" => &mut self.journey_dropped,
-            "handoff_commits" => &mut self.handoff_commits,
-            "handoff_frozen_bytes" => &mut self.handoff_frozen_bytes,
-            "handoff_replayed" => &mut self.handoff_replayed,
-            "handoff_bounced" => &mut self.handoff_bounced,
-            "dir_epoch" => &mut self.dir_epoch,
-            _ => return None,
-        })
-    }
-
-    fn hist_mut(&mut self, k: &str) -> Option<&mut HistSnapshot> {
-        Some(match k {
-            "task_latency_ns" => &mut self.task_latency_ns,
-            "mailbox_batch" => &mut self.mailbox_batch,
-            "flush_ns" => &mut self.flush_ns,
-            _ => return None,
-        })
-    }
-
-    /// Render as versioned `key=value` lines (the cross-process
-    /// aggregation form; greppable in CI artifacts).
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{VERSION_LINE}");
-        for (k, v) in self.fields() {
-            let _ = writeln!(s, "{k}={v}");
-        }
-        let _ = writeln!(s, "egress_depth={}", self.egress_depth);
-        for (k, h) in [
-            ("task_latency_ns", &self.task_latency_ns),
-            ("mailbox_batch", &self.mailbox_batch),
-            ("flush_ns", &self.flush_ns),
-        ] {
-            let mut line = format!("hist.{k}={};{};{};{}", h.count, h.sum, h.min, h.max);
-            for (b, &n) in h.buckets.iter().enumerate() {
-                if n != 0 {
-                    let _ = write!(line, ";b{b}:{n}");
-                }
-            }
-            let _ = writeln!(s, "{line}");
-        }
-        for e in &self.attrib {
-            let mut line = format!("attrib.{}.{}=", e.thread, e.home);
-            for (i, c) in e.counts.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                let _ = write!(line, "{c}");
-            }
-            let _ = writeln!(s, "{line}");
-        }
-        for h in &self.handoffs {
-            let _ = writeln!(
-                s,
-                "handoff.{}={},{},{},{},{},{},{},{},{},{},{}",
-                h.hid,
-                h.shard,
-                h.from,
-                h.to,
-                h.prepare_ns,
-                h.freeze_ns,
-                h.transfer_ns,
-                h.commit_ns,
-                h.frozen_bytes,
-                h.buffered,
-                h.replayed,
-                h.bounced
-            );
-        }
-        s
-    }
-
-    /// Parse [`Snapshot::render`] output.
-    pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let mut out = Snapshot::default();
-        let mut versioned = false;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == VERSION_LINE {
-                versioned = true;
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {line:?}"))?;
-            if let Some(name) = k.strip_prefix("hist.") {
-                let h = out
-                    .hist_mut(name)
-                    .ok_or_else(|| format!("unknown histogram {name:?}"))?;
-                let mut parts = v.split(';');
-                let mut next_u64 = |what: &str| {
-                    parts
-                        .next()
-                        .ok_or_else(|| format!("missing {what} in {line:?}"))?
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad {what} in {line:?}"))
-                };
-                h.count = next_u64("count")?;
-                h.sum = next_u64("sum")?;
-                h.min = next_u64("min")?;
-                h.max = next_u64("max")?;
-                for bucket in parts {
-                    let (b, n) = bucket
-                        .strip_prefix('b')
-                        .and_then(|rest| rest.split_once(':'))
-                        .ok_or_else(|| format!("bad bucket {bucket:?}"))?;
-                    let b: usize = b.parse().map_err(|_| format!("bad bucket {bucket:?}"))?;
-                    if b >= crate::hist::BUCKETS {
-                        return Err(format!("bucket index out of range in {bucket:?}"));
-                    }
-                    h.buckets[b] = n.parse().map_err(|_| format!("bad bucket {bucket:?}"))?;
-                }
-            } else if let Some(key) = k.strip_prefix("attrib.") {
-                let (t, hm) = key
-                    .split_once('.')
-                    .ok_or_else(|| format!("bad attrib key {k:?}"))?;
-                let thread: u32 = t.parse().map_err(|_| format!("bad attrib key {k:?}"))?;
-                let home: u32 = hm.parse().map_err(|_| format!("bad attrib key {k:?}"))?;
-                let mut counts = [0u64; ATTRIB_COUNTERS];
-                let mut parts = v.split(',');
-                for c in counts.iter_mut() {
-                    *c = parts
-                        .next()
-                        .ok_or_else(|| format!("short attrib row {line:?}"))?
-                        .parse()
-                        .map_err(|_| format!("bad attrib count in {line:?}"))?;
-                }
-                if parts.next().is_some() {
-                    return Err(format!("long attrib row {line:?}"));
-                }
-                out.fold_attrib(thread, home, &counts);
-            } else if let Some(key) = k.strip_prefix("handoff.") {
-                let hid: u64 = key.parse().map_err(|_| format!("bad handoff key {k:?}"))?;
-                let mut parts = v.split(',');
-                let mut next_u64 = |what: &str| {
-                    parts
-                        .next()
-                        .ok_or_else(|| format!("missing {what} in {line:?}"))?
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad {what} in {line:?}"))
-                };
-                let rec = HandoffTrace {
-                    hid,
-                    shard: next_u64("shard")?,
-                    from: next_u64("from")?,
-                    to: next_u64("to")?,
-                    prepare_ns: next_u64("prepare_ns")?,
-                    freeze_ns: next_u64("freeze_ns")?,
-                    transfer_ns: next_u64("transfer_ns")?,
-                    commit_ns: next_u64("commit_ns")?,
-                    frozen_bytes: next_u64("frozen_bytes")?,
-                    buffered: next_u64("buffered")?,
-                    replayed: next_u64("replayed")?,
-                    bounced: next_u64("bounced")?,
-                };
-                if parts.next().is_some() {
-                    return Err(format!("long handoff row {line:?}"));
-                }
-                out.fold_handoff(&rec);
-            } else {
-                let slot = out
-                    .field_mut(k)
-                    .ok_or_else(|| format!("unknown key {k:?}"))?;
-                *slot = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad u64 in {line:?}"))?;
-            }
-        }
-        if !versioned {
-            return Err("missing em2-obs version line".into());
-        }
-        Ok(out)
-    }
-
-    /// Write the rendering to a file (write `.tmp`, then rename — the
-    /// same parent/child handoff discipline as `CounterSummary`).
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.render())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Read a snapshot written by [`Snapshot::write_to`].
-    pub fn read_from(path: &std::path::Path) -> std::io::Result<Snapshot> {
-        let text = std::fs::read_to_string(path)?;
-        Snapshot::parse(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// One JSONL line for the exporter stream / flight recorder, with
     /// derived latency quantiles for direct consumption.
     pub fn to_json(&self) -> String {
@@ -592,7 +354,7 @@ impl Snapshot {
         }
         // Attribution rows are bounded to the top 16 by cost so a
         // flight-recorder line stays readable; the full matrix lives in
-        // the render form.
+        // `Snapshot::attrib`.
         let mut top: Vec<&AttribEntry> = self.attrib.iter().collect();
         top.sort_by(|a, b| {
             b.cost()
@@ -715,13 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn render_parse_round_trips() {
-        let s = sample(1);
-        let parsed = Snapshot::parse(&s.render()).expect("parse");
-        assert_eq!(parsed, s);
-    }
-
-    #[test]
     fn merge_sums_counters_maxes_gauges_and_merges_hists() {
         let a = sample(0);
         let b = sample(1);
@@ -730,14 +485,7 @@ mod tests {
             m.merge(&b);
             m
         };
-        // Through the file seam: render → parse → merge gives the same
-        // cluster total (the aggregation property the multiproc path
-        // relies on).
-        let via_text = Snapshot::sum([
-            Snapshot::parse(&a.render()).unwrap(),
-            Snapshot::parse(&b.render()).unwrap(),
-        ]);
-        assert_eq!(direct, via_text);
+        assert_eq!(direct, Snapshot::sum([a, b]), "sum is a fold of merge");
         assert_eq!(direct.nodes, 2);
         assert_eq!(direct.node, 0);
         assert_eq!(direct.retired, 32);
@@ -760,12 +508,5 @@ mod tests {
         assert!(!j.contains('\n'));
         assert!(j.starts_with(r#"{"kind":"obs""#));
         assert!(j.contains(r#""task_latency_ns":{"count":4"#));
-    }
-
-    #[test]
-    fn unknown_keys_are_rejected() {
-        let mut text = sample(0).render();
-        text.push_str("mystery=1\n");
-        assert!(Snapshot::parse(&text).is_err());
     }
 }

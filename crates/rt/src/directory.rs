@@ -26,14 +26,19 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// epoch. See the module docs for the role this plays in live handoff.
 #[derive(Debug)]
 pub struct ShardDirectory {
+    /// The node whose view this is ([`ShardDirectory::install`] never
+    /// disowns it).
+    node: u32,
     epoch: AtomicU64,
     owners: Vec<AtomicU32>,
 }
 
 impl ShardDirectory {
-    /// Build a directory from an explicit initial assignment.
-    pub fn new(epoch: u64, owners: &[u32]) -> Self {
+    /// Build node `node`'s directory from an explicit initial
+    /// assignment.
+    pub fn new(node: u32, epoch: u64, owners: &[u32]) -> Self {
         Self {
+            node,
             epoch: AtomicU64::new(epoch),
             owners: owners.iter().map(|&o| AtomicU32::new(o)).collect(),
         }
@@ -43,6 +48,7 @@ impl ShardDirectory {
     /// node 0, epoch 0.
     pub fn single_process(shards: usize) -> Self {
         Self {
+            node: 0,
             epoch: AtomicU64::new(0),
             owners: (0..shards).map(|_| AtomicU32::new(0)).collect(),
         }
@@ -98,6 +104,18 @@ impl ShardDirectory {
     /// already have) are ignored so reordered updates cannot roll the
     /// directory backwards.
     ///
+    /// Entries that currently name this directory's node are kept.
+    /// Ownership leaves a node only through its own freeze, which
+    /// rewrites its entry first; so a map that would disown the node
+    /// was sealed before the handoff that made it the owner (the frozen
+    /// shard beat an older commit's broadcast here) and that handoff's
+    /// own commit, still in flight, will agree. Taking the older map
+    /// verbatim would leave the shard in a runtime whose directory says
+    /// it is elsewhere — and, for one, every barrier release would skip
+    /// its parked tasks. The keep is a compare-exchange per entry, so a
+    /// claim by `install_shard` landing mid-install is never
+    /// overwritten.
+    ///
     /// The owners are stored *before* the epoch (Release), so a
     /// reader that loads the epoch first ([`ShardDirectory::epoch`],
     /// Acquire) and then an owner sees a map at least as new as that
@@ -113,7 +131,8 @@ impl ShardDirectory {
             return false;
         }
         for (slot, &o) in self.owners.iter().zip(owners) {
-            slot.store(o, Ordering::Release);
+            let keep_own = |cur| (cur != self.node).then_some(o);
+            let _ = slot.fetch_update(Ordering::SeqCst, Ordering::SeqCst, keep_own);
         }
         self.epoch.store(epoch, Ordering::Release);
         true
@@ -161,7 +180,7 @@ mod tests {
 
     #[test]
     fn set_owner_flips_one_shard_without_bumping_epoch() {
-        let d = ShardDirectory::new(3, &[0, 0, 1, 1]);
+        let d = ShardDirectory::new(0, 3, &[0, 0, 1, 1]);
         d.set_owner(1, 1);
         assert_eq!(d.epoch(), 3);
         assert_eq!(d.snapshot(), vec![0, 1, 1, 1]);
@@ -170,7 +189,7 @@ mod tests {
 
     #[test]
     fn install_rejects_stale_epochs() {
-        let d = ShardDirectory::new(5, &[0, 1]);
+        let d = ShardDirectory::new(2, 5, &[0, 1]);
         assert!(!d.install(5, &[1, 1]), "same epoch must not install");
         assert!(!d.install(4, &[1, 1]), "older epoch must not install");
         assert_eq!(d.snapshot(), vec![0, 1]);

@@ -13,7 +13,7 @@ use em2_model::{CoreId, CostModel, Histogram, ThreadId};
 use em2_placement::Placement;
 use em2_trace::Workload;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -817,6 +817,11 @@ impl RemoteInbox {
             return false;
         };
         shared.barriers.force_release(k);
+        // Store the flag, *then* read the owners — the mirror image of
+        // `install_shard`, which claims the owner and then reads the
+        // flags. With a full fence between store and load on both
+        // sides, a shard landing here right now is woken by one of us.
+        fence(Ordering::SeqCst);
         for s in shared.directory.owned_shards(shared.node_id) {
             shared.send(s, Msg::BarrierRelease { idx: k });
         }
@@ -877,12 +882,21 @@ impl RemoteInbox {
         {
             let mut core = shared.cores[shard].lock().expect("shard core");
             let mut rebuild = |we: crate::wire::WireEnvelope| self.rebuild_envelope(we);
-            core.install_frozen(&shared, frozen, &mut rebuild)?;
+            core.install_frozen(frozen, &mut rebuild)?;
         }
         // Claim ownership only after the core is fully restored:
         // concurrent deliveries that pass the directory check from
         // here on find a complete shard.
         shared.directory.set_owner(shard, shared.node_id);
+        // A barrier released while the shard was in flight woke nobody:
+        // the release fans out to each node's *owned* shards, and this
+        // one had no owner. Now that the claim is visible, re-announce
+        // every barrier already released here (`release_barrier` has
+        // the pairing); the shard wakes whoever is parked on them.
+        fence(Ordering::SeqCst);
+        for k in (0..shared.barriers.len()).filter(|&k| shared.barriers.is_released(k)) {
+            shared.send(shard, Msg::BarrierRelease { idx: k });
+        }
         for msg in mailbox {
             // The backlog had reached its then-home; replaying it here
             // is a fresh route, so the bounce budget restarts at 0.

@@ -664,7 +664,6 @@ impl ShardCore {
     /// barrier-parked arrival does in `activate`.
     pub(crate) fn install_frozen(
         &mut self,
-        shared: &Shared,
         f: crate::wire::FrozenShard,
         rebuild: &mut dyn FnMut(WireEnvelope) -> Result<Box<Envelope>, crate::wire::WireError>,
     ) -> Result<(), crate::wire::WireError> {
@@ -686,15 +685,10 @@ impl ShardCore {
             let env = rebuild(we)?;
             self.runq.push_back(env);
         }
+        // Parked stays parked: the installer re-announces every
+        // released barrier once it has claimed the shard.
         for we in f.parked {
-            let mut env = rebuild(we)?;
-            match env.parked_at {
-                Some(k) if !shared.barriers.is_released(k) => self.parked.push(env),
-                _ => {
-                    env.parked_at = None;
-                    self.runq.push_back(env);
-                }
-            }
+            self.parked.push(rebuild(we)?);
         }
         for (token, we) in f.awaiting {
             let env = rebuild(we)?;

@@ -604,7 +604,7 @@ impl WireMsg {
 /// the node where they accrued and are merged into that node's report,
 /// so a cluster-wide sum counts every access exactly once regardless
 /// of how often a shard was re-homed.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FrozenShard {
     /// Global id of the shard being re-homed.
     pub shard: u32,
