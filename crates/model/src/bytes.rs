@@ -6,9 +6,11 @@
 //! (`em2-net`), and decision-scheme state serialization
 //! (`em2_core::decision`) — builds on these primitives, so "decoding
 //! never panics, truncation is a typed error" is implemented exactly
-//! once. Layout conventions: fixed-width **little-endian** integers,
-//! one-byte tags, `u32`-length-prefixed byte strings capped at
-//! [`MAX_CHUNK`].
+//! once. Layout conventions: one-byte tags; fixed-width
+//! **little-endian** integers for opaque words (memory contents,
+//! hashes, float bits); canonical **LEB128 varints** ([`put_var`] /
+//! [`Cursor::var`]) for identifiers, counters, lengths and addresses;
+//! length-prefixed byte strings capped at [`MAX_CHUNK`].
 
 use std::fmt;
 
@@ -46,6 +48,14 @@ pub enum CodecError {
         /// How many undecoded bytes remained.
         extra: usize,
     },
+    /// A malformed LEB128 varint at `offset`: longer than a `u64`, not
+    /// the shortest encoding of its value, or too wide for its field.
+    BadVarint {
+        /// Byte offset of the varint's first byte.
+        offset: usize,
+        /// Which rule it broke.
+        why: &'static str,
+    },
     /// An integrity checksum did not match — the payload was altered
     /// in flight (bit corruption, truncation that still parsed).
     Checksum {
@@ -67,6 +77,9 @@ impl fmt::Display for CodecError {
                 write!(f, "chunk length {len} exceeds the {MAX_CHUNK}-byte cap")
             }
             CodecError::Trailing { extra } => write!(f, "{extra} trailing bytes after message"),
+            CodecError::BadVarint { offset, why } => {
+                write!(f, "bad varint at byte {offset}: {why}")
+            }
             CodecError::Checksum { got, want } => {
                 write!(
                     f,
@@ -94,10 +107,22 @@ pub fn put_u64(b: &mut Vec<u8>, v: u64) {
     b.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append a length-prefixed byte string (`u32` length + bytes).
-pub fn put_bytes(b: &mut Vec<u8>, v: &[u8]) {
+/// Append `v` as a canonical LEB128 varint: seven value bits per byte,
+/// least significant group first, high bit set on every byte but the
+/// last; always the shortest encoding (1 byte below 128, 10 bytes for
+/// `u64::MAX`).
+pub fn put_var(b: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        b.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    b.push(v as u8);
+}
+
+/// Append a byte string behind a varint length.
+pub fn put_var_bytes(b: &mut Vec<u8>, v: &[u8]) {
     assert!(v.len() <= MAX_CHUNK, "chunk exceeds the wire cap");
-    put_u32(b, v.len() as u32);
+    put_var(b, v.len() as u64);
     b.extend_from_slice(v);
 }
 
@@ -151,13 +176,54 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.u32()? as usize;
-        if n > MAX_CHUNK {
-            return Err(CodecError::ChunkTooLarge { len: n });
+    /// Read a canonical LEB128 varint ([`put_var`]'s inverse). Only
+    /// the shortest encoding of a value is accepted, so a value has
+    /// exactly one byte representation: a zero-padded varint, one whose
+    /// tenth byte carries more than the top bit of a `u64`, and one
+    /// that runs past ten bytes are all [`CodecError::BadVarint`].
+    pub fn var(&mut self) -> Result<u64, CodecError> {
+        let offset = self.at;
+        let mut v: u64 = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(CodecError::BadVarint {
+                    offset,
+                    why: "does not fit a u64",
+                });
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(CodecError::BadVarint {
+                        offset,
+                        why: "not the shortest encoding",
+                    });
+                }
+                return Ok(v);
+            }
         }
-        Ok(self.take(n)?.to_vec())
+        unreachable!("the tenth byte either ends the varint or is refused")
+    }
+
+    /// Read a varint into a narrower integer field; a value the field
+    /// cannot hold is [`CodecError::BadVarint`], never a truncation.
+    pub fn var_as<T: TryFrom<u64>>(&mut self) -> Result<T, CodecError> {
+        let offset = self.at;
+        T::try_from(self.var()?).map_err(|_| CodecError::BadVarint {
+            offset,
+            why: "too wide for its field",
+        })
+    }
+
+    /// Read a varint-length-prefixed byte string ([`put_var_bytes`]'s
+    /// inverse), borrowed from the input.
+    pub fn var_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let n = self.var()?;
+        if n > MAX_CHUNK as u64 {
+            return Err(CodecError::ChunkTooLarge { len: n as usize });
+        }
+        self.take(n as usize)
     }
 
     /// Consume and return everything left (for codecs embedding a
@@ -191,13 +257,13 @@ mod tests {
         put_u16(&mut b, 0xBEEF);
         put_u32(&mut b, 0xDEAD_BEEF);
         put_u64(&mut b, u64::MAX - 1);
-        put_bytes(&mut b, &[1, 2, 3]);
+        put_var_bytes(&mut b, &[1, 2, 3]);
         let mut r = Cursor::new(&b);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.var_bytes().unwrap(), &[1, 2, 3]);
         r.finish().unwrap();
     }
 
@@ -206,15 +272,86 @@ mod tests {
         let mut r = Cursor::new(&[1, 2]);
         assert_eq!(r.u32(), Err(CodecError::Truncated { offset: 0, need: 2 }));
         let mut b = Vec::new();
-        put_u32(&mut b, u32::MAX);
+        put_var(&mut b, u64::from(u32::MAX));
         assert_eq!(
-            Cursor::new(&b).bytes(),
+            Cursor::new(&b).var_bytes(),
             Err(CodecError::ChunkTooLarge {
                 len: u32::MAX as usize
             })
         );
         let r = Cursor::new(&[0]);
         assert_eq!(r.finish(), Err(CodecError::Trailing { extra: 1 }));
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_boundary() {
+        for (v, len) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (u64::from(u32::MAX), 5),
+            (u64::MAX, 10),
+        ] {
+            let mut b = Vec::new();
+            put_var(&mut b, v);
+            assert_eq!(b.len(), len, "{v} is {len} bytes");
+            let mut r = Cursor::new(&b);
+            assert_eq!(r.var(), Ok(v));
+            r.finish().unwrap();
+        }
+        let mut b = Vec::new();
+        put_var_bytes(&mut b, &[9; 200]);
+        assert_eq!(b.len(), 202, "a 200-byte string has a 2-byte length");
+        assert_eq!(Cursor::new(&b).var_bytes(), Ok(&[9u8; 200][..]));
+    }
+
+    #[test]
+    fn malformed_varints_are_typed() {
+        let bad = |bytes: &[u8]| Cursor::new(bytes).var().expect_err("malformed");
+        // Input ends on a continuation byte.
+        assert_eq!(bad(&[0x80]), CodecError::Truncated { offset: 1, need: 1 });
+        assert_eq!(bad(&[]), CodecError::Truncated { offset: 0, need: 1 });
+        // Eleven bytes, and a tenth byte carrying more than bit 63.
+        let mut eleven = [0xFFu8; 11];
+        eleven[10] = 0x01;
+        assert!(matches!(
+            bad(&eleven),
+            CodecError::BadVarint { offset: 0, .. }
+        ));
+        let mut tenth = [0xFFu8; 10];
+        tenth[9] = 0x02;
+        assert!(matches!(
+            bad(&tenth),
+            CodecError::BadVarint { offset: 0, .. }
+        ));
+        // Zero-padded: 0 as two bytes, 1 as two bytes, 2^63 padded out.
+        assert!(matches!(bad(&[0x80, 0x00]), CodecError::BadVarint { .. }));
+        assert!(matches!(bad(&[0x81, 0x00]), CodecError::BadVarint { .. }));
+        let mut padded = [0x80u8; 10];
+        padded[9] = 0x00;
+        assert!(matches!(bad(&padded), CodecError::BadVarint { .. }));
+        // A u32 field refuses 2^32 and a u16 field 2^16 — no truncation.
+        let mut b = Vec::new();
+        put_var(&mut b, u64::from(u32::MAX) + 1);
+        put_var(&mut b, u64::from(u16::MAX) + 1);
+        put_var(&mut b, u64::from(u32::MAX));
+        let mut r = Cursor::new(&b);
+        assert!(matches!(
+            r.var_as::<u32>(),
+            Err(CodecError::BadVarint { offset: 0, .. })
+        ));
+        assert!(matches!(
+            r.var_as::<u16>(),
+            Err(CodecError::BadVarint { offset: 5, .. })
+        ));
+        assert_eq!(r.var_as::<u32>(), Ok(u32::MAX));
+        // An absurd string length fails before any allocation.
+        let mut b = Vec::new();
+        put_var(&mut b, u64::MAX);
+        assert!(matches!(
+            Cursor::new(&b).var_bytes(),
+            Err(CodecError::ChunkTooLarge { .. })
+        ));
     }
 
     #[test]
@@ -233,6 +370,10 @@ mod tests {
             CodecError::BadTag { what: "x", tag: 9 },
             CodecError::ChunkTooLarge { len: 1 << 30 },
             CodecError::Trailing { extra: 4 },
+            CodecError::BadVarint {
+                offset: 2,
+                why: "x",
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -21,7 +21,9 @@
 
 use crate::cluster::ClusterSpec;
 use crate::proto::NetMsg;
-use crate::transport::{Acceptor, Duplex, FrameRx, FrameTx, Transport};
+use crate::transport::{
+    Acceptor, Duplex, FrameBatch, FrameRx, FrameTx, Transport, FRAME_HEADER_BYTES,
+};
 use em2_model::DetRng;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -447,9 +449,9 @@ impl ChaosTx {
     /// surviving (possibly mutated) frames, or an error for crash /
     /// sever — a sever first flushes the frames that preceded it, like
     /// a connection dying between two `write(2)`s.
-    fn transform_frames(&mut self, payloads: &[Vec<u8>]) -> io::Result<Vec<Vec<u8>>> {
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(payloads.len());
-        for payload in payloads {
+    fn transform_frames(&mut self, batch: &FrameBatch) -> io::Result<FrameBatch> {
+        let mut out = FrameBatch::default();
+        for payload in batch.frames() {
             if self.state.crashed.load(Ordering::Relaxed) {
                 return Err(ChaosState::crash_err());
             }
@@ -472,7 +474,7 @@ impl ChaosTx {
                 .and_then(|m| m.get(&nth))
                 .copied();
             let Some(action) = action else {
-                out.push(payload.clone());
+                out.push(payload)?;
                 continue;
             };
             self.state.record_injection();
@@ -482,45 +484,53 @@ impl ChaosTx {
                     // Sleeping here (inside the writer's flush) stalls
                     // the edge without reordering it.
                     std::thread::sleep(Duration::from_millis(ms));
-                    out.push(payload.clone());
+                    out.push(payload)?;
                 }
                 FaultAction::Duplicate => {
-                    out.push(payload.clone());
-                    out.push(payload.clone());
+                    out.push(payload)?;
+                    out.push(payload)?;
                 }
                 FaultAction::Truncate { keep } => {
-                    out.push(payload[..keep.min(payload.len())].to_vec());
+                    out.push(&payload[..keep.min(payload.len())])?;
                 }
                 FaultAction::Corrupt { offset, xor } => {
-                    let mut p = payload.clone();
-                    if !p.is_empty() {
-                        let i = offset % p.len();
-                        p[i] ^= if xor == 0 { 1 } else { xor };
+                    out.push(payload)?;
+                    if !payload.is_empty() {
+                        let last = out.len() - 1;
+                        out.frame_mut(last)[offset % payload.len()] ^=
+                            if xor == 0 { 1 } else { xor };
                     }
-                    out.push(p);
                 }
                 FaultAction::Sever => {
                     if let Some(conn) = self.inner.as_mut() {
-                        let _ = conn.send_frames(&out);
+                        let _ = conn.send_batch(&out);
                     }
-                    return self.sever().map(|_| Vec::new());
+                    return self.sever().map(|_| FrameBatch::default());
                 }
             }
         }
         Ok(out)
     }
+
+    /// Hand `out` to the wrapped connection (a batch every frame of
+    /// which was dropped writes nothing).
+    fn forward(&mut self, out: &FrameBatch) -> io::Result<()> {
+        if out.is_empty() {
+            return Ok(());
+        }
+        self.inner
+            .as_mut()
+            .ok_or_else(Self::severed_err)?
+            .send_batch(out)
+    }
 }
 
 impl FrameTx for ChaosTx {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        // Route through the batch path so flush indices count every
-        // send: an uncoalesced stream is a run of one-frame flushes.
-        let batch = [payload.to_vec()];
-        self.send_frames(&batch)
-    }
-
-    fn send_frames(&mut self, payloads: &[Vec<u8>]) -> io::Result<()> {
-        let mut out = self.transform_frames(payloads)?;
+    // `send_frame`/`send_frames` are the trait's wrappers over this, so
+    // flush indices count every send: an uncoalesced stream is a run of
+    // one-frame flushes.
+    fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()> {
+        let mut out = self.transform_frames(batch)?;
         let fnth = self.flushes_on_edge;
         self.flushes_on_edge += 1;
         if self.inner.is_none() {
@@ -534,17 +544,11 @@ impl FrameTx for ChaosTx {
             .copied()
             .or_else(|| self.pending_flush.take());
         let Some(action) = action else {
-            if out.is_empty() {
-                return Ok(());
-            }
-            return self
-                .inner
-                .as_mut()
-                .expect("checked above")
-                .send_frames(&out);
+            return self.forward(&out);
         };
+        // Flush faults address the concatenated payloads.
+        let total = out.wire_len() - out.len() * FRAME_HEADER_BYTES;
         if let FaultAction::Truncate { keep } = action {
-            let total: usize = out.iter().map(|p| p.len()).sum();
             if keep >= total {
                 // The whole window fits under the byte budget: zero
                 // bytes would be lost, which models no crash at all.
@@ -552,31 +556,23 @@ impl FrameTx for ChaosTx {
                 // the scheduled cut always lands, regardless of how
                 // coalescing timing sized this particular flush.
                 self.pending_flush = Some(action);
-                if out.is_empty() {
-                    return Ok(());
-                }
-                return self
-                    .inner
-                    .as_mut()
-                    .expect("checked above")
-                    .send_frames(&out);
+                return self.forward(&out);
             }
         }
         self.state.record_injection();
-        let inner = self.inner.as_mut().expect("checked above");
         match action {
             // The whole batch vanishes: every frame in it surfaces as
             // one many-frame sequence gap at the receiver.
             FaultAction::Drop => Ok(()),
             FaultAction::Delay { ms } => {
                 std::thread::sleep(Duration::from_millis(ms));
-                inner.send_frames(&out)
+                self.forward(&out)
             }
             // Replay the entire batch; the receiver's sequence layer
             // drops every frame of the replay.
             FaultAction::Duplicate => {
-                inner.send_frames(&out)?;
-                inner.send_frames(&out)
+                self.forward(&out)?;
+                self.forward(&out)
             }
             // A byte budget across the concatenated frames: frames
             // before the cut ship whole, the crossing frame ships a
@@ -584,28 +580,24 @@ impl FrameTx for ChaosTx {
             // `write(2)`s of one coalesced window.
             FaultAction::Truncate { keep } => {
                 let mut budget = keep;
-                let mut cut: Vec<Vec<u8>> = Vec::new();
-                for p in out {
+                let mut cut = FrameBatch::default();
+                for p in out.frames() {
                     if budget == 0 {
                         break;
                     }
-                    if p.len() <= budget {
-                        budget -= p.len();
-                        cut.push(p);
-                    } else {
-                        cut.push(p[..budget].to_vec());
-                        budget = 0;
-                    }
+                    let n = p.len().min(budget);
+                    cut.push(&p[..n])?;
+                    budget -= n;
                 }
-                inner.send_frames(&cut)
+                self.forward(&cut)
             }
             // Offset into the concatenation — the damaged byte may
             // land in any frame of the window.
             FaultAction::Corrupt { offset, xor } => {
-                let total: usize = out.iter().map(|p| p.len()).sum();
                 if total > 0 {
                     let mut i = offset % total;
-                    for p in out.iter_mut() {
+                    for f in 0..out.len() {
+                        let p = out.frame_mut(f);
                         if i < p.len() {
                             p[i] ^= if xor == 0 { 1 } else { xor };
                             break;
@@ -613,7 +605,7 @@ impl FrameTx for ChaosTx {
                         i -= p.len();
                     }
                 }
-                inner.send_frames(&out)
+                self.forward(&out)
             }
             FaultAction::Sever => self.sever(),
         }
@@ -641,13 +633,13 @@ struct ChaosRx {
 }
 
 impl FrameRx for ChaosRx {
-    fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+    fn recv(&mut self) -> io::Result<Option<&[u8]>> {
         if self.state.crashed.load(Ordering::Relaxed) {
             return Err(ChaosState::crash_err());
         }
-        let frame = self.inner.recv_frame()?;
+        let frame = self.inner.recv()?;
         if self.sniff && self.peer.get().is_none() {
-            if let Some(f) = &frame {
+            if let Some(f) = frame {
                 if let Ok((_, NetMsg::Hello { node, .. })) = NetMsg::decode(f) {
                     let _ = self.peer.set(node as usize);
                 }

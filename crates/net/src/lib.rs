@@ -92,5 +92,6 @@ pub use node::{NetReport, NodeRuntime, WireSnapshot};
 pub use report::CounterSummary;
 pub use run::ClusterRun;
 pub use transport::{
-    Acceptor, Duplex, FrameRx, FrameTx, LoopbackTransport, TcpTransport, Transport, UdsTransport,
+    Acceptor, Duplex, FrameBatch, FrameRx, FrameTx, LoopbackTransport, TcpTransport, Transport,
+    UdsTransport,
 };

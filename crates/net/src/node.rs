@@ -19,9 +19,10 @@
 //!   it onto the owner peer's
 //!   **lock-free egress queue** — the shard worker never touches a
 //!   mutex or a socket. One **writer thread per peer** drains that
-//!   queue, assigns sequence numbers in pop order, coalesces up to a
-//!   bounded window of frames into one flush
-//!   ([`crate::transport::FrameTx::send_frames`]), and absorbs the
+//!   queue, assigns sequence numbers in pop order, encodes up to a
+//!   bounded window of frames straight into its one reusable flush
+//!   buffer and writes it with a single
+//!   [`crate::transport::FrameTx::send_batch`], and absorbs the
 //!   heartbeat timer into its idle loop (DESIGN.md §11). One **reader
 //!   thread per peer** decodes inbound frames and injects them through
 //!   [`em2_rt::RemoteInbox`] — the executor's ordinary mailbox/waker
@@ -64,7 +65,7 @@ use crate::cluster::ClusterSpec;
 use crate::control::{Action, Control, Event, Note};
 use crate::error::ClusterError;
 use crate::proto::NetMsg;
-use crate::transport::{Duplex, FrameRx, FrameTx, Transport};
+use crate::transport::{Duplex, FrameBatch, FrameRx, FrameTx, Transport};
 use em2_model::{DetRng, ThreadId};
 use em2_placement::Placement;
 use em2_rt::mpsc::MpscQueue;
@@ -89,8 +90,11 @@ const COALESCE_BYTES: usize = 256 << 10;
 /// Per-node wire telemetry (atomics: writer threads, readers, and
 /// shard workers bump them concurrently). In `frames_tx`/`bytes_tx`
 /// (and their rx twins), control frames (heartbeats, aborts, goodbyes)
-/// are **excluded** so fault-free counters are identical whether or
-/// not heartbeats run; `frames_tx_total`/`bytes_tx_total` count every
+/// are **excluded** so the fault-free frame counters are identical
+/// whether or not heartbeats run (the byte counters too, up to the
+/// width of the sequence varints a heartbeat shifted: a frame's size
+/// depends on its sequence number, and control frames take sequence
+/// slots); `frames_tx_total`/`bytes_tx_total` count every
 /// frame written after the handshake, control included — the honest
 /// egress ledger. `flushes_tx` and `egress_hwm` are timing-dependent
 /// (like wall clock): how frames pack into flushes and how deep queues
@@ -763,7 +767,9 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
     let mut expected_seq: u64 = 1;
     let peer = links.peer(from_node);
     loop {
-        let frame = match rx.recv_frame() {
+        // Borrowed from the receiver's buffer: decoding copies out the
+        // fields the message owns, nothing else.
+        let frame = match rx.recv() {
             Ok(Some(f)) => f,
             Ok(None) => {
                 let clean = peer.bye.load(Ordering::Acquire)
@@ -788,7 +794,7 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
             }
         };
         peer.last_rx_ms.store(links.now_ms(), Ordering::Relaxed);
-        let (seq, msg) = match NetMsg::decode(&frame) {
+        let (seq, msg) = match NetMsg::decode(frame) {
             Ok(x) => x,
             Err(e) => {
                 links.fail(ClusterError::Codec {
@@ -861,19 +867,21 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
 ///
 /// Each wakeup drains the urgent lane first (aborts overtake data),
 /// then pops up to [`COALESCE_FRAMES`] frames / [`COALESCE_BYTES`] from
-/// the main FIFO and writes them as **one flush**
-/// ([`FrameTx::send_frames`]). When both lanes go empty the writer
-/// parks with a bounded tick and absorbs the old heartbeat thread's
-/// job: keep an idle edge warm every `heartbeat_ms` and declare the
-/// peer lost after `peer_deadline_ms` of receive silence. The
-/// [`EgressItem::Close`] sentinel (pushed by `finish` after the last
-/// data frame) drains the FIFO, appends [`NetMsg::Bye`] on a clean
-/// run, flushes, closes, and exits — Bye stays last on the wire.
+/// the main FIFO, encoding each straight into the edge's one reusable
+/// [`FrameBatch`], and writes the window as **one flush**
+/// ([`FrameTx::send_batch`]: on a stream transport, one `write`). When
+/// both lanes go empty the writer parks with a bounded tick and absorbs
+/// the old heartbeat thread's job: keep an idle edge warm every
+/// `heartbeat_ms` and declare the peer lost after `peer_deadline_ms` of
+/// receive silence. The [`EgressItem::Close`] sentinel (pushed by
+/// `finish` after the last data frame) drains the FIFO, appends
+/// [`NetMsg::Bye`] on a clean run, flushes, closes, and exits — Bye
+/// stays last on the wire.
 fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     let peer = links.peer(node);
     let _ = peer.writer.set(std::thread::current());
     // Per-peer wire telemetry (timing plane; `None` when obs is off).
-    // Flush latency is measured around `send_frames` — the exact
+    // Flush latency is measured around `send_batch` — the exact
     // syscall cost each coalesced batch pays on this edge.
     let pobs = links.obs.get().map(|o| o.register_peer(node as u64));
     let hb = links.spec.timeouts.heartbeat_ms;
@@ -882,7 +890,9 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     let mut conn = Some(conn);
     // The handshake frame consumed sequence 0 in this direction.
     let mut next_seq: u64 = 1;
-    let mut batch: Vec<Vec<u8>> = Vec::with_capacity(COALESCE_FRAMES);
+    // Every frame this edge sends is encoded into, and written from,
+    // this one buffer; it grows to the largest window seen and stays.
+    let mut batch = FrameBatch::default();
     loop {
         // Urgent lane first: an Abort overtakes any queued data.
         let urgent = std::mem::take(&mut *peer.urgent.lock().unwrap_or_else(|p| p.into_inner()));
@@ -890,11 +900,11 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             if let Some(c) = conn.as_mut() {
                 batch.clear();
                 for msg in &urgent {
-                    stage(links, peer, &mut next_seq, msg, &mut batch);
+                    stage(links, node, &mut next_seq, msg, &mut batch);
                 }
                 // Best-effort, like the old quiet path: the failure
                 // fan-out must not recurse into fail().
-                if c.send_frames(&batch).is_ok() {
+                if c.send_batch(&batch).is_ok() {
                     links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
                     peer.last_tx_ms.store(links.now_ms(), Ordering::Relaxed);
                 } else {
@@ -907,18 +917,16 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
         // Main lane: pop up to one coalesce window and flush it once.
         batch.clear();
         let mut popped_msgs: u64 = 0;
-        let mut bytes: usize = 0;
         let mut close: Option<bool> = None;
-        while batch.len() < COALESCE_FRAMES && bytes < COALESCE_BYTES {
+        while batch.len() < COALESCE_FRAMES && batch.wire_len() < COALESCE_BYTES {
             match peer.egress.pop() {
                 Some(EgressItem::Msg(msg)) => {
                     popped_msgs += 1;
                     // With the connection gone the queue still drains
                     // (and frees) so producers never back up.
-                    if conn.is_none() {
-                        continue;
+                    if conn.is_some() {
+                        stage(links, node, &mut next_seq, &msg, &mut batch);
                     }
-                    bytes += stage(links, peer, &mut next_seq, &msg, &mut batch);
                 }
                 Some(EgressItem::Close { bye }) => {
                     close = Some(bye);
@@ -934,9 +942,9 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
         if let Some(bye) = close {
             if let Some(mut c) = conn.take() {
                 if bye {
-                    stage(links, peer, &mut next_seq, &NetMsg::Bye, &mut batch);
+                    stage(links, node, &mut next_seq, &NetMsg::Bye, &mut batch);
                 }
-                if !batch.is_empty() && c.send_frames(&batch).is_ok() {
+                if !batch.is_empty() && c.send_batch(&batch).is_ok() {
                     links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
                 }
                 let _ = c.close();
@@ -949,7 +957,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
                 .as_mut()
                 .expect("frames are only encoded with a live conn");
             let t0 = pobs.as_ref().map(|_| Instant::now());
-            match c.send_frames(&batch) {
+            match c.send_batch(&batch) {
                 Ok(()) => {
                     links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
                     peer.last_tx_ms.store(links.now_ms(), Ordering::Relaxed);
@@ -958,7 +966,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
                             batch.len() as u64,
                             // True wire cost: payload plus the stream
                             // framing header per frame.
-                            (bytes + batch.len() * crate::transport::FRAME_HEADER_BYTES) as u64,
+                            batch.wire_len() as u64,
                             t0.elapsed().as_nanos() as u64,
                             peer.depth.load(Ordering::Relaxed),
                         );
@@ -989,8 +997,8 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             let now = links.now_ms();
             if now.saturating_sub(peer.last_tx_ms.load(Ordering::Relaxed)) >= hb {
                 batch.clear();
-                stage(links, peer, &mut next_seq, &NetMsg::Heartbeat, &mut batch);
-                match conn.as_mut().expect("checked above").send_frames(&batch) {
+                stage(links, node, &mut next_seq, &NetMsg::Heartbeat, &mut batch);
+                match conn.as_mut().expect("checked above").send_batch(&batch) {
                     Ok(()) => {
                         links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
                         peer.last_tx_ms.store(now, Ordering::Relaxed);
@@ -1032,31 +1040,29 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     }
 }
 
-/// Encode `msg` under the writer's next sequence number and append it
-/// to `batch`, counting it on the edge's ledger (every frame) and on
-/// the deterministic one (run traffic only). Returns the payload
-/// length.
-fn stage(
-    links: &Links,
-    peer: &Peer,
-    next_seq: &mut u64,
-    msg: &NetMsg,
-    batch: &mut Vec<Vec<u8>>,
-) -> usize {
-    let payload = msg.encode(*next_seq);
+/// Encode `msg` under the writer's next sequence number straight into
+/// the flush buffer, counting it on the edge's ledger (every frame) and
+/// on the deterministic one (run traffic only). A message too large to
+/// frame (only a frozen shard can be) fails the run typed and consumes
+/// no sequence number.
+fn stage(links: &Links, node: usize, next_seq: &mut u64, msg: &NetMsg, batch: &mut FrameBatch) {
+    let len = match batch.push_with(|b| msg.encode_into(*next_seq, b)) {
+        Ok(len) => len as u64,
+        Err(e) => {
+            return links.fail(ClusterError::PeerLost {
+                node,
+                detail: format!("send failed: {e}"),
+            })
+        }
+    };
     *next_seq += 1;
-    let len = payload.len();
+    let peer = links.peer(node);
     peer.frames_tx.fetch_add(1, Ordering::Relaxed);
-    peer.bytes_tx.fetch_add(len as u64, Ordering::Relaxed);
+    peer.bytes_tx.fetch_add(len, Ordering::Relaxed);
     if !msg.is_control() {
         links.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-        links
-            .stats
-            .bytes_tx
-            .fetch_add(len as u64, Ordering::Relaxed);
+        links.stats.bytes_tx.fetch_add(len, Ordering::Relaxed);
     }
-    batch.push(payload);
-    len
 }
 
 /// The node's one timer thread. `Control` owns the two deadlines —
@@ -1573,10 +1579,10 @@ fn recv_handshake(rx: &mut dyn FrameRx, deadline: Instant) -> Result<NetMsg, Clu
     }
     let _ = rx.set_recv_timeout(Some(left));
     let frame = rx
-        .recv_frame()
+        .recv()
         .map_err(|e| handshake_err(format!("receive failed: {e}")))?
         .ok_or_else(|| handshake_err("peer closed during handshake".into()))?;
-    let (seq, msg) = NetMsg::decode(&frame).map_err(|e| handshake_err(e.to_string()))?;
+    let (seq, msg) = NetMsg::decode(frame).map_err(|e| handshake_err(e.to_string()))?;
     if seq != 0 {
         return Err(handshake_err(format!(
             "handshake frame carried sequence {seq}, expected 0"

@@ -13,12 +13,17 @@
 //!   the default for co-located multi-process clusters.
 //! * [`TcpTransport`] — TCP with `TCP_NODELAY`; crosses hosts.
 //!
-//! Framing on stream transports is `[u32 LE length][payload]`.
-//! [`FrameRx::recv_frame`] distinguishes a clean close at a frame
-//! boundary (`Ok(None)`) from a mid-frame truncation (`Err`).
+//! Framing on stream transports is `[u32 LE length][payload]`, and it
+//! is implemented once: a [`FrameBatch`] lays frames out exactly as a
+//! stream carries them, so whatever assembled the batch — the egress
+//! writer encoding messages straight into its reusable flush buffer,
+//! or the [`FrameTx::send_frame`] / [`FrameTx::send_frames`]
+//! conveniences — a stream transport ships it with one `write`.
+//! [`FrameRx::recv`] distinguishes a clean close at a frame boundary
+//! (`Ok(None)`) from a mid-frame truncation (`Err`).
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::sync::mpsc;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -44,27 +49,120 @@ fn oversize_err(len: usize) -> io::Error {
     )
 }
 
+/// Frames queued for one flush, stored as the byte image a stream
+/// carries — `[u32 LE length][payload]` per frame, back to back — with
+/// the frame boundaries kept alongside, so a message-granular carrier
+/// (the loopback channel) and the fault injector can still act per
+/// frame. Reused across flushes, it is the egress writer's single
+/// buffer: [`FrameBatch::clear`] keeps the allocation.
+#[derive(Debug, Default)]
+pub struct FrameBatch {
+    wire: Vec<u8>,
+    /// End offset in `wire` of each frame.
+    ends: Vec<usize>,
+}
+
+impl FrameBatch {
+    /// Drop every frame, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.wire.clear();
+        self.ends.clear();
+    }
+
+    /// Frames queued.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether no frame is queued.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Bytes the batch occupies on a stream: payloads plus
+    /// [`FRAME_HEADER_BYTES`] per frame.
+    pub fn wire_len(&self) -> usize {
+        self.wire.len()
+    }
+
+    /// The stream image of the whole batch.
+    pub fn wire(&self) -> &[u8] {
+        &self.wire
+    }
+
+    /// Append one frame whose payload `fill` writes at the end of the
+    /// buffer it is handed (it must only append). Returns the payload
+    /// length; a payload over [`MAX_FRAME`] is rolled back and refused
+    /// with a typed [`io::ErrorKind::InvalidInput`] error.
+    pub fn push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
+        let at = self.wire.len();
+        self.wire.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+        fill(&mut self.wire);
+        let len = self.wire.len() - at - FRAME_HEADER_BYTES;
+        if len > MAX_FRAME {
+            self.wire.truncate(at);
+            return Err(oversize_err(len));
+        }
+        self.wire[at..at + FRAME_HEADER_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
+        self.ends.push(self.wire.len());
+        Ok(len)
+    }
+
+    /// Append one frame carrying `payload`.
+    pub fn push(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.push_with(|b| b.extend_from_slice(payload)).map(drop)
+    }
+
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start + FRAME_HEADER_BYTES..self.ends[i]
+    }
+
+    /// Payload of frame `i`.
+    pub fn frame(&self, i: usize) -> &[u8] {
+        &self.wire[self.span(i)]
+    }
+
+    /// Payload of frame `i`, mutable in place (same length).
+    pub fn frame_mut(&mut self, i: usize) -> &mut [u8] {
+        let span = self.span(i);
+        &mut self.wire[span]
+    }
+
+    /// The payloads, in order.
+    pub fn frames(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.len()).map(|i| self.frame(i))
+    }
+}
+
 /// The sending half of one connection.
 pub trait FrameTx: Send {
-    /// Ship one frame (blocking; a full socket buffer back-pressures
-    /// the caller, which is the cluster's flow control). A payload
-    /// over [`MAX_FRAME`] is a typed [`io::ErrorKind::InvalidInput`]
-    /// error.
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()>;
+    /// Ship every frame of `batch`, in order, flushing **once** where
+    /// the carrier allows it (blocking; a full socket buffer
+    /// back-pressures the caller, which is the cluster's flow
+    /// control). Stream transports pay a single `write` for the whole
+    /// batch — the egress pipeline's frames-per-syscall win; a
+    /// message-granular carrier like the loopback channel delivers per
+    /// frame. The receiver cannot tell how frames were batched: same
+    /// frames, same boundaries.
+    fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()>;
 
-    /// Ship a batch of frames, flushing **once** where the carrier
-    /// allows it. Semantically identical to calling
-    /// [`FrameTx::send_frame`] per payload in order — same frames,
-    /// same boundaries on the wire, same errors — but stream
-    /// transports buffer the whole batch and pay a single
-    /// `write`/`flush`, which is the egress pipeline's
-    /// frames-per-syscall win. The default loops (message-granular
-    /// carriers like the loopback channel deliver per frame anyway).
+    /// Ship one frame: a one-frame [`FrameTx::send_batch`]. A payload
+    /// over [`MAX_FRAME`] is a typed [`io::ErrorKind::InvalidInput`]
+    /// error and nothing is written.
+    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
+        let mut batch = FrameBatch::default();
+        batch.push(payload)?;
+        self.send_batch(&batch)
+    }
+
+    /// Ship `payloads` as one [`FrameTx::send_batch`].
     fn send_frames(&mut self, payloads: &[Vec<u8>]) -> io::Result<()> {
+        let mut batch = FrameBatch::default();
         for p in payloads {
-            self.send_frame(p)?;
+            batch.push(p)?;
         }
-        Ok(())
+        self.send_batch(&batch)
     }
 
     /// Signal end-of-stream to the peer. Merely dropping a socket
@@ -79,14 +177,22 @@ pub trait FrameTx: Send {
 
 /// The receiving half of one connection.
 pub trait FrameRx: Send {
-    /// Receive the next frame. `Ok(None)` means the peer closed
-    /// cleanly at a frame boundary; a mid-frame close is an error.
-    /// With a receive timeout set, an idle expiry is an error of kind
+    /// Receive the next frame, borrowed from the receiver's own buffer
+    /// until the next call. `Ok(None)` means the peer closed cleanly
+    /// at a frame boundary; a mid-frame close is an error. With a
+    /// receive timeout set, an expiry is an error of kind
     /// [`io::ErrorKind::WouldBlock`] or [`io::ErrorKind::TimedOut`]
-    /// (platform-dependent) — the connection stays usable.
-    fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>>;
+    /// (platform-dependent) and the connection stays usable: bytes of
+    /// a frame that had partly arrived are kept, and the next call
+    /// resumes that frame where the timeout interrupted it.
+    fn recv(&mut self) -> io::Result<Option<&[u8]>>;
 
-    /// Bound how long [`FrameRx::recv_frame`] may block (`None` =
+    /// [`FrameRx::recv`] into an owned buffer.
+    fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        Ok(self.recv()?.map(<[u8]>::to_vec))
+    }
+
+    /// Bound how long [`FrameRx::recv`] may block (`None` =
     /// forever). Deadline-sensitive phases (the handshake) set this;
     /// the default is a no-op for carriers that cannot time out.
     fn set_recv_timeout(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
@@ -180,73 +286,103 @@ impl SetReadTimeout for std::os::unix::net::UnixStream {
     }
 }
 
-#[cfg(test)]
-impl SetReadTimeout for std::io::Cursor<Vec<u8>> {
-    fn set_read_timeout(&self, _timeout: Option<Duration>) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 struct StreamTx<W: Write + Send + ShutdownWrite> {
-    w: BufWriter<W>,
-}
-
-impl<W: Write + Send + ShutdownWrite> StreamTx<W> {
-    fn write_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > MAX_FRAME {
-            return Err(oversize_err(payload.len()));
-        }
-        self.w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.w.write_all(payload)
-    }
+    w: W,
 }
 
 impl<W: Write + Send + ShutdownWrite> FrameTx for StreamTx<W> {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.write_frame(payload)?;
-        self.w.flush()
-    }
-
-    fn send_frames(&mut self, payloads: &[Vec<u8>]) -> io::Result<()> {
-        // All frames into the BufWriter, one flush: the coalescing
-        // half of the zero-syscall egress path. (A batch larger than
-        // the buffer spills early inside `write_all` — the syscall
-        // count stays bounded by the batch's byte size, not its frame
-        // count.)
-        for p in payloads {
-            self.write_frame(p)?;
-        }
-        self.w.flush()
+    fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()> {
+        // The batch already is the stream image: one `write` (the
+        // kernel may split it; `write_all` finishes the job) however
+        // many frames it holds.
+        self.w.write_all(batch.wire())
     }
 
     fn close(&mut self) -> io::Result<()> {
-        self.w.flush()?;
-        self.w.get_ref().shutdown_write()
+        self.w.shutdown_write()
     }
 }
 
+/// Initial size of a stream receiver's buffer: one typical coalesced
+/// flush (64 migrated frames of ~300 B) arrives in a single `read`.
+const RX_BUF_BYTES: usize = 64 << 10;
+
+/// A stream's receiving half: one persistent buffer that `read`s as
+/// much as the socket has and hands frames out as borrowed slices.
+/// `buf[head..tail]` holds received bytes not yet handed out — whole
+/// frames and at most one partial frame at the end — and survives an
+/// interrupted `recv`, which is what keeps a receive timeout from
+/// desynchronising the stream.
 struct StreamRx<R: Read + Send + SetReadTimeout> {
-    r: BufReader<R>,
+    r: R,
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl<R: Read + Send + SetReadTimeout> StreamRx<R> {
+    fn new(r: R) -> Self {
+        StreamRx {
+            r,
+            buf: vec![0; RX_BUF_BYTES],
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    /// Read until `need` bytes sit at `buf[head..]`. `Ok(false)` is an
+    /// end of stream with nothing buffered (a clean close when it falls
+    /// on a frame boundary); an end of stream after part of a frame is
+    /// an error.
+    fn fill(&mut self, need: usize) -> io::Result<bool> {
+        while self.tail - self.head < need {
+            if self.head + need > self.buf.len() {
+                // The frame would run off the end: move what has
+                // arrived of it to the front, and grow for a frame
+                // larger than the buffer (`need` is bounded by
+                // `MAX_FRAME`, checked before the payload is awaited).
+                self.buf.copy_within(self.head..self.tail, 0);
+                self.tail -= self.head;
+                self.head = 0;
+                if need > self.buf.len() {
+                    self.buf.resize(need, 0);
+                }
+            }
+            match self.r.read(&mut self.buf[self.tail..]) {
+                Ok(0) if self.tail == self.head => return Ok(false),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed inside a frame",
+                    ))
+                }
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
 }
 
 impl<R: Read + Send + SetReadTimeout> FrameRx for StreamRx<R> {
-    fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let mut len = [0u8; 4];
-        // A clean EOF before the first length byte is a graceful
-        // close; anything partial is a truncated frame.
-        let mut got = 0;
-        while got < 4 {
-            match self.r.read(&mut len[got..])? {
-                0 if got == 0 => return Ok(None),
-                0 => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed inside a frame header",
-                    ))
-                }
-                n => got += n,
+    fn recv(&mut self) -> io::Result<Option<&[u8]>> {
+        if self.head == self.tail {
+            // Nothing pending: restart at the front, and give back the
+            // memory a jumbo frame (a frozen shard) made us take.
+            self.head = 0;
+            self.tail = 0;
+            if self.buf.len() > RX_BUF_BYTES {
+                self.buf.truncate(RX_BUF_BYTES);
+                self.buf.shrink_to_fit();
             }
         }
+        if !self.fill(FRAME_HEADER_BYTES)? {
+            return Ok(None);
+        }
+        let len: [u8; FRAME_HEADER_BYTES] = self.buf[self.head..self.head + FRAME_HEADER_BYTES]
+            .try_into()
+            .expect("header-sized slice");
         let n = u32::from_le_bytes(len) as usize;
         if n > MAX_FRAME {
             return Err(io::Error::new(
@@ -254,13 +390,17 @@ impl<R: Read + Send + SetReadTimeout> FrameRx for StreamRx<R> {
                 format!("frame length {n} exceeds the {MAX_FRAME}-byte cap"),
             ));
         }
-        let mut payload = vec![0u8; n];
-        self.r.read_exact(&mut payload)?;
-        Ok(Some(payload))
+        // The header is consumed only together with its payload, so a
+        // timeout here leaves the whole partial frame in place. (With
+        // the header buffered, an end of stream is always an error.)
+        self.fill(FRAME_HEADER_BYTES + n)?;
+        let start = self.head + FRAME_HEADER_BYTES;
+        self.head = start + n;
+        Ok(Some(&self.buf[start..start + n]))
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.r.get_ref().set_read_timeout(timeout)
+        self.r.set_read_timeout(timeout)
     }
 }
 
@@ -308,12 +448,8 @@ fn tcp_duplex(stream: std::net::TcpStream) -> io::Result<Duplex> {
     stream.set_nodelay(true)?;
     let rd = stream.try_clone()?;
     Ok(Duplex {
-        tx: Box::new(StreamTx {
-            w: BufWriter::new(stream),
-        }),
-        rx: Box::new(StreamRx {
-            r: BufReader::new(rd),
-        }),
+        tx: Box::new(StreamTx { w: stream }),
+        rx: Box::new(StreamRx::new(rd)),
     })
 }
 
@@ -387,12 +523,8 @@ impl Drop for UdsAcceptor {
 fn uds_duplex(stream: std::os::unix::net::UnixStream) -> io::Result<Duplex> {
     let rd = stream.try_clone()?;
     Ok(Duplex {
-        tx: Box::new(StreamTx {
-            w: BufWriter::new(stream),
-        }),
-        rx: Box::new(StreamRx {
-            r: BufReader::new(rd),
-        }),
+        tx: Box::new(StreamTx { w: stream }),
+        rx: Box::new(StreamRx::new(rd)),
     })
 }
 
@@ -452,35 +584,46 @@ pub struct LoopbackTransport;
 struct ChanTx(mpsc::Sender<Vec<u8>>);
 
 impl FrameTx for ChanTx {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > MAX_FRAME {
-            return Err(oversize_err(payload.len()));
+    fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()> {
+        for payload in batch.frames() {
+            self.0
+                .send(payload.to_vec())
+                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "loopback peer closed"))?;
         }
-        self.0
-            .send(payload.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "loopback peer closed"))
+        Ok(())
     }
 }
 
 struct ChanRx {
     rx: mpsc::Receiver<Vec<u8>>,
     timeout: Option<Duration>,
+    /// The frame last handed out by `recv`.
+    last: Vec<u8>,
 }
 
 impl FrameRx for ChanRx {
-    fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        match self.timeout {
+    fn recv(&mut self) -> io::Result<Option<&[u8]>> {
+        let frame = match self.timeout {
             // A dropped sender is the loopback clean close.
-            None => Ok(self.rx.recv().ok()),
+            None => self.rx.recv().ok(),
             Some(t) => match self.rx.recv_timeout(t) {
-                Ok(f) => Ok(Some(f)),
-                Err(mpsc::RecvTimeoutError::Disconnected) => Ok(None),
-                Err(mpsc::RecvTimeoutError::Timeout) => Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "loopback receive timed out",
-                )),
+                Ok(f) => Some(f),
+                Err(mpsc::RecvTimeoutError::Disconnected) => None,
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "loopback receive timed out",
+                    ))
+                }
             },
-        }
+        };
+        Ok(match frame {
+            Some(f) => {
+                self.last = f;
+                Some(&self.last)
+            }
+            None => None,
+        })
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
@@ -562,6 +705,7 @@ impl Transport for LoopbackTransport {
             rx: Box::new(ChanRx {
                 rx: a_rx,
                 timeout: None,
+                last: Vec::new(),
             }),
         };
         pending.send(theirs).map_err(|_| {
@@ -572,6 +716,7 @@ impl Transport for LoopbackTransport {
             rx: Box::new(ChanRx {
                 rx: b_rx,
                 timeout: None,
+                last: Vec::new(),
             }),
         })
     }
@@ -580,6 +725,113 @@ impl Transport for LoopbackTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SetReadTimeout for std::io::Cursor<Vec<u8>> {
+        fn set_read_timeout(&self, _timeout: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A stream that hands out its bytes in scripted slices and times
+    /// out between them, like a socket with a read timeout whose peer
+    /// stalls mid-frame.
+    struct Stalling {
+        bytes: Vec<u8>,
+        at: usize,
+        /// Offsets at which the next `read` times out (once each).
+        stalls: Vec<usize>,
+    }
+
+    impl Read for Stalling {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.stalls.first() == Some(&self.at) {
+                self.stalls.remove(0);
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let until = self.stalls.first().copied().unwrap_or(self.bytes.len());
+            let n = out.len().min(until - self.at);
+            out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    impl SetReadTimeout for Stalling {
+        fn set_read_timeout(&self, _timeout: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_receive_timeout_inside_a_frame_keeps_the_stream_in_step() {
+        let mut batch = FrameBatch::default();
+        batch.push(&[1, 2, 3, 4, 5, 6, 7]).expect("frame 0");
+        batch.push(&[]).expect("frame 1");
+        batch.push(&[9; 40]).expect("frame 2");
+        // One stall at every offset of the stream image: inside a
+        // length prefix, between prefix and payload, inside a payload,
+        // on a frame boundary.
+        for k in 0..batch.wire_len() {
+            let mut rx = StreamRx::new(Stalling {
+                bytes: batch.wire().to_vec(),
+                at: 0,
+                stalls: vec![k],
+            });
+            let mut got = FrameBatch::default();
+            let mut timeouts = 0;
+            while got.len() < 3 {
+                match rx.recv() {
+                    Ok(Some(f)) => got.push(f).expect("fits a frame"),
+                    Ok(None) => panic!("stall at {k}: clean close before frame {}", got.len()),
+                    Err(e) => {
+                        assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "stall at {k}");
+                        timeouts += 1;
+                    }
+                }
+            }
+            assert_eq!(timeouts, 1, "stall at {k} surfaced exactly once");
+            assert_eq!(
+                got.wire(),
+                batch.wire(),
+                "stall at {k}: same frames, same boundaries"
+            );
+            assert!(rx.recv().expect("clean close").is_none());
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_receive_buffer_arrives_whole() {
+        let big: Vec<u8> = (0..3 * RX_BUF_BYTES).map(|i| i as u8).collect();
+        let mut batch = FrameBatch::default();
+        batch.push(&[7; 10]).expect("small");
+        batch.push(&big).expect("big");
+        batch.push(&[8; 10]).expect("small");
+        let mut rx = StreamRx::new(std::io::Cursor::new(batch.wire().to_vec()));
+        assert_eq!(rx.recv().expect("recv"), Some(&[7u8; 10][..]));
+        assert_eq!(rx.recv().expect("recv"), Some(&big[..]));
+        assert_eq!(rx.recv().expect("recv"), Some(&[8u8; 10][..]));
+        assert!(rx.recv().expect("clean close").is_none());
+        assert_eq!(
+            rx.buf.len(),
+            RX_BUF_BYTES,
+            "the jumbo buffer was given back"
+        );
+    }
+
+    #[test]
+    fn an_oversize_push_is_rolled_back() {
+        let mut batch = FrameBatch::default();
+        batch.push(b"before").expect("fits");
+        let e = batch
+            .push_with(|b| b.resize(b.len() + MAX_FRAME + 1, 0))
+            .expect_err("over the cap");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch.wire_len(), FRAME_HEADER_BYTES + 6);
+        batch.push(b"after").expect("still usable");
+        let frames: Vec<&[u8]> = batch.frames().collect();
+        assert_eq!(frames, [&b"before"[..], &b"after"[..]]);
+    }
 
     fn exercise(transport: &dyn Transport, addr: &str) {
         let mut acceptor = transport.listen(addr).expect("listen");
@@ -657,15 +909,11 @@ mod tests {
             b.extend_from_slice(&[1, 2, 3]); // 3 of 10 payload bytes
             b
         };
-        let mut rx = StreamRx {
-            r: BufReader::new(std::io::Cursor::new(bytes)),
-        };
+        let mut rx = StreamRx::new(std::io::Cursor::new(bytes));
         assert!(rx.recv_frame().is_err(), "mid-frame EOF is an error");
 
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
-        let mut rx = StreamRx {
-            r: BufReader::new(std::io::Cursor::new(huge)),
-        };
+        let mut rx = StreamRx::new(std::io::Cursor::new(huge));
         assert!(rx.recv_frame().is_err(), "oversized length rejected");
     }
 

@@ -1,0 +1,145 @@
+//! The allocation budget of the cluster data path (DESIGN.md §11),
+//! counted, not argued: encoding a migrated frame into the writer's
+//! warm flush buffer allocates nothing, and receiving one allocates
+//! exactly the fields the decoded message owns — the task context and
+//! the journey log — with nothing per frame and nothing per hop.
+//!
+//! Its own test binary because the counter is a `#[global_allocator]`;
+//! allocations are counted per thread, so the harness's other threads
+//! cannot disturb a measurement.
+
+use em2_net::proto::NetMsg;
+use em2_net::{FrameBatch, Transport};
+use em2_rt::wire::{HopCause, Journey, JourneyHop, WireEnvelope, WireMsg, WireOp};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only
+// addition is a bump of a `const`-initialised, destructor-free
+// thread-local `Cell`, which neither allocates nor re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread made while running `f`.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The frame `uds2-migrate` ships: 164 context bytes, a full journey,
+/// the arrival read, a run in progress.
+fn migrated_frame() -> NetMsg {
+    let mut journey = Journey::default();
+    for hop in 0..16u32 {
+        journey.push(JourneyHop {
+            shard: (hop * 7) % 16,
+            node: ((hop * 7) % 16) / 8,
+            epoch: 0,
+            cause: if hop == 0 {
+                HopCause::Submit
+            } else {
+                HopCause::Migrate
+            },
+        });
+    }
+    journey.dropped = 900;
+    NetMsg::Shard {
+        to: 9,
+        epoch: 0,
+        retries: 0,
+        msg: WireMsg::Arrive(WireEnvelope {
+            thread: 200,
+            native: 8,
+            task_kind: 1,
+            task_ctx: vec![0xA5; 164],
+            scheme_state: Vec::new(),
+            pending_op: Some(WireOp::Read(0x4_0000)),
+            pending_reply: None,
+            parked_at: None,
+            run: Some((3, 2)),
+            journey,
+        }),
+    }
+}
+
+#[test]
+fn encoding_into_a_warm_flush_buffer_allocates_nothing() {
+    let msg = migrated_frame();
+    let mut batch = FrameBatch::default();
+    // One full coalesce window warms the buffer, as the writer's first
+    // busy flush does.
+    for seq in 1..=64 {
+        batch
+            .push_with(|b| msg.encode_into(seq, b))
+            .expect("fits a frame");
+    }
+    batch.clear();
+    let ((), n) = allocs_in(|| {
+        for seq in 65..=128 {
+            batch
+                .push_with(|b| msg.encode_into(seq, b))
+                .expect("fits a frame");
+        }
+    });
+    assert_eq!(n, 0, "64 frames into a warm buffer");
+    assert_eq!(batch.len(), 64);
+}
+
+#[cfg(unix)]
+#[test]
+fn receiving_allocates_only_what_the_message_owns() {
+    let msg = migrated_frame();
+    let path = std::env::temp_dir().join(format!("em2-alloc-{}.sock", std::process::id()));
+    let addr = path.to_str().expect("utf8 socket path");
+    let mut acceptor = em2_net::UdsTransport.listen(addr).expect("listen");
+    let mut client = em2_net::UdsTransport.connect(addr).expect("connect");
+    let mut server = acceptor.accept().expect("accept");
+    let mut batch = FrameBatch::default();
+    for seq in 1..=32 {
+        batch
+            .push_with(|b| msg.encode_into(seq, b))
+            .expect("fits a frame");
+    }
+    client.tx.send_batch(&batch).expect("one flush");
+    // The first frame warms nothing that matters (the receive buffer is
+    // allocated with the connection), but keep it out of the count.
+    let first = server.rx.recv().expect("recv").expect("frame");
+    assert_eq!(NetMsg::decode(first).expect("decodes"), (1, msg.clone()));
+    for seq in 2..=32 {
+        let (decoded, n) = allocs_in(|| {
+            let frame = server.rx.recv().expect("recv").expect("frame");
+            NetMsg::decode(frame).expect("decodes")
+        });
+        // `task_ctx` and the journey's hop log; `scheme_state` is
+        // empty, and an empty `Vec` owns no memory.
+        assert_eq!(n, 2, "frame {seq}: one allocation per owned field");
+        assert_eq!(decoded, (seq, msg.clone()));
+    }
+    let _ = std::fs::remove_file(path);
+}

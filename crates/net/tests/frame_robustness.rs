@@ -7,10 +7,11 @@
 //! at the transport layer; typed codec error at the message layer),
 //! and corrupt length prefixes written by a raw socket straight past
 //! the framing layer (oversize lengths refused; short reads surface
-//! as errors, not blocked readers).
+//! as errors, not blocked readers); and a peer still speaking proto v3
+//! is refused at the handshake, typed, whichever side dials.
 
 use em2_net::transport::MAX_FRAME;
-use em2_net::{LoopbackTransport, TcpTransport, Transport};
+use em2_net::{ClusterError, ClusterSpec, LoopbackTransport, NodeRuntime, TcpTransport, Transport};
 use proptest::prelude::*;
 use std::io::Write;
 use std::time::Duration;
@@ -192,6 +193,121 @@ fn truncated_header_and_truncated_payload_are_errors_not_hangs() {
             .recv_frame()
             .expect_err("EOF inside the payload is an error");
     }
+}
+
+// ------------------------------------------- the proto version fence
+
+/// A proto v3 handshake frame (`Hello` from node 1 when `tag` is 0,
+/// `HelloAck` from node 0 when it is 1) at sequence 0, byte for byte as
+/// a v3 build sent it: `[magic][3][u64 seq][u32 check][tag][u32 node]`
+/// then `[u8 wire-version 2]` (`Hello` only) and `[u64 topology]`, the
+/// check FNV-1a over `seq ++ body` folded to 32 bits.
+fn v3_handshake_frame(tag: u8, topology: u64) -> Vec<u8> {
+    let mut body = vec![tag];
+    body.extend_from_slice(&u32::from(tag == 0).to_le_bytes());
+    if tag == 0 {
+        body.push(2);
+    }
+    body.extend_from_slice(&topology.to_le_bytes());
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in 0u64.to_le_bytes().iter().chain(&body) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut frame = b"EM2N".to_vec();
+    frame.push(3);
+    frame.extend_from_slice(&0u64.to_le_bytes());
+    frame.extend_from_slice(&((h ^ (h >> 32)) as u32).to_le_bytes());
+    frame.extend_from_slice(&body);
+    frame
+}
+
+#[test]
+fn a_v3_frame_is_refused_by_version_before_it_is_parsed() {
+    // Magic and version sit where v3 had them, so the fence holds both
+    // ways: a v3 frame here fails on byte 4, before the layout that
+    // moved underneath is read; and a v3 node reading ours finds the
+    // magic it expects and a version byte it does not speak.
+    let theirs = v3_handshake_frame(0, 0xABCD);
+    assert_eq!(
+        em2_net::proto::NetMsg::decode(&theirs),
+        Err(em2_rt::wire::WireError::Version { got: 3, want: 4 })
+    );
+    let ours = em2_net::proto::NetMsg::Hello {
+        node: 1,
+        wire_version: em2_rt::wire::WIRE_VERSION,
+        topology: 0xABCD,
+    }
+    .encode(0);
+    assert_eq!(ours[..4], theirs[..4]);
+    assert_eq!((ours[4], theirs[4]), (4, 3));
+}
+
+fn start_node(spec: ClusterSpec, node: usize) -> Result<NodeRuntime, ClusterError> {
+    let w = std::sync::Arc::new(em2_trace::gen::micro::uniform(4, 4, 10, 64, 0.3, 1));
+    NodeRuntime::start(
+        spec,
+        node,
+        em2_rt::RtConfig::eviction_free(4, 4),
+        "version-fence",
+        std::sync::Arc::new(em2_placement::FirstTouch::build(&w, 4, 64)),
+        em2_rt::TaskRegistry::for_workload(w),
+        || Box::new(em2_core::AlwaysMigrate),
+        Vec::new(),
+    )
+}
+
+fn assert_refused_by_version(r: Result<NodeRuntime, ClusterError>, what: &str) {
+    let e = r
+        .err()
+        .unwrap_or_else(|| panic!("{what}: a v3 peer joined"));
+    assert_eq!(e.kind(), "handshake", "{what}: {e}");
+    assert!(e.to_string().contains("version 3"), "{what}: {e}");
+}
+
+#[test]
+fn a_v3_dialer_is_refused_at_the_handshake() {
+    let spec = ClusterSpec::loopback(2, 4);
+    let addr = spec.nodes[0].addr.clone();
+    let node0 = std::thread::spawn({
+        let spec = spec.clone();
+        move || start_node(spec, 0)
+    });
+    // Dial until node 0 listens, then open as a v3 node 1 would. The
+    // topology digest never gets looked at: the version byte is first.
+    let mut dialer = loop {
+        match LoopbackTransport.connect(&addr) {
+            Ok(d) => break d,
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        }
+    };
+    dialer
+        .tx
+        .send_frame(&v3_handshake_frame(0, spec.digest()))
+        .expect("send the v3 Hello");
+    assert_refused_by_version(node0.join().expect("node 0 thread"), "acceptor");
+}
+
+#[test]
+fn a_v3_acceptor_is_refused_at_the_handshake() {
+    let spec = ClusterSpec::loopback(2, 4);
+    let mut acceptor = LoopbackTransport
+        .listen(&spec.nodes[0].addr)
+        .expect("listen as node 0");
+    let node1 = std::thread::spawn({
+        let spec = spec.clone();
+        move || start_node(spec, 1)
+    });
+    let mut conn = acceptor.accept().expect("node 1 dials");
+    let hello = conn.rx.recv_frame().expect("recv").expect("its Hello");
+    // What a v3 node 0 would have looked at, where it would have
+    // looked: magic, then a version byte it does not speak.
+    assert_eq!(&hello[..4], b"EM2N");
+    assert_eq!(hello[4], 4);
+    // Suppose it answered anyway.
+    conn.tx
+        .send_frame(&v3_handshake_frame(1, spec.digest()))
+        .expect("send the v3 HelloAck");
+    assert_refused_by_version(node1.join().expect("node 1 thread"), "dialer");
 }
 
 // --------------------------------------------------------- proptests

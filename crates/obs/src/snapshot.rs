@@ -139,7 +139,7 @@ pub struct Snapshot {
     pub steal_attempts: u64,
     /// Worker condvar parks.
     pub worker_parks: u64,
-    /// Egress flushes (batched `send_frames` calls) across peers.
+    /// Egress flushes (one `send_batch` write each) across peers.
     pub wire_flushes: u64,
     /// Frames written across peers.
     pub wire_frames: u64,

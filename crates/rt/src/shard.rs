@@ -117,14 +117,16 @@ pub(crate) enum Msg {
     BarrierRelease { idx: usize },
 }
 
-/// Serialize an envelope for a cross-process hop.
+/// Serialize an envelope for a cross-process hop. Every caller owns
+/// the envelope it ships (a send, or a freeze draining a queue), so
+/// the journey log moves into the wire form instead of being copied.
 ///
 /// # Panics
 /// Panics if the task declares no [`Task::wire_kind`] — a task that
 /// cannot cross a process boundary was routed to a remote shard, which
 /// is a cluster-configuration bug (the data it touches must be homed
 /// on locally owned shards).
-pub(crate) fn envelope_to_wire(env: &Envelope) -> WireEnvelope {
+pub(crate) fn envelope_to_wire(env: Envelope) -> WireEnvelope {
     let task_kind = env.task.wire_kind().unwrap_or_else(|| {
         panic!(
             "task for thread {:?} cannot cross a process boundary: Task::wire_kind() is None",
@@ -147,7 +149,7 @@ pub(crate) fn envelope_to_wire(env: &Envelope) -> WireEnvelope {
         pending_reply: env.pending_reply,
         parked_at: env.parked_at.map(|k| k as u32),
         run: env.run.map(|(c, len)| (c.0, len)),
-        journey: env.journey.clone(),
+        journey: env.journey,
     }
 }
 
@@ -155,7 +157,7 @@ pub(crate) fn envelope_to_wire(env: &Envelope) -> WireEnvelope {
 /// these).
 pub(crate) fn msg_to_wire(msg: Msg) -> WireMsg {
     match msg {
-        Msg::Arrive(env) => WireMsg::Arrive(envelope_to_wire(&env)),
+        Msg::Arrive(env) => WireMsg::Arrive(envelope_to_wire(*env)),
         Msg::Request {
             addr,
             write,
@@ -626,7 +628,7 @@ impl ShardCore {
         let mut awaiting: Vec<(u64, WireEnvelope)> = self
             .awaiting
             .drain()
-            .map(|(token, env)| (token, envelope_to_wire(&env)))
+            .map(|(token, env)| (token, envelope_to_wire(*env)))
             .collect();
         awaiting.sort_unstable_by_key(|&(token, _)| token);
         crate::wire::FrozenShard {
@@ -639,17 +641,17 @@ impl ShardCore {
                 .into_iter()
                 .map(|(t, pinned, at)| (t.0, pinned, at))
                 .collect(),
-            runq: self.runq.drain(..).map(|e| envelope_to_wire(&e)).collect(),
+            runq: self.runq.drain(..).map(|e| envelope_to_wire(*e)).collect(),
             parked: self
                 .parked
                 .drain(..)
-                .map(|e| envelope_to_wire(&e))
+                .map(|e| envelope_to_wire(*e))
                 .collect(),
             awaiting,
             stalled: self
                 .stalled
                 .drain(..)
-                .map(|e| envelope_to_wire(&e))
+                .map(|e| envelope_to_wire(*e))
                 .collect(),
             mailbox,
         }

@@ -6,13 +6,24 @@
 //! sockets, or TCP. The codec is hand-rolled (the workspace has no
 //! serde; see `shims/README.md`) and deliberately boring:
 //!
-//! * every integer is fixed-width **little-endian**;
-//! * every variant starts with a one-byte tag;
 //! * every message starts with [`WIRE_VERSION`];
-//! * byte strings are a `u32` length followed by the bytes;
-//! * `f64`s (decision-scheme predictions) travel as IEEE-754 bits, so
-//!   a migrated scheme continues its EWMA recurrences **bit-exactly**
-//!   in the destination process.
+//! * every variant starts with a one-byte tag;
+//! * identifiers, counters, lengths and addresses are canonical
+//!   **LEB128 varints** ([`put_var`]): a shard id, a token or a run
+//!   length is one or two bytes, not four or eight;
+//! * memory *contents* (store values, load replies, heap words) and
+//!   request **tokens** stay fixed-width **little-endian** `u64`s.
+//!   The deterministic experiments and the benchmark compare wire
+//!   byte counts bit-for-bit, so a frame's size may depend only on
+//!   values that are functions of per-thread program order. Contents
+//!   are not (accesses race), and neither is which token a request
+//!   gets: a shard numbers requests in the order its tasks happen to
+//!   issue them, so which numbers end up on cross-node requests is
+//!   scheduling;
+//! * byte strings are a varint length followed by the bytes;
+//! * `f64`s (decision-scheme predictions) travel as IEEE-754 bits
+//!   inside the opaque scheme state, so a migrated scheme continues
+//!   its EWMA recurrences **bit-exactly** in the destination process.
 //!
 //! Decoding never panics: truncated, oversized, or corrupt input
 //! yields a typed [`WireError`] (the fuzz tests in
@@ -36,13 +47,14 @@ use std::fmt;
 // this module, `em2-net`'s control protocol, and scheme-state
 // serialization); re-exported here so wire-format users need one
 // import path.
-pub use em2_model::bytes::{put_bytes, put_u16, put_u32, put_u64, Cursor, MAX_CHUNK};
+pub use em2_model::bytes::{put_u64, put_var, put_var_bytes, Cursor, MAX_CHUNK};
 
 /// Version byte leading every encoded [`WireMsg`]. Bump on any layout
 /// change; the `em2-net` handshake additionally refuses to connect
 /// nodes disagreeing on it. v2 appended the migration [`Journey`] to
-/// [`WireEnvelope`].
-pub const WIRE_VERSION: u8 = 2;
+/// [`WireEnvelope`]; v3 packed identifiers, counters, lengths,
+/// addresses and journey hops as varints.
+pub const WIRE_VERSION: u8 = 3;
 
 /// A malformed wire payload. Every decode failure is one of these —
 /// never a panic.
@@ -197,16 +209,19 @@ impl Journey {
         }
     }
 
+    /// `[u8 hops][hops × (var shard, var node, var epoch, u8 cause)]
+    /// [var dropped]` — four bytes a hop while shard and node ids stay
+    /// below 128 and the epoch below 128 commits.
     fn encode_into(&self, b: &mut Vec<u8>) {
         debug_assert!(self.hops.len() <= JOURNEY_CAP);
         b.push(self.hops.len() as u8);
         for h in &self.hops {
-            put_u32(b, h.shard);
-            put_u32(b, h.node);
-            put_u64(b, h.epoch);
+            put_var(b, u64::from(h.shard));
+            put_var(b, u64::from(h.node));
+            put_var(b, h.epoch);
             b.push(h.cause.code());
         }
-        put_u32(b, self.dropped);
+        put_var(b, u64::from(self.dropped));
     }
 
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
@@ -218,11 +233,14 @@ impl Journey {
             }
             .into());
         }
-        let mut hops = Vec::with_capacity(n as usize);
+        // Room for the whole cap up front: the receiving shard appends
+        // its own hop on admission, and a journey never outgrows the
+        // cap, so this is the log's one allocation on this node.
+        let mut hops = Vec::with_capacity(JOURNEY_CAP);
         for _ in 0..n {
-            let shard = r.u32()?;
-            let node = r.u32()?;
-            let epoch = r.u64()?;
+            let shard = r.var_as()?;
+            let node = r.var_as()?;
+            let epoch = r.var()?;
             let code = r.u8()?;
             let cause = HopCause::from_code(code).ok_or(CodecError::BadTag {
                 what: "hop-cause",
@@ -237,7 +255,7 @@ impl Journey {
         }
         Ok(Journey {
             hops,
-            dropped: r.u32()?,
+            dropped: r.var_as()?,
         })
     }
 }
@@ -282,16 +300,16 @@ impl WireOp {
         match *self {
             WireOp::Read(a) => {
                 b.push(0);
-                put_u64(b, a);
+                put_var(b, a);
             }
             WireOp::Write(a, v) => {
                 b.push(1);
-                put_u64(b, a);
+                put_var(b, a);
                 put_u64(b, v);
             }
             WireOp::Barrier(k) => {
                 b.push(2);
-                put_u32(b, k);
+                put_var(b, u64::from(k));
             }
             WireOp::Done => b.push(3),
         }
@@ -299,9 +317,9 @@ impl WireOp {
 
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
-            0 => WireOp::Read(r.u64()?),
-            1 => WireOp::Write(r.u64()?, r.u64()?),
-            2 => WireOp::Barrier(r.u32()?),
+            0 => WireOp::Read(r.var()?),
+            1 => WireOp::Write(r.var()?, r.u64()?),
+            2 => WireOp::Barrier(r.var_as()?),
             3 => WireOp::Done,
             tag => return Err(CodecError::BadTag { what: "op", tag }.into()),
         })
@@ -342,11 +360,11 @@ pub struct WireEnvelope {
 
 impl WireEnvelope {
     fn encode_into(&self, b: &mut Vec<u8>) {
-        put_u32(b, self.thread);
-        put_u16(b, self.native);
-        put_u32(b, self.task_kind);
-        put_bytes(b, &self.task_ctx);
-        put_bytes(b, &self.scheme_state);
+        put_var(b, u64::from(self.thread));
+        put_var(b, u64::from(self.native));
+        put_var(b, u64::from(self.task_kind));
+        put_var_bytes(b, &self.task_ctx);
+        put_var_bytes(b, &self.scheme_state);
         match &self.pending_op {
             None => b.push(0),
             Some(op) => {
@@ -365,26 +383,26 @@ impl WireEnvelope {
             None => b.push(0),
             Some(k) => {
                 b.push(1);
-                put_u32(b, k);
+                put_var(b, u64::from(k));
             }
         }
         match self.run {
             None => b.push(0),
             Some((c, len)) => {
                 b.push(1);
-                put_u16(b, c);
-                put_u64(b, len);
+                put_var(b, u64::from(c));
+                put_var(b, len);
             }
         }
         self.journey.encode_into(b);
     }
 
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
-        let thread = r.u32()?;
-        let native = r.u16()?;
-        let task_kind = r.u32()?;
-        let task_ctx = r.bytes()?;
-        let scheme_state = r.bytes()?;
+        let thread = r.var_as()?;
+        let native = r.var_as()?;
+        let task_kind = r.var_as()?;
+        let task_ctx = r.var_bytes()?.to_vec();
+        let scheme_state = r.var_bytes()?.to_vec();
         let opt = |r: &mut Cursor<'_>, what| -> Result<bool, WireError> {
             match r.u8()? {
                 0 => Ok(false),
@@ -403,12 +421,12 @@ impl WireEnvelope {
             None
         };
         let parked_at = if opt(r, "option<barrier>")? {
-            Some(r.u32()?)
+            Some(r.var_as()?)
         } else {
             None
         };
         let run = if opt(r, "option<run>")? {
-            Some((r.u16()?, r.u64()?))
+            Some((r.var_as()?, r.var()?))
         } else {
             None
         };
@@ -480,7 +498,7 @@ impl WireMsg {
                 token,
             } => {
                 b.push(1);
-                put_u64(b, *addr);
+                put_var(b, *addr);
                 match write {
                     None => b.push(0),
                     Some(v) => {
@@ -488,7 +506,7 @@ impl WireMsg {
                         put_u64(b, *v);
                     }
                 }
-                put_u32(b, *reply_shard);
+                put_var(b, u64::from(*reply_shard));
                 put_u64(b, *token);
             }
             WireMsg::Response { token, value } => {
@@ -504,7 +522,7 @@ impl WireMsg {
             }
             WireMsg::BarrierRelease { idx } => {
                 b.push(3);
-                put_u32(b, *idx);
+                put_var(b, u64::from(*idx));
             }
         }
     }
@@ -539,7 +557,7 @@ impl WireMsg {
         let msg = match r.u8()? {
             0 => WireMsg::Arrive(WireEnvelope::decode(r)?),
             1 => {
-                let addr = r.u64()?;
+                let addr = r.var()?;
                 let write = match r.u8()? {
                     0 => None,
                     1 => Some(r.u64()?),
@@ -554,7 +572,7 @@ impl WireMsg {
                 WireMsg::Request {
                     addr,
                     write,
-                    reply_shard: r.u32()?,
+                    reply_shard: r.var_as()?,
                     token: r.u64()?,
                 }
             }
@@ -573,7 +591,7 @@ impl WireMsg {
                 };
                 WireMsg::Response { token, value }
             }
-            3 => WireMsg::BarrierRelease { idx: r.u32()? },
+            3 => WireMsg::BarrierRelease { idx: r.var_as()? },
             tag => return Err(CodecError::BadTag { what: "msg", tag }.into()),
         };
         Ok(msg)
@@ -636,36 +654,36 @@ impl FrozenShard {
     /// Append the versioned encoding of this frozen shard.
     pub fn encode_into(&self, b: &mut Vec<u8>) {
         b.push(WIRE_VERSION);
-        put_u32(b, self.shard);
+        put_var(b, u64::from(self.shard));
         put_u64(b, self.next_token);
-        put_u64(b, self.clock);
-        put_u32(b, self.heap.len() as u32);
+        put_var(b, self.clock);
+        put_var(b, self.heap.len() as u64);
         for &(a, v) in &self.heap {
-            put_u64(b, a);
+            put_var(b, a);
             put_u64(b, v);
         }
-        put_u32(b, self.natives.len() as u32);
+        put_var(b, self.natives.len() as u64);
         for &t in &self.natives {
-            put_u32(b, t);
+            put_var(b, u64::from(t));
         }
-        put_u32(b, self.guests.len() as u32);
+        put_var(b, self.guests.len() as u64);
         for &(t, pinned, at) in &self.guests {
-            put_u32(b, t);
+            put_var(b, u64::from(t));
             b.push(u8::from(pinned));
-            put_u64(b, at);
+            put_var(b, at);
         }
         for queue in [&self.runq, &self.parked, &self.stalled] {
-            put_u32(b, queue.len() as u32);
+            put_var(b, queue.len() as u64);
             for env in queue {
                 env.encode_into(b);
             }
         }
-        put_u32(b, self.awaiting.len() as u32);
+        put_var(b, self.awaiting.len() as u64);
         for (token, env) in &self.awaiting {
             put_u64(b, *token);
             env.encode_into(b);
         }
-        put_u32(b, self.mailbox.len() as u32);
+        put_var(b, self.mailbox.len() as u64);
         for msg in &self.mailbox {
             msg.encode_into(b);
         }
@@ -690,20 +708,20 @@ impl FrozenShard {
                 want: WIRE_VERSION,
             });
         }
-        let shard = r.u32()?;
+        let shard = r.var_as()?;
         let next_token = r.u64()?;
-        let clock = r.u64()?;
+        let clock = r.var()?;
         let mut heap = Vec::new();
-        for _ in 0..r.u32()? {
-            heap.push((r.u64()?, r.u64()?));
+        for _ in 0..r.var()? {
+            heap.push((r.var()?, r.u64()?));
         }
         let mut natives = Vec::new();
-        for _ in 0..r.u32()? {
-            natives.push(r.u32()?);
+        for _ in 0..r.var()? {
+            natives.push(r.var_as()?);
         }
         let mut guests = Vec::new();
-        for _ in 0..r.u32()? {
-            let t = r.u32()?;
+        for _ in 0..r.var()? {
+            let t = r.var_as()?;
             let pinned = match r.u8()? {
                 0 => false,
                 1 => true,
@@ -715,11 +733,11 @@ impl FrozenShard {
                     .into())
                 }
             };
-            guests.push((t, pinned, r.u64()?));
+            guests.push((t, pinned, r.var()?));
         }
         let envs = |r: &mut Cursor<'_>| -> Result<Vec<WireEnvelope>, WireError> {
             let mut q = Vec::new();
-            for _ in 0..r.u32()? {
+            for _ in 0..r.var()? {
                 q.push(WireEnvelope::decode(r)?);
             }
             Ok(q)
@@ -728,12 +746,12 @@ impl FrozenShard {
         let parked = envs(r)?;
         let stalled = envs(r)?;
         let mut awaiting = Vec::new();
-        for _ in 0..r.u32()? {
+        for _ in 0..r.var()? {
             let token = r.u64()?;
             awaiting.push((token, WireEnvelope::decode(r)?));
         }
         let mut mailbox = Vec::new();
-        for _ in 0..r.u32()? {
+        for _ in 0..r.var()? {
             mailbox.push(WireMsg::decode_from(r)?);
         }
         Ok(FrozenShard {
@@ -908,9 +926,9 @@ mod tests {
             ..sample_envelope()
         })
         .encode();
-        // The journey length byte sits 4 (dropped u32) + 1 from the end
-        // of an empty journey.
-        let idx = bytes.len() - 5;
+        // An empty journey is the frame's last two bytes: the hop
+        // count, then a one-byte `dropped` varint.
+        let idx = bytes.len() - 2;
         assert_eq!(bytes[idx], 0);
         bytes[idx] = JOURNEY_CAP as u8 + 1;
         assert!(matches!(
@@ -961,16 +979,49 @@ mod tests {
         // Arrive with a task_ctx length field of ~4 GiB: must fail
         // typed (ChunkTooLarge), not attempt the allocation.
         let mut b = vec![WIRE_VERSION, 0];
-        put_u32(&mut b, 7); // thread
-                            // native + task_kind
-        put_u16(&mut b, 0);
-        put_u32(&mut b, 1);
-        put_u32(&mut b, u32::MAX); // task_ctx length
+        put_var(&mut b, 7); // thread
+        put_var(&mut b, 0); // native
+        put_var(&mut b, 1); // task_kind
+        put_var(&mut b, u64::from(u32::MAX)); // task_ctx length
         assert_eq!(
             WireMsg::decode(&b),
             Err(WireError::Codec(CodecError::ChunkTooLarge {
                 len: u32::MAX as usize
             }))
+        );
+    }
+
+    #[test]
+    fn narrow_fields_refuse_wide_varints() {
+        // `reply_shard` is a u32 and `native` a u16: a varint past the
+        // field's width is a typed refusal, never a silent truncation.
+        let mut b = vec![WIRE_VERSION, 1];
+        put_var(&mut b, 8); // addr
+        b.push(0); // load
+        put_var(&mut b, u64::from(u32::MAX) + 1); // reply_shard
+        put_u64(&mut b, 0); // token
+        assert!(matches!(
+            WireMsg::decode(&b),
+            Err(WireError::Codec(CodecError::BadVarint { .. }))
+        ));
+        let mut b = vec![WIRE_VERSION, 0];
+        put_var(&mut b, 7); // thread
+        put_var(&mut b, u64::from(u16::MAX) + 1); // native
+        assert!(matches!(
+            WireMsg::decode(&b),
+            Err(WireError::Codec(CodecError::BadVarint { .. }))
+        ));
+        // And a zero-padded barrier index is not a second spelling of 5.
+        let mut padded = vec![WIRE_VERSION, 3, 0x85, 0x00];
+        assert!(matches!(
+            WireMsg::decode(&padded),
+            Err(WireError::Codec(CodecError::BadVarint { .. }))
+        ));
+        padded.pop();
+        padded[2] = 0x05;
+        assert_eq!(
+            WireMsg::decode(&padded),
+            Ok(WireMsg::BarrierRelease { idx: 5 })
         );
     }
 

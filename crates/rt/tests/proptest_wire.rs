@@ -106,8 +106,8 @@ proptest! {
         let bytes = msg.encode();
         for cut in 0..bytes.len() {
             // Must not panic; must not succeed (a strict prefix can
-            // never be a complete message — every field is
-            // fixed-width or length-prefixed).
+            // never be a complete message — every field is fixed-width,
+            // length-prefixed, or a varint whose last byte says so).
             prop_assert!(WireMsg::decode(&bytes[..cut]).is_err(), "cut {}", cut);
         }
     }
@@ -129,6 +129,27 @@ proptest! {
         // message — the decoder's job is only to never panic and
         // never over-read.
         let _ = WireMsg::decode(&bytes);
+    }
+
+    #[test]
+    fn a_decoded_message_has_exactly_one_spelling(
+        sel in any::<u8>(),
+        a in any::<u64>(),
+        c in any::<u32>(),
+        ctx in prop::collection::vec(any::<u8>(), 0..40),
+        pos_seed in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        // Varints are canonical and every tag is strict, so whatever a
+        // mutated message decodes to re-encodes to the very bytes it
+        // was decoded from: two byte strings never mean one message.
+        let msg = build_msg(sel, a, a >> 3, c, true, true, ctx, Vec::new());
+        let mut bytes = msg.encode();
+        let pos = (pos_seed % bytes.len() as u64) as usize;
+        bytes[pos] = byte;
+        if let Ok(back) = WireMsg::decode(&bytes) {
+            prop_assert_eq!(back.encode(), bytes);
+        }
     }
 
     #[test]
