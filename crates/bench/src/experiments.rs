@@ -1307,7 +1307,7 @@ pub fn e14_placement_scorecard(scale: Scale) -> Table {
             .run()
             .into_iter()
             .map(|r| r.expect("E14 loopback cluster"))
-            .map(|r| r.obs.expect("obs was configured on").attrib_cost)
+            .map(|r| r.obs.expect("obs was configured on").attrib_cost())
             .sum();
         assert_eq!(
             summed, score.observed,

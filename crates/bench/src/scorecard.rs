@@ -134,7 +134,7 @@ impl PlacementScorecard {
                     .obs
                     .as_ref()
                     .expect("obs was configured on")
-                    .attrib_cost;
+                    .attrib_cost();
                 let replay = scheme_network_cost_flat(&flat, &cost, &mut *factory());
                 assert!(
                     observed >= bound,

@@ -132,13 +132,6 @@ impl ClusterError {
         }
     }
 
-    /// Whether this node failed in sympathy with another node's
-    /// failure (an `Abort` broadcast) rather than observing the fault
-    /// itself.
-    pub fn is_sympathetic(&self) -> bool {
-        matches!(self, ClusterError::Aborted { .. })
-    }
-
     /// Append a note to the variant's free-text detail — used by the
     /// failure slot to stamp errors observed while a handoff was
     /// active with the handoff's phase, so a post-mortem names where
@@ -216,27 +209,6 @@ impl From<io::Error> for ClusterError {
     }
 }
 
-impl From<ClusterError> for io::Error {
-    fn from(e: ClusterError) -> Self {
-        let kind = match &e {
-            ClusterError::Handshake { .. } | ClusterError::Protocol { .. } => {
-                io::ErrorKind::InvalidData
-            }
-            ClusterError::Codec { .. } => io::ErrorKind::InvalidData,
-            ClusterError::PeerLost { .. } | ClusterError::Aborted { .. } => {
-                io::ErrorKind::ConnectionReset
-            }
-            ClusterError::BarrierTimeout { .. }
-            | ClusterError::QuiesceTimeout { .. }
-            | ClusterError::ConnectTimeout { .. } => io::ErrorKind::TimedOut,
-            ClusterError::Config { .. } => io::ErrorKind::InvalidInput,
-            ClusterError::Handoff { .. } => io::ErrorKind::TimedOut,
-            ClusterError::Io { .. } => io::ErrorKind::Other,
-        };
-        io::Error::new(kind, e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,16 +258,6 @@ mod tests {
         for e in &all {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn io_round_trip_preserves_category() {
-        let e = ClusterError::QuiesceTimeout {
-            waited_ms: 250,
-            detail: "2 parked".into(),
-        };
-        let io: io::Error = e.into();
-        assert_eq!(io.kind(), io::ErrorKind::TimedOut);
     }
 
     #[test]

@@ -158,24 +158,6 @@ pub struct WireSnapshot {
     pub egress_hwm: u64,
 }
 
-impl WireSnapshot {
-    /// Element-wise sum (cluster totals); the high-water mark takes
-    /// the max — a cluster-wide depth sum would describe no queue.
-    pub fn merge(&mut self, o: &WireSnapshot) {
-        self.frames_tx += o.frames_tx;
-        self.bytes_tx += o.bytes_tx;
-        self.frames_rx += o.frames_rx;
-        self.bytes_rx += o.bytes_rx;
-        self.dupes_rx += o.dupes_rx;
-        self.arrives_tx += o.arrives_tx;
-        self.context_bytes_tx += o.context_bytes_tx;
-        self.frames_tx_total += o.frames_tx_total;
-        self.bytes_tx_total += o.bytes_tx_total;
-        self.flushes_tx += o.flushes_tx;
-        self.egress_hwm = self.egress_hwm.max(o.egress_hwm);
-    }
-}
-
 /// What travels down a peer's egress queue.
 enum EgressItem {
     /// An encodable message; the writer assigns its sequence number at
@@ -544,9 +526,7 @@ impl Links {
                     return false;
                 };
                 if let Some(obs) = self.obs.get() {
-                    let bytes = frozen.encode().len() as u64;
-                    obs.node_event(em2_obs::EventKind::HandoffFreeze, shard as u64, bytes);
-                    obs.handoff_freeze(hid, shard as u64, bytes);
+                    obs.handoff_freeze(hid, shard as u64, frozen.encode().len() as u64);
                 }
                 return self.control(Event::Froze {
                     hid,
@@ -635,37 +615,26 @@ impl Links {
 
 /// Record one control-plane breadcrumb on the obs plane.
 fn note(obs: &em2_obs::NodeObs, n: Note) {
-    use em2_obs::EventKind as K;
     match n {
         Note::Prepare {
             hid,
             shard,
             from,
             to,
-        } => {
-            obs.node_event(K::HandoffPrepare, shard as u64, to as u64);
-            obs.handoff_prepare(hid, shard as u64, from as u64, to as u64);
-        }
+        } => obs.handoff_prepare(hid, shard as u64, from as u64, to as u64),
         Note::Transfer {
             hid,
             shard,
             replayed,
-        } => {
-            obs.node_event(K::HandoffTransfer, shard as u64, replayed);
-            obs.handoff_transfer(hid, shard as u64, replayed, replayed);
-        }
-        Note::Commit { hid, shard, epoch } => {
-            obs.node_event(K::HandoffCommit, shard as u64, epoch);
-            obs.handoff_commit(hid);
-        }
+        } => obs.handoff_transfer(hid, shard as u64, replayed),
+        Note::Commit { hid, shard, epoch } => obs.handoff_commit(hid, shard as u64, epoch),
         Note::Epoch(epoch) => obs.set_dir_epoch(epoch),
         Note::Bounce {
             shard,
             retries,
             thread,
         } => {
-            obs.node_event(K::HandoffBounce, shard as u64, retries as u64);
-            obs.handoff_bounce(shard as u64);
+            obs.handoff_bounce(shard as u64, retries as u64);
             if let Some(thread) = thread {
                 // Node-level attribution (reader threads are
                 // multi-writer, hence fetch_add rather than the
@@ -880,10 +849,33 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
 fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     let peer = links.peer(node);
     let _ = peer.writer.set(std::thread::current());
-    // Per-peer wire telemetry (timing plane; `None` when obs is off).
-    // Flush latency is measured around `send_batch` — the exact
-    // syscall cost each coalesced batch pays on this edge.
+    // This edge's timing-plane handle (`None` when obs is off).
     let pobs = links.obs.get().map(|o| o.register_peer(node as u64));
+    // Every flush on this edge, whichever lane filled the batch: one
+    // write, counted on the wire ledger, stamped on the heartbeat
+    // clock and (obs on) timed — the latency is measured around
+    // `send_batch`, the exact syscall cost the batch pays. What a
+    // failed write means is the caller's policy.
+    let flush = |c: &mut dyn FrameTx, batch: &FrameBatch| -> std::io::Result<()> {
+        let t0 = pobs.as_ref().map(|_| Instant::now());
+        c.send_batch(batch)?;
+        links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
+        peer.last_tx_ms.store(links.now_ms(), Ordering::Relaxed);
+        if let (Some(po), Some(t0)) = (&pobs, t0) {
+            po.record_flush(
+                t0.elapsed().as_nanos() as u64,
+                peer.depth.load(Ordering::Relaxed),
+            );
+        }
+        Ok(())
+    };
+    // The main lane's and the heartbeat's policy for a failed write.
+    let send_failed = |e: std::io::Error| {
+        links.fail(ClusterError::PeerLost {
+            node,
+            detail: format!("send failed: {e}"),
+        })
+    };
     let hb = links.spec.timeouts.heartbeat_ms;
     let deadline = links.spec.timeouts.peer_deadline_ms();
     let tick = Duration::from_millis(if hb > 0 { (hb / 4).clamp(1, 50) } else { 200 });
@@ -904,10 +896,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
                 }
                 // Best-effort, like the old quiet path: the failure
                 // fan-out must not recurse into fail().
-                if c.send_batch(&batch).is_ok() {
-                    links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
-                    peer.last_tx_ms.store(links.now_ms(), Ordering::Relaxed);
-                } else {
+                if flush(c.as_mut(), &batch).is_err() {
                     conn = None;
                 }
             }
@@ -944,8 +933,8 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
                 if bye {
                     stage(links, node, &mut next_seq, &NetMsg::Bye, &mut batch);
                 }
-                if !batch.is_empty() && c.send_batch(&batch).is_ok() {
-                    links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
+                if !batch.is_empty() {
+                    let _ = flush(c.as_mut(), &batch);
                 }
                 let _ = c.close();
             }
@@ -956,29 +945,9 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             let c = conn
                 .as_mut()
                 .expect("frames are only encoded with a live conn");
-            let t0 = pobs.as_ref().map(|_| Instant::now());
-            match c.send_batch(&batch) {
-                Ok(()) => {
-                    links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
-                    peer.last_tx_ms.store(links.now_ms(), Ordering::Relaxed);
-                    if let (Some(po), Some(t0)) = (&pobs, t0) {
-                        po.record_flush(
-                            batch.len() as u64,
-                            // True wire cost: payload plus the stream
-                            // framing header per frame.
-                            batch.wire_len() as u64,
-                            t0.elapsed().as_nanos() as u64,
-                            peer.depth.load(Ordering::Relaxed),
-                        );
-                    }
-                }
-                Err(e) => {
-                    conn = None;
-                    links.fail(ClusterError::PeerLost {
-                        node,
-                        detail: format!("send failed: {e}"),
-                    });
-                }
+            if let Err(e) = flush(c.as_mut(), &batch) {
+                conn = None;
+                send_failed(e);
             }
         }
         if popped_msgs > 0 {
@@ -998,18 +967,10 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             if now.saturating_sub(peer.last_tx_ms.load(Ordering::Relaxed)) >= hb {
                 batch.clear();
                 stage(links, node, &mut next_seq, &NetMsg::Heartbeat, &mut batch);
-                match conn.as_mut().expect("checked above").send_batch(&batch) {
-                    Ok(()) => {
-                        links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
-                        peer.last_tx_ms.store(now, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        conn = None;
-                        links.fail(ClusterError::PeerLost {
-                            node,
-                            detail: format!("send failed: {e}"),
-                        });
-                    }
+                let c = conn.as_mut().expect("checked above");
+                if let Err(e) = flush(c.as_mut(), &batch) {
+                    conn = None;
+                    send_failed(e);
                 }
             }
             let silent = now.saturating_sub(peer.last_rx_ms.load(Ordering::Relaxed));
@@ -1415,16 +1376,6 @@ impl NodeRuntime {
         })
     }
 
-    /// This node's id.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// Whether this node coordinates barriers and quiesce.
-    pub fn is_coordinator(&self) -> bool {
-        self.node == 0
-    }
-
     /// Submit a task native to a locally owned shard, under a
     /// **cluster-unique** [`ThreadId`] (thread ids key guest-context
     /// admission and scheme tables across the whole cluster).
@@ -1465,28 +1416,10 @@ impl NodeRuntime {
         }));
     }
 
-    /// Drain this node: request a handoff of every shard it currently
-    /// owns to node `to`, returning how many were requested. The node
-    /// stays a full cluster member (it keeps forwarding, bouncing,
-    /// and reporting) — it just ends up owning nothing, the state a
-    /// rolling restart wants before taking the process down.
-    pub fn request_drain(&self, to: usize) -> usize {
-        let owned = self.owned_shards();
-        for &s in &owned {
-            self.request_handoff(s, to);
-        }
-        owned.len()
-    }
-
     /// The directory epoch as this node currently sees it: the spec's
     /// `initial_epoch` plus the number of committed handoffs observed.
     pub fn directory_epoch(&self) -> u64 {
         self.links.directory.epoch()
-    }
-
-    /// Shards this node currently owns (ascending).
-    pub fn owned_shards(&self) -> Vec<usize> {
-        self.links.directory.owned_shards(self.node as u32)
     }
 
     /// Whether this node has already recorded a failure (the typed

@@ -51,6 +51,21 @@ pub struct CounterSummary {
     pub wall_s: f64,
 }
 
+/// Where one on-disk field lives, and how it behaves under
+/// [`CounterSummary::merge`].
+enum Field<'a> {
+    /// A counter: sums.
+    Sum(&'a mut u64),
+    /// An extremum: takes the max.
+    Max(&'a mut u64),
+    /// The run-length bins: sum bin-wise.
+    Bins(&'a mut Vec<u64>),
+    /// The exact run-length total: sums.
+    Wide(&'a mut u128),
+    /// Wall-clock seconds: takes the max.
+    Secs(&'a mut f64),
+}
+
 impl CounterSummary {
     /// Summary of a plain runtime report (no wire traffic).
     pub fn from_rt(r: &RtReport) -> Self {
@@ -82,33 +97,68 @@ impl CounterSummary {
         }
     }
 
+    /// Every on-disk field, in file order: its `key=value` key and
+    /// where it lives — the one table behind `render`, `parse` and
+    /// `merge`.
+    fn fields(&mut self) -> [(&'static str, Field<'_>); 25] {
+        use Field::{Bins, Max, Secs, Sum, Wide};
+        let w = &mut self.wire;
+        [
+            ("local_accesses", Sum(&mut self.local_accesses)),
+            ("migrations", Sum(&mut self.migrations)),
+            ("evictions", Sum(&mut self.evictions)),
+            ("stalled_arrivals", Sum(&mut self.stalled_arrivals)),
+            ("remote_reads", Sum(&mut self.remote_reads)),
+            ("remote_writes", Sum(&mut self.remote_writes)),
+            ("context_bytes_sent", Sum(&mut self.context_bytes_sent)),
+            ("heap_words", Sum(&mut self.heap_words)),
+            ("hist_bins", Bins(&mut self.hist_bins)),
+            ("hist_overflow", Sum(&mut self.hist_overflow)),
+            ("hist_total_value", Wide(&mut self.hist_total_value)),
+            ("hist_total_count", Sum(&mut self.hist_total_count)),
+            ("hist_max_seen", Max(&mut self.hist_max_seen)),
+            ("wire_frames_tx", Sum(&mut w.frames_tx)),
+            ("wire_bytes_tx", Sum(&mut w.bytes_tx)),
+            ("wire_frames_rx", Sum(&mut w.frames_rx)),
+            ("wire_bytes_rx", Sum(&mut w.bytes_rx)),
+            ("wire_dupes_rx", Sum(&mut w.dupes_rx)),
+            ("wire_arrives_tx", Sum(&mut w.arrives_tx)),
+            ("wire_context_bytes_tx", Sum(&mut w.context_bytes_tx)),
+            ("wire_frames_tx_total", Sum(&mut w.frames_tx_total)),
+            ("wire_bytes_tx_total", Sum(&mut w.bytes_tx_total)),
+            ("wire_flushes_tx", Sum(&mut w.flushes_tx)),
+            ("wire_egress_hwm", Max(&mut w.egress_hwm)),
+            ("wall_s", Secs(&mut self.wall_s)),
+        ]
+    }
+
     /// Accumulate another node's summary: counters add, histograms add
     /// bin-wise, `hist_max_seen` takes the max (matching
-    /// `Histogram::merge`), wall takes the max (nodes run
-    /// concurrently).
+    /// `Histogram::merge`), the egress high-water mark takes the max (a
+    /// cluster-wide depth sum would describe no queue), wall takes the
+    /// max (nodes run concurrently).
     pub fn merge(&mut self, o: &CounterSummary) {
         assert_eq!(
             self.hist_bins.len(),
             o.hist_bins.len(),
             "histogram bin layouts differ"
         );
-        self.local_accesses += o.local_accesses;
-        self.migrations += o.migrations;
-        self.evictions += o.evictions;
-        self.stalled_arrivals += o.stalled_arrivals;
-        self.remote_reads += o.remote_reads;
-        self.remote_writes += o.remote_writes;
-        self.context_bytes_sent += o.context_bytes_sent;
-        self.heap_words += o.heap_words;
-        for (a, b) in self.hist_bins.iter_mut().zip(&o.hist_bins) {
-            *a += b;
+        // The table hands out `&mut`; reading `o` through it takes a copy.
+        let mut o = o.clone();
+        for ((_, mine), (_, theirs)) in self.fields().into_iter().zip(o.fields()) {
+            match (mine, theirs) {
+                (Field::Sum(a), Field::Sum(b)) => *a += *b,
+                (Field::Max(a), Field::Max(b)) => *a = (*a).max(*b),
+                (Field::Wide(a), Field::Wide(b)) => *a += *b,
+                (Field::Secs(a), Field::Secs(b)) => *a = a.max(*b),
+                (Field::Bins(a), Field::Bins(b)) => {
+                    for (a, b) in a.iter_mut().zip(b.iter()) {
+                        *a += b;
+                    }
+                }
+                _ => unreachable!("both sides walk the same table"),
+            }
         }
-        self.hist_overflow += o.hist_overflow;
-        self.hist_total_value += o.hist_total_value;
-        self.hist_total_count += o.hist_total_count;
-        self.hist_max_seen = self.hist_max_seen.max(o.hist_max_seen);
-        self.wire.merge(&o.wire);
-        self.wall_s = self.wall_s.max(o.wall_s);
     }
 
     /// Sum a set of node summaries (cluster totals).
@@ -152,54 +202,28 @@ impl CounterSummary {
     /// Render as `key=value` lines.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        let mut kv = |k: &str, v: String| {
-            let _ = writeln!(s, "{k}={v}");
-        };
-        kv("local_accesses", self.local_accesses.to_string());
-        kv("migrations", self.migrations.to_string());
-        kv("evictions", self.evictions.to_string());
-        kv("stalled_arrivals", self.stalled_arrivals.to_string());
-        kv("remote_reads", self.remote_reads.to_string());
-        kv("remote_writes", self.remote_writes.to_string());
-        kv("context_bytes_sent", self.context_bytes_sent.to_string());
-        kv("heap_words", self.heap_words.to_string());
-        kv(
-            "hist_bins",
-            self.hist_bins
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        kv("hist_overflow", self.hist_overflow.to_string());
-        kv("hist_total_value", self.hist_total_value.to_string());
-        kv("hist_total_count", self.hist_total_count.to_string());
-        kv("hist_max_seen", self.hist_max_seen.to_string());
-        kv("wire_frames_tx", self.wire.frames_tx.to_string());
-        kv("wire_bytes_tx", self.wire.bytes_tx.to_string());
-        kv("wire_frames_rx", self.wire.frames_rx.to_string());
-        kv("wire_bytes_rx", self.wire.bytes_rx.to_string());
-        kv("wire_dupes_rx", self.wire.dupes_rx.to_string());
-        kv("wire_arrives_tx", self.wire.arrives_tx.to_string());
-        kv(
-            "wire_context_bytes_tx",
-            self.wire.context_bytes_tx.to_string(),
-        );
-        kv(
-            "wire_frames_tx_total",
-            self.wire.frames_tx_total.to_string(),
-        );
-        kv("wire_bytes_tx_total", self.wire.bytes_tx_total.to_string());
-        kv("wire_flushes_tx", self.wire.flushes_tx.to_string());
-        kv("wire_egress_hwm", self.wire.egress_hwm.to_string());
-        kv("wall_s", format!("{:.9}", self.wall_s));
+        for (k, f) in self.clone().fields() {
+            let _ = match f {
+                Field::Sum(v) | Field::Max(v) => writeln!(s, "{k}={v}"),
+                Field::Wide(v) => writeln!(s, "{k}={v}"),
+                Field::Secs(v) => writeln!(s, "{k}={v:.9}"),
+                Field::Bins(bins) => {
+                    let bins: Vec<String> = bins.iter().map(|b| b.to_string()).collect();
+                    writeln!(s, "{k}={}", bins.join(","))
+                }
+            };
+        }
         s
     }
 
     /// Parse [`CounterSummary::render`] output.
     pub fn parse(text: &str) -> Result<CounterSummary, String> {
         let mut out = CounterSummary::default();
+        let mut fields = out.fields();
         let mut seen = 0usize;
+        fn num<T: std::str::FromStr>(v: &str, what: &str, line: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("bad {what} in {line:?}"))
+        }
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() {
@@ -208,47 +232,20 @@ impl CounterSummary {
             let (k, v) = line
                 .split_once('=')
                 .ok_or_else(|| format!("expected key=value, got {line:?}"))?;
-            let u = || v.parse::<u64>().map_err(|_| format!("bad u64 in {line:?}"));
-            match k {
-                "local_accesses" => out.local_accesses = u()?,
-                "migrations" => out.migrations = u()?,
-                "evictions" => out.evictions = u()?,
-                "stalled_arrivals" => out.stalled_arrivals = u()?,
-                "remote_reads" => out.remote_reads = u()?,
-                "remote_writes" => out.remote_writes = u()?,
-                "context_bytes_sent" => out.context_bytes_sent = u()?,
-                "heap_words" => out.heap_words = u()?,
-                "hist_bins" => {
-                    out.hist_bins = v
+            let (_, field) = fields
+                .iter_mut()
+                .find(|(key, _)| *key == k)
+                .ok_or_else(|| format!("unknown key {k:?}"))?;
+            match field {
+                Field::Sum(f) | Field::Max(f) => **f = num(v, "u64", line)?,
+                Field::Wide(f) => **f = num(v, "u128", line)?,
+                Field::Secs(f) => **f = num(v, "f64", line)?,
+                Field::Bins(f) => {
+                    **f = v
                         .split(',')
                         .map(|b| b.parse::<u64>().map_err(|_| format!("bad bin {b:?}")))
                         .collect::<Result<_, _>>()?
                 }
-                "hist_overflow" => out.hist_overflow = u()?,
-                "hist_total_value" => {
-                    out.hist_total_value = v
-                        .parse::<u128>()
-                        .map_err(|_| format!("bad u128 in {line:?}"))?
-                }
-                "hist_total_count" => out.hist_total_count = u()?,
-                "hist_max_seen" => out.hist_max_seen = u()?,
-                "wire_frames_tx" => out.wire.frames_tx = u()?,
-                "wire_bytes_tx" => out.wire.bytes_tx = u()?,
-                "wire_frames_rx" => out.wire.frames_rx = u()?,
-                "wire_bytes_rx" => out.wire.bytes_rx = u()?,
-                "wire_dupes_rx" => out.wire.dupes_rx = u()?,
-                "wire_arrives_tx" => out.wire.arrives_tx = u()?,
-                "wire_context_bytes_tx" => out.wire.context_bytes_tx = u()?,
-                "wire_frames_tx_total" => out.wire.frames_tx_total = u()?,
-                "wire_bytes_tx_total" => out.wire.bytes_tx_total = u()?,
-                "wire_flushes_tx" => out.wire.flushes_tx = u()?,
-                "wire_egress_hwm" => out.wire.egress_hwm = u()?,
-                "wall_s" => {
-                    out.wall_s = v
-                        .parse::<f64>()
-                        .map_err(|_| format!("bad f64 in {line:?}"))?
-                }
-                other => return Err(format!("unknown key {other:?}")),
             }
             seen += 1;
         }

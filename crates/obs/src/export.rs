@@ -122,10 +122,10 @@ mod tests {
         let mut cfg = ObsConfig::on();
         cfg.interval_ms = 60_000; // would sleep a minute; finish() must not wait
         cfg.export_path = Some(path.clone());
-        let obs = NodeObs::new(cfg, 0, 2, 1);
-        obs.shard(0)
-            .retired
-            .fetch_add(5, std::sync::atomic::Ordering::Relaxed);
+        let obs = NodeObs::new(cfg, 0, 2);
+        for _ in 0..5 {
+            obs.shard(0).task_latency_ns.record(1_000);
+        }
         let start = std::time::Instant::now();
         let exp = Exporter::start_if_configured(&obs).expect("configured");
         exp.finish();
@@ -142,9 +142,9 @@ mod tests {
 
     #[test]
     fn disabled_or_unconfigured_means_no_exporter() {
-        let obs = NodeObs::new(ObsConfig::on(), 0, 1, 1); // interval 0, no path
+        let obs = NodeObs::new(ObsConfig::on(), 0, 1); // interval 0, no path
         assert!(Exporter::start_if_configured(&obs).is_none());
-        let obs = NodeObs::new(ObsConfig::off(), 0, 1, 1);
+        let obs = NodeObs::new(ObsConfig::off(), 0, 1);
         assert!(Exporter::start_if_configured(&obs).is_none());
     }
 }

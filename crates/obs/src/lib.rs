@@ -9,7 +9,9 @@
 //! ## The two telemetry planes
 //!
 //! Everything in this crate lives on the **timing plane**: wall-clock
-//! latencies, queue depths, high-water marks, event timestamps. None
+//! latencies, queue depths, event timestamps, cost attribution — and
+//! only what the deterministic counters and the wire ledger do not
+//! already hold (one count per fact; see [`metrics`]). None
 //! of it may ever feed the **deterministic counter plane** — the
 //! `FlowCounts`/`CounterSummary` values that the agreement experiments
 //! (E11, E12) and the frozen E1–E9 digest compare bit-for-bit. The
@@ -28,7 +30,7 @@
 //! `Option`; the global `EM2_OBS` gate itself is a branch on a relaxed
 //! atomic ([`env_enabled`]). Enabled, every hot-path handle has a
 //! single writer at a time (the runtime's ownership discipline), so
-//! counters and histogram buckets are plain relaxed load+store pairs
+//! matrix cells and histogram buckets are plain relaxed load+store pairs
 //! ([`SingleWriterCounter`]) rather than locked RMWs, trace events are
 //! five relaxed stores into a lock-free ring slot, and event
 //! timestamps come from a per-shard coarse clock refreshed once every
@@ -42,7 +44,7 @@
 //!   quantile *bounds*;
 //! * [`trace`] — fixed-size lifecycle events and the bounded ring;
 //! * [`metrics`] — the registry: [`NodeObs`] and its per-shard /
-//!   per-worker / per-peer handles, plus the flight recorder;
+//!   per-peer handles, plus the flight recorder;
 //! * [`snapshot`] — mergeable node-level [`Snapshot`]s and their
 //!   JSONL form;
 //! * [`export`] — the periodic snapshot exporter thread
@@ -64,7 +66,7 @@ pub mod trace;
 pub use attrib::{AttribCell, AttribTable};
 pub use export::Exporter;
 pub use hist::{HistSnapshot, LogHistogram};
-pub use metrics::{NodeObs, PeerObs, ShardObs, SingleWriterCounter, WorkerObs};
+pub use metrics::{NodeObs, PeerObs, ShardObs, SingleWriterCounter};
 pub use snapshot::{AttribEntry, HandoffTrace, Snapshot};
 pub use trace::{Event, EventKind};
 
@@ -110,21 +112,16 @@ pub struct ObsConfig {
     /// Directory for flight-recorder post-mortem dumps (default: the
     /// system temp directory).
     pub flight_dir: Option<PathBuf>,
-    /// Per-shard trace ring capacity, in events.
-    pub ring: usize,
-    /// Per-shard cost-attribution matrix capacity, in (thread, home)
-    /// cells (rounded up to a power of two; see DESIGN.md §14).
-    pub attrib_slots: usize,
 }
 
-/// Default per-shard trace ring capacity (see DESIGN.md §12 for the
+/// Per-shard trace ring capacity, in events (see DESIGN.md §12 for the
 /// sizing argument).
-pub const DEFAULT_RING: usize = 256;
+pub(crate) const DEFAULT_RING: usize = 256;
 
-/// Default per-shard attribution-matrix capacity. 512 cells cover a
-/// few hundred distinct (thread, home) pairs per shard before per-key
+/// Per-shard attribution-matrix capacity, in (thread, home) cells. 512
+/// cover a few hundred distinct pairs per shard before per-key
 /// resolution starts spilling to the overflow cell — totals stay exact
-/// regardless (see [`attrib`]).
+/// regardless (see [`attrib`] and DESIGN.md §14).
 pub const DEFAULT_ATTRIB_SLOTS: usize = 512;
 
 impl ObsConfig {
@@ -142,8 +139,6 @@ impl ObsConfig {
             },
             export_path: env::raw("EM2_OBS_PATH").map(PathBuf::from),
             flight_dir: env::raw("EM2_OBS_DIR").map(PathBuf::from),
-            ring: DEFAULT_RING,
-            attrib_slots: DEFAULT_ATTRIB_SLOTS,
         }
     }
 
@@ -154,11 +149,7 @@ impl ObsConfig {
     pub fn on() -> Self {
         ObsConfig {
             enabled: true,
-            interval_ms: 0,
-            export_path: None,
-            flight_dir: None,
-            ring: DEFAULT_RING,
-            attrib_slots: DEFAULT_ATTRIB_SLOTS,
+            ..Self::off()
         }
     }
 
@@ -169,8 +160,6 @@ impl ObsConfig {
             interval_ms: 0,
             export_path: None,
             flight_dir: None,
-            ring: DEFAULT_RING,
-            attrib_slots: DEFAULT_ATTRIB_SLOTS,
         }
     }
 

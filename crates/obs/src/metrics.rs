@@ -1,14 +1,19 @@
 //! The metrics registry: one [`NodeObs`] per runtime, fanned out into
-//! per-shard, per-worker, and per-peer handles.
+//! per-shard and per-peer handles.
+//!
+//! It holds only what the deterministic counters (`em2_rt::RtReport`)
+//! and the wire ledger (`em2_net::WireSnapshot`) do not: a fact one of
+//! its own instruments or of those two determines — tasks retired,
+//! verdicts executed, frames and bytes written — is read there
+//! ([`Snapshot`]'s methods), never counted a second time here.
 //!
 //! Ownership mirrors the runtime's own concurrency structure so no
 //! hot-path synchronization is ever *added*: a [`ShardObs`] is mutated
 //! only by whichever worker currently polls that shard (its trace ring
 //! is an atomic-slot [`Ring`] the flight recorder can read from a
-//! failing thread without a lock), a [`WorkerObs`] only by its worker
-//! thread, a [`PeerObs`] only by its writer thread. Aggregation
-//! ([`NodeObs::snapshot`]) reads everything with relaxed loads; the
-//! timing plane tolerates racy reads by definition.
+//! failing thread without a lock), a [`PeerObs`] only by its writer
+//! thread. Aggregation ([`NodeObs::snapshot`]) reads everything with
+//! relaxed loads; the timing plane tolerates racy reads by definition.
 //!
 //! Event timestamps on the shard hot path come from a **coarse
 //! clock**: the polling worker refreshes the shard's cached
@@ -27,7 +32,7 @@ use crate::attrib::{AttribTable, OVERFLOW_KEY};
 use crate::hist::LogHistogram;
 use crate::snapshot::{HandoffTrace, Snapshot};
 use crate::trace::{Event, EventKind, Ring};
-use crate::{json::JsonObj, ObsConfig};
+use crate::{json::JsonObj, ObsConfig, DEFAULT_ATTRIB_SLOTS, DEFAULT_RING};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,8 +50,6 @@ use std::time::Instant;
 pub trait SingleWriterCounter {
     /// Add `n` (single writer; see trait docs).
     fn bump(&self, n: u64);
-    /// Raise to at least `n` (single writer; see trait docs).
-    fn bump_max(&self, n: u64);
 }
 
 impl SingleWriterCounter for AtomicU64 {
@@ -57,59 +60,22 @@ impl SingleWriterCounter for AtomicU64 {
             Ordering::Relaxed,
         );
     }
-
-    #[inline]
-    fn bump_max(&self, n: u64) {
-        if n > self.load(Ordering::Relaxed) {
-            self.store(n, Ordering::Relaxed);
-        }
-    }
 }
 
 /// How many merged trace events a flight-recorder dump keeps (newest
 /// first wins; the node ring is always included in full).
 pub const FLIGHT_EVENTS: usize = 1024;
 
-/// Observability handle of one shard. All counters are relaxed
-/// atomics; see the module docs for the ownership discipline.
+/// Observability handle of one shard. All fields are relaxed atomics;
+/// see the module docs for the ownership discipline.
 #[derive(Debug)]
 pub struct ShardObs {
     epoch: Instant,
     /// Coarse event clock: ns since epoch, refreshed once per poll.
     now_ns: AtomicU64,
-    /// Task arrivals admitted (native + guest).
-    pub arrivals: AtomicU64,
-    /// Migrated-in guest arrivals.
-    pub migrations_in: AtomicU64,
-    /// Migrate verdicts executed by tasks running here.
-    pub migrations_out: AtomicU64,
-    /// Remote-access read verdicts executed by tasks running here.
-    pub remote_reads: AtomicU64,
-    /// Remote-access write verdicts executed by tasks running here.
-    pub remote_writes: AtomicU64,
-    /// Remote requests this shard served as the home.
-    pub remote_served: AtomicU64,
-    /// Serialized context bytes shipped out by migrations.
-    pub context_bytes_out: AtomicU64,
-    /// Guest admissions into the pool.
-    pub guest_admits: AtomicU64,
-    /// Guest evictions out of the pool.
-    pub evictions: AtomicU64,
-    /// Arrivals stalled on a full, pinned guest pool.
-    pub stalls: AtomicU64,
-    /// Stalled arrivals retried after an eviction.
-    pub retries: AtomicU64,
-    /// Tasks retired here.
-    pub retired: AtomicU64,
-    /// Polls of this shard.
-    pub polls: AtomicU64,
-    /// Mailbox messages drained.
-    pub msgs: AtomicU64,
     /// Current guest-pool occupancy.
     pub guest_occupancy: AtomicU64,
-    /// Highest guest-pool occupancy seen.
-    pub guest_hwm: AtomicU64,
-    /// End-to-end task latency (ns).
+    /// End-to-end task latency (ns), one sample per task retired here.
     pub task_latency_ns: LogHistogram,
     /// Mailbox drain batch sizes (messages per poll).
     pub mailbox_batch: LogHistogram,
@@ -117,40 +83,22 @@ pub struct ShardObs {
     /// decisions executed on this shard (single writer: the polling
     /// worker; see DESIGN.md §14).
     pub attrib: AttribTable,
-    /// Journey hops dumped at task retirement.
-    pub journey_hops: AtomicU64,
     /// Journey hops lost to the per-envelope cap.
     pub journey_dropped: AtomicU64,
     ring: Ring,
 }
 
 impl ShardObs {
-    fn new(epoch: Instant, ring: usize, attrib_slots: usize) -> Self {
+    fn new(epoch: Instant) -> Self {
         ShardObs {
             epoch,
             now_ns: AtomicU64::new(0),
-            arrivals: AtomicU64::new(0),
-            migrations_in: AtomicU64::new(0),
-            migrations_out: AtomicU64::new(0),
-            remote_reads: AtomicU64::new(0),
-            remote_writes: AtomicU64::new(0),
-            remote_served: AtomicU64::new(0),
-            context_bytes_out: AtomicU64::new(0),
-            guest_admits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
-            polls: AtomicU64::new(0),
-            msgs: AtomicU64::new(0),
             guest_occupancy: AtomicU64::new(0),
-            guest_hwm: AtomicU64::new(0),
             task_latency_ns: LogHistogram::new(),
             mailbox_batch: LogHistogram::new(),
-            attrib: AttribTable::new(attrib_slots),
-            journey_hops: AtomicU64::new(0),
+            attrib: AttribTable::new(DEFAULT_ATTRIB_SLOTS),
             journey_dropped: AtomicU64::new(0),
-            ring: Ring::new(ring),
+            ring: Ring::new(DEFAULT_RING),
         }
     }
 
@@ -163,13 +111,6 @@ impl ShardObs {
     pub fn refresh_clock(&self) {
         self.now_ns
             .store(self.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Record the current guest-pool occupancy (updates the HWM).
-    #[inline]
-    pub fn set_guest_occupancy(&self, n: u64) {
-        self.guest_occupancy.store(n, Ordering::Relaxed);
-        self.guest_hwm.bump_max(n);
     }
 
     /// Append a lifecycle event to this shard's trace ring (coarse
@@ -185,19 +126,25 @@ impl ShardObs {
             b,
         });
     }
-}
 
-/// Observability handle of one executor worker thread.
-#[derive(Debug, Default)]
-pub struct WorkerObs {
-    /// Steals that found a shard in another worker's queue.
-    pub steals: AtomicU64,
-    /// Steal attempts (probes of other queues, successful or not).
-    pub steal_attempts: AtomicU64,
-    /// Condvar parks.
-    pub parks: AtomicU64,
-    /// Shards polled.
-    pub shard_polls: AtomicU64,
+    /// This shard's row of the exporter's per-shard breakdown, each
+    /// value read where it is counted: the shard's own latency
+    /// histogram, gauge and attribution matrix.
+    fn row(&self, shard: usize) -> String {
+        let (mut migrations_out, mut remote) = (0, 0);
+        for (_, counts) in self.attrib.entries() {
+            migrations_out += counts[0];
+            remote += counts[1] + counts[2];
+        }
+        let occupancy = self.guest_occupancy.load(Ordering::Relaxed);
+        JsonObj::new()
+            .u64("shard", shard as u64)
+            .u64("retired", self.task_latency_ns.count())
+            .u64("guest_occupancy", occupancy)
+            .u64("migrations_out", migrations_out)
+            .u64("remote", remote)
+            .finish()
+    }
 }
 
 /// Observability handle of one peer link (owned by its writer thread).
@@ -205,31 +152,19 @@ pub struct WorkerObs {
 pub struct PeerObs {
     /// The peer's node id.
     pub peer: u64,
-    /// Batched flush calls issued.
-    pub flushes: AtomicU64,
-    /// Frames written.
-    pub frames: AtomicU64,
-    /// Bytes written.
-    pub bytes: AtomicU64,
     /// Current egress queue depth (sampled at flush time).
     pub egress_depth: AtomicU64,
-    /// Deepest egress queue seen.
-    pub egress_depth_hwm: AtomicU64,
-    /// Per-flush wire write latency (ns).
+    /// Wire write latency (ns), one sample per flush.
     pub flush_ns: LogHistogram,
 }
 
 impl PeerObs {
-    /// Record one batched flush: `frames`/`bytes` written in `ns`
-    /// nanoseconds, with `depth` items still queued behind it.
+    /// Record one flush: written in `ns` nanoseconds, with `depth`
+    /// items still queued behind it.
     #[inline]
-    pub fn record_flush(&self, frames: u64, bytes: u64, ns: u64, depth: u64) {
-        self.flushes.bump(1);
-        self.frames.bump(frames);
-        self.bytes.bump(bytes);
+    pub fn record_flush(&self, ns: u64, depth: u64) {
         self.flush_ns.record(ns);
         self.egress_depth.store(depth, Ordering::Relaxed);
-        self.egress_depth_hwm.bump_max(depth);
     }
 }
 
@@ -243,7 +178,6 @@ pub struct NodeObs {
     node: AtomicU64,
     first_shard: usize,
     shards: Vec<Arc<ShardObs>>,
-    workers: Vec<Arc<WorkerObs>>,
     peers: Mutex<Vec<Arc<PeerObs>>>,
     node_ring: Ring,
     seq: AtomicU64,
@@ -258,23 +192,20 @@ pub struct NodeObs {
 }
 
 impl NodeObs {
-    /// Stand up a registry for `shards` local shards (globally
-    /// numbered from `first_shard`) and `workers` worker threads.
-    pub fn new(cfg: ObsConfig, first_shard: usize, shards: usize, workers: usize) -> Arc<Self> {
+    /// Stand up a registry for `shards` local shards, globally
+    /// numbered from `first_shard`.
+    pub fn new(cfg: ObsConfig, first_shard: usize, shards: usize) -> Arc<Self> {
         let epoch = Instant::now();
         Arc::new(NodeObs {
             shards: (0..shards)
-                .map(|_| Arc::new(ShardObs::new(epoch, cfg.ring, cfg.attrib_slots)))
-                .collect(),
-            workers: (0..workers.max(1))
-                .map(|_| Arc::new(WorkerObs::default()))
+                .map(|_| Arc::new(ShardObs::new(epoch)))
                 .collect(),
             peers: Mutex::new(Vec::new()),
-            node_ring: Ring::new(cfg.ring),
+            node_ring: Ring::new(DEFAULT_RING),
             seq: AtomicU64::new(0),
             flight_taken: AtomicBool::new(false),
             node: AtomicU64::new(0),
-            attrib: AttribTable::new(cfg.attrib_slots),
+            attrib: AttribTable::new(DEFAULT_ATTRIB_SLOTS),
             dir_epoch: AtomicU64::new(0),
             handoffs: Mutex::new(Vec::new()),
             stray_bounces: AtomicU64::new(0),
@@ -301,11 +232,6 @@ impl NodeObs {
         &self.shards[local_idx]
     }
 
-    /// Handle of worker `w`.
-    pub fn worker(&self, w: usize) -> &Arc<WorkerObs> {
-        &self.workers[w.min(self.workers.len() - 1)]
-    }
-
     /// Register (or fetch) the handle for peer node `peer`.
     pub fn register_peer(&self, peer: u64) -> Arc<PeerObs> {
         let mut peers = self.peers.lock().expect("peer registry");
@@ -314,11 +240,7 @@ impl NodeObs {
         }
         let p = Arc::new(PeerObs {
             peer,
-            flushes: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             egress_depth: AtomicU64::new(0),
-            egress_depth_hwm: AtomicU64::new(0),
             flush_ns: LogHistogram::new(),
         });
         peers.push(Arc::clone(&p));
@@ -329,7 +251,7 @@ impl NodeObs {
     /// ring. Node events are rare, so they pay for an exact timestamp.
     pub fn node_event(&self, kind: EventKind, a: u64, b: u64) {
         self.node_ring.push(Event {
-            ts_ns: self.epoch.elapsed().as_nanos() as u64,
+            ts_ns: self.now_ns(),
             task: 0,
             kind,
             a,
@@ -363,8 +285,11 @@ impl NodeObs {
     }
 
     /// The coordinator opened handoff `hid`: re-home `shard` from node
-    /// `from` to node `to`. Stamps the Prepare phase.
+    /// `from` to node `to`. Stamps the Prepare phase — and, like every
+    /// `handoff_*` breadcrumb, pushes its own node-ring event, so a
+    /// caller records each phase with one call.
     pub fn handoff_prepare(&self, hid: u64, shard: u64, from: u64, to: u64) {
+        self.node_event(EventKind::HandoffPrepare, shard, to);
         let now = self.now_ns();
         self.with_handoff(hid, |r| {
             r.shard = shard;
@@ -378,6 +303,7 @@ impl NodeObs {
     /// Stamps the Freeze phase (source node only — the merge rule
     /// relies on each phase being recorded on exactly one node).
     pub fn handoff_freeze(&self, hid: u64, shard: u64, frozen_bytes: u64) {
+        self.node_event(EventKind::HandoffFreeze, shard, frozen_bytes);
         let now = self.now_ns();
         self.with_handoff(hid, |r| {
             r.shard = shard;
@@ -386,31 +312,34 @@ impl NodeObs {
         });
     }
 
-    /// The destination installed the frozen state after parking
-    /// `buffered` frames and replaying `replayed` of them. Stamps the
-    /// Transfer phase (destination node only).
-    pub fn handoff_transfer(&self, hid: u64, shard: u64, buffered: u64, replayed: u64) {
+    /// The destination installed the frozen state and replayed the
+    /// `replayed` frames it had buffered meanwhile. Stamps the Transfer
+    /// phase (destination node only).
+    pub fn handoff_transfer(&self, hid: u64, shard: u64, replayed: u64) {
+        self.node_event(EventKind::HandoffTransfer, shard, replayed);
         let now = self.now_ns();
         self.with_handoff(hid, |r| {
             r.shard = shard;
             r.transfer_ns = now;
-            r.buffered += buffered;
             r.replayed += replayed;
         });
     }
 
-    /// The coordinator committed the new ownership. Stamps the Commit
-    /// phase.
-    pub fn handoff_commit(&self, hid: u64) {
+    /// The coordinator committed `shard`'s new ownership as directory
+    /// epoch `epoch`. Stamps the Commit phase.
+    pub fn handoff_commit(&self, hid: u64, shard: u64, epoch: u64) {
+        self.node_event(EventKind::HandoffCommit, shard, epoch);
         let now = self.now_ns();
         self.with_handoff(hid, |r| r.commit_ns = now);
     }
 
-    /// An epoch-fenced frame for `shard` was bounced for re-routing.
-    /// Attributed to the newest uncommitted handoff of that shard;
-    /// counted loose when no ledger entry matches (a bounce can race
-    /// ahead of the coordinator's Prepare on this node).
-    pub fn handoff_bounce(&self, shard: u64) {
+    /// An epoch-fenced frame for `shard` came back for re-routing, its
+    /// `retries`-th bounce. Attributed to the newest uncommitted
+    /// handoff of that shard; counted loose when no ledger entry
+    /// matches (a bounce can race ahead of the coordinator's Prepare
+    /// on this node).
+    pub fn handoff_bounce(&self, shard: u64, retries: u64) {
+        self.node_event(EventKind::HandoffBounce, shard, retries);
         let mut recs = self.handoffs.lock().expect("handoff ledger");
         match recs
             .iter_mut()
@@ -424,18 +353,22 @@ impl NodeObs {
         }
     }
 
+    /// Every attribution table of this node: one per shard, then the
+    /// node-level one.
+    fn attrib_tables(&self) -> impl Iterator<Item = &AttribTable> {
+        self.shards
+            .iter()
+            .map(|sh| &sh.attrib)
+            .chain(std::iter::once(&self.attrib))
+    }
+
     /// The hottest `top` home shards by attributed cost, summed over
     /// every shard-level matrix plus the node-level table, hottest
     /// first. Overflow-cell rows are excluded (their home is not a real
     /// shard).
     pub fn placement_heat(&self, top: usize) -> Vec<(u32, u64)> {
         let mut per_home: Vec<(u32, u64)> = Vec::new();
-        let tables = self
-            .shards
-            .iter()
-            .map(|sh| &sh.attrib)
-            .chain(std::iter::once(&self.attrib));
-        for table in tables {
+        for table in self.attrib_tables() {
             for (key, counts) in table.entries() {
                 if key == OVERFLOW_KEY {
                     continue;
@@ -457,66 +390,32 @@ impl NodeObs {
     pub fn snapshot(&self) -> Snapshot {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut s = Snapshot {
-            node: self.node.load(Ordering::Relaxed),
+            node: ld(&self.node),
             nodes: 1,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             uptime_ms: self.epoch.elapsed().as_millis() as u64,
+            dir_epoch: ld(&self.dir_epoch),
+            stray_bounces: ld(&self.stray_bounces),
             ..Snapshot::default()
         };
         for sh in &self.shards {
-            s.arrivals += ld(&sh.arrivals);
-            s.migrations_in += ld(&sh.migrations_in);
-            s.migrations_out += ld(&sh.migrations_out);
-            s.remote_reads += ld(&sh.remote_reads);
-            s.remote_writes += ld(&sh.remote_writes);
-            s.remote_served += ld(&sh.remote_served);
-            s.context_bytes_out += ld(&sh.context_bytes_out);
-            s.guest_admits += ld(&sh.guest_admits);
-            s.evictions += ld(&sh.evictions);
-            s.stalls += ld(&sh.stalls);
-            s.retries += ld(&sh.retries);
-            s.retired += ld(&sh.retired);
-            s.polls += ld(&sh.polls);
-            s.msgs += ld(&sh.msgs);
             s.guest_occupancy += ld(&sh.guest_occupancy);
-            s.guest_hwm = s.guest_hwm.max(ld(&sh.guest_hwm));
             s.task_latency_ns.merge(&sh.task_latency_ns.snapshot());
             s.mailbox_batch.merge(&sh.mailbox_batch.snapshot());
             s.trace_dropped += sh.ring.dropped();
-            for ((t, h), counts) in sh.attrib.entries() {
-                s.fold_attrib(t, h, &counts);
-            }
-            s.attrib_dropped += sh.attrib.overflow_routed();
-            s.journey_hops += ld(&sh.journey_hops);
             s.journey_dropped += ld(&sh.journey_dropped);
         }
-        for ((t, h), counts) in self.attrib.entries() {
-            s.fold_attrib(t, h, &counts);
+        for table in self.attrib_tables() {
+            for ((t, h), counts) in table.entries() {
+                s.fold_attrib(t, h, &counts);
+            }
+            s.attrib_dropped += table.overflow_routed();
         }
-        s.attrib_dropped += self.attrib.overflow_routed();
-        s.attrib_cost = s.attrib.iter().map(|e| e.cost()).sum();
-        s.dir_epoch = self.dir_epoch.load(Ordering::Relaxed);
-        s.handoff_bounced = self.stray_bounces.load(Ordering::Relaxed);
         for r in self.handoffs.lock().expect("handoff ledger").iter() {
             s.fold_handoff(r);
-            if r.commit_ns != 0 {
-                s.handoff_commits += 1;
-            }
-            s.handoff_frozen_bytes += r.frozen_bytes;
-            s.handoff_replayed += r.replayed;
-            s.handoff_bounced += r.bounced;
-        }
-        for w in &self.workers {
-            s.steals += ld(&w.steals);
-            s.steal_attempts += ld(&w.steal_attempts);
-            s.worker_parks += ld(&w.parks);
         }
         for p in self.peers.lock().expect("peer registry").iter() {
-            s.wire_flushes += ld(&p.flushes);
-            s.wire_frames += ld(&p.frames);
-            s.wire_bytes += ld(&p.bytes);
             s.egress_depth += ld(&p.egress_depth);
-            s.egress_depth_hwm = s.egress_depth_hwm.max(ld(&p.egress_depth_hwm));
             s.flush_ns.merge(&p.flush_ns.snapshot());
         }
         s
@@ -524,23 +423,13 @@ impl NodeObs {
 
     /// The exporter JSONL line for the current state: the node
     /// [`Snapshot`] plus, for small fleets (≤ 64 local shards), a
-    /// compact per-shard breakdown.
+    /// compact per-shard breakdown under `"shards"`.
     pub fn snapshot_json(&self) -> String {
         let snap = self.snapshot();
         let mut line = snap.to_json();
         if self.shards.len() <= 64 {
-            let shards = crate::json::array(self.shards.iter().enumerate().map(|(i, sh)| {
-                let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-                JsonObj::new()
-                    .u64("shard", (self.first_shard + i) as u64)
-                    .u64("arrivals", ld(&sh.arrivals))
-                    .u64("migrations_out", ld(&sh.migrations_out))
-                    .u64("remote", ld(&sh.remote_reads) + ld(&sh.remote_writes))
-                    .u64("retired", ld(&sh.retired))
-                    .u64("guest_occupancy", ld(&sh.guest_occupancy))
-                    .u64("evictions", ld(&sh.evictions))
-                    .finish()
-            }));
+            let rows = self.shards.iter().enumerate();
+            let shards = crate::json::array(rows.map(|(i, sh)| sh.row(self.first_shard + i)));
             // Splice the per-shard array into the closed object.
             line.truncate(line.len() - 1);
             line.push_str(",\"shards\":");
@@ -637,7 +526,7 @@ impl NodeObs {
         // The final event: the failure itself, naming the edge.
         let mut fail = JsonObj::new()
             .str("kind", "event")
-            .u64("t_ns", self.epoch.elapsed().as_nanos() as u64)
+            .u64("t_ns", self.now_ns())
             .str("ev", "fail")
             .str("error_kind", error_kind)
             .str("detail", detail);
@@ -658,18 +547,15 @@ mod tests {
     use super::*;
 
     fn exercised() -> Arc<NodeObs> {
-        let obs = NodeObs::new(ObsConfig::on(), 8, 4, 2);
+        let obs = NodeObs::new(ObsConfig::on(), 8, 4);
         for (i, _) in obs.shards.iter().enumerate() {
             let sh = obs.shard(i);
-            sh.arrivals.fetch_add(3, Ordering::Relaxed);
-            sh.retired.fetch_add(2, Ordering::Relaxed);
             sh.task_latency_ns.record(1_000 * (i as u64 + 1));
-            sh.set_guest_occupancy(i as u64);
+            sh.guest_occupancy.store(i as u64, Ordering::Relaxed);
             sh.event(EventKind::Arrive, 40 + i as u64, 1, 0);
             sh.event(EventKind::MigrateOut, 40 + i as u64, 2, 81);
         }
-        obs.worker(0).steals.fetch_add(5, Ordering::Relaxed);
-        obs.register_peer(1).record_flush(10, 4_000, 2_500, 3);
+        obs.register_peer(1).record_flush(2_500, 3);
         for (i, _) in obs.shards.iter().enumerate() {
             let cell = obs.shard(i).attrib.cell(2, 8 + i as u32);
             cell.migrations.bump(1);
@@ -682,18 +568,36 @@ mod tests {
         obs
     }
 
+    /// The keys of a JSON object's top level, in order.
+    fn top_level_keys(json: &str) -> Vec<&str> {
+        let (mut keys, mut depth, mut open) = (Vec::new(), 0, None);
+        for (i, c) in json.char_indices() {
+            match (c, open) {
+                ('"', None) => open = Some(i + 1),
+                ('"', Some(from)) => {
+                    if depth == 1 && json[i + 1..].starts_with(':') {
+                        keys.push(&json[from..i]);
+                    }
+                    open = None;
+                }
+                ('{' | '[', None) => depth += 1,
+                ('}' | ']', None) => depth -= 1,
+                _ => {}
+            }
+        }
+        keys
+    }
+
     #[test]
     fn snapshot_aggregates_across_handles() {
         let obs = exercised();
         let s = obs.snapshot();
-        assert_eq!(s.arrivals, 12);
-        assert_eq!(s.retired, 8);
-        assert_eq!(s.task_latency_ns.count, 4);
-        assert_eq!(s.guest_hwm, 3);
-        assert_eq!(s.steals, 5);
-        assert_eq!(s.wire_frames, 10);
-        assert_eq!(s.egress_depth_hwm, 3);
-        assert_eq!(s.attrib_cost, 120, "shard matrices fold into one sum");
+        assert_eq!(s.retired(), 4);
+        assert_eq!(s.guest_occupancy, 6);
+        assert_eq!(s.egress_depth, 3);
+        assert_eq!(s.flush_ns.count, 1);
+        assert_eq!(s.migrations_out(), 4);
+        assert_eq!(s.attrib_cost(), 120, "shard matrices fold into one sum");
         assert_eq!(s.attrib.len(), 4);
         assert_eq!(
             s.attrib[0].counts[5], 1,
@@ -702,14 +606,50 @@ mod tests {
     }
 
     #[test]
+    fn json_line_carries_exactly_the_documented_keys() {
+        let obs = exercised();
+        assert_eq!(top_level_keys(&obs.snapshot().to_json()), Snapshot::KEYS);
+        let line = obs.snapshot_json();
+        let keys = top_level_keys(&line);
+        assert_eq!(keys[..keys.len() - 1], Snapshot::KEYS);
+        assert_eq!(keys[keys.len() - 1], "shards");
+        assert!(
+            line.contains(
+                r#"{"shard":9,"retired":1,"guest_occupancy":1,"migrations_out":1,"remote":0}"#
+            ),
+            "per-shard rows read the shard's own histogram and matrix: {line}"
+        );
+    }
+
+    /// DESIGN.md §12's schema table is the one documented schema: its
+    /// key column must be the JSON line's keys, in order.
+    #[test]
+    fn design_doc_schema_table_matches_the_json_line() {
+        let doc = include_str!("../../../DESIGN.md");
+        let table = doc
+            .split("### The snapshot line: one schema")
+            .nth(1)
+            .expect("DESIGN.md §12 has the schema section");
+        let documented: Vec<&str> = table
+            .lines()
+            .skip_while(|l| !l.starts_with("| `"))
+            .take_while(|l| l.starts_with("| `"))
+            .map(|l| l[3..].split('`').next().expect("key cell"))
+            .collect();
+        let mut keys = Snapshot::KEYS.to_vec();
+        keys.push("shards");
+        assert_eq!(documented, keys);
+    }
+
+    #[test]
     fn handoff_phases_fold_into_the_snapshot() {
-        let obs = NodeObs::new(ObsConfig::on(), 0, 2, 1);
+        let obs = NodeObs::new(ObsConfig::on(), 0, 2);
         obs.handoff_prepare(5, 1, 0, 1);
         obs.handoff_freeze(5, 1, 640);
-        obs.handoff_bounce(1);
-        obs.handoff_transfer(5, 1, 3, 3);
-        obs.handoff_commit(5);
-        obs.handoff_bounce(9); // no ledger entry → loose count
+        obs.handoff_bounce(1, 1);
+        obs.handoff_transfer(5, 1, 3);
+        obs.handoff_commit(5, 1, 4);
+        obs.handoff_bounce(9, 1); // no ledger entry → loose count
         obs.set_dir_epoch(4);
         obs.set_dir_epoch(2); // monotone
         let s = obs.snapshot();
@@ -718,18 +658,28 @@ mod tests {
         assert_eq!((h.hid, h.shard, h.from, h.to), (5, 1, 0, 1));
         assert!(h.prepare_ns <= h.freeze_ns && h.freeze_ns <= h.transfer_ns);
         assert!(h.transfer_ns <= h.commit_ns);
-        assert_eq!(
-            (h.frozen_bytes, h.buffered, h.replayed, h.bounced),
-            (640, 3, 3, 1)
-        );
-        assert_eq!(s.handoff_commits, 1);
-        assert_eq!(s.handoff_bounced, 2, "ledger bounce + stray bounce");
+        assert_eq!((h.frozen_bytes, h.replayed, h.bounced), (640, 3, 1));
+        assert_eq!(s.handoff_commits(), 1);
+        assert_eq!(s.handoff_bounced(), 2, "ledger bounce + stray bounce");
         assert_eq!(s.dir_epoch, 4);
+        let kinds: Vec<EventKind> = obs.node_ring.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::HandoffPrepare,
+                EventKind::HandoffFreeze,
+                EventKind::HandoffBounce,
+                EventKind::HandoffTransfer,
+                EventKind::HandoffCommit,
+                EventKind::HandoffBounce,
+            ],
+            "each breadcrumb pushed its own node-ring event"
+        );
     }
 
     #[test]
     fn placement_heat_ranks_homes_by_attributed_cost() {
-        let obs = NodeObs::new(ObsConfig::on(), 0, 2, 1);
+        let obs = NodeObs::new(ObsConfig::on(), 0, 2);
         obs.shard(0).attrib.cell(0, 3).cost.bump(100);
         obs.shard(1).attrib.cell(1, 3).cost.bump(50);
         obs.shard(0).attrib.cell(0, 7).cost.bump(80);
@@ -740,7 +690,7 @@ mod tests {
 
     #[test]
     fn peer_registration_is_idempotent() {
-        let obs = NodeObs::new(ObsConfig::on(), 0, 1, 1);
+        let obs = NodeObs::new(ObsConfig::on(), 0, 1);
         let a = obs.register_peer(2);
         let b = obs.register_peer(2);
         assert!(Arc::ptr_eq(&a, &b));
@@ -756,7 +706,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut cfg = ObsConfig::on();
         cfg.flight_dir = Some(dir.clone());
-        let obs = NodeObs::new(cfg, 8, 4, 2);
+        let obs = NodeObs::new(cfg, 8, 4);
         obs.set_node(3);
         obs.shard(0).event(EventKind::Retire, 9, 1_234, 0);
         obs.node_event(EventKind::PeerDown, 1, 0);

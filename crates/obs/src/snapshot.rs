@@ -63,9 +63,8 @@ pub struct HandoffTrace {
     pub commit_ns: u64,
     /// Serialized frozen-shard bytes shipped source → destination.
     pub frozen_bytes: u64,
-    /// Frames buffered at the destination while the shard was frozen.
-    pub buffered: u64,
-    /// Buffered frames replayed into the shard after install.
+    /// Frames the destination buffered while the shard was frozen and
+    /// replayed into it after install.
     pub replayed: u64,
     /// Epoch-fenced frames bounced for re-routing during this handoff.
     pub bounced: u64,
@@ -84,7 +83,6 @@ impl HandoffTrace {
         self.transfer_ns = self.transfer_ns.max(o.transfer_ns);
         self.commit_ns = self.commit_ns.max(o.commit_ns);
         self.frozen_bytes = self.frozen_bytes.max(o.frozen_bytes);
-        self.buffered += o.buffered;
         self.replayed += o.replayed;
         self.bounced += o.bounced;
     }
@@ -92,9 +90,14 @@ impl HandoffTrace {
 
 /// One node's obs metrics, flattened and summable.
 ///
-/// Counters sum under [`merge`](Snapshot::merge); occupancy gauges and
-/// high-water marks take the max (they are instantaneous, not
-/// additive); histograms merge bucket-wise.
+/// A field is something nothing else in the snapshot determines; every
+/// total the histograms and rows do determine (tasks retired, verdicts
+/// executed, handoff sums) is a method reading it where it is counted,
+/// so a total cannot disagree with its own breakdown.
+///
+/// Under [`merge`](Snapshot::merge) loss indicators sum, gauges take
+/// the max (they are instantaneous, not additive), histograms merge
+/// bucket-wise, and attribution rows and handoff traces merge by key.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Lowest node id folded into this snapshot.
@@ -105,83 +108,29 @@ pub struct Snapshot {
     pub seq: u64,
     /// Milliseconds since the registry's epoch (max under merge).
     pub uptime_ms: u64,
-    /// Task arrivals admitted (native + guest).
-    pub arrivals: u64,
-    /// Migrated-in guest arrivals.
-    pub migrations_in: u64,
-    /// Migrate verdicts executed (continuations shipped out).
-    pub migrations_out: u64,
-    /// Remote-access read verdicts executed.
-    pub remote_reads: u64,
-    /// Remote-access write verdicts executed.
-    pub remote_writes: u64,
-    /// Remote requests served for other shards.
-    pub remote_served: u64,
-    /// Serialized context bytes shipped by migrations.
-    pub context_bytes_out: u64,
-    /// Guest admissions into the pool.
-    pub guest_admits: u64,
-    /// Guest evictions out of the pool.
-    pub evictions: u64,
-    /// Arrivals stalled on a full, pinned guest pool.
-    pub stalls: u64,
-    /// Stalled arrivals retried after an eviction.
-    pub retries: u64,
-    /// Tasks retired.
-    pub retired: u64,
-    /// Shard polls executed.
-    pub polls: u64,
-    /// Mailbox messages drained.
-    pub msgs: u64,
-    /// Worker steals that found a shard.
-    pub steals: u64,
-    /// Worker steal attempts (queue probes while empty-handed).
-    pub steal_attempts: u64,
-    /// Worker condvar parks.
-    pub worker_parks: u64,
-    /// Egress flushes (one `send_batch` write each) across peers.
-    pub wire_flushes: u64,
-    /// Frames written across peers.
-    pub wire_frames: u64,
-    /// Bytes written across peers.
-    pub wire_bytes: u64,
-    /// Trace events evicted from rings to stay within capacity.
-    pub trace_dropped: u64,
     /// Current guest-pool occupancy summed over shards (max under
     /// merge — concurrent nodes, instantaneous value).
     pub guest_occupancy: u64,
-    /// Highest guest-pool occupancy any single shard reached.
-    pub guest_hwm: u64,
-    /// Deepest egress queue any single peer link reached.
-    pub egress_depth_hwm: u64,
     /// Current egress queue depth summed over peers (max under merge).
     pub egress_depth: u64,
-    /// Total attributed network cost summed over the attribution
-    /// matrix (the observed side of the placement scorecard).
-    pub attrib_cost: u64,
+    /// Highest directory epoch observed (max under merge).
+    pub dir_epoch: u64,
+    /// Trace events evicted from rings to stay within capacity.
+    pub trace_dropped: u64,
     /// Matrix resolutions that spilled to the overflow cell (per-key
     /// breakdown degraded; totals exact).
     pub attrib_dropped: u64,
-    /// Journey hops dumped into trace rings at task retirement.
-    pub journey_hops: u64,
     /// Journey hops dropped by the per-envelope cap
     /// (`JOURNEY_CAP`-excess hops; counted, not recorded).
     pub journey_dropped: u64,
-    /// Handoffs this node saw commit.
-    pub handoff_commits: u64,
-    /// Frozen-shard bytes shipped by handoffs (as source).
-    pub handoff_frozen_bytes: u64,
-    /// Frames replayed into re-homed shards (as destination).
-    pub handoff_replayed: u64,
-    /// Epoch-fenced frames bounced during handoffs.
-    pub handoff_bounced: u64,
-    /// Highest directory epoch observed (max under merge).
-    pub dir_epoch: u64,
-    /// End-to-end task latency (ns).
+    /// Epoch-fenced frames bounced with no handoff trace to charge (a
+    /// bounce can race ahead of the coordinator's Prepare).
+    pub stray_bounces: u64,
+    /// End-to-end task latency (ns), one sample per retired task.
     pub task_latency_ns: HistSnapshot,
     /// Mailbox drain batch sizes (messages per poll).
     pub mailbox_batch: HistSnapshot,
-    /// Per-flush wire write latency (ns), all peers.
+    /// Wire write latency (ns), one sample per flush, all peers.
     pub flush_ns: HistSnapshot,
     /// Cost-attribution rows, sorted by (thread, home); summed by key
     /// under merge.
@@ -192,6 +141,39 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Top-level keys of [`to_json`](Snapshot::to_json), in order —
+    /// the schema DESIGN.md §12 documents row by row.
+    pub const KEYS: [&'static str; 28] = [
+        "kind",
+        "node",
+        "nodes",
+        "seq",
+        "uptime_ms",
+        "guest_occupancy",
+        "egress_depth",
+        "dir_epoch",
+        "trace_dropped",
+        "attrib_dropped",
+        "journey_dropped",
+        "stray_bounces",
+        "retired",
+        "migrations_out",
+        "remote_reads",
+        "remote_writes",
+        "context_bytes_out",
+        "attrib_cost",
+        "handoff_commits",
+        "handoff_frozen_bytes",
+        "handoff_replayed",
+        "handoff_bounced",
+        "task_latency_ns",
+        "mailbox_batch",
+        "flush_ns",
+        "attrib_rows",
+        "attrib",
+        "handoffs",
+    ];
+
     /// Fold another node's snapshot in (see the struct docs for the
     /// per-field rule).
     pub fn merge(&mut self, o: &Snapshot) {
@@ -199,40 +181,13 @@ impl Snapshot {
         self.nodes += o.nodes;
         self.seq = self.seq.max(o.seq);
         self.uptime_ms = self.uptime_ms.max(o.uptime_ms);
-        self.arrivals += o.arrivals;
-        self.migrations_in += o.migrations_in;
-        self.migrations_out += o.migrations_out;
-        self.remote_reads += o.remote_reads;
-        self.remote_writes += o.remote_writes;
-        self.remote_served += o.remote_served;
-        self.context_bytes_out += o.context_bytes_out;
-        self.guest_admits += o.guest_admits;
-        self.evictions += o.evictions;
-        self.stalls += o.stalls;
-        self.retries += o.retries;
-        self.retired += o.retired;
-        self.polls += o.polls;
-        self.msgs += o.msgs;
-        self.steals += o.steals;
-        self.steal_attempts += o.steal_attempts;
-        self.worker_parks += o.worker_parks;
-        self.wire_flushes += o.wire_flushes;
-        self.wire_frames += o.wire_frames;
-        self.wire_bytes += o.wire_bytes;
-        self.trace_dropped += o.trace_dropped;
         self.guest_occupancy = self.guest_occupancy.max(o.guest_occupancy);
-        self.guest_hwm = self.guest_hwm.max(o.guest_hwm);
-        self.egress_depth_hwm = self.egress_depth_hwm.max(o.egress_depth_hwm);
         self.egress_depth = self.egress_depth.max(o.egress_depth);
-        self.attrib_cost += o.attrib_cost;
-        self.attrib_dropped += o.attrib_dropped;
-        self.journey_hops += o.journey_hops;
-        self.journey_dropped += o.journey_dropped;
-        self.handoff_commits += o.handoff_commits;
-        self.handoff_frozen_bytes += o.handoff_frozen_bytes;
-        self.handoff_replayed += o.handoff_replayed;
-        self.handoff_bounced += o.handoff_bounced;
         self.dir_epoch = self.dir_epoch.max(o.dir_epoch);
+        self.trace_dropped += o.trace_dropped;
+        self.attrib_dropped += o.attrib_dropped;
+        self.journey_dropped += o.journey_dropped;
+        self.stray_bounces += o.stray_bounces;
         self.task_latency_ns.merge(&o.task_latency_ns);
         self.mailbox_batch.merge(&o.mailbox_batch);
         self.flush_ns.merge(&o.flush_ns);
@@ -286,45 +241,79 @@ impl Snapshot {
         acc
     }
 
-    fn fields(&self) -> [(&'static str, u64); 37] {
+    /// Tasks retired: every retirement records exactly one latency.
+    pub fn retired(&self) -> u64 {
+        self.task_latency_ns.count
+    }
+
+    /// Column `col` of the attribution matrix, summed over every row
+    /// (order per [`ATTRIB_COUNTERS`]). Exact however full the tables
+    /// got: a spilled resolution lands on the overflow row.
+    fn attrib_sum(&self, col: usize) -> u64 {
+        self.attrib.iter().map(|e| e.counts[col]).sum()
+    }
+
+    /// Migrate verdicts executed (continuations shipped out).
+    pub fn migrations_out(&self) -> u64 {
+        self.attrib_sum(0)
+    }
+
+    /// Remote-access read verdicts executed.
+    pub fn remote_reads(&self) -> u64 {
+        self.attrib_sum(1)
+    }
+
+    /// Remote-access write verdicts executed.
+    pub fn remote_writes(&self) -> u64 {
+        self.attrib_sum(2)
+    }
+
+    /// Serialized context bytes shipped by migrations.
+    pub fn context_bytes_out(&self) -> u64 {
+        self.attrib_sum(4)
+    }
+
+    /// Total attributed network cost (the observed side of the
+    /// placement scorecard).
+    pub fn attrib_cost(&self) -> u64 {
+        self.attrib_sum(ATTRIB_COUNTERS - 1)
+    }
+
+    /// Handoffs seen to commit.
+    pub fn handoff_commits(&self) -> u64 {
+        self.handoffs.iter().filter(|h| h.commit_ns != 0).count() as u64
+    }
+
+    /// Frozen-shard bytes shipped by handoffs.
+    pub fn handoff_frozen_bytes(&self) -> u64 {
+        self.handoffs.iter().map(|h| h.frozen_bytes).sum()
+    }
+
+    /// Frames replayed into re-homed shards.
+    pub fn handoff_replayed(&self) -> u64 {
+        self.handoffs.iter().map(|h| h.replayed).sum()
+    }
+
+    /// Epoch-fenced frames bounced, charged to a handoff or stray.
+    pub fn handoff_bounced(&self) -> u64 {
+        self.stray_bounces + self.handoffs.iter().map(|h| h.bounced).sum::<u64>()
+    }
+
+    /// The scalar rows of the JSON line: stored fields, then derived
+    /// totals, in [`KEYS`](Snapshot::KEYS) order.
+    fn fields(&self) -> [(&'static str, u64); 11] {
         [
             ("node", self.node),
             ("nodes", self.nodes),
             ("seq", self.seq),
             ("uptime_ms", self.uptime_ms),
-            ("arrivals", self.arrivals),
-            ("migrations_in", self.migrations_in),
-            ("migrations_out", self.migrations_out),
-            ("remote_reads", self.remote_reads),
-            ("remote_writes", self.remote_writes),
-            ("remote_served", self.remote_served),
-            ("context_bytes_out", self.context_bytes_out),
-            ("guest_admits", self.guest_admits),
-            ("evictions", self.evictions),
-            ("stalls", self.stalls),
-            ("retries", self.retries),
-            ("retired", self.retired),
-            ("polls", self.polls),
-            ("msgs", self.msgs),
-            ("steals", self.steals),
-            ("steal_attempts", self.steal_attempts),
-            ("worker_parks", self.worker_parks),
-            ("wire_flushes", self.wire_flushes),
-            ("wire_frames", self.wire_frames),
-            ("wire_bytes", self.wire_bytes),
-            ("trace_dropped", self.trace_dropped),
             ("guest_occupancy", self.guest_occupancy),
-            ("guest_hwm", self.guest_hwm),
-            ("egress_depth_hwm", self.egress_depth_hwm),
-            ("attrib_cost", self.attrib_cost),
-            ("attrib_dropped", self.attrib_dropped),
-            ("journey_hops", self.journey_hops),
-            ("journey_dropped", self.journey_dropped),
-            ("handoff_commits", self.handoff_commits),
-            ("handoff_frozen_bytes", self.handoff_frozen_bytes),
-            ("handoff_replayed", self.handoff_replayed),
-            ("handoff_bounced", self.handoff_bounced),
+            ("egress_depth", self.egress_depth),
             ("dir_epoch", self.dir_epoch),
+            ("trace_dropped", self.trace_dropped),
+            ("attrib_dropped", self.attrib_dropped),
+            ("journey_dropped", self.journey_dropped),
+            ("stray_bounces", self.stray_bounces),
         ]
     }
 
@@ -332,10 +321,21 @@ impl Snapshot {
     /// derived latency quantiles for direct consumption.
     pub fn to_json(&self) -> String {
         let mut obj = JsonObj::new().str("kind", "obs");
-        for (k, v) in self.fields() {
+        let derived = [
+            ("retired", self.retired()),
+            ("migrations_out", self.migrations_out()),
+            ("remote_reads", self.remote_reads()),
+            ("remote_writes", self.remote_writes()),
+            ("context_bytes_out", self.context_bytes_out()),
+            ("attrib_cost", self.attrib_cost()),
+            ("handoff_commits", self.handoff_commits()),
+            ("handoff_frozen_bytes", self.handoff_frozen_bytes()),
+            ("handoff_replayed", self.handoff_replayed()),
+            ("handoff_bounced", self.handoff_bounced()),
+        ];
+        for (k, v) in self.fields().into_iter().chain(derived) {
             obj = obj.u64(k, v);
         }
-        obj = obj.u64("egress_depth", self.egress_depth);
         for (k, h) in [
             ("task_latency_ns", &self.task_latency_ns),
             ("mailbox_batch", &self.mailbox_batch),
@@ -395,7 +395,6 @@ impl Snapshot {
                     .u64("transfer_ns", h.transfer_ns)
                     .u64("commit_ns", h.commit_ns)
                     .u64("frozen_bytes", h.frozen_bytes)
-                    .u64("buffered", h.buffered)
                     .u64("replayed", h.replayed)
                     .u64("bounced", h.bounced)
                     .finish()
@@ -416,40 +415,13 @@ mod tests {
             nodes: 1,
             seq: 3,
             uptime_ms: 120,
-            arrivals: 40,
-            migrations_in: 12,
-            migrations_out: 14,
-            remote_reads: 5,
-            remote_writes: 2,
-            remote_served: 7,
-            context_bytes_out: 900,
-            guest_admits: 12,
-            evictions: 4,
-            stalls: 1,
-            retries: 1,
-            retired: 16,
-            polls: 220,
-            msgs: 300,
-            steals: 9,
-            steal_attempts: 30,
-            worker_parks: 5,
-            wire_flushes: 11,
-            wire_frames: 44,
-            wire_bytes: 9000,
-            trace_dropped: 2,
             guest_occupancy: 3,
-            guest_hwm: 4,
-            egress_depth_hwm: 17,
             egress_depth: 2,
-            attrib_cost: 140,
-            attrib_dropped: 1,
-            journey_hops: 20,
-            journey_dropped: 2,
-            handoff_commits: 1,
-            handoff_frozen_bytes: 512,
-            handoff_replayed: 3,
-            handoff_bounced: 1,
             dir_epoch: node + 1,
+            trace_dropped: 2,
+            attrib_dropped: 1,
+            journey_dropped: 2,
+            stray_bounces: 1,
             ..Snapshot::default()
         };
         for v in [100u64, 2000, 2000, 65000] {
@@ -469,7 +441,6 @@ mod tests {
             transfer_ns: 30,
             commit_ns: 0,
             frozen_bytes: 512,
-            buffered: 2,
             replayed: 2,
             bounced: 1,
         });
@@ -488,18 +459,33 @@ mod tests {
         assert_eq!(direct, Snapshot::sum([a, b]), "sum is a fold of merge");
         assert_eq!(direct.nodes, 2);
         assert_eq!(direct.node, 0);
-        assert_eq!(direct.retired, 32);
-        assert_eq!(direct.guest_hwm, 4, "gauge is a max, not a sum");
+        assert_eq!(direct.retired(), 8);
+        assert_eq!(direct.guest_occupancy, 3, "gauge is a max, not a sum");
+        assert_eq!(direct.journey_dropped, 4, "loss indicators sum");
         assert_eq!(direct.task_latency_ns.count, 8);
-        assert_eq!(direct.attrib_cost, 280);
+        assert_eq!(direct.attrib_cost(), 280);
         assert_eq!(direct.dir_epoch, 2, "epoch is a max, not a sum");
         assert_eq!(direct.attrib.len(), 2, "attrib rows sum by key");
         assert_eq!(direct.attrib[0].counts, [4, 0, 2, 80, 200, 2, 0, 100]);
         assert_eq!(direct.handoffs.len(), 1, "handoff views merge by id");
         let h = &direct.handoffs[0];
         assert_eq!(h.prepare_ns, 20, "timestamps take the max");
-        assert_eq!(h.buffered, 4, "frame counts sum");
+        assert_eq!(h.replayed, 4, "frame counts sum");
         assert_eq!(h.from, 1);
+    }
+
+    #[test]
+    fn totals_are_read_off_the_rows_that_count_them() {
+        let s = sample(0);
+        assert_eq!(s.retired(), 4);
+        assert_eq!(
+            (s.migrations_out(), s.remote_reads(), s.remote_writes()),
+            (5, 1, 1)
+        );
+        assert_eq!((s.context_bytes_out(), s.attrib_cost()), (300, 140));
+        assert_eq!((s.handoff_commits(), s.handoff_frozen_bytes()), (0, 512));
+        assert_eq!(s.handoff_replayed(), 2);
+        assert_eq!(s.handoff_bounced(), 2, "ledger bounce + stray bounce");
     }
 
     #[test]

@@ -86,108 +86,57 @@ pub enum EventKind {
     JourneyHop,
 }
 
+/// One row per kind, in declaration order: `(kind, JSONL name, JSONL
+/// names of the two payload words)`. A kind's code is its row index
+/// + 1 (0 is the ring's "never written" sentinel).
+const KINDS: [(EventKind, &str, (&str, &str)); 20] = {
+    use EventKind::*;
+    [
+        (Arrive, "arrive", ("native", "b")),
+        (MigrateOut, "migrate-out", ("dest", "ctx_bytes")),
+        (RemoteRead, "remote-read", ("home", "addr")),
+        (RemoteWrite, "remote-write", ("home", "addr")),
+        (BarrierPark, "barrier-park", ("barrier", "b")),
+        (BarrierRelease, "barrier-release", ("barrier", "released")),
+        (Stall, "stall", ("guest", "b")),
+        (Retry, "retry", ("retried", "b")),
+        (GuestAdmit, "guest-admit", ("guest", "occupancy")),
+        (GuestEvict, "guest-evict", ("guest", "occupancy")),
+        (Retire, "retire", ("latency_ns", "b")),
+        (PeerUp, "peer-up", ("peer", "b")),
+        (PeerDown, "peer-down", ("peer", "b")),
+        (Fail, "fail", ("peer", "b")),
+        (HandoffPrepare, "handoff-prepare", ("shard", "dest")),
+        (HandoffFreeze, "handoff-freeze", ("shard", "state_bytes")),
+        (HandoffTransfer, "handoff-transfer", ("shard", "replayed")),
+        (HandoffCommit, "handoff-commit", ("shard", "epoch")),
+        (HandoffBounce, "handoff-bounce", ("shard", "bounces")),
+        (JourneyHop, "journey-hop", ("at", "cause_epoch")),
+    ]
+};
+
 impl EventKind {
     /// Stable short name used in the JSONL rendering.
     pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Arrive => "arrive",
-            EventKind::MigrateOut => "migrate-out",
-            EventKind::RemoteRead => "remote-read",
-            EventKind::RemoteWrite => "remote-write",
-            EventKind::BarrierPark => "barrier-park",
-            EventKind::BarrierRelease => "barrier-release",
-            EventKind::Stall => "stall",
-            EventKind::Retry => "retry",
-            EventKind::GuestAdmit => "guest-admit",
-            EventKind::GuestEvict => "guest-evict",
-            EventKind::Retire => "retire",
-            EventKind::PeerUp => "peer-up",
-            EventKind::PeerDown => "peer-down",
-            EventKind::Fail => "fail",
-            EventKind::HandoffPrepare => "handoff-prepare",
-            EventKind::HandoffFreeze => "handoff-freeze",
-            EventKind::HandoffTransfer => "handoff-transfer",
-            EventKind::HandoffCommit => "handoff-commit",
-            EventKind::HandoffBounce => "handoff-bounce",
-            EventKind::JourneyHop => "journey-hop",
-        }
+        KINDS[self as usize].1
     }
 
     /// Stable numeric code (1-based; 0 is the ring's "never written"
     /// sentinel).
     pub fn code(self) -> u64 {
-        match self {
-            EventKind::Arrive => 1,
-            EventKind::MigrateOut => 2,
-            EventKind::RemoteRead => 3,
-            EventKind::RemoteWrite => 4,
-            EventKind::BarrierPark => 5,
-            EventKind::BarrierRelease => 6,
-            EventKind::Stall => 7,
-            EventKind::Retry => 8,
-            EventKind::GuestAdmit => 9,
-            EventKind::GuestEvict => 10,
-            EventKind::Retire => 11,
-            EventKind::PeerUp => 12,
-            EventKind::PeerDown => 13,
-            EventKind::Fail => 14,
-            EventKind::HandoffPrepare => 15,
-            EventKind::HandoffFreeze => 16,
-            EventKind::HandoffTransfer => 17,
-            EventKind::HandoffCommit => 18,
-            EventKind::HandoffBounce => 19,
-            EventKind::JourneyHop => 20,
-        }
+        self as u64 + 1
     }
 
     /// Inverse of [`code`](EventKind::code); `None` for the sentinel
     /// and anything unrecognized (a torn concurrent read).
     pub fn from_code(code: u64) -> Option<EventKind> {
-        Some(match code {
-            1 => EventKind::Arrive,
-            2 => EventKind::MigrateOut,
-            3 => EventKind::RemoteRead,
-            4 => EventKind::RemoteWrite,
-            5 => EventKind::BarrierPark,
-            6 => EventKind::BarrierRelease,
-            7 => EventKind::Stall,
-            8 => EventKind::Retry,
-            9 => EventKind::GuestAdmit,
-            10 => EventKind::GuestEvict,
-            11 => EventKind::Retire,
-            12 => EventKind::PeerUp,
-            13 => EventKind::PeerDown,
-            14 => EventKind::Fail,
-            15 => EventKind::HandoffPrepare,
-            16 => EventKind::HandoffFreeze,
-            17 => EventKind::HandoffTransfer,
-            18 => EventKind::HandoffCommit,
-            19 => EventKind::HandoffBounce,
-            20 => EventKind::JourneyHop,
-            _ => return None,
-        })
+        let row = usize::try_from(code).ok()?.checked_sub(1)?;
+        KINDS.get(row).map(|r| r.0)
     }
 
     /// Names of the two payload fields in the JSONL rendering.
     pub fn payload_names(self) -> (&'static str, &'static str) {
-        match self {
-            EventKind::Arrive => ("native", "b"),
-            EventKind::MigrateOut => ("dest", "ctx_bytes"),
-            EventKind::RemoteRead | EventKind::RemoteWrite => ("home", "addr"),
-            EventKind::BarrierPark => ("barrier", "b"),
-            EventKind::BarrierRelease => ("barrier", "released"),
-            EventKind::Stall => ("guest", "b"),
-            EventKind::Retry => ("retried", "b"),
-            EventKind::GuestAdmit | EventKind::GuestEvict => ("guest", "occupancy"),
-            EventKind::Retire => ("latency_ns", "b"),
-            EventKind::PeerUp | EventKind::PeerDown | EventKind::Fail => ("peer", "b"),
-            EventKind::HandoffPrepare => ("shard", "dest"),
-            EventKind::HandoffFreeze => ("shard", "state_bytes"),
-            EventKind::HandoffTransfer => ("shard", "replayed"),
-            EventKind::HandoffCommit => ("shard", "epoch"),
-            EventKind::HandoffBounce => ("shard", "bounces"),
-            EventKind::JourneyHop => ("at", "cause_epoch"),
-        }
+        KINDS[self as usize].2
     }
 }
 
@@ -389,6 +338,17 @@ mod tests {
             assert_eq!(EventKind::from_code(k.code()), Some(k));
         }
         assert_eq!(EventKind::from_code(0), None, "0 is the empty sentinel");
+    }
+
+    #[test]
+    fn table_rows_sit_at_their_kinds_code() {
+        for (i, &(kind, name, _)) in KINDS.iter().enumerate() {
+            let code = i as u64 + 1;
+            assert_eq!(kind.code(), code, "{name}: row out of declaration order");
+            assert_eq!(EventKind::from_code(code), Some(kind));
+            assert_eq!(kind.name(), name);
+        }
+        assert_eq!(EventKind::from_code(KINDS.len() as u64 + 1), None);
     }
 
     #[test]

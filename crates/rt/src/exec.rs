@@ -26,7 +26,6 @@
 //! impossible.
 
 use crate::shard::{Shared, SHARD_IDLE, SHARD_QUEUED, SHARD_RUNNING};
-use em2_obs::{SingleWriterCounter, WorkerObs};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -92,7 +91,7 @@ impl Sched {
 
     /// Next shard for worker `w`: own queue first (FIFO), then steal
     /// from the other queues' backs.
-    fn next(&self, w: usize, obs: Option<&WorkerObs>) -> Option<usize> {
+    fn next(&self, w: usize) -> Option<usize> {
         {
             let mut q = self.runqs[w].lock().expect("run queue");
             if let Some(s) = q.pop_front() {
@@ -101,18 +100,12 @@ impl Sched {
             }
         }
         for i in 1..self.workers {
-            if let Some(o) = obs {
-                o.steal_attempts.bump(1);
-            }
             let mut q = self.runqs[(w + i) % self.workers]
                 .lock()
                 .expect("run queue");
             if let Some(s) = q.pop_back() {
                 self.pending.fetch_sub(1, Ordering::SeqCst);
                 self.steals.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = obs {
-                    o.steals.bump(1);
-                }
                 return Some(s);
             }
         }
@@ -121,7 +114,7 @@ impl Sched {
 
     /// Park until scheduled work exists or shutdown is flagged. May
     /// wake spuriously; the caller's loop re-scans.
-    fn park(&self, shared: &Shared, obs: Option<&WorkerObs>) {
+    fn park(&self, shared: &Shared) {
         let guard = self.sleep_lock.lock().expect("sleep lock");
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         if self.pending.load(Ordering::SeqCst) > 0 || shared.shutdown.load(Ordering::SeqCst) {
@@ -129,9 +122,6 @@ impl Sched {
             return;
         }
         self.parks.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = obs {
-            o.parks.bump(1);
-        }
         drop(self.sleep_cv.wait(guard).expect("sleep cv"));
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -140,24 +130,13 @@ impl Sched {
 /// Body of one executor worker thread.
 pub(crate) fn worker_loop(shared: &Shared, w: usize) {
     let sched = &shared.sched;
-    // Timing-plane handle for this worker (`None` when obs is off).
-    let wobs = shared
-        .obs
-        .as_ref()
-        .map(|o| std::sync::Arc::clone(o.worker(w)));
-    let wobs = wobs.as_deref();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match sched.next(w, wobs) {
-            Some(shard) => {
-                if let Some(o) = wobs {
-                    o.shard_polls.bump(1);
-                }
-                run_shard(shared, shard);
-            }
-            None => sched.park(shared, wobs),
+        match sched.next(w) {
+            Some(shard) => run_shard(shared, shard),
+            None => sched.park(shared),
         }
     }
 }

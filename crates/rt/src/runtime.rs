@@ -452,7 +452,7 @@ impl Runtime {
         let obs_cfg = cfg.obs.clone().unwrap_or_else(em2_obs::ObsConfig::from_env);
         let obs = obs_cfg
             .enabled
-            .then(|| em2_obs::NodeObs::new(obs_cfg, 0, shards, workers));
+            .then(|| em2_obs::NodeObs::new(obs_cfg, 0, shards));
         let shared = Arc::new(Shared {
             mailboxes: (0..shards).map(|_| crate::shard::Mailbox::new()).collect(),
             cores: (0..shards)
@@ -483,7 +483,6 @@ impl Runtime {
             cost: cfg.cost,
             quantum: cfg.quantum,
             sched: Sched::new(workers),
-            obs: obs.clone(),
         });
         let exporter = obs
             .as_ref()
@@ -955,13 +954,6 @@ pub struct InboxBacklog {
     pub stalled_admission: usize,
     /// Shards skipped because a worker held their core.
     pub skipped_shards: usize,
-}
-
-impl InboxBacklog {
-    /// Total envelopes counted across every class.
-    pub fn total(&self) -> usize {
-        self.runnable + self.parked_barrier + self.awaiting_reply + self.stalled_admission
-    }
 }
 
 /// Launch `tasks` on `cfg.shards` shards and run to completion.

@@ -43,7 +43,7 @@ use em2_core::decision::{Decision, DecisionCtx, DecisionScheme};
 use em2_core::stats::FlowCounts;
 use em2_engine::{AtomicBarriers, BarrierArrival};
 use em2_model::{AccessKind, Addr, CoreId, CostModel, Histogram, ThreadId};
-use em2_obs::{EventKind, NodeObs, ShardObs, SingleWriterCounter};
+use em2_obs::{EventKind, ShardObs, SingleWriterCounter};
 use em2_placement::Placement;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -269,10 +269,6 @@ pub(crate) struct Shared {
     pub quantum: usize,
     /// The multiplexed executor's run queues and sleep gate.
     pub sched: Sched,
-    /// Observability registry (`em2-obs`), `None` when the timing
-    /// plane is off. Strictly timing-plane: nothing here ever feeds
-    /// the deterministic counters.
-    pub obs: Option<std::sync::Arc<NodeObs>>,
 }
 
 impl Shared {
@@ -508,6 +504,10 @@ pub(crate) struct ShardCore {
 /// Polls between coarse-event-clock refreshes.
 const OBS_CLOCK_POLLS: u32 = 16;
 
+/// Columns of `ShardCore::attrib_pending`.
+const LOCALS: usize = 0;
+const PARKS: usize = 1;
+
 impl ShardCore {
     pub(crate) fn new(
         id: usize,
@@ -557,12 +557,11 @@ impl ShardCore {
             .collect();
     }
 
-    /// Per-poll obs bookkeeping: bump the poll counter and refresh the
-    /// shard's coarse event clock every few polls.
+    /// Per-poll obs bookkeeping: refresh the shard's coarse event
+    /// clock every few polls.
     #[inline]
     fn obs_poll(&mut self) {
         if let Some(o) = &self.obs {
-            o.polls.bump(1);
             if self.obs_clock_tick.is_multiple_of(OBS_CLOCK_POLLS) {
                 o.refresh_clock();
             }
@@ -575,7 +574,54 @@ impl ShardCore {
     #[inline]
     fn obs_occupancy(&self) {
         if let Some(o) = &self.obs {
-            o.set_guest_occupancy(self.pool.guest_count() as u64);
+            o.guest_occupancy
+                .store(self.pool.guest_count() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Append a lifecycle event to this shard's trace ring (obs on).
+    #[inline]
+    fn ev(&self, kind: EventKind, task: u64, a: u64, b: u64) {
+        if let Some(o) = &self.obs {
+            o.event(kind, task, a, b);
+        }
+    }
+
+    /// Obs hook for a guest admitted to or evicted from the pool: the
+    /// occupancy gauge and the ring event.
+    fn obs_guest(&self, kind: EventKind, guest: ThreadId) {
+        self.obs_occupancy();
+        self.ev(kind, guest.0 as u64, self.pool.guest_count() as u64, 0);
+    }
+
+    /// Obs hook for an executed `Migrate`/`Remote` verdict toward
+    /// `home` — the one place a verdict is recorded on the timing
+    /// plane: the ring event (`payload` = context bytes shipped, or
+    /// the remote address) and the (thread, home) attribution cell,
+    /// costed with the model's latency for the verdict. Deterministic
+    /// data (program-order counts) held in timing-plane storage —
+    /// never read back by the deterministic counters.
+    #[inline]
+    fn note_verdict(&self, kind: EventKind, thread: ThreadId, home: CoreId, payload: u64) {
+        let Some(o) = &self.obs else { return };
+        o.event(kind, thread.0 as u64, home.index() as u64, payload);
+        let cell = o.attrib.cell(thread.0, home.index() as u32);
+        let [migrate, read, write] = self.attrib_cost[home.index()];
+        match kind {
+            EventKind::MigrateOut => {
+                cell.migrations.bump(1);
+                cell.context_bytes.bump(payload);
+                cell.cost.bump(migrate);
+            }
+            EventKind::RemoteRead => {
+                cell.remote_reads.bump(1);
+                cell.cost.bump(read);
+            }
+            EventKind::RemoteWrite => {
+                cell.remote_writes.bump(1);
+                cell.cost.bump(write);
+            }
+            other => debug_assert!(false, "{other:?} is not a verdict"),
         }
     }
 
@@ -729,7 +775,6 @@ impl ShardCore {
             };
             if drained > 0 {
                 if let Some(o) = &self.obs {
-                    o.msgs.bump(drained as u64);
                     o.mailbox_batch.record(drained as u64);
                 }
             }
@@ -788,9 +833,6 @@ impl ShardCore {
             } => {
                 // Figure 3's "access memory" box executes at the home,
                 // in request arrival order.
-                if let Some(o) = &self.obs {
-                    o.remote_served.bump(1);
-                }
                 let value = self.serve(addr, write);
                 if shared.local_slot(reply_shard).is_some() {
                     shared.send(reply_shard, Msg::Response { token, value });
@@ -827,9 +869,7 @@ impl ShardCore {
                         i += 1;
                     }
                 }
-                if let Some(o) = &self.obs {
-                    o.event(EventKind::BarrierRelease, 0, idx as u64, released);
-                }
+                self.ev(EventKind::BarrierRelease, 0, idx as u64, released);
             }
         }
     }
@@ -860,19 +900,12 @@ impl ShardCore {
                 cause: crate::wire::HopCause::Submit,
             });
         }
-        if let Some(o) = &self.obs {
-            o.arrivals.bump(1);
-            if env.pending_op.is_some() {
-                // A migration lands carrying its arrival access.
-                o.migrations_in.bump(1);
-            }
-            o.event(
-                EventKind::Arrive,
-                env.thread.0 as u64,
-                env.native.index() as u64,
-                u64::from(env.native == self.me()),
-            );
-        }
+        self.ev(
+            EventKind::Arrive,
+            env.thread.0 as u64,
+            env.native.index() as u64,
+            u64::from(env.native == self.me()),
+        );
         if env.native == self.me() {
             self.pool.admit_native(env.thread);
             self.activate(shared, env);
@@ -893,15 +926,8 @@ impl ShardCore {
 
     /// Obs hook for an arrival stalled on guest admission.
     fn obs_stall(&self, env: &Envelope) {
-        if let Some(o) = &self.obs {
-            o.stalls.bump(1);
-            o.event(
-                EventKind::Stall,
-                env.thread.0 as u64,
-                self.stalled.len() as u64 + 1,
-                0,
-            );
-        }
+        let queued = self.stalled.len() as u64 + 1;
+        self.ev(EventKind::Stall, env.thread.0 as u64, queued, 0);
     }
 
     /// The guest-admission state machine, shared by fresh arrivals and
@@ -911,28 +937,18 @@ impl ShardCore {
         self.clock += 1;
         match self.pool.admit_guest(env.thread, self.clock) {
             Admission::Admitted => {
-                self.obs_guest_admit(&env);
+                self.obs_guest(EventKind::GuestAdmit, env.thread);
                 self.activate(shared, env);
             }
             Admission::AdmittedEvicting(victim) => {
                 self.counters.flow.evictions += 1;
                 self.evict(shared, victim);
-                self.obs_guest_admit(&env);
+                self.obs_guest(EventKind::GuestAdmit, env.thread);
                 self.activate(shared, env);
             }
             Admission::Stalled => return Some(env),
         }
         None
-    }
-
-    /// Obs hook for a successful guest admission.
-    fn obs_guest_admit(&self, env: &Envelope) {
-        if let Some(o) = &self.obs {
-            o.guest_admits.bump(1);
-            let occ = self.pool.guest_count() as u64;
-            o.set_guest_occupancy(occ);
-            o.event(EventKind::GuestAdmit, env.thread.0 as u64, occ, 0);
-        }
     }
 
     /// An admitted context becomes active: barrier-parked arrivals
@@ -971,12 +987,7 @@ impl ShardCore {
             self.parked.swap_remove(i)
         };
         self.counters.context_bytes_sent += env.task.context_len();
-        if let Some(o) = &self.obs {
-            o.evictions.bump(1);
-            let occ = self.pool.guest_count() as u64;
-            o.set_guest_occupancy(occ);
-            o.event(EventKind::GuestEvict, env.thread.0 as u64, occ, 0);
-        }
+        self.obs_guest(EventKind::GuestEvict, env.thread);
         let native = env.native.index();
         shared.send(native, Msg::Arrive(env));
     }
@@ -989,10 +1000,7 @@ impl ShardCore {
                 self.stalled.push_front(env);
                 return;
             }
-            if let Some(o) = &self.obs {
-                o.retries.bump(1);
-                o.event(EventKind::Retry, thread, self.stalled.len() as u64, 0);
-            }
+            self.ev(EventKind::Retry, thread, self.stalled.len() as u64, 0);
         }
     }
 
@@ -1038,11 +1046,12 @@ impl ShardCore {
         env.scheme.observe_run(env.thread, core, len);
     }
 
-    /// Attribute a slice's local accesses to the (thread, here) cell in
-    /// one bump (`execute` counts them in a register; resolving the
-    /// matrix cell once per slice keeps the per-access cost at zero).
+    /// Accrue `n` toward column `col` ([`LOCALS`] or [`PARKS`]) of the
+    /// (thread, here) attribution cell. A slice's local accesses
+    /// arrive as one call (`execute` counts them in a register), so
+    /// the per-access cost stays zero.
     #[inline]
-    fn attrib_locals(&mut self, thread: ThreadId, n: u64) {
+    fn attrib_defer(&mut self, thread: ThreadId, col: usize, n: u64) {
         if n == 0 || self.obs.is_none() {
             return;
         }
@@ -1050,20 +1059,7 @@ impl ShardCore {
         if t >= self.attrib_pending.len() {
             self.attrib_pending.resize(t + 1, [0, 0]);
         }
-        self.attrib_pending[t][0] += n;
-    }
-
-    /// Count a barrier park of `thread` at this shard (same deferred
-    /// single-writer path as [`ShardCore::attrib_locals`]).
-    fn attrib_park(&mut self, thread: ThreadId) {
-        if self.obs.is_none() {
-            return;
-        }
-        let t = thread.0 as usize;
-        if t >= self.attrib_pending.len() {
-            self.attrib_pending.resize(t + 1, [0, 0]);
-        }
-        self.attrib_pending[t][1] += 1;
+        self.attrib_pending[t][col] += n;
     }
 
     /// Fold the deferred per-thread locals/parks into the attribution
@@ -1104,7 +1100,7 @@ impl ShardCore {
             };
             let (addr, write_value) = match op {
                 Op::Done => {
-                    self.attrib_locals(thread, local_hits);
+                    self.attrib_defer(thread, LOCALS, local_hits);
                     self.retire(shared, env);
                     return;
                 }
@@ -1122,13 +1118,11 @@ impl ShardCore {
                         if shared.barriers.is_released(k) {
                             continue;
                         }
-                        if let Some(o) = &self.obs {
-                            o.event(EventKind::BarrierPark, env.thread.0 as u64, k as u64, 0);
-                        }
-                        self.attrib_park(thread);
+                        self.ev(EventKind::BarrierPark, thread.0 as u64, k as u64, 0);
+                        self.attrib_defer(thread, PARKS, 1);
                         env.parked_at = Some(k);
                         self.parked.push(env);
-                        self.attrib_locals(thread, local_hits);
+                        self.attrib_defer(thread, LOCALS, local_hits);
                         shared
                             .node
                             .as_ref()
@@ -1151,13 +1145,11 @@ impl ShardCore {
                         }
                         BarrierArrival::AlreadyOpen => continue,
                         BarrierArrival::Parks => {
-                            if let Some(o) = &self.obs {
-                                o.event(EventKind::BarrierPark, env.thread.0 as u64, k as u64, 0);
-                            }
-                            self.attrib_park(thread);
+                            self.ev(EventKind::BarrierPark, thread.0 as u64, k as u64, 0);
+                            self.attrib_defer(thread, PARKS, 1);
                             env.parked_at = Some(k);
                             self.parked.push(env);
-                            self.attrib_locals(thread, local_hits);
+                            self.attrib_defer(thread, LOCALS, local_hits);
                             return;
                         }
                     }
@@ -1185,7 +1177,7 @@ impl ShardCore {
                     // contexts. The unconsumed reply is register state.
                     env.pending_reply = reply.take();
                     self.runq.push_back(env);
-                    self.attrib_locals(thread, local_hits);
+                    self.attrib_defer(thread, LOCALS, local_hits);
                     return;
                 }
                 continue;
@@ -1219,34 +1211,9 @@ impl ShardCore {
                     }
                     let ctx = env.task.context_len();
                     self.counters.context_bytes_sent += ctx;
-                    // LUT consult outside the handle borrow; gated so
-                    // the obs-off path pays only the branch.
-                    let mig_cost = if self.attrib_cost.is_empty() {
-                        0
-                    } else {
-                        self.attrib_cost[home.index()][0]
-                    };
-                    if let Some(o) = &self.obs {
-                        o.migrations_out.bump(1);
-                        o.context_bytes_out.bump(ctx);
-                        o.event(
-                            EventKind::MigrateOut,
-                            env.thread.0 as u64,
-                            home.index() as u64,
-                            ctx,
-                        );
-                        // Attribution: the migration edge, costed with
-                        // the model's migration latency. Deterministic
-                        // data (program-order counts) held in timing-
-                        // plane storage — never read back by the
-                        // deterministic counters.
-                        let cell = o.attrib.cell(thread.0, home.index() as u32);
-                        cell.migrations.bump(1);
-                        cell.context_bytes.bump(ctx);
-                        cell.cost.bump(mig_cost);
-                    }
+                    self.note_verdict(EventKind::MigrateOut, thread, home, ctx);
                     env.pending_op = Some(op);
-                    self.attrib_locals(thread, local_hits);
+                    self.attrib_defer(thread, LOCALS, local_hits);
                     shared.send(home.index(), Msg::Arrive(env));
                     return;
                 }
@@ -1261,32 +1228,14 @@ impl ShardCore {
                         epoch: shared.directory.epoch(),
                         cause: crate::wire::HopCause::Remote,
                     });
-                    if write_value.is_some() {
+                    let verdict = if write_value.is_some() {
                         self.counters.flow.remote_writes += 1;
+                        EventKind::RemoteWrite
                     } else {
                         self.counters.flow.remote_reads += 1;
-                    }
-                    let ra_cost = if self.attrib_cost.is_empty() {
-                        0
-                    } else {
-                        self.attrib_cost[home.index()][if write_value.is_some() { 2 } else { 1 }]
+                        EventKind::RemoteRead
                     };
-                    if let Some(o) = &self.obs {
-                        let (ctr, ev) = if write_value.is_some() {
-                            (&o.remote_writes, EventKind::RemoteWrite)
-                        } else {
-                            (&o.remote_reads, EventKind::RemoteRead)
-                        };
-                        ctr.bump(1);
-                        o.event(ev, env.thread.0 as u64, home.index() as u64, addr.0);
-                        let cell = o.attrib.cell(thread.0, home.index() as u32);
-                        if write_value.is_some() {
-                            cell.remote_writes.bump(1);
-                        } else {
-                            cell.remote_reads.bump(1);
-                        }
-                        cell.cost.bump(ra_cost);
-                    }
+                    self.note_verdict(verdict, thread, home, addr.0);
                     if me != env.native {
                         self.pool.set_guest_state(env.thread, GuestState::Pinned);
                     }
@@ -1295,7 +1244,7 @@ impl ShardCore {
                     let token = self.next_token;
                     self.next_token += 1;
                     self.awaiting.insert(token, env);
-                    self.attrib_locals(thread, local_hits);
+                    self.attrib_defer(thread, LOCALS, local_hits);
                     shared.send(
                         home.index(),
                         Msg::Request {
@@ -1331,7 +1280,6 @@ impl ShardCore {
             self.obs_occupancy();
         }
         if let Some(o) = &self.obs {
-            o.retired.bump(1);
             o.task_latency_ns.record(latency_ns);
             // Dump the journey into the trace ring so the task's
             // cross-cluster path is reconstructible from this node's
@@ -1344,7 +1292,6 @@ impl ShardCore {
                     (u64::from(h.cause.code()) << 32) | (h.epoch & 0xFFFF_FFFF),
                 );
             }
-            o.journey_hops.bump(env.journey.hops.len() as u64);
             o.journey_dropped.bump(u64::from(env.journey.dropped));
             o.event(EventKind::Retire, env.thread.0 as u64, latency_ns, 0);
         }

@@ -243,7 +243,7 @@ impl StatsTicker {
                 let s = obs.snapshot();
                 let now = Instant::now();
                 let dt = now.duration_since(last_at).as_secs_f64();
-                let rps = (s.retired.saturating_sub(last_retired)) as f64 / dt.max(1e-9);
+                let rps = (s.retired().saturating_sub(last_retired)) as f64 / dt.max(1e-9);
                 let h = &s.task_latency_ns;
                 let heat: String = obs
                     .placement_heat(3)
@@ -260,7 +260,7 @@ impl StatsTicker {
                     if heat.is_empty() { " -" } else { &heat },
                     s.dir_epoch,
                 );
-                (last_retired, last_at) = (s.retired, now);
+                (last_retired, last_at) = (s.retired(), now);
             }
         });
         StatsTicker {
