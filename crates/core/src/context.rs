@@ -116,23 +116,27 @@ impl ContextPool {
             self.peak_guests = self.peak_guests.max(self.guests.len());
             return Admission::Admitted;
         }
-        // Full: pick an evictable victim.
-        let candidates: Vec<usize> = self
-            .guests
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.state == GuestState::Evictable)
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() {
+        // Full: pick an evictable victim straight off the slots, no
+        // scratch list (this runs on every admission to a full pool).
+        let evictable = || {
+            self.guests
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| g.state == GuestState::Evictable)
+        };
+        let chosen = match &mut self.policy {
+            // `min_by_key` keeps the first minimum: ties go to the
+            // lowest slot.
+            VictimPolicy::Lru => evictable().min_by_key(|(_, g)| g.last_active),
+            // One draw per admission that finds a candidate, none
+            // otherwise.
+            VictimPolicy::Random(rng) => match evictable().count() {
+                0 => None,
+                n => evictable().nth(rng.below(n as u64) as usize),
+            },
+        };
+        let Some((victim_idx, _)) = chosen else {
             return Admission::Stalled;
-        }
-        let victim_idx = match &mut self.policy {
-            VictimPolicy::Lru => candidates
-                .into_iter()
-                .min_by_key(|&i| self.guests[i].last_active)
-                .expect("non-empty"),
-            VictimPolicy::Random(rng) => candidates[rng.below(candidates.len() as u64) as usize],
         };
         let victim = self.guests[victim_idx].thread;
         self.guests[victim_idx] = GuestSlot {
@@ -313,6 +317,46 @@ mod tests {
         let vb = b.admit_guest(t(3), 3);
         assert_eq!(va, vb);
         assert!(matches!(va, Admission::AdmittedEvicting(v) if v == t(1) || v == t(2)));
+    }
+
+    #[test]
+    fn lru_ties_evict_the_lowest_slot() {
+        let mut p = ContextPool::new(3, VictimPolicy::Lru);
+        p.admit_guest(t(1), 7);
+        p.admit_guest(t(2), 5);
+        p.admit_guest(t(3), 5);
+        // t2 and t3 tie for least recent; t2 sits in the lower slot.
+        assert_eq!(p.admit_guest(t(4), 9), Admission::AdmittedEvicting(t(2)));
+        // t4 took slot 1 at 9; now t3 (5) is alone at the minimum.
+        assert_eq!(p.admit_guest(t(5), 9), Admission::AdmittedEvicting(t(3)));
+        // A pinned slot does not take part in the tie.
+        p.touch(t(1), 9);
+        p.set_guest_state(t(1), GuestState::Pinned);
+        assert_eq!(p.admit_guest(t(6), 9), Admission::AdmittedEvicting(t(4)));
+    }
+
+    /// The random victim is the k-th evictable slot for one
+    /// `below(evictable)` draw per evicting admission — checked against
+    /// a slot-by-slot model sharing the seed, with one slot pinned so
+    /// slot index and candidate index differ.
+    #[test]
+    fn random_victim_is_the_kth_evictable_slot_of_one_draw() {
+        let mut rng = DetRng::new(11);
+        let mut p = ContextPool::new(4, VictimPolicy::Random(rng.clone()));
+        let mut slots: Vec<ThreadId> = (1..=4).map(t).collect();
+        for &g in &slots {
+            p.admit_guest(g, 0);
+        }
+        p.set_guest_state(t(2), GuestState::Pinned);
+        for n in 5..60 {
+            let candidates: Vec<_> = (0..4usize).filter(|&i| slots[i] != t(2)).collect();
+            let k = candidates[rng.below(candidates.len() as u64) as usize];
+            assert_eq!(
+                p.admit_guest(t(n), 0),
+                Admission::AdmittedEvicting(slots[k])
+            );
+            slots[k] = t(n);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`MarkovPredictor`] | run length conditioned on the previous run's bucket |
 //! | [`OracleSchedule`] | replay of the DP-optimal decision sequence |
 
-use em2_model::{AccessKind, CoreId, CostModel, ThreadId};
+use em2_model::{AccessKind, CoreId, CostModel, ThreadId, WordMap};
 
 /// The two ways to reach a remotely-homed word (Figure 3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,6 +197,28 @@ impl DecisionScheme for CostBreakEven {
     }
 }
 
+/// `(thread, core)` as one word, thread above core: the predictors'
+/// tables hash a single `u64`, and numeric key order is
+/// `(thread, core)` order — the order `state_bytes` emits, so equal
+/// learned state is equal bytes whatever order it was learned in.
+#[inline]
+fn pair_key(thread: ThreadId, core: CoreId) -> u64 {
+    (u64::from(thread.0) << 16) | u64::from(core.0)
+}
+
+/// The `(thread, core)` ids a [`pair_key`] packs.
+#[inline]
+fn pair_ids(pair: u64) -> (u32, u16) {
+    ((pair >> 16) as u32, pair as u16)
+}
+
+/// A table's entries in ascending key order.
+fn sorted_entries<V: Copy>(table: &WordMap<u64, V>) -> Vec<(u64, V)> {
+    let mut entries: Vec<(u64, V)> = table.iter().map(|(&k, &v)| (k, v)).collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    entries
+}
+
 /// Last-value run-length predictor, keyed by (thread, home core):
 /// migrate when the *predicted* run length amortizes a migration.
 /// This is the kind of small-table scheme a core could implement in
@@ -208,7 +230,8 @@ pub struct HistoryPredictor {
     pub initial_prediction: f64,
     /// Exponential smoothing factor in (0, 1]; 1.0 = last value wins.
     pub alpha: f64,
-    table: std::collections::HashMap<(ThreadId, CoreId), f64>,
+    /// [`pair_key`]`(thread, home)` → EWMA of the run lengths seen there.
+    table: WordMap<u64, f64>,
 }
 
 impl HistoryPredictor {
@@ -219,14 +242,14 @@ impl HistoryPredictor {
         HistoryPredictor {
             initial_prediction,
             alpha,
-            table: std::collections::HashMap::new(),
+            table: WordMap::default(),
         }
     }
 
     /// Current prediction for a (thread, home) pair.
     pub fn prediction(&self, thread: ThreadId, home: CoreId) -> f64 {
         self.table
-            .get(&(thread, home))
+            .get(&pair_key(thread, home))
             .copied()
             .unwrap_or(self.initial_prediction)
     }
@@ -249,7 +272,7 @@ impl DecisionScheme for HistoryPredictor {
     fn observe_run(&mut self, thread: ThreadId, home: CoreId, len: u64) {
         let e = self
             .table
-            .entry((thread, home))
+            .entry(pair_key(thread, home))
             .or_insert(self.initial_prediction);
         *e = (1.0 - self.alpha) * *e + self.alpha * len as f64;
     }
@@ -262,9 +285,10 @@ impl DecisionScheme for HistoryPredictor {
         use em2_model::bytes::{put_u16, put_u32, put_u64};
         let mut b = Vec::with_capacity(4 + self.table.len() * 14);
         put_u32(&mut b, self.table.len() as u32);
-        for (&(t, c), &p) in &self.table {
-            put_u32(&mut b, t.0);
-            put_u16(&mut b, c.0);
+        for (pair, p) in sorted_entries(&self.table) {
+            let (t, c) = pair_ids(pair);
+            put_u32(&mut b, t);
+            put_u16(&mut b, c);
             put_u64(&mut b, p.to_bits());
         }
         b
@@ -275,9 +299,8 @@ impl DecisionScheme for HistoryPredictor {
         let n = r.u32()?;
         self.table.clear();
         for _ in 0..n {
-            let t = ThreadId(r.u32()?);
-            let c = CoreId(r.u16()?);
-            self.table.insert((t, c), f64::from_bits(r.u64()?));
+            let key = pair_key(ThreadId(r.u32()?), CoreId(r.u16()?));
+            self.table.insert(key, f64::from_bits(r.u64()?));
         }
         Ok(r.finish()?)
     }
@@ -298,10 +321,11 @@ impl DecisionScheme for HistoryPredictor {
 pub struct MarkovPredictor {
     initial_prediction: f64,
     alpha: f64,
-    /// (thread, home, prev-bucket) → EWMA of the following run length.
-    table: std::collections::HashMap<(ThreadId, CoreId, u8), f64>,
-    /// (thread, home) → previous run's bucket.
-    last_bucket: std::collections::HashMap<(ThreadId, CoreId), u8>,
+    /// `(`[`pair_key`]`(thread, home) << 8) | prev-bucket` → EWMA of the
+    /// following run length.
+    table: WordMap<u64, f64>,
+    /// [`pair_key`]`(thread, home)` → previous run's bucket.
+    last_bucket: WordMap<u64, u8>,
 }
 
 impl MarkovPredictor {
@@ -311,8 +335,8 @@ impl MarkovPredictor {
         MarkovPredictor {
             initial_prediction,
             alpha,
-            table: std::collections::HashMap::new(),
-            last_bucket: std::collections::HashMap::new(),
+            table: WordMap::default(),
+            last_bucket: WordMap::default(),
         }
     }
 
@@ -329,9 +353,10 @@ impl MarkovPredictor {
 
     /// Current prediction for the next run of `(thread, home)`.
     pub fn prediction(&self, thread: ThreadId, home: CoreId) -> f64 {
-        let b = self.last_bucket.get(&(thread, home)).copied().unwrap_or(0);
+        let pair = pair_key(thread, home);
+        let b = self.last_bucket.get(&pair).copied().unwrap_or(0);
         self.table
-            .get(&(thread, home, b))
+            .get(&((pair << 8) | u64::from(b)))
             .copied()
             .unwrap_or(self.initial_prediction)
     }
@@ -352,13 +377,14 @@ impl DecisionScheme for MarkovPredictor {
     }
 
     fn observe_run(&mut self, thread: ThreadId, home: CoreId, len: u64) {
+        let pair = pair_key(thread, home);
         let prev = self
             .last_bucket
-            .insert((thread, home), Self::bucket(len))
+            .insert(pair, Self::bucket(len))
             .unwrap_or(0);
         let e = self
             .table
-            .entry((thread, home, prev))
+            .entry((pair << 8) | u64::from(prev))
             .or_insert(self.initial_prediction);
         *e = (1.0 - self.alpha) * *e + self.alpha * len as f64;
     }
@@ -371,16 +397,18 @@ impl DecisionScheme for MarkovPredictor {
         use em2_model::bytes::{put_u16, put_u32, put_u64};
         let mut b = Vec::with_capacity(8 + self.table.len() * 15 + self.last_bucket.len() * 7);
         put_u32(&mut b, self.table.len() as u32);
-        for (&(t, c, k), &p) in &self.table {
-            put_u32(&mut b, t.0);
-            put_u16(&mut b, c.0);
-            b.push(k);
+        for (key, p) in sorted_entries(&self.table) {
+            let (t, c) = pair_ids(key >> 8);
+            put_u32(&mut b, t);
+            put_u16(&mut b, c);
+            b.push(key as u8);
             put_u64(&mut b, p.to_bits());
         }
         put_u32(&mut b, self.last_bucket.len() as u32);
-        for (&(t, c), &k) in &self.last_bucket {
-            put_u32(&mut b, t.0);
-            put_u16(&mut b, c.0);
+        for (pair, k) in sorted_entries(&self.last_bucket) {
+            let (t, c) = pair_ids(pair);
+            put_u32(&mut b, t);
+            put_u16(&mut b, c);
             b.push(k);
         }
         b
@@ -391,18 +419,15 @@ impl DecisionScheme for MarkovPredictor {
         let n = r.u32()?;
         self.table.clear();
         for _ in 0..n {
-            let t = ThreadId(r.u32()?);
-            let c = CoreId(r.u16()?);
-            let k = r.u8()?;
-            self.table.insert((t, c, k), f64::from_bits(r.u64()?));
+            let pair = pair_key(ThreadId(r.u32()?), CoreId(r.u16()?));
+            let key = (pair << 8) | u64::from(r.u8()?);
+            self.table.insert(key, f64::from_bits(r.u64()?));
         }
         let n = r.u32()?;
         self.last_bucket.clear();
         for _ in 0..n {
-            let t = ThreadId(r.u32()?);
-            let c = CoreId(r.u16()?);
-            let k = r.u8()?;
-            self.last_bucket.insert((t, c), k);
+            let pair = pair_key(ThreadId(r.u32()?), CoreId(r.u16()?));
+            self.last_bucket.insert(pair, r.u8()?);
         }
         Ok(r.finish()?)
     }
@@ -682,6 +707,77 @@ mod tests {
                     b.prediction(ThreadId(t), CoreId(c)).to_bits()
                 );
             }
+        }
+    }
+
+    /// Equal learned state is equal bytes: each `(thread, home)` key
+    /// sees its own runs in the same order (an EWMA is order-dependent
+    /// per key), but the keys are visited forwards by one predictor and
+    /// backwards by the other, so the tables are filled in different
+    /// orders. Red with map-iteration-order emission.
+    #[test]
+    fn state_bytes_do_not_depend_on_learning_order() {
+        let keys: Vec<(ThreadId, CoreId)> = (0..7u32)
+            .flat_map(|t| (0..9u16).map(move |c| (ThreadId(t * 37), CoreId(c * 5))))
+            .collect();
+        let runs = [3u64, 1, 12, 1, 40];
+        fn learn<S: DecisionScheme>(
+            mut s: S,
+            keys: impl Iterator<Item = (ThreadId, CoreId)>,
+            runs: &[u64],
+        ) -> S {
+            for (t, c) in keys {
+                for &len in runs {
+                    s.observe_run(t, c, len + u64::from(c.0));
+                }
+            }
+            s
+        }
+
+        let a = learn(HistoryPredictor::new(1.0, 0.5), keys.iter().copied(), &runs);
+        let b = learn(
+            HistoryPredictor::new(1.0, 0.5),
+            keys.iter().rev().copied(),
+            &runs,
+        );
+        assert_eq!(a.state_bytes(), b.state_bytes());
+        let mut c = HistoryPredictor::new(1.0, 0.5);
+        c.load_state(&a.state_bytes()).expect("round trip");
+        assert_eq!(c.state_bytes(), a.state_bytes());
+        for &(t, h) in &keys {
+            assert_eq!(a.prediction(t, h).to_bits(), c.prediction(t, h).to_bits());
+        }
+        // Entries are 14 bytes after the count; thread then core, both
+        // little-endian, strictly ascending as a pair.
+        let bytes = a.state_bytes();
+        let entry_keys: Vec<(u32, u16)> = bytes[4..]
+            .chunks(14)
+            .map(|e| {
+                (
+                    u32::from_le_bytes(e[..4].try_into().expect("thread")),
+                    u16::from_le_bytes(e[4..6].try_into().expect("core")),
+                )
+            })
+            .collect();
+        assert_eq!(entry_keys.len(), keys.len());
+        assert!(entry_keys.windows(2).all(|w| w[0] < w[1]), "{entry_keys:?}");
+
+        let a = learn(MarkovPredictor::new(1.0, 0.5), keys.iter().copied(), &runs);
+        let b = learn(
+            MarkovPredictor::new(1.0, 0.5),
+            keys.iter().rev().copied(),
+            &runs,
+        );
+        assert_eq!(a.state_bytes(), b.state_bytes());
+        let mut c = MarkovPredictor::new(1.0, 0.5);
+        c.load_state(&a.state_bytes()).expect("round trip");
+        assert_eq!(c.state_bytes(), a.state_bytes());
+        for &(t, h) in &keys {
+            assert_eq!(
+                a.prediction(t, h).to_bits(),
+                c.prediction(t, h).to_bits(),
+                "{t:?} at {h:?}"
+            );
         }
     }
 

@@ -86,14 +86,14 @@ impl Addr {
     #[inline]
     pub const fn line(self, line_bytes: u64) -> LineAddr {
         debug_assert!(line_bytes.is_power_of_two());
-        LineAddr(self.0 / line_bytes)
+        LineAddr(self.0 >> line_bytes.trailing_zeros())
     }
 
     /// Byte offset within its cache line.
     #[inline]
     pub const fn line_offset(self, line_bytes: u64) -> u64 {
         debug_assert!(line_bytes.is_power_of_two());
-        self.0 % line_bytes
+        self.0 & (line_bytes - 1)
     }
 }
 

@@ -14,6 +14,8 @@
 //!   simulator's default timing and the paper's §3 dynamic program;
 //! * [`rng`] — a deterministic, seedable PRNG so that every experiment
 //!   in the workspace is bit-reproducible;
+//! * [`hash`] — [`WordMap`], the word-keyed table behind every
+//!   per-access, per-decision and per-arrival lookup;
 //! * [`histogram`] — integer histograms (run-length distributions,
 //!   Figure 2 of the paper);
 //! * [`stats`] — streaming scalar statistics (mean/variance/min/max);
@@ -28,6 +30,7 @@
 pub mod bytes;
 pub mod cost;
 pub mod env;
+pub mod hash;
 pub mod histogram;
 pub mod ids;
 pub mod mesh;
@@ -35,6 +38,7 @@ pub mod rng;
 pub mod stats;
 
 pub use cost::{ContextSpec, CostModel, CostModelBuilder};
+pub use hash::{WordHasher, WordMap};
 pub use histogram::Histogram;
 pub use ids::{AccessKind, Addr, CoreId, LineAddr, ThreadId};
 pub use mesh::Mesh;

@@ -1,8 +1,7 @@
 //! Placement policies: address → home core.
 
-use em2_model::{Addr, CoreId};
+use em2_model::{Addr, CoreId, WordMap};
 use em2_trace::Workload;
-use std::collections::HashMap;
 
 /// A data placement: the total function from addresses to home cores.
 ///
@@ -44,20 +43,25 @@ impl<P: Placement + ?Sized> Placement for std::sync::Arc<P> {
 #[derive(Clone, Debug)]
 pub struct Striped {
     cores: usize,
-    line_bytes: u64,
+    /// log2 of the line size: the constructor asserts a power of two,
+    /// so address → line is a shift, not a divide.
+    line_shift: u32,
 }
 
 impl Striped {
     /// Stripe `line_bytes`-sized lines over `cores` cores.
     pub fn new(cores: usize, line_bytes: u64) -> Self {
         assert!(cores > 0 && line_bytes.is_power_of_two());
-        Striped { cores, line_bytes }
+        Striped {
+            cores,
+            line_shift: line_bytes.trailing_zeros(),
+        }
     }
 }
 
 impl Placement for Striped {
     fn home_of(&self, addr: Addr) -> CoreId {
-        CoreId::from(((addr.0 / self.line_bytes) % self.cores as u64) as usize)
+        CoreId::from(((addr.0 >> self.line_shift) % self.cores as u64) as usize)
     }
 
     fn name(&self) -> &'static str {
@@ -75,20 +79,24 @@ impl Placement for Striped {
 #[derive(Clone, Debug)]
 pub struct PageRoundRobin {
     cores: usize,
-    page_bytes: u64,
+    /// log2 of the (power-of-two) page size.
+    page_shift: u32,
 }
 
 impl PageRoundRobin {
     /// Round-robin `page_bytes`-sized pages over `cores` cores.
     pub fn new(cores: usize, page_bytes: u64) -> Self {
         assert!(cores > 0 && page_bytes.is_power_of_two());
-        PageRoundRobin { cores, page_bytes }
+        PageRoundRobin {
+            cores,
+            page_shift: page_bytes.trailing_zeros(),
+        }
     }
 }
 
 impl Placement for PageRoundRobin {
     fn home_of(&self, addr: Addr) -> CoreId {
-        CoreId::from(((addr.0 / self.page_bytes) % self.cores as u64) as usize)
+        CoreId::from(((addr.0 >> self.page_shift) % self.cores as u64) as usize)
     }
 
     fn name(&self) -> &'static str {
@@ -156,8 +164,9 @@ impl Placement for BlockOwner {
 /// time across threads. Units never touched fall back to striping.
 #[derive(Clone, Debug)]
 pub struct FirstTouch {
-    granularity: u64,
-    table: HashMap<u64, CoreId>,
+    /// log2 of the (power-of-two) placement granularity.
+    unit_shift: u32,
+    table: WordMap<u64, CoreId>,
     fallback: Striped,
 }
 
@@ -166,7 +175,8 @@ impl FirstTouch {
     /// (64 = per-line, 4096 = per-page OS-style first touch).
     pub fn build(workload: &Workload, cores: usize, granularity: u64) -> Self {
         assert!(granularity.is_power_of_two());
-        let mut table: HashMap<u64, CoreId> = HashMap::new();
+        let unit_shift = granularity.trailing_zeros();
+        let mut table: WordMap<u64, CoreId> = WordMap::default();
         let phases = workload.phases();
         for phase in 0..phases {
             let slices: Vec<(&em2_trace::ThreadTrace, &[em2_trace::MemRecord])> = workload
@@ -178,13 +188,13 @@ impl FirstTouch {
             for i in 0..longest {
                 for (t, s) in &slices {
                     if let Some(r) = s.get(i) {
-                        table.entry(r.addr.0 / granularity).or_insert(t.native);
+                        table.entry(r.addr.0 >> unit_shift).or_insert(t.native);
                     }
                 }
             }
         }
         FirstTouch {
-            granularity,
+            unit_shift,
             table,
             fallback: Striped::new(cores, 64),
         }
@@ -208,7 +218,7 @@ impl FirstTouch {
 impl Placement for FirstTouch {
     fn home_of(&self, addr: Addr) -> CoreId {
         self.table
-            .get(&(addr.0 / self.granularity))
+            .get(&(addr.0 >> self.unit_shift))
             .copied()
             .unwrap_or_else(|| self.fallback.home_of(addr))
     }
@@ -229,8 +239,9 @@ impl Placement for FirstTouch {
 /// EM²-specific optimization study \[12\].
 #[derive(Clone, Debug)]
 pub struct ProfileMajority {
-    granularity: u64,
-    table: HashMap<u64, CoreId>,
+    /// log2 of the (power-of-two) placement granularity.
+    unit_shift: u32,
+    table: WordMap<u64, CoreId>,
     fallback: Striped,
 }
 
@@ -238,12 +249,13 @@ impl ProfileMajority {
     /// Build from a full workload profile.
     pub fn build(workload: &Workload, cores: usize, granularity: u64) -> Self {
         assert!(granularity.is_power_of_two());
+        let unit_shift = granularity.trailing_zeros();
         // unit -> per-core access counts
-        let mut counts: HashMap<u64, HashMap<CoreId, u64>> = HashMap::new();
+        let mut counts: WordMap<u64, WordMap<CoreId, u64>> = WordMap::default();
         for t in &workload.threads {
             for r in &t.records {
                 *counts
-                    .entry(r.addr.0 / granularity)
+                    .entry(r.addr.0 >> unit_shift)
                     .or_default()
                     .entry(t.native)
                     .or_insert(0) += 1;
@@ -261,7 +273,7 @@ impl ProfileMajority {
             })
             .collect();
         ProfileMajority {
-            granularity,
+            unit_shift,
             table,
             fallback: Striped::new(cores, 64),
         }
@@ -271,7 +283,7 @@ impl ProfileMajority {
 impl Placement for ProfileMajority {
     fn home_of(&self, addr: Addr) -> CoreId {
         self.table
-            .get(&(addr.0 / self.granularity))
+            .get(&(addr.0 >> self.unit_shift))
             .copied()
             .unwrap_or_else(|| self.fallback.home_of(addr))
     }
@@ -397,6 +409,61 @@ mod tests {
             "first touch wins for FT"
         );
         assert_eq!(pm.home_of(Addr(0x500)), CoreId(1), "majority wins for PM");
+    }
+
+    /// The shift form answers what the division form answered: a seeded
+    /// sweep over touched units, their neighbours, and the top of the
+    /// address space, against homes recomputed with `/`.
+    #[test]
+    fn shifted_units_equal_divided_units() {
+        use em2_model::DetRng;
+        use std::collections::BTreeMap;
+
+        const CORES: usize = 5;
+        let w = micro::uniform(CORES, CORES, 300, 512, 0.3, 21);
+        let mut rng = DetRng::new(0x5EED);
+        let mut sweep: Vec<u64> = w
+            .threads
+            .iter()
+            .flat_map(|t| t.records.iter().map(|r| r.addr.0))
+            .collect();
+        for _ in 0..2_000 {
+            let a = rng.next_u64();
+            sweep.extend([a, a | (1 << 63), a >> 20, a >> 40]);
+        }
+        sweep.extend([0, u64::MAX, 1 << 63, (1 << 63) - 1]);
+
+        let striped_by_division =
+            |a: u64, unit: u64| CoreId::from(((a / unit) % CORES as u64) as usize);
+        for granule in [8u64, 64, 4096] {
+            // First touch by division: same replay order as `build`
+            // (one phase boundary in `uniform`, round-robin within).
+            let mut first: BTreeMap<u64, CoreId> = BTreeMap::new();
+            for phase in 0..w.phases() {
+                let slices: Vec<_> = w.threads.iter().map(|t| t.phase_records(phase)).collect();
+                for i in 0..slices.iter().map(|s| s.len()).max().unwrap_or(0) {
+                    for (t, s) in w.threads.iter().zip(&slices) {
+                        if let Some(r) = s.get(i) {
+                            first.entry(r.addr.0 / granule).or_insert(t.native);
+                        }
+                    }
+                }
+            }
+            let ft = FirstTouch::build(&w, CORES, granule);
+            let striped = Striped::new(CORES, granule);
+            let paged = PageRoundRobin::new(CORES, granule);
+            assert_eq!(ft.assigned_units(), first.len());
+            for &a in &sweep {
+                let by_division = striped_by_division(a, granule);
+                assert_eq!(striped.home_of(Addr(a)), by_division, "{a:#x}/{granule}");
+                assert_eq!(paged.home_of(Addr(a)), by_division, "{a:#x}/{granule}");
+                let expect = first
+                    .get(&(a / granule))
+                    .copied()
+                    .unwrap_or_else(|| striped_by_division(a, 64));
+                assert_eq!(ft.home_of(Addr(a)), expect, "{a:#x}/{granule}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::shard::{Shared, SHARD_IDLE, SHARD_QUEUED, SHARD_RUNNING};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Scheduler state of the multiplexed executor.
@@ -148,6 +148,10 @@ pub(crate) fn worker_loop(shared: &Shared, w: usize) {
 fn run_shard(shared: &Shared, shard: usize) {
     let mb = &shared.mailboxes[shard];
     mb.state.store(SHARD_RUNNING, Ordering::SeqCst);
+    // Pairs with the fence in `Shared::push_and_schedule`: a sender
+    // that read QUEUED before this store has its push visible to the
+    // drain below.
+    fence(Ordering::SeqCst);
     let more = {
         let mut core = shared.cores[shard].lock().expect("shard core");
         core.poll(shared)

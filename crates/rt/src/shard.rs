@@ -42,11 +42,11 @@ use em2_core::context::{Admission, ContextPool, GuestState, VictimPolicy};
 use em2_core::decision::{Decision, DecisionCtx, DecisionScheme};
 use em2_core::stats::FlowCounts;
 use em2_engine::{AtomicBarriers, BarrierArrival};
-use em2_model::{AccessKind, Addr, CoreId, CostModel, Histogram, ThreadId};
+use em2_model::{AccessKind, Addr, CoreId, CostModel, Histogram, ThreadId, WordMap};
 use em2_obs::{EventKind, ShardObs, SingleWriterCounter};
 use em2_placement::Placement;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -345,6 +345,17 @@ impl Shared {
         // the completed push, which is what makes the queue's mid-push
         // blip benign (see `crate::mpsc`).
         mb.queue.push(msg);
+        // The push ends on a plain release store (the link) and the
+        // QUEUED / RUNNING_DIRTY arm below leaves on a plain load:
+        // without a full fence between them the load can be satisfied
+        // while the link still sits in this core's store buffer, the
+        // poll that turns QUEUED into RUNNING drains without seeing
+        // the message, and nobody is left to schedule the shard — a
+        // lost message. Pairs with the fence behind `run_shard`'s
+        // RUNNING store: whichever fence comes first in the SeqCst
+        // order, either this load sees RUNNING (and flags it DIRTY) or
+        // that poll sees the link.
+        fence(Ordering::SeqCst);
         loop {
             match mb.state.load(Ordering::SeqCst) {
                 SHARD_IDLE => {
@@ -446,7 +457,7 @@ pub(crate) struct ShardCore {
     /// `Shared::mailboxes`/`cores`.
     id: usize,
     /// The owned heap partition: word values by address.
-    heap: HashMap<u64, u64>,
+    heap: WordMap<u64, u64>,
     /// The context file (bounded guests + reserved natives), reused
     /// from the simulator.
     pool: ContextPool,
@@ -458,7 +469,7 @@ pub(crate) struct ShardCore {
     #[allow(clippy::vec_box)]
     parked: Vec<Box<Envelope>>,
     /// Tasks pinned awaiting a remote reply, by request token.
-    awaiting: HashMap<u64, Box<Envelope>>,
+    awaiting: WordMap<u64, Box<Envelope>>,
     /// Guest arrivals waiting for a slot — every guest was pinned
     /// when they (or an earlier arrival still queued here) landed.
     /// Admitted strictly in arrival order.
@@ -517,11 +528,11 @@ impl ShardCore {
     ) -> Self {
         ShardCore {
             id,
-            heap: HashMap::new(),
+            heap: WordMap::default(),
             pool: ContextPool::new(guest_contexts, VictimPolicy::Lru),
             runq: VecDeque::new(),
             parked: Vec::new(),
-            awaiting: HashMap::new(),
+            awaiting: WordMap::default(),
             stalled: VecDeque::new(),
             next_token: 0,
             clock: 0,
@@ -1079,11 +1090,26 @@ impl ShardCore {
         }
     }
 
+    /// LRU bookkeeping for a slice that ends with its context still
+    /// resident here (quantum exhausted, barrier park): stamp the guest
+    /// slot with the clock of the slice's last access — once per slice,
+    /// not once per access. Nothing reads `last_active` while a slice
+    /// runs (admissions happen between slices), so every admission and
+    /// every `export_frozen` sees the stamp a per-access touch would
+    /// have left; a slice that made no access leaves the stamp alone.
+    #[inline]
+    fn touch_after_slice(&mut self, thread: ThreadId, clock_at_entry: u64) {
+        if self.clock != clock_at_entry {
+            self.pool.touch(thread, self.clock);
+        }
+    }
+
     /// Run one task until it blocks (migration, remote access,
     /// barrier), completes, or exhausts its local-access quantum.
     fn execute(&mut self, shared: &Shared, mut env: Box<Envelope>) {
         let me = self.me();
         let thread = env.thread;
+        let clock_at_entry = self.clock;
         if self.obs.is_some() && self.attrib_cost.is_empty() {
             self.build_attrib_cost(shared);
         }
@@ -1122,6 +1148,7 @@ impl ShardCore {
                         self.attrib_defer(thread, PARKS, 1);
                         env.parked_at = Some(k);
                         self.parked.push(env);
+                        self.touch_after_slice(thread, clock_at_entry);
                         self.attrib_defer(thread, LOCALS, local_hits);
                         shared
                             .node
@@ -1149,6 +1176,7 @@ impl ShardCore {
                             self.attrib_defer(thread, PARKS, 1);
                             env.parked_at = Some(k);
                             self.parked.push(env);
+                            self.touch_after_slice(thread, clock_at_entry);
                             self.attrib_defer(thread, LOCALS, local_hits);
                             return;
                         }
@@ -1170,13 +1198,13 @@ impl ShardCore {
                 self.track(&mut env, home);
                 reply = self.serve(addr, write_value);
                 self.clock += 1;
-                self.pool.touch(env.thread, self.clock);
                 budget -= 1;
                 if budget == 0 {
                     // Quantum exhausted: round-robin with co-resident
                     // contexts. The unconsumed reply is register state.
                     env.pending_reply = reply.take();
                     self.runq.push_back(env);
+                    self.touch_after_slice(thread, clock_at_entry);
                     self.attrib_defer(thread, LOCALS, local_hits);
                     return;
                 }
@@ -1306,6 +1334,235 @@ impl ShardCore {
                     shared.initiate_shutdown();
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::directory::ShardDirectory;
+    use em2_core::decision::AlwaysMigrate;
+    use em2_core::RUN_BINS;
+    use em2_model::DetRng;
+    use em2_placement::Striped;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    /// The shard's heap against a `BTreeMap`, across handoffs: seeded
+    /// reads and writes over strided and scattered word addresses, the
+    /// whole core frozen and installed into a fresh one every so often.
+    #[test]
+    fn heap_matches_a_map_model_across_handoffs() {
+        let mut rng = DetRng::new(0x4EA9);
+        let mut core = ShardCore::new(3, 2, RUN_BINS, None);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for step in 0..30_000 {
+            let addr = Addr(match rng.below(4) {
+                0 => 8 * rng.below(2048),
+                1 => 64 * rng.below(2048),
+                2 => 4096 * rng.below(2048),
+                _ => rng.next_u64() & !7,
+            });
+            if rng.chance(0.4) {
+                let v = rng.next_u64();
+                assert_eq!(core.serve(addr, Some(v)), None);
+                model.insert(addr.0, v);
+            } else {
+                let expect = model.get(&addr.0).copied().unwrap_or(0);
+                assert_eq!(core.serve(addr, None), Some(expect), "{addr:?}");
+            }
+            if step % 2_500 == 2_499 {
+                let frozen = core.export_frozen(Vec::new());
+                assert!(
+                    frozen.heap.windows(2).all(|w| w[0].0 < w[1].0),
+                    "exported heap ascends strictly by address"
+                );
+                assert!(frozen
+                    .heap
+                    .iter()
+                    .copied()
+                    .eq(model.iter().map(|(&a, &v)| (a, v))));
+                core = ShardCore::new(3, 2, RUN_BINS, None);
+                core.install_frozen(frozen, &mut |_| unreachable!("no envelopes were frozen"))
+                    .expect("install");
+            }
+        }
+        assert_eq!(core.into_counters().heap_words, model.len() as u64);
+    }
+
+    /// A task that yields a fixed list of operations.
+    struct Script(VecDeque<Op>);
+
+    impl Task for Script {
+        fn resume(&mut self, _reply: Option<u64>) -> Op {
+            self.0.pop_front().unwrap_or(Op::Done)
+        }
+
+        fn context_bytes(&self) -> Vec<u8> {
+            Vec::new()
+        }
+    }
+
+    /// The link of a cluster in which this process owns every shard:
+    /// nothing is ever forwarded, barrier arrivals go nowhere.
+    struct AllLocal;
+
+    impl NodeLink for AllLocal {
+        fn forward(&self, to_shard: usize, _retries: u32, _msg: WireMsg) {
+            panic!("shard {to_shard} is local");
+        }
+        fn barrier_arrive(&self, _k: usize) {}
+        fn task_retired(&self) {}
+        fn node_closed(&self, _submitted: u64) {}
+    }
+
+    /// Two shards striped by line (line `i` lives on shard `i % 2`), no
+    /// workers: the tests drive shard 1's core by hand.
+    fn two_shards(quantum: usize, link: Option<Arc<dyn NodeLink>>) -> Shared {
+        Shared {
+            mailboxes: (0..2).map(|_| Mailbox::new()).collect(),
+            cores: Vec::new(),
+            directory: Arc::new(ShardDirectory::single_process(2)),
+            node_id: 0,
+            total_shards: 2,
+            clustered_barriers: link.is_some(),
+            node: link,
+            placement: Arc::new(Striped::new(2, 64)),
+            // No barrier ever fills: an arrival parks.
+            barriers: AtomicBarriers::new(vec![usize::MAX; 3]),
+            live: AtomicUsize::new(usize::MAX / 2),
+            shutdown: AtomicBool::new(false),
+            cost: CostModel::builder().cores(2).build(),
+            quantum,
+            sched: Sched::new(1),
+        }
+    }
+
+    /// A context native to shard 0, to arrive at shard 1 as a guest.
+    fn guest(thread: u32, ops: Vec<Op>) -> Box<Envelope> {
+        Box::new(Envelope {
+            thread: ThreadId(thread),
+            native: CoreId(0),
+            task: Box::new(Script(ops.into())),
+            scheme: Box::new(AlwaysMigrate),
+            arrival: Instant::now(),
+            pending_op: None,
+            pending_reply: None,
+            parked_at: None,
+            run: None,
+            journey: crate::wire::Journey::default(),
+        })
+    }
+
+    /// `n` reads of words homed on shard 1.
+    fn reads_on_shard_1(n: u64) -> impl Iterator<Item = Op> {
+        (0..n).map(|i| Op::Read(Addr(64 + 128 * i)))
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum SliceEnd {
+        Quantum,
+        BarrierPark,
+        ClusteredBarrierPark,
+    }
+
+    /// Two guest slots. A is admitted before B; B then sits parked
+    /// while A runs a long local slice that ends as `end` says, with A
+    /// still resident — so A is the more recently active. Returns whom
+    /// a third guest's arrival evicts.
+    fn evicted_after_a_long_slice(end: SliceEnd) -> ThreadId {
+        let (a, b, c) = (ThreadId(1), ThreadId(2), ThreadId(3));
+        let link = matches!(end, SliceEnd::ClusteredBarrierPark)
+            .then(|| Arc::new(AllLocal) as Arc<dyn NodeLink>);
+        let quantum = match end {
+            SliceEnd::Quantum => 4,
+            _ => 256,
+        };
+        let shared = two_shards(quantum, link);
+        let mut core = ShardCore::new(1, 2, RUN_BINS, None);
+
+        // A's first slice leaves it resident having done as little as
+        // the exit under test allows: one quantum, or no access at all
+        // before parking at barrier 1.
+        let script: Vec<Op> = match end {
+            SliceEnd::Quantum => reads_on_shard_1(12).collect(),
+            _ => std::iter::once(Op::Barrier(1))
+                .chain(reads_on_shard_1(6))
+                .chain([Op::Barrier(2)])
+                .collect(),
+        };
+        core.handle(&shared, Msg::Arrive(guest(a.0, script)));
+        let mut idle = guest(b.0, Vec::new());
+        idle.parked_at = Some(0);
+        core.handle(&shared, Msg::Arrive(idle));
+
+        // The long slice.
+        core.handle(&shared, Msg::BarrierRelease { idx: 1 });
+        let env = core.runq.pop_front().expect("A is runnable");
+        assert_eq!(env.thread, a);
+        core.execute(&shared, env);
+        assert!(core.pool.is_resident(a) && core.pool.is_resident(b));
+        let long_slice = match end {
+            SliceEnd::Quantum => 2 * 4,
+            _ => 6,
+        };
+        assert_eq!(core.counters.flow.local_accesses, long_slice);
+
+        core.handle(&shared, Msg::Arrive(guest(c.0, Vec::new())));
+        assert_eq!(core.counters.flow.evictions, 1);
+        match shared.mailboxes[0].queue.pop() {
+            Some(Msg::Arrive(victim)) => victim.thread,
+            _ => panic!("the victim travels to its native shard"),
+        }
+    }
+
+    /// A slice that parks without making an access is not activity: the
+    /// stamp stays where the last access (or the admission) left it,
+    /// as with a per-access touch. B (slot 0) is active through clock
+    /// 8; A (slot 1, admitted at 5) then runs a slice that is only a
+    /// barrier. Stamping A with the current clock would tie it with B
+    /// and evict B, the lower slot.
+    #[test]
+    fn a_slice_without_an_access_leaves_the_stamp_alone() {
+        let (a, b) = (ThreadId(1), ThreadId(2));
+        let shared = two_shards(256, None);
+        let mut core = ShardCore::new(1, 2, RUN_BINS, None);
+        let burst = || reads_on_shard_1(3).chain([Op::Barrier(0)]);
+        core.handle(
+            &shared,
+            Msg::Arrive(guest(b.0, burst().chain(burst()).collect())),
+        );
+        core.handle(
+            &shared,
+            Msg::Arrive(guest(a.0, vec![Op::Barrier(1), Op::Barrier(2)])),
+        );
+        for (idx, thread) in [(0, b), (1, a)] {
+            core.handle(&shared, Msg::BarrierRelease { idx });
+            let env = core.runq.pop_front().expect("released");
+            assert_eq!(env.thread, thread);
+            core.execute(&shared, env);
+        }
+        assert_eq!(core.clock, 8);
+        core.handle(&shared, Msg::Arrive(guest(3, Vec::new())));
+        assert!(core.pool.is_resident(b) && !core.pool.is_resident(a));
+    }
+
+    /// The LRU stamp is taken at the end of a slice, not per access;
+    /// every way a slice can end with its context still resident must
+    /// take it. Red for a hoist that forgets the exit.
+    #[test]
+    fn a_long_local_slice_makes_its_guest_the_most_recent() {
+        for end in [
+            SliceEnd::Quantum,
+            SliceEnd::BarrierPark,
+            SliceEnd::ClusteredBarrierPark,
+        ] {
+            assert_eq!(
+                evicted_after_a_long_slice(end),
+                ThreadId(2),
+                "{end:?}: the idle guest is the victim"
+            );
         }
     }
 }

@@ -14,7 +14,7 @@
 //! memory in the paper's hardware, a [`TraceTask`]'s workload lives in
 //! an [`Arc`] shared by every shard, and only the cursor migrates.
 
-use em2_model::{Addr, ThreadId};
+use em2_model::{Addr, ThreadId, WordMap};
 use em2_trace::Workload;
 use std::sync::Arc;
 
@@ -82,10 +82,7 @@ pub trait Task: Send {
 #[derive(Default)]
 pub struct TaskRegistry {
     #[allow(clippy::type_complexity)]
-    builders: std::collections::HashMap<
-        u32,
-        Box<dyn Fn(&[u8]) -> Result<Box<dyn Task>, String> + Send + Sync>,
-    >,
+    builders: WordMap<u32, Box<dyn Fn(&[u8]) -> Result<Box<dyn Task>, String> + Send + Sync>>,
 }
 
 impl TaskRegistry {

@@ -166,6 +166,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn elem_out_of_bounds_panics_in_debug() {
         let mut sp = AddressSpace::new(0, 64);

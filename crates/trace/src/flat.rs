@@ -21,8 +21,8 @@
 //! re-interpretation. See DESIGN.md §6 for the performance argument.
 
 use crate::trace::Workload;
-use em2_model::{AccessKind, Addr, CoreId, LineAddr, ThreadId};
-use std::collections::HashMap;
+use em2_model::{AccessKind, Addr, CoreId, LineAddr, ThreadId, WordMap};
+use std::collections::hash_map::Entry;
 
 /// Dense interning of cache-line addresses.
 ///
@@ -32,7 +32,7 @@ use std::collections::HashMap;
 /// victims); hot loops carry the dense index.
 #[derive(Clone, Debug, Default)]
 pub struct LineInterner {
-    map: HashMap<u64, u32>,
+    map: WordMap<u64, u32>,
     lines: Vec<LineAddr>,
 }
 
@@ -44,13 +44,15 @@ impl LineInterner {
 
     /// Index of `line`, allocating the next dense id if unseen.
     pub fn intern(&mut self, line: LineAddr) -> u32 {
-        if let Some(&i) = self.map.get(&line.0) {
-            return i;
+        match self.map.entry(line.0) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let i = u32::try_from(self.lines.len()).expect("more than u32::MAX distinct lines");
+                e.insert(i);
+                self.lines.push(line);
+                i
+            }
         }
-        let i = u32::try_from(self.lines.len()).expect("more than u32::MAX distinct lines");
-        self.map.insert(line.0, i);
-        self.lines.push(line);
-        i
     }
 
     /// Index of `line` if it has been interned.

@@ -212,7 +212,22 @@ impl OceanConfig {
         }
 
         // ---- Iterations: V-cycle over levels ----
-        for _iter in 0..self.iterations {
+        let before_solver: Vec<(usize, usize)> = traces
+            .iter()
+            .map(|t| (t.records.len(), t.barriers.len()))
+            .collect();
+        for iter in 0..self.iterations {
+            if iter == 1 {
+                // Every iteration appends what iteration 0 did, so the
+                // final sizes are known: one exact allocation per trace
+                // instead of sixteen vectors doubling in lock-step.
+                let rest = self.iterations - 1;
+                for (t, &(records, barriers)) in traces.iter_mut().zip(&before_solver) {
+                    t.records.reserve_exact((t.records.len() - records) * rest);
+                    t.barriers
+                        .reserve_exact((t.barriers.len() - barriers) * rest);
+                }
+            }
             for lv in &levels {
                 let bs = lv.bs;
                 // (a) Ghost-row exchange: chunked copy of the north and
@@ -388,6 +403,20 @@ mod tests {
         let a = OceanConfig::small().generate();
         let b = OceanConfig::small().generate();
         assert_eq!(a, b);
+    }
+
+    /// Past iteration 0 the solver loop runs inside one exact
+    /// allocation per trace.
+    #[test]
+    fn solver_iterations_fill_an_exact_reservation() {
+        let cfg = OceanConfig {
+            iterations: 8,
+            ..OceanConfig::small()
+        };
+        for t in &cfg.generate().threads {
+            assert_eq!(t.records.capacity(), t.records.len(), "{:?}", t.thread);
+            assert_eq!(t.barriers.capacity(), t.barriers.len(), "{:?}", t.thread);
+        }
     }
 
     #[test]
