@@ -648,6 +648,11 @@ impl FrameRx for ChaosRx {
         Ok(frame)
     }
 
+    // Every frame handed out here is the wrapped receiver's next one.
+    fn buffered(&self) -> bool {
+        self.inner.buffered()
+    }
+
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         self.inner.set_recv_timeout(timeout)
     }

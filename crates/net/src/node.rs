@@ -87,19 +87,24 @@ const COALESCE_FRAMES: usize = 64;
 /// must not buffer tens of MiB before the first byte moves).
 const COALESCE_BYTES: usize = 256 << 10;
 
-/// Per-node wire telemetry (atomics: writer threads, readers, and
-/// shard workers bump them concurrently). In `frames_tx`/`bytes_tx`
-/// (and their rx twins), control frames (heartbeats, aborts, goodbyes)
-/// are **excluded** so the fault-free frame counters are identical
-/// whether or not heartbeats run (the byte counters too, up to the
-/// width of the sequence varints a heartbeat shifted: a frame's size
-/// depends on its sequence number, and control frames take sequence
-/// slots); `frames_tx_total`/`bytes_tx_total` count every
-/// frame written after the handshake, control included — the honest
-/// egress ledger. `flushes_tx` and `egress_hwm` are timing-dependent
-/// (like wall clock): how frames pack into flushes and how deep queues
-/// get depends on scheduling, so they are telemetry, never part of an
-/// agreement check.
+/// Per-node wire telemetry. Every count here is read once, by
+/// `finish()`, after the writers and readers have joined — so nothing
+/// on the data path touches these atomics per frame: a writer stages
+/// into its own [`Staged`] ledger and publishes it with the flush that
+/// puts the frames on the wire, a reader accumulates in an [`RxLedger`]
+/// and publishes before every `recv` that may block (DESIGN.md §11).
+///
+/// In `frames_tx`/`bytes_tx` (and their rx twins), control frames
+/// (heartbeats, aborts, goodbyes) are **excluded** so the fault-free
+/// frame counters are identical whether or not heartbeats run (the byte
+/// counters too, up to the width of the sequence varints a heartbeat
+/// shifted: a frame's size depends on its sequence number, and control
+/// frames take sequence slots); `frames_tx_total`/`bytes_tx_total`
+/// count every frame written after the handshake, control included —
+/// the honest egress ledger. `flushes_tx` and `egress_hwm` are
+/// timing-dependent (like wall clock): how frames pack into flushes and
+/// how deep queues get depends on scheduling, so they are telemetry,
+/// never part of an agreement check.
 #[derive(Default)]
 struct WireStats {
     frames_tx: AtomicU64,
@@ -120,7 +125,8 @@ struct WireStats {
     /// [`Peer`] — the writer thread owns that ledger — and are summed
     /// into the snapshot.)
     flushes_tx: AtomicU64,
-    /// High-water mark of any peer egress queue's depth.
+    /// High-water mark of any peer egress queue's depth, as its writer
+    /// sampled it at the top of each coalesce window.
     egress_hwm: AtomicU64,
 }
 
@@ -154,7 +160,8 @@ pub struct WireSnapshot {
     /// Coalesced flush batches written (≈ egress syscalls on stream
     /// transports). Timing-dependent telemetry, like wall clock.
     pub flushes_tx: u64,
-    /// Deepest any peer egress queue got (frames). Timing-dependent.
+    /// Deepest any peer egress queue was found by its writer at the top
+    /// of a coalesce window (frames). Timing-dependent.
     pub egress_hwm: u64,
 }
 
@@ -184,8 +191,6 @@ struct Peer {
     /// Priority lane: an Abort must jump every frame still queued in
     /// the main lane. Failure-path only — never on the hot path.
     urgent: Mutex<Vec<NetMsg>>,
-    /// Main-lane depth in frames (high-water telemetry).
-    depth: AtomicU64,
     /// Writer parking handshake: `true` while the writer is committed
     /// to parking. Producers push, then swap this and unpark on
     /// observing `true`; the writer re-checks the queue after setting
@@ -195,7 +200,7 @@ struct Peer {
     /// before it first sets `sleeping`.
     writer: OnceLock<std::thread::Thread>,
     /// Every frame this edge has written after the handshake (control
-    /// included) — the per-peer egress ledger.
+    /// included) — the per-peer egress ledger, published per flush.
     frames_tx: AtomicU64,
     /// Payload bytes this edge has written (control included).
     bytes_tx: AtomicU64,
@@ -214,7 +219,6 @@ impl Peer {
         Peer {
             egress: MpscQueue::new(),
             urgent: Mutex::new(Vec::new()),
-            depth: AtomicU64::new(0),
             sleeping: AtomicBool::new(false),
             writer: OnceLock::new(),
             frames_tx: AtomicU64::new(0),
@@ -296,7 +300,12 @@ impl Links {
     }
 
     fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
+        self.ms_at(Instant::now())
+    }
+
+    /// `at` on the link clock (milliseconds since the link epoch).
+    fn ms_at(&self, at: Instant) -> u64 {
+        at.duration_since(self.epoch).as_millis() as u64
     }
 
     fn peer(&self, node: usize) -> &Peer {
@@ -405,13 +414,11 @@ impl Links {
 
     /// Enqueue one message on a peer's main egress FIFO and wake its
     /// writer. This is the whole hot path for a sender: one lock-free
-    /// push plus at most one `unpark` — no mutex, no syscall, no
-    /// blocking on a slow peer. A dead connection is the **writer's**
+    /// push plus at most one `unpark` — no mutex, no syscall, no ledger,
+    /// no blocking on a slow peer. A dead connection is the **writer's**
     /// discovery (it records the failure); producers cannot fail.
     fn send_to(&self, node: usize, msg: NetMsg) {
         let peer = self.peer(node);
-        let d = peer.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.egress_hwm.fetch_max(d, Ordering::Relaxed);
         peer.egress.push(EgressItem::Msg(msg));
         peer.wake_writer();
     }
@@ -503,7 +510,9 @@ impl Links {
                 shard,
                 retries,
                 msg,
-            } => self.deliver(from, shard, retries, msg).err(),
+            } => self
+                .deliver(from, shard, retries, msg, Instant::now())
+                .err(),
             Action::Route {
                 shard,
                 retries,
@@ -560,15 +569,17 @@ impl Links {
     }
 
     /// Hand one message that node `from` sent (`me`: a local worker)
-    /// to the local runtime. One it cannot rebuild is a codec failure.
+    /// to the local runtime, `received` being when it reached this
+    /// node. One it cannot rebuild is a codec failure.
     fn deliver(
         &self,
         from: usize,
         shard: usize,
         retries: u32,
         msg: WireMsg,
+        received: Instant,
     ) -> Result<(), ClusterError> {
-        let delivered = self.inbox().deliver(shard, retries, msg);
+        let delivered = self.inbox().deliver(shard, retries, msg, received);
         delivered.map(drop).map_err(|e| ClusterError::Codec {
             from,
             detail: format!("undeliverable message for shard {shard}: {e}"),
@@ -592,13 +603,7 @@ impl Links {
         let epoch = self.directory.epoch();
         let owner = self.directory.owner_of(to) as usize;
         if owner == self.me {
-            return self.deliver(self.me, to, retries, msg);
-        }
-        if let WireMsg::Arrive(_) = &msg {
-            self.stats.arrives_tx.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .context_bytes_tx
-                .fetch_add(msg.context_payload_len() as u64, Ordering::Relaxed);
+            return self.deliver(self.me, to, retries, msg, Instant::now());
         }
         self.send_to(
             owner,
@@ -663,7 +668,7 @@ impl NodeLink for Links {
         }
     }
 
-    fn forward_many(&self, msgs: Vec<(usize, WireMsg)>) {
+    fn forward_many(&self, msgs: &mut Vec<(usize, WireMsg)>) {
         // A shard's batch of remote replies: enqueue every message in
         // order, then wake each destination writer once — one unpark
         // for the whole batch instead of one per frame, and the frames
@@ -671,9 +676,11 @@ impl NodeLink for Links {
         // one flush. Epoch read before the owner loads — same
         // stamp-not-newer-than-route rule as `route_shard`.
         let epoch = self.directory.epoch();
-        let mut woken: Vec<usize> = Vec::new();
+        // One bit per destination node id below 64; a node past that
+        // is woken per message, which is only less economical.
+        let mut woken = 0u64;
         let mut local: Vec<(usize, WireMsg)> = Vec::new();
-        for (to_shard, msg) in msgs {
+        for (to_shard, msg) in msgs.drain(..) {
             let owner = self.directory.owner_of(to_shard) as usize;
             if owner == self.me {
                 // Flipped toward us mid-batch; deliver after the
@@ -682,30 +689,28 @@ impl NodeLink for Links {
                 local.push((to_shard, msg));
                 continue;
             }
-            if let WireMsg::Arrive(_) = &msg {
-                self.stats.arrives_tx.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .context_bytes_tx
-                    .fetch_add(msg.context_payload_len() as u64, Ordering::Relaxed);
-            }
             let peer = self.peer(owner);
-            let d = peer.depth.fetch_add(1, Ordering::Relaxed) + 1;
-            self.stats.egress_hwm.fetch_max(d, Ordering::Relaxed);
             peer.egress.push(EgressItem::Msg(NetMsg::Shard {
                 to: to_shard as u32,
                 epoch,
                 retries: 0,
                 msg,
             }));
-            if !woken.contains(&owner) {
-                woken.push(owner);
+            match 1u64.checked_shl(owner as u32) {
+                Some(bit) => woken |= bit,
+                None => peer.wake_writer(),
             }
         }
-        for owner in woken {
-            self.peer(owner).wake_writer();
+        while woken != 0 {
+            self.peer(woken.trailing_zeros() as usize).wake_writer();
+            woken &= woken - 1;
         }
+        if local.is_empty() {
+            return;
+        }
+        let received = Instant::now();
         for (to_shard, msg) in local {
-            if let Err(e) = self.deliver(self.me, to_shard, 0, msg) {
+            if let Err(e) = self.deliver(self.me, to_shard, 0, msg, received) {
                 self.fail(e);
             }
         }
@@ -724,18 +729,69 @@ impl NodeLink for Links {
     }
 }
 
+/// Run-traffic frames and bytes one reader has consumed and not yet
+/// added to the node's ledger. The reader publishes before every
+/// `recv` that may block — so the shared counters trail the stream by
+/// at most the frames of one socket read — and, through `Drop`, on
+/// every way out of its loop; `finish()` joins the readers before it
+/// reads the ledger, which makes the counts exact where they are
+/// compared.
+struct RxLedger<'a> {
+    stats: &'a WireStats,
+    frames: u64,
+    bytes: u64,
+}
+
+impl RxLedger<'_> {
+    fn publish(&mut self) {
+        if self.frames > 0 {
+            self.stats
+                .frames_rx
+                .fetch_add(std::mem::take(&mut self.frames), Ordering::Relaxed);
+            self.stats
+                .bytes_rx
+                .fetch_add(std::mem::take(&mut self.bytes), Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for RxLedger<'_> {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
 /// One reader thread: drain a peer connection into the runtime.
 /// Returns on clean EOF (after the peer's [`NetMsg::Bye`] or the
 /// cluster's quiesce) or after recording a failure.
 ///
-/// The hot path never takes a lock: decode, sequence check, *we own
-/// the shard*, `inbox.deliver`. Every other frame is an event for the
-/// control plane.
+/// The hot path never takes a lock and touches nothing shared per
+/// frame: decode, sequence check, *we own the shard*, `inbox.deliver`.
+/// What is only needed per socket read is done per socket read — the
+/// clock (one reading serves the edge's liveness stamp and the arrival
+/// time of every envelope that read brought in) and the publication of
+/// the receive ledger. Every other frame is an event for the control
+/// plane.
 fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
     // The handshake frame consumed sequence 0 in each direction.
     let mut expected_seq: u64 = 1;
     let peer = links.peer(from_node);
+    let mut ledger = RxLedger {
+        stats: &links.stats,
+        frames: 0,
+        bytes: 0,
+    };
+    // When the bytes of the frame in hand reached this node.
+    let mut received = Instant::now();
     loop {
+        // A frame already sitting in the receive buffer arrived with
+        // the read that was last stamped; only a `recv` that goes to
+        // the carrier can block, and can learn anything about the
+        // peer's liveness.
+        let reads = !rx.buffered();
+        if reads {
+            ledger.publish();
+        }
         // Borrowed from the receiver's buffer: decoding copies out the
         // fields the message owns, nothing else.
         let frame = match rx.recv() {
@@ -762,7 +818,11 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
                 return;
             }
         };
-        peer.last_rx_ms.store(links.now_ms(), Ordering::Relaxed);
+        if reads {
+            received = Instant::now();
+            peer.last_rx_ms
+                .store(links.ms_at(received), Ordering::Relaxed);
+        }
         let (seq, msg) = match NetMsg::decode(frame) {
             Ok(x) => x,
             Err(e) => {
@@ -792,11 +852,8 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
         }
         expected_seq += 1;
         if !msg.is_control() {
-            links.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-            links
-                .stats
-                .bytes_rx
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            ledger.frames += 1;
+            ledger.bytes += frame.len() as u64;
         }
         match msg {
             NetMsg::Shard {
@@ -804,12 +861,13 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
             } if (to as usize) < links.spec.total_shards
                 && links.directory.owner_of(to as usize) as usize == links.me =>
             {
-                if let Err(e) = links.deliver(from_node, to as usize, retries, msg) {
+                if let Err(e) = links.deliver(from_node, to as usize, retries, msg, received) {
                     links.fail(e);
                     return;
                 }
             }
-            // Pure liveness: `last_rx_ms` is already refreshed.
+            // Pure liveness: `last_rx_ms` was refreshed by the read
+            // that brought it in.
             NetMsg::Heartbeat => {}
             // EOF follows; the loop top takes the clean-close path.
             NetMsg::Bye => peer.bye.store(true, Ordering::Release),
@@ -852,20 +910,28 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     // This edge's timing-plane handle (`None` when obs is off).
     let pobs = links.obs.get().map(|o| o.register_peer(node as u64));
     // Every flush on this edge, whichever lane filled the batch: one
-    // write, counted on the wire ledger, stamped on the heartbeat
-    // clock and (obs on) timed — the latency is measured around
-    // `send_batch`, the exact syscall cost the batch pays. What a
+    // write and one clock read behind it, then everything that is per
+    // flush rather than per frame — the staged ledger's publication,
+    // the flush count, `queued` (how deep the main lane was when this
+    // window opened) against the egress high-water mark, the heartbeat
+    // clock and (obs on) the latency, which spans `send_batch` and
+    // nothing else: the exact syscall cost the batch pays. What a
     // failed write means is the caller's policy.
-    let flush = |c: &mut dyn FrameTx, batch: &FrameBatch| -> std::io::Result<()> {
+    let flush = |c: &mut dyn FrameTx,
+                 batch: &FrameBatch,
+                 staged: &mut Staged,
+                 queued: u64|
+     -> std::io::Result<()> {
         let t0 = pobs.as_ref().map(|_| Instant::now());
         c.send_batch(batch)?;
+        let written = Instant::now();
+        staged.publish(&links.stats, peer);
         links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
-        peer.last_tx_ms.store(links.now_ms(), Ordering::Relaxed);
+        links.stats.egress_hwm.fetch_max(queued, Ordering::Relaxed);
+        peer.last_tx_ms
+            .store(links.ms_at(written), Ordering::Relaxed);
         if let (Some(po), Some(t0)) = (&pobs, t0) {
-            po.record_flush(
-                t0.elapsed().as_nanos() as u64,
-                peer.depth.load(Ordering::Relaxed),
-            );
+            po.record_flush(written.duration_since(t0).as_nanos() as u64, queued);
         }
         Ok(())
     };
@@ -885,6 +951,8 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     // Every frame this edge sends is encoded into, and written from,
     // this one buffer; it grows to the largest window seen and stays.
     let mut batch = FrameBatch::default();
+    // What `batch` holds, on the ledgers' terms.
+    let mut staged = Staged::default();
     loop {
         // Urgent lane first: an Abort overtakes any queued data.
         let urgent = std::mem::take(&mut *peer.urgent.lock().unwrap_or_else(|p| p.into_inner()));
@@ -892,11 +960,11 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             if let Some(c) = conn.as_mut() {
                 batch.clear();
                 for msg in &urgent {
-                    stage(links, node, &mut next_seq, msg, &mut batch);
+                    stage(links, node, &mut next_seq, msg, &mut batch, &mut staged);
                 }
                 // Best-effort, like the old quiet path: the failure
                 // fan-out must not recurse into fail().
-                if flush(c.as_mut(), &batch).is_err() {
+                if flush(c.as_mut(), &batch, &mut staged, 0).is_err() {
                     conn = None;
                 }
             }
@@ -904,17 +972,20 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
         }
 
         // Main lane: pop up to one coalesce window and flush it once.
+        // The queue keeps its own length; this is the one place it is
+        // sampled for telemetry.
+        let queued = peer.egress.len() as u64;
         batch.clear();
-        let mut popped_msgs: u64 = 0;
+        let mut popped = false;
         let mut close: Option<bool> = None;
         while batch.len() < COALESCE_FRAMES && batch.wire_len() < COALESCE_BYTES {
             match peer.egress.pop() {
                 Some(EgressItem::Msg(msg)) => {
-                    popped_msgs += 1;
+                    popped = true;
                     // With the connection gone the queue still drains
                     // (and frees) so producers never back up.
                     if conn.is_some() {
-                        stage(links, node, &mut next_seq, &msg, &mut batch);
+                        stage(links, node, &mut next_seq, &msg, &mut batch, &mut staged);
                     }
                 }
                 Some(EgressItem::Close { bye }) => {
@@ -924,17 +995,21 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
                 None => break,
             }
         }
-        if popped_msgs > 0 {
-            peer.depth.fetch_sub(popped_msgs, Ordering::Relaxed);
-        }
 
         if let Some(bye) = close {
             if let Some(mut c) = conn.take() {
                 if bye {
-                    stage(links, node, &mut next_seq, &NetMsg::Bye, &mut batch);
+                    stage(
+                        links,
+                        node,
+                        &mut next_seq,
+                        &NetMsg::Bye,
+                        &mut batch,
+                        &mut staged,
+                    );
                 }
                 if !batch.is_empty() {
-                    let _ = flush(c.as_mut(), &batch);
+                    let _ = flush(c.as_mut(), &batch, &mut staged, queued);
                 }
                 let _ = c.close();
             }
@@ -945,12 +1020,12 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             let c = conn
                 .as_mut()
                 .expect("frames are only encoded with a live conn");
-            if let Err(e) = flush(c.as_mut(), &batch) {
+            if let Err(e) = flush(c.as_mut(), &batch, &mut staged, queued) {
                 conn = None;
                 send_failed(e);
             }
         }
-        if popped_msgs > 0 {
+        if popped {
             continue;
         }
 
@@ -966,9 +1041,16 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             let now = links.now_ms();
             if now.saturating_sub(peer.last_tx_ms.load(Ordering::Relaxed)) >= hb {
                 batch.clear();
-                stage(links, node, &mut next_seq, &NetMsg::Heartbeat, &mut batch);
+                stage(
+                    links,
+                    node,
+                    &mut next_seq,
+                    &NetMsg::Heartbeat,
+                    &mut batch,
+                    &mut staged,
+                );
                 let c = conn.as_mut().expect("checked above");
-                if let Err(e) = flush(c.as_mut(), &batch) {
+                if let Err(e) = flush(c.as_mut(), &batch, &mut staged, 0) {
                     conn = None;
                     send_failed(e);
                 }
@@ -1001,12 +1083,55 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     }
 }
 
+/// One writer's share of the wire ledgers for the frames it has staged
+/// and not yet flushed — plain memory, owned by the writer thread. The
+/// flush that writes the frames publishes it: six `fetch_add`s per
+/// flush where the shared counters used to take four per frame here and
+/// two more on the sending worker.
+#[derive(Default)]
+struct Staged {
+    /// Every frame, control included, and its payload bytes.
+    frames_total: u64,
+    bytes_total: u64,
+    /// Run traffic only (the deterministic ledger).
+    frames: u64,
+    bytes: u64,
+    /// Migration/eviction envelopes among them, and the serialized
+    /// task-context bytes inside those.
+    arrives: u64,
+    context_bytes: u64,
+}
+
+impl Staged {
+    /// Add the staged counts to the edge's and the node's ledgers and
+    /// start over.
+    fn publish(&mut self, stats: &WireStats, peer: &Peer) {
+        let s = std::mem::take(self);
+        peer.frames_tx.fetch_add(s.frames_total, Ordering::Relaxed);
+        peer.bytes_tx.fetch_add(s.bytes_total, Ordering::Relaxed);
+        stats.frames_tx.fetch_add(s.frames, Ordering::Relaxed);
+        stats.bytes_tx.fetch_add(s.bytes, Ordering::Relaxed);
+        stats.arrives_tx.fetch_add(s.arrives, Ordering::Relaxed);
+        stats
+            .context_bytes_tx
+            .fetch_add(s.context_bytes, Ordering::Relaxed);
+    }
+}
+
 /// Encode `msg` under the writer's next sequence number straight into
-/// the flush buffer, counting it on the edge's ledger (every frame) and
-/// on the deterministic one (run traffic only). A message too large to
-/// frame (only a frozen shard can be) fails the run typed and consumes
-/// no sequence number.
-fn stage(links: &Links, node: usize, next_seq: &mut u64, msg: &NetMsg, batch: &mut FrameBatch) {
+/// the flush buffer, counting it in `staged`: every frame on the edge's
+/// ledger, run traffic on the deterministic one, and a shipped envelope
+/// — visible right here, in the `Shard{Arrive}` being encoded — on the
+/// context ledger. A message too large to frame (only a frozen shard
+/// can be) fails the run typed and consumes no sequence number.
+fn stage(
+    links: &Links,
+    node: usize,
+    next_seq: &mut u64,
+    msg: &NetMsg,
+    batch: &mut FrameBatch,
+    staged: &mut Staged,
+) {
     let len = match batch.push_with(|b| msg.encode_into(*next_seq, b)) {
         Ok(len) => len as u64,
         Err(e) => {
@@ -1017,12 +1142,19 @@ fn stage(links: &Links, node: usize, next_seq: &mut u64, msg: &NetMsg, batch: &m
         }
     };
     *next_seq += 1;
-    let peer = links.peer(node);
-    peer.frames_tx.fetch_add(1, Ordering::Relaxed);
-    peer.bytes_tx.fetch_add(len, Ordering::Relaxed);
+    staged.frames_total += 1;
+    staged.bytes_total += len;
     if !msg.is_control() {
-        links.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-        links.stats.bytes_tx.fetch_add(len, Ordering::Relaxed);
+        staged.frames += 1;
+        staged.bytes += len;
+    }
+    if let NetMsg::Shard {
+        msg: arrive @ WireMsg::Arrive(_),
+        ..
+    } = msg
+    {
+        staged.arrives += 1;
+        staged.context_bytes += arrive.context_payload_len() as u64;
     }
 }
 

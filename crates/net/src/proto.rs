@@ -585,24 +585,29 @@ mod tests {
     use em2_rt::wire::{HopCause, Journey, JourneyHop, WireEnvelope, WireOp, WIRE_VERSION};
     use proptest::prelude::*;
 
-    /// The frame the `uds2-migrate` benchmark workload ships: a stamped
-    /// trace task's 164-byte context, a saturated 16-hop journey, the
-    /// arrival read and an in-progress run.
-    fn migrated_frame() -> NetMsg {
+    /// A frame the `uds2-migrate` benchmark workload ships: a stamped
+    /// trace task's 164-byte context, the arrival read, an in-progress
+    /// run, and the journey — spilled 900 migrations ago, which is what
+    /// 98 % of that workload's frames carry, or still filling and at
+    /// its largest: all 16 hops, about to spill.
+    fn migrated_frame(spilled: bool) -> NetMsg {
         let mut journey = Journey::default();
-        for hop in 0..16u32 {
-            journey.push(JourneyHop {
-                shard: (hop * 7) % 16,
-                node: ((hop * 7) % 16) / 8,
-                epoch: 0,
-                cause: if hop == 0 {
-                    HopCause::Submit
-                } else {
-                    HopCause::Migrate
-                },
-            });
+        if spilled {
+            journey.dropped = 900;
+        } else {
+            for hop in 0..16u32 {
+                journey.push(JourneyHop {
+                    shard: (hop * 7) % 16,
+                    node: ((hop * 7) % 16) / 8,
+                    epoch: 0,
+                    cause: if hop == 0 {
+                        HopCause::Submit
+                    } else {
+                        HopCause::Migrate
+                    },
+                });
+            }
         }
-        journey.dropped = 900;
         NetMsg::Shard {
             to: 9,
             epoch: 0,
@@ -624,7 +629,8 @@ mod tests {
 
     fn variants() -> Vec<NetMsg> {
         vec![
-            migrated_frame(),
+            migrated_frame(true),
+            migrated_frame(false),
             NetMsg::Hello {
                 node: 3,
                 wire_version: WIRE_VERSION,
@@ -784,11 +790,15 @@ mod tests {
 
     #[test]
     fn the_wire_budget_holds() {
-        // The canonical migrated frame: 164 context bytes leave in
-        // under 300 (proto v3 / wire v2 took 517), whatever five-digit
-        // sequence number the run has reached.
-        let frame = migrated_frame().encode(1_000_000);
-        assert!(frame.len() <= 300, "migrated frame is {} B", frame.len());
+        // The canonical migrated frame — what `uds2-migrate` ships
+        // once a task's journey has spilled: 164 context bytes leave in
+        // 210 (proto v3 / wire v2 took 517, a saturated log 266),
+        // whatever five-digit sequence number the run has reached.
+        let frame = migrated_frame(true).encode(1_000_000);
+        assert!(frame.len() <= 210, "migrated frame is {} B", frame.len());
+        // A task's first sixteen migrations still carry the log.
+        let frame = migrated_frame(false).encode(1_000_000);
+        assert!(frame.len() <= 300, "filling frame is {} B", frame.len());
         // A remote access as the benchmark shapes it: a request and its
         // response, frame headers included, in 60 bytes plus the two
         // sequence varints (v3: 110) — 64 up to sequence 16,383, 66 for

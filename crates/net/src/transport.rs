@@ -5,10 +5,11 @@
 //! is transport-agnostic. Three implementations ship:
 //!
 //! * [`LoopbackTransport`] — in-process channel pairs under named
-//!   endpoints. Frames still pass through the full encode → decode
-//!   path, so a multi-"node" loopback cluster exercises every byte of
-//!   the wire format without sockets — this is what keeps the E11
-//!   agreement property testable in-process (DESIGN.md §9).
+//!   endpoints, one channel message per flush. Frames still pass
+//!   through the full encode → decode path, so a multi-"node" loopback
+//!   cluster exercises every byte of the wire format without sockets —
+//!   this is what keeps the E11 agreement property testable in-process
+//!   (DESIGN.md §9).
 //! * [`UdsTransport`] — `SOCK_STREAM` Unix-domain sockets (Unix only);
 //!   the default for co-located multi-process clusters.
 //! * [`TcpTransport`] — TCP with `TCP_NODELAY`; crosses hosts.
@@ -34,9 +35,8 @@ pub const MAX_FRAME: usize = 32 << 20;
 
 /// Bytes of stream framing per frame (the `u32 LE` length prefix).
 /// Telemetry that reports *wire* bytes — rather than payload bytes —
-/// adds this per frame; loopback channels carry no header but are
-/// accounted the same way so obs numbers are comparable across
-/// transports.
+/// adds this per frame, on every transport (the loopback channel
+/// carries the same stream image).
 pub const FRAME_HEADER_BYTES: usize = 4;
 
 /// The typed rejection every transport returns for a frame larger
@@ -49,12 +49,20 @@ fn oversize_err(len: usize) -> io::Error {
     )
 }
 
+/// The payload length a frame's `u32 LE` prefix at `image[at..]`
+/// announces.
+fn announced_len(image: &[u8], at: usize) -> usize {
+    let prefix: [u8; FRAME_HEADER_BYTES] = image[at..at + FRAME_HEADER_BYTES]
+        .try_into()
+        .expect("header-sized slice");
+    u32::from_le_bytes(prefix) as usize
+}
+
 /// Frames queued for one flush, stored as the byte image a stream
 /// carries — `[u32 LE length][payload]` per frame, back to back — with
-/// the frame boundaries kept alongside, so a message-granular carrier
-/// (the loopback channel) and the fault injector can still act per
-/// frame. Reused across flushes, it is the egress writer's single
-/// buffer: [`FrameBatch::clear`] keeps the allocation.
+/// the frame boundaries kept alongside, so the fault injector can still
+/// act per frame. Reused across flushes, it is the egress writer's
+/// single buffer: [`FrameBatch::clear`] keeps the allocation.
 #[derive(Debug, Default)]
 pub struct FrameBatch {
     wire: Vec<u8>,
@@ -141,10 +149,9 @@ pub trait FrameTx: Send {
     /// the carrier allows it (blocking; a full socket buffer
     /// back-pressures the caller, which is the cluster's flow
     /// control). Stream transports pay a single `write` for the whole
-    /// batch — the egress pipeline's frames-per-syscall win; a
-    /// message-granular carrier like the loopback channel delivers per
-    /// frame. The receiver cannot tell how frames were batched: same
-    /// frames, same boundaries.
+    /// batch — the egress pipeline's frames-per-syscall win — and the
+    /// loopback channel a single message. The receiver cannot tell how
+    /// frames were batched: same frames, same boundaries.
     fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()>;
 
     /// Ship one frame: a one-frame [`FrameTx::send_batch`]. A payload
@@ -186,6 +193,17 @@ pub trait FrameRx: Send {
     /// a frame that had partly arrived are kept, and the next call
     /// resumes that frame where the timeout interrupted it.
     fn recv(&mut self) -> io::Result<Option<&[u8]>>;
+
+    /// Whether the next [`FrameRx::recv`] is served from bytes already
+    /// received: it hands out a whole frame without going to the
+    /// carrier, so it cannot block and learns nothing new about the
+    /// peer. `false` means the call reads (and may wait): a reader that
+    /// does per-read work — one clock read, one ledger publication —
+    /// does it around exactly those calls. The conservative default is
+    /// right for any carrier that cannot tell.
+    fn buffered(&self) -> bool {
+        false
+    }
 
     /// [`FrameRx::recv`] into an owned buffer.
     fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
@@ -380,10 +398,7 @@ impl<R: Read + Send + SetReadTimeout> FrameRx for StreamRx<R> {
         if !self.fill(FRAME_HEADER_BYTES)? {
             return Ok(None);
         }
-        let len: [u8; FRAME_HEADER_BYTES] = self.buf[self.head..self.head + FRAME_HEADER_BYTES]
-            .try_into()
-            .expect("header-sized slice");
-        let n = u32::from_le_bytes(len) as usize;
+        let n = announced_len(&self.buf, self.head);
         if n > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -397,6 +412,16 @@ impl<R: Read + Send + SetReadTimeout> FrameRx for StreamRx<R> {
         let start = self.head + FRAME_HEADER_BYTES;
         self.head = start + n;
         Ok(Some(&self.buf[start..start + n]))
+    }
+
+    fn buffered(&self) -> bool {
+        // A whole frame, not merely some bytes: on a saturated stream
+        // nearly every read ends inside a frame, and a reader that
+        // took "some bytes" for "no read needed" would stop stamping
+        // the edge's liveness exactly when the edge is busiest.
+        let have = self.tail - self.head;
+        have >= FRAME_HEADER_BYTES
+            && have - FRAME_HEADER_BYTES >= announced_len(&self.buf, self.head)
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
@@ -581,49 +606,73 @@ fn loopback_registry() -> &'static Mutex<HashMap<String, PendingDuplex>> {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LoopbackTransport;
 
+/// One channel message is one flush: the batch's stream image, whole,
+/// so the receiving half sees what a stream's `read` would — every
+/// frame of a coalesced flush at once.
 struct ChanTx(mpsc::Sender<Vec<u8>>);
 
 impl FrameTx for ChanTx {
     fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()> {
-        for payload in batch.frames() {
-            self.0
-                .send(payload.to_vec())
-                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "loopback peer closed"))?;
+        if batch.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        self.0
+            .send(batch.wire().to_vec())
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "loopback peer closed"))
     }
 }
 
 struct ChanRx {
     rx: mpsc::Receiver<Vec<u8>>,
     timeout: Option<Duration>,
-    /// The frame last handed out by `recv`.
-    last: Vec<u8>,
+    /// The flush last taken off the channel; `flush[head..]` holds its
+    /// frames not yet handed out.
+    flush: Vec<u8>,
+    head: usize,
+}
+
+impl ChanRx {
+    fn new(rx: mpsc::Receiver<Vec<u8>>) -> Self {
+        ChanRx {
+            rx,
+            timeout: None,
+            flush: Vec::new(),
+            head: 0,
+        }
+    }
 }
 
 impl FrameRx for ChanRx {
     fn recv(&mut self) -> io::Result<Option<&[u8]>> {
-        let frame = match self.timeout {
-            // A dropped sender is the loopback clean close.
-            None => self.rx.recv().ok(),
-            Some(t) => match self.rx.recv_timeout(t) {
-                Ok(f) => Some(f),
-                Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "loopback receive timed out",
-                    ))
-                }
-            },
-        };
-        Ok(match frame {
-            Some(f) => {
-                self.last = f;
-                Some(&self.last)
-            }
-            None => None,
-        })
+        if self.head == self.flush.len() {
+            let next = match self.timeout {
+                // A dropped sender is the loopback clean close.
+                None => self.rx.recv().ok(),
+                Some(t) => match self.rx.recv_timeout(t) {
+                    Ok(f) => Some(f),
+                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "loopback receive timed out",
+                        ))
+                    }
+                },
+            };
+            let Some(next) = next else {
+                return Ok(None);
+            };
+            self.flush = next;
+            self.head = 0;
+        }
+        // A `FrameBatch` image: every frame is whole and under the cap.
+        let start = self.head + FRAME_HEADER_BYTES;
+        self.head = start + announced_len(&self.flush, self.head);
+        Ok(Some(&self.flush[start..self.head]))
+    }
+
+    fn buffered(&self) -> bool {
+        self.head != self.flush.len()
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
@@ -702,22 +751,14 @@ impl Transport for LoopbackTransport {
         let (b_tx, b_rx) = mpsc::channel();
         let theirs = Duplex {
             tx: Box::new(ChanTx(b_tx)),
-            rx: Box::new(ChanRx {
-                rx: a_rx,
-                timeout: None,
-                last: Vec::new(),
-            }),
+            rx: Box::new(ChanRx::new(a_rx)),
         };
         pending.send(theirs).map_err(|_| {
             io::Error::new(io::ErrorKind::ConnectionRefused, "loopback listener gone")
         })?;
         Ok(Duplex {
             tx: Box::new(ChanTx(a_tx)),
-            rx: Box::new(ChanRx {
-                rx: b_rx,
-                timeout: None,
-                last: Vec::new(),
-            }),
+            rx: Box::new(ChanRx::new(b_rx)),
         })
     }
 }

@@ -1,8 +1,9 @@
 //! The allocation budget of the cluster data path (DESIGN.md §11),
 //! counted, not argued: encoding a migrated frame into the writer's
 //! warm flush buffer allocates nothing, and receiving one allocates
-//! exactly the fields the decoded message owns — the task context and
-//! the journey log — with nothing per frame and nothing per hop.
+//! exactly the fields the decoded message owns — the task context, and
+//! the journey log for as long as the task still carries one — with
+//! nothing per frame and nothing per hop.
 //!
 //! Its own test binary because the counter is a `#[global_allocator]`;
 //! allocations are counted per thread, so the harness's other threads
@@ -52,23 +53,27 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// The frame `uds2-migrate` ships: 164 context bytes, a full journey,
-/// the arrival read, a run in progress.
-fn migrated_frame() -> NetMsg {
+/// A frame `uds2-migrate` ships: 164 context bytes, the arrival read,
+/// a run in progress, and the journey — spilled long ago (nearly every
+/// frame of that workload), or still filling and full.
+fn migrated_frame(spilled: bool) -> NetMsg {
     let mut journey = Journey::default();
-    for hop in 0..16u32 {
-        journey.push(JourneyHop {
-            shard: (hop * 7) % 16,
-            node: ((hop * 7) % 16) / 8,
-            epoch: 0,
-            cause: if hop == 0 {
-                HopCause::Submit
-            } else {
-                HopCause::Migrate
-            },
-        });
+    if spilled {
+        journey.dropped = 900;
+    } else {
+        for hop in 0..16u32 {
+            journey.push(JourneyHop {
+                shard: (hop * 7) % 16,
+                node: ((hop * 7) % 16) / 8,
+                epoch: 0,
+                cause: if hop == 0 {
+                    HopCause::Submit
+                } else {
+                    HopCause::Migrate
+                },
+            });
+        }
     }
-    journey.dropped = 900;
     NetMsg::Shard {
         to: 9,
         epoch: 0,
@@ -90,7 +95,7 @@ fn migrated_frame() -> NetMsg {
 
 #[test]
 fn encoding_into_a_warm_flush_buffer_allocates_nothing() {
-    let msg = migrated_frame();
+    let msg = migrated_frame(false);
     let mut batch = FrameBatch::default();
     // One full coalesce window warms the buffer, as the writer's first
     // busy flush does.
@@ -114,32 +119,40 @@ fn encoding_into_a_warm_flush_buffer_allocates_nothing() {
 #[cfg(unix)]
 #[test]
 fn receiving_allocates_only_what_the_message_owns() {
-    let msg = migrated_frame();
-    let path = std::env::temp_dir().join(format!("em2-alloc-{}.sock", std::process::id()));
-    let addr = path.to_str().expect("utf8 socket path");
-    let mut acceptor = em2_net::UdsTransport.listen(addr).expect("listen");
-    let mut client = em2_net::UdsTransport.connect(addr).expect("connect");
-    let mut server = acceptor.accept().expect("accept");
-    let mut batch = FrameBatch::default();
-    for seq in 1..=32 {
-        batch
-            .push_with(|b| msg.encode_into(seq, b))
-            .expect("fits a frame");
+    // `task_ctx`, and the hop log while the journey still carries one;
+    // `scheme_state` is empty, and neither an empty `Vec` nor a spilled
+    // log owns memory.
+    for (spilled, owned) in [(true, 1), (false, 2)] {
+        let msg = migrated_frame(spilled);
+        let path =
+            std::env::temp_dir().join(format!("em2-alloc-{}-{owned}.sock", std::process::id()));
+        let addr = path.to_str().expect("utf8 socket path");
+        let mut acceptor = em2_net::UdsTransport.listen(addr).expect("listen");
+        let mut client = em2_net::UdsTransport.connect(addr).expect("connect");
+        let mut server = acceptor.accept().expect("accept");
+        let mut batch = FrameBatch::default();
+        for seq in 1..=32 {
+            batch
+                .push_with(|b| msg.encode_into(seq, b))
+                .expect("fits a frame");
+        }
+        client.tx.send_batch(&batch).expect("one flush");
+        // The first frame warms nothing that matters (the receive buffer
+        // is allocated with the connection), but keep it out of the
+        // count.
+        let first = server.rx.recv().expect("recv").expect("frame");
+        assert_eq!(NetMsg::decode(first).expect("decodes"), (1, msg.clone()));
+        for seq in 2..=32 {
+            let (decoded, n) = allocs_in(|| {
+                let frame = server.rx.recv().expect("recv").expect("frame");
+                NetMsg::decode(frame).expect("decodes")
+            });
+            assert_eq!(
+                n, owned,
+                "frame {seq} (spilled: {spilled}): one allocation per owned field"
+            );
+            assert_eq!(decoded, (seq, msg.clone()));
+        }
+        let _ = std::fs::remove_file(path);
     }
-    client.tx.send_batch(&batch).expect("one flush");
-    // The first frame warms nothing that matters (the receive buffer is
-    // allocated with the connection), but keep it out of the count.
-    let first = server.rx.recv().expect("recv").expect("frame");
-    assert_eq!(NetMsg::decode(first).expect("decodes"), (1, msg.clone()));
-    for seq in 2..=32 {
-        let (decoded, n) = allocs_in(|| {
-            let frame = server.rx.recv().expect("recv").expect("frame");
-            NetMsg::decode(frame).expect("decodes")
-        });
-        // `task_ctx` and the journey's hop log; `scheme_state` is
-        // empty, and an empty `Vec` owns no memory.
-        assert_eq!(n, 2, "frame {seq}: one allocation per owned field");
-        assert_eq!(decoded, (seq, msg.clone()));
-    }
-    let _ = std::fs::remove_file(path);
 }

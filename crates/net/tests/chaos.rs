@@ -810,4 +810,5 @@ fn fault_free_plan_through_chaos_transport_is_bit_equal() {
     let total = CounterSummary::sum(outcomes.into_iter().map(|r| r.expect("fault-free run")));
     assert_eq!(total.wire.dupes_rx, 0);
     assert_eq!(total.wire.frames_tx, total.wire.frames_rx);
+    assert_eq!(total.wire.bytes_tx, total.wire.bytes_rx);
 }

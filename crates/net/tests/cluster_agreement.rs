@@ -67,6 +67,7 @@ fn loopback_two_node_cluster_sums_bit_equal_learning_scheme() {
     );
     assert!(total.wire.context_bytes_tx >= 24 * total.wire.arrives_tx);
     assert_eq!(total.wire.frames_tx, total.wire.frames_rx, "no frame lost");
+    assert_eq!(total.wire.bytes_tx, total.wire.bytes_rx, "nor a byte");
 }
 
 #[test]

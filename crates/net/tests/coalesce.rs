@@ -6,16 +6,28 @@
 //!
 //! Also covered: a flush cut mid-batch (crash inside the coalesce
 //! window) surfaces as a **typed error** after the complete prefix,
-//! never a hang; and every prefix-truncation of a message payload is
-//! a typed codec refusal.
+//! never a hang; every prefix-truncation of a message payload is a
+//! typed codec refusal; and what the data path batches *around* a
+//! flush or a socket read instead of paying per frame — the wire
+//! ledgers, the liveness stamp — stays exact and fresh
+//! ([`FrameRx::buffered`] is the seam).
 
+use em2_core::decision::HistoryPredictor;
 use em2_model::DetRng;
 use em2_net::proto::NetMsg;
-use em2_net::{FrameRx, LoopbackTransport, TcpTransport, Transport};
+use em2_net::{
+    Acceptor, ClusterSpec, ClusterTimeouts, Duplex, FrameRx, LoopbackTransport, NetReport,
+    NodeRuntime, TcpTransport, Transport, TransportKind,
+};
+use em2_placement::{FirstTouch, Placement};
 use em2_rt::wire::WireMsg;
+use em2_rt::{RtConfig, TaskRegistry, TaskSpec, TraceTask};
+use em2_trace::gen::micro;
 use proptest::prelude::*;
-use std::io::Write;
-use std::time::Duration;
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// An arbitrary run-phase message (everything a writer thread can
 /// legally coalesce: shard traffic interleaved with control frames).
@@ -309,5 +321,237 @@ fn every_payload_prefix_is_a_typed_codec_error() {
         }
         let (seq, _) = NetMsg::decode(frame).expect("whole frame decodes");
         assert_eq!(seq, i as u64 + 1);
+    }
+}
+
+// ------------------------------------ per-read and per-flush batching
+
+/// [`FrameRx::buffered`]: `false` while the next `recv` has to go to
+/// the carrier, `true` while it is served from what an earlier read
+/// already brought in.
+fn exercise_buffered(t: &dyn Transport, addr: &str, what: &str) {
+    let (_, frames) = batch(0xB0FF_E2ED, 5);
+    let mut acceptor = t.listen(addr).expect("listen");
+    let mut client = t.connect(addr).expect("connect");
+    let mut server = acceptor.accept().expect("accept");
+    server
+        .rx
+        .set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("recv timeout");
+    assert!(!server.rx.buffered(), "{what}: nothing received yet");
+    client.tx.send_frames(&frames).expect("one flush");
+    // Let the whole flush reach the receiving socket, so that one read
+    // takes all of it.
+    std::thread::sleep(Duration::from_millis(50));
+    for (i, sent) in frames.iter().enumerate() {
+        let got = server.rx.recv().expect("recv").expect("frame").to_vec();
+        assert_eq!(&got, sent, "{what}: frame {i}");
+        assert_eq!(
+            server.rx.buffered(),
+            i + 1 < frames.len(),
+            "{what}: after frame {i} of one {}-frame flush",
+            frames.len()
+        );
+    }
+}
+
+#[test]
+fn buffered_spans_exactly_the_frames_of_one_flush() {
+    exercise_buffered(&LoopbackTransport, "coalesce-buffered", "loopback");
+    exercise_buffered(&TcpTransport, &tcp_addr(40), "tcp");
+    #[cfg(unix)]
+    {
+        let path = uds_addr("buffered");
+        exercise_buffered(
+            &em2_net::UdsTransport,
+            path.to_str().expect("utf8 socket path"),
+            "uds",
+        );
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Frames and payload bytes a node's receiving halves handed out after
+/// the handshake — the peer's egress ledger as seen from the other end
+/// of the wire, control frames included.
+#[derive(Default)]
+struct Tally {
+    frames: AtomicU64,
+    bytes: AtomicU64,
+}
+
+/// Loopback with every receiving half tallied.
+struct TallyTransport(Arc<Tally>);
+
+struct TallyAcceptor(Box<dyn Acceptor>, Arc<Tally>);
+
+struct TallyRx {
+    inner: Box<dyn FrameRx>,
+    tally: Arc<Tally>,
+    handshaken: bool,
+}
+
+fn tallied(d: Duplex, tally: &Arc<Tally>) -> Duplex {
+    Duplex {
+        tx: d.tx,
+        rx: Box::new(TallyRx {
+            inner: d.rx,
+            tally: Arc::clone(tally),
+            handshaken: false,
+        }),
+    }
+}
+
+impl Transport for TallyTransport {
+    fn kind(&self) -> &'static str {
+        LoopbackTransport.kind()
+    }
+
+    fn listen(&self, addr: &str) -> io::Result<Box<dyn Acceptor>> {
+        let inner = LoopbackTransport.listen(addr)?;
+        Ok(Box::new(TallyAcceptor(inner, Arc::clone(&self.0))))
+    }
+
+    fn connect(&self, addr: &str) -> io::Result<Duplex> {
+        Ok(tallied(LoopbackTransport.connect(addr)?, &self.0))
+    }
+}
+
+impl Acceptor for TallyAcceptor {
+    fn accept(&mut self) -> io::Result<Duplex> {
+        Ok(tallied(self.0.accept()?, &self.1))
+    }
+
+    fn accept_deadline(&mut self, deadline: Instant) -> io::Result<Duplex> {
+        Ok(tallied(self.0.accept_deadline(deadline)?, &self.1))
+    }
+}
+
+impl FrameRx for TallyRx {
+    fn recv(&mut self) -> io::Result<Option<&[u8]>> {
+        let frame = self.inner.recv()?;
+        if let Some(f) = frame {
+            if std::mem::replace(&mut self.handshaken, true) {
+                self.tally.frames.fetch_add(1, Ordering::Relaxed);
+                self.tally
+                    .bytes
+                    .fetch_add(f.len() as u64, Ordering::Relaxed);
+            }
+        }
+        Ok(frame)
+    }
+
+    fn buffered(&self) -> bool {
+        self.inner.buffered()
+    }
+
+    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        self.inner.set_recv_timeout(timeout)
+    }
+}
+
+/// A two-node loopback cluster with 20 ms heartbeats, every node's
+/// receive side tallied. Each node comes up, sits idle for `idle`,
+/// must still be healthy, then runs its share of a small mixed
+/// workload (or, without `run_workload`, nothing) to quiesce.
+fn heartbeat_cluster(
+    tag: &str,
+    idle: Duration,
+    run_workload: bool,
+) -> Vec<(NetReport, Arc<Tally>)> {
+    const SHARDS: usize = 8;
+    let spec = ClusterSpec::even(
+        TransportKind::Loopback,
+        &format!("coalesce-{tag}-{}", std::process::id()),
+        2,
+        SHARDS,
+    )
+    .with_timeouts(ClusterTimeouts {
+        connect_ms: 5_000,
+        run_ms: 20_000,
+        heartbeat_ms: 20,
+    });
+    let w = micro::uniform(SHARDS, SHARDS, 200, 64, 0.3, 29);
+    let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
+    let w = Arc::new(w);
+    let node = |node: usize| {
+        let tally = Arc::new(Tally::default());
+        let mut nrt = NodeRuntime::start_with_transport(
+            Box::new(TallyTransport(Arc::clone(&tally))),
+            spec.clone(),
+            node,
+            RtConfig::eviction_free(SHARDS, w.num_threads()),
+            "ledger",
+            Arc::clone(&placement),
+            TaskRegistry::for_workload(Arc::clone(&w)),
+            || Box::new(HistoryPredictor::new(1.0, 0.5)),
+            em2_engine::barrier_quotas(w.threads.iter().map(|t| t.barriers.len())),
+        )
+        .expect("node starts");
+        std::thread::sleep(idle);
+        assert!(!nrt.has_failed(), "node {node} lost its idle peer");
+        let (first, count) = spec.span(node);
+        for t in w.threads.iter().filter(|_| run_workload) {
+            if (first..first + count).contains(&t.native.index()) {
+                let task = TraceTask::new(Arc::clone(&w), t.thread);
+                nrt.submit(TaskSpec::new(Box::new(task), t.native), t.thread);
+            }
+        }
+        (nrt.finish().expect("clean run"), tally)
+    };
+    std::thread::scope(|s| {
+        let nodes: Vec<_> = (0..2).map(|n| s.spawn(move || node(n))).collect();
+        nodes
+            .into_iter()
+            .map(|h| h.join().expect("node thread"))
+            .collect()
+    })
+}
+
+/// The ledgers are published per flush and per socket read, not per
+/// frame — and are still exact where they are read: each edge's egress
+/// ledger (control frames included) equals what the peer's reader took
+/// off the wire, and the run-traffic ledgers balance in frames and in
+/// bytes.
+#[test]
+fn batched_ledgers_are_exact() {
+    let nodes = heartbeat_cluster("ledger", Duration::from_millis(70), true);
+    for (me, peer) in [(0, 1), (1, 0)] {
+        let (wire, seen) = (&nodes[me].0.wire, &nodes[peer].1);
+        assert_eq!(
+            (wire.frames_tx_total, wire.bytes_tx_total),
+            (
+                seen.frames.load(Ordering::Relaxed),
+                seen.bytes.load(Ordering::Relaxed)
+            ),
+            "edge {me}→{peer}: written == consumed"
+        );
+        assert!(
+            wire.frames_tx_total >= wire.frames_tx + 2,
+            "edge {me}→{peer} carried heartbeats and a goodbye: {wire:?}"
+        );
+        assert!(wire.arrives_tx > 0 && wire.context_bytes_tx >= 24 * wire.arrives_tx);
+        assert!(wire.flushes_tx <= wire.frames_tx_total);
+    }
+    let sum = |f: fn(&em2_net::WireSnapshot) -> u64| -> u64 {
+        nodes.iter().map(|(r, _)| f(&r.wire)).sum()
+    };
+    assert!(sum(|w| w.frames_tx) > 0, "the workload crossed nodes");
+    assert_eq!(sum(|w| w.frames_tx), sum(|w| w.frames_rx), "frames balance");
+    assert_eq!(sum(|w| w.bytes_tx), sum(|w| w.bytes_rx), "bytes balance");
+}
+
+/// Liveness is stamped per socket read, and every heartbeat is its own
+/// read on an idle edge: sixty intervals of nothing but heartbeats —
+/// fifteen peer deadlines — pass without a `peer-lost`. Red for a
+/// reader that refreshes the stamp every Nth frame.
+#[test]
+fn an_idle_edge_stays_alive_on_heartbeats_alone() {
+    let nodes = heartbeat_cluster("idle", Duration::from_millis(60 * 20), false);
+    for (report, seen) in &nodes {
+        let heartbeats = report.wire.frames_tx_total - report.wire.frames_tx - 1;
+        assert!(heartbeats >= 30, "node {}: {:?}", report.node, report.wire);
+        assert_eq!(report.wire.arrives_tx, 0, "no data frame");
+        assert!(seen.frames.load(Ordering::Relaxed) > heartbeats / 2);
     }
 }

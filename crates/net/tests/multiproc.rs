@@ -156,8 +156,9 @@ fn two_process_uds_agreement_sums_bit_equal() {
     );
     assert!(total.wire.context_bytes_tx > 0);
     assert_eq!(
-        total.wire.frames_tx, total.wire.frames_rx,
-        "every frame sent was received"
+        (total.wire.frames_tx, total.wire.bytes_tx),
+        (total.wire.frames_rx, total.wire.bytes_rx),
+        "every frame sent was received, byte for byte"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

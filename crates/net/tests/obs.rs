@@ -13,16 +13,22 @@
 //!    snapshots into cluster totals while shards change owner neither
 //!    double-counts nor drops counters, histograms, attribution rows,
 //!    or handoff-phase traces (DESIGN.md §14).
+//! 4. **A journey's first sixteen hops reach a ring exactly once** —
+//!    where the log overflows or where the task retires, whichever
+//!    comes first — and dumping them is as invisible on the wire as
+//!    everything else the plane does (DESIGN.md §14).
 
-use em2_core::decision::{DecisionScheme, HistoryPredictor};
+use em2_core::decision::{AlwaysMigrate, DecisionScheme, HistoryPredictor};
+use em2_model::{Addr, CoreId, ThreadId};
 use em2_net::{
-    ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, FaultPlan, NetReport, TransportKind,
+    ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, FaultPlan, NetReport, NodeRuntime,
+    TransportKind,
 };
 use em2_obs::{NodeObs, ObsConfig, Snapshot};
-use em2_placement::{FirstTouch, Placement};
-use em2_rt::RtConfig;
+use em2_placement::{FirstTouch, Placement, Striped};
+use em2_rt::{RtConfig, TaskRegistry, TaskSpec, TraceTask};
 use em2_trace::gen::micro;
-use em2_trace::Workload;
+use em2_trace::{ThreadTrace, Workload};
 use std::sync::Arc;
 
 const NODES: usize = 2;
@@ -324,6 +330,157 @@ fn crashed_peer_leaves_a_flight_recording_naming_the_edge() {
     assert!(
         edge_named,
         "at least one node's post-mortem must name the failing edge: {dumps:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `key` field of one rendered JSONL event.
+fn field(line: &str, key: &str) -> u64 {
+    let at = line
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {key:?} in {line}"));
+    let digits = &line[at + key.len() + 3..];
+    let end = digits
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(digits.len());
+    digits[..end].parse().expect("a number")
+}
+
+/// Property 4. Three tasks under `AlwaysMigrate`, every access homed
+/// away from where the task stands: task 1 migrates 40 times between
+/// the nodes, task 2 five times, task 0 never (thread id 0 is what an
+/// event that belongs to no task carries, so it is kept out of the
+/// way). The merged recording must hold task 1's first 16 hops exactly
+/// once — dumped by the shard that admitted its 17th, none left for its
+/// retirement — and task 2's six where it retired; and the same run
+/// with the plane off must put the same bytes on the wire.
+#[test]
+fn the_first_sixteen_hops_reach_a_ring_exactly_once() {
+    // Line `i` lives on shard `i % 8`; shards 0–3 are node 0's.
+    let on_shard = |s: u64| Addr(64 * s);
+    let mut idle = ThreadTrace::new(ThreadId(0), CoreId(0));
+    idle.read(1, on_shard(0));
+    let mut long = ThreadTrace::new(ThreadId(1), CoreId(1));
+    for i in 0..39 {
+        long.read(1, on_shard(if i % 2 == 0 { 5 } else { 2 }));
+    }
+    long.read(1, on_shard(6)); // retire away from where the log spilled
+    let mut short = ThreadTrace::new(ThreadId(2), CoreId(3));
+    for i in 0..5 {
+        short.read(1, on_shard(if i % 2 == 0 { 7 } else { 0 }));
+    }
+    let w = Arc::new(Workload::new("journeys", vec![idle, long, short]));
+    let placement: Arc<dyn Placement> = Arc::new(Striped::new(SHARDS, 64));
+    let dir = std::env::temp_dir().join(format!("em2-obs-journey-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+
+    // One node of the run: its report and, obs on, every event its
+    // rings hold (the flight recorder's merge, asked for by hand).
+    let run_node = |spec: &ClusterSpec, node: usize, obs: ObsConfig| {
+        let mut cfg = RtConfig::eviction_free(SHARDS, w.num_threads());
+        cfg.obs = Some(obs);
+        let mut nrt = NodeRuntime::start(
+            spec.clone(),
+            node,
+            cfg,
+            "journeys",
+            Arc::clone(&placement),
+            TaskRegistry::for_workload(Arc::clone(&w)),
+            || Box::new(AlwaysMigrate),
+            Vec::new(),
+        )
+        .expect("node starts");
+        let registry = nrt.obs();
+        let (first, count) = spec.span(node);
+        for t in &w.threads {
+            if (first..first + count).contains(&t.native.index()) {
+                let task = TraceTask::new(Arc::clone(&w), t.thread);
+                nrt.submit(TaskSpec::new(Box::new(task), t.native), t.thread);
+            }
+        }
+        let report = nrt.finish().expect("clean run");
+        let recording = registry.map(|o| {
+            let path = o
+                .flight_dump("test", "end of run", None, None)
+                .expect("dump")
+                .expect("first dump");
+            std::fs::read_to_string(path).expect("read dump")
+        });
+        (report, recording.unwrap_or_default())
+    };
+    let run = |tag: &str, obs: ObsConfig| -> Vec<(NetReport, String)> {
+        let spec = spec(tag);
+        std::thread::scope(|s| {
+            let nodes: Vec<_> = (0..NODES)
+                .map(|n| {
+                    let (spec, obs) = (&spec, obs.clone());
+                    s.spawn(move || run_node(spec, n, obs))
+                })
+                .collect();
+            nodes
+                .into_iter()
+                .map(|h| h.join().expect("node thread"))
+                .collect()
+        })
+    };
+
+    let mut recorded = ObsConfig::on();
+    recorded.flight_dir = Some(dir.clone());
+    let on = run("journey-on", recorded);
+    let off = run("journey-off", ObsConfig::off());
+
+    // `(shard that dumped it, recording node, target shard, cause)` of
+    // every journey-hop event of `task`, in recorded order.
+    let hops = |task: u64| -> Vec<(u64, u64, u64, u64)> {
+        on.iter()
+            .flat_map(|(_, recording)| recording.lines())
+            .filter(|l| {
+                l.contains(r#""ev":"journey-hop""#) && l.contains(&format!("\"task\":{task},"))
+            })
+            .map(|l| {
+                let (at, cause_epoch) = (field(l, "at"), field(l, "cause_epoch"));
+                (
+                    field(l, "shard"),
+                    at >> 32,
+                    at & 0xFFFF_FFFF,
+                    cause_epoch >> 32,
+                )
+            })
+            .collect()
+    };
+    let (submit, migrate) = (0, 1);
+    // Task 1: hop 17 was its 16th migration, into shard 2.
+    let mut expect = vec![(2, 0, 1, submit)];
+    expect.extend((0..15).map(|i| {
+        if i % 2 == 0 {
+            (2, 1, 5, migrate)
+        } else {
+            (2, 0, 2, migrate)
+        }
+    }));
+    assert_eq!(hops(1), expect, "the long journey, dumped where it spilled");
+    // Task 2: all six hops, where it retired.
+    let expect: Vec<_> = [(0, 3, submit), (1, 7, migrate), (0, 0, migrate)]
+        .into_iter()
+        .chain([(1, 7, migrate), (0, 0, migrate), (1, 7, migrate)])
+        .map(|(node, shard, cause)| (7, node, shard, cause))
+        .collect();
+    assert_eq!(hops(2), expect, "the short journey, dumped at retirement");
+    let dropped: u64 = on
+        .iter()
+        .map(|(r, _)| r.obs.as_ref().expect("snapshot").journey_dropped)
+        .sum();
+    assert_eq!(dropped, 25, "41 hops, 16 recorded");
+
+    // Dumping and clearing the log changed nothing a peer can see.
+    let bytes = |runs: &[(NetReport, String)]| -> Vec<u64> {
+        runs.iter().map(|(r, _)| r.wire.bytes_tx).collect()
+    };
+    assert_eq!(bytes(&on), bytes(&off), "wire bytes do not depend on obs");
+    assert_eq!(
+        on.iter().map(|(r, _)| r.wire.arrives_tx).sum::<u64>(),
+        44,
+        "every migration but task 1's last crossed the node boundary"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -152,15 +152,16 @@ impl ShardObs {
 pub struct PeerObs {
     /// The peer's node id.
     pub peer: u64,
-    /// Current egress queue depth (sampled at flush time).
+    /// Egress queue depth, as the writer found it when the window it
+    /// last flushed opened.
     pub egress_depth: AtomicU64,
     /// Wire write latency (ns), one sample per flush.
     pub flush_ns: LogHistogram,
 }
 
 impl PeerObs {
-    /// Record one flush: written in `ns` nanoseconds, with `depth`
-    /// items still queued behind it.
+    /// Record one flush: written in `ns` nanoseconds, from a queue
+    /// that was `depth` items deep when its window opened.
     #[inline]
     pub fn record_flush(&self, ns: u64, depth: u64) {
         self.flush_ns.record(ns);

@@ -78,9 +78,11 @@ pub enum EventKind {
     /// shard this node no longer owns and was bounced for re-routing.
     /// `a` = shard, `b` = bounce count so far.
     HandoffBounce,
-    /// One hop of a retired task's migration journey, replayed into
-    /// the ring at retirement (the envelope carries the bounded hop
-    /// log across nodes; see `em2_rt::Journey`). `a` = packed
+    /// One hop of a task's migration journey, replayed into the ring
+    /// by the shard that admitted the task with its hop log overflowed
+    /// or, for a shorter journey, by the one that retired it (the
+    /// envelope carries the bounded log across nodes until then; see
+    /// `em2_rt::Journey`). `a` = packed
     /// `node << 32 | shard` the hop landed on, `b` = packed
     /// `cause << 32 | epoch` (cause codes per `em2_rt::HopCause`).
     JourneyHop,

@@ -32,14 +32,15 @@ pub trait NodeLink: Send + Sync {
     fn forward(&self, to_shard: usize, retries: u32, msg: WireMsg);
 
     /// Ship a batch of inter-shard messages, each addressed to its own
-    /// global shard id. Semantically identical to calling
-    /// [`NodeLink::forward`] once per element in order with a fresh
-    /// re-route budget; implementations may exploit the batch to
-    /// enqueue contiguously and take one wakeup per peer (the runtime
-    /// hands a whole mailbox batch's remote-access replies over in one
-    /// call).
-    fn forward_many(&self, msgs: Vec<(usize, WireMsg)>) {
-        for (to, msg) in msgs {
+    /// global shard id, **draining** `msgs` (the caller keeps the
+    /// vector's allocation for its next batch). Semantically identical
+    /// to calling [`NodeLink::forward`] once per element in order with
+    /// a fresh re-route budget; implementations may exploit the batch
+    /// to enqueue contiguously and take one wakeup per peer (the
+    /// runtime hands a whole mailbox batch's remote-access replies over
+    /// in one call).
+    fn forward_many(&self, msgs: &mut Vec<(usize, WireMsg)>) {
+        for (to, msg) in msgs.drain(..) {
             self.forward(to, 0, msg);
         }
     }
@@ -745,8 +746,12 @@ pub struct RemoteInbox {
 impl RemoteInbox {
     /// Rebuild an envelope from its wire form: the task through the
     /// registry, the decision scheme through the factory + its shipped
-    /// learned state.
-    fn rebuild_envelope(&self, we: crate::wire::WireEnvelope) -> Result<Box<Envelope>, WireError> {
+    /// learned state. `arrival` is when its bytes reached this node.
+    fn rebuild_envelope(
+        &self,
+        we: crate::wire::WireEnvelope,
+        arrival: Instant,
+    ) -> Result<Box<Envelope>, WireError> {
         let mut scheme = {
             let mut mk = self.make_scheme.lock().expect("scheme factory");
             (*mk)()
@@ -761,7 +766,7 @@ impl RemoteInbox {
             // Cross-process latency is accounted from arrival on this
             // node (clock domains differ between processes; replay
             // workloads do not use per-task latency).
-            arrival: Instant::now(),
+            arrival,
             pending_op: we.pending_op.map(crate::wire::WireOp::into_op),
             pending_reply: we.pending_reply,
             parked_at: we.parked_at.map(|k| k as usize),
@@ -781,13 +786,22 @@ impl RemoteInbox {
     /// frames. `retries` is the re-route count carried on the frame
     /// (0 for locally originated messages); it rides along on that
     /// re-forward so the transport's bounce budget keeps counting
-    /// across the local hop.
-    pub fn deliver(&self, to: usize, retries: u32, msg: WireMsg) -> Result<bool, WireError> {
+    /// across the local hop. `received` is when the message reached
+    /// this node — the transport reads the clock once per socket read
+    /// and passes it down, so a batch of arrivals shares one reading —
+    /// and becomes a rebuilt envelope's latency epoch.
+    pub fn deliver(
+        &self,
+        to: usize,
+        retries: u32,
+        msg: WireMsg,
+        received: Instant,
+    ) -> Result<bool, WireError> {
         let Some(shared) = self.shared.upgrade() else {
             return Ok(false);
         };
         let m = match msg {
-            WireMsg::Arrive(we) => Msg::Arrive(self.rebuild_envelope(we)?),
+            WireMsg::Arrive(we) => Msg::Arrive(self.rebuild_envelope(we, received)?),
             WireMsg::Request {
                 addr,
                 write,
@@ -878,9 +892,10 @@ impl RemoteInbox {
         let shard = frozen.shard as usize;
         let mut frozen = frozen;
         let mailbox = std::mem::take(&mut frozen.mailbox);
+        let received = Instant::now();
         {
             let mut core = shared.cores[shard].lock().expect("shard core");
-            let mut rebuild = |we: crate::wire::WireEnvelope| self.rebuild_envelope(we);
+            let mut rebuild = |we: crate::wire::WireEnvelope| self.rebuild_envelope(we, received);
             core.install_frozen(frozen, &mut rebuild)?;
         }
         // Claim ownership only after the core is fully restored:
@@ -899,7 +914,7 @@ impl RemoteInbox {
         for msg in mailbox {
             // The backlog had reached its then-home; replaying it here
             // is a fresh route, so the bounce budget restarts at 0.
-            self.deliver(shard, 0, msg)?;
+            self.deliver(shard, 0, msg, received)?;
         }
         shared.kick(shard);
         Ok(true)

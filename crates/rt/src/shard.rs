@@ -92,9 +92,10 @@ pub(crate) struct Envelope {
     /// shared; a run *boundary* bins into the shard-local histogram.
     pub run: Option<(CoreId, u64)>,
     /// The task's migration journey: a bounded hop log carried like
-    /// scheme state. Recorded unconditionally (it is wire payload, and
-    /// the deterministic experiments compare wire bytes bit-for-bit);
-    /// only the retirement dump into the trace ring is obs-gated.
+    /// scheme state until it has been dumped into a trace ring, then
+    /// only counted. Recorded and cleared unconditionally (it is wire
+    /// payload, and the deterministic experiments compare wire bytes
+    /// bit-for-bit); only the ring dump itself is obs-gated.
     pub journey: crate::wire::Journey,
 }
 
@@ -484,7 +485,8 @@ pub(crate) struct ShardCore {
     /// owns, buffered across one mailbox batch and handed to the node
     /// link as a single `forward_many` — one egress enqueue run and
     /// one writer wakeup per (home, requester) burst instead of one
-    /// per reply. Always flushed before the batch ends, so quiesce
+    /// per reply. Always flushed (drained in place: the capacity
+    /// persists across batches) before the batch ends, so quiesce
     /// (which waits on the requester's retirement) can never observe a
     /// reply parked here.
     remote_replies: Vec<(usize, WireMsg)>,
@@ -518,6 +520,20 @@ const OBS_CLOCK_POLLS: u32 = 16;
 /// Columns of `ShardCore::attrib_pending`.
 const LOCALS: usize = 0;
 const PARKS: usize = 1;
+
+/// Replay the hops `env` still carries into a shard's trace ring, so
+/// the task's cross-cluster path is reconstructible from this node's
+/// flight recording.
+fn dump_journey(o: &ShardObs, env: &Envelope) {
+    for h in &env.journey.hops {
+        o.event(
+            EventKind::JourneyHop,
+            env.thread.0 as u64,
+            (u64::from(h.node) << 32) | u64::from(h.shard),
+            (u64::from(h.cause.code()) << 32) | (h.epoch & 0xFFFF_FFFF),
+        );
+    }
+}
 
 impl ShardCore {
     pub(crate) fn new(
@@ -819,18 +835,19 @@ impl ShardCore {
     }
 
     /// Hand the batch's buffered cross-node replies to the link in one
-    /// call: the link enqueues them contiguously per peer and wakes
-    /// each involved writer once.
+    /// call: the link drains them, enqueues them contiguously per peer
+    /// and wakes each involved writer once. The vector keeps its
+    /// allocation for the next batch.
     fn flush_remote_replies(&mut self, shared: &Shared) {
         if self.remote_replies.is_empty() {
             return;
         }
-        let msgs = std::mem::take(&mut self.remote_replies);
         shared
             .node
             .as_ref()
             .expect("a reply to a non-local shard requires a node link")
-            .forward_many(msgs);
+            .forward_many(&mut self.remote_replies);
+        debug_assert!(self.remote_replies.is_empty(), "the link drains");
     }
 
     fn handle(&mut self, shared: &Shared, msg: Msg) {
@@ -903,13 +920,19 @@ impl ShardCore {
                 epoch: shared.directory.epoch(),
                 cause: crate::wire::HopCause::Migrate,
             });
-        } else if env.journey.hops.is_empty() {
+        } else if env.journey.is_unstarted() {
             env.journey.push(crate::wire::JourneyHop {
                 shard: self.id as u32,
                 node: shared.node_id,
                 epoch: shared.directory.epoch(),
                 cause: crate::wire::HopCause::Submit,
             });
+        }
+        // Some push — the one above, a remote access, a bounce in the
+        // transport's control plane — found the log full: it has
+        // recorded all it ever will, so it stops travelling here.
+        if env.journey.overflowed() {
+            self.spill_journey(&mut env);
         }
         self.ev(
             EventKind::Arrive,
@@ -933,6 +956,25 @@ impl ShardCore {
             self.obs_stall(&env);
             self.stalled.push_back(env);
         }
+    }
+
+    /// Hand an overflowed journey log to this shard's trace ring and
+    /// stop carrying it: the same events a retirement emits, obs-gated
+    /// the same way, and then the clear — **unconditional**, so what an
+    /// envelope weighs on the wire never depends on obs state. A task
+    /// reaches this once, on the admission after its log filled; its
+    /// remaining migrations ship `[0][dropped]` instead of re-encoding,
+    /// re-parsing, re-allocating and re-checksumming its first sixteen
+    /// steps. Out of line and cold: `admit` is on every in-process hop
+    /// too, and the dump loop inlined there costs the local path its
+    /// inlining budget.
+    #[cold]
+    #[inline(never)]
+    fn spill_journey(&self, env: &mut Envelope) {
+        if let Some(o) = &self.obs {
+            dump_journey(o, env);
+        }
+        env.journey.spill();
     }
 
     /// Obs hook for an arrival stalled on guest admission.
@@ -1309,17 +1351,10 @@ impl ShardCore {
         }
         if let Some(o) = &self.obs {
             o.task_latency_ns.record(latency_ns);
-            // Dump the journey into the trace ring so the task's
-            // cross-cluster path is reconstructible from this node's
-            // flight recording, then the retire event closes it.
-            for h in &env.journey.hops {
-                o.event(
-                    EventKind::JourneyHop,
-                    env.thread.0 as u64,
-                    (u64::from(h.node) << 32) | u64::from(h.shard),
-                    (u64::from(h.cause.code()) << 32) | (h.epoch & 0xFFFF_FFFF),
-                );
-            }
+            // Whatever the journey still carries goes into the ring
+            // (nothing, for a log that spilled on the way), then the
+            // retire event closes it.
+            dump_journey(o, &env);
             o.journey_dropped.bump(u64::from(env.journey.dropped));
             o.event(EventKind::Retire, env.thread.0 as u64, latency_ns, 0);
         }
@@ -1415,6 +1450,63 @@ mod tests {
         fn barrier_arrive(&self, _k: usize) {}
         fn task_retired(&self) {}
         fn node_closed(&self, _submitted: u64) {}
+    }
+
+    /// The link of a cluster in which another node owns shards: it
+    /// records what it is asked to forward, through the trait's
+    /// provided `forward_many`.
+    #[derive(Default)]
+    struct Recording(Mutex<Vec<(usize, WireMsg)>>);
+
+    impl NodeLink for Recording {
+        fn forward(&self, to_shard: usize, _retries: u32, msg: WireMsg) {
+            self.0.lock().expect("recording").push((to_shard, msg));
+        }
+        fn barrier_arrive(&self, _k: usize) {}
+        fn task_retired(&self) {}
+        fn node_closed(&self, _submitted: u64) {}
+    }
+
+    /// Replies to another node's shard are buffered across a mailbox
+    /// batch and drained by the link — the vector that buffers them is
+    /// allocated once, not once per batch. Red for a flush that takes
+    /// the vector instead of draining it.
+    #[test]
+    fn the_reply_batch_keeps_its_buffer() {
+        let link = Arc::new(Recording::default());
+        let mut shared = two_shards(256, Some(Arc::clone(&link) as Arc<dyn NodeLink>));
+        // Shard 0 lives on node 1: replies to it cross the link.
+        shared.directory = Arc::new(ShardDirectory::new(0, 0, &[1, 0]));
+        let mut core = ShardCore::new(1, 2, RUN_BINS, None);
+        let mut capacity = Vec::new();
+        for batch in 0..2 {
+            for i in 0..5 {
+                core.scratch.push(Msg::Request {
+                    addr: Addr(64),
+                    write: None,
+                    reply_shard: 0,
+                    token: 5 * batch + i,
+                });
+            }
+            core.process_batch(&shared);
+            assert!(core.remote_replies.is_empty(), "flushed with the batch");
+            capacity.push(core.remote_replies.capacity());
+        }
+        assert!(capacity[0] > 0, "the buffer outlives its flush");
+        assert_eq!(capacity[0], capacity[1], "and is not regrown");
+        let seen = link.0.lock().expect("recording");
+        let expect: Vec<(usize, WireMsg)> = (0..10)
+            .map(|token| {
+                (
+                    0,
+                    WireMsg::Response {
+                        token,
+                        value: Some(0),
+                    },
+                )
+            })
+            .collect();
+        assert_eq!(*seen, expect, "every reply once, in order");
     }
 
     /// Two shards striped by line (line `i` lives on shard `i % 2`), no

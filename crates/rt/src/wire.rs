@@ -174,7 +174,7 @@ pub struct JourneyHop {
     pub cause: HopCause,
 }
 
-/// Most hops an envelope carries before further hops are only counted.
+/// Most hops an envelope records before further hops are only counted.
 /// Keep-first-N (not a ring): the head of a journey — submission and
 /// the first migrations — is what explains a placement; the tail is
 /// recoverable from the destination shard's own trace ring.
@@ -182,36 +182,69 @@ pub const JOURNEY_CAP: usize = 16;
 
 /// The bounded per-envelope hop log — a task's migration journey,
 /// carried in the [`WireEnvelope`] like scheme state so the path
-/// survives every process boundary, and dumped into the trace ring at
-/// retirement (DESIGN.md §14).
+/// survives every process boundary, **until it has been handed to a
+/// trace ring** (DESIGN.md §14): the admission that finds the log
+/// overflowed dumps it and clears it, a task that retires first dumps
+/// what it carries, and from then on hops are only counted. A log
+/// travels through three states, none of which needs a tag:
 ///
-/// Journeys are recorded **unconditionally**, obs plane or not: the
-/// deterministic experiments compare wire byte counts bit-for-bit, so
-/// the envelope encoding must not depend on an observability toggle.
-/// Only the retirement ring dump is obs-gated. Journey bytes are
-/// excluded from the context-payload accounting
+/// * *filling* — `dropped == 0`: every hop is recorded;
+/// * *overflowed* — `dropped > 0`, `hops` non-empty: some push found
+///   the log full; the next admission spills it;
+/// * *spilled* — `dropped > 0`, `hops` empty: three bytes on the wire
+///   where a full log took 67, and nothing to parse or allocate.
+///
+/// Journeys are recorded, and spilled logs cleared, **unconditionally**,
+/// obs plane or not: the deterministic experiments compare wire byte
+/// counts bit-for-bit, so the envelope encoding must not depend on an
+/// observability toggle. Only the ring dump itself is obs-gated.
+/// Journey bytes are excluded from the context-payload accounting
 /// ([`WireMsg::context_payload_len`] stays `task_ctx` only).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journey {
-    /// The first [`JOURNEY_CAP`] hops, in order.
+    /// The hops recorded and not yet handed to a trace ring, in order
+    /// (at most [`JOURNEY_CAP`], all from the head of the journey).
     pub hops: Vec<JourneyHop>,
-    /// Hops past the cap (counted, not recorded).
+    /// Hops counted instead of recorded.
     pub dropped: u32,
 }
 
 impl Journey {
-    /// Append a hop, counting instead of recording past the cap.
+    /// Append a hop: recorded while the log is still filling, only
+    /// counted once it has overflowed or been spilled.
     pub fn push(&mut self, hop: JourneyHop) {
-        if self.hops.len() < JOURNEY_CAP {
+        if self.dropped == 0 && self.hops.len() < JOURNEY_CAP {
             self.hops.push(hop);
         } else {
             self.dropped = self.dropped.saturating_add(1);
         }
     }
 
+    /// No hop yet, recorded or counted: the task has not been admitted
+    /// anywhere, so its next arrival is its submission.
+    #[inline]
+    pub(crate) fn is_unstarted(&self) -> bool {
+        self.hops.is_empty() && self.dropped == 0
+    }
+
+    /// Some push found the log full and it still carries its hops: the
+    /// next admission spills it.
+    #[inline]
+    pub(crate) fn overflowed(&self) -> bool {
+        self.dropped > 0 && !self.hops.is_empty()
+    }
+
+    /// Stop carrying the recorded hops — they have been handed to a
+    /// trace ring, or nobody is recording: from here on the log only
+    /// counts.
+    pub(crate) fn spill(&mut self) {
+        self.hops = Vec::new();
+    }
+
     /// `[u8 hops][hops × (var shard, var node, var epoch, u8 cause)]
     /// [var dropped]` — four bytes a hop while shard and node ids stay
-    /// below 128 and the epoch below 128 commits.
+    /// below 128 and the epoch below 128 commits; a spilled log is the
+    /// zero hop count and its `dropped` varint.
     fn encode_into(&self, b: &mut Vec<u8>) {
         debug_assert!(self.hops.len() <= JOURNEY_CAP);
         b.push(self.hops.len() as u8);
@@ -233,10 +266,15 @@ impl Journey {
             }
             .into());
         }
-        // Room for the whole cap up front: the receiving shard appends
-        // its own hop on admission, and a journey never outgrows the
-        // cap, so this is the log's one allocation on this node.
-        let mut hops = Vec::with_capacity(JOURNEY_CAP);
+        // A log that carries hops gets room for the whole cap up front:
+        // the receiving shard appends its own hop on admission, and a
+        // log never outgrows the cap, so this is its one allocation on
+        // this node. A spilled log owns no memory.
+        let mut hops = if n > 0 {
+            Vec::with_capacity(JOURNEY_CAP)
+        } else {
+            Vec::new()
+        };
         for _ in 0..n {
             let shard = r.var_as()?;
             let node = r.var_as()?;
@@ -885,6 +923,45 @@ mod tests {
             ..sample_envelope()
         });
         assert_eq!(WireMsg::decode(&m.encode()).expect("round trip"), m);
+    }
+
+    #[test]
+    fn a_spilled_log_only_counts_and_round_trips_in_three_bytes() {
+        let hop = |shard| JourneyHop {
+            shard,
+            node: 0,
+            epoch: 0,
+            cause: HopCause::Migrate,
+        };
+        let mut j = Journey::default();
+        assert!(j.is_unstarted() && !j.overflowed());
+        for i in 0..17 {
+            j.push(hop(i));
+        }
+        assert!(j.overflowed(), "the 17th push found the log full");
+        // What `ShardCore::admit` does on seeing that.
+        j.spill();
+        for i in 17..300 {
+            j.push(hop(i));
+        }
+        assert!(j.hops.is_empty(), "a spilled log never records again");
+        assert_eq!(j.dropped, 284);
+        assert!(!j.overflowed() && !j.is_unstarted());
+
+        let empty = WireMsg::Arrive(WireEnvelope {
+            journey: Journey::default(),
+            ..sample_envelope()
+        })
+        .encode();
+        let m = WireMsg::Arrive(WireEnvelope {
+            journey: j,
+            ..sample_envelope()
+        });
+        let bytes = m.encode();
+        // `[0][var 284]` against the unstarted log's `[0][0]`.
+        assert_eq!(bytes.len(), empty.len() + 1);
+        assert_eq!(bytes[bytes.len() - 3..], [0, 0x9c, 0x02]);
+        assert_eq!(WireMsg::decode(&bytes).expect("round trip"), m);
     }
 
     #[test]
