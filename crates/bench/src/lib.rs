@@ -31,6 +31,7 @@
 //! serial run (`tests/parallel_determinism.rs` pins this; `--serial`
 //! forces one worker).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -12,6 +12,7 @@
 //! replicas do exist; the shared substrate is what makes the E7
 //! capacity comparison apples-to-apples.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -23,6 +23,7 @@
 //! * [`stats`] — traffic in flit-hops (control vs whole-line data
 //!   messages), invalidations, replication factor, directory storage.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -34,6 +34,7 @@
 //! * [`monitor`] — online invariant checking (context capacity,
 //!   access-at-home, program order, barrier ordering).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -30,6 +30,7 @@
 //! built on the engine is bit-reproducible — the property the E1–E10
 //! experiment tables and the parallel sweep engine rest on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

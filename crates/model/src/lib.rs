@@ -24,6 +24,7 @@
 //! * [`mod@env`] — the typed registry of `EM2_*` environment knobs (the
 //!   only place the workspace reads them; warns once on typos).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1353,7 +1353,7 @@ mod tests {
         }
 
         /// One frame crosses edge `from -> to` through the reader:
-        /// lock-free fast path if we own the shard, `Control` if not.
+        /// the fast path if we own the shard, `Control` if not.
         fn deliver(&mut self, from: usize, to: usize) {
             match self.edge[from][to].pop_front().expect("enabled edge") {
                 NetMsg::Shard { to: shard, msg, .. }

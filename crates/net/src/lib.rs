@@ -72,6 +72,7 @@
 //! println!("{} over {}", report.rt, report.transport);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

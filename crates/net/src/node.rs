@@ -16,11 +16,12 @@
 //!   the current owner up in the epoch-versioned
 //!   [`em2_rt::ShardDirectory`], wraps the message
 //!   in [`NetMsg::Shard`] (stamped with the sender's epoch) and pushes
-//!   it onto the owner peer's
-//!   **lock-free egress queue** — the shard worker never touches a
-//!   mutex or a socket. One **writer thread per peer** drains that
-//!   queue, assigns sequence numbers in pop order, encodes up to a
-//!   bounded window of frames straight into its one reusable flush
+//!   it onto the owner peer's **egress lane** (`em2_rt::mpsc`: one
+//!   short leaf lock around the queue and the writer's wake flag) —
+//!   the shard worker never touches a socket or waits on a slow peer.
+//!   One **writer thread per peer** moves a bounded window out of that
+//!   lane under one lock, assigns sequence numbers in queue order,
+//!   encodes the window straight into its one reusable flush
 //!   buffer and writes it with a single
 //!   [`crate::transport::FrameTx::send_batch`], and absorbs the
 //!   heartbeat timer into its idle loop (DESIGN.md §11). One **reader
@@ -37,7 +38,7 @@
 //!   run and handoff deadlines — is one sans-IO state machine,
 //!   `control.rs`: `Control::on(Event) -> Actions` behind one lock.
 //!   The threads here are its drivers: readers feed it every frame
-//!   their lock-free fast path (run traffic for a shard we own) does
+//!   their fast path (run traffic for a shard we own) does
 //!   not consume, workers feed it barrier arrivals and retirements,
 //!   one parked ticker feeds it time, and `Links::control` performs
 //!   what it decides — sends, deliveries, [`em2_rt::RemoteInbox`]
@@ -177,27 +178,25 @@ enum EgressItem {
     Close { bye: bool },
 }
 
-/// One peer edge: the egress queue its writer thread drains, the
-/// wakeup handshake, and the edge's liveness clocks. The connection's
-/// send half is **owned by the writer thread** — no shared send state,
-/// so the producer side (`forward`, coordinator logic) is entirely
-/// lock-free.
+/// One peer edge: the egress lanes its writer thread drains and the
+/// edge's liveness clocks. The connection's send half is **owned by
+/// the writer thread** — no shared send state, so the producer side
+/// (`forward`, coordinator logic) only ever holds a lane's lock for
+/// one enqueue.
 struct Peer {
-    /// Main egress lane (lock-free MPSC; the writer is the single
-    /// consumer). FIFO push order is exactly the old per-peer mutex's
-    /// serialization order, which is what keeps Closed-after-last-
-    /// Shard and Bye-last intact (DESIGN.md §11).
+    /// Main egress lane; the writer is the single consumer. Its lock
+    /// serializes pushes, and that FIFO order is what keeps Closed-
+    /// after-last-Shard and Bye-last intact (DESIGN.md §11). The push
+    /// that finds the writer idle unparks it; the writer goes idle
+    /// through `rest` before it parks, and std's park token covers an
+    /// unpark that lands between the two.
     egress: MpscQueue<EgressItem>,
     /// Priority lane: an Abort must jump every frame still queued in
-    /// the main lane. Failure-path only — never on the hot path.
+    /// the main lane. Failure-path only — never on the hot path — so
+    /// it unparks the writer unconditionally.
     urgent: Mutex<Vec<NetMsg>>,
-    /// Writer parking handshake: `true` while the writer is committed
-    /// to parking. Producers push, then swap this and unpark on
-    /// observing `true`; the writer re-checks the queue after setting
-    /// it (both SeqCst) — no lost wakeup.
-    sleeping: AtomicBool,
     /// The writer thread's handle, registered by the thread itself
-    /// before it first sets `sleeping`.
+    /// before it first looks at a lane.
     writer: OnceLock<std::thread::Thread>,
     /// Every frame this edge has written after the handshake (control
     /// included) — the per-peer egress ledger, published per flush.
@@ -219,7 +218,6 @@ impl Peer {
         Peer {
             egress: MpscQueue::new(),
             urgent: Mutex::new(Vec::new()),
-            sleeping: AtomicBool::new(false),
             writer: OnceLock::new(),
             frames_tx: AtomicU64::new(0),
             bytes_tx: AtomicU64::new(0),
@@ -229,13 +227,11 @@ impl Peer {
         }
     }
 
-    /// Unpark the writer if it committed to parking. Lock-free: one
-    /// swap, at most one `unpark`.
-    fn wake_writer(&self) {
-        if self.sleeping.swap(false, Ordering::SeqCst) {
-            if let Some(t) = self.writer.get() {
-                t.unpark();
-            }
+    /// Unpark the writer. Before it has registered there is nobody to
+    /// unpark: it has not looked at a lane yet and will find the item.
+    fn unpark_writer(&self) {
+        if let Some(t) = self.writer.get() {
+            t.unpark();
         }
     }
 }
@@ -254,7 +250,8 @@ struct Links {
     /// The control plane (`control.rs`): every decision about a frame
     /// that is not run traffic for a shard we own. The protocol's only
     /// lock; the data path (`route_shard`, `send_to`, `forward_many`,
-    /// the writers) never takes it.
+    /// the writers) never takes it. Sends leave under it, so the lock
+    /// order is control → egress lane, and a lane's lock is a leaf.
     control: Mutex<Control>,
     /// Indexed by node id; `None` at `me`.
     peers: Vec<Option<Peer>>,
@@ -412,15 +409,17 @@ impl Links {
         }
     }
 
-    /// Enqueue one message on a peer's main egress FIFO and wake its
-    /// writer. This is the whole hot path for a sender: one lock-free
-    /// push plus at most one `unpark` — no mutex, no syscall, no ledger,
-    /// no blocking on a slow peer. A dead connection is the **writer's**
-    /// discovery (it records the failure); producers cannot fail.
+    /// Enqueue one message on a peer's main egress FIFO and, if that
+    /// found its writer idle, wake it. This is the whole hot path for a
+    /// sender: one enqueue under the lane's lock plus at most one
+    /// `unpark` — no syscall, no ledger, no blocking on a slow peer. A
+    /// dead connection is the **writer's** discovery (it records the
+    /// failure); producers cannot fail.
     fn send_to(&self, node: usize, msg: NetMsg) {
         let peer = self.peer(node);
-        peer.egress.push(EgressItem::Msg(msg));
-        peer.wake_writer();
+        if peer.egress.push(EgressItem::Msg(msg)) {
+            peer.unpark_writer();
+        }
     }
 
     /// Queue-jumping control send: the writer drains the urgent lane
@@ -436,7 +435,7 @@ impl Links {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .push(msg);
-        peer.wake_writer();
+        peer.unpark_writer();
     }
 
     fn snapshot(&self) -> WireSnapshot {
@@ -465,7 +464,7 @@ impl Links {
     /// Feed one event to the control plane and perform what it
     /// decides. Returns whether that failed the run.
     ///
-    /// `Send`s leave under the guard — a lock-free push — so frames
+    /// `Send`s leave under the guard — one enqueue — so frames
     /// reach each peer's FIFO in decision order even when two threads'
     /// events interleave (the `Quiesce` after a commit never overtakes
     /// that commit's `EpochUpdate`). Whatever calls into the runtime or
@@ -670,11 +669,11 @@ impl NodeLink for Links {
 
     fn forward_many(&self, msgs: &mut Vec<(usize, WireMsg)>) {
         // A shard's batch of remote replies: enqueue every message in
-        // order, then wake each destination writer once — one unpark
-        // for the whole batch instead of one per frame, and the frames
-        // land in the writer's window together, so they coalesce into
-        // one flush. Epoch read before the owner loads — same
-        // stamp-not-newer-than-route rule as `route_shard`.
+        // order, then wake each destination writer a push found idle —
+        // after the whole batch, so the frames land in the writer's
+        // window together and coalesce into one flush. Epoch read
+        // before the owner loads — same stamp-not-newer-than-route rule
+        // as `route_shard`.
         let epoch = self.directory.epoch();
         // One bit per destination node id below 64; a node past that
         // is woken per message, which is only less economical.
@@ -690,19 +689,21 @@ impl NodeLink for Links {
                 continue;
             }
             let peer = self.peer(owner);
-            peer.egress.push(EgressItem::Msg(NetMsg::Shard {
+            let woke = peer.egress.push(EgressItem::Msg(NetMsg::Shard {
                 to: to_shard as u32,
                 epoch,
                 retries: 0,
                 msg,
             }));
-            match 1u64.checked_shl(owner as u32) {
-                Some(bit) => woken |= bit,
-                None => peer.wake_writer(),
+            if woke {
+                match 1u64.checked_shl(owner as u32) {
+                    Some(bit) => woken |= bit,
+                    None => peer.unpark_writer(),
+                }
             }
         }
         while woken != 0 {
-            self.peer(woken.trailing_zeros() as usize).wake_writer();
+            self.peer(woken.trailing_zeros() as usize).unpark_writer();
             woken &= woken - 1;
         }
         if local.is_empty() {
@@ -765,8 +766,9 @@ impl Drop for RxLedger<'_> {
 /// Returns on clean EOF (after the peer's [`NetMsg::Bye`] or the
 /// cluster's quiesce) or after recording a failure.
 ///
-/// The hot path never takes a lock and touches nothing shared per
-/// frame: decode, sequence check, *we own the shard*, `inbox.deliver`.
+/// The hot path takes only the target mailbox's lock and touches
+/// nothing else shared per frame: decode, sequence check, *we own the
+/// shard*, `inbox.deliver`.
 /// What is only needed per socket read is done per socket read — the
 /// clock (one reading serves the edge's liveness stamp and the arrival
 /// time of every envelope that read brought in) and the publication of
@@ -885,18 +887,19 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
     }
 }
 
-/// One writer thread: the single consumer of a peer's egress queues
+/// One writer thread: the single consumer of a peer's egress lanes
 /// and the sole owner of the connection's send half and its sequence
-/// counter — sequence numbers are assigned in **pop order**, so the
+/// counter — sequence numbers are assigned in **queue order**, so the
 /// wire stream is gap-free by construction no matter how producers
 /// raced their pushes (DESIGN.md §11). Every frame it writes goes
 /// through [`stage`].
 ///
 /// Each wakeup drains the urgent lane first (aborts overtake data),
-/// then pops up to [`COALESCE_FRAMES`] frames / [`COALESCE_BYTES`] from
-/// the main FIFO, encoding each straight into the edge's one reusable
+/// then moves up to [`COALESCE_FRAMES`] frames out of the main FIFO
+/// under one lock, encodes each straight into the edge's one reusable
 /// [`FrameBatch`], and writes the window as **one flush**
-/// ([`FrameTx::send_batch`]: on a stream transport, one `write`). When
+/// ([`FrameTx::send_batch`]: on a stream transport, one `write` — a
+/// window that outgrows [`COALESCE_BYTES`] flushes early). When
 /// both lanes go empty the writer parks with a bounded tick and absorbs
 /// the old heartbeat thread's job: keep an idle edge warm every
 /// `heartbeat_ms` and declare the peer lost after `peer_deadline_ms` of
@@ -912,11 +915,11 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     // Every flush on this edge, whichever lane filled the batch: one
     // write and one clock read behind it, then everything that is per
     // flush rather than per frame — the staged ledger's publication,
-    // the flush count, `queued` (how deep the main lane was when this
-    // window opened) against the egress high-water mark, the heartbeat
-    // clock and (obs on) the latency, which spans `send_batch` and
-    // nothing else: the exact syscall cost the batch pays. What a
-    // failed write means is the caller's policy.
+    // the flush count, `queued` (how deep `take` found the main lane
+    // when this window opened) against the egress high-water mark, the
+    // heartbeat clock and (obs on) the latency, which spans
+    // `send_batch` and nothing else: the exact syscall cost the batch
+    // pays. What a failed write means is the caller's policy.
     let flush = |c: &mut dyn FrameTx,
                  batch: &FrameBatch,
                  staged: &mut Staged,
@@ -953,6 +956,8 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     let mut batch = FrameBatch::default();
     // What `batch` holds, on the ledgers' terms.
     let mut staged = Staged::default();
+    // The window `take` moves out of the main lane (capacity persists).
+    let mut window: Vec<EgressItem> = Vec::with_capacity(COALESCE_FRAMES);
     loop {
         // Urgent lane first: an Abort overtakes any queued data.
         let urgent = std::mem::take(&mut *peer.urgent.lock().unwrap_or_else(|p| p.into_inner()));
@@ -971,28 +976,32 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             continue;
         }
 
-        // Main lane: pop up to one coalesce window and flush it once.
-        // The queue keeps its own length; this is the one place it is
-        // sampled for telemetry.
-        let queued = peer.egress.len() as u64;
+        // Main lane: move one coalesce window out under one lock and
+        // flush it once.
+        let queued = peer.egress.take(&mut window, COALESCE_FRAMES) as u64;
+        let popped = !window.is_empty();
         batch.clear();
-        let mut popped = false;
         let mut close: Option<bool> = None;
-        while batch.len() < COALESCE_FRAMES && batch.wire_len() < COALESCE_BYTES {
-            match peer.egress.pop() {
-                Some(EgressItem::Msg(msg)) => {
-                    popped = true;
-                    // With the connection gone the queue still drains
-                    // (and frees) so producers never back up.
-                    if conn.is_some() {
-                        stage(links, node, &mut next_seq, &msg, &mut batch, &mut staged);
-                    }
-                }
-                Some(EgressItem::Close { bye }) => {
+        for item in window.drain(..) {
+            let msg = match item {
+                EgressItem::Msg(msg) => msg,
+                EgressItem::Close { bye } => {
                     close = Some(bye);
                     break;
                 }
-                None => break,
+            };
+            // With the connection gone the queue still drains (and
+            // frees) so producers never back up.
+            let Some(c) = conn.as_mut() else { continue };
+            stage(links, node, &mut next_seq, &msg, &mut batch, &mut staged);
+            if batch.wire_len() >= COALESCE_BYTES {
+                // The byte bound: a window of huge frames leaves in
+                // several writes instead of buffering them all.
+                if let Err(e) = flush(c.as_mut(), &batch, &mut staged, queued) {
+                    conn = None;
+                    send_failed(e);
+                }
+                batch.clear();
             }
         }
 
@@ -1064,22 +1073,15 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             }
         }
 
-        // Park until a producer wakes us (or the tick elapses — the
-        // heartbeat clock needs a bounded sleep). The handshake
-        // mirrors the shard mailboxes': commit `sleeping`, re-check
-        // both lanes, then park; a producer pushes before swapping
-        // `sleeping`, so no wakeup is lost.
-        peer.sleeping.store(true, Ordering::SeqCst);
-        let lanes_empty = peer.egress.is_empty()
-            && peer
-                .urgent
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .is_empty();
-        if lanes_empty {
+        // Go idle under the lane's lock — unless a push raced in, which
+        // `rest` sees — then park until a producer wakes us (or the tick
+        // elapses: the heartbeat clock needs a bounded sleep). A push
+        // that lands after `rest` finds us idle and unparks; std's park
+        // token makes that unpark, and the urgent lane's unconditional
+        // one, stick even if it beats the park.
+        if !peer.egress.rest(false) {
             std::thread::park_timeout(tick);
         }
-        peer.sleeping.store(false, Ordering::SeqCst);
     }
 }
 
@@ -1599,10 +1601,10 @@ impl NodeRuntime {
         // signal for peers that have not heard the abort yet), flushes
         // once, closes the connection, and exits.
         for p in self.links.peers.iter().flatten() {
-            p.egress.push(EgressItem::Close {
-                bye: failed.is_none(),
-            });
-            p.wake_writer();
+            let bye = failed.is_none();
+            if p.egress.push(EgressItem::Close { bye }) {
+                p.unpark_writer();
+            }
         }
         let writer_panicked = self.writers.drain(..).any(|w| w.join().is_err());
         // Readers exit when peers close theirs (every node does this

@@ -24,6 +24,7 @@
 //! that closed form against this cycle-level model and demonstrates
 //! deadlock freedom under adversarial traffic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

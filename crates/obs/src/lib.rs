@@ -52,6 +52,7 @@
 //! * [`json`] — the tiny hand-rolled JSON writer everything above
 //!   shares (this crate has no external dependencies).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

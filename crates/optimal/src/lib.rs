@@ -28,6 +28,7 @@
 //! much of the stack to carry", with underflow/overflow bounces back
 //! to the native core priced in.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -26,6 +26,7 @@
 //! paper reports: the non-native access *run-length histogram* of
 //! Figure 2 and the pure-EM² migration count.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -77,26 +77,15 @@ impl ShardDirectory {
     /// new sends toward the destination *before* the state ships, and
     /// the epoch is bumped only when the coordinator commits.
     ///
-    /// The store is `SeqCst` because it is the store half of a
-    /// Dekker-style store-load handshake with the producer guard in
-    /// `Shared::send`: freeze stores the new owner, then loads the
-    /// producer count; a sender increments the producer count, then
-    /// re-loads the owner ([`ShardDirectory::owner_of_fenced`]). With
-    /// anything weaker than `SeqCst` on all four accesses, both sides
-    /// may read the *old* value of the other's flag (StoreLoad
-    /// reordering), letting a sender push into a mailbox the freeze
-    /// already believes drained — a lost message.
+    /// The freeze calls this under the shard's mailbox lock, and the
+    /// clustered send path re-reads the owner under the same lock
+    /// before it pushes, so a send either precedes the flip or observes
+    /// it — the lock orders them, not this store. The other caller,
+    /// `RemoteInbox::install_shard`, claims a shard with it and orders
+    /// the claim against the barrier flags with the fence that follows
+    /// (mirrored by `RemoteInbox::release_barrier`).
     pub fn set_owner(&self, shard: usize, node: u32) {
         self.owners[shard].store(node, Ordering::SeqCst);
-    }
-
-    /// `SeqCst` read of a shard's owner — the load half of the
-    /// freeze/producer handshake (see [`ShardDirectory::set_owner`]).
-    /// Only the ownership re-check under the producer guard needs
-    /// this; plain routing reads use [`ShardDirectory::owner_of`] and
-    /// tolerate staleness.
-    pub fn owner_of_fenced(&self, shard: usize) -> u32 {
-        self.owners[shard].load(Ordering::SeqCst)
     }
 
     /// Install a complete (epoch, ownership) view, as broadcast by the

@@ -1,15 +1,15 @@
 //! The multiplexed work-stealing executor.
 //!
 //! `W` worker threads cooperatively run `S ≫ W` shard state machines.
-//! Each shard's mailbox carries a scheduling state
-//! (`IDLE/QUEUED/RUNNING/RUNNING_DIRTY`, see `shard.rs`); a message
-//! send transitions an idle shard to QUEUED and pushes its id onto a
-//! per-worker run queue (home queue = `shard % W`, for affinity). A
-//! worker pops its own queue front, steals from other queues' backs
-//! when empty, and **parks on a condvar** when nothing is runnable
-//! anywhere — there are no spin loops: every poll is provoked by a
-//! message or a requeue, and an idle runtime performs zero polls (the
-//! regression test in `crates/rt/tests/executor.rs` pins this).
+//! Each shard's mailbox carries, under the queue's own lock, the
+//! shard's `awake` flag (`crate::mpsc`); the send that finds it clear
+//! sets it and pushes the shard's id onto a per-worker run queue (home
+//! queue = `shard % W`, for affinity). A worker pops its own queue
+//! front, steals from other queues' backs when empty, and **parks on a
+//! condvar** when nothing is runnable anywhere — there are no spin
+//! loops: every poll is provoked by a message or a requeue, and an idle
+//! runtime performs zero polls (the regression test in
+//! `crates/rt/tests/executor.rs` pins this).
 //!
 //! A shard that blocks on a remote reply or a barrier parks its
 //! *continuation* (the envelope sits in `awaiting`/`parked` inside the
@@ -17,17 +17,19 @@
 //! lets S = 1024 shards run on a 1-CPU host without standing up 1024
 //! OS threads.
 //!
-//! Wakeup correctness: a parking worker increments `sleepers` and
-//! re-checks `pending` *after* that increment (both SeqCst, under the
-//! sleep mutex); a scheduler increments `pending` *before* loading
+//! A shard's wake-up is a function of call order under its mailbox
+//! lock (`run_shard`). A *worker's* wake-up is the one atomic handshake
+//! left here: a parking worker increments `sleepers` and re-checks
+//! `pending` *after* that increment (both SeqCst, under the sleep
+//! mutex); a scheduler increments `pending` *before* loading
 //! `sleepers`. In any sequentially-consistent interleaving, either the
 //! scheduler sees the sleeper (and notifies under the mutex) or the
 //! sleeper sees the pending work (and never waits) — lost wakeups are
 //! impossible.
 
-use crate::shard::{Shared, SHARD_IDLE, SHARD_QUEUED, SHARD_RUNNING};
+use crate::shard::Shared;
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Scheduler state of the multiplexed executor.
@@ -64,8 +66,8 @@ impl Sched {
         }
     }
 
-    /// Enqueue a shard (its state is already QUEUED) and wake a worker
-    /// if any is sleeping.
+    /// Enqueue a shard (its mailbox is already marked awake) and wake a
+    /// worker if any is sleeping.
     pub(crate) fn schedule(&self, shard: usize) {
         {
             let mut q = self.runqs[shard % self.workers].lock().expect("run queue");
@@ -141,39 +143,17 @@ pub(crate) fn worker_loop(shared: &Shared, w: usize) {
     }
 }
 
-/// Poll one shard and settle its scheduling state: requeue while it
-/// has runnable tasks or undrained messages, otherwise return it to
-/// IDLE (re-arming the send path), catching the message-raced-in case
-/// via RUNNING_DIRTY.
+/// Poll one shard, then — the core lock released — settle its
+/// scheduling flag under the mailbox lock: requeue while it has
+/// runnable tasks or a message is waiting (one that raced in mid-poll
+/// is seen here, because its push and this `rest` take the same lock),
+/// otherwise mark it idle, re-arming the send path.
 fn run_shard(shared: &Shared, shard: usize) {
-    let mb = &shared.mailboxes[shard];
-    mb.state.store(SHARD_RUNNING, Ordering::SeqCst);
-    // Pairs with the fence in `Shared::push_and_schedule`: a sender
-    // that read QUEUED before this store has its push visible to the
-    // drain below.
-    fence(Ordering::SeqCst);
     let more = {
         let mut core = shared.cores[shard].lock().expect("shard core");
         core.poll(shared)
     };
-    // `ready()`, not `is_empty()`: the poller is the consumer here, so
-    // it may inspect the pop link directly — `len`'s transient
-    // over-report during a mid-flight push would requeue for a drain
-    // that finds nothing (the pusher's own DIRTY transition already
-    // covers that item), inflating the O(work) poll bound.
-    let requeue = more
-        || mb.queue.ready()
-        || mb
-            .state
-            .compare_exchange(
-                SHARD_RUNNING,
-                SHARD_IDLE,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_err();
-    if requeue && !shared.shutdown.load(Ordering::Acquire) {
-        mb.state.store(SHARD_QUEUED, Ordering::SeqCst);
+    if shared.mailboxes[shard].rest(more) && !shared.shutdown.load(Ordering::Acquire) {
         shared.sched.schedule(shard);
     }
 }

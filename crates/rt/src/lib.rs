@@ -18,10 +18,9 @@
 //!   — a trace-replay continuation is 24 bytes;
 //! * a non-local access consults a reused `em2-core`
 //!   [`em2_core::decision::DecisionScheme`] — one instance per thread,
-//!   carried in the migrating envelope, so the hot path takes **no
+//!   carried in the migrating envelope, so a decision takes **no
 //!   lock** (the run monitor and barriers are likewise shard-local or
-//!   atomic; DESIGN.md §8 has the lock-elimination table) — and either
-//!   **migrates**
+//!   atomic; DESIGN.md §8 has the lock table) — and either **migrates**
 //!   (the context ships to the home shard's mailbox, admitted into a
 //!   bounded guest pool with eviction-back-to-native for deadlock
 //!   avoidance — [`em2_core::context::ContextPool`], executed for
@@ -53,6 +52,7 @@
 //! reports measured ops/sec instead of simulated cycles. DESIGN.md §7
 //! documents the model and the invariant argument.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1,143 +1,128 @@
-//! A lock-free multi-producer single-consumer queue (Vyukov's
-//! non-intrusive MPSC algorithm), used for the two hot-path queues in
-//! the system: shard mailboxes (`crates/rt/src/shard.rs`) and the
-//! per-peer egress queues in `em2-net`'s writer pipeline.
+//! The system's two hot queues — shard mailboxes (`shard.rs`) and the
+//! per-peer egress lanes of `em2-net` — are this one type: a `Mutex`
+//! around a FIFO **and its consumer's `awake` flag**.
 //!
-//! ## Algorithm
-//!
-//! Producers push by swapping a `head` pointer (the most recently
-//! pushed node) and then linking the previous head's `next` to the new
-//! node. The single consumer walks `tail → next`. Between the swap and
-//! the link store there is a short window where the queue looks empty
-//! from the consumer side even though an item is in flight ("mid-push
-//! blip"); [`MpscQueue::pop`] returns `None` in that window. Every
-//! caller in this codebase pairs a completed `push` with a wakeup
-//! (scheduler CAS or park-token handshake) that is sequenced *after*
-//! the push, so a blipped item is always observed by a later drain —
-//! the blip can delay an item by one wakeup, never lose it.
-//!
-//! ## Why `len` is SeqCst
-//!
-//! `len` is incremented *before* the push is published and decremented
-//! *after* an item is taken, so `len() == 0` implies the queue is
-//! drained (it may transiently over-report during a push — that only
-//! causes a spurious re-poll). Consumers use `is_empty()` inside a
-//! park handshake of the form
-//!
-//! ```text
-//! consumer: sleeping.store(true, SeqCst); if queue.is_empty() { park() }
-//! producer: queue.push(x); if sleeping.swap(false, SeqCst) { unpark() }
-//! ```
-//!
-//! With `len` ops at `SeqCst` the single total order guarantees either
-//! the producer's swap observes `sleeping == true` (and unparks) or
-//! the consumer's emptiness check observes the increment (and skips
-//! the park) — no lost wakeup. Acquire/Release on `len` alone would
-//! not give that cross-variable guarantee.
+//! Sharing one lock makes the wake protocol a function of call order,
+//! not of memory orderings. A `push` returns `true` exactly when it
+//! turned an idle consumer awake; then, and only then, the caller wakes
+//! it (schedules the shard / unparks the writer), after the lock is
+//! released. The consumer moves a batch out with `take` and ends a
+//! round with `rest`, which either finds a message that raced in (stay
+//! awake: go again) or marks the consumer idle — under the lock the
+//! racing push needs. `push_if` evaluates its admission test under the
+//! lock too, which is how a shard freeze closes a mailbox: the
+//! ownership flip runs in `locked`, so every push precedes it or
+//! observes it. The lock is a leaf: nothing runs under it but the queue
+//! operation itself and those two closures.
 
-use std::cell::UnsafeCell;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-struct Node<T> {
-    next: AtomicPtr<Node<T>>,
-    value: Option<T>,
+struct Inner<T> {
+    items: VecDeque<T>,
+    /// The consumer is scheduled, running, or has been told to be.
+    awake: bool,
 }
 
-impl<T> Node<T> {
-    fn boxed(value: Option<T>) -> *mut Node<T> {
-        Box::into_raw(Box::new(Node {
-            next: AtomicPtr::new(ptr::null_mut()),
-            value,
-        }))
-    }
-}
-
-/// Lock-free unbounded MPSC queue. `push` may be called from any
-/// number of threads concurrently; `pop`/`drain` must only ever be
-/// called from one thread at a time (the consumer). That exclusion is
-/// not enforced by types — callers uphold it structurally (the shard
-/// state machine admits at most one poller; each peer has exactly one
-/// writer thread).
+/// Unbounded multi-producer queue with its consumer's wake flag. One
+/// consumer at a time: `awake` admits one poller; a peer has one writer.
 pub struct MpscQueue<T> {
-    /// Most recently pushed node; producers swap this.
-    head: AtomicPtr<Node<T>>,
-    /// Consumer-owned: the stub / last-consumed node.
-    tail: UnsafeCell<*mut Node<T>>,
-    /// Pushed-minus-popped; see module docs for ordering rationale.
-    len: AtomicUsize,
+    inner: Mutex<Inner<T>>,
+    /// `items.len()`, stored under the lock and read without it so
+    /// `take` can skip an empty queue. A hint: a stale zero delays a
+    /// message to the next `take`; only `rest`, locked, decides idleness.
+    hint: AtomicUsize,
 }
-
-// SAFETY: nodes are heap-allocated and reached only through the
-// atomics above; `tail` is only touched by the single consumer.
-unsafe impl<T: Send> Send for MpscQueue<T> {}
-unsafe impl<T: Send> Sync for MpscQueue<T> {}
 
 impl<T> MpscQueue<T> {
-    /// An empty queue.
+    /// An empty queue with an idle consumer.
     pub fn new() -> Self {
-        let stub = Node::boxed(None);
         MpscQueue {
-            head: AtomicPtr::new(stub),
-            tail: UnsafeCell::new(stub),
-            len: AtomicUsize::new(0),
+            inner: Mutex::new(Inner {
+                items: VecDeque::new(),
+                awake: false,
+            }),
+            hint: AtomicUsize::new(0),
         }
     }
 
-    /// Enqueue from any thread. Lock-free: one `fetch_add`, one
-    /// `swap`, one `store`; never blocks, never allocates beyond the
-    /// node itself.
-    pub fn push(&self, value: T) {
-        self.len.fetch_add(1, Ordering::SeqCst);
-        let node = Node::boxed(Some(value));
-        let prev = self.head.swap(node, Ordering::AcqRel);
-        // SAFETY: `prev` is a valid node not yet freed — the consumer
-        // frees a node only after following its `next` link, and this
-        // store is what publishes that link.
-        unsafe { (*prev).next.store(node, Ordering::Release) };
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner
+            .lock()
+            .expect("nothing under a queue lock can panic")
     }
 
-    /// Dequeue in FIFO push order. Single-consumer only. Returns
-    /// `None` when the queue is empty *or* a push is mid-flight (see
-    /// module docs — callers' wakeup protocol makes that benign).
+    fn enqueue(&self, q: &mut Inner<T>, value: T) -> bool {
+        q.items.push_back(value);
+        self.hint.store(q.items.len(), Ordering::Relaxed);
+        !std::mem::replace(&mut q.awake, true)
+    }
+
+    /// Enqueue. `true`: the consumer was idle and is now marked awake —
+    /// the caller must wake it.
+    pub fn push(&self, value: T) -> bool {
+        self.enqueue(&mut self.lock(), value)
+    }
+
+    /// [`MpscQueue::push`] if `admit()` — evaluated under the lock —
+    /// holds; otherwise nothing is enqueued and the value comes back.
+    pub fn push_if(&self, admit: impl FnOnce() -> bool, value: T) -> Result<bool, T> {
+        let mut q = self.lock();
+        if !admit() {
+            return Err(value);
+        }
+        Ok(self.enqueue(&mut q, value))
+    }
+
+    /// Mark the consumer awake without a message; `true` if it was
+    /// idle (the caller must wake it).
+    pub fn wake(&self) -> bool {
+        !std::mem::replace(&mut self.lock().awake, true)
+    }
+
+    /// Move up to `max` items, oldest first, onto the end of `out` under
+    /// one lock. Returns how many the queue held: `min(that, max)` moved.
+    pub fn take(&self, out: &mut Vec<T>, max: usize) -> usize {
+        if self.hint.load(Ordering::Relaxed) == 0 {
+            return 0;
+        }
+        let mut q = self.lock();
+        let held = q.items.len();
+        out.extend(q.items.drain(..held.min(max)));
+        self.hint.store(q.items.len(), Ordering::Relaxed);
+        held
+    }
+
+    /// Dequeue one item.
     pub fn pop(&self) -> Option<T> {
-        // SAFETY: single consumer (caller contract) — `tail` and the
-        // nodes it reaches are exclusively ours until freed.
-        unsafe {
-            let tail = *self.tail.get();
-            let next = (*tail).next.load(Ordering::Acquire);
-            if next.is_null() {
-                return None;
-            }
-            *self.tail.get() = next;
-            drop(Box::from_raw(tail));
-            let value = (*next).value.take();
-            self.len.fetch_sub(1, Ordering::SeqCst);
-            value
-        }
+        let mut q = self.lock();
+        let value = q.items.pop_front();
+        self.hint.store(q.items.len(), Ordering::Relaxed);
+        value
     }
 
-    /// Consumer-only: is a fully *published* item ready for the next
-    /// `pop`? Unlike [`MpscQueue::is_empty`] this never over-reports —
-    /// it inspects the link `pop` would follow, so it cannot trigger a
-    /// drain that comes back empty-handed. A mid-push item invisible
-    /// here is published by its producer's subsequent wakeup (see
-    /// module docs), exactly like `pop`'s `None`. Same single-consumer
-    /// contract as `pop`.
-    pub fn ready(&self) -> bool {
-        // SAFETY: single consumer (caller contract) — `tail` and the
-        // node it points at are exclusively ours until freed.
-        unsafe { !(*(*self.tail.get())).next.load(Ordering::Acquire).is_null() }
+    /// The consumer ends a round: stay awake if it has `more` to do or
+    /// a message is waiting (`true` — go again), else become idle
+    /// (`false` — the next push wakes it).
+    pub fn rest(&self, more: bool) -> bool {
+        let mut q = self.lock();
+        q.awake = more || !q.items.is_empty();
+        q.awake
     }
 
-    /// Observed item count (may transiently over-report during a
-    /// concurrent push; never under-reports a published item).
+    /// Run `f` under the queue's lock: no push lands or is refused meanwhile.
+    pub fn locked<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _q = self.lock();
+        f()
+    }
+
+    /// Items queued.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+        self.lock().items.len()
     }
 
-    /// `len() == 0`. See module docs for why this is strong enough to
-    /// gate a park.
+    /// `len() == 0`.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -149,78 +134,92 @@ impl<T> Default for MpscQueue<T> {
     }
 }
 
-impl<T> Drop for MpscQueue<T> {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-        // SAFETY: after draining, `tail` is the lone stub node.
-        unsafe { drop(Box::from_raw(*self.tail.get())) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    /// Each block is one interleaving the lock reduces the protocol to.
+    #[test]
+    fn the_wake_protocol_is_a_script() {
+        let q: MpscQueue<u32> = MpscQueue::new();
+        let mut out = Vec::new();
+        // Only the push that finds the consumer idle wakes it.
+        assert!(q.push(1));
+        assert!(!q.push(2));
+        // A message races in mid-poll: `rest` finds it — go again.
+        assert_eq!(q.take(&mut out, 8), 2);
+        assert!(!q.push(3));
+        assert!(q.rest(false));
+        // Drained and nothing raced in: idle, so the next push wakes.
+        assert_eq!(q.take(&mut out, 8), 1);
+        assert!(!q.rest(false));
+        assert!(q.push(4));
+        assert_eq!(out, [1, 2, 3]);
+        // Work of the consumer's own keeps it awake on an empty queue.
+        assert_eq!(q.pop(), Some(4));
+        assert!(q.rest(true));
+        assert!(!q.push(5));
+        assert_eq!(q.pop(), Some(5));
+        assert!(!q.rest(false));
+        // A wake without a message claims the flag once.
+        assert!(q.wake());
+        assert!(!q.wake());
+        // A refused push enqueues nothing and hands the value back.
+        assert_eq!(q.push_if(|| false, 6), Err(6));
+        assert_eq!(q.push_if(|| true, 7), Ok(false));
+        assert_eq!(q.len(), 1);
+    }
 
     #[test]
-    fn fifo_single_thread() {
+    fn take_is_bounded_and_keeps_order_across_calls() {
         let q = MpscQueue::new();
-        assert!(q.is_empty());
-        for i in 0..100 {
+        for i in 0..10u32 {
             q.push(i);
         }
-        assert_eq!(q.len(), 100);
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some(i));
-        }
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
+        let mut out = Vec::new();
+        assert_eq!(q.take(&mut out, 4), 10);
+        assert_eq!(out, [0, 1, 2, 3]);
+        assert_eq!(q.take(&mut out, 4), 6);
+        assert_eq!(q.take(&mut out, 4), 2);
+        assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert_eq!(q.take(&mut out, 4), 0);
+        assert!(q.is_empty() && q.pop().is_none());
     }
 
     #[test]
     fn per_producer_order_survives_contention() {
-        let q = Arc::new(MpscQueue::new());
-        const PRODUCERS: usize = 4;
         const PER: u64 = 10_000;
-        let handles: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
+        let q = MpscQueue::new();
+        std::thread::scope(|s| {
+            for p in 0..4usize {
+                let q = &q;
+                s.spawn(move || {
                     for i in 0..PER {
                         q.push((p, i));
                     }
-                })
-            })
-            .collect();
-        let mut last = [0u64; PRODUCERS];
-        let mut seen = 0usize;
-        while seen < PRODUCERS * PER as usize {
-            if let Some((p, i)) = q.pop() {
-                // FIFO per producer: items from one thread arrive in
-                // push order even under contention.
-                if i > 0 {
-                    assert_eq!(last[p], i - 1, "producer {p} reordered");
-                }
-                last[p] = i;
-                seen += 1;
-            } else {
-                std::hint::spin_loop();
+                });
             }
-        }
+            let (mut next, mut batch) = ([0u64; 4], Vec::new());
+            while next.iter().sum::<u64>() < 4 * PER {
+                if q.take(&mut batch, 64) == 0 {
+                    std::thread::yield_now();
+                }
+                for (p, i) in batch.drain(..) {
+                    assert_eq!(next[p], i, "producer {p} reordered");
+                    next[p] += 1;
+                }
+            }
+        });
         assert_eq!(q.pop(), None);
-        for h in handles {
-            h.join().expect("producer");
-        }
     }
 
     #[test]
     fn drop_frees_unconsumed_items() {
         let q = MpscQueue::new();
-        let marker = Arc::new(());
-        for _ in 0..10 {
-            q.push(Arc::clone(&marker));
-        }
+        let marker = std::sync::Arc::new(());
+        q.push(std::sync::Arc::clone(&marker));
+        q.push(std::sync::Arc::clone(&marker));
         drop(q);
-        assert_eq!(Arc::strong_count(&marker), 1);
+        assert_eq!(std::sync::Arc::strong_count(&marker), 1);
     }
 }

@@ -543,12 +543,12 @@ impl Runtime {
     pub fn remote_inbox(
         &self,
         registry: TaskRegistry,
-        scheme_factory: impl FnMut() -> Box<dyn DecisionScheme> + Send + 'static,
+        scheme_factory: impl Fn() -> Box<dyn DecisionScheme> + Send + Sync + 'static,
     ) -> RemoteInbox {
         RemoteInbox {
             shared: Arc::downgrade(self.shared.as_ref().expect("runtime is live")),
             registry,
-            make_scheme: Mutex::new(Box::new(scheme_factory)),
+            make_scheme: Box::new(scheme_factory),
         }
     }
 
@@ -571,10 +571,10 @@ impl Runtime {
     /// submits*; it need not match who currently *owns* — a live
     /// handoff can move a shard away before its node finishes
     /// submitting, in which case the arrival routes over the link to
-    /// the current owner like any other in-flight message (the
-    /// producer-guarded send makes the race safe). Single-process
-    /// callers normally want [`Runtime::submit`]'s automatic
-    /// numbering.
+    /// the current owner like any other in-flight message (the send's
+    /// ownership re-check under the mailbox lock makes the race safe).
+    /// Single-process callers normally want [`Runtime::submit`]'s
+    /// automatic numbering.
     pub fn submit_as(&mut self, spec: TaskSpec, thread: ThreadId) {
         let shared = self.shared.as_ref().expect("runtime is live");
         assert!(
@@ -740,7 +740,8 @@ impl Drop for Runtime {
 pub struct RemoteInbox {
     shared: Weak<Shared>,
     registry: TaskRegistry,
-    make_scheme: Mutex<Box<dyn FnMut() -> Box<dyn DecisionScheme> + Send>>,
+    /// Called by every reader thread, on every inbound arrival.
+    make_scheme: Box<dyn Fn() -> Box<dyn DecisionScheme> + Send + Sync>,
 }
 
 impl RemoteInbox {
@@ -752,10 +753,7 @@ impl RemoteInbox {
         we: crate::wire::WireEnvelope,
         arrival: Instant,
     ) -> Result<Box<Envelope>, WireError> {
-        let mut scheme = {
-            let mut mk = self.make_scheme.lock().expect("scheme factory");
-            (*mk)()
-        };
+        let mut scheme = (self.make_scheme)();
         scheme.load_state(&we.scheme_state)?;
         let task = self.registry.build(we.task_kind, &we.task_ctx)?;
         Ok(Box::new(Envelope {
@@ -780,8 +778,8 @@ impl RemoteInbox {
     /// then push through the same mailbox/waker path a local sender
     /// uses. Routing is directory-driven: if ownership of `to` flipped
     /// while the message was in flight, `crate::shard::Shared::send`'s
-    /// producer-guarded path forwards it over the link instead of
-    /// applying it locally — the caller (the transport layer's epoch
+    /// re-check under the mailbox lock forwards it over the link instead
+    /// of applying it locally — the caller (the transport layer's epoch
     /// fence) is expected to have already bounced clearly-stale
     /// frames. `retries` is the re-route count carried on the frame
     /// (0 for locally originated messages); it rides along on that
@@ -842,11 +840,12 @@ impl RemoteInbox {
     }
 
     /// Freeze locally owned shard `shard` for a live handoff to
-    /// `new_owner`: flip the directory owner (new senders route over
-    /// the link from here on), wait out producers already inside the
-    /// push path, take the core lock (waiting out any in-flight poll),
-    /// drain the mailbox backlog, and export the core's transferable
-    /// state. Returns `None` if the runtime already shut down.
+    /// `new_owner`: flip the directory owner under the mailbox lock
+    /// (every send either pushed before the flip or sees it and routes
+    /// over the link), take the core lock (waiting out any in-flight
+    /// poll), drain the mailbox backlog, and export the core's
+    /// transferable state. Returns `None` if the runtime already shut
+    /// down.
     ///
     /// After this returns, the shard is empty here and every message
     /// addressed to it — including sends issued by the tail of an
@@ -858,26 +857,18 @@ impl RemoteInbox {
             shared.node_id,
             "freezing a shard this node does not own"
         );
-        shared.directory.set_owner(shard, new_owner);
         let mb = &shared.mailboxes[shard];
-        // See `Mailbox::producers`: a producer that saw the old owner
-        // completes its push before this count drains, so the mailbox
-        // drain below captures it; later senders see the flip and
-        // route over the link. The owner store above and this load are
-        // both SeqCst — the Dekker pairing with the producer guard in
-        // `Shared::send` (see `ShardDirectory::set_owner`); weaker
-        // orderings would let a sender slip a message into the mailbox
-        // after the drain.
-        while mb.producers.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
+        // `Shared::send_routed` re-checks the owner under this lock, so
+        // no message enters the mailbox after the flip — and having
+        // held the lock after the last push, we read a current length
+        // hint in `take` below.
+        mb.locked(|| shared.directory.set_owner(shard, new_owner));
         let mut core = shared.cores[shard].lock().expect("shard core");
         // Holding the core lock makes us the queue's exclusive
         // consumer (polls drain only under this lock).
-        let mut mailbox = Vec::new();
-        while let Some(m) = mb.queue.pop() {
-            mailbox.push(crate::shard::msg_to_wire(m));
-        }
+        let mut backlog = Vec::new();
+        mb.take(&mut backlog, usize::MAX);
+        let mailbox = backlog.into_iter().map(crate::shard::msg_to_wire).collect();
         Some(core.export_frozen(mailbox))
     }
 
@@ -1025,4 +1016,109 @@ pub fn run_workload(
         scheme_factory,
         quotas,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::tests::Recording;
+    use std::sync::atomic::AtomicU64;
+
+    /// Four producers stream numbered requests at shard 1 of a live
+    /// node while it is frozen away mid-stream. A request is served by
+    /// a poll (its reply, bound for node 1's shard 0, reaches the
+    /// link), frozen with the mailbox, or refused by the flipped owner
+    /// and forwarded — every number exactly once, each producer's in
+    /// order within each of the three, and nothing is served once the
+    /// freeze has returned. Red for a send whose ownership re-check is
+    /// not under the mailbox lock: its push can land after the freeze's
+    /// drain, where the emptied core serves it.
+    #[test]
+    fn a_freeze_loses_and_duplicates_nothing() {
+        const PRODUCERS: u64 = 4;
+        const PER: u64 = 10_000;
+        let link = Arc::new(Recording::default());
+        let rt = Runtime::start_node(
+            RtConfig {
+                workers: 1,
+                obs: Some(em2_obs::ObsConfig::off()),
+                ..RtConfig::with_shards(2)
+            },
+            "freeze",
+            Arc::new(em2_placement::Striped::new(2, 64)),
+            || Box::new(em2_core::decision::AlwaysMigrate),
+            Vec::new(),
+            NodeRole {
+                directory: Arc::new(crate::directory::ShardDirectory::new(0, 0, &[1, 0])),
+                node_id: 0,
+                clustered_barriers: true,
+                link: Arc::clone(&link) as Arc<dyn NodeLink>,
+            },
+        );
+        let inbox = rt.remote_inbox(TaskRegistry::new(), || {
+            Box::new(em2_core::decision::AlwaysMigrate)
+        });
+        let sent = AtomicU64::new(0);
+        let replies = |handed: &[(usize, WireMsg)]| {
+            let reply = |m: &WireMsg| matches!(m, WireMsg::Response { .. });
+            handed.iter().filter(|(_, m)| reply(m)).count()
+        };
+        let (frozen, served_by_the_freeze) = std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let (inbox, sent) = (&inbox, &sent);
+                s.spawn(move || {
+                    for i in 0..PER {
+                        let msg = WireMsg::Request {
+                            addr: 64,
+                            write: None,
+                            reply_shard: 0,
+                            token: p * PER + i,
+                        };
+                        let live = inbox.deliver(1, 0, msg, Instant::now());
+                        assert_eq!(live, Ok(true));
+                        sent.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            // Mid-stream: a quarter is out, the rest is still coming.
+            while sent.load(Ordering::Relaxed) < PER {
+                std::thread::yield_now();
+            }
+            let frozen = inbox.freeze_shard(1, 1).expect("the runtime is live");
+            (frozen, replies(&link.0.lock().expect("recording")))
+        });
+        inbox.begin_shutdown();
+        drop(rt);
+
+        let handed = link.0.lock().expect("recording");
+        assert_eq!(replies(&handed), served_by_the_freeze, "served after it");
+        let served = handed.iter().filter_map(|(to, m)| match m {
+            WireMsg::Response { token, .. } if *to == 0 => Some(*token),
+            _ => None,
+        });
+        let forwarded = handed.iter().filter_map(|(to, m)| match m {
+            WireMsg::Request { token, .. } if *to == 1 => Some(*token),
+            _ => None,
+        });
+        let shipped = frozen.mailbox.iter().map(|m| match m {
+            WireMsg::Request { token, .. } => *token,
+            other => panic!("only requests were sent, froze {other:?}"),
+        });
+        let mut seen = vec![0u32; (PRODUCERS * PER) as usize];
+        for part in [
+            served.collect::<Vec<_>>(),
+            shipped.collect(),
+            forwarded.collect(),
+        ] {
+            let mut next = [0u64; PRODUCERS as usize];
+            for token in part {
+                seen[token as usize] += 1;
+                let (p, i) = ((token / PER) as usize, token % PER);
+                assert!(i >= next[p], "producer {p}: {i} after {}", next[p]);
+                next[p] = i + 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1), "every request exactly once");
+        assert_eq!(handed.len() + frozen.mailbox.len(), seen.len());
+    }
 }

@@ -2,11 +2,12 @@
 //! worker.
 //!
 //! Each shard is a **state machine**, not a thread: a word-granular
-//! heap partition, a mailbox (a lock-free MPSC queue — `crate::mpsc` —
-//! so remote requests are serviced in arrival order with no mutex on
-//! the push/drain path; the paper's in-order home-core servicing), and
-//! the per-core context file reused from the
-//! simulator ([`em2_core::context::ContextPool`]): native contexts
+//! heap partition, a mailbox (`crate::mpsc`: one lock around the queue
+//! and the shard's scheduling flag, so remote requests are serviced in
+//! arrival order — the paper's in-order home-core servicing — and a
+//! send knows whether it must schedule the shard), and the per-core
+//! context file reused from the simulator
+//! ([`em2_core::context::ContextPool`]): native contexts
 //! always admit, guest slots are bounded, and an arriving guest that
 //! finds them full evicts a resident evictable guest back to *its*
 //! native shard — the paper's §2 deadlock-avoidance protocol, executed
@@ -46,7 +47,7 @@ use em2_model::{AccessKind, Addr, CoreId, CostModel, Histogram, ThreadId, WordMa
 use em2_obs::{EventKind, ShardObs, SingleWriterCounter};
 use em2_placement::Placement;
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -175,54 +176,17 @@ pub(crate) fn msg_to_wire(msg: Msg) -> WireMsg {
     }
 }
 
-/// Executor scheduling state of one shard, kept in its mailbox.
-/// Transitions (all by CAS or from the owning worker):
-///
-/// ```text
-/// IDLE ──send──▶ QUEUED ──pop──▶ RUNNING ──send──▶ RUNNING_DIRTY
-///   ▲                               │ quiesced          │
-///   └───────────────────────────────┘   └──requeue──────┘
-/// ```
-///
-/// At most one worker polls a shard at a time (only the QUEUED→RUNNING
-/// owner touches the core), and a shard is never queued twice: only
-/// the transitions *into* QUEUED enqueue it.
-pub(crate) const SHARD_IDLE: u8 = 0;
-pub(crate) const SHARD_QUEUED: u8 = 1;
-pub(crate) const SHARD_RUNNING: u8 = 2;
-pub(crate) const SHARD_RUNNING_DIRTY: u8 = 3;
-
-/// One shard's mailbox: a lock-free MPSC queue (producers never take
-/// any lock — see `crate::mpsc` for the algorithm and the wakeup
-/// soundness argument) and the executor scheduling state.
-pub(crate) struct Mailbox {
-    pub queue: MpscQueue<Msg>,
-    /// `SHARD_*` scheduling state.
-    pub state: AtomicU8,
-    /// Node mode only: senders currently inside the push path, used by
-    /// a shard handoff's freeze step. The freeze flips the directory
-    /// owner first, then waits for this to reach zero; a sender that
-    /// re-checks ownership *after* incrementing and still sees itself
-    /// as owner therefore completes its push before the freeze drains
-    /// the mailbox. Every access in the handshake is SeqCst (see
-    /// `ShardDirectory::set_owner` for the store-load argument).
-    /// Single-process sends never touch it.
-    pub producers: AtomicU32,
-}
-
-impl Mailbox {
-    pub(crate) fn new() -> Self {
-        Mailbox {
-            queue: MpscQueue::new(),
-            state: AtomicU8::new(SHARD_IDLE),
-            producers: AtomicU32::new(0),
-        }
-    }
-}
+/// One shard's mailbox: the message queue and, under the same lock,
+/// the shard's executor scheduling flag (`crate::mpsc`). The flag is
+/// set while the shard is queued for or inside a poll, so at most one
+/// worker polls a shard at a time and a shard is never queued twice:
+/// only the send (or [`Shared::kick`]) that finds it clear schedules
+/// the shard, and only the poller's `rest` clears it.
+pub(crate) type Mailbox = MpscQueue<Msg>;
 
 /// State shared by every worker. The hot paths touch only per-shard
 /// locks (a mailbox push, an uncontended core lock) and atomics — see
-/// the lock-elimination table in DESIGN.md §8.
+/// the lock table in DESIGN.md §8.
 pub(crate) struct Shared {
     /// Mailboxes for **every** shard in the cluster, indexed by global
     /// shard id. A cluster node instantiates all of them (ownership is
@@ -276,9 +240,9 @@ impl Shared {
     /// Local slot of a global shard id, or `None` when another node
     /// currently owns it. Ownership is one atomic directory load; with
     /// a handoff in flight the answer can go stale immediately, which
-    /// is why the clustered send path re-checks under the producer
-    /// guard and the receive path double-checks under the pending-
-    /// install lock (`em2-net`).
+    /// is why the clustered send path re-checks under the mailbox lock
+    /// and the receive path double-checks under the pending-install
+    /// lock (`em2-net`).
     pub(crate) fn local_slot(&self, global: usize) -> Option<usize> {
         (global < self.total_shards && self.directory.owner_of(global) == self.node_id)
             .then_some(global)
@@ -299,112 +263,40 @@ impl Shared {
     /// layer passes the count carried on the frame so the transport's
     /// bounce budget survives a delivery that races
     /// an outbound ownership flip and re-forwards over the link.
-    pub(crate) fn send_routed(&self, to: usize, retries: u32, msg: Msg) {
+    pub(crate) fn send_routed(&self, to: usize, retries: u32, mut msg: Msg) {
         debug_assert!(to < self.total_shards, "shard {to} outside the cluster");
-        if self.node.is_none() {
-            // Single-process fast path: ownership never changes, no
-            // producer guard.
-            self.push_and_schedule(to, msg);
-            return;
-        }
-        if self.directory.owner_of(to) == self.node_id {
-            // Announce ourselves as an in-flight producer, then
-            // re-check ownership: a handoff's freeze flips the owner
-            // *first* and then waits for producers to reach zero, so a
-            // send that still sees itself as owner here completes its
-            // push strictly before the freeze drains the mailbox, and
-            // a send that lost the race backs out and routes over the
-            // link instead. This is a Dekker-style store-load
-            // handshake: the increment (SeqCst RMW), this re-load, the
-            // freeze's owner store, and its producer-count load all
-            // take part in the single SeqCst total order, so either we
-            // observe the flipped owner here, or the freeze observes
-            // our increment and waits out the push — weaker orderings
-            // would allow both sides to miss the other (see
-            // `ShardDirectory::set_owner`).
-            let mb = &self.mailboxes[to];
-            mb.producers.fetch_add(1, Ordering::SeqCst);
-            if self.directory.owner_of_fenced(to) == self.node_id {
-                self.push_and_schedule(to, msg);
-                mb.producers.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
-            mb.producers.fetch_sub(1, Ordering::SeqCst);
-        }
-        self.node
-            .as_ref()
-            .expect("a message to a non-local shard requires a node link")
-            .forward(to, retries, msg_to_wire(msg));
-    }
-
-    /// The local half of [`Shared::send`]: lock-free mailbox push plus
-    /// the executor scheduling handshake.
-    fn push_and_schedule(&self, to: usize, msg: Msg) {
         let mb = &self.mailboxes[to];
-        // Lock-free push: the hot ingress path takes no mutex. The
-        // scheduling CAS (or park handshake) below is sequenced after
-        // the completed push, which is what makes the queue's mid-push
-        // blip benign (see `crate::mpsc`).
-        mb.queue.push(msg);
-        // The push ends on a plain release store (the link) and the
-        // QUEUED / RUNNING_DIRTY arm below leaves on a plain load:
-        // without a full fence between them the load can be satisfied
-        // while the link still sits in this core's store buffer, the
-        // poll that turns QUEUED into RUNNING drains without seeing
-        // the message, and nobody is left to schedule the shard — a
-        // lost message. Pairs with the fence behind `run_shard`'s
-        // RUNNING store: whichever fence comes first in the SeqCst
-        // order, either this load sees RUNNING (and flags it DIRTY) or
-        // that poll sees the link.
-        fence(Ordering::SeqCst);
-        loop {
-            match mb.state.load(Ordering::SeqCst) {
-                SHARD_IDLE => {
-                    if mb
-                        .state
-                        .compare_exchange(
-                            SHARD_IDLE,
-                            SHARD_QUEUED,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        )
-                        .is_ok()
-                    {
+        let Some(link) = &self.node else {
+            // Single process: ownership never changes.
+            if mb.push(msg) {
+                self.sched.schedule(to);
+            }
+            return;
+        };
+        let owned = || self.directory.owner_of(to) == self.node_id;
+        if owned() {
+            // Re-check under the mailbox lock, where a handoff's freeze
+            // flips the owner: this push either precedes the flip (the
+            // freeze's drain ships it with the shard) or sees it, gets
+            // the message back and routes over the link.
+            match mb.push_if(owned, msg) {
+                Ok(woke) => {
+                    if woke {
                         self.sched.schedule(to);
-                        break;
                     }
+                    return;
                 }
-                SHARD_RUNNING => {
-                    if mb
-                        .state
-                        .compare_exchange(
-                            SHARD_RUNNING,
-                            SHARD_RUNNING_DIRTY,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        )
-                        .is_ok()
-                    {
-                        break;
-                    }
-                }
-                // Already queued, or already flagged dirty: the
-                // pending poll will drain this message.
-                _ => break,
+                Err(refused) => msg = refused,
             }
         }
+        link.forward(to, retries, msg_to_wire(msg));
     }
 
     /// Schedule an (owned) shard for a poll without enqueueing a
     /// message — used after a handoff install to get the restored
     /// run queue serviced.
     pub(crate) fn kick(&self, shard: usize) {
-        let mb = &self.mailboxes[shard];
-        if mb
-            .state
-            .compare_exchange(SHARD_IDLE, SHARD_QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
+        if self.mailboxes[shard].wake() {
             self.sched.schedule(shard);
         }
     }
@@ -686,8 +578,8 @@ impl ShardCore {
     /// executes after the handoff).
     ///
     /// The caller holds the core lock (so no poll is in flight) and
-    /// has already flipped the directory owner and waited out the
-    /// mailbox's producer count, so nothing lands here afterwards.
+    /// has already flipped the directory owner under the mailbox lock,
+    /// so nothing lands here afterwards.
     pub(crate) fn export_frozen(&mut self, mailbox: Vec<WireMsg>) -> crate::wire::FrozenShard {
         self.flush_attrib_pending();
         debug_assert!(self.scratch.is_empty(), "batch in progress during freeze");
@@ -786,20 +678,9 @@ impl ShardCore {
         self.obs_poll();
         let mut quanta = POLL_TASK_BUDGET;
         loop {
-            let drained = {
-                let q = &shared.mailboxes[self.id].queue;
-                let mut take = 0;
-                while take < DRAIN_K {
-                    match q.pop() {
-                        Some(msg) => {
-                            self.scratch.push(msg);
-                            take += 1;
-                        }
-                        None => break,
-                    }
-                }
-                take
-            };
+            // One lock acquisition per batch, not per message.
+            let held = shared.mailboxes[self.id].take(&mut self.scratch, DRAIN_K);
+            let drained = held.min(DRAIN_K);
             if drained > 0 {
                 if let Some(o) = &self.obs {
                     o.mailbox_batch.record(drained as u64);
@@ -1374,7 +1255,7 @@ impl ShardCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::directory::ShardDirectory;
     use em2_core::decision::AlwaysMigrate;
@@ -1456,7 +1337,7 @@ mod tests {
     /// records what it is asked to forward, through the trait's
     /// provided `forward_many`.
     #[derive(Default)]
-    struct Recording(Mutex<Vec<(usize, WireMsg)>>);
+    pub(crate) struct Recording(pub(crate) Mutex<Vec<(usize, WireMsg)>>);
 
     impl NodeLink for Recording {
         fn forward(&self, to_shard: usize, _retries: u32, msg: WireMsg) {
@@ -1507,6 +1388,34 @@ mod tests {
             })
             .collect();
         assert_eq!(*seen, expect, "every reply once, in order");
+    }
+
+    /// A freeze flips the owner under the mailbox lock, where a send
+    /// re-checks it. A send that looked at the directory before the
+    /// flip and reaches the lock after it gets its message back and
+    /// enqueues nothing; one that looks after the flip leaves through
+    /// the link.
+    #[test]
+    fn a_send_that_sees_the_flip_routes_over_the_link() {
+        let link = Arc::new(Recording::default());
+        let shared = two_shards(256, Some(Arc::clone(&link) as Arc<dyn NodeLink>));
+        let mb = &shared.mailboxes[1];
+        let request = |token| Msg::Request {
+            addr: Addr(64),
+            write: None,
+            reply_shard: 0,
+            token,
+        };
+        shared.send(1, request(0));
+        mb.locked(|| shared.directory.set_owner(1, 1));
+        let owned = || shared.directory.owner_of(1) == shared.node_id;
+        let refused = mb.push_if(owned, request(1));
+        assert!(matches!(refused, Err(Msg::Request { token: 1, .. })));
+        shared.send(1, request(2));
+        assert_eq!(mb.len(), 1, "nothing lands after the flip");
+        assert!(matches!(mb.pop(), Some(Msg::Request { token: 0, .. })));
+        let seen = link.0.lock().expect("recording");
+        assert!(matches!(seen[..], [(1, WireMsg::Request { token: 2, .. })]));
     }
 
     /// Two shards striped by line (line `i` lives on shard `i % 2`), no
@@ -1603,7 +1512,7 @@ mod tests {
 
         core.handle(&shared, Msg::Arrive(guest(c.0, Vec::new())));
         assert_eq!(core.counters.flow.evictions, 1);
-        match shared.mailboxes[0].queue.pop() {
+        match shared.mailboxes[0].pop() {
             Some(Msg::Arrive(victim)) => victim.thread,
             _ => panic!("the victim travels to its native shard"),
         }

@@ -26,6 +26,7 @@
 //!   [`em2_trace::ThreadTrace`]s so stack workloads run on the main
 //!   EM² event simulator with stack-sized contexts.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

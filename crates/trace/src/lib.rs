@@ -26,6 +26,7 @@
 //! deterministic: the same config and seed always produce the same
 //! workload.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -26,6 +26,8 @@
 //!
 //! See `examples/quickstart.rs` for a complete first run.
 
+#![forbid(unsafe_code)]
+
 pub use em2_cache as cache;
 pub use em2_coherence as coherence;
 pub use em2_core as core;
