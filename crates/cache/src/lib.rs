@@ -1,7 +1,7 @@
 //! # em2-cache
 //!
 //! Cache substrate for the EM² reproduction: parameterizable
-//! set-associative caches, replacement policies, and the per-core
+//! set-associative caches and the per-core
 //! L1+L2 data-cache hierarchy the paper's Figure 2 configuration uses
 //! (16 KB L1 + 64 KB L2 per core).
 //!
@@ -18,12 +18,10 @@
 
 pub mod config;
 pub mod hierarchy;
-pub mod replacement;
 pub mod set_assoc;
 pub mod stats;
 
 pub use config::CacheConfig;
 pub use hierarchy::{AccessOutcome, CacheHierarchy, HierarchyConfig, ServicedBy};
-pub use replacement::{Fifo, Lru, RandomRepl, ReplacementPolicy, TreePlru};
 pub use set_assoc::{AccessResult, SetAssocCache};
 pub use stats::CacheStats;

@@ -1,10 +1,141 @@
 //! Property-based tests: the set-associative cache against a reference
-//! model, and hierarchy inclusion invariants.
+//! model and against the cache it replaced, and hierarchy inclusion
+//! invariants.
 
-use em2_cache::{CacheConfig, CacheHierarchy, HierarchyConfig, SetAssocCache};
+use em2_cache::{
+    AccessOutcome, CacheConfig, CacheHierarchy, HierarchyConfig, ServicedBy, SetAssocCache,
+};
 use em2_model::{Addr, LineAddr};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// The cache as it was before it became one flat array, kept as the
+/// oracle: a `Vec` of ways per set, and recency stamps that belong to
+/// way *positions* — `invalidate`'s `swap_remove` moves the set's last
+/// line into the hole and leaves every stamp where it was. Every
+/// golden table was produced by this behaviour, so the flat cache must
+/// reproduce it operation by operation.
+struct OldCache {
+    cfg: CacheConfig,
+    sets: Vec<Vec<(LineAddr, bool)>>,
+    stamps: Vec<u64>,
+    clock: u64,
+}
+
+impl OldCache {
+    fn new(cfg: CacheConfig) -> Self {
+        OldCache {
+            cfg,
+            sets: vec![Vec::new(); cfg.sets() as usize],
+            stamps: vec![0; cfg.lines() as usize],
+            clock: 0,
+        }
+    }
+
+    fn locate(&self, line: LineAddr) -> (usize, Option<usize>) {
+        let set = self.cfg.set_of(line.0) as usize;
+        (set, self.sets[set].iter().position(|&(l, _)| l == line))
+    }
+
+    fn access(&mut self, line: LineAddr, write: bool) -> (bool, Option<(LineAddr, bool)>) {
+        let ways = self.cfg.ways as usize;
+        let (set, found) = self.locate(line);
+        let stamps = &mut self.stamps[set * ways..(set + 1) * ways];
+        self.clock += 1;
+        if let Some(pos) = found {
+            self.sets[set][pos].1 |= write;
+            stamps[pos] = self.clock;
+            return (true, None);
+        }
+        if self.sets[set].len() < ways {
+            stamps[self.sets[set].len()] = self.clock;
+            self.sets[set].push((line, write));
+            return (false, None);
+        }
+        let victim = (0..ways).min_by_key(|&w| stamps[w]).expect("ways >= 1");
+        stamps[victim] = self.clock;
+        let old = std::mem::replace(&mut self.sets[set][victim], (line, write));
+        (false, Some(old))
+    }
+
+    fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
+        let (set, found) = self.locate(line);
+        Some(self.sets[set].swap_remove(found?).1)
+    }
+
+    fn clean(&mut self, line: LineAddr) -> bool {
+        let (set, found) = self.locate(line);
+        found.map(|pos| self.sets[set][pos].1 = false).is_some()
+    }
+
+    fn probe(&self, line: LineAddr) -> bool {
+        self.locate(line).1.is_some()
+    }
+
+    fn occupancy(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// [`CacheHierarchy`]'s access, invalidate and clean, transcribed over
+/// two [`OldCache`]s (statistics left out).
+struct OldHierarchy {
+    l1: OldCache,
+    l2: OldCache,
+}
+
+impl OldHierarchy {
+    fn access(&mut self, addr: Addr, write: bool) -> AccessOutcome {
+        let line = addr.line(64);
+        let mut out = AccessOutcome {
+            serviced_by: ServicedBy::L1,
+            wrote_back_to_memory: false,
+            l2_victim: None,
+        };
+        let (hit1, evicted1) = self.l1.access(line, write);
+        if let Some((victim, true)) = evicted1 {
+            if let (_, Some((v2, d2))) = self.l2.access(victim, true) {
+                self.l1.invalidate(v2);
+                out.l2_victim = Some((v2, d2));
+                out.wrote_back_to_memory = d2;
+            }
+        }
+        if hit1 {
+            return out;
+        }
+        let (hit2, evicted2) = self.l2.access(line, write);
+        if let Some((victim, dirty)) = evicted2 {
+            let dirty = self.l1.invalidate(victim).unwrap_or(false) || dirty;
+            out.l2_victim = Some((victim, dirty));
+            out.wrote_back_to_memory |= dirty;
+        }
+        out.serviced_by = if hit2 {
+            ServicedBy::L2
+        } else {
+            ServicedBy::Memory
+        };
+        out
+    }
+
+    fn invalidate(&mut self, addr: Addr) -> bool {
+        let d1 = self.l1.invalidate(addr.line(64)).unwrap_or(false);
+        let d2 = self.l2.invalidate(addr.line(64)).unwrap_or(false);
+        d1 || d2
+    }
+
+    fn clean(&mut self, addr: Addr) -> bool {
+        let c1 = self.l1.clean(addr.line(64));
+        let c2 = self.l2.clean(addr.line(64));
+        c1 || c2
+    }
+}
+
+/// A random script of `(op, line, write)` steps: `op` 0–4 is an
+/// access, 5–6 an invalidate, 7 a clean — mostly accesses, with enough
+/// of the others that sets shrink and refill.
+fn script(lines: u64) -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
+    prop::collection::vec((0u8..8, 0..lines, any::<bool>()), 1..600)
+}
 
 /// Reference model: a map from line → dirty with exact-LRU order kept
 /// in a vector per set.
@@ -40,6 +171,48 @@ impl RefCache {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn flat_cache_matches_the_cache_it_replaced(script in script(24)) {
+        let cfg = CacheConfig::new(512, 4, 64); // 2 sets × 4 ways
+        let mut dut = SetAssocCache::new_lru(cfg);
+        let mut old = OldCache::new(cfg);
+        for (step, (op, line, write)) in script.into_iter().enumerate() {
+            let line = LineAddr(line);
+            match op {
+                0..=4 => {
+                    let r = dut.access(line, write);
+                    prop_assert_eq!((r.hit, r.evicted), old.access(line, write), "step {}", step);
+                }
+                5 | 6 => prop_assert_eq!(dut.invalidate(line), old.invalidate(line), "step {}", step),
+                _ => prop_assert_eq!(dut.clean(line), old.clean(line), "step {}", step),
+            }
+            prop_assert_eq!(dut.occupancy(), old.occupancy(), "step {}", step);
+            for l in (0..24).map(LineAddr) {
+                prop_assert_eq!(dut.probe(l), old.probe(l), "step {}: probe {:?}", step, l);
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchy_matches_the_caches_it_replaced(script in script(48)) {
+        // Two sets at each level; four ways in L1 so that a line moved
+        // by an inclusion invalidate can sit between two others.
+        let cfg = HierarchyConfig {
+            l1: CacheConfig::new(512, 4, 64),
+            l2: CacheConfig::new(1024, 8, 64),
+        };
+        let mut dut = CacheHierarchy::new(cfg);
+        let mut old = OldHierarchy { l1: OldCache::new(cfg.l1), l2: OldCache::new(cfg.l2) };
+        for (step, (op, line, write)) in script.into_iter().enumerate() {
+            let addr = Addr(line * 64);
+            match op {
+                0..=4 => prop_assert_eq!(dut.access(addr, write), old.access(addr, write), "step {}", step),
+                5 | 6 => prop_assert_eq!(dut.invalidate(addr), old.invalidate(addr), "step {}", step),
+                _ => prop_assert_eq!(dut.clean(addr), old.clean(addr), "step {}", step),
+            }
+        }
+    }
 
     #[test]
     fn lru_cache_matches_reference(

@@ -6,14 +6,21 @@
 //! [`crate::sim`] touches it once or twice per access, so eliminating
 //! hashing here is one of the main wins of the flattened hot path
 //! (DESIGN.md §6). Entry and copy counts are maintained incrementally,
-//! making the replication metric O(1) to sample.
+//! making the replication metric O(1) to sample. A [`SharerSet`] for a
+//! machine of up to 64 cores is one inline word, so the replay's
+//! per-miss copy of a line's [`DirState`] owns no heap.
 
 use em2_model::CoreId;
 
 /// A set of sharer cores, stored as a bitmask (any core count).
+///
+/// Cores 0–63 live in an inline word; `spill` holds cores 64 and up,
+/// 64 per word, and stays empty — no heap, a free `clone` — on any
+/// machine of at most 64 cores.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SharerSet {
-    words: Vec<u64>,
+    low: u64,
+    spill: Vec<u64>,
 }
 
 impl SharerSet {
@@ -29,47 +36,68 @@ impl SharerSet {
         s
     }
 
+    /// The word holding `core`'s bit, grown into existence, and the bit.
+    #[inline]
+    fn word_mut(&mut self, core: CoreId) -> (&mut u64, u64) {
+        let word = match core.index() / 64 {
+            0 => &mut self.low,
+            w => {
+                if w > self.spill.len() {
+                    self.spill.resize(w, 0);
+                }
+                &mut self.spill[w - 1]
+            }
+        };
+        (word, 1 << (core.index() % 64))
+    }
+
     /// Add a core.
     pub fn insert(&mut self, core: CoreId) {
-        let (w, b) = (core.index() / 64, core.index() % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1 << b;
+        let (word, bit) = self.word_mut(core);
+        *word |= bit;
     }
 
     /// Remove a core; returns whether it was present.
     pub fn remove(&mut self, core: CoreId) -> bool {
-        let (w, b) = (core.index() / 64, core.index() % 64);
-        if w >= self.words.len() || self.words[w] & (1 << b) == 0 {
-            return false;
+        let present = self.contains(core);
+        if present {
+            let (word, bit) = self.word_mut(core);
+            *word &= !bit;
         }
-        self.words[w] &= !(1 << b);
-        true
+        present
     }
 
     /// Membership test.
+    #[inline]
     pub fn contains(&self, core: CoreId) -> bool {
-        let (w, b) = (core.index() / 64, core.index() % 64);
-        w < self.words.len() && self.words[w] & (1 << b) != 0
+        let word = self.words().nth(core.index() / 64).unwrap_or(0);
+        word & (1 << (core.index() % 64)) != 0
+    }
+
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.low).chain(self.spill.iter().copied())
     }
 
     /// Number of sharers.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True if no sharers.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().all(|w| w == 0)
     }
 
-    /// Iterate over member cores.
+    /// Iterate over member cores, in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |b| bits & (1u64 << b) != 0)
-                .map(move |b| CoreId::from(w * 64 + b))
+        self.words().enumerate().flat_map(|(w, mut bits)| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    CoreId::from(w * 64 + b)
+                })
+            })
         })
     }
 }
@@ -256,6 +284,24 @@ mod tests {
         assert_eq!(s.len(), 1);
         let members: Vec<CoreId> = s.iter().collect();
         assert_eq!(members, vec![CoreId(70)]);
+    }
+
+    #[test]
+    fn sharer_set_spills_only_past_core_63() {
+        let mut s: SharerSet = [CoreId(63), CoreId(0), CoreId(17)].into_iter().collect();
+        assert!(s.spill.is_empty(), "a 64-core machine's set owns no heap");
+        assert!(!s.contains(CoreId(64)) && !s.remove(CoreId(200)));
+        assert!(s.spill.is_empty(), "asking does not grow the set");
+        s.insert(CoreId(64));
+        s.insert(CoreId(191));
+        assert_eq!(s.len(), 5);
+        let members: Vec<CoreId> = s.iter().collect();
+        let want = [0, 17, 63, 64, 191].map(CoreId);
+        assert_eq!(members, want, "iteration is in increasing core order");
+        for c in want {
+            assert!(s.remove(c));
+        }
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -170,8 +170,7 @@ impl<'a> MachineState<'a> {
         at: u64,
     ) -> u64 {
         let mut worst = 0;
-        let sharers: Vec<CoreId> = set.iter().filter(|&s| s != except).collect();
-        for s in sharers {
+        for s in set.iter().filter(|&s| s != except) {
             let there = self.ctrl(ctn, home, s, at);
             let back = self.ctrl(ctn, s, home, at + there);
             worst = worst.max(there + back);

@@ -17,21 +17,32 @@
 //!   its home (distinct completion order is recorded per line and must
 //!   be time-monotone) — this is the observable from which sequential
 //!   consistency follows.
+//!
+//! The monitor is on by default and sits on the simulators' per-access
+//! path, so its tables index rather than hash: per-thread state is a
+//! `Vec` indexed by the dense [`ThreadId`], grown when a thread is
+//! first seen, and the one sparse key — the line — goes through a
+//! [`WordMap`] (the simulator computed it from a trace address; see
+//! DESIGN.md §6 for the trust boundary).
 
-use em2_model::{Addr, CoreId, ThreadId};
-use std::collections::HashMap;
+use em2_model::{Addr, CoreId, ThreadId, WordMap};
+
+/// What the monitor remembers about one thread.
+#[derive(Clone, Copy, Debug, Default)]
+struct ThreadSeen {
+    /// Where the thread currently resides (`None` = in flight/done).
+    residence: Option<CoreId>,
+    /// Index and completion time of its last completed access.
+    last: Option<(usize, u64)>,
+}
 
 /// Online invariant checker driven by the simulator.
 #[derive(Debug, Default)]
 pub struct Monitor {
-    /// Where each thread currently resides (`None` = in flight/done).
-    residence: HashMap<ThreadId, CoreId>,
-    /// Last access completion time per thread.
-    last_completion: HashMap<ThreadId, u64>,
-    /// Last completed access index per thread.
-    last_index: HashMap<ThreadId, usize>,
+    /// Indexed by [`ThreadId`]; grown on demand.
+    threads: Vec<ThreadSeen>,
     /// Last serialized access time per line's home (line id → time).
-    line_serial: HashMap<u64, u64>,
+    line_serial: WordMap<u64, u64>,
     violations: Vec<String>,
 }
 
@@ -41,9 +52,17 @@ impl Monitor {
         Monitor::default()
     }
 
+    fn seen(&mut self, thread: ThreadId) -> &mut ThreadSeen {
+        let i = thread.index();
+        if i >= self.threads.len() {
+            self.threads.resize(i + 1, ThreadSeen::default());
+        }
+        &mut self.threads[i]
+    }
+
     /// Record that a thread became resident at `core`.
     pub fn on_arrive(&mut self, thread: ThreadId, core: CoreId) {
-        if let Some(prev) = self.residence.insert(thread, core) {
+        if let Some(prev) = self.seen(thread).residence.replace(core) {
             self.violations.push(format!(
                 "{thread:?} arrived at {core:?} while still resident at {prev:?}"
             ));
@@ -52,7 +71,7 @@ impl Monitor {
 
     /// Record that a thread left its core (migration or eviction).
     pub fn on_depart(&mut self, thread: ThreadId, core: CoreId) {
-        match self.residence.remove(&thread) {
+        match self.seen(thread).residence.take() {
             Some(c) if c == core => {}
             Some(c) => self.violations.push(format!(
                 "{thread:?} departed {core:?} but was resident at {c:?}"
@@ -99,25 +118,24 @@ impl Monitor {
             ));
         }
         // Program order.
-        if let Some(&prev_idx) = self.last_index.get(&thread) {
-            if index != prev_idx + 1 {
-                self.violations.push(format!(
-                    "{thread:?} completed access #{index} after #{prev_idx} (order broken)"
-                ));
+        match self.seen(thread).last.replace((index, completed)) {
+            Some((prev_idx, prev_t)) => {
+                if index != prev_idx + 1 {
+                    self.violations.push(format!(
+                        "{thread:?} completed access #{index} after #{prev_idx} (order broken)"
+                    ));
+                }
+                if completed < prev_t {
+                    self.violations.push(format!(
+                        "{thread:?} access #{index} completed at {completed} before previous at {prev_t}"
+                    ));
+                }
             }
-        } else if index != 0 {
-            self.violations
-                .push(format!("{thread:?} first completed access is #{index}"));
+            None if index != 0 => self
+                .violations
+                .push(format!("{thread:?} first completed access is #{index}")),
+            None => {}
         }
-        self.last_index.insert(thread, index);
-        if let Some(&prev_t) = self.last_completion.get(&thread) {
-            if completed < prev_t {
-                self.violations.push(format!(
-                    "{thread:?} access #{index} completed at {completed} before previous at {prev_t}"
-                ));
-            }
-        }
-        self.last_completion.insert(thread, completed);
         if serviced > completed {
             self.violations.push(format!(
                 "{thread:?} access #{index} serviced at {serviced} after completing at {completed}"
@@ -294,5 +312,82 @@ mod tests {
             5,
         );
         assert!(m.violations().iter().any(|v| v.contains("before previous")));
+    }
+
+    /// A monitor whose per-thread table has already grown: a clean
+    /// access by `ThreadId(1000)`, first seen with nothing before it.
+    fn grown() -> Monitor {
+        let mut m = Monitor::new();
+        m.on_arrive(ThreadId(1000), CoreId(1));
+        local(&mut m, ThreadId(1000), 0, 7, 10);
+        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        assert_eq!(m.threads.len(), 1001);
+        m
+    }
+
+    /// A local access at core 1 to `line`, serviced and completed at `t`.
+    fn local(m: &mut Monitor, thread: ThreadId, index: usize, line: u64, t: u64) {
+        let (at, home) = (CoreId(1), CoreId(1));
+        m.on_access(thread, index, Addr(line * 64), line, at, home, false, t, t);
+    }
+
+    #[test]
+    fn first_seen_thread_grows_the_tables() {
+        let mut m = grown();
+        // Threads below the new high-water mark start unseen, not
+        // resident at some default core.
+        m.on_depart(ThreadId(999), CoreId(0));
+        assert!(m.violations()[0].contains("not resident"));
+        // And one above it grows the table again.
+        m.on_arrive(ThreadId(2000), CoreId(0));
+        assert_eq!(m.violations().len(), 1);
+        assert_eq!(m.threads.len(), 2001);
+    }
+
+    #[test]
+    fn access_at_home_fires_after_growth() {
+        let mut m = grown();
+        let (at, home) = (CoreId(2), CoreId(3));
+        m.on_access(ThreadId(1000), 1, Addr(0x40), 1, at, home, false, 11, 11);
+        assert_eq!(m.violations().len(), 1);
+        assert!(m.violations()[0].contains("home"));
+    }
+
+    #[test]
+    fn single_residence_fires_after_growth() {
+        let mut m = grown();
+        m.on_arrive(ThreadId(1000), CoreId(2));
+        assert!(m.violations()[0].contains("still resident at C1"));
+        m.on_depart(ThreadId(1000), CoreId(1));
+        assert!(m.violations()[1].contains("was resident at C2"));
+    }
+
+    #[test]
+    fn guest_capacity_fires_after_growth() {
+        let mut m = grown();
+        m.on_guest_count(CoreId(1), 3, 2);
+        assert!(m.violations()[0].contains("contexts"));
+    }
+
+    #[test]
+    fn program_order_fires_after_growth() {
+        let mut m = grown();
+        local(&mut m, ThreadId(1000), 2, 8, 11);
+        assert!(m.violations()[0].contains("#2 after #0 (order broken)"));
+        local(&mut m, ThreadId(1000), 3, 9, 5);
+        assert!(m.violations()[1].contains("completed at 5 before previous at 11"));
+        local(&mut m, ThreadId(500), 4, 10, 20);
+        assert!(m.violations()[2].contains("T500 first completed access is #4"));
+        assert_eq!(m.violations().len(), 3);
+    }
+
+    #[test]
+    fn home_serialization_fires_after_growth() {
+        let mut m = grown();
+        // Another thread touches thread 1000's line earlier in
+        // simulated time than it was last serviced.
+        local(&mut m, ThreadId(3), 0, 7, 9);
+        assert_eq!(m.violations().len(), 1);
+        assert!(m.violations()[0].contains("line 0x7 touched at 9 after being touched at 10"));
     }
 }

@@ -14,7 +14,13 @@
 //!
 //! The paper bounds this as `O(N·P²)`; since only the home column
 //! minimizes over predecessors, the direct transcription is `O(N·P)`
-//! ([`optimal`]). [`optimal_general`] additionally allows migrating to
+//! ([`optimal`]) — and since only the home column has a choice of
+//! predecessor at all, one `OPT(k, ·)` row updated in place and one
+//! remembered source per access are the whole state. The `3·P²`
+//! latencies the recurrence can ask for are tabulated once per call
+//! (once per workload, shared by its threads), so the per-access loop
+//! adds and compares; it does not allocate or divide.
+//! [`optimal_general`] additionally allows migrating to
 //! *any* core before any access (a strictly more permissive model,
 //! genuinely `O(N·P²)`) — its optimum can only be ≤, and experiments
 //! show the gap is nil on real traces, justifying the paper's
@@ -138,56 +144,81 @@ impl Optimal {
     }
 }
 
-/// The paper's DP, direct transcription: `O(N·P)` time, `O(N·P)` space
-/// (for backtracking).
+/// Every latency the DP can ask for, tabulated once per machine:
+/// entry `h·P + c` holds `migration_latency(c, h)` and
+/// `remote_access_latency(c, h, Read | Write)`, in that order. Rows
+/// are by *home*, so one access reads one contiguous row.
+struct CostTable {
+    p: usize,
+    into: Vec<[u64; 3]>,
+}
+
+impl CostTable {
+    fn new(cost: &CostModel) -> Self {
+        let p = cost.cores();
+        let into = (0..p * p).map(|i| {
+            let (c, h) = (CoreId::from(i % p), CoreId::from(i / p));
+            [
+                cost.migration_latency(c, h),
+                cost.remote_access_latency(c, h, AccessKind::Read),
+                cost.remote_access_latency(c, h, AccessKind::Write),
+            ]
+        });
+        CostTable {
+            p,
+            into: into.collect(),
+        }
+    }
+}
+
+/// The paper's DP, direct transcription: `O(N·P)` time over one
+/// in-place `OPT(k, ·)` row, `O(N)` space (for backtracking).
 pub fn optimal(trace: &CostTrace, cost: &CostModel) -> Optimal {
-    let p = cost.cores();
+    optimal_in(trace, &CostTable::new(cost))
+}
+
+fn optimal_in(trace: &CostTrace, table: &CostTable) -> Optimal {
+    let p = table.p;
     let n = trace.len();
     assert!(trace.start.index() < p, "start core outside the machine");
 
-    // cur[c] = OPT(k, c); parent[k][c] = (prev_core, choice at access k).
+    // cur[c] = OPT(k, c). Only the home column ever has a choice of
+    // predecessor, so the backtrack needs one entry per access:
+    // from[k] = where the path standing on access k's home came from
+    // (the home itself = it stayed, `Local`; else it migrated in).
     let mut cur = vec![INF; p];
     cur[trace.start.index()] = 0;
-    let mut parent: Vec<Vec<(u16, Choice)>> = Vec::with_capacity(n);
+    let mut from: Vec<u16> = Vec::with_capacity(n);
 
     for &(home, kind) in &trace.accesses {
         let h = home.index();
-        let mut step = vec![(0u16, Choice::Remote); p];
-        // Core-hit column: stay (free) or migrate in from the best
-        // predecessor.
-        let stay = cur[h];
+        let into_home = &table.into[h * p..][..p];
+        let ra = 1 + usize::from(kind.is_write());
+        // Lifting the home column out lets one guard skip it along
+        // with the unreachable columns.
+        let stay = std::mem::replace(&mut cur[h], INF);
         let mut best_mig = INF;
         let mut best_src = h;
-        for c in 0..p {
-            if c == h || cur[c] >= INF {
+        for (c, (opt, costs)) in cur.iter_mut().zip(into_home).enumerate() {
+            if *opt >= INF {
                 continue;
             }
-            let m = cur[c] + cost.migration_latency(CoreId::from(c), home);
+            // Core hit: migrate in from the best predecessor.
+            let m = *opt + costs[0];
             if m < best_mig {
                 best_mig = m;
                 best_src = c;
             }
+            // Core miss: stay and pay a remote access.
+            *opt += costs[ra];
         }
-        // Core-miss columns: stay and pay a remote access.
-        let mut next = vec![INF; p];
-        for c in 0..p {
-            if c == h {
-                continue;
-            }
-            if cur[c] < INF {
-                next[c] = cur[c] + cost.remote_access_latency(CoreId::from(c), home, kind);
-                step[c] = (c as u16, Choice::Remote);
-            }
-        }
-        if stay <= best_mig {
-            next[h] = stay;
-            step[h] = (h as u16, Choice::Local);
+        let (opt, src) = if stay <= best_mig {
+            (stay, h)
         } else {
-            next[h] = best_mig;
-            step[h] = (best_src as u16, Choice::Migrate);
-        }
-        parent.push(step);
-        cur = next;
+            (best_mig, best_src)
+        };
+        cur[h] = opt;
+        from.push(src as u16);
     }
 
     // Best end state + backtrack.
@@ -196,12 +227,19 @@ pub fn optimal(trace: &CostTrace, cost: &CostModel) -> Optimal {
         .enumerate()
         .min_by_key(|&(_, &c)| c)
         .expect("at least one core");
-    let mut choices = vec![Choice::Local; n];
+    let mut choices = vec![Choice::Remote; n];
     let mut c = end;
     for k in (0..n).rev() {
-        let (prev, choice) = parent[k][c];
-        choices[k] = choice;
-        c = prev as usize;
+        let h = trace.accesses[k].0.index();
+        if c == h {
+            let prev = from[k] as usize;
+            choices[k] = if prev == h {
+                Choice::Local
+            } else {
+                Choice::Migrate
+            };
+            c = prev;
+        }
     }
     debug_assert_eq!(c, trace.start.index(), "backtrack must reach the start");
     Optimal {
@@ -309,10 +347,11 @@ pub fn workload_optimal(
     placement: &dyn Placement,
     cost: &CostModel,
 ) -> (u64, Vec<Optimal>) {
+    let table = CostTable::new(cost);
     let per_thread: Vec<Optimal> = workload
         .threads
         .iter()
-        .map(|t| optimal(&CostTrace::from_thread(t, placement), cost))
+        .map(|t| optimal_in(&CostTrace::from_thread(t, placement), &table))
         .collect();
     (per_thread.iter().map(|o| o.cost).sum(), per_thread)
 }
@@ -344,35 +383,42 @@ pub fn workload_optimal_flat(
     })
 }
 
-/// Shared scaffolding: solve `n` per-thread DPs over `parallelism`
-/// scoped OS threads with a deterministic ordered reduce.
+/// Shared scaffolding: solve `n` per-thread DPs against one cost
+/// table, in thread order. One worker solves inline on the caller;
+/// more share the work over scoped OS threads with a deterministic
+/// ordered reduce.
 fn solve_threads_par(
     n: usize,
     parallelism: usize,
     cost: &CostModel,
     trace_of: impl Fn(usize) -> CostTrace + Sync,
 ) -> (u64, Vec<Optimal>) {
+    let table = CostTable::new(cost);
+    let solve = |i: usize| optimal_in(&trace_of(i), &table);
     let parallelism = parallelism.clamp(1, n.max(1));
-    let mut results: Vec<Option<Optimal>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<&mut Option<Optimal>>> =
-        results.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..parallelism {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let o = optimal(&trace_of(i), cost);
-                **slots[i].lock().expect("slot lock") = Some(o);
-            });
-        }
-    });
-    let per_thread: Vec<Optimal> = results
-        .into_iter()
-        .map(|o| o.expect("every thread solved"))
-        .collect();
+    let per_thread: Vec<Optimal> = if parallelism == 1 {
+        (0..n).map(solve).collect()
+    } else {
+        let mut results: Vec<Option<Optimal>> = (0..n).map(|_| None).collect();
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let slots: Vec<std::sync::Mutex<&mut Option<Optimal>>> =
+            results.iter_mut().map(std::sync::Mutex::new).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..parallelism {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    **slots[i].lock().expect("slot lock") = Some(solve(i));
+                });
+            }
+        });
+        results
+            .into_iter()
+            .map(|o| o.expect("every thread solved"))
+            .collect()
+    };
     (per_thread.iter().map(|o| o.cost).sum(), per_thread)
 }
 
@@ -448,6 +494,106 @@ mod tests {
             let o = optimal(&t, &cost);
             let bf = brute_force(&t, &cost);
             assert_eq!(o.cost, bf, "trial {trial}: {homes:?} from {start}");
+        }
+    }
+
+    /// The parent's `optimal`, kept verbatim as the oracle: a fresh
+    /// `OPT(k+1, ·)` row and a full `P`-wide parent row per access,
+    /// every latency asked of the cost model as it is needed.
+    fn optimal_reference(trace: &CostTrace, cost: &CostModel) -> Optimal {
+        let p = cost.cores();
+        let n = trace.len();
+        let mut cur = vec![INF; p];
+        cur[trace.start.index()] = 0;
+        let mut parent: Vec<Vec<(u16, Choice)>> = Vec::with_capacity(n);
+        for &(home, kind) in &trace.accesses {
+            let h = home.index();
+            let mut step = vec![(0u16, Choice::Remote); p];
+            let stay = cur[h];
+            let mut best_mig = INF;
+            let mut best_src = h;
+            for c in 0..p {
+                if c == h || cur[c] >= INF {
+                    continue;
+                }
+                let m = cur[c] + cost.migration_latency(CoreId::from(c), home);
+                if m < best_mig {
+                    best_mig = m;
+                    best_src = c;
+                }
+            }
+            let mut next = vec![INF; p];
+            for c in 0..p {
+                if c == h {
+                    continue;
+                }
+                if cur[c] < INF {
+                    next[c] = cur[c] + cost.remote_access_latency(CoreId::from(c), home, kind);
+                    step[c] = (c as u16, Choice::Remote);
+                }
+            }
+            if stay <= best_mig {
+                next[h] = stay;
+                step[h] = (h as u16, Choice::Local);
+            } else {
+                next[h] = best_mig;
+                step[h] = (best_src as u16, Choice::Migrate);
+            }
+            parent.push(step);
+            cur = next;
+        }
+        let (end, &best) = cur
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &c)| c)
+            .expect("at least one core");
+        let mut choices = vec![Choice::Local; n];
+        let mut c = end;
+        for k in (0..n).rev() {
+            let (prev, choice) = parent[k][c];
+            choices[k] = choice;
+            c = prev as usize;
+        }
+        Optimal {
+            cost: best,
+            choices,
+            end_core: CoreId::from(end),
+        }
+    }
+
+    /// Ties are where a rewrite of the DP drifts (which of two equal
+    /// sources migrates in, stay against an equal migration, which of
+    /// two equal end cores wins), and long same-home runs with mixed
+    /// reads and writes are where ties happen.
+    #[test]
+    fn matches_the_transcription_on_random_traces() {
+        let mut rng = DetRng::new(2021);
+        for trial in 0..300 {
+            let p = [4usize, 16, 64][trial % 3];
+            let cost = cm(p);
+            let n = rng.below(120) as usize;
+            let mut accesses = Vec::with_capacity(n);
+            while accesses.len() < n {
+                let home = CoreId::from(rng.below(p as u64) as usize);
+                let longest = if rng.below(3) == 0 { 24 } else { 3 };
+                let run = 1 + rng.below(longest);
+                for _ in 0..run {
+                    let kind = if rng.below(3) == 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    accesses.push((home, kind));
+                }
+            }
+            let t = CostTrace {
+                start: CoreId::from(rng.below(p as u64) as usize),
+                accesses,
+            };
+            let (got, want) = (optimal(&t, &cost), optimal_reference(&t, &cost));
+            assert_eq!(got.cost, want.cost, "trial {trial} (P = {p})");
+            assert_eq!(got.choices, want.choices, "trial {trial} (P = {p})");
+            assert_eq!(got.end_core, want.end_core, "trial {trial} (P = {p})");
         }
     }
 
