@@ -14,7 +14,7 @@
 //! slots full triggers an eviction of a resident guest toward its
 //! native core.
 
-use em2_model::{DetRng, ThreadId};
+use em2_model::ThreadId;
 
 /// Why a resident thread cannot be evicted right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,15 +35,6 @@ struct GuestSlot {
     last_active: u64,
 }
 
-/// Victim selection for guest evictions.
-#[derive(Clone, Debug)]
-pub enum VictimPolicy {
-    /// Evict the least-recently-active evictable guest.
-    Lru,
-    /// Evict a uniformly random evictable guest (deterministic seed).
-    Random(DetRng),
-}
-
 /// The context file of one core.
 pub struct ContextPool {
     /// Threads native to this core that are currently *present* (their
@@ -51,7 +42,6 @@ pub struct ContextPool {
     natives_present: Vec<ThreadId>,
     guests: Vec<GuestSlot>,
     guest_capacity: usize,
-    policy: VictimPolicy,
     /// Peak simultaneous guest occupancy (reporting).
     peak_guests: usize,
     /// Total evictions triggered by arrivals at this core.
@@ -71,14 +61,14 @@ pub enum Admission {
 }
 
 impl ContextPool {
-    /// A pool with `guest_capacity` guest slots.
-    pub fn new(guest_capacity: usize, policy: VictimPolicy) -> Self {
+    /// A pool with `guest_capacity` guest slots; a full pool evicts its
+    /// least-recently-active evictable guest.
+    pub fn new(guest_capacity: usize) -> Self {
         assert!(guest_capacity >= 1, "EM² needs at least one guest context");
         ContextPool {
             natives_present: Vec::new(),
             guests: Vec::with_capacity(guest_capacity),
             guest_capacity,
-            policy,
             peak_guests: 0,
             evictions: 0,
         }
@@ -116,25 +106,16 @@ impl ContextPool {
             self.peak_guests = self.peak_guests.max(self.guests.len());
             return Admission::Admitted;
         }
-        // Full: pick an evictable victim straight off the slots, no
-        // scratch list (this runs on every admission to a full pool).
-        let evictable = || {
-            self.guests
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| g.state == GuestState::Evictable)
-        };
-        let chosen = match &mut self.policy {
-            // `min_by_key` keeps the first minimum: ties go to the
-            // lowest slot.
-            VictimPolicy::Lru => evictable().min_by_key(|(_, g)| g.last_active),
-            // One draw per admission that finds a candidate, none
-            // otherwise.
-            VictimPolicy::Random(rng) => match evictable().count() {
-                0 => None,
-                n => evictable().nth(rng.below(n as u64) as usize),
-            },
-        };
+        // Full: pick the LRU evictable victim straight off the slots,
+        // no scratch list (this runs on every admission to a full
+        // pool). `min_by_key` keeps the first minimum: ties go to the
+        // lowest slot.
+        let chosen = self
+            .guests
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.state == GuestState::Evictable)
+            .min_by_key(|(_, g)| g.last_active);
         let Some((victim_idx, _)) = chosen else {
             return Admission::Stalled;
         };
@@ -251,7 +232,7 @@ mod tests {
 
     #[test]
     fn natives_always_fit() {
-        let mut p = ContextPool::new(1, VictimPolicy::Lru);
+        let mut p = ContextPool::new(1);
         for i in 0..10 {
             p.admit_native(t(i));
         }
@@ -264,7 +245,7 @@ mod tests {
 
     #[test]
     fn guest_admission_until_full_then_evict_lru() {
-        let mut p = ContextPool::new(2, VictimPolicy::Lru);
+        let mut p = ContextPool::new(2);
         assert_eq!(p.admit_guest(t(1), 10), Admission::Admitted);
         assert_eq!(p.admit_guest(t(2), 20), Admission::Admitted);
         // t1 is least recently active → evicted.
@@ -277,7 +258,7 @@ mod tests {
 
     #[test]
     fn touch_updates_lru_order() {
-        let mut p = ContextPool::new(2, VictimPolicy::Lru);
+        let mut p = ContextPool::new(2);
         p.admit_guest(t(1), 10);
         p.admit_guest(t(2), 20);
         p.touch(t(1), 50); // now t2 is LRU
@@ -286,7 +267,7 @@ mod tests {
 
     #[test]
     fn pinned_guests_are_not_evicted() {
-        let mut p = ContextPool::new(2, VictimPolicy::Lru);
+        let mut p = ContextPool::new(2);
         p.admit_guest(t(1), 10);
         p.admit_guest(t(2), 20);
         p.set_guest_state(t(1), GuestState::Pinned);
@@ -296,7 +277,7 @@ mod tests {
 
     #[test]
     fn all_pinned_stalls() {
-        let mut p = ContextPool::new(1, VictimPolicy::Lru);
+        let mut p = ContextPool::new(1);
         p.admit_guest(t(1), 10);
         p.set_guest_state(t(1), GuestState::Pinned);
         assert_eq!(p.admit_guest(t(2), 20), Admission::Stalled);
@@ -306,22 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn random_policy_is_deterministic_and_valid() {
-        let mut a = ContextPool::new(2, VictimPolicy::Random(DetRng::new(7)));
-        let mut b = ContextPool::new(2, VictimPolicy::Random(DetRng::new(7)));
-        for pool in [&mut a, &mut b] {
-            pool.admit_guest(t(1), 1);
-            pool.admit_guest(t(2), 2);
-        }
-        let va = a.admit_guest(t(3), 3);
-        let vb = b.admit_guest(t(3), 3);
-        assert_eq!(va, vb);
-        assert!(matches!(va, Admission::AdmittedEvicting(v) if v == t(1) || v == t(2)));
-    }
-
-    #[test]
     fn lru_ties_evict_the_lowest_slot() {
-        let mut p = ContextPool::new(3, VictimPolicy::Lru);
+        let mut p = ContextPool::new(3);
         p.admit_guest(t(1), 7);
         p.admit_guest(t(2), 5);
         p.admit_guest(t(3), 5);
@@ -335,33 +302,9 @@ mod tests {
         assert_eq!(p.admit_guest(t(6), 9), Admission::AdmittedEvicting(t(4)));
     }
 
-    /// The random victim is the k-th evictable slot for one
-    /// `below(evictable)` draw per evicting admission — checked against
-    /// a slot-by-slot model sharing the seed, with one slot pinned so
-    /// slot index and candidate index differ.
-    #[test]
-    fn random_victim_is_the_kth_evictable_slot_of_one_draw() {
-        let mut rng = DetRng::new(11);
-        let mut p = ContextPool::new(4, VictimPolicy::Random(rng.clone()));
-        let mut slots: Vec<ThreadId> = (1..=4).map(t).collect();
-        for &g in &slots {
-            p.admit_guest(g, 0);
-        }
-        p.set_guest_state(t(2), GuestState::Pinned);
-        for n in 5..60 {
-            let candidates: Vec<_> = (0..4usize).filter(|&i| slots[i] != t(2)).collect();
-            let k = candidates[rng.below(candidates.len() as u64) as usize];
-            assert_eq!(
-                p.admit_guest(t(n), 0),
-                Admission::AdmittedEvicting(slots[k])
-            );
-            slots[k] = t(n);
-        }
-    }
-
     #[test]
     fn remove_guest_frees_slot() {
-        let mut p = ContextPool::new(1, VictimPolicy::Lru);
+        let mut p = ContextPool::new(1);
         p.admit_guest(t(1), 1);
         p.remove_guest(t(1));
         assert_eq!(p.guest_count(), 0);
@@ -371,12 +314,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one guest")]
     fn zero_guest_capacity_rejected() {
-        ContextPool::new(0, VictimPolicy::Lru);
+        ContextPool::new(0);
     }
 
     #[test]
     fn drain_and_restore_round_trip_preserves_pins_and_lru() {
-        let mut p = ContextPool::new(2, VictimPolicy::Lru);
+        let mut p = ContextPool::new(2);
         p.admit_native(t(0));
         p.admit_guest(t(1), 10);
         p.admit_guest(t(2), 20);
@@ -386,7 +329,7 @@ mod tests {
         assert_eq!(guests, vec![(t(1), true, 10), (t(2), false, 20)]);
         assert!(!p.is_resident(t(0)) && p.guest_count() == 0);
 
-        let mut q = ContextPool::new(2, VictimPolicy::Lru);
+        let mut q = ContextPool::new(2);
         for n in natives {
             q.restore_native(n);
         }

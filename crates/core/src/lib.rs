@@ -45,12 +45,12 @@ pub mod monitor;
 pub mod sim;
 pub mod stats;
 
-pub use context::{Admission, ContextPool, GuestState, VictimPolicy};
+pub use context::{Admission, ContextPool, GuestState};
 pub use decision::{
     AlwaysMigrate, AlwaysRemote, CostBreakEven, Decision, DecisionCtx, DecisionScheme,
     DistanceThreshold, HistoryPredictor, MarkovPredictor, OracleSchedule, SchemeStateError,
 };
 pub use em2_engine::{Contention, QueuedParams};
-pub use machine::{EvictionPolicy, MachineConfig};
+pub use machine::MachineConfig;
 pub use sim::{Simulator, RUN_BINS};
 pub use stats::{FlowCounts, SimReport};

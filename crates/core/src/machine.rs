@@ -4,18 +4,6 @@ use em2_cache::HierarchyConfig;
 use em2_engine::Contention;
 use em2_model::CostModel;
 
-/// Guest-context victim selection, exposed at the config level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-active evictable guest.
-    Lru,
-    /// Evict a random evictable guest (seeded deterministically).
-    Random {
-        /// RNG seed for victim selection.
-        seed: u64,
-    },
-}
-
 /// Full configuration of an EM² (or EM²-RA) machine.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
@@ -23,10 +11,9 @@ pub struct MachineConfig {
     pub cost: CostModel,
     /// Per-core L1/L2 geometry (the paper's 16 KB + 64 KB default).
     pub caches: HierarchyConfig,
-    /// Guest execution contexts per core (besides reserved natives).
+    /// Guest execution contexts per core (besides reserved natives);
+    /// a full pool evicts its least-recently-active evictable guest.
     pub guest_contexts: usize,
-    /// Guest eviction victim policy.
-    pub eviction: EvictionPolicy,
     /// Cycles an arriving migration waits before retrying when every
     /// guest context is pinned by an in-flight remote access.
     pub stall_retry: u64,
@@ -51,7 +38,6 @@ impl Default for MachineConfig {
             cost: CostModel::default(),
             caches: HierarchyConfig::default(),
             guest_contexts: 2,
-            eviction: EvictionPolicy::Lru,
             stall_retry: 4,
             monitor: true,
             contention: Contention::Off,

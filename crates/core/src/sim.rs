@@ -34,14 +34,14 @@
 //! sweeps that run many schemes or machine configs over the same
 //! workload pay for placement resolution once.
 
-use crate::context::{Admission, ContextPool, GuestState, VictimPolicy};
+use crate::context::{Admission, ContextPool, GuestState};
 use crate::decision::{Decision, DecisionCtx, DecisionScheme};
-use crate::machine::{EvictionPolicy, MachineConfig};
+use crate::machine::MachineConfig;
 use crate::monitor::Monitor;
 use crate::stats::{FlowCounts, SimReport, TrafficBreakdown};
 use em2_cache::CacheHierarchy;
 use em2_engine::{ContentionState, Engine, Event, MachineModel, ThreadPhase};
-use em2_model::{CoreId, CostModel, DetRng, Summary, ThreadId};
+use em2_model::{CoreId, CostModel, Summary, ThreadId};
 use em2_placement::Placement;
 use em2_trace::{FlatWorkload, Workload};
 
@@ -503,15 +503,7 @@ pub fn run_flat(
     );
 
     let pools: Vec<ContextPool> = (0..cores)
-        .map(|i| {
-            let policy = match cfg.eviction {
-                EvictionPolicy::Lru => VictimPolicy::Lru,
-                EvictionPolicy::Random { seed } => {
-                    VictimPolicy::Random(DetRng::new(seed).fork(i as u64))
-                }
-            };
-            ContextPool::new(cfg.guest_contexts, policy)
-        })
+        .map(|_| ContextPool::new(cfg.guest_contexts))
         .collect();
     let caches: Vec<CacheHierarchy> = (0..cores)
         .map(|_| CacheHierarchy::new(cfg.caches))

@@ -3,7 +3,7 @@
 //! conservation, under every machine variant.
 
 use em2_core::decision::{AlwaysMigrate, AlwaysRemote, DistanceThreshold};
-use em2_core::machine::{EvictionPolicy, MachineConfig};
+use em2_core::machine::MachineConfig;
 use em2_core::sim::Simulator;
 use em2_model::{Addr, CoreId, ThreadId};
 use em2_placement::Striped;
@@ -83,7 +83,6 @@ proptest! {
         let p = Striped::new(4, 64);
         let cfg = MachineConfig {
             guest_contexts: 1,
-            eviction: EvictionPolicy::Random { seed: 7 },
             ..MachineConfig::with_cores(4)
         };
         let r = Simulator::new(cfg, &w, &p, Box::new(AlwaysMigrate)).run();

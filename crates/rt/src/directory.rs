@@ -4,9 +4,10 @@
 //! A [`ShardDirectory`] holds, for every shard in the cluster, the id
 //! of the node that currently owns it, plus a monotonically increasing
 //! **epoch** counter that versions the whole map. Ownership lookups on
-//! the send path are a single relaxed atomic load — no lock, no
-//! indirection — so the single-process fast path and the common
-//! clustered case pay nothing for the flexibility.
+//! the send path are a single atomic load — no lock, no indirection — so
+//! the single-process fast path and the common clustered case pay
+//! nothing for the flexibility. Writes are rare (a freeze, a claim, a
+//! commit) and all take one internal lock ([`ShardDirectory::write`]).
 //!
 //! The epoch advances exactly once per committed shard handoff, so its
 //! value doubles as a count of completed handoffs. In-flight frames
@@ -21,6 +22,7 @@
 //! path, the receive path, and the executor.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Per-shard ownership map versioned by a monotonically increasing
 /// epoch. See the module docs for the role this plays in live handoff.
@@ -31,6 +33,10 @@ pub struct ShardDirectory {
     node: u32,
     epoch: AtomicU64,
     owners: Vec<AtomicU32>,
+    /// Serializes every write ([`ShardDirectory::write`]); readers
+    /// never take it. A leaf: nothing sends, blocks, wakes or takes
+    /// another lock under it.
+    writer: Mutex<()>,
 }
 
 impl ShardDirectory {
@@ -41,17 +47,14 @@ impl ShardDirectory {
             node,
             epoch: AtomicU64::new(epoch),
             owners: owners.iter().map(|&o| AtomicU32::new(o)).collect(),
+            writer: Mutex::new(()),
         }
     }
 
     /// Directory for a single-process runtime: every shard owned by
     /// node 0, epoch 0.
     pub fn single_process(shards: usize) -> Self {
-        Self {
-            node: 0,
-            epoch: AtomicU64::new(0),
-            owners: (0..shards).map(|_| AtomicU32::new(0)).collect(),
-        }
+        Self::new(0, 0, &vec![0; shards])
     }
 
     /// Total number of shards the directory covers (cluster-wide).
@@ -72,6 +75,20 @@ impl ShardDirectory {
         self.owners[shard].load(Ordering::Acquire)
     }
 
+    /// Run `f` as one write: no other write — a [`set_owner`], an
+    /// [`install`], another `write` — runs meanwhile, and whatever `f`
+    /// stores or reads besides (the runtime puts its barrier flags
+    /// here) is ordered against them by the same mutual exclusion.
+    /// `f` gets the owner store; it must not send, block, or call back
+    /// into a writing method.
+    ///
+    /// [`set_owner`]: ShardDirectory::set_owner
+    /// [`install`]: ShardDirectory::install
+    pub fn write<R>(&self, f: impl FnOnce(&dyn Fn(usize, u32)) -> R) -> R {
+        let _writer = self.writer.lock().expect("directory writer");
+        f(&|shard, node| self.owners[shard].store(node, Ordering::Release))
+    }
+
     /// Flip a single shard's owner without bumping the epoch. Used
     /// during the Freeze step of a handoff: the source node redirects
     /// new sends toward the destination *before* the state ships, and
@@ -80,12 +97,9 @@ impl ShardDirectory {
     /// The freeze calls this under the shard's mailbox lock, and the
     /// clustered send path re-reads the owner under the same lock
     /// before it pushes, so a send either precedes the flip or observes
-    /// it — the lock orders them, not this store. The other caller,
-    /// `RemoteInbox::install_shard`, claims a shard with it and orders
-    /// the claim against the barrier flags with the fence that follows
-    /// (mirrored by `RemoteInbox::release_barrier`).
+    /// it — that lock orders them, not this store.
     pub fn set_owner(&self, shard: usize, node: u32) {
-        self.owners[shard].store(node, Ordering::SeqCst);
+        self.write(|store| store(shard, node));
     }
 
     /// Install a complete (epoch, ownership) view, as broadcast by the
@@ -101,9 +115,7 @@ impl ShardDirectory {
     /// own commit, still in flight, will agree. Taking the older map
     /// verbatim would leave the shard in a runtime whose directory says
     /// it is elsewhere — and, for one, every barrier release would skip
-    /// its parked tasks. The keep is a compare-exchange per entry, so a
-    /// claim by `install_shard` landing mid-install is never
-    /// overwritten.
+    /// its parked tasks.
     ///
     /// The owners are stored *before* the epoch (Release), so a
     /// reader that loads the epoch first ([`ShardDirectory::epoch`],
@@ -113,40 +125,29 @@ impl ShardDirectory {
     /// routed them.
     pub fn install(&self, epoch: u64, owners: &[u32]) -> bool {
         debug_assert_eq!(owners.len(), self.owners.len());
-        // Single writer per node (the reader thread handling coordinator
-        // broadcasts), so a load-check-store is race-free in practice;
-        // the max-style guard is belt and braces.
-        if epoch <= self.epoch.load(Ordering::Acquire) {
-            return false;
-        }
-        for (slot, &o) in self.owners.iter().zip(owners) {
-            let keep_own = |cur| (cur != self.node).then_some(o);
-            let _ = slot.fetch_update(Ordering::SeqCst, Ordering::SeqCst, keep_own);
-        }
-        self.epoch.store(epoch, Ordering::Release);
-        true
+        self.write(|store| {
+            if epoch <= self.epoch() {
+                return false;
+            }
+            for (shard, &o) in owners.iter().enumerate() {
+                if self.owner_of(shard) != self.node {
+                    store(shard, o);
+                }
+            }
+            self.epoch.store(epoch, Ordering::Release);
+            true
+        })
     }
 
     /// Snapshot the current ownership vector (for broadcast/digest).
     pub fn snapshot(&self) -> Vec<u32> {
-        self.owners
-            .iter()
-            .map(|o| o.load(Ordering::Acquire))
-            .collect()
-    }
-
-    /// Number of shards currently owned by `node`.
-    pub fn owned_count(&self, node: u32) -> usize {
-        self.owners
-            .iter()
-            .filter(|o| o.load(Ordering::Acquire) == node)
-            .count()
+        (0..self.shards()).map(|s| self.owner_of(s)).collect()
     }
 
     /// Shard ids currently owned by `node`, in ascending order.
     pub fn owned_shards(&self, node: u32) -> Vec<usize> {
-        (0..self.owners.len())
-            .filter(|&s| self.owners[s].load(Ordering::Acquire) == node)
+        (0..self.shards())
+            .filter(|&s| self.owner_of(s) == node)
             .collect()
     }
 }
@@ -163,7 +164,6 @@ mod tests {
         for s in 0..8 {
             assert_eq!(d.owner_of(s), 0);
         }
-        assert_eq!(d.owned_count(0), 8);
         assert_eq!(d.owned_shards(0), (0..8).collect::<Vec<_>>());
     }
 

@@ -1,15 +1,13 @@
-//! The multiplexed work-stealing executor.
+//! The multiplexed executor.
 //!
 //! `W` worker threads cooperatively run `S ≫ W` shard state machines.
 //! Each shard's mailbox carries, under the queue's own lock, the
 //! shard's `awake` flag (`crate::mpsc`); the send that finds it clear
-//! sets it and pushes the shard's id onto a per-worker run queue (home
-//! queue = `shard % W`, for affinity). A worker pops its own queue
-//! front, steals from other queues' backs when empty, and **parks on a
-//! condvar** when nothing is runnable anywhere — there are no spin
-//! loops: every poll is provoked by a message or a requeue, and an idle
-//! runtime performs zero polls (the regression test in
-//! `crates/rt/tests/executor.rs` pins this).
+//! sets it and pushes the shard's id onto the one run queue. A worker
+//! pops the front, and **parks on a condvar** when the queue is empty —
+//! there are no spin loops: every poll is provoked by a message or a
+//! requeue, and an idle runtime performs zero polls (the regression
+//! test in `crates/rt/tests/executor.rs` pins this).
 //!
 //! A shard that blocks on a remote reply or a barrier parks its
 //! *continuation* (the envelope sits in `awaiting`/`parked` inside the
@@ -17,129 +15,121 @@
 //! lets S = 1024 shards run on a 1-CPU host without standing up 1024
 //! OS threads.
 //!
-//! A shard's wake-up is a function of call order under its mailbox
-//! lock (`run_shard`). A *worker's* wake-up is the one atomic handshake
-//! left here: a parking worker increments `sleepers` and re-checks
-//! `pending` *after* that increment (both SeqCst, under the sleep
-//! mutex); a scheduler increments `pending` *before* loading
-//! `sleepers`. In any sequentially-consistent interleaving, either the
-//! scheduler sees the sleeper (and notifies under the mutex) or the
-//! sleeper sees the pending work (and never waits) — lost wakeups are
-//! impossible.
+//! A worker's wake-up, like a shard's (`run_shard`), is a function of
+//! call order under one lock: the queue and the count of sleeping
+//! workers share a mutex ([`RunQueue`]), so a push either finds the
+//! sleeper counted — and notifies, once the guard has dropped — or the
+//! sleeper's pop, under the same lock, finds the push.
 
 use crate::shard::Shared;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Scheduler state of the multiplexed executor.
-pub(crate) struct Sched {
-    workers: usize,
-    /// Per-worker run queues of shard ids. Sharded locks: a queue is
-    /// touched by its owner (front) and by stealers (back).
-    runqs: Vec<Mutex<VecDeque<usize>>>,
-    /// Shards currently queued across all run queues (sleep gate).
-    pending: AtomicUsize,
-    /// Workers committed to sleeping (wakeup handshake; see module
-    /// docs).
-    sleepers: AtomicUsize,
-    sleep_lock: Mutex<()>,
-    sleep_cv: Condvar,
-    /// Telemetry: shards taken from another worker's queue.
-    pub(crate) steals: AtomicU64,
+/// What the run queue's lock guards. Every transition is a method
+/// here, so the wake protocol can be scripted without threads.
+#[derive(Default)]
+struct RunQueue {
+    /// Shards marked awake and not yet picked up, oldest first.
+    ready: VecDeque<usize>,
+    /// Workers waiting on the condvar, or woken and not yet back under
+    /// the lock.
+    sleepers: usize,
     /// Telemetry: times a worker went to sleep.
-    pub(crate) parks: AtomicU64,
+    parks: u64,
+}
+
+/// A worker's next move, decided under the lock.
+#[derive(Debug, PartialEq, Eq)]
+enum Step {
+    Run(usize),
+    /// Nothing to run: the worker is counted in `sleepers` and must
+    /// wait on the condvar with this same guard.
+    Sleep,
+    Exit,
+}
+
+impl RunQueue {
+    /// Enqueue. `true`: a worker sleeps — the caller must notify one.
+    fn push(&mut self, shard: usize) -> bool {
+        self.ready.push_back(shard);
+        self.sleepers > 0
+    }
+
+    fn step(&mut self, shutdown: bool) -> Step {
+        if shutdown {
+            return Step::Exit;
+        }
+        match self.ready.pop_front() {
+            Some(shard) => Step::Run(shard),
+            None => {
+                self.sleepers += 1;
+                self.parks += 1;
+                Step::Sleep
+            }
+        }
+    }
+}
+
+/// Scheduler state of the multiplexed executor. The lock is a leaf:
+/// nothing sends, blocks, wakes or takes another lock under it.
+#[derive(Default)]
+pub(crate) struct Sched {
+    queue: Mutex<RunQueue>,
+    wake: Condvar,
 }
 
 impl Sched {
-    pub(crate) fn new(workers: usize) -> Self {
-        assert!(workers > 0);
-        Sched {
-            workers,
-            runqs: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
-            sleep_cv: Condvar::new(),
-            steals: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-        }
+    fn lock(&self) -> MutexGuard<'_, RunQueue> {
+        self.queue
+            .lock()
+            .expect("nothing under the run queue's lock can panic")
     }
 
     /// Enqueue a shard (its mailbox is already marked awake) and wake a
     /// worker if any is sleeping.
     pub(crate) fn schedule(&self, shard: usize) {
-        {
-            let mut q = self.runqs[shard % self.workers].lock().expect("run queue");
-            q.push_back(shard);
-            // Increment while still holding the queue lock: a pop (and
-            // its decrement) requires this lock, so every decrement is
-            // preceded by its matching increment and `pending` can
-            // never underflow — an underflowed (huge) `pending` would
-            // turn park() into a busy-spin.
-            self.pending.fetch_add(1, Ordering::SeqCst);
-        }
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.sleep_lock.lock().expect("sleep lock");
-            self.sleep_cv.notify_one();
+        let sleeper = self.lock().push(shard);
+        if sleeper {
+            self.wake.notify_one();
         }
     }
 
-    /// Wake every sleeping worker (shutdown).
+    /// Wake every sleeping worker (shutdown; the caller has stored the
+    /// flag). Taking the lock orders this after any worker that read
+    /// the flag clear: it is waiting by now, so the notify reaches it.
+    /// Runs on a panicking thread too, so a poisoned lock is tolerated.
     pub(crate) fn wake_all(&self) {
-        drop(self.sleep_lock.lock());
-        self.sleep_cv.notify_all();
+        drop(self.queue.lock());
+        self.wake.notify_all();
     }
 
-    /// Next shard for worker `w`: own queue first (FIFO), then steal
-    /// from the other queues' backs.
-    fn next(&self, w: usize) -> Option<usize> {
-        {
-            let mut q = self.runqs[w].lock().expect("run queue");
-            if let Some(s) = q.pop_front() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(s);
-            }
-        }
-        for i in 1..self.workers {
-            let mut q = self.runqs[(w + i) % self.workers]
-                .lock()
-                .expect("run queue");
-            if let Some(s) = q.pop_back() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(s);
-            }
-        }
-        None
+    /// Times a worker went to sleep.
+    pub(crate) fn parks(&self) -> u64 {
+        self.lock().parks
     }
 
-    /// Park until scheduled work exists or shutdown is flagged. May
-    /// wake spuriously; the caller's loop re-scans.
-    fn park(&self, shared: &Shared) {
-        let guard = self.sleep_lock.lock().expect("sleep lock");
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.pending.load(Ordering::SeqCst) > 0 || shared.shutdown.load(Ordering::SeqCst) {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return;
+    /// Next shard to poll, sleeping while there is none; `None` once
+    /// shutdown is flagged.
+    fn next(&self, shared: &Shared) -> Option<usize> {
+        let mut q = self.lock();
+        loop {
+            match q.step(shared.shutdown.load(Ordering::Acquire)) {
+                Step::Run(shard) => return Some(shard),
+                Step::Exit => return None,
+                Step::Sleep => {
+                    q = self.wake.wait(q).expect("run queue");
+                    q.sleepers -= 1;
+                }
+            }
         }
-        self.parks.fetch_add(1, Ordering::Relaxed);
-        drop(self.sleep_cv.wait(guard).expect("sleep cv"));
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// Body of one executor worker thread.
-pub(crate) fn worker_loop(shared: &Shared, w: usize) {
-    let sched = &shared.sched;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match sched.next(w) {
-            Some(shard) => run_shard(shared, shard),
-            None => sched.park(shared),
-        }
+pub(crate) fn worker_loop(shared: &Shared) {
+    while let Some(shard) = shared.sched.next(shared) {
+        run_shard(shared, shard);
     }
 }
 
@@ -155,5 +145,36 @@ fn run_shard(shared: &Shared, shard: usize) {
     };
     if shared.mailboxes[shard].rest(more) && !shared.shutdown.load(Ordering::Acquire) {
         shared.sched.schedule(shard);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each block is one interleaving the lock reduces the protocol to.
+    #[test]
+    fn the_run_queue_is_a_script() {
+        let mut q = RunQueue::default();
+        // Nobody sleeps: a push must not notify, and a worker pops
+        // before it would sleep.
+        assert!(!q.push(7));
+        assert!(!q.push(8));
+        assert_eq!(q.step(false), Step::Run(7));
+        assert_eq!(q.step(false), Step::Run(8));
+        // Empty: the worker is counted before its guard drops, so the
+        // push that follows finds it and must notify.
+        assert_eq!(q.step(false), Step::Sleep);
+        assert_eq!((q.sleepers, q.parks), (1, 1));
+        assert!(q.push(9));
+        // Woken, back under the lock: uncounted, and the shard is there.
+        q.sleepers -= 1;
+        assert_eq!(q.step(false), Step::Run(9));
+        assert!(!q.push(10));
+        // Shutdown seen under the lock never sleeps, work or no work.
+        assert_eq!(q.step(true), Step::Exit);
+        assert_eq!(q.step(false), Step::Run(10));
+        assert_eq!(q.step(true), Step::Exit);
+        assert_eq!((q.sleepers, q.parks), (0, 1));
     }
 }

@@ -7,7 +7,7 @@
 //! * each "core" is a **shard**: a poll-able state machine owning a
 //!   partition of a word-granular sharded heap (address → home via an
 //!   [`em2_placement::Placement`] policy) and a mailbox serviced in
-//!   arrival order. A **multiplexed work-stealing executor** runs
+//!   arrival order. A **multiplexed executor** runs
 //!   `S ≫ W` shards on `W` worker threads (default: the host's
 //!   parallelism) — the paper's 64–1024-core geometries instantiate
 //!   on any host, and a shard blocked on a remote reply or barrier

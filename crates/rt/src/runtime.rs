@@ -13,7 +13,7 @@ use em2_model::{CoreId, CostModel, Histogram, ThreadId};
 use em2_placement::Placement;
 use em2_trace::Workload;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -193,9 +193,7 @@ pub struct SchedStats {
     /// message or a requeue — an idle runtime performs none (the
     /// no-busy-wait regression test pins this).
     pub polls: u64,
-    /// Shards taken from another worker's run queue.
-    pub steals: u64,
-    /// Times a worker parked on the sleep condvar.
+    /// Times a worker parked on the run queue's condvar.
     pub parks: u64,
 }
 
@@ -483,7 +481,7 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             cost: cfg.cost,
             quantum: cfg.quantum,
-            sched: Sched::new(workers),
+            sched: Sched::default(),
         });
         let exporter = obs
             .as_ref()
@@ -497,7 +495,7 @@ impl Runtime {
                     .name(format!("em2-rt-worker-{w}"))
                     .spawn(move || {
                         let _fanout = PanicFanout(Arc::clone(&shared));
-                        worker_loop(&shared, w)
+                        worker_loop(&shared)
                     })
                     .expect("spawn runtime worker")
             })
@@ -647,48 +645,18 @@ impl Runtime {
             std::panic::resume_unwind(p);
         }
         let wall = self.t0.elapsed();
-        if self.obs.is_some() {
-            // Fold each core's deferred locals/parks attribution into
-            // the matrix before the snapshot reads it (the hot path
-            // accrues those two columns in plain single-writer memory;
-            // workers have joined, so the locks are uncontended).
-            for core in shared.cores.iter() {
-                core.lock()
-                    .expect("no worker panicked")
-                    .flush_attrib_pending();
-            }
-        }
-        let obs_snapshot = self.obs.as_ref().map(|o| o.snapshot());
-        // Workers have joined, so only a transport reader mid-inject
-        // through a momentarily upgraded inbox Weak can still hold a
-        // handle — post-quiesce there is no such message, so the
-        // bounded retry only papers over the upgrade/drop window.
-        let mut shared = shared;
-        let shared = loop {
-            match Arc::try_unwrap(shared) {
-                Ok(s) => break s,
-                Err(still_shared) => {
-                    assert!(
-                        Arc::weak_count(&still_shared) > 0,
-                        "every worker released its Shared handle"
-                    );
-                    shared = still_shared;
-                    std::thread::yield_now();
-                }
-            }
-        };
-
+        // Workers have joined, so every core lock is free. A transport
+        // reader may still hold a momentarily upgraded inbox handle,
+        // which is why the counters leave through the lock rather than
+        // by unwrapping the `Arc`.
         let mut flow = FlowCounts::default();
         let mut run_lengths = Histogram::new(self.run_bins);
         let mut context_bytes_sent = 0u64;
         let mut heap_words = 0u64;
         let mut polls = 0u64;
         let mut task_latency_ns: Vec<u64> = Vec::new();
-        for core in shared.cores {
-            let c = core
-                .into_inner()
-                .expect("no worker panicked")
-                .into_counters();
+        for core in &shared.cores {
+            let c = core.lock().expect("no worker panicked").take_counters();
             flow.merge(&c.flow);
             run_lengths.merge(&c.run_hist);
             context_bytes_sent += c.context_bytes_sent;
@@ -696,9 +664,10 @@ impl Runtime {
             polls += c.polls;
             task_latency_ns.extend(c.task_latency_ns);
         }
+        // After the loop: `take_counters` folded each core's deferred
+        // attribution into the matrix this reads.
+        let obs_snapshot = self.obs.as_ref().map(|o| o.snapshot());
         task_latency_ns.sort_unstable();
-        let steals = shared.sched.steals.load(Ordering::Relaxed);
-        let parks = shared.sched.parks.load(Ordering::Relaxed);
 
         RtReport {
             workload: std::mem::take(&mut self.name),
@@ -712,8 +681,7 @@ impl Runtime {
             sched: SchedStats {
                 workers: self.workers,
                 polls,
-                steals,
-                parks,
+                parks: shared.sched.parks(),
             },
             task_latency_ns,
             obs: obs_snapshot,
@@ -827,13 +795,15 @@ impl RemoteInbox {
         let Some(shared) = self.shared.upgrade() else {
             return false;
         };
-        shared.barriers.force_release(k);
-        // Store the flag, *then* read the owners — the mirror image of
-        // `install_shard`, which claims the owner and then reads the
-        // flags. With a full fence between store and load on both
-        // sides, a shard landing here right now is woken by one of us.
-        fence(Ordering::SeqCst);
-        for s in shared.directory.owned_shards(shared.node_id) {
+        // The flag store and the owned-set read are one directory
+        // write, as are `install_shard`'s claim and flag reads: whichever
+        // write runs second sees the first, so a shard landing here
+        // right now is woken by one of us.
+        let owned = shared.directory.write(|_| {
+            shared.barriers.force_release(k);
+            shared.directory.owned_shards(shared.node_id)
+        });
+        for s in owned {
             shared.send(s, Msg::BarrierRelease { idx: k });
         }
         true
@@ -891,15 +861,18 @@ impl RemoteInbox {
         }
         // Claim ownership only after the core is fully restored:
         // concurrent deliveries that pass the directory check from
-        // here on find a complete shard.
-        shared.directory.set_owner(shard, shared.node_id);
-        // A barrier released while the shard was in flight woke nobody:
-        // the release fans out to each node's *owned* shards, and this
-        // one had no owner. Now that the claim is visible, re-announce
-        // every barrier already released here (`release_barrier` has
-        // the pairing); the shard wakes whoever is parked on them.
-        fence(Ordering::SeqCst);
-        for k in (0..shared.barriers.len()).filter(|&k| shared.barriers.is_released(k)) {
+        // here on find a complete shard. A barrier released while the
+        // shard was in flight woke nobody — the release fans out to
+        // each node's *owned* shards, and this one had no owner — so
+        // the same write collects every barrier already released here
+        // (`release_barrier` has the pairing), and the shard, once
+        // told, wakes whoever is parked on them.
+        let released: Vec<usize> = shared.directory.write(|set_owner| {
+            set_owner(shard, shared.node_id);
+            let open = |&k: &usize| shared.barriers.is_released(k);
+            (0..shared.barriers.len()).filter(open).collect()
+        });
+        for k in released {
             shared.send(shard, Msg::BarrierRelease { idx: k });
         }
         for msg in mailbox {
@@ -990,7 +963,7 @@ pub fn run_tasks(
 /// the same placement, the migration / remote-access counters and the
 /// run-length histogram equal those of
 /// [`em2_core::sim::run_em2ra`] with the same scheme — the E11
-/// cross-validation — at any worker count and in either executor mode.
+/// cross-validation — at any worker count.
 pub fn run_workload(
     cfg: RtConfig,
     workload: &Arc<Workload>,
@@ -1021,8 +994,65 @@ pub fn run_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::tests::Recording;
+    use crate::shard::tests::{two_shards, Recording};
+    use crate::wire::{FrozenShard, WireEnvelope};
     use std::sync::atomic::AtomicU64;
+
+    /// A shard lands on this node beside the release of the barrier a
+    /// task inside it is parked on. Both orders, one thread, no
+    /// workers: released first, the install finds the flag and tells
+    /// the shard itself; installed first, the release finds the shard
+    /// among the owned. Either way the shard hears of the barrier once
+    /// and its next poll wakes the task.
+    #[test]
+    fn a_shard_landing_beside_a_release_is_woken_in_either_order() {
+        let workload = Arc::new(em2_trace::gen::micro::pingpong(1, 4, 10));
+        for release_first in [true, false] {
+            let link = Arc::new(Recording::default()) as Arc<dyn NodeLink>;
+            let mut shared = two_shards(256, Some(link));
+            // Shard 1 is in flight from node 1: nobody here owns it.
+            shared.directory = Arc::new(crate::directory::ShardDirectory::new(0, 0, &[0, 1]));
+            let shared = Arc::new(shared);
+            let inbox = RemoteInbox {
+                shared: Arc::downgrade(&shared),
+                registry: TaskRegistry::for_workload(Arc::clone(&workload)),
+                make_scheme: Box::new(|| Box::new(em2_core::decision::AlwaysMigrate)),
+            };
+            let task = TraceTask::new(Arc::clone(&workload), ThreadId(0));
+            let frozen = FrozenShard {
+                shard: 1,
+                natives: vec![0],
+                parked: vec![WireEnvelope {
+                    thread: 0,
+                    native: 1,
+                    task_kind: TraceTask::WIRE_KIND,
+                    task_ctx: task.context_bytes(),
+                    scheme_state: Vec::new(),
+                    pending_op: None,
+                    pending_reply: None,
+                    parked_at: Some(0),
+                    run: None,
+                    journey: crate::wire::Journey::default(),
+                }],
+                ..FrozenShard::default()
+            };
+            if release_first {
+                assert!(inbox.release_barrier(0));
+                assert!(shared.mailboxes[1].is_empty(), "not owned: not told");
+                assert_eq!(inbox.install_shard(frozen), Ok(true));
+            } else {
+                assert_eq!(inbox.install_shard(frozen), Ok(true));
+                assert!(shared.mailboxes[1].is_empty(), "nothing released yet");
+                assert!(inbox.release_barrier(0));
+            }
+            assert_eq!(shared.directory.owner_of(1), 0);
+            assert_eq!(shared.mailboxes[1].len(), 1, "told once");
+            let mut core = shared.cores[1].lock().expect("shard core");
+            assert_eq!(core.census().1, 1, "parked until the shard is polled");
+            core.poll(&shared);
+            assert_eq!(core.census().1, 0, "release first: {release_first}");
+        }
+    }
 
     /// Four producers stream numbered requests at shard 1 of a live
     /// node while it is frozen away mid-stream. A request is served by

@@ -39,7 +39,7 @@ use crate::mpsc::MpscQueue;
 use crate::runtime::NodeLink;
 use crate::task::{Op, Task};
 use crate::wire::{WireEnvelope, WireMsg, WireOp};
-use em2_core::context::{Admission, ContextPool, GuestState, VictimPolicy};
+use em2_core::context::{Admission, ContextPool, GuestState};
 use em2_core::decision::{Decision, DecisionCtx, DecisionScheme};
 use em2_core::stats::FlowCounts;
 use em2_engine::{AtomicBarriers, BarrierArrival};
@@ -232,7 +232,7 @@ pub(crate) struct Shared {
     pub shutdown: AtomicBool,
     pub cost: CostModel,
     pub quantum: usize,
-    /// The multiplexed executor's run queues and sleep gate.
+    /// The multiplexed executor's run queue.
     pub sched: Sched,
 }
 
@@ -250,9 +250,8 @@ impl Shared {
 
     /// Deliver `msg` to shard `to` (a **global** id) and make sure
     /// something will poll it: push to the local mailbox and schedule
-    /// the shard on the executor (or wake its dedicated thread), or —
-    /// when another node owns `to` — serialize the message and hand it
-    /// to the node link.
+    /// the shard on the executor, or — when another node owns `to` —
+    /// serialize the message and hand it to the node link.
     pub(crate) fn send(&self, to: usize, msg: Msg) {
         self.send_routed(to, 0, msg);
     }
@@ -302,8 +301,7 @@ impl Shared {
     }
 
     /// Flip the global shutdown flag and wake every parked executor
-    /// worker. Safe to call from a panicking thread: a poisoned sleep
-    /// lock is tolerated.
+    /// worker. Safe to call from a panicking thread.
     pub(crate) fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.sched.wake_all();
@@ -343,7 +341,7 @@ impl ShardCounters {
 
 /// One shard's owned state: heap partition, context pool, task queues.
 /// Accessed only by the worker currently granted the shard (the
-/// executor's scheduling protocol, or the dedicated thread).
+/// executor's scheduling protocol).
 pub(crate) struct ShardCore {
     /// Global (cluster-wide) shard id — what `CoreId`s and placement
     /// homes refer to, and this core's index into
@@ -437,7 +435,7 @@ impl ShardCore {
         ShardCore {
             id,
             heap: WordMap::default(),
-            pool: ContextPool::new(guest_contexts, VictimPolicy::Lru),
+            pool: ContextPool::new(guest_contexts),
             runq: VecDeque::new(),
             parked: Vec::new(),
             awaiting: WordMap::default(),
@@ -562,11 +560,14 @@ impl ShardCore {
         )
     }
 
-    /// Finalize end-of-run accounting (called once, at quiesce, while
-    /// the merge owns the core).
-    pub(crate) fn into_counters(mut self) -> ShardCounters {
+    /// Finalize end-of-run accounting — the deferred attribution
+    /// folded in, the heap counted — and hand the counters over,
+    /// leaving zeroes (called once, at quiesce, under the core's lock).
+    pub(crate) fn take_counters(&mut self) -> ShardCounters {
+        self.flush_attrib_pending();
         self.counters.heap_words = self.heap.len() as u64;
-        self.counters
+        let fresh = ShardCounters::new(self.counters.run_hist.max_bin());
+        std::mem::replace(&mut self.counters, fresh)
     }
 
     /// Freeze this shard for a live handoff: take every piece of
@@ -1000,7 +1001,7 @@ impl ShardCore {
     /// matrix. Called while the core is quiescent: at freeze (so a
     /// handoff leaves a settled table behind) and before the final
     /// snapshot at quiesce.
-    pub(crate) fn flush_attrib_pending(&mut self) {
+    fn flush_attrib_pending(&mut self) {
         let Some(o) = &self.obs else { return };
         for (t, p) in self.attrib_pending.iter_mut().enumerate() {
             let [locals, parks] = std::mem::take(p);
@@ -1304,7 +1305,7 @@ pub(crate) mod tests {
                     .expect("install");
             }
         }
-        assert_eq!(core.into_counters().heap_words, model.len() as u64);
+        assert_eq!(core.take_counters().heap_words, model.len() as u64);
     }
 
     /// A task that yields a fixed list of operations.
@@ -1420,10 +1421,11 @@ pub(crate) mod tests {
 
     /// Two shards striped by line (line `i` lives on shard `i % 2`), no
     /// workers: the tests drive shard 1's core by hand.
-    fn two_shards(quantum: usize, link: Option<Arc<dyn NodeLink>>) -> Shared {
+    pub(crate) fn two_shards(quantum: usize, link: Option<Arc<dyn NodeLink>>) -> Shared {
+        let core = |id| Mutex::new(ShardCore::new(id, 2, RUN_BINS, None));
         Shared {
             mailboxes: (0..2).map(|_| Mailbox::new()).collect(),
-            cores: Vec::new(),
+            cores: (0..2).map(core).collect(),
             directory: Arc::new(ShardDirectory::single_process(2)),
             node_id: 0,
             total_shards: 2,
@@ -1436,7 +1438,7 @@ pub(crate) mod tests {
             shutdown: AtomicBool::new(false),
             cost: CostModel::builder().cores(2).build(),
             quantum,
-            sched: Sched::new(1),
+            sched: Sched::default(),
         }
     }
 

@@ -3,7 +3,7 @@
 //! for all the experiment tables.
 
 use em2::coherence::{run_msi, MsiConfig};
-use em2::core::machine::{EvictionPolicy, MachineConfig};
+use em2::core::machine::MachineConfig;
 use em2::core::sim::{run_em2, run_em2ra};
 use em2::core::HistoryPredictor;
 use em2::placement::FirstTouch;
@@ -24,12 +24,11 @@ fn em2_runs_are_reproducible() {
 }
 
 #[test]
-fn random_eviction_is_seeded() {
+fn eviction_churn_is_reproducible() {
     let w = micro::hotspot(8, 8, 400, 0.9, 1);
     let p = FirstTouch::build(&w, 8, 64);
     let mk = || MachineConfig {
         guest_contexts: 1,
-        eviction: EvictionPolicy::Random { seed: 99 },
         ..MachineConfig::with_cores(8)
     };
     let a = run_em2(mk(), &w, &p);
