@@ -41,6 +41,12 @@ enum Local {
     Modified,
 }
 
+/// Control message payload bits (address + type).
+const CTRL_BITS: u64 = 72;
+
+/// Sampling period (in accesses) for the replication metric.
+const REPLICATION_SAMPLE: u64 = 1024;
+
 /// Configuration of the MSI baseline machine.
 #[derive(Clone, Debug)]
 pub struct MsiConfig {
@@ -48,10 +54,6 @@ pub struct MsiConfig {
     pub cost: CostModel,
     /// Per-core cache geometry (same default as EM²).
     pub caches: HierarchyConfig,
-    /// Control message payload bits (address + type).
-    pub ctrl_bits: u64,
-    /// Sampling period (in accesses) for the replication metric.
-    pub replication_sample: u64,
     /// Contention timing layer (`Off` = the closed-form model,
     /// bit-exact with the paper's timing; see `em2-engine`).
     pub contention: Contention,
@@ -62,8 +64,6 @@ impl Default for MsiConfig {
         MsiConfig {
             cost: CostModel::default(),
             caches: HierarchyConfig::default(),
-            ctrl_bits: 72,
-            replication_sample: 1024,
             contention: Contention::Off,
         }
     }
@@ -79,7 +79,7 @@ impl MsiConfig {
     }
 
     fn data_bits(&self) -> u64 {
-        self.caches.l1.line_bytes * 8 + self.ctrl_bits
+        self.caches.l1.line_bytes * 8 + CTRL_BITS
     }
 }
 
@@ -145,8 +145,8 @@ impl<'a> MachineState<'a> {
     /// latency (closed form + any link queueing) and accounts traffic.
     fn ctrl(&mut self, ctn: &mut ContentionState, a: CoreId, b: CoreId, at: u64) -> u64 {
         let c = &self.cfg.cost;
-        self.report.control_flit_hops += c.hops(a, b) * c.flits(self.cfg.ctrl_bits);
-        c.one_way(a, b, self.cfg.ctrl_bits) + ctn.link_delay(c, a, b, self.cfg.ctrl_bits, at)
+        self.report.control_flit_hops += c.hops(a, b) * c.flits(CTRL_BITS);
+        c.one_way(a, b, CTRL_BITS) + ctn.link_delay(c, a, b, CTRL_BITS, at)
     }
 
     /// Send a whole-line data message departing at cycle `at`.
@@ -238,10 +238,7 @@ impl<'a> MachineState<'a> {
         now: u64,
     ) -> u64 {
         self.accesses_seen += 1;
-        if self
-            .accesses_seen
-            .is_multiple_of(self.cfg.replication_sample)
-        {
+        if self.accesses_seen.is_multiple_of(REPLICATION_SAMPLE) {
             self.sample_replication();
         }
         let cost = self.cfg.cost;
@@ -520,9 +517,7 @@ mod tests {
         }
         let w = Workload::new("readshare", threads);
         let p = Striped::new(4, 64);
-        let mut cfg = MsiConfig::with_cores(4);
-        cfg.replication_sample = 1; // sample every access
-        let r = run_msi(cfg, &w, &p);
+        let r = run_msi(MsiConfig::with_cores(4), &w, &p);
         assert!(
             r.peak_replication >= 3.5,
             "replication = {}",

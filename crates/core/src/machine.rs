@@ -14,15 +14,6 @@ pub struct MachineConfig {
     /// Guest execution contexts per core (besides reserved natives);
     /// a full pool evicts its least-recently-active evictable guest.
     pub guest_contexts: usize,
-    /// Cycles an arriving migration waits before retrying when every
-    /// guest context is pinned by an in-flight remote access.
-    pub stall_retry: u64,
-    /// Run online invariant monitoring (see [`crate::monitor`]); on by
-    /// default. Its price is inside run-to-run spread:
-    /// `core.em2_ns_per_access` read 66.0 ns with it and 63.7 ns
-    /// without (medians of three traced `sim-kernels` runs each,
-    /// `--seed 11`, the default flipped in a scratch copy).
-    pub monitor: bool,
     /// Contention timing layer ([`Contention::Off`] = the closed-form
     /// model, bit-exact with the paper's §3 timing;
     /// [`Contention::Queued`] adds home-core service queues and link
@@ -38,8 +29,6 @@ impl Default for MachineConfig {
             cost: CostModel::default(),
             caches: HierarchyConfig::default(),
             guest_contexts: 2,
-            stall_retry: 4,
-            monitor: true,
             contention: Contention::Off,
         }
     }
@@ -71,7 +60,6 @@ mod tests {
         assert_eq!(c.caches.l1.size_bytes, 16 * 1024);
         assert_eq!(c.caches.l2.size_bytes, 64 * 1024);
         assert!(c.guest_contexts >= 1);
-        assert!(c.monitor);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   be time-monotone) — this is the observable from which sequential
 //!   consistency follows.
 //!
-//! The monitor is on by default and sits on the simulators' per-access
+//! The monitor is always on and sits on the simulators' per-access
 //! path, so its tables index rather than hash: per-thread state is a
 //! `Vec` indexed by the dense [`ThreadId`], grown when a thread is
 //! first seen, and the one sparse key — the line — goes through a

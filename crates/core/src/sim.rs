@@ -50,6 +50,10 @@ use em2_trace::{FlatWorkload, Workload};
 /// cross-validation) bin identically.
 pub const RUN_BINS: u64 = 60;
 
+/// Cycles an arriving migration waits before retrying when every guest
+/// context is pinned by an in-flight remote access.
+const STALL_RETRY: u64 = 4;
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EventKind {
     /// Thread may proceed (issue next access / finish remote wait).
@@ -76,11 +80,10 @@ struct Em2Machine<'a> {
     cost: CostModel,
     ctx_bits: u64,
     line_bytes: u64,
-    stall_retry: u64,
     flat: &'a FlatWorkload,
     pools: Vec<ContextPool>,
     caches: Vec<CacheHierarchy>,
-    monitor: Option<Monitor>,
+    monitor: Monitor,
     scheme: Box<dyn DecisionScheme>,
     threads: Vec<Em2Thread>,
     // Report accumulators.
@@ -114,9 +117,7 @@ impl MachineModel for Em2Machine<'_> {
                             self.flow.evictions += 1;
                             let v_idx = victim.index();
                             let v_native = self.threads[v_idx].native;
-                            if let Some(m) = self.monitor.as_mut() {
-                                m.on_depart(victim, dst);
-                            }
+                            self.monitor.on_depart(victim, dst);
                             // The victim drains its current access,
                             // then travels on the eviction network.
                             let depart = match eng.phase(victim) {
@@ -160,7 +161,7 @@ impl MachineModel for Em2Machine<'_> {
                         Admission::Stalled => {
                             self.flow.stalled_arrivals += 1;
                             eng.push(
-                                now + self.stall_retry,
+                                now + STALL_RETRY,
                                 tid,
                                 ev.epoch,
                                 EventKind::Arrive { dst, eviction },
@@ -169,14 +170,12 @@ impl MachineModel for Em2Machine<'_> {
                         }
                     }
                 }
-                if let Some(m) = self.monitor.as_mut() {
-                    m.on_arrive(tid, dst);
-                    m.on_guest_count(
-                        dst,
-                        self.pools[dst.index()].guest_count(),
-                        self.pools[dst.index()].guest_capacity(),
-                    );
-                }
+                self.monitor.on_arrive(tid, dst);
+                self.monitor.on_guest_count(
+                    dst,
+                    self.pools[dst.index()].guest_count(),
+                    self.pools[dst.index()].guest_capacity(),
+                );
                 self.threads[t_idx].core = dst;
                 let resume = match eng.phase(tid) {
                     ThreadPhase::InFlight { resume, .. } => resume,
@@ -212,19 +211,17 @@ impl MachineModel for Em2Machine<'_> {
                 let scheme = self.scheme.as_mut();
                 eng.runs
                     .track(tid, dst, &mut |t, c, l| scheme.observe_run(t, c, l));
-                if let Some(m) = self.monitor.as_mut() {
-                    m.on_access(
-                        tid,
-                        pos,
-                        addr,
-                        addr.line(self.line_bytes).0,
-                        dst,
-                        dst,
-                        false,
-                        now,
-                        complete,
-                    );
-                }
+                self.monitor.on_access(
+                    tid,
+                    pos,
+                    addr,
+                    addr.line(self.line_bytes).0,
+                    dst,
+                    dst,
+                    false,
+                    now,
+                    complete,
+                );
                 eng.set_pos(tid, pos + 1);
                 eng.set_phase(tid, ThreadPhase::Busy { until: complete });
                 self.pools[dst.index()].touch(tid, now);
@@ -262,19 +259,17 @@ impl MachineModel for Em2Machine<'_> {
                 self.remote_latency.record_u64(complete - issue);
                 self.access_latency.record_u64(complete - issue);
                 self.network_cycles += (complete - issue) - cache_lat;
-                if let Some(m) = self.monitor.as_mut() {
-                    m.on_access(
-                        tid,
-                        pos,
-                        addr,
-                        addr.line(self.line_bytes).0,
-                        core,
-                        home,
-                        true,
-                        now,
-                        complete,
-                    );
-                }
+                self.monitor.on_access(
+                    tid,
+                    pos,
+                    addr,
+                    addr.line(self.line_bytes).0,
+                    core,
+                    home,
+                    true,
+                    now,
+                    complete,
+                );
                 eng.set_pos(tid, pos + 1);
                 eng.set_phase(tid, ThreadPhase::Waiting { until: complete });
                 let next_gap = ft.gap.get(pos + 1).map_or(0, |&g| g as u64);
@@ -314,9 +309,7 @@ impl MachineModel for Em2Machine<'_> {
                         } else {
                             self.pools[core.index()].remove_guest(tid);
                         }
-                        if let Some(m) = self.monitor.as_mut() {
-                            m.on_depart(tid, core);
-                        }
+                        self.monitor.on_depart(tid, core);
                         let scheme = self.scheme.as_mut();
                         eng.runs
                             .flush(tid, &mut |t, c, l| scheme.observe_run(t, c, l));
@@ -343,19 +336,17 @@ impl MachineModel for Em2Machine<'_> {
                     let scheme = self.scheme.as_mut();
                     eng.runs
                         .track(tid, home, &mut |t, c, l| scheme.observe_run(t, c, l));
-                    if let Some(m) = self.monitor.as_mut() {
-                        m.on_access(
-                            tid,
-                            pos,
-                            addr,
-                            addr.line(self.line_bytes).0,
-                            core,
-                            home,
-                            false,
-                            now,
-                            complete,
-                        );
-                    }
+                    self.monitor.on_access(
+                        tid,
+                        pos,
+                        addr,
+                        addr.line(self.line_bytes).0,
+                        core,
+                        home,
+                        false,
+                        now,
+                        complete,
+                    );
                     eng.set_pos(tid, pos + 1);
                     eng.set_phase(tid, ThreadPhase::Busy { until: complete });
                     self.pools[core.index()].touch(tid, now);
@@ -380,9 +371,7 @@ impl MachineModel for Em2Machine<'_> {
                         } else {
                             self.pools[core.index()].remove_guest(tid);
                         }
-                        if let Some(m) = self.monitor.as_mut() {
-                            m.on_depart(tid, core);
-                        }
+                        self.monitor.on_depart(tid, core);
                         let lat = cost.migration_latency_bits(core, home, self.ctx_bits)
                             + eng
                                 .contention
@@ -508,8 +497,6 @@ pub fn run_flat(
     let caches: Vec<CacheHierarchy> = (0..cores)
         .map(|_| CacheHierarchy::new(cfg.caches))
         .collect();
-    let monitor = cfg.monitor.then(Monitor::new);
-
     let threads: Vec<Em2Thread> = flat
         .threads
         .iter()
@@ -529,11 +516,10 @@ pub fn run_flat(
         cost: cfg.cost,
         ctx_bits: cfg.cost.context_bits,
         line_bytes: cfg.caches.l1.line_bytes,
-        stall_retry: cfg.stall_retry,
         flat,
         pools,
         caches,
-        monitor,
+        monitor: Monitor::new(),
         scheme,
         threads,
         flow: FlowCounts::default(),
@@ -553,9 +539,7 @@ pub fn run_flat(
         let tid = ThreadId(i as u32);
         let native = machine.threads[i].native;
         machine.pools[native.index()].admit_native(tid);
-        if let Some(m) = machine.monitor.as_mut() {
-            m.on_arrive(tid, native);
-        }
+        machine.monitor.on_arrive(tid, native);
         let t0 = flat.threads[i].gap.first().map_or(0, |&g| g as u64);
         eng.push(t0, tid, 0, EventKind::Ready);
     }
@@ -597,10 +581,7 @@ pub fn run_flat(
         barrier_wait_cycles: tally.barrier_wait_cycles,
         queue_link_wait_cycles: tally.link_wait_cycles,
         queue_home_wait_cycles: tally.home_wait_cycles,
-        violations: machine
-            .monitor
-            .map(Monitor::into_violations)
-            .unwrap_or_default(),
+        violations: machine.monitor.into_violations(),
     }
 }
 

@@ -9,7 +9,6 @@
 
 use em2_model::ThreadId;
 use em2_trace::FlatWorkload;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Barrier bookkeeping: expected arrivals, arrival counts, and parked
 /// threads per barrier index.
@@ -33,100 +32,6 @@ pub fn barrier_quotas(counts: impl Iterator<Item = usize>) -> Vec<usize> {
     (0..max_barriers)
         .map(|k| counts.iter().filter(|&&c| c > k).count())
         .collect()
-}
-
-/// What one barrier arrival means for the arriving party.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BarrierArrival {
-    /// This arrival met the quota: the arriver releases the barrier
-    /// (waking parked threads is the caller's job) and passes through.
-    Completes,
-    /// The barrier was already open — an over-quota arrival from a
-    /// mis-sized caller-supplied quota. Pass through rather than park
-    /// forever awaiting a release that already happened.
-    AlreadyOpen,
-    /// Quota not yet met: park until the release.
-    Parks,
-}
-
-/// Lock-free barrier bookkeeping with the exact release quotas of
-/// [`barrier_quotas`], shareable across threads: per-barrier atomic
-/// arrival counters plus a single atomic release flag each. This is
-/// the concurrent counterpart of [`Barriers`] — the executable
-/// runtime's shards arrive through `&self` with no lock, yet open
-/// each barrier on exactly the arrival the simulator would.
-#[derive(Debug)]
-pub struct AtomicBarriers {
-    expected: Vec<usize>,
-    arrived: Vec<AtomicUsize>,
-    released: Vec<AtomicBool>,
-}
-
-impl AtomicBarriers {
-    /// Build the hub from per-barrier release quotas
-    /// (see [`barrier_quotas`]).
-    pub fn new(quotas: Vec<usize>) -> Self {
-        AtomicBarriers {
-            arrived: quotas.iter().map(|_| AtomicUsize::new(0)).collect(),
-            released: quotas.iter().map(|_| AtomicBool::new(false)).collect(),
-            expected: quotas,
-        }
-    }
-
-    /// Number of barriers the hub tracks.
-    pub fn len(&self) -> usize {
-        self.expected.len()
-    }
-
-    /// Whether the hub tracks no barriers at all.
-    pub fn is_empty(&self) -> bool {
-        self.expected.is_empty()
-    }
-
-    /// Register one arrival at barrier `k`.
-    ///
-    /// Exactly one arrival observes [`BarrierArrival::Completes`]: the
-    /// one whose increment meets the quota. Arrivals beyond the quota
-    /// (a mis-sized caller-supplied quota) see
-    /// [`BarrierArrival::AlreadyOpen`].
-    ///
-    /// # Panics
-    /// Panics if `k` has no quota or a zero quota (which could never
-    /// complete — failing loudly beats parking the arriver forever).
-    pub fn arrive(&self, k: usize) -> BarrierArrival {
-        assert!(k < self.expected.len(), "barrier {k} has no quota");
-        assert!(self.expected[k] > 0, "barrier {k} has a zero quota");
-        if self.released[k].load(Ordering::Acquire) {
-            return BarrierArrival::AlreadyOpen;
-        }
-        let n = self.arrived[k].fetch_add(1, Ordering::AcqRel) + 1;
-        if n >= self.expected[k] {
-            self.released[k].store(true, Ordering::Release);
-            if n == self.expected[k] {
-                BarrierArrival::Completes
-            } else {
-                BarrierArrival::AlreadyOpen
-            }
-        } else {
-            BarrierArrival::Parks
-        }
-    }
-
-    /// Has barrier `k` released?
-    pub fn is_released(&self, k: usize) -> bool {
-        self.released[k].load(Ordering::Acquire)
-    }
-
-    /// Mark barrier `k` released without an arrival.
-    ///
-    /// Used by clustered runtimes (`em2-net`): on every node except the
-    /// barrier coordinator, arrivals are forwarded over the wire and
-    /// the local hub only mirrors the coordinator's release decision —
-    /// this is the mirroring primitive. Idempotent.
-    pub fn force_release(&self, k: usize) {
-        assert!(k < self.released.len(), "barrier {k} has no quota");
-        self.released[k].store(true, Ordering::Release);
-    }
 }
 
 impl Barriers {
@@ -173,63 +78,5 @@ mod tests {
     fn quotas_count_threads_with_enough_barriers() {
         assert_eq!(barrier_quotas([2usize, 1, 0].into_iter()), vec![2, 1]);
         assert_eq!(barrier_quotas(std::iter::empty()), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn atomic_hub_releases_on_the_quota_arrival_exactly_once() {
-        let hub = AtomicBarriers::new(vec![3, 1]);
-        assert_eq!(hub.len(), 2);
-        assert!(!hub.is_empty());
-        assert_eq!(hub.arrive(0), BarrierArrival::Parks);
-        assert_eq!(hub.arrive(0), BarrierArrival::Parks);
-        assert!(!hub.is_released(0));
-        assert_eq!(hub.arrive(0), BarrierArrival::Completes);
-        assert!(hub.is_released(0));
-        // Over-quota arrivals pass through instead of parking forever.
-        assert_eq!(hub.arrive(0), BarrierArrival::AlreadyOpen);
-        assert_eq!(hub.arrive(1), BarrierArrival::Completes);
-    }
-
-    #[test]
-    fn atomic_hub_matches_sequential_barriers_under_contention() {
-        // 8 threads each arrive once at each of 4 barriers; exactly one
-        // Completes per barrier regardless of interleaving.
-        let hub = std::sync::Arc::new(AtomicBarriers::new(vec![8; 4]));
-        let completes = std::sync::Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let hub = std::sync::Arc::clone(&hub);
-                let completes = std::sync::Arc::clone(&completes);
-                s.spawn(move || {
-                    for k in 0..4 {
-                        if hub.arrive(k) == BarrierArrival::Completes {
-                            completes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(completes.load(Ordering::Relaxed), 4);
-        for k in 0..4 {
-            assert!(hub.is_released(k));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "zero quota")]
-    fn atomic_hub_rejects_zero_quotas_loudly() {
-        AtomicBarriers::new(vec![0]).arrive(0);
-    }
-
-    #[test]
-    fn force_release_mirrors_a_remote_decision() {
-        let hub = AtomicBarriers::new(vec![3]);
-        assert!(!hub.is_released(0));
-        hub.force_release(0);
-        assert!(hub.is_released(0));
-        hub.force_release(0); // idempotent
-        assert!(hub.is_released(0));
-        // Late arrivals pass through, as after a local release.
-        assert_eq!(hub.arrive(0), BarrierArrival::AlreadyOpen);
     }
 }

@@ -215,22 +215,7 @@ impl CostModel {
 /// assert_eq!(cm.cores(), 64);
 /// ```
 #[derive(Clone, Debug)]
-pub struct CostModelBuilder {
-    mesh: Mesh,
-    hop_latency: u64,
-    link_width_bits: u64,
-    header_bits: u64,
-    migration_fixed: u64,
-    ra_fixed: u64,
-    ra_req_bits: u64,
-    ra_write_data_bits: u64,
-    ra_resp_read_bits: u64,
-    ra_resp_ack_bits: u64,
-    context_bits: u64,
-    l1_hit_latency: u64,
-    l2_hit_latency: u64,
-    dram_latency: u64,
-}
+pub struct CostModelBuilder(CostModel);
 
 impl Default for CostModelBuilder {
     fn default() -> Self {
@@ -241,7 +226,7 @@ impl Default for CostModelBuilder {
 impl CostModelBuilder {
     /// Start from the paper-flavored 64-core defaults.
     pub fn new() -> Self {
-        CostModelBuilder {
+        CostModelBuilder(CostModel {
             mesh: Mesh::new(8, 8),
             hop_latency: 2,
             link_width_bits: 128,
@@ -256,101 +241,43 @@ impl CostModelBuilder {
             l1_hit_latency: 2,
             l2_hit_latency: 8,
             dram_latency: 100,
-        }
+        })
     }
 
     /// Set the mesh explicitly.
     pub fn mesh(mut self, mesh: Mesh) -> Self {
-        self.mesh = mesh;
+        self.0.mesh = mesh;
         self
     }
 
     /// Set the core count; uses the smallest near-square mesh.
-    pub fn cores(mut self, cores: usize) -> Self {
-        self.mesh = Mesh::square_for(cores);
-        self
+    pub fn cores(self, cores: usize) -> Self {
+        self.mesh(Mesh::square_for(cores))
     }
 
     /// Per-hop latency in cycles.
     pub fn hop_latency(mut self, v: u64) -> Self {
-        self.hop_latency = v;
+        self.0.hop_latency = v;
         self
     }
 
     /// Link (flit) width in bits.
     pub fn link_width_bits(mut self, v: u64) -> Self {
         assert!(v > 0, "link width must be positive");
-        self.link_width_bits = v;
-        self
-    }
-
-    /// Per-packet header bits.
-    pub fn header_bits(mut self, v: u64) -> Self {
-        self.header_bits = v;
-        self
-    }
-
-    /// Fixed migration overhead (pipeline drain + context load).
-    pub fn migration_fixed(mut self, v: u64) -> Self {
-        self.migration_fixed = v;
-        self
-    }
-
-    /// Fixed remote-access overhead.
-    pub fn ra_fixed(mut self, v: u64) -> Self {
-        self.ra_fixed = v;
+        self.0.link_width_bits = v;
         self
     }
 
     /// Migrated context size in bits (register-machine EM²).
     pub fn context_bits(mut self, v: u64) -> Self {
         assert!(v > 0, "context must carry at least the PC");
-        self.context_bits = v;
-        self
-    }
-
-    /// Derive the context size from an architectural spec.
-    pub fn context_spec(mut self, spec: ContextSpec) -> Self {
-        self.context_bits = spec.bits();
-        self
-    }
-
-    /// L1 hit latency in cycles.
-    pub fn l1_hit_latency(mut self, v: u64) -> Self {
-        self.l1_hit_latency = v;
-        self
-    }
-
-    /// L2 hit latency in cycles.
-    pub fn l2_hit_latency(mut self, v: u64) -> Self {
-        self.l2_hit_latency = v;
-        self
-    }
-
-    /// DRAM latency in cycles.
-    pub fn dram_latency(mut self, v: u64) -> Self {
-        self.dram_latency = v;
+        self.0.context_bits = v;
         self
     }
 
     /// Finalize the model.
     pub fn build(self) -> CostModel {
-        CostModel {
-            mesh: self.mesh,
-            hop_latency: self.hop_latency,
-            link_width_bits: self.link_width_bits,
-            header_bits: self.header_bits,
-            migration_fixed: self.migration_fixed,
-            ra_fixed: self.ra_fixed,
-            ra_req_bits: self.ra_req_bits,
-            ra_write_data_bits: self.ra_write_data_bits,
-            ra_resp_read_bits: self.ra_resp_read_bits,
-            ra_resp_ack_bits: self.ra_resp_ack_bits,
-            context_bits: self.context_bits,
-            l1_hit_latency: self.l1_hit_latency,
-            l2_hit_latency: self.l2_hit_latency,
-            dram_latency: self.dram_latency,
-        }
+        self.0
     }
 }
 

@@ -36,10 +36,9 @@
 
 use crate::error::ClusterError;
 use crate::proto::NetMsg;
-use em2_engine::{AtomicBarriers, BarrierArrival};
 use em2_obs::json::{array, JsonObj};
 use em2_rt::wire::{FrozenShard, HopCause, JourneyHop, WireMsg};
-use em2_rt::{InboxBacklog, ShardDirectory};
+use em2_rt::{InboxBacklog, RunLedger, ShardDirectory};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The coordinator's per-handoff budget: a live shard handoff that
@@ -188,13 +187,10 @@ struct ActiveHandoff {
     deadline: Option<u64>,
 }
 
-/// Coordinator-only state: the cluster's real barrier hub, the quiesce
-/// ledger, and the handoff ledger.
+/// Coordinator-only state: the cluster's run ledger (when a barrier
+/// opens, when the run is over) and the handoff ledger.
 struct Coord {
-    barriers: AtomicBarriers,
-    closed: usize,
-    submitted: u64,
-    retired: u64,
+    ledger: RunLedger,
     next_hid: u64,
     active: Option<ActiveHandoff>,
     queue: VecDeque<(u32, u32)>,
@@ -248,10 +244,7 @@ impl Control {
             parked: Vec::new(),
             done_dest_hid: 0,
             coord: (me == COORD).then(|| Coord {
-                barriers: AtomicBarriers::new(barrier_quotas),
-                closed: 0,
-                submitted: 0,
-                retired: 0,
+                ledger: RunLedger::new(nodes, barrier_quotas),
                 next_hid: 1,
                 active: None,
                 queue: VecDeque::new(),
@@ -419,28 +412,24 @@ impl Control {
                 msg,
             } => self.bounced(dir, from, (to as usize, epoch, retries, msg), out),
             NetMsg::BarrierArrive { k } => {
-                if self.coord().barriers.arrive(k as usize) == BarrierArrival::Completes {
+                if self.coord().ledger.arrive(k as usize) {
                     self.broadcast(dir, NetMsg::BarrierRelease { k }, out);
                 }
             }
             NetMsg::BarrierRelease { k } => out.push(Action::ReleaseBarrier { k: k as usize }),
             NetMsg::Retired => {
-                self.coord().retired += 1;
+                self.coord().ledger.retire();
                 self.maybe_quiesce(dir, out);
             }
             NetMsg::Closed { submitted } => {
-                let nodes = self.nodes;
-                let c = self.coord();
-                c.closed += 1;
-                if c.closed > nodes {
+                if self.coord().ledger.close(submitted) {
+                    self.maybe_quiesce(dir, out);
+                } else {
                     out.push(Action::Fail(ClusterError::Protocol {
                         from,
                         detail: "more Closed messages than nodes".into(),
                     }));
-                    return;
                 }
-                c.submitted += submitted;
-                self.maybe_quiesce(dir, out);
             }
             NetMsg::Quiesce => {
                 self.quiesced = true;
@@ -731,25 +720,16 @@ impl Control {
         self.maybe_quiesce(dir, out);
     }
 
-    /// Declare cluster quiesce exactly once, when every node has
-    /// closed admission, every submitted task has retired, and no
-    /// handoff is active or queued (a frozen shard in transit holds
-    /// heap words and possibly parked envelopes). The gate order
-    /// matters: `retired` may transiently exceed the `submitted` sum
-    /// while some node's `Closed` is still queued, so the comparison
-    /// is only meaningful after all closes.
+    /// Declare cluster quiesce once the run ledger says the run is
+    /// over (exactly once: every node closed, every task retired) —
+    /// asked only while no handoff is active or queued (a frozen shard
+    /// in transit holds heap words and possibly parked envelopes), so
+    /// the commit that empties the handoff ledger asks again.
     fn maybe_quiesce(&mut self, dir: &ShardDirectory, out: &mut Vec<Action>) {
-        let (quiesced, nodes) = (self.quiesced, self.nodes);
         let c = self.coord();
-        if quiesced
-            || c.closed < nodes
-            || c.retired != c.submitted
-            || c.active.is_some()
-            || !c.queue.is_empty()
-        {
-            return;
+        if c.active.is_none() && c.queue.is_empty() && c.ledger.quiesce() {
+            self.broadcast(dir, NetMsg::Quiesce, out);
         }
-        self.broadcast(dir, NetMsg::Quiesce, out);
     }
 
     // ------------------------------------------------------- deadlines
@@ -839,12 +819,13 @@ impl Control {
                     .str("phase", PHASE)
                     .finish()
             });
+            let (closed, submitted, retired) = c.ledger.counts();
             o = o
                 .raw("handoff_active", &active)
                 .u64("handoff_queued", c.queue.len() as u64)
-                .u64("closed_nodes", c.closed as u64)
-                .u64("submitted", c.submitted)
-                .u64("retired", c.retired);
+                .u64("closed_nodes", closed as u64)
+                .u64("submitted", submitted)
+                .u64("retired", retired);
         }
         o.finish()
     }

@@ -88,12 +88,11 @@ const COALESCE_FRAMES: usize = 64;
 /// must not buffer tens of MiB before the first byte moves).
 const COALESCE_BYTES: usize = 256 << 10;
 
-/// Per-node wire telemetry. Every count here is read once, by
-/// `finish()`, after the writers and readers have joined — so nothing
-/// on the data path touches these atomics per frame: a writer stages
-/// into its own [`Staged`] ledger and publishes it with the flush that
-/// puts the frames on the wire, a reader accumulates in an [`RxLedger`]
-/// and publishes before every `recv` that may block (DESIGN.md §11).
+/// One node's wire telemetry. Every count is kept as plain memory by
+/// the thread that counts it — a writer its edge's egress, a reader its
+/// edge's ingress — handed back through that thread's `JoinHandle`, and
+/// summed by `finish()`: nothing on the data path touches a shared
+/// counter (DESIGN.md §11).
 ///
 /// In `frames_tx`/`bytes_tx` (and their rx twins), control frames
 /// (heartbeats, aborts, goodbyes) are **excluded** so the fault-free
@@ -106,32 +105,6 @@ const COALESCE_BYTES: usize = 256 << 10;
 /// timing-dependent (like wall clock): how frames pack into flushes and
 /// how deep queues get depends on scheduling, so they are telemetry,
 /// never part of an agreement check.
-#[derive(Default)]
-struct WireStats {
-    frames_tx: AtomicU64,
-    bytes_tx: AtomicU64,
-    frames_rx: AtomicU64,
-    bytes_rx: AtomicU64,
-    /// Inbound frames discarded as sequence-layer duplicates.
-    dupes_rx: AtomicU64,
-    /// Migration/eviction envelopes shipped to another process.
-    arrives_tx: AtomicU64,
-    /// Serialized task-context bytes inside those envelopes — the
-    /// "context bytes on the wire" the paper's §5 sizing argument is
-    /// about.
-    context_bytes_tx: AtomicU64,
-    /// Coalesced flush batches written (≈ egress syscalls on stream
-    /// transports); `flushes_tx < frames_tx` proves frames-per-flush
-    /// exceeded one. (`frames_tx_total`/`bytes_tx_total` live on each
-    /// [`Peer`] — the writer thread owns that ledger — and are summed
-    /// into the snapshot.)
-    flushes_tx: AtomicU64,
-    /// High-water mark of any peer egress queue's depth, as its writer
-    /// sampled it at the top of each coalesce window.
-    egress_hwm: AtomicU64,
-}
-
-/// A snapshot of one node's wire telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireSnapshot {
     /// Frames sent to peers (control frames excluded).
@@ -166,6 +139,24 @@ pub struct WireSnapshot {
     pub egress_hwm: u64,
 }
 
+impl WireSnapshot {
+    /// Fold in another thread's share: counts add, the high-water mark
+    /// takes the max.
+    fn absorb(&mut self, o: &WireSnapshot) {
+        self.frames_tx += o.frames_tx;
+        self.bytes_tx += o.bytes_tx;
+        self.frames_rx += o.frames_rx;
+        self.bytes_rx += o.bytes_rx;
+        self.dupes_rx += o.dupes_rx;
+        self.arrives_tx += o.arrives_tx;
+        self.context_bytes_tx += o.context_bytes_tx;
+        self.frames_tx_total += o.frames_tx_total;
+        self.bytes_tx_total += o.bytes_tx_total;
+        self.flushes_tx += o.flushes_tx;
+        self.egress_hwm = self.egress_hwm.max(o.egress_hwm);
+    }
+}
+
 /// What travels down a peer's egress queue.
 enum EgressItem {
     /// An encodable message; the writer assigns its sequence number at
@@ -198,15 +189,9 @@ struct Peer {
     /// The writer thread's handle, registered by the thread itself
     /// before it first looks at a lane.
     writer: OnceLock<std::thread::Thread>,
-    /// Every frame this edge has written after the handshake (control
-    /// included) — the per-peer egress ledger, published per flush.
-    frames_tx: AtomicU64,
-    /// Payload bytes this edge has written (control included).
-    bytes_tx: AtomicU64,
-    /// Milliseconds (since the link epoch) of the last frame sent to /
-    /// received from this peer — the writer's idle-heartbeat and
-    /// liveness clocks.
-    last_tx_ms: AtomicU64,
+    /// Milliseconds (since the link epoch) of the last socket read
+    /// that brought a frame from this peer: stored by the reader, read
+    /// by the writer's liveness check.
     last_rx_ms: AtomicU64,
     /// The peer announced a clean close ([`NetMsg::Bye`]); a
     /// subsequent EOF is a shutdown, not a loss.
@@ -219,9 +204,6 @@ impl Peer {
             egress: MpscQueue::new(),
             urgent: Mutex::new(Vec::new()),
             writer: OnceLock::new(),
-            frames_tx: AtomicU64::new(0),
-            bytes_tx: AtomicU64::new(0),
-            last_tx_ms: AtomicU64::new(0),
             last_rx_ms: AtomicU64::new(0),
             bye: AtomicBool::new(false),
         }
@@ -257,7 +239,6 @@ struct Links {
     peers: Vec<Option<Peer>>,
     /// Set once the runtime is up; readers start after that.
     inbox: OnceLock<em2_rt::RemoteInbox>,
-    stats: WireStats,
     /// First failure observed on this node; `finish` refuses to report
     /// counters from a cluster that broke mid-run.
     failure: Mutex<Option<ClusterError>>,
@@ -436,27 +417,6 @@ impl Links {
             .unwrap_or_else(|p| p.into_inner())
             .push(msg);
         peer.unpark_writer();
-    }
-
-    fn snapshot(&self) -> WireSnapshot {
-        let (mut frames_total, mut bytes_total) = (0u64, 0u64);
-        for p in self.peers.iter().flatten() {
-            frames_total += p.frames_tx.load(Ordering::Relaxed);
-            bytes_total += p.bytes_tx.load(Ordering::Relaxed);
-        }
-        WireSnapshot {
-            frames_tx: self.stats.frames_tx.load(Ordering::Relaxed),
-            bytes_tx: self.stats.bytes_tx.load(Ordering::Relaxed),
-            frames_rx: self.stats.frames_rx.load(Ordering::Relaxed),
-            bytes_rx: self.stats.bytes_rx.load(Ordering::Relaxed),
-            dupes_rx: self.stats.dupes_rx.load(Ordering::Relaxed),
-            arrives_tx: self.stats.arrives_tx.load(Ordering::Relaxed),
-            context_bytes_tx: self.stats.context_bytes_tx.load(Ordering::Relaxed),
-            frames_tx_total: frames_total,
-            bytes_tx_total: bytes_total,
-            flushes_tx: self.stats.flushes_tx.load(Ordering::Relaxed),
-            egress_hwm: self.stats.egress_hwm.load(Ordering::Relaxed),
-        }
     }
 
     // ------------------------------------------- control-plane driver
@@ -730,59 +690,23 @@ impl NodeLink for Links {
     }
 }
 
-/// Run-traffic frames and bytes one reader has consumed and not yet
-/// added to the node's ledger. The reader publishes before every
-/// `recv` that may block — so the shared counters trail the stream by
-/// at most the frames of one socket read — and, through `Drop`, on
-/// every way out of its loop; `finish()` joins the readers before it
-/// reads the ledger, which makes the counts exact where they are
-/// compared.
-struct RxLedger<'a> {
-    stats: &'a WireStats,
-    frames: u64,
-    bytes: u64,
-}
-
-impl RxLedger<'_> {
-    fn publish(&mut self) {
-        if self.frames > 0 {
-            self.stats
-                .frames_rx
-                .fetch_add(std::mem::take(&mut self.frames), Ordering::Relaxed);
-            self.stats
-                .bytes_rx
-                .fetch_add(std::mem::take(&mut self.bytes), Ordering::Relaxed);
-        }
-    }
-}
-
-impl Drop for RxLedger<'_> {
-    fn drop(&mut self) {
-        self.publish();
-    }
-}
-
 /// One reader thread: drain a peer connection into the runtime.
-/// Returns on clean EOF (after the peer's [`NetMsg::Bye`] or the
-/// cluster's quiesce) or after recording a failure.
+/// Returns — with this edge's receive ledger — on clean EOF (after the
+/// peer's [`NetMsg::Bye`] or the cluster's quiesce) or after recording
+/// a failure.
 ///
 /// The hot path takes only the target mailbox's lock and touches
 /// nothing else shared per frame: decode, sequence check, *we own the
 /// shard*, `inbox.deliver`.
-/// What is only needed per socket read is done per socket read — the
+/// What is only needed per socket read is done per socket read: the
 /// clock (one reading serves the edge's liveness stamp and the arrival
-/// time of every envelope that read brought in) and the publication of
-/// the receive ledger. Every other frame is an event for the control
-/// plane.
-fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
+/// time of every envelope that read brought in). Every other frame is
+/// an event for the control plane.
+fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> WireSnapshot {
     // The handshake frame consumed sequence 0 in each direction.
     let mut expected_seq: u64 = 1;
     let peer = links.peer(from_node);
-    let mut ledger = RxLedger {
-        stats: &links.stats,
-        frames: 0,
-        bytes: 0,
-    };
+    let mut wire = WireSnapshot::default();
     // When the bytes of the frame in hand reached this node.
     let mut received = Instant::now();
     loop {
@@ -791,9 +715,6 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
         // the carrier can block, and can learn anything about the
         // peer's liveness.
         let reads = !rx.buffered();
-        if reads {
-            ledger.publish();
-        }
         // Borrowed from the receiver's buffer: decoding copies out the
         // fields the message owns, nothing else.
         let frame = match rx.recv() {
@@ -808,7 +729,7 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
                         detail: "connection closed without a goodbye".into(),
                     });
                 }
-                return;
+                return wire;
             }
             Err(e) => {
                 if !links.done.load(Ordering::Acquire) {
@@ -817,7 +738,7 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
                         detail: format!("receive failed: {e}"),
                     });
                 }
-                return;
+                return wire;
             }
         };
         if reads {
@@ -832,14 +753,14 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
                     from: from_node,
                     detail: e.to_string(),
                 });
-                return;
+                return wire;
             }
         };
         if seq < expected_seq {
             // A replayed frame: its sequence was already consumed, so
             // dropping it is exactly once-delivery — this is why
             // duplicate faults leave the E12 sum bit-equal.
-            links.stats.dupes_rx.fetch_add(1, Ordering::Relaxed);
+            wire.dupes_rx += 1;
             continue;
         }
         if seq > expected_seq {
@@ -850,12 +771,12 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
                      at least one frame was lost"
                 ),
             });
-            return;
+            return wire;
         }
         expected_seq += 1;
         if !msg.is_control() {
-            ledger.frames += 1;
-            ledger.bytes += frame.len() as u64;
+            wire.frames_rx += 1;
+            wire.bytes_rx += frame.len() as u64;
         }
         match msg {
             NetMsg::Shard {
@@ -865,7 +786,7 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
             {
                 if let Err(e) = links.deliver(from_node, to as usize, retries, msg, received) {
                     links.fail(e);
-                    return;
+                    return wire;
                 }
             }
             // Pure liveness: `last_rx_ms` was refreshed by the read
@@ -880,7 +801,7 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
                     from: from_node,
                     msg,
                 }) {
-                    return;
+                    return wire;
                 }
             }
         }
@@ -907,32 +828,30 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) {
 /// `finish` after the last data frame) drains the FIFO, appends
 /// [`NetMsg::Bye`] on a clean run, flushes, closes, and exits — Bye
 /// stays last on the wire.
-fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
+fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapshot {
     let peer = links.peer(node);
     let _ = peer.writer.set(std::thread::current());
     // This edge's timing-plane handle (`None` when obs is off).
     let pobs = links.obs.get().map(|o| o.register_peer(node as u64));
     // Every flush on this edge, whichever lane filled the batch: one
     // write and one clock read behind it, then everything that is per
-    // flush rather than per frame — the staged ledger's publication,
-    // the flush count, `queued` (how deep `take` found the main lane
-    // when this window opened) against the egress high-water mark, the
-    // heartbeat clock and (obs on) the latency, which spans
-    // `send_batch` and nothing else: the exact syscall cost the batch
-    // pays. What a failed write means is the caller's policy.
+    // flush rather than per frame — the flush count, `queued` (how deep
+    // `take` found the main lane when this window opened) against the
+    // egress high-water mark, the heartbeat clock and (obs on) the
+    // latency, which spans `send_batch` and nothing else: the exact
+    // syscall cost the batch pays. What a failed write means is the
+    // caller's policy.
     let flush = |c: &mut dyn FrameTx,
                  batch: &FrameBatch,
-                 staged: &mut Staged,
+                 tx: &mut Egress,
                  queued: u64|
      -> std::io::Result<()> {
         let t0 = pobs.as_ref().map(|_| Instant::now());
         c.send_batch(batch)?;
         let written = Instant::now();
-        staged.publish(&links.stats, peer);
-        links.stats.flushes_tx.fetch_add(1, Ordering::Relaxed);
-        links.stats.egress_hwm.fetch_max(queued, Ordering::Relaxed);
-        peer.last_tx_ms
-            .store(links.ms_at(written), Ordering::Relaxed);
+        tx.wire.flushes_tx += 1;
+        tx.wire.egress_hwm = tx.wire.egress_hwm.max(queued);
+        tx.last_tx_ms = links.ms_at(written);
         if let (Some(po), Some(t0)) = (&pobs, t0) {
             po.record_flush(written.duration_since(t0).as_nanos() as u64, queued);
         }
@@ -949,13 +868,15 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     let deadline = links.spec.timeouts.peer_deadline_ms();
     let tick = Duration::from_millis(if hb > 0 { (hb / 4).clamp(1, 50) } else { 200 });
     let mut conn = Some(conn);
-    // The handshake frame consumed sequence 0 in this direction.
-    let mut next_seq: u64 = 1;
     // Every frame this edge sends is encoded into, and written from,
     // this one buffer; it grows to the largest window seen and stays.
     let mut batch = FrameBatch::default();
-    // What `batch` holds, on the ledgers' terms.
-    let mut staged = Staged::default();
+    let mut tx = Egress {
+        // The handshake frame consumed sequence 0 in this direction.
+        next_seq: 1,
+        last_tx_ms: 0,
+        wire: WireSnapshot::default(),
+    };
     // The window `take` moves out of the main lane (capacity persists).
     let mut window: Vec<EgressItem> = Vec::with_capacity(COALESCE_FRAMES);
     loop {
@@ -965,11 +886,11 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             if let Some(c) = conn.as_mut() {
                 batch.clear();
                 for msg in &urgent {
-                    stage(links, node, &mut next_seq, msg, &mut batch, &mut staged);
+                    stage(links, node, msg, &mut batch, &mut tx);
                 }
                 // Best-effort, like the old quiet path: the failure
                 // fan-out must not recurse into fail().
-                if flush(c.as_mut(), &batch, &mut staged, 0).is_err() {
+                if flush(c.as_mut(), &batch, &mut tx, 0).is_err() {
                     conn = None;
                 }
             }
@@ -993,11 +914,11 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             // With the connection gone the queue still drains (and
             // frees) so producers never back up.
             let Some(c) = conn.as_mut() else { continue };
-            stage(links, node, &mut next_seq, &msg, &mut batch, &mut staged);
+            stage(links, node, &msg, &mut batch, &mut tx);
             if batch.wire_len() >= COALESCE_BYTES {
                 // The byte bound: a window of huge frames leaves in
                 // several writes instead of buffering them all.
-                if let Err(e) = flush(c.as_mut(), &batch, &mut staged, queued) {
+                if let Err(e) = flush(c.as_mut(), &batch, &mut tx, queued) {
                     conn = None;
                     send_failed(e);
                 }
@@ -1008,28 +929,21 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
         if let Some(bye) = close {
             if let Some(mut c) = conn.take() {
                 if bye {
-                    stage(
-                        links,
-                        node,
-                        &mut next_seq,
-                        &NetMsg::Bye,
-                        &mut batch,
-                        &mut staged,
-                    );
+                    stage(links, node, &NetMsg::Bye, &mut batch, &mut tx);
                 }
                 if !batch.is_empty() {
-                    let _ = flush(c.as_mut(), &batch, &mut staged, queued);
+                    let _ = flush(c.as_mut(), &batch, &mut tx, queued);
                 }
                 let _ = c.close();
             }
-            return;
+            return tx.wire;
         }
 
         if !batch.is_empty() {
             let c = conn
                 .as_mut()
                 .expect("frames are only encoded with a live conn");
-            if let Err(e) = flush(c.as_mut(), &batch, &mut staged, queued) {
+            if let Err(e) = flush(c.as_mut(), &batch, &mut tx, queued) {
                 conn = None;
                 send_failed(e);
             }
@@ -1048,18 +962,11 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
             && !links.quiesced.load(Ordering::Acquire)
         {
             let now = links.now_ms();
-            if now.saturating_sub(peer.last_tx_ms.load(Ordering::Relaxed)) >= hb {
+            if now.saturating_sub(tx.last_tx_ms) >= hb {
                 batch.clear();
-                stage(
-                    links,
-                    node,
-                    &mut next_seq,
-                    &NetMsg::Heartbeat,
-                    &mut batch,
-                    &mut staged,
-                );
+                stage(links, node, &NetMsg::Heartbeat, &mut batch, &mut tx);
                 let c = conn.as_mut().expect("checked above");
-                if let Err(e) = flush(c.as_mut(), &batch, &mut staged, 0) {
+                if let Err(e) = flush(c.as_mut(), &batch, &mut tx, 0) {
                     conn = None;
                     send_failed(e);
                 }
@@ -1085,56 +992,25 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) {
     }
 }
 
-/// One writer's share of the wire ledgers for the frames it has staged
-/// and not yet flushed — plain memory, owned by the writer thread. The
-/// flush that writes the frames publishes it: six `fetch_add`s per
-/// flush where the shared counters used to take four per frame here and
-/// two more on the sending worker.
-#[derive(Default)]
-struct Staged {
-    /// Every frame, control included, and its payload bytes.
-    frames_total: u64,
-    bytes_total: u64,
-    /// Run traffic only (the deterministic ledger).
-    frames: u64,
-    bytes: u64,
-    /// Migration/eviction envelopes among them, and the serialized
-    /// task-context bytes inside those.
-    arrives: u64,
-    context_bytes: u64,
-}
-
-impl Staged {
-    /// Add the staged counts to the edge's and the node's ledgers and
-    /// start over.
-    fn publish(&mut self, stats: &WireStats, peer: &Peer) {
-        let s = std::mem::take(self);
-        peer.frames_tx.fetch_add(s.frames_total, Ordering::Relaxed);
-        peer.bytes_tx.fetch_add(s.bytes_total, Ordering::Relaxed);
-        stats.frames_tx.fetch_add(s.frames, Ordering::Relaxed);
-        stats.bytes_tx.fetch_add(s.bytes, Ordering::Relaxed);
-        stats.arrives_tx.fetch_add(s.arrives, Ordering::Relaxed);
-        stats
-            .context_bytes_tx
-            .fetch_add(s.context_bytes, Ordering::Relaxed);
-    }
+/// What a writer thread owns besides its connection and its buffers:
+/// plain memory, read by nobody else until the thread returns `wire`.
+struct Egress {
+    /// Sequence number of the next frame on this edge.
+    next_seq: u64,
+    /// Link-clock milliseconds of the last flush (the heartbeat clock).
+    last_tx_ms: u64,
+    /// This edge's egress ledger.
+    wire: WireSnapshot,
 }
 
 /// Encode `msg` under the writer's next sequence number straight into
-/// the flush buffer, counting it in `staged`: every frame on the edge's
+/// the flush buffer, counting it in `tx.wire`: every frame on the total
 /// ledger, run traffic on the deterministic one, and a shipped envelope
 /// — visible right here, in the `Shard{Arrive}` being encoded — on the
 /// context ledger. A message too large to frame (only a frozen shard
 /// can be) fails the run typed and consumes no sequence number.
-fn stage(
-    links: &Links,
-    node: usize,
-    next_seq: &mut u64,
-    msg: &NetMsg,
-    batch: &mut FrameBatch,
-    staged: &mut Staged,
-) {
-    let len = match batch.push_with(|b| msg.encode_into(*next_seq, b)) {
+fn stage(links: &Links, node: usize, msg: &NetMsg, batch: &mut FrameBatch, tx: &mut Egress) {
+    let len = match batch.push_with(|b| msg.encode_into(tx.next_seq, b)) {
         Ok(len) => len as u64,
         Err(e) => {
             return links.fail(ClusterError::PeerLost {
@@ -1143,20 +1019,20 @@ fn stage(
             })
         }
     };
-    *next_seq += 1;
-    staged.frames_total += 1;
-    staged.bytes_total += len;
+    tx.next_seq += 1;
+    tx.wire.frames_tx_total += 1;
+    tx.wire.bytes_tx_total += len;
     if !msg.is_control() {
-        staged.frames += 1;
-        staged.bytes += len;
+        tx.wire.frames_tx += 1;
+        tx.wire.bytes_tx += len;
     }
     if let NetMsg::Shard {
         msg: arrive @ WireMsg::Arrive(_),
         ..
     } = msg
     {
-        staged.arrives += 1;
-        staged.context_bytes += arrive.context_payload_len() as u64;
+        tx.wire.arrives_tx += 1;
+        tx.wire.context_bytes_tx += arrive.context_payload_len() as u64;
     }
 }
 
@@ -1221,8 +1097,8 @@ pub struct NetReport {
 pub struct NodeRuntime {
     rt: Option<Runtime>,
     links: Arc<Links>,
-    readers: Vec<std::thread::JoinHandle<()>>,
-    writers: Vec<std::thread::JoinHandle<()>>,
+    readers: Vec<std::thread::JoinHandle<WireSnapshot>>,
+    writers: Vec<std::thread::JoinHandle<WireSnapshot>>,
     ticker: std::thread::JoinHandle<()>,
     node: usize,
     transport: &'static str,
@@ -1409,11 +1285,12 @@ impl NodeRuntime {
             spec.initial_epoch,
             &owners,
         ));
+        let barriers = barrier_quotas.len();
         let control = Control::new(
             node,
             nodes,
             spec.total_shards,
-            barrier_quotas.clone(),
+            barrier_quotas,
             spec.timeouts.run_ms,
         );
         let links = Arc::new(Links {
@@ -1422,7 +1299,6 @@ impl NodeRuntime {
             control: Mutex::new(control),
             peers,
             inbox: OnceLock::new(),
-            stats: WireStats::default(),
             failure: Mutex::new(None),
             quiesced: AtomicBool::new(false),
             done: AtomicBool::new(false),
@@ -1437,11 +1313,10 @@ impl NodeRuntime {
             name,
             placement,
             scheme_factory,
-            barrier_quotas,
+            barriers,
             NodeRole {
                 directory,
                 node_id: node as u32,
-                clustered_barriers: nodes > 1,
                 link: Arc::clone(&links) as Arc<dyn NodeLink>,
             },
         );
@@ -1606,21 +1481,28 @@ impl NodeRuntime {
                 p.unpark_writer();
             }
         }
-        let writer_panicked = self.writers.drain(..).any(|w| w.join().is_err());
-        // Readers exit when peers close theirs (every node does this
-        // after its own finish, bounded by its own run deadline).
-        let reader_panicked = self.readers.drain(..).any(|r| r.join().is_err());
+        // Writers first; readers exit when peers close theirs (every
+        // node does this after its own finish, bounded by its own run
+        // deadline). Each hands back the ledger it kept.
+        let mut wire = WireSnapshot::default();
+        let mut panicked = ticker_panicked;
+        for link_thread in self.writers.drain(..).chain(self.readers.drain(..)) {
+            match link_thread.join() {
+                Ok(counted) => wire.absorb(&counted),
+                Err(_) => panicked = true,
+            }
+        }
         if let Some(e) = failed {
             return Err(e);
         }
-        if writer_panicked || reader_panicked || ticker_panicked {
+        if panicked {
             return Err(ClusterError::Io {
                 detail: "a link thread panicked without recording a failure".into(),
             });
         }
         Ok(NetReport {
             rt: report,
-            wire: self.links.snapshot(),
+            wire,
             node: self.node,
             nodes: self.links.spec.num_nodes(),
             transport: self.transport,

@@ -216,11 +216,13 @@ impl CounterSummary {
         s
     }
 
-    /// Parse [`CounterSummary::render`] output.
+    /// Parse [`CounterSummary::render`] output: every key exactly once
+    /// (a truncated file must not read as zeros, nor a repeated key
+    /// overwrite silently), in any order.
     pub fn parse(text: &str) -> Result<CounterSummary, String> {
         let mut out = CounterSummary::default();
         let mut fields = out.fields();
-        let mut seen = 0usize;
+        let mut seen = [false; 25];
         fn num<T: std::str::FromStr>(v: &str, what: &str, line: &str) -> Result<T, String> {
             v.parse().map_err(|_| format!("bad {what} in {line:?}"))
         }
@@ -232,11 +234,14 @@ impl CounterSummary {
             let (k, v) = line
                 .split_once('=')
                 .ok_or_else(|| format!("expected key=value, got {line:?}"))?;
-            let (_, field) = fields
-                .iter_mut()
-                .find(|(key, _)| *key == k)
+            let i = fields
+                .iter()
+                .position(|(key, _)| *key == k)
                 .ok_or_else(|| format!("unknown key {k:?}"))?;
-            match field {
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(format!("duplicate key {k:?}"));
+            }
+            match &mut fields[i].1 {
                 Field::Sum(f) | Field::Max(f) => **f = num(v, "u64", line)?,
                 Field::Wide(f) => **f = num(v, "u128", line)?,
                 Field::Secs(f) => **f = num(v, "f64", line)?,
@@ -247,10 +252,9 @@ impl CounterSummary {
                         .collect::<Result<_, _>>()?
                 }
             }
-            seen += 1;
         }
-        if seen == 0 {
-            return Err("empty summary".into());
+        if let Some(i) = seen.iter().position(|&s| !s) {
+            return Err(format!("missing key {:?}", fields[i].0));
         }
         Ok(out)
     }
@@ -309,8 +313,17 @@ mod tests {
     #[test]
     fn render_parse_round_trips() {
         let s = sample();
-        let parsed = CounterSummary::parse(&s.render()).expect("parse");
-        assert_eq!(parsed, s);
+        let text = s.render();
+        assert_eq!(CounterSummary::parse(&text), Ok(s));
+        // A child killed mid-write leaves a prefix; it must not parse as
+        // a summary whose other counters are zero.
+        let truncated = text.lines().next().expect("25 lines");
+        let err = CounterSummary::parse(truncated).expect_err("24 keys missing");
+        assert_eq!(err, r#"missing key "migrations""#);
+        assert!(CounterSummary::parse("").is_err());
+        // Nor may a repeated key overwrite the first.
+        let err = CounterSummary::parse(&format!("{text}migrations=4\n"));
+        assert_eq!(err, Err(r#"duplicate key "migrations""#.into()));
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!    where the log overflows or where the task retires, whichever
 //!    comes first — and dumping them is as invisible on the wire as
 //!    everything else the plane does (DESIGN.md §14).
+//! 5. **One mode** — a single process and a one-node cluster are the
+//!    same runtime behind two links: the same trace leaves the same
+//!    events and the same counters (DESIGN.md §7).
 
 use em2_core::decision::{AlwaysMigrate, DecisionScheme, HistoryPredictor};
 use em2_model::{Addr, CoreId, ThreadId};
@@ -26,7 +29,7 @@ use em2_net::{
 };
 use em2_obs::{NodeObs, ObsConfig, Snapshot};
 use em2_placement::{FirstTouch, Placement, Striped};
-use em2_rt::{RtConfig, TaskRegistry, TaskSpec, TraceTask};
+use em2_rt::{RtConfig, Runtime, TaskRegistry, TaskSpec, TraceTask};
 use em2_trace::gen::micro;
 use em2_trace::{ThreadTrace, Workload};
 use std::sync::Arc;
@@ -482,5 +485,97 @@ fn the_first_sixteen_hops_reach_a_ring_exactly_once() {
         44,
         "every migration but task 1's last crossed the node boundary"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Property 5. Four threads, two barriers each, the second one with a
+/// thread fewer: every arrival parks — the one that opens the barrier
+/// too — whether the run ledger sits behind `Runtime::start`'s own link
+/// or behind `em2-net`'s control plane, and the reports agree counter
+/// for counter.
+#[test]
+fn a_single_process_is_the_one_node_cluster() {
+    const CORES: usize = 4;
+    let threads: Vec<ThreadTrace> = (0..CORES as u64)
+        .map(|t| {
+            let mut tr = ThreadTrace::new(ThreadId(t as u32), CoreId(t as u16));
+            tr.write(1, Addr(64 * t));
+            tr.barrier();
+            tr.read(1, Addr(64 * ((t + 1) % 4)));
+            if t > 0 {
+                tr.barrier();
+            }
+            tr.read(1, Addr(64 * ((t + 2) % 4)));
+            tr
+        })
+        .collect();
+    let w = Arc::new(Workload::new("one-mode", threads));
+    let arrivals: usize = w.threads.iter().map(|t| t.barriers.len()).sum();
+    let quotas = em2_engine::barrier_quotas(w.threads.iter().map(|t| t.barriers.len()));
+    assert_eq!((arrivals, &quotas[..]), (7, &[4, 3][..]));
+    let placement: Arc<dyn Placement> = Arc::new(Striped::new(CORES, 64));
+    let dir = std::env::temp_dir().join(format!("em2-obs-one-mode-{}", std::process::id()));
+    let cfg = |tag: &str| {
+        let mut obs = ObsConfig::on();
+        obs.flight_dir = Some(dir.join(tag));
+        std::fs::create_dir_all(dir.join(tag)).expect("scratch dir");
+        let mut cfg = RtConfig::eviction_free(CORES, CORES);
+        cfg.obs = Some(obs);
+        cfg
+    };
+    let tasks = || {
+        let task = |t: &ThreadTrace| TraceTask::new(Arc::clone(&w), t.thread);
+        w.threads
+            .iter()
+            .map(move |t| (TaskSpec::new(Box::new(task(t)), t.native), t.thread))
+    };
+    // `barrier-park` events in everything the run's rings hold, none
+    // of which may have been overwritten.
+    let parks = |obs: Arc<NodeObs>| {
+        assert_eq!(obs.snapshot().trace_dropped, 0);
+        let dump = obs.flight_dump("test", "end of run", None, None);
+        let text = std::fs::read_to_string(dump.expect("dump").expect("first dump"));
+        let text = text.expect("read dump");
+        text.matches(r#""ev":"barrier-park""#).count()
+    };
+
+    let mut rt = Runtime::start(
+        cfg("single"),
+        "one-mode",
+        Arc::clone(&placement),
+        || Box::new(AlwaysMigrate),
+        quotas.clone(),
+    );
+    let single_obs = rt.obs().expect("obs on");
+    for (spec, _) in tasks() {
+        rt.submit(spec);
+    }
+    let single = rt.finish();
+
+    let mut nrt = NodeRuntime::start(
+        ClusterSpec::loopback(1, CORES),
+        0,
+        cfg("cluster"),
+        "one-mode",
+        Arc::clone(&placement),
+        TaskRegistry::for_workload(Arc::clone(&w)),
+        || Box::new(AlwaysMigrate),
+        quotas,
+    )
+    .expect("node starts");
+    let cluster_obs = nrt.obs().expect("obs on");
+    for (spec, thread) in tasks() {
+        nrt.submit(spec, thread);
+    }
+    let cluster = nrt.finish().expect("clean run");
+
+    assert_eq!(parks(single_obs), arrivals, "single process");
+    assert_eq!(parks(cluster_obs), arrivals, "one-node cluster");
+    let counters = |r: &em2_rt::RtReport| CounterSummary {
+        wall_s: 0.0,
+        ..CounterSummary::from_rt(r)
+    };
+    assert_eq!(counters(&single), counters(&cluster.rt));
+    assert_eq!(cluster.wire, em2_net::WireSnapshot::default());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,8 +5,8 @@
 //! of the node that currently owns it, plus a monotonically increasing
 //! **epoch** counter that versions the whole map. Ownership lookups on
 //! the send path are a single atomic load — no lock, no indirection — so
-//! the single-process fast path and the common clustered case pay
-//! nothing for the flexibility. Writes are rare (a freeze, a claim, a
+//! every send, in one process or across many, takes the same
+//! directory-checked path. Writes are rare (a freeze, a claim, a
 //! commit) and all take one internal lock ([`ShardDirectory::write`]).
 //!
 //! The epoch advances exactly once per committed shard handoff, so its
@@ -51,8 +51,8 @@ impl ShardDirectory {
         }
     }
 
-    /// Directory for a single-process runtime: every shard owned by
-    /// node 0, epoch 0.
+    /// Directory of the one-node cluster a single process is: every
+    /// shard owned by node 0, epoch 0.
     pub fn single_process(shards: usize) -> Self {
         Self::new(0, 0, &vec![0; shards])
     }
@@ -95,7 +95,7 @@ impl ShardDirectory {
     /// the epoch is bumped only when the coordinator commits.
     ///
     /// The freeze calls this under the shard's mailbox lock, and the
-    /// clustered send path re-reads the owner under the same lock
+    /// send path re-reads the owner under the same lock
     /// before it pushes, so a send either precedes the flip or observes
     /// it — that lock orders them, not this store.
     pub fn set_owner(&self, shard: usize, node: u32) {

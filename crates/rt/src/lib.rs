@@ -30,16 +30,18 @@
 //!   Figure-2 run-length histogram via the engine's
 //!   [`em2_engine::RunMonitor`].
 //!
-//! **Cross-process seam** (PR 5): the message protocol is public as
-//! [`wire`] — a versioned binary codec for the Arrive / Request /
-//! Response / BarrierRelease seam — and the runtime can run as one
-//! **node** of a multi-process cluster ([`Runtime::start_node`]):
-//! messages addressed outside the locally owned shard range leave
-//! through a [`NodeLink`], inbound frames inject through
+//! **One mode.** A runtime is always one **node** of a cluster
+//! ([`Runtime::start_node`]): messages addressed to a shard it does not
+//! own, barrier arrivals, retirements and the closed admission leave
+//! through a [`NodeLink`]; inbound frames inject through
 //! [`Runtime::remote_inbox`], and migrated-in continuations are
-//! rebuilt by a [`TaskRegistry`]. The `em2-net` crate supplies the
-//! transports (loopback/UDS/TCP), membership, and cluster-wide
-//! barriers/quiesce; DESIGN.md §9 documents the wire format and the
+//! rebuilt by a [`TaskRegistry`]. When a barrier opens and when the run
+//! is over is decided by whoever holds the cluster's [`RunLedger`].
+//! [`Runtime::start`] is the one-node cluster: it owns every shard and
+//! its link is the ledger itself. The `em2-net` crate supplies
+//! transports (loopback/UDS/TCP), membership and the N-node holder of
+//! the ledger; the message protocol is public as [`wire`], a versioned
+//! binary codec, and DESIGN.md §9 documents it and the
 //! distribution-invariance argument.
 //!
 //! **Cross-validation** (experiment E11, `crates/rt/tests`): with an
@@ -60,12 +62,14 @@ mod exec;
 mod shard;
 
 pub mod directory;
+pub mod ledger;
 pub mod mpsc;
 pub mod runtime;
 pub mod task;
 pub mod wire;
 
 pub use directory::ShardDirectory;
+pub use ledger::RunLedger;
 pub use runtime::{
     run_tasks, run_workload, InboxBacklog, NodeLink, NodeRole, RemoteInbox, RtConfig, RtReport,
     Runtime, SchedStats, TaskSpec,

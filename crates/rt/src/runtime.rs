@@ -2,23 +2,25 @@
 //! report.
 
 use crate::exec::{worker_loop, Sched};
+use crate::ledger::RunLedger;
 use crate::shard::{Envelope, Msg, ShardCore, Shared};
 use crate::task::{Task, TaskRegistry, TraceTask};
 use crate::wire::{WireError, WireMsg};
 use em2_core::decision::DecisionScheme;
 use em2_core::stats::FlowCounts;
 use em2_core::RUN_BINS;
-use em2_engine::{barrier_quotas, AtomicBarriers};
+use em2_engine::barrier_quotas;
 use em2_model::{CoreId, CostModel, Histogram, ThreadId};
 use em2_placement::Placement;
 use em2_trace::Workload;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-/// Cross-process egress, implemented by the transport layer
-/// (`em2-net`). The runtime calls these from shard workers; every
+/// Everything that leaves a node, implemented by the transport layer
+/// (`em2-net`) and, for a single process, by this module's one-node
+/// link. The runtime calls these from shard workers; every
 /// implementation must be cheap and non-blocking where possible (a
 /// blocked socket write back-pressures the sending shard, which is the
 /// intended flow control).
@@ -46,23 +48,24 @@ pub trait NodeLink: Send + Sync {
     }
 
     /// A task on this node arrived at global barrier `k` and parked;
-    /// report the arrival to the cluster's barrier coordinator.
+    /// report the arrival to the cluster's [`RunLedger`], whose holder
+    /// answers the arrival that opens the barrier with
+    /// [`RemoteInbox::release_barrier`] on every node.
     fn barrier_arrive(&self, k: usize);
 
-    /// A task retired on this node (cluster-global completion
-    /// accounting).
+    /// A task retired on this node (reported to the same ledger).
     fn task_retired(&self);
 
     /// This node's runtime handle closed admission after submitting
     /// `submitted` tasks. When every node has closed and every
-    /// submitted task has retired, the coordinator declares quiesce.
+    /// submitted task has retired, the ledger's holder applies
+    /// [`RemoteInbox::begin_shutdown`] on every node.
     fn node_closed(&self, submitted: u64);
 }
 
-/// This runtime's place in a multi-process cluster: the epoch-versioned
-/// ownership directory it routes by, its node id in that directory, how
-/// barriers complete, and the link that carries everything leaving the
-/// process.
+/// This runtime's place in a cluster: the epoch-versioned ownership
+/// directory it routes by, its node id in that directory, and the link
+/// that carries everything leaving the node.
 pub struct NodeRole {
     /// Epoch-versioned per-shard ownership map. The transport layer
     /// holds the **same** `Arc` (it flips owners during live handoffs
@@ -73,13 +76,57 @@ pub struct NodeRole {
     /// owning zero shards (a joining member) and be assigned shards by
     /// live handoff later.
     pub node_id: u32,
-    /// `true` in multi-node clusters: barrier arrivals forward to the
-    /// coordinator and releases fan back over the wire. `false` for a
-    /// single-node cluster, which completes barriers locally —
-    /// bit-exact with the non-clustered runtime.
-    pub clustered_barriers: bool,
     /// The transport seam.
     pub link: Arc<dyn NodeLink>,
+}
+
+/// The link of the one-node cluster a single process is: every shard
+/// is owned here, so nothing is ever forwarded, and the [`RunLedger`]
+/// the other three calls report to sits right behind them. What it
+/// decides is applied through the same two calls a transport's control
+/// plane makes on [`RemoteInbox`].
+struct Solo {
+    ledger: Mutex<RunLedger>,
+    /// Set by [`Runtime::start`] before it returns, hence before the
+    /// first task exists to arrive or retire.
+    shared: OnceLock<Weak<Shared>>,
+}
+
+impl Solo {
+    /// Apply `f` to the ledger; on `true`, `then` to the runtime. The
+    /// lock is a leaf (the runtime call follows its release) and
+    /// poison-tolerant: `node_closed` also runs from `Drop`.
+    fn report(&self, f: impl FnOnce(&mut RunLedger) -> bool, then: impl FnOnce(&Shared)) {
+        if !f(&mut self.ledger.lock().unwrap_or_else(|p| p.into_inner())) {
+            return;
+        }
+        if let Some(shared) = self.shared.get().and_then(Weak::upgrade) {
+            then(&shared);
+        }
+    }
+}
+
+impl NodeLink for Solo {
+    fn forward(&self, to_shard: usize, _retries: u32, _msg: WireMsg) {
+        unreachable!("shard {to_shard} left a one-node cluster");
+    }
+
+    fn barrier_arrive(&self, k: usize) {
+        self.report(|l| l.arrive(k), |s| s.release_barrier(k));
+    }
+
+    fn task_retired(&self) {
+        let retire = |l: &mut RunLedger| {
+            l.retire();
+            l.quiesce()
+        };
+        self.report(retire, Shared::initiate_shutdown);
+    }
+
+    fn node_closed(&self, submitted: u64) {
+        let close = |l: &mut RunLedger| l.close(submitted) && l.quiesce();
+        self.report(close, Shared::initiate_shutdown);
+    }
 }
 
 /// Runtime configuration.
@@ -106,9 +153,6 @@ pub struct RtConfig {
     /// contexts get the shard (scheduling fairness only; decisions and
     /// counters do not depend on it).
     pub quantum: usize,
-    /// Run-length histogram bins ([`em2_core::RUN_BINS`] for
-    /// simulator-comparable histograms).
-    pub run_bins: u64,
     /// Observability plane (`em2-obs`). `None` resolves from the
     /// environment (`EM2_OBS` and friends) at start; tests and
     /// benchmarks that must not depend on ambient env vars pass
@@ -130,7 +174,6 @@ impl RtConfig {
             guest_contexts: 2,
             cost: CostModel::builder().cores(shards).build(),
             quantum: 256,
-            run_bins: RUN_BINS,
             obs: None,
         }
     }
@@ -212,7 +255,7 @@ pub struct RtReport {
     /// The Figure-1/3 flow counters, measured by execution. One unit
     /// caveat: `stalled_arrivals` counts each arrival that had to wait
     /// *once*, while the simulator counts every failed retry poll
-    /// (scaling with its `stall_retry` interval) — don't compare that
+    /// (every 4 cycles) — don't compare that
     /// field across machines.
     pub flow: FlowCounts,
     /// Run-length histogram (Figure-2 semantics, same binning as the
@@ -323,14 +366,10 @@ pub struct Runtime {
     make_scheme: Box<dyn FnMut() -> Box<dyn DecisionScheme> + Send>,
     next_thread: u32,
     shards: usize,
-    run_bins: u64,
     workers: usize,
-    /// Tasks submitted through this handle (reported to the cluster on
-    /// close in node mode).
+    /// Tasks submitted through this handle (reported to the run ledger
+    /// on close).
     submitted: u64,
-    /// Whether this runtime participates in a cluster (completion is
-    /// then link-driven, not live-count-driven).
-    node_mode: bool,
     t0: Instant,
     /// The timing-plane registry (`None` when obs is off); exposed
     /// through [`Runtime::obs`] so the transport layer can register
@@ -342,7 +381,8 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Launch the shard fleet.
+    /// Launch the shard fleet in this process: the one-node cluster,
+    /// whose link is the run ledger itself.
     ///
     /// `scheme_factory` is called once per submitted task: each task's
     /// thread gets its own decision-scheme instance, carried in its
@@ -360,53 +400,44 @@ impl Runtime {
         scheme_factory: impl FnMut() -> Box<dyn DecisionScheme> + Send + 'static,
         barrier_quotas: Vec<usize>,
     ) -> Self {
-        Runtime::start_inner(
-            cfg,
-            name,
-            placement,
-            Box::new(scheme_factory),
-            barrier_quotas,
-            None,
-        )
+        let barriers = barrier_quotas.len();
+        let link = Arc::new(Solo {
+            ledger: Mutex::new(RunLedger::new(1, barrier_quotas)),
+            shared: OnceLock::new(),
+        });
+        let role = NodeRole {
+            directory: Arc::new(crate::directory::ShardDirectory::single_process(cfg.shards)),
+            node_id: 0,
+            link: Arc::clone(&link) as Arc<dyn NodeLink>,
+        };
+        let rt = Runtime::start_node(cfg, name, placement, scheme_factory, barriers, role);
+        let shared = Arc::downgrade(rt.shared.as_ref().expect("just started"));
+        link.shared.set(shared).expect("set once");
+        rt
     }
 
-    /// Launch this process's shards of a multi-process cluster.
+    /// Launch this process's shards of a cluster with `barriers`
+    /// global barriers.
     ///
     /// `cfg.shards` is the **cluster-wide** shard count; this runtime
-    /// instantiates only `role`'s contiguous range and routes every
-    /// message addressed outside it through `role.link`. Inbound
+    /// polls only the shards `role.directory` says it owns and routes
+    /// every message addressed to another through `role.link`. Inbound
     /// messages are injected by the transport layer through
     /// [`Runtime::remote_inbox`]. Completion is cluster-global:
     /// [`Runtime::finish`] reports closure over the link and waits for
-    /// the coordinator's quiesce decision instead of counting local
-    /// retirements. `em2-net` wraps all of this; use it rather than
+    /// the quiesce decision of whoever holds the cluster's
+    /// [`RunLedger`]. `em2-net` wraps all of this; use it rather than
     /// calling this directly.
     pub fn start_node(
         cfg: RtConfig,
         name: impl Into<String>,
         placement: Arc<dyn Placement>,
         scheme_factory: impl FnMut() -> Box<dyn DecisionScheme> + Send + 'static,
-        barrier_quotas: Vec<usize>,
+        barriers: usize,
         role: NodeRole,
     ) -> Self {
-        Runtime::start_inner(
-            cfg,
-            name,
-            placement,
-            Box::new(scheme_factory),
-            barrier_quotas,
-            Some(role),
-        )
-    }
-
-    fn start_inner(
-        cfg: RtConfig,
-        name: impl Into<String>,
-        placement: Arc<dyn Placement>,
-        mut make_scheme: Box<dyn FnMut() -> Box<dyn DecisionScheme> + Send>,
-        barrier_quotas: Vec<usize>,
-        role: Option<NodeRole>,
-    ) -> Self {
+        let mut make_scheme: Box<dyn FnMut() -> Box<dyn DecisionScheme> + Send> =
+            Box::new(scheme_factory);
         let shards = cfg.shards;
         assert!(
             placement.cores() <= shards,
@@ -416,34 +447,17 @@ impl Runtime {
             cfg.cost.cores() >= shards,
             "cost-model mesh smaller than the shard count"
         );
-        let (directory, node_id, clustered_barriers, link) = match &role {
-            None => (
-                Arc::new(crate::directory::ShardDirectory::single_process(shards)),
-                0u32,
-                false,
-                None,
-            ),
-            Some(r) => {
-                assert_eq!(
-                    r.directory.shards(),
-                    shards,
-                    "ownership directory does not cover the cluster's shards"
-                );
-                (
-                    Arc::clone(&r.directory),
-                    r.node_id,
-                    r.clustered_barriers,
-                    Some(Arc::clone(&r.link)),
-                )
-            }
-        };
-        let node_mode = role.is_some();
+        assert_eq!(
+            role.directory.shards(),
+            shards,
+            "ownership directory does not cover the cluster's shards"
+        );
         let scheme_name = make_scheme().name();
 
         // The worker pool is sized for the cluster's shard space, not
-        // the launch-time owned count (zero is legal in node mode):
-        // ownership is elastic, so a member that joins with one shard
-        // may end up polling many after a drain rebalances onto it.
+        // the launch-time owned count (zero is legal): ownership is
+        // elastic, so a member that joins with one shard may end up
+        // polling many after a drain rebalances onto it.
         let workers = cfg.resolved_workers();
         // The timing plane: `None` unless configured (explicitly or via
         // EM2_OBS). Everything below records into it with relaxed
@@ -459,25 +473,16 @@ impl Runtime {
                     Mutex::new(ShardCore::new(
                         g,
                         cfg.guest_contexts,
-                        cfg.run_bins,
                         obs.as_ref().map(|o| Arc::clone(o.shard(g))),
                     ))
                 })
                 .collect(),
-            directory,
-            node_id,
+            directory: role.directory,
+            node_id: role.node_id,
             total_shards: shards,
-            node: link,
-            clustered_barriers,
+            node: role.link,
             placement,
-            barriers: AtomicBarriers::new(barrier_quotas),
-            // One "open" token held by this handle; submissions add to
-            // it, retirements subtract, and whoever reaches zero (the
-            // last retirement after `finish` drops the token, or
-            // `finish` itself on an empty run) initiates shutdown.
-            // Node mode ignores it: the quiesce decision is
-            // cluster-global and arrives through the link.
-            live: AtomicUsize::new(1),
+            released: (0..barriers).map(|_| AtomicBool::new(false)).collect(),
             shutdown: AtomicBool::new(false),
             cost: cfg.cost,
             quantum: cfg.quantum,
@@ -509,10 +514,8 @@ impl Runtime {
             make_scheme,
             next_thread: 0,
             shards,
-            run_bins: cfg.run_bins,
             workers,
             submitted: 0,
-            node_mode,
             t0,
             obs,
             exporter,
@@ -561,9 +564,9 @@ impl Runtime {
 
     /// Submit one task under an explicit [`ThreadId`].
     ///
-    /// This is the cluster entry point: each node submits the tasks
+    /// This is the multi-node entry point: each node submits the tasks
     /// native to its **launch-time** shard span, under the same global
-    /// thread ids a single-process run would assign — ids must be
+    /// thread ids a single process would assign — ids must be
     /// unique **cluster-wide** (they key guest-context admission and
     /// the learning schemes' tables). The span partition decides *who
     /// submits*; it need not match who currently *owns* — a live
@@ -593,18 +596,13 @@ impl Runtime {
             journey: crate::wire::Journey::default(),
         });
         self.submitted += 1;
-        if !self.node_mode {
-            shared.live.fetch_add(1, Ordering::AcqRel);
-        }
         shared.send(spec.native.index(), Msg::Arrive(env));
     }
 
-    /// Close admission, wait for shutdown, and join the workers.
-    /// Single-process: drop the open token (the last retirement — or
-    /// this call, on an empty run — initiates shutdown). Node mode:
-    /// report closure over the link; the cluster coordinator declares
+    /// Close admission, wait for shutdown, and join the workers: report
+    /// closure over the link; whoever holds the run ledger declares
     /// quiesce once every node has closed and every task has retired,
-    /// and the transport layer applies it through the inbox. Returns
+    /// and applies it through [`RemoteInbox::begin_shutdown`]. Returns
     /// the first worker panic, if any.
     fn shutdown_and_join(
         &mut self,
@@ -612,15 +610,7 @@ impl Runtime {
         let Some(shared) = self.shared.take() else {
             return (None, None);
         };
-        if self.node_mode {
-            shared
-                .node
-                .as_ref()
-                .expect("node mode has a link")
-                .node_closed(self.submitted);
-        } else if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            shared.initiate_shutdown();
-        }
+        shared.node.node_closed(self.submitted);
         let mut first_panic = None;
         for h in self.handles.drain(..) {
             if let Err(p) = h.join() {
@@ -650,7 +640,7 @@ impl Runtime {
         // which is why the counters leave through the lock rather than
         // by unwrapping the `Arc`.
         let mut flow = FlowCounts::default();
-        let mut run_lengths = Histogram::new(self.run_bins);
+        let mut run_lengths = Histogram::new(RUN_BINS);
         let mut context_bytes_sent = 0u64;
         let mut heap_words = 0u64;
         let mut polls = 0u64;
@@ -786,27 +776,14 @@ impl RemoteInbox {
         Ok(true)
     }
 
-    /// Mirror the coordinator's release of barrier `k`: set the local
+    /// Mirror the run ledger's release of barrier `k`: set the local
     /// released flag (so in-flight arrivals pass through) and wake
     /// every task parked on a **currently owned** shard (the release
     /// fans out to every node, so each shard is woken exactly by its
     /// owner of the moment).
     pub fn release_barrier(&self, k: usize) -> bool {
-        let Some(shared) = self.shared.upgrade() else {
-            return false;
-        };
-        // The flag store and the owned-set read are one directory
-        // write, as are `install_shard`'s claim and flag reads: whichever
-        // write runs second sees the first, so a shard landing here
-        // right now is woken by one of us.
-        let owned = shared.directory.write(|_| {
-            shared.barriers.force_release(k);
-            shared.directory.owned_shards(shared.node_id)
-        });
-        for s in owned {
-            shared.send(s, Msg::BarrierRelease { idx: k });
-        }
-        true
+        let shared = self.shared.upgrade();
+        shared.map(|s| s.release_barrier(k)).is_some()
     }
 
     /// Freeze locally owned shard `shard` for a live handoff to
@@ -869,8 +846,8 @@ impl RemoteInbox {
         // told, wakes whoever is parked on them.
         let released: Vec<usize> = shared.directory.write(|set_owner| {
             set_owner(shard, shared.node_id);
-            let open = |&k: &usize| shared.barriers.is_released(k);
-            (0..shared.barriers.len()).filter(open).collect()
+            let open = |&k: &usize| shared.is_released(k);
+            (0..shared.released.len()).filter(open).collect()
         });
         for k in released {
             shared.send(shard, Msg::BarrierRelease { idx: k });
@@ -886,11 +863,8 @@ impl RemoteInbox {
 
     /// Apply the cluster's quiesce decision: stop the local workers.
     pub fn begin_shutdown(&self) -> bool {
-        let Some(shared) = self.shared.upgrade() else {
-            return false;
-        };
-        shared.initiate_shutdown();
-        true
+        let shared = self.shared.upgrade();
+        shared.map(|s| s.initiate_shutdown()).is_some()
     }
 
     /// A non-blocking census of envelopes still resident on this
@@ -996,7 +970,7 @@ mod tests {
     use super::*;
     use crate::shard::tests::{two_shards, Recording};
     use crate::wire::{FrozenShard, WireEnvelope};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A shard lands on this node beside the release of the barrier a
     /// task inside it is parked on. Both orders, one thread, no
@@ -1008,8 +982,7 @@ mod tests {
     fn a_shard_landing_beside_a_release_is_woken_in_either_order() {
         let workload = Arc::new(em2_trace::gen::micro::pingpong(1, 4, 10));
         for release_first in [true, false] {
-            let link = Arc::new(Recording::default()) as Arc<dyn NodeLink>;
-            let mut shared = two_shards(256, Some(link));
+            let mut shared = two_shards(256, Arc::new(Recording::default()));
             // Shard 1 is in flight from node 1: nobody here owns it.
             shared.directory = Arc::new(crate::directory::ShardDirectory::new(0, 0, &[0, 1]));
             let shared = Arc::new(shared);
@@ -1077,11 +1050,10 @@ mod tests {
             "freeze",
             Arc::new(em2_placement::Striped::new(2, 64)),
             || Box::new(em2_core::decision::AlwaysMigrate),
-            Vec::new(),
+            0,
             NodeRole {
                 directory: Arc::new(crate::directory::ShardDirectory::new(0, 0, &[1, 0])),
                 node_id: 0,
-                clustered_barriers: true,
                 link: Arc::clone(&link) as Arc<dyn NodeLink>,
             },
         );

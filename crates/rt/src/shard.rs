@@ -26,9 +26,9 @@
 //! the envelope (every shipped scheme keys its tables per thread, so
 //! carrying each thread's instance with its task is exact — see
 //! DESIGN.md §8); the run-length histogram is a per-shard
-//! [`Histogram`] merged deterministically at quiesce; barriers are the
-//! engine's [`AtomicBarriers`] (per-barrier atomic counters, one
-//! atomic release). Counter equivalence with the simulator (DESIGN.md
+//! [`Histogram`] merged deterministically at quiesce; a barrier is one
+//! released flag here and an arrival count in the run ledger behind the
+//! node link. Counter equivalence with the simulator (DESIGN.md
 //! §7) rests on one invariant: every per-thread sequence of `decide` /
 //! `observe_run` / run-monitor calls is issued in that thread's
 //! program order, exactly as the simulator issues it — shard
@@ -42,12 +42,11 @@ use crate::wire::{WireEnvelope, WireMsg, WireOp};
 use em2_core::context::{Admission, ContextPool, GuestState};
 use em2_core::decision::{Decision, DecisionCtx, DecisionScheme};
 use em2_core::stats::FlowCounts;
-use em2_engine::{AtomicBarriers, BarrierArrival};
 use em2_model::{AccessKind, Addr, CoreId, CostModel, Histogram, ThreadId, WordMap};
 use em2_obs::{EventKind, ShardObs, SingleWriterCounter};
 use em2_placement::Placement;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -204,31 +203,22 @@ pub(crate) struct Shared {
     /// Epoch-versioned per-shard ownership. The transport layer
     /// (`em2-net`) holds the *same* `Arc`, so an ownership flip during
     /// a handoff is observed atomically by the send path, the receive
-    /// path, and the executor. Single-process runtimes hold an
-    /// all-owned directory at epoch 0.
+    /// path, and the executor. A single process holds an all-owned
+    /// directory at epoch 0.
     pub directory: std::sync::Arc<crate::directory::ShardDirectory>,
-    /// This runtime's node id in the directory (0 outside node mode).
+    /// This runtime's node id in the directory.
     pub node_id: u32,
     /// Cluster-wide shard count (`mailboxes.len()`).
     pub total_shards: usize,
-    /// Cross-process egress: messages to shards this process does not
-    /// own, barrier arrivals, and retirements are handed to this link
-    /// (`em2-net` implements it over loopback/UDS/TCP). `None` for a
-    /// plain single-process runtime.
-    pub node: Option<std::sync::Arc<dyn NodeLink>>,
-    /// Multi-node barrier protocol: arrivals forward to the cluster
-    /// coordinator and tasks always park until the release fans back
-    /// (counter-neutral — barrier handling records nothing). `false`
-    /// in single-process *and* single-node-cluster runtimes, which
-    /// complete barriers locally through `barriers`.
-    pub clustered_barriers: bool,
+    /// Everything that leaves this node: messages to shards it does
+    /// not own, barrier arrivals, retirements and the closed admission
+    /// (`em2-net` implements it over loopback/UDS/TCP; a single process
+    /// is the one-node cluster, its link the run ledger itself).
+    pub node: std::sync::Arc<dyn NodeLink>,
     pub placement: std::sync::Arc<dyn Placement>,
-    pub barriers: AtomicBarriers,
-    /// Un-retired tasks plus one "open" token held by the
-    /// [`crate::Runtime`] handle; whoever decrements it to zero
-    /// initiates shutdown. Unused in node mode, where completion is
-    /// cluster-global and the quiesce decision arrives over the link.
-    pub live: AtomicUsize,
+    /// Per barrier: has its release reached this node? The arrival
+    /// counts live in the run ledger behind `node`.
+    pub released: Vec<AtomicBool>,
     pub shutdown: AtomicBool,
     pub cost: CostModel,
     pub quantum: usize,
@@ -237,15 +227,11 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Local slot of a global shard id, or `None` when another node
-    /// currently owns it. Ownership is one atomic directory load; with
-    /// a handoff in flight the answer can go stale immediately, which
-    /// is why the clustered send path re-checks under the mailbox lock
-    /// and the receive path double-checks under the pending-install
-    /// lock (`em2-net`).
-    pub(crate) fn local_slot(&self, global: usize) -> Option<usize> {
-        (global < self.total_shards && self.directory.owner_of(global) == self.node_id)
-            .then_some(global)
+    /// Does this node own `shard` right now? One atomic directory
+    /// load; with a handoff in flight the answer can go stale at once,
+    /// which is why the send path re-checks under the mailbox lock.
+    pub(crate) fn owns(&self, shard: usize) -> bool {
+        self.directory.owner_of(shard) == self.node_id
     }
 
     /// Deliver `msg` to shard `to` (a **global** id) and make sure
@@ -265,14 +251,7 @@ impl Shared {
     pub(crate) fn send_routed(&self, to: usize, retries: u32, mut msg: Msg) {
         debug_assert!(to < self.total_shards, "shard {to} outside the cluster");
         let mb = &self.mailboxes[to];
-        let Some(link) = &self.node else {
-            // Single process: ownership never changes.
-            if mb.push(msg) {
-                self.sched.schedule(to);
-            }
-            return;
-        };
-        let owned = || self.directory.owner_of(to) == self.node_id;
+        let owned = || self.owns(to);
         if owned() {
             // Re-check under the mailbox lock, where a handoff's freeze
             // flips the owner: this push either precedes the flip (the
@@ -288,7 +267,29 @@ impl Shared {
                 Err(refused) => msg = refused,
             }
         }
-        link.forward(to, retries, msg_to_wire(msg));
+        self.node.forward(to, retries, msg_to_wire(msg));
+    }
+
+    pub(crate) fn is_released(&self, k: usize) -> bool {
+        self.released[k].load(Ordering::Acquire)
+    }
+
+    /// Barrier `k` opened: set the released flag (so in-flight arrivals
+    /// pass through) and wake every task parked on a **currently
+    /// owned** shard (the release reaches every node, so each shard is
+    /// woken exactly by its owner of the moment).
+    pub(crate) fn release_barrier(&self, k: usize) {
+        // The flag store and the owned-set read are one directory
+        // write, as are `install_shard`'s claim and flag reads: whichever
+        // write runs second sees the first, so a shard landing here
+        // right now is woken by one of us.
+        let owned = self.directory.write(|_| {
+            self.released[k].store(true, Ordering::Release);
+            self.directory.owned_shards(self.node_id)
+        });
+        for s in owned {
+            self.send(s, Msg::BarrierRelease { idx: k });
+        }
     }
 
     /// Schedule an (owned) shard for a poll without enqueueing a
@@ -327,12 +328,12 @@ pub(crate) struct ShardCounters {
 }
 
 impl ShardCounters {
-    fn new(run_bins: u64) -> Self {
+    fn new() -> Self {
         ShardCounters {
             flow: FlowCounts::default(),
             context_bytes_sent: 0,
             heap_words: 0,
-            run_hist: Histogram::new(run_bins),
+            run_hist: Histogram::new(em2_core::RUN_BINS),
             polls: 0,
             task_latency_ns: Vec::new(),
         }
@@ -429,7 +430,6 @@ impl ShardCore {
     pub(crate) fn new(
         id: usize,
         guest_contexts: usize,
-        run_bins: u64,
         obs: Option<std::sync::Arc<ShardObs>>,
     ) -> Self {
         ShardCore {
@@ -442,7 +442,7 @@ impl ShardCore {
             stalled: VecDeque::new(),
             next_token: 0,
             clock: 0,
-            counters: ShardCounters::new(run_bins),
+            counters: ShardCounters::new(),
             scratch: Vec::new(),
             remote_replies: Vec::new(),
             obs,
@@ -566,8 +566,7 @@ impl ShardCore {
     pub(crate) fn take_counters(&mut self) -> ShardCounters {
         self.flush_attrib_pending();
         self.counters.heap_words = self.heap.len() as u64;
-        let fresh = ShardCounters::new(self.counters.run_hist.max_bin());
-        std::mem::replace(&mut self.counters, fresh)
+        std::mem::replace(&mut self.counters, ShardCounters::new())
     }
 
     /// Freeze this shard for a live handoff: take every piece of
@@ -724,11 +723,7 @@ impl ShardCore {
         if self.remote_replies.is_empty() {
             return;
         }
-        shared
-            .node
-            .as_ref()
-            .expect("a reply to a non-local shard requires a node link")
-            .forward_many(&mut self.remote_replies);
+        shared.node.forward_many(&mut self.remote_replies);
         debug_assert!(self.remote_replies.is_empty(), "the link drains");
     }
 
@@ -744,7 +739,7 @@ impl ShardCore {
                 // Figure 3's "access memory" box executes at the home,
                 // in request arrival order.
                 let value = self.serve(addr, write);
-                if shared.local_slot(reply_shard).is_some() {
+                if shared.owns(reply_shard) {
                     shared.send(reply_shard, Msg::Response { token, value });
                 } else {
                     // Cross-node reply: batch per requester for the
@@ -893,7 +888,7 @@ impl ShardCore {
     /// like the simulator's arrival event.
     fn activate(&mut self, shared: &Shared, mut env: Box<Envelope>) {
         if let Some(k) = env.parked_at {
-            if shared.barriers.is_released(k) {
+            if shared.is_released(k) {
                 env.parked_at = None;
                 self.runq.push_back(env);
             } else {
@@ -1056,55 +1051,23 @@ impl ShardCore {
                 }
                 Op::Barrier(k) => {
                     debug_assert!(!arrival_access);
-                    if shared.clustered_barriers {
-                        // Multi-node: the quota lives at the cluster
-                        // coordinator. The local hub only mirrors
-                        // releases, so an unreleased barrier always
-                        // parks; the arrival travels over the link and
-                        // the release fans back as BarrierRelease
-                        // messages. Barrier handling touches no
-                        // counters, so parking where the local path
-                        // would pass through is counter-neutral.
-                        if shared.barriers.is_released(k) {
-                            continue;
-                        }
-                        self.ev(EventKind::BarrierPark, thread.0 as u64, k as u64, 0);
-                        self.attrib_defer(thread, PARKS, 1);
-                        env.parked_at = Some(k);
-                        self.parked.push(env);
-                        self.touch_after_slice(thread, clock_at_entry);
-                        self.attrib_defer(thread, LOCALS, local_hits);
-                        shared
-                            .node
-                            .as_ref()
-                            .expect("clustered barriers require a node link")
-                            .barrier_arrive(k);
-                        return;
+                    // The quota lives in the run ledger behind the
+                    // link; this node only mirrors releases. So an
+                    // unreleased barrier always parks — the arrival
+                    // that opens it too — and the release comes back
+                    // as a `BarrierRelease` message. Barrier handling
+                    // touches no counter.
+                    if shared.is_released(k) {
+                        continue;
                     }
-                    match shared.barriers.arrive(k) {
-                        BarrierArrival::Completes => {
-                            // Non-clustered path: every shard is owned
-                            // here (single process, or a single-node
-                            // cluster — neither performs handoffs away
-                            // from itself), so the fan-out never routes
-                            // over a link.
-                            for s in 0..shared.total_shards {
-                                shared.send(s, Msg::BarrierRelease { idx: k });
-                            }
-                            // The completing task passes straight through.
-                            continue;
-                        }
-                        BarrierArrival::AlreadyOpen => continue,
-                        BarrierArrival::Parks => {
-                            self.ev(EventKind::BarrierPark, thread.0 as u64, k as u64, 0);
-                            self.attrib_defer(thread, PARKS, 1);
-                            env.parked_at = Some(k);
-                            self.parked.push(env);
-                            self.touch_after_slice(thread, clock_at_entry);
-                            self.attrib_defer(thread, LOCALS, local_hits);
-                            return;
-                        }
-                    }
+                    self.ev(EventKind::BarrierPark, thread.0 as u64, k as u64, 0);
+                    self.attrib_defer(thread, PARKS, 1);
+                    env.parked_at = Some(k);
+                    self.parked.push(env);
+                    self.touch_after_slice(thread, clock_at_entry);
+                    self.attrib_defer(thread, LOCALS, local_hits);
+                    shared.node.barrier_arrive(k);
+                    return;
                 }
                 Op::Read(a) => (a, None),
                 Op::Write(a, v) => (a, Some(v)),
@@ -1213,8 +1176,7 @@ impl ShardCore {
     }
 
     /// A task finished: flush its final run, record its latency, free
-    /// its context, and initiate shutdown if it was the last live task
-    /// and the runtime handle has closed.
+    /// its context, and report the retirement to the run ledger.
     fn retire(&mut self, shared: &Shared, mut env: Box<Envelope>) {
         // Flush the final run (the envelope carries the in-progress
         // state; see `track`).
@@ -1240,18 +1202,10 @@ impl ShardCore {
             o.journey_dropped.bump(u64::from(env.journey.dropped));
             o.event(EventKind::Retire, env.thread.0 as u64, latency_ns, 0);
         }
-        match &shared.node {
-            // Node mode: completion is cluster-global. The local live
-            // count never ran (a task may retire on a node that never
-            // saw its submission); the link reports the retirement and
-            // the coordinator decides quiesce.
-            Some(link) => link.task_retired(),
-            None => {
-                if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    shared.initiate_shutdown();
-                }
-            }
-        }
+        // Completion is cluster-global (a task may retire on a node
+        // that never saw its submission): the ledger behind the link
+        // decides when the run is over.
+        shared.node.task_retired();
     }
 }
 
@@ -1260,7 +1214,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::directory::ShardDirectory;
     use em2_core::decision::AlwaysMigrate;
-    use em2_core::RUN_BINS;
     use em2_model::DetRng;
     use em2_placement::Striped;
     use std::collections::BTreeMap;
@@ -1272,7 +1225,7 @@ pub(crate) mod tests {
     #[test]
     fn heap_matches_a_map_model_across_handoffs() {
         let mut rng = DetRng::new(0x4EA9);
-        let mut core = ShardCore::new(3, 2, RUN_BINS, None);
+        let mut core = ShardCore::new(3, 2, None);
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for step in 0..30_000 {
             let addr = Addr(match rng.below(4) {
@@ -1300,7 +1253,7 @@ pub(crate) mod tests {
                     .iter()
                     .copied()
                     .eq(model.iter().map(|(&a, &v)| (a, v))));
-                core = ShardCore::new(3, 2, RUN_BINS, None);
+                core = ShardCore::new(3, 2, None);
                 core.install_frozen(frozen, &mut |_| unreachable!("no envelopes were frozen"))
                     .expect("install");
             }
@@ -1356,10 +1309,10 @@ pub(crate) mod tests {
     #[test]
     fn the_reply_batch_keeps_its_buffer() {
         let link = Arc::new(Recording::default());
-        let mut shared = two_shards(256, Some(Arc::clone(&link) as Arc<dyn NodeLink>));
+        let mut shared = two_shards(256, Arc::clone(&link) as Arc<dyn NodeLink>);
         // Shard 0 lives on node 1: replies to it cross the link.
         shared.directory = Arc::new(ShardDirectory::new(0, 0, &[1, 0]));
-        let mut core = ShardCore::new(1, 2, RUN_BINS, None);
+        let mut core = ShardCore::new(1, 2, None);
         let mut capacity = Vec::new();
         for batch in 0..2 {
             for i in 0..5 {
@@ -1399,7 +1352,7 @@ pub(crate) mod tests {
     #[test]
     fn a_send_that_sees_the_flip_routes_over_the_link() {
         let link = Arc::new(Recording::default());
-        let shared = two_shards(256, Some(Arc::clone(&link) as Arc<dyn NodeLink>));
+        let shared = two_shards(256, Arc::clone(&link) as Arc<dyn NodeLink>);
         let mb = &shared.mailboxes[1];
         let request = |token| Msg::Request {
             addr: Addr(64),
@@ -1421,20 +1374,17 @@ pub(crate) mod tests {
 
     /// Two shards striped by line (line `i` lives on shard `i % 2`), no
     /// workers: the tests drive shard 1's core by hand.
-    pub(crate) fn two_shards(quantum: usize, link: Option<Arc<dyn NodeLink>>) -> Shared {
-        let core = |id| Mutex::new(ShardCore::new(id, 2, RUN_BINS, None));
+    pub(crate) fn two_shards(quantum: usize, link: Arc<dyn NodeLink>) -> Shared {
+        let core = |id| Mutex::new(ShardCore::new(id, 2, None));
         Shared {
             mailboxes: (0..2).map(|_| Mailbox::new()).collect(),
             cores: (0..2).map(core).collect(),
             directory: Arc::new(ShardDirectory::single_process(2)),
             node_id: 0,
             total_shards: 2,
-            clustered_barriers: link.is_some(),
             node: link,
             placement: Arc::new(Striped::new(2, 64)),
-            // No barrier ever fills: an arrival parks.
-            barriers: AtomicBarriers::new(vec![usize::MAX; 3]),
-            live: AtomicUsize::new(usize::MAX / 2),
+            released: (0..3).map(|_| AtomicBool::new(false)).collect(),
             shutdown: AtomicBool::new(false),
             cost: CostModel::builder().cores(2).build(),
             quantum,
@@ -1467,7 +1417,6 @@ pub(crate) mod tests {
     enum SliceEnd {
         Quantum,
         BarrierPark,
-        ClusteredBarrierPark,
     }
 
     /// Two guest slots. A is admitted before B; B then sits parked
@@ -1476,21 +1425,19 @@ pub(crate) mod tests {
     /// a third guest's arrival evicts.
     fn evicted_after_a_long_slice(end: SliceEnd) -> ThreadId {
         let (a, b, c) = (ThreadId(1), ThreadId(2), ThreadId(3));
-        let link = matches!(end, SliceEnd::ClusteredBarrierPark)
-            .then(|| Arc::new(AllLocal) as Arc<dyn NodeLink>);
         let quantum = match end {
             SliceEnd::Quantum => 4,
-            _ => 256,
+            SliceEnd::BarrierPark => 256,
         };
-        let shared = two_shards(quantum, link);
-        let mut core = ShardCore::new(1, 2, RUN_BINS, None);
+        let shared = two_shards(quantum, Arc::new(AllLocal));
+        let mut core = ShardCore::new(1, 2, None);
 
         // A's first slice leaves it resident having done as little as
         // the exit under test allows: one quantum, or no access at all
         // before parking at barrier 1.
         let script: Vec<Op> = match end {
             SliceEnd::Quantum => reads_on_shard_1(12).collect(),
-            _ => std::iter::once(Op::Barrier(1))
+            SliceEnd::BarrierPark => std::iter::once(Op::Barrier(1))
                 .chain(reads_on_shard_1(6))
                 .chain([Op::Barrier(2)])
                 .collect(),
@@ -1508,7 +1455,7 @@ pub(crate) mod tests {
         assert!(core.pool.is_resident(a) && core.pool.is_resident(b));
         let long_slice = match end {
             SliceEnd::Quantum => 2 * 4,
-            _ => 6,
+            SliceEnd::BarrierPark => 6,
         };
         assert_eq!(core.counters.flow.local_accesses, long_slice);
 
@@ -1529,8 +1476,8 @@ pub(crate) mod tests {
     #[test]
     fn a_slice_without_an_access_leaves_the_stamp_alone() {
         let (a, b) = (ThreadId(1), ThreadId(2));
-        let shared = two_shards(256, None);
-        let mut core = ShardCore::new(1, 2, RUN_BINS, None);
+        let shared = two_shards(256, Arc::new(AllLocal));
+        let mut core = ShardCore::new(1, 2, None);
         let burst = || reads_on_shard_1(3).chain([Op::Barrier(0)]);
         core.handle(
             &shared,
@@ -1556,11 +1503,7 @@ pub(crate) mod tests {
     /// take it. Red for a hoist that forgets the exit.
     #[test]
     fn a_long_local_slice_makes_its_guest_the_most_recent() {
-        for end in [
-            SliceEnd::Quantum,
-            SliceEnd::BarrierPark,
-            SliceEnd::ClusteredBarrierPark,
-        ] {
+        for end in [SliceEnd::Quantum, SliceEnd::BarrierPark] {
             assert_eq!(
                 evicted_after_a_long_slice(end),
                 ThreadId(2),

@@ -21,16 +21,12 @@
 //!   recursive call trees) used by the E6 experiments;
 //! * [`visits`] — runs a program against a data placement and extracts
 //!   the [`em2_optimal::StackVisit`] sequence (per-visit stack demand
-//!   and growth) consumed by the §4 depth-decision DP;
-//! * [`adapter`] — converts program executions into
-//!   [`em2_trace::ThreadTrace`]s so stack workloads run on the main
-//!   EM² event simulator with stack-sized contexts.
+//!   and growth) consumed by the §4 depth-decision DP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adapter;
 pub mod asm;
 pub mod cache;
 pub mod isa;
@@ -38,7 +34,6 @@ pub mod machine;
 pub mod program;
 pub mod visits;
 
-pub use adapter::{programs_to_workload, to_thread_trace};
 pub use asm::{assemble, disassemble, AsmError};
 pub use cache::{SpillStats, StackCache};
 pub use isa::Op;

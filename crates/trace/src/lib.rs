@@ -31,7 +31,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod addr;
-pub mod codec;
 pub mod flat;
 pub mod gen;
 pub mod record;

@@ -1,45 +1,14 @@
-//! Property-based trace tests: codec round trips on arbitrary
-//! workloads and generator structural invariants under random configs.
+//! Property-based trace tests: generator structural invariants under
+//! random configs.
 
 use em2_model::{Addr, CoreId, ThreadId};
 use em2_trace::gen::ocean::OceanConfig;
 use em2_trace::gen::synth::SynthConfig;
-use em2_trace::{codec, ThreadTrace, Workload};
+use em2_trace::{ThreadTrace, Workload};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn codec_round_trips_arbitrary_workloads(
-        spec in prop::collection::vec(
-            prop::collection::vec((any::<u32>(), any::<bool>(), 0u32..100, any::<bool>()), 0..50),
-            1..5,
-        )
-    ) {
-        let threads: Vec<ThreadTrace> = spec
-            .into_iter()
-            .enumerate()
-            .map(|(i, recs)| {
-                let mut t = ThreadTrace::new(ThreadId(i as u32), CoreId((i * 3 % 7) as u16));
-                for (addr, write, gap, barrier) in recs {
-                    if barrier {
-                        t.barrier();
-                    }
-                    if write {
-                        t.write(gap, Addr(addr as u64));
-                    } else {
-                        t.read(gap, Addr(addr as u64));
-                    }
-                }
-                t
-            })
-            .collect();
-        let w = Workload::new("prop-codec", threads);
-        let text = codec::format(&w);
-        let back = codec::parse(&text).unwrap();
-        prop_assert_eq!(w, back);
-    }
 
     #[test]
     fn ocean_invariants_over_configs(

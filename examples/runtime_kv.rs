@@ -5,18 +5,12 @@
 //! decided per access by the same `em2-core` decision schemes the
 //! simulator uses.
 //!
-//! Two measurements per scheme:
-//!
-//! 1. **Closed-loop clients** — 16 long-lived clients issue mixed
-//!    reads/writes as fast as the runtime retires them, each verifying
-//!    read-your-writes on its own key range; the table shows how the
-//!    scheme splits the same workload between migration and remote
-//!    access, and the throughput it gets.
-//! 2. **Open-loop serving** — a fixed-rate injector submits
-//!    independent KV request *tasks* at 50% of the scheme's measured
-//!    capacity; every request is stamped with its intended arrival
-//!    time, so the p50/p95/p99 latencies include queueing delay even
-//!    when the injector falls behind (no coordinated omission).
+//! **Closed-loop clients**, per scheme: 16 long-lived clients issue
+//! mixed reads/writes as fast as the runtime retires them, each
+//! verifying read-your-writes on its own key range; the table shows how
+//! the scheme splits the same workload between migration and remote
+//! access. (Serving latency is measured by `benchmark/`'s
+//! `kv-serve-uds2` workload, nowhere else.)
 //!
 //! ```text
 //! cargo run --release --example runtime_kv
@@ -50,7 +44,6 @@ use em2::obs::{NodeObs, ObsConfig};
 use em2::placement::{Placement, Striped};
 use em2::rt::{Op, RtConfig, RtReport, Runtime, Task, TaskRegistry, TaskSpec};
 use em2_bench::scorecard::scheme_panel;
-use em2_bench::serving::kv_open_loop;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,8 +55,6 @@ const OPS_PER_CLIENT: usize = 4_000;
 const OWN_KEYS: u64 = 64;
 /// Hot keys shared by every client.
 const HOT_KEYS: u64 = 16;
-/// Open-loop requests per scheme.
-const REQUESTS: u64 = 4_000;
 
 fn addr_of(key: u64) -> Addr {
     Addr(key * 8)
@@ -470,22 +461,5 @@ fn main() {
             r.ops_per_sec() / 1e6,
         );
     }
-    println!("\nevery client verified read-your-writes on its own key range\n");
-
-    println!("== open-loop serving ({REQUESTS} requests/scheme @ 50% of measured capacity) ==");
-    println!(
-        "{:<18} {:>10} {:>10} {:>9} {:>9} {:>9} {:>10}",
-        "scheme", "offered/s", "served/s", "p50 us", "p95 us", "p99 us", "max us"
-    );
-    for (_, factory) in scheme_panel() {
-        let l = kv_open_loop(SHARDS, REQUESTS, 0.5, factory);
-        println!(
-            "{:<18} {:>10.0} {:>10.0} {:>9.1} {:>9.1} {:>9.1} {:>10.1}",
-            l.scheme, l.offered_rps, l.achieved_rps, l.p50_us, l.p95_us, l.p99_us, l.max_us
-        );
-    }
-    println!(
-        "\nlatency measured from each request's intended arrival instant \
-         (queueing included; no coordinated omission)"
-    );
+    println!("\nevery client verified read-your-writes on its own key range");
 }

@@ -1,5 +1,5 @@
 //! Whole-system integration: the same workload through every machine
-//! model, plus serialization round trips.
+//! model.
 
 use em2::coherence::{run_msi, MsiConfig};
 use em2::core::machine::MachineConfig;
@@ -9,7 +9,7 @@ use em2::placement::{FirstTouch, Placement};
 use em2::trace::gen::{
     fft::FftConfig, lu::LuConfig, micro, ocean::OceanConfig, radix::RadixConfig,
 };
-use em2::trace::{codec, Workload};
+use em2::trace::Workload;
 
 fn all_quick_workloads() -> Vec<Workload> {
     vec![
@@ -64,15 +64,6 @@ fn every_workload_runs_clean_on_every_machine() {
             msi.violations
         );
         assert_eq!(msi.total_accesses() as usize, w.total_accesses());
-    }
-}
-
-#[test]
-fn workload_codec_round_trips_all_generators() {
-    for w in all_quick_workloads() {
-        let text = codec::format(&w);
-        let back = codec::parse(&text).expect(&w.name);
-        assert_eq!(w, back, "{} must round-trip through the codec", w.name);
     }
 }
 
