@@ -20,72 +20,44 @@ use em2_bench::experiments as ex;
 use em2_bench::par;
 use em2_bench::workloads::Scale;
 
+/// A command-line error: say why, exit 2.
+fn fail(why: String) -> ! {
+    eprintln!("error: {why}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value_of = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
     const FLAGS: [&str; 4] = ["--quick", "--chart", "--serial", "--threads"];
-    let mut expect_value = false;
-    for a in &args {
-        if expect_value {
-            expect_value = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            if !FLAGS.contains(&a.as_str()) {
-                eprintln!(
-                    "error: unknown flag {a:?} (expected one of: {})",
-                    FLAGS.join(", ")
-                );
-                std::process::exit(2);
-            }
-            expect_value = *a == "--threads";
+    let (mut quick, mut chart, mut serial) = (false, false, false);
+    let mut threads: Option<String> = None;
+    let mut which: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--chart" => chart = true,
+            "--serial" => serial = true,
+            // The first `--threads` counts; each takes the next word.
+            "--threads" => threads = threads.or(args.next()),
+            "all" => {}
+            flag if flag.starts_with("--") => fail(format!(
+                "unknown flag {flag:?} (expected one of: {})",
+                FLAGS.join(", ")
+            )),
+            _ => which.push(a),
         }
     }
-    let quick = flag("--quick");
-    let chart = flag("--chart");
-    if flag("--serial") {
+    if serial {
         par::set_threads(1);
-    } else if let Some(v) = value_of("--threads") {
+    } else if let Some(v) = threads {
         match v.parse::<usize>() {
             Ok(n) if n > 0 => par::set_threads(n),
-            _ => {
-                eprintln!("error: --threads expects a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
+            _ => fail(format!("--threads expects a positive integer, got {v:?}")),
         }
     }
     let scale = if quick { Scale::Quick } else { Scale::Full };
-
-    let mut skip_next = false;
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--threads" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .filter(|s| *s != "all")
-        .collect();
-    if let Some(bad) = which.iter().find(|id| !ex::ALL_IDS.contains(id)) {
-        eprintln!(
-            "error: unknown experiment {bad:?} (expected one of: {})",
-            ex::ALL_IDS.join(", ")
-        );
-        std::process::exit(2);
-    }
+    let which: Vec<&str> = which.iter().map(String::as_str).collect();
+    let selected = ex::select(&which).unwrap_or_else(|e| fail(e));
 
     println!(
         "EM2 reproduction experiments — scale: {:?} ({} cores), sweep workers: {}\n",
@@ -94,16 +66,12 @@ fn main() {
         par::threads()
     );
 
-    let suite = ex::run_suite(scale, &which);
+    let suite = ex::run_suite(scale, &selected);
 
     for run in &suite.runs {
-        for t in &run.tables {
-            println!("{t}");
-        }
-        if run.id == "e2" && chart {
-            if let Some(hist) = &suite.figure2 {
-                println!("{}", hist.ascii_chart_weighted(1, 40, 50));
-            }
+        println!("{}", run.table);
+        if let (true, Some(hist)) = (chart, &run.figure2) {
+            println!("{}", hist.ascii_chart_weighted(1, 40, 50));
         }
         println!();
     }

@@ -18,12 +18,16 @@
 //! [`em2_trace::FlatWorkload`] (homes resolved through the placement a
 //! single time) and shared by reference; see DESIGN.md §6.
 //!
-//! E5, E11, and E12 are the exceptions: they *measure wall time* (of
-//! the DP kernels, the executable runtime, and the clustered runtime
-//! respectively), so they run in an isolated suite phase and their
-//! measured columns are excluded from determinism comparisons.
+//! Each experiment is one row of [`EXPERIMENTS`]: its id, its function
+//! and whether it runs `solo`. The solo ones *measure host time* (the
+//! DP kernels, the executable runtime) or start whole node fleets, so
+//! they run alone after the parallel phase; the columns they fill
+//! from the host they declare on their own table
+//! ([`Table::host_columns`]), which is all the determinism
+//! fingerprint excludes.
 
 use crate::par::{self, run_cells, Cell};
+use crate::scorecard::SchemeFactory;
 use crate::table::{fmt_count, fmt_f, Table};
 use crate::workloads::{self, Scale};
 use em2_core::{
@@ -37,6 +41,7 @@ use em2_core::{
     Contention, QueuedParams,
 };
 use em2_model::{CoreId, CostModel, Histogram, Mesh};
+use em2_net::{ClusterRun, ClusterSpec, CounterSummary, NetReport};
 use em2_noc::{CycleNoc, NocConfig, VirtualChannel};
 use em2_optimal::{migrate_ra, stack_depth, Choice, CostTrace};
 use em2_placement::{run_length_analysis, Placement};
@@ -54,19 +59,9 @@ fn flatten(w: &Workload, p: &dyn Placement) -> FlatWorkload {
 /// Evaluate an `em2-core` decision scheme against the paper's network
 /// cost model (the §3 `O(N)` evaluation), including run-length
 /// feedback for learning schemes. Returns the summed network cost over
-/// all threads.
-pub fn scheme_network_cost(
-    workload: &Workload,
-    placement: &dyn Placement,
-    cost: &CostModel,
-    scheme: &mut dyn DecisionScheme,
-) -> u64 {
-    scheme_network_cost_flat(&flatten(workload, placement), cost, scheme)
-}
-
-/// [`scheme_network_cost`] over a prebuilt flat workload: iterates the
-/// contiguous home/kind arrays, so evaluating many schemes against one
-/// workload resolves the placement once instead of once per scheme.
+/// all threads. Iterates the flat workload's contiguous home/kind
+/// arrays, so evaluating many schemes against one workload resolves
+/// the placement once instead of once per scheme.
 pub fn scheme_network_cost_flat(
     flat: &FlatWorkload,
     cost: &CostModel,
@@ -114,6 +109,22 @@ pub fn scheme_network_cost_flat(
     total
 }
 
+/// The Figure-1/Figure-3 edge-count table: one [`flow_row`] per
+/// simulation.
+fn flow_table(title: &str, first: &str) -> Table {
+    let edges = [
+        "local",
+        "migrations",
+        "evictions",
+        "ra-read",
+        "ra-write",
+        "cycles",
+        "AMAT",
+    ];
+    let headers: Vec<&str> = std::iter::once(first).chain(edges).collect();
+    Table::new(title, &headers)
+}
+
 fn flow_row(name: &str, r: &SimReport) -> Vec<String> {
     vec![
         name.to_string(),
@@ -131,29 +142,10 @@ fn flow_row(name: &str, r: &SimReport) -> Vec<String> {
 /// edge of the flow chart on three contrasting workloads; the three
 /// simulations are independent sweep cells.
 pub fn e1_flow_em2(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E1 / Figure 1 — EM2 access flow (edge counts)",
-        &[
-            "workload",
-            "local",
-            "migrations",
-            "evictions",
-            "ra-read",
-            "ra-write",
-            "cycles",
-            "AMAT",
-        ],
-    );
+    let mut t = flow_table("E1 / Figure 1 — EM2 access flow (edge counts)", "workload");
     let names = ["pingpong", "ocean", "hotspot"];
-    let rows = par::par_map(names.to_vec(), |name| {
-        let w = match name {
-            "pingpong" => workloads::pingpong(scale),
-            "ocean" => workloads::ocean(scale),
-            _ => {
-                let n = scale.cores();
-                em2_trace::gen::micro::hotspot(n, n, 1_000, 0.6, 7)
-            }
-        };
+    t.extend(par::par_map(names.to_vec(), |name| {
+        let w = workloads::by_name(name, scale);
         let p = workloads::first_touch(&w, scale);
         let mut cfg = MachineConfig::with_cores(scale.cores());
         cfg.guest_contexts = 2;
@@ -165,10 +157,7 @@ pub fn e1_flow_em2(scale: Scale) -> Table {
             "pure EM² has no RA edge"
         );
         flow_row(name, &r)
-    });
-    for row in rows {
-        t.row(row);
-    }
+    }));
     t.note("pure EM2: every non-local access takes the migrate edge; the eviction edge fires only under guest-context pressure");
     t
 }
@@ -223,18 +212,9 @@ pub fn e2_ocean_runlengths(scale: Scale) -> (Table, Histogram) {
 /// flows with the remote-access edges now taken. One flat workload,
 /// five machine cells.
 pub fn e3_flow_em2ra(scale: Scale) -> Table {
-    let mut t = Table::new(
+    let mut t = flow_table(
         "E3 / Figure 3 — EM2-RA access flow (edge counts)",
-        &[
-            "workload/scheme",
-            "local",
-            "migrations",
-            "evictions",
-            "ra-read",
-            "ra-write",
-            "cycles",
-            "AMAT",
-        ],
+        "workload/scheme",
     );
     let w = workloads::ocean(scale);
     let p = workloads::first_touch(&w, scale);
@@ -247,10 +227,10 @@ pub fn e3_flow_em2ra(scale: Scale) -> Table {
         "ocean/distance<=2",
         "ocean/always-remote",
     ];
-    let rows = par::par_map(names.to_vec(), |name| {
+    t.extend(par::par_map(names.to_vec(), |name| {
         let scheme: Box<dyn DecisionScheme> = match name {
             "ocean/always-migrate" => Box::new(AlwaysMigrate),
-            "ocean/history" => Box::new(HistoryPredictor::new(1.0, 0.5)),
+            "ocean/history" => history_scheme(),
             "ocean/markov" => Box::new(MarkovPredictor::new(1.0, 0.5)),
             "ocean/distance<=2" => Box::new(DistanceThreshold { max_hops: 2 }),
             _ => Box::new(AlwaysRemote),
@@ -258,10 +238,7 @@ pub fn e3_flow_em2ra(scale: Scale) -> Table {
         let r = run_em2ra_flat(cfg.clone(), &flat, scheme);
         assert!(r.violations.is_empty(), "E3 {name}: {:?}", r.violations);
         flow_row(name, &r)
-    });
-    for row in rows {
-        t.row(row);
-    }
+    }));
     t.note(
         "EM2-RA replaces one-off migrations with round-trip remote accesses (Figure 3's new edges)",
     );
@@ -289,16 +266,8 @@ pub fn e4_optimal_vs_schemes(scale: Scale) -> Table {
     let names = [
         "ocean", "fft", "radix", "synth", "lu", "uniform", "pingpong",
     ];
-    let rows = par::par_map(names.to_vec(), |name| {
-        let w = match name {
-            "ocean" => workloads::ocean(scale),
-            "fft" => workloads::fft(scale),
-            "radix" => workloads::radix(scale),
-            "synth" => workloads::synth(scale),
-            "lu" => workloads::lu(scale),
-            "uniform" => workloads::uniform(scale),
-            _ => workloads::pingpong(scale),
-        };
+    t.extend(par::par_map(names.to_vec(), |name| {
+        let w = workloads::by_name(name, scale);
         let p = workloads::first_touch(&w, scale);
         let flat = flatten(&w, &p);
         // Outer cells already span the pool; keep the nested DP fan-out
@@ -316,37 +285,23 @@ pub fn e4_optimal_vs_schemes(scale: Scale) -> Table {
                 format!("{:.0}%", 100.0 * c as f64 / opt as f64)
             }
         };
-        let mut mig = AlwaysMigrate;
-        let mut ra = AlwaysRemote;
-        let mut dist = DistanceThreshold { max_hops: 2 };
-        let mut be = CostBreakEven { expected_run: 2.0 };
-        let mut hist = HistoryPredictor::new(1.0, 0.5);
-        let mut markov = MarkovPredictor::new(1.0, 0.5);
-        let costs = [
-            scheme_network_cost_flat(&flat, &cost, &mut mig),
-            scheme_network_cost_flat(&flat, &cost, &mut ra),
-            scheme_network_cost_flat(&flat, &cost, &mut dist),
-            scheme_network_cost_flat(&flat, &cost, &mut be),
-            scheme_network_cost_flat(&flat, &cost, &mut hist),
-            scheme_network_cost_flat(&flat, &cost, &mut markov),
+        // In header order.
+        let schemes: [Box<dyn DecisionScheme>; 6] = [
+            Box::new(AlwaysMigrate),
+            Box::new(AlwaysRemote),
+            Box::new(DistanceThreshold { max_hops: 2 }),
+            Box::new(CostBreakEven { expected_run: 2.0 }),
+            history_scheme(),
+            Box::new(MarkovPredictor::new(1.0, 0.5)),
         ];
-        for &c in &costs {
+        let mut row = vec![name.to_string(), fmt_count(opt)];
+        for mut scheme in schemes {
+            let c = scheme_network_cost_flat(&flat, &cost, &mut *scheme);
             assert!(c >= opt, "{name}: a scheme ({c}) beat the optimum ({opt})");
+            row.push(pct(c));
         }
-        vec![
-            name.to_string(),
-            fmt_count(opt),
-            pct(costs[0]),
-            pct(costs[1]),
-            pct(costs[2]),
-            pct(costs[3]),
-            pct(costs[4]),
-            pct(costs[5]),
-        ]
-    });
-    for row in rows {
-        t.row(row);
-    }
+        row
+    }));
     t.note("optimal = paper's dynamic program (per-thread, summed); schemes evaluated with the paper's O(N) replay");
     t
 }
@@ -355,12 +310,11 @@ pub fn e4_optimal_vs_schemes(scale: Scale) -> Table {
 /// transcription), the relaxed `O(N·P²)` variant, and the `O(N)`
 /// evaluator, over trace length and core count.
 ///
-/// Because the cells *time* the kernels, [`run_suite`] runs E5 in an
-/// **isolated phase after** every other experiment has finished, so no
-/// foreign suite work contends with the measurements; within the phase
-/// each (N, P) config gets its own core and takes the min of 3 reps.
-/// The timing columns are nondeterministic by nature and excluded from
-/// the determinism test.
+/// Because the cells *time* the kernels, E5 is a `solo` row of
+/// [`EXPERIMENTS`]: [`run_suite`] runs it **after** the parallel phase
+/// has finished, so no foreign suite work contends with the
+/// measurements; each (N, P) config takes the min of 3 reps. The three
+/// timing columns are the host's, and declared so.
 pub fn e5_dp_scaling(scale: Scale) -> Table {
     let mut t = Table::new(
         "E5 / §3 — DP runtime scaling (µs per solve, medians of 3)",
@@ -372,6 +326,7 @@ pub fn e5_dp_scaling(scale: Scale) -> Table {
             "evaluate O(N)",
         ],
     );
+    t.host_columns(&["optimal O(N·P)", "general O(N·P²)", "evaluate O(N)"]);
     let (ns, ps): (Vec<usize>, Vec<usize>) = match scale {
         Scale::Full => (vec![1_000, 4_000, 16_000], vec![16, 64, 256]),
         Scale::Quick => (vec![1_000, 4_000], vec![16, 64]),
@@ -497,11 +452,7 @@ pub fn e6_stack_depth(scale: Scale) -> Table {
         push_row("stack optimal-depth (DP)", opt.cost, opt.bits_shipped);
         rows
     });
-    for rows in row_groups {
-        for row in rows {
-            t.row(row);
-        }
-    }
+    t.extend(row_groups.into_iter().flatten());
     t.note("bits shipped = total context bits over all migrations incl. bounces; register context = 1120 bits/migration");
     t
 }
@@ -524,69 +475,42 @@ pub fn e7_cc_vs_em2(scale: Scale) -> Table {
     let cores = scale.cores();
     let names = ["ocean", "fft", "uniform", "prod-cons"];
     let row_groups = par::par_map(names.to_vec(), |name| {
-        let w = match name {
-            "ocean" => workloads::ocean(scale),
-            "fft" => workloads::fft(scale),
-            "uniform" => workloads::uniform(scale),
-            _ => workloads::producer_consumer(scale),
-        };
+        let w = workloads::by_name(name, scale);
         let p = workloads::first_touch(&w, scale);
         let flat = flatten(&w, &p);
         let cfg = MachineConfig::with_cores(cores);
         let mut rows: Vec<Vec<String>> = Vec::new();
+        let mut em2_row = |machine: &str, r: &SimReport, extra: String| {
+            rows.push(vec![
+                name.into(),
+                machine.into(),
+                fmt_count(r.cycles),
+                fmt_f(r.amat(), 1),
+                fmt_count(r.traffic.total()),
+                fmt_f(
+                    r.caches.l2_misses as f64 / r.flow.total_accesses().max(1) as f64,
+                    4,
+                ),
+                extra,
+            ]);
+        };
+        let ra_count = |r: &SimReport| fmt_count(r.flow.remote_reads + r.flow.remote_writes);
 
         let em2 = run_em2_flat(cfg.clone(), &flat);
-        rows.push(vec![
-            name.into(),
-            "EM2".into(),
-            fmt_count(em2.cycles),
-            fmt_f(em2.amat(), 1),
-            fmt_count(em2.traffic.total()),
-            fmt_f(
-                em2.caches.l2_misses as f64 / em2.flow.total_accesses().max(1) as f64,
-                4,
-            ),
-            format!("{} evictions", em2.flow.evictions),
-        ]);
-
-        let ra = run_em2ra_flat(
-            cfg.clone(),
-            &flat,
-            Box::new(HistoryPredictor::new(1.0, 0.5)),
+        em2_row("EM2", &em2, format!("{} evictions", em2.flow.evictions));
+        let ra = run_em2ra_flat(cfg.clone(), &flat, history_scheme());
+        let extra = format!(
+            "{} mig / {} RA",
+            fmt_count(ra.flow.migrations),
+            ra_count(&ra)
         );
-        rows.push(vec![
-            name.into(),
-            "EM2-RA(history)".into(),
-            fmt_count(ra.cycles),
-            fmt_f(ra.amat(), 1),
-            fmt_count(ra.traffic.total()),
-            fmt_f(
-                ra.caches.l2_misses as f64 / ra.flow.total_accesses().max(1) as f64,
-                4,
-            ),
-            format!(
-                "{} mig / {} RA",
-                fmt_count(ra.flow.migrations),
-                fmt_count(ra.flow.remote_reads + ra.flow.remote_writes)
-            ),
-        ]);
-
+        em2_row("EM2-RA(history)", &ra, extra);
         let pure_ra = run_em2ra_flat(cfg.clone(), &flat, Box::new(AlwaysRemote));
-        rows.push(vec![
-            name.into(),
-            "remote-only [15]".into(),
-            fmt_count(pure_ra.cycles),
-            fmt_f(pure_ra.amat(), 1),
-            fmt_count(pure_ra.traffic.total()),
-            fmt_f(
-                pure_ra.caches.l2_misses as f64 / pure_ra.flow.total_accesses().max(1) as f64,
-                4,
-            ),
-            format!(
-                "{} RA",
-                fmt_count(pure_ra.flow.remote_reads + pure_ra.flow.remote_writes)
-            ),
-        ]);
+        em2_row(
+            "remote-only [15]",
+            &pure_ra,
+            format!("{} RA", ra_count(&pure_ra)),
+        );
 
         let msi = em2_coherence::run_msi_flat(em2_coherence::MsiConfig::with_cores(cores), &flat);
         assert!(msi.violations.is_empty(), "E7 {name}: {:?}", msi.violations);
@@ -608,19 +532,17 @@ pub fn e7_cc_vs_em2(scale: Scale) -> Table {
         ]);
         rows
     });
-    for rows in row_groups {
-        for row in rows {
-            t.row(row);
-        }
-    }
+    t.extend(row_groups.into_iter().flatten());
     t.note("same caches, placement, cost model for all machines; MSI data messages carry whole 64-byte lines");
     t
 }
 
 /// E8 — §5: sensitivity of EM² performance to migrated context size
 /// and link width ("improves latency especially on low-bandwidth
-/// interconnects"). One flat workload, ten (link × context) cells.
-pub fn e8_context_size(scale: Scale) -> Table {
+/// interconnects"). One flat workload, ten (link × context) cells —
+/// the sweep reruns the simulation 10×, so it runs at quick scale
+/// whatever the suite's.
+pub fn e8_context_size(_scale: Scale) -> Table {
     let mut t = Table::new(
         "E8 / §5 — EM2 sensitivity to context size × link width (ocean)",
         &[
@@ -631,11 +553,8 @@ pub fn e8_context_size(scale: Scale) -> Table {
             "traffic flit-hops",
         ],
     );
-    let w = workloads::ocean(match scale {
-        Scale::Full => Scale::Quick, // the sweep reruns the sim 10×
-        s => s,
-    });
     let sweep_scale = Scale::Quick;
+    let w = workloads::ocean(sweep_scale);
     let p = workloads::first_touch(&w, sweep_scale);
     let flat = flatten(&w, &p);
     let mut cells: Vec<(u64, u64)> = Vec::new();
@@ -644,7 +563,7 @@ pub fn e8_context_size(scale: Scale) -> Table {
             cells.push((link, bits));
         }
     }
-    let rows = par::par_map(cells, |(link, bits)| {
+    t.extend(par::par_map(cells, |(link, bits)| {
         let cost = CostModel::builder()
             .cores(sweep_scale.cores())
             .link_width_bits(link)
@@ -662,12 +581,35 @@ pub fn e8_context_size(scale: Scale) -> Table {
             fmt_f(r.migration_latency.mean().unwrap_or(0.0), 1),
             fmt_count(r.traffic.total()),
         ]
-    });
-    for row in rows {
-        t.row(row);
-    }
+    }));
     t.note("smaller contexts shrink migration latency and traffic; the effect is strongest on narrow links — §4's motivation");
     t
+}
+
+/// One uncontended packet from the mesh's corner to `(dx, dy)` on the
+/// cycle-level NoC, or `None` when the mesh is too small to hold the
+/// probe: `(hops, measured latency, closed form)`. The closed form is
+/// hops + serialization at the cycle router's 1 cycle/hop, plus the
+/// cycle model's 2 cycles of injection/ejection overhead — the
+/// calibration E9 tabulates and E10 holds its uncontended column to.
+fn noc_probe(mesh: Mesh, (dx, dy): (u16, u16), vc: VirtualChannel, bits: u64) -> Option<[u64; 3]> {
+    if dx >= mesh.width() || dy >= mesh.height() {
+        return None;
+    }
+    let cm = CostModel::builder().mesh(mesh).hop_latency(1).build();
+    let (src, dst) = (mesh.at(0, 0), mesh.at(dx, dy));
+    let mut noc = CycleNoc::new(NocConfig {
+        mesh,
+        ..NocConfig::default()
+    });
+    noc.inject(src, dst, vc, bits);
+    noc.run_until_idle(100_000).expect("uncontended deadlock?!");
+    let measured = noc.take_deliveries()[0].latency();
+    Some([
+        mesh.hops(src, dst),
+        measured,
+        cm.one_way(src, dst, bits) + 2,
+    ])
 }
 
 /// E9 — §2/§3: cycle-level NoC validation — closed-form latency check
@@ -688,38 +630,21 @@ pub fn e9_noc_validation(scale: Scale) -> Table {
         ],
     );
     // (a) Uncontended latency across distances and payload sizes.
-    let cm = CostModel::builder()
-        .mesh(mesh)
-        .hop_latency(1) // the cycle router is 1 cycle/hop
-        .build();
     let mut cells: Vec<Cell<'_, Vec<Vec<String>>>> = Vec::new();
-    for &(dx, dy) in &[(1u16, 0u16), (3, 2), (7, 7)] {
-        if dx >= mesh.width() || dy >= mesh.height() {
-            continue;
-        }
-        for &bits in &[64u64, 1120, 4096] {
-            let cm = &cm;
+    for to in [(1u16, 0u16), (3, 2), (7, 7)] {
+        for bits in [64u64, 1120, 4096] {
             cells.push(Box::new(move || {
-                let mut noc = CycleNoc::new(NocConfig {
-                    mesh,
-                    ..NocConfig::default()
-                });
-                let src = mesh.at(0, 0);
-                let dst = mesh.at(dx, dy);
-                noc.inject(src, dst, VirtualChannel::Migration, bits);
-                noc.run_until_idle(100_000).expect("uncontended deadlock?!");
-                let measured = noc.take_deliveries()[0].latency();
-                // Closed form: hops + serialization; the cycle model adds
-                // 2 cycles of injection/ejection overhead.
-                let model = cm.one_way(src, dst, bits) + 2;
-                vec![vec![
-                    "latency".into(),
-                    mesh.hops(src, dst).to_string(),
-                    bits.to_string(),
-                    measured.to_string(),
-                    model.to_string(),
-                    format!("{:+}", measured as i64 - model as i64),
-                ]]
+                let probe = noc_probe(mesh, to, VirtualChannel::Migration, bits);
+                Vec::from_iter(probe.map(|[hops, measured, model]| {
+                    vec![
+                        "latency".into(),
+                        hops.to_string(),
+                        bits.to_string(),
+                        measured.to_string(),
+                        model.to_string(),
+                        format!("{:+}", measured as i64 - model as i64),
+                    ]
+                }))
             }));
         }
     }
@@ -764,11 +689,7 @@ pub fn e9_noc_validation(scale: Scale) -> Table {
             "no deadlock".into(),
         ]]
     }));
-    for rows in run_cells(cells) {
-        for row in rows {
-            t.row(row);
-        }
-    }
+    t.extend(run_cells(cells).into_iter().flatten());
     t.note("six virtual channels as required by §3; wormhole + XY routing + per-class VCs drain an adversarial storm");
     t
 }
@@ -800,27 +721,15 @@ pub fn e10_contention(scale: Scale) -> Table {
     let cores = scale.cores();
 
     // Cross-check the uncontended closed form against the cycle-level
-    // NoC (the E9 calibration: +2 cycles of injection/ejection).
+    // NoC (the E9 calibration).
     let mesh = Mesh::square_for(cores);
-    let cal = CostModel::builder().mesh(mesh).hop_latency(1).build();
-    for (dx, dy, bits) in [(1u16, 0u16, 72u64), (3, 2, 1120)] {
-        if dx >= mesh.width() || dy >= mesh.height() {
-            continue;
+    for (to, bits) in [((1u16, 0u16), 72u64), ((3, 2), 1120)] {
+        if let Some([_, measured, model]) = noc_probe(mesh, to, VirtualChannel::RemoteReq, bits) {
+            assert_eq!(
+                measured, model,
+                "E10: closed form out of calibration with the cycle NoC {to:?}×{bits}b"
+            );
         }
-        let (src, dst) = (mesh.at(0, 0), mesh.at(dx, dy));
-        let mut noc = CycleNoc::new(NocConfig {
-            mesh,
-            ..NocConfig::default()
-        });
-        noc.inject(src, dst, VirtualChannel::RemoteReq, bits);
-        noc.run_until_idle(100_000).expect("E10 probe deadlocked?!");
-        let measured = noc.take_deliveries()[0].latency();
-        assert_eq!(
-            measured,
-            cal.one_way(src, dst, bits) + 2,
-            "E10: closed form out of calibration with the cycle NoC \
-             ({dx},{dy})×{bits}b"
-        );
     }
 
     let names = [
@@ -832,21 +741,45 @@ pub fn e10_contention(scale: Scale) -> Table {
         "prod-cons",
     ];
     let row_groups = par::par_map(names.to_vec(), |name| {
-        let w = match name {
-            "pingpong" => workloads::pingpong(scale),
-            "ocean" => workloads::ocean(scale),
-            "hotspot" => em2_trace::gen::micro::hotspot(cores, cores, 1_000, 0.6, 7),
-            "fft" => workloads::fft(scale),
-            "uniform" => workloads::uniform(scale),
-            _ => workloads::producer_consumer(scale),
-        };
+        let w = workloads::by_name(name, scale);
         let p = workloads::first_touch(&w, scale);
         let flat = flatten(&w, &p);
         let base_cfg = MachineConfig::with_cores(cores);
         let queued = Contention::Queued(QueuedParams::from_cost(&base_cfg.cost));
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        let mut push_row = |machine: &str, off: u64, on: u64, link: u64, home: u64| {
-            rows.push(vec![
+        let em2_cfg = |contention| MachineConfig {
+            contention,
+            ..MachineConfig::with_cores(cores)
+        };
+        // What a row needs of a run, whichever machine ran it:
+        // [cycles, link wait, home wait], from a violation-free run.
+        let sim = |r: SimReport| {
+            assert!(r.violations.is_empty(), "E10 {name}: {:?}", r.violations);
+            [r.cycles, r.queue_link_wait_cycles, r.queue_home_wait_cycles]
+        };
+        let em2 = |contention| sim(run_em2_flat(em2_cfg(contention), &flat));
+        let ra = |contention| sim(run_em2ra_flat(em2_cfg(contention), &flat, history_scheme()));
+        let msi = |contention| {
+            let cfg = em2_coherence::MsiConfig {
+                contention,
+                ..em2_coherence::MsiConfig::with_cores(cores)
+            };
+            let r = em2_coherence::run_msi_flat(cfg, &flat);
+            assert!(r.violations.is_empty(), "E10 {name}: {:?}", r.violations);
+            [r.cycles, r.queue_link_wait_cycles, r.queue_home_wait_cycles]
+        };
+        type Run<'a> = &'a dyn Fn(Contention) -> [u64; 3];
+        let machines: [(&str, Run<'_>); 3] = [
+            ("EM2", &em2),
+            ("EM2-RA(history)", &ra),
+            ("directory-MSI", &msi),
+        ];
+        // No makespan assert: per-operation latency is provably never
+        // below the closed form (the kernel proptests), but queueing
+        // reorders events, so whole-run makespan is not an invariant —
+        // a <1.00x slowdown cell is the visible signal.
+        machines.map(|(machine, run)| {
+            let ([off, ..], [on, link, home]) = (run(Contention::Off), run(queued));
+            vec![
                 name.to_string(),
                 machine.to_string(),
                 fmt_count(off),
@@ -857,86 +790,110 @@ pub fn e10_contention(scale: Scale) -> Table {
                     format!("{:.2}x", on as f64 / off as f64)
                 },
                 format!("{}/{}", fmt_count(link), fmt_count(home)),
-            ]);
-        };
-
-        let em2_cfg = |contention| MachineConfig {
-            contention,
-            ..MachineConfig::with_cores(cores)
-        };
-        let off = run_em2_flat(em2_cfg(Contention::Off), &flat);
-        let on = run_em2_flat(em2_cfg(queued), &flat);
-        assert!(off.violations.is_empty() && on.violations.is_empty());
-        // No makespan assert here: per-operation latency is provably
-        // never below the closed form (the kernel proptests), but
-        // queueing reorders events, so whole-run makespan is not an
-        // invariant — a <1.00x slowdown cell is the visible signal.
-        push_row(
-            "EM2",
-            off.cycles,
-            on.cycles,
-            on.queue_link_wait_cycles,
-            on.queue_home_wait_cycles,
-        );
-
-        let ra = |contention| {
-            run_em2ra_flat(
-                em2_cfg(contention),
-                &flat,
-                Box::new(HistoryPredictor::new(1.0, 0.5)),
-            )
-        };
-        let (off, on) = (ra(Contention::Off), ra(queued));
-        assert!(off.violations.is_empty() && on.violations.is_empty());
-        push_row(
-            "EM2-RA(history)",
-            off.cycles,
-            on.cycles,
-            on.queue_link_wait_cycles,
-            on.queue_home_wait_cycles,
-        );
-
-        let msi = |contention| {
-            em2_coherence::run_msi_flat(
-                em2_coherence::MsiConfig {
-                    contention,
-                    ..em2_coherence::MsiConfig::with_cores(cores)
-                },
-                &flat,
-            )
-        };
-        let (off, on) = (msi(Contention::Off), msi(queued));
-        assert!(off.violations.is_empty() && on.violations.is_empty());
-        push_row(
-            "directory-MSI",
-            off.cycles,
-            on.cycles,
-            on.queue_link_wait_cycles,
-            on.queue_home_wait_cycles,
-        );
-        rows
+            ]
+        })
     });
-    for rows in row_groups {
-        for row in rows {
-            t.row(row);
-        }
-    }
+    t.extend(row_groups.into_iter().flatten());
     t.note("queued params from the shared CostModel: 1 service port/core busy an L2 hit per request, 1 channel/link, flit occupancy from link width");
     t.note("uncontended column = closed-form timing, bit-identical to E1/E3/E7 and cross-checked against the cycle NoC (E9: +2 inj/ej cycles)");
     t
+}
+
+fn history_scheme() -> Box<dyn DecisionScheme> {
+    Box::new(HistoryPredictor::new(1.0, 0.5))
+}
+
+/// The runtime cross-validation panel: E11 replays all three against
+/// the simulator; the cluster experiments (E12, E13) take the first
+/// two, one scheme per family. (E14 scores the placement panel,
+/// [`crate::scorecard::scheme_panel`].)
+fn runtime_panel() -> [(&'static str, SchemeFactory); 3] {
+    [
+        ("em2", || Box::new(AlwaysMigrate)),
+        ("em2ra-history", history_scheme),
+        ("em2ra-distance", || {
+            Box::new(DistanceThreshold { max_hops: 2 })
+        }),
+    ]
+}
+
+/// What E11–E13 replay through `em2-rt`: a workload under first-touch
+/// placement, with guest pools sized eviction-free so every counter is
+/// a pure function of per-thread program order (DESIGN.md §7).
+struct Replay {
+    w: Arc<Workload>,
+    placement: Arc<dyn Placement>,
+    cfg: em2_rt::RtConfig,
+}
+
+impl Replay {
+    fn new(workload: &str, scale: Scale) -> Replay {
+        let w = workloads::by_name(workload, scale);
+        let placement: Arc<dyn Placement> = Arc::new(workloads::first_touch(&w, scale));
+        let cfg = em2_rt::RtConfig::eviction_free(scale.cores(), w.num_threads());
+        Replay {
+            w: Arc::new(w),
+            placement,
+            cfg,
+        }
+    }
+
+    /// The single-process run.
+    fn single(&self, factory: SchemeFactory) -> em2_rt::RtReport {
+        let placement = Arc::clone(&self.placement);
+        em2_rt::run_workload(self.cfg.clone(), &self.w, placement, factory)
+    }
+
+    /// The single-process run as the first row of a scheme's block in
+    /// E12 and E13 — nothing crossed a wire — with the counters every
+    /// cluster row under it must sum to.
+    fn baseline(&self, sname: &str, factory: SchemeFactory) -> (Vec<String>, CounterSummary) {
+        let single = self.single(factory);
+        let mut row = vec!["in-process".to_string(), sname.to_string()];
+        row.extend(["0", "0", "0", "0", "baseline"].map(String::from));
+        row.push(fmt_f(single.ops_per_sec() / 1e6, 2));
+        (row, CounterSummary::from_rt(&single))
+    }
+
+    /// The same replay as a cluster over `spec`.
+    fn cluster(&self, spec: &ClusterSpec, factory: SchemeFactory) -> ClusterRun {
+        ClusterRun::new(spec, &self.cfg, &self.w, &self.placement, factory)
+    }
+}
+
+/// Run a cluster to the end — every node must report — and sum the
+/// nodes' counters.
+fn run_cluster(what: &str, run: ClusterRun) -> (Vec<NetReport>, CounterSummary) {
+    let reports: Vec<NetReport> = run.run().into_iter().map(|r| r.expect(what)).collect();
+    let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
+    (reports, total)
+}
+
+/// The asserted half of a cluster row: the nodes' summed counters are
+/// bit-equal to the single-process run's. Returns the row's
+/// throughput cell.
+fn agreed_mops(what: &str, total: &CounterSummary, expected: &CounterSummary) -> String {
+    assert!(
+        total.counters_equal(expected),
+        "{what}: cluster diverged from single process\ncluster: {total:?}\nsingle:  {expected:?}"
+    );
+    let mops = if total.wall_s > 0.0 {
+        total.total_ops() as f64 / total.wall_s / 1e6
+    } else {
+        0.0
+    };
+    fmt_f(mops, 2)
 }
 
 /// E11 — runtime ↔ simulator cross-validation: replay the same
 /// workloads through the executable `em2-rt` runtime (real OS-thread
 /// shards, mailbox migration, word-granular remote access) and the
 /// `em2-core` simulator, under the same placement and decision
-/// schemes, with guest pools sized eviction-free so every counter is a
-/// pure function of per-thread program order (DESIGN.md §7). The
-/// migration count, remote-access counts, and run-length histogram
-/// are asserted **bit-equal**; the runtime's measured throughput
-/// (host wall-clock, masked in digests) is the ops/sec column.
+/// schemes, eviction-free (`Replay`). The migration count,
+/// remote-access counts, and run-length histogram are asserted
+/// **bit-equal**; the runtime's measured throughput is the host's
+/// column.
 pub fn e11_runtime_agreement(scale: Scale) -> Table {
-    let cores = scale.cores();
     let mut t = Table::new(
         "E11 / runtime <-> simulator cross-validation (eviction-free guest pools)",
         &[
@@ -950,39 +907,19 @@ pub fn e11_runtime_agreement(scale: Scale) -> Table {
             "rt Mops/s",
         ],
     );
-    type SchemeFactory = fn() -> Box<dyn DecisionScheme>;
-    let schemes: [(&str, SchemeFactory); 3] = [
-        ("em2", || Box::new(AlwaysMigrate)),
-        ("em2ra-history", || {
-            Box::new(HistoryPredictor::new(1.0, 0.5))
-        }),
-        ("em2ra-distance", || {
-            Box::new(DistanceThreshold { max_hops: 2 })
-        }),
-    ];
+    t.host_columns(&["rt Mops/s"]);
     for wname in ["ocean", "uniform"] {
-        let w = match wname {
-            "ocean" => workloads::ocean(scale),
-            _ => workloads::uniform(scale),
-        };
-        let threads = w.num_threads();
-        let placement: Arc<dyn Placement> = Arc::new(workloads::first_touch(&w, scale));
-        let flat = FlatWorkload::build_homes_only(&w, 64, |a| placement.home_of(a));
-        let w = Arc::new(w);
-        for (sname, factory) in schemes {
-            let mut cfg = MachineConfig::with_cores(cores);
-            cfg.guest_contexts = threads;
+        let replay = Replay::new(wname, scale);
+        let flat = FlatWorkload::build_homes_only(&replay.w, 64, |a| replay.placement.home_of(a));
+        for (sname, factory) in runtime_panel() {
+            let mut cfg = MachineConfig::with_cores(scale.cores());
+            cfg.guest_contexts = replay.w.num_threads();
             let sim = run_em2ra_flat(cfg, &flat, factory());
             assert_eq!(
                 sim.flow.evictions, 0,
                 "E11 {wname}/{sname}: agreement config must be eviction-free"
             );
-            let rt = em2_rt::run_workload(
-                em2_rt::RtConfig::eviction_free(cores, threads),
-                &w,
-                Arc::clone(&placement),
-                factory,
-            );
+            let rt = replay.single(factory);
             let agree = rt.flow.migrations == sim.flow.migrations
                 && rt.flow.remote_reads == sim.flow.remote_reads
                 && rt.flow.remote_writes == sim.flow.remote_writes
@@ -1020,11 +957,8 @@ pub fn e11_runtime_agreement(scale: Scale) -> Table {
 /// program-order functions; see DESIGN.md §9) and digest-stable; real
 /// two-OS-process UDS agreement is pinned by `net/tests/multiproc.rs`
 /// and real-socket throughput is measured by `benchmark/`
-/// (`uds2-migrate`, `uds2-remote`). Throughput (the last column) is
-/// host wall-clock and masked, like E11's.
+/// (`uds2-migrate`, `uds2-remote`). Only throughput is the host's.
 pub fn e12_transport(scale: Scale) -> Table {
-    use em2_net::{ClusterRun, ClusterSpec, CounterSummary};
-    let cores = scale.cores();
     let mut t = Table::new(
         "E12 / distributed runtime — cluster vs single-process (loopback transport)",
         &[
@@ -1038,49 +972,15 @@ pub fn e12_transport(scale: Scale) -> Table {
             "rt Mops/s",
         ],
     );
-    type SchemeFactory = fn() -> Box<dyn DecisionScheme>;
-    let schemes: [(&str, SchemeFactory); 2] = [
-        ("em2", || Box::new(AlwaysMigrate)),
-        ("em2ra-history", || {
-            Box::new(HistoryPredictor::new(1.0, 0.5))
-        }),
-    ];
-    let w = workloads::ocean(scale);
-    let threads = w.num_threads();
-    let placement: Arc<dyn em2_placement::Placement> = Arc::new(workloads::first_touch(&w, scale));
-    let w = Arc::new(w);
-    let cfg = em2_rt::RtConfig::eviction_free(cores, threads);
-    for (sname, factory) in schemes {
-        let single = em2_rt::run_workload(cfg.clone(), &w, Arc::clone(&placement), factory);
-        let expected = CounterSummary::from_rt(&single);
-        t.row(vec![
-            "in-process".into(),
-            sname.into(),
-            "0".into(),
-            "0".into(),
-            "0".into(),
-            "0".into(),
-            "baseline".into(),
-            fmt_f(single.ops_per_sec() / 1e6, 2),
-        ]);
+    t.host_columns(&["rt Mops/s"]);
+    let replay = Replay::new("ocean", scale);
+    for (sname, factory) in runtime_panel().into_iter().take(2) {
+        let (row, expected) = replay.baseline(sname, factory);
+        t.row(row);
         for nodes in [2usize, 4] {
-            let spec = ClusterSpec::loopback(nodes, cores);
-            let reports: Vec<_> = ClusterRun::new(&spec, &cfg, &w, &placement, factory)
-                .run()
-                .into_iter()
-                .map(|r| r.expect("loopback cluster"))
-                .collect();
-            let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
-            assert!(
-                total.counters_equal(&expected),
-                "E12 {sname}/{nodes}-node: cluster diverged from single process\n\
-                 cluster: {total:?}\nsingle:  {expected:?}"
-            );
-            let mops = if total.wall_s > 0.0 {
-                total.total_ops() as f64 / total.wall_s / 1e6
-            } else {
-                0.0
-            };
+            let what = format!("E12 {sname}/{nodes}-node");
+            let spec = ClusterSpec::loopback(nodes, scale.cores());
+            let (_, total) = run_cluster(&what, replay.cluster(&spec, factory));
             t.row(vec![
                 format!("loopback x{nodes}"),
                 sname.into(),
@@ -1089,7 +989,7 @@ pub fn e12_transport(scale: Scale) -> Table {
                 fmt_count(total.wire.frames_tx),
                 fmt_count(total.wire.bytes_tx),
                 "exact".into(),
-                fmt_f(mops, 2),
+                agreed_mops(&what, &total, &expected),
             ]);
         }
     }
@@ -1097,10 +997,6 @@ pub fn e12_transport(scale: Scale) -> Table {
     t.note("x-node ctxs = task envelopes that crossed a node boundary; ctx bytes = serialized continuations inside them (the paper's migrated-context traffic, now on a real wire)");
     t.note("rt Mops/s is host wall-clock (masked in digests); real-socket throughput is measured by benchmark/ (uds2-migrate, uds2-remote)");
     t
-}
-
-fn history_scheme() -> Box<dyn DecisionScheme> {
-    Box::new(HistoryPredictor::new(1.0, 0.5))
 }
 
 /// E13 — elastic membership: the same cluster with **live shard
@@ -1114,10 +1010,13 @@ fn history_scheme() -> Box<dyn DecisionScheme> {
 /// for both scheme families; and a node crashing mid-handoff fails
 /// the survivors with a typed error within the deadline, never a
 /// hang or a wrong sum.
+///
+/// Which frames cross the wire here depends on *when* each handoff
+/// commits relative to the workload, so the wire columns are the
+/// host's along with throughput; the asserted invariant (bit-equal
+/// agreement, final epoch) lives in the columns that are not.
 pub fn e13_elastic_membership(scale: Scale) -> Table {
-    use em2_net::{
-        ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, FaultPlan, TransportKind,
-    };
+    use em2_net::{ClusterTimeouts, FaultPlan, TransportKind};
     let cores = scale.cores();
     let mut t = Table::new(
         "E13 / elastic membership — live shard handoff vs single-process",
@@ -1132,95 +1031,56 @@ pub fn e13_elastic_membership(scale: Scale) -> Table {
             "rt Mops/s",
         ],
     );
-    type SchemeFactory = fn() -> Box<dyn DecisionScheme>;
-    let schemes: [(&str, SchemeFactory); 2] = [
-        ("em2", || Box::new(AlwaysMigrate)),
-        ("em2ra-history", || {
-            Box::new(HistoryPredictor::new(1.0, 0.5))
-        }),
-    ];
+    t.host_columns(&["x-node ctxs", "ctx bytes", "rt Mops/s"]);
     let timeouts = ClusterTimeouts {
         connect_ms: 10_000,
         run_ms: 30_000,
         heartbeat_ms: 25,
     };
-    let w = workloads::ocean(scale);
-    let threads = w.num_threads();
-    let placement: Arc<dyn em2_placement::Placement> = Arc::new(workloads::first_touch(&w, scale));
-    let w = Arc::new(w);
-    let cfg = em2_rt::RtConfig::eviction_free(cores, threads);
+    let replay = Replay::new("ocean", scale);
     let uds_dir = std::env::temp_dir().join(format!("em2-e13-{}", std::process::id()));
     std::fs::create_dir_all(&uds_dir).expect("E13 scratch dir");
-    for (sname, factory) in schemes {
-        let single = em2_rt::run_workload(cfg.clone(), &w, Arc::clone(&placement), factory);
-        let expected = CounterSummary::from_rt(&single);
-        t.row(vec![
-            "in-process".into(),
-            sname.into(),
-            "0".into(),
-            "0".into(),
-            "0".into(),
-            "0".into(),
-            "baseline".into(),
-            fmt_f(single.ops_per_sec() / 1e6, 2),
-        ]);
+    for (sname, factory) in runtime_panel().into_iter().take(2) {
+        let (row, expected) = replay.baseline(sname, factory);
+        t.row(row);
+        let uds_base = uds_dir.join(format!("{sname}.sock"));
         for (mode, spec) in [
+            ("loopback x2", ClusterSpec::loopback(2, cores)),
             (
-                "loopback x2".to_string(),
-                ClusterSpec::loopback(2, cores).with_timeouts(timeouts),
-            ),
-            (
-                "uds x3".to_string(),
+                "uds x3",
                 ClusterSpec::even(
                     TransportKind::Uds,
-                    uds_dir
-                        .join(format!("{sname}.sock"))
-                        .to_str()
-                        .expect("utf8"),
+                    uds_base.to_str().expect("utf8"),
                     3,
                     cores,
-                )
-                .with_timeouts(timeouts),
+                ),
             ),
         ] {
+            let what = format!("E13 {sname}/{mode}");
+            let spec = spec.with_timeouts(timeouts);
             let nodes = spec.num_nodes();
             // Three genuine moves: a shard out of node 0, a shard into
             // node 0, and the first one back again.
             let handoffs = [(1usize, nodes - 1), (cores - 2, 0), (1, 0)];
-            let reports: Vec<_> = ClusterRun::new(&spec, &cfg, &w, &placement, factory)
-                .handoffs(&handoffs)
-                .run()
-                .into_iter()
-                .map(|r| r.expect("E13 handoff cluster"))
-                .collect();
-            let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
-            assert!(
-                total.counters_equal(&expected),
-                "E13 {sname}/{mode}: cluster with live handoffs diverged from single process\n\
-                 cluster: {total:?}\nsingle:  {expected:?}"
-            );
+            let epoch = spec.initial_epoch + handoffs.len() as u64;
+            let run = replay.cluster(&spec, factory).handoffs(&handoffs);
+            let (reports, total) = run_cluster(&what, run);
             for r in &reports {
                 assert_eq!(
-                    r.epoch,
-                    spec.initial_epoch + handoffs.len() as u64,
-                    "E13 {sname}/{mode}: node {} missed a handoff commit",
+                    r.epoch, epoch,
+                    "{what}: node {} missed a handoff commit",
                     r.node
                 );
             }
-            let mops = if total.wall_s > 0.0 {
-                total.total_ops() as f64 / total.wall_s / 1e6
-            } else {
-                0.0
-            };
             t.row(vec![
-                mode,
+                mode.into(),
                 sname.into(),
                 fmt_count(handoffs.len() as u64),
-                fmt_count(spec.initial_epoch + handoffs.len() as u64),
+                fmt_count(epoch),
                 fmt_count(total.wire.arrives_tx),
                 fmt_count(total.wire.context_bytes_tx),
                 "exact".into(),
-                fmt_f(mops, 2),
+                agreed_mops(&what, &total, &expected),
             ]);
         }
     }
@@ -1235,7 +1095,8 @@ pub fn e13_elastic_membership(scale: Scale) -> Table {
         });
         let plan = Arc::new(FaultPlan::new().crash_node(1, 6));
         let t0 = Instant::now();
-        let results = ClusterRun::new(&spec, &cfg, &w, &placement, history_scheme)
+        let results = replay
+            .cluster(&spec, history_scheme)
             .chaos(&plan)
             .handoffs(&[(1, 1), (cores - 2, 0)])
             .run();
@@ -1280,8 +1141,7 @@ pub fn e13_elastic_membership(scale: Scale) -> Table {
 /// observed = the `O(N)` replay evaluation, and cluster sum = single
 /// process.
 pub fn e14_placement_scorecard(scale: Scale) -> Table {
-    use crate::scorecard::{kv_workload, scheme_panel, PlacementScorecard};
-    use em2_net::{ClusterRun, ClusterSpec};
+    use crate::scorecard::{scheme_panel, PlacementScorecard};
     let sc = PlacementScorecard::measure(scale);
     let mut t = Table::new(
         "E14 / placement scorecard — attributed cost vs DP bound (KV replay)",
@@ -1294,21 +1154,14 @@ pub fn e14_placement_scorecard(scale: Scale) -> Table {
             "agreement",
         ],
     );
-    let (shards, threads, rounds) = PlacementScorecard::sizes(scale);
-    let w = Arc::new(kv_workload(threads, rounds, shards));
-    let placement: Arc<dyn em2_placement::Placement> =
-        Arc::new(em2_placement::Striped::new(shards, 64));
-    let mut cfg = em2_rt::RtConfig::eviction_free(shards, threads);
-    cfg.obs = Some(em2_obs::ObsConfig::on());
     for (score, (sname, factory)) in sc.scores.iter().zip(scheme_panel()) {
         debug_assert_eq!(score.scheme, sname, "panel order is shared");
-        let spec = ClusterSpec::loopback(2, shards);
-        let summed: u64 = ClusterRun::new(&spec, &cfg, &w, &placement, factory)
-            .run()
-            .into_iter()
-            .map(|r| r.expect("E14 loopback cluster"))
-            .map(|r| r.obs.expect("obs was configured on").attrib_cost())
-            .sum();
+        let spec = ClusterSpec::loopback(2, sc.cfg.shards);
+        let run = ClusterRun::new(&spec, &sc.cfg, &sc.workload, &sc.placement, factory);
+        let (reports, _) = run_cluster(&format!("E14 {sname}"), run);
+        let attributed =
+            |r: &NetReport| r.obs.as_ref().expect("obs was configured on").attrib_cost();
+        let summed: u64 = reports.iter().map(attributed).sum();
         assert_eq!(
             summed, score.observed,
             "E14 {sname}: 2-node attributed-cost sum diverged from single process"
@@ -1332,17 +1185,75 @@ pub fn e14_placement_scorecard(scale: Scale) -> Table {
     t
 }
 
-/// Experiment ids in canonical order.
-pub const ALL_IDS: [&str; 14] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
+/// One experiment: a row of [`EXPERIMENTS`].
+pub struct Experiment {
+    /// The id the command line selects it by.
+    pub id: &'static str,
+    /// Measures host time, or starts whole node fleets of shard
+    /// workers: [`run_suite`] runs it alone, after the parallel phase,
+    /// so it sees an otherwise idle machine.
+    pub solo: bool,
+    /// Build the table (and, for E2, the Figure-2 histogram behind it).
+    run: fn(Scale) -> (Table, Option<Histogram>),
+}
+
+const fn row(
+    id: &'static str,
+    solo: bool,
+    run: fn(Scale) -> (Table, Option<Histogram>),
+) -> Experiment {
+    Experiment { id, solo, run }
+}
+
+/// The registry: every experiment once, in canonical order. Selection
+/// ([`select`]), the suite's two phases and its output order, and the
+/// command line's id list are all read from here.
+pub static EXPERIMENTS: [Experiment; 14] = [
+    row("e1", false, |s| (e1_flow_em2(s), None)),
+    row("e2", false, |s| {
+        let (t, hist) = e2_ocean_runlengths(s);
+        (t, Some(hist))
+    }),
+    row("e3", false, |s| (e3_flow_em2ra(s), None)),
+    row("e4", false, |s| (e4_optimal_vs_schemes(s), None)),
+    row("e5", true, |s| (e5_dp_scaling(s), None)),
+    row("e6", false, |s| (e6_stack_depth(s), None)),
+    row("e7", false, |s| (e7_cc_vs_em2(s), None)),
+    row("e8", false, |s| (e8_context_size(s), None)),
+    row("e9", false, |s| (e9_noc_validation(s), None)),
+    row("e10", false, |s| (e10_contention(s), None)),
+    row("e11", true, |s| (e11_runtime_agreement(s), None)),
+    row("e12", true, |s| (e12_transport(s), None)),
+    row("e13", true, |s| (e13_elastic_membership(s), None)),
+    row("e14", true, |s| (e14_placement_scorecard(s), None)),
 ];
 
-/// One experiment's output: its tables plus the wall-clock it took.
+/// The registry rows `ids` name (none = all), in canonical order
+/// whatever order they were asked for in. An unknown id is an error
+/// that lists the registry's.
+pub fn select(ids: &[&str]) -> Result<Vec<&'static Experiment>, String> {
+    if let Some(bad) = ids
+        .iter()
+        .find(|id| EXPERIMENTS.iter().all(|e| e.id != **id))
+    {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        return Err(format!(
+            "unknown experiment {bad:?} (expected one of: {})",
+            known.join(", ")
+        ));
+    }
+    let chosen = |e: &&Experiment| ids.is_empty() || ids.contains(&e.id);
+    Ok(EXPERIMENTS.iter().filter(chosen).collect())
+}
+
+/// One experiment's output: its table plus the wall-clock it took.
 pub struct ExperimentRun {
-    /// Experiment id (`"e1"` … `"e9"`).
+    /// The [`Experiment::id`] that ran.
     pub id: &'static str,
-    /// Rendered tables (E-experiments produce exactly one each).
-    pub tables: Vec<Table>,
+    /// The rendered table.
+    pub table: Table,
+    /// The Figure-2 histogram (E2's run only).
+    pub figure2: Option<Histogram>,
     /// Wall-clock time of this experiment's cell, including nested
     /// parallelism (experiment wall times overlap when the suite runs
     /// experiments concurrently).
@@ -1359,84 +1270,47 @@ pub struct SuiteResult {
     pub wall: Duration,
     /// Per-experiment results, in canonical order.
     pub runs: Vec<ExperimentRun>,
-    /// The Figure-2 histogram (present when E2 ran).
-    pub figure2: Option<Histogram>,
 }
 
 impl SuiteResult {
     /// All tables in canonical order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.runs.iter().flat_map(|r| r.tables.iter())
+        self.runs.iter().map(|r| &r.table)
+    }
+
+    /// The Figure-2 histogram (present when E2 ran).
+    pub fn figure2(&self) -> Option<&Histogram> {
+        self.runs.iter().find_map(|r| r.figure2.as_ref())
     }
 }
 
-/// Run a subset of experiments (empty `ids` = all fourteen) with the
-/// two-level parallel sweep: experiments fan out as cells, and each
-/// experiment fans its own (config, workload, scheme) cells. Output
-/// order — and content, minus E5's, E11's, E12's, and E13's measured
-/// wall-clock (and E13's handoff-timing-dependent wire) cells — is
-/// independent of the worker count.
-pub fn run_suite(scale: Scale, ids: &[&str]) -> SuiteResult {
-    let selected: Vec<&'static str> = ALL_IDS
-        .iter()
-        .copied()
-        .filter(|id| ids.is_empty() || ids.contains(id))
-        .collect();
+/// Run `selected` (a [`select`] result) with the two-level parallel
+/// sweep: experiments fan out as cells, and each experiment fans its
+/// own (config, workload, scheme) cells; the `solo` ones then run one
+/// at a time. Output order — and content, minus the cells of each
+/// table's declared host columns — is independent of the worker count.
+pub fn run_suite(scale: Scale, selected: &[&'static Experiment]) -> SuiteResult {
     let start = Instant::now();
-    let fig2 = std::sync::Mutex::new(None);
-    let run_one = |id: &'static str| {
+    let run_one = |e: &'static Experiment| {
         let t0 = Instant::now();
-        let tables = match id {
-            "e1" => vec![e1_flow_em2(scale)],
-            "e2" => {
-                let (t, hist) = e2_ocean_runlengths(scale);
-                *fig2.lock().expect("fig2 lock") = Some(hist);
-                vec![t]
-            }
-            "e3" => vec![e3_flow_em2ra(scale)],
-            "e4" => vec![e4_optimal_vs_schemes(scale)],
-            "e5" => vec![e5_dp_scaling(scale)],
-            "e6" => vec![e6_stack_depth(scale)],
-            "e7" => vec![e7_cc_vs_em2(scale)],
-            "e8" => vec![e8_context_size(scale)],
-            "e9" => vec![e9_noc_validation(scale)],
-            "e10" => vec![e10_contention(scale)],
-            "e11" => vec![e11_runtime_agreement(scale)],
-            "e12" => vec![e12_transport(scale)],
-            "e13" => vec![e13_elastic_membership(scale)],
-            "e14" => vec![e14_placement_scorecard(scale)],
-            other => unreachable!("id {other:?} is not in ALL_IDS"),
-        };
+        let (table, figure2) = (e.run)(scale);
         ExperimentRun {
-            id,
-            tables,
+            id: e.id,
+            table,
+            figure2,
             wall: t0.elapsed(),
         }
     };
-    // Phase 1: everything except the wall-clock-measuring
-    // experiments, fanned across the pool. Phase 2: E5 (DP runtimes),
-    // E11 (runtime ops/sec), E12, E13, and E14 (cluster runs — whole
-    // node fleets of shard workers) run alone in sequence, so their
-    // measurements see an otherwise idle machine.
-    let (timed, rest): (Vec<_>, Vec<_>) = selected.into_iter().partition(|id| {
-        *id == "e5" || *id == "e11" || *id == "e12" || *id == "e13" || *id == "e14"
-    });
-    let mut runs = par::par_map(rest, run_one);
-    runs.extend(timed.into_iter().map(run_one));
-    runs.sort_by_key(|r| ALL_IDS.iter().position(|id| *id == r.id));
+    let (solo, pooled): (Vec<_>, Vec<_>) = selected.iter().copied().partition(|e| e.solo);
+    let mut runs = par::par_map(pooled, run_one);
+    runs.extend(solo.into_iter().map(run_one));
+    runs.sort_by_key(|r| EXPERIMENTS.iter().position(|e| e.id == r.id));
     SuiteResult {
         scale,
         threads: par::threads(),
         wall: start.elapsed(),
         runs,
-        figure2: fig2.into_inner().expect("fig2 lock"),
     }
-}
-
-/// Run every experiment at a scale, returning the rendered tables.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    let suite = run_suite(scale, &[]);
-    suite.runs.into_iter().flat_map(|r| r.tables).collect()
 }
 
 #[cfg(test)]
@@ -1489,8 +1363,7 @@ mod tests {
         let w = workloads::pingpong(Scale::Quick);
         let p = workloads::first_touch(&w, Scale::Quick);
         let cost = CostModel::builder().cores(16).build();
-        let mut mig = AlwaysMigrate;
-        let c = scheme_network_cost(&w, &p, &cost, &mut mig);
+        let c = scheme_network_cost_flat(&flatten(&w, &p), &cost, &mut AlwaysMigrate);
         assert!(c > 0);
         let a = run_length_analysis(&w, &p, 60);
         // Each migration costs at least hop_latency + fixed.
@@ -1498,25 +1371,31 @@ mod tests {
     }
 
     #[test]
-    fn flat_scheme_cost_matches_workload_scheme_cost() {
-        let w = workloads::pingpong(Scale::Quick);
-        let p = workloads::first_touch(&w, Scale::Quick);
-        let flat = flatten(&w, &p);
-        let cost = CostModel::builder().cores(16).build();
-        let mut a = HistoryPredictor::new(1.0, 0.5);
-        let mut b = HistoryPredictor::new(1.0, 0.5);
-        assert_eq!(
-            scheme_network_cost(&w, &p, &cost, &mut a),
-            scheme_network_cost_flat(&flat, &cost, &mut b),
-        );
+    fn run_suite_selects_subsets_in_order() {
+        let s = run_suite(Scale::Quick, &select(&["e9", "e1"]).expect("known ids"));
+        let ids: Vec<&str> = s.runs.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec!["e1", "e9"], "canonical order, not request order");
+        assert!(s.figure2().is_none(), "e2 did not run");
+        assert!(s.wall.as_nanos() > 0);
     }
 
     #[test]
-    fn run_suite_selects_subsets_in_order() {
-        let s = run_suite(Scale::Quick, &["e9", "e1"]);
-        let ids: Vec<&str> = s.runs.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec!["e1", "e9"], "canonical order, not request order");
-        assert!(s.figure2.is_none(), "e2 did not run");
-        assert!(s.wall.as_nanos() > 0);
+    fn the_registry_is_e1_to_e14_once_each_in_order() {
+        let ids: Vec<String> = EXPERIMENTS.iter().map(|e| e.id.to_string()).collect();
+        let canonical: Vec<String> = (1..=14).map(|n| format!("e{n}")).collect();
+        assert_eq!(ids, canonical);
+        assert_eq!(select(&[]).expect("all").len(), EXPERIMENTS.len());
+        let err = select(&["e3", "e15"]).err().expect("e15 is not a row");
+        assert!(err.contains("\"e15\"") && err.contains(&canonical.join(", ")));
+    }
+
+    #[test]
+    fn solo_rows_are_the_ones_that_time_the_host_or_start_fleets() {
+        let solo: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.solo)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(solo, ["e5", "e11", "e12", "e13", "e14"]);
     }
 }

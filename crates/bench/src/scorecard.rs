@@ -75,24 +75,23 @@ pub struct SchemeScore {
     pub scheme: &'static str,
     /// Attributed cost read from the telemetry plane after an obs-on
     /// runtime execution (the sum of the attribution matrix's cost
-    /// column).
+    /// column) — asserted equal to the paper's `O(N)` replay of the
+    /// same stream ([`scheme_network_cost_flat`]), pinning the
+    /// attribution plumbing to the analytical model.
     pub observed: u64,
-    /// The same stream evaluated by the paper's `O(N)` replay
-    /// ([`scheme_network_cost_flat`]) — asserted equal to `observed`,
-    /// pinning the attribution plumbing to the analytical model.
-    pub replay: u64,
 }
 
 /// The placement scorecard: per-scheme observed cost plus the DP bound
 /// every scheme is measured against.
-#[derive(Clone, Debug)]
 pub struct PlacementScorecard {
-    /// Shard count the measurement ran on.
-    pub shards: usize,
-    /// Thread (request-stream) count.
-    pub threads: usize,
-    /// Request rounds per thread.
-    pub rounds: usize,
+    /// The stream that was measured ([`kv_workload`]). E14 replays
+    /// this workload, placement and config on a cluster to compare
+    /// sums.
+    pub workload: Arc<Workload>,
+    /// Its placement: homes striped like the serving benchmark's.
+    pub placement: Arc<dyn Placement>,
+    /// The obs-on, eviction-free runtime configuration it ran on.
+    pub cfg: em2_rt::RtConfig,
     /// The DP lower bound on the same access stream.
     pub bound: u64,
     /// Per-scheme entries, in [`scheme_panel`] order.
@@ -100,24 +99,21 @@ pub struct PlacementScorecard {
 }
 
 impl PlacementScorecard {
-    /// Sizes used at `scale` (shards, threads, rounds).
-    pub fn sizes(scale: Scale) -> (usize, usize, usize) {
-        let shards = scale.cores();
-        let rounds = match scale {
-            Scale::Quick => 32,
-            Scale::Full => 64,
-        };
-        (shards, shards, rounds)
-    }
-
     /// Measure the scorecard single-process: run each panel scheme on
     /// the eviction-free runtime with the telemetry plane on, read the
     /// attributed cost back from the final snapshot, and solve the DP
     /// bound on the same flat stream.
     pub fn measure(scale: Scale) -> Self {
-        let (shards, threads, rounds) = Self::sizes(scale);
+        // One request stream per shard.
+        let (shards, threads) = (scale.cores(), scale.cores());
+        let rounds = match scale {
+            Scale::Quick => 32,
+            Scale::Full => 64,
+        };
         let w = Arc::new(kv_workload(threads, rounds, shards));
         let placement: Arc<dyn Placement> = Arc::new(Striped::new(shards, 64));
+        let mut cfg = em2_rt::RtConfig::eviction_free(shards, threads);
+        cfg.obs = Some(em2_obs::ObsConfig::on());
         let cost = CostModel::builder().cores(shards).build();
         let flat = FlatWorkload::build(&w, 64, |a| placement.home_of(a));
         // Bounded nested fan-out, like E4: the caller may already span
@@ -127,9 +123,7 @@ impl PlacementScorecard {
         let scores = scheme_panel()
             .into_iter()
             .map(|(name, factory)| {
-                let mut cfg = em2_rt::RtConfig::eviction_free(shards, threads);
-                cfg.obs = Some(em2_obs::ObsConfig::on());
-                let report = em2_rt::run_workload(cfg, &w, Arc::clone(&placement), factory);
+                let report = em2_rt::run_workload(cfg.clone(), &w, Arc::clone(&placement), factory);
                 let observed = report
                     .obs
                     .as_ref()
@@ -148,14 +142,13 @@ impl PlacementScorecard {
                 SchemeScore {
                     scheme: name,
                     observed,
-                    replay,
                 }
             })
             .collect();
         PlacementScorecard {
-            shards,
-            threads,
-            rounds,
+            workload: w,
+            placement,
+            cfg,
             bound,
             scores,
         }

@@ -13,6 +13,12 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// Free-form notes printed under the table.
     pub notes: Vec<String>,
+    /// Indices of the columns whose cells depend on the host — wall
+    /// clock, or counts that move with scheduling — declared through
+    /// [`Table::host_columns`] by the experiment that fills them.
+    /// They print like any other cell; the determinism fingerprint
+    /// ([`crate::perf::render_masked`]) hides exactly these.
+    pub host_cols: Vec<usize>,
 }
 
 impl Table {
@@ -23,6 +29,18 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            host_cols: Vec::new(),
+        }
+    }
+
+    /// Declare the columns under these headers host-dependent. By
+    /// header, not by index: the declaration follows a column when
+    /// one is added or moved beside it.
+    pub fn host_columns(&mut self, headers: &[&str]) {
+        for h in headers {
+            let col = self.headers.iter().position(|x| x == h);
+            self.host_cols
+                .push(col.unwrap_or_else(|| panic!("no column {h:?} in {:?}", self.title)));
         }
     }
 
@@ -30,6 +48,13 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells);
+    }
+
+    /// Append rows, in order.
+    pub fn extend(&mut self, rows: impl IntoIterator<Item = Vec<String>>) {
+        for cells in rows {
+            self.row(cells);
+        }
     }
 
     /// Append a note.

@@ -144,6 +144,27 @@ pub fn producer_consumer(scale: Scale) -> Workload {
     micro::producer_consumer(n, n, 64, 4)
 }
 
+/// The workload a table row names — the one name → generator map
+/// behind every experiment's per-workload cells.
+///
+/// # Panics
+/// On a name no experiment uses.
+pub fn by_name(name: &str, scale: Scale) -> Workload {
+    let n = scale.cores();
+    match name {
+        "ocean" => ocean(scale),
+        "fft" => fft(scale),
+        "lu" => lu(scale),
+        "radix" => radix(scale),
+        "synth" => synth(scale),
+        "uniform" => uniform(scale),
+        "pingpong" => pingpong(scale),
+        "prod-cons" => producer_consumer(scale),
+        "hotspot" => micro::hotspot(n, n, 1_000, 0.6, 7),
+        other => panic!("no workload named {other:?}"),
+    }
+}
+
 /// First-touch placement for a workload at line granularity (the
 /// paper's Figure-2 configuration).
 pub fn first_touch(w: &Workload, scale: Scale) -> impl Placement + use<> {
@@ -156,16 +177,18 @@ mod tests {
 
     #[test]
     fn quick_workloads_generate() {
-        for (name, w) in [
-            ("ocean", ocean(Scale::Quick)),
-            ("fft", fft(Scale::Quick)),
-            ("lu", lu(Scale::Quick)),
-            ("radix", radix(Scale::Quick)),
-            ("synth", synth(Scale::Quick)),
-            ("uniform", uniform(Scale::Quick)),
-            ("pingpong", pingpong(Scale::Quick)),
-            ("producer_consumer", producer_consumer(Scale::Quick)),
+        for name in [
+            "ocean",
+            "fft",
+            "lu",
+            "radix",
+            "synth",
+            "uniform",
+            "pingpong",
+            "prod-cons",
+            "hotspot",
         ] {
+            let w = by_name(name, Scale::Quick);
             assert!(w.total_accesses() > 100, "{name} too small");
             assert!(w.num_threads() <= 16, "{name} too wide");
         }

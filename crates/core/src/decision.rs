@@ -43,6 +43,25 @@ pub struct DecisionCtx<'a> {
     pub cost: &'a CostModel,
 }
 
+impl DecisionCtx<'_> {
+    /// The break-even rule: migrate when one migration costs no more
+    /// than the round trips a run of `expected_run` accesses at the
+    /// home would. The cost-aware schemes differ only in where
+    /// `expected_run` comes from.
+    #[inline]
+    pub fn break_even(&self, expected_run: f64) -> Decision {
+        let mig = self.cost.migration_latency(self.current, self.home) as f64;
+        let ra = self
+            .cost
+            .remote_access_latency(self.current, self.home, self.kind) as f64;
+        if mig <= ra * expected_run {
+            Decision::Migrate
+        } else {
+            Decision::Remote
+        }
+    }
+}
+
 /// A per-access migrate-vs-remote policy. Schemes may keep state and
 /// learn online from completed run lengths via
 /// [`DecisionScheme::observe_run`].
@@ -181,15 +200,7 @@ pub struct CostBreakEven {
 
 impl DecisionScheme for CostBreakEven {
     fn decide(&mut self, ctx: &DecisionCtx<'_>) -> Decision {
-        let mig = ctx.cost.migration_latency(ctx.current, ctx.home) as f64;
-        let ra = ctx
-            .cost
-            .remote_access_latency(ctx.current, ctx.home, ctx.kind) as f64;
-        if mig <= ra * self.expected_run {
-            Decision::Migrate
-        } else {
-            Decision::Remote
-        }
+        ctx.break_even(self.expected_run)
     }
 
     fn name(&self) -> String {
@@ -257,16 +268,7 @@ impl HistoryPredictor {
 
 impl DecisionScheme for HistoryPredictor {
     fn decide(&mut self, ctx: &DecisionCtx<'_>) -> Decision {
-        let predicted = self.prediction(ctx.thread, ctx.home);
-        let mig = ctx.cost.migration_latency(ctx.current, ctx.home) as f64;
-        let ra = ctx
-            .cost
-            .remote_access_latency(ctx.current, ctx.home, ctx.kind) as f64;
-        if mig <= ra * predicted {
-            Decision::Migrate
-        } else {
-            Decision::Remote
-        }
+        ctx.break_even(self.prediction(ctx.thread, ctx.home))
     }
 
     fn observe_run(&mut self, thread: ThreadId, home: CoreId, len: u64) {
@@ -364,16 +366,7 @@ impl MarkovPredictor {
 
 impl DecisionScheme for MarkovPredictor {
     fn decide(&mut self, ctx: &DecisionCtx<'_>) -> Decision {
-        let predicted = self.prediction(ctx.thread, ctx.home);
-        let mig = ctx.cost.migration_latency(ctx.current, ctx.home) as f64;
-        let ra = ctx
-            .cost
-            .remote_access_latency(ctx.current, ctx.home, ctx.kind) as f64;
-        if mig <= ra * predicted {
-            Decision::Migrate
-        } else {
-            Decision::Remote
-        }
+        ctx.break_even(self.prediction(ctx.thread, ctx.home))
     }
 
     fn observe_run(&mut self, thread: ThreadId, home: CoreId, len: u64) {

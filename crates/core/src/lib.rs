@@ -52,5 +52,5 @@ pub use decision::{
 };
 pub use em2_engine::{Contention, QueuedParams};
 pub use machine::MachineConfig;
-pub use sim::{Simulator, RUN_BINS};
+pub use sim::RUN_BINS;
 pub use stats::{FlowCounts, SimReport};

@@ -16,8 +16,8 @@
 //! bandwidth occupancy (DESIGN.md §4 addendum).
 //!
 //! The simulator is fully deterministic: event ties are broken by
-//! insertion sequence, and all randomness (e.g. random eviction) flows
-//! from seeded generators.
+//! insertion sequence, guest eviction is LRU, and nothing draws a
+//! random number.
 //!
 //! The machine runs on the shared discrete-event kernel of
 //! [`em2_engine`]: the engine owns the event queue, the per-thread
@@ -402,16 +402,7 @@ impl MachineModel for Em2Machine<'_> {
                     Decision::Remote => {
                         // Send the request; the home cache is
                         // accessed when it *arrives* (Service).
-                        let req_bits = match kind {
-                            em2_model::AccessKind::Read => cost.ra_req_bits,
-                            em2_model::AccessKind::Write => {
-                                cost.ra_req_bits + cost.ra_write_data_bits
-                            }
-                        };
-                        let resp_bits = match kind {
-                            em2_model::AccessKind::Read => cost.ra_resp_read_bits,
-                            em2_model::AccessKind::Write => cost.ra_resp_ack_bits,
-                        };
+                        let (req_bits, resp_bits) = cost.ra_bits(kind);
                         self.traffic.ra_req_flit_hops +=
                             cost.hops(core, home) * cost.flits(req_bits);
                         self.traffic.ra_resp_flit_hops +=
@@ -438,49 +429,12 @@ impl MachineModel for Em2Machine<'_> {
     }
 }
 
-/// The simulator. Construct, then [`Simulator::run`].
-pub struct Simulator<'a> {
-    cfg: MachineConfig,
-    workload: &'a Workload,
-    placement: &'a dyn Placement,
-    scheme: Box<dyn DecisionScheme>,
-}
-
-impl<'a> Simulator<'a> {
-    /// A simulator for `workload` under `placement` with the given
-    /// decision scheme (`AlwaysMigrate` = pure EM²).
-    pub fn new(
-        cfg: MachineConfig,
-        workload: &'a Workload,
-        placement: &'a dyn Placement,
-        scheme: Box<dyn DecisionScheme>,
-    ) -> Self {
-        assert!(
-            placement.cores() <= cfg.cores(),
-            "placement targets more cores than the machine has"
-        );
-        Simulator {
-            cfg,
-            workload,
-            placement,
-            scheme,
-        }
-    }
-
-    /// Run to completion and produce the report.
-    pub fn run(self) -> SimReport {
-        let flat =
-            FlatWorkload::build_homes_only(self.workload, self.cfg.caches.l1.line_bytes, |a| {
-                self.placement.home_of(a)
-            });
-        run_flat(self.cfg, &flat, self.scheme)
-    }
-}
-
-/// Run a decision scheme over a prebuilt flat workload — the core of
-/// every EM²/EM²-RA simulation. Bit-identical to building the flat
-/// view from the equivalent `(Workload, Placement)` pair inline.
-pub fn run_flat(
+/// Run EM²-RA with the given decision scheme over a prebuilt flat
+/// workload — the core of every EM²/EM²-RA simulation, and the
+/// sweep-friendly entry: build the flat view once, run many schemes
+/// and configs over it. Bit-identical to [`run_em2ra`] on the
+/// equivalent `(Workload, Placement)` pair.
+pub fn run_em2ra_flat(
     cfg: MachineConfig,
     flat: &FlatWorkload,
     scheme: Box<dyn DecisionScheme>,
@@ -587,13 +541,12 @@ pub fn run_flat(
 
 /// Run pure EM² (always migrate) — the paper's baseline machine.
 pub fn run_em2(cfg: MachineConfig, workload: &Workload, placement: &dyn Placement) -> SimReport {
-    Simulator::new(
+    run_em2ra(
         cfg,
         workload,
         placement,
         Box::new(crate::decision::AlwaysMigrate),
     )
-    .run()
 }
 
 /// Run EM²-RA with the given decision scheme (Figure 3's machine).
@@ -603,22 +556,18 @@ pub fn run_em2ra(
     placement: &dyn Placement,
     scheme: Box<dyn DecisionScheme>,
 ) -> SimReport {
-    Simulator::new(cfg, workload, placement, scheme).run()
+    assert!(
+        placement.cores() <= cfg.cores(),
+        "placement targets more cores than the machine has"
+    );
+    let line_bytes = cfg.caches.l1.line_bytes;
+    let flat = FlatWorkload::build_homes_only(workload, line_bytes, |a| placement.home_of(a));
+    run_em2ra_flat(cfg, &flat, scheme)
 }
 
-/// [`run_em2`] over a prebuilt flat workload (the sweep-friendly
-/// entry: build the flat view once, run many configs over it).
+/// [`run_em2`] over a prebuilt flat workload.
 pub fn run_em2_flat(cfg: MachineConfig, flat: &FlatWorkload) -> SimReport {
-    run_flat(cfg, flat, Box::new(crate::decision::AlwaysMigrate))
-}
-
-/// [`run_em2ra`] over a prebuilt flat workload.
-pub fn run_em2ra_flat(
-    cfg: MachineConfig,
-    flat: &FlatWorkload,
-    scheme: Box<dyn DecisionScheme>,
-) -> SimReport {
-    run_flat(cfg, flat, scheme)
+    run_em2ra_flat(cfg, flat, Box::new(crate::decision::AlwaysMigrate))
 }
 #[cfg(test)]
 mod tests {
@@ -825,7 +774,7 @@ mod tests {
     fn always_migrate_name_in_report() {
         let w = micro::private(2, 4, 10);
         let p = FirstTouch::build(&w, 4, 64);
-        let r = Simulator::new(cfg(4), &w, &p, Box::new(AlwaysMigrate)).run();
+        let r = run_em2ra(cfg(4), &w, &p, Box::new(AlwaysMigrate));
         assert_eq!(r.scheme, "always-migrate");
         assert_eq!(r.workload, "private");
     }

@@ -4,7 +4,7 @@
 
 use em2_core::decision::{AlwaysMigrate, AlwaysRemote, DistanceThreshold};
 use em2_core::machine::MachineConfig;
-use em2_core::sim::Simulator;
+use em2_core::sim::run_em2ra;
 use em2_model::{Addr, CoreId, ThreadId};
 use em2_placement::Striped;
 use em2_trace::{ThreadTrace, Workload};
@@ -49,13 +49,12 @@ proptest! {
     #[test]
     fn em2_conserves_accesses_and_invariants(w in workload_strategy(4)) {
         let p = Striped::new(4, 64);
-        let r = Simulator::new(
+        let r = run_em2ra(
             MachineConfig::with_cores(4),
             &w,
             &p,
             Box::new(AlwaysMigrate),
-        )
-        .run();
+        );
         prop_assert!(r.violations.is_empty(), "{:?}", r.violations);
         prop_assert_eq!(r.flow.total_accesses() as usize, w.total_accesses());
         prop_assert_eq!(r.flow.remote_reads + r.flow.remote_writes, 0);
@@ -70,7 +69,7 @@ proptest! {
             } else {
                 Box::new(DistanceThreshold { max_hops: 1 })
             };
-            let r = Simulator::new(MachineConfig::with_cores(4), &w, &p, s).run();
+            let r = run_em2ra(MachineConfig::with_cores(4), &w, &p, s);
             prop_assert!(r.violations.is_empty(), "{:?}", r.violations);
             prop_assert_eq!(r.flow.total_accesses() as usize, w.total_accesses());
         }
@@ -85,7 +84,7 @@ proptest! {
             guest_contexts: 1,
             ..MachineConfig::with_cores(4)
         };
-        let r = Simulator::new(cfg, &w, &p, Box::new(AlwaysMigrate)).run();
+        let r = run_em2ra(cfg, &w, &p, Box::new(AlwaysMigrate));
         prop_assert!(r.violations.is_empty(), "{:?}", r.violations);
         prop_assert_eq!(r.flow.total_accesses() as usize, w.total_accesses());
         prop_assert!(r.peak_guests <= 1);
@@ -98,7 +97,7 @@ proptest! {
             guest_contexts: 8,
             ..MachineConfig::with_cores(4)
         };
-        let r = Simulator::new(cfg, &w, &p, Box::new(AlwaysMigrate)).run();
+        let r = run_em2ra(cfg, &w, &p, Box::new(AlwaysMigrate));
         let analysis = em2_placement::run_length_analysis(&w, &p, 60);
         prop_assert_eq!(r.run_lengths, analysis.histogram);
     }
@@ -106,13 +105,12 @@ proptest! {
     #[test]
     fn makespan_dominates_every_latency_sum_component(w in workload_strategy(2)) {
         let p = Striped::new(4, 64);
-        let r = Simulator::new(
+        let r = run_em2ra(
             MachineConfig::with_cores(4),
             &w,
             &p,
             Box::new(AlwaysMigrate),
-        )
-        .run();
+        );
         // Per-thread serial execution: the makespan is at least the
         // mean access latency (any single access fits in the run).
         if r.flow.total_accesses() > 0 {

@@ -64,13 +64,9 @@ impl RunMonitor {
         }
     }
 
-    /// Record one *completed* run directly: bin it (if non-native)
-    /// and report it to `observe`. This is the run-end half of
-    /// [`RunMonitor::track`], exposed for machines that carry the
-    /// in-progress `(core, len)` state themselves — the `em2-rt`
-    /// runtime keeps it in the migrating task envelope so its hot
-    /// local path never touches the shared monitor mid-run.
-    pub fn record_run(
+    /// Record one *completed* run: bin it (if non-native) and report
+    /// it to `observe` — the run-end half of [`RunMonitor::track`].
+    fn record_run(
         &mut self,
         thread: ThreadId,
         core: CoreId,

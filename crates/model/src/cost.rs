@@ -158,6 +158,19 @@ impl CostModel {
         self.migration_latency_bits(src, dst, self.context_bits)
     }
 
+    /// `(request, response)` message sizes of a remote access: a write
+    /// carries its data out and gets an ack back, a read gets the word.
+    #[inline]
+    pub fn ra_bits(&self, kind: AccessKind) -> (u64, u64) {
+        match kind {
+            AccessKind::Read => (self.ra_req_bits, self.ra_resp_read_bits),
+            AccessKind::Write => (
+                self.ra_req_bits + self.ra_write_data_bits,
+                self.ra_resp_ack_bits,
+            ),
+        }
+    }
+
     /// Round-trip latency of a remote cache access from `src` to the
     /// line's `home` core (paper §3, Figure 3). Zero if already home.
     #[inline]
@@ -165,13 +178,7 @@ impl CostModel {
         if src == home {
             return 0;
         }
-        let (req_bits, resp_bits) = match kind {
-            AccessKind::Read => (self.ra_req_bits, self.ra_resp_read_bits),
-            AccessKind::Write => (
-                self.ra_req_bits + self.ra_write_data_bits,
-                self.ra_resp_ack_bits,
-            ),
-        };
+        let (req_bits, resp_bits) = self.ra_bits(kind);
         self.one_way(src, home, req_bits) + self.one_way(home, src, resp_bits) + self.ra_fixed
     }
 
@@ -191,13 +198,7 @@ impl CostModel {
         if src == home {
             return 0;
         }
-        let (req_bits, resp_bits) = match kind {
-            AccessKind::Read => (self.ra_req_bits, self.ra_resp_read_bits),
-            AccessKind::Write => (
-                self.ra_req_bits + self.ra_write_data_bits,
-                self.ra_resp_ack_bits,
-            ),
-        };
+        let (req_bits, resp_bits) = self.ra_bits(kind);
         self.hops(src, home) * (self.flits(req_bits) + self.flits(resp_bits))
     }
 }

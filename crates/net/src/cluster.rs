@@ -10,6 +10,7 @@
 //! refuse to form a cluster instead of silently misrouting.
 
 use crate::transport::{LoopbackTransport, TcpTransport, Transport, UdsTransport};
+use em2_model::hash::{fnv1a, FNV1A_INIT};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which transport a cluster runs on.
@@ -335,13 +336,8 @@ impl ClusterSpec {
     /// handshake compares, so misconfigured processes refuse each
     /// other.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV1A_INIT;
+        let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         eat(self.kind.name().as_bytes());
         eat(&(self.total_shards as u64).to_le_bytes());
         eat(&self.initial_epoch.to_le_bytes());
@@ -493,6 +489,13 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
         assert_eq!(a.digest(), a.clone().digest());
+        // The value is wire-visible (`Hello.topology`): two builds that
+        // fold a spec differently refuse each other. Pinned from the
+        // inline fold that preceded `em2_model::hash::fnv1a`.
+        let uds = ClusterSpec::even(TransportKind::Uds, "/tmp/em2.sock", 3, 16);
+        assert_eq!(uds.digest(), 0xe8ff_fc20_8418_c500);
+        let tcp = ClusterSpec::even(TransportKind::Tcp, "127.0.0.1:7600", 2, 16);
+        assert_eq!(tcp.with_initial_epoch(7).digest(), 0x074d_3225_1cfc_c47c);
     }
 
     #[test]

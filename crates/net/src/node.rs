@@ -67,6 +67,7 @@ use crate::control::{Action, Control, Event, Note};
 use crate::error::ClusterError;
 use crate::proto::NetMsg;
 use crate::transport::{Duplex, FrameBatch, FrameRx, FrameTx, Transport};
+use em2_model::hash::{fnv1a, FNV1A_INIT};
 use em2_model::{DetRng, ThreadId};
 use em2_placement::Placement;
 use em2_rt::mpsc::MpscQueue;
@@ -140,20 +141,36 @@ pub struct WireSnapshot {
 }
 
 impl WireSnapshot {
-    /// Fold in another thread's share: counts add, the high-water mark
-    /// takes the max.
+    /// Every field with its summary-file key and whether two shares of
+    /// it merge by `max` — the high-water mark: a sum of depths would
+    /// describe no queue — rather than by sum. [`WireSnapshot::absorb`]
+    /// and `CounterSummary`'s field table both merge by this.
+    pub(crate) fn fields(&mut self) -> [(&'static str, &mut u64, bool); 11] {
+        [
+            ("wire_frames_tx", &mut self.frames_tx, false),
+            ("wire_bytes_tx", &mut self.bytes_tx, false),
+            ("wire_frames_rx", &mut self.frames_rx, false),
+            ("wire_bytes_rx", &mut self.bytes_rx, false),
+            ("wire_dupes_rx", &mut self.dupes_rx, false),
+            ("wire_arrives_tx", &mut self.arrives_tx, false),
+            ("wire_context_bytes_tx", &mut self.context_bytes_tx, false),
+            ("wire_frames_tx_total", &mut self.frames_tx_total, false),
+            ("wire_bytes_tx_total", &mut self.bytes_tx_total, false),
+            ("wire_flushes_tx", &mut self.flushes_tx, false),
+            ("wire_egress_hwm", &mut self.egress_hwm, true),
+        ]
+    }
+
+    /// Fold in another thread's share.
     fn absorb(&mut self, o: &WireSnapshot) {
-        self.frames_tx += o.frames_tx;
-        self.bytes_tx += o.bytes_tx;
-        self.frames_rx += o.frames_rx;
-        self.bytes_rx += o.bytes_rx;
-        self.dupes_rx += o.dupes_rx;
-        self.arrives_tx += o.arrives_tx;
-        self.context_bytes_tx += o.context_bytes_tx;
-        self.frames_tx_total += o.frames_tx_total;
-        self.bytes_tx_total += o.bytes_tx_total;
-        self.flushes_tx += o.flushes_tx;
-        self.egress_hwm = self.egress_hwm.max(o.egress_hwm);
+        let mut o = *o;
+        for ((_, mine, max), (_, theirs, _)) in self.fields().into_iter().zip(o.fields()) {
+            *mine = if max {
+                (*mine).max(*theirs)
+            } else {
+                *mine + *theirs
+            };
+        }
     }
 }
 
@@ -169,23 +186,20 @@ enum EgressItem {
     Close { bye: bool },
 }
 
-/// One peer edge: the egress lanes its writer thread drains and the
+/// One peer edge: the egress lane its writer thread drains and the
 /// edge's liveness clocks. The connection's send half is **owned by
 /// the writer thread** — no shared send state, so the producer side
-/// (`forward`, coordinator logic) only ever holds a lane's lock for
+/// (`forward`, coordinator logic) only ever holds the lane's lock for
 /// one enqueue.
 struct Peer {
-    /// Main egress lane; the writer is the single consumer. Its lock
+    /// The egress lane; the writer is the single consumer. Its lock
     /// serializes pushes, and that FIFO order is what keeps Closed-
-    /// after-last-Shard and Bye-last intact (DESIGN.md §11). The push
-    /// that finds the writer idle unparks it; the writer goes idle
-    /// through `rest` before it parks, and std's park token covers an
-    /// unpark that lands between the two.
+    /// after-last-Shard and Bye-last intact (DESIGN.md §11); only an
+    /// Abort enters at the head. The push that finds the writer idle
+    /// unparks it; the writer goes idle through `rest` before it
+    /// parks, and std's park token covers an unpark that lands between
+    /// the two.
     egress: MpscQueue<EgressItem>,
-    /// Priority lane: an Abort must jump every frame still queued in
-    /// the main lane. Failure-path only — never on the hot path — so
-    /// it unparks the writer unconditionally.
-    urgent: Mutex<Vec<NetMsg>>,
     /// The writer thread's handle, registered by the thread itself
     /// before it first looks at a lane.
     writer: OnceLock<std::thread::Thread>,
@@ -202,7 +216,6 @@ impl Peer {
     fn new() -> Peer {
         Peer {
             egress: MpscQueue::new(),
-            urgent: Mutex::new(Vec::new()),
             writer: OnceLock::new(),
             last_rx_ms: AtomicU64::new(0),
             bye: AtomicBool::new(false),
@@ -210,7 +223,7 @@ impl Peer {
     }
 
     /// Unpark the writer. Before it has registered there is nobody to
-    /// unpark: it has not looked at a lane yet and will find the item.
+    /// unpark: it has not looked at the lane yet and will find the item.
     fn unpark_writer(&self) {
         if let Some(t) = self.writer.get() {
             t.unpark();
@@ -312,11 +325,11 @@ impl Links {
     /// instead of waiting out its deadline. Later failures are
     /// sympathetic noise and only reinforce the shutdown.
     ///
-    /// The abort fan-out goes through the peers' **urgent lanes**: an
-    /// Abort jumps every data frame still queued in the main egress
-    /// FIFO, so a wedged bulk queue cannot delay the cluster's failure
-    /// signal. Callable from any thread, including a writer: it only
-    /// enqueues, never touches a connection. It visits the control
+    /// The abort fan-out enters each peer's egress lane **at the head**
+    /// ([`Links::send_abort`]), so a wedged bulk queue cannot delay the
+    /// cluster's failure signal. Callable from any thread, including a
+    /// writer: it only enqueues, never touches a connection. It visits
+    /// the control
     /// plane once, so it must never run under the control guard —
     /// `control` performs `Fail` actions after dropping it.
     fn fail(&self, err: ClusterError) {
@@ -381,16 +394,11 @@ impl Links {
             _ => err.to_string(),
         };
         for node in relay {
-            self.send_urgent(
-                node,
-                NetMsg::Abort {
-                    reason: reason.clone(),
-                },
-            );
+            self.send_abort(node, reason.clone());
         }
     }
 
-    /// Enqueue one message on a peer's main egress FIFO and, if that
+    /// Enqueue one message on a peer's egress FIFO and, if that
     /// found its writer idle, wake it. This is the whole hot path for a
     /// sender: one enqueue under the lane's lock plus at most one
     /// `unpark` — no syscall, no ledger, no blocking on a slow peer. A
@@ -403,20 +411,22 @@ impl Links {
         }
     }
 
-    /// Queue-jumping control send: the writer drains the urgent lane
-    /// before the main FIFO, so an [`NetMsg::Abort`] overtakes any
-    /// backlog of data frames. Best-effort (a missing or dead peer is
-    /// ignored) and never counted toward deterministic telemetry —
-    /// the failure path must not recurse into `fail`.
-    fn send_urgent(&self, node: usize, msg: NetMsg) {
-        let Some(peer) = self.peers[node].as_ref() else {
-            return;
-        };
-        peer.urgent
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(msg);
-        peer.unpark_writer();
+    /// [`Links::send_to`] for an [`NetMsg::Abort`], which jumps the
+    /// queue: pushed at the lane's head, it overtakes any backlog of
+    /// data frames, under the lane's one wake protocol. Best-effort (a
+    /// missing peer is ignored). If the writer then fails to flush it,
+    /// that is an ordinary `send_failed` → `fail`, which finds the
+    /// first-failure slot taken — `fail` put this Abort here — and
+    /// stops: the failure path cannot recurse.
+    fn send_abort(&self, node: usize, reason: String) {
+        if let Some(peer) = self.peers[node].as_ref() {
+            if peer
+                .egress
+                .push_front(EgressItem::Msg(NetMsg::Abort { reason }))
+            {
+                peer.unpark_writer();
+            }
+        }
     }
 
     // ------------------------------------------- control-plane driver
@@ -808,20 +818,19 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
     }
 }
 
-/// One writer thread: the single consumer of a peer's egress lanes
+/// One writer thread: the single consumer of a peer's egress lane
 /// and the sole owner of the connection's send half and its sequence
 /// counter — sequence numbers are assigned in **queue order**, so the
 /// wire stream is gap-free by construction no matter how producers
 /// raced their pushes (DESIGN.md §11). Every frame it writes goes
 /// through [`stage`].
 ///
-/// Each wakeup drains the urgent lane first (aborts overtake data),
-/// then moves up to [`COALESCE_FRAMES`] frames out of the main FIFO
-/// under one lock, encodes each straight into the edge's one reusable
+/// Each wakeup moves up to [`COALESCE_FRAMES`] frames out of the FIFO
+/// under one lock (an Abort, pushed at the head, leads its window), encodes each straight into the edge's one reusable
 /// [`FrameBatch`], and writes the window as **one flush**
 /// ([`FrameTx::send_batch`]: on a stream transport, one `write` — a
 /// window that outgrows [`COALESCE_BYTES`] flushes early). When
-/// both lanes go empty the writer parks with a bounded tick and absorbs
+/// the lane goes empty the writer parks with a bounded tick and absorbs
 /// the old heartbeat thread's job: keep an idle edge warm every
 /// `heartbeat_ms` and declare the peer lost after `peer_deadline_ms` of
 /// receive silence. The [`EgressItem::Close`] sentinel (pushed by
@@ -833,10 +842,10 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
     let _ = peer.writer.set(std::thread::current());
     // This edge's timing-plane handle (`None` when obs is off).
     let pobs = links.obs.get().map(|o| o.register_peer(node as u64));
-    // Every flush on this edge, whichever lane filled the batch: one
+    // Every flush on this edge: one
     // write and one clock read behind it, then everything that is per
     // flush rather than per frame — the flush count, `queued` (how deep
-    // `take` found the main lane when this window opened) against the
+    // `take` found the lane when this window opened) against the
     // egress high-water mark, the heartbeat clock and (obs on) the
     // latency, which spans `send_batch` and nothing else: the exact
     // syscall cost the batch pays. What a failed write means is the
@@ -857,7 +866,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
         }
         Ok(())
     };
-    // The main lane's and the heartbeat's policy for a failed write.
+    // What a failed write means, window or heartbeat.
     let send_failed = |e: std::io::Error| {
         links.fail(ClusterError::PeerLost {
             node,
@@ -877,28 +886,11 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
         last_tx_ms: 0,
         wire: WireSnapshot::default(),
     };
-    // The window `take` moves out of the main lane (capacity persists).
+    // The window `take` moves out of the lane (capacity persists).
     let mut window: Vec<EgressItem> = Vec::with_capacity(COALESCE_FRAMES);
     loop {
-        // Urgent lane first: an Abort overtakes any queued data.
-        let urgent = std::mem::take(&mut *peer.urgent.lock().unwrap_or_else(|p| p.into_inner()));
-        if !urgent.is_empty() {
-            if let Some(c) = conn.as_mut() {
-                batch.clear();
-                for msg in &urgent {
-                    stage(links, node, msg, &mut batch, &mut tx);
-                }
-                // Best-effort, like the old quiet path: the failure
-                // fan-out must not recurse into fail().
-                if flush(c.as_mut(), &batch, &mut tx, 0).is_err() {
-                    conn = None;
-                }
-            }
-            continue;
-        }
-
-        // Main lane: move one coalesce window out under one lock and
-        // flush it once.
+        // Move one coalesce window out under one lock and flush it
+        // once.
         let queued = peer.egress.take(&mut window, COALESCE_FRAMES) as u64;
         let popped = !window.is_empty();
         batch.clear();
@@ -984,8 +976,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
         // `rest` sees — then park until a producer wakes us (or the tick
         // elapses: the heartbeat clock needs a bounded sleep). A push
         // that lands after `rest` finds us idle and unparks; std's park
-        // token makes that unpark, and the urgent lane's unconditional
-        // one, stick even if it beats the park.
+        // token makes that unpark stick even if it beats the park.
         if !peer.egress.rest(false) {
             std::thread::park_timeout(tick);
         }
@@ -1541,7 +1532,7 @@ fn recv_handshake(rx: &mut dyn FrameRx, deadline: Instant) -> Result<NetMsg, Clu
 }
 
 /// Dial `addr` until it answers or the deadline passes, backing off
-/// exponentially (1 ms doubling to a 200 ms cap) with deterministic
+/// exponentially (2 ms doubling to a 200 ms cap) with deterministic
 /// jitter seeded from the address — retries from many nodes spread
 /// out instead of stampeding the listener in lockstep.
 fn connect_with_retry(
@@ -1550,9 +1541,7 @@ fn connect_with_retry(
     deadline: Instant,
 ) -> Result<Duplex, ClusterError> {
     let t0 = Instant::now();
-    let mut rng = DetRng::new(addr.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    }));
+    let mut rng = DetRng::new(fnv1a(FNV1A_INIT, addr.as_bytes()));
     let mut delay_ms: u64 = 2;
     loop {
         match transport.connect(addr) {
@@ -1570,6 +1559,70 @@ fn connect_with_retry(
                 let left = deadline.saturating_duration_since(now);
                 std::thread::sleep(Duration::from_millis(jittered).min(left));
                 delay_ms = (delay_ms * 2).min(200);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A send half that keeps every frame it is flushed, in wire order.
+    struct Capture(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl FrameTx for Capture {
+        fn send_batch(&mut self, batch: &FrameBatch) -> std::io::Result<()> {
+            let mut wire = self.0.lock().expect("capture");
+            wire.extend(batch.frames().map(<[u8]>::to_vec));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_abort_pushed_behind_a_backlog_is_the_first_frame_on_the_wire() {
+        // Node 1 of 2 with no thread running: whatever is sent to node
+        // 0 waits in the lane for a writer that has not started.
+        let spec = ClusterSpec::loopback(2, 4);
+        let owners: Vec<u32> = (0..4).map(|s| spec.owner_of(s) as u32).collect();
+        let links = Links {
+            me: 1,
+            directory: Arc::new(ShardDirectory::new(1, 0, &owners)),
+            control: Mutex::new(Control::new(1, 2, 4, Vec::new(), 0)),
+            peers: vec![Some(Peer::new()), None],
+            inbox: OnceLock::new(),
+            failure: Mutex::new(None),
+            quiesced: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            epoch: Instant::now(),
+            obs: OnceLock::new(),
+            ticker: OnceLock::new(),
+            spec,
+        };
+        let backlog = 2 * COALESCE_FRAMES + 5;
+        for _ in 0..backlog {
+            links.send_to(0, NetMsg::Retired);
+        }
+        // The run fails last: a leaf tells the coordinator, node 0.
+        links.fail(ClusterError::Io {
+            detail: "injected".into(),
+        });
+        links.peer(0).egress.push(EgressItem::Close { bye: false });
+
+        let wire = Arc::new(Mutex::new(Vec::new()));
+        let counted = writer_loop(&links, 0, Box::new(Capture(Arc::clone(&wire))));
+        let frames = wire.lock().expect("capture");
+        assert_eq!(frames.len(), backlog + 1, "nothing lost, no Bye");
+        assert_eq!(counted.frames_tx_total, frames.len() as u64);
+        // Sequence numbers are assigned at pop time: the queue-jumper
+        // takes the first, and the stream stays gap-free behind it.
+        for (i, frame) in frames.iter().enumerate() {
+            let (seq, msg) = NetMsg::decode(frame).expect("a frame the writer encoded");
+            assert_eq!(seq, i as u64 + 1);
+            match (i, msg) {
+                (0, NetMsg::Abort { reason }) => assert!(reason.contains("injected"), "{reason}"),
+                (0, other) => panic!("first on the wire: {other:?}"),
+                (_, msg) => assert!(matches!(msg, NetMsg::Retired), "frame {i}: {msg:?}"),
             }
         }
     }

@@ -100,10 +100,9 @@ impl CounterSummary {
     /// Every on-disk field, in file order: its `key=value` key and
     /// where it lives — the one table behind `render`, `parse` and
     /// `merge`.
-    fn fields(&mut self) -> [(&'static str, Field<'_>); 25] {
+    fn fields(&mut self) -> Vec<(&'static str, Field<'_>)> {
         use Field::{Bins, Max, Secs, Sum, Wide};
-        let w = &mut self.wire;
-        [
+        let mut rows = vec![
             ("local_accesses", Sum(&mut self.local_accesses)),
             ("migrations", Sum(&mut self.migrations)),
             ("evictions", Sum(&mut self.evictions)),
@@ -117,26 +116,19 @@ impl CounterSummary {
             ("hist_total_value", Wide(&mut self.hist_total_value)),
             ("hist_total_count", Sum(&mut self.hist_total_count)),
             ("hist_max_seen", Max(&mut self.hist_max_seen)),
-            ("wire_frames_tx", Sum(&mut w.frames_tx)),
-            ("wire_bytes_tx", Sum(&mut w.bytes_tx)),
-            ("wire_frames_rx", Sum(&mut w.frames_rx)),
-            ("wire_bytes_rx", Sum(&mut w.bytes_rx)),
-            ("wire_dupes_rx", Sum(&mut w.dupes_rx)),
-            ("wire_arrives_tx", Sum(&mut w.arrives_tx)),
-            ("wire_context_bytes_tx", Sum(&mut w.context_bytes_tx)),
-            ("wire_frames_tx_total", Sum(&mut w.frames_tx_total)),
-            ("wire_bytes_tx_total", Sum(&mut w.bytes_tx_total)),
-            ("wire_flushes_tx", Sum(&mut w.flushes_tx)),
-            ("wire_egress_hwm", Max(&mut w.egress_hwm)),
-            ("wall_s", Secs(&mut self.wall_s)),
-        ]
+        ];
+        // The wire ledger's rows, merged the way its own table says.
+        let wire = self.wire.fields().into_iter();
+        rows.extend(wire.map(|(k, n, max)| (k, if max { Max(n) } else { Sum(n) })));
+        rows.push(("wall_s", Secs(&mut self.wall_s)));
+        rows
     }
 
     /// Accumulate another node's summary: counters add, histograms add
     /// bin-wise, `hist_max_seen` takes the max (matching
-    /// `Histogram::merge`), the egress high-water mark takes the max (a
-    /// cluster-wide depth sum would describe no queue), wall takes the
-    /// max (nodes run concurrently).
+    /// `Histogram::merge`), the wire ledger merges as
+    /// `WireSnapshot::fields` says, wall takes the max (nodes run
+    /// concurrently).
     pub fn merge(&mut self, o: &CounterSummary) {
         assert_eq!(
             self.hist_bins.len(),
@@ -222,7 +214,7 @@ impl CounterSummary {
     pub fn parse(text: &str) -> Result<CounterSummary, String> {
         let mut out = CounterSummary::default();
         let mut fields = out.fields();
-        let mut seen = [false; 25];
+        let mut seen = vec![false; fields.len()];
         fn num<T: std::str::FromStr>(v: &str, what: &str, line: &str) -> Result<T, String> {
             v.parse().map_err(|_| format!("bad {what} in {line:?}"))
         }

@@ -25,6 +25,9 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -266,49 +269,63 @@ pub trait Transport: Send + Sync {
 
 // ---------------------------------------------------------- streams
 
-/// Half-close support for socket types whose read half is a
-/// `try_clone` of the same file description.
-trait ShutdownWrite {
+/// What the stream carrier needs of a socket type and its listener —
+/// the one thing TCP and Unix-domain sockets differ in here is
+/// [`Socket::tune`]. The read half of a connection is a
+/// [`Socket::split`] of the same file description, which is why
+/// end-of-stream takes an explicit [`Socket::shutdown_write`].
+trait Socket: Read + Write + Send + Sized + 'static {
+    type Listener: Send;
+    /// The next connection, itself blocking even where it would
+    /// inherit a polling listener's mode.
+    fn accept(listener: &Self::Listener) -> io::Result<Self>;
+    fn listener_nonblocking(listener: &Self::Listener, on: bool) -> io::Result<()>;
+    /// Per-connection options, set on both ends.
+    fn tune(&self) -> io::Result<()>;
+    fn split(&self) -> io::Result<Self>;
     fn shutdown_write(&self) -> io::Result<()>;
+    /// The kernel-level timer backing [`FrameRx::set_recv_timeout`].
+    fn read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
-impl ShutdownWrite for std::net::TcpStream {
-    fn shutdown_write(&self) -> io::Result<()> {
-        self.shutdown(std::net::Shutdown::Write)
-    }
+macro_rules! socket {
+    ($stream:ty, $listener:ty, $tune:expr) => {
+        impl Socket for $stream {
+            type Listener = $listener;
+            fn accept(listener: &$listener) -> io::Result<Self> {
+                let (stream, _) = listener.accept()?;
+                stream.set_nonblocking(false)?;
+                Ok(stream)
+            }
+            fn listener_nonblocking(listener: &$listener, on: bool) -> io::Result<()> {
+                listener.set_nonblocking(on)
+            }
+            fn tune(&self) -> io::Result<()> {
+                $tune(self)
+            }
+            fn split(&self) -> io::Result<Self> {
+                self.try_clone()
+            }
+            fn shutdown_write(&self) -> io::Result<()> {
+                self.shutdown(std::net::Shutdown::Write)
+            }
+            fn read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+                self.set_read_timeout(timeout)
+            }
+        }
+    };
 }
 
+// Frames are small and latency-critical: no Nagle on TCP.
+socket!(TcpStream, TcpListener, |s: &TcpStream| s.set_nodelay(true));
 #[cfg(unix)]
-impl ShutdownWrite for std::os::unix::net::UnixStream {
-    fn shutdown_write(&self) -> io::Result<()> {
-        self.shutdown(std::net::Shutdown::Write)
-    }
+socket!(UnixStream, UnixListener, |_: &UnixStream| Ok(()));
+
+struct StreamTx<S: Socket> {
+    w: S,
 }
 
-/// Read-timeout support for socket types (the kernel-level timer
-/// backing [`FrameRx::set_recv_timeout`]).
-trait SetReadTimeout {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl SetReadTimeout for std::net::TcpStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        std::net::TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
-#[cfg(unix)]
-impl SetReadTimeout for std::os::unix::net::UnixStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        std::os::unix::net::UnixStream::set_read_timeout(self, timeout)
-    }
-}
-
-struct StreamTx<W: Write + Send + ShutdownWrite> {
-    w: W,
-}
-
-impl<W: Write + Send + ShutdownWrite> FrameTx for StreamTx<W> {
+impl<S: Socket> FrameTx for StreamTx<S> {
     fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()> {
         // The batch already is the stream image: one `write` (the
         // kernel may split it; `write_all` finishes the job) however
@@ -331,14 +348,14 @@ const RX_BUF_BYTES: usize = 64 << 10;
 /// frames and at most one partial frame at the end — and survives an
 /// interrupted `recv`, which is what keeps a receive timeout from
 /// desynchronising the stream.
-struct StreamRx<R: Read + Send + SetReadTimeout> {
+struct StreamRx<R: Read + Send> {
     r: R,
     buf: Vec<u8>,
     head: usize,
     tail: usize,
 }
 
-impl<R: Read + Send + SetReadTimeout> StreamRx<R> {
+impl<R: Read + Send> StreamRx<R> {
     fn new(r: R) -> Self {
         StreamRx {
             r,
@@ -381,10 +398,9 @@ impl<R: Read + Send + SetReadTimeout> StreamRx<R> {
         }
         Ok(true)
     }
-}
 
-impl<R: Read + Send + SetReadTimeout> FrameRx for StreamRx<R> {
-    fn recv(&mut self) -> io::Result<Option<&[u8]>> {
+    /// [`FrameRx::recv`] for any byte stream.
+    fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
         if self.head == self.tail {
             // Nothing pending: restart at the front, and give back the
             // memory a jumbo frame (a frozen shard) made us take.
@@ -413,6 +429,12 @@ impl<R: Read + Send + SetReadTimeout> FrameRx for StreamRx<R> {
         self.head = start + n;
         Ok(Some(&self.buf[start..start + n]))
     }
+}
+
+impl<S: Socket> FrameRx for StreamRx<S> {
+    fn recv(&mut self) -> io::Result<Option<&[u8]>> {
+        self.next_frame()
+    }
 
     fn buffered(&self) -> bool {
         // A whole frame, not merely some bytes: on a saturated stream
@@ -425,36 +447,37 @@ impl<R: Read + Send + SetReadTimeout> FrameRx for StreamRx<R> {
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.r.set_read_timeout(timeout)
+        self.r.read_timeout(timeout)
     }
 }
 
-// -------------------------------------------------------------- TCP
-
-/// TCP transport (`addr` = `host:port`). `TCP_NODELAY` is set on both
-/// ends: frames are small and latency-critical.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TcpTransport;
-
-struct TcpAcceptor {
-    listener: std::net::TcpListener,
+/// Split a connected socket into the two halves of a [`Duplex`].
+fn duplex<S: Socket>(stream: S) -> io::Result<Duplex> {
+    stream.tune()?;
+    let rd = stream.split()?;
+    Ok(Duplex {
+        tx: Box::new(StreamTx { w: stream }),
+        rx: Box::new(StreamRx::new(rd)),
+    })
 }
 
-impl Acceptor for TcpAcceptor {
+struct StreamAcceptor<S: Socket> {
+    listener: S::Listener,
+    /// The socket file to remove when the listener goes (UDS).
+    unlink: Option<String>,
+}
+
+impl<S: Socket> Acceptor for StreamAcceptor<S> {
     fn accept(&mut self) -> io::Result<Duplex> {
-        let (stream, _) = self.listener.accept()?;
-        tcp_duplex(stream)
+        duplex(S::accept(&self.listener)?)
     }
 
     fn accept_deadline(&mut self, deadline: Instant) -> io::Result<Duplex> {
         // Listeners have no kernel accept timeout; poll nonblocking.
-        self.listener.set_nonblocking(true)?;
+        S::listener_nonblocking(&self.listener, true)?;
         let r = loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    break tcp_duplex(stream);
-                }
+            match S::accept(&self.listener) {
+                Ok(stream) => break duplex(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
                         break Err(accept_timeout_err());
@@ -464,19 +487,22 @@ impl Acceptor for TcpAcceptor {
                 Err(e) => break Err(e),
             }
         };
-        let _ = self.listener.set_nonblocking(false);
+        let _ = S::listener_nonblocking(&self.listener, false);
         r
     }
 }
 
-fn tcp_duplex(stream: std::net::TcpStream) -> io::Result<Duplex> {
-    stream.set_nodelay(true)?;
-    let rd = stream.try_clone()?;
-    Ok(Duplex {
-        tx: Box::new(StreamTx { w: stream }),
-        rx: Box::new(StreamRx::new(rd)),
-    })
+impl<S: Socket> Drop for StreamAcceptor<S> {
+    fn drop(&mut self) {
+        if let Some(path) = &self.unlink {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
+
+/// TCP transport (`addr` = `host:port`), `TCP_NODELAY` on both ends.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TcpTransport;
 
 impl Transport for TcpTransport {
     fn kind(&self) -> &'static str {
@@ -484,74 +510,22 @@ impl Transport for TcpTransport {
     }
 
     fn listen(&self, addr: &str) -> io::Result<Box<dyn Acceptor>> {
-        Ok(Box::new(TcpAcceptor {
-            listener: std::net::TcpListener::bind(addr)?,
+        Ok(Box::new(StreamAcceptor::<TcpStream> {
+            listener: TcpListener::bind(addr)?,
+            unlink: None,
         }))
     }
 
     fn connect(&self, addr: &str) -> io::Result<Duplex> {
-        tcp_duplex(std::net::TcpStream::connect(addr)?)
+        duplex(TcpStream::connect(addr)?)
     }
 }
-
-// -------------------------------------------------------------- UDS
 
 /// Unix-domain socket transport (`addr` = filesystem path). Unix
 /// only; on other platforms every operation returns
 /// [`io::ErrorKind::Unsupported`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UdsTransport;
-
-#[cfg(unix)]
-struct UdsAcceptor {
-    listener: std::os::unix::net::UnixListener,
-    path: String,
-}
-
-#[cfg(unix)]
-impl Acceptor for UdsAcceptor {
-    fn accept(&mut self) -> io::Result<Duplex> {
-        let (stream, _) = self.listener.accept()?;
-        uds_duplex(stream)
-    }
-
-    fn accept_deadline(&mut self, deadline: Instant) -> io::Result<Duplex> {
-        self.listener.set_nonblocking(true)?;
-        let r = loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    break uds_duplex(stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        break Err(accept_timeout_err());
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        let _ = self.listener.set_nonblocking(false);
-        r
-    }
-}
-
-#[cfg(unix)]
-impl Drop for UdsAcceptor {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-#[cfg(unix)]
-fn uds_duplex(stream: std::os::unix::net::UnixStream) -> io::Result<Duplex> {
-    let rd = stream.try_clone()?;
-    Ok(Duplex {
-        tx: Box::new(StreamTx { w: stream }),
-        rx: Box::new(StreamRx::new(rd)),
-    })
-}
 
 impl Transport for UdsTransport {
     fn kind(&self) -> &'static str {
@@ -562,15 +536,15 @@ impl Transport for UdsTransport {
     fn listen(&self, addr: &str) -> io::Result<Box<dyn Acceptor>> {
         // A stale socket file from a dead process would fail the bind.
         let _ = std::fs::remove_file(addr);
-        Ok(Box::new(UdsAcceptor {
-            listener: std::os::unix::net::UnixListener::bind(addr)?,
-            path: addr.to_string(),
+        Ok(Box::new(StreamAcceptor::<UnixStream> {
+            listener: UnixListener::bind(addr)?,
+            unlink: Some(addr.to_string()),
         }))
     }
 
     #[cfg(unix)]
     fn connect(&self, addr: &str) -> io::Result<Duplex> {
-        uds_duplex(std::os::unix::net::UnixStream::connect(addr)?)
+        duplex(UnixStream::connect(addr)?)
     }
 
     #[cfg(not(unix))]
@@ -767,12 +741,6 @@ impl Transport for LoopbackTransport {
 mod tests {
     use super::*;
 
-    impl SetReadTimeout for std::io::Cursor<Vec<u8>> {
-        fn set_read_timeout(&self, _timeout: Option<Duration>) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
     /// A stream that hands out its bytes in scripted slices and times
     /// out between them, like a socket with a read timeout whose peer
     /// stalls mid-frame.
@@ -797,12 +765,6 @@ mod tests {
         }
     }
 
-    impl SetReadTimeout for Stalling {
-        fn set_read_timeout(&self, _timeout: Option<Duration>) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn a_receive_timeout_inside_a_frame_keeps_the_stream_in_step() {
         let mut batch = FrameBatch::default();
@@ -821,7 +783,7 @@ mod tests {
             let mut got = FrameBatch::default();
             let mut timeouts = 0;
             while got.len() < 3 {
-                match rx.recv() {
+                match rx.next_frame() {
                     Ok(Some(f)) => got.push(f).expect("fits a frame"),
                     Ok(None) => panic!("stall at {k}: clean close before frame {}", got.len()),
                     Err(e) => {
@@ -836,7 +798,7 @@ mod tests {
                 batch.wire(),
                 "stall at {k}: same frames, same boundaries"
             );
-            assert!(rx.recv().expect("clean close").is_none());
+            assert!(rx.next_frame().expect("clean close").is_none());
         }
     }
 
@@ -848,10 +810,10 @@ mod tests {
         batch.push(&big).expect("big");
         batch.push(&[8; 10]).expect("small");
         let mut rx = StreamRx::new(std::io::Cursor::new(batch.wire().to_vec()));
-        assert_eq!(rx.recv().expect("recv"), Some(&[7u8; 10][..]));
-        assert_eq!(rx.recv().expect("recv"), Some(&big[..]));
-        assert_eq!(rx.recv().expect("recv"), Some(&[8u8; 10][..]));
-        assert!(rx.recv().expect("clean close").is_none());
+        assert_eq!(rx.next_frame().expect("recv"), Some(&[7u8; 10][..]));
+        assert_eq!(rx.next_frame().expect("recv"), Some(&big[..]));
+        assert_eq!(rx.next_frame().expect("recv"), Some(&[8u8; 10][..]));
+        assert!(rx.next_frame().expect("clean close").is_none());
         assert_eq!(
             rx.buf.len(),
             RX_BUF_BYTES,
@@ -951,11 +913,11 @@ mod tests {
             b
         };
         let mut rx = StreamRx::new(std::io::Cursor::new(bytes));
-        assert!(rx.recv_frame().is_err(), "mid-frame EOF is an error");
+        assert!(rx.next_frame().is_err(), "mid-frame EOF is an error");
 
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
         let mut rx = StreamRx::new(std::io::Cursor::new(huge));
-        assert!(rx.recv_frame().is_err(), "oversized length rejected");
+        assert!(rx.next_frame().is_err(), "oversized length rejected");
     }
 
     #[test]

@@ -145,8 +145,8 @@ impl ObsConfig {
 
     /// Force the plane on, independent of the environment: metrics and
     /// tracing active, no exporter thread, no snapshot file. Used by
-    /// the overhead benchmark, the `--stats-interval` live summary,
-    /// and the flight-recorder tests.
+    /// the overhead gate, the placement scorecard (E14), the repo
+    /// benchmark and the flight-recorder tests.
     pub fn on() -> Self {
         ObsConfig {
             enabled: true,

@@ -55,6 +55,12 @@ impl<T> MpscQueue<T> {
 
     fn enqueue(&self, q: &mut Inner<T>, value: T) -> bool {
         q.items.push_back(value);
+        self.enqueued(q)
+    }
+
+    /// The second half of every enqueue: publish the length, claim the
+    /// wake flag.
+    fn enqueued(&self, q: &mut Inner<T>) -> bool {
         self.hint.store(q.items.len(), Ordering::Relaxed);
         !std::mem::replace(&mut q.awake, true)
     }
@@ -63,6 +69,15 @@ impl<T> MpscQueue<T> {
     /// the caller must wake it.
     pub fn push(&self, value: T) -> bool {
         self.enqueue(&mut self.lock(), value)
+    }
+
+    /// [`MpscQueue::push`] at the head: `value` is the next item a
+    /// `take` or `pop` hands out, ahead of everything queued. The wake
+    /// protocol is `push`'s.
+    pub fn push_front(&self, value: T) -> bool {
+        let mut q = self.lock();
+        q.items.push_front(value);
+        self.enqueued(&mut q)
     }
 
     /// [`MpscQueue::push`] if `admit()` — evaluated under the lock —
@@ -168,6 +183,14 @@ mod tests {
         assert_eq!(q.push_if(|| false, 6), Err(6));
         assert_eq!(q.push_if(|| true, 7), Ok(false));
         assert_eq!(q.len(), 1);
+        // A queue-jumper wakes exactly like a push: not an awake
+        // consumer, and an idle one once — and it leaves first.
+        assert!(!q.push_front(8));
+        assert_eq!((q.pop(), q.pop()), (Some(8), Some(7)));
+        assert!(!q.rest(false));
+        assert!(q.push_front(9));
+        assert!(!q.push_front(10));
+        assert_eq!((q.pop(), q.pop(), q.pop()), (Some(10), Some(9), None));
     }
 
     #[test]

@@ -968,7 +968,8 @@ impl ShardCore {
 
     /// Record one completed run: bin it (if non-native — the envelope
     /// knows its native shard) and report it to the thread's own
-    /// scheme. Mirrors `RunMonitor::record_run` exactly.
+    /// scheme — the run-end rule of `em2_engine::RunMonitor`, applied
+    /// to the run state the envelope carries.
     fn finish_run(&mut self, env: &mut Envelope, core: CoreId, len: u64) {
         if core != env.native {
             self.counters.run_hist.record(len);

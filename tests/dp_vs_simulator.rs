@@ -8,7 +8,7 @@ use em2::core::decision::{
     AlwaysMigrate, AlwaysRemote, Decision, DecisionScheme, DistanceThreshold, OracleSchedule,
 };
 use em2::core::machine::MachineConfig;
-use em2::core::sim::Simulator;
+use em2::core::sim::run_em2ra;
 use em2::model::CostModel;
 use em2::optimal::{migrate_ra, Choice};
 use em2::placement::FirstTouch;
@@ -48,7 +48,7 @@ fn dp_lower_bounds_every_scheme_in_simulation() {
     ];
     for s in schemes {
         let name = s.name();
-        let r = Simulator::new(machine(16), &w, &p, s).run();
+        let r = run_em2ra(machine(16), &w, &p, s);
         assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
         assert_eq!(
             r.flow.evictions, 0,
@@ -85,7 +85,7 @@ fn oracle_schedule_achieves_the_bound() {
                 .collect()
         })
         .collect();
-    let r = Simulator::new(machine(16), &w, &p, Box::new(OracleSchedule::new(schedule))).run();
+    let r = run_em2ra(machine(16), &w, &p, Box::new(OracleSchedule::new(schedule)));
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert_eq!(
         r.network_cycles, opt,
@@ -100,8 +100,8 @@ fn dp_on_ocean_beats_both_pure_machines() {
     let cost = CostModel::builder().cores(4).build();
     let (opt, _) = migrate_ra::workload_optimal(&w, &p, &cost);
 
-    let mig = Simulator::new(machine(4), &w, &p, Box::new(AlwaysMigrate)).run();
-    let ra = Simulator::new(machine(4), &w, &p, Box::new(AlwaysRemote)).run();
+    let mig = run_em2ra(machine(4), &w, &p, Box::new(AlwaysMigrate));
+    let ra = run_em2ra(machine(4), &w, &p, Box::new(AlwaysRemote));
     assert!(opt <= mig.network_cycles);
     assert!(opt <= ra.network_cycles);
     // Figure 2's bimodality means the optimum strictly beats both pure
