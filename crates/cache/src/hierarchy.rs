@@ -180,12 +180,6 @@ impl CacheHierarchy {
         &self.stats
     }
 
-    /// Lines resident in L2 (the core's total cached footprint under
-    /// inclusion).
-    pub fn resident_lines(&self) -> usize {
-        self.l2.occupancy()
-    }
-
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
         self.line_bytes
@@ -314,7 +308,7 @@ mod tests {
         for i in 0..64 {
             h.access(a(i), false);
         }
-        assert!(h.resident_lines() <= 8);
+        assert!(h.l2().occupancy() <= 8);
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl SetAssocCache {
         self.len.iter().map(|&n| n as usize).sum()
     }
 
-    /// Occupancy as a fraction of capacity.
-    pub fn occupancy_fraction(&self) -> f64 {
-        self.occupancy() as f64 / self.config.lines() as f64
-    }
-
     /// Total line insertions (fills) so far.
     pub fn insertions(&self) -> u64 {
         self.insertions
@@ -316,7 +311,6 @@ mod tests {
             assert!(c.occupancy() <= 4);
         }
         assert_eq!(c.occupancy(), 4);
-        assert!((c.occupancy_fraction() - 1.0).abs() < 1e-12);
         assert_eq!(c.insertions(), 100);
     }
 

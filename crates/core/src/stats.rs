@@ -51,16 +51,6 @@ impl FlowCounts {
         self.remote_reads += remote_reads;
         self.remote_writes += remote_writes;
     }
-
-    /// Non-local accesses served by migration.
-    pub fn migration_fraction(&self) -> f64 {
-        let non_local = self.migrations + self.remote_reads + self.remote_writes;
-        if non_local == 0 {
-            0.0
-        } else {
-            self.migrations as f64 / non_local as f64
-        }
-    }
 }
 
 /// Network traffic broken down by virtual-channel class, in flit-hops
@@ -144,17 +134,6 @@ impl SimReport {
     pub fn single_access_fraction(&self) -> f64 {
         self.run_lengths.weighted_fraction_le(1)
     }
-
-    /// Bits shipped per memory access — the paper's power argument
-    /// targets exactly this quantity.
-    pub fn bits_per_access(&self) -> f64 {
-        let n = self.flow.total_accesses();
-        if n == 0 {
-            0.0
-        } else {
-            self.context_bits_sent as f64 / n as f64
-        }
-    }
 }
 
 impl fmt::Display for SimReport {
@@ -210,13 +189,11 @@ mod tests {
             remote_writes: 3,
         };
         assert_eq!(f.total_accesses(), 20);
-        assert!((f.migration_fraction() - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn empty_flow_fractions() {
         let f = FlowCounts::default();
-        assert_eq!(f.migration_fraction(), 0.0);
         assert_eq!(f.total_accesses(), 0);
     }
 

@@ -6,11 +6,13 @@
 //! (`em2-net`), and decision-scheme state serialization
 //! (`em2_core::decision`) — builds on these primitives, so "decoding
 //! never panics, truncation is a typed error" is implemented exactly
-//! once. Layout conventions: one-byte tags; fixed-width
+//! once. Layout conventions: one-byte tags (an optional value or a
+//! flag is a 0/1 tag, [`put_opt`] / [`Cursor::flag`]); fixed-width
 //! **little-endian** integers for opaque words (memory contents,
 //! hashes, float bits); canonical **LEB128 varints** ([`put_var`] /
 //! [`Cursor::var`]) for identifiers, counters, lengths and addresses;
-//! length-prefixed byte strings capped at [`MAX_CHUNK`].
+//! length-prefixed byte strings capped at [`MAX_CHUNK`]; lists behind a
+//! varint count no decoder trusts with an allocation ([`Cursor::list`]).
 
 use std::fmt;
 
@@ -126,6 +128,15 @@ pub fn put_var_bytes(b: &mut Vec<u8>, v: &[u8]) {
     b.extend_from_slice(v);
 }
 
+/// Append an optional value: tag `1` then the value, or tag `0` alone
+/// ([`Cursor::flag`] reads the tag back).
+pub fn put_opt<T>(b: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    b.push(u8::from(v.is_some()));
+    if let Some(v) = v {
+        put(b, v);
+    }
+}
+
 /// A bounds-checked read cursor over a byte slice.
 #[derive(Debug)]
 pub struct Cursor<'a> {
@@ -204,6 +215,31 @@ impl<'a> Cursor<'a> {
             }
         }
         unreachable!("the tenth byte either ends the varint or is refused")
+    }
+
+    /// Read the 0/1 tag of an optional value or a flag ([`put_opt`]);
+    /// any other byte is [`CodecError::BadTag`] naming the field `what`.
+    #[inline]
+    pub fn flag(&mut self, what: &'static str) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(CodecError::BadTag { what, tag }),
+        }
+    }
+
+    /// Read a list behind a varint count, one `item` per element. The
+    /// count is untrusted, so nothing is pre-allocated from it: an
+    /// absurd count fails on truncation, not on the allocation.
+    pub fn list<T, E: From<CodecError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let mut out = Vec::new();
+        for _ in 0..self.var()? {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     /// Read a varint into a narrower integer field; a value the field
@@ -351,6 +387,39 @@ mod tests {
         assert!(matches!(
             Cursor::new(&b).var_bytes(),
             Err(CodecError::ChunkTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn options_flags_and_lists_follow_the_two_tag_rules() {
+        let mut b = Vec::new();
+        put_opt(&mut b, Some(300u64), put_var);
+        put_opt(&mut b, None::<u64>, put_var);
+        put_var(&mut b, 2);
+        put_var(&mut b, 5);
+        put_var(&mut b, 6);
+        b.push(2);
+        assert_eq!(b, [1, 0xAC, 0x02, 0, 2, 5, 6, 2]);
+        let mut r = Cursor::new(&b);
+        assert_eq!(r.flag("a"), Ok(true));
+        assert_eq!(r.var(), Ok(300));
+        assert_eq!(r.flag("b"), Ok(false));
+        assert_eq!(r.list(Cursor::var), Ok(vec![5, 6]));
+        assert_eq!(
+            r.flag("pinned"),
+            Err(CodecError::BadTag {
+                what: "pinned",
+                tag: 2
+            }),
+            "any byte but 0/1 is a bad tag naming its field"
+        );
+        // A count of 2^64 - 1 over an empty tail: a truncation, not an
+        // allocation.
+        let mut b = Vec::new();
+        put_var(&mut b, u64::MAX);
+        assert!(matches!(
+            Cursor::new(&b).list(Cursor::var),
+            Err(CodecError::Truncated { .. })
         ));
     }
 

@@ -191,16 +191,6 @@ impl CostModel {
         }
         self.hops(src, dst) * self.flits(context_bits)
     }
-
-    /// Network traffic of a remote access round trip, in flit-hops.
-    #[inline]
-    pub fn remote_access_traffic(&self, src: CoreId, home: CoreId, kind: AccessKind) -> u64 {
-        if src == home {
-            return 0;
-        }
-        let (req_bits, resp_bits) = self.ra_bits(kind);
-        self.hops(src, home) * (self.flits(req_bits) + self.flits(resp_bits))
-    }
 }
 
 /// Fluent builder for [`CostModel`].
@@ -308,7 +298,6 @@ mod tests {
         assert_eq!(m.migration_latency(c, c), 0);
         assert_eq!(m.remote_access_latency(c, c, AccessKind::Read), 0);
         assert_eq!(m.migration_traffic_bits(c, c, 1000), 0);
-        assert_eq!(m.remote_access_traffic(c, c, AccessKind::Write), 0);
     }
 
     #[test]

@@ -99,22 +99,6 @@ impl Mesh {
         (0..self.cores()).map(CoreId::from)
     }
 
-    /// The mesh neighbours of a core (2, 3, or 4 of them).
-    pub fn neighbors(&self, core: CoreId) -> impl Iterator<Item = CoreId> + '_ {
-        let (x, y) = self.coords(core);
-        let w = self.width;
-        let h = self.height;
-        let mesh = *self;
-        [
-            (x > 0).then(|| mesh.at(x - 1, y)),
-            (x + 1 < w).then(|| mesh.at(x + 1, y)),
-            (y > 0).then(|| mesh.at(x, y - 1)),
-            (y + 1 < h).then(|| mesh.at(x, y + 1)),
-        ]
-        .into_iter()
-        .flatten()
-    }
-
     /// The sequence of cores on the X-Y (dimension-ordered) route from
     /// `src` to `dst`, *excluding* `src` and *including* `dst`.
     ///
@@ -143,13 +127,6 @@ impl Mesh {
             route.push(self.at(x, y));
         }
         route
-    }
-
-    /// Average hop distance from `src` to all cores (including itself,
-    /// which contributes zero). Useful for placement quality metrics.
-    pub fn mean_hops_from(&self, src: CoreId) -> f64 {
-        let total: u64 = self.iter().map(|c| self.hops(src, c)).sum();
-        total as f64 / self.cores() as f64
     }
 }
 
@@ -241,33 +218,6 @@ mod tests {
         let m = Mesh::new(4, 4);
         let r = m.xy_route(m.at(0, 0), m.at(2, 2));
         assert_eq!(r, vec![m.at(1, 0), m.at(2, 0), m.at(2, 1), m.at(2, 2)]);
-    }
-
-    #[test]
-    fn neighbors_count() {
-        let m = Mesh::new(3, 3);
-        // corner, edge, center
-        assert_eq!(m.neighbors(m.at(0, 0)).count(), 2);
-        assert_eq!(m.neighbors(m.at(1, 0)).count(), 3);
-        assert_eq!(m.neighbors(m.at(1, 1)).count(), 4);
-    }
-
-    #[test]
-    fn neighbors_are_one_hop() {
-        let m = Mesh::new(4, 5);
-        for c in m.iter() {
-            for n in m.neighbors(c) {
-                assert_eq!(m.hops(c, n), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn mean_hops_center_less_than_corner() {
-        let m = Mesh::new(8, 8);
-        let corner = m.mean_hops_from(m.at(0, 0));
-        let center = m.mean_hops_from(m.at(3, 3));
-        assert!(center < corner);
     }
 
     #[test]

@@ -105,16 +105,6 @@ impl DetRng {
         }
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi);
-        if lo == hi {
-            return lo;
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -251,22 +241,6 @@ mod tests {
         }
         let mean = sum / 10_000.0;
         assert!((0.48..0.52).contains(&mean), "mean = {mean}");
-    }
-
-    #[test]
-    fn range_inclusive_hits_both_ends() {
-        let mut r = DetRng::new(13);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..10_000 {
-            match r.range_inclusive(10, 12) {
-                10 => lo_seen = true,
-                12 => hi_seen = true,
-                11 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(lo_seen && hi_seen);
     }
 
     #[test]

@@ -152,12 +152,8 @@ pub(crate) enum Note {
     Commit { hid: u64, shard: u32, epoch: u64 },
     /// This node's directory now stands at `epoch`.
     Epoch(u64),
-    /// A bounced frame came back (`thread` when it was an arrival).
-    Bounce {
-        shard: u32,
-        retries: u32,
-        thread: Option<u32>,
-    },
+    /// A bounced frame came back.
+    Bounce { shard: u32, retries: u32 },
 }
 
 /// Disarm a deadline that is due at `now`, reporting (once) the
@@ -568,11 +564,10 @@ impl Control {
             }));
             return;
         }
-        let thread = self.record_hop(&mut msg, to, ours, HopCause::Bounce);
+        self.record_hop(&mut msg, to, ours, HopCause::Bounce);
         out.push(Action::Note(Note::Bounce {
             shard: to as u32,
             retries: r,
-            thread,
         }));
         if bouncer_epoch > ours || (bouncer_epoch == ours && dir.owner_of(to) as usize == from) {
             self.parked.push((to, r, msg));
@@ -587,24 +582,16 @@ impl Control {
 
     /// A detoured arrival records the detour in its journey —
     /// unconditionally, like every hop: journeys are wire state, not
-    /// obs state (see `em2_rt::wire::Journey`). Returns its thread.
-    fn record_hop(
-        &self,
-        msg: &mut WireMsg,
-        shard: usize,
-        epoch: u64,
-        cause: HopCause,
-    ) -> Option<u32> {
-        let WireMsg::Arrive(we) = msg else {
-            return None;
-        };
-        we.journey.push(JourneyHop {
-            shard: shard as u32,
-            node: self.me as u32,
-            epoch,
-            cause,
-        });
-        Some(we.thread)
+    /// obs state (see `em2_rt::wire::Journey`).
+    fn record_hop(&self, msg: &mut WireMsg, shard: usize, epoch: u64, cause: HopCause) {
+        if let WireMsg::Arrive(we) = msg {
+            we.journey.push(JourneyHop {
+                shard: shard as u32,
+                node: self.me as u32,
+                epoch,
+                cause,
+            });
+        }
     }
 
     // ----------------------------------------------- handoff protocol

@@ -329,9 +329,8 @@ impl Links {
     /// ([`Links::send_abort`]), so a wedged bulk queue cannot delay the
     /// cluster's failure signal. Callable from any thread, including a
     /// writer: it only enqueues, never touches a connection. It visits
-    /// the control
-    /// plane once, so it must never run under the control guard —
-    /// `control` performs `Fail` actions after dropping it.
+    /// the control plane once, so it must never run under the control
+    /// guard — `control` performs `Fail` actions after dropping it.
     fn fail(&self, err: ClusterError) {
         if self.quiesced.load(Ordering::Acquire) {
             // The run already completed; connection teardown noise
@@ -603,22 +602,7 @@ fn note(obs: &em2_obs::NodeObs, n: Note) {
         } => obs.handoff_transfer(hid, shard as u64, replayed),
         Note::Commit { hid, shard, epoch } => obs.handoff_commit(hid, shard as u64, epoch),
         Note::Epoch(epoch) => obs.set_dir_epoch(epoch),
-        Note::Bounce {
-            shard,
-            retries,
-            thread,
-        } => {
-            obs.handoff_bounce(shard as u64, retries as u64);
-            if let Some(thread) = thread {
-                // Node-level attribution (reader threads are
-                // multi-writer, hence fetch_add rather than the
-                // shard-local single-writer bump).
-                obs.attrib
-                    .cell(thread, shard)
-                    .bounces
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        Note::Bounce { shard, retries } => obs.handoff_bounce(shard as u64, retries as u64),
     }
 }
 
@@ -826,14 +810,14 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
 /// through [`stage`].
 ///
 /// Each wakeup moves up to [`COALESCE_FRAMES`] frames out of the FIFO
-/// under one lock (an Abort, pushed at the head, leads its window), encodes each straight into the edge's one reusable
-/// [`FrameBatch`], and writes the window as **one flush**
-/// ([`FrameTx::send_batch`]: on a stream transport, one `write` — a
-/// window that outgrows [`COALESCE_BYTES`] flushes early). When
-/// the lane goes empty the writer parks with a bounded tick and absorbs
-/// the old heartbeat thread's job: keep an idle edge warm every
-/// `heartbeat_ms` and declare the peer lost after `peer_deadline_ms` of
-/// receive silence. The [`EgressItem::Close`] sentinel (pushed by
+/// under one lock (an Abort, pushed at the head, leads its window),
+/// encodes each straight into the edge's one reusable [`FrameBatch`],
+/// and writes the window as **one flush** ([`FrameTx::send_batch`]: on
+/// a stream transport, one `write` — a window that outgrows
+/// [`COALESCE_BYTES`] flushes early). When the lane goes empty the
+/// writer parks with a bounded tick and absorbs the old heartbeat
+/// thread's job: keep an idle edge warm every `heartbeat_ms` and
+/// declare the peer lost after `peer_deadline_ms` of receive silence. The [`EgressItem::Close`] sentinel (pushed by
 /// `finish` after the last data frame) drains the FIFO, appends
 /// [`NetMsg::Bye`] on a clean run, flushes, closes, and exits — Bye
 /// stays last on the wire.

@@ -517,15 +517,10 @@ impl NetMsg {
                 hid: r.var()?,
                 shard: r.var_as()?,
             },
-            16 => {
-                let epoch = r.var()?;
-                let n = r.var()?;
-                let mut owners = Vec::new();
-                for _ in 0..n {
-                    owners.push(r.var_as()?);
-                }
-                NetMsg::EpochUpdate { epoch, owners }
-            }
+            16 => NetMsg::EpochUpdate {
+                epoch: r.var()?,
+                owners: r.list(Cursor::var_as)?,
+            },
             17 => {
                 let to = r.var_as()?;
                 let epoch = r.var()?;

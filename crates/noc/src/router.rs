@@ -125,11 +125,6 @@ impl Router {
             .map(|q| q.len())
             .sum()
     }
-
-    /// Buffered flits on one input `(port, vc)`.
-    pub fn queue_len(&self, port: Port, vc: VirtualChannel) -> usize {
-        self.in_buf[port.index()][vc.index()].len()
-    }
 }
 
 impl Default for Router {
@@ -206,6 +201,5 @@ mod tests {
     fn fresh_router_is_empty() {
         let r = Router::new();
         assert_eq!(r.buffered(), 0);
-        assert_eq!(r.queue_len(Port::Local, VirtualChannel::Migration), 0);
     }
 }

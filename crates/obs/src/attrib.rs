@@ -5,9 +5,9 @@
 //! remotely — is *decided* per access but was never *accounted* per
 //! access: nothing could say which (thread, home) pairs pay migration
 //! cost, which homes are hot, or what the current placement costs.
-//! An [`AttribTable`] answers that on the timing plane: a fixed-size
-//! open-addressed table of [`AttribCell`]s keyed by the packed
-//! (thread, home) pair, updated with the registry's single-writer
+//! An [`AttribTable`] per shard answers that on the timing plane: a
+//! fixed-size open-addressed table of [`AttribCell`]s keyed by the
+//! packed (thread, home) pair, updated with the registry's single-writer
 //! relaxed-counter idiom on the shard hot path (no locked RMW, no
 //! allocation, no lock) and folded bin-wise into [`crate::Snapshot`]s
 //! at quiesce, where cluster-wide sums merge like every other obs
@@ -22,32 +22,56 @@
 //! lets a 2-node cluster's summed attribution match a single-process
 //! run bit-for-bit regardless of how keys hash on each node.
 
+use crate::snapshot::AttribEntry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters per attribution cell, in the order snapshot rows
-/// ([`crate::AttribEntry::counts`]) carry them:
-/// `migrations,remote_reads,remote_writes,locals,context_bytes,bounces,parks,cost`.
-pub const ATTRIB_COUNTERS: usize = 8;
+/// Counters per attribution cell: one per [`Col`].
+pub const ATTRIB_COUNTERS: usize = 5;
+
+/// A column of the matrix. Its discriminant is its index in
+/// [`AttribCell::counts`] and in snapshot rows
+/// ([`crate::AttribEntry::get`]), [`Col::KEYS`] its JSON key: the one
+/// column list every reader indexes by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Col {
+    /// Migrate verdicts.
+    Migrations,
+    /// Remote-read verdicts.
+    RemoteReads,
+    /// Remote-write verdicts.
+    RemoteWrites,
+    /// Context bytes the migrations shipped.
+    ContextBytes,
+    /// Attributed network cost.
+    Cost,
+}
+
+impl Col {
+    /// Each column's JSON key in a snapshot row, in index order.
+    pub const KEYS: [&'static str; ATTRIB_COUNTERS] = [
+        "migrations",
+        "remote_reads",
+        "remote_writes",
+        "context_bytes",
+        "cost",
+    ];
+}
 
 /// Longest linear-probe run before a new key routes to the overflow
 /// cell. Bounds the worst-case resolution to a handful of relaxed
 /// loads even when the table is saturated.
 const MAX_PROBE: usize = 16;
 
-/// One (thread, home) cell of the matrix. Fields are relaxed atomics:
-/// bump them through [`crate::SingleWriterCounter`] from a
-/// single-writer context (a shard core) or with `fetch_add` from
-/// multi-writer contexts (the node-level table written by reader
-/// threads).
+/// One (thread, home) cell of the matrix. Fields are relaxed atomics,
+/// bumped through [`crate::SingleWriterCounter`] by the cell's one
+/// writer, the shard core.
 ///
 /// The cell is exactly one cache line, and the fields are *declared*
 /// in hot-path order, not snapshot order: a Migrate verdict touches
 /// `migrations`/`context_bytes`/`cost` (first 24 bytes), a Remote
 /// verdict touches `cost`/`remote_reads`/`remote_writes` (bytes
-/// 16–48), so either verdict dirties a single line. The shard hot
-/// path pays one line per matrix update — measurably cheaper than the
-/// two a snapshot-ordered 72-byte key+cell slot cost. [`counts`] still
-/// reads out in snapshot order ([`ATTRIB_COUNTERS`] doc).
+/// 16–40), so either verdict dirties a single line. [`counts`] reads
+/// out by [`Col`].
 ///
 /// [`counts`]: AttribCell::counts
 #[derive(Debug, Default)]
@@ -65,28 +89,22 @@ pub struct AttribCell {
     pub remote_reads: AtomicU64,
     /// Remote-write verdicts toward this home.
     pub remote_writes: AtomicU64,
-    /// Local accesses this thread ran *at* this home.
-    pub locals: AtomicU64,
-    /// Barrier parks of this thread while resident at this home.
-    pub parks: AtomicU64,
-    /// Epoch-fenced frames of this thread re-routed toward this home.
-    pub bounces: AtomicU64,
 }
 
 impl AttribCell {
-    /// Relaxed read of all eight counters in snapshot order.
+    /// Relaxed read of every counter, indexed by [`Col`].
     pub fn counts(&self) -> [u64; ATTRIB_COUNTERS] {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        [
-            ld(&self.migrations),
-            ld(&self.remote_reads),
-            ld(&self.remote_writes),
-            ld(&self.locals),
-            ld(&self.context_bytes),
-            ld(&self.bounces),
-            ld(&self.parks),
-            ld(&self.cost),
-        ]
+        let mut out = [0; ATTRIB_COUNTERS];
+        for (col, a) in [
+            (Col::Migrations, &self.migrations),
+            (Col::RemoteReads, &self.remote_reads),
+            (Col::RemoteWrites, &self.remote_writes),
+            (Col::ContextBytes, &self.context_bytes),
+            (Col::Cost, &self.cost),
+        ] {
+            out[col as usize] = a.load(Ordering::Relaxed);
+        }
+        out
     }
 
     /// True when every counter is still zero.
@@ -204,22 +222,23 @@ impl AttribTable {
     /// Relaxed scan of every claimed cell, overflow last (under its
     /// [`OVERFLOW_KEY`]), zero cells skipped. Unsorted; the snapshot
     /// layer orders by key when folding.
-    pub fn entries(&self) -> Vec<((u32, u32), [u64; ATTRIB_COUNTERS])> {
+    pub fn entries(&self) -> Vec<AttribEntry> {
         let mut out = Vec::new();
+        let entry = |(thread, home), cell: &AttribCell| AttribEntry {
+            thread,
+            home,
+            counts: cell.counts(),
+        };
         for (key, cell) in self.keys.iter().zip(self.cells.iter()) {
             let k = key.load(Ordering::Relaxed);
-            if k == 0 {
+            if k == 0 || cell.is_zero() {
                 continue;
             }
             let packed = k.wrapping_sub(1);
-            let counts = cell.counts();
-            if counts.iter().all(|&c| c == 0) {
-                continue;
-            }
-            out.push((((packed >> 32) as u32, packed as u32), counts));
+            out.push(entry(((packed >> 32) as u32, packed as u32), cell));
         }
         if !self.overflow.is_zero() {
-            out.push((OVERFLOW_KEY, self.overflow.counts()));
+            out.push(entry(OVERFLOW_KEY, &self.overflow));
         }
         out
     }
@@ -242,7 +261,8 @@ mod tests {
         assert_eq!(t.overflow_routed(), 0);
         let entries = t.entries();
         assert_eq!(entries.len(), 2);
-        assert!(entries.contains(&((3, 7), [2, 0, 0, 0, 0, 0, 0, 40])));
+        let e = entries.iter().find(|e| (e.thread, e.home) == (3, 7));
+        assert_eq!(e.expect("row (3, 7)").counts, [2, 0, 0, 0, 40]);
     }
 
     #[test]
@@ -251,17 +271,20 @@ mod tests {
         for thread in 0..64u32 {
             t.cell(thread, 0).cost.bump(1);
         }
-        let total: u64 = t.entries().iter().map(|(_, c)| c[7]).sum();
+        let total: u64 = t.entries().iter().map(|e| e.get(Col::Cost)).sum();
         assert_eq!(total, 64, "no event lost to saturation");
         assert!(t.overflow_routed() > 0, "some keys had to spill");
-        assert!(t.entries().iter().any(|&(k, _)| k == OVERFLOW_KEY));
+        assert!(t
+            .entries()
+            .iter()
+            .any(|e| (e.thread, e.home) == OVERFLOW_KEY));
     }
 
     #[test]
     fn overflow_key_itself_routes_to_overflow() {
         let t = AttribTable::new(8);
-        t.cell(u32::MAX, u32::MAX).parks.bump(3);
-        assert_eq!(t.overflow.parks.load(Ordering::Relaxed), 3);
+        t.cell(u32::MAX, u32::MAX).remote_reads.bump(3);
+        assert_eq!(t.overflow.remote_reads.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -272,7 +295,7 @@ mod tests {
                 let t = std::sync::Arc::clone(&t);
                 std::thread::spawn(move || {
                     for _ in 0..1_000 {
-                        t.cell(9, 2).bounces.fetch_add(1, Ordering::Relaxed);
+                        t.cell(9, 2).cost.fetch_add(1, Ordering::Relaxed);
                     }
                 })
             })
@@ -280,7 +303,7 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        assert_eq!(t.cell(9, 2).bounces.load(Ordering::Relaxed), 4_000);
+        assert_eq!(t.cell(9, 2).cost.load(Ordering::Relaxed), 4_000);
         assert_eq!(t.entries().len(), 1);
     }
 }

@@ -28,7 +28,7 @@
 //! Disabled (the default), the runtime start-up resolves the plane to
 //! `None` once — after that the per-event cost is a branch on that
 //! `Option`; the global `EM2_OBS` gate itself is a branch on a relaxed
-//! atomic ([`env_enabled`]). Enabled, every hot-path handle has a
+//! atomic (`env_enabled`). Enabled, every hot-path handle has a
 //! single writer at a time (the runtime's ownership discipline), so
 //! matrix cells and histogram buckets are plain relaxed load+store pairs
 //! ([`SingleWriterCounter`]) rather than locked RMWs, trace events are
@@ -39,7 +39,8 @@
 //! ## Modules
 //!
 //! * [`attrib`] — the per (scheme-thread, home-shard) cost-attribution
-//!   matrix of the decision-plane telemetry (DESIGN.md §14);
+//!   matrix of the decision-plane telemetry, one per shard, five
+//!   columns ([`attrib::Col`]; DESIGN.md §14);
 //! * [`hist`] — log2-bucketed latency histograms with exact mergeable
 //!   quantile *bounds*;
 //! * [`trace`] — fixed-size lifecycle events and the bounded ring;
@@ -77,7 +78,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Whether `EM2_OBS` enables the plane for this process. Parsed from
 /// the environment once, then a branch on a relaxed atomic — the
 /// documented disabled-mode cost of the whole crate.
-pub fn env_enabled() -> bool {
+fn env_enabled() -> bool {
     // 0 = not yet parsed, 1 = off, 2 = on.
     static STATE: AtomicU8 = AtomicU8::new(0);
     match STATE.load(Ordering::Relaxed) {

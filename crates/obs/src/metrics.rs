@@ -28,7 +28,7 @@
 //! timestamp, and writes a JSONL post-mortem whose last line names the
 //! failure — turning a chaos-suite typed error into a timeline.
 
-use crate::attrib::{AttribTable, OVERFLOW_KEY};
+use crate::attrib::{AttribTable, Col, OVERFLOW_KEY};
 use crate::hist::LogHistogram;
 use crate::snapshot::{HandoffTrace, Snapshot};
 use crate::trace::{Event, EventKind, Ring};
@@ -132,9 +132,9 @@ impl ShardObs {
     /// histogram, gauge and attribution matrix.
     fn row(&self, shard: usize) -> String {
         let (mut migrations_out, mut remote) = (0, 0);
-        for (_, counts) in self.attrib.entries() {
-            migrations_out += counts[0];
-            remote += counts[1] + counts[2];
+        for e in self.attrib.entries() {
+            migrations_out += e.get(Col::Migrations);
+            remote += e.get(Col::RemoteReads) + e.get(Col::RemoteWrites);
         }
         let occupancy = self.guest_occupancy.load(Ordering::Relaxed);
         JsonObj::new()
@@ -183,10 +183,6 @@ pub struct NodeObs {
     node_ring: Ring,
     seq: AtomicU64,
     flight_taken: AtomicBool,
-    /// Node-level attribution cells for events recorded off the shard
-    /// hot path (e.g. bounce re-routes observed by reader threads).
-    /// Multi-writer: bump with `fetch_add`, not [`SingleWriterCounter`].
-    pub attrib: AttribTable,
     dir_epoch: AtomicU64,
     handoffs: Mutex<Vec<HandoffTrace>>,
     stray_bounces: AtomicU64,
@@ -206,7 +202,6 @@ impl NodeObs {
             seq: AtomicU64::new(0),
             flight_taken: AtomicBool::new(false),
             node: AtomicU64::new(0),
-            attrib: AttribTable::new(DEFAULT_ATTRIB_SLOTS),
             dir_epoch: AtomicU64::new(0),
             handoffs: Mutex::new(Vec::new()),
             stray_bounces: AtomicU64::new(0),
@@ -354,30 +349,20 @@ impl NodeObs {
         }
     }
 
-    /// Every attribution table of this node: one per shard, then the
-    /// node-level one.
-    fn attrib_tables(&self) -> impl Iterator<Item = &AttribTable> {
-        self.shards
-            .iter()
-            .map(|sh| &sh.attrib)
-            .chain(std::iter::once(&self.attrib))
-    }
-
     /// The hottest `top` home shards by attributed cost, summed over
-    /// every shard-level matrix plus the node-level table, hottest
-    /// first. Overflow-cell rows are excluded (their home is not a real
-    /// shard).
+    /// every shard's matrix, hottest first. Overflow-cell rows are
+    /// excluded (their home is not a real shard).
     pub fn placement_heat(&self, top: usize) -> Vec<(u32, u64)> {
         let mut per_home: Vec<(u32, u64)> = Vec::new();
-        for table in self.attrib_tables() {
-            for (key, counts) in table.entries() {
-                if key == OVERFLOW_KEY {
+        for sh in &self.shards {
+            for e in sh.attrib.entries() {
+                if (e.thread, e.home) == OVERFLOW_KEY {
                     continue;
                 }
-                let cost = counts[counts.len() - 1];
-                match per_home.iter_mut().find(|(h, _)| *h == key.1) {
+                let cost = e.get(Col::Cost);
+                match per_home.iter_mut().find(|(h, _)| *h == e.home) {
                     Some((_, c)) => *c += cost,
-                    None => per_home.push((key.1, cost)),
+                    None => per_home.push((e.home, cost)),
                 }
             }
         }
@@ -405,12 +390,10 @@ impl NodeObs {
             s.mailbox_batch.merge(&sh.mailbox_batch.snapshot());
             s.trace_dropped += sh.ring.dropped();
             s.journey_dropped += ld(&sh.journey_dropped);
-        }
-        for table in self.attrib_tables() {
-            for ((t, h), counts) in table.entries() {
-                s.fold_attrib(t, h, &counts);
+            for e in sh.attrib.entries() {
+                s.fold_attrib(&e);
             }
-            s.attrib_dropped += table.overflow_routed();
+            s.attrib_dropped += sh.attrib.overflow_routed();
         }
         for r in self.handoffs.lock().expect("handoff ledger").iter() {
             s.fold_handoff(r);
@@ -562,10 +545,6 @@ mod tests {
             cell.migrations.bump(1);
             cell.cost.bump(30);
         }
-        obs.attrib
-            .cell(2, 8)
-            .bounces
-            .fetch_add(1, Ordering::Relaxed);
         obs
     }
 
@@ -599,11 +578,7 @@ mod tests {
         assert_eq!(s.flush_ns.count, 1);
         assert_eq!(s.migrations_out(), 4);
         assert_eq!(s.attrib_cost(), 120, "shard matrices fold into one sum");
-        assert_eq!(s.attrib.len(), 4);
-        assert_eq!(
-            s.attrib[0].counts[5], 1,
-            "node-level cells merge with shard cells by key"
-        );
+        assert_eq!(s.attrib.len(), 4, "one row per (thread, home) key");
     }
 
     #[test]
@@ -620,6 +595,16 @@ mod tests {
             ),
             "per-shard rows read the shard's own histogram and matrix: {line}"
         );
+        let row = r#"{"thread":2,"home":9,"migrations":1,"remote_reads":0,"remote_writes":0,"context_bytes":0,"cost":30}"#;
+        assert!(line.contains(row), "{line}");
+        let attrib = line.split(r#""attrib":["#).nth(1).expect("attrib rows");
+        let attrib = &attrib[..attrib.find(']').expect("closed array")];
+        for row in attrib.split("},{") {
+            let keys: Vec<&str> = row.split('"').skip(1).step_by(2).collect();
+            let mut want = vec!["thread", "home"];
+            want.extend(Col::KEYS);
+            assert_eq!(keys, want, "every attrib row: thread, home, the columns");
+        }
     }
 
     /// DESIGN.md §12's schema table is the one documented schema: its

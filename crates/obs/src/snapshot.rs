@@ -11,9 +11,40 @@
 //! Nothing in here participates in any agreement check — merging is
 //! for *aggregation*, never for equality assertions.
 
-use crate::attrib::ATTRIB_COUNTERS;
+use crate::attrib::{Col, ATTRIB_COUNTERS};
 use crate::hist::HistSnapshot;
-use crate::json::JsonObj;
+use crate::json::{self, JsonObj};
+
+/// How a stored field folds under merge.
+#[derive(Clone, Copy)]
+enum Rule {
+    Sum,
+    Max,
+    Min,
+}
+
+/// One row of a field table: the field's JSON key, where it lives, and
+/// its merge rule.
+type Row<'a> = (&'static str, &'a mut u64, Rule);
+
+/// Fold `theirs` into `mine`, row by row (both walk the same table).
+fn fold<const N: usize>(mine: [Row<'_>; N], theirs: [Row<'_>; N]) {
+    for ((_, a, rule), (_, b, _)) in mine.into_iter().zip(theirs) {
+        *a = match rule {
+            Rule::Sum => *a + *b,
+            Rule::Max => (*a).max(*b),
+            Rule::Min => (*a).min(*b),
+        };
+    }
+}
+
+/// Append a field table's rows to `obj`, in table order.
+fn render<const N: usize>(mut obj: JsonObj, rows: [Row<'_>; N]) -> JsonObj {
+    for (k, v, _) in rows {
+        obj = obj.u64(k, *v);
+    }
+    obj
+}
 
 /// One (thread, home) row of the cost-attribution matrix in its
 /// snapshot form, summed counter-wise by key under merge. The overflow
@@ -26,15 +57,14 @@ pub struct AttribEntry {
     pub thread: u32,
     /// Home shard the thread's accesses targeted.
     pub home: u32,
-    /// The eight counters, in the order documented on
-    /// [`crate::attrib::ATTRIB_COUNTERS`].
+    /// The counters, indexed by [`Col`].
     pub counts: [u64; ATTRIB_COUNTERS],
 }
 
 impl AttribEntry {
-    /// Attributed network cost (the last counter).
-    pub fn cost(&self) -> u64 {
-        self.counts[ATTRIB_COUNTERS - 1]
+    /// Column `col` of this row.
+    pub fn get(&self, col: Col) -> u64 {
+        self.counts[col as usize]
     }
 }
 
@@ -71,20 +101,30 @@ pub struct HandoffTrace {
 }
 
 impl HandoffTrace {
+    /// Every field, in JSON row order, with its merge rule — the one
+    /// table behind `merge` and the `handoffs` rows.
+    fn fields(&mut self) -> [Row<'_>; 11] {
+        use Rule::{Max, Sum};
+        [
+            ("hid", &mut self.hid, Max),
+            ("shard", &mut self.shard, Max),
+            ("from", &mut self.from, Max),
+            ("to", &mut self.to, Max),
+            ("prepare_ns", &mut self.prepare_ns, Max),
+            ("freeze_ns", &mut self.freeze_ns, Max),
+            ("transfer_ns", &mut self.transfer_ns, Max),
+            ("commit_ns", &mut self.commit_ns, Max),
+            ("frozen_bytes", &mut self.frozen_bytes, Max),
+            ("replayed", &mut self.replayed, Sum),
+            ("bounced", &mut self.bounced, Sum),
+        ]
+    }
+
     /// Fold another node's view of the same handoff in (see the
     /// struct docs for the per-field rule).
     pub fn merge(&mut self, o: &HandoffTrace) {
         debug_assert_eq!(self.hid, o.hid);
-        self.shard = self.shard.max(o.shard);
-        self.from = self.from.max(o.from);
-        self.to = self.to.max(o.to);
-        self.prepare_ns = self.prepare_ns.max(o.prepare_ns);
-        self.freeze_ns = self.freeze_ns.max(o.freeze_ns);
-        self.transfer_ns = self.transfer_ns.max(o.transfer_ns);
-        self.commit_ns = self.commit_ns.max(o.commit_ns);
-        self.frozen_bytes = self.frozen_bytes.max(o.frozen_bytes);
-        self.replayed += o.replayed;
-        self.bounced += o.bounced;
+        fold(self.fields(), { *o }.fields());
     }
 }
 
@@ -174,25 +214,35 @@ impl Snapshot {
         "handoffs",
     ];
 
+    /// The stored scalars, in [`KEYS`](Snapshot::KEYS) order, with
+    /// their merge rules — the one table behind `merge` and `to_json`.
+    fn scalars(&mut self) -> [Row<'_>; 11] {
+        use Rule::{Max, Min, Sum};
+        [
+            ("node", &mut self.node, Min),
+            ("nodes", &mut self.nodes, Sum),
+            ("seq", &mut self.seq, Max),
+            ("uptime_ms", &mut self.uptime_ms, Max),
+            ("guest_occupancy", &mut self.guest_occupancy, Max),
+            ("egress_depth", &mut self.egress_depth, Max),
+            ("dir_epoch", &mut self.dir_epoch, Max),
+            ("trace_dropped", &mut self.trace_dropped, Sum),
+            ("attrib_dropped", &mut self.attrib_dropped, Sum),
+            ("journey_dropped", &mut self.journey_dropped, Sum),
+            ("stray_bounces", &mut self.stray_bounces, Sum),
+        ]
+    }
+
     /// Fold another node's snapshot in (see the struct docs for the
     /// per-field rule).
     pub fn merge(&mut self, o: &Snapshot) {
-        self.node = self.node.min(o.node);
-        self.nodes += o.nodes;
-        self.seq = self.seq.max(o.seq);
-        self.uptime_ms = self.uptime_ms.max(o.uptime_ms);
-        self.guest_occupancy = self.guest_occupancy.max(o.guest_occupancy);
-        self.egress_depth = self.egress_depth.max(o.egress_depth);
-        self.dir_epoch = self.dir_epoch.max(o.dir_epoch);
-        self.trace_dropped += o.trace_dropped;
-        self.attrib_dropped += o.attrib_dropped;
-        self.journey_dropped += o.journey_dropped;
-        self.stray_bounces += o.stray_bounces;
+        // The table hands out `&mut`; reading `o` through it takes a copy.
+        fold(self.scalars(), o.clone().scalars());
         self.task_latency_ns.merge(&o.task_latency_ns);
         self.mailbox_batch.merge(&o.mailbox_batch);
         self.flush_ns.merge(&o.flush_ns);
         for e in &o.attrib {
-            self.fold_attrib(e.thread, e.home, &e.counts);
+            self.fold_attrib(e);
         }
         for h in &o.handoffs {
             self.fold_handoff(h);
@@ -201,24 +251,17 @@ impl Snapshot {
 
     /// Sum a (thread, home) row into the sorted attribution vector,
     /// inserting it if the key is new.
-    pub fn fold_attrib(&mut self, thread: u32, home: u32, counts: &[u64; ATTRIB_COUNTERS]) {
+    pub fn fold_attrib(&mut self, e: &AttribEntry) {
         match self
             .attrib
-            .binary_search_by_key(&(thread, home), |e| (e.thread, e.home))
+            .binary_search_by_key(&(e.thread, e.home), |r| (r.thread, r.home))
         {
             Ok(i) => {
-                for (dst, src) in self.attrib[i].counts.iter_mut().zip(counts) {
+                for (dst, src) in self.attrib[i].counts.iter_mut().zip(e.counts) {
                     *dst += src;
                 }
             }
-            Err(i) => self.attrib.insert(
-                i,
-                AttribEntry {
-                    thread,
-                    home,
-                    counts: *counts,
-                },
-            ),
+            Err(i) => self.attrib.insert(i, *e),
         }
     }
 
@@ -246,37 +289,37 @@ impl Snapshot {
         self.task_latency_ns.count
     }
 
-    /// Column `col` of the attribution matrix, summed over every row
-    /// (order per [`ATTRIB_COUNTERS`]). Exact however full the tables
-    /// got: a spilled resolution lands on the overflow row.
-    fn attrib_sum(&self, col: usize) -> u64 {
-        self.attrib.iter().map(|e| e.counts[col]).sum()
+    /// Column `col` of the attribution matrix, summed over every row.
+    /// Exact however full the tables got: a spilled resolution lands
+    /// on the overflow row.
+    fn attrib_sum(&self, col: Col) -> u64 {
+        self.attrib.iter().map(|e| e.get(col)).sum()
     }
 
     /// Migrate verdicts executed (continuations shipped out).
     pub fn migrations_out(&self) -> u64 {
-        self.attrib_sum(0)
+        self.attrib_sum(Col::Migrations)
     }
 
     /// Remote-access read verdicts executed.
     pub fn remote_reads(&self) -> u64 {
-        self.attrib_sum(1)
+        self.attrib_sum(Col::RemoteReads)
     }
 
     /// Remote-access write verdicts executed.
     pub fn remote_writes(&self) -> u64 {
-        self.attrib_sum(2)
+        self.attrib_sum(Col::RemoteWrites)
     }
 
     /// Serialized context bytes shipped by migrations.
     pub fn context_bytes_out(&self) -> u64 {
-        self.attrib_sum(4)
+        self.attrib_sum(Col::ContextBytes)
     }
 
     /// Total attributed network cost (the observed side of the
     /// placement scorecard).
     pub fn attrib_cost(&self) -> u64 {
-        self.attrib_sum(ATTRIB_COUNTERS - 1)
+        self.attrib_sum(Col::Cost)
     }
 
     /// Handoffs seen to commit.
@@ -299,29 +342,11 @@ impl Snapshot {
         self.stray_bounces + self.handoffs.iter().map(|h| h.bounced).sum::<u64>()
     }
 
-    /// The scalar rows of the JSON line: stored fields, then derived
-    /// totals, in [`KEYS`](Snapshot::KEYS) order.
-    fn fields(&self) -> [(&'static str, u64); 11] {
-        [
-            ("node", self.node),
-            ("nodes", self.nodes),
-            ("seq", self.seq),
-            ("uptime_ms", self.uptime_ms),
-            ("guest_occupancy", self.guest_occupancy),
-            ("egress_depth", self.egress_depth),
-            ("dir_epoch", self.dir_epoch),
-            ("trace_dropped", self.trace_dropped),
-            ("attrib_dropped", self.attrib_dropped),
-            ("journey_dropped", self.journey_dropped),
-            ("stray_bounces", self.stray_bounces),
-        ]
-    }
-
     /// One JSONL line for the exporter stream / flight recorder, with
     /// derived latency quantiles for direct consumption.
     pub fn to_json(&self) -> String {
-        let mut obj = JsonObj::new().str("kind", "obs");
-        let derived = [
+        let mut obj = render(JsonObj::new().str("kind", "obs"), self.clone().scalars());
+        for (k, v) in [
             ("retired", self.retired()),
             ("migrations_out", self.migrations_out()),
             ("remote_reads", self.remote_reads()),
@@ -332,8 +357,7 @@ impl Snapshot {
             ("handoff_frozen_bytes", self.handoff_frozen_bytes()),
             ("handoff_replayed", self.handoff_replayed()),
             ("handoff_bounced", self.handoff_bounced()),
-        ];
-        for (k, v) in self.fields().into_iter().chain(derived) {
+        ] {
             obj = obj.u64(k, v);
         }
         for (k, h) in [
@@ -356,51 +380,24 @@ impl Snapshot {
         // flight-recorder line stays readable; the full matrix lives in
         // `Snapshot::attrib`.
         let mut top: Vec<&AttribEntry> = self.attrib.iter().collect();
-        top.sort_by(|a, b| {
-            b.cost()
-                .cmp(&a.cost())
-                .then((a.thread, a.home).cmp(&(b.thread, b.home)))
-        });
+        top.sort_by_key(|e| (std::cmp::Reverse(e.get(Col::Cost)), e.thread, e.home));
         top.truncate(16);
-        let rows: Vec<String> = top
-            .iter()
-            .map(|e| {
-                JsonObj::new()
-                    .u64("thread", e.thread as u64)
-                    .u64("home", e.home as u64)
-                    .u64("migrations", e.counts[0])
-                    .u64("remote_reads", e.counts[1])
-                    .u64("remote_writes", e.counts[2])
-                    .u64("locals", e.counts[3])
-                    .u64("context_bytes", e.counts[4])
-                    .u64("bounces", e.counts[5])
-                    .u64("parks", e.counts[6])
-                    .u64("cost", e.counts[7])
-                    .finish()
-            })
-            .collect();
+        let rows = top.iter().map(|e| {
+            let mut row = JsonObj::new()
+                .u64("thread", e.thread as u64)
+                .u64("home", e.home as u64);
+            for (k, v) in Col::KEYS.into_iter().zip(e.counts) {
+                row = row.u64(k, v);
+            }
+            row.finish()
+        });
         obj = obj.u64("attrib_rows", self.attrib.len() as u64);
-        obj = obj.raw("attrib", &format!("[{}]", rows.join(",")));
-        let hrows: Vec<String> = self
+        obj = obj.raw("attrib", &json::array(rows));
+        let hrows = self
             .handoffs
             .iter()
-            .map(|h| {
-                JsonObj::new()
-                    .u64("hid", h.hid)
-                    .u64("shard", h.shard)
-                    .u64("from", h.from)
-                    .u64("to", h.to)
-                    .u64("prepare_ns", h.prepare_ns)
-                    .u64("freeze_ns", h.freeze_ns)
-                    .u64("transfer_ns", h.transfer_ns)
-                    .u64("commit_ns", h.commit_ns)
-                    .u64("frozen_bytes", h.frozen_bytes)
-                    .u64("replayed", h.replayed)
-                    .u64("bounced", h.bounced)
-                    .finish()
-            })
-            .collect();
-        obj = obj.raw("handoffs", &format!("[{}]", hrows.join(",")));
+            .map(|h| render(JsonObj::new(), { *h }.fields()).finish());
+        obj = obj.raw("handoffs", &json::array(hrows));
         obj.finish()
     }
 }
@@ -429,8 +426,13 @@ mod tests {
         }
         s.mailbox_batch.record(8);
         s.flush_ns.record(1500);
-        s.fold_attrib(1, 2, &[3, 1, 0, 50, 200, 0, 1, 90]);
-        s.fold_attrib(0, 2, &[2, 0, 1, 40, 100, 1, 0, 50]);
+        for (thread, counts) in [(1, [3, 1, 0, 200, 90]), (0, [2, 0, 1, 100, 50])] {
+            s.fold_attrib(&AttribEntry {
+                thread,
+                home: 2,
+                counts,
+            });
+        }
         s.fold_handoff(&HandoffTrace {
             hid: 7,
             shard: 2,
@@ -466,12 +468,81 @@ mod tests {
         assert_eq!(direct.attrib_cost(), 280);
         assert_eq!(direct.dir_epoch, 2, "epoch is a max, not a sum");
         assert_eq!(direct.attrib.len(), 2, "attrib rows sum by key");
-        assert_eq!(direct.attrib[0].counts, [4, 0, 2, 80, 200, 2, 0, 100]);
+        assert_eq!(direct.attrib[0].counts, [4, 0, 2, 200, 100]);
         assert_eq!(direct.handoffs.len(), 1, "handoff views merge by id");
         let h = &direct.handoffs[0];
         assert_eq!(h.prepare_ns, 20, "timestamps take the max");
         assert_eq!(h.replayed, 4, "frame counts sum");
         assert_eq!(h.from, 1);
+    }
+
+    /// Two snapshots that differ in every stored scalar, merged in
+    /// either order: `node` takes the min, `nodes` and the loss
+    /// indicators sum, `seq`, `uptime_ms`, the gauges and `dir_epoch`
+    /// take the max.
+    #[test]
+    fn each_snapshot_scalar_merges_by_its_rule() {
+        let scalars = |b: u64| Snapshot {
+            node: b + 1,
+            nodes: b + 2,
+            seq: b + 3,
+            uptime_ms: b + 4,
+            guest_occupancy: b + 5,
+            egress_depth: b + 6,
+            dir_epoch: b + 7,
+            trace_dropped: b + 8,
+            attrib_dropped: b + 9,
+            journey_dropped: b + 10,
+            stray_bounces: b + 11,
+            ..Snapshot::default()
+        };
+        let want = Snapshot {
+            node: 1,
+            nodes: 104,
+            seq: 103,
+            uptime_ms: 104,
+            guest_occupancy: 105,
+            egress_depth: 106,
+            dir_epoch: 107,
+            trace_dropped: 116,
+            attrib_dropped: 118,
+            journey_dropped: 120,
+            stray_bounces: 122,
+            ..Snapshot::default()
+        };
+        for (a, b) in [(scalars(0), scalars(100)), (scalars(100), scalars(0))] {
+            let mut m = a;
+            m.merge(&b);
+            assert_eq!(m, want);
+        }
+    }
+
+    /// The same for a handoff trace: identity fields, timestamps and
+    /// `frozen_bytes` take the max, frame counts sum.
+    #[test]
+    fn each_handoff_field_merges_by_its_rule() {
+        let view = |b: u64| HandoffTrace {
+            hid: 7,
+            shard: b + 1,
+            from: b + 2,
+            to: b + 3,
+            prepare_ns: b + 4,
+            freeze_ns: b + 5,
+            transfer_ns: b + 6,
+            commit_ns: b + 7,
+            frozen_bytes: b + 8,
+            replayed: b + 9,
+            bounced: b + 10,
+        };
+        let want = HandoffTrace {
+            replayed: 118,
+            bounced: 120,
+            ..view(100)
+        };
+        for (mut a, b) in [(view(0), view(100)), (view(100), view(0))] {
+            a.merge(&b);
+            assert_eq!(a, want);
+        }
     }
 
     #[test]

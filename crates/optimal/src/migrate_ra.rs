@@ -67,15 +67,6 @@ impl CostTrace {
         }
     }
 
-    /// Build one cost trace per thread of a workload.
-    pub fn from_workload(workload: &Workload, placement: &dyn Placement) -> Vec<CostTrace> {
-        workload
-            .threads
-            .iter()
-            .map(|t| CostTrace::from_thread(t, placement))
-            .collect()
-    }
-
     /// Build from a flat thread — homes were already resolved at
     /// [`em2_trace::FlatWorkload::build`] time, so this is a copy, not
     /// a placement walk.

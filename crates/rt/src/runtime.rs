@@ -209,10 +209,10 @@ pub struct TaskSpec {
     pub task: Box<dyn Task>,
     /// The shard whose reserved native context belongs to this task.
     pub native: CoreId,
-    /// Latency epoch: `None` stamps the submission instant; open-loop
-    /// injectors pass the request's *intended* arrival time so queueing
-    /// delay from a late injector still counts (no coordinated
-    /// omission).
+    /// Latency epoch of the obs `task_latency_ns` histogram: `None`
+    /// stamps the submission instant; open-loop injectors pass the
+    /// request's *intended* arrival time so queueing delay from a late
+    /// injector still counts (no coordinated omission).
     pub arrival: Option<Instant>,
 }
 
@@ -269,13 +269,6 @@ pub struct RtReport {
     pub wall: Duration,
     /// Scheduling telemetry.
     pub sched: SchedStats,
-    /// Per-task latency samples in nanoseconds (submission — or the
-    /// injector-declared arrival instant — to retirement), sorted
-    /// ascending. One sample per task, so trace replays with a handful
-    /// of long tasks carry a handful of samples, while a serving
-    /// workload with one task per request yields a latency
-    /// distribution ([`RtReport::latency_quantile`]).
-    pub task_latency_ns: Vec<u64>,
     /// Final timing-plane snapshot (`None` when obs is off). Strictly
     /// observational: nothing in the deterministic counters above is
     /// derived from it, and reports render identically without it.
@@ -296,17 +289,6 @@ impl RtReport {
         } else {
             self.total_ops() as f64 / s
         }
-    }
-
-    /// Task-latency quantile `q` in `[0, 1]` (`None` when no task
-    /// retired). `q = 0.5` is the median, `0.99` the p99.
-    pub fn latency_quantile(&self, q: f64) -> Option<Duration> {
-        if self.task_latency_ns.is_empty() {
-            return None;
-        }
-        let n = self.task_latency_ns.len();
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
-        Some(Duration::from_nanos(self.task_latency_ns[rank - 1]))
     }
 }
 
@@ -644,7 +626,6 @@ impl Runtime {
         let mut context_bytes_sent = 0u64;
         let mut heap_words = 0u64;
         let mut polls = 0u64;
-        let mut task_latency_ns: Vec<u64> = Vec::new();
         for core in &shared.cores {
             let c = core.lock().expect("no worker panicked").take_counters();
             flow.merge(&c.flow);
@@ -652,12 +633,7 @@ impl Runtime {
             context_bytes_sent += c.context_bytes_sent;
             heap_words += c.heap_words;
             polls += c.polls;
-            task_latency_ns.extend(c.task_latency_ns);
         }
-        // After the loop: `take_counters` folded each core's deferred
-        // attribution into the matrix this reads.
-        let obs_snapshot = self.obs.as_ref().map(|o| o.snapshot());
-        task_latency_ns.sort_unstable();
 
         RtReport {
             workload: std::mem::take(&mut self.name),
@@ -673,8 +649,7 @@ impl Runtime {
                 polls,
                 parks: shared.sched.parks(),
             },
-            task_latency_ns,
-            obs: obs_snapshot,
+            obs: self.obs.as_ref().map(|o| o.snapshot()),
         }
     }
 }

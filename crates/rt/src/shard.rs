@@ -71,8 +71,8 @@ pub(crate) struct Envelope {
     /// simulator's single shared instance (DESIGN.md §8).
     pub scheme: Box<dyn DecisionScheme>,
     /// When the task was submitted (or its intended open-loop arrival
-    /// time): retirement records `arrival.elapsed()` as the task's
-    /// latency.
+    /// time): retirement records `arrival.elapsed()` in the obs
+    /// `task_latency_ns` histogram.
     pub arrival: Instant,
     /// The access that triggered a migration: executed at the home
     /// shard immediately after admission (the simulator performs the
@@ -322,9 +322,6 @@ pub(crate) struct ShardCounters {
     /// Times this shard was polled (scheduling telemetry; the idle-CPU
     /// regression test bounds it).
     pub polls: u64,
-    /// Per-retired-task latency samples in nanoseconds
-    /// (`Envelope::arrival` → retirement).
-    pub task_latency_ns: Vec<u64>,
 }
 
 impl ShardCounters {
@@ -335,7 +332,6 @@ impl ShardCounters {
             heap_words: 0,
             run_hist: Histogram::new(em2_core::RUN_BINS),
             polls: 0,
-            task_latency_ns: Vec::new(),
         }
     }
 }
@@ -390,15 +386,6 @@ pub(crate) struct ShardCore {
     /// attribution cost bump must not re-run the model's flit
     /// arithmetic — two integer divisions per call — on every verdict.
     attrib_cost: Vec<[u64; 3]>,
-    /// `[locals, parks]` accrued per thread id since the last fold —
-    /// both are always keyed `(thread, me)`, so the hot path can use
-    /// plain single-writer memory (an L1-resident vector, no hash, no
-    /// atomics) and fold into the shared attribution matrix only at
-    /// freeze and quiesce, the same idiom the deterministic
-    /// `FlowCounts` use. A mid-run exporter snapshot may undercount
-    /// these two columns by the unfolded remainder; the final
-    /// snapshot is exact.
-    attrib_pending: Vec<[u64; 2]>,
     /// Poll counter for the coarse event clock: the clock refreshes
     /// every [`OBS_CLOCK_POLLS`] polls, because `clock_gettime` can be
     /// a real syscall (obs module docs on the coarse clock).
@@ -407,10 +394,6 @@ pub(crate) struct ShardCore {
 
 /// Polls between coarse-event-clock refreshes.
 const OBS_CLOCK_POLLS: u32 = 16;
-
-/// Columns of `ShardCore::attrib_pending`.
-const LOCALS: usize = 0;
-const PARKS: usize = 1;
 
 /// Replay the hops `env` still carries into a shard's trace ring, so
 /// the task's cross-cluster path is reconstructible from this node's
@@ -447,7 +430,6 @@ impl ShardCore {
             remote_replies: Vec::new(),
             obs,
             attrib_cost: Vec::new(),
-            attrib_pending: Vec::new(),
             obs_clock_tick: 0,
         }
     }
@@ -560,11 +542,10 @@ impl ShardCore {
         )
     }
 
-    /// Finalize end-of-run accounting — the deferred attribution
-    /// folded in, the heap counted — and hand the counters over,
-    /// leaving zeroes (called once, at quiesce, under the core's lock).
+    /// Finalize end-of-run accounting — the heap counted — and hand
+    /// the counters over, leaving zeroes (called once, at quiesce,
+    /// under the core's lock).
     pub(crate) fn take_counters(&mut self) -> ShardCounters {
-        self.flush_attrib_pending();
         self.counters.heap_words = self.heap.len() as u64;
         std::mem::replace(&mut self.counters, ShardCounters::new())
     }
@@ -581,7 +562,6 @@ impl ShardCore {
     /// has already flipped the directory owner under the mailbox lock,
     /// so nothing lands here afterwards.
     pub(crate) fn export_frozen(&mut self, mailbox: Vec<WireMsg>) -> crate::wire::FrozenShard {
-        self.flush_attrib_pending();
         debug_assert!(self.scratch.is_empty(), "batch in progress during freeze");
         debug_assert!(
             self.remote_replies.is_empty(),
@@ -977,39 +957,6 @@ impl ShardCore {
         env.scheme.observe_run(env.thread, core, len);
     }
 
-    /// Accrue `n` toward column `col` ([`LOCALS`] or [`PARKS`]) of the
-    /// (thread, here) attribution cell. A slice's local accesses
-    /// arrive as one call (`execute` counts them in a register), so
-    /// the per-access cost stays zero.
-    #[inline]
-    fn attrib_defer(&mut self, thread: ThreadId, col: usize, n: u64) {
-        if n == 0 || self.obs.is_none() {
-            return;
-        }
-        let t = thread.0 as usize;
-        if t >= self.attrib_pending.len() {
-            self.attrib_pending.resize(t + 1, [0, 0]);
-        }
-        self.attrib_pending[t][col] += n;
-    }
-
-    /// Fold the deferred per-thread locals/parks into the attribution
-    /// matrix. Called while the core is quiescent: at freeze (so a
-    /// handoff leaves a settled table behind) and before the final
-    /// snapshot at quiesce.
-    fn flush_attrib_pending(&mut self) {
-        let Some(o) = &self.obs else { return };
-        for (t, p) in self.attrib_pending.iter_mut().enumerate() {
-            let [locals, parks] = std::mem::take(p);
-            if locals > 0 {
-                o.attrib.cell(t as u32, self.id as u32).locals.bump(locals);
-            }
-            if parks > 0 {
-                o.attrib.cell(t as u32, self.id as u32).parks.bump(parks);
-            }
-        }
-    }
-
     /// LRU bookkeeping for a slice that ends with its context still
     /// resident here (quantum exhausted, barrier park): stamp the guest
     /// slot with the clock of the slice's last access — once per slice,
@@ -1033,7 +980,6 @@ impl ShardCore {
         if self.obs.is_some() && self.attrib_cost.is_empty() {
             self.build_attrib_cost(shared);
         }
-        let mut local_hits = 0u64;
         let mut budget = shared.quantum.max(1);
         let mut reply = env.pending_reply.take();
         // A pending op is a migration's arrival access: counted as the
@@ -1046,7 +992,6 @@ impl ShardCore {
             };
             let (addr, write_value) = match op {
                 Op::Done => {
-                    self.attrib_defer(thread, LOCALS, local_hits);
                     self.retire(shared, env);
                     return;
                 }
@@ -1062,11 +1007,9 @@ impl ShardCore {
                         continue;
                     }
                     self.ev(EventKind::BarrierPark, thread.0 as u64, k as u64, 0);
-                    self.attrib_defer(thread, PARKS, 1);
                     env.parked_at = Some(k);
                     self.parked.push(env);
                     self.touch_after_slice(thread, clock_at_entry);
-                    self.attrib_defer(thread, LOCALS, local_hits);
                     shared.node.barrier_arrive(k);
                     return;
                 }
@@ -1081,7 +1024,6 @@ impl ShardCore {
                     arrival_access = false;
                 } else {
                     self.counters.flow.local_accesses += 1;
-                    local_hits += 1;
                 }
                 self.track(&mut env, home);
                 reply = self.serve(addr, write_value);
@@ -1093,7 +1035,6 @@ impl ShardCore {
                     env.pending_reply = reply.take();
                     self.runq.push_back(env);
                     self.touch_after_slice(thread, clock_at_entry);
-                    self.attrib_defer(thread, LOCALS, local_hits);
                     return;
                 }
                 continue;
@@ -1129,7 +1070,6 @@ impl ShardCore {
                     self.counters.context_bytes_sent += ctx;
                     self.note_verdict(EventKind::MigrateOut, thread, home, ctx);
                     env.pending_op = Some(op);
-                    self.attrib_defer(thread, LOCALS, local_hits);
                     shared.send(home.index(), Msg::Arrive(env));
                     return;
                 }
@@ -1160,7 +1100,6 @@ impl ShardCore {
                     let token = self.next_token;
                     self.next_token += 1;
                     self.awaiting.insert(token, env);
-                    self.attrib_defer(thread, LOCALS, local_hits);
                     shared.send(
                         home.index(),
                         Msg::Request {
@@ -1186,8 +1125,6 @@ impl ShardCore {
                 self.finish_run(&mut env, c, len);
             }
         }
-        let latency_ns = env.arrival.elapsed().as_nanos() as u64;
-        self.counters.task_latency_ns.push(latency_ns);
         if env.native == self.me() {
             self.pool.remove_native(env.thread);
         } else {
@@ -1195,6 +1132,7 @@ impl ShardCore {
             self.obs_occupancy();
         }
         if let Some(o) = &self.obs {
+            let latency_ns = env.arrival.elapsed().as_nanos() as u64;
             o.task_latency_ns.record(latency_ns);
             // Whatever the journey still carries goes into the ring
             // (nothing, for a log that spilled on the way), then the

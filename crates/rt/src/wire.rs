@@ -47,7 +47,7 @@ use std::fmt;
 // this module, `em2-net`'s control protocol, and scheme-state
 // serialization); re-exported here so wire-format users need one
 // import path.
-pub use em2_model::bytes::{put_u64, put_var, put_var_bytes, Cursor, MAX_CHUNK};
+pub use em2_model::bytes::{put_opt, put_u64, put_var, put_var_bytes, Cursor, MAX_CHUNK};
 
 /// Version byte leading every encoded [`WireMsg`]. Bump on any layout
 /// change; the `em2-net` handshake additionally refuses to connect
@@ -334,6 +334,9 @@ impl WireOp {
         }
     }
 
+    // Inlined: behind `put_opt`'s closure the compiler stopped doing it
+    // on its own, and a call per migrated frame showed on uds2-migrate.
+    #[inline]
     fn encode_into(&self, b: &mut Vec<u8>) {
         match *self {
             WireOp::Read(a) => {
@@ -403,83 +406,34 @@ impl WireEnvelope {
         put_var(b, u64::from(self.task_kind));
         put_var_bytes(b, &self.task_ctx);
         put_var_bytes(b, &self.scheme_state);
-        match &self.pending_op {
-            None => b.push(0),
-            Some(op) => {
-                b.push(1);
-                op.encode_into(b);
-            }
-        }
-        match self.pending_reply {
-            None => b.push(0),
-            Some(v) => {
-                b.push(1);
-                put_u64(b, v);
-            }
-        }
-        match self.parked_at {
-            None => b.push(0),
-            Some(k) => {
-                b.push(1);
-                put_var(b, u64::from(k));
-            }
-        }
-        match self.run {
-            None => b.push(0),
-            Some((c, len)) => {
-                b.push(1);
-                put_var(b, u64::from(c));
-                put_var(b, len);
-            }
-        }
+        put_opt(b, self.pending_op, |b, op| op.encode_into(b));
+        put_opt(b, self.pending_reply, put_u64);
+        put_opt(b, self.parked_at, |b, k| put_var(b, u64::from(k)));
+        put_opt(b, self.run, |b, (c, len)| {
+            put_var(b, u64::from(c));
+            put_var(b, len);
+        });
         self.journey.encode_into(b);
     }
 
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
-        let thread = r.var_as()?;
-        let native = r.var_as()?;
-        let task_kind = r.var_as()?;
-        let task_ctx = r.var_bytes()?.to_vec();
-        let scheme_state = r.var_bytes()?.to_vec();
-        let opt = |r: &mut Cursor<'_>, what| -> Result<bool, WireError> {
-            match r.u8()? {
-                0 => Ok(false),
-                1 => Ok(true),
-                tag => Err(CodecError::BadTag { what, tag }.into()),
-            }
-        };
-        let pending_op = if opt(r, "option<op>")? {
-            Some(WireOp::decode(r)?)
-        } else {
-            None
-        };
-        let pending_reply = if opt(r, "option<reply>")? {
-            Some(r.u64()?)
-        } else {
-            None
-        };
-        let parked_at = if opt(r, "option<barrier>")? {
-            Some(r.var_as()?)
-        } else {
-            None
-        };
-        let run = if opt(r, "option<run>")? {
-            Some((r.var_as()?, r.var()?))
-        } else {
-            None
-        };
-        let journey = Journey::decode(r)?;
         Ok(WireEnvelope {
-            thread,
-            native,
-            task_kind,
-            task_ctx,
-            scheme_state,
-            pending_op,
-            pending_reply,
-            parked_at,
-            run,
-            journey,
+            thread: r.var_as()?,
+            native: r.var_as()?,
+            task_kind: r.var_as()?,
+            task_ctx: r.var_bytes()?.to_vec(),
+            scheme_state: r.var_bytes()?.to_vec(),
+            pending_op: r
+                .flag("option<op>")?
+                .then(|| WireOp::decode(r))
+                .transpose()?,
+            pending_reply: r.flag("option<reply>")?.then(|| r.u64()).transpose()?,
+            parked_at: r.flag("option<barrier>")?.then(|| r.var_as()).transpose()?,
+            run: r
+                .flag("option<run>")?
+                .then(|| Ok::<_, CodecError>((r.var_as()?, r.var()?)))
+                .transpose()?,
+            journey: Journey::decode(r)?,
         })
     }
 }
@@ -537,26 +491,14 @@ impl WireMsg {
             } => {
                 b.push(1);
                 put_var(b, *addr);
-                match write {
-                    None => b.push(0),
-                    Some(v) => {
-                        b.push(1);
-                        put_u64(b, *v);
-                    }
-                }
+                put_opt(b, *write, put_u64);
                 put_var(b, u64::from(*reply_shard));
                 put_u64(b, *token);
             }
             WireMsg::Response { token, value } => {
                 b.push(2);
                 put_u64(b, *token);
-                match value {
-                    None => b.push(0),
-                    Some(v) => {
-                        b.push(1);
-                        put_u64(b, *v);
-                    }
-                }
+                put_opt(b, *value, put_u64);
             }
             WireMsg::BarrierRelease { idx } => {
                 b.push(3);
@@ -584,7 +526,7 @@ impl WireMsg {
     /// Decode one message from a shared cursor, leaving any trailing
     /// bytes for the caller (used when messages are embedded inside a
     /// larger payload, e.g. a [`FrozenShard`]'s drained mailbox).
-    pub fn decode_from(r: &mut Cursor<'_>) -> Result<WireMsg, WireError> {
+    fn decode_from(r: &mut Cursor<'_>) -> Result<WireMsg, WireError> {
         let ver = r.u8()?;
         if ver != WIRE_VERSION {
             return Err(WireError::Version {
@@ -594,41 +536,16 @@ impl WireMsg {
         }
         let msg = match r.u8()? {
             0 => WireMsg::Arrive(WireEnvelope::decode(r)?),
-            1 => {
-                let addr = r.var()?;
-                let write = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            what: "option<write>",
-                            tag,
-                        }
-                        .into())
-                    }
-                };
-                WireMsg::Request {
-                    addr,
-                    write,
-                    reply_shard: r.var_as()?,
-                    token: r.u64()?,
-                }
-            }
-            2 => {
-                let token = r.u64()?;
-                let value = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            what: "option<value>",
-                            tag,
-                        }
-                        .into())
-                    }
-                };
-                WireMsg::Response { token, value }
-            }
+            1 => WireMsg::Request {
+                addr: r.var()?,
+                write: r.flag("option<write>")?.then(|| r.u64()).transpose()?,
+                reply_shard: r.var_as()?,
+                token: r.u64()?,
+            },
+            2 => WireMsg::Response {
+                token: r.u64()?,
+                value: r.flag("option<value>")?.then(|| r.u64()).transpose()?,
+            },
             3 => WireMsg::BarrierRelease { idx: r.var_as()? },
             tag => return Err(CodecError::BadTag { what: "msg", tag }.into()),
         };
@@ -734,11 +651,10 @@ impl FrozenShard {
         b
     }
 
-    /// Decode one frozen shard from a shared cursor (embedded at the
-    /// tail of a transport frame by `em2-net`). Never panics; counts
-    /// are not trusted with pre-allocation, so absurd lengths fail on
+    /// Decode one frozen shard from a cursor. Never panics; every list
+    /// is read with [`Cursor::list`], so an absurd count fails on
     /// truncation instead of attempting the allocation.
-    pub fn decode_from(r: &mut Cursor<'_>) -> Result<Self, WireError> {
+    fn decode_from(r: &mut Cursor<'_>) -> Result<Self, WireError> {
         let ver = r.u8()?;
         if ver != WIRE_VERSION {
             return Err(WireError::Version {
@@ -746,64 +662,19 @@ impl FrozenShard {
                 want: WIRE_VERSION,
             });
         }
-        let shard = r.var_as()?;
-        let next_token = r.u64()?;
-        let clock = r.var()?;
-        let mut heap = Vec::new();
-        for _ in 0..r.var()? {
-            heap.push((r.var()?, r.u64()?));
-        }
-        let mut natives = Vec::new();
-        for _ in 0..r.var()? {
-            natives.push(r.var_as()?);
-        }
-        let mut guests = Vec::new();
-        for _ in 0..r.var()? {
-            let t = r.var_as()?;
-            let pinned = match r.u8()? {
-                0 => false,
-                1 => true,
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "pinned",
-                        tag,
-                    }
-                    .into())
-                }
-            };
-            guests.push((t, pinned, r.var()?));
-        }
-        let envs = |r: &mut Cursor<'_>| -> Result<Vec<WireEnvelope>, WireError> {
-            let mut q = Vec::new();
-            for _ in 0..r.var()? {
-                q.push(WireEnvelope::decode(r)?);
-            }
-            Ok(q)
-        };
-        let runq = envs(r)?;
-        let parked = envs(r)?;
-        let stalled = envs(r)?;
-        let mut awaiting = Vec::new();
-        for _ in 0..r.var()? {
-            let token = r.u64()?;
-            awaiting.push((token, WireEnvelope::decode(r)?));
-        }
-        let mut mailbox = Vec::new();
-        for _ in 0..r.var()? {
-            mailbox.push(WireMsg::decode_from(r)?);
-        }
+        // Fields in wire order (`stalled` precedes `awaiting`).
         Ok(FrozenShard {
-            shard,
-            next_token,
-            clock,
-            heap,
-            natives,
-            guests,
-            runq,
-            parked,
-            awaiting,
-            stalled,
-            mailbox,
+            shard: r.var_as()?,
+            next_token: r.u64()?,
+            clock: r.var()?,
+            heap: r.list(|r| Ok::<_, CodecError>((r.var()?, r.u64()?)))?,
+            natives: r.list(Cursor::var_as)?,
+            guests: r.list(|r| Ok::<_, CodecError>((r.var_as()?, r.flag("pinned")?, r.var()?)))?,
+            runq: r.list(WireEnvelope::decode)?,
+            parked: r.list(WireEnvelope::decode)?,
+            stalled: r.list(WireEnvelope::decode)?,
+            awaiting: r.list(|r| Ok::<_, WireError>((r.u64()?, WireEnvelope::decode(r)?)))?,
+            mailbox: r.list(WireMsg::decode_from)?,
         })
     }
 

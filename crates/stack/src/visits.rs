@@ -33,11 +33,6 @@ impl VisitTrace {
     pub fn remote_visits(&self) -> usize {
         self.visits.iter().filter(|v| v.home != self.start).count()
     }
-
-    /// Largest per-visit stack demand.
-    pub fn max_demand(&self) -> u32 {
-        self.visits.iter().map(|v| v.demand).max().unwrap_or(0)
-    }
 }
 
 struct OpenVisit {
@@ -220,9 +215,8 @@ mod tests {
         )
         .unwrap();
         assert!(
-            vt.max_demand() <= 4,
-            "streaming loop is shallow: {}",
-            vt.max_demand()
+            vt.visits.iter().all(|v| v.demand <= 4),
+            "streaming loop is shallow"
         );
         assert!(vt.peak_depth <= 8);
     }
@@ -246,7 +240,7 @@ mod tests {
         // Demand stays tiny even though absolute depth is large: only
         // the top of the stack is consumed at a leaf. That asymmetry
         // is exactly why §4's partial-depth migration wins.
-        assert!(vt.max_demand() < vt.peak_depth as u32);
+        assert!(vt.visits.iter().all(|v| v.demand < vt.peak_depth as u32));
         assert!(vt.remote_visits() > 0);
     }
 

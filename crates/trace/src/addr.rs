@@ -119,16 +119,6 @@ impl AddressSpace {
     pub fn regions(&self) -> &[Region] {
         &self.regions
     }
-
-    /// Total bytes allocated (including alignment padding).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| r.bytes).sum()
-    }
-
-    /// Find the region containing an address, if any.
-    pub fn region_of(&self, a: Addr) -> Option<&Region> {
-        self.regions.iter().find(|r| r.contains(a))
-    }
 }
 
 #[cfg(test)]
@@ -183,17 +173,6 @@ mod tests {
         for w in stacks.windows(2) {
             assert!(w[0].end().0 <= w[1].base.0);
         }
-        assert_eq!(sp.allocated_bytes(), 4 * 8192);
-    }
-
-    #[test]
-    fn region_of_finds_owner() {
-        let mut sp = AddressSpace::new(0, 64);
-        let a = sp.alloc("a", 64);
-        let b = sp.alloc("b", 64);
-        assert_eq!(sp.region_of(Addr(a.base.0 + 10)).unwrap().name, "a");
-        assert_eq!(sp.region_of(Addr(b.base.0)).unwrap().name, "b");
-        assert!(sp.region_of(Addr(1 << 40)).is_none());
     }
 
     #[test]

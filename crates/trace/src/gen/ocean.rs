@@ -378,11 +378,6 @@ impl OceanConfig {
     }
 }
 
-/// Convenience: generate the default Figure-2-scale OCEAN workload.
-pub fn ocean_default() -> Workload {
-    OceanConfig::default().generate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

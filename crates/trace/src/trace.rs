@@ -71,11 +71,6 @@ impl ThreadTrace {
         self.records.is_empty()
     }
 
-    /// The phase (number of barriers passed) of record `idx`.
-    pub fn phase_of(&self, idx: usize) -> usize {
-        self.barriers.partition_point(|&b| b <= idx)
-    }
-
     /// Iterate over the records of phase `p` (records between barrier
     /// `p-1` and barrier `p`; phase indices beyond the last barrier
     /// yield the tail).
@@ -135,12 +130,6 @@ impl Workload {
     /// Total number of accesses across all threads.
     pub fn total_accesses(&self) -> usize {
         self.threads.iter().map(|t| t.len()).sum()
-    }
-
-    /// The native core of a thread.
-    #[inline]
-    pub fn native_of(&self, t: ThreadId) -> CoreId {
-        self.threads[t.index()].native
     }
 
     /// Maximum number of phases over all threads.
@@ -226,15 +215,6 @@ pub struct WorkloadStats {
 }
 
 impl WorkloadStats {
-    /// Fraction of accesses that are reads.
-    pub fn read_fraction(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.reads as f64 / self.accesses as f64
-        }
-    }
-
     /// Fraction of touched lines shared between threads.
     pub fn sharing_fraction(&self) -> f64 {
         if self.lines_touched == 0 {
@@ -267,9 +247,6 @@ mod tests {
         t.barrier();
         // trailing phase empty
         assert_eq!(t.phases(), 2);
-        assert_eq!(t.phase_of(0), 0);
-        assert_eq!(t.phase_of(1), 0);
-        assert_eq!(t.phase_of(2), 1);
         assert_eq!(t.phase_records(0).len(), 2);
         assert_eq!(t.phase_records(1).len(), 1);
         assert_eq!(t.phase_records(2).len(), 0);
@@ -307,7 +284,6 @@ mod tests {
         assert_eq!(s.writes, 2);
         assert_eq!(s.shared_lines, 1);
         assert!(s.lines_touched >= 2);
-        assert!(s.read_fraction() > 0.7);
         assert!(s.sharing_fraction() > 0.0);
         assert_eq!(s.max_addr, 1 << 20);
     }
@@ -318,7 +294,6 @@ mod tests {
         let s = w.stats(64);
         assert_eq!(s.accesses, 0);
         assert_eq!(s.footprint_bytes, 0);
-        assert_eq!(s.read_fraction(), 0.0);
         assert_eq!(s.sharing_fraction(), 0.0);
     }
 
@@ -327,12 +302,5 @@ mod tests {
     fn non_dense_thread_ids_rejected() {
         let t = ThreadTrace::new(ThreadId(1), CoreId(0));
         let _ = Workload::new("bad", vec![t]);
-    }
-
-    #[test]
-    fn native_lookup() {
-        let w = Workload::new("n", vec![trace_with(0, 5, 1), trace_with(1, 6, 1)]);
-        assert_eq!(w.native_of(ThreadId(0)), CoreId(5));
-        assert_eq!(w.native_of(ThreadId(1)), CoreId(6));
     }
 }
