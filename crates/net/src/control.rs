@@ -37,7 +37,8 @@
 use crate::error::ClusterError;
 use crate::proto::NetMsg;
 use em2_obs::json::{array, JsonObj};
-use em2_rt::wire::{FrozenShard, HopCause, JourneyHop, WireMsg};
+use em2_obs::EventKind;
+use em2_rt::wire::{FrozenShard, WireMsg};
 use em2_rt::{InboxBacklog, RunLedger, ShardDirectory};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -76,7 +77,6 @@ pub(crate) enum Event {
     /// exported and the local directory already routes it to `to`.
     Froze {
         hid: u64,
-        shard: u32,
         to: u32,
         state: Box<FrozenShard>,
     },
@@ -136,24 +136,19 @@ pub(crate) enum Action {
     Note(Note),
 }
 
-/// Obs-plane breadcrumbs for the handoff timeline and the fence.
+/// What the obs plane records for a decision.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Note {
-    /// The coordinator opened handoff `hid`.
-    Prepare {
-        hid: u64,
-        shard: u32,
-        from: u32,
-        to: u32,
-    },
-    /// The destination installed `hid` and replayed `replayed` frames.
-    Transfer { hid: u64, shard: u32, replayed: u64 },
-    /// The coordinator committed `hid` as `epoch`.
-    Commit { hid: u64, shard: u32, epoch: u64 },
+    /// A node-ring event and its two payload words (per [`EventKind`]):
+    /// each handoff phase, on the node that performed it.
+    Event(EventKind, u64, u64),
     /// This node's directory now stands at `epoch`.
     Epoch(u64),
-    /// A bounced frame came back.
-    Bounce { shard: u32, retries: u32 },
+}
+
+/// A node-ring event about `shard`, its second payload word `b`.
+fn ring(kind: EventKind, shard: u32, b: u64) -> Action {
+    Action::Note(Note::Event(kind, u64::from(shard), b))
 }
 
 /// Disarm a deadline that is due at `now`, reporting (once) the
@@ -268,18 +263,11 @@ impl Control {
                 }
                 self.send(dir, COORD, msg, out);
             }
-            Event::Froze {
-                hid,
-                shard,
-                to,
-                state,
-            } => self.send(
-                dir,
-                to as usize,
-                NetMsg::HandoffTransfer { hid, shard, state },
-                out,
-            ),
-            Event::Installed { hid, shard } => self.installed(dir, hid, shard, out),
+            Event::Froze { hid, to, state } => {
+                let transfer = NetMsg::HandoffTransfer { hid, state };
+                self.send(dir, to as usize, transfer, out)
+            }
+            Event::Installed { hid, shard } => self.installed(hid, shard, out),
             Event::Tick { backlog } => self.tick(dir, &backlog, out),
         }
     }
@@ -355,8 +343,8 @@ impl Control {
             HandoffRequest { shard, to } | HandoffPrepare { shard, to, .. } => {
                 (Some(*shard), Some(*to))
             }
-            HandoffExpect { shard, from, .. } => (Some(*shard), Some(*from)),
-            HandoffTransfer { shard, .. } | HandoffDone { shard, .. } => (Some(*shard), None),
+            HandoffExpect { shard, .. } | HandoffDone { shard, .. } => (Some(*shard), None),
+            HandoffTransfer { state, .. } => (Some(state.shard), None),
             _ => (None, None),
         };
         if let Some(s) = shard.filter(|&s| s as usize >= self.shards) {
@@ -381,10 +369,6 @@ impl Control {
                     "EpochUpdate does not map {shards} shards onto {nodes} nodes"
                 ))
             }
-            HandoffTransfer { shard, state, .. } if state.shard != *shard => Err(format!(
-                "HandoffTransfer for shard {shard} carried state for shard {}",
-                state.shard
-            )),
             _ => Ok(()),
         }
     }
@@ -442,7 +426,7 @@ impl Control {
                 self.coord().queue.push_back((shard, to));
                 self.pump(dir, out);
             }
-            NetMsg::HandoffPrepare { hid, shard, to, .. } => {
+            NetMsg::HandoffPrepare { hid, shard, to } => {
                 if dir.owner_of(shard as usize) as usize == self.me {
                     out.push(Action::Freeze { hid, shard, to });
                 } else {
@@ -455,7 +439,7 @@ impl Control {
                     }));
                 }
             }
-            NetMsg::HandoffExpect { hid, shard, .. } => {
+            NetMsg::HandoffExpect { hid, shard } => {
                 // The transfer may have beaten this announcement here;
                 // handoff ids tell — the coordinator assigns them
                 // serially.
@@ -463,7 +447,7 @@ impl Control {
                     self.expecting.entry(shard as usize).or_default();
                 }
             }
-            NetMsg::HandoffTransfer { hid, state, .. } => {
+            NetMsg::HandoffTransfer { hid, state } => {
                 out.push(Action::Install { from, hid, state });
             }
             NetMsg::HandoffDone { hid, shard } => self.commit(dir, hid, shard, out),
@@ -551,7 +535,7 @@ impl Control {
     /// staleness on our side, and parking on it strands the frame when
     /// the stale bounce arrives after the run's last epoch bump.
     fn bounced(&mut self, dir: &ShardDirectory, from: usize, f: Stamped, out: &mut Vec<Action>) {
-        let (to, bouncer_epoch, retries, mut msg) = f;
+        let (to, bouncer_epoch, retries, msg) = f;
         let r = retries + 1;
         let ours = dir.epoch();
         if r > BOUNCE_RETRY_CAP {
@@ -564,11 +548,7 @@ impl Control {
             }));
             return;
         }
-        self.record_hop(&mut msg, to, ours, HopCause::Bounce);
-        out.push(Action::Note(Note::Bounce {
-            shard: to as u32,
-            retries: r,
-        }));
+        out.push(ring(EventKind::HandoffBounce, to as u32, u64::from(r)));
         if bouncer_epoch > ours || (bouncer_epoch == ours && dir.owner_of(to) as usize == from) {
             self.parked.push((to, r, msg));
         } else {
@@ -576,20 +556,6 @@ impl Control {
                 shard: to,
                 retries: r,
                 msg,
-            });
-        }
-    }
-
-    /// A detoured arrival records the detour in its journey —
-    /// unconditionally, like every hop: journeys are wire state, not
-    /// obs state (see `em2_rt::wire::Journey`).
-    fn record_hop(&self, msg: &mut WireMsg, shard: usize, epoch: u64, cause: HopCause) {
-        if let WireMsg::Arrive(we) = msg {
-            we.journey.push(JourneyHop {
-                shard: shard as u32,
-                node: self.me as u32,
-                epoch,
-                cause,
             });
         }
     }
@@ -605,21 +571,12 @@ impl Control {
     /// handler drop the announcement for this transfer when it loses
     /// the race and arrives after us — the coordinator's connection is
     /// not ordered with the source's.
-    fn installed(&mut self, dir: &ShardDirectory, hid: u64, shard: u32, out: &mut Vec<Action>) {
+    fn installed(&mut self, hid: u64, shard: u32, out: &mut Vec<Action>) {
         self.done_dest_hid = self.done_dest_hid.max(hid);
         let buffered = self.expecting.remove(&(shard as usize)).unwrap_or_default();
-        out.push(Action::Note(Note::Transfer {
-            hid,
-            shard,
-            replayed: buffered.len() as u64,
-        }));
-        for (from, retries, mut msg) in buffered {
-            self.record_hop(
-                &mut msg,
-                shard as usize,
-                dir.epoch(),
-                HopCause::HandoffReplay,
-            );
+        let replayed = buffered.len() as u64;
+        out.push(ring(EventKind::HandoffTransfer, shard, replayed));
+        for (from, retries, msg) in buffered {
             // The carried re-route count rides through the local
             // delivery: should the shard flip away again before the
             // push lands, the re-forward keeps counting against the
@@ -661,28 +618,11 @@ impl Control {
                 to,
                 deadline,
             });
-            out.push(Action::Note(Note::Prepare {
-                hid,
-                shard,
-                from,
-                to,
-            }));
-            let epoch = dir.epoch();
+            out.push(ring(EventKind::HandoffPrepare, shard, u64::from(to)));
             // The destination fences (buffers) frames for the shard
             // before anything ships.
-            let expect = NetMsg::HandoffExpect {
-                hid,
-                shard,
-                from,
-                epoch,
-            };
-            self.send(dir, to as usize, expect, out);
-            let prepare = NetMsg::HandoffPrepare {
-                hid,
-                shard,
-                to,
-                epoch,
-            };
+            self.send(dir, to as usize, NetMsg::HandoffExpect { hid, shard }, out);
+            let prepare = NetMsg::HandoffPrepare { hid, shard, to };
             self.send(dir, from as usize, prepare, out);
         }
     }
@@ -700,7 +640,7 @@ impl Control {
         };
         dir.set_owner(shard as usize, a.to);
         let epoch = dir.epoch() + 1;
-        out.push(Action::Note(Note::Commit { hid, shard, epoch }));
+        out.push(ring(EventKind::HandoffCommit, shard, epoch));
         let owners = dir.snapshot();
         self.broadcast(dir, NetMsg::EpochUpdate { epoch, owners }, out);
         self.pump(dir, out);
@@ -897,23 +837,11 @@ mod tests {
     }
 
     fn prepare(shard: u32, to: u32) -> NetMsg {
-        let (hid, epoch) = (1, 0);
-        NetMsg::HandoffPrepare {
-            hid,
-            shard,
-            to,
-            epoch,
-        }
+        NetMsg::HandoffPrepare { hid: 1, shard, to }
     }
 
-    fn expect(hid: u64, shard: u32, from: u32) -> NetMsg {
-        let epoch = 0;
-        NetMsg::HandoffExpect {
-            hid,
-            shard,
-            from,
-            epoch,
-        }
+    fn expect(hid: u64, shard: u32) -> NetMsg {
+        NetMsg::HandoffExpect { hid, shard }
     }
 
     /// An (empty) frozen copy of `shard`.
@@ -924,10 +852,9 @@ mod tests {
         })
     }
 
-    /// A transfer announcing `shard` whose state says `carried`.
-    fn transfer(shard: u32, carried: u32) -> NetMsg {
-        let (hid, state) = (1, frozen(carried));
-        NetMsg::HandoffTransfer { hid, shard, state }
+    fn transfer(shard: u32) -> NetMsg {
+        let (hid, state) = (1, frozen(shard));
+        NetMsg::HandoffTransfer { hid, state }
     }
 
     fn done(hid: u64, shard: u32) -> NetMsg {
@@ -1028,10 +955,10 @@ mod tests {
         let out = step(&mut c, &d, Event::Installed { hid: 3, shard: 0 });
         assert_eq!(out.last(), Some(&Action::Tell(done(3, 0))));
         for hid in [2, 3] {
-            step(&mut c, &d, from(0, expect(hid, 0, 0)));
+            step(&mut c, &d, from(0, expect(hid, 0)));
             assert!(c.expecting.is_empty(), "hid {hid} announces the past");
         }
-        step(&mut c, &d, from(0, expect(4, 0, 0)));
+        step(&mut c, &d, from(0, expect(4, 0)));
         assert_eq!(c.expecting.len(), 1, "the next handoff's Expect plants");
     }
 
@@ -1040,16 +967,17 @@ mod tests {
         // The coordinator's commit may start the next handoff of the
         // same shard: it must not hear `Done` under a running replay.
         let (mut c, d) = node(1);
-        step(&mut c, &d, from(0, expect(1, 0, 0)));
+        step(&mut c, &d, from(0, expect(1, 0)));
         assert_eq!(step(&mut c, &d, from(2, shard(0, 0))), vec![], "buffered");
         let out = step(&mut c, &d, Event::Installed { hid: 1, shard: 0 });
+        let transfer = ring(EventKind::HandoffTransfer, 0, 1);
         let replay = Action::Deliver {
             from: 2,
             shard: 0,
             retries: 0,
             msg: frame(7),
         };
-        assert_eq!(out[1..], [replay, Action::Tell(done(1, 0))]);
+        assert_eq!(out, [transfer, replay, Action::Tell(done(1, 0))]);
     }
 
     #[test]
@@ -1207,7 +1135,7 @@ mod tests {
             (1, 2, NetMsg::BarrierRelease { k }),
             (1, 2, NetMsg::Quiesce),
             (1, 2, prepare(2, 2)),
-            (1, 2, expect(1, 4, 2)),
+            (1, 2, expect(1, 4)),
             (1, 2, update(1, &OWNERS)),
             // Handshakes mid-run.
             (
@@ -1228,14 +1156,11 @@ mod tests {
             (0, 1, request(6, 1)),
             (0, 1, request(0, 3)),
             (1, 0, prepare(2, 3)),
-            (1, 0, expect(1, 6, 2)),
-            (1, 0, expect(1, 4, 3)),
+            (1, 0, expect(1, 6)),
             (0, 1, done(1, 6)),
             (1, 0, update(1, &[0; 5])),
             (1, 0, update(1, &[3; 6])),
-            (1, 2, transfer(6, 6)),
-            // A transfer whose state is for another shard.
-            (1, 2, transfer(4, 5)),
+            (1, 2, transfer(6)),
         ];
         for (me, sender, msg) in cases {
             let (mut c, d) = self::node(me);
@@ -1274,6 +1199,10 @@ mod tests {
         /// Times each injected frame reached its shard.
         applied: Vec<u32>,
         epoch_seen: Vec<u64>,
+        /// Every obs note each node emitted, in order.
+        notes: Vec<Vec<Note>>,
+        /// `Bounce` frames each node received.
+        bounces_in: Vec<usize>,
     }
 
     enum Op {
@@ -1290,7 +1219,8 @@ mod tests {
             for a in out {
                 match a {
                     Action::Send { to, msg } => self.edge[n][to].push_back(msg),
-                    Action::Quiesced | Action::ReleaseBarrier { .. } | Action::Note(_) => {}
+                    Action::Note(note) => self.notes[n].push(note),
+                    Action::Quiesced | Action::ReleaseBarrier { .. } => {}
                     Action::Fail(e) => panic!("seed {}: node {n} failed: {e}", self.seed),
                     deferred => self.pending[n].push_back(deferred),
                 }
@@ -1329,7 +1259,12 @@ mod tests {
                 {
                     self.apply(to, shard as usize, msg)
                 }
-                msg => self.event(to, Event::Msg { from, msg }),
+                msg => {
+                    if matches!(msg, NetMsg::Bounce { .. }) {
+                        self.bounces_in[to] += 1;
+                    }
+                    self.event(to, Event::Msg { from, msg })
+                }
             }
         }
 
@@ -1357,13 +1292,7 @@ mod tests {
                     assert_eq!(held, Some(n), "seed {seed}: froze shard {shard}");
                     self.dir[n].set_owner(shard as usize, to);
                     let state = frozen(shard);
-                    let froze = Event::Froze {
-                        hid,
-                        shard,
-                        to,
-                        state,
-                    };
-                    self.event(n, froze);
+                    self.event(n, Event::Froze { hid, to, state });
                 }
                 Action::Install { hid, state, .. } => {
                     let shard = state.shard;
@@ -1440,6 +1369,8 @@ mod tests {
             held_by: OWNERS.iter().map(|&o| Some(o as usize)).collect(),
             applied: vec![0; 3 * FRAMES_PER_NODE as usize],
             epoch_seen: vec![0; 3],
+            notes: (0..3).map(|_| Vec::new()).collect(),
+            bounces_in: vec![0; 3],
         };
         let slow = (0u8, rng.below(3) as usize, rng.below(3) as usize);
         for _step in 0..100_000 {
@@ -1489,6 +1420,36 @@ mod tests {
             );
             assert_eq!(sim.dir[n].epoch(), handoffs.len() as u64, "seed {seed}");
             assert_eq!(sim.dir[n].snapshot(), OWNERS, "seed {seed}: rejoined");
+        }
+        // Each handoff phase is one ring event, on the node that
+        // performed it: Prepare and Commit on the coordinator, Transfer
+        // on the destination, and a Bounce per `Bounce` frame received.
+        for n in 0..3 {
+            let events = |kind| -> Vec<(u64, u64)> {
+                let notes = sim.notes[n].iter();
+                let of_kind = notes.filter_map(|note| match *note {
+                    Note::Event(k, a, b) if k == kind => Some((a, b)),
+                    _ => None,
+                });
+                of_kind.collect()
+            };
+            let (mut prepares, mut commits, mut transfers) = (vec![], vec![], vec![]);
+            for (epoch, &(shard, to)) in (1..).zip(&handoffs) {
+                let shard = u64::from(shard);
+                if n == COORD {
+                    prepares.push((shard, u64::from(to)));
+                    commits.push((shard, epoch));
+                }
+                if to as usize == n {
+                    transfers.push(shard);
+                }
+            }
+            assert_eq!(events(EventKind::HandoffPrepare), prepares, "seed {seed}");
+            assert_eq!(events(EventKind::HandoffCommit), commits, "seed {seed}");
+            let got = events(EventKind::HandoffTransfer).into_iter().map(|e| e.0);
+            assert_eq!(got.collect::<Vec<_>>(), transfers, "seed {seed}: node {n}");
+            let bounces = events(EventKind::HandoffBounce).len();
+            assert_eq!(bounces, sim.bounces_in[n], "seed {seed}: node {n}");
         }
     }
 

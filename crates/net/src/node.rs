@@ -503,11 +503,11 @@ impl Links {
                     return false;
                 };
                 if let Some(obs) = self.obs.get() {
-                    obs.handoff_freeze(hid, shard as u64, frozen.encode().len() as u64);
+                    let bytes = frozen.encode().len() as u64;
+                    obs.node_event(em2_obs::EventKind::HandoffFreeze, u64::from(shard), bytes);
                 }
                 return self.control(Event::Froze {
                     hid,
-                    shard,
                     to,
                     state: Box::new(frozen),
                 });
@@ -528,7 +528,10 @@ impl Links {
             Action::Fail(e) => Some(e),
             Action::Note(n) => {
                 if let Some(obs) = self.obs.get() {
-                    note(obs, n);
+                    match n {
+                        Note::Event(kind, a, b) => obs.node_event(kind, a, b),
+                        Note::Epoch(epoch) => obs.set_dir_epoch(epoch),
+                    }
                 }
                 None
             }
@@ -583,26 +586,6 @@ impl Links {
             },
         );
         Ok(())
-    }
-}
-
-/// Record one control-plane breadcrumb on the obs plane.
-fn note(obs: &em2_obs::NodeObs, n: Note) {
-    match n {
-        Note::Prepare {
-            hid,
-            shard,
-            from,
-            to,
-        } => obs.handoff_prepare(hid, shard as u64, from as u64, to as u64),
-        Note::Transfer {
-            hid,
-            shard,
-            replayed,
-        } => obs.handoff_transfer(hid, shard as u64, replayed),
-        Note::Commit { hid, shard, epoch } => obs.handoff_commit(hid, shard as u64, epoch),
-        Note::Epoch(epoch) => obs.set_dir_epoch(epoch),
-        Note::Bounce { shard, retries } => obs.handoff_bounce(shard as u64, retries as u64),
     }
 }
 

@@ -46,7 +46,10 @@ pub const MAGIC: [u8; 4] = *b"EM2N";
 /// (`HandoffRequest`…`EpochUpdate`, `Bounce`). Version 4 moved the
 /// check to a fixed offset ahead of a varint sequence number, hashes
 /// eight bytes at a time, and packs every id and counter as a varint.
-pub const PROTO_VERSION: u8 = 4;
+/// Version 5 dropped the fields no receiver read: `HandoffPrepare`'s
+/// and `HandoffExpect`'s epoch, `HandoffExpect`'s source node and
+/// `HandoffTransfer`'s copy of `state.shard`.
+pub const PROTO_VERSION: u8 = 5;
 
 /// Offset of the `u32` check (right after magic and version) and of
 /// the first byte after it.
@@ -152,28 +155,21 @@ pub enum NetMsg {
         shard: u32,
         /// Destination node.
         to: u32,
-        /// Directory epoch the handoff departs from.
-        epoch: u64,
     },
     /// Phase 1, coordinator → destination: state for `shard` is about
-    /// to arrive from node `from`; buffer any early-routed frames for
-    /// it instead of bouncing them.
+    /// to arrive; buffer any early-routed frames for it instead of
+    /// bouncing them.
     HandoffExpect {
         /// Ledger id.
         hid: u64,
         /// Shard in transit.
         shard: u32,
-        /// Source node.
-        from: u32,
-        /// Directory epoch the handoff departs from.
-        epoch: u64,
     },
-    /// Phase 2, source → destination: the frozen shard state itself.
+    /// Phase 2, source → destination: the frozen shard state itself
+    /// (`state.shard` names the shard being re-homed).
     HandoffTransfer {
         /// Ledger id.
         hid: u64,
-        /// Shard being re-homed (mirrors `state.shard`).
-        shard: u32,
         /// The complete transferable state (boxed: it dwarfs every
         /// other variant, and transfers are rare).
         state: Box<FrozenShard>,
@@ -350,34 +346,20 @@ impl NetMsg {
                 var32(body, *shard);
                 var32(body, *to);
             }
-            NetMsg::HandoffPrepare {
-                hid,
-                shard,
-                to,
-                epoch,
-            } => {
+            NetMsg::HandoffPrepare { hid, shard, to } => {
                 body.push(12);
                 put_var(body, *hid);
                 var32(body, *shard);
                 var32(body, *to);
-                put_var(body, *epoch);
             }
-            NetMsg::HandoffExpect {
-                hid,
-                shard,
-                from,
-                epoch,
-            } => {
+            NetMsg::HandoffExpect { hid, shard } => {
                 body.push(13);
                 put_var(body, *hid);
                 var32(body, *shard);
-                var32(body, *from);
-                put_var(body, *epoch);
             }
-            NetMsg::HandoffTransfer { hid, shard, state } => {
+            NetMsg::HandoffTransfer { hid, state } => {
                 body.push(14);
                 put_var(body, *hid);
-                var32(body, *shard);
                 state.encode_into(body);
             }
             NetMsg::HandoffDone { hid, shard } => {
@@ -492,23 +474,18 @@ impl NetMsg {
                 hid: r.var()?,
                 shard: r.var_as()?,
                 to: r.var_as()?,
-                epoch: r.var()?,
             },
             13 => NetMsg::HandoffExpect {
                 hid: r.var()?,
                 shard: r.var_as()?,
-                from: r.var_as()?,
-                epoch: r.var()?,
             },
             14 => {
                 let hid = r.var()?;
-                let shard = r.var_as()?;
                 // The frozen state consumes the rest of the frame.
                 return Ok((
                     seq,
                     NetMsg::HandoffTransfer {
                         hid,
-                        shard,
                         state: Box::new(FrozenShard::decode(r.rest())?),
                     },
                 ));
@@ -661,17 +638,10 @@ mod tests {
                 hid: 3,
                 shard: 6,
                 to: 1,
-                epoch: 4,
             },
-            NetMsg::HandoffExpect {
-                hid: 3,
-                shard: 6,
-                from: 0,
-                epoch: 4,
-            },
+            NetMsg::HandoffExpect { hid: 3, shard: 6 },
             NetMsg::HandoffTransfer {
                 hid: 3,
-                shard: 6,
                 state: Box::new(FrozenShard {
                     shard: 6,
                     next_token: 11,

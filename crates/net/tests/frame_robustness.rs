@@ -10,6 +10,7 @@
 //! as errors, not blocked readers); and a peer still speaking proto v3
 //! is refused at the handshake, typed, whichever side dials.
 
+use em2_net::proto::PROTO_VERSION;
 use em2_net::transport::MAX_FRAME;
 use em2_net::{ClusterError, ClusterSpec, LoopbackTransport, NodeRuntime, TcpTransport, Transport};
 use proptest::prelude::*;
@@ -230,7 +231,10 @@ fn a_v3_frame_is_refused_by_version_before_it_is_parsed() {
     let theirs = v3_handshake_frame(0, 0xABCD);
     assert_eq!(
         em2_net::proto::NetMsg::decode(&theirs),
-        Err(em2_rt::wire::WireError::Version { got: 3, want: 4 })
+        Err(em2_rt::wire::WireError::Version {
+            got: 3,
+            want: PROTO_VERSION
+        })
     );
     let ours = em2_net::proto::NetMsg::Hello {
         node: 1,
@@ -239,7 +243,7 @@ fn a_v3_frame_is_refused_by_version_before_it_is_parsed() {
     }
     .encode(0);
     assert_eq!(ours[..4], theirs[..4]);
-    assert_eq!((ours[4], theirs[4]), (4, 3));
+    assert_eq!((ours[4], theirs[4]), (PROTO_VERSION, 3));
 }
 
 fn start_node(spec: ClusterSpec, node: usize) -> Result<NodeRuntime, ClusterError> {
@@ -302,7 +306,7 @@ fn a_v3_acceptor_is_refused_at_the_handshake() {
     // What a v3 node 0 would have looked at, where it would have
     // looked: magic, then a version byte it does not speak.
     assert_eq!(&hello[..4], b"EM2N");
-    assert_eq!(hello[4], 4);
+    assert_eq!(hello[4], PROTO_VERSION);
     // Suppose it answered anyway.
     conn.tx
         .send_frame(&v3_handshake_frame(1, spec.digest()))

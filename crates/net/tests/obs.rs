@@ -11,8 +11,10 @@
 //!    final event names the failing edge (error kind + peer).
 //! 3. **Merging is exact under live handoffs** — folding per-node
 //!    snapshots into cluster totals while shards change owner neither
-//!    double-counts nor drops counters, histograms, attribution rows,
-//!    or handoff-phase traces (DESIGN.md §14).
+//!    double-counts nor drops counters, histograms or attribution rows,
+//!    and every node ends at the last commit's epoch (DESIGN.md §14;
+//!    each handoff phase is one node-ring event, pinned schedule by
+//!    schedule in `control.rs`'s explorer).
 //! 4. **A journey's first sixteen hops reach a ring exactly once** —
 //!    where the log overflows or where the task retires, whichever
 //!    comes first — and dumping them is as invisible on the wire as
@@ -122,17 +124,16 @@ fn enabled_obs_is_invisible_to_the_deterministic_counters() {
     }
 }
 
-/// Property 3, live half: run a 2-node cluster whose shards change
-/// owner mid-workload, then fold the per-node snapshots into cluster
-/// totals exactly the way a cluster-wide scraper would. Every plane
-/// must survive the fold bit-exactly:
+/// Property 3: run a 2-node cluster whose shards change owner
+/// mid-workload, then fold the per-node snapshots into cluster totals
+/// exactly the way a cluster-wide scraper would. Every plane must
+/// survive the fold bit-exactly:
 ///
 /// * the merged matrix's column sums and the merged histograms
 ///   reproduce the per-node deterministic counters (nothing dropped,
 ///   nothing counted twice);
 /// * the merged attribution cost is the sum of the per-node costs;
-/// * handoff traces assemble complete Prepare→Freeze→Transfer→Commit
-///   records from phases that were each stamped on a *different* node.
+/// * the merged epoch gauge is the last commit's epoch.
 #[test]
 fn snapshot_merge_is_exact_across_live_handoffs() {
     // Longer workload + run budget than the invisibility test: the
@@ -192,74 +193,11 @@ fn snapshot_merge_is_exact_across_live_handoffs() {
         parts.iter().map(|s| s.attrib_cost()).sum::<u64>()
     );
 
-    // Handoff plane: every node observed the same epoch history, each
-    // commit was stamped exactly once (on the coordinator), and every
-    // committed trace assembled all four phases from three nodes'
-    // partial views.
-    assert_eq!(merged.handoff_commits(), commits);
-    assert_eq!(merged.dir_epoch, spec.initial_epoch + commits);
-    let committed: Vec<_> = merged
-        .handoffs
-        .iter()
-        .filter(|h| h.commit_ns != 0)
-        .collect();
-    assert_eq!(committed.len() as u64, commits);
-    for h in &committed {
-        assert!(
-            h.prepare_ns != 0 && h.freeze_ns != 0 && h.transfer_ns != 0,
-            "committed handoff {} is missing a phase: {h:?}",
-            h.hid
-        );
-        assert!(h.frozen_bytes > 0, "freeze shipped state: {h:?}");
+    // Epoch gauge: every node installed every commit.
+    for s in &parts {
+        assert_eq!(s.dir_epoch, spec.initial_epoch + commits, "node {}", s.node);
     }
-}
-
-/// Property 3, frozen half: the exact mid-Transfer instant, pinned
-/// deterministically. Three registries model the three roles of one
-/// in-flight handoff — the coordinator has stamped Prepare, the source
-/// Freeze, the destination Transfer; nobody has committed. Snapshots
-/// taken *now* (the mid-Transfer merge the live test can only cross
-/// by luck) must fold into exactly one record carrying every stamped
-/// phase once.
-#[test]
-fn mid_transfer_merge_assembles_one_record_without_double_counting() {
-    let coord = NodeObs::new(ObsConfig::on(), 0, 4);
-    let src = NodeObs::new(ObsConfig::on(), 0, 4);
-    let dst = NodeObs::new(ObsConfig::on(), 4, 4);
-    coord.set_node(0);
-    src.set_node(1);
-    dst.set_node(2);
-
-    coord.handoff_prepare(7, 3, 1, 2);
-    src.handoff_freeze(7, 3, 4096);
-    dst.handoff_transfer(7, 3, 5);
-    dst.handoff_bounce(3, 1); // fenced frame re-routed mid-handoff
-
-    let merged = Snapshot::sum([coord.snapshot(), src.snapshot(), dst.snapshot()]);
-
-    assert_eq!(merged.handoffs.len(), 1, "one handoff, one record");
-    let h = &merged.handoffs[0];
-    assert_eq!((h.hid, h.shard, h.from, h.to), (7, 3, 1, 2));
-    assert!(h.prepare_ns != 0, "coordinator's Prepare survived");
-    assert!(h.freeze_ns != 0, "source's Freeze survived");
-    assert!(h.transfer_ns != 0, "destination's Transfer survived");
-    assert_eq!(h.commit_ns, 0, "nobody committed yet");
-    assert_eq!(h.frozen_bytes, 4096, "recorded once, not summed twice");
-    assert_eq!((h.replayed, h.bounced), (5, 1));
-    assert_eq!(merged.handoff_commits(), 0);
-    assert_eq!(merged.handoff_frozen_bytes(), 4096);
-    assert_eq!(merged.handoff_replayed(), 5);
-    assert_eq!(merged.handoff_bounced(), 1);
-
-    // Commit lands later on the coordinator only; re-merging must
-    // complete the same record rather than open a second one.
-    coord.handoff_commit(7, 3, 1);
-    let merged = Snapshot::sum([coord.snapshot(), src.snapshot(), dst.snapshot()]);
-    assert_eq!(merged.handoffs.len(), 1);
-    assert!(merged.handoffs[0].commit_ns != 0);
-    assert_eq!(merged.handoff_commits(), 1);
-    assert_eq!(merged.handoff_frozen_bytes(), 4096);
-    assert_eq!(merged.handoff_replayed(), 5);
+    assert_eq!(merged.dir_epoch, spec.initial_epoch + commits);
 }
 
 #[test]

@@ -43,7 +43,9 @@
 //!   columns ([`attrib::Col`]; DESIGN.md §14);
 //! * [`hist`] — log2-bucketed latency histograms with exact mergeable
 //!   quantile *bounds*;
-//! * [`trace`] — fixed-size lifecycle events and the bounded ring;
+//! * [`trace`] — fixed-size lifecycle events and the bounded ring (a
+//!   node's own ring holds its peer events, failures and live-handoff
+//!   phases — each phase one event, on the node that performed it);
 //! * [`metrics`] — the registry: [`NodeObs`] and its per-shard /
 //!   per-peer handles, plus the flight recorder;
 //! * [`snapshot`] — mergeable node-level [`Snapshot`]s and their
@@ -69,7 +71,7 @@ pub use attrib::{AttribCell, AttribTable};
 pub use export::Exporter;
 pub use hist::{HistSnapshot, LogHistogram};
 pub use metrics::{NodeObs, PeerObs, ShardObs, SingleWriterCounter};
-pub use snapshot::{AttribEntry, HandoffTrace, Snapshot};
+pub use snapshot::{AttribEntry, Snapshot};
 pub use trace::{Event, EventKind};
 
 use std::path::PathBuf;

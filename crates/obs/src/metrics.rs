@@ -30,7 +30,7 @@
 
 use crate::attrib::{AttribTable, Col, OVERFLOW_KEY};
 use crate::hist::LogHistogram;
-use crate::snapshot::{HandoffTrace, Snapshot};
+use crate::snapshot::Snapshot;
 use crate::trace::{Event, EventKind, Ring};
 use crate::{json::JsonObj, ObsConfig, DEFAULT_ATTRIB_SLOTS, DEFAULT_RING};
 use std::io::Write as _;
@@ -184,8 +184,6 @@ pub struct NodeObs {
     seq: AtomicU64,
     flight_taken: AtomicBool,
     dir_epoch: AtomicU64,
-    handoffs: Mutex<Vec<HandoffTrace>>,
-    stray_bounces: AtomicU64,
 }
 
 impl NodeObs {
@@ -203,8 +201,6 @@ impl NodeObs {
             flight_taken: AtomicBool::new(false),
             node: AtomicU64::new(0),
             dir_epoch: AtomicU64::new(0),
-            handoffs: Mutex::new(Vec::new()),
-            stray_bounces: AtomicU64::new(0),
             first_shard,
             epoch,
             cfg,
@@ -243,8 +239,9 @@ impl NodeObs {
         p
     }
 
-    /// Append a node-level event (peer up/down, failure) to the node
-    /// ring. Node events are rare, so they pay for an exact timestamp.
+    /// Append a node-level event (peer up/down, a handoff phase,
+    /// failure) to the node ring. Node events are rare, so they pay for
+    /// an exact timestamp.
     pub fn node_event(&self, kind: EventKind, a: u64, b: u64) {
         self.node_ring.push(Event {
             ts_ns: self.now_ns(),
@@ -263,90 +260,6 @@ impl NodeObs {
 
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn with_handoff(&self, hid: u64, f: impl FnOnce(&mut HandoffTrace)) {
-        let mut recs = self.handoffs.lock().expect("handoff ledger");
-        let rec = match recs.iter().position(|r| r.hid == hid) {
-            Some(i) => &mut recs[i],
-            None => {
-                recs.push(HandoffTrace {
-                    hid,
-                    ..HandoffTrace::default()
-                });
-                recs.last_mut().expect("just pushed")
-            }
-        };
-        f(rec);
-    }
-
-    /// The coordinator opened handoff `hid`: re-home `shard` from node
-    /// `from` to node `to`. Stamps the Prepare phase — and, like every
-    /// `handoff_*` breadcrumb, pushes its own node-ring event, so a
-    /// caller records each phase with one call.
-    pub fn handoff_prepare(&self, hid: u64, shard: u64, from: u64, to: u64) {
-        self.node_event(EventKind::HandoffPrepare, shard, to);
-        let now = self.now_ns();
-        self.with_handoff(hid, |r| {
-            r.shard = shard;
-            r.from = from;
-            r.to = to;
-            r.prepare_ns = now;
-        });
-    }
-
-    /// The source froze the shard and serialized `frozen_bytes` bytes.
-    /// Stamps the Freeze phase (source node only — the merge rule
-    /// relies on each phase being recorded on exactly one node).
-    pub fn handoff_freeze(&self, hid: u64, shard: u64, frozen_bytes: u64) {
-        self.node_event(EventKind::HandoffFreeze, shard, frozen_bytes);
-        let now = self.now_ns();
-        self.with_handoff(hid, |r| {
-            r.shard = shard;
-            r.freeze_ns = now;
-            r.frozen_bytes = frozen_bytes;
-        });
-    }
-
-    /// The destination installed the frozen state and replayed the
-    /// `replayed` frames it had buffered meanwhile. Stamps the Transfer
-    /// phase (destination node only).
-    pub fn handoff_transfer(&self, hid: u64, shard: u64, replayed: u64) {
-        self.node_event(EventKind::HandoffTransfer, shard, replayed);
-        let now = self.now_ns();
-        self.with_handoff(hid, |r| {
-            r.shard = shard;
-            r.transfer_ns = now;
-            r.replayed += replayed;
-        });
-    }
-
-    /// The coordinator committed `shard`'s new ownership as directory
-    /// epoch `epoch`. Stamps the Commit phase.
-    pub fn handoff_commit(&self, hid: u64, shard: u64, epoch: u64) {
-        self.node_event(EventKind::HandoffCommit, shard, epoch);
-        let now = self.now_ns();
-        self.with_handoff(hid, |r| r.commit_ns = now);
-    }
-
-    /// An epoch-fenced frame for `shard` came back for re-routing, its
-    /// `retries`-th bounce. Attributed to the newest uncommitted
-    /// handoff of that shard; counted loose when no ledger entry
-    /// matches (a bounce can race ahead of the coordinator's Prepare
-    /// on this node).
-    pub fn handoff_bounce(&self, shard: u64, retries: u64) {
-        self.node_event(EventKind::HandoffBounce, shard, retries);
-        let mut recs = self.handoffs.lock().expect("handoff ledger");
-        match recs
-            .iter_mut()
-            .rev()
-            .find(|r| r.shard == shard && r.commit_ns == 0)
-        {
-            Some(r) => r.bounced += 1,
-            None => {
-                self.stray_bounces.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// The hottest `top` home shards by attributed cost, summed over
@@ -381,7 +294,6 @@ impl NodeObs {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             uptime_ms: self.epoch.elapsed().as_millis() as u64,
             dir_epoch: ld(&self.dir_epoch),
-            stray_bounces: ld(&self.stray_bounces),
             ..Snapshot::default()
         };
         for sh in &self.shards {
@@ -394,9 +306,6 @@ impl NodeObs {
                 s.fold_attrib(&e);
             }
             s.attrib_dropped += sh.attrib.overflow_routed();
-        }
-        for r in self.handoffs.lock().expect("handoff ledger").iter() {
-            s.fold_handoff(r);
         }
         for p in self.peers.lock().expect("peer registry").iter() {
             s.egress_depth += ld(&p.egress_depth);
@@ -579,6 +488,9 @@ mod tests {
         assert_eq!(s.migrations_out(), 4);
         assert_eq!(s.attrib_cost(), 120, "shard matrices fold into one sum");
         assert_eq!(s.attrib.len(), 4, "one row per (thread, home) key");
+        obs.set_dir_epoch(4);
+        obs.set_dir_epoch(2);
+        assert_eq!(obs.snapshot().dir_epoch, 4, "the epoch gauge is monotone");
     }
 
     #[test]
@@ -625,42 +537,6 @@ mod tests {
         let mut keys = Snapshot::KEYS.to_vec();
         keys.push("shards");
         assert_eq!(documented, keys);
-    }
-
-    #[test]
-    fn handoff_phases_fold_into_the_snapshot() {
-        let obs = NodeObs::new(ObsConfig::on(), 0, 2);
-        obs.handoff_prepare(5, 1, 0, 1);
-        obs.handoff_freeze(5, 1, 640);
-        obs.handoff_bounce(1, 1);
-        obs.handoff_transfer(5, 1, 3);
-        obs.handoff_commit(5, 1, 4);
-        obs.handoff_bounce(9, 1); // no ledger entry → loose count
-        obs.set_dir_epoch(4);
-        obs.set_dir_epoch(2); // monotone
-        let s = obs.snapshot();
-        assert_eq!(s.handoffs.len(), 1);
-        let h = &s.handoffs[0];
-        assert_eq!((h.hid, h.shard, h.from, h.to), (5, 1, 0, 1));
-        assert!(h.prepare_ns <= h.freeze_ns && h.freeze_ns <= h.transfer_ns);
-        assert!(h.transfer_ns <= h.commit_ns);
-        assert_eq!((h.frozen_bytes, h.replayed, h.bounced), (640, 3, 1));
-        assert_eq!(s.handoff_commits(), 1);
-        assert_eq!(s.handoff_bounced(), 2, "ledger bounce + stray bounce");
-        assert_eq!(s.dir_epoch, 4);
-        let kinds: Vec<EventKind> = obs.node_ring.events().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                EventKind::HandoffPrepare,
-                EventKind::HandoffFreeze,
-                EventKind::HandoffBounce,
-                EventKind::HandoffTransfer,
-                EventKind::HandoffCommit,
-                EventKind::HandoffBounce,
-            ],
-            "each breadcrumb pushed its own node-ring event"
-        );
     }
 
     #[test]

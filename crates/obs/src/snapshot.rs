@@ -27,25 +27,6 @@ enum Rule {
 /// its merge rule.
 type Row<'a> = (&'static str, &'a mut u64, Rule);
 
-/// Fold `theirs` into `mine`, row by row (both walk the same table).
-fn fold<const N: usize>(mine: [Row<'_>; N], theirs: [Row<'_>; N]) {
-    for ((_, a, rule), (_, b, _)) in mine.into_iter().zip(theirs) {
-        *a = match rule {
-            Rule::Sum => *a + *b,
-            Rule::Max => (*a).max(*b),
-            Rule::Min => (*a).min(*b),
-        };
-    }
-}
-
-/// Append a field table's rows to `obj`, in table order.
-fn render<const N: usize>(mut obj: JsonObj, rows: [Row<'_>; N]) -> JsonObj {
-    for (k, v, _) in rows {
-        obj = obj.u64(k, *v);
-    }
-    obj
-}
-
 /// One (thread, home) row of the cost-attribution matrix in its
 /// snapshot form, summed counter-wise by key under merge. The overflow
 /// cell appears under `(u32::MAX, u32::MAX)`
@@ -68,76 +49,16 @@ impl AttribEntry {
     }
 }
 
-/// Phase timeline of one live shard handoff, keyed by handoff id.
-/// Each node only witnesses the phases it participated in (the
-/// coordinator stamps Prepare/Commit, the source Freeze, the
-/// destination Transfer), so under merge the timestamps take the max
-/// (`0` = not witnessed) while the frame counters sum.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HandoffTrace {
-    /// Coordinator-assigned handoff id.
-    pub hid: u64,
-    /// The shard being re-homed.
-    pub shard: u64,
-    /// Source node.
-    pub from: u64,
-    /// Destination node.
-    pub to: u64,
-    /// When the coordinator opened the handoff (ns since epoch).
-    pub prepare_ns: u64,
-    /// When the source froze the shard (ns).
-    pub freeze_ns: u64,
-    /// When the destination installed the frozen state (ns).
-    pub transfer_ns: u64,
-    /// When the coordinator committed the new ownership (ns).
-    pub commit_ns: u64,
-    /// Serialized frozen-shard bytes shipped source → destination.
-    pub frozen_bytes: u64,
-    /// Frames the destination buffered while the shard was frozen and
-    /// replayed into it after install.
-    pub replayed: u64,
-    /// Epoch-fenced frames bounced for re-routing during this handoff.
-    pub bounced: u64,
-}
-
-impl HandoffTrace {
-    /// Every field, in JSON row order, with its merge rule — the one
-    /// table behind `merge` and the `handoffs` rows.
-    fn fields(&mut self) -> [Row<'_>; 11] {
-        use Rule::{Max, Sum};
-        [
-            ("hid", &mut self.hid, Max),
-            ("shard", &mut self.shard, Max),
-            ("from", &mut self.from, Max),
-            ("to", &mut self.to, Max),
-            ("prepare_ns", &mut self.prepare_ns, Max),
-            ("freeze_ns", &mut self.freeze_ns, Max),
-            ("transfer_ns", &mut self.transfer_ns, Max),
-            ("commit_ns", &mut self.commit_ns, Max),
-            ("frozen_bytes", &mut self.frozen_bytes, Max),
-            ("replayed", &mut self.replayed, Sum),
-            ("bounced", &mut self.bounced, Sum),
-        ]
-    }
-
-    /// Fold another node's view of the same handoff in (see the
-    /// struct docs for the per-field rule).
-    pub fn merge(&mut self, o: &HandoffTrace) {
-        debug_assert_eq!(self.hid, o.hid);
-        fold(self.fields(), { *o }.fields());
-    }
-}
-
 /// One node's obs metrics, flattened and summable.
 ///
 /// A field is something nothing else in the snapshot determines; every
 /// total the histograms and rows do determine (tasks retired, verdicts
-/// executed, handoff sums) is a method reading it where it is counted,
-/// so a total cannot disagree with its own breakdown.
+/// executed) is a method reading it where it is counted, so a total
+/// cannot disagree with its own breakdown.
 ///
 /// Under [`merge`](Snapshot::merge) loss indicators sum, gauges take
 /// the max (they are instantaneous, not additive), histograms merge
-/// bucket-wise, and attribution rows and handoff traces merge by key.
+/// bucket-wise, and attribution rows merge by key.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Lowest node id folded into this snapshot.
@@ -163,9 +84,6 @@ pub struct Snapshot {
     /// Journey hops dropped by the per-envelope cap
     /// (`JOURNEY_CAP`-excess hops; counted, not recorded).
     pub journey_dropped: u64,
-    /// Epoch-fenced frames bounced with no handoff trace to charge (a
-    /// bounce can race ahead of the coordinator's Prepare).
-    pub stray_bounces: u64,
     /// End-to-end task latency (ns), one sample per retired task.
     pub task_latency_ns: HistSnapshot,
     /// Mailbox drain batch sizes (messages per poll).
@@ -175,15 +93,12 @@ pub struct Snapshot {
     /// Cost-attribution rows, sorted by (thread, home); summed by key
     /// under merge.
     pub attrib: Vec<AttribEntry>,
-    /// Handoff phase timelines, sorted by handoff id; merged per
-    /// [`HandoffTrace::merge`] under merge.
-    pub handoffs: Vec<HandoffTrace>,
 }
 
 impl Snapshot {
     /// Top-level keys of [`to_json`](Snapshot::to_json), in order —
     /// the schema DESIGN.md §12 documents row by row.
-    pub const KEYS: [&'static str; 28] = [
+    pub const KEYS: [&'static str; 22] = [
         "kind",
         "node",
         "nodes",
@@ -195,28 +110,22 @@ impl Snapshot {
         "trace_dropped",
         "attrib_dropped",
         "journey_dropped",
-        "stray_bounces",
         "retired",
         "migrations_out",
         "remote_reads",
         "remote_writes",
         "context_bytes_out",
         "attrib_cost",
-        "handoff_commits",
-        "handoff_frozen_bytes",
-        "handoff_replayed",
-        "handoff_bounced",
         "task_latency_ns",
         "mailbox_batch",
         "flush_ns",
         "attrib_rows",
         "attrib",
-        "handoffs",
     ];
 
     /// The stored scalars, in [`KEYS`](Snapshot::KEYS) order, with
     /// their merge rules — the one table behind `merge` and `to_json`.
-    fn scalars(&mut self) -> [Row<'_>; 11] {
+    fn scalars(&mut self) -> [Row<'_>; 10] {
         use Rule::{Max, Min, Sum};
         [
             ("node", &mut self.node, Min),
@@ -229,7 +138,6 @@ impl Snapshot {
             ("trace_dropped", &mut self.trace_dropped, Sum),
             ("attrib_dropped", &mut self.attrib_dropped, Sum),
             ("journey_dropped", &mut self.journey_dropped, Sum),
-            ("stray_bounces", &mut self.stray_bounces, Sum),
         ]
     }
 
@@ -237,15 +145,19 @@ impl Snapshot {
     /// per-field rule).
     pub fn merge(&mut self, o: &Snapshot) {
         // The table hands out `&mut`; reading `o` through it takes a copy.
-        fold(self.scalars(), o.clone().scalars());
+        let mut theirs = o.clone();
+        for ((_, a, rule), (_, b, _)) in self.scalars().into_iter().zip(theirs.scalars()) {
+            *a = match rule {
+                Rule::Sum => *a + *b,
+                Rule::Max => (*a).max(*b),
+                Rule::Min => (*a).min(*b),
+            };
+        }
         self.task_latency_ns.merge(&o.task_latency_ns);
         self.mailbox_batch.merge(&o.mailbox_batch);
         self.flush_ns.merge(&o.flush_ns);
         for e in &o.attrib {
             self.fold_attrib(e);
-        }
-        for h in &o.handoffs {
-            self.fold_handoff(h);
         }
     }
 
@@ -262,15 +174,6 @@ impl Snapshot {
                 }
             }
             Err(i) => self.attrib.insert(i, *e),
-        }
-    }
-
-    /// Merge a handoff record into the sorted handoff vector by id,
-    /// inserting it if the id is new.
-    pub fn fold_handoff(&mut self, h: &HandoffTrace) {
-        match self.handoffs.binary_search_by_key(&h.hid, |r| r.hid) {
-            Ok(i) => self.handoffs[i].merge(h),
-            Err(i) => self.handoffs.insert(i, *h),
         }
     }
 
@@ -322,30 +225,13 @@ impl Snapshot {
         self.attrib_sum(Col::Cost)
     }
 
-    /// Handoffs seen to commit.
-    pub fn handoff_commits(&self) -> u64 {
-        self.handoffs.iter().filter(|h| h.commit_ns != 0).count() as u64
-    }
-
-    /// Frozen-shard bytes shipped by handoffs.
-    pub fn handoff_frozen_bytes(&self) -> u64 {
-        self.handoffs.iter().map(|h| h.frozen_bytes).sum()
-    }
-
-    /// Frames replayed into re-homed shards.
-    pub fn handoff_replayed(&self) -> u64 {
-        self.handoffs.iter().map(|h| h.replayed).sum()
-    }
-
-    /// Epoch-fenced frames bounced, charged to a handoff or stray.
-    pub fn handoff_bounced(&self) -> u64 {
-        self.stray_bounces + self.handoffs.iter().map(|h| h.bounced).sum::<u64>()
-    }
-
     /// One JSONL line for the exporter stream / flight recorder, with
     /// derived latency quantiles for direct consumption.
     pub fn to_json(&self) -> String {
-        let mut obj = render(JsonObj::new().str("kind", "obs"), self.clone().scalars());
+        let mut obj = JsonObj::new().str("kind", "obs");
+        for (k, v, _) in self.clone().scalars() {
+            obj = obj.u64(k, *v);
+        }
         for (k, v) in [
             ("retired", self.retired()),
             ("migrations_out", self.migrations_out()),
@@ -353,10 +239,6 @@ impl Snapshot {
             ("remote_writes", self.remote_writes()),
             ("context_bytes_out", self.context_bytes_out()),
             ("attrib_cost", self.attrib_cost()),
-            ("handoff_commits", self.handoff_commits()),
-            ("handoff_frozen_bytes", self.handoff_frozen_bytes()),
-            ("handoff_replayed", self.handoff_replayed()),
-            ("handoff_bounced", self.handoff_bounced()),
         ] {
             obj = obj.u64(k, v);
         }
@@ -392,13 +274,7 @@ impl Snapshot {
             row.finish()
         });
         obj = obj.u64("attrib_rows", self.attrib.len() as u64);
-        obj = obj.raw("attrib", &json::array(rows));
-        let hrows = self
-            .handoffs
-            .iter()
-            .map(|h| render(JsonObj::new(), { *h }.fields()).finish());
-        obj = obj.raw("handoffs", &json::array(hrows));
-        obj.finish()
+        obj.raw("attrib", &json::array(rows)).finish()
     }
 }
 
@@ -418,7 +294,6 @@ mod tests {
             trace_dropped: 2,
             attrib_dropped: 1,
             journey_dropped: 2,
-            stray_bounces: 1,
             ..Snapshot::default()
         };
         for v in [100u64, 2000, 2000, 65000] {
@@ -433,19 +308,6 @@ mod tests {
                 counts,
             });
         }
-        s.fold_handoff(&HandoffTrace {
-            hid: 7,
-            shard: 2,
-            from: node,
-            to: node + 1,
-            prepare_ns: 10 * (node + 1),
-            freeze_ns: 0,
-            transfer_ns: 30,
-            commit_ns: 0,
-            frozen_bytes: 512,
-            replayed: 2,
-            bounced: 1,
-        });
         s
     }
 
@@ -469,11 +331,6 @@ mod tests {
         assert_eq!(direct.dir_epoch, 2, "epoch is a max, not a sum");
         assert_eq!(direct.attrib.len(), 2, "attrib rows sum by key");
         assert_eq!(direct.attrib[0].counts, [4, 0, 2, 200, 100]);
-        assert_eq!(direct.handoffs.len(), 1, "handoff views merge by id");
-        let h = &direct.handoffs[0];
-        assert_eq!(h.prepare_ns, 20, "timestamps take the max");
-        assert_eq!(h.replayed, 4, "frame counts sum");
-        assert_eq!(h.from, 1);
     }
 
     /// Two snapshots that differ in every stored scalar, merged in
@@ -493,7 +350,6 @@ mod tests {
             trace_dropped: b + 8,
             attrib_dropped: b + 9,
             journey_dropped: b + 10,
-            stray_bounces: b + 11,
             ..Snapshot::default()
         };
         let want = Snapshot {
@@ -507,41 +363,12 @@ mod tests {
             trace_dropped: 116,
             attrib_dropped: 118,
             journey_dropped: 120,
-            stray_bounces: 122,
             ..Snapshot::default()
         };
         for (a, b) in [(scalars(0), scalars(100)), (scalars(100), scalars(0))] {
             let mut m = a;
             m.merge(&b);
             assert_eq!(m, want);
-        }
-    }
-
-    /// The same for a handoff trace: identity fields, timestamps and
-    /// `frozen_bytes` take the max, frame counts sum.
-    #[test]
-    fn each_handoff_field_merges_by_its_rule() {
-        let view = |b: u64| HandoffTrace {
-            hid: 7,
-            shard: b + 1,
-            from: b + 2,
-            to: b + 3,
-            prepare_ns: b + 4,
-            freeze_ns: b + 5,
-            transfer_ns: b + 6,
-            commit_ns: b + 7,
-            frozen_bytes: b + 8,
-            replayed: b + 9,
-            bounced: b + 10,
-        };
-        let want = HandoffTrace {
-            replayed: 118,
-            bounced: 120,
-            ..view(100)
-        };
-        for (mut a, b) in [(view(0), view(100)), (view(100), view(0))] {
-            a.merge(&b);
-            assert_eq!(a, want);
         }
     }
 
@@ -554,9 +381,6 @@ mod tests {
             (5, 1, 1)
         );
         assert_eq!((s.context_bytes_out(), s.attrib_cost()), (300, 140));
-        assert_eq!((s.handoff_commits(), s.handoff_frozen_bytes()), (0, 512));
-        assert_eq!(s.handoff_replayed(), 2);
-        assert_eq!(s.handoff_bounced(), 2, "ledger bounce + stray bounce");
     }
 
     #[test]

@@ -68,15 +68,16 @@ pub enum EventKind {
     /// bytes shipped.
     HandoffFreeze,
     /// (node ring) The frozen shard state was installed on the
-    /// destination. `a` = shard, `b` = mailbox messages replayed.
+    /// destination. `a` = shard, `b` = frames it buffered while the
+    /// state was in flight, now replayed.
     HandoffTransfer,
     /// (node ring) The coordinator committed the handoff: directory
     /// epoch bumped, new ownership broadcast. `a` = shard, `b` = new
     /// epoch.
     HandoffCommit,
-    /// (node ring) An in-flight frame was epoch-fenced: it targeted a
-    /// shard this node no longer owns and was bounced for re-routing.
-    /// `a` = shard, `b` = bounce count so far.
+    /// (node ring) A frame this node sent came back epoch-fenced (its
+    /// receiver no longer owned the shard) and is re-routed or parked
+    /// here. `a` = shard, `b` = re-routes so far.
     HandoffBounce,
     /// One hop of a task's migration journey, replayed into the ring
     /// by the shard that admitted the task with its hop log overflowed

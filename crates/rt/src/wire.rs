@@ -53,8 +53,9 @@ pub use em2_model::bytes::{put_opt, put_u64, put_var, put_var_bytes, Cursor, MAX
 /// change; the `em2-net` handshake additionally refuses to connect
 /// nodes disagreeing on it. v2 appended the migration [`Journey`] to
 /// [`WireEnvelope`]; v3 packed identifiers, counters, lengths,
-/// addresses and journey hops as varints.
-pub const WIRE_VERSION: u8 = 3;
+/// addresses and journey hops as varints; v4 narrowed [`HopCause`] to
+/// codes 0–2.
+pub const WIRE_VERSION: u8 = 4;
 
 /// A malformed wire payload. Every decode failure is one of these —
 /// never a panic.
@@ -129,11 +130,6 @@ pub enum HopCause {
     /// A remote access was issued toward this home (the task itself
     /// stayed put; the hop records the access target).
     Remote,
-    /// An epoch-fenced frame was re-routed to the shard's new owner.
-    Bounce,
-    /// Replayed out of a frozen shard's buffered backlog after a live
-    /// handoff installed it here.
-    HandoffReplay,
 }
 
 impl HopCause {
@@ -143,8 +139,6 @@ impl HopCause {
             HopCause::Submit => 0,
             HopCause::Migrate => 1,
             HopCause::Remote => 2,
-            HopCause::Bounce => 3,
-            HopCause::HandoffReplay => 4,
         }
     }
 
@@ -154,8 +148,6 @@ impl HopCause {
             0 => HopCause::Submit,
             1 => HopCause::Migrate,
             2 => HopCause::Remote,
-            3 => HopCause::Bounce,
-            4 => HopCause::HandoffReplay,
             _ => return None,
         })
     }
@@ -783,7 +775,7 @@ mod tests {
                 shard: i,
                 node: 0,
                 epoch: u64::from(i),
-                cause: HopCause::Bounce,
+                cause: HopCause::Migrate,
             });
         }
         assert_eq!(j.hops.len(), JOURNEY_CAP);
@@ -837,13 +829,7 @@ mod tests {
 
     #[test]
     fn every_hop_cause_round_trips() {
-        for cause in [
-            HopCause::Submit,
-            HopCause::Migrate,
-            HopCause::Remote,
-            HopCause::Bounce,
-            HopCause::HandoffReplay,
-        ] {
+        for cause in [HopCause::Submit, HopCause::Migrate, HopCause::Remote] {
             assert_eq!(HopCause::from_code(cause.code()), Some(cause));
             let mut j = Journey::default();
             j.push(JourneyHop {
@@ -858,7 +844,34 @@ mod tests {
             });
             assert_eq!(WireMsg::decode(&m.encode()).expect("round trip"), m);
         }
-        assert_eq!(HopCause::from_code(5), None);
+        assert_eq!(HopCause::from_code(3), None);
+    }
+
+    #[test]
+    fn a_hop_cause_past_remote_is_a_typed_bad_tag() {
+        let mut j = Journey::default();
+        j.push(JourneyHop {
+            shard: 1,
+            node: 2,
+            epoch: 3,
+            cause: HopCause::Remote,
+        });
+        let mut bytes = WireMsg::Arrive(WireEnvelope {
+            journey: j,
+            ..sample_envelope()
+        })
+        .encode();
+        // The hop's cause byte, then a one-byte `dropped` varint.
+        let idx = bytes.len() - 2;
+        assert_eq!(bytes[idx], HopCause::Remote.code());
+        bytes[idx] = 3;
+        assert_eq!(
+            WireMsg::decode(&bytes),
+            Err(WireError::Codec(CodecError::BadTag {
+                what: "hop-cause",
+                tag: 3
+            }))
+        );
     }
 
     #[test]

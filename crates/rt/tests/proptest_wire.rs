@@ -43,19 +43,13 @@ fn build_msg(
                 // 0–20 hops exercises the cap (16) and the dropped
                 // counter; the cause cycles through every variant.
                 let mut j = Journey::default();
-                let causes = [
-                    HopCause::Submit,
-                    HopCause::Migrate,
-                    HopCause::Remote,
-                    HopCause::Bounce,
-                    HopCause::HandoffReplay,
-                ];
+                let causes = [HopCause::Submit, HopCause::Migrate, HopCause::Remote];
                 for i in 0..(a % 21) {
                     j.push(JourneyHop {
                         shard: c.wrapping_add(i as u32),
                         node: (b % 7) as u32,
                         epoch: b ^ i,
-                        cause: causes[(i % 5) as usize],
+                        cause: causes[(i % 3) as usize],
                     });
                 }
                 j
