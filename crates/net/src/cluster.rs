@@ -9,7 +9,7 @@
 //! [`ClusterSpec::digest`]s so two processes with divergent topologies
 //! refuse to form a cluster instead of silently misrouting.
 
-use crate::transport::{LoopbackTransport, TcpTransport, Transport, UdsTransport};
+use crate::transport::{LoopbackTransport, TcpTransport, Transport};
 use em2_model::hash::{fnv1a, FNV1A_INIT};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,28 +18,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum TransportKind {
     /// In-process channel pairs (testing, calibration baselines).
     Loopback,
-    /// Unix-domain sockets (co-located processes).
+    /// Unix-domain sockets (co-located processes; Unix only).
+    #[cfg(unix)]
     Uds,
     /// TCP (crosses hosts).
     Tcp,
 }
 
 impl TransportKind {
-    /// Instantiate the transport.
+    /// Instantiate the transport; its [`Transport::kind`] is this
+    /// kind's spec-string prefix (`"loopback"`, `"uds"`, `"tcp"`).
     pub fn make(&self) -> Box<dyn Transport> {
         match self {
             TransportKind::Loopback => Box::new(LoopbackTransport),
-            TransportKind::Uds => Box::new(UdsTransport),
+            #[cfg(unix)]
+            TransportKind::Uds => Box::new(crate::transport::UdsTransport),
             TransportKind::Tcp => Box::new(TcpTransport),
-        }
-    }
-
-    /// The spec-string prefix (`"loopback"`, `"uds"`, `"tcp"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TransportKind::Loopback => "loopback",
-            TransportKind::Uds => "uds",
-            TransportKind::Tcp => "tcp",
         }
     }
 }
@@ -210,6 +204,7 @@ impl ClusterSpec {
             .ok_or_else(|| format!("expected <kind>:<base>, got {head:?}"))?;
         let kind = match kind_s {
             "loopback" => TransportKind::Loopback,
+            #[cfg(unix)]
             "uds" => TransportKind::Uds,
             "tcp" => TransportKind::Tcp,
             other => return Err(format!("unknown transport {other:?} (loopback|uds|tcp)")),
@@ -338,7 +333,7 @@ impl ClusterSpec {
     pub fn digest(&self) -> u64 {
         let mut h = FNV1A_INIT;
         let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
-        eat(self.kind.name().as_bytes());
+        eat(self.kind.make().kind().as_bytes());
         eat(&(self.total_shards as u64).to_le_bytes());
         eat(&self.initial_epoch.to_le_bytes());
         for n in &self.nodes {

@@ -92,7 +92,8 @@ pub use error::ClusterError;
 pub use node::{NetReport, NodeRuntime, WireSnapshot};
 pub use report::CounterSummary;
 pub use run::ClusterRun;
+#[cfg(unix)]
+pub use transport::UdsTransport;
 pub use transport::{
     Acceptor, Duplex, FrameBatch, FrameRx, FrameTx, LoopbackTransport, TcpTransport, Transport,
-    UdsTransport,
 };

@@ -521,18 +521,17 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Unix-domain socket transport (`addr` = filesystem path). Unix
-/// only; on other platforms every operation returns
-/// [`io::ErrorKind::Unsupported`].
+/// Unix-domain socket transport (`addr` = filesystem path); Unix only.
+#[cfg(unix)]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UdsTransport;
 
+#[cfg(unix)]
 impl Transport for UdsTransport {
     fn kind(&self) -> &'static str {
         "uds"
     }
 
-    #[cfg(unix)]
     fn listen(&self, addr: &str) -> io::Result<Box<dyn Acceptor>> {
         // A stale socket file from a dead process would fail the bind.
         let _ = std::fs::remove_file(addr);
@@ -542,25 +541,8 @@ impl Transport for UdsTransport {
         }))
     }
 
-    #[cfg(unix)]
     fn connect(&self, addr: &str) -> io::Result<Duplex> {
         duplex(UnixStream::connect(addr)?)
-    }
-
-    #[cfg(not(unix))]
-    fn listen(&self, _addr: &str) -> io::Result<Box<dyn Acceptor>> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "unix-domain sockets are unavailable on this platform",
-        ))
-    }
-
-    #[cfg(not(unix))]
-    fn connect(&self, _addr: &str) -> io::Result<Duplex> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "unix-domain sockets are unavailable on this platform",
-        ))
     }
 }
 

@@ -8,9 +8,7 @@
 //! keeps a thread's private data assigned to that thread's native core,
 //! and allocates shared data among the sharers") is critical because it
 //! determines the migration rate. Figure 2 is measured under
-//! first-touch placement.
-//!
-//! Policies provided:
+//! first-touch placement. Policies provided:
 //!
 //! * [`policy::FirstTouch`] — the unit is assigned to the native core
 //!   of the thread that touches it first (built from a workload by a
@@ -22,6 +20,8 @@
 //!   threads access it most (an oracle-ish upper bound on placement
 //!   quality, cf. the CC-NUMA literature the paper cites \[11, 12\]).
 //!
+//! The two built from a workload look a home up with no hash: a dense
+//! `u16` home per unit of each touched page, loaded by index.
 //! The [`analysis`] module computes the trace-level quantities the
 //! paper reports: the non-native access *run-length histogram* of
 //! Figure 2 and the pure-EM² migration count.

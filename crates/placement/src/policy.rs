@@ -1,6 +1,6 @@
 //! Placement policies: address → home core.
 
-use em2_model::{Addr, CoreId, WordMap};
+use em2_model::{Addr, CoreId};
 use em2_trace::Workload;
 
 /// A data placement: the total function from addresses to home cores.
@@ -36,6 +36,23 @@ impl<P: Placement + ?Sized> Placement for std::sync::Arc<P> {
     fn cores(&self) -> usize {
         (**self).cores()
     }
+}
+
+/// A policy that is its one field's lookup under its own name.
+macro_rules! named {
+    ($policy:ident, $name:literal) => {
+        impl Placement for $policy {
+            fn home_of(&self, addr: Addr) -> CoreId {
+                self.0.home_of(addr)
+            }
+            fn name(&self) -> &'static str {
+                $name
+            }
+            fn cores(&self) -> usize {
+                self.0.cores()
+            }
+        }
+    };
 }
 
 /// Cache lines striped round-robin over cores — the placement-agnostic
@@ -77,43 +94,22 @@ impl Placement for Striped {
 /// so a thread streaming a buffer sees runs of `page/line` accesses
 /// per home.
 #[derive(Clone, Debug)]
-pub struct PageRoundRobin {
-    cores: usize,
-    /// log2 of the (power-of-two) page size.
-    page_shift: u32,
-}
+pub struct PageRoundRobin(Striped);
 
 impl PageRoundRobin {
     /// Round-robin `page_bytes`-sized pages over `cores` cores.
     pub fn new(cores: usize, page_bytes: u64) -> Self {
-        assert!(cores > 0 && page_bytes.is_power_of_two());
-        PageRoundRobin {
-            cores,
-            page_shift: page_bytes.trailing_zeros(),
-        }
+        PageRoundRobin(Striped::new(cores, page_bytes))
     }
 }
 
-impl Placement for PageRoundRobin {
-    fn home_of(&self, addr: Addr) -> CoreId {
-        CoreId::from(((addr.0 >> self.page_shift) % self.cores as u64) as usize)
-    }
-
-    fn name(&self) -> &'static str {
-        "page-rr"
-    }
-
-    fn cores(&self) -> usize {
-        self.cores
-    }
-}
+named!(PageRoundRobin, "page-rr");
 
 /// The address space `[base, base + span)` is carved into `cores`
 /// equal contiguous blocks, one per core; addresses outside the span
 /// fall back to striping.
 #[derive(Clone, Debug)]
 pub struct BlockOwner {
-    cores: usize,
     base: u64,
     block_bytes: u64,
     fallback: Striped,
@@ -124,7 +120,6 @@ impl BlockOwner {
     pub fn new(cores: usize, base: u64, span: u64, line_bytes: u64) -> Self {
         assert!(cores > 0 && span > 0);
         BlockOwner {
-            cores,
             base,
             block_bytes: span.div_ceil(cores as u64),
             fallback: Striped::new(cores, line_bytes),
@@ -138,7 +133,7 @@ impl Placement for BlockOwner {
             return self.fallback.home_of(addr);
         }
         let block = (addr.0 - self.base) / self.block_bytes;
-        if block >= self.cores as u64 {
+        if block >= self.fallback.cores() as u64 {
             self.fallback.home_of(addr)
         } else {
             CoreId::from(block as usize)
@@ -150,7 +145,92 @@ impl Placement for BlockOwner {
     }
 
     fn cores(&self) -> usize {
-        self.cores
+        self.fallback.cores()
+    }
+}
+
+/// A slot no thread touched; its unit falls back to striping.
+const UNTOUCHED: u16 = u16::MAX;
+
+/// Units `first..first + len`, homed at `homes[at..at + len]`.
+#[derive(Clone, Debug)]
+struct Segment {
+    first: u64,
+    len: u64,
+    at: usize,
+}
+
+/// The unit → home table of a workload-built placement: a `u16` home
+/// per unit of each touched 64-unit page, in address order, split into
+/// segments at untouched pages; memory is O(64 × touched pages + segments).
+#[derive(Clone, Debug)]
+struct UnitHomes {
+    /// log2 of the (power-of-two) placement granularity.
+    unit_shift: u32,
+    /// Ascending and disjoint.
+    segments: Vec<Segment>,
+    homes: Vec<u16>,
+    fallback: Striped,
+}
+
+impl UnitHomes {
+    /// A table over the pages `workload` touches, every slot still
+    /// [`UNTOUCHED`] for the build to claim.
+    fn untouched(workload: &Workload, cores: usize, granularity: u64) -> Self {
+        assert!(granularity.is_power_of_two() && cores < usize::from(UNTOUCHED));
+        let unit_shift = granularity.trailing_zeros();
+        // Most accesses land on a recently seen page: with one page kept
+        // per slot, the sort sees a page a few times, not once an access.
+        let mut recent = [u64::MAX; 256];
+        let mut pages: Vec<u64> = workload
+            .threads
+            .iter()
+            .flat_map(|t| &t.records)
+            .map(|r| r.addr.0 >> unit_shift >> 6)
+            .filter(|&page| std::mem::replace(&mut recent[page as usize % 256], page) != page)
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        let mut segments: Vec<Segment> = Vec::new();
+        for (i, &page) in pages.iter().enumerate() {
+            match segments.last_mut() {
+                Some(s) if s.first + s.len == page << 6 => s.len += 64,
+                _ => segments.push(Segment {
+                    first: page << 6,
+                    len: 64,
+                    at: i << 6,
+                }),
+            }
+        }
+        UnitHomes {
+            unit_shift,
+            segments,
+            homes: vec![UNTOUCHED; pages.len() << 6],
+            fallback: Striped::new(cores, 64),
+        }
+    }
+
+    /// Where in `homes` unit `unit` lies, if a segment holds it: a
+    /// search of the segment starts, a subtract and a compare. A lone
+    /// segment (every generated trace's) is not searched: that search
+    /// costs `rt-local` a tenth of its throughput.
+    fn slot(&self, unit: u64) -> Option<usize> {
+        let s = match &self.segments[..] {
+            [only] => only,
+            all => all[..all.partition_point(|s| s.first <= unit)].last()?,
+        };
+        (unit.wrapping_sub(s.first) < s.len).then(|| s.at + (unit - s.first) as usize)
+    }
+
+    fn home_of(&self, addr: Addr) -> CoreId {
+        match self.slot(addr.0 >> self.unit_shift).map(|i| self.homes[i]) {
+            Some(home) if home != UNTOUCHED => CoreId(home),
+            _ => self.fallback.home_of(addr),
+        }
+    }
+
+    fn cores(&self) -> usize {
+        self.fallback.cores()
     }
 }
 
@@ -163,69 +243,39 @@ impl Placement for BlockOwner {
 /// within a phase, records are interleaved round-robin one access at a
 /// time across threads. Units never touched fall back to striping.
 #[derive(Clone, Debug)]
-pub struct FirstTouch {
-    /// log2 of the (power-of-two) placement granularity.
-    unit_shift: u32,
-    table: WordMap<u64, CoreId>,
-    fallback: Striped,
-}
+pub struct FirstTouch(UnitHomes);
 
 impl FirstTouch {
     /// Build from a workload at the given placement granularity
     /// (64 = per-line, 4096 = per-page OS-style first touch).
     pub fn build(workload: &Workload, cores: usize, granularity: u64) -> Self {
-        assert!(granularity.is_power_of_two());
-        let unit_shift = granularity.trailing_zeros();
-        let mut table: WordMap<u64, CoreId> = WordMap::default();
-        let phases = workload.phases();
-        for phase in 0..phases {
-            let slices: Vec<(&em2_trace::ThreadTrace, &[em2_trace::MemRecord])> = workload
-                .threads
-                .iter()
-                .map(|t| (t, t.phase_records(phase)))
-                .collect();
-            let longest = slices.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
-            for i in 0..longest {
-                for (t, s) in &slices {
-                    if let Some(r) = s.get(i) {
-                        table.entry(r.addr.0 >> unit_shift).or_insert(t.native);
+        let mut table = UnitHomes::untouched(workload, cores, granularity);
+        for phase in 0..workload.phases() {
+            let slices = Vec::from_iter(workload.threads.iter().map(|t| t.phase_records(phase)));
+            for i in 0..slices.iter().map(|s| s.len()).max().unwrap_or(0) {
+                for (t, s) in workload.threads.iter().zip(&slices) {
+                    let Some(r) = s.get(i) else { continue };
+                    let at = table.slot(r.addr.0 >> table.unit_shift);
+                    let home = &mut table.homes[at.expect("a touched unit has a slot")];
+                    if *home == UNTOUCHED {
+                        *home = t.native.0;
                     }
                 }
             }
         }
-        FirstTouch {
-            unit_shift,
-            table,
-            fallback: Striped::new(cores, 64),
-        }
+        FirstTouch(table)
     }
 
     /// Per-core counts of assigned units (placement balance metric).
     pub fn distribution(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.cores()];
-        for &c in self.table.values() {
-            counts[c.index()] += 1;
-        }
+        let homes = self.0.homes.iter().filter(|&&h| h != UNTOUCHED);
+        homes.for_each(|&h| counts[usize::from(h)] += 1);
         counts
     }
 }
 
-impl Placement for FirstTouch {
-    fn home_of(&self, addr: Addr) -> CoreId {
-        self.table
-            .get(&(addr.0 >> self.unit_shift))
-            .copied()
-            .unwrap_or_else(|| self.fallback.home_of(addr))
-    }
-
-    fn name(&self) -> &'static str {
-        "first-touch"
-    }
-
-    fn cores(&self) -> usize {
-        self.fallback.cores()
-    }
-}
+named!(FirstTouch, "first-touch");
 
 /// Profile-based majority placement: each unit is homed at the native
 /// core whose threads account for the most accesses to it (ties broken
@@ -233,64 +283,33 @@ impl Placement for FirstTouch {
 /// the spirit of the CC-NUMA work the paper cites \[11\] and the
 /// EM²-specific optimization study \[12\].
 #[derive(Clone, Debug)]
-pub struct ProfileMajority {
-    /// log2 of the (power-of-two) placement granularity.
-    unit_shift: u32,
-    table: WordMap<u64, CoreId>,
-    fallback: Striped,
-}
+pub struct ProfileMajority(UnitHomes);
 
 impl ProfileMajority {
     /// Build from a full workload profile.
     pub fn build(workload: &Workload, cores: usize, granularity: u64) -> Self {
-        assert!(granularity.is_power_of_two());
-        let unit_shift = granularity.trailing_zeros();
-        // unit -> per-core access counts
-        let mut counts: WordMap<u64, WordMap<CoreId, u64>> = WordMap::default();
-        for t in &workload.threads {
-            for r in &t.records {
-                *counts
-                    .entry(r.addr.0 >> unit_shift)
-                    .or_default()
-                    .entry(t.native)
-                    .or_insert(0) += 1;
-            }
-        }
-        let table = counts
-            .into_iter()
-            .map(|(unit, per_core)| {
-                let best = per_core
-                    .into_iter()
-                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                    .map(|(c, _)| c)
-                    .expect("unit with no accesses cannot be in the map");
-                (unit, best)
-            })
+        let mut table = UnitHomes::untouched(workload, cores, granularity);
+        let shift = table.unit_shift;
+        // Sorted, a unit's accesses are one run, made of one run per core.
+        let mut touches: Vec<(u64, CoreId)> = workload
+            .threads
+            .iter()
+            .flat_map(|t| t.records.iter().map(move |r| (r.addr.0 >> shift, t.native)))
             .collect();
-        ProfileMajority {
-            unit_shift,
-            table,
-            fallback: Striped::new(cores, 64),
+        touches.sort_unstable();
+        for unit in touches.chunk_by(|a, b| a.0 == b.0) {
+            let best = unit
+                .chunk_by(|a, b| a.1 == b.1)
+                .max_by(|a, b| a.len().cmp(&b.len()).then(b[0].1.cmp(&a[0].1)))
+                .expect("a unit's run is not empty");
+            let at = table.slot(unit[0].0).expect("a touched unit has a slot");
+            table.homes[at] = best[0].1 .0;
         }
+        ProfileMajority(table)
     }
 }
 
-impl Placement for ProfileMajority {
-    fn home_of(&self, addr: Addr) -> CoreId {
-        self.table
-            .get(&(addr.0 >> self.unit_shift))
-            .copied()
-            .unwrap_or_else(|| self.fallback.home_of(addr))
-    }
-
-    fn name(&self) -> &'static str {
-        "profile-majority"
-    }
-
-    fn cores(&self) -> usize {
-        self.fallback.cores()
-    }
-}
+named!(ProfileMajority, "profile-majority");
 
 #[cfg(test)]
 mod tests {
@@ -366,6 +385,25 @@ mod tests {
         assert!(p.home_of(Addr(0xDEAD_0000)).index() < 2);
     }
 
+    /// The table's memory follows the touched pages, not the span
+    /// between them: units 1 and 2^57 are two pages in two segments.
+    #[test]
+    fn far_apart_units_cost_two_pages() {
+        let mut t0 = ThreadTrace::new(ThreadId(0), CoreId(0));
+        let mut t1 = ThreadTrace::new(ThreadId(1), CoreId(1));
+        t0.write(0, Addr(64));
+        t1.write(0, Addr(1 << 63));
+        let w = Workload::new("far", vec![t0, t1]);
+        for table in [
+            FirstTouch::build(&w, 2, 64).0,
+            ProfileMajority::build(&w, 2, 64).0,
+        ] {
+            assert_eq!((table.segments.len(), table.homes.len()), (2, 128));
+            assert_eq!(table.home_of(Addr(64)), CoreId(0));
+            assert_eq!(table.home_of(Addr(1 << 63)), CoreId(1));
+        }
+    }
+
     #[test]
     fn first_touch_page_granularity_groups_lines() {
         let mut t0 = ThreadTrace::new(ThreadId(0), CoreId(0));
@@ -382,8 +420,13 @@ mod tests {
     fn first_touch_distribution_sums_to_units() {
         let w = micro::uniform(4, 4, 100, 32, 0.3, 7);
         let p = FirstTouch::build(&w, 4, 64);
-        assert_eq!(p.distribution().iter().sum::<usize>(), p.table.len());
-        assert!(!p.table.is_empty());
+        let units: std::collections::BTreeSet<u64> = w
+            .threads
+            .iter()
+            .flat_map(|t| t.records.iter().map(|r| r.addr.0 >> 6))
+            .collect();
+        assert!(!units.is_empty());
+        assert_eq!(p.distribution().iter().sum::<usize>(), units.len());
     }
 
     #[test]
@@ -447,7 +490,7 @@ mod tests {
             let ft = FirstTouch::build(&w, CORES, granule);
             let striped = Striped::new(CORES, granule);
             let paged = PageRoundRobin::new(CORES, granule);
-            assert_eq!(ft.table.len(), first.len());
+            assert_eq!(ft.distribution().iter().sum::<usize>(), first.len());
             for &a in &sweep {
                 let by_division = striped_by_division(a, granule);
                 assert_eq!(striped.home_of(Addr(a)), by_division, "{a:#x}/{granule}");

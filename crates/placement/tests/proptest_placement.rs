@@ -1,7 +1,8 @@
-//! Property-based placement tests: totality, stability, and
-//! first-touch correctness.
+//! Property-based placement tests: totality, stability, first-touch
+//! correctness, and the dense unit → home tables against the hash-map
+//! builds they replaced.
 
-use em2_model::{Addr, CoreId, ThreadId};
+use em2_model::{Addr, CoreId, ThreadId, WordMap};
 use em2_placement::{
     run_length_analysis, BlockOwner, FirstTouch, PageRoundRobin, Placement, ProfileMajority,
     Striped,
@@ -19,8 +20,144 @@ fn workload_from(addrs: Vec<(u8, u32)>) -> Workload {
     Workload::new("prop", traces)
 }
 
+/// The oracle: `FirstTouch::build` as a hash map, replay for replay.
+fn first_touch_map(workload: &Workload, unit_shift: u32) -> WordMap<u64, CoreId> {
+    let mut table = WordMap::default();
+    for phase in 0..workload.phases() {
+        let slices: Vec<_> = workload
+            .threads
+            .iter()
+            .map(|t| t.phase_records(phase))
+            .collect();
+        for i in 0..slices.iter().map(|s| s.len()).max().unwrap_or(0) {
+            for (t, s) in workload.threads.iter().zip(&slices) {
+                if let Some(r) = s.get(i) {
+                    table.entry(r.addr.0 >> unit_shift).or_insert(t.native);
+                }
+            }
+        }
+    }
+    table
+}
+
+/// The oracle: `ProfileMajority::build` as nested hash maps, ties to
+/// the lower core.
+fn profile_majority_map(workload: &Workload, unit_shift: u32) -> WordMap<u64, CoreId> {
+    let mut counts: WordMap<u64, WordMap<CoreId, u64>> = WordMap::default();
+    for t in &workload.threads {
+        for r in &t.records {
+            *counts
+                .entry(r.addr.0 >> unit_shift)
+                .or_default()
+                .entry(t.native)
+                .or_insert(0) += 1;
+        }
+    }
+    counts
+        .into_iter()
+        .map(|(unit, per_core)| {
+            let best = per_core
+                .into_iter()
+                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+                .map(|(c, _)| c)
+                .expect("a counted unit has a core");
+            (unit, best)
+        })
+        .collect()
+}
+
+/// `(thread, first element, elements, barrier after)`.
+type Run = (u8, u16, u8, bool);
+
+/// Four threads on cores 0–3 replaying [`Run`]s of accesses in regions
+/// `(base, stride choice, runs)` scattered over the whole address
+/// space. Each region has its own stride, so at 64 B and at 4 KiB
+/// granularity runs share units, fill pages end to end and leave gaps
+/// of every width between regions.
+fn scattered(regions: Vec<(u64, u8, Vec<Run>)>) -> Workload {
+    let mut traces: Vec<ThreadTrace> = (0..4)
+        .map(|i| ThreadTrace::new(ThreadId(i), CoreId(i as u16)))
+        .collect();
+    for (base, stride, runs) in regions {
+        let stride = [8u64, 32, 64, 1024, 4096][stride as usize % 5];
+        let base = base.min(u64::MAX - (1 << 24));
+        for (t, first, n, barrier) in runs {
+            let trace = &mut traces[t as usize % 4];
+            for k in 0..u64::from(n) {
+                trace.read(0, Addr(base + (u64::from(first) + k) * stride));
+            }
+            if barrier {
+                trace.barrier();
+            }
+        }
+    }
+    Workload::new("scattered", traces)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn unit_tables_answer_what_the_hash_maps_answered(
+        regions in prop::collection::vec(
+            (
+                any::<u64>(),
+                any::<u8>(),
+                prop::collection::vec((any::<u8>(), 0u16..600, 1u8..160, any::<bool>()), 1..8),
+            ),
+            1..5,
+        ),
+        probes in prop::collection::vec(any::<u64>(), 64usize),
+    ) {
+        const CORES: usize = 4;
+        let w = scattered(regions);
+        let fallback = Striped::new(CORES, 64);
+        for granularity in [64u64, 4096] {
+            let shift = granularity.trailing_zeros();
+            let ft = FirstTouch::build(&w, CORES, granularity);
+            let pm = ProfileMajority::build(&w, CORES, granularity);
+            let (ft_map, pm_map) = (first_touch_map(&w, shift), profile_majority_map(&w, shift));
+            let oracle = |map: &WordMap<u64, CoreId>, a: u64| {
+                map.get(&(a >> shift))
+                    .copied()
+                    .unwrap_or_else(|| fallback.home_of(Addr(a)))
+            };
+            // Every touched address, the units on either side of it, the
+            // units just outside its aligned block of 64 units (where the
+            // table's segments start and end), and addresses nobody
+            // touched.
+            let block = granularity << 6;
+            let touched = w.threads.iter().flat_map(|t| t.records.iter().map(|r| r.addr.0));
+            let near = touched.flat_map(|a| {
+                [
+                    Some(a),
+                    a.checked_sub(granularity),
+                    a.checked_add(granularity),
+                    (a & !(block - 1)).checked_sub(granularity),
+                    (a | (block - 1)).checked_add(1),
+                ]
+            });
+            for a in near.flatten().chain(probes.iter().copied()) {
+                prop_assert_eq!(
+                    ft.home_of(Addr(a)),
+                    oracle(&ft_map, a),
+                    "first-touch {:#x} at {}",
+                    a,
+                    granularity
+                );
+                prop_assert_eq!(
+                    pm.home_of(Addr(a)),
+                    oracle(&pm_map, a),
+                    "majority {:#x} at {}",
+                    a,
+                    granularity
+                );
+            }
+            let mut counts = vec![0usize; CORES];
+            ft_map.values().for_each(|c| counts[c.index()] += 1);
+            prop_assert_eq!(ft.distribution(), counts, "distribution at {}", granularity);
+        }
+    }
 
     #[test]
     fn all_policies_are_total_and_stable(addr in any::<u64>()) {

@@ -3,8 +3,8 @@
 //! The event-driven simulators spend their inner loops walking
 //! per-thread access streams and resolving each address's *home* core
 //! and *cache line*. In the [`crate::Workload`] layout those are
-//! recomputed per access — and for table-backed placements
-//! (first-touch, profile-majority) every resolution is a hash lookup.
+//! recomputed per access — each resolution a dynamic call into the
+//! placement and, for first-touch or profile-majority, a table load.
 //! A [`FlatWorkload`] performs that work **once, at build time**:
 //!
 //! * records are stored as parallel arrays (`gap` / `kind` / `addr` /
@@ -14,7 +14,7 @@
 //!   tables instead of `HashMap<LineAddr, _>`;
 //! * homes are resolved through the placement exactly once per record,
 //!   so running many schemes/configs over the same workload (the E1–E9
-//!   sweeps) pays for placement hashing once instead of per run.
+//!   sweeps) resolves homes once instead of once per run.
 //!
 //! Replays over a `FlatWorkload` are bit-identical to replays over the
 //! `Workload` it was built from: the arrays are a transposition, not a

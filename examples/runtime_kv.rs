@@ -366,7 +366,7 @@ fn main_cluster(spec: ClusterSpec, node: usize, stats_ms: Option<u64>) {
     println!(
         "distributed KV service on em2-net: node {node}/{} over {}, owning shards {first}..{}",
         spec.num_nodes(),
-        spec.kind.name(),
+        spec.kind.make().kind(),
         first + count
     );
     println!(
