@@ -7,8 +7,9 @@
 //! (`em2_core::decision`) — builds on these primitives, so "decoding
 //! never panics, truncation is a typed error" is implemented exactly
 //! once. Layout conventions: one-byte tags (an optional value or a
-//! flag is a 0/1 tag, [`put_opt`] / [`Cursor::flag`]); fixed-width
-//! **little-endian** integers for opaque words (memory contents,
+//! flag is a 0/1 tag, [`put_opt`] / [`Cursor::flag`]; a set of optional
+//! fields is one presence byte, [`put_presence`] / [`Cursor::presence`]);
+//! fixed-width **little-endian** integers for opaque words (memory contents,
 //! hashes, float bits); canonical **LEB128 varints** ([`put_var`] /
 //! [`Cursor::var`]) for identifiers, counters, lengths and addresses;
 //! length-prefixed byte strings capped at [`MAX_CHUNK`]; lists behind a
@@ -137,6 +138,12 @@ pub fn put_opt<T>(b: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, 
     }
 }
 
+/// Append a presence byte for up to eight optional fields: bit `i` set
+/// when field `i` follows ([`Cursor::presence`] reads it back).
+pub fn put_presence<const N: usize>(b: &mut Vec<u8>, present: [bool; N]) {
+    b.push((0..N).fold(0, |p, i| p | u8::from(present[i]) << i));
+}
+
 /// A bounds-checked read cursor over a byte slice.
 #[derive(Debug)]
 pub struct Cursor<'a> {
@@ -226,6 +233,20 @@ impl<'a> Cursor<'a> {
             1 => Ok(true),
             tag => Err(CodecError::BadTag { what, tag }),
         }
+    }
+
+    /// Read the presence byte of `N` optional fields ([`put_presence`]);
+    /// a byte with a bit at or above `N` set is [`CodecError::BadTag`]
+    /// naming the field set `what`.
+    pub fn presence<const N: usize>(
+        &mut self,
+        what: &'static str,
+    ) -> Result<[bool; N], CodecError> {
+        let tag = self.u8()?;
+        if u32::from(tag) >> N != 0 {
+            return Err(CodecError::BadTag { what, tag });
+        }
+        Ok(std::array::from_fn(|i| tag >> i & 1 == 1))
     }
 
     /// Read a list behind a varint count, one `item` per element. The
@@ -413,6 +434,22 @@ mod tests {
             }),
             "any byte but 0/1 is a bad tag naming its field"
         );
+        // A presence byte names which of its fields follow; a bit past
+        // the field count is a bad tag, never ignored.
+        let mut b = Vec::new();
+        put_presence(&mut b, [true, false, false, true]);
+        assert_eq!(b, [0b1001]);
+        assert_eq!(
+            Cursor::new(&b).presence::<4>("p"),
+            Ok([true, false, false, true])
+        );
+        for tag in 16..=255u8 {
+            assert_eq!(
+                Cursor::new(&[tag]).presence::<4>("p"),
+                Err(CodecError::BadTag { what: "p", tag })
+            );
+        }
+        assert_eq!(Cursor::new(&[0xFF]).presence::<8>("p"), Ok([true; 8]));
         // A count of 2^64 - 1 over an empty tail: a truncation, not an
         // allocation.
         let mut b = Vec::new();

@@ -800,7 +800,7 @@ mod tests {
     // cares).
 
     /// A distinguishable run-traffic frame.
-    fn frame(token: u64) -> WireMsg {
+    fn frame(token: u32) -> WireMsg {
         WireMsg::Response { token, value: None }
     }
 
@@ -1207,7 +1207,7 @@ mod tests {
 
     enum Op {
         /// A worker sends a frame (a one-access task) at `shard`.
-        Frame { shard: usize, token: u64 },
+        Frame { shard: usize, token: u32 },
         /// The user thread reports to the coordinator.
         Tell(NetMsg),
     }
@@ -1345,7 +1345,7 @@ mod tests {
                 (0..FRAMES_PER_NODE)
                     .map(|i| Op::Frame {
                         shard: rng.below(OWNERS.len() as u64) as usize,
-                        token: n * FRAMES_PER_NODE + i,
+                        token: (n * FRAMES_PER_NODE + i) as u32,
                     })
                     .collect()
             })

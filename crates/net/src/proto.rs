@@ -1,15 +1,16 @@
 //! The node-to-node control protocol.
 //!
 //! Every frame a cluster connection carries is one [`NetMsg`]:
-//! `[MAGIC; 4][u8 PROTO_VERSION][u32 check][var seq][u8 tag][fields]`,
-//! built on the same cursor primitives as the runtime's wire codec
+//! `[u8 PROTO_VERSION][u32 check][var seq][u8 tag][fields]`, built on
+//! the same cursor primitives as the runtime's wire codec
 //! (`em2_rt::wire`) so every decoder fails with the same typed errors
-//! and never panics. Magic, version and check sit at fixed offsets (a
-//! peer of another version is refused before anything else is parsed,
-//! and the encoder patches the check in place); identifiers, counters
-//! and lengths are LEB128 varints; hashes (the check, the topology
-//! digest) are fixed-width little-endian. Two header fields exist
-//! purely for failure detection (DESIGN.md §10):
+//! and never panics. Version and check sit at fixed offsets: the
+//! version byte is the frame's one sentinel (a peer of another version,
+//! a magic-led v5 frame among them, is refused before anything else is
+//! parsed), and the encoder patches the check in place. Identifiers,
+//! counters and lengths are LEB128 varints; hashes (the check, the
+//! topology digest) are fixed-width little-endian. Two header fields
+//! exist purely for failure detection (DESIGN.md §10):
 //!
 //! * **`seq`** — a per-connection, per-direction frame counter
 //!   starting at 0 with the handshake frame. The receiver drops any
@@ -25,35 +26,33 @@
 //!   the mutated bytes would still parse, so corruption cannot
 //!   masquerade as a valid (wrong) message.
 //!
-//! A [`NetMsg::Shard`] embeds a full [`WireMsg`] (which carries its
-//! own version byte) — the transport layer is a dumb router for
-//! those; everything else is membership, barriers, completion
-//! accounting, and the failure-control plane ([`NetMsg::Heartbeat`],
-//! [`NetMsg::Abort`], [`NetMsg::Bye`]) — see the node lifecycle state
-//! machine in DESIGN.md §9–§10.
+//! A [`NetMsg::Shard`] embeds a full [`WireMsg`] (its layout version is
+//! the one the connection's `Hello` stated) — the transport layer is a
+//! dumb router for those; everything else is membership, barriers,
+//! completion accounting, and the failure-control plane
+//! ([`NetMsg::Heartbeat`], [`NetMsg::Abort`], [`NetMsg::Bye`]) — see
+//! the node lifecycle state machine in DESIGN.md §9–§10.
 
 use em2_model::bytes::CodecError;
 use em2_rt::wire::{put_u64, put_var, put_var_bytes, Cursor, FrozenShard, WireError, WireMsg};
 
-/// First four bytes of every frame: `"EM2N"`.
-pub const MAGIC: [u8; 4] = *b"EM2N";
-
-/// Control-protocol version; the handshake refuses mismatches.
-/// Version 2 added the sequence/checksum header and the
-/// failure-control messages (`Heartbeat`/`Abort`/`Bye`). Version 3
-/// stamps every `Shard` frame with the sender's directory epoch and a
-/// bounce budget, and adds the live-handoff family
+/// Control-protocol version, the first byte of every frame; the
+/// handshake refuses mismatches. Version 2 added the sequence/checksum
+/// header and the failure-control messages (`Heartbeat`/`Abort`/`Bye`).
+/// Version 3 stamps every `Shard` frame with the sender's directory
+/// epoch and a bounce budget, and adds the live-handoff family
 /// (`HandoffRequest`…`EpochUpdate`, `Bounce`). Version 4 moved the
 /// check to a fixed offset ahead of a varint sequence number, hashes
 /// eight bytes at a time, and packs every id and counter as a varint.
 /// Version 5 dropped the fields no receiver read: `HandoffPrepare`'s
 /// and `HandoffExpect`'s epoch, `HandoffExpect`'s source node and
-/// `HandoffTransfer`'s copy of `state.shard`.
-pub const PROTO_VERSION: u8 = 5;
+/// `HandoffTransfer`'s copy of `state.shard`. Version 6 dropped the
+/// four-byte magic that led every frame.
+pub const PROTO_VERSION: u8 = 6;
 
-/// Offset of the `u32` check (right after magic and version) and of
-/// the first byte after it.
-const CHECK_AT: usize = MAGIC.len() + 1;
+/// Offset of the `u32` check (right after the version) and of the
+/// first byte after it.
+const CHECK_AT: usize = 1;
 const CHECK_END: usize = CHECK_AT + 4;
 
 /// One node-to-node control message.
@@ -64,7 +63,8 @@ pub enum NetMsg {
     Hello {
         /// The dialing node's id.
         node: u32,
-        /// The dialer's `em2_rt::wire::WIRE_VERSION`.
+        /// The dialer's `em2_rt::wire::WIRE_VERSION`: the one statement
+        /// of it on the connection (an embedded `WireMsg` carries none).
         wire_version: u8,
         /// FNV-1a digest of the dialer's `ClusterSpec`.
         topology: u64,
@@ -263,7 +263,6 @@ fn frame_check(seq: u64, body: &[u8]) -> u32 {
 /// patched into its fixed slot.
 fn frame_into(seq: u64, b: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let frame_at = b.len();
-    b.extend_from_slice(&MAGIC);
     b.push(PROTO_VERSION);
     b.extend_from_slice(&[0; CHECK_END - CHECK_AT]);
     put_var(b, seq);
@@ -395,21 +394,6 @@ impl NetMsg {
     /// the checksum — is a typed [`WireError`].
     pub fn decode(bytes: &[u8]) -> Result<(u64, NetMsg), WireError> {
         let mut r = Cursor::new(bytes);
-        for (i, want) in MAGIC.iter().enumerate() {
-            let got = r.u8()?;
-            if got != *want {
-                return Err(CodecError::BadTag {
-                    what: match i {
-                        0 => "magic[0]",
-                        1 => "magic[1]",
-                        2 => "magic[2]",
-                        _ => "magic[3]",
-                    },
-                    tag: got,
-                }
-                .into());
-            }
-        }
         let ver = r.u8()?;
         if ver != PROTO_VERSION {
             return Err(WireError::Version {
@@ -439,21 +423,14 @@ impl NetMsg {
                 node: r.var_as()?,
                 topology: r.u64()?,
             },
-            2 => {
-                let to = r.var_as()?;
-                let epoch = r.var()?;
-                let retries = r.var_as()?;
-                // The embedded WireMsg consumes the rest of the frame.
-                return Ok((
-                    seq,
-                    NetMsg::Shard {
-                        to,
-                        epoch,
-                        retries,
-                        msg: WireMsg::decode(r.rest())?,
-                    },
-                ));
-            }
+            // Fields in wire order; an embedded WireMsg or frozen state
+            // consumes the rest of the frame.
+            2 => NetMsg::Shard {
+                to: r.var_as()?,
+                epoch: r.var()?,
+                retries: r.var_as()?,
+                msg: WireMsg::decode(r.rest())?,
+            },
             3 => NetMsg::BarrierArrive { k: r.var_as()? },
             4 => NetMsg::BarrierRelease { k: r.var_as()? },
             5 => NetMsg::Closed {
@@ -479,17 +456,10 @@ impl NetMsg {
                 hid: r.var()?,
                 shard: r.var_as()?,
             },
-            14 => {
-                let hid = r.var()?;
-                // The frozen state consumes the rest of the frame.
-                return Ok((
-                    seq,
-                    NetMsg::HandoffTransfer {
-                        hid,
-                        state: Box::new(FrozenShard::decode(r.rest())?),
-                    },
-                ));
-            }
+            14 => NetMsg::HandoffTransfer {
+                hid: r.var()?,
+                state: Box::new(FrozenShard::decode(r.rest())?),
+            },
             15 => NetMsg::HandoffDone {
                 hid: r.var()?,
                 shard: r.var_as()?,
@@ -498,21 +468,12 @@ impl NetMsg {
                 epoch: r.var()?,
                 owners: r.list(Cursor::var_as)?,
             },
-            17 => {
-                let to = r.var_as()?;
-                let epoch = r.var()?;
-                let retries = r.var_as()?;
-                // The embedded WireMsg consumes the rest of the frame.
-                return Ok((
-                    seq,
-                    NetMsg::Bounce {
-                        to,
-                        epoch,
-                        retries,
-                        msg: WireMsg::decode(r.rest())?,
-                    },
-                ));
-            }
+            17 => NetMsg::Bounce {
+                to: r.var_as()?,
+                epoch: r.var()?,
+                retries: r.var_as()?,
+                msg: WireMsg::decode(r.rest())?,
+            },
             tag => {
                 return Err(CodecError::BadTag {
                     what: "net-msg",
@@ -559,13 +520,13 @@ mod tests {
 
     /// A frame the `uds2-migrate` benchmark workload ships: a stamped
     /// trace task's 164-byte context, the arrival read, an in-progress
-    /// run, and the journey — spilled 900 migrations ago, which is what
-    /// 98 % of that workload's frames carry, or still filling and at
-    /// its largest: all 16 hops, about to spill.
+    /// run, and the journey — spilled, with 100 hops counted since,
+    /// which is what 98 % of that workload's frames carry, or still
+    /// filling and at its largest: all 16 hops, about to spill.
     fn migrated_frame(spilled: bool) -> NetMsg {
         let mut journey = Journey::default();
         if spilled {
-            journey.dropped = 900;
+            journey.dropped = 100;
         } else {
             for hop in 0..16u32 {
                 journey.push(JourneyHop {
@@ -599,8 +560,38 @@ mod tests {
         }
     }
 
+    /// `msg` routed to shard 9 at epoch 0, not yet re-routed: how every
+    /// frame of the benchmark's cluster workloads leaves its node.
+    fn to_shard_9(msg: WireMsg) -> NetMsg {
+        NetMsg::Shard {
+            to: 9,
+            epoch: 0,
+            retries: 0,
+            msg,
+        }
+    }
+
+    /// The four frames of a remote access as `uds2-remote` ships them,
+    /// from the migrated frame's thread 200: a read and a write
+    /// request, a load's value and a store's ack.
+    fn remote_access_frames() -> [NetMsg; 4] {
+        let request = |write| WireMsg::Request {
+            addr: 0x4_0000,
+            write,
+            reply_shard: 3,
+            token: 200,
+        };
+        let response = |value| WireMsg::Response { token: 200, value };
+        [
+            to_shard_9(request(None)),
+            to_shard_9(request(Some(0xdead_beef))),
+            to_shard_9(response(Some(42))),
+            to_shard_9(response(None)),
+        ]
+    }
+
     fn variants() -> Vec<NetMsg> {
-        vec![
+        let mut all = vec![
             migrated_frame(true),
             migrated_frame(false),
             NetMsg::Hello {
@@ -644,7 +635,6 @@ mod tests {
                 hid: 3,
                 state: Box::new(FrozenShard {
                     shard: 6,
-                    next_token: 11,
                     clock: 7,
                     heap: vec![(0, 42), (8, 9)],
                     natives: vec![2],
@@ -673,7 +663,9 @@ mod tests {
                     value: None,
                 },
             },
-        ]
+        ];
+        all.extend(remote_access_frames());
+        all
     }
 
     #[test]
@@ -681,7 +673,7 @@ mod tests {
         for (i, m) in variants().into_iter().enumerate() {
             let seq = (i as u64) * 1_000_003;
             let bytes = m.encode(seq);
-            assert_eq!(&bytes[..4], &MAGIC);
+            assert_eq!(bytes[0], PROTO_VERSION, "the version byte leads");
             let (got_seq, got) = NetMsg::decode(&bytes).expect("round trip");
             assert_eq!(got_seq, seq);
             assert_eq!(got, m);
@@ -690,19 +682,33 @@ mod tests {
 
     #[test]
     fn truncations_and_garbage_are_typed_errors() {
+        // A cut inside the header runs out of bytes; a cut anywhere
+        // after it leaves a body the check no longer covers.
         for m in variants() {
-            let full = m.encode(7);
+            let full = m.encode(50_000);
             for cut in 0..full.len() {
-                assert!(NetMsg::decode(&full[..cut]).is_err(), "cut {cut}");
+                let e = NetMsg::decode(&full[..cut]).expect_err("a strict prefix");
+                assert!(
+                    matches!(
+                        e,
+                        WireError::Codec(
+                            CodecError::Truncated { .. } | CodecError::Checksum { .. }
+                        )
+                    ),
+                    "cut {cut} of {m:?}: {e:?}"
+                );
             }
         }
         assert!(NetMsg::decode(b"XXXXXXXXXXXXXXXXXXXX").is_err());
         let mut wrong_ver = NetMsg::Quiesce.encode(0);
-        wrong_ver[4] = PROTO_VERSION + 1;
-        assert!(matches!(
+        wrong_ver[0] = PROTO_VERSION + 1;
+        assert_eq!(
             NetMsg::decode(&wrong_ver),
-            Err(WireError::Version { .. })
-        ));
+            Err(WireError::Version {
+                got: PROTO_VERSION + 1,
+                want: PROTO_VERSION
+            })
+        );
         let mut trailing = NetMsg::Quiesce.encode(0);
         trailing.push(1);
         // Appended bytes change the checksum before the tail decoder
@@ -716,8 +722,10 @@ mod tests {
         // no mutation of one byte — any of its 255 other values, so in
         // particular every one-bit flip — at any offset of any frame
         // may decode at all, let alone as a different valid message.
+        // The version byte is covered by the version fence, the check
+        // and the sequence by the check itself.
         for m in variants() {
-            for seq in [3, 300, u64::MAX] {
+            for seq in [3, 300, 50_000, u64::MAX] {
                 let full = m.encode(seq);
                 let mut mutated = full.clone();
                 for at in 0..full.len() {
@@ -755,39 +763,64 @@ mod tests {
 
     #[test]
     fn the_wire_budget_holds() {
-        // The canonical migrated frame — what `uds2-migrate` ships
-        // once a task's journey has spilled: 164 context bytes leave in
-        // 210 (proto v3 / wire v2 took 517, a saturated log 266),
-        // whatever five-digit sequence number the run has reached.
-        let frame = migrated_frame(true).encode(1_000_000);
-        assert!(frame.len() <= 210, "migrated frame is {} B", frame.len());
-        // A task's first sixteen migrations still carry the log.
-        let frame = migrated_frame(false).encode(1_000_000);
-        assert!(frame.len() <= 300, "filling frame is {} B", frame.len());
-        // A remote access as the benchmark shapes it: a request and its
-        // response, frame headers included, in 60 bytes plus the two
-        // sequence varints (v3: 110) — 64 up to sequence 16,383, 66 for
-        // the rest of any run this side of two million frames.
-        let shard = |msg| NetMsg::Shard {
-            to: 9,
-            epoch: 0,
-            retries: 0,
-            msg,
+        // Every canonical frame at sequence 50,000 (a three-byte
+        // varint), exactly: a field that grows shows here as a byte
+        // count. Proto v5 / wire v4 took 31, 39, 35, 27, 201 and 265.
+        // The header is `[version][check; 4][seq; 3]` and `Shard`'s
+        // `[tag][to][epoch][retries]`: 12 bytes of every frame.
+        let [read, write, value, ack] = remote_access_frames();
+        for (what, frame, bytes) in [
+            // `[tag][addr; 3][0][reply_shard][token; 2]`
+            ("read request", read, 20),
+            // … with the store's flag and eight value bytes
+            ("write request", write, 28),
+            // `[tag][token; 2][1][value; 8]`
+            ("value response", value, 24),
+            ("ack", ack, 16),
+            // `[tag][thread; 2][native][kind][ctx; 2 + 164][state 0]
+            // [presence][op; 4][run; 2][journey 0, dropped 100]`
+            ("spilled arrive", migrated_frame(true), 193),
+            // … with sixteen four-byte hops and `dropped` 0
+            ("filling arrive", migrated_frame(false), 257),
+        ] {
+            assert_eq!(frame.encode(50_000).len(), bytes, "{what}");
+        }
+    }
+
+    #[test]
+    fn every_presence_byte_above_fifteen_is_a_typed_bad_tag() {
+        // Behind a valid check: the envelope's presence byte is its
+        // last byte before the journey, and only its low four bits
+        // name fields.
+        let NetMsg::Shard {
+            msg: WireMsg::Arrive(env),
+            ..
+        } = migrated_frame(true)
+        else {
+            unreachable!("an arrival")
         };
-        let request = shard(WireMsg::Request {
-            addr: 0x4_0000,
-            write: None,
-            reply_shard: 3,
-            token: 99,
-        })
-        .encode(9_000);
-        let response = shard(WireMsg::Response {
-            token: 99,
-            value: Some(42),
-        })
-        .encode(9_001);
-        let pair = request.len() + response.len();
-        assert!(pair <= 64, "request + response are {pair} B");
+        let bare = WireMsg::Arrive(WireEnvelope {
+            pending_op: None,
+            run: None,
+            ..env.clone()
+        });
+        let header = seal(0, &[]).len();
+        let frame = to_shard_9(WireMsg::Arrive(env)).encode(0);
+        let mut body = frame[header..].to_vec();
+        // `Shard`'s four bytes, then the message up to its presence
+        // byte, which the bare envelope has three bytes from its end.
+        let at = 4 + bare.encode().len() - 3;
+        assert_eq!(body[at], 0b1001, "pending_op and run");
+        for tag in 16..=255u8 {
+            body[at] = tag;
+            assert_eq!(
+                NetMsg::decode(&seal(0, &body)),
+                Err(WireError::Codec(CodecError::BadTag {
+                    what: "envelope-presence",
+                    tag
+                }))
+            );
+        }
     }
 
     /// `body` framed under `seq` with a **correct** check — what a

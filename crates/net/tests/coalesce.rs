@@ -45,7 +45,7 @@ fn arbitrary_msg(rng: &mut DetRng) -> NetMsg {
                     None
                 },
                 reply_shard: rng.below(64) as u32,
-                token: rng.below(1 << 32),
+                token: rng.below(1 << 32) as u32,
             },
         },
         1 => NetMsg::Shard {
@@ -53,7 +53,7 @@ fn arbitrary_msg(rng: &mut DetRng) -> NetMsg {
             epoch: rng.below(8),
             retries: 0,
             msg: WireMsg::Response {
-                token: rng.below(1 << 32),
+                token: rng.below(1 << 32) as u32,
                 value: if rng.chance(0.5) {
                     Some(rng.below(u64::MAX))
                 } else {

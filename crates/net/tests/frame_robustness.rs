@@ -7,10 +7,11 @@
 //! at the transport layer; typed codec error at the message layer),
 //! and corrupt length prefixes written by a raw socket straight past
 //! the framing layer (oversize lengths refused; short reads surface
-//! as errors, not blocked readers); and a peer still speaking proto v3
-//! is refused at the handshake, typed, whichever side dials.
+//! as errors, not blocked readers); and a peer speaking another proto
+//! version — a v5 peer's magic-led frames included — is refused at the
+//! handshake, typed, whichever side dials.
 
-use em2_net::proto::PROTO_VERSION;
+use em2_net::proto::{NetMsg, PROTO_VERSION};
 use em2_net::transport::MAX_FRAME;
 use em2_net::{ClusterError, ClusterSpec, LoopbackTransport, NodeRuntime, TcpTransport, Transport};
 use proptest::prelude::*;
@@ -113,7 +114,7 @@ fn zero_length_frame_is_legal_transport_level_but_typed_at_the_codec() {
     let got = s.rx.recv_frame().expect("recv").expect("frame");
     assert!(got.is_empty());
     // The message layer refuses it with a value, not a panic.
-    em2_net::proto::NetMsg::decode(&got).expect_err("empty frame is not a message");
+    NetMsg::decode(&got).expect_err("empty frame is not a message");
 }
 
 // ------------------------------------- corrupt length prefixes (raw)
@@ -198,52 +199,65 @@ fn truncated_header_and_truncated_payload_are_errors_not_hangs() {
 
 // ------------------------------------------- the proto version fence
 
-/// A proto v3 handshake frame (`Hello` from node 1 when `tag` is 0,
-/// `HelloAck` from node 0 when it is 1) at sequence 0, byte for byte as
-/// a v3 build sent it: `[magic][3][u64 seq][u32 check][tag][u32 node]`
-/// then `[u8 wire-version 2]` (`Hello` only) and `[u64 topology]`, the
-/// check FNV-1a over `seq ++ body` folded to 32 bits.
-fn v3_handshake_frame(tag: u8, topology: u64) -> Vec<u8> {
-    let mut body = vec![tag];
-    body.extend_from_slice(&u32::from(tag == 0).to_le_bytes());
-    if tag == 0 {
-        body.push(2);
-    }
-    body.extend_from_slice(&topology.to_le_bytes());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in 0u64.to_le_bytes().iter().chain(&body) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// A handshake frame at sequence 0 as this build encodes it: `Hello`
+/// from node 1 naming `wire_version` when `tag` is 0, `HelloAck` from
+/// node 0 when it is 1.
+fn handshake(tag: u8, wire_version: u8, topology: u64) -> Vec<u8> {
+    let msg = if tag == 0 {
+        NetMsg::Hello {
+            node: 1,
+            wire_version,
+            topology,
+        }
+    } else {
+        NetMsg::HelloAck { node: 0, topology }
+    };
+    msg.encode(0)
+}
+
+/// That frame under version byte `version`, its check still valid.
+fn handshake_frame(tag: u8, version: u8, topology: u64) -> Vec<u8> {
+    let mut frame = handshake(tag, em2_rt::wire::WIRE_VERSION, topology);
+    frame[0] = version;
+    frame
+}
+
+/// The handshake frame byte for byte as a proto v5 build sent it:
+/// `[magic "EM2N"][5]` where this build has its version byte, then the
+/// check, sequence and body this build writes (v5 hashed and laid them
+/// out as v6 does), its `Hello` naming wire version 4.
+fn v5_handshake_frame(tag: u8, topology: u64) -> Vec<u8> {
     let mut frame = b"EM2N".to_vec();
-    frame.push(3);
-    frame.extend_from_slice(&0u64.to_le_bytes());
-    frame.extend_from_slice(&((h ^ (h >> 32)) as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
+    frame.push(5);
+    frame.extend_from_slice(&handshake(tag, 4, topology)[1..]);
     frame
 }
 
 #[test]
-fn a_v3_frame_is_refused_by_version_before_it_is_parsed() {
-    // Magic and version sit where v3 had them, so the fence holds both
-    // ways: a v3 frame here fails on byte 4, before the layout that
-    // moved underneath is read; and a v3 node reading ours finds the
-    // magic it expects and a version byte it does not speak.
-    let theirs = v3_handshake_frame(0, 0xABCD);
-    assert_eq!(
-        em2_net::proto::NetMsg::decode(&theirs),
-        Err(em2_rt::wire::WireError::Version {
-            got: 3,
-            want: PROTO_VERSION
-        })
-    );
-    let ours = em2_net::proto::NetMsg::Hello {
-        node: 1,
-        wire_version: em2_rt::wire::WIRE_VERSION,
-        topology: 0xABCD,
+fn a_magic_led_frame_is_refused_by_version_before_it_is_parsed() {
+    // The version byte is the first byte, so a v5 frame fails on its
+    // magic's `'E'` before the check, the sequence or the body is
+    // read; and a v5 node reading ours finds a first byte that is not
+    // its magic.
+    for tag in [0, 1] {
+        let theirs = v5_handshake_frame(tag, 0xABCD);
+        assert_eq!(
+            NetMsg::decode(&theirs),
+            Err(em2_rt::wire::WireError::Version {
+                got: 0x45,
+                want: PROTO_VERSION
+            })
+        );
+        let ours = handshake_frame(tag, PROTO_VERSION, 0xABCD);
+        assert_eq!(NetMsg::decode(&ours).map(|(seq, _)| seq), Ok(0));
+        assert_ne!(ours[0], b'E');
     }
-    .encode(0);
-    assert_eq!(ours[..4], theirs[..4]);
-    assert_eq!((ours[4], theirs[4]), (PROTO_VERSION, 3));
+    let ack = handshake_frame(1, PROTO_VERSION, 0xABCD);
+    assert_eq!(
+        ack[1..],
+        v5_handshake_frame(1, 0xABCD)[5..],
+        "past the sentinel, v5's layout"
+    );
 }
 
 fn start_node(spec: ClusterSpec, node: usize) -> Result<NodeRuntime, ClusterError> {
@@ -260,58 +274,75 @@ fn start_node(spec: ClusterSpec, node: usize) -> Result<NodeRuntime, ClusterErro
     )
 }
 
-fn assert_refused_by_version(r: Result<NodeRuntime, ClusterError>, what: &str) {
+fn assert_refused_by_version(r: Result<NodeRuntime, ClusterError>, got: u8, what: &str) {
     let e = r
         .err()
-        .unwrap_or_else(|| panic!("{what}: a v3 peer joined"));
+        .unwrap_or_else(|| panic!("{what}: a version-{got} peer joined"));
     assert_eq!(e.kind(), "handshake", "{what}: {e}");
-    assert!(e.to_string().contains("version 3"), "{what}: {e}");
+    assert!(
+        e.to_string().contains(&format!("version {got}")),
+        "{what}: {e}"
+    );
+}
+
+/// The two foreign frames a fence must refuse: a v5 peer's magic-led
+/// one, and one in this layout under the next version.
+fn foreign_handshakes(tag: u8, topology: u64) -> [(Vec<u8>, u8); 2] {
+    [
+        (v5_handshake_frame(tag, topology), b'E'),
+        (
+            handshake_frame(tag, PROTO_VERSION + 1, topology),
+            PROTO_VERSION + 1,
+        ),
+    ]
 }
 
 #[test]
-fn a_v3_dialer_is_refused_at_the_handshake() {
+fn a_foreign_dialer_is_refused_at_the_handshake() {
     let spec = ClusterSpec::loopback(2, 4);
-    let addr = spec.nodes[0].addr.clone();
-    let node0 = std::thread::spawn({
-        let spec = spec.clone();
-        move || start_node(spec, 0)
-    });
-    // Dial until node 0 listens, then open as a v3 node 1 would. The
-    // topology digest never gets looked at: the version byte is first.
-    let mut dialer = loop {
-        match LoopbackTransport.connect(&addr) {
-            Ok(d) => break d,
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    };
-    dialer
-        .tx
-        .send_frame(&v3_handshake_frame(0, spec.digest()))
-        .expect("send the v3 Hello");
-    assert_refused_by_version(node0.join().expect("node 0 thread"), "acceptor");
+    for (hello, got) in foreign_handshakes(0, spec.digest()) {
+        let addr = spec.nodes[0].addr.clone();
+        let node0 = std::thread::spawn({
+            let spec = spec.clone();
+            move || start_node(spec, 0)
+        });
+        // Dial until node 0 listens, then open as the foreign node 1
+        // would. The topology digest never gets looked at: the version
+        // byte is first.
+        let mut dialer = loop {
+            match LoopbackTransport.connect(&addr) {
+                Ok(d) => break d,
+                Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            }
+        };
+        dialer
+            .tx
+            .send_frame(&hello)
+            .expect("send the foreign Hello");
+        assert_refused_by_version(node0.join().expect("node 0 thread"), got, "acceptor");
+    }
 }
 
 #[test]
-fn a_v3_acceptor_is_refused_at_the_handshake() {
+fn a_foreign_acceptor_is_refused_at_the_handshake() {
     let spec = ClusterSpec::loopback(2, 4);
-    let mut acceptor = LoopbackTransport
-        .listen(&spec.nodes[0].addr)
-        .expect("listen as node 0");
-    let node1 = std::thread::spawn({
-        let spec = spec.clone();
-        move || start_node(spec, 1)
-    });
-    let mut conn = acceptor.accept().expect("node 1 dials");
-    let hello = conn.rx.recv_frame().expect("recv").expect("its Hello");
-    // What a v3 node 0 would have looked at, where it would have
-    // looked: magic, then a version byte it does not speak.
-    assert_eq!(&hello[..4], b"EM2N");
-    assert_eq!(hello[4], PROTO_VERSION);
-    // Suppose it answered anyway.
-    conn.tx
-        .send_frame(&v3_handshake_frame(1, spec.digest()))
-        .expect("send the v3 HelloAck");
-    assert_refused_by_version(node1.join().expect("node 1 thread"), "dialer");
+    for (ack, got) in foreign_handshakes(1, spec.digest()) {
+        let mut acceptor = LoopbackTransport
+            .listen(&spec.nodes[0].addr)
+            .expect("listen as node 0");
+        let node1 = std::thread::spawn({
+            let spec = spec.clone();
+            move || start_node(spec, 1)
+        });
+        let mut conn = acceptor.accept().expect("node 1 dials");
+        let hello = conn.rx.recv_frame().expect("recv").expect("its Hello");
+        // What a foreign node 0 would look at first: a version byte it
+        // does not speak (a v5 node expected its magic there).
+        assert_eq!(hello[0], PROTO_VERSION);
+        // Suppose it answered anyway.
+        conn.tx.send_frame(&ack).expect("send the foreign HelloAck");
+        assert_refused_by_version(node1.join().expect("node 1 thread"), got, "dialer");
+    }
 }
 
 // --------------------------------------------------------- proptests

@@ -742,9 +742,12 @@ impl RemoteInbox {
                 addr: em2_model::Addr(addr),
                 write,
                 reply_shard: reply_shard as usize,
-                token,
+                token: ThreadId(token),
             },
-            WireMsg::Response { token, value } => Msg::Response { token, value },
+            WireMsg::Response { token, value } => Msg::Response {
+                token: ThreadId(token),
+                value,
+            },
             WireMsg::BarrierRelease { idx } => Msg::BarrierRelease { idx: idx as usize },
         };
         shared.send_routed(to, retries, m);
@@ -1013,8 +1016,8 @@ mod tests {
     /// drain, where the emptied core serves it.
     #[test]
     fn a_freeze_loses_and_duplicates_nothing() {
-        const PRODUCERS: u64 = 4;
-        const PER: u64 = 10_000;
+        const PRODUCERS: u32 = 4;
+        const PER: u32 = 10_000;
         let link = Arc::new(Recording::default());
         let rt = Runtime::start_node(
             RtConfig {
@@ -1058,7 +1061,7 @@ mod tests {
                 });
             }
             // Mid-stream: a quarter is out, the rest is still coming.
-            while sent.load(Ordering::Relaxed) < PER {
+            while sent.load(Ordering::Relaxed) < u64::from(PER) {
                 std::thread::yield_now();
             }
             let frozen = inbox.freeze_shard(1, 1).expect("the runtime is live");
@@ -1087,7 +1090,7 @@ mod tests {
             shipped.collect(),
             forwarded.collect(),
         ] {
-            let mut next = [0u64; PRODUCERS as usize];
+            let mut next = [0u32; PRODUCERS as usize];
             for token in part {
                 seen[token as usize] += 1;
                 let (p, i) = ((token / PER) as usize, token % PER);

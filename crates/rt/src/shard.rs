@@ -109,11 +109,11 @@ pub(crate) enum Msg {
         addr: Addr,
         write: Option<u64>,
         reply_shard: usize,
-        token: u64,
+        token: ThreadId,
     },
     /// Reply to a [`Msg::Request`]: `Some(value)` for reads, `None`
     /// for write acks.
-    Response { token: u64, value: Option<u64> },
+    Response { token: ThreadId, value: Option<u64> },
     /// Barrier `idx` completed; wake local tasks parked on it.
     BarrierRelease { idx: usize },
 }
@@ -168,9 +168,12 @@ pub(crate) fn msg_to_wire(msg: Msg) -> WireMsg {
             addr: addr.0,
             write,
             reply_shard: reply_shard as u32,
-            token,
+            token: token.0,
         },
-        Msg::Response { token, value } => WireMsg::Response { token, value },
+        Msg::Response { token, value } => WireMsg::Response {
+            token: token.0,
+            value,
+        },
         Msg::BarrierRelease { idx } => WireMsg::BarrierRelease { idx: idx as u32 },
     }
 }
@@ -356,13 +359,13 @@ pub(crate) struct ShardCore {
     /// and park lists never copies the envelope itself.
     #[allow(clippy::vec_box)]
     parked: Vec<Box<Envelope>>,
-    /// Tasks pinned awaiting a remote reply, by request token.
-    awaiting: WordMap<u64, Box<Envelope>>,
+    /// Tasks pinned awaiting a remote reply, by thread: a task awaits
+    /// at most one, and the reply names the thread (see `await_reply`).
+    awaiting: WordMap<ThreadId, Box<Envelope>>,
     /// Guest arrivals waiting for a slot — every guest was pinned
     /// when they (or an earlier arrival still queued here) landed.
     /// Admitted strictly in arrival order.
     stalled: VecDeque<Box<Envelope>>,
-    next_token: u64,
     /// Shard-local activity clock (orders LRU victimization).
     clock: u64,
     pub(crate) counters: ShardCounters,
@@ -423,7 +426,6 @@ impl ShardCore {
             parked: Vec::new(),
             awaiting: WordMap::default(),
             stalled: VecDeque::new(),
-            next_token: 0,
             clock: 0,
             counters: ShardCounters::new(),
             scratch: Vec::new(),
@@ -552,7 +554,7 @@ impl ShardCore {
 
     /// Freeze this shard for a live handoff: take every piece of
     /// transferable state — the heap partition, the resident contexts,
-    /// all queued envelopes, the token/clock counters — plus the
+    /// all queued envelopes, the activity clock — plus the
     /// already-drained `mailbox` backlog, leaving the core empty.
     /// Deterministic counters stay behind (they accrued here and merge
     /// into this node's report; the destination counts only what it
@@ -570,15 +572,14 @@ impl ShardCore {
         let mut heap: Vec<(u64, u64)> = self.heap.drain().collect();
         heap.sort_unstable_by_key(|&(a, _)| a);
         let (natives, guests) = self.pool.drain_residents();
-        let mut awaiting: Vec<(u64, WireEnvelope)> = self
+        let mut awaiting: Vec<WireEnvelope> = self
             .awaiting
             .drain()
-            .map(|(token, env)| (token, envelope_to_wire(*env)))
+            .map(|(_, env)| envelope_to_wire(*env))
             .collect();
-        awaiting.sort_unstable_by_key(|&(token, _)| token);
+        awaiting.sort_unstable_by_key(|env| env.thread);
         crate::wire::FrozenShard {
             shard: self.id as u32,
-            next_token: self.next_token,
             clock: self.clock,
             heap,
             natives: natives.into_iter().map(|t| t.0).collect(),
@@ -626,7 +627,6 @@ impl ShardCore {
         for &(t, pinned, at) in &f.guests {
             self.pool.restore_guest(ThreadId(t), pinned, at);
         }
-        self.next_token = f.next_token;
         self.clock = f.clock;
         for we in f.runq {
             let env = rebuild(we)?;
@@ -637,9 +637,8 @@ impl ShardCore {
         for we in f.parked {
             self.parked.push(rebuild(we)?);
         }
-        for (token, we) in f.awaiting {
-            let env = rebuild(we)?;
-            self.awaiting.insert(token, env);
+        for we in f.awaiting {
+            self.await_reply(rebuild(we)?);
         }
         for we in f.stalled {
             let env = rebuild(we)?;
@@ -726,6 +725,7 @@ impl ShardCore {
                     // egress pipeline (each stays its own wire frame,
                     // so the deterministic wire counters are
                     // untouched). Flushed at the end of this batch.
+                    let token = token.0;
                     self.remote_replies
                         .push((reply_shard, WireMsg::Response { token, value }));
                 }
@@ -734,7 +734,7 @@ impl ShardCore {
                 let mut env = self
                     .awaiting
                     .remove(&token)
-                    .expect("response matches a pinned task");
+                    .expect("a response names a task pinned here");
                 if env.native != self.me() {
                     self.pool.set_guest_state(env.thread, GuestState::Evictable);
                 }
@@ -1097,22 +1097,27 @@ impl ShardCore {
                     }
                     self.clock += 1;
                     self.pool.touch(env.thread, self.clock);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.awaiting.insert(token, env);
+                    self.await_reply(env);
                     shared.send(
                         home.index(),
                         Msg::Request {
                             addr,
                             write: write_value,
                             reply_shard: self.id,
-                            token,
+                            token: thread,
                         },
                     );
                     return;
                 }
             }
         }
+    }
+
+    /// Pin `env` until the response naming its thread lands. A thread
+    /// awaits at most one reply, so no entry is ever replaced.
+    fn await_reply(&mut self, env: Box<Envelope>) {
+        let replaced = self.awaiting.insert(env.thread, env);
+        debug_assert!(replaced.is_none(), "a task awaits two replies");
     }
 
     /// A task finished: flush its final run, record its latency, free
@@ -1259,7 +1264,7 @@ pub(crate) mod tests {
                     addr: Addr(64),
                     write: None,
                     reply_shard: 0,
-                    token: 5 * batch + i,
+                    token: ThreadId(5 * batch + i),
                 });
             }
             core.process_batch(&shared);
@@ -1297,16 +1302,28 @@ pub(crate) mod tests {
             addr: Addr(64),
             write: None,
             reply_shard: 0,
-            token,
+            token: ThreadId(token),
         };
         shared.send(1, request(0));
         mb.locked(|| shared.directory.set_owner(1, 1));
         let owned = || shared.directory.owner_of(1) == shared.node_id;
         let refused = mb.push_if(owned, request(1));
-        assert!(matches!(refused, Err(Msg::Request { token: 1, .. })));
+        assert!(matches!(
+            refused,
+            Err(Msg::Request {
+                token: ThreadId(1),
+                ..
+            })
+        ));
         shared.send(1, request(2));
         assert_eq!(mb.len(), 1, "nothing lands after the flip");
-        assert!(matches!(mb.pop(), Some(Msg::Request { token: 0, .. })));
+        assert!(matches!(
+            mb.pop(),
+            Some(Msg::Request {
+                token: ThreadId(0),
+                ..
+            })
+        ));
         let seen = link.0.lock().expect("recording");
         assert!(matches!(seen[..], [(1, WireMsg::Request { token: 2, .. })]));
     }
@@ -1435,6 +1452,96 @@ pub(crate) mod tests {
         assert_eq!(core.clock, 8);
         core.handle(&shared, Msg::Arrive(guest(3, Vec::new())));
         assert!(core.pool.is_resident(b) && !core.pool.is_resident(a));
+    }
+
+    /// Reads `src`, stores the value it got back at `dst`, and is done.
+    struct Echo {
+        src: u64,
+        dst: u64,
+        step: u64,
+    }
+
+    impl Task for Echo {
+        fn resume(&mut self, reply: Option<u64>) -> Op {
+            self.step += 1;
+            match self.step {
+                1 => Op::Read(Addr(self.src)),
+                2 => Op::Write(Addr(self.dst), reply.expect("the read's value")),
+                _ => Op::Done,
+            }
+        }
+
+        fn context_bytes(&self) -> Vec<u8> {
+            [self.src, self.dst, self.step]
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect()
+        }
+
+        fn wire_kind(&self) -> Option<u32> {
+            Some(0)
+        }
+    }
+
+    /// An `Echo` guest at shard 1 (native to shard 0) that makes every
+    /// non-local access remotely.
+    fn echo(thread: ThreadId, src: u64, dst: u64, step: u64) -> Box<Envelope> {
+        Box::new(Envelope {
+            task: Box::new(Echo { src, dst, step }),
+            scheme: Box::new(em2_core::decision::AlwaysRemote),
+            ..*guest(thread.0, Vec::new())
+        })
+    }
+
+    /// Two tasks on one shard each await a remote read; the replies
+    /// come back in the reverse order, and each task gets its own value
+    /// — also when the shard is frozen and installed in between. The
+    /// reply names the thread, and the thread alone finds the task.
+    #[test]
+    fn each_reply_finds_its_own_task_in_any_order() {
+        let (a, b) = (ThreadId(1), ThreadId(2));
+        for handoff in [false, true] {
+            let shared = two_shards(256, Arc::new(AllLocal));
+            let mut core = ShardCore::new(1, 2, None);
+            // Lines 0 and 2 live on shard 0, lines 1 and 3 here.
+            core.handle(&shared, Msg::Arrive(echo(a, 0, 64, 0)));
+            core.handle(&shared, Msg::Arrive(echo(b, 128, 192, 0)));
+            assert_eq!(core.census(), (0, 0, 2, 0), "both await a reply");
+            let mut asked = Vec::new();
+            while let Some(msg) = shared.mailboxes[0].pop() {
+                let Msg::Request { token, .. } = msg else {
+                    panic!("only requests leave")
+                };
+                asked.push(token);
+            }
+            assert_eq!(asked, [a, b]);
+            if handoff {
+                let frozen = core.export_frozen(Vec::new());
+                let threads: Vec<u32> = frozen.awaiting.iter().map(|e| e.thread).collect();
+                assert_eq!(threads, [a.0, b.0], "exported by thread");
+                core = ShardCore::new(1, 2, None);
+                let word = |ctx: &[u8], i: usize| {
+                    u64::from_le_bytes(ctx[8 * i..8 * i + 8].try_into().expect("a word"))
+                };
+                core.install_frozen(frozen, &mut |we| {
+                    let ctx = &we.task_ctx;
+                    let (src, dst, step) = (word(ctx, 0), word(ctx, 1), word(ctx, 2));
+                    Ok(echo(ThreadId(we.thread), src, dst, step))
+                })
+                .expect("install");
+                assert_eq!(core.census(), (0, 0, 2, 0), "both still await");
+            }
+            for token in asked.into_iter().rev() {
+                let value = Some(100 + u64::from(token.0));
+                core.handle(&shared, Msg::Response { token, value });
+            }
+            while let Some(env) = core.runq.pop_front() {
+                core.execute(&shared, env);
+            }
+            assert_eq!(core.census(), (0, 0, 0, 0), "both ran to completion");
+            assert_eq!(core.serve(Addr(64), None), Some(101), "handoff: {handoff}");
+            assert_eq!(core.serve(Addr(192), None), Some(102), "handoff: {handoff}");
+        }
     }
 
     /// The LRU stamp is taken at the end of a slice, not per access;

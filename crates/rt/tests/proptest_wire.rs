@@ -4,8 +4,11 @@
 //! never a panic. Plus the `context_len` honesty property for the
 //! shipped task types.
 
+use em2_model::bytes::CodecError;
 use em2_model::ThreadId;
-use em2_rt::wire::{HopCause, Journey, JourneyHop, WireEnvelope, WireMsg, WireOp};
+use em2_rt::wire::{
+    put_var, HopCause, Journey, JourneyHop, WireEnvelope, WireError, WireMsg, WireOp,
+};
 use em2_rt::{Task, TaskRegistry, TraceTask};
 use em2_trace::gen::micro;
 use proptest::prelude::*;
@@ -59,10 +62,10 @@ fn build_msg(
             addr: a,
             write: flag1.then_some(b),
             reply_shard: c,
-            token: b,
+            token: (b >> 32) as u32,
         },
         2 => WireMsg::Response {
-            token: a,
+            token: (a >> 32) as u32,
             value: flag1.then_some(b),
         },
         _ => WireMsg::BarrierRelease { idx: c },
@@ -101,9 +104,76 @@ proptest! {
         for cut in 0..bytes.len() {
             // Must not panic; must not succeed (a strict prefix can
             // never be a complete message — every field is fixed-width,
-            // length-prefixed, or a varint whose last byte says so).
-            prop_assert!(WireMsg::decode(&bytes[..cut]).is_err(), "cut {}", cut);
+            // length-prefixed, or a varint whose last byte says so), and
+            // must fail as what it is: the decoder walks the prefix
+            // exactly as it would the whole message, and runs out.
+            prop_assert!(
+                matches!(
+                    WireMsg::decode(&bytes[..cut]),
+                    Err(WireError::Codec(CodecError::Truncated { .. }))
+                ),
+                "cut {}",
+                cut
+            );
         }
+    }
+
+    #[test]
+    fn a_presence_byte_above_fifteen_is_a_typed_bad_tag(
+        tag in 16u16..256,
+        thread in any::<u32>(),
+        ctx in prop::collection::vec(any::<u8>(), 0..200),
+        state in prop::collection::vec(any::<u8>(), 0..100),
+    ) {
+        let bare = WireMsg::Arrive(WireEnvelope {
+            thread,
+            native: 1,
+            task_kind: 2,
+            task_ctx: ctx,
+            scheme_state: state,
+            pending_op: None,
+            pending_reply: None,
+            parked_at: None,
+            run: None,
+            journey: Journey::default(),
+        });
+        let tag = tag as u8;
+        let mut bytes = bare.encode();
+        // `[presence 0][journey: count 0, dropped 0]` end the message.
+        let at = bytes.len() - 3;
+        prop_assert_eq!(&bytes[at..], &[0, 0, 0]);
+        bytes[at] = tag;
+        prop_assert_eq!(
+            WireMsg::decode(&bytes),
+            Err(WireError::Codec(CodecError::BadTag { what: "envelope-presence", tag }))
+        );
+    }
+
+    #[test]
+    fn an_over_long_thread_varint_is_refused(
+        wide in (u64::from(u32::MAX) + 1)..u64::MAX,
+        sel in 0u8..3,
+    ) {
+        // A thread id is a u32 wherever it travels: as an envelope's
+        // thread and as a request's or a response's token.
+        let mut b = vec![sel];
+        match sel {
+            0 => put_var(&mut b, wide), // thread
+            1 => {
+                put_var(&mut b, 8); // addr
+                b.push(0); // load
+                put_var(&mut b, 3); // reply_shard
+                put_var(&mut b, wide); // token
+            }
+            _ => {
+                put_var(&mut b, wide); // token
+                b.push(0); // ack
+            }
+        }
+        prop_assert!(matches!(
+            WireMsg::decode(&b),
+            Err(WireError::Codec(CodecError::BadVarint { .. }))
+        ));
     }
 
     #[test]
