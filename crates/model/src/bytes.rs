@@ -14,6 +14,9 @@
 //! [`Cursor::var`]) for identifiers, counters, lengths and addresses;
 //! length-prefixed byte strings capped at [`MAX_CHUNK`]; lists behind a
 //! varint count no decoder trusts with an allocation ([`Cursor::list`]).
+//! The cursor's primitives are `#[inline]` (called across crates per
+//! field of every received frame), and a varint past one byte takes an
+//! out-of-line path. The writers are not: inlining them sped up no run.
 
 use std::fmt;
 
@@ -162,6 +165,7 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.at
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
@@ -175,6 +179,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
@@ -185,11 +190,13 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
     /// Read a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
@@ -199,24 +206,29 @@ impl<'a> Cursor<'a> {
     /// exactly one byte representation: a zero-padded varint, one whose
     /// tenth byte carries more than the top bit of a `u64`, and one
     /// that runs past ten bytes are all [`CodecError::BadVarint`].
+    #[inline]
     pub fn var(&mut self) -> Result<u64, CodecError> {
+        if let Some(&b @ 0..0x80) = self.buf.get(self.at) {
+            self.at += 1;
+            return Ok(u64::from(b));
+        }
+        self.long_var()
+    }
+
+    #[inline(never)]
+    fn long_var(&mut self) -> Result<u64, CodecError> {
         let offset = self.at;
+        let bad = |why| Err(CodecError::BadVarint { offset, why });
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.u8()?;
             if shift == 63 && b > 1 {
-                return Err(CodecError::BadVarint {
-                    offset,
-                    why: "does not fit a u64",
-                });
+                return bad("does not fit a u64");
             }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 if b == 0 && shift > 0 {
-                    return Err(CodecError::BadVarint {
-                        offset,
-                        why: "not the shortest encoding",
-                    });
+                    return bad("not the shortest encoding");
                 }
                 return Ok(v);
             }
@@ -238,6 +250,7 @@ impl<'a> Cursor<'a> {
     /// Read the presence byte of `N` optional fields ([`put_presence`]);
     /// a byte with a bit at or above `N` set is [`CodecError::BadTag`]
     /// naming the field set `what`.
+    #[inline]
     pub fn presence<const N: usize>(
         &mut self,
         what: &'static str,
@@ -265,6 +278,7 @@ impl<'a> Cursor<'a> {
 
     /// Read a varint into a narrower integer field; a value the field
     /// cannot hold is [`CodecError::BadVarint`], never a truncation.
+    #[inline]
     pub fn var_as<T: TryFrom<u64>>(&mut self) -> Result<T, CodecError> {
         let offset = self.at;
         T::try_from(self.var()?).map_err(|_| CodecError::BadVarint {
@@ -275,6 +289,7 @@ impl<'a> Cursor<'a> {
 
     /// Read a varint-length-prefixed byte string ([`put_var_bytes`]'s
     /// inverse), borrowed from the input.
+    #[inline]
     pub fn var_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.var()?;
         if n > MAX_CHUNK as u64 {

@@ -1,15 +1,18 @@
 //! The allocation budget of the cluster data path (DESIGN.md §11),
 //! counted, not argued: encoding a migrated frame into the writer's
 //! warm flush buffer allocates nothing, and receiving one allocates
-//! exactly the fields the decoded message owns — the task context, and
-//! the journey log for as long as the task still carries one — with
-//! nothing per frame and nothing per hop.
+//! only what the rebuilt envelope owns. The reader decodes a frame in
+//! place, as a view of its receive buffer: the task context is parsed
+//! there by its task builder, so decoding allocates only the journey
+//! log, for as long as the task still carries one — nothing per frame
+//! and nothing per hop. The owning decode, off the data path, also
+//! copies the context out.
 //!
 //! Its own test binary because the counter is a `#[global_allocator]`;
 //! allocations are counted per thread, so the harness's other threads
 //! cannot disturb a measurement.
 
-use em2_net::proto::NetMsg;
+use em2_net::proto::{NetMsg, NetView};
 use em2_net::{FrameBatch, Transport};
 use em2_rt::wire::{HopCause, Journey, JourneyHop, WireEnvelope, WireMsg, WireOp};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -118,11 +121,11 @@ fn encoding_into_a_warm_flush_buffer_allocates_nothing() {
 
 #[cfg(unix)]
 #[test]
-fn receiving_allocates_only_what_the_message_owns() {
-    // `task_ctx`, and the hop log while the journey still carries one;
-    // `scheme_state` is empty, and neither an empty `Vec` nor a spilled
-    // log owns memory.
-    for (spilled, owned) in [(true, 1), (false, 2)] {
+fn receiving_allocates_only_what_the_rebuilt_envelope_owns() {
+    // In place: the hop log while the journey still carries one, and
+    // nothing for a spilled log. Owned: `task_ctx` as well;
+    // `scheme_state` is empty, and an empty `Vec` owns no memory.
+    for (spilled, viewed, owned) in [(true, 0, 1), (false, 1, 2)] {
         let msg = migrated_frame(spilled);
         let path =
             std::env::temp_dir().join(format!("em2-alloc-{}-{owned}.sock", std::process::id()));
@@ -143,15 +146,34 @@ fn receiving_allocates_only_what_the_message_owns() {
         let first = server.rx.recv().expect("recv").expect("frame");
         assert_eq!(NetMsg::decode(first).expect("decodes"), (1, msg.clone()));
         for seq in 2..=32 {
-            let (decoded, n) = allocs_in(|| {
+            // Odd frames as the reader takes them, in place; even ones
+            // owned. A view's owning copy, made only to compare it,
+            // stays out of the count.
+            let in_place = seq % 2 == 1;
+            let mut decoded = None;
+            let (copies, n) = allocs_in(|| {
                 let frame = server.rx.recv().expect("recv").expect("frame");
-                NetMsg::decode(frame).expect("decodes")
+                if !in_place {
+                    decoded = Some(NetMsg::decode(frame).expect("decodes"));
+                    return 0;
+                }
+                let (got, view) = NetMsg::view(frame).expect("decodes");
+                let NetView::Shard(_, _, _, WireMsg::Arrive(env)) = &view else {
+                    panic!("frame {seq}: {view:?}")
+                };
+                let ctx = env.task_ctx.as_ptr();
+                assert!(frame.as_ptr_range().contains(&ctx), "borrowed, not copied");
+                let (copy, copies) = allocs_in(|| view.into_owned());
+                decoded = Some((got, copy));
+                copies
             });
-            assert_eq!(
-                n, owned,
-                "frame {seq} (spilled: {spilled}): one allocation per owned field"
-            );
-            assert_eq!(decoded, (seq, msg.clone()));
+            let (what, want) = if in_place {
+                ("in place", viewed)
+            } else {
+                ("owned", owned)
+            };
+            assert_eq!(n - copies, want, "frame {seq} (spilled: {spilled}) {what}");
+            assert_eq!(decoded, Some((seq, msg.clone())));
         }
         let _ = std::fs::remove_file(path);
     }

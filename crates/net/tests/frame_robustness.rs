@@ -9,7 +9,8 @@
 //! the framing layer (oversize lengths refused; short reads surface
 //! as errors, not blocked readers); and a peer speaking another proto
 //! version — a v5 peer's magic-led frames included — is refused at the
-//! handshake, typed, whichever side dials.
+//! handshake, typed, whichever side dials. Past the handshake, a
+//! hand-driven peer checks the reader's duplicate, gap and fence rules.
 
 use em2_net::proto::{NetMsg, PROTO_VERSION};
 use em2_net::transport::MAX_FRAME;
@@ -343,6 +344,118 @@ fn a_foreign_acceptor_is_refused_at_the_handshake() {
         conn.tx.send_frame(&ack).expect("send the foreign HelloAck");
         assert_refused_by_version(node1.join().expect("node 1 thread"), got, "dialer");
     }
+}
+
+// ------------------------------------------------ the reader's checks
+
+/// Node 1 of a two-node loopback cluster reads frames a hand-driven
+/// node 0 (the coordinator) writes, and each receive check acts in
+/// order: a duplicate sequence is dropped unread, a frame for a shard
+/// node 0 owns bounces back, one stamped ahead of node 1's map parks
+/// until the `EpochUpdate` and then re-routes, and a sequence gap fails
+/// the run typed. Node 1's shard 2 answers requests in between, so a
+/// dropped duplicate shows as the value it did not store. Everything is
+/// asserted after node 1 finishes, which a run deadline and a receive
+/// timeout bound: a reader that breaks a rule fails the test, not hangs.
+#[test]
+fn the_reader_drops_duplicates_bounces_parks_and_fails_on_a_gap() {
+    use em2_rt::wire::{Journey, WireEnvelope, WireMsg};
+    let mut spec = ClusterSpec::loopback(2, 4);
+    spec.timeouts.run_ms = 10_000;
+    let mut acceptor = LoopbackTransport
+        .listen(&spec.nodes[0].addr)
+        .expect("listen as node 0");
+    let node1 = std::thread::spawn({
+        let spec = spec.clone();
+        move || start_node(spec, 1)
+    });
+    let mut conn = acceptor.accept().expect("node 1 dials");
+    let hello = conn.rx.recv_frame().expect("recv").expect("its Hello");
+    assert!(matches!(
+        NetMsg::decode(&hello),
+        Ok((0, NetMsg::Hello { node: 1, .. }))
+    ));
+    let ack = NetMsg::HelloAck {
+        node: 0,
+        topology: spec.digest(),
+    };
+    conn.tx.send_frame(&ack.encode(0)).expect("HelloAck");
+    let node1 = node1.join().expect("node 1 thread").expect("node 1 joins");
+    let wait = Some(Duration::from_secs(10));
+    conn.rx.set_recv_timeout(wait).expect("recv timeout");
+
+    let shard = |to, epoch, msg| NetMsg::Shard {
+        to,
+        epoch,
+        retries: 0,
+        msg,
+    };
+    let request = |write, token| WireMsg::Request {
+        addr: 64,
+        write,
+        reply_shard: 0,
+        token,
+    };
+    let arrive = |thread| {
+        WireMsg::Arrive(WireEnvelope {
+            thread,
+            native: 0,
+            task_kind: 1,
+            task_ctx: vec![0xA5; 40],
+            scheme_state: Vec::new(),
+            pending_op: None,
+            pending_reply: None,
+            parked_at: None,
+            run: None,
+            journey: Journey::default(),
+        })
+    };
+    let mut send = |seq: u64, msg: NetMsg| conn.tx.send_frame(&msg.encode(seq)).expect("send");
+    let mut got = Vec::new();
+    let mut take = |got: &mut Vec<_>| {
+        let frame = conn.rx.recv_frame().ok().flatten();
+        got.push(frame.map(|f| NetMsg::decode(&f)));
+    };
+    send(1, shard(2, 0, request(Some(42), 7)));
+    send(1, shard(2, 0, request(Some(99), 8)));
+    send(2, shard(2, 0, request(None, 9)));
+    take(&mut got);
+    take(&mut got);
+    send(3, shard(0, 0, arrive(5)));
+    take(&mut got);
+    send(4, shard(1, 1, arrive(6)));
+    let owners = vec![0, 0, 1, 1];
+    send(5, NetMsg::EpochUpdate { epoch: 1, owners });
+    take(&mut got);
+    send(7, shard(2, 1, request(None, 10)));
+    // Node 1's abort: its reader met the gap before this close.
+    take(&mut got);
+    drop(conn);
+    let e = node1.finish().expect_err("a lost frame fails the run");
+
+    let reply = |token, value| shard(0, 0, WireMsg::Response { token, value });
+    let bounce = NetMsg::Bounce {
+        to: 0,
+        epoch: 0,
+        retries: 0,
+        msg: arrive(5),
+    };
+    let want = [
+        (1, reply(7, None)),
+        (2, reply(9, Some(42))),
+        (3, bounce),
+        (4, shard(1, 1, arrive(6))),
+    ];
+    let abort = got.pop().flatten();
+    let want: Vec<_> = want.into_iter().map(|w| Some(Ok(w))).collect();
+    assert_eq!(got, want);
+    let gap = |r: &str| r.contains("expected 6, got 7");
+    assert!(
+        matches!(&abort, Some(Ok((5, NetMsg::Abort { reason }))) if gap(reason)),
+        "{abort:?}"
+    );
+    assert_eq!(e.kind(), "codec", "{e}");
+    assert!(e.to_string().contains("expected 6, got 7"), "{e}");
 }
 
 // --------------------------------------------------------- proptests

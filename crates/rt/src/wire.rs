@@ -1,44 +1,41 @@
 //! The runtime's wire format: `Msg` as versioned bytes.
 //!
 //! Inter-shard messages ([`WireMsg`], mirroring the executor's
-//! internal `Msg`) are what a cross-process transport actually ships —
-//! `em2-net` frames these bytes onto loopback queues, Unix-domain
-//! sockets, or TCP. The codec is hand-rolled (the workspace has no
-//! serde; see `shims/README.md`) and deliberately boring:
+//! internal `Msg`) are what a cross-process transport ships — `em2-net`
+//! frames them onto loopback queues, Unix-domain sockets, or TCP. The
+//! codec is hand-rolled (no serde; see `shims/README.md`) and
+//! deliberately boring; DESIGN.md §9 has the layout table:
 //!
 //! * [`WIRE_VERSION`] is stated once per connection (`em2-net`'s
 //!   handshake) and once per [`FrozenShard`], not per message;
-//! * every variant starts with a one-byte tag;
+//! * every variant starts with a one-byte tag, and an envelope's four
+//!   optional fields share one presence byte;
 //! * identifiers, counters, lengths and addresses are canonical
-//!   **LEB128 varints** ([`put_var`]): a shard id, a thread id or a run
-//!   length is one or two bytes, not four or eight. A request's
-//!   **token** is the requesting task's thread id: thread ids are
+//!   **LEB128 varints** ([`put_var`]), one or two bytes apiece. A
+//!   request's **token** is the requesting task's thread id: ids are
 //!   cluster-unique and a task awaits at most one reply, so the id
 //!   names the waiter, and its width is a function of program order;
 //! * memory *contents* (store values, load replies, heap words) stay
-//!   fixed-width **little-endian** `u64`s. The deterministic
-//!   experiments and the benchmark compare wire byte counts
-//!   bit-for-bit, so a frame's size may depend only on values that are
-//!   functions of per-thread program order, and contents are not
-//!   (accesses race);
-//! * an envelope's four optional fields share one presence byte;
-//! * byte strings are a varint length followed by the bytes;
-//! * `f64`s (decision-scheme predictions) travel as IEEE-754 bits
-//!   inside the opaque scheme state, so a migrated scheme continues
-//!   its EWMA recurrences **bit-exactly** in the destination process.
+//!   fixed-width **little-endian** `u64`s: wire byte counts are compared
+//!   bit-for-bit, so a frame's size may depend only on per-thread
+//!   program order, and contents race;
+//! * byte strings are a varint length followed by the bytes; `f64`s
+//!   (scheme predictions) travel as IEEE-754 bits inside the opaque
+//!   scheme state, so a migrated scheme continues **bit-exactly**.
 //!
-//! Decoding never panics: truncated, oversized, or corrupt input
-//! yields a typed [`WireError`] (the fuzz tests in
-//! `crates/rt/tests/proptest_wire.rs` pin this). DESIGN.md §9 has the
-//! full layout table.
+//! Decoding never panics — bad input is a typed [`WireError`]
+//! (`crates/rt/tests/proptest_wire.rs` fuzzes it) — and happens once,
+//! in place: [`WireMsg::view`] borrows a message's byte strings from the
+//! buffer it reads, so a receiving node hands a migrated continuation
+//! to its task builder where the socket put it. [`WireMsg::decode`] and
+//! [`FrozenShard::decode`] are the same grammar plus the one owning
+//! copy ([`WireMsg::into_owned`]).
 //!
-//! A migrated continuation is a [`WireEnvelope`]: the task's
-//! serialized context ([`crate::Task::context_bytes`]) plus a task
-//! *kind* tag resolved by the destination's [`crate::TaskRegistry`],
-//! the envelope-carried decision scheme's learned state
-//! ([`em2_core::decision::DecisionScheme::state_bytes`]), and the
-//! runtime bookkeeping that travels with the task (pending arrival
-//! access, unconsumed reply, barrier park, in-progress run).
+//! A migrated continuation is a [`WireEnvelope`]: the task's serialized
+//! context ([`crate::Task::context_bytes`]) under a *kind* the
+//! destination's [`crate::TaskRegistry`] resolves, the decision
+//! scheme's learned state, and the runtime bookkeeping that travels
+//! with the task (arrival access, unconsumed reply, barrier park, run).
 
 use em2_core::decision::SchemeStateError;
 use em2_model::bytes::{put_presence, CodecError};
@@ -128,32 +125,24 @@ impl From<SchemeStateError> for WireError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HopCause {
     /// Initial placement at the task's native shard.
-    Submit,
+    Submit = 0,
     /// The decision scheme migrated the computation here.
-    Migrate,
+    Migrate = 1,
     /// A remote access was issued toward this home (the task itself
     /// stayed put; the hop records the access target).
-    Remote,
+    Remote = 2,
 }
 
 impl HopCause {
-    /// The one-byte wire code.
+    /// The one-byte wire code: the discriminant.
     pub fn code(self) -> u8 {
-        match self {
-            HopCause::Submit => 0,
-            HopCause::Migrate => 1,
-            HopCause::Remote => 2,
-        }
+        self as u8
     }
 
     /// Inverse of [`HopCause::code`].
     pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => HopCause::Submit,
-            1 => HopCause::Migrate,
-            2 => HopCause::Remote,
-            _ => return None,
-        })
+        use HopCause::*;
+        [Submit, Migrate, Remote].get(usize::from(code)).copied()
     }
 }
 
@@ -177,12 +166,11 @@ pub struct JourneyHop {
 pub const JOURNEY_CAP: usize = 16;
 
 /// The bounded per-envelope hop log — a task's migration journey,
-/// carried in the [`WireEnvelope`] like scheme state so the path
-/// survives every process boundary, **until it has been handed to a
-/// trace ring** (DESIGN.md §14): the admission that finds the log
-/// overflowed dumps it and clears it, a task that retires first dumps
-/// what it carries, and from then on hops are only counted. A log
-/// travels through three states, none of which needs a tag:
+/// carried in the [`WireEnvelope`] across every process boundary
+/// **until handed to a trace ring** (DESIGN.md §14): the admission that
+/// finds it overflowed dumps and clears it, a task retiring first dumps
+/// what it carries, and from then on hops are only counted. Its three
+/// states need no tag:
 ///
 /// * *filling* — `dropped == 0`: every hop is recorded;
 /// * *overflowed* — `dropped > 0`, `hops` non-empty: some push found
@@ -190,12 +178,10 @@ pub const JOURNEY_CAP: usize = 16;
 /// * *spilled* — `dropped > 0`, `hops` empty: three bytes on the wire
 ///   where a full log took 67, and nothing to parse or allocate.
 ///
-/// Journeys are recorded, and spilled logs cleared, **unconditionally**,
-/// obs plane or not: the deterministic experiments compare wire byte
-/// counts bit-for-bit, so the envelope encoding must not depend on an
-/// observability toggle. Only the ring dump itself is obs-gated.
-/// Journey bytes are excluded from the context-payload accounting
-/// ([`WireMsg::context_payload_len`] stays `task_ctx` only).
+/// Journeys are recorded, and spilled logs cleared, **unconditionally**:
+/// wire byte counts are compared bit-for-bit, so the encoding must not
+/// depend on the obs plane. Only the ring dump itself is obs-gated.
+/// Journey bytes are no context bytes: those count `task_ctx` only.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journey {
     /// The hops recorded and not yet handed to a trace ring, in order
@@ -253,6 +239,7 @@ impl Journey {
         put_var(b, u64::from(self.dropped));
     }
 
+    #[inline]
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
         let n = r.u8()?;
         if n as usize > JOURNEY_CAP {
@@ -262,20 +249,12 @@ impl Journey {
             }
             .into());
         }
-        // A log that carries hops gets room for the whole cap up front:
-        // the receiving shard appends its own hop on admission, and a
-        // log never outgrows the cap, so this is its one allocation on
-        // this node. A spilled log owns no memory.
-        let mut hops = if n > 0 {
-            Vec::with_capacity(JOURNEY_CAP)
-        } else {
-            Vec::new()
-        };
+        // A log with hops gets the whole cap now, its one allocation on
+        // this node: the receiving shard's own hop never regrows it. A
+        // spilled log owns no memory.
+        let mut hops = Vec::with_capacity(if n > 0 { JOURNEY_CAP } else { 0 });
         for _ in 0..n {
-            let shard = r.var_as()?;
-            let node = r.var_as()?;
-            let epoch = r.var()?;
-            let code = r.u8()?;
+            let (shard, node, epoch, code) = (r.var_as()?, r.var_as()?, r.var()?, r.u8()?);
             let cause = HopCause::from_code(code).ok_or(CodecError::BadTag {
                 what: "hop-cause",
                 tag: code,
@@ -352,6 +331,7 @@ impl WireOp {
         }
     }
 
+    #[inline]
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => WireOp::Read(r.var()?),
@@ -367,9 +347,10 @@ impl WireOp {
 /// resume in **another process**. The program text does not travel —
 /// the destination rebuilds the task from `(task_kind, task_ctx)`
 /// through its [`crate::TaskRegistry`], exactly as instruction memory
-/// is already resident at every core in the paper's hardware.
+/// is already resident at every core in the paper's hardware. The byte
+/// strings are `B`: owned, or borrowed in a view ([`WireMsg::view`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireEnvelope {
+pub struct WireEnvelope<B = Vec<u8>> {
     /// The task's [`em2_model::ThreadId`].
     pub thread: u32,
     /// The task's native shard.
@@ -378,10 +359,10 @@ pub struct WireEnvelope {
     /// ([`crate::Task::wire_kind`]).
     pub task_kind: u32,
     /// The serialized continuation ([`crate::Task::context_bytes`]).
-    pub task_ctx: Vec<u8>,
+    pub task_ctx: B,
     /// The envelope-carried decision scheme's learned state
     /// ([`em2_core::decision::DecisionScheme::state_bytes`]).
-    pub scheme_state: Vec<u8>,
+    pub scheme_state: B,
     /// A migration's arrival access, to execute at the destination.
     pub pending_op: Option<WireOp>,
     /// Unconsumed reply value (register state).
@@ -429,11 +410,14 @@ impl WireEnvelope {
         }
         self.journey.encode_into(b);
     }
+}
 
-    fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
+impl<'a> WireEnvelope<&'a [u8]> {
+    #[inline]
+    fn view(r: &mut Cursor<'a>) -> Result<Self, WireError> {
         // Fields in wire order (tuples evaluate left to right).
         let (thread, native, task_kind) = (r.var_as()?, r.var_as()?, r.var_as()?);
-        let (task_ctx, scheme_state) = (r.var_bytes()?.to_vec(), r.var_bytes()?.to_vec());
+        let (task_ctx, scheme_state) = (r.var_bytes()?, r.var_bytes()?);
         let [op, reply, parked, run] = r.presence("envelope-presence")?;
         Ok(WireEnvelope {
             thread,
@@ -450,6 +434,22 @@ impl WireEnvelope {
             journey: Journey::decode(r)?,
         })
     }
+
+    /// The owning copy: the one place a view's bytes are copied out.
+    pub(crate) fn into_owned(self) -> WireEnvelope {
+        WireEnvelope {
+            task_ctx: self.task_ctx.to_vec(),
+            scheme_state: self.scheme_state.to_vec(),
+            thread: self.thread,
+            native: self.native,
+            task_kind: self.task_kind,
+            pending_op: self.pending_op,
+            pending_reply: self.pending_reply,
+            parked_at: self.parked_at,
+            run: self.run,
+            journey: self.journey,
+        }
+    }
 }
 
 /// An inter-shard message in wire form — the public mirror of the
@@ -457,12 +457,12 @@ impl WireEnvelope {
 /// BarrierRelease), with the context rebuilt through a task registry
 /// on the receiving side. Shard ids are **global** (cluster-wide);
 /// routing a message to the node owning its destination shard is the
-/// transport layer's job (`em2-net`).
+/// transport layer's job (`em2-net`). `B` is the envelope's.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireMsg {
+pub enum WireMsg<B = Vec<u8>> {
     /// A context arrives: a migration, an eviction return, or task
     /// seeding.
-    Arrive(WireEnvelope),
+    Arrive(WireEnvelope<B>),
     /// Word-granular remote access request (`write: Some(v)` stores).
     Request {
         /// Word address.
@@ -529,21 +529,31 @@ impl WireMsg {
         b
     }
 
-    /// Decode one message, requiring the input to be exactly one
-    /// message (no trailing bytes). Never panics.
+    /// [`WireMsg::view`] plus the owning copy: same checks, same errors.
     pub fn decode(bytes: &[u8]) -> Result<WireMsg, WireError> {
+        WireMsg::view(bytes).map(WireMsg::into_owned)
+    }
+}
+
+impl<'a> WireMsg<&'a [u8]> {
+    /// Decode one message in place: its byte strings borrow `bytes`,
+    /// which must be exactly one message (no trailing bytes). Never
+    /// panics. Inlined, as are the decoders it calls: out of line, each
+    /// moved its large result through memory (a continuation: 75 → 25 ns).
+    #[inline]
+    pub fn view(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Cursor::new(bytes);
-        let msg = WireMsg::decode_from(&mut r)?;
+        let msg = Self::view_from(&mut r)?;
         r.finish()?;
         Ok(msg)
     }
 
-    /// Decode one message from a shared cursor, leaving any trailing
-    /// bytes for the caller (used when messages are embedded inside a
-    /// larger payload, e.g. a [`FrozenShard`]'s drained mailbox).
-    fn decode_from(r: &mut Cursor<'_>) -> Result<WireMsg, WireError> {
+    /// [`WireMsg::view`] from a shared cursor, leaving any trailing
+    /// bytes for the caller (a [`FrozenShard`]'s drained mailbox).
+    #[inline]
+    fn view_from(r: &mut Cursor<'a>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
-            0 => WireMsg::Arrive(WireEnvelope::decode(r)?),
+            0 => WireMsg::Arrive(WireEnvelope::view(r)?),
             1 => WireMsg::Request {
                 addr: r.var()?,
                 write: r.flag("option<write>")?.then(|| r.u64()).transpose()?,
@@ -559,13 +569,23 @@ impl WireMsg {
         })
     }
 
-    /// The serialized task-context bytes this message carries (an
-    /// [`WireMsg::Arrive`]'s payload) — the "context bytes on the
-    /// wire" telemetry `em2-net` accounts per link.
-    pub fn context_payload_len(&self) -> usize {
+    /// The owning copy: an envelope's byte strings are copied out.
+    pub fn into_owned(self) -> WireMsg {
         match self {
-            WireMsg::Arrive(env) => env.task_ctx.len(),
-            _ => 0,
+            WireMsg::Arrive(env) => WireMsg::Arrive(env.into_owned()),
+            WireMsg::Request {
+                addr,
+                write,
+                reply_shard,
+                token,
+            } => WireMsg::Request {
+                addr,
+                write,
+                reply_shard,
+                token,
+            },
+            WireMsg::Response { token, value } => WireMsg::Response { token, value },
+            WireMsg::BarrierRelease { idx } => WireMsg::BarrierRelease { idx },
         }
     }
 }
@@ -651,10 +671,11 @@ impl FrozenShard {
         b
     }
 
-    /// Decode one frozen shard from a cursor. Never panics; every list
-    /// is read with [`Cursor::list`], so an absurd count fails on
-    /// truncation instead of attempting the allocation.
-    fn decode_from(r: &mut Cursor<'_>) -> Result<Self, WireError> {
+    /// Decode from a standalone buffer, requiring exact consumption.
+    /// Never panics: every list is a [`Cursor::list`], so an absurd
+    /// count fails on truncation, not on the allocation.
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut r = Cursor::new(bytes);
         let ver = r.u8()?;
         if ver != WIRE_VERSION {
             return Err(WireError::Version {
@@ -663,24 +684,19 @@ impl FrozenShard {
             });
         }
         // Fields in wire order (`stalled` precedes `awaiting`).
-        Ok(FrozenShard {
+        let env = |r: &mut Cursor<'_>| WireEnvelope::view(r).map(WireEnvelope::into_owned);
+        let f = FrozenShard {
             shard: r.var_as()?,
             clock: r.var()?,
             heap: r.list(|r| Ok::<_, CodecError>((r.var()?, r.u64()?)))?,
             natives: r.list(Cursor::var_as)?,
             guests: r.list(|r| Ok::<_, CodecError>((r.var_as()?, r.flag("pinned")?, r.var()?)))?,
-            runq: r.list(WireEnvelope::decode)?,
-            parked: r.list(WireEnvelope::decode)?,
-            stalled: r.list(WireEnvelope::decode)?,
-            awaiting: r.list(WireEnvelope::decode)?,
-            mailbox: r.list(WireMsg::decode_from)?,
-        })
-    }
-
-    /// Decode from a standalone buffer, requiring exact consumption.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Cursor::new(bytes);
-        let f = FrozenShard::decode_from(&mut r)?;
+            runq: r.list(env)?,
+            parked: r.list(env)?,
+            stalled: r.list(env)?,
+            awaiting: r.list(env)?,
+            mailbox: r.list(|r| WireMsg::view_from(r).map(WireMsg::into_owned))?,
+        };
         r.finish()?;
         Ok(f)
     }
@@ -755,6 +771,20 @@ mod tests {
             let bytes = m.encode();
             assert_eq!(WireMsg::decode(&bytes).expect("round trip"), m);
         }
+    }
+
+    #[test]
+    fn a_view_borrows_its_byte_strings_and_its_copy_is_the_message() {
+        let m = WireMsg::Arrive(sample_envelope());
+        let bytes = m.encode();
+        let view = WireMsg::view(&bytes).expect("decodes");
+        let WireMsg::Arrive(env) = &view else {
+            unreachable!("an arrival")
+        };
+        for s in [env.task_ctx, env.scheme_state] {
+            assert!(bytes.as_ptr_range().contains(&s.as_ptr()), "in place");
+        }
+        assert_eq!(view.into_owned(), m);
     }
 
     /// The envelope's presence byte has four bits; any byte with a
@@ -909,12 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn journey_bytes_do_not_count_as_context_payload() {
-        let m = WireMsg::Arrive(sample_envelope());
-        assert_eq!(m.context_payload_len(), 5, "task_ctx only");
-    }
-
-    #[test]
     fn oversized_journey_length_is_typed() {
         let mut bytes = WireMsg::Arrive(WireEnvelope {
             journey: Journey::default(),
@@ -1055,6 +1079,7 @@ mod tests {
                     value: Some(7),
                 },
                 WireMsg::BarrierRelease { idx: 0 },
+                WireMsg::Arrive(sample_envelope()),
             ],
         }
     }

@@ -1,8 +1,9 @@
 //! Property tests for the wire codec (`em2_rt::wire`): arbitrary
 //! messages round trip bit-exactly, and arbitrary *garbage* —
 //! truncations, mutations, random bytes — decodes to a typed error,
-//! never a panic. Plus the `context_len` honesty property for the
-//! shipped task types.
+//! never a panic, and the same one in place ([`WireMsg::view`]) as
+//! owned. Plus the `context_len` honesty property for the shipped task
+//! types.
 
 use em2_model::bytes::CodecError;
 use em2_model::ThreadId;
@@ -72,6 +73,14 @@ fn build_msg(
     }
 }
 
+/// `bytes` through both decoders: the view's owning copy must be the
+/// owned decode, and a refusal the same typed error.
+fn decode_both(bytes: &[u8]) -> Result<WireMsg, WireError> {
+    let owned = WireMsg::decode(bytes);
+    assert_eq!(WireMsg::view(bytes).map(WireMsg::into_owned), owned);
+    owned
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -109,7 +118,7 @@ proptest! {
             // exactly as it would the whole message, and runs out.
             prop_assert!(
                 matches!(
-                    WireMsg::decode(&bytes[..cut]),
+                    decode_both(&bytes[..cut]),
                     Err(WireError::Codec(CodecError::Truncated { .. }))
                 ),
                 "cut {}",
@@ -192,7 +201,7 @@ proptest! {
         // Either a typed error or a (different but well-formed)
         // message — the decoder's job is only to never panic and
         // never over-read.
-        let _ = WireMsg::decode(&bytes);
+        let _ = decode_both(&bytes);
     }
 
     #[test]
@@ -211,7 +220,7 @@ proptest! {
         let mut bytes = msg.encode();
         let pos = (pos_seed % bytes.len() as u64) as usize;
         bytes[pos] = byte;
-        if let Ok(back) = WireMsg::decode(&bytes) {
+        if let Ok(back) = decode_both(&bytes) {
             prop_assert_eq!(back.encode(), bytes);
         }
     }
@@ -220,7 +229,7 @@ proptest! {
     fn random_garbage_never_panics(
         bytes in prop::collection::vec(any::<u8>(), 0..300),
     ) {
-        let _ = WireMsg::decode(&bytes);
+        let _ = decode_both(&bytes);
     }
 
     #[test]
