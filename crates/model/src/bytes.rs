@@ -218,17 +218,22 @@ impl<'a> Cursor<'a> {
     #[inline(never)]
     fn long_var(&mut self) -> Result<u64, CodecError> {
         let offset = self.at;
-        let bad = |why| Err(CodecError::BadVarint { offset, why });
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.u8()?;
             if shift == 63 && b > 1 {
-                return bad("does not fit a u64");
+                return Err(CodecError::BadVarint {
+                    offset,
+                    why: "does not fit a u64",
+                });
             }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 if b == 0 && shift > 0 {
-                    return bad("not the shortest encoding");
+                    return Err(CodecError::BadVarint {
+                        offset,
+                        why: "not the shortest encoding",
+                    });
                 }
                 return Ok(v);
             }

@@ -4,49 +4,63 @@
 //! A [`NodeRuntime`] wraps one `em2-rt` [`Runtime`] owning this
 //! process's shard range and wires it to its peers:
 //!
-//! * **Connections.** Node `j` dials every `i < j` (jittered
-//!   exponential backoff inside the spec's connect budget, so nodes come
-//!   up in any order) and opens with `Hello{node, wire_version,
-//!   topology_digest}`; the acceptor verifies and answers `HelloAck`. A
-//!   version or topology mismatch refuses the connection: processes
-//!   that disagree on shard ownership never exchange a shard message.
-//! * **Routing.** A message for a shard the runtime does not own goes to
-//!   [`em2_rt::NodeLink::forward`], which looks the owner up in the
-//!   epoch-versioned [`em2_rt::ShardDirectory`], wraps the message in
-//!   [`NetMsg::Shard`] stamped with our epoch, and pushes it onto the
-//!   owner's **egress lane** (`em2_rt::mpsc`, one leaf lock): a worker
-//!   never touches a socket. One **writer thread per peer** takes a
-//!   bounded window from the lane, numbers it in queue order, encodes it
-//!   into one reusable buffer, writes it with one
-//!   [`crate::transport::FrameTx::send_batch`], and sends heartbeats
-//!   when idle (DESIGN.md §11). One **reader thread per peer** decodes
-//!   each frame in place and hands it to [`em2_rt::RemoteInbox`] — the
-//!   executor's own mailbox/waker seam.
-//! * **The control plane.** Every *decision* — node 0's barriers,
-//!   completion accounting and quiesce (§9); **live shard handoffs**
-//!   (`Prepare → Freeze → Transfer → Commit`, each commit bumping the
-//!   directory **epoch**); the epoch fence that buffers, parks, bounces
-//!   or re-routes a frame for a shard in motion (§13); the run and
-//!   handoff deadlines — is one sans-IO state machine, `control.rs`'s
-//!   `Control::on(Event) -> Actions`, behind one lock. Readers feed it
-//!   every frame their fast path (run traffic for a shard we own) does
-//!   not consume, workers feed it barrier arrivals and retirements, a
-//!   parked ticker feeds it time, and `Links::control` performs what it
-//!   decides.
-//! * **Failure.** Nothing here panics or hangs on a sick cluster (§10).
-//!   The first failure a node observes — a dead send, an EOF without a
-//!   goodbye, a checksum or sequence-gap error, a heartbeat or control
-//!   deadline — is recorded as a typed [`ClusterError`], the local
-//!   workers are drained ([`em2_rt::RemoteInbox::begin_shutdown`]), an
-//!   [`NetMsg::Abort`] is propagated (via the coordinator), and
-//!   [`NodeRuntime::finish`] returns `Err`, never unconverged counters.
+//! * **Connections.** Every node listens on its spec address; node `j`
+//!   dials every `i < j` (with jittered exponential backoff inside the
+//!   spec's connect budget — nodes come up in any order) and opens
+//!   with `Hello{node, wire_version, topology_digest}`; the acceptor
+//!   verifies and answers `HelloAck`. Version or topology mismatch
+//!   refuses the connection — two processes that disagree on shard
+//!   ownership must not exchange a single shard message.
+//! * **Routing.** The runtime hands any message addressed to a shard
+//!   it does not own to [`em2_rt::NodeLink::forward`]; the link looks
+//!   the current owner up in the epoch-versioned
+//!   [`em2_rt::ShardDirectory`], wraps the message
+//!   in [`NetMsg::Shard`] (stamped with the sender's epoch) and pushes
+//!   it onto the owner peer's **egress lane** (`em2_rt::mpsc`: one
+//!   short leaf lock around the queue and the writer's wake flag) —
+//!   the shard worker never touches a socket or waits on a slow peer.
+//!   One **writer thread per peer** moves a bounded window out of that
+//!   lane under one lock, assigns sequence numbers in queue order,
+//!   encodes the window straight into its one reusable flush
+//!   buffer and writes it with a single
+//!   [`crate::transport::FrameTx::send_batch`], and absorbs the
+//!   heartbeat timer into its idle loop (DESIGN.md §11). One **reader
+//!   thread per peer** decodes frames in place and injects them through
+//!   [`em2_rt::RemoteInbox`] — the executor's ordinary mailbox/waker
+//!   seam; the workers never know a message crossed a process.
+//! * **The control plane.** Everything that is a *decision* — node 0
+//!   coordinating barriers, completion accounting and the cluster-wide
+//!   quiesce (DESIGN.md §9); **live shard handoffs** (`Prepare →
+//!   Freeze → Transfer → Commit`, one at a time, each commit bumping
+//!   the directory **epoch**); the epoch fence that buffers, parks,
+//!   bounces or re-routes an in-flight frame for a shard in motion so
+//!   that stale frames are never silently applied (DESIGN.md §13); the
+//!   run and handoff deadlines — is one sans-IO state machine,
+//!   `control.rs`: `Control::on(Event) -> Actions` behind one lock.
+//!   The threads here are its drivers: readers feed it every frame
+//!   their fast path (run traffic for a shard we own) does
+//!   not consume, workers feed it barrier arrivals and retirements,
+//!   one parked ticker feeds it time, and `Links::control` performs
+//!   what it decides — sends, deliveries, [`em2_rt::RemoteInbox`]
+//!   freezes and installs, failures.
+//! * **Failure.** Nothing in this module panics or hangs on a sick
+//!   cluster (DESIGN.md §10). The first failure a node observes — a
+//!   dead send, an EOF without the protocol's goodbye, a checksum or
+//!   sequence-gap decode error, a heartbeat deadline, a control-plane
+//!   deadline — is recorded as a typed [`ClusterError`] in the node's
+//!   failure slot, the local workers are woken and drained through
+//!   [`em2_rt::RemoteInbox::begin_shutdown`], an [`NetMsg::Abort`] is
+//!   propagated (to the coordinator, which rebroadcasts), and
+//!   [`NodeRuntime::finish`] returns `Err` instead of counters that
+//!   never converged.
 //!
-//! Counter exactness: decisions, counters and run histograms are
-//! per-thread program-order functions (DESIGN.md §7), and distribution
-//! changes only *where* an access executes, so the nodes' summed
-//! [`em2_rt::RtReport`] counters reproduce the single-process run
-//! bit-for-bit — pinned over loopback, UDS and TCP in `crates/net/tests`,
-//! and under benign injected faults in `chaos.rs`.
+//! Counter exactness: decisions, counters, and run histograms are
+//! per-thread program-order functions (DESIGN.md §7); distribution
+//! changes only *where* each access executes, so summing the nodes'
+//! [`em2_rt::RtReport`] counters reproduces the single-process run
+//! bit-for-bit — `crates/net/tests` pins this for loopback, UDS, and
+//! TCP, and `crates/net/tests/chaos.rs` pins that it *stays* true
+//! under benign injected faults (delays, duplicates).
 
 use crate::cluster::ClusterSpec;
 use crate::control::{Action, Control, Event, Note};
@@ -75,18 +89,23 @@ const COALESCE_FRAMES: usize = 64;
 /// must not buffer tens of MiB before the first byte moves).
 const COALESCE_BYTES: usize = 256 << 10;
 
-/// One node's wire telemetry. Each count is plain memory of the thread
-/// that counts it — a writer its edge's egress, a reader its ingress —
-/// handed back through its `JoinHandle` and summed by `finish()`:
-/// nothing on the data path touches a shared counter (DESIGN.md §11).
+/// One node's wire telemetry. Every count is kept as plain memory by
+/// the thread that counts it — a writer its edge's egress, a reader its
+/// edge's ingress — handed back through that thread's `JoinHandle`, and
+/// summed by `finish()`: nothing on the data path touches a shared
+/// counter (DESIGN.md §11).
 ///
-/// `frames_tx`/`bytes_tx` and their rx twins **exclude** control frames
-/// (heartbeats, aborts, goodbyes), so fault-free frame counts are the
-/// same with heartbeats on or off (byte counts up to the sequence
-/// varints a control frame shifted); `frames_tx_total`/`bytes_tx_total`
-/// count every frame after the handshake — the honest egress ledger.
-/// `flushes_tx` and `egress_hwm` depend on scheduling, like wall clock:
-/// telemetry, never part of an agreement check.
+/// In `frames_tx`/`bytes_tx` (and their rx twins), control frames
+/// (heartbeats, aborts, goodbyes) are **excluded** so the fault-free
+/// frame counters are identical whether or not heartbeats run (the byte
+/// counters too, up to the width of the sequence varints a heartbeat
+/// shifted: a frame's size depends on its sequence number, and control
+/// frames take sequence slots); `frames_tx_total`/`bytes_tx_total`
+/// count every frame written after the handshake, control included —
+/// the honest egress ledger. `flushes_tx` and `egress_hwm` are
+/// timing-dependent (like wall clock): how frames pack into flushes and
+/// how deep queues get depends on scheduling, so they are telemetry,
+/// never part of an agreement check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireSnapshot {
     /// Frames sent to peers (control frames excluded).
@@ -543,11 +562,15 @@ impl Links {
     /// us between enqueue and here), otherwise ship it to the owner
     /// stamped with our epoch and the frame's re-route count.
     fn route_shard(&self, to: usize, retries: u32, msg: WireMsg) -> Result<(), ClusterError> {
-        // Epoch *before* owner: `ShardDirectory::install` publishes the
-        // owners first, so the stamp is never newer than the map that
-        // chose the route. The receiver's fence parks a frame stamped
-        // ahead of its map on that proof of a commit it has yet to
-        // install; a stamp newer than any commit would park forever.
+        // Epoch *before* owner: `ShardDirectory::install` publishes
+        // the owners before the epoch, so reading in the opposite
+        // order guarantees the stamp is never newer than the map that
+        // chose the route. The receiver's fence relies on that: a
+        // stamp ahead of the receiver's map then proves a committed
+        // epoch the receiver has not installed yet, so the receiver
+        // can safely park the frame until that `EpochUpdate` lands —
+        // a stamp newer than any real commit would make it park on an
+        // update that never arrives.
         let epoch = self.directory.epoch();
         let owner = self.directory.owner_of(to) as usize;
         if owner == self.me {
@@ -568,11 +591,14 @@ impl Links {
 
 impl NodeLink for Links {
     fn forward(&self, to_shard: usize, retries: u32, msg: WireMsg) {
-        // A dead connection is the owner's writer's discovery; the
-        // worker sees the failure flag on its next poll. If ownership
-        // flipped back toward us since the runtime's check, route_shard
-        // delivers locally, keeping the frame's re-route count (0 for
-        // our own sends) so the bounce budget survives the local hop.
+        // A dead connection is discovered (and recorded) by the owner
+        // peer's writer; the worker notices the failure flag on its
+        // next poll. Ownership may have flipped back toward us between
+        // the runtime's check and here — route_shard delivers locally
+        // in that case instead of bouncing off a confused peer. The
+        // runtime passes through the re-route count of the frame it
+        // was delivering (0 for its own sends), so the bounce budget
+        // survives the local hop.
         if let Err(e) = self.route_shard(to_shard, retries, msg) {
             self.fail(e);
         }
@@ -730,9 +756,10 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
             wire.bytes_rx += frame.len() as u64;
         }
         match view {
-            NetView::Shard(to, _, retries, msg)
-                if (to as usize) < links.spec.total_shards
-                    && links.directory.owner_of(to as usize) as usize == links.me =>
+            NetView::Shard {
+                to, retries, msg, ..
+            } if (to as usize) < links.spec.total_shards
+                && links.directory.owner_of(to as usize) as usize == links.me =>
             {
                 if let Err(e) = links.deliver(from_node, to as usize, retries, msg, received) {
                     links.fail(e);
@@ -770,24 +797,29 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
 ///
 /// Each wakeup moves up to [`COALESCE_FRAMES`] frames out of the FIFO
 /// under one lock (an Abort, pushed at the head, leads its window),
-/// encodes each into the edge's one reusable [`FrameBatch`], and writes
-/// the window as **one flush** ([`FrameTx::send_batch`]; a window past
-/// [`COALESCE_BYTES`] flushes early). An empty lane parks the writer
-/// with a bounded tick: it keeps an idle edge warm every `heartbeat_ms`
-/// and declares the peer lost after `peer_deadline_ms` of silence. The
-/// [`EgressItem::Close`] sentinel (pushed by `finish` after the last
-/// data frame) drains the FIFO, appends [`NetMsg::Bye`] on a clean run,
-/// flushes, closes, and exits — Bye stays last on the wire.
+/// encodes each straight into the edge's one reusable [`FrameBatch`],
+/// and writes the window as **one flush** ([`FrameTx::send_batch`]: on
+/// a stream transport, one `write` — a window that outgrows
+/// [`COALESCE_BYTES`] flushes early). When the lane goes empty the
+/// writer parks with a bounded tick and absorbs the old heartbeat
+/// thread's job: keep an idle edge warm every `heartbeat_ms` and
+/// declare the peer lost after `peer_deadline_ms` of receive silence. The [`EgressItem::Close`] sentinel (pushed by
+/// `finish` after the last data frame) drains the FIFO, appends
+/// [`NetMsg::Bye`] on a clean run, flushes, closes, and exits — Bye
+/// stays last on the wire.
 fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapshot {
     let peer = links.peer(node);
     let _ = peer.writer.set(std::thread::current());
     // This edge's timing-plane handle (`None` when obs is off).
     let pobs = links.obs.get().map(|o| o.register_peer(node as u64));
-    // Every flush on this edge: one write and one clock read, then what
-    // is per flush rather than per frame — the flush count, `queued`
-    // (the lane's depth when this window opened) against the egress
-    // high-water mark, the heartbeat clock and (obs on) the latency of
-    // `send_batch` alone. What a failed write means is the caller's.
+    // Every flush on this edge: one
+    // write and one clock read behind it, then everything that is per
+    // flush rather than per frame — the flush count, `queued` (how deep
+    // `take` found the lane when this window opened) against the
+    // egress high-water mark, the heartbeat clock and (obs on) the
+    // latency, which spans `send_batch` and nothing else: the exact
+    // syscall cost the batch pays. What a failed write means is the
+    // caller's policy.
     let flush = |c: &mut dyn FrameTx,
                  batch: &FrameBatch,
                  tx: &mut Egress,
@@ -956,12 +988,12 @@ fn stage(links: &Links, node: usize, msg: &NetMsg, batch: &mut FrameBatch, tx: &
         tx.wire.bytes_tx += len;
     }
     if let NetMsg::Shard {
-        msg: WireMsg::Arrive(env),
+        msg: arrive @ WireMsg::Arrive(_),
         ..
     } = msg
     {
         tx.wire.arrives_tx += 1;
-        tx.wire.context_bytes_tx += env.task_ctx.len() as u64;
+        tx.wire.context_bytes_tx += arrive.context_payload_len() as u64;
     }
 }
 

@@ -1,34 +1,41 @@
 //! The node-to-node control protocol.
 //!
 //! Every frame a cluster connection carries is one [`NetMsg`]:
-//! `[u8 PROTO_VERSION][u32 check][var seq][u8 tag][fields]`, on the
-//! runtime wire codec's cursor primitives (`em2_rt::wire`), so every
-//! decoder fails with the same typed errors and never panics. Version
-//! and check sit at fixed offsets: the version byte is the frame's one
-//! sentinel (a peer of another version, a magic-led v5 frame among
-//! them, is refused before anything else is parsed), and the encoder
-//! patches the check in place. Ids, counters and lengths are LEB128
-//! varints; hashes are fixed-width little-endian. Two header fields
+//! `[u8 PROTO_VERSION][u32 check][var seq][u8 tag][fields]`, built on
+//! the same cursor primitives as the runtime's wire codec
+//! (`em2_rt::wire`) so every decoder fails with the same typed errors
+//! and never panics. Version and check sit at fixed offsets: the
+//! version byte is the frame's one sentinel (a peer of another version,
+//! a magic-led v5 frame among them, is refused before anything else is
+//! parsed), and the encoder patches the check in place. Identifiers,
+//! counters and lengths are LEB128 varints; hashes (the check, the
+//! topology digest) are fixed-width little-endian. Two header fields
 //! exist purely for failure detection (DESIGN.md §10):
 //!
-//! * **`seq`** — a per-connection, per-direction frame counter from 0
-//!   (the handshake). The receiver drops a frame whose sequence it has
-//!   already consumed (a *duplicate* is invisible to the runtime, which
-//!   keeps E12's bit-equal sum under duplicate faults) and takes a
-//!   forward jump as proof of loss — a typed error when the *next*
-//!   frame (or a heartbeat) lands, not a silent stall.
-//! * **`check`** — a 64-bit multiply-xorshift hash over the sequence,
-//!   the body length and the body, eight bytes at a time, folded to 32
-//!   bits (`frame_check`): a mutated byte fails it even where it would
-//!   still parse, so corruption cannot pass as a (wrong) message.
+//! * **`seq`** — a per-connection, per-direction frame counter
+//!   starting at 0 with the handshake frame. The receiver drops any
+//!   frame whose sequence it has already consumed (a *duplicate* is
+//!   invisible to the runtime, which is what keeps the E12 bit-equal
+//!   sum intact under duplicate faults) and treats a forward jump as
+//!   proof of frame loss — a typed error the moment the *next* frame
+//!   (or an idle heartbeat) lands, instead of a silent stall.
+//! * **`check`** — a 64-bit multiply-xorshift hash over the sequence
+//!   number, the body length and the body (`tag ++ fields`) taken
+//!   eight bytes at a time, folded to 32 bits (`frame_check`). A
+//!   mutated byte anywhere in the payload fails the checksum even when
+//!   the mutated bytes would still parse, so corruption cannot
+//!   masquerade as a valid (wrong) message.
 //!
-//! A [`NetMsg::Shard`] embeds a [`WireMsg`] (in the wire version the
-//! connection's `Hello` stated) that the transport only routes; the
-//! rest is membership, barriers, completion accounting and failure
-//! control (DESIGN.md §9–§10). [`NetMsg::view`] decodes in place: a
-//! `Shard` frame's message borrows the receive buffer ([`NetView`]), so
-//! a reader delivers a migrated continuation without copying it, and
-//! [`NetMsg::decode`] is that view plus its owning copy.
+//! A [`NetMsg::Shard`] embeds a full [`WireMsg`] (its layout version is
+//! the one the connection's `Hello` stated) — the transport layer is a
+//! dumb router for those; everything else is membership, barriers,
+//! completion accounting, and the failure-control plane
+//! ([`NetMsg::Heartbeat`], [`NetMsg::Abort`], [`NetMsg::Bye`]) — see
+//! the node lifecycle state machine in DESIGN.md §9–§10.
+//! [`NetMsg::view`] decodes in place: a `Shard` frame's message borrows
+//! the receive buffer ([`NetView`]), so a reader delivers a migrated
+//! continuation without copying it; [`NetMsg::decode`] is that view
+//! plus its owning copy.
 
 use em2_model::bytes::CodecError;
 use em2_rt::wire::{put_u64, put_var, put_var_bytes, Cursor, FrozenShard, WireError, WireMsg};
@@ -78,10 +85,15 @@ pub enum NetMsg {
         /// Destination shard (global id; the receiver re-checks
         /// ownership against its live directory, not the static spec).
         to: u32,
-        /// The sender's directory epoch when it routed the frame, never
-        /// newer than the map that chose the route: a receiver that
-        /// neither owns nor expects `to` bounces the frame or parks it
-        /// by it (the fence in `control.rs`).
+        /// The sender's directory epoch when it routed the frame —
+        /// never newer than the map that chose the route (the sender
+        /// reads the epoch first; installs publish owners first). A
+        /// receiver that neither owns nor expects `to` uses it to
+        /// decide who is stale: a stamp at or behind its map means
+        /// the sender routed by an old world (bounce the frame back
+        /// for re-route); a stamp ahead of its map proves a commit
+        /// the receiver has not installed yet, so it parks the frame
+        /// and re-routes when that `EpochUpdate` lands.
         epoch: u64,
         /// How many times ownership movement has already re-routed
         /// this frame; capped by the node's bounce budget.
@@ -192,9 +204,16 @@ pub enum NetMsg {
         /// The shard the original frame targeted.
         to: u32,
         /// The refusing node's directory epoch at refusal, read next
-        /// to its ownership check: the sender parks the frame only when
-        /// this proves a future `EpochUpdate` will drain it, and
-        /// re-routes otherwise (`control.rs`'s `bounced` has the rule).
+        /// to its ownership check. The sender parks the frame only
+        /// when this proves a future `EpochUpdate` will drain it:
+        /// either the stamp is ahead of the sender's map (the sender
+        /// is behind; the catch-up broadcast is in flight), or it is
+        /// equal while the sender's map names the bouncing node (the
+        /// refusal can then only come from an uncommitted freeze, so
+        /// a commit is pending). Anything else — in particular a
+        /// bounce older than the sender's map — re-routes instead: a
+        /// shard can return to a previous owner, so "my map still
+        /// names the bouncer" alone proves nothing about the future.
         epoch: u64,
         /// Re-routes already consumed (the receiver increments before
         /// forwarding; exceeding the bounce budget fails typed).
@@ -208,8 +227,17 @@ pub enum NetMsg {
 /// message kind borrows the receive buffer; the rest are decoded owned.
 #[derive(Debug)]
 pub enum NetView<'a> {
-    /// A [`NetMsg::Shard`]'s `(to, epoch, retries, msg)`, `msg` a view.
-    Shard(u32, u64, u32, WireMsg<&'a [u8]>),
+    /// A [`NetMsg::Shard`], its runtime message a view.
+    Shard {
+        /// [`NetMsg::Shard`]'s `to`.
+        to: u32,
+        /// [`NetMsg::Shard`]'s `epoch`.
+        epoch: u64,
+        /// [`NetMsg::Shard`]'s `retries`.
+        retries: u32,
+        /// The runtime message, borrowing the frame.
+        msg: WireMsg<&'a [u8]>,
+    },
     /// Any other message.
     Msg(NetMsg),
 }
@@ -218,7 +246,12 @@ impl NetView<'_> {
     /// The owning copy ([`WireMsg::into_owned`]).
     pub fn into_owned(self) -> NetMsg {
         match self {
-            NetView::Shard(to, epoch, retries, msg) => NetMsg::Shard {
+            NetView::Shard {
+                to,
+                epoch,
+                retries,
+                msg,
+            } => NetMsg::Shard {
                 to,
                 epoch,
                 retries,
@@ -233,17 +266,20 @@ impl NetView<'_> {
 /// `body.len()`, then the body as little-endian 8-byte lanes (the last
 /// one zero-padded), and is folded to 32 bits.
 ///
-/// Absorbing a lane is `h ← xorshift((h ^ lane) · K)` with `K` odd;
-/// xor, multiplication by an odd number modulo 2⁶⁴ and `x ^ (x >> 29)`
-/// are bijections on `u64`, so for a fixed lane the step permutes the
-/// state. Equal-length inputs differing in one lane enter it with equal
-/// states, leave with different ones and stay different through every
-/// later lane: any fault confined to eight aligned bytes — every
-/// single-byte one — changes the 64-bit state with certainty. The
-/// length lane keeps zero-padding honest. Only the final fold (the high
-/// half of one more multiplication) can collide, 1 in 2³² for a random
-/// pair; `every_single_bit_flip_is_detected` checks every single-byte
-/// fault of every message kind.
+/// Absorbing a lane is `h ← xorshift((h ^ lane) · K)` with `K` odd:
+/// xor with a constant, multiplication by an odd number modulo 2⁶⁴ and
+/// `x ^ (x >> 29)` are each a bijection on `u64`, so for a fixed lane
+/// the step permutes the state. Two inputs of equal length that differ
+/// in exactly one lane therefore enter that lane with equal states,
+/// leave it with different ones, and stay different through every later
+/// (identical) lane: any mutation confined to eight aligned bytes —
+/// every single-byte or single-bit fault — changes the 64-bit state
+/// with certainty. The length lane keeps zero-padding honest (a body
+/// and the same body plus trailing zero bytes pad to the same lanes but
+/// differ in length). Only the final fold, the high half of one more
+/// multiplication (which depends on every state bit), can collide: 1 in
+/// 2³² for a random pair, and `every_single_bit_flip_is_detected`
+/// checks all single-byte faults of every message kind exhaustively.
 fn frame_check(seq: u64, body: &[u8]) -> u32 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     let absorb = |h: u64, lane: u64| {
@@ -320,15 +356,8 @@ impl NetMsg {
                 epoch,
                 retries,
                 msg,
-            }
-            | NetMsg::Bounce {
-                to,
-                epoch,
-                retries,
-                msg,
             } => {
-                let bounce = matches!(self, NetMsg::Bounce { .. });
-                body.push(if bounce { 17 } else { 2 });
+                body.push(2);
                 var32(body, *to);
                 put_var(body, *epoch);
                 var32(body, *retries);
@@ -388,6 +417,18 @@ impl NetMsg {
                     var32(body, o);
                 }
             }
+            NetMsg::Bounce {
+                to,
+                epoch,
+                retries,
+                msg,
+            } => {
+                body.push(17);
+                var32(body, *to);
+                put_var(body, *epoch);
+                var32(body, *retries);
+                msg.encode_into(body);
+            }
         }
     }
 
@@ -434,9 +475,13 @@ impl NetMsg {
             // Fields in wire order; an embedded WireMsg or frozen state
             // consumes the rest of the frame.
             2 => {
-                let (to, epoch, retries) = (r.var_as()?, r.var()?, r.var_as()?);
-                let msg = WireMsg::view(r.rest())?;
-                return Ok((seq, NetView::Shard(to, epoch, retries, msg)));
+                let view = NetView::Shard {
+                    to: r.var_as()?,
+                    epoch: r.var()?,
+                    retries: r.var_as()?,
+                    msg: WireMsg::view(r.rest())?,
+                };
+                return Ok((seq, view));
             }
             3 => NetMsg::BarrierArrive { k: r.var_as()? },
             4 => NetMsg::BarrierRelease { k: r.var_as()? },
@@ -494,11 +539,14 @@ impl NetMsg {
     }
 
     /// Whether this message is failure-control or membership plumbing
-    /// (heartbeats, aborts, goodbyes, the handoff family), not run
-    /// traffic. Wire telemetry excludes control frames, so fault-free
-    /// frame counts do not depend on heartbeats or live handoffs (their
-    /// sequence numbers can still widen a later frame's varint;
-    /// byte-exact comparisons run with heartbeats off, the default).
+    /// (heartbeats, aborts, goodbyes, the handoff family) rather than
+    /// run traffic. Control frames are excluded from wire telemetry so
+    /// fault-free frame counts stay exactly reproducible whether or not
+    /// heartbeats are enabled — and so a run with live handoffs keeps
+    /// telemetry comparable to one without. (They still take sequence
+    /// numbers, so the *bytes* of the data frames behind one can differ
+    /// by a sequence varint's width; byte-exact comparisons run with
+    /// heartbeats off, the default.)
     pub fn is_control(&self) -> bool {
         matches!(
             self,
@@ -678,7 +726,14 @@ mod tests {
     fn decode_both(frame: &[u8]) -> Result<(u64, NetMsg), WireError> {
         let owned = NetMsg::decode(frame);
         let view = NetMsg::view(frame);
-        if let Ok((_, NetView::Shard(_, _, _, WireMsg::Arrive(env)))) = &view {
+        if let Ok((
+            _,
+            NetView::Shard {
+                msg: WireMsg::Arrive(env),
+                ..
+            },
+        )) = &view
+        {
             let ctx = env.task_ctx;
             assert!(ctx.is_empty() || frame.as_ptr_range().contains(&ctx.as_ptr()));
         }

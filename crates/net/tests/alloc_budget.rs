@@ -158,7 +158,11 @@ fn receiving_allocates_only_what_the_rebuilt_envelope_owns() {
                     return 0;
                 }
                 let (got, view) = NetMsg::view(frame).expect("decodes");
-                let NetView::Shard(_, _, _, WireMsg::Arrive(env)) = &view else {
+                let NetView::Shard {
+                    msg: WireMsg::Arrive(env),
+                    ..
+                } = &view
+                else {
                     panic!("frame {seq}: {view:?}")
                 };
                 let ctx = env.task_ctx.as_ptr();

@@ -679,9 +679,9 @@ pub struct RemoteInbox {
 
 impl RemoteInbox {
     /// Rebuild an envelope from its wire form, a view or owned: the
-    /// task through the registry, the scheme through the factory plus
-    /// its shipped state, each parsing its bytes where they lie.
-    /// `arrival` is when the bytes reached this node.
+    /// task through the registry, the decision scheme through the
+    /// factory + its shipped learned state, each parsing its bytes
+    /// where they lie. `arrival` is when its bytes reached this node.
     fn rebuild_envelope<B: AsRef<[u8]>>(
         &self,
         we: crate::wire::WireEnvelope<B>,
@@ -707,17 +707,23 @@ impl RemoteInbox {
         }))
     }
 
-    /// Inject one inter-shard message addressed to global shard `to` —
-    /// a reader passes the view it decoded ([`WireMsg::view`]), so a
-    /// continuation is parsed once, by its task builder, where the
-    /// socket put it — through the mailbox/waker path a local sender
-    /// uses. If ownership of `to` flipped in flight, the send's re-check
-    /// under the mailbox lock forwards it over the link instead (the
-    /// transport's epoch fence has already bounced clearly-stale
-    /// frames), carrying `retries`, the frame's re-route count, so the
-    /// bounce budget survives the local hop. `received` is when the
-    /// message reached this node (one clock read per socket read) and
-    /// becomes a rebuilt envelope's latency epoch.
+    /// Inject one inter-shard message addressed to global shard `to`:
+    /// rebuild arrivals through the task registry and scheme factory,
+    /// then push through the same mailbox/waker path a local sender
+    /// uses. A reader passes the view it decoded ([`WireMsg::view`]):
+    /// a continuation is parsed once, by its task builder, where the
+    /// socket put it. Routing is directory-driven: if ownership of `to`
+    /// flipped in flight, `crate::shard::Shared::send`'s
+    /// re-check under the mailbox lock forwards it over the link instead
+    /// of applying it locally — the caller (the transport layer's epoch
+    /// fence) is expected to have already bounced clearly-stale
+    /// frames. `retries` is the re-route count carried on the frame
+    /// (0 for locally originated messages); it rides along on that
+    /// re-forward so the transport's bounce budget keeps counting
+    /// across the local hop. `received` is when the message reached
+    /// this node — the transport reads the clock once per socket read
+    /// and passes it down, so a batch of arrivals shares one reading —
+    /// and becomes a rebuilt envelope's latency epoch.
     pub fn deliver<B: AsRef<[u8]>>(
         &self,
         to: usize,
@@ -798,11 +804,12 @@ impl RemoteInbox {
     /// the core under its lock, claim ownership in the directory, then
     /// replay the shipped mailbox backlog and schedule the shard.
     /// Returns `Ok(false)` if the runtime already shut down.
-    pub fn install_shard(&self, mut frozen: crate::wire::FrozenShard) -> Result<bool, WireError> {
+    pub fn install_shard(&self, frozen: crate::wire::FrozenShard) -> Result<bool, WireError> {
         let Some(shared) = self.shared.upgrade() else {
             return Ok(false);
         };
         let shard = frozen.shard as usize;
+        let mut frozen = frozen;
         let mailbox = std::mem::take(&mut frozen.mailbox);
         let received = Instant::now();
         {

@@ -65,8 +65,10 @@ pub(crate) struct Envelope {
     pub native: CoreId,
     pub task: Box<dyn Task>,
     /// The thread's decision-scheme instance, carried *in the
-    /// envelope* (see the module doc): `decide`/`observe_run` never
-    /// touch shared state.
+    /// envelope*: it migrates with the task, so `decide`/`observe_run`
+    /// never touch shared state. Every shipped scheme keys its tables
+    /// per thread, so per-thread instances are bit-equal to the
+    /// simulator's single shared instance (DESIGN.md §8).
     pub scheme: Box<dyn DecisionScheme>,
     /// When the task was submitted (or its intended open-loop arrival
     /// time): retirement records `arrival.elapsed()` in the obs
@@ -89,8 +91,11 @@ pub(crate) struct Envelope {
     /// the hot local path extends a run without touching anything
     /// shared; a run *boundary* bins into the shard-local histogram.
     pub run: Option<(CoreId, u64)>,
-    /// The task's migration journey, carried like scheme state
-    /// ([`crate::wire::Journey`] has its rules).
+    /// The task's migration journey: a bounded hop log carried like
+    /// scheme state until it has been dumped into a trace ring, then
+    /// only counted. Recorded and cleared unconditionally (it is wire
+    /// payload, and the deterministic experiments compare wire bytes
+    /// bit-for-bit); only the ring dump itself is obs-gated.
     pub journey: crate::wire::Journey,
 }
 
@@ -601,8 +606,10 @@ impl ShardCore {
     /// Install a frozen shard shipped by the previous owner: the
     /// inverse of [`ShardCore::export_frozen`], with envelopes rebuilt
     /// through `rebuild` (the inbox's registry + scheme factory). The
-    /// caller holds the core lock, then claims the shard and
-    /// re-announces every released barrier, so parked stays parked.
+    /// caller holds the core lock and flips the directory owner after
+    /// this returns; parked envelopes whose barrier released while the
+    /// shard was in transit go straight to the run queue, exactly as a
+    /// barrier-parked arrival does in `activate`.
     pub(crate) fn install_frozen(
         &mut self,
         f: crate::wire::FrozenShard,
@@ -622,8 +629,11 @@ impl ShardCore {
         }
         self.clock = f.clock;
         for we in f.runq {
-            self.runq.push_back(rebuild(we)?);
+            let env = rebuild(we)?;
+            self.runq.push_back(env);
         }
+        // Parked stays parked: the installer re-announces every
+        // released barrier once it has claimed the shard.
         for we in f.parked {
             self.parked.push(rebuild(we)?);
         }
@@ -631,7 +641,8 @@ impl ShardCore {
             self.await_reply(rebuild(we)?);
         }
         for we in f.stalled {
-            self.stalled.push_back(rebuild(we)?);
+            let env = rebuild(we)?;
+            self.stalled.push_back(env);
         }
         self.obs_occupancy();
         Ok(())

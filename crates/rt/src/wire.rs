@@ -1,41 +1,49 @@
 //! The runtime's wire format: `Msg` as versioned bytes.
 //!
 //! Inter-shard messages ([`WireMsg`], mirroring the executor's
-//! internal `Msg`) are what a cross-process transport ships — `em2-net`
-//! frames them onto loopback queues, Unix-domain sockets, or TCP. The
-//! codec is hand-rolled (no serde; see `shims/README.md`) and
-//! deliberately boring; DESIGN.md §9 has the layout table:
+//! internal `Msg`) are what a cross-process transport actually ships —
+//! `em2-net` frames these bytes onto loopback queues, Unix-domain
+//! sockets, or TCP. The codec is hand-rolled (the workspace has no
+//! serde; see `shims/README.md`) and deliberately boring:
 //!
 //! * [`WIRE_VERSION`] is stated once per connection (`em2-net`'s
 //!   handshake) and once per [`FrozenShard`], not per message;
-//! * every variant starts with a one-byte tag, and an envelope's four
-//!   optional fields share one presence byte;
+//! * every variant starts with a one-byte tag;
 //! * identifiers, counters, lengths and addresses are canonical
-//!   **LEB128 varints** ([`put_var`]), one or two bytes apiece. A
-//!   request's **token** is the requesting task's thread id: ids are
+//!   **LEB128 varints** ([`put_var`]): a shard id, a thread id or a run
+//!   length is one or two bytes, not four or eight. A request's
+//!   **token** is the requesting task's thread id: thread ids are
 //!   cluster-unique and a task awaits at most one reply, so the id
 //!   names the waiter, and its width is a function of program order;
 //! * memory *contents* (store values, load replies, heap words) stay
-//!   fixed-width **little-endian** `u64`s: wire byte counts are compared
-//!   bit-for-bit, so a frame's size may depend only on per-thread
-//!   program order, and contents race;
-//! * byte strings are a varint length followed by the bytes; `f64`s
-//!   (scheme predictions) travel as IEEE-754 bits inside the opaque
-//!   scheme state, so a migrated scheme continues **bit-exactly**.
+//!   fixed-width **little-endian** `u64`s. The deterministic
+//!   experiments and the benchmark compare wire byte counts
+//!   bit-for-bit, so a frame's size may depend only on values that are
+//!   functions of per-thread program order, and contents are not
+//!   (accesses race);
+//! * an envelope's four optional fields share one presence byte;
+//! * byte strings are a varint length followed by the bytes;
+//! * `f64`s (decision-scheme predictions) travel as IEEE-754 bits
+//!   inside the opaque scheme state, so a migrated scheme continues
+//!   its EWMA recurrences **bit-exactly** in the destination process.
 //!
-//! Decoding never panics — bad input is a typed [`WireError`]
-//! (`crates/rt/tests/proptest_wire.rs` fuzzes it) — and happens once,
-//! in place: [`WireMsg::view`] borrows a message's byte strings from the
-//! buffer it reads, so a receiving node hands a migrated continuation
-//! to its task builder where the socket put it. [`WireMsg::decode`] and
+//! Decoding never panics: truncated, oversized, or corrupt input
+//! yields a typed [`WireError`] (the fuzz tests in
+//! `crates/rt/tests/proptest_wire.rs` pin this). DESIGN.md §9 has the
+//! full layout table. Decoding happens once, in place:
+//! [`WireMsg::view`] borrows a message's byte strings from the buffer
+//! it reads, so a receiving node hands a migrated continuation to its
+//! task builder where the socket put it. [`WireMsg::decode`] and
 //! [`FrozenShard::decode`] are the same grammar plus the one owning
 //! copy ([`WireMsg::into_owned`]).
 //!
-//! A migrated continuation is a [`WireEnvelope`]: the task's serialized
-//! context ([`crate::Task::context_bytes`]) under a *kind* the
-//! destination's [`crate::TaskRegistry`] resolves, the decision
-//! scheme's learned state, and the runtime bookkeeping that travels
-//! with the task (arrival access, unconsumed reply, barrier park, run).
+//! A migrated continuation is a [`WireEnvelope`]: the task's
+//! serialized context ([`crate::Task::context_bytes`]) plus a task
+//! *kind* tag resolved by the destination's [`crate::TaskRegistry`],
+//! the envelope-carried decision scheme's learned state
+//! ([`em2_core::decision::DecisionScheme::state_bytes`]), and the
+//! runtime bookkeeping that travels with the task (pending arrival
+//! access, unconsumed reply, barrier park, in-progress run).
 
 use em2_core::decision::SchemeStateError;
 use em2_model::bytes::{put_presence, CodecError};
@@ -125,24 +133,32 @@ impl From<SchemeStateError> for WireError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HopCause {
     /// Initial placement at the task's native shard.
-    Submit = 0,
+    Submit,
     /// The decision scheme migrated the computation here.
-    Migrate = 1,
+    Migrate,
     /// A remote access was issued toward this home (the task itself
     /// stayed put; the hop records the access target).
-    Remote = 2,
+    Remote,
 }
 
 impl HopCause {
-    /// The one-byte wire code: the discriminant.
+    /// The one-byte wire code.
     pub fn code(self) -> u8 {
-        self as u8
+        match self {
+            HopCause::Submit => 0,
+            HopCause::Migrate => 1,
+            HopCause::Remote => 2,
+        }
     }
 
     /// Inverse of [`HopCause::code`].
     pub fn from_code(code: u8) -> Option<Self> {
-        use HopCause::*;
-        [Submit, Migrate, Remote].get(usize::from(code)).copied()
+        Some(match code {
+            0 => HopCause::Submit,
+            1 => HopCause::Migrate,
+            2 => HopCause::Remote,
+            _ => return None,
+        })
     }
 }
 
@@ -166,11 +182,12 @@ pub struct JourneyHop {
 pub const JOURNEY_CAP: usize = 16;
 
 /// The bounded per-envelope hop log — a task's migration journey,
-/// carried in the [`WireEnvelope`] across every process boundary
-/// **until handed to a trace ring** (DESIGN.md §14): the admission that
-/// finds it overflowed dumps and clears it, a task retiring first dumps
-/// what it carries, and from then on hops are only counted. Its three
-/// states need no tag:
+/// carried in the [`WireEnvelope`] like scheme state so the path
+/// survives every process boundary, **until it has been handed to a
+/// trace ring** (DESIGN.md §14): the admission that finds the log
+/// overflowed dumps it and clears it, a task that retires first dumps
+/// what it carries, and from then on hops are only counted. A log
+/// travels through three states, none of which needs a tag:
 ///
 /// * *filling* — `dropped == 0`: every hop is recorded;
 /// * *overflowed* — `dropped > 0`, `hops` non-empty: some push found
@@ -178,10 +195,12 @@ pub const JOURNEY_CAP: usize = 16;
 /// * *spilled* — `dropped > 0`, `hops` empty: three bytes on the wire
 ///   where a full log took 67, and nothing to parse or allocate.
 ///
-/// Journeys are recorded, and spilled logs cleared, **unconditionally**:
-/// wire byte counts are compared bit-for-bit, so the encoding must not
-/// depend on the obs plane. Only the ring dump itself is obs-gated.
-/// Journey bytes are no context bytes: those count `task_ctx` only.
+/// Journeys are recorded, and spilled logs cleared, **unconditionally**,
+/// obs plane or not: the deterministic experiments compare wire byte
+/// counts bit-for-bit, so the envelope encoding must not depend on an
+/// observability toggle. Only the ring dump itself is obs-gated.
+/// Journey bytes are excluded from the context-payload accounting
+/// ([`WireMsg::context_payload_len`] stays `task_ctx` only).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journey {
     /// The hops recorded and not yet handed to a trace ring, in order
@@ -249,12 +268,20 @@ impl Journey {
             }
             .into());
         }
-        // A log with hops gets the whole cap now, its one allocation on
-        // this node: the receiving shard's own hop never regrows it. A
-        // spilled log owns no memory.
-        let mut hops = Vec::with_capacity(if n > 0 { JOURNEY_CAP } else { 0 });
+        // A log that carries hops gets room for the whole cap up front:
+        // the receiving shard appends its own hop on admission, and a
+        // log never outgrows the cap, so this is its one allocation on
+        // this node. A spilled log owns no memory.
+        let mut hops = if n > 0 {
+            Vec::with_capacity(JOURNEY_CAP)
+        } else {
+            Vec::new()
+        };
         for _ in 0..n {
-            let (shard, node, epoch, code) = (r.var_as()?, r.var_as()?, r.var()?, r.u8()?);
+            let shard = r.var_as()?;
+            let node = r.var_as()?;
+            let epoch = r.var()?;
+            let code = r.u8()?;
             let cause = HopCause::from_code(code).ok_or(CodecError::BadTag {
                 what: "hop-cause",
                 tag: code,
@@ -532,6 +559,16 @@ impl WireMsg {
     /// [`WireMsg::view`] plus the owning copy: same checks, same errors.
     pub fn decode(bytes: &[u8]) -> Result<WireMsg, WireError> {
         WireMsg::view(bytes).map(WireMsg::into_owned)
+    }
+
+    /// The serialized task-context bytes this message carries (an
+    /// [`WireMsg::Arrive`]'s payload) — the "context bytes on the
+    /// wire" telemetry `em2-net` accounts per link.
+    pub fn context_payload_len(&self) -> usize {
+        match self {
+            WireMsg::Arrive(env) => env.task_ctx.len(),
+            _ => 0,
+        }
     }
 }
 
@@ -936,6 +973,12 @@ mod tests {
                 tag: 3
             }))
         );
+    }
+
+    #[test]
+    fn journey_bytes_do_not_count_as_context_payload() {
+        let m = WireMsg::Arrive(sample_envelope());
+        assert_eq!(m.context_payload_len(), 5, "task_ctx only");
     }
 
     #[test]
