@@ -10,15 +10,45 @@
 use em2_model::ThreadId;
 use em2_trace::FlatWorkload;
 
-/// Barrier bookkeeping: expected arrivals, arrival counts, and parked
-/// threads per barrier index.
+/// Barrier bookkeeping: arrivals against the quotas, and parked threads
+/// per barrier index.
 #[derive(Debug)]
 pub struct Barriers {
     /// Barrier positions per thread (copied from the flat workload).
     per_thread: Vec<Vec<usize>>,
-    expected: Vec<usize>,
-    arrived: Vec<usize>,
+    quotas: Quotas,
     waiting: Vec<Vec<ThreadId>>,
+}
+
+/// Arrivals against per-barrier quotas — the one barrier-opening rule,
+/// held by [`Barriers`] and by the runtime's `em2_rt::RunLedger`.
+#[derive(Debug)]
+pub struct Quotas {
+    quotas: Vec<usize>,
+    arrived: Vec<usize>,
+}
+
+impl Quotas {
+    /// Barrier `k` opens on exactly arrival number `quotas[k]`; a later
+    /// arrival opens nothing.
+    pub fn new(quotas: Vec<usize>) -> Self {
+        Quotas {
+            arrived: vec![0; quotas.len()],
+            quotas,
+        }
+    }
+
+    /// A task arrived at barrier `k`. `true`: this arrival opens it.
+    ///
+    /// # Panics
+    /// Panics if `k` has no quota or a zero quota (which no arrival
+    /// could meet — failing loudly beats parking the arriver forever).
+    pub fn arrive(&mut self, k: usize) -> bool {
+        assert!(k < self.quotas.len(), "barrier {k} has no quota");
+        assert!(self.quotas[k] > 0, "barrier {k} has a zero quota");
+        self.arrived[k] += 1;
+        self.arrived[k] == self.quotas[k]
+    }
 }
 
 /// Expected arrivals per barrier index, given each thread's barrier
@@ -38,12 +68,11 @@ impl Barriers {
     /// Build the bookkeeping for a workload: barrier `k` expects one
     /// arrival from every thread with more than `k` barriers.
     pub fn new(flat: &FlatWorkload) -> Self {
-        let expected = barrier_quotas(flat.threads.iter().map(|t| t.barriers.len()));
+        let quotas = barrier_quotas(flat.threads.iter().map(|t| t.barriers.len()));
         Barriers {
             per_thread: flat.threads.iter().map(|t| t.barriers.clone()).collect(),
-            arrived: vec![0; expected.len()],
-            waiting: vec![Vec::new(); expected.len()],
-            expected,
+            waiting: vec![Vec::new(); quotas.len()],
+            quotas: Quotas::new(quotas),
         }
     }
 
@@ -55,8 +84,7 @@ impl Barriers {
     /// Register an arrival at barrier `k`. Returns `true` when this
     /// arrival completes the barrier (caller drains the waiters).
     pub(crate) fn arrive(&mut self, k: usize) -> bool {
-        self.arrived[k] += 1;
-        self.arrived[k] == self.expected[k]
+        self.quotas.arrive(k)
     }
 
     /// Park `thread` at barrier `k`.

@@ -41,7 +41,7 @@ pub mod event;
 pub mod runlen;
 pub mod sched;
 
-pub use barrier::{barrier_quotas, Barriers};
+pub use barrier::{barrier_quotas, Barriers, Quotas};
 pub use contention::{Contention, ContentionState, QueuedParams};
 pub use engine::{Engine, EngineTally, MachineModel};
 pub use event::{Event, EventQueue};

@@ -8,17 +8,40 @@
 
 use em2_model::{CoreId, Histogram, ThreadId};
 
-#[derive(Clone, Copy, Debug)]
-struct Run {
-    core: Option<CoreId>,
-    len: u64,
+/// The Figure-2 run rule, for [`RunMonitor`] and the runtime alike: an
+/// access homed at `home` extends a thread's in-progress run `(home,
+/// length)` or starts a new one, and `None` (the thread finished) ends
+/// it. Returns the run this ended, binned in `hist` unless it ran at
+/// the thread's `native` core.
+#[inline]
+pub fn step(
+    run: &mut Option<(CoreId, u64)>,
+    home: Option<CoreId>,
+    native: CoreId,
+    hist: &mut Histogram,
+) -> Option<(CoreId, u64)> {
+    match run {
+        Some((c, len)) if Some(*c) == home => {
+            *len += 1;
+            None
+        }
+        _ => {
+            let ended = std::mem::replace(run, home.map(|h| (h, 1)));
+            if let Some((c, len)) = ended {
+                if c != native {
+                    hist.record(len);
+                }
+            }
+            ended
+        }
+    }
 }
 
 /// Per-thread home-run tracking with a shared histogram.
 #[derive(Debug)]
 pub struct RunMonitor {
     hist: Histogram,
-    runs: Vec<Run>,
+    runs: Vec<Option<(CoreId, u64)>>,
     natives: Vec<CoreId>,
 }
 
@@ -28,7 +51,7 @@ impl RunMonitor {
     pub fn new(natives: Vec<CoreId>, bins: u64) -> Self {
         RunMonitor {
             hist: Histogram::new(bins),
-            runs: vec![Run { core: None, len: 0 }; natives.len()],
+            runs: vec![None; natives.len()],
             natives,
         }
     }
@@ -44,56 +67,24 @@ impl RunMonitor {
         home: CoreId,
         observe: &mut dyn FnMut(ThreadId, CoreId, u64),
     ) {
-        let t = thread.index();
-        match self.runs[t].core {
-            Some(c) if c == home => self.runs[t].len += 1,
-            Some(c) => {
-                let len = self.runs[t].len;
-                self.record_run(thread, c, len, observe);
-                self.runs[t] = Run {
-                    core: Some(home),
-                    len: 1,
-                };
-            }
-            None => {
-                self.runs[t] = Run {
-                    core: Some(home),
-                    len: 1,
-                };
-            }
-        }
-    }
-
-    /// Record one *completed* run: bin it (if non-native) and report
-    /// it to `observe` — the run-end half of [`RunMonitor::track`].
-    fn record_run(
-        &mut self,
-        thread: ThreadId,
-        core: CoreId,
-        len: u64,
-        observe: &mut dyn FnMut(ThreadId, CoreId, u64),
-    ) {
-        if core != self.natives[thread.index()] {
-            self.hist.record(len);
-        }
-        observe(thread, core, len);
+        self.step(thread, Some(home), observe);
     }
 
     /// Flush `thread`'s final run at trace completion.
     pub fn flush(&mut self, thread: ThreadId, observe: &mut dyn FnMut(ThreadId, CoreId, u64)) {
-        let t = thread.index();
-        if let Some(c) = self.runs[t].core.take() {
-            let len = self.runs[t].len;
-            if len > 0 {
-                self.record_run(thread, c, len, observe);
-            }
-            self.runs[t].len = 0;
-        }
+        self.step(thread, None, observe);
     }
 
-    /// The accumulated run-length histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
+    fn step(
+        &mut self,
+        thread: ThreadId,
+        home: Option<CoreId>,
+        observe: &mut dyn FnMut(ThreadId, CoreId, u64),
+    ) {
+        let t = thread.index();
+        if let Some((c, len)) = step(&mut self.runs[t], home, self.natives[t], &mut self.hist) {
+            observe(thread, c, len);
+        }
     }
 
     /// Consume the monitor, yielding the histogram.

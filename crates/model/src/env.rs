@@ -75,10 +75,6 @@ pub const KNOWN: &[VarDef] = &[
         name: "EM2_CHAOS_KILL_DIR",
         doc: "internal: scratch directory of a kill-recovery-test child process",
     },
-    VarDef {
-        name: "EM2_NET_DEBUG_WEDGE",
-        doc: "1 = every node prints its quiesce census to stderr when a run fails (wedge triage)",
-    },
 ];
 
 fn is_known(name: &str) -> bool {

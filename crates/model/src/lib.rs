@@ -18,7 +18,8 @@
 //!   per-access, per-decision and per-arrival lookup;
 //! * [`histogram`] — integer histograms (run-length distributions,
 //!   Figure 2 of the paper);
-//! * [`stats`] — streaming scalar statistics (mean/variance/min/max);
+//! * [`stats`] — streaming scalar statistics (mean/variance/min/max)
+//!   and the [`Fold`] rule summable fields merge by;
 //! * [`bytes`] — the binary-codec kernel (LE writers, bounds-checked
 //!   cursor, typed errors) every hand-rolled wire format builds on;
 //! * [`mod@env`] — the typed registry of `EM2_*` environment knobs (the
@@ -44,7 +45,7 @@ pub use histogram::Histogram;
 pub use ids::{AccessKind, Addr, CoreId, LineAddr, ThreadId};
 pub use mesh::Mesh;
 pub use rng::DetRng;
-pub use stats::Summary;
+pub use stats::{Fold, Summary};
 
 /// Ceiling division of two unsigned integers.
 ///

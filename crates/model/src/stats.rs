@@ -2,9 +2,35 @@
 //!
 //! [`Summary`] accumulates count / sum / min / max / mean / variance in
 //! one pass using Welford's algorithm — used for per-experiment latency
-//! and traffic summaries throughout the workspace.
+//! and traffic summaries throughout the workspace. [`Fold`] is how a
+//! summable field merges with another share of itself.
 
 use std::fmt;
+use std::ops::Add;
+
+/// How two shares of a summable field merge — the rule every field
+/// table in the workspace states its rows with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fold {
+    /// Add the shares.
+    Sum,
+    /// Keep the larger share.
+    Max,
+    /// Keep the smaller share.
+    Min,
+}
+
+impl Fold {
+    /// `a` and `b` merged by this rule.
+    pub fn apply<T: Add<Output = T> + PartialOrd>(self, a: T, b: T) -> T {
+        match self {
+            Fold::Sum => a + b,
+            Fold::Max if b > a => b,
+            Fold::Min if b < a => b,
+            Fold::Max | Fold::Min => a,
+        }
+    }
+}
 
 /// One-pass summary statistics over `f64`-convertible samples.
 #[derive(Clone, Debug, Default, PartialEq)]

@@ -720,8 +720,8 @@ impl Control {
 
     /// One JSON line naming everything that can hold cluster quiesce
     /// open on this node — embedded in flight dumps and timeout
-    /// errors, printed under `EM2_NET_DEBUG_WEDGE`, so a wedged run
-    /// names its stuck frame instead of timing out mute.
+    /// errors, so a wedged run names its stuck frame instead of timing
+    /// out mute.
     pub(crate) fn census(&self, dir: &ShardDirectory, b: &InboxBacklog) -> String {
         let parked = self.parked.iter().map(|(sh, r, _)| format!("[{sh},{r}]"));
         let expecting = self.expecting.keys().map(|sh| sh.to_string());

@@ -68,10 +68,10 @@ use crate::error::ClusterError;
 use crate::proto::{NetMsg, NetView};
 use crate::transport::{Duplex, FrameBatch, FrameRx, FrameTx, Transport};
 use em2_model::hash::{fnv1a, FNV1A_INIT};
-use em2_model::{DetRng, ThreadId};
+use em2_model::{DetRng, Fold, ThreadId};
 use em2_placement::Placement;
 use em2_rt::mpsc::MpscQueue;
-use em2_rt::wire::{WireMsg, WIRE_VERSION};
+use em2_rt::wire::{WireEnvelope, WireMsg, WIRE_VERSION};
 use em2_rt::{
     InboxBacklog, NodeLink, NodeRole, RtConfig, RtReport, Runtime, ShardDirectory, TaskRegistry,
     TaskSpec,
@@ -141,35 +141,32 @@ pub struct WireSnapshot {
 }
 
 impl WireSnapshot {
-    /// Every field with its summary-file key and whether two shares of
-    /// it merge by `max` — the high-water mark: a sum of depths would
-    /// describe no queue — rather than by sum. [`WireSnapshot::absorb`]
-    /// and `CounterSummary`'s field table both merge by this.
-    pub(crate) fn fields(&mut self) -> [(&'static str, &mut u64, bool); 11] {
+    /// Every field with its summary-file key and how two shares of it
+    /// merge: counts sum, the high-water mark takes the max.
+    /// [`WireSnapshot::absorb`] and `CounterSummary`'s field table both
+    /// merge by this.
+    pub(crate) fn fields(&mut self) -> [(&'static str, &mut u64, Fold); 11] {
+        use Fold::{Max, Sum};
         [
-            ("wire_frames_tx", &mut self.frames_tx, false),
-            ("wire_bytes_tx", &mut self.bytes_tx, false),
-            ("wire_frames_rx", &mut self.frames_rx, false),
-            ("wire_bytes_rx", &mut self.bytes_rx, false),
-            ("wire_dupes_rx", &mut self.dupes_rx, false),
-            ("wire_arrives_tx", &mut self.arrives_tx, false),
-            ("wire_context_bytes_tx", &mut self.context_bytes_tx, false),
-            ("wire_frames_tx_total", &mut self.frames_tx_total, false),
-            ("wire_bytes_tx_total", &mut self.bytes_tx_total, false),
-            ("wire_flushes_tx", &mut self.flushes_tx, false),
-            ("wire_egress_hwm", &mut self.egress_hwm, true),
+            ("wire_frames_tx", &mut self.frames_tx, Sum),
+            ("wire_bytes_tx", &mut self.bytes_tx, Sum),
+            ("wire_frames_rx", &mut self.frames_rx, Sum),
+            ("wire_bytes_rx", &mut self.bytes_rx, Sum),
+            ("wire_dupes_rx", &mut self.dupes_rx, Sum),
+            ("wire_arrives_tx", &mut self.arrives_tx, Sum),
+            ("wire_context_bytes_tx", &mut self.context_bytes_tx, Sum),
+            ("wire_frames_tx_total", &mut self.frames_tx_total, Sum),
+            ("wire_bytes_tx_total", &mut self.bytes_tx_total, Sum),
+            ("wire_flushes_tx", &mut self.flushes_tx, Sum),
+            ("wire_egress_hwm", &mut self.egress_hwm, Max),
         ]
     }
 
     /// Fold in another thread's share.
     fn absorb(&mut self, o: &WireSnapshot) {
         let mut o = *o;
-        for ((_, mine, max), (_, theirs, _)) in self.fields().into_iter().zip(o.fields()) {
-            *mine = if max {
-                (*mine).max(*theirs)
-            } else {
-                *mine + *theirs
-            };
+        for ((_, mine, fold), (_, theirs, _)) in self.fields().into_iter().zip(o.fields()) {
+            *mine = fold.apply(*mine, *theirs);
         }
     }
 }
@@ -371,11 +368,6 @@ impl Links {
         if !first {
             return;
         }
-        // Only the first error survives the abort fan-out, so every
-        // node prints its own view of what was holding quiesce open.
-        if em2_model::env::flag("EM2_NET_DEBUG_WEDGE").unwrap_or(false) {
-            eprintln!("[em2-net wedge] {census}");
-        }
         // The crash flight recorder: the run's *first* failure dumps
         // the last trace events + a full metrics snapshot to JSONL.
         // Best-effort by design — post-mortem I/O must never mask or
@@ -547,7 +539,7 @@ impl Links {
         from: usize,
         shard: usize,
         retries: u32,
-        msg: WireMsg<B>,
+        msg: WireMsg<WireEnvelope<B>>,
         received: Instant,
     ) -> Result<(), ClusterError> {
         let delivered = self.inbox().deliver(shard, retries, msg, received);

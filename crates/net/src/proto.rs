@@ -38,7 +38,9 @@
 //! plus its owning copy.
 
 use em2_model::bytes::CodecError;
-use em2_rt::wire::{put_u64, put_var, put_var_bytes, Cursor, FrozenShard, WireError, WireMsg};
+use em2_rt::wire::{
+    put_u64, put_var, put_var_bytes, Cursor, FrozenShard, WireEnvelope, WireError, WireMsg,
+};
 
 /// Control-protocol version, the first byte of every frame; the
 /// handshake refuses mismatches. Version 2 added the sequence/checksum
@@ -236,14 +238,14 @@ pub enum NetView<'a> {
         /// [`NetMsg::Shard`]'s `retries`.
         retries: u32,
         /// The runtime message, borrowing the frame.
-        msg: WireMsg<&'a [u8]>,
+        msg: WireMsg<WireEnvelope<&'a [u8]>>,
     },
     /// Any other message.
     Msg(NetMsg),
 }
 
 impl NetView<'_> {
-    /// The owning copy ([`WireMsg::into_owned`]).
+    /// The owning copy ([`WireEnvelope::into_owned`]).
     pub fn into_owned(self) -> NetMsg {
         match self {
             NetView::Shard {
@@ -255,7 +257,7 @@ impl NetView<'_> {
                 to,
                 epoch,
                 retries,
-                msg: msg.into_owned(),
+                msg: msg.map(WireEnvelope::into_owned),
             },
             NetView::Msg(msg) => msg,
         }

@@ -11,6 +11,7 @@
 //! whole Figure-2 artifact, not a summary statistic.
 
 use crate::node::{NetReport, WireSnapshot};
+use em2_model::Fold;
 use em2_rt::RtReport;
 use std::fmt::Write as _;
 use std::io;
@@ -53,11 +54,10 @@ pub struct CounterSummary {
 
 /// Where one on-disk field lives, and how it behaves under
 /// [`CounterSummary::merge`].
+#[derive(PartialEq)]
 enum Field<'a> {
-    /// A counter: sums.
-    Sum(&'a mut u64),
-    /// An extremum: takes the max.
-    Max(&'a mut u64),
+    /// A count or an extremum, folding by its rule.
+    Word(&'a mut u64, Fold),
     /// The run-length bins: sum bin-wise.
     Bins(&'a mut Vec<u64>),
     /// The exact run-length total: sums.
@@ -97,30 +97,44 @@ impl CounterSummary {
         }
     }
 
-    /// Every on-disk field, in file order: its `key=value` key and
-    /// where it lives — the one table behind `render`, `parse` and
-    /// `merge`.
-    fn fields(&mut self) -> Vec<(&'static str, Field<'_>)> {
-        use Field::{Bins, Max, Secs, Sum, Wide};
+    /// Every on-disk field, in file order: its `key=value` key, where it
+    /// lives, and whether it is a deterministic machine-semantic counter
+    /// — the one table behind `render`, `parse`, `merge` and
+    /// `counters_equal`.
+    fn fields(&mut self) -> Vec<(&'static str, Field<'_>, bool)> {
+        use Field::{Bins, Secs, Wide, Word};
+        use Fold::{Max, Sum};
         let mut rows = vec![
-            ("local_accesses", Sum(&mut self.local_accesses)),
-            ("migrations", Sum(&mut self.migrations)),
-            ("evictions", Sum(&mut self.evictions)),
-            ("stalled_arrivals", Sum(&mut self.stalled_arrivals)),
-            ("remote_reads", Sum(&mut self.remote_reads)),
-            ("remote_writes", Sum(&mut self.remote_writes)),
-            ("context_bytes_sent", Sum(&mut self.context_bytes_sent)),
-            ("heap_words", Sum(&mut self.heap_words)),
-            ("hist_bins", Bins(&mut self.hist_bins)),
-            ("hist_overflow", Sum(&mut self.hist_overflow)),
-            ("hist_total_value", Wide(&mut self.hist_total_value)),
-            ("hist_total_count", Sum(&mut self.hist_total_count)),
-            ("hist_max_seen", Max(&mut self.hist_max_seen)),
+            ("local_accesses", Word(&mut self.local_accesses, Sum), true),
+            ("migrations", Word(&mut self.migrations, Sum), true),
+            ("evictions", Word(&mut self.evictions, Sum), true),
+            (
+                "stalled_arrivals",
+                Word(&mut self.stalled_arrivals, Sum),
+                false,
+            ),
+            ("remote_reads", Word(&mut self.remote_reads, Sum), true),
+            ("remote_writes", Word(&mut self.remote_writes, Sum), true),
+            (
+                "context_bytes_sent",
+                Word(&mut self.context_bytes_sent, Sum),
+                true,
+            ),
+            ("heap_words", Word(&mut self.heap_words, Sum), true),
+            ("hist_bins", Bins(&mut self.hist_bins), true),
+            ("hist_overflow", Word(&mut self.hist_overflow, Sum), true),
+            ("hist_total_value", Wide(&mut self.hist_total_value), true),
+            (
+                "hist_total_count",
+                Word(&mut self.hist_total_count, Sum),
+                true,
+            ),
+            ("hist_max_seen", Word(&mut self.hist_max_seen, Max), true),
         ];
         // The wire ledger's rows, merged the way its own table says.
         let wire = self.wire.fields().into_iter();
-        rows.extend(wire.map(|(k, n, max)| (k, if max { Max(n) } else { Sum(n) })));
-        rows.push(("wall_s", Secs(&mut self.wall_s)));
+        rows.extend(wire.map(|(k, n, fold)| (k, Word(n, fold), false)));
+        rows.push(("wall_s", Secs(&mut self.wall_s), false));
         rows
     }
 
@@ -137,12 +151,11 @@ impl CounterSummary {
         );
         // The table hands out `&mut`; reading `o` through it takes a copy.
         let mut o = o.clone();
-        for ((_, mine), (_, theirs)) in self.fields().into_iter().zip(o.fields()) {
+        for ((_, mine, _), (_, theirs, _)) in self.fields().into_iter().zip(o.fields()) {
             match (mine, theirs) {
-                (Field::Sum(a), Field::Sum(b)) => *a += *b,
-                (Field::Max(a), Field::Max(b)) => *a = (*a).max(*b),
-                (Field::Wide(a), Field::Wide(b)) => *a += *b,
-                (Field::Secs(a), Field::Secs(b)) => *a = a.max(*b),
+                (Field::Word(a, fold), Field::Word(b, _)) => *a = fold.apply(*a, *b),
+                (Field::Wide(a), Field::Wide(b)) => *a = Fold::Sum.apply(*a, *b),
+                (Field::Secs(a), Field::Secs(b)) => *a = Fold::Max.apply(*a, *b),
                 (Field::Bins(a), Field::Bins(b)) => {
                     for (a, b) in a.iter_mut().zip(b.iter()) {
                         *a += b;
@@ -175,28 +188,21 @@ impl CounterSummary {
     /// found all guest slots pinned — a function of real-time
     /// interleaving, not of program order, so it is not partition-
     /// invariant even in the single-process runtime (the agreement
-    /// configs are eviction-free, where it is structurally zero).
+    /// configs are eviction-free, where it is structurally zero). The
+    /// field table's third column says which fields these are.
     pub fn counters_equal(&self, other: &CounterSummary) -> bool {
-        self.local_accesses == other.local_accesses
-            && self.migrations == other.migrations
-            && self.evictions == other.evictions
-            && self.remote_reads == other.remote_reads
-            && self.remote_writes == other.remote_writes
-            && self.context_bytes_sent == other.context_bytes_sent
-            && self.heap_words == other.heap_words
-            && self.hist_bins == other.hist_bins
-            && self.hist_overflow == other.hist_overflow
-            && self.hist_total_value == other.hist_total_value
-            && self.hist_total_count == other.hist_total_count
-            && self.hist_max_seen == other.hist_max_seen
+        let (mut a, mut b) = (self.clone(), other.clone());
+        let rows = a.fields().into_iter().zip(b.fields());
+        rows.filter(|((_, _, det), _)| *det)
+            .all(|((_, x, _), (_, y, _))| x == y)
     }
 
     /// Render as `key=value` lines.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        for (k, f) in self.clone().fields() {
+        for (k, f, _) in self.clone().fields() {
             let _ = match f {
-                Field::Sum(v) | Field::Max(v) => writeln!(s, "{k}={v}"),
+                Field::Word(v, _) => writeln!(s, "{k}={v}"),
                 Field::Wide(v) => writeln!(s, "{k}={v}"),
                 Field::Secs(v) => writeln!(s, "{k}={v:.9}"),
                 Field::Bins(bins) => {
@@ -228,13 +234,13 @@ impl CounterSummary {
                 .ok_or_else(|| format!("expected key=value, got {line:?}"))?;
             let i = fields
                 .iter()
-                .position(|(key, _)| *key == k)
+                .position(|(key, _, _)| *key == k)
                 .ok_or_else(|| format!("unknown key {k:?}"))?;
             if std::mem::replace(&mut seen[i], true) {
                 return Err(format!("duplicate key {k:?}"));
             }
             match &mut fields[i].1 {
-                Field::Sum(f) | Field::Max(f) => **f = num(v, "u64", line)?,
+                Field::Word(f, _) => **f = num(v, "u64", line)?,
                 Field::Wide(f) => **f = num(v, "u128", line)?,
                 Field::Secs(f) => **f = num(v, "f64", line)?,
                 Field::Bins(f) => {

@@ -122,7 +122,7 @@ mod tests {
         let mut cfg = ObsConfig::on();
         cfg.interval_ms = 60_000; // would sleep a minute; finish() must not wait
         cfg.export_path = Some(path.clone());
-        let obs = NodeObs::new(cfg, 0, 2);
+        let obs = NodeObs::new(cfg, 2);
         for _ in 0..5 {
             obs.shard(0).task_latency_ns.record(1_000);
         }
@@ -142,9 +142,9 @@ mod tests {
 
     #[test]
     fn disabled_or_unconfigured_means_no_exporter() {
-        let obs = NodeObs::new(ObsConfig::on(), 0, 1); // interval 0, no path
+        let obs = NodeObs::new(ObsConfig::on(), 1); // interval 0, no path
         assert!(Exporter::start_if_configured(&obs).is_none());
-        let obs = NodeObs::new(ObsConfig::off(), 0, 1);
+        let obs = NodeObs::new(ObsConfig::off(), 1);
         assert!(Exporter::start_if_configured(&obs).is_none());
     }
 }

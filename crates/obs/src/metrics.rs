@@ -177,7 +177,6 @@ pub struct NodeObs {
     pub cfg: ObsConfig,
     epoch: Instant,
     node: AtomicU64,
-    first_shard: usize,
     shards: Vec<Arc<ShardObs>>,
     peers: Mutex<Vec<Arc<PeerObs>>>,
     node_ring: Ring,
@@ -187,9 +186,9 @@ pub struct NodeObs {
 }
 
 impl NodeObs {
-    /// Stand up a registry for `shards` local shards, globally
-    /// numbered from `first_shard`.
-    pub fn new(cfg: ObsConfig, first_shard: usize, shards: usize) -> Arc<Self> {
+    /// Stand up a registry for `shards` shards — every node instantiates
+    /// all of the cluster's, so an index is a global shard id.
+    pub fn new(cfg: ObsConfig, shards: usize) -> Arc<Self> {
         let epoch = Instant::now();
         Arc::new(NodeObs {
             shards: (0..shards)
@@ -201,7 +200,6 @@ impl NodeObs {
             flight_taken: AtomicBool::new(false),
             node: AtomicU64::new(0),
             dir_epoch: AtomicU64::new(0),
-            first_shard,
             epoch,
             cfg,
         })
@@ -219,9 +217,9 @@ impl NodeObs {
         self.epoch
     }
 
-    /// Handle of local shard `local_idx` (0-based within this node).
-    pub fn shard(&self, local_idx: usize) -> &Arc<ShardObs> {
-        &self.shards[local_idx]
+    /// Handle of shard `shard`.
+    pub fn shard(&self, shard: usize) -> &Arc<ShardObs> {
+        &self.shards[shard]
     }
 
     /// Register (or fetch) the handle for peer node `peer`.
@@ -322,7 +320,7 @@ impl NodeObs {
         let mut line = snap.to_json();
         if self.shards.len() <= 64 {
             let rows = self.shards.iter().enumerate();
-            let shards = crate::json::array(rows.map(|(i, sh)| sh.row(self.first_shard + i)));
+            let shards = crate::json::array(rows.map(|(i, sh)| sh.row(i)));
             // Splice the per-shard array into the closed object.
             line.truncate(line.len() - 1);
             line.push_str(",\"shards\":");
@@ -355,8 +353,8 @@ impl NodeObs {
     /// metrics snapshot, an optional caller-rendered wedge census (one
     /// pre-built JSON line — the net layer passes its
     /// runnable/parked/awaiting/expecting/handoff state here so a crash
-    /// dump answers "where is everything stuck" without
-    /// `EM2_NET_DEBUG_WEDGE`), and the newest [`FLIGHT_EVENTS`] trace
+    /// dump answers "where is everything stuck"), and the newest
+    /// [`FLIGHT_EVENTS`] trace
     /// events merged across every ring — ending with a `fail` event
     /// that names the failing edge. Only the first call dumps (a
     /// cluster failure fans out; one timeline per node is enough);
@@ -380,12 +378,7 @@ impl NodeObs {
         ));
         let mut events: Vec<(i64, Event)> = Vec::new();
         for (i, sh) in self.shards.iter().enumerate() {
-            events.extend(
-                sh.ring
-                    .events()
-                    .into_iter()
-                    .map(|e| ((self.first_shard + i) as i64, e)),
-            );
+            events.extend(sh.ring.events().into_iter().map(|e| (i as i64, e)));
         }
         events.extend(self.node_ring.events().into_iter().map(|e| (-1i64, e)));
         events.sort_by_key(|(_, e)| e.ts_ns);
@@ -440,7 +433,7 @@ mod tests {
     use super::*;
 
     fn exercised() -> Arc<NodeObs> {
-        let obs = NodeObs::new(ObsConfig::on(), 8, 4);
+        let obs = NodeObs::new(ObsConfig::on(), 4);
         for (i, _) in obs.shards.iter().enumerate() {
             let sh = obs.shard(i);
             sh.task_latency_ns.record(1_000 * (i as u64 + 1));
@@ -503,7 +496,7 @@ mod tests {
         assert_eq!(keys[keys.len() - 1], "shards");
         assert!(
             line.contains(
-                r#"{"shard":9,"retired":1,"guest_occupancy":1,"migrations_out":1,"remote":0}"#
+                r#"{"shard":1,"retired":1,"guest_occupancy":1,"migrations_out":1,"remote":0}"#
             ),
             "per-shard rows read the shard's own histogram and matrix: {line}"
         );
@@ -541,7 +534,7 @@ mod tests {
 
     #[test]
     fn placement_heat_ranks_homes_by_attributed_cost() {
-        let obs = NodeObs::new(ObsConfig::on(), 0, 2);
+        let obs = NodeObs::new(ObsConfig::on(), 2);
         obs.shard(0).attrib.cell(0, 3).cost.bump(100);
         obs.shard(1).attrib.cell(1, 3).cost.bump(50);
         obs.shard(0).attrib.cell(0, 7).cost.bump(80);
@@ -552,7 +545,7 @@ mod tests {
 
     #[test]
     fn peer_registration_is_idempotent() {
-        let obs = NodeObs::new(ObsConfig::on(), 0, 1);
+        let obs = NodeObs::new(ObsConfig::on(), 1);
         let a = obs.register_peer(2);
         let b = obs.register_peer(2);
         assert!(Arc::ptr_eq(&a, &b));
@@ -568,7 +561,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut cfg = ObsConfig::on();
         cfg.flight_dir = Some(dir.clone());
-        let obs = NodeObs::new(cfg, 8, 4);
+        let obs = NodeObs::new(cfg, 4);
         obs.set_node(3);
         obs.shard(0).event(EventKind::Retire, 9, 1_234, 0);
         obs.node_event(EventKind::PeerDown, 1, 0);

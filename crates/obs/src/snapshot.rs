@@ -14,18 +14,7 @@
 use crate::attrib::{Col, ATTRIB_COUNTERS};
 use crate::hist::HistSnapshot;
 use crate::json::{self, JsonObj};
-
-/// How a stored field folds under merge.
-#[derive(Clone, Copy)]
-enum Rule {
-    Sum,
-    Max,
-    Min,
-}
-
-/// One row of a field table: the field's JSON key, where it lives, and
-/// its merge rule.
-type Row<'a> = (&'static str, &'a mut u64, Rule);
+use em2_model::Fold;
 
 /// One (thread, home) row of the cost-attribution matrix in its
 /// snapshot form, summed counter-wise by key under merge. The overflow
@@ -125,8 +114,8 @@ impl Snapshot {
 
     /// The stored scalars, in [`KEYS`](Snapshot::KEYS) order, with
     /// their merge rules — the one table behind `merge` and `to_json`.
-    fn scalars(&mut self) -> [Row<'_>; 10] {
-        use Rule::{Max, Min, Sum};
+    fn scalars(&mut self) -> [(&'static str, &mut u64, Fold); 10] {
+        use Fold::{Max, Min, Sum};
         [
             ("node", &mut self.node, Min),
             ("nodes", &mut self.nodes, Sum),
@@ -147,11 +136,7 @@ impl Snapshot {
         // The table hands out `&mut`; reading `o` through it takes a copy.
         let mut theirs = o.clone();
         for ((_, a, rule), (_, b, _)) in self.scalars().into_iter().zip(theirs.scalars()) {
-            *a = match rule {
-                Rule::Sum => *a + *b,
-                Rule::Max => (*a).max(*b),
-                Rule::Min => (*a).min(*b),
-            };
+            *a = rule.apply(*a, *b);
         }
         self.task_latency_ns.merge(&o.task_latency_ns);
         self.mailbox_batch.merge(&o.mailbox_batch);

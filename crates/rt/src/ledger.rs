@@ -7,24 +7,25 @@
 //! It is a plain struct with no thread, lock, clock or message inside:
 //! its holder serializes the calls (one mutex) and performs what a
 //! `true` asks for — fan out the release of barrier `k`, or tell every
-//! node the run has quiesced. The two rules it owns are defined nowhere
-//! else in the workspace:
+//! node the run has quiesced. Its two rules:
 //!
 //! * barrier `k` opens on exactly the arrival that meets its quota
 //!   ([`em2_engine::barrier_quotas`]); a later arrival (a caller-supplied
-//!   quota that was too small) finds it open and opens nothing;
+//!   quota that was too small) finds it open and opens nothing — the
+//!   engine's [`Quotas`], which the simulator's barriers hold too;
 //! * the run is over once every node has closed admission **and** every
 //!   submitted task has retired — in that order of evaluation, because a
 //!   task may retire on a node other than the one that submitted it, so
 //!   `retired` can match (or transiently exceed) the `submitted` sum
 //!   while some node's close is still on its way.
 
+use em2_engine::Quotas;
+
 /// See the module docs.
 #[derive(Debug)]
 pub struct RunLedger {
     nodes: usize,
-    quotas: Vec<usize>,
-    arrived: Vec<usize>,
+    quotas: Quotas,
     closed: usize,
     submitted: u64,
     retired: u64,
@@ -37,8 +38,7 @@ impl RunLedger {
     pub fn new(nodes: usize, barrier_quotas: Vec<usize>) -> Self {
         RunLedger {
             nodes,
-            arrived: vec![0; barrier_quotas.len()],
-            quotas: barrier_quotas,
+            quotas: Quotas::new(barrier_quotas),
             closed: 0,
             submitted: 0,
             retired: 0,
@@ -47,16 +47,10 @@ impl RunLedger {
     }
 
     /// A task arrived at barrier `k` and parked. `true`: this arrival
-    /// opens the barrier — release it everywhere.
-    ///
-    /// # Panics
-    /// Panics if `k` has no quota or a zero quota (which no arrival
-    /// could meet — failing loudly beats parking the arriver forever).
+    /// opens the barrier — release it everywhere ([`Quotas::arrive`],
+    /// whose panics it shares).
     pub fn arrive(&mut self, k: usize) -> bool {
-        assert!(k < self.quotas.len(), "barrier {k} has no quota");
-        assert!(self.quotas[k] > 0, "barrier {k} has a zero quota");
-        self.arrived[k] += 1;
-        self.arrived[k] == self.quotas[k]
+        self.quotas.arrive(k)
     }
 
     /// A task retired.

@@ -5,7 +5,7 @@ use crate::exec::{worker_loop, Sched};
 use crate::ledger::RunLedger;
 use crate::shard::{Envelope, Msg, ShardCore, Shared};
 use crate::task::{Task, TaskRegistry, TraceTask};
-use crate::wire::{WireError, WireMsg};
+use crate::wire::{WireEnvelope, WireError, WireMsg};
 use em2_core::decision::DecisionScheme;
 use em2_core::stats::FlowCounts;
 use em2_core::RUN_BINS;
@@ -447,7 +447,7 @@ impl Runtime {
         let obs_cfg = cfg.obs.clone().unwrap_or_else(em2_obs::ObsConfig::from_env);
         let obs = obs_cfg
             .enabled
-            .then(|| em2_obs::NodeObs::new(obs_cfg, 0, shards));
+            .then(|| em2_obs::NodeObs::new(obs_cfg, shards));
         let shared = Arc::new(Shared {
             mailboxes: (0..shards).map(|_| crate::shard::Mailbox::new()).collect(),
             cores: (0..shards)
@@ -684,7 +684,7 @@ impl RemoteInbox {
     /// where they lie. `arrival` is when its bytes reached this node.
     fn rebuild_envelope<B: AsRef<[u8]>>(
         &self,
-        we: crate::wire::WireEnvelope<B>,
+        we: WireEnvelope<B>,
         arrival: Instant,
     ) -> Result<Box<Envelope>, WireError> {
         let mut scheme = (self.make_scheme)();
@@ -728,31 +728,13 @@ impl RemoteInbox {
         &self,
         to: usize,
         retries: u32,
-        msg: WireMsg<B>,
+        msg: WireMsg<WireEnvelope<B>>,
         received: Instant,
     ) -> Result<bool, WireError> {
         let Some(shared) = self.shared.upgrade() else {
             return Ok(false);
         };
-        let m = match msg {
-            WireMsg::Arrive(we) => Msg::Arrive(self.rebuild_envelope(we, received)?),
-            WireMsg::Request {
-                addr,
-                write,
-                reply_shard,
-                token,
-            } => Msg::Request {
-                addr: em2_model::Addr(addr),
-                write,
-                reply_shard: reply_shard as usize,
-                token: ThreadId(token),
-            },
-            WireMsg::Response { token, value } => Msg::Response {
-                token: ThreadId(token),
-                value,
-            },
-            WireMsg::BarrierRelease { idx } => Msg::BarrierRelease { idx: idx as usize },
-        };
+        let m = msg.try_map(|we| self.rebuild_envelope(we, received))?;
         route(&shared, to, retries, m);
         Ok(true)
     }
@@ -796,8 +778,7 @@ impl RemoteInbox {
         // consumer (polls drain only under this lock).
         let mut backlog = Vec::new();
         mb.take(&mut backlog, usize::MAX);
-        let mailbox = backlog.into_iter().map(crate::shard::msg_to_wire).collect();
-        Some(core.export_frozen(mailbox))
+        Some(core.export_frozen(backlog))
     }
 
     /// Install a frozen shard shipped by its previous owner: restore
@@ -814,7 +795,7 @@ impl RemoteInbox {
         let received = Instant::now();
         {
             let mut core = shared.cores[shard].lock().expect("shard core");
-            let mut rebuild = |we: crate::wire::WireEnvelope| self.rebuild_envelope(we, received);
+            let mut rebuild = |we: WireEnvelope| self.rebuild_envelope(we, received);
             core.install_frozen(frozen, &mut rebuild)?;
         }
         // Claim ownership only after the core is fully restored:
@@ -831,7 +812,7 @@ impl RemoteInbox {
             (0..shared.released.len()).filter(open).collect()
         });
         for k in released {
-            shared.send(shard, Msg::BarrierRelease { idx: k });
+            shared.send(shard, Msg::BarrierRelease { idx: k as u32 });
         }
         for msg in mailbox {
             // The backlog had reached its then-home; replaying it here
@@ -958,7 +939,7 @@ pub fn run_workload(
 mod tests {
     use super::*;
     use crate::shard::tests::{two_shards, Recording};
-    use crate::wire::{FrozenShard, WireEnvelope};
+    use crate::wire::FrozenShard;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A shard lands on this node beside the release of the barrier a
@@ -1014,6 +995,82 @@ mod tests {
             core.poll(&shared);
             assert_eq!(core.census().1, 0, "release first: {release_first}");
         }
+    }
+
+    /// Every kind of message leaves a node through the send path and
+    /// comes back in through the inbox field for field: an arrival
+    /// carrying every optional field and a learned scheme state,
+    /// requests that read and write, responses with a value and acks,
+    /// and a barrier release.
+    #[test]
+    fn every_message_crosses_a_node_field_for_field() {
+        let workload = Arc::new(em2_trace::gen::micro::pingpong(1, 4, 10));
+        let scheme = || em2_core::decision::HistoryPredictor::new(4.0, 0.5);
+        let msgs = || -> Vec<Msg> {
+            let mut learned = scheme();
+            learned.observe_run(ThreadId(0), CoreId(1), 6);
+            let mut journey = crate::wire::Journey::default();
+            journey.push(crate::wire::JourneyHop {
+                shard: 1,
+                node: 0,
+                epoch: 3,
+                cause: crate::wire::HopCause::Submit,
+            });
+            let env = Envelope {
+                thread: ThreadId(0),
+                native: CoreId(1),
+                task: Box::new(TraceTask::new(Arc::clone(&workload), ThreadId(0))),
+                scheme: Box::new(learned),
+                arrival: Instant::now(),
+                pending_op: Some(crate::Op::Write(em2_model::Addr(64), 5)),
+                pending_reply: Some(11),
+                parked_at: Some(2),
+                run: Some((CoreId(1), 3)),
+                journey,
+            };
+            let request = |addr, write, token| Msg::Request {
+                addr,
+                write,
+                reply_shard: 0,
+                token,
+            };
+            let response = |token, value| Msg::Response { token, value };
+            vec![
+                Msg::Arrive(Box::new(env)),
+                request(64, None, 7),
+                request(128, Some(u64::MAX), 8),
+                response(7, Some(9)),
+                response(8, None),
+                Msg::BarrierRelease { idx: 2 },
+            ]
+        };
+        // Out: node 1 owns shard 1, so every send leaves over the link.
+        let link = Arc::new(Recording::default());
+        let mut sender = two_shards(256, Arc::clone(&link) as Arc<dyn NodeLink>);
+        sender.directory = Arc::new(crate::directory::ShardDirectory::new(0, 0, &[0, 1]));
+        for msg in msgs() {
+            sender.send_routed(1, 0, msg);
+        }
+        // In: a node that owns both shards, reading each frame in place.
+        let receiver = Arc::new(two_shards(256, Arc::new(Recording::default())));
+        let inbox = RemoteInbox {
+            shared: Arc::downgrade(&receiver),
+            registry: TaskRegistry::for_workload(Arc::clone(&workload)),
+            make_scheme: Box::new(move || Box::new(scheme())),
+        };
+        for (to, msg) in link.0.lock().expect("recording").drain(..) {
+            assert_eq!(to, 1);
+            let bytes = msg.encode();
+            let view = WireMsg::view(&bytes).expect("decodes");
+            assert_eq!(inbox.deliver(to, 0, view, Instant::now()), Ok(true));
+        }
+        let to_wire = |m: Msg| m.map(crate::shard::envelope_to_wire);
+        let mut arrived = Vec::new();
+        while let Some(msg) = receiver.mailboxes[1].pop() {
+            arrived.push(to_wire(msg));
+        }
+        let sent: Vec<WireMsg> = msgs().into_iter().map(to_wire).collect();
+        assert_eq!(arrived, sent);
     }
 
     /// Four producers stream numbered requests at shard 1 of a live

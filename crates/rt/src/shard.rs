@@ -99,24 +99,9 @@ pub(crate) struct Envelope {
     pub journey: crate::wire::Journey,
 }
 
-/// Inter-shard messages.
-pub(crate) enum Msg {
-    /// A context arrives: a migration, an eviction return, or the
-    /// initial seeding of a task at its native shard.
-    Arrive(Box<Envelope>),
-    /// Word-granular remote access request (`write: Some(v)` stores).
-    Request {
-        addr: Addr,
-        write: Option<u64>,
-        reply_shard: usize,
-        token: ThreadId,
-    },
-    /// Reply to a [`Msg::Request`]: `Some(value)` for reads, `None`
-    /// for write acks.
-    Response { token: ThreadId, value: Option<u64> },
-    /// Barrier `idx` completed; wake local tasks parked on it.
-    BarrierRelease { idx: usize },
-}
+/// Inter-shard messages: the wire's message, carrying the live
+/// envelope.
+pub(crate) type Msg = WireMsg<Box<Envelope>>;
 
 /// Serialize an envelope for a cross-process hop. Every caller owns
 /// the envelope it ships (a send, or a freeze draining a queue), so
@@ -127,7 +112,8 @@ pub(crate) enum Msg {
 /// cannot cross a process boundary was routed to a remote shard, which
 /// is a cluster-configuration bug (the data it touches must be homed
 /// on locally owned shards).
-pub(crate) fn envelope_to_wire(env: Envelope) -> WireEnvelope {
+#[allow(clippy::boxed_local)] // every caller holds it boxed; its fields move out
+pub(crate) fn envelope_to_wire(env: Box<Envelope>) -> WireEnvelope {
     let task_kind = env.task.wire_kind().unwrap_or_else(|| {
         panic!(
             "task for thread {:?} cannot cross a process boundary: Task::wire_kind() is None",
@@ -151,30 +137,6 @@ pub(crate) fn envelope_to_wire(env: Envelope) -> WireEnvelope {
         parked_at: env.parked_at.map(|k| k as u32),
         run: env.run.map(|(c, len)| (c.0, len)),
         journey: env.journey,
-    }
-}
-
-/// Wire form of an outbound inter-shard message (the node link ships
-/// these).
-pub(crate) fn msg_to_wire(msg: Msg) -> WireMsg {
-    match msg {
-        Msg::Arrive(env) => WireMsg::Arrive(envelope_to_wire(*env)),
-        Msg::Request {
-            addr,
-            write,
-            reply_shard,
-            token,
-        } => WireMsg::Request {
-            addr: addr.0,
-            write,
-            reply_shard: reply_shard as u32,
-            token: token.0,
-        },
-        Msg::Response { token, value } => WireMsg::Response {
-            token: token.0,
-            value,
-        },
-        Msg::BarrierRelease { idx } => WireMsg::BarrierRelease { idx: idx as u32 },
     }
 }
 
@@ -270,7 +232,7 @@ impl Shared {
                 Err(refused) => msg = refused,
             }
         }
-        self.node.forward(to, retries, msg_to_wire(msg));
+        self.node.forward(to, retries, msg.map(envelope_to_wire));
     }
 
     pub(crate) fn is_released(&self, k: usize) -> bool {
@@ -291,7 +253,7 @@ impl Shared {
             self.directory.owned_shards(self.node_id)
         });
         for s in owned {
-            self.send(s, Msg::BarrierRelease { idx: k });
+            self.send(s, Msg::BarrierRelease { idx: k as u32 });
         }
     }
 
@@ -563,7 +525,7 @@ impl ShardCore {
     /// The caller holds the core lock (so no poll is in flight) and
     /// has already flipped the directory owner under the mailbox lock,
     /// so nothing lands here afterwards.
-    pub(crate) fn export_frozen(&mut self, mailbox: Vec<WireMsg>) -> crate::wire::FrozenShard {
+    pub(crate) fn export_frozen(&mut self, mailbox: Vec<Msg>) -> crate::wire::FrozenShard {
         debug_assert!(self.scratch.is_empty(), "batch in progress during freeze");
         debug_assert!(
             self.remote_replies.is_empty(),
@@ -575,7 +537,7 @@ impl ShardCore {
         let mut awaiting: Vec<WireEnvelope> = self
             .awaiting
             .drain()
-            .map(|(_, env)| envelope_to_wire(*env))
+            .map(|(_, env)| envelope_to_wire(env))
             .collect();
         awaiting.sort_unstable_by_key(|env| env.thread);
         crate::wire::FrozenShard {
@@ -587,19 +549,14 @@ impl ShardCore {
                 .into_iter()
                 .map(|(t, pinned, at)| (t.0, pinned, at))
                 .collect(),
-            runq: self.runq.drain(..).map(|e| envelope_to_wire(*e)).collect(),
-            parked: self
-                .parked
-                .drain(..)
-                .map(|e| envelope_to_wire(*e))
-                .collect(),
+            runq: self.runq.drain(..).map(envelope_to_wire).collect(),
+            parked: self.parked.drain(..).map(envelope_to_wire).collect(),
             awaiting,
-            stalled: self
-                .stalled
-                .drain(..)
-                .map(|e| envelope_to_wire(*e))
+            stalled: self.stalled.drain(..).map(envelope_to_wire).collect(),
+            mailbox: mailbox
+                .into_iter()
+                .map(|m| m.map(envelope_to_wire))
                 .collect(),
-            mailbox,
         }
     }
 
@@ -717,7 +674,8 @@ impl ShardCore {
             } => {
                 // Figure 3's "access memory" box executes at the home,
                 // in request arrival order.
-                let value = self.serve(addr, write);
+                let value = self.serve(Addr(addr), write);
+                let reply_shard = reply_shard as usize;
                 if shared.owns(reply_shard) {
                     shared.send(reply_shard, Msg::Response { token, value });
                 } else {
@@ -725,7 +683,6 @@ impl ShardCore {
                     // egress pipeline (each stays its own wire frame,
                     // so the deterministic wire counters are
                     // untouched). Flushed at the end of this batch.
-                    let token = token.0;
                     self.remote_replies
                         .push((reply_shard, WireMsg::Response { token, value }));
                 }
@@ -733,7 +690,7 @@ impl ShardCore {
             Msg::Response { token, value } => {
                 let mut env = self
                     .awaiting
-                    .remove(&token)
+                    .remove(&ThreadId(token))
                     .expect("a response names a task pinned here");
                 if env.native != self.me() {
                     self.pool.set_guest_state(env.thread, GuestState::Evictable);
@@ -745,7 +702,7 @@ impl ShardCore {
                 let mut released = 0u64;
                 let mut i = 0;
                 while i < self.parked.len() {
-                    if self.parked[i].parked_at == Some(idx) {
+                    if self.parked[i].parked_at == Some(idx as usize) {
                         let mut env = self.parked.swap_remove(i);
                         env.parked_at = None;
                         self.runq.push_back(env);
@@ -929,32 +886,16 @@ impl ShardCore {
         }
     }
 
-    /// Track one access against the envelope-carried run state. Same
-    /// run semantics as the engine's `RunMonitor::track`, with the
-    /// run-end half inlined against envelope-local state: a continuing
-    /// run touches nothing shared, and a run boundary bins into the
-    /// *shard-local* histogram and feeds the *envelope-carried* scheme
-    /// — no locks either way.
-    fn track(&mut self, env: &mut Envelope, home: CoreId) {
-        match env.run {
-            Some((c, ref mut len)) if c == home => *len += 1,
-            Some((c, len)) => {
-                self.finish_run(env, c, len);
-                env.run = Some((home, 1));
-            }
-            None => env.run = Some((home, 1)),
+    /// Step the envelope-carried run state by the engine's run rule
+    /// ([`em2_engine::runlen::step`]) for an access homed at `home`, or
+    /// `None` when the task retires: a continuing run touches nothing
+    /// shared, and a run boundary bins into the *shard-local* histogram
+    /// and feeds the *envelope-carried* scheme — no locks either way.
+    fn track(&mut self, env: &mut Envelope, home: Option<CoreId>) {
+        let hist = &mut self.counters.run_hist;
+        if let Some((c, len)) = em2_engine::runlen::step(&mut env.run, home, env.native, hist) {
+            env.scheme.observe_run(env.thread, c, len);
         }
-    }
-
-    /// Record one completed run: bin it (if non-native — the envelope
-    /// knows its native shard) and report it to the thread's own
-    /// scheme — the run-end rule of `em2_engine::RunMonitor`, applied
-    /// to the run state the envelope carries.
-    fn finish_run(&mut self, env: &mut Envelope, core: CoreId, len: u64) {
-        if core != env.native {
-            self.counters.run_hist.record(len);
-        }
-        env.scheme.observe_run(env.thread, core, len);
     }
 
     /// LRU bookkeeping for a slice that ends with its context still
@@ -1025,7 +966,7 @@ impl ShardCore {
                 } else {
                     self.counters.flow.local_accesses += 1;
                 }
-                self.track(&mut env, home);
+                self.track(&mut env, Some(home));
                 reply = self.serve(addr, write_value);
                 self.clock += 1;
                 budget -= 1;
@@ -1077,7 +1018,7 @@ impl ShardCore {
                     // decide-then-track, the simulator's order: the
                     // scheme sees the run-end observation only after
                     // deciding the access that ended the run.
-                    self.track(&mut env, home);
+                    self.track(&mut env, Some(home));
                     env.journey.push(crate::wire::JourneyHop {
                         shard: home.index() as u32,
                         node: shared.node_id,
@@ -1101,10 +1042,10 @@ impl ShardCore {
                     shared.send(
                         home.index(),
                         Msg::Request {
-                            addr,
+                            addr: addr.0,
                             write: write_value,
-                            reply_shard: self.id,
-                            token: thread,
+                            reply_shard: self.id as u32,
+                            token: thread.0,
                         },
                     );
                     return;
@@ -1125,11 +1066,7 @@ impl ShardCore {
     fn retire(&mut self, shared: &Shared, mut env: Box<Envelope>) {
         // Flush the final run (the envelope carries the in-progress
         // state; see `track`).
-        if let Some((c, len)) = env.run.take() {
-            if len > 0 {
-                self.finish_run(&mut env, c, len);
-            }
-        }
+        self.track(&mut env, None);
         if env.native == self.me() {
             self.pool.remove_native(env.thread);
         } else {
@@ -1261,10 +1198,10 @@ pub(crate) mod tests {
         for batch in 0..2 {
             for i in 0..5 {
                 core.scratch.push(Msg::Request {
-                    addr: Addr(64),
+                    addr: 64,
                     write: None,
                     reply_shard: 0,
-                    token: ThreadId(5 * batch + i),
+                    token: 5 * batch + i,
                 });
             }
             core.process_batch(&shared);
@@ -1299,31 +1236,19 @@ pub(crate) mod tests {
         let shared = two_shards(256, Arc::clone(&link) as Arc<dyn NodeLink>);
         let mb = &shared.mailboxes[1];
         let request = |token| Msg::Request {
-            addr: Addr(64),
+            addr: 64,
             write: None,
             reply_shard: 0,
-            token: ThreadId(token),
+            token,
         };
         shared.send(1, request(0));
         mb.locked(|| shared.directory.set_owner(1, 1));
         let owned = || shared.directory.owner_of(1) == shared.node_id;
         let refused = mb.push_if(owned, request(1));
-        assert!(matches!(
-            refused,
-            Err(Msg::Request {
-                token: ThreadId(1),
-                ..
-            })
-        ));
+        assert!(matches!(refused, Err(Msg::Request { token: 1, .. })));
         shared.send(1, request(2));
         assert_eq!(mb.len(), 1, "nothing lands after the flip");
-        assert!(matches!(
-            mb.pop(),
-            Some(Msg::Request {
-                token: ThreadId(0),
-                ..
-            })
-        ));
+        assert!(matches!(mb.pop(), Some(Msg::Request { token: 0, .. })));
         let seen = link.0.lock().expect("recording");
         assert!(matches!(seen[..], [(1, WireMsg::Request { token: 2, .. })]));
     }
@@ -1514,7 +1439,7 @@ pub(crate) mod tests {
                 };
                 asked.push(token);
             }
-            assert_eq!(asked, [a, b]);
+            assert_eq!(asked, [a.0, b.0]);
             if handoff {
                 let frozen = core.export_frozen(Vec::new());
                 let threads: Vec<u32> = frozen.awaiting.iter().map(|e| e.thread).collect();
@@ -1532,7 +1457,7 @@ pub(crate) mod tests {
                 assert_eq!(core.census(), (0, 0, 2, 0), "both still await");
             }
             for token in asked.into_iter().rev() {
-                let value = Some(100 + u64::from(token.0));
+                let value = Some(100 + u64::from(token));
                 core.handle(&shared, Msg::Response { token, value });
             }
             while let Some(env) = core.runq.pop_front() {
@@ -1541,6 +1466,57 @@ pub(crate) mod tests {
             assert_eq!(core.census(), (0, 0, 0, 0), "both ran to completion");
             assert_eq!(core.serve(Addr(64), None), Some(101), "handoff: {handoff}");
             assert_eq!(core.serve(Addr(192), None), Some(102), "handoff: {handoff}");
+        }
+    }
+
+    /// A scheme that records every run reported to it.
+    struct Observer(Arc<Mutex<Vec<(ThreadId, CoreId, u64)>>>);
+
+    impl DecisionScheme for Observer {
+        fn decide(&mut self, _ctx: &DecisionCtx<'_>) -> Decision {
+            Decision::Migrate
+        }
+
+        fn observe_run(&mut self, thread: ThreadId, home: CoreId, len: u64) {
+            self.0.lock().expect("runs").push((thread, home, len));
+        }
+
+        fn name(&self) -> String {
+            "observer".into()
+        }
+    }
+
+    /// The run state a task carries goes through the engine's run rule:
+    /// over seeded home sequences, `track` — per access, then at
+    /// retirement — bins the same histogram and reports the same runs to
+    /// the task's own scheme as `RunMonitor` does for the same thread.
+    #[test]
+    fn carried_runs_bin_and_observe_as_the_run_monitor_does() {
+        let mut rng = DetRng::new(0x2A7);
+        let thread = ThreadId(2);
+        for _ in 0..500 {
+            let native = CoreId(rng.below(4) as u16);
+            let runs = Arc::new(Mutex::new(Vec::new()));
+            let mut env = guest(thread.0, Vec::new());
+            env.native = native;
+            env.scheme = Box::new(Observer(Arc::clone(&runs)));
+            let mut core = ShardCore::new(1, 2, None);
+            let mut monitor = em2_engine::RunMonitor::new(vec![native; 3], em2_core::RUN_BINS);
+            let mut want = Vec::new();
+            let mut observe = |t: ThreadId, c: CoreId, l: u64| want.push((t, c, l));
+            let mut home = CoreId(0);
+            for _ in 0..rng.below(80) {
+                if rng.chance(0.4) {
+                    home = CoreId(rng.below(4) as u16);
+                }
+                core.track(&mut env, Some(home));
+                monitor.track(thread, home, &mut observe);
+            }
+            core.track(&mut env, None);
+            monitor.flush(thread, &mut observe);
+            assert_eq!(env.run, None, "retirement ends the run");
+            assert_eq!(core.counters.run_hist, monitor.into_histogram());
+            assert_eq!(*runs.lock().expect("runs"), want);
         }
     }
 

@@ -1,9 +1,9 @@
-//! The runtime's wire format: `Msg` as versioned bytes.
+//! The runtime's wire format: [`WireMsg`] as versioned bytes.
 //!
-//! Inter-shard messages ([`WireMsg`], mirroring the executor's
-//! internal `Msg`) are what a cross-process transport actually ships —
-//! `em2-net` frames these bytes onto loopback queues, Unix-domain
-//! sockets, or TCP. The codec is hand-rolled (the workspace has no
+//! [`WireMsg`] is the runtime's one inter-shard message, in mailboxes
+//! and on the wire; what a cross-process transport ships — `em2-net`
+//! frames it onto loopback queues, Unix-domain sockets, or TCP — is
+//! its wire form. The codec is hand-rolled (the workspace has no
 //! serde; see `shims/README.md`) and deliberately boring:
 //!
 //! * [`WIRE_VERSION`] is stated once per connection (`em2-net`'s
@@ -35,7 +35,7 @@
 //! it reads, so a receiving node hands a migrated continuation to its
 //! task builder where the socket put it. [`WireMsg::decode`] and
 //! [`FrozenShard::decode`] are the same grammar plus the one owning
-//! copy ([`WireMsg::into_owned`]).
+//! copy ([`WireEnvelope::into_owned`]).
 //!
 //! A migrated continuation is a [`WireEnvelope`]: the task's
 //! serialized context ([`crate::Task::context_bytes`]) plus a task
@@ -463,7 +463,7 @@ impl<'a> WireEnvelope<&'a [u8]> {
     }
 
     /// The owning copy: the one place a view's bytes are copied out.
-    pub(crate) fn into_owned(self) -> WireEnvelope {
+    pub fn into_owned(self) -> WireEnvelope {
         WireEnvelope {
             task_ctx: self.task_ctx.to_vec(),
             scheme_state: self.scheme_state.to_vec(),
@@ -479,17 +479,19 @@ impl<'a> WireEnvelope<&'a [u8]> {
     }
 }
 
-/// An inter-shard message in wire form — the public mirror of the
-/// executor's internal `Msg` (Arrive / Request / Response /
-/// BarrierRelease), with the context rebuilt through a task registry
-/// on the receiving side. Shard ids are **global** (cluster-wide);
-/// routing a message to the node owning its destination shard is the
-/// transport layer's job (`em2-net`). `B` is the envelope's.
+/// An inter-shard message (Arrive / Request / Response /
+/// BarrierRelease). `A` is what an arrival carries: a [`WireEnvelope`]
+/// on the wire, a view of one ([`WireMsg::view`]), or the live envelope
+/// in the executor's mailboxes; [`WireMsg::map`] and
+/// [`WireMsg::try_map`] convert between them, rebuilding the context
+/// through a task registry on the receiving side. Shard ids are
+/// **global** (cluster-wide); routing a message to the node owning its
+/// destination shard is the transport layer's job (`em2-net`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireMsg<B = Vec<u8>> {
+pub enum WireMsg<A = WireEnvelope> {
     /// A context arrives: a migration, an eviction return, or task
     /// seeding.
-    Arrive(WireEnvelope<B>),
+    Arrive(A),
     /// Word-granular remote access request (`write: Some(v)` stores).
     Request {
         /// Word address.
@@ -514,6 +516,37 @@ pub enum WireMsg<B = Vec<u8>> {
         /// Barrier index.
         idx: u32,
     },
+}
+
+impl<A> WireMsg<A> {
+    /// The same message carrying `f` of its arrival payload.
+    #[inline]
+    pub fn map<B>(self, f: impl FnOnce(A) -> B) -> WireMsg<B> {
+        let Ok(msg) = self.try_map(|a| Ok::<_, std::convert::Infallible>(f(a)));
+        msg
+    }
+
+    /// [`WireMsg::map`] by a conversion that can fail: the one place a
+    /// message changes form, field for field.
+    #[inline]
+    pub fn try_map<B, E>(self, f: impl FnOnce(A) -> Result<B, E>) -> Result<WireMsg<B>, E> {
+        Ok(match self {
+            WireMsg::Arrive(a) => WireMsg::Arrive(f(a)?),
+            WireMsg::Request {
+                addr,
+                write,
+                reply_shard,
+                token,
+            } => WireMsg::Request {
+                addr,
+                write,
+                reply_shard,
+                token,
+            },
+            WireMsg::Response { token, value } => WireMsg::Response { token, value },
+            WireMsg::BarrierRelease { idx } => WireMsg::BarrierRelease { idx },
+        })
+    }
 }
 
 impl WireMsg {
@@ -558,7 +591,7 @@ impl WireMsg {
 
     /// [`WireMsg::view`] plus the owning copy: same checks, same errors.
     pub fn decode(bytes: &[u8]) -> Result<WireMsg, WireError> {
-        WireMsg::view(bytes).map(WireMsg::into_owned)
+        WireMsg::view(bytes).map(|m| m.map(WireEnvelope::into_owned))
     }
 
     /// The serialized task-context bytes this message carries (an
@@ -572,7 +605,7 @@ impl WireMsg {
     }
 }
 
-impl<'a> WireMsg<&'a [u8]> {
+impl<'a> WireMsg<WireEnvelope<&'a [u8]>> {
     /// Decode one message in place: its byte strings borrow `bytes`,
     /// which must be exactly one message (no trailing bytes). Never
     /// panics. Inlined, as are the decoders it calls: out of line, each
@@ -604,26 +637,6 @@ impl<'a> WireMsg<&'a [u8]> {
             3 => WireMsg::BarrierRelease { idx: r.var_as()? },
             tag => return Err(CodecError::BadTag { what: "msg", tag }.into()),
         })
-    }
-
-    /// The owning copy: an envelope's byte strings are copied out.
-    pub fn into_owned(self) -> WireMsg {
-        match self {
-            WireMsg::Arrive(env) => WireMsg::Arrive(env.into_owned()),
-            WireMsg::Request {
-                addr,
-                write,
-                reply_shard,
-                token,
-            } => WireMsg::Request {
-                addr,
-                write,
-                reply_shard,
-                token,
-            },
-            WireMsg::Response { token, value } => WireMsg::Response { token, value },
-            WireMsg::BarrierRelease { idx } => WireMsg::BarrierRelease { idx },
-        }
     }
 }
 
@@ -732,7 +745,7 @@ impl FrozenShard {
             parked: r.list(env)?,
             stalled: r.list(env)?,
             awaiting: r.list(env)?,
-            mailbox: r.list(|r| WireMsg::view_from(r).map(WireMsg::into_owned))?,
+            mailbox: r.list(|r| WireMsg::view_from(r).map(|m| m.map(WireEnvelope::into_owned)))?,
         };
         r.finish()?;
         Ok(f)
@@ -821,7 +834,7 @@ mod tests {
         for s in [env.task_ctx, env.scheme_state] {
             assert!(bytes.as_ptr_range().contains(&s.as_ptr()), "in place");
         }
-        assert_eq!(view.into_owned(), m);
+        assert_eq!(view.map(WireEnvelope::into_owned), m);
     }
 
     /// The envelope's presence byte has four bits; any byte with a

@@ -77,7 +77,8 @@ fn build_msg(
 /// owned decode, and a refusal the same typed error.
 fn decode_both(bytes: &[u8]) -> Result<WireMsg, WireError> {
     let owned = WireMsg::decode(bytes);
-    assert_eq!(WireMsg::view(bytes).map(WireMsg::into_owned), owned);
+    let view = WireMsg::view(bytes);
+    assert_eq!(view.map(|m| m.map(WireEnvelope::into_owned)), owned);
     owned
 }
 

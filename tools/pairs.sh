@@ -10,22 +10,26 @@
 # anchor (`git archive e00023e`). Then, for each workload (default: all
 # of BENCHMARK.json's), runs $PAIRS rounds of the three binaries at
 # BENCHMARK.json's run_seconds with --trace 0, on one seed per round
-# ($SEED0, $SEED0+1, ...; pick seeds no one has tuned on), parent and
-# change strictly alternating which runs first, and records each run's
+# ($SEED0, $SEED0+1, ...; pick seeds no one has tuned on), the three
+# sides taking the six orders in turn, round by round, so each runs
+# equally often in each slot; and records each run's slot (0-2) and
 # /proc/stat steal. The benchmark itself is driven, never edited.
 #
 # $OUT (default BENCH_new.json) holds, per workload and end-to-end
 # metric: both medians, change/parent, the parent's IQR / median, the
 # pairs the change wins, `unresolved` when that spread exceeds the
 # metric's bound in BENCHMARK.json, the anchor's median with both
-# sides' ratios to it, and every run. Ratios to the anchor tree, not
-# absolute numbers, are what compare across hosts and PRs. With
-# uncommitted edits the change rev is a `git stash create` commit that
-# no ref keeps (`change_is_stash`); from a clean checkout it is HEAD.
+# sides' ratios to it, and every run; and, per workload, the slot
+# effect: the anchor's median `norm_ops_per_s` in each slot over its
+# overall median (the anchor runs in every slot). Ratios to the anchor
+# tree, not absolute numbers, are what compare across hosts and PRs.
+# With uncommitted edits the change rev is a `git stash create` commit
+# that no ref keeps (`change_is_stash`); from a clean checkout it is
+# HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ANCHOR=e00023e
-PAIRS=${PAIRS:-10}
+PAIRS=${PAIRS:-12}
 SEED0=${SEED0:-2701}
 OUT=${OUT:-BENCH_new.json}
 WORK=${WORK:-target/pairs}
@@ -46,9 +50,15 @@ for w, metrics in doc["workloads"].items():
     for r in runs:
         assert r["side"] in ("parent", "change", "anchor") and isinstance(r["seed"], int), r
         assert {"exit", "correct", "failed", "steal_s", "metrics"} <= r.keys(), r
+        assert r.get("slot", 0) in (0, 1, 2), r
     for m, row in metrics.items():
         assert row.keys() == row_keys, f"{w}/{m}: {sorted(row.keys())}"
         assert isinstance(row["unresolved"], bool) and 0 <= row["pairs_in_favour"] <= doc["pairs"]
+# Files written before position balancing (BENCH_PR27-29) have no slots.
+slotted = {"slot" in r for runs in doc["runs"].values() for r in runs}
+assert len(slotted) <= 1, "every run records its slot, or none does"
+for w, effect in doc.get("slot_effect", {}).items():
+    assert len(effect) == 3, f"{w}: slot_effect {effect}"
 print(f"{sys.argv[1]}: schema ok ({len(doc['workloads'])} workloads)")
 PY
 }
@@ -75,7 +85,7 @@ for side in parent change anchor; do
 done
 
 python3 - "$WORK" "$OUT" "$PARENT" "$CHANGE" "$ANCHOR" "$STASH" "$PAIRS" "$SEED0" "$@" <<'PY'
-import json, statistics, subprocess, sys
+import itertools, json, statistics, subprocess, sys
 
 work, out, parent, change, anchor = sys.argv[1:6]
 stash, pairs, seed0 = sys.argv[6] == "true", int(sys.argv[7]), int(sys.argv[8])
@@ -83,12 +93,13 @@ spec = json.load(open("BENCHMARK.json"))
 seconds = str(spec["run_seconds"])
 workloads = sys.argv[9:] or [w["name"] for w in spec["workloads"]]
 metrics = spec["end_to_end"]
+ORDERS = list(itertools.permutations(("parent", "change", "anchor")))
 
 def steal_ticks():
     fields = open("/proc/stat").readline().split()
     return int(fields[8]) if len(fields) > 8 else 0
 
-def run(side, workload, seed):
+def run(side, workload, seed, slot):
     before = steal_ticks()
     p = subprocess.run(
         ["benchmark/target/release/benchmark", "--workload", workload, "--seed", str(seed),
@@ -96,10 +107,10 @@ def run(side, workload, seed):
         cwd=f"{work}/{side}", capture_output=True, text=True)
     steal_s = (steal_ticks() - before) / 100
     last = json.loads(p.stdout.strip().splitlines()[-1]) if p.stdout.strip() else {}
-    row = {"side": side, "seed": seed, "exit": p.returncode, "steal_s": steal_s,
+    row = {"side": side, "seed": seed, "slot": slot, "exit": p.returncode, "steal_s": steal_s,
            "correct": bool(last.get("correct")), "failed": last.get("failed"),
            "metrics": {k: v["value"] for k, v in last.get("metrics", {}).items()}}
-    print(f"{workload} seed {seed} {side}: correct={row['correct']} steal={steal_s:.2f}s", file=sys.stderr)
+    print(f"{workload} seed {seed} slot {slot} {side}: correct={row['correct']} steal={steal_s:.2f}s", file=sys.stderr)
     return row
 
 def quartiles(values):
@@ -109,13 +120,18 @@ def quartiles(values):
 doc = {"revs": {"parent": parent, "change": change, "anchor": anchor},
        "change_is_stash": stash, "pairs": pairs,
        "seconds": float(seconds), "seeds": [seed0 + i for i in range(pairs)],
-       "workloads": {}, "runs": {}}
+       "workloads": {}, "slot_effect": {}, "runs": {}}
 for w in workloads:
     runs = []
     for i in range(pairs):
-        order = ["parent", "change", "anchor"] if i % 2 == 0 else ["anchor", "change", "parent"]
-        runs += [run(side, w, seed0 + i) for side in order]
+        order = ORDERS[i % len(ORDERS)]
+        runs += [run(side, w, seed0 + i, slot) for slot, side in enumerate(order)]
     doc["runs"][w] = runs
+    anchor = [r for r in runs if r["side"] == "anchor" and "norm_ops_per_s" in r["metrics"]]
+    by_slot = [[r["metrics"]["norm_ops_per_s"] for r in anchor if r["slot"] == s] for s in range(3)]
+    overall = statistics.median(r["metrics"]["norm_ops_per_s"] for r in anchor) if anchor else 0
+    if overall and all(by_slot):
+        doc["slot_effect"][w] = [statistics.median(vals) / overall for vals in by_slot]
     rows = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -143,6 +159,9 @@ for w, rows in doc["workloads"].items():
         flag = " unresolved" if r["unresolved"] else ""
         print(f"{w:<14} {name:<18} {r['parent']:>12.6g} {r['change']:>12.6g} {r['ratio'] or 0:>7.3f} "
               f"{r['parent_iqr_frac']:>8.3f} {r['pairs_in_favour']:>2}/{pairs} {r['change_vs_anchor'] or 0:>10.3f}{flag}")
+for w, effect in doc["slot_effect"].items():
+    print(f"{w:<14} slot effect (anchor norm_ops_per_s by slot / overall): "
+          + " ".join(f"{e:.3f}" for e in effect))
 bad = [r for w in doc["runs"].values() for r in w if r["exit"] or not r["correct"] or r["failed"]]
 print(f"{out}: {sum(len(v) for v in doc['runs'].values())} runs, {len(bad)} not correct", file=sys.stderr)
 sys.exit(1 if bad else 0)
