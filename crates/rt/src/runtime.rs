@@ -1058,19 +1058,57 @@ mod tests {
             registry: TaskRegistry::for_workload(Arc::clone(&workload)),
             make_scheme: Box::new(move || Box::new(scheme())),
         };
-        for (to, msg) in link.0.lock().expect("recording").drain(..) {
-            assert_eq!(to, 1);
+        // The same messages on the wire, written out field by field.
+        let Msg::Arrive(env) = msgs().swap_remove(0) else {
+            unreachable!("the first message arrives")
+        };
+        let arrive = WireEnvelope {
+            thread: 0,
+            native: 1,
+            task_kind: TraceTask::WIRE_KIND,
+            task_ctx: env.task.context_bytes(),
+            scheme_state: env.scheme.state_bytes(),
+            pending_op: Some(crate::wire::WireOp::Write(64, 5)),
+            pending_reply: Some(11),
+            parked_at: Some(2),
+            run: Some((1, 3)),
+            journey: env.journey.clone(),
+        };
+        let wire = |addr, write, token| WireMsg::Request {
+            addr,
+            write,
+            reply_shard: 0,
+            token,
+        };
+        let expected = vec![
+            WireMsg::Arrive(arrive),
+            wire(64, None, 7),
+            wire(128, Some(u64::MAX), 8),
+            WireMsg::Response {
+                token: 7,
+                value: Some(9),
+            },
+            WireMsg::Response {
+                token: 8,
+                value: None,
+            },
+            WireMsg::BarrierRelease { idx: 2 },
+        ];
+        let shipped: Vec<(usize, WireMsg)> = link.0.lock().expect("recording").drain(..).collect();
+        assert_eq!(
+            shipped,
+            expected.iter().map(|m| (1, m.clone())).collect::<Vec<_>>()
+        );
+        for (to, msg) in shipped {
             let bytes = msg.encode();
             let view = WireMsg::view(&bytes).expect("decodes");
             assert_eq!(inbox.deliver(to, 0, view, Instant::now()), Ok(true));
         }
-        let to_wire = |m: Msg| m.map(crate::shard::envelope_to_wire);
         let mut arrived = Vec::new();
         while let Some(msg) = receiver.mailboxes[1].pop() {
-            arrived.push(to_wire(msg));
+            arrived.push(msg.map(crate::shard::envelope_to_wire));
         }
-        let sent: Vec<WireMsg> = msgs().into_iter().map(to_wire).collect();
-        assert_eq!(arrived, sent);
+        assert_eq!(arrived, expected);
     }
 
     /// Four producers stream numbered requests at shard 1 of a live
