@@ -1106,7 +1106,7 @@ mod tests {
         }
         let mut arrived = Vec::new();
         while let Some(msg) = receiver.mailboxes[1].pop() {
-            arrived.push(msg.map(crate::shard::envelope_to_wire));
+            arrived.push(msg.map(|env| crate::shard::envelope_to_wire(*env)));
         }
         assert_eq!(arrived, expected);
     }

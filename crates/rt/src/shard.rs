@@ -112,8 +112,7 @@ pub(crate) type Msg = WireMsg<Box<Envelope>>;
 /// cannot cross a process boundary was routed to a remote shard, which
 /// is a cluster-configuration bug (the data it touches must be homed
 /// on locally owned shards).
-#[allow(clippy::boxed_local)] // every caller holds it boxed; its fields move out
-pub(crate) fn envelope_to_wire(env: Box<Envelope>) -> WireEnvelope {
+pub(crate) fn envelope_to_wire(env: Envelope) -> WireEnvelope {
     let task_kind = env.task.wire_kind().unwrap_or_else(|| {
         panic!(
             "task for thread {:?} cannot cross a process boundary: Task::wire_kind() is None",
@@ -232,7 +231,8 @@ impl Shared {
                 Err(refused) => msg = refused,
             }
         }
-        self.node.forward(to, retries, msg.map(envelope_to_wire));
+        self.node
+            .forward(to, retries, msg.map(|env| envelope_to_wire(*env)));
     }
 
     pub(crate) fn is_released(&self, k: usize) -> bool {
@@ -534,11 +534,9 @@ impl ShardCore {
         let mut heap: Vec<(u64, u64)> = self.heap.drain().collect();
         heap.sort_unstable_by_key(|&(a, _)| a);
         let (natives, guests) = self.pool.drain_residents();
-        let mut awaiting: Vec<WireEnvelope> = self
-            .awaiting
-            .drain()
-            .map(|(_, env)| envelope_to_wire(env))
-            .collect();
+        let wire = |env: Box<Envelope>| envelope_to_wire(*env);
+        let mut awaiting: Vec<WireEnvelope> =
+            self.awaiting.drain().map(|(_, env)| wire(env)).collect();
         awaiting.sort_unstable_by_key(|env| env.thread);
         crate::wire::FrozenShard {
             shard: self.id as u32,
@@ -549,14 +547,11 @@ impl ShardCore {
                 .into_iter()
                 .map(|(t, pinned, at)| (t.0, pinned, at))
                 .collect(),
-            runq: self.runq.drain(..).map(envelope_to_wire).collect(),
-            parked: self.parked.drain(..).map(envelope_to_wire).collect(),
+            runq: self.runq.drain(..).map(wire).collect(),
+            parked: self.parked.drain(..).map(wire).collect(),
             awaiting,
-            stalled: self.stalled.drain(..).map(envelope_to_wire).collect(),
-            mailbox: mailbox
-                .into_iter()
-                .map(|m| m.map(envelope_to_wire))
-                .collect(),
+            stalled: self.stalled.drain(..).map(wire).collect(),
+            mailbox: mailbox.into_iter().map(|m| m.map(wire)).collect(),
         }
     }
 
