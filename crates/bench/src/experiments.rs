@@ -38,7 +38,7 @@ use em2_core::{
     machine::MachineConfig,
     sim::{run_em2, run_em2_flat, run_em2ra_flat},
     stats::SimReport,
-    Contention, QueuedParams,
+    Contention, QueuedParams, RunMonitor, RUN_BINS,
 };
 use em2_model::{CoreId, CostModel, Histogram, Mesh};
 use em2_net::{ClusterRun, ClusterSpec, CounterSummary, NetReport};
@@ -67,20 +67,15 @@ pub fn scheme_network_cost_flat(
     cost: &CostModel,
     scheme: &mut dyn DecisionScheme,
 ) -> u64 {
+    // Run-length feedback through the simulator's run rule.
+    let mut runs = RunMonitor::new(flat.threads.iter().map(|t| t.native).collect(), RUN_BINS);
     let mut total = 0u64;
     for t in &flat.threads {
         let mut at = t.native;
-        let mut run: Option<(CoreId, u64)> = None;
         for (&home, &kind) in t.home.iter().zip(&t.kind) {
-            // Run-length feedback (same definition as the analyzer).
-            match run {
-                Some((c, ref mut len)) if c == home => *len += 1,
-                Some((c, len)) => {
-                    scheme.observe_run(t.thread, c, len);
-                    run = Some((home, 1));
-                }
-                None => run = Some((home, 1)),
-            }
+            runs.track(t.thread, home, &mut |th, c, len| {
+                scheme.observe_run(th, c, len)
+            });
             if home == at {
                 continue;
             }
@@ -102,9 +97,7 @@ pub fn scheme_network_cost_flat(
                 }
             }
         }
-        if let Some((c, len)) = run {
-            scheme.observe_run(t.thread, c, len);
-        }
+        runs.flush(t.thread, &mut |th, c, len| scheme.observe_run(th, c, len));
     }
     total
 }

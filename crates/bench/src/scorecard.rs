@@ -21,7 +21,7 @@ use crate::workloads::Scale;
 use em2_core::decision::{
     AlwaysMigrate, AlwaysRemote, DecisionScheme, DistanceThreshold, HistoryPredictor,
 };
-use em2_model::{Addr, CoreId, CostModel, DetRng, ThreadId};
+use em2_model::{Addr, CoreId, DetRng, ThreadId};
 use em2_optimal::migrate_ra;
 use em2_placement::{Placement, Striped};
 use em2_trace::{FlatWorkload, ThreadTrace, Workload};
@@ -114,12 +114,11 @@ impl PlacementScorecard {
         let placement: Arc<dyn Placement> = Arc::new(Striped::new(shards, 64));
         let mut cfg = em2_rt::RtConfig::eviction_free(shards, threads);
         cfg.obs = Some(em2_obs::ObsConfig::on());
-        let cost = CostModel::builder().cores(shards).build();
         let flat = FlatWorkload::build(&w, 64, |a| placement.home_of(a));
         // Bounded nested fan-out, like E4: the caller may already span
         // the pool.
         let inner = par::threads().min(4);
-        let (bound, _) = migrate_ra::workload_optimal_flat(&flat, &cost, inner);
+        let (bound, _) = migrate_ra::workload_optimal_flat(&flat, &cfg.cost, inner);
         let scores = scheme_panel()
             .into_iter()
             .map(|(name, factory)| {
@@ -129,7 +128,7 @@ impl PlacementScorecard {
                     .as_ref()
                     .expect("obs was configured on")
                     .attrib_cost();
-                let replay = scheme_network_cost_flat(&flat, &cost, &mut *factory());
+                let replay = scheme_network_cost_flat(&flat, &cfg.cost, &mut *factory());
                 assert!(
                     observed >= bound,
                     "{name}: attributed cost {observed} beat the DP bound {bound}"

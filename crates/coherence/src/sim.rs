@@ -61,11 +61,7 @@ pub struct MsiConfig {
 
 impl Default for MsiConfig {
     fn default() -> Self {
-        MsiConfig {
-            cost: CostModel::default(),
-            caches: HierarchyConfig::default(),
-            contention: Contention::Off,
-        }
+        MsiConfig::with_cores(64)
     }
 }
 
@@ -74,7 +70,8 @@ impl MsiConfig {
     pub fn with_cores(cores: usize) -> Self {
         MsiConfig {
             cost: CostModel::builder().cores(cores).build(),
-            ..MsiConfig::default()
+            caches: HierarchyConfig::default(),
+            contention: Contention::Off,
         }
     }
 
@@ -241,7 +238,7 @@ impl<'a> MachineState<'a> {
         if self.accesses_seen.is_multiple_of(REPLICATION_SAMPLE) {
             self.sample_replication();
         }
-        let cost = self.cfg.cost;
+        let cost = &self.cfg.cost;
         let l2 = cost.l2_hit_latency;
         let dram = cost.dram_latency;
         let line = lr.line;
@@ -252,12 +249,12 @@ impl<'a> MachineState<'a> {
             (AccessKind::Read, Some(_)) => {
                 self.report.read_hits += 1;
                 let out = self.caches[c.index()].access(lr.addr, false);
-                out.latency(&cost)
+                out.latency(cost)
             }
             (AccessKind::Write, Some(Local::Modified)) => {
                 self.report.write_hits += 1;
                 let out = self.caches[c.index()].access(lr.addr, true);
-                out.latency(&cost)
+                out.latency(cost)
             }
             // ---- upgrade: S → M ----
             (AccessKind::Write, Some(Local::Shared)) => {

@@ -95,7 +95,7 @@ proptest! {
         let cfg = MsiConfig::with_cores(4);
         // Worst case: miss + dir + forward + invalidate everyone +
         // dram + data; all legs bounded by diameter-length messages.
-        let cm = cfg.cost;
+        let cm = cfg.cost.clone();
         let diameter_leg = cm.mesh.diameter() * cm.hop_latency + 64; // generous serialization
         let worst = cm.l1_hit_latency
             + 2 * cm.l2_hit_latency

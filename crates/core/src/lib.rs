@@ -50,7 +50,7 @@ pub use decision::{
     AlwaysMigrate, AlwaysRemote, CostBreakEven, Decision, DecisionCtx, DecisionScheme,
     DistanceThreshold, HistoryPredictor, MarkovPredictor, OracleSchedule, SchemeStateError,
 };
-pub use em2_engine::{Contention, QueuedParams};
+pub use em2_engine::{Contention, QueuedParams, RunMonitor};
 pub use machine::MachineConfig;
 pub use sim::RUN_BINS;
 pub use stats::{FlowCounts, SimReport};

@@ -25,12 +25,7 @@ impl Default for MachineConfig {
     /// The paper's Figure-2 machine: 64 cores, 16 KB L1 + 64 KB L2,
     /// 2 guest contexts, LRU victimization.
     fn default() -> Self {
-        MachineConfig {
-            cost: CostModel::default(),
-            caches: HierarchyConfig::default(),
-            guest_contexts: 2,
-            contention: Contention::Off,
-        }
+        MachineConfig::with_cores(64)
     }
 }
 
@@ -39,7 +34,9 @@ impl MachineConfig {
     pub fn with_cores(cores: usize) -> Self {
         MachineConfig {
             cost: CostModel::builder().cores(cores).build(),
-            ..MachineConfig::default()
+            caches: HierarchyConfig::default(),
+            guest_contexts: 2,
+            contention: Contention::Off,
         }
     }
 

@@ -77,8 +77,7 @@ struct Em2Thread {
 /// The EM²/EM²-RA machine: per-access transition logic plugged into
 /// the shared engine.
 struct Em2Machine<'a> {
-    cost: CostModel,
-    ctx_bits: u64,
+    cost: &'a CostModel,
     line_bytes: u64,
     flat: &'a FlatWorkload,
     pools: Vec<ContextPool>,
@@ -127,17 +126,17 @@ impl MachineModel for Em2Machine<'_> {
                             let was_parked =
                                 matches!(eng.phase(victim), ThreadPhase::AtBarrier { .. });
                             let v_epoch = eng.bump_epoch(victim);
-                            let ev_lat = cost.migration_latency_bits(dst, v_native, self.ctx_bits)
+                            let ev_lat = cost.migration_latency(dst, v_native)
                                 + eng.contention.link_delay(
-                                    &cost,
+                                    cost,
                                     dst,
                                     v_native,
-                                    self.ctx_bits,
+                                    cost.context_bits,
                                     depart,
                                 );
-                            self.context_bits_sent += self.ctx_bits;
+                            self.context_bits_sent += cost.context_bits;
                             self.traffic.eviction_flit_hops +=
-                                cost.migration_traffic_bits(dst, v_native, self.ctx_bits);
+                                cost.migration_traffic_bits(dst, v_native, cost.context_bits);
                             eng.set_phase(
                                 victim,
                                 ThreadPhase::InFlight {
@@ -203,7 +202,7 @@ impl MachineModel for Em2Machine<'_> {
                 let (addr, kind) = (ft.addr[pos], ft.kind[pos]);
                 let t_access = eng.contention.home_admit(dst, now);
                 let outcome = self.caches[dst.index()].access(addr, kind.is_write());
-                let lat = outcome.latency(&cost);
+                let lat = outcome.latency(cost);
                 let complete = t_access + lat;
                 let issue = self.threads[t_idx].op_issue;
                 self.flow.migrations += 1;
@@ -238,18 +237,15 @@ impl MachineModel for Em2Machine<'_> {
                 let (addr, kind) = (ft.addr[pos], ft.kind[pos]);
                 let t_start = eng.contention.home_admit(home, now);
                 let outcome = self.caches[home.index()].access(addr, kind.is_write());
-                let cache_lat = outcome.latency(&cost);
+                let cache_lat = outcome.latency(cost);
                 let core = self.threads[t_idx].core;
-                let resp_bits = match kind {
-                    em2_model::AccessKind::Read => cost.ra_resp_read_bits,
-                    em2_model::AccessKind::Write => cost.ra_resp_ack_bits,
-                };
+                let (_, resp_bits) = cost.ra_bits(kind);
                 let resp_depart = t_start + cache_lat;
                 let complete = resp_depart
                     + cost.one_way(home, core, resp_bits)
                     + eng
                         .contention
-                        .link_delay(&cost, home, core, resp_bits, resp_depart)
+                        .link_delay(cost, home, core, resp_bits, resp_depart)
                     + cost.ra_fixed;
                 let issue = self.threads[t_idx].op_issue;
                 match kind {
@@ -329,7 +325,7 @@ impl MachineModel for Em2Machine<'_> {
 
                 if home == core {
                     let outcome = self.caches[core.index()].access(addr, kind.is_write());
-                    let lat = outcome.latency(&cost);
+                    let lat = outcome.latency(cost);
                     let complete = issue + lat;
                     self.flow.local_accesses += 1;
                     self.access_latency.record_u64(lat);
@@ -362,7 +358,7 @@ impl MachineModel for Em2Machine<'_> {
                     home,
                     native: self.threads[t_idx].native,
                     kind,
-                    cost: &cost,
+                    cost,
                 });
                 match decision {
                     Decision::Migrate => {
@@ -372,13 +368,13 @@ impl MachineModel for Em2Machine<'_> {
                             self.pools[core.index()].remove_guest(tid);
                         }
                         self.monitor.on_depart(tid, core);
-                        let lat = cost.migration_latency_bits(core, home, self.ctx_bits)
+                        let lat = cost.migration_latency(core, home)
                             + eng
                                 .contention
-                                .link_delay(&cost, core, home, self.ctx_bits, issue);
-                        self.context_bits_sent += self.ctx_bits;
+                                .link_delay(cost, core, home, cost.context_bits, issue);
+                        self.context_bits_sent += cost.context_bits;
                         self.traffic.migration_flit_hops +=
-                            cost.migration_traffic_bits(core, home, self.ctx_bits);
+                            cost.migration_traffic_bits(core, home, cost.context_bits);
                         self.migration_latency.record_u64(lat);
                         self.network_cycles += lat;
                         self.threads[t_idx].op_issue = issue;
@@ -418,9 +414,7 @@ impl MachineModel for Em2Machine<'_> {
                         eng.set_phase(tid, ThreadPhase::Waiting { until: u64::MAX });
                         let service_at = issue
                             + cost.one_way(core, home, req_bits)
-                            + eng
-                                .contention
-                                .link_delay(&cost, core, home, req_bits, issue);
+                            + eng.contention.link_delay(cost, core, home, req_bits, issue);
                         eng.push(service_at, tid, ev.epoch, EventKind::Service { home });
                     }
                 }
@@ -467,8 +461,7 @@ pub fn run_em2ra_flat(
         ContentionState::new(cfg.contention, cfg.cost.mesh),
     );
     let mut machine = Em2Machine {
-        cost: cfg.cost,
-        ctx_bits: cfg.cost.context_bits,
+        cost: &cfg.cost,
         line_bytes: cfg.caches.l1.line_bytes,
         flat,
         pools,

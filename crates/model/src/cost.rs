@@ -21,6 +21,9 @@
 use crate::ceil_div;
 use crate::ids::{AccessKind, CoreId};
 use crate::mesh::Mesh;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Architectural register-file shape, used to derive the default
 /// migrated context size.
@@ -59,16 +62,11 @@ impl ContextSpec {
     }
 }
 
-impl Default for ContextSpec {
-    fn default() -> Self {
-        ContextSpec::ATOM32
-    }
-}
-
-/// The network + memory cost model shared by every component in the
-/// workspace. All latencies are in core clock cycles.
+/// The parameters a [`CostModel`] is built from. A built model derefs
+/// to them, read-only: its pair table was priced from them, so none
+/// can be assigned after [`CostModelBuilder::build`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModel {
+pub struct CostParams {
     /// Mesh geometry (gives hop counts).
     pub mesh: Mesh,
     /// Per-hop router+link traversal latency, cycles.
@@ -101,6 +99,52 @@ pub struct CostModel {
     pub dram_latency: u64,
 }
 
+/// One ordered core pair `(src, home)`, priced in the model's fixed
+/// context: an entry of [`CostModel::row`], all zero when `src == home`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairCost {
+    /// Manhattan hop count between the two cores.
+    pub hops: u32,
+    /// [`CostModel::migration_latency`] from `src` to `home`.
+    pub migration: u32,
+    /// [`CostModel::remote_access_latency`], indexed by
+    /// [`AccessKind::is_write`].
+    pub remote: [u32; 2],
+}
+
+/// The network + memory cost model shared by every component in the
+/// workspace. All latencies are in core clock cycles.
+///
+/// [`CostModelBuilder::build`] prices every ordered core pair once,
+/// into one `P × P` table its clones share; the fixed-context
+/// latencies read it, and the parameters cannot change under it:
+///
+/// ```compile_fail
+/// let mut cm = em2_model::CostModel::default();
+/// cm.hop_latency = 3;
+/// ```
+#[derive(Clone, PartialEq)]
+pub struct CostModel {
+    params: CostParams,
+    /// Entry `home·P + src`: rows by home, the DP's access order.
+    pairs: Arc<[PairCost]>,
+}
+
+impl Deref for CostModel {
+    type Target = CostParams;
+
+    #[inline]
+    fn deref(&self) -> &CostParams {
+        &self.params
+    }
+}
+
+impl fmt::Debug for CostModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("CostModel").field(&self.params).finish()
+    }
+}
+
 impl Default for CostModel {
     /// 64-core 8×8 mesh with the paper's Figure-2 configuration flavor.
     fn default() -> Self {
@@ -120,10 +164,17 @@ impl CostModel {
         self.mesh.cores()
     }
 
+    /// The prices of every core pair into `home`, indexed by source.
+    #[inline]
+    pub fn row(&self, home: CoreId) -> &[PairCost] {
+        let p = self.cores();
+        &self.pairs[home.index() * p..][..p]
+    }
+
     /// Manhattan hop count between two cores.
     #[inline]
     pub fn hops(&self, a: CoreId, b: CoreId) -> u64 {
-        self.mesh.hops(a, b)
+        self.row(b)[a.index()].hops.into()
     }
 
     /// Number of flits needed to carry `payload_bits` (+ header).
@@ -155,7 +206,7 @@ impl CostModel {
     /// Migration latency using the model's default context size.
     #[inline]
     pub fn migration_latency(&self, src: CoreId, dst: CoreId) -> u64 {
-        self.migration_latency_bits(src, dst, self.context_bits)
+        self.row(dst)[src.index()].migration.into()
     }
 
     /// `(request, response)` message sizes of a remote access: a write
@@ -175,20 +226,13 @@ impl CostModel {
     /// line's `home` core (paper §3, Figure 3). Zero if already home.
     #[inline]
     pub fn remote_access_latency(&self, src: CoreId, home: CoreId, kind: AccessKind) -> u64 {
-        if src == home {
-            return 0;
-        }
-        let (req_bits, resp_bits) = self.ra_bits(kind);
-        self.one_way(src, home, req_bits) + self.one_way(home, src, resp_bits) + self.ra_fixed
+        self.row(home)[src.index()].remote[usize::from(kind.is_write())].into()
     }
 
     /// Network traffic of a migration, in flit-hops (an energy proxy:
     /// each flit traversing each link costs roughly constant energy).
     #[inline]
     pub fn migration_traffic_bits(&self, src: CoreId, dst: CoreId, context_bits: u64) -> u64 {
-        if src == dst {
-            return 0;
-        }
         self.hops(src, dst) * self.flits(context_bits)
     }
 }
@@ -206,7 +250,7 @@ impl CostModel {
 /// assert_eq!(cm.cores(), 64);
 /// ```
 #[derive(Clone, Debug)]
-pub struct CostModelBuilder(CostModel);
+pub struct CostModelBuilder(CostParams);
 
 impl Default for CostModelBuilder {
     fn default() -> Self {
@@ -217,7 +261,7 @@ impl Default for CostModelBuilder {
 impl CostModelBuilder {
     /// Start from the paper-flavored 64-core defaults.
     pub fn new() -> Self {
-        CostModelBuilder(CostModel {
+        CostModelBuilder(CostParams {
             mesh: Mesh::new(8, 8),
             hop_latency: 2,
             link_width_bits: 128,
@@ -266,9 +310,28 @@ impl CostModelBuilder {
         self
     }
 
-    /// Finalize the model.
+    /// Finalize the model: price every ordered core pair of the mesh.
     pub fn build(self) -> CostModel {
-        self.0
+        let mut cm = CostModel {
+            params: self.0,
+            pairs: Arc::new([]),
+        };
+        let price = |src: CoreId, home: CoreId| {
+            let hops = cm.mesh.hops(src, home);
+            let leg = |bits| hops * cm.hop_latency + cm.flits(bits) - 1;
+            let ra = |(req, resp)| leg(req) + leg(resp) + cm.ra_fixed;
+            let fit = |v| u32::try_from(v).expect("a pair latency fits in u32 cycles");
+            let lat = |v| if src == home { 0 } else { fit(v) };
+            PairCost {
+                hops: hops as u32,
+                migration: lat(leg(cm.context_bits) + cm.migration_fixed),
+                remote: [AccessKind::Read, AccessKind::Write].map(|k| lat(ra(cm.ra_bits(k)))),
+            }
+        };
+        let p = cm.cores();
+        let pairs = (0..p * p).map(|i| price(CoreId::from(i % p), CoreId::from(i / p)));
+        cm.pairs = pairs.collect();
+        cm
     }
 }
 
@@ -382,7 +445,7 @@ mod tests {
             .hop_latency(3)
             .context_bits(2048)
             .build();
-        let back = m;
+        let back = m.clone();
         assert_eq!(m, back);
         assert_eq!(back.hop_latency, 3);
         assert_eq!(back.context_bits, 2048);

@@ -39,7 +39,7 @@ pub mod mesh;
 pub mod rng;
 pub mod stats;
 
-pub use cost::{ContextSpec, CostModel, CostModelBuilder};
+pub use cost::{ContextSpec, CostModel, CostModelBuilder, CostParams, PairCost};
 pub use hash::{WordHasher, WordMap};
 pub use histogram::Histogram;
 pub use ids::{AccessKind, Addr, CoreId, LineAddr, ThreadId};

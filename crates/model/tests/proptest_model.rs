@@ -125,6 +125,47 @@ proptest! {
         );
     }
 
+    /// Every entry of the model's pair table equals the closed form it
+    /// replaced, written out here rather than asked of the model.
+    #[test]
+    fn pair_table_equals_the_closed_form(
+        shape in 0usize..4,
+        side in 2u16..7,
+        hop_latency in 0u64..8,
+        link_width_bits in 1u64..300,
+        context_bits in 1u64..4096,
+    ) {
+        let mesh = [Mesh::new(side, side), Mesh::new(3, 5), Mesh::square_for(10), Mesh::new(1, 1)][shape];
+        let cm = CostModel::builder()
+            .mesh(mesh)
+            .hop_latency(hop_latency)
+            .link_width_bits(link_width_bits)
+            .context_bits(context_bits)
+            .build();
+        let flits = |bits: u64| ceil_div(bits + cm.header_bits, link_width_bits).max(1);
+        let leg = |hops: u64, bits: u64| hops * hop_latency + flits(bits) - 1;
+        for src in mesh.iter() {
+            for dst in mesh.iter() {
+                let hops = mesh.hops(src, dst);
+                prop_assert_eq!(cm.hops(src, dst), hops);
+                let (migration, read, write) = if src == dst {
+                    (0, 0, 0)
+                } else {
+                    (
+                        leg(hops, context_bits) + cm.migration_fixed,
+                        leg(hops, cm.ra_req_bits) + leg(hops, cm.ra_resp_read_bits) + cm.ra_fixed,
+                        leg(hops, cm.ra_req_bits + cm.ra_write_data_bits)
+                            + leg(hops, cm.ra_resp_ack_bits)
+                            + cm.ra_fixed,
+                    )
+                };
+                prop_assert_eq!(cm.migration_latency(src, dst), migration);
+                prop_assert_eq!(cm.remote_access_latency(src, dst, AccessKind::Read), read);
+                prop_assert_eq!(cm.remote_access_latency(src, dst, AccessKind::Write), write);
+            }
+        }
+    }
+
     #[test]
     fn rng_streams_are_reproducible(seed in any::<u64>(), n in 1usize..100) {
         let mut a = em2_model::DetRng::new(seed);

@@ -5,7 +5,7 @@
 //! range of the global shard space (contiguity keeps the routing table
 //! a single subtraction on the runtime's hot send path). Every process
 //! is launched with the same spec — usually the same
-//! [`ClusterSpec::parse`] string — and the connect handshake compares
+//! [`ClusterSpec::even`] split — and the connect handshake compares
 //! [`ClusterSpec::digest`]s so two processes with divergent topologies
 //! refuse to form a cluster instead of silently misrouting.
 
@@ -26,8 +26,8 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Instantiate the transport; its [`Transport::kind`] is this
-    /// kind's spec-string prefix (`"loopback"`, `"uds"`, `"tcp"`).
+    /// Instantiate the transport; its [`Transport::kind`] names this
+    /// kind (`"loopback"`, `"uds"`, `"tcp"`).
     pub fn make(&self) -> Box<dyn Transport> {
         match self {
             TransportKind::Loopback => Box::new(LoopbackTransport),
@@ -38,24 +38,23 @@ impl TransportKind {
     }
 }
 
-/// Failure-detection knobs for a cluster run. All tunable from the
-/// launch string ([`ClusterSpec::parse`]); none participate in the
-/// topology digest, so nodes may differ in tuning without refusing
-/// each other (the protocol tolerates asymmetric deadlines — a node
-/// that gives up first aborts the others).
+/// Failure-detection knobs for a cluster run, set with
+/// [`ClusterSpec::with_timeouts`]. None participate in the topology
+/// digest, so nodes may differ in tuning without refusing each other
+/// (the protocol tolerates asymmetric deadlines — a node that gives up
+/// first aborts the others).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterTimeouts {
-    /// Per-peer dial + handshake budget in milliseconds
-    /// (`connect_timeout_ms=`). Dial retries back off exponentially
-    /// with jitter inside this budget.
+    /// Per-peer dial + handshake budget in milliseconds. Dial retries
+    /// back off exponentially with jitter inside this budget.
     pub connect_ms: u64,
-    /// Run deadline in milliseconds (`timeout_ms=`): the longest
+    /// Run deadline in milliseconds: the longest
     /// `finish()` waits for cluster quiesce before returning a
     /// [`crate::ClusterError::BarrierTimeout`] /
     /// [`crate::ClusterError::QuiesceTimeout`]. `0` waits forever
     /// (the fault-free default — big workloads set their own budget).
     pub run_ms: u64,
-    /// Heartbeat interval in milliseconds (`heartbeat_ms=`): each
+    /// Heartbeat interval in milliseconds: each
     /// node sends an uncounted `Heartbeat` frame on every connection
     /// idle that long, and declares a peer lost after
     /// [`ClusterTimeouts::peer_deadline_ms`] of silence. `0` disables
@@ -107,8 +106,8 @@ pub struct ClusterSpec {
     pub nodes: Vec<NodeSpec>,
     /// Failure-detection deadlines (not part of the topology digest).
     pub timeouts: ClusterTimeouts,
-    /// Epoch the ownership directory starts at (`initial_epoch=`,
-    /// default 0). Part of the topology digest: every member must
+    /// Epoch the ownership directory starts at (default 0; see
+    /// [`ClusterSpec::with_initial_epoch`]). Part of the topology digest: every member must
     /// agree on the starting epoch or the handshake refuses, since
     /// epoch numbers fence in-flight frames during handoffs.
     pub initial_epoch: u64,
@@ -186,81 +185,6 @@ impl ClusterSpec {
     pub fn loopback(nodes: usize, shards: usize) -> Self {
         let base = format!("em2-loopback-{}-{}", std::process::id(), unique_stamp());
         ClusterSpec::even(TransportKind::Loopback, &base, nodes, shards)
-    }
-
-    /// Parse a launch string: `"<kind>:<base>,nodes=<N>,shards=<S>"`,
-    /// e.g. `uds:/tmp/em2-kv.sock,nodes=2,shards=16` or
-    /// `tcp:127.0.0.1:7600,nodes=2,shards=16`. Optional failure-
-    /// detection keys: `timeout_ms=<run deadline>`,
-    /// `connect_timeout_ms=<dial budget>`, `heartbeat_ms=<interval>`
-    /// (see [`ClusterTimeouts`]). Produces the same even split as
-    /// [`ClusterSpec::even`], so every process parsing the same
-    /// string builds the same topology (digest-checked at connect).
-    pub fn parse(s: &str) -> Result<ClusterSpec, String> {
-        let mut parts = s.split(',');
-        let head = parts.next().unwrap_or_default();
-        let (kind_s, base) = head
-            .split_once(':')
-            .ok_or_else(|| format!("expected <kind>:<base>, got {head:?}"))?;
-        let kind = match kind_s {
-            "loopback" => TransportKind::Loopback,
-            #[cfg(unix)]
-            "uds" => TransportKind::Uds,
-            "tcp" => TransportKind::Tcp,
-            other => return Err(format!("unknown transport {other:?} (loopback|uds|tcp)")),
-        };
-        let (mut nodes, mut shards) = (None, None);
-        let mut timeouts = ClusterTimeouts::default();
-        let mut initial_epoch = 0u64;
-        let mut seen: Vec<&str> = Vec::new();
-        for p in parts {
-            let (k, v) = p
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {p:?}"))?;
-            if seen.contains(&k) {
-                // A repeated key is almost always a mangled launch
-                // string; silently letting the last one win would hide
-                // the half that was dropped.
-                return Err(format!("duplicate key {k:?} in cluster spec"));
-            }
-            seen.push(k);
-            let n: usize = v.parse().map_err(|_| format!("bad number in {p:?}"))?;
-            match k {
-                "nodes" => nodes = Some(n),
-                "shards" => shards = Some(n),
-                "timeout_ms" => timeouts.run_ms = n as u64,
-                "connect_timeout_ms" => timeouts.connect_ms = n as u64,
-                "heartbeat_ms" => timeouts.heartbeat_ms = n as u64,
-                "initial_epoch" => initial_epoch = n as u64,
-                other => {
-                    return Err(format!(
-                        "unknown key {other:?} \
-                         (nodes|shards|timeout_ms|connect_timeout_ms|heartbeat_ms|initial_epoch)"
-                    ))
-                }
-            }
-        }
-        let nodes = nodes.ok_or("missing nodes=<N>")?;
-        let shards = shards.ok_or("missing shards=<S>")?;
-        if nodes == 0 || shards < nodes {
-            return Err(format!(
-                "need 1 <= nodes <= shards, got nodes={nodes}, shards={shards}"
-            ));
-        }
-        if kind == TransportKind::Tcp {
-            let Some((_, port)) = base.host_port() else {
-                return Err(format!("tcp base must be host:port, got {base:?}"));
-            };
-            // Node i listens on base-port + i; the whole range must fit.
-            if port as usize + (nodes - 1) > u16::MAX as usize {
-                return Err(format!(
-                    "tcp port range {port}..{port}+{nodes} exceeds 65535"
-                ));
-            }
-        }
-        Ok(ClusterSpec::even(kind, base, nodes, shards)
-            .with_timeouts(timeouts)
-            .with_initial_epoch(initial_epoch))
     }
 
     /// Node count.
@@ -377,39 +301,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_the_even_layout() {
-        let spec = ClusterSpec::parse("uds:/tmp/em2.sock,nodes=2,shards=16").expect("parse");
-        assert_eq!(
-            spec,
-            ClusterSpec::even(TransportKind::Uds, "/tmp/em2.sock", 2, 16)
-        );
-        let tcp = ClusterSpec::parse("tcp:127.0.0.1:7600,nodes=2,shards=8").expect("parse");
-        assert_eq!(tcp.nodes[1].addr, "127.0.0.1:7601");
-        assert!(ClusterSpec::parse("udp:/x,nodes=2,shards=4").is_err());
-        assert!(ClusterSpec::parse("uds:/x,nodes=0,shards=4").is_err());
-        assert!(ClusterSpec::parse("uds:/x,nodes=9,shards=4").is_err());
-        assert!(ClusterSpec::parse("tcp:nopport,nodes=2,shards=4").is_err());
-        assert!(
-            ClusterSpec::parse("tcp:127.0.0.1:65535,nodes=2,shards=4").is_err(),
-            "port range overflowing u16 is a parse error, not a wrap"
-        );
-        assert!(ClusterSpec::parse("tcp:127.0.0.1:65535,nodes=1,shards=4").is_ok());
-        assert!(ClusterSpec::parse("uds:/x,bogus=1,shards=4").is_err());
-    }
-
-    #[test]
-    fn timeout_keys_parse_and_stay_out_of_the_digest() {
-        let tuned = ClusterSpec::parse(
-            "uds:/tmp/em2.sock,nodes=2,shards=16,timeout_ms=1500,\
-             connect_timeout_ms=250,heartbeat_ms=40",
-        )
-        .expect("parse");
-        assert_eq!(tuned.timeouts.run_ms, 1500);
-        assert_eq!(tuned.timeouts.connect_ms, 250);
-        assert_eq!(tuned.timeouts.heartbeat_ms, 40);
-        assert_eq!(tuned.timeouts.peer_deadline_ms(), 160);
-        let plain = ClusterSpec::parse("uds:/tmp/em2.sock,nodes=2,shards=16").expect("parse");
+    fn timeouts_stay_out_of_the_digest() {
+        let plain = ClusterSpec::even(TransportKind::Uds, "/tmp/em2.sock", 2, 16);
         assert_eq!(plain.timeouts, ClusterTimeouts::default());
+        let tuned = plain.clone().with_timeouts(ClusterTimeouts {
+            connect_ms: 250,
+            run_ms: 1500,
+            heartbeat_ms: 40,
+        });
+        assert_eq!(tuned.timeouts.peer_deadline_ms(), 160);
         // Deadline tuning must not change cluster identity: a tuned
         // node still handshakes with an untuned one.
         assert_eq!(tuned.digest(), plain.digest());
@@ -417,38 +317,11 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_keys_are_rejected_by_name() {
-        for s in [
-            "uds:/x,nodes=2,nodes=3,shards=4",
-            "uds:/x,nodes=2,shards=4,shards=8",
-            "uds:/x,nodes=2,shards=4,timeout_ms=5,timeout_ms=9",
-        ] {
-            let err = ClusterSpec::parse(s).expect_err("duplicate must be rejected");
-            let key = s
-                .split(',')
-                .skip(1)
-                .map(|p| p.split_once('=').unwrap().0)
-                .fold(std::collections::HashMap::new(), |mut m, k| {
-                    *m.entry(k).or_insert(0) += 1;
-                    m
-                })
-                .into_iter()
-                .find(|&(_, c)| c > 1)
-                .unwrap()
-                .0;
-            assert!(
-                err.contains("duplicate") && err.contains(key),
-                "error {err:?} must name the duplicated key {key:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn initial_epoch_parses_and_changes_the_digest() {
-        let v1 = ClusterSpec::parse("uds:/x,nodes=2,shards=8,initial_epoch=7").expect("parse");
-        assert_eq!(v1.initial_epoch, 7);
-        let v0 = ClusterSpec::parse("uds:/x,nodes=2,shards=8").expect("parse");
+    fn initial_epoch_changes_the_digest() {
+        let v0 = ClusterSpec::even(TransportKind::Uds, "/x", 2, 8);
         assert_eq!(v0.initial_epoch, 0);
+        let v1 = v0.clone().with_initial_epoch(7);
+        assert_eq!(v1.initial_epoch, 7);
         // Epoch numbers fence in-flight frames, so members disagreeing
         // on the starting epoch must refuse each other at handshake.
         assert_ne!(v0.digest(), v1.digest());

@@ -53,13 +53,13 @@
 //! preserves E11 exactness.
 //!
 //! ```no_run
-//! use em2_net::{ClusterRun, ClusterSpec};
+//! use em2_net::{ClusterRun, ClusterSpec, TransportKind};
 //! use em2_placement::FirstTouch;
 //! use em2_rt::RtConfig;
 //! use std::sync::Arc;
 //!
 //! // Launched twice, with node = 0 and node = 1:
-//! let spec = ClusterSpec::parse("uds:/tmp/em2.sock,nodes=2,shards=16").unwrap();
+//! let spec = ClusterSpec::even(TransportKind::Uds, "/tmp/em2.sock", 2, 16);
 //! let node = 0; // from the command line
 //! let w = Arc::new(em2_trace::gen::micro::uniform(16, 16, 500, 256, 0.3, 7));
 //! let placement: Arc<dyn em2_placement::Placement> = Arc::new(FirstTouch::build(&w, 16, 64));

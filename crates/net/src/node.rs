@@ -1063,7 +1063,7 @@ impl NodeRuntime {
     ///
     /// Blocks until connected to every peer: the handshake tolerates
     /// peers launching in any order within the spec's connect budget
-    /// (`connect_timeout_ms=`), retrying with jittered exponential
+    /// (`timeouts.connect_ms`), retrying with jittered exponential
     /// backoff. `cfg.shards` must equal the spec's cluster-wide shard
     /// count; `registry` must know every task kind the cluster
     /// migrates, and `scheme_factory` / `barrier_quotas` must be

@@ -36,7 +36,6 @@ pub mod migrate_ra;
 pub mod stack_depth;
 
 pub use migrate_ra::{
-    brute_force, evaluate, optimal, optimal_general, workload_optimal, workload_optimal_par,
-    Choice, CostTrace, Optimal,
+    brute_force, evaluate, optimal, optimal_general, workload_optimal, Choice, CostTrace, Optimal,
 };
 pub use stack_depth::{DepthChoice, StackOptimal, StackVisit, VisitDecision};

@@ -16,10 +16,10 @@
 //! minimizes over predecessors, the direct transcription is `O(N·P)`
 //! ([`optimal`]) — and since only the home column has a choice of
 //! predecessor at all, one `OPT(k, ·)` row updated in place and one
-//! remembered source per access are the whole state. The `3·P²`
-//! latencies the recurrence can ask for are tabulated once per call
-//! (once per workload, shared by its threads), so the per-access loop
-//! adds and compares; it does not allocate or divide.
+//! remembered source per access are the whole state. Each access reads
+//! one row of the cost model's pair table ([`CostModel::row`], rows by
+//! home), so the per-access loop adds and compares; it does not
+//! allocate or divide.
 //! [`optimal_general`] additionally allows migrating to
 //! *any* core before any access (a strictly more permissive model,
 //! genuinely `O(N·P²)`) — its optimum can only be ≤, and experiments
@@ -135,41 +135,10 @@ impl Optimal {
     }
 }
 
-/// Every latency the DP can ask for, tabulated once per machine:
-/// entry `h·P + c` holds `migration_latency(c, h)` and
-/// `remote_access_latency(c, h, Read | Write)`, in that order. Rows
-/// are by *home*, so one access reads one contiguous row.
-struct CostTable {
-    p: usize,
-    into: Vec<[u64; 3]>,
-}
-
-impl CostTable {
-    fn new(cost: &CostModel) -> Self {
-        let p = cost.cores();
-        let into = (0..p * p).map(|i| {
-            let (c, h) = (CoreId::from(i % p), CoreId::from(i / p));
-            [
-                cost.migration_latency(c, h),
-                cost.remote_access_latency(c, h, AccessKind::Read),
-                cost.remote_access_latency(c, h, AccessKind::Write),
-            ]
-        });
-        CostTable {
-            p,
-            into: into.collect(),
-        }
-    }
-}
-
 /// The paper's DP, direct transcription: `O(N·P)` time over one
 /// in-place `OPT(k, ·)` row, `O(N)` space (for backtracking).
 pub fn optimal(trace: &CostTrace, cost: &CostModel) -> Optimal {
-    optimal_in(trace, &CostTable::new(cost))
-}
-
-fn optimal_in(trace: &CostTrace, table: &CostTable) -> Optimal {
-    let p = table.p;
+    let p = cost.cores();
     let n = trace.len();
     assert!(trace.start.index() < p, "start core outside the machine");
 
@@ -183,25 +152,25 @@ fn optimal_in(trace: &CostTrace, table: &CostTable) -> Optimal {
 
     for &(home, kind) in &trace.accesses {
         let h = home.index();
-        let into_home = &table.into[h * p..][..p];
-        let ra = 1 + usize::from(kind.is_write());
+        let into_home = cost.row(home);
+        let ra = usize::from(kind.is_write());
         // Lifting the home column out lets one guard skip it along
         // with the unreachable columns.
         let stay = std::mem::replace(&mut cur[h], INF);
         let mut best_mig = INF;
         let mut best_src = h;
-        for (c, (opt, costs)) in cur.iter_mut().zip(into_home).enumerate() {
+        for (c, (opt, pair)) in cur.iter_mut().zip(into_home).enumerate() {
             if *opt >= INF {
                 continue;
             }
             // Core hit: migrate in from the best predecessor.
-            let m = *opt + costs[0];
+            let m = *opt + u64::from(pair.migration);
             if m < best_mig {
                 best_mig = m;
                 best_src = c;
             }
             // Core miss: stay and pay a remote access.
-            *opt += costs[ra];
+            *opt += u64::from(pair.remote[ra]);
         }
         let (opt, src) = if stay <= best_mig {
             (stay, h)
@@ -338,27 +307,12 @@ pub fn workload_optimal(
     placement: &dyn Placement,
     cost: &CostModel,
 ) -> (u64, Vec<Optimal>) {
-    let table = CostTable::new(cost);
     let per_thread: Vec<Optimal> = workload
         .threads
         .iter()
-        .map(|t| optimal_in(&CostTrace::from_thread(t, placement), &table))
+        .map(|t| optimal(&CostTrace::from_thread(t, placement), cost))
         .collect();
     (per_thread.iter().map(|o| o.cost).sum(), per_thread)
-}
-
-/// [`workload_optimal`], solving threads in parallel with scoped OS
-/// threads (the per-thread DPs are independent). Same result,
-/// bit-for-bit; used by the full-scale experiment harness.
-pub fn workload_optimal_par(
-    workload: &Workload,
-    placement: &(dyn Placement + Sync),
-    cost: &CostModel,
-    parallelism: usize,
-) -> (u64, Vec<Optimal>) {
-    solve_threads_par(workload.num_threads(), parallelism, cost, |i| {
-        CostTrace::from_thread(&workload.threads[i], placement)
-    })
 }
 
 /// Per-thread optima over a flat workload (homes pre-resolved), solved
@@ -374,18 +328,16 @@ pub fn workload_optimal_flat(
     })
 }
 
-/// Shared scaffolding: solve `n` per-thread DPs against one cost
-/// table, in thread order. One worker solves inline on the caller;
-/// more share the work over scoped OS threads with a deterministic
-/// ordered reduce.
+/// Solve `n` per-thread DPs in thread order. One worker solves inline
+/// on the caller; more share the work over scoped OS threads with a
+/// deterministic ordered reduce.
 fn solve_threads_par(
     n: usize,
     parallelism: usize,
     cost: &CostModel,
     trace_of: impl Fn(usize) -> CostTrace + Sync,
 ) -> (u64, Vec<Optimal>) {
-    let table = CostTable::new(cost);
-    let solve = |i: usize| optimal_in(&trace_of(i), &table);
+    let solve = |i: usize| optimal(&trace_of(i), cost);
     let parallelism = parallelism.clamp(1, n.max(1));
     let per_thread: Vec<Optimal> = if parallelism == 1 {
         (0..n).map(solve).collect()
@@ -694,22 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solver_matches_sequential() {
-        let w = em2_trace::gen::synth::SynthConfig::small().generate();
-        let p = em2_placement::FirstTouch::build(&w, 4, 64);
-        let cost = cm(4);
-        let (seq, seq_per) = workload_optimal(&w, &p, &cost);
-        for par in [1usize, 2, 8] {
-            let (tot, per) = workload_optimal_par(&w, &p, &cost, par);
-            assert_eq!(tot, seq);
-            for (a, b) in per.iter().zip(&seq_per) {
-                assert_eq!(a.cost, b.cost);
-                assert_eq!(a.choices, b.choices);
-            }
-        }
-    }
-
-    #[test]
     fn flat_solver_matches_sequential() {
         let w = em2_trace::gen::synth::SynthConfig::small().generate();
         let p = em2_placement::FirstTouch::build(&w, 4, 64);
@@ -717,11 +653,13 @@ mod tests {
             em2_trace::FlatWorkload::build(&w, 64, |a| em2_placement::Placement::home_of(&p, a));
         let cost = cm(4);
         let (seq, seq_per) = workload_optimal(&w, &p, &cost);
-        let (tot, per) = workload_optimal_flat(&flat, &cost, 4);
-        assert_eq!(tot, seq);
-        for (a, b) in per.iter().zip(&seq_per) {
-            assert_eq!(a.cost, b.cost);
-            assert_eq!(a.choices, b.choices);
+        for par in [1usize, 2, 8] {
+            let (tot, per) = workload_optimal_flat(&flat, &cost, par);
+            assert_eq!(tot, seq);
+            for (a, b) in per.iter().zip(&seq_per) {
+                assert_eq!(a.cost, b.cost);
+                assert_eq!(a.choices, b.choices);
+            }
         }
     }
 

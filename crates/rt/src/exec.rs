@@ -72,8 +72,10 @@ impl RunQueue {
 }
 
 /// Scheduler state of the multiplexed executor. The lock is a leaf:
-/// nothing sends, blocks, wakes or takes another lock under it.
+/// nothing sends, blocks, wakes or takes another lock under it. Every
+/// worker writes it, so it owns its cache lines.
 #[derive(Default)]
+#[repr(align(64))]
 pub(crate) struct Sched {
     queue: Mutex<RunQueue>,
     wake: Condvar,

@@ -346,11 +346,6 @@ pub(crate) struct ShardCore {
     /// hot path then pays one `Option` branch per hook). Never read by
     /// anything that feeds the deterministic counters.
     obs: Option<std::sync::Arc<ShardObs>>,
-    /// Per-home cost-model latencies `[migration, RA-read, RA-write]`,
-    /// built lazily on the first obs-on verdict (empty otherwise): the
-    /// attribution cost bump must not re-run the model's flit
-    /// arithmetic — two integer divisions per call — on every verdict.
-    attrib_cost: Vec<[u64; 3]>,
     /// Poll counter for the coarse event clock: the clock refreshes
     /// every [`OBS_CLOCK_POLLS`] polls, because `clock_gettime` can be
     /// a real syscall (obs module docs on the coarse clock).
@@ -393,31 +388,8 @@ impl ShardCore {
             scratch: Vec::new(),
             remote_replies: Vec::new(),
             obs,
-            attrib_cost: Vec::new(),
             obs_clock_tick: 0,
         }
-    }
-
-    /// Build the per-home `[migration, RA-read, RA-write]` latency LUT
-    /// (see `attrib_cost`). Out of line and cold on purpose: `execute`
-    /// calls this at most once per slice behind an `is_empty` check,
-    /// so the verdict arms read the LUT with a plain indexed load
-    /// instead of a `&mut self` call the optimizer won't inline into
-    /// the hot match.
-    #[cold]
-    #[inline(never)]
-    fn build_attrib_cost(&mut self, shared: &Shared) {
-        let me = self.me();
-        self.attrib_cost = (0..shared.total_shards)
-            .map(|h| {
-                let h = CoreId::from(h);
-                [
-                    shared.cost.migration_latency(me, h),
-                    shared.cost.remote_access_latency(me, h, AccessKind::Read),
-                    shared.cost.remote_access_latency(me, h, AccessKind::Write),
-                ]
-            })
-            .collect();
     }
 
     /// Per-poll obs bookkeeping: refresh the shard's coarse event
@@ -461,28 +433,38 @@ impl ShardCore {
     /// `home` — the one place a verdict is recorded on the timing
     /// plane: the ring event (`payload` = context bytes shipped, or
     /// the remote address) and the (thread, home) attribution cell,
-    /// costed with the model's latency for the verdict. Deterministic
-    /// data (program-order counts) held in timing-plane storage —
-    /// never read back by the deterministic counters.
+    /// costed with the model's latency for the verdict (a read of its
+    /// pair table). Deterministic data (program-order counts) held in
+    /// timing-plane storage — never read back by the deterministic
+    /// counters.
     #[inline]
-    fn note_verdict(&self, kind: EventKind, thread: ThreadId, home: CoreId, payload: u64) {
+    fn note_verdict(
+        &self,
+        shared: &Shared,
+        kind: EventKind,
+        thread: ThreadId,
+        home: CoreId,
+        payload: u64,
+    ) {
         let Some(o) = &self.obs else { return };
         o.event(kind, thread.0 as u64, home.index() as u64, payload);
         let cell = o.attrib.cell(thread.0, home.index() as u32);
-        let [migrate, read, write] = self.attrib_cost[home.index()];
+        let (cost, me) = (&shared.cost, self.me());
         match kind {
             EventKind::MigrateOut => {
                 cell.migrations.bump(1);
                 cell.context_bytes.bump(payload);
-                cell.cost.bump(migrate);
+                cell.cost.bump(cost.migration_latency(me, home));
             }
             EventKind::RemoteRead => {
                 cell.remote_reads.bump(1);
-                cell.cost.bump(read);
+                cell.cost
+                    .bump(cost.remote_access_latency(me, home, AccessKind::Read));
             }
             EventKind::RemoteWrite => {
                 cell.remote_writes.bump(1);
-                cell.cost.bump(write);
+                cell.cost
+                    .bump(cost.remote_access_latency(me, home, AccessKind::Write));
             }
             other => debug_assert!(false, "{other:?} is not a verdict"),
         }
@@ -913,9 +895,6 @@ impl ShardCore {
         let me = self.me();
         let thread = env.thread;
         let clock_at_entry = self.clock;
-        if self.obs.is_some() && self.attrib_cost.is_empty() {
-            self.build_attrib_cost(shared);
-        }
         let mut budget = shared.quantum.max(1);
         let mut reply = env.pending_reply.take();
         // A pending op is a migration's arrival access: counted as the
@@ -1004,7 +983,7 @@ impl ShardCore {
                     }
                     let ctx = env.task.context_len();
                     self.counters.context_bytes_sent += ctx;
-                    self.note_verdict(EventKind::MigrateOut, thread, home, ctx);
+                    self.note_verdict(shared, EventKind::MigrateOut, thread, home, ctx);
                     env.pending_op = Some(op);
                     shared.send(home.index(), Msg::Arrive(env));
                     return;
@@ -1027,7 +1006,7 @@ impl ShardCore {
                         self.counters.flow.remote_reads += 1;
                         EventKind::RemoteRead
                     };
-                    self.note_verdict(verdict, thread, home, addr.0);
+                    self.note_verdict(shared, verdict, thread, home, addr.0);
                     if me != env.native {
                         self.pool.set_guest_state(env.thread, GuestState::Pinned);
                     }

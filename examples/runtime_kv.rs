@@ -21,7 +21,8 @@
 //! occupancy, egress queue depth — sampled from the `em2-obs` plane,
 //! which the flag forces on programmatically.
 //!
-//! **Cluster mode** (`--node <id> --cluster <spec>`) launches the same
+//! **Cluster mode** (`--node <id> --cluster <kind>:<base> --nodes <N>`)
+//! launches the same
 //! KV service as a *real multi-process distributed DSM* over `em2-net`:
 //! every process owns a contiguous shard range, clients migrate (or
 //! remote-access) across address spaces, and each client still
@@ -30,16 +31,17 @@
 //!
 //! ```text
 //! cargo run --release --example runtime_kv -- \
-//!     --node 0 --cluster uds:/tmp/em2-kv.sock,nodes=2,shards=16 &
+//!     --node 0 --cluster uds:/tmp/em2-kv.sock --nodes 2 &
 //! cargo run --release --example runtime_kv -- \
-//!     --node 1 --cluster uds:/tmp/em2-kv.sock,nodes=2,shards=16
+//!     --node 1 --cluster uds:/tmp/em2-kv.sock --nodes 2
 //! ```
 //!
-//! (`tcp:127.0.0.1:7600,nodes=2,shards=16` works across hosts.)
+//! (`--cluster tcp:127.0.0.1:7600` works across hosts: node `i`
+//! listens on port 7600 + `i`.)
 
 use em2::core::decision::DecisionScheme;
 use em2::model::{Addr, CoreId, DetRng, ThreadId};
-use em2::net::{ClusterSpec, NodeRuntime};
+use em2::net::{ClusterSpec, NodeRuntime, TransportKind};
 use em2::obs::{NodeObs, ObsConfig};
 use em2::placement::{Placement, Striped};
 use em2::rt::{Op, RtConfig, RtReport, Runtime, Task, TaskRegistry, TaskSpec};
@@ -358,10 +360,6 @@ fn main_cluster(spec: ClusterSpec, node: usize, stats_ms: Option<u64>) {
         );
         std::process::exit(2);
     }
-    assert_eq!(
-        spec.total_shards, SHARDS,
-        "this service is built for {SHARDS} shards; pass shards={SHARDS} in --cluster"
-    );
     let (first, count) = spec.span(node);
     println!(
         "distributed KV service on em2-net: node {node}/{} over {}, owning shards {first}..{}",
@@ -417,23 +415,30 @@ fn main() {
     });
     let cluster = take_value(&mut args, "--cluster");
     let node = take_value(&mut args, "--node");
-    if !args.is_empty() {
+    let nodes = take_value(&mut args, "--nodes");
+    let usage = || -> ! {
         eprintln!(
             "usage: runtime_kv [--stats-interval <ms>] \
-             [--node <id> --cluster <kind>:<base>,nodes=<N>,shards=16]"
+             [--node <id> --cluster <loopback|uds|tcp>:<base> --nodes <N>]"
         );
         std::process::exit(2);
+    };
+    if !args.is_empty() {
+        usage();
     }
     if let Some(cluster) = cluster {
-        let node: usize = node
-            .expect("--cluster requires --node <id>")
-            .parse()
-            .expect("--node takes a node id");
-        let spec = ClusterSpec::parse(&cluster).unwrap_or_else(|e| {
-            eprintln!("bad --cluster spec: {e}");
-            std::process::exit(2);
-        });
-        main_cluster(spec, node, stats_ms);
+        let id = |v: Option<String>| v.and_then(|v| v.parse::<usize>().ok());
+        let (Some(node), Some(nodes)) = (id(node), id(nodes)) else {
+            usage()
+        };
+        let (kind, base) = match cluster.split_once(':') {
+            Some(("loopback", base)) => (TransportKind::Loopback, base),
+            #[cfg(unix)]
+            Some(("uds", base)) => (TransportKind::Uds, base),
+            Some(("tcp", base)) => (TransportKind::Tcp, base),
+            _ => usage(),
+        };
+        main_cluster(ClusterSpec::even(kind, base, nodes, SHARDS), node, stats_ms);
         return;
     }
 

@@ -52,7 +52,7 @@ fn dp_optimum_golden() {
     let w = quick().generate();
     let p = FirstTouch::build(&w, 16, 64);
     let cost = em2::model::CostModel::builder().cores(16).build();
-    let (opt, per) = em2::optimal::workload_optimal_par(&w, &p, &cost, 8);
+    let (opt, per) = em2::optimal::workload_optimal(&w, &p, &cost);
     assert_eq!(opt, 81_351);
     assert_eq!(per.len(), 16);
 }
