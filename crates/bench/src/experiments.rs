@@ -410,7 +410,7 @@ pub fn e6_stack_depth(scale: Scale) -> Table {
         mem.load_words(second, &vec![2u32; n as usize]);
         let placement = em2_placement::Striped::new(cores, 256);
         let vt = extract_visits(
-            StackMachine::new(k.program.clone()),
+            StackMachine::new(k),
             &mut mem,
             &placement,
             CoreId(0),

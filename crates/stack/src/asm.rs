@@ -1,4 +1,4 @@
-//! Text assembler / disassembler for the stack ISA.
+//! Text assembler for the stack ISA.
 //!
 //! Syntax: one instruction per line; `label:` defines a jump target;
 //! `;` or `#` start comments. Operands are decimal immediates (`lit`)
@@ -24,7 +24,6 @@
 
 use crate::isa::Op;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Assembly errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -172,37 +171,6 @@ pub fn assemble(src: &str) -> Result<Vec<Op>, AsmError> {
         .collect()
 }
 
-/// Disassemble a program into re-assemblable text (numeric targets are
-/// turned into generated labels).
-pub fn disassemble(program: &[Op]) -> String {
-    // Collect jump targets so we can emit labels.
-    let mut targets: Vec<u32> = program
-        .iter()
-        .filter_map(|op| match op {
-            Op::Jmp(t) | Op::Jz(t) | Op::Call(t) => Some(*t),
-            _ => None,
-        })
-        .collect();
-    targets.sort_unstable();
-    targets.dedup();
-    let label = |t: u32| format!("L{t}");
-
-    let mut out = String::new();
-    for (i, op) in program.iter().enumerate() {
-        if targets.binary_search(&(i as u32)).is_ok() {
-            let _ = writeln!(out, "{}:", label(i as u32));
-        }
-        let line = match op {
-            Op::Jmp(t) => format!("jmp {}", label(*t)),
-            Op::Jz(t) => format!("jz {}", label(*t)),
-            Op::Call(t) => format!("call {}", label(*t)),
-            other => other.to_string(),
-        };
-        let _ = writeln!(out, "    {line}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,25 +249,6 @@ mod tests {
         let mut mem = SparseMemory::new();
         m.run(&mut mem, 100).unwrap();
         assert_eq!(m.expr, vec![42]);
-    }
-
-    #[test]
-    fn disassemble_round_trips() {
-        let src = r"
-            lit 5
-        loop:
-            dup
-            jz done
-            lit 1
-            sub
-            jmp loop
-        done:
-            halt
-        ";
-        let p1 = assemble(src).unwrap();
-        let text = disassemble(&p1);
-        let p2 = assemble(&text).unwrap();
-        assert_eq!(p1, p2);
     }
 
     #[test]

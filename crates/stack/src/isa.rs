@@ -146,20 +146,6 @@ impl Op {
         }
     }
 
-    /// Return-stack depth change (+1 push, −1 pop).
-    pub const fn rstack_delta(&self) -> i32 {
-        match self {
-            Op::ToR | Op::Call(_) => 1,
-            Op::FromR | Op::Ret => -1,
-            _ => 0,
-        }
-    }
-
-    /// Whether this op touches data memory.
-    pub const fn is_memory(&self) -> bool {
-        matches!(self, Op::Load | Op::Store)
-    }
-
     /// Mnemonic (without operand).
     pub const fn mnemonic(&self) -> &'static str {
         match self {
@@ -250,16 +236,7 @@ mod tests {
         ] {
             assert!(op.pops() <= 3, "{op}");
             assert!(op.pushes() <= 3, "{op}");
-            assert!(op.rstack_delta().abs() <= 1, "{op}");
         }
-    }
-
-    #[test]
-    fn memory_flags() {
-        assert!(Op::Load.is_memory());
-        assert!(Op::Store.is_memory());
-        assert!(!Op::Add.is_memory());
-        assert!(!Op::Call(3).is_memory());
     }
 
     #[test]

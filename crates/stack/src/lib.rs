@@ -7,35 +7,33 @@
 //! access the top of the stack, only the top few entries must be sent
 //! over to a remote core when a memory access causes a migration."*
 //!
-//! This crate builds that machine in full:
+//! This crate runs stack programs and extracts what E6 prices:
 //!
 //! * [`isa`] — a two-stack (expression + return) 32-bit stack ISA in
 //!   the Forth/B5000 lineage the paper cites (Koopman \[16\]);
-//! * [`asm`] — a text assembler/disassembler with labels;
+//! * [`asm`] — a text assembler with labels;
 //! * [`machine`] — the reference interpreter with unbounded stacks;
-//! * [`cache`] — the hardware stack cache: a fixed number of resident
-//!   top-of-stack entries backed by stack memory at the thread's
-//!   native core, with automatic spill/refill (the mechanism behind
-//!   the §4 "automatic migration back on overflow/underflow");
 //! * [`program`] — kernel builders (dot product, 1-D stencil, memcpy,
-//!   recursive call trees) used by the E6 experiments;
+//!   recursive tree sum) used by the E6 experiments;
 //! * [`visits`] — runs a program against a data placement and extracts
 //!   the [`em2_optimal::StackVisit`] sequence (per-visit stack demand
 //!   and growth) consumed by the §4 depth-decision DP.
+//!
+//! The hardware stack cache — resident top entries, spill and refill
+//! at the native core, the automatic bounce home on under/overflow —
+//! is priced by [`em2_optimal::stack_depth`], not executed here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod asm;
-pub mod cache;
 pub mod isa;
 pub mod machine;
 pub mod program;
 pub mod visits;
 
-pub use asm::{assemble, disassemble, AsmError};
-pub use cache::{SpillStats, StackCache};
+pub use asm::{assemble, AsmError};
 pub use isa::Op;
-pub use machine::{Effect, MachineError, SparseMemory, StackMachine, StackMemory};
+pub use machine::{Effect, MachineError, SparseMemory, StackMachine};
 pub use visits::{extract_visits, VisitTrace};

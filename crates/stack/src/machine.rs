@@ -1,7 +1,6 @@
 //! The reference stack-machine interpreter (unbounded stacks).
 //!
-//! This is the *semantic* machine: correctness oracle for the cached
-//! machine in [`crate::cache`] and execution engine for visit
+//! This is the *semantic* machine and the execution engine for visit
 //! extraction. One [`StackMachine::step`] executes one instruction and
 //! reports its memory effect, which the EM² layer turns into
 //! placement/migration decisions.
@@ -10,15 +9,7 @@ use crate::isa::Op;
 use em2_model::Addr;
 use std::collections::HashMap;
 
-/// Abstract 32-bit word memory, byte-addressed (word aligned).
-pub trait StackMemory {
-    /// Load the 32-bit word at `addr` (must be 4-byte aligned).
-    fn load(&mut self, addr: u32) -> u32;
-    /// Store a 32-bit word to `addr` (must be 4-byte aligned).
-    fn store(&mut self, addr: u32, value: u32);
-}
-
-/// Simple sparse memory for running programs.
+/// Sparse 32-bit word memory, byte-addressed (word aligned).
 #[derive(Clone, Debug, Default)]
 pub struct SparseMemory {
     words: HashMap<u32, u32>,
@@ -37,19 +28,14 @@ impl SparseMemory {
         }
     }
 
-    /// Read a word without the trait's `&mut` requirement.
-    pub fn peek(&self, addr: u32) -> u32 {
-        *self.words.get(&addr).unwrap_or(&0)
-    }
-}
-
-impl StackMemory for SparseMemory {
-    fn load(&mut self, addr: u32) -> u32 {
+    /// Load the 32-bit word at `addr` (must be 4-byte aligned).
+    pub fn load(&self, addr: u32) -> u32 {
         debug_assert_eq!(addr % 4, 0, "unaligned load at {addr:#x}");
         *self.words.get(&addr).unwrap_or(&0)
     }
 
-    fn store(&mut self, addr: u32, value: u32) {
+    /// Store a 32-bit word to `addr` (must be 4-byte aligned).
+    pub fn store(&mut self, addr: u32, value: u32) {
         debug_assert_eq!(addr % 4, 0, "unaligned store at {addr:#x}");
         self.words.insert(addr, value);
     }
@@ -131,11 +117,6 @@ impl StackMachine {
         self.steps
     }
 
-    /// True once `Halt` executed (or the PC fell off the end).
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
     /// Combined depth of both stacks — the quantity the §4 migration
     /// carries a top-slice of.
     pub fn depth(&self) -> usize {
@@ -147,7 +128,7 @@ impl StackMachine {
     }
 
     /// Execute one instruction.
-    pub fn step(&mut self, mem: &mut dyn StackMemory) -> Result<Effect, MachineError> {
+    pub fn step(&mut self, mem: &mut SparseMemory) -> Result<Effect, MachineError> {
         if self.halted {
             return Ok(Effect::Halted);
         }
@@ -310,7 +291,7 @@ impl StackMachine {
     }
 
     /// Run until `Halt` or the step budget is exhausted.
-    pub fn run(&mut self, mem: &mut dyn StackMemory, max_steps: u64) -> Result<(), MachineError> {
+    pub fn run(&mut self, mem: &mut SparseMemory, max_steps: u64) -> Result<(), MachineError> {
         let budget = self.steps + max_steps;
         while !self.halted {
             if self.steps >= budget {
@@ -432,7 +413,7 @@ mod tests {
         assert_eq!(e4, Effect::Compute);
         assert_eq!(e5, Effect::Read(Addr(0x100)));
         assert_eq!(m.expr, vec![99]);
-        assert_eq!(mem.peek(0x100), 99);
+        assert_eq!(mem.load(0x100), 99);
     }
 
     #[test]
@@ -560,6 +541,5 @@ mod tests {
         let mut mem = SparseMemory::new();
         assert_eq!(m.step(&mut mem).unwrap(), Effect::Halted);
         assert_eq!(m.step(&mut mem).unwrap(), Effect::Halted);
-        assert!(m.halted());
     }
 }

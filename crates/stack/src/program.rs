@@ -1,32 +1,18 @@
 //! Kernel builders: the stack programs the §4 experiments run.
 //!
-//! Each builder returns a [`Kernel`]: assembled program plus the
-//! address map its data lives at. The kernels span the structural
-//! range that matters for stack-EM²: streaming loops with shallow
-//! stacks (`dot_product`, `memcpy`, `stencil1d`), and recursive
-//! kernels whose return stack grows deep right where the memory
-//! accesses happen (`tree_sum`) — the adversarial case for small
-//! migrated depths.
+//! Each builder takes the addresses its data lives at and returns the
+//! assembled program. The kernels span the structural range that
+//! matters for stack-EM²: streaming loops with shallow stacks
+//! (`dot_product`, `memcpy`, `stencil1d`), and recursive kernels whose
+//! return stack grows deep right where the memory accesses happen
+//! (`tree_sum`) — the adversarial case for small migrated depths.
 
 use crate::asm::assemble;
 use crate::isa::Op;
 
-/// A built kernel.
-#[derive(Clone, Debug)]
-pub struct Kernel {
-    /// Kernel name.
-    pub name: &'static str,
-    /// Assembly source (for docs/inspection).
-    pub source: String,
-    /// Assembled program.
-    pub program: Vec<Op>,
-    /// Where the scalar result is stored, if any.
-    pub result_addr: Option<u32>,
-}
-
 /// `result = Σ a[i] * b[i]` over `n` 32-bit words.
 /// `a` at `a_base`, `b` at `b_base`, result stored to `result_addr`.
-pub fn dot_product(a_base: u32, b_base: u32, n: u32, result_addr: u32) -> Kernel {
+pub fn dot_product(a_base: u32, b_base: u32, n: u32, result_addr: u32) -> Vec<Op> {
     let source = format!(
         r"
             lit 0           ; sum
@@ -62,17 +48,11 @@ pub fn dot_product(a_base: u32, b_base: u32, n: u32, result_addr: u32) -> Kernel
             halt
         "
     );
-    let program = assemble(&source).expect("dot_product assembles");
-    Kernel {
-        name: "dot_product",
-        source,
-        program,
-        result_addr: Some(result_addr),
-    }
+    assemble(&source).expect("dot_product assembles")
 }
 
 /// Copy `n` words from `src` to `dst`.
-pub fn memcpy(src: u32, dst: u32, n: u32) -> Kernel {
+pub fn memcpy(src: u32, dst: u32, n: u32) -> Vec<Op> {
     let source = format!(
         r"
             lit 0           ; i
@@ -101,18 +81,12 @@ pub fn memcpy(src: u32, dst: u32, n: u32) -> Kernel {
             halt
         "
     );
-    let program = assemble(&source).expect("memcpy assembles");
-    Kernel {
-        name: "memcpy",
-        source,
-        program,
-        result_addr: None,
-    }
+    assemble(&source).expect("memcpy assembles")
 }
 
 /// 3-point stencil: `dst[i] = src[i-1] + src[i] + src[i+1]` for
 /// `i ∈ 1..n-1`.
-pub fn stencil1d(src: u32, dst: u32, n: u32) -> Kernel {
+pub fn stencil1d(src: u32, dst: u32, n: u32) -> Vec<Op> {
     let last = n - 1;
     let source = format!(
         r"
@@ -160,19 +134,13 @@ pub fn stencil1d(src: u32, dst: u32, n: u32) -> Kernel {
             halt
         "
     );
-    let program = assemble(&source).expect("stencil1d assembles");
-    Kernel {
-        name: "stencil1d",
-        source,
-        program,
-        result_addr: None,
-    }
+    assemble(&source).expect("stencil1d assembles")
 }
 
 /// Recursive binary-tree sum of `n` words at `base` (n must be a power
 /// of two); result stored to `result_addr`. The return stack is
 /// ~3·log₂(n) deep at the leaves, where the loads happen.
-pub fn tree_sum(base: u32, n: u32, result_addr: u32) -> Kernel {
+pub fn tree_sum(base: u32, n: u32, result_addr: u32) -> Vec<Op> {
     assert!(n.is_power_of_two(), "tree_sum needs a power-of-two length");
     let source = format!(
         r"
@@ -216,60 +184,16 @@ pub fn tree_sum(base: u32, n: u32, result_addr: u32) -> Kernel {
             ret
         "
     );
-    let program = assemble(&source).expect("tree_sum assembles");
-    Kernel {
-        name: "tree_sum",
-        source,
-        program,
-        result_addr: Some(result_addr),
-    }
-}
-
-/// Naive recursive Fibonacci — no memory traffic at all; exercises
-/// call/return and serves as the pure-compute control.
-pub fn fib(n: u32) -> Kernel {
-    let source = format!(
-        r"
-            lit {n}
-            call fib
-            halt
-        fib:                ; ( n -- fib(n) )
-            dup
-            lit 2
-            lt
-            jz rec
-            ret             ; n < 2: fib(n) = n
-        rec:
-            dup
-            lit 1
-            sub
-            call fib        ; n f(n-1)
-            swap
-            lit 2
-            sub
-            call fib        ; f(n-1) f(n-2)
-            add
-            ret
-        "
-    );
-    let program = assemble(&source).expect("fib assembles");
-    Kernel {
-        name: "fib",
-        source,
-        program,
-        result_addr: None,
-    }
+    assemble(&source).expect("tree_sum assembles")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{SparseMemory, StackMachine};
+    use crate::machine::{Effect, SparseMemory, StackMachine};
 
-    fn run(kernel: &Kernel, mem: &mut SparseMemory, budget: u64) -> StackMachine {
-        let mut m = StackMachine::new(kernel.program.clone());
-        m.run(mem, budget).expect(kernel.name);
-        m
+    fn run(program: Vec<Op>, mem: &mut SparseMemory, budget: u64) {
+        StackMachine::new(program).run(mem, budget).unwrap();
     }
 
     #[test]
@@ -280,9 +204,9 @@ mod tests {
         mem.load_words(0x1000, &a);
         mem.load_words(0x2000, &b);
         let k = dot_product(0x1000, 0x2000, 8, 0x3000);
-        run(&k, &mut mem, 100_000);
+        run(k, &mut mem, 100_000);
         let expect: u32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert_eq!(mem.peek(0x3000), expect);
+        assert_eq!(mem.load(0x3000), expect);
     }
 
     #[test]
@@ -291,9 +215,9 @@ mod tests {
         let data: Vec<u32> = (0..16).map(|x| x * 7 + 1).collect();
         mem.load_words(0x1000, &data);
         let k = memcpy(0x1000, 0x4000, 16);
-        run(&k, &mut mem, 100_000);
+        run(k, &mut mem, 100_000);
         for (i, &v) in data.iter().enumerate() {
-            assert_eq!(mem.peek(0x4000 + 4 * i as u32), v);
+            assert_eq!(mem.load(0x4000 + 4 * i as u32), v);
         }
     }
 
@@ -303,10 +227,10 @@ mod tests {
         let src: Vec<u32> = (0..10).map(|x| x * x).collect();
         mem.load_words(0x1000, &src);
         let k = stencil1d(0x1000, 0x5000, 10);
-        run(&k, &mut mem, 100_000);
+        run(k, &mut mem, 100_000);
         for i in 1..9usize {
             let expect = src[i - 1] + src[i] + src[i + 1];
-            assert_eq!(mem.peek(0x5000 + 4 * i as u32), expect, "i={i}");
+            assert_eq!(mem.load(0x5000 + 4 * i as u32), expect, "i={i}");
         }
     }
 
@@ -316,16 +240,8 @@ mod tests {
         let data: Vec<u32> = (1..=16).collect();
         mem.load_words(0x1000, &data);
         let k = tree_sum(0x1000, 16, 0x6000);
-        run(&k, &mut mem, 100_000);
-        assert_eq!(mem.peek(0x6000), data.iter().sum::<u32>());
-    }
-
-    #[test]
-    fn fib_computes() {
-        let mut mem = SparseMemory::new();
-        let k = fib(12);
-        let m = run(&k, &mut mem, 1_000_000);
-        assert_eq!(m.expr, vec![144]);
+        run(k, &mut mem, 100_000);
+        assert_eq!(mem.load(0x6000), data.iter().sum::<u32>());
     }
 
     #[test]
@@ -333,23 +249,15 @@ mod tests {
         let mut mem = SparseMemory::new();
         mem.load_words(0x1000, &vec![1u32; 64]);
         let k = tree_sum(0x1000, 64, 0x6000);
-        let mut m = StackMachine::new(k.program.clone());
+        let mut m = StackMachine::new(k);
         let mut max_depth = 0;
-        while !m.halted() {
-            m.step(&mut mem).unwrap();
+        while m.step(&mut mem).unwrap() != Effect::Halted {
             max_depth = max_depth.max(m.depth());
         }
         assert!(
             max_depth > 12,
             "recursion must deepen the stacks: {max_depth}"
         );
-        assert_eq!(mem.peek(0x6000), 64);
-    }
-
-    #[test]
-    fn kernels_expose_sources() {
-        let k = dot_product(0, 0x100, 4, 0x200);
-        assert!(k.source.contains("loop:"));
-        assert!(!k.program.is_empty());
+        assert_eq!(mem.load(0x6000), 64);
     }
 }

@@ -3,12 +3,12 @@
 //! Runs a program on the reference interpreter while watching both the
 //! memory effects (whose homes — under the given placement — delimit
 //! *visits*) and the combined stack depth (whose excursions within a
-//! visit are the depth *demand* and *growth* the stack cache must
-//! cover remotely). The result feeds
+//! visit are the depth *demand* and *growth* the migrated top of stack
+//! must cover remotely). The result feeds
 //! [`em2_optimal::stack_depth::stack_optimal`] and the fixed-depth
 //! evaluators.
 
-use crate::machine::{Effect, MachineError, StackMachine, StackMemory};
+use crate::machine::{Effect, MachineError, SparseMemory, StackMachine};
 use em2_model::CoreId;
 use em2_optimal::StackVisit;
 use em2_placement::Placement;
@@ -60,7 +60,7 @@ impl OpenVisit {
 /// extract its visit trace under `placement`, starting at `native`.
 pub fn extract_visits(
     mut machine: StackMachine,
-    mem: &mut dyn StackMemory,
+    mem: &mut SparseMemory,
     placement: &dyn Placement,
     native: CoreId,
     max_steps: u64,
@@ -143,7 +143,6 @@ pub fn extract_visits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SparseMemory;
     use crate::program;
     use em2_placement::{BlockOwner, Striped};
 
@@ -155,7 +154,7 @@ mod tests {
         let k = program::dot_product(0x1000, 0x1010, 4, 0x1020);
         let placement = BlockOwner::new(4, 0, 1 << 20, 64);
         let vt = extract_visits(
-            StackMachine::new(k.program),
+            StackMachine::new(k),
             &mut mem,
             &placement,
             CoreId(0),
@@ -182,7 +181,7 @@ mod tests {
         let k = program::dot_product(0x0000, 0x1_0000, n, 0x0100);
         let placement = BlockOwner::new(2, 0, 2 << 16, 64);
         let vt = extract_visits(
-            StackMachine::new(k.program),
+            StackMachine::new(k),
             &mut mem,
             &placement,
             CoreId(0),
@@ -207,7 +206,7 @@ mod tests {
         let k = program::memcpy(0x1000, 0x8000, 32);
         let placement = Striped::new(4, 64);
         let vt = extract_visits(
-            StackMachine::new(k.program),
+            StackMachine::new(k),
             &mut mem,
             &placement,
             CoreId(0),
@@ -229,7 +228,7 @@ mod tests {
         // Data striped: leaves hit many homes while the stack is deep.
         let placement = Striped::new(4, 64);
         let vt = extract_visits(
-            StackMachine::new(k.program),
+            StackMachine::new(k),
             &mut mem,
             &placement,
             CoreId(0),
@@ -253,7 +252,7 @@ mod tests {
         let k = program::memcpy(0x0, 0x1_0000, 8);
         let placement = BlockOwner::new(2, 0, 2 << 16, 64);
         let vt = extract_visits(
-            StackMachine::new(k.program),
+            StackMachine::new(k),
             &mut mem,
             &placement,
             CoreId(0),
@@ -267,16 +266,10 @@ mod tests {
 
     #[test]
     fn budget_guard_fires() {
-        let k = program::fib(25);
+        let k = program::tree_sum(0x1000, 64, 0x9000);
         let mut mem = SparseMemory::new();
         let placement = Striped::new(2, 64);
-        let r = extract_visits(
-            StackMachine::new(k.program),
-            &mut mem,
-            &placement,
-            CoreId(0),
-            10,
-        );
+        let r = extract_visits(StackMachine::new(k), &mut mem, &placement, CoreId(0), 10);
         assert_eq!(r.unwrap_err(), MachineError::StepBudgetExceeded);
     }
 }

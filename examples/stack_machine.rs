@@ -40,7 +40,7 @@ fn main() {
     mem.load_words(0x4_0100, &vec![3u32; n as usize]);
     let placement = Striped::new(16, 256);
     let visits = extract_visits(
-        StackMachine::new(kernel.program.clone()),
+        StackMachine::new(kernel),
         &mut mem,
         &placement,
         CoreId(0),

@@ -3,6 +3,7 @@
 #
 #   tools/pairs.sh <parent-rev> [workload...]      # measure, write $OUT
 #   tools/pairs.sh --check [BENCH_*.json]          # schema-check a file
+#   tools/pairs.sh --chain OLD NEW                 # NEW's parent vs OLD's change
 #
 # Builds three trees once each, in their own directories under $WORK:
 # the parent (`git archive <parent-rev>`), the change (this checkout's
@@ -26,6 +27,18 @@
 # With uncommitted edits the change rev is a `git stash create` commit
 # that no ref keeps (`change_is_stash`); from a clean checkout it is
 # HEAD.
+#
+# The chain: NEW's parent should be the code OLD measured as its change
+# (OLD's `revs.change`, or, that commit gone, the last commit touching
+# OLD), so its ratio to the anchor should repeat. The pair is comparable
+# when the anchors match and so do the two product trees (`git ls-tree`
+# of crates, src, the manifests and benchmark, hashed). For each shared
+# workload and each of setup_s, norm_ops_per_s, norm_req_p50_us and
+# norm_req_p90_us, the gap NEW parent_vs_anchor / OLD change_vs_anchor
+# - 1 is `chain_broken` beyond max(2 %, either file's parent_iqr_frac).
+# A measuring run records this check of $OUT against the newest
+# committed BENCH_*.json as `chain`. A broken chain is printed, never
+# fatal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ANCHOR=e00023e
@@ -33,6 +46,49 @@ PAIRS=${PAIRS:-12}
 SEED0=${SEED0:-2701}
 OUT=${OUT:-BENCH_new.json}
 WORK=${WORK:-target/pairs}
+
+chain() {
+    python3 - "$@" <<'PY'
+import json, os, subprocess, sys
+old_path, new_path, record = sys.argv[1], sys.argv[2], len(sys.argv) > 3
+old, new = json.load(open(old_path)), json.load(open(new_path))
+METRICS = ("setup_s", "norm_ops_per_s", "norm_req_p50_us", "norm_req_p90_us")
+
+def git(*args, stdin=None):
+    p = subprocess.run(["git", *args], input=stdin, capture_output=True, text=True)
+    return p.stdout.strip() if p.returncode == 0 else None
+
+def fingerprint(rev):
+    tree = rev and git("ls-tree", rev, "crates", "src", "Cargo.toml", "Cargo.lock", "benchmark")
+    return tree and git("hash-object", "--stdin", stdin=tree + "\n")
+
+measured = old["revs"]["change"]
+if git("cat-file", "-e", measured + "^{commit}") is None:
+    measured = git("log", "-1", "--format=%H", "--", old_path)
+fp = fingerprint(measured)
+why = ("anchors differ" if old["revs"]["anchor"] != new["revs"]["anchor"] else
+       "product trees differ" if not fp or fp != fingerprint(new["revs"]["parent"]) else None)
+print(f"chain {old_path} (measured {(measured or '?')[:9]}) -> {new_path} "
+      f"(parent {new['revs']['parent'][:9]}): {'not comparable, ' + why if why else 'comparable'}")
+broken = []
+for w in [w for w in new["workloads"] if w in old["workloads"] and not why]:
+    for m in METRICS:
+        o, n = old["workloads"][w].get(m), new["workloads"][w].get(m)
+        if not (o and n and o["change_vs_anchor"] and n["parent_vs_anchor"]):
+            continue
+        gap = n["parent_vs_anchor"] / o["change_vs_anchor"] - 1
+        bound = max(0.02, o["parent_iqr_frac"], n["parent_iqr_frac"])
+        flag = abs(gap) > bound
+        if flag:
+            broken.append({"row": f"{w}/{m}", "gap": round(gap, 4), "bound": round(bound, 4)})
+        print(f"  {w:<14} {m:<16} gap {gap:+7.1%}  bound {bound:5.1%}" + ("  chain_broken" if flag else ""))
+if record:
+    new["chain"] = {"against": os.path.basename(old_path), "comparable": why is None, "broken": broken}
+    with open(new_path, "w") as f:
+        json.dump(new, f, indent=1)
+        f.write("\n")
+PY
+}
 
 check() {
     python3 - "$1" <<'PY'
@@ -60,6 +116,16 @@ assert len(slotted) <= 1, "every run records its slot, or none does"
 for w, effect in doc.get("slot_effect", {}).items():
     assert len(effect) == 3, f"{w}: slot_effect {effect}"
 print(f"{sys.argv[1]}: schema ok ({len(doc['workloads'])} workloads)")
+# Files written before the chain check have none.
+if "chain" in doc:
+    chain = doc["chain"]
+    assert chain.keys() == {"against", "comparable", "broken"}, f"chain: {sorted(chain)}"
+    assert isinstance(chain["comparable"], bool) and (chain["comparable"] or not chain["broken"])
+    for b in chain["broken"]:
+        assert b.keys() == {"row", "gap", "bound"} and abs(b["gap"]) > b["bound"], b
+    rows = ", ".join(f"{b['row']} {b['gap']:+.1%} (bound {b['bound']:.1%})" for b in chain["broken"])
+    print(f"chain against {chain['against']}: "
+          f"{'comparable' if chain['comparable'] else 'not comparable'}, broken: {rows or 'none'}")
 PY
 }
 
@@ -67,7 +133,12 @@ if [ "${1:-}" = "--check" ]; then
     check "${2:-$(ls BENCH_*.json | sort -V | tail -n 1)}"
     exit 0
 fi
-[ $# -ge 1 ] || { sed -n '2,8p' "$0"; exit 2; }
+if [ "${1:-}" = "--chain" ]; then
+    [ $# -eq 3 ] || { sed -n '2,9p' "$0"; exit 2; }
+    chain "$2" "$3"
+    exit 0
+fi
+[ $# -ge 1 ] || { sed -n '2,9p' "$0"; exit 2; }
 PARENT=$(git rev-parse --verify "$1^{commit}"); shift
 ANCHOR=$(git rev-parse --verify "$ANCHOR^{commit}")
 CHANGE=$(git stash create); STASH=true
@@ -84,7 +155,8 @@ for side in parent change anchor; do
     cargo build --release --offline --quiet --manifest-path "$WORK/$side/benchmark/Cargo.toml"
 done
 
-python3 - "$WORK" "$OUT" "$PARENT" "$CHANGE" "$ANCHOR" "$STASH" "$PAIRS" "$SEED0" "$@" <<'PY'
+status=0
+python3 - "$WORK" "$OUT" "$PARENT" "$CHANGE" "$ANCHOR" "$STASH" "$PAIRS" "$SEED0" "$@" <<'PY' || status=$?
 import itertools, json, statistics, subprocess, sys
 
 work, out, parent, change, anchor = sys.argv[1:6]
@@ -166,4 +238,7 @@ bad = [r for w in doc["runs"].values() for r in w if r["exit"] or not r["correct
 print(f"{out}: {sum(len(v) for v in doc['runs'].values())} runs, {len(bad)} not correct", file=sys.stderr)
 sys.exit(1 if bad else 0)
 PY
+PREV=$(git ls-files 'BENCH_*.json' | grep -vxF "$OUT" | sort -V | tail -n 1)
+[ -z "$PREV" ] || chain "$PREV" "$OUT" record
 check "$OUT"
+exit "$status"
