@@ -90,7 +90,6 @@ struct Em2Machine<'a> {
     traffic: TrafficBreakdown,
     access_latency: Summary,
     migration_latency: Summary,
-    remote_latency: Summary,
     context_bits_sent: u64,
     network_cycles: u64,
 }
@@ -252,7 +251,6 @@ impl MachineModel for Em2Machine<'_> {
                     em2_model::AccessKind::Read => self.flow.remote_reads += 1,
                     em2_model::AccessKind::Write => self.flow.remote_writes += 1,
                 }
-                self.remote_latency.record_u64(complete - issue);
                 self.access_latency.record_u64(complete - issue);
                 self.network_cycles += (complete - issue) - cache_lat;
                 self.monitor.on_access(
@@ -473,7 +471,6 @@ pub fn run_em2ra_flat(
         traffic: TrafficBreakdown::default(),
         access_latency: Summary::new(),
         migration_latency: Summary::new(),
-        remote_latency: Summary::new(),
         context_bits_sent: 0,
         network_cycles: 0,
     };
@@ -521,7 +518,6 @@ pub fn run_em2ra_flat(
         traffic: machine.traffic,
         access_latency: machine.access_latency,
         migration_latency: machine.migration_latency,
-        remote_latency: machine.remote_latency,
         caches: cache_stats,
         peak_guests,
         network_cycles: machine.network_cycles,

@@ -100,8 +100,6 @@ pub struct SimReport {
     pub access_latency: Summary,
     /// Migration one-way latencies.
     pub migration_latency: Summary,
-    /// Remote-access round-trip latencies.
-    pub remote_latency: Summary,
     /// Pure network cycles spent on migrations and remote accesses
     /// (cache/DRAM latencies excluded) — the quantity the paper's §3
     /// dynamic program lower-bounds.

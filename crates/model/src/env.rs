@@ -61,19 +61,11 @@ pub const KNOWN: &[VarDef] = &[
     },
     VarDef {
         name: "EM2_NET_MP_ROLE",
-        doc: "internal: role of a multiproc-test child process",
+        doc: "internal: role of a multi-process test's child process",
     },
     VarDef {
         name: "EM2_NET_MP_DIR",
-        doc: "internal: scratch directory of a multiproc-test child process",
-    },
-    VarDef {
-        name: "EM2_CHAOS_KILL_ROLE",
-        doc: "internal: role of a kill-recovery-test child process",
-    },
-    VarDef {
-        name: "EM2_CHAOS_KILL_DIR",
-        doc: "internal: scratch directory of a kill-recovery-test child process",
+        doc: "internal: scratch directory of a multi-process test's child process",
     },
 ];
 

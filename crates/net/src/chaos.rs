@@ -439,8 +439,8 @@ impl ChaosTx {
 
     fn sever(&mut self) -> io::Result<()> {
         if let Some(mut conn) = self.inner.take() {
+            // The peer reads end of stream; our reader keeps its half.
             let _ = conn.close();
-            drop(conn); // loopback peers unblock on channel drop
         }
         Err(Self::severed_err())
     }

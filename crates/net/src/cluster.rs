@@ -9,14 +9,16 @@
 //! [`ClusterSpec::digest`]s so two processes with divergent topologies
 //! refuse to form a cluster instead of silently misrouting.
 
-use crate::transport::{LoopbackTransport, TcpTransport, Transport};
+use crate::transport::{TcpTransport, Transport};
 use em2_model::hash::{fnv1a, FNV1A_INIT};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which transport a cluster runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process channel pairs (testing, calibration baselines).
+    /// In-process socket pairs (testing, calibration baselines; Unix
+    /// only).
+    #[cfg(unix)]
     Loopback,
     /// Unix-domain sockets (co-located processes; Unix only).
     #[cfg(unix)]
@@ -30,7 +32,8 @@ impl TransportKind {
     /// kind (`"loopback"`, `"uds"`, `"tcp"`).
     pub fn make(&self) -> Box<dyn Transport> {
         match self {
-            TransportKind::Loopback => Box::new(LoopbackTransport),
+            #[cfg(unix)]
+            TransportKind::Loopback => Box::new(crate::transport::LoopbackTransport),
             #[cfg(unix)]
             TransportKind::Uds => Box::new(crate::transport::UdsTransport),
             TransportKind::Tcp => Box::new(TcpTransport),
@@ -182,6 +185,7 @@ impl ClusterSpec {
 
     /// An even loopback cluster under a process-unique auto-generated
     /// endpoint base (safe to create concurrently from many tests).
+    #[cfg(unix)]
     pub fn loopback(nodes: usize, shards: usize) -> Self {
         let base = format!("em2-loopback-{}-{}", std::process::id(), unique_stamp());
         ClusterSpec::even(TransportKind::Loopback, &base, nodes, shards)

@@ -10,9 +10,9 @@
 //! Response / BarrierRelease, with [`em2_rt::Task::context_bytes`] as
 //! the migration payload. This crate puts that protocol on the wire:
 //!
-//! * [`transport`] — length-prefixed byte frames over three
-//!   interchangeable carriers: in-process **loopback** channels,
-//!   **Unix-domain sockets**, and **TCP**;
+//! * [`transport`] — length-prefixed byte frames over one stream
+//!   code and three ways to connect it: in-process **loopback** socket
+//!   pairs, **Unix-domain sockets**, and **TCP**;
 //! * [`proto`] — the node-to-node control protocol (handshake with
 //!   version + topology check, barrier arrivals/releases, completion
 //!   accounting, quiesce), built on the same typed-error codec as
@@ -92,8 +92,6 @@ pub use error::ClusterError;
 pub use node::{NetReport, NodeRuntime, WireSnapshot};
 pub use report::CounterSummary;
 pub use run::ClusterRun;
+pub use transport::{Acceptor, Duplex, FrameBatch, FrameRx, FrameTx, TcpTransport, Transport};
 #[cfg(unix)]
-pub use transport::UdsTransport;
-pub use transport::{
-    Acceptor, Duplex, FrameBatch, FrameRx, FrameTx, LoopbackTransport, TcpTransport, Transport,
-};
+pub use transport::{LoopbackTransport, UdsTransport};

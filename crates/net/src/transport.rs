@@ -1,36 +1,39 @@
-//! Byte-frame transports: loopback queues, Unix-domain sockets, TCP.
+//! Byte-frame transports: in-process socket pairs, Unix-domain
+//! sockets, TCP.
 //!
 //! A [`Transport`] moves opaque length-prefixed frames between two
 //! endpoints; everything above it (handshake, message codec, routing)
-//! is transport-agnostic. Three implementations ship:
+//! is transport-agnostic. Three implementations ship, and every
+//! connection of each is a kernel byte stream read and written by the
+//! same code:
 //!
-//! * [`LoopbackTransport`] — in-process channel pairs under named
-//!   endpoints, one channel message per flush. Frames still pass
-//!   through the full encode → decode path, so a multi-"node" loopback
-//!   cluster exercises every byte of the wire format without sockets —
+//! * [`LoopbackTransport`] — socket pairs under named in-process
+//!   endpoints (Unix only). A multi-"node" loopback cluster runs the
+//!   wire path of a real one, back-pressure included, in one process —
 //!   this is what keeps the E11 agreement property testable in-process
 //!   (DESIGN.md §9).
 //! * [`UdsTransport`] — `SOCK_STREAM` Unix-domain sockets (Unix only);
 //!   the default for co-located multi-process clusters.
 //! * [`TcpTransport`] — TCP with `TCP_NODELAY`; crosses hosts.
 //!
-//! Framing on stream transports is `[u32 LE length][payload]`, and it
-//! is implemented once: a [`FrameBatch`] lays frames out exactly as a
-//! stream carries them, so whatever assembled the batch — the egress
-//! writer encoding messages straight into its reusable flush buffer,
-//! or the [`FrameTx::send_frame`] / [`FrameTx::send_frames`]
-//! conveniences — a stream transport ships it with one `write`.
+//! Framing is `[u32 LE length][payload]`, and it is implemented once:
+//! a [`FrameBatch`] lays frames out exactly as a stream carries them,
+//! so whatever assembled the batch — the egress writer encoding
+//! messages straight into its reusable flush buffer, or the
+//! [`FrameTx::send_frame`] / [`FrameTx::send_frames`] conveniences —
+//! a transport ships it with one `write`.
 //! [`FrameRx::recv`] distinguishes a clean close at a frame boundary
 //! (`Ok(None)`) from a mid-frame truncation (`Err`).
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::mpsc;
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
+#[cfg(unix)]
+use std::{
+    collections::HashMap,
+    os::unix::net::{UnixListener, UnixStream},
+    sync::{mpsc, Mutex, OnceLock},
+};
 
 /// Hard ceiling on a frame's payload (32 MiB): a larger length prefix
 /// is corruption, not a payload.
@@ -38,8 +41,7 @@ pub const MAX_FRAME: usize = 32 << 20;
 
 /// Bytes of stream framing per frame (the `u32 LE` length prefix).
 /// Telemetry that reports *wire* bytes — rather than payload bytes —
-/// adds this per frame, on every transport (the loopback channel
-/// carries the same stream image).
+/// adds this per frame, on every transport.
 pub const FRAME_HEADER_BYTES: usize = 4;
 
 /// The typed rejection every transport returns for a frame larger
@@ -151,10 +153,10 @@ pub trait FrameTx: Send {
     /// Ship every frame of `batch`, in order, flushing **once** where
     /// the carrier allows it (blocking; a full socket buffer
     /// back-pressures the caller, which is the cluster's flow
-    /// control). Stream transports pay a single `write` for the whole
-    /// batch — the egress pipeline's frames-per-syscall win — and the
-    /// loopback channel a single message. The receiver cannot tell how
-    /// frames were batched: same frames, same boundaries.
+    /// control). Every transport pays a single `write` for the whole
+    /// batch — the egress pipeline's frames-per-syscall win. The
+    /// receiver cannot tell how frames were batched: same frames, same
+    /// boundaries.
     fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()>;
 
     /// Ship one frame: a one-frame [`FrameTx::send_batch`]. A payload
@@ -178,8 +180,8 @@ pub trait FrameTx: Send {
     /// Signal end-of-stream to the peer. Merely dropping a socket
     /// write half is not enough: the read half is a `try_clone` of the
     /// same socket, so the connection stays open until an explicit
-    /// `shutdown(Write)`. Loopback channels close on drop; this
-    /// default covers them.
+    /// `shutdown(Write)`. The default, for a sender with no such
+    /// half, does nothing.
     fn close(&mut self) -> io::Result<()> {
         Ok(())
     }
@@ -202,11 +204,8 @@ pub trait FrameRx: Send {
     /// carrier, so it cannot block and learns nothing new about the
     /// peer. `false` means the call reads (and may wait): a reader that
     /// does per-read work — one clock read, one ledger publication —
-    /// does it around exactly those calls. The conservative default is
-    /// right for any carrier that cannot tell.
-    fn buffered(&self) -> bool {
-        false
-    }
+    /// does it around exactly those calls.
+    fn buffered(&self) -> bool;
 
     /// [`FrameRx::recv`] into an owned buffer.
     fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
@@ -214,11 +213,8 @@ pub trait FrameRx: Send {
     }
 
     /// Bound how long [`FrameRx::recv`] may block (`None` =
-    /// forever). Deadline-sensitive phases (the handshake) set this;
-    /// the default is a no-op for carriers that cannot time out.
-    fn set_recv_timeout(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
-        Ok(())
-    }
+    /// forever). Deadline-sensitive phases (the handshake) set this.
+    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
 /// One bidirectional connection, split into halves so a dedicated
@@ -236,13 +232,9 @@ pub trait Acceptor: Send {
     fn accept(&mut self) -> io::Result<Duplex>;
 
     /// Block until the next peer connects or `deadline` passes
-    /// (expiry is an [`io::ErrorKind::TimedOut`] error). The default
-    /// ignores the deadline; every shipped transport overrides it —
-    /// this is what bounds a handshake whose dialer never shows up.
-    fn accept_deadline(&mut self, deadline: Instant) -> io::Result<Duplex> {
-        let _ = deadline;
-        self.accept()
-    }
+    /// (expiry is an [`io::ErrorKind::TimedOut`] error) — what bounds
+    /// a handshake whose dialer never shows up.
+    fn accept_deadline(&mut self, deadline: Instant) -> io::Result<Duplex>;
 }
 
 fn accept_timeout_err() -> io::Error {
@@ -548,120 +540,53 @@ impl Transport for UdsTransport {
 
 // --------------------------------------------------------- loopback
 
-type PendingDuplex = mpsc::Sender<Duplex>;
+#[cfg(unix)]
+type Pending = mpsc::Sender<UnixStream>;
 
-fn loopback_registry() -> &'static Mutex<HashMap<String, PendingDuplex>> {
-    static REG: OnceLock<Mutex<HashMap<String, PendingDuplex>>> = OnceLock::new();
+#[cfg(unix)]
+fn loopback_registry() -> &'static Mutex<HashMap<String, Pending>> {
+    static REG: OnceLock<Mutex<HashMap<String, Pending>>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// In-process transport: endpoints live in a process-global name
-/// registry and connections are paired byte-frame channels. Every
-/// frame still round-trips through the codec, so this is the
-/// full wire path minus the kernel.
+/// registry, and a connection is a kernel socket pair
+/// (`UnixStream::pair`) driven by the same stream code as
+/// [`UdsTransport`]. Every frame round-trips through the codec and the
+/// kernel, with a socket buffer's back-pressure; only the rendezvous
+/// is in-process. Unix only.
+#[cfg(unix)]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LoopbackTransport;
 
-/// One channel message is one flush: the batch's stream image, whole,
-/// so the receiving half sees what a stream's `read` would — every
-/// frame of a coalesced flush at once.
-struct ChanTx(mpsc::Sender<Vec<u8>>);
-
-impl FrameTx for ChanTx {
-    fn send_batch(&mut self, batch: &FrameBatch) -> io::Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.0
-            .send(batch.wire().to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "loopback peer closed"))
-    }
-}
-
-struct ChanRx {
-    rx: mpsc::Receiver<Vec<u8>>,
-    timeout: Option<Duration>,
-    /// The flush last taken off the channel; `flush[head..]` holds its
-    /// frames not yet handed out.
-    flush: Vec<u8>,
-    head: usize,
-}
-
-impl ChanRx {
-    fn new(rx: mpsc::Receiver<Vec<u8>>) -> Self {
-        ChanRx {
-            rx,
-            timeout: None,
-            flush: Vec::new(),
-            head: 0,
-        }
-    }
-}
-
-impl FrameRx for ChanRx {
-    fn recv(&mut self) -> io::Result<Option<&[u8]>> {
-        if self.head == self.flush.len() {
-            let next = match self.timeout {
-                // A dropped sender is the loopback clean close.
-                None => self.rx.recv().ok(),
-                Some(t) => match self.rx.recv_timeout(t) {
-                    Ok(f) => Some(f),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "loopback receive timed out",
-                        ))
-                    }
-                },
-            };
-            let Some(next) = next else {
-                return Ok(None);
-            };
-            self.flush = next;
-            self.head = 0;
-        }
-        // A `FrameBatch` image: every frame is whole and under the cap.
-        let start = self.head + FRAME_HEADER_BYTES;
-        self.head = start + announced_len(&self.flush, self.head);
-        Ok(Some(&self.flush[start..self.head]))
-    }
-
-    fn buffered(&self) -> bool {
-        self.head != self.flush.len()
-    }
-
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.timeout = timeout;
-        Ok(())
-    }
-}
-
+#[cfg(unix)]
 struct LoopbackAcceptor {
     addr: String,
-    pending: mpsc::Receiver<Duplex>,
+    pending: mpsc::Receiver<UnixStream>,
 }
 
+#[cfg(unix)]
+fn torn_down() -> io::Error {
+    io::Error::new(io::ErrorKind::BrokenPipe, "loopback listener torn down")
+}
+
+#[cfg(unix)]
 impl Acceptor for LoopbackAcceptor {
     fn accept(&mut self) -> io::Result<Duplex> {
-        self.pending
-            .recv()
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "loopback listener torn down"))
+        duplex(self.pending.recv().map_err(|_| torn_down())?)
     }
 
     fn accept_deadline(&mut self, deadline: Instant) -> io::Result<Duplex> {
         let wait = deadline.saturating_duration_since(Instant::now());
         match self.pending.recv_timeout(wait) {
-            Ok(d) => Ok(d),
+            Ok(stream) => duplex(stream),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(accept_timeout_err()),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "loopback listener torn down",
-            )),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(torn_down()),
         }
     }
 }
 
+#[cfg(unix)]
 impl Drop for LoopbackAcceptor {
     fn drop(&mut self) {
         loopback_registry()
@@ -671,6 +596,7 @@ impl Drop for LoopbackAcceptor {
     }
 }
 
+#[cfg(unix)]
 impl Transport for LoopbackTransport {
     fn kind(&self) -> &'static str {
         "loopback"
@@ -703,19 +629,11 @@ impl Transport for LoopbackTransport {
                 format!("no loopback listener at {addr:?}"),
             ));
         };
-        let (a_tx, a_rx) = mpsc::channel();
-        let (b_tx, b_rx) = mpsc::channel();
-        let theirs = Duplex {
-            tx: Box::new(ChanTx(b_tx)),
-            rx: Box::new(ChanRx::new(a_rx)),
-        };
+        let (ours, theirs) = UnixStream::pair()?;
         pending.send(theirs).map_err(|_| {
             io::Error::new(io::ErrorKind::ConnectionRefused, "loopback listener gone")
         })?;
-        Ok(Duplex {
-            tx: Box::new(ChanTx(a_tx)),
-            rx: Box::new(ChanRx::new(b_rx)),
-        })
+        duplex(ours)
     }
 }
 
@@ -842,6 +760,7 @@ mod tests {
         t.join().expect("server thread");
     }
 
+    #[cfg(unix)]
     #[test]
     fn loopback_round_trips_and_closes_cleanly() {
         exercise(&LoopbackTransport, "test-loopback-basic");
@@ -864,6 +783,7 @@ mod tests {
         exercise(&TcpTransport, &addr);
     }
 
+    #[cfg(unix)]
     #[test]
     fn loopback_close_is_a_clean_eof() {
         let addr = "test-loopback-close";
@@ -874,6 +794,7 @@ mod tests {
         assert!(client.rx.recv_frame().expect("eof").is_none());
     }
 
+    #[cfg(unix)]
     #[test]
     fn connect_without_listener_is_refused() {
         assert_eq!(
@@ -902,6 +823,7 @@ mod tests {
         assert!(rx.next_frame().is_err(), "oversized length rejected");
     }
 
+    #[cfg(unix)]
     #[test]
     fn oversize_send_is_a_typed_error_not_a_panic() {
         let addr = "test-loopback-oversize";
@@ -915,6 +837,7 @@ mod tests {
         assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
     }
 
+    #[cfg(unix)]
     #[test]
     fn recv_timeout_expires_with_a_typed_error() {
         let addr = "test-loopback-recv-timeout";
@@ -926,9 +849,45 @@ mod tests {
             .set_recv_timeout(Some(Duration::from_millis(20)))
             .expect("timeout supported");
         let e = client.rx.recv_frame().expect_err("nothing was sent");
-        assert_eq!(e.kind(), io::ErrorKind::TimedOut);
+        // A socket read timeout is `WouldBlock` on Linux.
+        assert!(
+            matches!(
+                e.kind(),
+                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+            ),
+            "{e}"
+        );
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn loopback_back_pressures_like_a_socket() {
+        const FRAMES: usize = 8;
+        let addr = "test-loopback-back-pressure";
+        let mut acceptor = LoopbackTransport.listen(addr).expect("listen");
+        let mut client = LoopbackTransport.connect(addr).expect("connect");
+        let mut server = acceptor.accept().expect("accept");
+        let frame = |i: usize| vec![i as u8; 1 << 20];
+        let writer = std::thread::spawn(move || {
+            for i in 0..FRAMES {
+                client.tx.send_frame(&frame(i)).expect("send");
+            }
+        });
+        // Nobody reads: 8 MiB cannot fit in a socket buffer, so the
+        // writer must still be blocked in `write`.
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(
+            !writer.is_finished(),
+            "a non-reading peer stalls the writer"
+        );
+        for i in 0..FRAMES {
+            let got = server.rx.recv().expect("recv").expect("frame");
+            assert!(got == frame(i), "frame {i} intact");
+        }
+        writer.join().expect("writer");
+    }
+
+    #[cfg(unix)]
     #[test]
     fn accept_deadline_expires_with_a_typed_error() {
         let mut acceptor = LoopbackTransport

@@ -17,6 +17,8 @@
 //! names the seed, and `FaultPlan::seeded(seed, ...)` rebuilds the
 //! exact plan in-process for replay under a debugger.
 
+#![cfg(unix)]
+
 use em2_core::decision::{DecisionScheme, HistoryPredictor};
 use em2_net::{
     ClusterError, ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, FaultAction, FaultPlan,
@@ -208,7 +210,6 @@ fn seeded_benign_sweep_completes_bit_equal() {
     sweep(&fx, |s| loopback_spec(&format!("ben-{s}")), 5_000, true);
 }
 
-#[cfg(unix)]
 #[test]
 fn seeded_fault_sweep_uds() {
     let fx = fixture();
@@ -378,14 +379,13 @@ fn refused_accept_is_a_typed_handshake_failure() {
 // must observe the loss and fail typed within its heartbeat deadline.
 // ---------------------------------------------------------------- //
 
-#[cfg(unix)]
-const KILL_ROLE_ENV: &str = "EM2_CHAOS_KILL_ROLE";
-#[cfg(unix)]
-const KILL_DIR_ENV: &str = "EM2_CHAOS_KILL_DIR";
+// The child-process seam `multiproc.rs` uses: each child runs one
+// `--exact` test of its own binary, so roles never collide.
+const ROLE_ENV: &str = "EM2_NET_MP_ROLE";
+const DIR_ENV: &str = "EM2_NET_MP_DIR";
 
 /// The two-process kill cluster; `role` names the scenario (and its
-/// socket) and doubles as the child's `KILL_ROLE_ENV` value.
-#[cfg(unix)]
+/// socket) and doubles as the child's `ROLE_ENV` value.
 fn kill_spec(dir: &std::path::Path, role: &str, heartbeat_ms: u64) -> ClusterSpec {
     ClusterSpec::even(
         TransportKind::Uds,
@@ -403,7 +403,6 @@ fn kill_spec(dir: &std::path::Path, role: &str, heartbeat_ms: u64) -> ClusterSpe
 }
 
 /// One kill-cluster node, up and idle.
-#[cfg(unix)]
 fn start_kill_node(
     transport: Box<dyn em2_net::Transport>,
     spec: ClusterSpec,
@@ -428,12 +427,11 @@ fn start_kill_node(
 /// Child body: join the `role` cluster as node 1, signal readiness,
 /// then idle (its writers keep the link warm) until the parent
 /// SIGKILLs this process. Inert unless spawned with that role.
-#[cfg(unix)]
 fn kill_child(role: &str, heartbeat_ms: u64) {
-    if em2_model::env::raw(KILL_ROLE_ENV).as_deref() != Some(role) {
+    if em2_model::env::raw(ROLE_ENV).as_deref() != Some(role) {
         return;
     }
-    let dir = std::path::PathBuf::from(em2_model::env::raw(KILL_DIR_ENV).expect("scratch dir env"));
+    let dir = std::path::PathBuf::from(em2_model::env::raw(DIR_ENV).expect("scratch dir env"));
     let spec = kill_spec(&dir, role, heartbeat_ms);
     let nrt = start_kill_node(spec.kind.make(), spec, 1);
     std::fs::write(dir.join("child-ready"), b"1").expect("ready marker");
@@ -445,18 +443,16 @@ fn kill_child(role: &str, heartbeat_ms: u64) {
 }
 
 /// Parent half: re-execute this test binary as the `role` child.
-#[cfg(unix)]
 fn spawn_kill_child(test: &str, role: &str, dir: &std::path::Path) -> std::process::Child {
     std::process::Command::new(std::env::current_exe().expect("own test binary"))
         .args([test, "--exact", "--nocapture"])
-        .env(KILL_ROLE_ENV, role)
-        .env(KILL_DIR_ENV, dir)
+        .env(ROLE_ENV, role)
+        .env(DIR_ENV, dir)
         .spawn()
         .expect("spawn child node")
 }
 
 /// Wait (bounded) for the child to park in its run phase.
-#[cfg(unix)]
 fn wait_child_ready(dir: &std::path::Path) {
     let ready = dir.join("child-ready");
     let wait_deadline = Instant::now() + Duration::from_secs(10);
@@ -466,16 +462,14 @@ fn wait_child_ready(dir: &std::path::Path) {
     assert!(ready.exists(), "child never reached its run phase");
 }
 
-#[cfg(unix)]
 #[test]
 fn chaos_kill_child_role() {
     kill_child("kill", 50);
 }
 
-#[cfg(unix)]
 #[test]
 fn killed_peer_process_is_detected_within_the_heartbeat_deadline() {
-    if em2_model::env::raw(KILL_ROLE_ENV).is_some() {
+    if em2_model::env::raw(ROLE_ENV).is_some() {
         return; // never recurse
     }
     let dir = std::env::temp_dir().join(format!("em2-chaos-kill-{}", std::process::id()));
@@ -744,16 +738,14 @@ fn seeded_benign_sweep_with_live_handoffs_is_bit_equal() {
 /// then deterministic (0 = HelloAck, 1 = HandoffExpect,
 /// 2 = HandoffTransfer), so the plan can drop exactly the Transfer.
 /// EOF detection does not need heartbeats.
-#[cfg(unix)]
 #[test]
 fn chaos_handoff_kill_child_role() {
     kill_child("handoff", 0);
 }
 
-#[cfg(unix)]
 #[test]
 fn killed_peer_mid_transfer_fails_typed_naming_the_handoff_phase() {
-    if em2_model::env::raw(KILL_ROLE_ENV).is_some() {
+    if em2_model::env::raw(ROLE_ENV).is_some() {
         return; // never recurse
     }
     let dir = std::env::temp_dir().join(format!("em2-chaos-hkill-{}", std::process::id()));

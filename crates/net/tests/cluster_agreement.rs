@@ -8,6 +8,8 @@
 //! UDS, and TCP (real sockets between in-process nodes — the kernel
 //! does not care that both ends share a PID).
 
+#![cfg(unix)]
+
 use em2_core::decision::{AlwaysMigrate, AlwaysRemote, DecisionScheme, HistoryPredictor};
 use em2_net::{ClusterRun, ClusterSpec, CounterSummary, TransportKind};
 use em2_placement::{FirstTouch, Placement};
@@ -115,7 +117,6 @@ fn loopback_remote_access_reads_observe_cross_node_writes() {
     );
 }
 
-#[cfg(unix)]
 #[test]
 fn uds_two_node_cluster_agrees() {
     let base = std::env::temp_dir().join(format!("em2-agree-{}.sock", std::process::id()));

@@ -12,6 +12,8 @@
 //! ledgers, the liveness stamp — stays exact and fresh
 //! ([`FrameRx::buffered`] is the seam).
 
+#![cfg(unix)]
+
 use em2_core::decision::HistoryPredictor;
 use em2_model::DetRng;
 use em2_net::proto::NetMsg;
@@ -125,7 +127,6 @@ fn tcp_addr(salt: u16) -> String {
     )
 }
 
-#[cfg(unix)]
 fn uds_addr(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("em2-coalesce-{tag}-{}.sock", std::process::id()))
 }
@@ -173,7 +174,6 @@ fn coalesced_batch_decodes_identically_tcp() {
     }
 }
 
-#[cfg(unix)]
 #[test]
 fn coalesced_batch_decodes_identically_uds() {
     for (i, &(seed, n)) in [(0xC0A1E5CE_u64, 40), (0xDEAD_BEEF, 1), (7, 64)]
@@ -281,7 +281,6 @@ fn flush_truncated_mid_batch_is_typed_over_tcp() {
     assert_truncated_flush_typed(&mut raw, move || drop(clone), &mut server, "tcp");
 }
 
-#[cfg(unix)]
 #[test]
 fn flush_truncated_mid_batch_is_typed_over_uds() {
     let path = uds_addr("trunc");
@@ -359,16 +358,13 @@ fn exercise_buffered(t: &dyn Transport, addr: &str, what: &str) {
 fn buffered_spans_exactly_the_frames_of_one_flush() {
     exercise_buffered(&LoopbackTransport, "coalesce-buffered", "loopback");
     exercise_buffered(&TcpTransport, &tcp_addr(40), "tcp");
-    #[cfg(unix)]
-    {
-        let path = uds_addr("buffered");
-        exercise_buffered(
-            &em2_net::UdsTransport,
-            path.to_str().expect("utf8 socket path"),
-            "uds",
-        );
-        let _ = std::fs::remove_file(path);
-    }
+    let path = uds_addr("buffered");
+    exercise_buffered(
+        &em2_net::UdsTransport,
+        path.to_str().expect("utf8 socket path"),
+        "uds",
+    );
+    let _ = std::fs::remove_file(path);
 }
 
 /// Frames and payload bytes a node's receiving halves handed out after

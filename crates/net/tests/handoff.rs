@@ -11,6 +11,8 @@
 //! and the handshake refusing peers that disagree on the initial
 //! epoch (on all three transports).
 
+#![cfg(unix)]
+
 use em2_core::decision::{AlwaysMigrate, DecisionScheme, HistoryPredictor};
 use em2_net::{ClusterRun, ClusterSpec, ClusterTimeouts, CounterSummary, NodeSpec, TransportKind};
 use em2_placement::{FirstTouch, Placement};
@@ -134,7 +136,6 @@ fn repeated_handoffs_of_one_shard_sum_bit_equal_loopback() {
     );
 }
 
-#[cfg(unix)]
 #[test]
 fn live_handoffs_mid_workload_sum_bit_equal_uds() {
     // Three real socket pairs; handoffs whose source and destination
@@ -190,7 +191,6 @@ fn joining_node_with_zero_shards_receives_live_shards_and_agrees() {
 /// drains every shard off node 1 mid-workload (the state a restart
 /// wants), then hands them all back (the rejoin) — and the sum is
 /// still bit-equal to the single-process run.
-#[cfg(unix)]
 #[test]
 fn rolling_restart_uds_smoke() {
     let dir = std::env::temp_dir().join(format!("em2-handoff-roll-{}", std::process::id()));
@@ -274,7 +274,6 @@ fn epoch_mismatch_is_refused_at_handshake_loopback() {
     assert_epoch_mismatch_refused(spec, "loopback");
 }
 
-#[cfg(unix)]
 #[test]
 fn epoch_mismatch_is_refused_at_handshake_uds() {
     let dir = std::env::temp_dir().join(format!("em2-handoff-em-{}", std::process::id()));

@@ -23,6 +23,8 @@
 //!    same runtime behind two links: the same trace leaves the same
 //!    events and the same counters (DESIGN.md §7).
 
+#![cfg(unix)]
+
 use em2_core::decision::{AlwaysMigrate, DecisionScheme, HistoryPredictor};
 use em2_model::{Addr, CoreId, ThreadId};
 use em2_net::{

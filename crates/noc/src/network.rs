@@ -4,7 +4,7 @@
 use crate::packet::{Flit, PacketId, PacketInfo};
 use crate::router::{xy_output, Port, Router};
 use crate::vc::VirtualChannel;
-use em2_model::{ceil_div, CoreId, Mesh, Summary};
+use em2_model::{ceil_div, CoreId, Mesh};
 use std::collections::VecDeque;
 
 /// Configuration of the cycle-level NoC.
@@ -69,8 +69,6 @@ pub struct NocStats {
     pub per_vc_delivered: [u64; VirtualChannel::COUNT],
     /// Per-VC flit-hops.
     pub per_vc_flit_hops: [u64; VirtualChannel::COUNT],
-    /// Packet latency summary.
-    pub latency: Summary,
 }
 
 /// The cycle-level mesh network.
@@ -280,12 +278,10 @@ impl CycleNoc {
                         self.in_flight -= 1;
                         self.stats.delivered += 1;
                         self.stats.per_vc_delivered[vc.index()] += 1;
-                        let d = Delivery {
+                        self.deliveries.push(Delivery {
                             info,
                             delivered_at: self.cycle,
-                        };
-                        self.stats.latency.record_u64(d.latency());
-                        self.deliveries.push(d);
+                        });
                     }
                 } else {
                     // Link traversal: arrives downstream at end of cycle.

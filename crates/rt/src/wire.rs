@@ -2,7 +2,7 @@
 //!
 //! [`WireMsg`] is the runtime's one inter-shard message, in mailboxes
 //! and on the wire; what a cross-process transport ships — `em2-net`
-//! frames it onto loopback queues, Unix-domain sockets, or TCP — is
+//! frames it onto loopback socket pairs, Unix-domain sockets, or TCP — is
 //! its wire form. The codec is hand-rolled (the workspace has no
 //! serde; see `shims/README.md`) and deliberately boring:
 //!

@@ -432,6 +432,7 @@ fn main() {
             usage()
         };
         let (kind, base) = match cluster.split_once(':') {
+            #[cfg(unix)]
             Some(("loopback", base)) => (TransportKind::Loopback, base),
             #[cfg(unix)]
             Some(("uds", base)) => (TransportKind::Uds, base),
