@@ -682,6 +682,33 @@ mod tests {
     }
 
     #[test]
+    fn scheme_state_keeps_its_exact_bytes() {
+        // Length and FNV-1a of each learning scheme's state after the
+        // same runs: a field that moves or changes width shows here.
+        let (mut h, mut m) = (
+            HistoryPredictor::new(1.0, 0.5),
+            MarkovPredictor::new(1.0, 0.5),
+        );
+        for i in 0..60u64 {
+            let (t, c) = (ThreadId((i % 3) as u32), CoreId((i % 4) as u16));
+            h.observe_run(t, c, (i % 11) + 1);
+            m.observe_run(t, c, (i % 11) + 1);
+        }
+        let mut o = OracleSchedule::new(vec![vec![Decision::Remote]; 3]);
+        let cm = CostModel::default();
+        o.decide(&ctx(&cm, (0, 0), (1, 0)));
+        let pins = [
+            (h.state_bytes(), 172, 0x1a16_9b8c_2404_3648),
+            (m.state_bytes(), 587, 0xa707_9fad_30cf_6316),
+            (o.state_bytes(), 28, 0x9542_6f30_246c_6927),
+        ];
+        for (b, len, want) in pins {
+            let digest = em2_model::hash::fnv1a(em2_model::hash::FNV1A_INIT, &b);
+            assert_eq!((b.len(), digest), (len, want));
+        }
+    }
+
+    #[test]
     fn markov_state_round_trips_bit_exactly() {
         let mut a = MarkovPredictor::new(1.0, 0.5);
         for i in 0..60u64 {

@@ -863,6 +863,46 @@ mod tests {
     }
 
     #[test]
+    fn every_frame_keeps_its_exact_bytes() {
+        // FNV-1a of each frame of `variants()` at sequence 50,000, in
+        // order: a byte that moves — even one that keeps its frame's
+        // length, which `the_wire_budget_holds` would miss — shows
+        // here as the frame's index.
+        const DIGESTS: [u64; 24] = [
+            0xb731_55f1_ad23_0ac4,
+            0xcf97_deee_130a_6fbc,
+            0xe1aa_7438_c730_3bd1,
+            0xe245_c6dd_f1eb_f35d,
+            0xc0dd_a802_73fe_1238,
+            0xcfc1_822d_5230_827c,
+            0x56f6_17fc_7d22_bb9d,
+            0x28b1_ddbe_b750_0ee0,
+            0xba16_5143_4501_85c2,
+            0xb0a2_d8b1_1cc1_fed5,
+            0xe515_bfaa_e740_d57d,
+            0x9621_4381_5de0_3294,
+            0x943c_580f_8854_d0a8,
+            0xede2_64f2_d7c9_8937,
+            0xf90e_ceed_f9a9_cd07,
+            0x36ca_d1ad_ff73_ca10,
+            0x0bb2_4579_5cd5_7ded,
+            0x6ec2_4e31_d2cb_c37c,
+            0x6358_eed5_e67c_e47c,
+            0x73c0_0ebd_474d_a1b1,
+            0xadbb_ec88_aa8e_3d63,
+            0x88e0_50e1_f105_221f,
+            0x80d0_f008_6420_178d,
+            0x4d70_3d60_daa0_0ea8,
+        ];
+        let all = variants();
+        assert_eq!(all.len(), DIGESTS.len());
+        for (i, (m, want)) in all.iter().zip(DIGESTS).enumerate() {
+            let got = em2_model::hash::fnv1a(em2_model::hash::FNV1A_INIT, &m.encode(50_000));
+            assert_eq!(got, want, "frame {i}: {m:?}");
+        }
+    }
+
+    #[test]
     fn every_presence_byte_above_fifteen_is_a_typed_bad_tag() {
         // Behind a valid check: the envelope's presence byte is its
         // last byte before the journey, and only its low four bits

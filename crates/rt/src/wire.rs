@@ -1141,6 +1141,16 @@ mod tests {
     }
 
     #[test]
+    fn a_frozen_shard_keeps_its_exact_bytes() {
+        // Length and FNV-1a of a state that spells every field kind of
+        // the layout: heap words, guests, envelopes with all four
+        // optional fields and a journey, and a drained mailbox.
+        let bytes = sample_frozen().encode();
+        let digest = em2_model::hash::fnv1a(em2_model::hash::FNV1A_INIT, &bytes);
+        assert_eq!((bytes.len(), digest), (240, 0x6f0d_0256_f058_cf67));
+    }
+
+    #[test]
     fn frozen_shard_round_trips() {
         let f = sample_frozen();
         let bytes = f.encode();
