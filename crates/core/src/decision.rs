@@ -15,6 +15,7 @@
 //! | [`MarkovPredictor`] | run length conditioned on the previous run's bucket |
 //! | [`OracleSchedule`] | replay of the DP-optimal decision sequence |
 
+use em2_model::bytes::{write_into, Cursor};
 use em2_model::{AccessKind, CoreId, CostModel, ThreadId, WordMap};
 
 /// The two ways to reach a remotely-homed word (Figure 3).
@@ -284,20 +285,21 @@ impl DecisionScheme for HistoryPredictor {
     }
 
     fn state_bytes(&self) -> Vec<u8> {
-        use em2_model::bytes::{put_u16, put_u32, put_u64};
-        let mut b = Vec::with_capacity(4 + self.table.len() * 14);
-        put_u32(&mut b, self.table.len() as u32);
-        for (pair, p) in sorted_entries(&self.table) {
-            let (t, c) = pair_ids(pair);
-            put_u32(&mut b, t);
-            put_u16(&mut b, c);
-            put_u64(&mut b, p.to_bits());
-        }
+        let mut b = Vec::new();
+        write_into(&mut b, 4 + self.table.len() * 14, |w| {
+            w.u32(self.table.len() as u32);
+            for (pair, p) in sorted_entries(&self.table) {
+                let (t, c) = pair_ids(pair);
+                w.u32(t);
+                w.u16(c);
+                w.u64(p.to_bits());
+            }
+        });
         b
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SchemeStateError> {
-        let mut r = em2_model::bytes::Cursor::new(bytes);
+        let mut r = Cursor::new(bytes);
         let n = r.u32()?;
         self.table.clear();
         for _ in 0..n {
@@ -387,28 +389,30 @@ impl DecisionScheme for MarkovPredictor {
     }
 
     fn state_bytes(&self) -> Vec<u8> {
-        use em2_model::bytes::{put_u16, put_u32, put_u64};
-        let mut b = Vec::with_capacity(8 + self.table.len() * 15 + self.last_bucket.len() * 7);
-        put_u32(&mut b, self.table.len() as u32);
-        for (key, p) in sorted_entries(&self.table) {
-            let (t, c) = pair_ids(key >> 8);
-            put_u32(&mut b, t);
-            put_u16(&mut b, c);
-            b.push(key as u8);
-            put_u64(&mut b, p.to_bits());
-        }
-        put_u32(&mut b, self.last_bucket.len() as u32);
-        for (pair, k) in sorted_entries(&self.last_bucket) {
-            let (t, c) = pair_ids(pair);
-            put_u32(&mut b, t);
-            put_u16(&mut b, c);
-            b.push(k);
-        }
+        let mut b = Vec::new();
+        let max = 8 + self.table.len() * 15 + self.last_bucket.len() * 7;
+        write_into(&mut b, max, |w| {
+            w.u32(self.table.len() as u32);
+            for (key, p) in sorted_entries(&self.table) {
+                let (t, c) = pair_ids(key >> 8);
+                w.u32(t);
+                w.u16(c);
+                w.u8(key as u8);
+                w.u64(p.to_bits());
+            }
+            w.u32(self.last_bucket.len() as u32);
+            for (pair, k) in sorted_entries(&self.last_bucket) {
+                let (t, c) = pair_ids(pair);
+                w.u32(t);
+                w.u16(c);
+                w.u8(k);
+            }
+        });
         b
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SchemeStateError> {
-        let mut r = em2_model::bytes::Cursor::new(bytes);
+        let mut r = Cursor::new(bytes);
         let n = r.u32()?;
         self.table.clear();
         for _ in 0..n {
@@ -471,17 +475,18 @@ impl DecisionScheme for OracleSchedule {
     }
 
     fn state_bytes(&self) -> Vec<u8> {
-        use em2_model::bytes::{put_u32, put_u64};
-        let mut b = Vec::with_capacity(4 + self.cursor.len() * 8);
-        put_u32(&mut b, self.cursor.len() as u32);
-        for &c in &self.cursor {
-            put_u64(&mut b, c as u64);
-        }
+        let mut b = Vec::new();
+        write_into(&mut b, 4 + self.cursor.len() * 8, |w| {
+            w.u32(self.cursor.len() as u32);
+            for &c in &self.cursor {
+                w.u64(c as u64);
+            }
+        });
         b
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SchemeStateError> {
-        let mut r = em2_model::bytes::Cursor::new(bytes);
+        let mut r = Cursor::new(bytes);
         let n = r.u32()? as usize;
         if n != self.cursor.len() {
             return Err(SchemeStateError::new(format!(

@@ -1,5 +1,5 @@
-//! The workspace's one binary-codec kernel: little-endian writers and
-//! a bounds-checked read cursor with typed errors.
+//! The workspace's one binary-codec kernel: a little-endian slice
+//! writer and a bounds-checked read cursor with typed errors.
 //!
 //! Every hand-rolled codec in the workspace — the runtime's wire
 //! format (`em2_rt::wire`), the transport layer's control protocol
@@ -7,16 +7,21 @@
 //! (`em2_core::decision`) — builds on these primitives, so "decoding
 //! never panics, truncation is a typed error" is implemented exactly
 //! once. Layout conventions: one-byte tags (an optional value or a
-//! flag is a 0/1 tag, [`put_opt`] / [`Cursor::flag`]; a set of optional
-//! fields is one presence byte, [`put_presence`] / [`Cursor::presence`]);
-//! fixed-width **little-endian** integers for opaque words (memory contents,
-//! hashes, float bits); canonical **LEB128 varints** ([`put_var`] /
-//! [`Cursor::var`]) for identifiers, counters, lengths and addresses;
-//! length-prefixed byte strings capped at [`MAX_CHUNK`]; lists behind a
-//! varint count no decoder trusts with an allocation ([`Cursor::list`]).
-//! The cursor's primitives are `#[inline]` (called across crates per
-//! field of every received frame), and a varint past one byte takes an
-//! out-of-line path. The writers are not: inlining them sped up no run.
+//! flag is a 0/1 tag, [`Writer::opt`] / [`Cursor::flag`]; a set of
+//! optional fields is one presence byte, [`Writer::presence`] /
+//! [`Cursor::presence`]); fixed-width **little-endian** integers for
+//! opaque words (memory contents, hashes, float bits); canonical
+//! **LEB128 varints** ([`Writer::var`] / [`Cursor::var`]) for
+//! identifiers, counters, lengths and addresses; length-prefixed byte
+//! strings capped at [`MAX_CHUNK`]; lists behind a varint count no
+//! decoder trusts with an allocation ([`Cursor::list`]).
+//!
+//! Both sides are built to vanish into the codec that calls them, per
+//! field of every frame: an encoder reserves its message's upper bound
+//! once ([`write_into`]) and writes each field through a [`Writer`]
+//! whose slice and index stay in registers, and a decoder's reads are
+//! forced inline, with their error construction out of line. Only a
+//! varint longer than two bytes takes a call.
 
 use std::fmt;
 
@@ -98,53 +103,121 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Append a `u16`, little-endian.
-pub fn put_u16(b: &mut Vec<u8>, v: u16) {
-    b.extend_from_slice(&v.to_le_bytes());
+/// Most bytes one varint takes ([`Writer::var`] of `u64::MAX`): what
+/// an encoder's upper bound ([`write_into`]) counts per varint field.
+pub const VAR_MAX: usize = 10;
+
+/// Append one message of at most `max` bytes to `b` through a
+/// [`Writer`]: `b` grows by `max` once, `f` writes each field through
+/// the writer's cursor, and `b` is cut back to what `f` wrote. An
+/// encoder states its message's upper bound (a varint counts
+/// [`VAR_MAX`], a byte string its length plus a varint); a bound that
+/// is short panics on the write that passes it.
+#[inline(always)]
+pub fn write_into<R>(b: &mut Vec<u8>, max: usize, f: impl FnOnce(&mut Writer<'_>) -> R) -> R {
+    let start = b.len();
+    b.resize(start + max, 0);
+    let mut w = Writer {
+        buf: &mut b[start..],
+        at: 0,
+    };
+    let out = f(&mut w);
+    let end = start + w.at;
+    b.truncate(end);
+    out
 }
 
-/// Append a `u32`, little-endian.
-pub fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
+/// A write cursor over the slice [`write_into`] reserved: every field
+/// is a store and an index bump, with no call and no length write-back
+/// to the `Vec` per field. The methods mirror [`Cursor`]'s reads.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    buf: &'a mut [u8],
+    at: usize,
 }
 
-/// Append a `u64`, little-endian.
-pub fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append `v` as a canonical LEB128 varint: seven value bits per byte,
-/// least significant group first, high bit set on every byte but the
-/// last; always the shortest encoding (1 byte below 128, 10 bytes for
-/// `u64::MAX`).
-pub fn put_var(b: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        b.push(v as u8 | 0x80);
-        v >>= 7;
+impl Writer<'_> {
+    /// Bytes written so far.
+    #[inline(always)]
+    pub fn len(&self) -> usize {
+        self.at
     }
-    b.push(v as u8);
-}
 
-/// Append a byte string behind a varint length.
-pub fn put_var_bytes(b: &mut Vec<u8>, v: &[u8]) {
-    assert!(v.len() <= MAX_CHUNK, "chunk exceeds the wire cap");
-    put_var(b, v.len() as u64);
-    b.extend_from_slice(v);
-}
-
-/// Append an optional value: tag `1` then the value, or tag `0` alone
-/// ([`Cursor::flag`] reads the tag back).
-pub fn put_opt<T>(b: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
-    b.push(u8::from(v.is_some()));
-    if let Some(v) = v {
-        put(b, v);
+    /// Whether nothing has been written yet.
+    #[inline(always)]
+    pub fn is_empty(&self) -> bool {
+        self.at == 0
     }
-}
 
-/// Append a presence byte for up to eight optional fields: bit `i` set
-/// when field `i` follows ([`Cursor::presence`] reads it back).
-pub fn put_presence<const N: usize>(b: &mut Vec<u8>, present: [bool; N]) {
-    b.push((0..N).fold(0, |p, i| p | u8::from(present[i]) << i));
+    /// Write one byte.
+    #[inline(always)]
+    pub fn u8(&mut self, v: u8) {
+        self.buf[self.at] = v;
+        self.at += 1;
+    }
+
+    /// Write raw bytes.
+    #[inline(always)]
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf[self.at..self.at + v.len()].copy_from_slice(v);
+        self.at += v.len();
+    }
+
+    /// Write a `u16`, little-endian.
+    #[inline(always)]
+    pub fn u16(&mut self, v: u16) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Write a `u32`, little-endian.
+    #[inline(always)]
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Write a `u64`, little-endian.
+    #[inline(always)]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Write `v` as a canonical LEB128 varint: seven value bits per
+    /// byte, least significant group first, high bit set on every byte
+    /// but the last; always the shortest encoding (1 byte below 128,
+    /// [`VAR_MAX`] bytes for `u64::MAX`).
+    #[inline(always)]
+    pub fn var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.u8(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.u8(v as u8);
+    }
+
+    /// Write a byte string behind a varint length.
+    #[inline(always)]
+    pub fn var_bytes(&mut self, v: &[u8]) {
+        assert!(v.len() <= MAX_CHUNK, "chunk exceeds the wire cap");
+        self.var(v.len() as u64);
+        self.bytes(v);
+    }
+
+    /// Write an optional value: tag `1` then the value, or tag `0`
+    /// alone ([`Cursor::flag`] reads the tag back).
+    #[inline(always)]
+    pub fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Self, T)) {
+        self.u8(u8::from(v.is_some()));
+        if let Some(v) = v {
+            put(self, v);
+        }
+    }
+
+    /// Write a presence byte for up to eight optional fields: bit `i`
+    /// set when field `i` follows ([`Cursor::presence`] reads it back).
+    #[inline(always)]
+    pub fn presence<const N: usize>(&mut self, present: [bool; N]) {
+        self.u8((0..N).fold(0, |p, i| p | u8::from(present[i]) << i));
+    }
 }
 
 /// A bounds-checked read cursor over a byte slice.
@@ -156,113 +229,105 @@ pub struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `buf`.
+    #[inline(always)]
     pub fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, at: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline(always)]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
 
-    #[inline]
+    #[inline(always)]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
-            return Err(CodecError::Truncated {
-                offset: self.at,
-                need: n - self.remaining(),
-            });
+            return Err(self.truncated(n));
         }
         let s = &self.buf[self.at..self.at + n];
         self.at += n;
         Ok(s)
     }
 
+    #[cold]
+    fn truncated(&self, n: usize) -> CodecError {
+        CodecError::Truncated {
+            offset: self.at,
+            need: n - self.remaining(),
+        }
+    }
+
+    #[inline(always)]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
     /// Read one byte.
-    #[inline]
+    #[inline(always)]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     /// Read a little-endian `u16`.
+    #[inline(always)]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Read a little-endian `u32`.
-    #[inline]
+    #[inline(always)]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a little-endian `u64`.
-    #[inline]
+    #[inline(always)]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        self.array().map(u64::from_le_bytes)
     }
 
-    /// Read a canonical LEB128 varint ([`put_var`]'s inverse). Only
+    /// Read a canonical LEB128 varint ([`Writer::var`]'s inverse). Only
     /// the shortest encoding of a value is accepted, so a value has
     /// exactly one byte representation: a zero-padded varint, one whose
     /// tenth byte carries more than the top bit of a `u64`, and one
     /// that runs past ten bytes are all [`CodecError::BadVarint`].
-    #[inline]
+    /// One- and two-byte varints (ids, lengths under 16 KiB) are read
+    /// inline; longer ones take a call that is handed the bytes, not
+    /// the cursor, so the cursor never leaves its registers.
+    #[inline(always)]
     pub fn var(&mut self) -> Result<u64, CodecError> {
-        if let Some(&b @ 0..0x80) = self.buf.get(self.at) {
-            self.at += 1;
-            return Ok(u64::from(b));
-        }
-        self.long_var()
+        let (v, len) = match self.buf[self.at..] {
+            [b @ 0..0x80, ..] => (u64::from(b), 1),
+            [b0, b1 @ 1..0x80, ..] => (u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2),
+            _ => long_var(self.buf, self.at)?,
+        };
+        self.at += len;
+        Ok(v)
     }
 
-    #[inline(never)]
-    fn long_var(&mut self) -> Result<u64, CodecError> {
-        let offset = self.at;
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let b = self.u8()?;
-            if shift == 63 && b > 1 {
-                return Err(CodecError::BadVarint {
-                    offset,
-                    why: "does not fit a u64",
-                });
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                if b == 0 && shift > 0 {
-                    return Err(CodecError::BadVarint {
-                        offset,
-                        why: "not the shortest encoding",
-                    });
-                }
-                return Ok(v);
-            }
-        }
-        unreachable!("the tenth byte either ends the varint or is refused")
-    }
-
-    /// Read the 0/1 tag of an optional value or a flag ([`put_opt`]);
+    /// Read the 0/1 tag of an optional value or a flag ([`Writer::opt`]);
     /// any other byte is [`CodecError::BadTag`] naming the field `what`.
-    #[inline]
+    #[inline(always)]
     pub fn flag(&mut self, what: &'static str) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            tag => Err(CodecError::BadTag { what, tag }),
+            tag => Err(bad_tag(what, tag)),
         }
     }
 
-    /// Read the presence byte of `N` optional fields ([`put_presence`]);
-    /// a byte with a bit at or above `N` set is [`CodecError::BadTag`]
-    /// naming the field set `what`.
-    #[inline]
+    /// Read the presence byte of `N` optional fields
+    /// ([`Writer::presence`]); a byte with a bit at or above `N` set is
+    /// [`CodecError::BadTag`] naming the field set `what`.
+    #[inline(always)]
     pub fn presence<const N: usize>(
         &mut self,
         what: &'static str,
     ) -> Result<[bool; N], CodecError> {
         let tag = self.u8()?;
         if u32::from(tag) >> N != 0 {
-            return Err(CodecError::BadTag { what, tag });
+            return Err(bad_tag(what, tag));
         }
         Ok(std::array::from_fn(|i| tag >> i & 1 == 1))
     }
@@ -283,18 +348,18 @@ impl<'a> Cursor<'a> {
 
     /// Read a varint into a narrower integer field; a value the field
     /// cannot hold is [`CodecError::BadVarint`], never a truncation.
-    #[inline]
+    #[inline(always)]
     pub fn var_as<T: TryFrom<u64>>(&mut self) -> Result<T, CodecError> {
         let offset = self.at;
-        T::try_from(self.var()?).map_err(|_| CodecError::BadVarint {
-            offset,
-            why: "too wide for its field",
-        })
+        match T::try_from(self.var()?) {
+            Ok(v) => Ok(v),
+            Err(_) => Err(too_wide(offset)),
+        }
     }
 
-    /// Read a varint-length-prefixed byte string ([`put_var_bytes`]'s
-    /// inverse), borrowed from the input.
-    #[inline]
+    /// Read a varint-length-prefixed byte string
+    /// ([`Writer::var_bytes`]'s inverse), borrowed from the input.
+    #[inline(always)]
     pub fn var_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.var()?;
         if n > MAX_CHUNK as u64 {
@@ -305,6 +370,7 @@ impl<'a> Cursor<'a> {
 
     /// Consume and return everything left (for codecs embedding a
     /// nested message as the final field).
+    #[inline(always)]
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.at..];
         self.at = self.buf.len();
@@ -312,14 +378,56 @@ impl<'a> Cursor<'a> {
     }
 
     /// Assert the input is fully consumed.
+    #[inline(always)]
     pub fn finish(self) -> Result<(), CodecError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(CodecError::Trailing {
-                extra: self.remaining(),
-            })
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(CodecError::Trailing { extra }),
         }
+    }
+}
+
+/// A varint of any length at `buf[offset..]`, as `(value, length)`.
+#[inline(never)]
+fn long_var(buf: &[u8], offset: usize) -> Result<(u64, usize), CodecError> {
+    let mut v: u64 = 0;
+    for (i, shift) in (0..64).step_by(7).enumerate() {
+        let Some(&b) = buf.get(offset + i) else {
+            return Err(CodecError::Truncated {
+                offset: offset + i,
+                need: 1,
+            });
+        };
+        if shift == 63 && b > 1 {
+            return Err(CodecError::BadVarint {
+                offset,
+                why: "does not fit a u64",
+            });
+        }
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            if b == 0 && shift > 0 {
+                return Err(CodecError::BadVarint {
+                    offset,
+                    why: "not the shortest encoding",
+                });
+            }
+            return Ok((v, i + 1));
+        }
+    }
+    unreachable!("the tenth byte either ends the varint or is refused")
+}
+
+#[cold]
+fn bad_tag(what: &'static str, tag: u8) -> CodecError {
+    CodecError::BadTag { what, tag }
+}
+
+#[cold]
+fn too_wide(offset: usize) -> CodecError {
+    CodecError::BadVarint {
+        offset,
+        why: "too wide for its field",
     }
 }
 
@@ -327,14 +435,22 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
+    /// What `f` writes, under a generous bound.
+    fn written(f: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+        let mut b = Vec::new();
+        write_into(&mut b, 512, f);
+        b
+    }
+
     #[test]
     fn primitives_round_trip() {
-        let mut b = Vec::new();
-        b.push(7u8);
-        put_u16(&mut b, 0xBEEF);
-        put_u32(&mut b, 0xDEAD_BEEF);
-        put_u64(&mut b, u64::MAX - 1);
-        put_var_bytes(&mut b, &[1, 2, 3]);
+        let b = written(|w| {
+            w.u8(7);
+            w.u16(0xBEEF);
+            w.u32(0xDEAD_BEEF);
+            w.u64(u64::MAX - 1);
+            w.var_bytes(&[1, 2, 3]);
+        });
         let mut r = Cursor::new(&b);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 0xBEEF);
@@ -345,11 +461,27 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_appends_exactly_what_it_wrote() {
+        let mut b = vec![1, 2];
+        let n = write_into(&mut b, VAR_MAX + 1, |w| {
+            w.var(300);
+            w.u8(9);
+            w.len()
+        });
+        assert_eq!((n, b), (3, vec![1, 2, 0xAC, 0x02, 9]));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_short_bound_panics_on_the_write_that_passes_it() {
+        write_into(&mut Vec::new(), 1, |w| w.u16(7));
+    }
+
+    #[test]
     fn truncation_trailing_and_oversize_are_typed() {
         let mut r = Cursor::new(&[1, 2]);
         assert_eq!(r.u32(), Err(CodecError::Truncated { offset: 0, need: 2 }));
-        let mut b = Vec::new();
-        put_var(&mut b, u64::from(u32::MAX));
+        let b = written(|w| w.var(u64::from(u32::MAX)));
         assert_eq!(
             Cursor::new(&b).var_bytes(),
             Err(CodecError::ChunkTooLarge {
@@ -369,15 +501,13 @@ mod tests {
             (u64::from(u32::MAX), 5),
             (u64::MAX, 10),
         ] {
-            let mut b = Vec::new();
-            put_var(&mut b, v);
+            let b = written(|w| w.var(v));
             assert_eq!(b.len(), len, "{v} is {len} bytes");
             let mut r = Cursor::new(&b);
             assert_eq!(r.var(), Ok(v));
             r.finish().unwrap();
         }
-        let mut b = Vec::new();
-        put_var_bytes(&mut b, &[9; 200]);
+        let b = written(|w| w.var_bytes(&[9; 200]));
         assert_eq!(b.len(), 202, "a 200-byte string has a 2-byte length");
         assert_eq!(Cursor::new(&b).var_bytes(), Ok(&[9u8; 200][..]));
     }
@@ -408,10 +538,11 @@ mod tests {
         padded[9] = 0x00;
         assert!(matches!(bad(&padded), CodecError::BadVarint { .. }));
         // A u32 field refuses 2^32 and a u16 field 2^16 — no truncation.
-        let mut b = Vec::new();
-        put_var(&mut b, u64::from(u32::MAX) + 1);
-        put_var(&mut b, u64::from(u16::MAX) + 1);
-        put_var(&mut b, u64::from(u32::MAX));
+        let b = written(|w| {
+            w.var(u64::from(u32::MAX) + 1);
+            w.var(u64::from(u16::MAX) + 1);
+            w.var(u64::from(u32::MAX));
+        });
         let mut r = Cursor::new(&b);
         assert!(matches!(
             r.var_as::<u32>(),
@@ -423,8 +554,7 @@ mod tests {
         ));
         assert_eq!(r.var_as::<u32>(), Ok(u32::MAX));
         // An absurd string length fails before any allocation.
-        let mut b = Vec::new();
-        put_var(&mut b, u64::MAX);
+        let b = written(|w| w.var(u64::MAX));
         assert!(matches!(
             Cursor::new(&b).var_bytes(),
             Err(CodecError::ChunkTooLarge { .. })
@@ -433,13 +563,14 @@ mod tests {
 
     #[test]
     fn options_flags_and_lists_follow_the_two_tag_rules() {
-        let mut b = Vec::new();
-        put_opt(&mut b, Some(300u64), put_var);
-        put_opt(&mut b, None::<u64>, put_var);
-        put_var(&mut b, 2);
-        put_var(&mut b, 5);
-        put_var(&mut b, 6);
-        b.push(2);
+        let b = written(|w| {
+            w.opt(Some(300u64), Writer::var);
+            w.opt(None::<u64>, Writer::var);
+            w.var(2);
+            w.var(5);
+            w.var(6);
+            w.u8(2);
+        });
         assert_eq!(b, [1, 0xAC, 0x02, 0, 2, 5, 6, 2]);
         let mut r = Cursor::new(&b);
         assert_eq!(r.flag("a"), Ok(true));
@@ -456,8 +587,7 @@ mod tests {
         );
         // A presence byte names which of its fields follow; a bit past
         // the field count is a bad tag, never ignored.
-        let mut b = Vec::new();
-        put_presence(&mut b, [true, false, false, true]);
+        let b = written(|w| w.presence([true, false, false, true]));
         assert_eq!(b, [0b1001]);
         assert_eq!(
             Cursor::new(&b).presence::<4>("p"),
@@ -472,8 +602,7 @@ mod tests {
         assert_eq!(Cursor::new(&[0xFF]).presence::<8>("p"), Ok([true; 8]));
         // A count of 2^64 - 1 over an empty tail: a truncation, not an
         // allocation.
-        let mut b = Vec::new();
-        put_var(&mut b, u64::MAX);
+        let b = written(|w| w.var(u64::MAX));
         assert!(matches!(
             Cursor::new(&b).list(Cursor::var),
             Err(CodecError::Truncated { .. })

@@ -39,7 +39,7 @@
 
 use em2_model::bytes::CodecError;
 use em2_rt::wire::{
-    put_u64, put_var, put_var_bytes, Cursor, FrozenShard, WireEnvelope, WireError, WireMsg,
+    write_into, Cursor, FrozenShard, WireEnvelope, WireError, WireMsg, Writer, VAR_MAX,
 };
 
 /// Control-protocol version, the first byte of every frame; the
@@ -60,6 +60,10 @@ pub const PROTO_VERSION: u8 = 6;
 /// first byte after it.
 const CHECK_AT: usize = 1;
 const CHECK_END: usize = CHECK_AT + 4;
+
+/// Most bytes a frame header takes: version, check and a sequence
+/// varint.
+const HEADER_MAX: usize = CHECK_END + VAR_MAX;
 
 /// One node-to-node control message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -303,16 +307,27 @@ fn frame_check(seq: u64, body: &[u8]) -> u32 {
     (h.wrapping_mul(K) >> 32) as u32
 }
 
-/// Append one frame payload to `b`: the header for sequence number
-/// `seq`, then whatever `body` appends, then the check over that body
-/// patched into its fixed slot.
-fn frame_into(seq: u64, b: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+/// Append one frame payload to `b` through one [`Writer`]: the header
+/// for sequence number `seq`, then whatever `body` writes (at most
+/// `max_body` bytes), then the check over that body patched into its
+/// fixed slot.
+#[inline(always)]
+fn frame_into(seq: u64, b: &mut Vec<u8>, max_body: usize, body: impl FnOnce(&mut Writer<'_>)) {
     let frame_at = b.len();
-    b.push(PROTO_VERSION);
-    b.extend_from_slice(&[0; CHECK_END - CHECK_AT]);
-    put_var(b, seq);
-    let body_at = b.len();
-    body(b);
+    let body_at = frame_at
+        + write_into(
+            b,
+            HEADER_MAX + max_body,
+            #[inline(always)]
+            |w| {
+                w.u8(PROTO_VERSION);
+                w.u32(0);
+                w.var(seq);
+                let body_at = w.len();
+                body(w);
+                body_at
+            },
+        );
     let check = frame_check(seq, &b[body_at..]);
     b[frame_at + CHECK_AT..frame_at + CHECK_END].copy_from_slice(&check.to_le_bytes());
 }
@@ -322,36 +337,53 @@ impl NetMsg {
     /// `seq`, to `b` — the egress writer's flush buffer on the hot path,
     /// so a frame is written once, where it will be sent from.
     pub fn encode_into(&self, seq: u64, b: &mut Vec<u8>) {
-        frame_into(seq, b, |b| self.encode_body(b));
+        frame_into(
+            seq,
+            b,
+            self.max_body(),
+            #[inline(always)]
+            |w| self.write_body(w),
+        );
     }
 
     /// Encode as a frame payload carrying sequence number `seq`.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
-        // Room for a migrated continuation (the canonical one is under
-        // 300 bytes) without regrowing.
-        let mut b = Vec::with_capacity(512);
+        let mut b = Vec::with_capacity(HEADER_MAX + self.max_body());
         self.encode_into(seq, &mut b);
         b
     }
 
+    /// Most bytes [`NetMsg::write_body`] takes: the tag, then an
+    /// embedded message or state behind three varints at most, or at
+    /// most three varints and a digest.
+    fn max_body(&self) -> usize {
+        1 + match self {
+            NetMsg::Shard { msg, .. } | NetMsg::Bounce { msg, .. } => 3 * VAR_MAX + msg.max_len(),
+            NetMsg::Abort { reason } => VAR_MAX + reason.len(),
+            NetMsg::HandoffTransfer { state, .. } => VAR_MAX + state.max_len(),
+            NetMsg::EpochUpdate { owners, .. } => (2 + owners.len()) * VAR_MAX,
+            _ => 3 * VAR_MAX + 8,
+        }
+    }
+
     /// `[tag][fields]`.
-    fn encode_body(&self, body: &mut Vec<u8>) {
-        let var32 = |b: &mut Vec<u8>, v: u32| put_var(b, u64::from(v));
+    #[inline(always)]
+    fn write_body(&self, w: &mut Writer<'_>) {
         match self {
             NetMsg::Hello {
                 node,
                 wire_version,
                 topology,
             } => {
-                body.push(0);
-                var32(body, *node);
-                body.push(*wire_version);
-                put_u64(body, *topology);
+                w.u8(0);
+                w.var(u64::from(*node));
+                w.u8(*wire_version);
+                w.u64(*topology);
             }
             NetMsg::HelloAck { node, topology } => {
-                body.push(1);
-                var32(body, *node);
-                put_u64(body, *topology);
+                w.u8(1);
+                w.var(u64::from(*node));
+                w.u64(*topology);
             }
             NetMsg::Shard {
                 to,
@@ -359,64 +391,66 @@ impl NetMsg {
                 retries,
                 msg,
             } => {
-                body.push(2);
-                var32(body, *to);
-                put_var(body, *epoch);
-                var32(body, *retries);
-                msg.encode_into(body);
+                w.u8(2);
+                w.var(u64::from(*to));
+                w.var(*epoch);
+                w.var(u64::from(*retries));
+                msg.write(w);
             }
             NetMsg::BarrierArrive { k } => {
-                body.push(3);
-                var32(body, *k);
+                w.u8(3);
+                w.var(u64::from(*k));
             }
             NetMsg::BarrierRelease { k } => {
-                body.push(4);
-                var32(body, *k);
+                w.u8(4);
+                w.var(u64::from(*k));
             }
             NetMsg::Closed { submitted } => {
-                body.push(5);
-                put_var(body, *submitted);
+                w.u8(5);
+                w.var(*submitted);
             }
-            NetMsg::Retired => body.push(6),
-            NetMsg::Quiesce => body.push(7),
-            NetMsg::Heartbeat => body.push(8),
+            NetMsg::Retired => w.u8(6),
+            NetMsg::Quiesce => w.u8(7),
+            NetMsg::Heartbeat => w.u8(8),
             NetMsg::Abort { reason } => {
-                body.push(9);
-                put_var_bytes(body, reason.as_bytes());
+                w.u8(9);
+                w.var_bytes(reason.as_bytes());
             }
-            NetMsg::Bye => body.push(10),
+            NetMsg::Bye => w.u8(10),
             NetMsg::HandoffRequest { shard, to } => {
-                body.push(11);
-                var32(body, *shard);
-                var32(body, *to);
+                w.u8(11);
+                w.var(u64::from(*shard));
+                w.var(u64::from(*to));
             }
             NetMsg::HandoffPrepare { hid, shard, to } => {
-                body.push(12);
-                put_var(body, *hid);
-                var32(body, *shard);
-                var32(body, *to);
+                w.u8(12);
+                w.var(*hid);
+                w.var(u64::from(*shard));
+                w.var(u64::from(*to));
             }
             NetMsg::HandoffExpect { hid, shard } => {
-                body.push(13);
-                put_var(body, *hid);
-                var32(body, *shard);
+                w.u8(13);
+                w.var(*hid);
+                w.var(u64::from(*shard));
             }
             NetMsg::HandoffTransfer { hid, state } => {
-                body.push(14);
-                put_var(body, *hid);
-                state.encode_into(body);
+                w.u8(14);
+                w.var(*hid);
+                // Encoded apart: a transfer is rare, and a writer handed
+                // to a call could not stay in registers for the rest.
+                w.bytes(&state.encode());
             }
             NetMsg::HandoffDone { hid, shard } => {
-                body.push(15);
-                put_var(body, *hid);
-                var32(body, *shard);
+                w.u8(15);
+                w.var(*hid);
+                w.var(u64::from(*shard));
             }
             NetMsg::EpochUpdate { epoch, owners } => {
-                body.push(16);
-                put_var(body, *epoch);
-                put_var(body, owners.len() as u64);
+                w.u8(16);
+                w.var(*epoch);
+                w.var(owners.len() as u64);
                 for &o in owners {
-                    var32(body, o);
+                    w.var(u64::from(o));
                 }
             }
             NetMsg::Bounce {
@@ -425,11 +459,11 @@ impl NetMsg {
                 retries,
                 msg,
             } => {
-                body.push(17);
-                var32(body, *to);
-                put_var(body, *epoch);
-                var32(body, *retries);
-                msg.encode_into(body);
+                w.u8(17);
+                w.var(u64::from(*to));
+                w.var(*epoch);
+                w.var(u64::from(*retries));
+                msg.write(w);
             }
         }
     }
@@ -442,7 +476,9 @@ impl NetMsg {
     /// Decode a frame payload into `(seq, message)`, in place: a
     /// `Shard` frame's runtime message borrows `bytes`. Never panics;
     /// malformed input — including any single mutated byte, caught by
-    /// the checksum — is a typed [`WireError`].
+    /// the checksum — is a typed [`WireError`]. The data path — a
+    /// `Shard` frame — is decoded inline, straight into the result;
+    /// every other message out of line ([`NetMsg::view_control`]).
     pub fn view(bytes: &[u8]) -> Result<(u64, NetView<'_>), WireError> {
         let mut r = Cursor::new(bytes);
         let ver = r.u8()?;
@@ -463,6 +499,30 @@ impl NetMsg {
             }
             .into());
         }
+        if body.first() != Some(&2) {
+            return Ok((seq, NetView::Msg(Self::view_control(body)?)));
+        }
+        // Fields in wire order; the embedded WireMsg consumes the rest
+        // of the frame.
+        let mut r = Cursor::new(body);
+        r.u8()?;
+        let (to, epoch, retries) = (r.var_as()?, r.var()?, r.var_as()?);
+        let msg = WireMsg::view(r.rest())?;
+        Ok((
+            seq,
+            NetView::Shard {
+                to,
+                epoch,
+                retries,
+                msg,
+            },
+        ))
+    }
+
+    /// The body of any frame but a `Shard` (tag 2, which
+    /// [`NetMsg::view`] decodes itself), decoded owned.
+    #[inline(never)]
+    fn view_control(body: &[u8]) -> Result<NetMsg, WireError> {
         let mut r = Cursor::new(body);
         let msg = match r.u8()? {
             0 => NetMsg::Hello {
@@ -476,15 +536,6 @@ impl NetMsg {
             },
             // Fields in wire order; an embedded WireMsg or frozen state
             // consumes the rest of the frame.
-            2 => {
-                let view = NetView::Shard {
-                    to: r.var_as()?,
-                    epoch: r.var()?,
-                    retries: r.var_as()?,
-                    msg: WireMsg::view(r.rest())?,
-                };
-                return Ok((seq, view));
-            }
             3 => NetMsg::BarrierArrive { k: r.var_as()? },
             4 => NetMsg::BarrierRelease { k: r.var_as()? },
             5 => NetMsg::Closed {
@@ -537,7 +588,7 @@ impl NetMsg {
             }
         };
         r.finish()?;
-        Ok((seq, NetView::Msg(msg)))
+        Ok(msg)
     }
 
     /// Whether this message is failure-control or membership plumbing
@@ -943,7 +994,7 @@ mod tests {
     /// never get past.
     fn seal(seq: u64, body: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
-        frame_into(seq, &mut frame, |b| b.extend_from_slice(body));
+        frame_into(seq, &mut frame, body.len(), |w| w.bytes(body));
         frame
     }
 

@@ -10,7 +10,7 @@
 //!   handshake) and once per [`FrozenShard`], not per message;
 //! * every variant starts with a one-byte tag;
 //! * identifiers, counters, lengths and addresses are canonical
-//!   **LEB128 varints** ([`put_var`]): a shard id, a thread id or a run
+//!   **LEB128 varints** ([`Writer::var`]): a shard id, a thread id or a run
 //!   length is one or two bytes, not four or eight. A request's
 //!   **token** is the requesting task's thread id: thread ids are
 //!   cluster-unique and a task awaits at most one reply, so the id
@@ -46,7 +46,7 @@
 //! access, unconsumed reply, barrier park, in-progress run).
 
 use em2_core::decision::SchemeStateError;
-use em2_model::bytes::{put_presence, CodecError};
+use em2_model::bytes::CodecError;
 use em2_model::Addr;
 use std::fmt;
 
@@ -54,7 +54,7 @@ use std::fmt;
 // this module, `em2-net`'s control protocol, and scheme-state
 // serialization); re-exported here so wire-format users need one
 // import path.
-pub use em2_model::bytes::{put_opt, put_u64, put_var, put_var_bytes, Cursor, MAX_CHUNK};
+pub use em2_model::bytes::{write_into, Cursor, Writer, MAX_CHUNK, VAR_MAX};
 
 /// Version of the [`WireMsg`] layout. Bump on any layout change; the
 /// `em2-net` handshake refuses to connect nodes disagreeing on it, and
@@ -246,19 +246,26 @@ impl Journey {
     /// [var dropped]` — four bytes a hop while shard and node ids stay
     /// below 128 and the epoch below 128 commits; a spilled log is the
     /// zero hop count and its `dropped` varint.
-    fn encode_into(&self, b: &mut Vec<u8>) {
+    #[inline(always)]
+    fn write(&self, w: &mut Writer<'_>) {
         debug_assert!(self.hops.len() <= JOURNEY_CAP);
-        b.push(self.hops.len() as u8);
+        w.u8(self.hops.len() as u8);
         for h in &self.hops {
-            put_var(b, u64::from(h.shard));
-            put_var(b, u64::from(h.node));
-            put_var(b, h.epoch);
-            b.push(h.cause.code());
+            w.var(u64::from(h.shard));
+            w.var(u64::from(h.node));
+            w.var(h.epoch);
+            w.u8(h.cause.code());
         }
-        put_var(b, u64::from(self.dropped));
+        w.var(u64::from(self.dropped));
     }
 
-    #[inline]
+    /// [`Journey::write`]'s upper bound.
+    #[inline(always)]
+    fn max_len(&self) -> usize {
+        1 + self.hops.len() * (3 * VAR_MAX + 1) + VAR_MAX
+    }
+
+    #[inline(always)]
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
         let n = r.u8()?;
         if n as usize > JOURNEY_CAP {
@@ -336,29 +343,30 @@ impl WireOp {
         }
     }
 
-    // Inlined by request: a call per migrated frame shows on
-    // uds2-migrate.
-    #[inline]
-    fn encode_into(&self, b: &mut Vec<u8>) {
+    /// [`WireOp::write`]'s upper bound: a store.
+    const MAX_LEN: usize = 1 + VAR_MAX + 8;
+
+    #[inline(always)]
+    fn write(&self, w: &mut Writer<'_>) {
         match *self {
             WireOp::Read(a) => {
-                b.push(0);
-                put_var(b, a);
+                w.u8(0);
+                w.var(a);
             }
             WireOp::Write(a, v) => {
-                b.push(1);
-                put_var(b, a);
-                put_u64(b, v);
+                w.u8(1);
+                w.var(a);
+                w.u64(v);
             }
             WireOp::Barrier(k) => {
-                b.push(2);
-                put_var(b, u64::from(k));
+                w.u8(2);
+                w.var(u64::from(k));
             }
-            WireOp::Done => b.push(3),
+            WireOp::Done => w.u8(3),
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => WireOp::Read(r.var()?),
@@ -407,57 +415,77 @@ impl WireEnvelope {
     /// `[var thread][var native][var task_kind][ctx][state][u8 presence]`
     /// then whichever of `pending_op`, `pending_reply`, `parked_at` and
     /// `run` the presence bits 0–3 name, then the journey.
-    fn encode_into(&self, b: &mut Vec<u8>) {
-        put_var(b, u64::from(self.thread));
-        put_var(b, u64::from(self.native));
-        put_var(b, u64::from(self.task_kind));
-        put_var_bytes(b, &self.task_ctx);
-        put_var_bytes(b, &self.scheme_state);
-        put_presence(
-            b,
-            [
-                self.pending_op.is_some(),
-                self.pending_reply.is_some(),
-                self.parked_at.is_some(),
-                self.run.is_some(),
-            ],
-        );
+    #[inline(always)]
+    fn write(&self, w: &mut Writer<'_>) {
+        w.var(u64::from(self.thread));
+        w.var(u64::from(self.native));
+        w.var(u64::from(self.task_kind));
+        w.var_bytes(&self.task_ctx);
+        w.var_bytes(&self.scheme_state);
+        w.presence([
+            self.pending_op.is_some(),
+            self.pending_reply.is_some(),
+            self.parked_at.is_some(),
+            self.run.is_some(),
+        ]);
         if let Some(op) = self.pending_op {
-            op.encode_into(b);
+            op.write(w);
         }
         if let Some(v) = self.pending_reply {
-            put_u64(b, v);
+            w.u64(v);
         }
         if let Some(k) = self.parked_at {
-            put_var(b, u64::from(k));
+            w.var(u64::from(k));
         }
         if let Some((c, len)) = self.run {
-            put_var(b, u64::from(c));
-            put_var(b, len);
+            w.var(u64::from(c));
+            w.var(len);
         }
-        self.journey.encode_into(b);
+        self.journey.write(w);
+    }
+
+    /// [`WireEnvelope::write`]'s upper bound: eight varints (three ids,
+    /// two lengths, the barrier, the run), the byte strings, the
+    /// presence byte, an op, a reply word and the journey.
+    #[inline(always)]
+    fn max_len(&self) -> usize {
+        8 * VAR_MAX
+            + self.task_ctx.len()
+            + self.scheme_state.len()
+            + 1
+            + WireOp::MAX_LEN
+            + 8
+            + self.journey.max_len()
     }
 }
 
 impl<'a> WireEnvelope<&'a [u8]> {
-    #[inline]
+    #[inline(always)]
     fn view(r: &mut Cursor<'a>) -> Result<Self, WireError> {
         // Fields in wire order (tuples evaluate left to right).
         let (thread, native, task_kind) = (r.var_as()?, r.var_as()?, r.var_as()?);
         let (task_ctx, scheme_state) = (r.var_bytes()?, r.var_bytes()?);
+        // Plain branches, not closures: a closure handed the cursor is
+        // a call that would pin the cursor to memory.
         let [op, reply, parked, run] = r.presence("envelope-presence")?;
+        let pending_op = if op { Some(WireOp::decode(r)?) } else { None };
+        let pending_reply = if reply { Some(r.u64()?) } else { None };
+        let parked_at = if parked { Some(r.var_as()?) } else { None };
+        let run = if run {
+            Some((r.var_as()?, r.var()?))
+        } else {
+            None
+        };
         Ok(WireEnvelope {
             thread,
             native,
             task_kind,
             task_ctx,
             scheme_state,
-            pending_op: op.then(|| WireOp::decode(r)).transpose()?,
-            pending_reply: reply.then(|| r.u64()).transpose()?,
-            parked_at: parked.then(|| r.var_as()).transpose()?,
-            run: run
-                .then(|| Ok::<_, CodecError>((r.var_as()?, r.var()?)))
-                .transpose()?,
+            pending_op,
+            pending_reply,
+            parked_at,
+            run,
             journey: Journey::decode(r)?,
         })
     }
@@ -553,10 +581,23 @@ impl WireMsg {
     /// Append the encoding of this message (its layout version is the
     /// connection's or the frozen shard's, stated once there).
     pub fn encode_into(&self, b: &mut Vec<u8>) {
+        write_into(
+            b,
+            self.max_len(),
+            #[inline(always)]
+            |w| self.write(w),
+        );
+    }
+
+    /// Write this message through `w`, which has room for
+    /// [`WireMsg::max_len`] bytes: how a frame that embeds a message
+    /// (`em2-net`'s `Shard`) writes it with its own fields, in one pass.
+    #[inline(always)]
+    pub fn write(&self, w: &mut Writer<'_>) {
         match self {
             WireMsg::Arrive(env) => {
-                b.push(0);
-                env.encode_into(b);
+                w.u8(0);
+                env.write(w);
             }
             WireMsg::Request {
                 addr,
@@ -564,21 +605,31 @@ impl WireMsg {
                 reply_shard,
                 token,
             } => {
-                b.push(1);
-                put_var(b, *addr);
-                put_opt(b, *write, put_u64);
-                put_var(b, u64::from(*reply_shard));
-                put_var(b, u64::from(*token));
+                w.u8(1);
+                w.var(*addr);
+                w.opt(*write, Writer::u64);
+                w.var(u64::from(*reply_shard));
+                w.var(u64::from(*token));
             }
             WireMsg::Response { token, value } => {
-                b.push(2);
-                put_var(b, u64::from(*token));
-                put_opt(b, *value, put_u64);
+                w.u8(2);
+                w.var(u64::from(*token));
+                w.opt(*value, Writer::u64);
             }
             WireMsg::BarrierRelease { idx } => {
-                b.push(3);
-                put_var(b, u64::from(*idx));
+                w.u8(3);
+                w.var(u64::from(*idx));
             }
+        }
+    }
+
+    /// Most bytes [`WireMsg::write`] takes: an arrival's envelope, or
+    /// a request's tag, three varints and its optional store word.
+    #[inline(always)]
+    pub fn max_len(&self) -> usize {
+        match self {
+            WireMsg::Arrive(env) => 1 + env.max_len(),
+            _ => 1 + 3 * VAR_MAX + 1 + 8,
         }
     }
 
@@ -610,31 +661,60 @@ impl<'a> WireMsg<WireEnvelope<&'a [u8]>> {
     /// which must be exactly one message (no trailing bytes). Never
     /// panics. Inlined, as are the decoders it calls: out of line, each
     /// moved its large result through memory (a continuation: 75 → 25 ns).
-    #[inline]
+    #[inline(always)]
     pub fn view(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Cursor::new(bytes);
-        let msg = Self::view_from(&mut r)?;
-        r.finish()?;
-        Ok(msg)
+        Self::view_from(&mut r, true)
     }
 
-    /// [`WireMsg::view`] from a shared cursor, leaving any trailing
-    /// bytes for the caller (a [`FrozenShard`]'s drained mailbox).
-    #[inline]
-    fn view_from(r: &mut Cursor<'a>) -> Result<Self, WireError> {
+    /// [`WireMsg::view`] from a shared cursor; `whole` refuses trailing
+    /// bytes, and without it they are left for the caller (a
+    /// [`FrozenShard`]'s drained mailbox). Each arm checks the end
+    /// before it builds its message, so a message is built once, in
+    /// place.
+    #[inline(always)]
+    fn view_from(r: &mut Cursor<'a>, whole: bool) -> Result<Self, WireError> {
+        let end = |r: &Cursor<'a>| match r.remaining() {
+            extra @ 1.. if whole => Err(CodecError::Trailing { extra }),
+            _ => Ok(()),
+        };
         Ok(match r.u8()? {
-            0 => WireMsg::Arrive(WireEnvelope::view(r)?),
-            1 => WireMsg::Request {
-                addr: r.var()?,
-                write: r.flag("option<write>")?.then(|| r.u64()).transpose()?,
-                reply_shard: r.var_as()?,
-                token: r.var_as()?,
-            },
-            2 => WireMsg::Response {
-                token: r.var_as()?,
-                value: r.flag("option<value>")?.then(|| r.u64()).transpose()?,
-            },
-            3 => WireMsg::BarrierRelease { idx: r.var_as()? },
+            0 => {
+                let env = WireEnvelope::view(r)?;
+                end(r)?;
+                WireMsg::Arrive(env)
+            }
+            1 => {
+                let addr = r.var()?;
+                let write = if r.flag("option<write>")? {
+                    Some(r.u64()?)
+                } else {
+                    None
+                };
+                let (reply_shard, token) = (r.var_as()?, r.var_as()?);
+                end(r)?;
+                WireMsg::Request {
+                    addr,
+                    write,
+                    reply_shard,
+                    token,
+                }
+            }
+            2 => {
+                let token = r.var_as()?;
+                let value = if r.flag("option<value>")? {
+                    Some(r.u64()?)
+                } else {
+                    None
+                };
+                end(r)?;
+                WireMsg::Response { token, value }
+            }
+            3 => {
+                let idx = r.var_as()?;
+                end(r)?;
+                WireMsg::BarrierRelease { idx }
+            }
             tag => return Err(CodecError::BadTag { what: "msg", tag }.into()),
         })
     }
@@ -684,34 +764,59 @@ pub struct FrozenShard {
 impl FrozenShard {
     /// Append the versioned encoding of this frozen shard.
     pub fn encode_into(&self, b: &mut Vec<u8>) {
-        b.push(WIRE_VERSION);
-        put_var(b, u64::from(self.shard));
-        put_var(b, self.clock);
-        put_var(b, self.heap.len() as u64);
+        write_into(b, self.max_len(), |w| self.write(w));
+    }
+
+    /// Write the versioned encoding through `w`, which has room for
+    /// [`FrozenShard::max_len`] bytes.
+    pub fn write(&self, w: &mut Writer<'_>) {
+        w.u8(WIRE_VERSION);
+        w.var(u64::from(self.shard));
+        w.var(self.clock);
+        w.var(self.heap.len() as u64);
         for &(a, v) in &self.heap {
-            put_var(b, a);
-            put_u64(b, v);
+            w.var(a);
+            w.u64(v);
         }
-        put_var(b, self.natives.len() as u64);
+        w.var(self.natives.len() as u64);
         for &t in &self.natives {
-            put_var(b, u64::from(t));
+            w.var(u64::from(t));
         }
-        put_var(b, self.guests.len() as u64);
+        w.var(self.guests.len() as u64);
         for &(t, pinned, at) in &self.guests {
-            put_var(b, u64::from(t));
-            b.push(u8::from(pinned));
-            put_var(b, at);
+            w.var(u64::from(t));
+            w.u8(u8::from(pinned));
+            w.var(at);
         }
-        for queue in [&self.runq, &self.parked, &self.stalled, &self.awaiting] {
-            put_var(b, queue.len() as u64);
+        for queue in self.queues() {
+            w.var(queue.len() as u64);
             for env in queue {
-                env.encode_into(b);
+                env.write(w);
             }
         }
-        put_var(b, self.mailbox.len() as u64);
+        w.var(self.mailbox.len() as u64);
         for msg in &self.mailbox {
-            msg.encode_into(b);
+            msg.write(w);
         }
+    }
+
+    /// Most bytes [`FrozenShard::write`] takes: the version, two
+    /// scalars, eight list counts, and each list's items at their
+    /// widest.
+    pub fn max_len(&self) -> usize {
+        let queued = self.queues().into_iter().flatten();
+        1 + 10 * VAR_MAX
+            + self.heap.len() * (VAR_MAX + 8)
+            + self.natives.len() * VAR_MAX
+            + self.guests.len() * (2 * VAR_MAX + 1)
+            + queued.map(WireEnvelope::max_len).sum::<usize>()
+            + self.mailbox.iter().map(WireMsg::max_len).sum::<usize>()
+    }
+
+    /// The four envelope queues in wire order (`stalled` precedes
+    /// `awaiting`).
+    fn queues(&self) -> [&Vec<WireEnvelope>; 4] {
+        [&self.runq, &self.parked, &self.stalled, &self.awaiting]
     }
 
     /// The versioned encoding as a fresh buffer.
@@ -745,7 +850,8 @@ impl FrozenShard {
             parked: r.list(env)?,
             stalled: r.list(env)?,
             awaiting: r.list(env)?,
-            mailbox: r.list(|r| WireMsg::view_from(r).map(|m| m.map(WireEnvelope::into_owned)))?,
+            mailbox: r
+                .list(|r| WireMsg::view_from(r, false).map(|m| m.map(WireEnvelope::into_owned)))?,
         };
         r.finish()?;
         Ok(f)
@@ -1049,15 +1155,24 @@ mod tests {
         );
     }
 
+    /// What `f` writes, under a generous bound.
+    fn written(f: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+        let mut b = Vec::new();
+        write_into(&mut b, 64, f);
+        b
+    }
+
     #[test]
     fn absurd_chunk_lengths_do_not_allocate() {
         // Arrive with a task_ctx length field of ~4 GiB: must fail
         // typed (ChunkTooLarge), not attempt the allocation.
-        let mut b = vec![0];
-        put_var(&mut b, 7); // thread
-        put_var(&mut b, 0); // native
-        put_var(&mut b, 1); // task_kind
-        put_var(&mut b, u64::from(u32::MAX)); // task_ctx length
+        let b = written(|w| {
+            w.u8(0);
+            w.var(7); // thread
+            w.var(0); // native
+            w.var(1); // task_kind
+            w.var(u64::from(u32::MAX)); // task_ctx length
+        });
         assert_eq!(
             WireMsg::decode(&b),
             Err(WireError::Codec(CodecError::ChunkTooLarge {
@@ -1078,12 +1193,13 @@ mod tests {
             )
         };
         let request = |reply_shard: u64, token: u64| {
-            let mut b = vec![1];
-            put_var(&mut b, 8); // addr
-            b.push(0); // load
-            put_var(&mut b, reply_shard);
-            put_var(&mut b, token);
-            b
+            written(|w| {
+                w.u8(1);
+                w.var(8); // addr
+                w.u8(0); // load
+                w.var(reply_shard);
+                w.var(token);
+            })
         };
         assert!(wide(&request(u64::from(u32::MAX) + 1, 0)));
         assert!(wide(&request(0, u64::from(u32::MAX) + 1)));
@@ -1096,13 +1212,17 @@ mod tests {
                 token: u32::MAX
             })
         );
-        let mut b = vec![2];
-        put_var(&mut b, u64::from(u32::MAX) + 1); // token
-        b.push(0); // ack
+        let b = written(|w| {
+            w.u8(2);
+            w.var(u64::from(u32::MAX) + 1); // token
+            w.u8(0); // ack
+        });
         assert!(wide(&b));
-        let mut b = vec![0];
-        put_var(&mut b, 7); // thread
-        put_var(&mut b, u64::from(u16::MAX) + 1); // native
+        let b = written(|w| {
+            w.u8(0);
+            w.var(7); // thread
+            w.var(u64::from(u16::MAX) + 1); // native
+        });
         assert!(wide(&b));
         // And a zero-padded barrier index is not a second spelling of 5.
         let mut padded = vec![3, 0x85, 0x00];

@@ -8,7 +8,7 @@
 use em2_model::bytes::CodecError;
 use em2_model::ThreadId;
 use em2_rt::wire::{
-    put_var, HopCause, Journey, JourneyHop, WireEnvelope, WireError, WireMsg, WireOp,
+    write_into, HopCause, Journey, JourneyHop, WireEnvelope, WireError, WireMsg, WireOp,
 };
 use em2_rt::{Task, TaskRegistry, TraceTask};
 use em2_trace::gen::micro;
@@ -166,20 +166,23 @@ proptest! {
     ) {
         // A thread id is a u32 wherever it travels: as an envelope's
         // thread and as a request's or a response's token.
-        let mut b = vec![sel];
-        match sel {
-            0 => put_var(&mut b, wide), // thread
-            1 => {
-                put_var(&mut b, 8); // addr
-                b.push(0); // load
-                put_var(&mut b, 3); // reply_shard
-                put_var(&mut b, wide); // token
+        let mut b = Vec::new();
+        write_into(&mut b, 64, |w| {
+            w.u8(sel);
+            match sel {
+                0 => w.var(wide), // thread
+                1 => {
+                    w.var(8); // addr
+                    w.u8(0); // load
+                    w.var(3); // reply_shard
+                    w.var(wide); // token
+                }
+                _ => {
+                    w.var(wide); // token
+                    w.u8(0); // ack
+                }
             }
-            _ => {
-                put_var(&mut b, wide); // token
-                b.push(0); // ack
-            }
-        }
+        });
         prop_assert!(matches!(
             WireMsg::decode(&b),
             Err(WireError::Codec(CodecError::BadVarint { .. }))
