@@ -96,27 +96,59 @@ fn migrated_frame(spilled: bool) -> NetMsg {
     }
 }
 
+/// A frame of every kind the writer ships per access or per epoch:
+/// the migrated continuation, a read and a write request, a load's
+/// value, and an ownership map.
+fn frames_of_every_kind() -> [NetMsg; 5] {
+    let shard = |msg| NetMsg::Shard {
+        to: 9,
+        epoch: 0,
+        retries: 0,
+        msg,
+    };
+    let request = |write| WireMsg::Request {
+        addr: 0x4_0000,
+        write,
+        reply_shard: 3,
+        token: 200,
+    };
+    [
+        migrated_frame(false),
+        shard(request(None)),
+        shard(request(Some(0xdead_beef))),
+        shard(WireMsg::Response {
+            token: 200,
+            value: Some(42),
+        }),
+        NetMsg::EpochUpdate {
+            epoch: 5,
+            owners: vec![0, 0, 1, 1, 1, 0, 1, 1],
+        },
+    ]
+}
+
 #[test]
 fn encoding_into_a_warm_flush_buffer_allocates_nothing() {
-    let msg = migrated_frame(false);
-    let mut batch = FrameBatch::default();
-    // One full coalesce window warms the buffer, as the writer's first
-    // busy flush does.
-    for seq in 1..=64 {
-        batch
-            .push_with(|b| msg.encode_into(seq, b))
-            .expect("fits a frame");
-    }
-    batch.clear();
-    let ((), n) = allocs_in(|| {
-        for seq in 65..=128 {
+    for msg in frames_of_every_kind() {
+        let mut batch = FrameBatch::default();
+        // One full coalesce window warms the buffer, as the writer's
+        // first busy flush does.
+        for seq in 1..=64 {
             batch
                 .push_with(|b| msg.encode_into(seq, b))
                 .expect("fits a frame");
         }
-    });
-    assert_eq!(n, 0, "64 frames into a warm buffer");
-    assert_eq!(batch.len(), 64);
+        batch.clear();
+        let ((), n) = allocs_in(|| {
+            for seq in 65..=128 {
+                batch
+                    .push_with(|b| msg.encode_into(seq, b))
+                    .expect("fits a frame");
+            }
+        });
+        assert_eq!(n, 0, "64 frames of {msg:?} into a warm buffer");
+        assert_eq!(batch.len(), 64);
+    }
 }
 
 #[cfg(unix)]

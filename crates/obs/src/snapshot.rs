@@ -84,6 +84,28 @@ pub struct Snapshot {
     pub attrib: Vec<AttribEntry>,
 }
 
+/// The stored scalars of snapshot `$s`, in [`KEYS`](Snapshot::KEYS)
+/// order, with their merge rules — the one table behind `merge` and
+/// `to_json`, borrowed shared (`scalars!(s)`) or unique
+/// (`scalars!(s, mut)`).
+macro_rules! scalars {
+    ($s:ident $(, $m:tt)?) => {{
+        use Fold::{Max, Min, Sum};
+        [
+            ("node", &$($m)? $s.node, Min),
+            ("nodes", &$($m)? $s.nodes, Sum),
+            ("seq", &$($m)? $s.seq, Max),
+            ("uptime_ms", &$($m)? $s.uptime_ms, Max),
+            ("guest_occupancy", &$($m)? $s.guest_occupancy, Max),
+            ("egress_depth", &$($m)? $s.egress_depth, Max),
+            ("dir_epoch", &$($m)? $s.dir_epoch, Max),
+            ("trace_dropped", &$($m)? $s.trace_dropped, Sum),
+            ("attrib_dropped", &$($m)? $s.attrib_dropped, Sum),
+            ("journey_dropped", &$($m)? $s.journey_dropped, Sum),
+        ]
+    }};
+}
+
 impl Snapshot {
     /// Top-level keys of [`to_json`](Snapshot::to_json), in order —
     /// the schema DESIGN.md §12 documents row by row.
@@ -112,30 +134,10 @@ impl Snapshot {
         "attrib",
     ];
 
-    /// The stored scalars, in [`KEYS`](Snapshot::KEYS) order, with
-    /// their merge rules — the one table behind `merge` and `to_json`.
-    fn scalars(&mut self) -> [(&'static str, &mut u64, Fold); 10] {
-        use Fold::{Max, Min, Sum};
-        [
-            ("node", &mut self.node, Min),
-            ("nodes", &mut self.nodes, Sum),
-            ("seq", &mut self.seq, Max),
-            ("uptime_ms", &mut self.uptime_ms, Max),
-            ("guest_occupancy", &mut self.guest_occupancy, Max),
-            ("egress_depth", &mut self.egress_depth, Max),
-            ("dir_epoch", &mut self.dir_epoch, Max),
-            ("trace_dropped", &mut self.trace_dropped, Sum),
-            ("attrib_dropped", &mut self.attrib_dropped, Sum),
-            ("journey_dropped", &mut self.journey_dropped, Sum),
-        ]
-    }
-
     /// Fold another node's snapshot in (see the struct docs for the
     /// per-field rule).
     pub fn merge(&mut self, o: &Snapshot) {
-        // The table hands out `&mut`; reading `o` through it takes a copy.
-        let mut theirs = o.clone();
-        for ((_, a, rule), (_, b, _)) in self.scalars().into_iter().zip(theirs.scalars()) {
+        for ((_, a, rule), (_, b, _)) in scalars!(self, mut).into_iter().zip(scalars!(o)) {
             *a = rule.apply(*a, *b);
         }
         self.task_latency_ns.merge(&o.task_latency_ns);
@@ -214,7 +216,7 @@ impl Snapshot {
     /// derived latency quantiles for direct consumption.
     pub fn to_json(&self) -> String {
         let mut obj = JsonObj::new().str("kind", "obs");
-        for (k, v, _) in self.clone().scalars() {
+        for (k, v, _) in scalars!(self) {
             obj = obj.u64(k, *v);
         }
         for (k, v) in [
