@@ -300,11 +300,16 @@ fn frame_check(seq: u64, body: &[u8]) -> u32 {
     }
     let rest = lanes.remainder();
     if !rest.is_empty() {
-        let mut lane = [0u8; 8];
-        lane[..rest.len()].copy_from_slice(rest);
-        h = absorb(h, u64::from_le_bytes(lane));
+        h = absorb(h, last_lane(rest));
     }
     (h.wrapping_mul(K) >> 32) as u32
+}
+
+/// The final 1–7 body bytes as a zero-padded little-endian lane,
+/// gathered without a variable-length copy call.
+#[inline(always)]
+fn last_lane(rest: &[u8]) -> u64 {
+    rest.iter().rev().fold(0, |l, &b| l << 8 | u64::from(b))
 }
 
 /// Append one frame payload to `b` through one [`Writer`]: the header
@@ -865,6 +870,16 @@ mod tests {
                     mutated[at] = full[at];
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_last_lane_is_the_tail_zero_padded() {
+        for len in 1..8 {
+            let rest: Vec<u8> = (0xF1..).take(len).collect();
+            let mut lane = [0u8; 8];
+            lane[..len].copy_from_slice(&rest);
+            assert_eq!(last_lane(&rest), u64::from_le_bytes(lane), "{len} bytes");
         }
     }
 
