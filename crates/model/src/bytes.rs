@@ -292,14 +292,23 @@ impl<'a> Cursor<'a> {
     /// exactly one byte representation: a zero-padded varint, one whose
     /// tenth byte carries more than the top bit of a `u64`, and one
     /// that runs past ten bytes are all [`CodecError::BadVarint`].
-    /// One- and two-byte varints (ids, lengths under 16 KiB) are read
-    /// inline; longer ones take a call that is handed the bytes, not
+    /// Varints of up to four bytes (ids, lengths, word addresses and
+    /// sequence numbers below 2²⁸) are read inline; longer ones, and
+    /// every malformed one, take a call that is handed the bytes, not
     /// the cursor, so the cursor never leaves its registers.
     #[inline(always)]
     pub fn var(&mut self) -> Result<u64, CodecError> {
+        let low = |b: u8| u64::from(b & 0x7f);
         let (v, len) = match self.buf[self.at..] {
             [b @ 0..0x80, ..] => (u64::from(b), 1),
-            [b0, b1 @ 1..0x80, ..] => (u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2),
+            [b0, b1 @ 1..0x80, ..] => (low(b0) | u64::from(b1) << 7, 2),
+            [b0, b1 @ 0x80..=0xff, b2 @ 1..0x80, ..] => {
+                (low(b0) | low(b1) << 7 | u64::from(b2) << 14, 3)
+            }
+            [b0, b1 @ 0x80..=0xff, b2 @ 0x80..=0xff, b3 @ 1..0x80, ..] => (
+                low(b0) | low(b1) << 7 | low(b2) << 14 | u64::from(b3) << 21,
+                4,
+            ),
             _ => long_var(self.buf, self.at)?,
         };
         self.at += len;

@@ -475,16 +475,54 @@ impl NetMsg {
 
     /// [`NetMsg::view`] plus the owning copy: same checks, same errors.
     pub fn decode(bytes: &[u8]) -> Result<(u64, NetMsg), WireError> {
-        NetMsg::view(bytes).map(|(seq, view)| (seq, view.into_owned()))
+        Self::read(
+            bytes,
+            #[inline(always)]
+            |to, epoch, retries, msg| {
+                let msg = WireMsg::decode(msg)?;
+                Ok(NetMsg::Shard {
+                    to,
+                    epoch,
+                    retries,
+                    msg,
+                })
+            },
+            |msg| msg,
+        )
     }
 
     /// Decode a frame payload into `(seq, message)`, in place: a
     /// `Shard` frame's runtime message borrows `bytes`. Never panics;
     /// malformed input — including any single mutated byte, caught by
-    /// the checksum — is a typed [`WireError`]. The data path — a
-    /// `Shard` frame — is decoded inline, straight into the result;
-    /// every other message out of line ([`NetMsg::view_control`]).
+    /// the checksum — is a typed [`WireError`].
     pub fn view(bytes: &[u8]) -> Result<(u64, NetView<'_>), WireError> {
+        Self::read(
+            bytes,
+            #[inline(always)]
+            |to, epoch, retries, msg| {
+                let msg = WireMsg::view(msg)?;
+                Ok(NetView::Shard {
+                    to,
+                    epoch,
+                    retries,
+                    msg,
+                })
+            },
+            NetView::Msg,
+        )
+    }
+
+    /// The grammar behind [`NetMsg::view`] and [`NetMsg::decode`]: the
+    /// header and the check, then a `Shard` frame's fields handed to
+    /// `shard` with its embedded message's bytes — decoded inline,
+    /// straight into the caller's form — or any other message decoded
+    /// out of line ([`NetMsg::view_control`]) and handed to `other`.
+    #[inline(always)]
+    fn read<'a, T>(
+        bytes: &'a [u8],
+        shard: impl FnOnce(u32, u64, u32, &'a [u8]) -> Result<T, WireError>,
+        other: impl FnOnce(NetMsg) -> T,
+    ) -> Result<(u64, T), WireError> {
         let mut r = Cursor::new(bytes);
         let ver = r.u8()?;
         if ver != PROTO_VERSION {
@@ -505,27 +543,18 @@ impl NetMsg {
             .into());
         }
         if body.first() != Some(&2) {
-            return Ok((seq, NetView::Msg(Self::view_control(body)?)));
+            return Ok((seq, other(Self::view_control(body)?)));
         }
         // Fields in wire order; the embedded WireMsg consumes the rest
         // of the frame.
         let mut r = Cursor::new(body);
         r.u8()?;
         let (to, epoch, retries) = (r.var_as()?, r.var()?, r.var_as()?);
-        let msg = WireMsg::view(r.rest())?;
-        Ok((
-            seq,
-            NetView::Shard {
-                to,
-                epoch,
-                retries,
-                msg,
-            },
-        ))
+        Ok((seq, shard(to, epoch, retries, r.rest())?))
     }
 
     /// The body of any frame but a `Shard` (tag 2, which
-    /// [`NetMsg::view`] decodes itself), decoded owned.
+    /// [`NetMsg::read`] decodes itself), decoded owned.
     #[inline(never)]
     fn view_control(body: &[u8]) -> Result<NetMsg, WireError> {
         let mut r = Cursor::new(body);

@@ -642,7 +642,7 @@ impl WireMsg {
 
     /// [`WireMsg::view`] plus the owning copy: same checks, same errors.
     pub fn decode(bytes: &[u8]) -> Result<WireMsg, WireError> {
-        WireMsg::view(bytes).map(|m| m.map(WireEnvelope::into_owned))
+        WireMsg::read(&mut Cursor::new(bytes), true, WireEnvelope::into_owned)
     }
 
     /// The serialized task-context bytes this message carries (an
@@ -663,26 +663,32 @@ impl<'a> WireMsg<WireEnvelope<&'a [u8]>> {
     /// moved its large result through memory (a continuation: 75 → 25 ns).
     #[inline(always)]
     pub fn view(bytes: &'a [u8]) -> Result<Self, WireError> {
-        let mut r = Cursor::new(bytes);
-        Self::view_from(&mut r, true)
+        Self::read(&mut Cursor::new(bytes), true, |env| env)
     }
+}
 
-    /// [`WireMsg::view`] from a shared cursor; `whole` refuses trailing
-    /// bytes, and without it they are left for the caller (a
-    /// [`FrozenShard`]'s drained mailbox). Each arm checks the end
-    /// before it builds its message, so a message is built once, in
-    /// place.
+impl<A> WireMsg<A> {
+    /// One message from a shared cursor, its arrival's envelope viewed
+    /// and handed to `env` (kept as a view, or copied out); `whole`
+    /// refuses trailing bytes, and without it they are left for the
+    /// caller (a [`FrozenShard`]'s drained mailbox). Each arm checks
+    /// the end before it builds its message, so a message is built
+    /// once, in place, in its final form.
     #[inline(always)]
-    fn view_from(r: &mut Cursor<'a>, whole: bool) -> Result<Self, WireError> {
-        let end = |r: &Cursor<'a>| match r.remaining() {
+    fn read<'a>(
+        r: &mut Cursor<'a>,
+        whole: bool,
+        env: impl FnOnce(WireEnvelope<&'a [u8]>) -> A,
+    ) -> Result<Self, WireError> {
+        let end = |r: &Cursor<'_>| match r.remaining() {
             extra @ 1.. if whole => Err(CodecError::Trailing { extra }),
             _ => Ok(()),
         };
         Ok(match r.u8()? {
             0 => {
-                let env = WireEnvelope::view(r)?;
+                let view = WireEnvelope::view(r)?;
                 end(r)?;
-                WireMsg::Arrive(env)
+                WireMsg::Arrive(env(view))
             }
             1 => {
                 let addr = r.var()?;
@@ -850,8 +856,7 @@ impl FrozenShard {
             parked: r.list(env)?,
             stalled: r.list(env)?,
             awaiting: r.list(env)?,
-            mailbox: r
-                .list(|r| WireMsg::view_from(r, false).map(|m| m.map(WireEnvelope::into_owned)))?,
+            mailbox: r.list(|r| WireMsg::read(r, false, WireEnvelope::into_owned))?,
         };
         r.finish()?;
         Ok(f)
