@@ -115,10 +115,17 @@ pub const VAR_MAX: usize = 10;
 /// is short panics on the write that passes it.
 #[inline(always)]
 pub fn write_into<R>(b: &mut Vec<u8>, max: usize, f: impl FnOnce(&mut Writer<'_>) -> R) -> R {
+    // A small bound grows `b` by one constant-size chunk, whose zeroing
+    // is a few inline stores rather than a call.
+    const SMALL: usize = 128;
     let start = b.len();
-    b.resize(start + max, 0);
+    if max <= SMALL {
+        b.extend_from_slice(&[0; SMALL]);
+    } else {
+        b.resize(start + max, 0);
+    }
     let mut w = Writer {
-        buf: &mut b[start..],
+        buf: &mut b[start..start + max],
         at: 0,
     };
     let out = f(&mut w);

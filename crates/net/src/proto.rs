@@ -353,7 +353,7 @@ impl NetMsg {
 
     /// Encode as a frame payload carrying sequence number `seq`.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
-        let mut b = Vec::with_capacity(HEADER_MAX + self.max_body());
+        let mut b = Vec::new();
         self.encode_into(seq, &mut b);
         b
     }
