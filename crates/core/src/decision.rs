@@ -15,7 +15,7 @@
 //! | [`MarkovPredictor`] | run length conditioned on the previous run's bucket |
 //! | [`OracleSchedule`] | replay of the DP-optimal decision sequence |
 
-use em2_model::bytes::{write_into, Cursor};
+use em2_model::bytes::{to_vec, Cursor};
 use em2_model::{AccessKind, CoreId, CostModel, ThreadId, WordMap};
 
 /// The two ways to reach a remotely-homed word (Figure 3).
@@ -285,17 +285,15 @@ impl DecisionScheme for HistoryPredictor {
     }
 
     fn state_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        write_into(&mut b, 4 + self.table.len() * 14, |w| {
-            w.u32(self.table.len() as u32);
+        to_vec(4 + self.table.len() * 14, |w| {
+            w.bytes(&(self.table.len() as u32).to_le_bytes());
             for (pair, p) in sorted_entries(&self.table) {
                 let (t, c) = pair_ids(pair);
-                w.u32(t);
-                w.u16(c);
+                w.bytes(&t.to_le_bytes());
+                w.bytes(&c.to_le_bytes());
                 w.u64(p.to_bits());
             }
-        });
-        b
+        })
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SchemeStateError> {
@@ -389,26 +387,24 @@ impl DecisionScheme for MarkovPredictor {
     }
 
     fn state_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::new();
         let max = 8 + self.table.len() * 15 + self.last_bucket.len() * 7;
-        write_into(&mut b, max, |w| {
-            w.u32(self.table.len() as u32);
+        to_vec(max, |w| {
+            w.bytes(&(self.table.len() as u32).to_le_bytes());
             for (key, p) in sorted_entries(&self.table) {
                 let (t, c) = pair_ids(key >> 8);
-                w.u32(t);
-                w.u16(c);
+                w.bytes(&t.to_le_bytes());
+                w.bytes(&c.to_le_bytes());
                 w.u8(key as u8);
                 w.u64(p.to_bits());
             }
-            w.u32(self.last_bucket.len() as u32);
+            w.bytes(&(self.last_bucket.len() as u32).to_le_bytes());
             for (pair, k) in sorted_entries(&self.last_bucket) {
                 let (t, c) = pair_ids(pair);
-                w.u32(t);
-                w.u16(c);
+                w.bytes(&t.to_le_bytes());
+                w.bytes(&c.to_le_bytes());
                 w.u8(k);
             }
-        });
-        b
+        })
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SchemeStateError> {
@@ -475,14 +471,12 @@ impl DecisionScheme for OracleSchedule {
     }
 
     fn state_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        write_into(&mut b, 4 + self.cursor.len() * 8, |w| {
-            w.u32(self.cursor.len() as u32);
+        to_vec(4 + self.cursor.len() * 8, |w| {
+            w.bytes(&(self.cursor.len() as u32).to_le_bytes());
             for &c in &self.cursor {
                 w.u64(c as u64);
             }
-        });
-        b
+        })
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SchemeStateError> {

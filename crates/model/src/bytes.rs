@@ -15,13 +15,9 @@
 //! identifiers, counters, lengths and addresses; length-prefixed byte
 //! strings capped at [`MAX_CHUNK`]; lists behind a varint count no
 //! decoder trusts with an allocation ([`Cursor::list`]).
-//!
-//! Both sides are built to vanish into the codec that calls them, per
-//! field of every frame: an encoder reserves its message's upper bound
-//! once ([`write_into`]) and writes each field through a [`Writer`]
-//! whose slice and index stay in registers, and a decoder's reads are
-//! forced inline, with their error construction out of line. Only a
-//! varint longer than two bytes takes a call.
+//! Both sides inline into their codec: an encoder reserves a message's
+//! upper bound once ([`write_into`]) and writes through a [`Writer`]
+//! held in registers, and every read but a long varint is inline.
 
 use std::fmt;
 
@@ -107,16 +103,12 @@ impl std::error::Error for CodecError {}
 /// an encoder's upper bound ([`write_into`]) counts per varint field.
 pub const VAR_MAX: usize = 10;
 
-/// Append one message of at most `max` bytes to `b` through a
-/// [`Writer`]: `b` grows by `max` once, `f` writes each field through
-/// the writer's cursor, and `b` is cut back to what `f` wrote. An
-/// encoder states its message's upper bound (a varint counts
-/// [`VAR_MAX`], a byte string its length plus a varint); a bound that
-/// is short panics on the write that passes it.
+/// Append one message of at most `max` bytes to `b`: `b` grows once,
+/// `f` writes through a [`Writer`], and `b` is cut back to what was
+/// written. A bound that is short panics on the write that passes it.
 #[inline(always)]
 pub fn write_into<R>(b: &mut Vec<u8>, max: usize, f: impl FnOnce(&mut Writer<'_>) -> R) -> R {
-    // A small bound grows `b` by one constant-size chunk, whose zeroing
-    // is a few inline stores rather than a call.
+    // Zeroing a constant-size chunk is inline stores, not a call.
     const SMALL: usize = 128;
     let start = b.len();
     if max <= SMALL {
@@ -134,9 +126,15 @@ pub fn write_into<R>(b: &mut Vec<u8>, max: usize, f: impl FnOnce(&mut Writer<'_>
     out
 }
 
-/// A write cursor over the slice [`write_into`] reserved: every field
-/// is a store and an index bump, with no call and no length write-back
-/// to the `Vec` per field. The methods mirror [`Cursor`]'s reads.
+/// [`write_into`] a fresh buffer.
+pub fn to_vec(max: usize, f: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    let mut b = Vec::new();
+    write_into(&mut b, max, f);
+    b
+}
+
+/// A write cursor over the slice [`write_into`] reserved: a field is a
+/// store and an index bump, with no call and no `Vec` length update.
 #[derive(Debug)]
 pub struct Writer<'a> {
     buf: &'a mut [u8],
@@ -146,14 +144,8 @@ pub struct Writer<'a> {
 impl Writer<'_> {
     /// Bytes written so far.
     #[inline(always)]
-    pub fn len(&self) -> usize {
+    pub fn written(&self) -> usize {
         self.at
-    }
-
-    /// Whether nothing has been written yet.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        self.at == 0
     }
 
     /// Write one byte.
@@ -163,23 +155,11 @@ impl Writer<'_> {
         self.at += 1;
     }
 
-    /// Write raw bytes.
+    /// Write raw bytes (a fixed-width integer as its `to_le_bytes`).
     #[inline(always)]
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf[self.at..self.at + v.len()].copy_from_slice(v);
         self.at += v.len();
-    }
-
-    /// Write a `u16`, little-endian.
-    #[inline(always)]
-    pub fn u16(&mut self, v: u16) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Write a `u32`, little-endian.
-    #[inline(always)]
-    pub fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
     }
 
     /// Write a `u64`, little-endian.
@@ -250,19 +230,14 @@ impl<'a> Cursor<'a> {
     #[inline(always)]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
-            return Err(self.truncated(n));
+            return Err(CodecError::Truncated {
+                offset: self.at,
+                need: n - self.remaining(),
+            });
         }
         let s = &self.buf[self.at..self.at + n];
         self.at += n;
         Ok(s)
-    }
-
-    #[cold]
-    fn truncated(&self, n: usize) -> CodecError {
-        CodecError::Truncated {
-            offset: self.at,
-            need: n - self.remaining(),
-        }
     }
 
     #[inline(always)]
@@ -299,10 +274,8 @@ impl<'a> Cursor<'a> {
     /// exactly one byte representation: a zero-padded varint, one whose
     /// tenth byte carries more than the top bit of a `u64`, and one
     /// that runs past ten bytes are all [`CodecError::BadVarint`].
-    /// Varints of up to four bytes (ids, lengths, word addresses and
-    /// sequence numbers below 2²⁸) are read inline; longer ones, and
-    /// every malformed one, take a call that is handed the bytes, not
-    /// the cursor, so the cursor never leaves its registers.
+    /// Up to four bytes are read inline; a longer or malformed varint
+    /// takes a call handed the bytes, so the cursor stays in registers.
     #[inline(always)]
     pub fn var(&mut self) -> Result<u64, CodecError> {
         let low = |b: u8| u64::from(b & 0x7f);
@@ -329,8 +302,23 @@ impl<'a> Cursor<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            tag => Err(bad_tag(what, tag)),
+            tag => Err(CodecError::BadTag { what, tag }),
         }
+    }
+
+    /// Read an optional value ([`Writer::opt`]): its tag, named `what`
+    /// in a [`CodecError::BadTag`], then `read` if the tag is `1`.
+    #[inline(always)]
+    pub fn opt<T>(
+        &mut self,
+        what: &'static str,
+        read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Option<T>, CodecError> {
+        Ok(if self.flag(what)? {
+            Some(read(self)?)
+        } else {
+            None
+        })
     }
 
     /// Read the presence byte of `N` optional fields
@@ -343,7 +331,7 @@ impl<'a> Cursor<'a> {
     ) -> Result<[bool; N], CodecError> {
         let tag = self.u8()?;
         if u32::from(tag) >> N != 0 {
-            return Err(bad_tag(what, tag));
+            return Err(CodecError::BadTag { what, tag });
         }
         Ok(std::array::from_fn(|i| tag >> i & 1 == 1))
     }
@@ -367,10 +355,10 @@ impl<'a> Cursor<'a> {
     #[inline(always)]
     pub fn var_as<T: TryFrom<u64>>(&mut self) -> Result<T, CodecError> {
         let offset = self.at;
-        match T::try_from(self.var()?) {
-            Ok(v) => Ok(v),
-            Err(_) => Err(too_wide(offset)),
-        }
+        T::try_from(self.var()?).map_err(|_| CodecError::BadVarint {
+            offset,
+            why: "too wide for its field",
+        })
     }
 
     /// Read a varint-length-prefixed byte string
@@ -434,36 +422,21 @@ fn long_var(buf: &[u8], offset: usize) -> Result<(u64, usize), CodecError> {
     unreachable!("the tenth byte either ends the varint or is refused")
 }
 
-#[cold]
-fn bad_tag(what: &'static str, tag: u8) -> CodecError {
-    CodecError::BadTag { what, tag }
-}
-
-#[cold]
-fn too_wide(offset: usize) -> CodecError {
-    CodecError::BadVarint {
-        offset,
-        why: "too wide for its field",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// What `f` writes, under a generous bound.
     fn written(f: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
-        let mut b = Vec::new();
-        write_into(&mut b, 512, f);
-        b
+        to_vec(512, f)
     }
 
     #[test]
     fn primitives_round_trip() {
         let b = written(|w| {
             w.u8(7);
-            w.u16(0xBEEF);
-            w.u32(0xDEAD_BEEF);
+            w.bytes(&0xBEEFu16.to_le_bytes());
+            w.bytes(&0xDEAD_BEEFu32.to_le_bytes());
             w.u64(u64::MAX - 1);
             w.var_bytes(&[1, 2, 3]);
         });
@@ -482,7 +455,7 @@ mod tests {
         let n = write_into(&mut b, VAR_MAX + 1, |w| {
             w.var(300);
             w.u8(9);
-            w.len()
+            w.written()
         });
         assert_eq!((n, b), (3, vec![1, 2, 0xAC, 0x02, 9]));
     }
@@ -490,7 +463,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn a_short_bound_panics_on_the_write_that_passes_it() {
-        write_into(&mut Vec::new(), 1, |w| w.u16(7));
+        write_into(&mut Vec::new(), 1, |w| w.bytes(&[7, 0]));
     }
 
     #[test]

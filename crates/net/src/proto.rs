@@ -61,8 +61,7 @@ pub const PROTO_VERSION: u8 = 6;
 const CHECK_AT: usize = 1;
 const CHECK_END: usize = CHECK_AT + 4;
 
-/// Most bytes a frame header takes: version, check and a sequence
-/// varint.
+/// Most bytes a frame header takes.
 const HEADER_MAX: usize = CHECK_END + VAR_MAX;
 
 /// One node-to-node control message.
@@ -300,22 +299,15 @@ fn frame_check(seq: u64, body: &[u8]) -> u32 {
     }
     let rest = lanes.remainder();
     if !rest.is_empty() {
-        h = absorb(h, last_lane(rest));
+        // Zero-padded, gathered without a variable-length copy call.
+        h = absorb(h, rest.iter().rev().fold(0, |l, &b| l << 8 | u64::from(b)));
     }
     (h.wrapping_mul(K) >> 32) as u32
 }
 
-/// The final 1–7 body bytes as a zero-padded little-endian lane,
-/// gathered without a variable-length copy call.
-#[inline(always)]
-fn last_lane(rest: &[u8]) -> u64 {
-    rest.iter().rev().fold(0, |l, &b| l << 8 | u64::from(b))
-}
-
-/// Append one frame payload to `b` through one [`Writer`]: the header
-/// for sequence number `seq`, then whatever `body` writes (at most
-/// `max_body` bytes), then the check over that body patched into its
-/// fixed slot.
+/// Append one frame payload to `b`: the header for sequence number
+/// `seq`, then what `body` writes (at most `max_body` bytes), then the
+/// check over that body patched into its fixed slot.
 #[inline(always)]
 fn frame_into(seq: u64, b: &mut Vec<u8>, max_body: usize, body: impl FnOnce(&mut Writer<'_>)) {
     let frame_at = b.len();
@@ -325,10 +317,9 @@ fn frame_into(seq: u64, b: &mut Vec<u8>, max_body: usize, body: impl FnOnce(&mut
             HEADER_MAX + max_body,
             #[inline(always)]
             |w| {
-                w.u8(PROTO_VERSION);
-                w.u32(0);
+                w.bytes(&[PROTO_VERSION, 0, 0, 0, 0]);
                 w.var(seq);
-                let body_at = w.len();
+                let body_at = w.written();
                 body(w);
                 body_at
             },
@@ -358,9 +349,8 @@ impl NetMsg {
         b
     }
 
-    /// Most bytes [`NetMsg::write_body`] takes: the tag, then an
-    /// embedded message or state behind three varints at most, or at
-    /// most three varints and a digest.
+    /// Most bytes [`NetMsg::write_body`] takes: the tag, then at most
+    /// three varints and a digest, an embedded message or a state.
     fn max_body(&self) -> usize {
         1 + match self {
             NetMsg::Shard { msg, .. } | NetMsg::Bounce { msg, .. } => 3 * VAR_MAX + msg.max_len(),
@@ -475,54 +465,15 @@ impl NetMsg {
 
     /// [`NetMsg::view`] plus the owning copy: same checks, same errors.
     pub fn decode(bytes: &[u8]) -> Result<(u64, NetMsg), WireError> {
-        Self::read(
-            bytes,
-            #[inline(always)]
-            |to, epoch, retries, msg| {
-                let msg = WireMsg::decode(msg)?;
-                Ok(NetMsg::Shard {
-                    to,
-                    epoch,
-                    retries,
-                    msg,
-                })
-            },
-            |msg| msg,
-        )
+        NetMsg::view(bytes).map(|(seq, view)| (seq, view.into_owned()))
     }
 
     /// Decode a frame payload into `(seq, message)`, in place: a
     /// `Shard` frame's runtime message borrows `bytes`. Never panics;
     /// malformed input — including any single mutated byte, caught by
-    /// the checksum — is a typed [`WireError`].
+    /// the checksum — is a typed [`WireError`]. A `Shard` frame, the
+    /// data path, is decoded inline; any other out of line.
     pub fn view(bytes: &[u8]) -> Result<(u64, NetView<'_>), WireError> {
-        Self::read(
-            bytes,
-            #[inline(always)]
-            |to, epoch, retries, msg| {
-                let msg = WireMsg::view(msg)?;
-                Ok(NetView::Shard {
-                    to,
-                    epoch,
-                    retries,
-                    msg,
-                })
-            },
-            NetView::Msg,
-        )
-    }
-
-    /// The grammar behind [`NetMsg::view`] and [`NetMsg::decode`]: the
-    /// header and the check, then a `Shard` frame's fields handed to
-    /// `shard` with its embedded message's bytes — decoded inline,
-    /// straight into the caller's form — or any other message decoded
-    /// out of line ([`NetMsg::view_control`]) and handed to `other`.
-    #[inline(always)]
-    fn read<'a, T>(
-        bytes: &'a [u8],
-        shard: impl FnOnce(u32, u64, u32, &'a [u8]) -> Result<T, WireError>,
-        other: impl FnOnce(NetMsg) -> T,
-    ) -> Result<(u64, T), WireError> {
         let mut r = Cursor::new(bytes);
         let ver = r.u8()?;
         if ver != PROTO_VERSION {
@@ -543,18 +494,27 @@ impl NetMsg {
             .into());
         }
         if body.first() != Some(&2) {
-            return Ok((seq, other(Self::view_control(body)?)));
+            return Ok((seq, NetView::Msg(Self::view_control(body)?)));
         }
         // Fields in wire order; the embedded WireMsg consumes the rest
         // of the frame.
         let mut r = Cursor::new(body);
         r.u8()?;
         let (to, epoch, retries) = (r.var_as()?, r.var()?, r.var_as()?);
-        Ok((seq, shard(to, epoch, retries, r.rest())?))
+        let msg = WireMsg::view(r.rest())?;
+        Ok((
+            seq,
+            NetView::Shard {
+                to,
+                epoch,
+                retries,
+                msg,
+            },
+        ))
     }
 
     /// The body of any frame but a `Shard` (tag 2, which
-    /// [`NetMsg::read`] decodes itself), decoded owned.
+    /// [`NetMsg::view`] decodes itself), decoded owned.
     #[inline(never)]
     fn view_control(body: &[u8]) -> Result<NetMsg, WireError> {
         let mut r = Cursor::new(body);
@@ -903,12 +863,25 @@ mod tests {
     }
 
     #[test]
-    fn the_last_lane_is_the_tail_zero_padded() {
-        for len in 1..8 {
-            let rest: Vec<u8> = (0xF1..).take(len).collect();
-            let mut lane = [0u8; 8];
-            lane[..len].copy_from_slice(&rest);
-            assert_eq!(last_lane(&rest), u64::from_le_bytes(lane), "{len} bytes");
+    fn the_check_absorbs_the_last_lane_zero_padded() {
+        // The definition, lane by lane, for every remainder length.
+        let reference = |seq: u64, body: &[u8]| {
+            const K: u64 = 0x9E37_79B9_7F4A_7C15;
+            let absorb = |h: u64, lane: u64| {
+                let x = (h ^ lane).wrapping_mul(K);
+                x ^ (x >> 29)
+            };
+            let mut h = absorb(absorb(0xcbf2_9ce4_8422_2325, seq), body.len() as u64);
+            for chunk in body.chunks(8) {
+                let mut lane = [0u8; 8];
+                lane[..chunk.len()].copy_from_slice(chunk);
+                h = absorb(h, u64::from_le_bytes(lane));
+            }
+            (h.wrapping_mul(K) >> 32) as u32
+        };
+        for len in 0..24 {
+            let body: Vec<u8> = (0xE1..).take(len).collect();
+            assert_eq!(frame_check(7, &body), reference(7, &body), "{len} bytes");
         }
     }
 

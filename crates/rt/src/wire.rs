@@ -259,12 +259,6 @@ impl Journey {
         w.var(u64::from(self.dropped));
     }
 
-    /// [`Journey::write`]'s upper bound.
-    #[inline(always)]
-    fn max_len(&self) -> usize {
-        1 + self.hops.len() * (3 * VAR_MAX + 1) + VAR_MAX
-    }
-
     #[inline(always)]
     fn decode(r: &mut Cursor<'_>) -> Result<Self, WireError> {
         let n = r.u8()?;
@@ -342,9 +336,6 @@ impl WireOp {
             WireOp::Done => crate::Op::Done,
         }
     }
-
-    /// [`WireOp::write`]'s upper bound: a store.
-    const MAX_LEN: usize = 1 + VAR_MAX + 8;
 
     #[inline(always)]
     fn write(&self, w: &mut Writer<'_>) {
@@ -444,18 +435,13 @@ impl WireEnvelope {
         self.journey.write(w);
     }
 
-    /// [`WireEnvelope::write`]'s upper bound: eight varints (three ids,
-    /// two lengths, the barrier, the run), the byte strings, the
-    /// presence byte, an op, a reply word and the journey.
+    /// [`WireEnvelope::write`]'s upper bound: ten varints, nineteen
+    /// fixed bytes (presence, op tag, store and reply words, hop count),
+    /// the byte strings, and each hop's three varints and cause.
     #[inline(always)]
     fn max_len(&self) -> usize {
-        8 * VAR_MAX
-            + self.task_ctx.len()
-            + self.scheme_state.len()
-            + 1
-            + WireOp::MAX_LEN
-            + 8
-            + self.journey.max_len()
+        let strings = self.task_ctx.len() + self.scheme_state.len();
+        10 * VAR_MAX + 19 + strings + self.journey.hops.len() * (3 * VAR_MAX + 1)
     }
 }
 
@@ -581,12 +567,7 @@ impl WireMsg {
     /// Append the encoding of this message (its layout version is the
     /// connection's or the frozen shard's, stated once there).
     pub fn encode_into(&self, b: &mut Vec<u8>) {
-        write_into(
-            b,
-            self.max_len(),
-            #[inline(always)]
-            |w| self.write(w),
-        );
+        write_into(b, self.max_len(), |w| self.write(w));
     }
 
     /// Write this message through `w`, which has room for
@@ -623,13 +604,13 @@ impl WireMsg {
         }
     }
 
-    /// Most bytes [`WireMsg::write`] takes: an arrival's envelope, or
-    /// a request's tag, three varints and its optional store word.
+    /// Most bytes [`WireMsg::write`] takes: the tag and an envelope, or
+    /// at most a request's three varints and ten fixed bytes.
     #[inline(always)]
     pub fn max_len(&self) -> usize {
         match self {
             WireMsg::Arrive(env) => 1 + env.max_len(),
-            _ => 1 + 3 * VAR_MAX + 1 + 8,
+            _ => 4 * VAR_MAX,
         }
     }
 
@@ -668,18 +649,18 @@ impl<'a> WireMsg<WireEnvelope<&'a [u8]>> {
 }
 
 impl<A> WireMsg<A> {
-    /// One message from a shared cursor, its arrival's envelope viewed
-    /// and handed to `env` (kept as a view, or copied out); `whole`
-    /// refuses trailing bytes, and without it they are left for the
-    /// caller (a [`FrozenShard`]'s drained mailbox). Each arm checks
-    /// the end before it builds its message, so a message is built
-    /// once, in place, in its final form.
+    /// One message from a shared cursor, built once in its final form:
+    /// an arrival's envelope is viewed and handed to `env` (kept as a
+    /// view, or copied out). `whole` refuses trailing bytes; without it
+    /// they are left for the caller (a [`FrozenShard`]'s mailbox).
     #[inline(always)]
     fn read<'a>(
         r: &mut Cursor<'a>,
         whole: bool,
         env: impl FnOnce(WireEnvelope<&'a [u8]>) -> A,
     ) -> Result<Self, WireError> {
+        // Each arm checks the end before it builds its message, so the
+        // message is built straight into the result.
         let end = |r: &Cursor<'_>| match r.remaining() {
             extra @ 1.. if whole => Err(CodecError::Trailing { extra }),
             _ => Ok(()),
@@ -691,12 +672,7 @@ impl<A> WireMsg<A> {
                 WireMsg::Arrive(env(view))
             }
             1 => {
-                let addr = r.var()?;
-                let write = if r.flag("option<write>")? {
-                    Some(r.u64()?)
-                } else {
-                    None
-                };
+                let (addr, write) = (r.var()?, r.opt("option<write>", Cursor::u64)?);
                 let (reply_shard, token) = (r.var_as()?, r.var_as()?);
                 end(r)?;
                 WireMsg::Request {
@@ -707,12 +683,7 @@ impl<A> WireMsg<A> {
                 }
             }
             2 => {
-                let token = r.var_as()?;
-                let value = if r.flag("option<value>")? {
-                    Some(r.u64()?)
-                } else {
-                    None
-                };
+                let (token, value) = (r.var_as()?, r.opt("option<value>", Cursor::u64)?);
                 end(r)?;
                 WireMsg::Response { token, value }
             }
@@ -770,59 +741,50 @@ pub struct FrozenShard {
 impl FrozenShard {
     /// Append the versioned encoding of this frozen shard.
     pub fn encode_into(&self, b: &mut Vec<u8>) {
-        write_into(b, self.max_len(), |w| self.write(w));
-    }
-
-    /// Write the versioned encoding through `w`, which has room for
-    /// [`FrozenShard::max_len`] bytes.
-    pub fn write(&self, w: &mut Writer<'_>) {
-        w.u8(WIRE_VERSION);
-        w.var(u64::from(self.shard));
-        w.var(self.clock);
-        w.var(self.heap.len() as u64);
-        for &(a, v) in &self.heap {
-            w.var(a);
-            w.u64(v);
-        }
-        w.var(self.natives.len() as u64);
-        for &t in &self.natives {
-            w.var(u64::from(t));
-        }
-        w.var(self.guests.len() as u64);
-        for &(t, pinned, at) in &self.guests {
-            w.var(u64::from(t));
-            w.u8(u8::from(pinned));
-            w.var(at);
-        }
-        for queue in self.queues() {
-            w.var(queue.len() as u64);
-            for env in queue {
-                env.write(w);
+        write_into(b, self.max_len(), |w| {
+            w.u8(WIRE_VERSION);
+            w.var(u64::from(self.shard));
+            w.var(self.clock);
+            w.var(self.heap.len() as u64);
+            for &(a, v) in &self.heap {
+                w.var(a);
+                w.u64(v);
             }
-        }
-        w.var(self.mailbox.len() as u64);
-        for msg in &self.mailbox {
-            msg.write(w);
-        }
+            w.var(self.natives.len() as u64);
+            for &t in &self.natives {
+                w.var(u64::from(t));
+            }
+            w.var(self.guests.len() as u64);
+            for &(t, pinned, at) in &self.guests {
+                w.var(u64::from(t));
+                w.u8(u8::from(pinned));
+                w.var(at);
+            }
+            for queue in [&self.runq, &self.parked, &self.stalled, &self.awaiting] {
+                w.var(queue.len() as u64);
+                for env in queue {
+                    env.write(w);
+                }
+            }
+            w.var(self.mailbox.len() as u64);
+            for msg in &self.mailbox {
+                msg.write(w);
+            }
+        });
     }
 
-    /// Most bytes [`FrozenShard::write`] takes: the version, two
-    /// scalars, eight list counts, and each list's items at their
+    /// Most bytes [`FrozenShard::encode_into`] appends: the version, ten
+    /// varints (two scalars, eight list counts), and every item at its
     /// widest.
     pub fn max_len(&self) -> usize {
-        let queued = self.queues().into_iter().flatten();
+        let queued = [&self.runq, &self.parked, &self.stalled, &self.awaiting];
+        let queued = queued.into_iter().flatten();
         1 + 10 * VAR_MAX
             + self.heap.len() * (VAR_MAX + 8)
             + self.natives.len() * VAR_MAX
             + self.guests.len() * (2 * VAR_MAX + 1)
             + queued.map(WireEnvelope::max_len).sum::<usize>()
             + self.mailbox.iter().map(WireMsg::max_len).sum::<usize>()
-    }
-
-    /// The four envelope queues in wire order (`stalled` precedes
-    /// `awaiting`).
-    fn queues(&self) -> [&Vec<WireEnvelope>; 4] {
-        [&self.runq, &self.parked, &self.stalled, &self.awaiting]
     }
 
     /// The versioned encoding as a fresh buffer.
@@ -1162,9 +1124,7 @@ mod tests {
 
     /// What `f` writes, under a generous bound.
     fn written(f: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
-        let mut b = Vec::new();
-        write_into(&mut b, 64, f);
-        b
+        em2_model::bytes::to_vec(64, f)
     }
 
     #[test]
