@@ -108,14 +108,8 @@ pub const VAR_MAX: usize = 10;
 /// written. A bound that is short panics on the write that passes it.
 #[inline(always)]
 pub fn write_into<R>(b: &mut Vec<u8>, max: usize, f: impl FnOnce(&mut Writer<'_>) -> R) -> R {
-    // Zeroing a constant-size chunk is inline stores, not a call.
-    const SMALL: usize = 128;
     let start = b.len();
-    if max <= SMALL {
-        b.extend_from_slice(&[0; SMALL]);
-    } else {
-        b.resize(start + max, 0);
-    }
+    b.resize(start + max, 0);
     let mut w = Writer {
         buf: &mut b[start..start + max],
         at: 0,
@@ -205,6 +199,19 @@ impl Writer<'_> {
     pub fn presence<const N: usize>(&mut self, present: [bool; N]) {
         self.u8((0..N).fold(0, |p, i| p | u8::from(present[i]) << i));
     }
+
+    /// Write through a second writer over the rest of the slice, for
+    /// an out-of-line call: handed only the slice, not this writer,
+    /// the call leaves this writer in registers.
+    #[inline(always)]
+    pub fn nested(&mut self, f: impl FnOnce(&mut Writer<'_>)) {
+        let mut inner = Writer {
+            buf: &mut self.buf[self.at..],
+            at: 0,
+        };
+        f(&mut inner);
+        self.at += inner.at;
+    }
 }
 
 /// A bounds-checked read cursor over a byte slice.
@@ -216,13 +223,11 @@ pub struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `buf`.
-    #[inline(always)]
     pub fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, at: 0 }
     }
 
     /// Bytes not yet consumed.
-    #[inline(always)]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
@@ -252,7 +257,6 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read a little-endian `u16`.
-    #[inline(always)]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
         self.array().map(u16::from_le_bytes)
     }
@@ -304,21 +308,6 @@ impl<'a> Cursor<'a> {
             1 => Ok(true),
             tag => Err(CodecError::BadTag { what, tag }),
         }
-    }
-
-    /// Read an optional value ([`Writer::opt`]): its tag, named `what`
-    /// in a [`CodecError::BadTag`], then `read` if the tag is `1`.
-    #[inline(always)]
-    pub fn opt<T>(
-        &mut self,
-        what: &'static str,
-        read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
-    ) -> Result<Option<T>, CodecError> {
-        Ok(if self.flag(what)? {
-            Some(read(self)?)
-        } else {
-            None
-        })
     }
 
     /// Read the presence byte of `N` optional fields
@@ -374,7 +363,6 @@ impl<'a> Cursor<'a> {
 
     /// Consume and return everything left (for codecs embedding a
     /// nested message as the final field).
-    #[inline(always)]
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.at..];
         self.at = self.buf.len();
@@ -382,7 +370,6 @@ impl<'a> Cursor<'a> {
     }
 
     /// Assert the input is fully consumed.
-    #[inline(always)]
     pub fn finish(self) -> Result<(), CodecError> {
         match self.remaining() {
             0 => Ok(()),

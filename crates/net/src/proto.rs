@@ -349,15 +349,24 @@ impl NetMsg {
         b
     }
 
-    /// Most bytes [`NetMsg::write_body`] takes: the tag, then at most
-    /// three varints and a digest, an embedded message or a state.
+    /// Most bytes [`NetMsg::write_body`] takes: the tag, then each
+    /// variant's fields at their widest.
     fn max_body(&self) -> usize {
         1 + match self {
+            NetMsg::Hello { .. } => VAR_MAX + 9,
+            NetMsg::HelloAck { .. } => VAR_MAX + 8,
             NetMsg::Shard { msg, .. } | NetMsg::Bounce { msg, .. } => 3 * VAR_MAX + msg.max_len(),
+            NetMsg::BarrierArrive { .. }
+            | NetMsg::BarrierRelease { .. }
+            | NetMsg::Closed { .. } => VAR_MAX,
+            NetMsg::Retired | NetMsg::Quiesce | NetMsg::Heartbeat | NetMsg::Bye => 0,
             NetMsg::Abort { reason } => VAR_MAX + reason.len(),
+            NetMsg::HandoffRequest { .. }
+            | NetMsg::HandoffExpect { .. }
+            | NetMsg::HandoffDone { .. } => 2 * VAR_MAX,
+            NetMsg::HandoffPrepare { .. } => 3 * VAR_MAX,
             NetMsg::HandoffTransfer { state, .. } => VAR_MAX + state.max_len(),
             NetMsg::EpochUpdate { owners, .. } => (2 + owners.len()) * VAR_MAX,
-            _ => 3 * VAR_MAX + 8,
         }
     }
 
@@ -431,9 +440,7 @@ impl NetMsg {
             NetMsg::HandoffTransfer { hid, state } => {
                 w.u8(14);
                 w.var(*hid);
-                // Encoded apart: a transfer is rare, and a writer handed
-                // to a call could not stay in registers for the rest.
-                w.bytes(&state.encode());
+                w.nested(|w| state.write(w));
             }
             NetMsg::HandoffDone { hid, shard } => {
                 w.u8(15);
@@ -614,7 +621,9 @@ impl NetMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em2_rt::wire::{HopCause, Journey, JourneyHop, WireEnvelope, WireOp, WIRE_VERSION};
+    use em2_rt::wire::{
+        HopCause, Journey, JourneyHop, WireEnvelope, WireOp, JOURNEY_CAP, WIRE_VERSION,
+    };
     use proptest::prelude::*;
 
     /// A frame the `uds2-migrate` benchmark workload ships: a stamped
@@ -967,6 +976,125 @@ mod tests {
         for (i, (m, want)) in all.iter().zip(DIGESTS).enumerate() {
             let got = em2_model::hash::fnv1a(em2_model::hash::FNV1A_INIT, &m.encode(50_000));
             assert_eq!(got, want, "frame {i}: {m:?}");
+        }
+    }
+
+    #[test]
+    fn every_frame_fits_its_bound_with_its_widest_fields() {
+        // Every integer at its widest, so each varint takes its most
+        // bytes: a bound that fell short would panic on the write past
+        // it, not return a frame.
+        let (n, l) = (u32::MAX, u64::MAX);
+        let hop = JourneyHop {
+            shard: n,
+            node: n,
+            epoch: l,
+            cause: HopCause::Remote,
+        };
+        let env = WireEnvelope {
+            thread: n,
+            native: u16::MAX,
+            task_kind: n,
+            task_ctx: vec![0xA5; 300],
+            scheme_state: vec![0x5A; 20],
+            pending_op: Some(WireOp::Write(l, l)),
+            pending_reply: Some(l),
+            parked_at: Some(n),
+            run: Some((u16::MAX, l)),
+            journey: Journey {
+                hops: vec![hop; JOURNEY_CAP],
+                dropped: n,
+            },
+        };
+        let msgs = [
+            WireMsg::Arrive(env.clone()),
+            WireMsg::Request {
+                addr: l,
+                write: Some(l),
+                reply_shard: n,
+                token: n,
+            },
+            WireMsg::Response {
+                token: n,
+                value: Some(l),
+            },
+            WireMsg::BarrierRelease { idx: n },
+        ];
+        let (to, epoch, retries) = (n, l, n);
+        let mut all: Vec<NetMsg> = msgs
+            .iter()
+            .flat_map(|m| {
+                let msg = m.clone();
+                let shard = NetMsg::Shard {
+                    to,
+                    epoch,
+                    retries,
+                    msg,
+                };
+                let msg = m.clone();
+                [
+                    shard,
+                    NetMsg::Bounce {
+                        to,
+                        epoch,
+                        retries,
+                        msg,
+                    },
+                ]
+            })
+            .collect();
+        all.extend([
+            NetMsg::Hello {
+                node: n,
+                wire_version: u8::MAX,
+                topology: l,
+            },
+            NetMsg::HelloAck {
+                node: n,
+                topology: l,
+            },
+            NetMsg::BarrierArrive { k: n },
+            NetMsg::BarrierRelease { k: n },
+            NetMsg::Closed { submitted: l },
+            NetMsg::Retired,
+            NetMsg::Quiesce,
+            NetMsg::Heartbeat,
+            NetMsg::Abort {
+                reason: "x".repeat(300),
+            },
+            NetMsg::Bye,
+            NetMsg::HandoffRequest { shard: n, to: n },
+            NetMsg::HandoffPrepare {
+                hid: l,
+                shard: n,
+                to: n,
+            },
+            NetMsg::HandoffExpect { hid: l, shard: n },
+            NetMsg::HandoffTransfer {
+                hid: l,
+                state: Box::new(FrozenShard {
+                    shard: n,
+                    clock: l,
+                    heap: vec![(l, l); 3],
+                    natives: vec![n; 3],
+                    guests: vec![(n, true, l); 3],
+                    runq: vec![env.clone()],
+                    parked: vec![env.clone()],
+                    awaiting: vec![env.clone()],
+                    stalled: vec![env],
+                    mailbox: msgs.to_vec(),
+                }),
+            },
+            NetMsg::HandoffDone { hid: l, shard: n },
+            NetMsg::EpochUpdate {
+                epoch: l,
+                owners: vec![n; 40],
+            },
+        ]);
+        for m in all {
+            let frame = m.encode(l);
+            assert!(frame.len() <= HEADER_MAX + m.max_body(), "{m:?}");
+            assert_eq!(decode_both(&frame), Ok((l, m)));
         }
     }
 

@@ -604,13 +604,15 @@ impl WireMsg {
         }
     }
 
-    /// Most bytes [`WireMsg::write`] takes: the tag and an envelope, or
-    /// at most a request's three varints and ten fixed bytes.
+    /// Most bytes [`WireMsg::write`] takes: the tag, then the fields at
+    /// their widest.
     #[inline(always)]
     pub fn max_len(&self) -> usize {
-        match self {
-            WireMsg::Arrive(env) => 1 + env.max_len(),
-            _ => 4 * VAR_MAX,
+        1 + match self {
+            WireMsg::Arrive(env) => env.max_len(),
+            WireMsg::Request { .. } => 3 * VAR_MAX + 9,
+            WireMsg::Response { .. } => VAR_MAX + 9,
+            WireMsg::BarrierRelease { .. } => VAR_MAX,
         }
     }
 
@@ -623,7 +625,10 @@ impl WireMsg {
 
     /// [`WireMsg::view`] plus the owning copy: same checks, same errors.
     pub fn decode(bytes: &[u8]) -> Result<WireMsg, WireError> {
-        WireMsg::read(&mut Cursor::new(bytes), true, WireEnvelope::into_owned)
+        let mut r = Cursor::new(bytes);
+        let msg = WireMsg::read(&mut r, WireEnvelope::into_owned)?;
+        r.finish()?;
+        Ok(msg)
     }
 
     /// The serialized task-context bytes this message carries (an
@@ -644,54 +649,36 @@ impl<'a> WireMsg<WireEnvelope<&'a [u8]>> {
     /// moved its large result through memory (a continuation: 75 → 25 ns).
     #[inline(always)]
     pub fn view(bytes: &'a [u8]) -> Result<Self, WireError> {
-        Self::read(&mut Cursor::new(bytes), true, |env| env)
+        let mut r = Cursor::new(bytes);
+        let msg = Self::read(&mut r, |env| env)?;
+        r.finish()?;
+        Ok(msg)
     }
 }
 
 impl<A> WireMsg<A> {
-    /// One message from a shared cursor, built once in its final form:
-    /// an arrival's envelope is viewed and handed to `env` (kept as a
-    /// view, or copied out). `whole` refuses trailing bytes; without it
-    /// they are left for the caller (a [`FrozenShard`]'s mailbox).
+    /// One message from a shared cursor, leaving any trailing bytes for
+    /// the caller (a [`FrozenShard`]'s drained mailbox): an arrival's
+    /// envelope is viewed and handed to `env`, kept as a view or copied
+    /// out, so the message is built once, in its final form.
     #[inline(always)]
     fn read<'a>(
         r: &mut Cursor<'a>,
-        whole: bool,
         env: impl FnOnce(WireEnvelope<&'a [u8]>) -> A,
     ) -> Result<Self, WireError> {
-        // Each arm checks the end before it builds its message, so the
-        // message is built straight into the result.
-        let end = |r: &Cursor<'_>| match r.remaining() {
-            extra @ 1.. if whole => Err(CodecError::Trailing { extra }),
-            _ => Ok(()),
-        };
         Ok(match r.u8()? {
-            0 => {
-                let view = WireEnvelope::view(r)?;
-                end(r)?;
-                WireMsg::Arrive(env(view))
-            }
-            1 => {
-                let (addr, write) = (r.var()?, r.opt("option<write>", Cursor::u64)?);
-                let (reply_shard, token) = (r.var_as()?, r.var_as()?);
-                end(r)?;
-                WireMsg::Request {
-                    addr,
-                    write,
-                    reply_shard,
-                    token,
-                }
-            }
-            2 => {
-                let (token, value) = (r.var_as()?, r.opt("option<value>", Cursor::u64)?);
-                end(r)?;
-                WireMsg::Response { token, value }
-            }
-            3 => {
-                let idx = r.var_as()?;
-                end(r)?;
-                WireMsg::BarrierRelease { idx }
-            }
+            0 => WireMsg::Arrive(env(WireEnvelope::view(r)?)),
+            1 => WireMsg::Request {
+                addr: r.var()?,
+                write: r.flag("option<write>")?.then(|| r.u64()).transpose()?,
+                reply_shard: r.var_as()?,
+                token: r.var_as()?,
+            },
+            2 => WireMsg::Response {
+                token: r.var_as()?,
+                value: r.flag("option<value>")?.then(|| r.u64()).transpose()?,
+            },
+            3 => WireMsg::BarrierRelease { idx: r.var_as()? },
             tag => return Err(CodecError::BadTag { what: "msg", tag }.into()),
         })
     }
@@ -739,41 +726,40 @@ pub struct FrozenShard {
 }
 
 impl FrozenShard {
-    /// Append the versioned encoding of this frozen shard.
-    pub fn encode_into(&self, b: &mut Vec<u8>) {
-        write_into(b, self.max_len(), |w| {
-            w.u8(WIRE_VERSION);
-            w.var(u64::from(self.shard));
-            w.var(self.clock);
-            w.var(self.heap.len() as u64);
-            for &(a, v) in &self.heap {
-                w.var(a);
-                w.u64(v);
+    /// Write the versioned encoding of this frozen shard through `w`,
+    /// which has room for [`FrozenShard::max_len`] bytes.
+    pub fn write(&self, w: &mut Writer<'_>) {
+        w.u8(WIRE_VERSION);
+        w.var(u64::from(self.shard));
+        w.var(self.clock);
+        w.var(self.heap.len() as u64);
+        for &(a, v) in &self.heap {
+            w.var(a);
+            w.u64(v);
+        }
+        w.var(self.natives.len() as u64);
+        for &t in &self.natives {
+            w.var(u64::from(t));
+        }
+        w.var(self.guests.len() as u64);
+        for &(t, pinned, at) in &self.guests {
+            w.var(u64::from(t));
+            w.u8(u8::from(pinned));
+            w.var(at);
+        }
+        for queue in [&self.runq, &self.parked, &self.stalled, &self.awaiting] {
+            w.var(queue.len() as u64);
+            for env in queue {
+                env.write(w);
             }
-            w.var(self.natives.len() as u64);
-            for &t in &self.natives {
-                w.var(u64::from(t));
-            }
-            w.var(self.guests.len() as u64);
-            for &(t, pinned, at) in &self.guests {
-                w.var(u64::from(t));
-                w.u8(u8::from(pinned));
-                w.var(at);
-            }
-            for queue in [&self.runq, &self.parked, &self.stalled, &self.awaiting] {
-                w.var(queue.len() as u64);
-                for env in queue {
-                    env.write(w);
-                }
-            }
-            w.var(self.mailbox.len() as u64);
-            for msg in &self.mailbox {
-                msg.write(w);
-            }
-        });
+        }
+        w.var(self.mailbox.len() as u64);
+        for msg in &self.mailbox {
+            msg.write(w);
+        }
     }
 
-    /// Most bytes [`FrozenShard::encode_into`] appends: the version, ten
+    /// Most bytes [`FrozenShard::write`] takes: the version, ten
     /// varints (two scalars, eight list counts), and every item at its
     /// widest.
     pub fn max_len(&self) -> usize {
@@ -789,9 +775,7 @@ impl FrozenShard {
 
     /// The versioned encoding as a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        self.encode_into(&mut b);
-        b
+        em2_model::bytes::to_vec(self.max_len(), |w| self.write(w))
     }
 
     /// Decode from a standalone buffer, requiring exact consumption.
@@ -818,7 +802,7 @@ impl FrozenShard {
             parked: r.list(env)?,
             stalled: r.list(env)?,
             awaiting: r.list(env)?,
-            mailbox: r.list(|r| WireMsg::read(r, false, WireEnvelope::into_owned))?,
+            mailbox: r.list(|r| WireMsg::read(r, WireEnvelope::into_owned))?,
         };
         r.finish()?;
         Ok(f)
