@@ -4,8 +4,9 @@
 //! for a shard it owns lives in [`Control`]: barriers, completion
 //! accounting and quiesce, the `Prepare → Freeze → Transfer → Commit`
 //! handoff protocol, epoch fencing (buffer / park / bounce /
-//! re-route), and the two deadlines. It is a plain struct driven by
-//! one function,
+//! re-route), the run's first failure and its `Abort` relay, and the
+//! four deadlines — run, handoff, heartbeat due and peer silence. It
+//! is a plain struct driven by one function,
 //!
 //! ```text
 //! Control::on(&mut self, dir: &ShardDirectory, now_ms: u64, ev: Event, out: &mut Vec<Action>)
@@ -13,14 +14,17 @@
 //!
 //! with no thread, socket, clock read or environment lookup inside:
 //! the driver's clock arrives with every event (`now_ms`; a deadline is
-//! stamped by the event that arms it and checked on [`Event::Tick`]),
-//! the runtime's freeze/install results arrive as [`Event::Froze`] /
-//! [`Event::Installed`], and everything the node should *do* leaves as
-//! an [`Action`] for the driver (`node.rs`) to perform. `node.rs` holds one `Control` behind
-//! one mutex; `on` runs under it, so a decision and the directory
-//! writes it implies (`set_owner` at commit, `install` on an
-//! `EpochUpdate`) are atomic — check-and-park cannot interleave with
-//! install-and-drain because they are two calls of the same function.
+//! stamped by the event that arms it, or read off the edge clocks a
+//! tick carries, and checked on [`Event::Tick`]), the runtime's
+//! freeze/install results arrive as [`Event::Froze`] /
+//! [`Event::Installed`], a failure a link thread observes arrives as
+//! [`Event::Fail`], and everything the node should *do* leaves as an
+//! [`Action`] for the driver (`node.rs`) to perform. `node.rs` holds
+//! one `Control` behind one mutex; `on` runs under it, so a decision
+//! and the directory writes it implies (`set_owner` at commit,
+//! `install` on an `EpochUpdate`) are atomic — check-and-park cannot
+//! interleave with install-and-drain because they are two calls of the
+//! same function. The data path never takes that lock.
 //!
 //! Node 0 is the coordinator. A frame it addresses to itself is
 //! handled on the spot by the same `on_msg` a peer's frame goes
@@ -29,11 +33,13 @@
 //!
 //! Because the protocol is a function of delivered events, it is
 //! testable as such: the tests below script each PR 9 fencing race as
-//! an event sequence, pin the coordinator's gates, and run a seeded
+//! an event sequence, pin the coordinator's gates, the failure rules
+//! and the liveness deadlines on a handed clock, and run a seeded
 //! schedule explorer — three `Control`s, in-memory per-edge FIFOs, a
 //! `DetRng` choosing which edge delivers next — over a drain + rejoin
 //! handoff script (DESIGN.md §13).
 
+use crate::cluster::ClusterTimeouts;
 use crate::error::ClusterError;
 use crate::proto::NetMsg;
 use em2_obs::json::{array, JsonObj};
@@ -83,15 +89,23 @@ pub(crate) enum Event {
     /// The driver performed [`Action::Install`]: the shard runs here
     /// and the local directory says so.
     Installed { hid: u64, shard: u32 },
+    /// A thread observed a failure: a dead send, an EOF without a
+    /// goodbye, an undecodable frame, a message the runtime refused.
+    Fail(ClusterError),
     /// A deadline may be due. `backlog` is the runtime's census at
-    /// this instant (it classifies a run timeout).
-    Tick { backlog: InboxBacklog },
+    /// this instant (it classifies a run timeout); `edges[n]` is the
+    /// edge to node `n`'s `(last_rx_ms, last_tx_ms)`: its last socket
+    /// read that brought a frame and its last flush (ours is ignored).
+    Tick {
+        backlog: InboxBacklog,
+        edges: Vec<(u64, u64)>,
+    },
 }
 
-/// What the driver performs: each `Send` on the spot (under the lock
-/// `on` ran under, so frames enter a peer's FIFO in decision order
-/// across threads), everything else in order once that lock is
-/// dropped. A send that must *follow* an earlier action's completion is
+/// What the driver performs: each `Send` and `Abort` on the spot
+/// (under the lock `on` ran under, so frames enter a peer's FIFO in
+/// decision order across threads), everything else in order once that
+/// lock is dropped. A send that must *follow* an earlier action's completion is
 /// therefore a [`Action::Tell`], not a `Send`.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Action {
@@ -127,11 +141,13 @@ pub(crate) enum Action {
     /// Everything before this has been performed: feed `msg` back as
     /// an [`Event::Local`].
     Tell(NetMsg),
-    /// The cluster quiesced: stop the local workers; teardown noise is
-    /// no longer a failure.
-    Quiesced,
-    /// Fail the run with this error.
-    Fail(ClusterError),
+    /// Push `Abort{reason}` at the head of peer `to`'s egress FIFO: a
+    /// failing cluster never waits behind a backlog of data frames.
+    Abort { to: usize, reason: String },
+    /// The run is over on this node: stop the local workers. `Some` is
+    /// the run's first failure, already recorded and relayed — leave
+    /// the flight recording.
+    Stop(Option<ClusterError>),
     /// Telemetry for the obs plane (never part of a decision).
     Note(Note),
 }
@@ -193,7 +209,7 @@ pub(crate) struct Control {
     nodes: usize,
     shards: usize,
     barriers: usize,
-    run_ms: u64,
+    timeouts: ClusterTimeouts,
     /// The driver's clock at the event being handled.
     now_ms: u64,
     /// Shards this node has been told to expect (`HandoffExpect`)
@@ -213,7 +229,12 @@ pub(crate) struct Control {
     coord: Option<Coord>,
     /// Armed when this node closes admission (`finish`).
     run_deadline: Option<u64>,
+    /// Per node id, the edge's clocks at the last tick, the last flush
+    /// raised to any heartbeat sent since.
+    edges: Vec<(u64, u64)>,
     quiesced: bool,
+    /// The run's first failure, which `finish` returns.
+    failure: Option<ClusterError>,
 }
 
 impl Control {
@@ -222,14 +243,14 @@ impl Control {
         nodes: usize,
         shards: usize,
         barrier_quotas: Vec<usize>,
-        run_ms: u64,
+        timeouts: ClusterTimeouts,
     ) -> Control {
         Control {
             me,
             nodes,
             shards,
             barriers: barrier_quotas.len(),
-            run_ms,
+            timeouts,
             now_ms: 0,
             expecting: BTreeMap::new(),
             parked: Vec::new(),
@@ -241,7 +262,9 @@ impl Control {
                 queue: VecDeque::new(),
             }),
             run_deadline: None,
+            edges: vec![(0, 0); nodes],
             quiesced: false,
+            failure: None,
         }
     }
 
@@ -258,8 +281,8 @@ impl Control {
         match ev {
             Event::Msg { from, msg } => self.on_msg(dir, from, msg, out),
             Event::Local(msg) => {
-                if matches!(msg, NetMsg::Closed { .. }) && self.run_ms > 0 {
-                    self.run_deadline = Some(now_ms + self.run_ms);
+                if matches!(msg, NetMsg::Closed { .. }) && self.timeouts.run_ms > 0 {
+                    self.run_deadline = Some(now_ms + self.timeouts.run_ms);
                 }
                 self.send(dir, COORD, msg, out);
             }
@@ -268,16 +291,36 @@ impl Control {
                 self.send(dir, to as usize, transfer, out)
             }
             Event::Installed { hid, shard } => self.installed(hid, shard, out),
-            Event::Tick { backlog } => self.tick(dir, &backlog, out),
+            Event::Fail(err) => self.fail(err, out),
+            Event::Tick { backlog, edges } => {
+                self.tick(dir, &backlog, out);
+                self.liveness(&edges, out);
+            }
         }
     }
 
-    /// The earlier of the run deadline and the active handoff's, for
-    /// the ticker to sleep until.
+    /// The earliest of the run deadline, the active handoff's, and each
+    /// edge's heartbeat due and peer silence, for the ticker to sleep
+    /// until. Edge clocks only move forward, so the last tick's clocks
+    /// wake the ticker early, never late.
     pub(crate) fn next_deadline_ms(&self) -> Option<u64> {
         let handoff = self.coord.as_ref().and_then(|c| c.active.as_ref());
-        let handoff = handoff.and_then(|a| a.deadline);
-        [self.run_deadline, handoff].into_iter().flatten().min()
+        let fixed = [self.run_deadline, handoff.and_then(|a| a.deadline)];
+        let (hb, silence) = (self.timeouts.heartbeat_ms, self.timeouts.peer_deadline_ms());
+        let peers = self.edges.iter().enumerate().filter(|&(n, _)| n != self.me);
+        let edges = peers.flat_map(|(_, (rx, tx))| [tx + hb, rx + silence]);
+        let edges = edges.filter(|_| hb > 0);
+        fixed.into_iter().flatten().chain(edges).min()
+    }
+
+    /// The run's first failure, if it has one.
+    pub(crate) fn failure(&self) -> Option<&ClusterError> {
+        self.failure.as_ref()
+    }
+
+    /// The run is over here (quiesced or failed): no deadline is left.
+    pub(crate) fn over(&self) -> bool {
+        self.quiesced || self.failure.is_some()
     }
 
     /// Address `msg` to node `to`. A frame to ourselves is handled
@@ -375,8 +418,7 @@ impl Control {
 
     fn on_msg(&mut self, dir: &ShardDirectory, from: usize, msg: NetMsg, out: &mut Vec<Action>) {
         if let Err(detail) = self.check(from, &msg) {
-            out.push(Action::Fail(ClusterError::Protocol { from, detail }));
-            return;
+            return self.fail(ClusterError::Protocol { from, detail }, out);
         }
         match msg {
             NetMsg::Shard {
@@ -405,20 +447,16 @@ impl Control {
                 if self.coord().ledger.close(submitted) {
                     self.maybe_quiesce(dir, out);
                 } else {
-                    out.push(Action::Fail(ClusterError::Protocol {
-                        from,
-                        detail: "more Closed messages than nodes".into(),
-                    }));
+                    let detail = "more Closed messages than nodes".into();
+                    self.fail(ClusterError::Protocol { from, detail }, out);
                 }
             }
             NetMsg::Quiesce => {
                 self.quiesced = true;
                 self.run_deadline = None;
-                out.push(Action::Quiesced);
+                out.push(Action::Stop(None));
             }
-            NetMsg::Abort { reason } => {
-                out.push(Action::Fail(ClusterError::Aborted { from, reason }));
-            }
+            NetMsg::Abort { reason } => self.fail(ClusterError::Aborted { from, reason }, out),
             // Pure liveness / teardown markers; the reader's fast path
             // normally consumes them.
             NetMsg::Heartbeat | NetMsg::Bye => {}
@@ -430,13 +468,12 @@ impl Control {
                 if dir.owner_of(shard as usize) as usize == self.me {
                     out.push(Action::Freeze { hid, shard, to });
                 } else {
-                    out.push(Action::Fail(ClusterError::Handoff {
-                        phase: "freeze".into(),
-                        detail: format!(
-                            "node {} was asked to freeze shard {shard}, which it does not own",
-                            self.me
-                        ),
-                    }));
+                    let detail = format!(
+                        "node {} was asked to freeze shard {shard}, which it does not own",
+                        self.me
+                    );
+                    let phase = "freeze".into();
+                    self.fail(ClusterError::Handoff { phase, detail }, out);
                 }
             }
             NetMsg::HandoffExpect { hid, shard } => {
@@ -539,14 +576,12 @@ impl Control {
         let r = retries + 1;
         let ours = dir.epoch();
         if r > BOUNCE_RETRY_CAP {
-            out.push(Action::Fail(ClusterError::Handoff {
-                phase: "bounce".into(),
-                detail: format!(
-                    "a frame for shard {to} was re-routed {r} times without finding an owner \
-                     (bounce budget {BOUNCE_RETRY_CAP}; epoch {ours})"
-                ),
-            }));
-            return;
+            let detail = format!(
+                "a frame for shard {to} was re-routed {r} times without finding an owner (bounce \
+                 budget {BOUNCE_RETRY_CAP}; epoch {ours})"
+            );
+            let phase = "bounce".into();
+            return self.fail(ClusterError::Handoff { phase, detail }, out);
         }
         out.push(ring(EventKind::HandoffBounce, to as u32, u64::from(r)));
         if bouncer_epoch > ours || (bouncer_epoch == ours && dir.owner_of(to) as usize == from) {
@@ -662,38 +697,98 @@ impl Control {
     // ------------------------------------------------------- deadlines
 
     fn tick(&mut self, dir: &ShardDirectory, backlog: &InboxBacklog, out: &mut Vec<Action>) {
-        if self.quiesced {
+        if self.over() {
             return;
         }
         let now_ms = self.now_ms;
         let active = self.coord.as_mut().and_then(|c| c.active.as_mut());
         if let Some(a) = active {
             if let Some(waited) = expire(&mut a.deadline, now_ms, HANDOFF_TIMEOUT_MS) {
-                out.push(Action::Fail(ClusterError::Handoff {
-                    phase: PHASE.into(),
-                    detail: format!(
-                        "handoff of shard {} (node {} -> node {}) made no progress for {waited} \
-                         ms (budget {HANDOFF_TIMEOUT_MS} ms)",
-                        a.shard, a.from, a.to
-                    ),
-                }));
+                let detail = format!(
+                    "handoff of shard {} (node {} -> node {}) made no progress for {waited} ms \
+                     (budget {HANDOFF_TIMEOUT_MS} ms)",
+                    a.shard, a.from, a.to
+                );
+                let phase = PHASE.into();
+                self.fail(ClusterError::Handoff { phase, detail }, out);
             }
         }
-        if let Some(waited_ms) = expire(&mut self.run_deadline, now_ms, self.run_ms) {
+        if let Some(waited_ms) = expire(&mut self.run_deadline, now_ms, self.timeouts.run_ms) {
             let detail = format!("local backlog: {}", self.census(dir, backlog));
-            out.push(Action::Fail(if backlog.parked_barrier > 0 {
+            let err = if backlog.parked_barrier > 0 {
                 ClusterError::BarrierTimeout { waited_ms, detail }
             } else {
                 ClusterError::QuiesceTimeout { waited_ms, detail }
-            }));
+            };
+            self.fail(err, out);
         }
     }
 
-    // ------------------------------------------------ failure context
+    /// With heartbeats on (`H` > 0): a peer silent for 4·H is lost,
+    /// and an edge that has flushed nothing for H gets a `Heartbeat` —
+    /// a FIFO frame like any other, counted as sent now, so an idle
+    /// edge gets one per interval. It advances the sequence stream, so
+    /// a dropped frame surfaces as a gap within one interval.
+    fn liveness(&mut self, seen: &[(u64, u64)], out: &mut Vec<Action>) {
+        let (hb, deadline) = (self.timeouts.heartbeat_ms, self.timeouts.peer_deadline_ms());
+        if hb == 0 || self.over() {
+            return;
+        }
+        let (me, now) = (self.me, self.now_ms);
+        for node in (0..self.nodes).filter(|&n| n != me) {
+            let (rx, tx) = &mut self.edges[node];
+            (*rx, *tx) = ((*rx).max(seen[node].0), (*tx).max(seen[node].1));
+            let silent = now.saturating_sub(*rx);
+            if silent >= deadline {
+                let detail =
+                    format!("no frames for {silent} ms (heartbeat deadline {deadline} ms)");
+                return self.fail(ClusterError::PeerLost { node, detail }, out);
+            }
+            if now.saturating_sub(*tx) >= hb {
+                *tx = now;
+                let msg = NetMsg::Heartbeat;
+                out.push(Action::Send { to: node, msg });
+            }
+        }
+    }
+
+    // ------------------------------------------------------- failure
+
+    /// Record the run's first failure and relay it as an `Abort`, so
+    /// every other node fails fast instead of waiting out its deadline.
+    /// Once the run is over this is noise: after quiesce the counters
+    /// have converged; after a first failure, later ones are its echo.
+    fn fail(&mut self, err: ClusterError, out: &mut Vec<Action>) {
+        if self.over() {
+            return;
+        }
+        let err = match self.handoff_note() {
+            Some(note) => err.annotate(&note),
+            None => err,
+        };
+        // A sympathetic failure relays the origin's reason verbatim.
+        let (origin, reason) = match &err {
+            ClusterError::Aborted { from, reason } => (Some(*from), reason.clone()),
+            _ => (None, err.to_string()),
+        };
+        // The coordinator relays to everyone but the node it heard it
+        // from; a leaf tells the coordinator (unless that is who told it).
+        let relay = if self.coord.is_some() {
+            0..self.nodes
+        } else {
+            COORD..COORD + 1
+        };
+        for to in relay.filter(|&n| n != self.me && Some(n) != origin) {
+            let reason = reason.clone();
+            out.push(Action::Abort { to, reason });
+        }
+        self.failure = Some(err.clone());
+        out.push(Action::Stop(Some(err)));
+    }
 
     /// If a handoff is active (or this node is mid-receive), a note
     /// naming it — the post-mortem must say *where* the transfer died.
-    pub(crate) fn handoff_note(&self) -> Option<String> {
+    fn handoff_note(&self) -> Option<String> {
         if let Some(a) = self.coord.as_ref().and_then(|c| c.active.as_ref()) {
             return Some(format!(
                 "during shard handoff of shard {} (node {} -> node {}), phase {PHASE}",
@@ -704,18 +799,6 @@ impl Control {
         Some(format!(
             "while awaiting the frozen state of shard {shard} (handoff {PHASE} phase)"
         ))
-    }
-
-    /// Whom a failing node tells: the coordinator relays to everyone
-    /// but the node it heard it from; a leaf tells the coordinator
-    /// (unless that is who told it).
-    pub(crate) fn abort_targets(&self, origin: Option<usize>) -> Vec<usize> {
-        let all = if self.coord.is_some() {
-            0..self.nodes
-        } else {
-            COORD..COORD + 1
-        };
-        all.filter(|&n| n != self.me && Some(n) != origin).collect()
     }
 
     /// One JSON line naming everything that can hold cluster quiesce
@@ -764,12 +847,16 @@ mod tests {
     use em2_model::DetRng;
 
     /// Three nodes, two shards each, one barrier of quota 2, a 1 s run
-    /// deadline, epoch 0.
+    /// deadline, heartbeats off, epoch 0.
     const OWNERS: [u32; 6] = [0, 0, 1, 1, 2, 2];
 
     fn node(me: usize) -> (Control, ShardDirectory) {
+        let timeouts = ClusterTimeouts {
+            run_ms: 1_000,
+            ..ClusterTimeouts::default()
+        };
         (
-            Control::new(me, 3, OWNERS.len(), vec![2], 1_000),
+            Control::new(me, 3, OWNERS.len(), vec![2], timeouts),
             ShardDirectory::new(me as u32, 0, &OWNERS),
         )
     }
@@ -793,7 +880,8 @@ mod tests {
             parked_barrier,
             ..InboxBacklog::default()
         };
-        Event::Tick { backlog }
+        let edges = vec![(0, 0); 3];
+        Event::Tick { backlog, edges }
     }
 
     // Message constructors (handoff id 1 and epoch 0 unless a test
@@ -887,13 +975,22 @@ mod tests {
 
     fn failure(out: &[Action]) -> Option<&ClusterError> {
         out.iter().find_map(|a| match a {
-            Action::Fail(e) => Some(e),
+            Action::Stop(e) => e.as_ref(),
             _ => None,
         })
     }
 
     fn quiesced(out: &[Action]) -> bool {
-        out.contains(&Action::Quiesced)
+        out.contains(&Action::Stop(None))
+    }
+
+    /// Whom `out` sends an `Abort`, in order.
+    fn aborts(out: &[Action]) -> Vec<usize> {
+        let to = |a: &Action| match a {
+            Action::Abort { to, .. } => Some(*to),
+            _ => None,
+        };
+        out.iter().filter_map(to).collect()
     }
 
     // ------------------------------------------- the PR 9 fencing races
@@ -1053,13 +1150,26 @@ mod tests {
         assert!(quiesced(&out));
         assert_eq!(d.snapshot(), vec![0, 0, 2, 2, 2, 2]);
         assert_eq!(c.next_deadline_ms(), None);
-        // Every node has closed; one more `Closed` is a violation.
+        // The run is over: even a protocol violation is teardown noise.
+        assert_eq!(step(&mut c, &d, from(2, closed(0))), vec![]);
+        assert_eq!(c.failure(), None);
+    }
+
+    #[test]
+    fn a_close_past_every_node_is_a_protocol_error() {
+        // Every node has closed, one task is still out; one more
+        // `Closed` is a violation.
+        let (mut c, d) = node(0);
+        for n in 0..3 {
+            assert_eq!(step(&mut c, &d, from(n, closed(1))), vec![]);
+        }
         let out = step(&mut c, &d, from(2, closed(0)));
         let excess = Some(&ClusterError::Protocol {
             from: 2,
             detail: "more Closed messages than nodes".into(),
         });
         assert_eq!(failure(&out), excess);
+        assert_eq!(c.failure(), excess);
     }
 
     #[test]
@@ -1166,14 +1276,166 @@ mod tests {
             let (mut c, d) = self::node(me);
             let what = format!("{msg:?} from node {sender} at node {me}");
             let out = step(&mut c, &d, from(sender, msg));
-            let refused = matches!(
-                out[..],
-                [Action::Fail(ClusterError::Protocol { from, .. })] if from == sender
-            );
+            // The failure and its relay, nothing else.
+            let refused = match out.split_last() {
+                Some((Action::Stop(Some(ClusterError::Protocol { from, .. })), relay)) => {
+                    *from == sender && relay.len() == aborts(relay).len()
+                }
+                _ => false,
+            };
             assert!(refused, "{what}: not one protocol failure but {out:?}");
+            assert!(c.failure().is_some(), "{what}: recorded");
             assert_eq!(d.epoch(), 0, "{what}: refused before any effect");
             assert!(c.expecting.is_empty() && c.parked.is_empty(), "{what}");
         }
+    }
+
+    // ------------------------------------------- failure and liveness
+
+    /// The liveness tests' heartbeat interval; the peer deadline is 4·H.
+    const H: u64 = 100;
+
+    /// Node `me` of [`node`]'s cluster, heartbeats on.
+    fn live(me: usize) -> (Control, ShardDirectory) {
+        let (mut c, d) = node(me);
+        c.timeouts.heartbeat_ms = H;
+        (c, d)
+    }
+
+    /// A tick whose edge to node `n` last read at `rx[n]` and last
+    /// flushed at `tx[n]`.
+    fn clocks(rx: [u64; 3], tx: [u64; 3]) -> Event {
+        let edges = rx.into_iter().zip(tx).collect();
+        let backlog = InboxBacklog::default();
+        Event::Tick { backlog, edges }
+    }
+
+    #[test]
+    fn an_idle_edge_gets_one_heartbeat_per_interval_and_a_busy_edge_none() {
+        let (mut c, d) = live(0);
+        let mut beats = Vec::new();
+        for now in H - 1..2 * H {
+            // Both peers talk; node 2's edge flushed a millisecond ago,
+            // every time, and node 1's never.
+            let out = step_at(&mut c, &d, now, clocks([0, now, now], [0, 0, now - 1]));
+            for (to, msg) in sends(&out) {
+                assert_eq!(msg, &NetMsg::Heartbeat);
+                beats.push((now, to));
+            }
+            assert_eq!(failure(&out), None);
+        }
+        assert_eq!(beats, [(H, 1)], "one heartbeat, on the idle edge, at H");
+        assert_eq!(c.next_deadline_ms(), Some(2 * H), "the next one");
+    }
+
+    #[test]
+    fn a_silent_peer_is_lost_at_exactly_four_intervals() {
+        // Node 0 last spoke at 50; node 2 keeps talking; we flush to
+        // both all along.
+        let (mut c, d) = live(1);
+        let at = |now: u64| clocks([50, 0, now], [now, 0, now]);
+        let due = 50 + 4 * H;
+        assert_eq!(c.next_deadline_ms(), Some(H), "a heartbeat is due first");
+        assert_eq!(step_at(&mut c, &d, due - 1, at(due - 1)), vec![]);
+        assert_eq!(c.next_deadline_ms(), Some(due));
+        let out = step_at(&mut c, &d, due, at(due));
+        let lost = ClusterError::PeerLost {
+            node: 0,
+            detail: "no frames for 400 ms (heartbeat deadline 400 ms)".into(),
+        };
+        assert_eq!(failure(&out), Some(&lost));
+        assert_eq!(c.failure(), Some(&lost));
+        assert_eq!(step_at(&mut c, &d, due + H, at(due + H)), vec![], "over");
+    }
+
+    #[test]
+    fn the_ticker_sleeps_until_the_earliest_of_the_four_deadlines() {
+        let (mut c, d) = live(0);
+        // Open a handoff at 0 (due 5,000); the edges' clocks start at 0.
+        step(&mut c, &d, Event::Local(request(2, 2)));
+        assert_eq!(c.next_deadline_ms(), Some(H), "heartbeat due");
+        // Flushing, but nothing heard since 0.
+        step_at(&mut c, &d, 350, clocks([0; 3], [350; 3]));
+        assert_eq!(c.next_deadline_ms(), Some(4 * H), "peer silence");
+        step_at(&mut c, &d, 4_950, clocks([4_950; 3], [4_950; 3]));
+        assert_eq!(c.next_deadline_ms(), Some(5_000), "the handoff's");
+        // Commit it, and close admission (run deadline 5,950).
+        step_at(&mut c, &d, 4_950, from(2, done(1, 2)));
+        step_at(&mut c, &d, 4_950, Event::Local(closed(0)));
+        step_at(&mut c, &d, 5_900, clocks([5_900; 3], [5_900; 3]));
+        assert_eq!(c.next_deadline_ms(), Some(5_950), "the run's");
+    }
+
+    #[test]
+    fn a_second_failure_sends_no_abort_and_writes_no_dump() {
+        let (mut c, d) = node(1);
+        let lost = |detail: &str| {
+            let detail = detail.into();
+            Event::Fail(ClusterError::PeerLost { node: 2, detail })
+        };
+        let out = step(&mut c, &d, lost("first"));
+        assert!(
+            matches!(
+                &out[..],
+                [Action::Abort { to: 0, .. }, Action::Stop(Some(_))]
+            ),
+            "{out:?}"
+        );
+        assert_eq!(step(&mut c, &d, lost("second")), vec![]);
+        let reason = "late".to_string();
+        assert_eq!(step(&mut c, &d, from(0, NetMsg::Abort { reason })), vec![]);
+        let first = c.failure().expect("recorded").to_string();
+        assert!(first.contains("first"), "{first}");
+    }
+
+    #[test]
+    fn the_coordinator_relays_to_all_but_the_origin_and_a_leaf_tells_node_0() {
+        let abort = || NetMsg::Abort {
+            reason: "disk full".into(),
+        };
+        let io = || {
+            Event::Fail(ClusterError::Io {
+                detail: "disk full".into(),
+            })
+        };
+        let (mut c, d) = node(0);
+        let out = step(&mut c, &d, from(1, abort()));
+        assert_eq!(aborts(&out), [2]);
+        let relayed = Action::Abort {
+            to: 2,
+            reason: "disk full".into(),
+        };
+        assert_eq!(out[0], relayed, "the origin's reason, verbatim");
+        assert!(matches!(
+            failure(&out),
+            Some(ClusterError::Aborted { from: 1, .. })
+        ));
+        let (mut c, d) = node(0);
+        assert_eq!(aborts(&step(&mut c, &d, io())), [1, 2]);
+        let (mut c, d) = node(2);
+        assert_eq!(aborts(&step(&mut c, &d, io())), [0]);
+        let (mut c, d) = node(2);
+        let out = step(&mut c, &d, from(0, abort()));
+        assert_eq!(aborts(&out), [0usize; 0], "not back to its origin");
+        assert!(failure(&out).is_some());
+    }
+
+    #[test]
+    fn a_failure_after_quiesce_is_ignored() {
+        let (mut c, d) = live(1);
+        assert_eq!(
+            step(&mut c, &d, from(0, NetMsg::Quiesce)),
+            [Action::Stop(None)]
+        );
+        let detail = "connection closed without a goodbye".into();
+        let eof = Event::Fail(ClusterError::PeerLost { node: 0, detail });
+        assert_eq!(step(&mut c, &d, eof), vec![]);
+        let reason = "teardown".into();
+        assert_eq!(step(&mut c, &d, from(2, NetMsg::Abort { reason })), vec![]);
+        // No heartbeat and no silence either.
+        assert_eq!(step_at(&mut c, &d, 10 * H, tick(0)), vec![]);
+        assert_eq!(c.failure(), None);
+        assert!(c.over());
     }
 
     // ------------------------------------------- the schedule explorer
@@ -1220,8 +1482,10 @@ mod tests {
                 match a {
                     Action::Send { to, msg } => self.edge[n][to].push_back(msg),
                     Action::Note(note) => self.notes[n].push(note),
-                    Action::Quiesced | Action::ReleaseBarrier { .. } => {}
-                    Action::Fail(e) => panic!("seed {}: node {n} failed: {e}", self.seed),
+                    Action::Stop(None) | Action::ReleaseBarrier { .. } => {}
+                    a @ (Action::Stop(_) | Action::Abort { .. }) => {
+                        panic!("seed {}: node {n} failed: {a:?}", self.seed)
+                    }
                     deferred => self.pending[n].push_back(deferred),
                 }
             }

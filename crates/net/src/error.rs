@@ -133,7 +133,7 @@ impl ClusterError {
     }
 
     /// Append a note to the variant's free-text detail — used by the
-    /// failure slot to stamp errors observed while a handoff was
+    /// control plane to stamp errors observed while a handoff was
     /// active with the handoff's phase, so a post-mortem names where
     /// the transfer died.
     pub fn annotate(mut self, note: &str) -> Self {

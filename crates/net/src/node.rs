@@ -22,12 +22,13 @@
 //!   One **writer thread per peer** moves a bounded window out of that
 //!   lane under one lock, assigns sequence numbers in queue order,
 //!   encodes the window straight into its one reusable flush
-//!   buffer and writes it with a single
-//!   [`crate::transport::FrameTx::send_batch`], and absorbs the
-//!   heartbeat timer into its idle loop (DESIGN.md §11). One **reader
-//!   thread per peer** decodes frames in place and injects them through
+//!   buffer, writes it with a single
+//!   [`crate::transport::FrameTx::send_batch`], and parks until a push
+//!   wakes it (DESIGN.md §11). One **reader thread per peer** decodes
+//!   frames in place and injects them through
 //!   [`em2_rt::RemoteInbox`] — the executor's ordinary mailbox/waker
-//!   seam; the workers never know a message crossed a process.
+//!   seam; the workers never know a message crossed a process. The
+//!   link threads only move bytes and stamp their edge's clocks.
 //! * **The control plane.** Everything that is a *decision* — node 0
 //!   coordinating barriers, completion accounting and the cluster-wide
 //!   quiesce (DESIGN.md §9); **live shard handoffs** (`Prepare →
@@ -35,22 +36,24 @@
 //!   the directory **epoch**); the epoch fence that buffers, parks,
 //!   bounces or re-routes an in-flight frame for a shard in motion so
 //!   that stale frames are never silently applied (DESIGN.md §13); the
-//!   run and handoff deadlines — is one sans-IO state machine,
-//!   `control.rs`: `Control::on(Event) -> Actions` behind one lock.
-//!   The threads here are its drivers: readers feed it every frame
-//!   their fast path (run traffic for a shard we own) does
-//!   not consume, workers feed it barrier arrivals and retirements,
-//!   one parked ticker feeds it time, and `Links::control` performs
-//!   what it decides — sends, deliveries, [`em2_rt::RemoteInbox`]
-//!   freezes and installs, failures.
+//!   run's first failure and quiesce; every deadline — is one sans-IO
+//!   state machine, `control.rs`: `Control::on(Event) -> Actions`
+//!   behind one lock. The threads here are its drivers: readers feed
+//!   it every frame their fast path (run traffic for a shard we own)
+//!   does not consume, any thread feeds it the failures it observes,
+//!   workers feed it barrier arrivals and retirements, one parked
+//!   ticker feeds it time and every edge's clocks, and
+//!   `Links::control` performs what it decides — sends (heartbeats
+//!   among them), deliveries, [`em2_rt::RemoteInbox`] freezes and
+//!   installs, the stop.
 //! * **Failure.** Nothing in this module panics or hangs on a sick
 //!   cluster (DESIGN.md §10). The first failure a node observes — a
 //!   dead send, an EOF without the protocol's goodbye, a checksum or
-//!   sequence-gap decode error, a heartbeat deadline, a control-plane
-//!   deadline — is recorded as a typed [`ClusterError`] in the node's
-//!   failure slot, the local workers are woken and drained through
-//!   [`em2_rt::RemoteInbox::begin_shutdown`], an [`NetMsg::Abort`] is
-//!   propagated (to the coordinator, which rebroadcasts), and
+//!   sequence-gap decode error, a silent peer, a control-plane
+//!   deadline — is recorded by `Control` as a typed [`ClusterError`],
+//!   an [`NetMsg::Abort`] is propagated (to the coordinator, which
+//!   rebroadcasts), the local workers are woken and drained through
+//!   [`em2_rt::RemoteInbox::begin_shutdown`], and
 //!   [`NodeRuntime::finish`] returns `Err` instead of counters that
 //!   never converged.
 //!
@@ -65,7 +68,7 @@
 use crate::cluster::ClusterSpec;
 use crate::control::{Action, Control, Event, Note};
 use crate::error::ClusterError;
-use crate::proto::{NetMsg, NetView};
+use crate::proto::{transfer_state_len, NetMsg, NetView};
 use crate::transport::{Duplex, FrameBatch, FrameRx, FrameTx, Transport};
 use em2_model::hash::{fnv1a, FNV1A_INIT};
 use em2_model::{DetRng, Fold, ThreadId};
@@ -184,10 +187,10 @@ enum EgressItem {
 }
 
 /// One peer edge: the egress lane its writer thread drains and the
-/// edge's liveness clocks. The connection's send half is **owned by
-/// the writer thread** — no shared send state, so the producer side
-/// (`forward`, coordinator logic) only ever holds the lane's lock for
-/// one enqueue.
+/// edge's liveness clocks, which the ticker hands to `Control`. The
+/// connection's send half is **owned by the writer thread** — no
+/// shared send state, so the producer side (`forward`, coordinator
+/// logic) only ever holds the lane's lock for one enqueue.
 struct Peer {
     /// The egress lane; the writer is the single consumer. Its lock
     /// serializes pushes, and that FIFO order is what keeps Closed-
@@ -201,9 +204,11 @@ struct Peer {
     /// before it first looks at a lane.
     writer: OnceLock<std::thread::Thread>,
     /// Milliseconds (since the link epoch) of the last socket read
-    /// that brought a frame from this peer: stored by the reader, read
-    /// by the writer's liveness check.
+    /// that brought a frame from this peer, stored by the reader.
     last_rx_ms: AtomicU64,
+    /// Milliseconds (since the link epoch) of the last flush toward
+    /// this peer, stored by the writer.
+    last_tx_ms: AtomicU64,
     /// The peer announced a clean close ([`NetMsg::Bye`]); a
     /// subsequent EOF is a shutdown, not a loss.
     bye: AtomicBool,
@@ -215,6 +220,7 @@ impl Peer {
             egress: MpscQueue::new(),
             writer: OnceLock::new(),
             last_rx_ms: AtomicU64::new(0),
+            last_tx_ms: AtomicU64::new(0),
             bye: AtomicBool::new(false),
         }
     }
@@ -240,7 +246,8 @@ struct Links {
     /// writers.
     directory: Arc<ShardDirectory>,
     /// The control plane (`control.rs`): every decision about a frame
-    /// that is not run traffic for a shard we own. The protocol's only
+    /// that is not run traffic for a shard we own, and the run state —
+    /// the first failure, quiesce, every deadline. The protocol's only
     /// lock; the data path (`route_shard`, `send_to`, `forward_many`,
     /// the writers) never takes it. Sends leave under it, so the lock
     /// order is control → egress lane, and a lane's lock is a leaf.
@@ -249,15 +256,6 @@ struct Links {
     peers: Vec<Option<Peer>>,
     /// Set once the runtime is up; readers start after that.
     inbox: OnceLock<em2_rt::RemoteInbox>,
-    /// First failure observed on this node; `finish` refuses to report
-    /// counters from a cluster that broke mid-run.
-    failure: Mutex<Option<ClusterError>>,
-    /// The cluster quiesced cleanly: teardown noise (a peer's close
-    /// racing our heartbeat) is no longer a failure.
-    quiesced: AtomicBool,
-    /// The local run is over (set by `finish` after the workers
-    /// joined); stops the heartbeats and the ticker.
-    done: AtomicBool,
     /// Origin of the `last_*_ms` clocks and of every `Tick`.
     epoch: Instant,
     /// The runtime's timing-plane registry, set after the local
@@ -306,87 +304,15 @@ impl Links {
         self.inbox.get().map(|i| i.backlog()).unwrap_or_default()
     }
 
-    /// The failure slot, poison-tolerant: a panicking holder must not
-    /// cascade into every other thread's error path.
-    fn lock_failure(&self) -> MutexGuard<'_, Option<ClusterError>> {
-        self.failure.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The control plane, poison-tolerant for the same reason.
+    /// The control plane, poison-tolerant: a panicking holder must
+    /// not cascade into every other thread's error path.
     fn lock_control(&self) -> MutexGuard<'_, Control> {
         self.control.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Record the run's first failure, wake the local workers, and
-    /// propagate an [`NetMsg::Abort`] so every other node fails fast
-    /// instead of waiting out its deadline. Later failures are
-    /// sympathetic noise and only reinforce the shutdown.
-    ///
-    /// The abort fan-out enters each peer's egress lane **at the head**
-    /// ([`Links::send_abort`]), so a wedged bulk queue cannot delay the
-    /// cluster's failure signal. Callable from any thread, including a
-    /// writer: it only enqueues, never touches a connection. It visits
-    /// the control plane once, so it must never run under the control
-    /// guard — `control` performs `Fail` actions after dropping it.
+    /// Hand a failure to the control plane (never under its guard).
     fn fail(&self, err: ClusterError) {
-        if self.quiesced.load(Ordering::Acquire) {
-            // The run already completed; connection teardown noise
-            // cannot invalidate counters that converged.
-            return;
-        }
-        let origin = match &err {
-            ClusterError::Aborted { from, .. } => Some(*from),
-            _ => None,
-        };
-        // A failure observed while a shard is mid-handoff names the
-        // handoff and its phase — the post-mortem must say *where* the
-        // transfer died.
-        let (note, census, relay) = {
-            let c = self.lock_control();
-            (
-                c.handoff_note(),
-                c.census(&self.directory, &self.backlog()),
-                c.abort_targets(origin),
-            )
-        };
-        let err = match note {
-            Some(note) => err.annotate(&note),
-            None => err,
-        };
-        let first = {
-            let mut slot = self.lock_failure();
-            if slot.is_some() {
-                false
-            } else {
-                *slot = Some(err.clone());
-                true
-            }
-        };
-        if let Some(inbox) = self.inbox.get() {
-            inbox.begin_shutdown();
-        }
-        if !first {
-            return;
-        }
-        // The crash flight recorder: the run's *first* failure dumps
-        // the last trace events + a full metrics snapshot to JSONL.
-        // Best-effort by design — post-mortem I/O must never mask or
-        // delay the abort fan-out below.
-        if let Some(obs) = self.obs.get() {
-            let peer = failure_peer(&err);
-            if let Some(p) = peer {
-                obs.node_event(em2_obs::EventKind::PeerDown, p, 0);
-            }
-            let _ = obs.flight_dump(err.kind(), &err.to_string(), peer, Some(&census));
-        }
-        // A sympathetic failure relays the origin's reason verbatim.
-        let reason = match &err {
-            ClusterError::Aborted { reason, .. } => reason.clone(),
-            _ => err.to_string(),
-        };
-        for node in relay {
-            self.send_abort(node, reason.clone());
-        }
+        self.control(Event::Fail(err));
     }
 
     /// Enqueue one message on a peer's egress FIFO and, if that
@@ -406,9 +332,9 @@ impl Links {
     /// queue: pushed at the lane's head, it overtakes any backlog of
     /// data frames, under the lane's one wake protocol. Best-effort (a
     /// missing peer is ignored). If the writer then fails to flush it,
-    /// that is an ordinary `send_failed` → `fail`, which finds the
-    /// first-failure slot taken — `fail` put this Abort here — and
-    /// stops: the failure path cannot recurse.
+    /// that is an ordinary `send_failed` → `fail`, which `Control`
+    /// ignores — the failure that sent this Abort came first — so the
+    /// failure path cannot recurse.
     fn send_abort(&self, node: usize, reason: String) {
         if let Some(peer) = self.peers[node].as_ref() {
             if peer
@@ -425,14 +351,14 @@ impl Links {
     /// Feed one event to the control plane and perform what it
     /// decides. Returns whether that failed the run.
     ///
-    /// `Send`s leave under the guard — one enqueue — so frames
-    /// reach each peer's FIFO in decision order even when two threads'
-    /// events interleave (the `Quiesce` after a commit never overtakes
-    /// that commit's `EpochUpdate`). Whatever calls into the runtime or
-    /// re-enters the control plane (`fail` reads the handoff note;
-    /// freeze and install report back) runs after the guard drops, in
-    /// decision order; `Control` phrases a send that has to wait for
-    /// one of those as a `Tell`.
+    /// `Send`s and `Abort`s leave under the guard — one enqueue — so
+    /// frames reach each peer's FIFO in decision order even when two
+    /// threads' events interleave (the `Quiesce` after a commit never
+    /// overtakes that commit's `EpochUpdate`). Whatever calls into the
+    /// runtime or re-enters the control plane (freeze and install
+    /// report back; the flight dump reads the census) runs after the
+    /// guard drops, in decision order; `Control` phrases a send that
+    /// has to wait for one of those as a `Tell`.
     fn control(&self, ev: Event) -> bool {
         let mut rest = Vec::new();
         let earlier = {
@@ -443,6 +369,7 @@ impl Links {
             for a in out {
                 match a {
                     Action::Send { to, msg } => self.send_to(to, msg),
+                    Action::Abort { to, reason } => self.send_abort(to, reason),
                     a => rest.push(a),
                 }
             }
@@ -464,7 +391,7 @@ impl Links {
     /// it failed the run.
     fn perform(&self, a: Action) -> bool {
         let failure = match a {
-            Action::Send { .. } => unreachable!("sent under the control guard"),
+            Action::Send { .. } | Action::Abort { .. } => unreachable!("sent under the guard"),
             Action::Deliver {
                 from,
                 shard,
@@ -483,10 +410,22 @@ impl Links {
                 None
             }
             Action::Tell(msg) => return self.control(Event::Local(msg)),
-            Action::Quiesced => {
-                self.quiesced.store(true, Ordering::Release);
-                self.inbox().begin_shutdown();
-                None
+            Action::Stop(failure) => {
+                if let Some(inbox) = self.inbox.get() {
+                    inbox.begin_shutdown();
+                }
+                // The crash flight recorder, best-effort: post-mortem
+                // I/O must never mask the failure.
+                if let (Some(err), Some(obs)) = (&failure, self.obs.get()) {
+                    let backlog = self.backlog();
+                    let census = self.lock_control().census(&self.directory, &backlog);
+                    let peer = failure_peer(err);
+                    if let Some(p) = peer {
+                        obs.node_event(em2_obs::EventKind::PeerDown, p, 0);
+                    }
+                    let _ = obs.flight_dump(err.kind(), &err.to_string(), peer, Some(&census));
+                }
+                return failure.is_some();
             }
             Action::Freeze { hid, shard, to } => {
                 // `None`: the local runtime is already torn down; the
@@ -494,10 +433,6 @@ impl Links {
                 let Some(frozen) = self.inbox().freeze_shard(shard as usize, to) else {
                     return false;
                 };
-                if let Some(obs) = self.obs.get() {
-                    let bytes = frozen.encode().len() as u64;
-                    obs.node_event(em2_obs::EventKind::HandoffFreeze, u64::from(shard), bytes);
-                }
                 return self.control(Event::Froze {
                     hid,
                     to,
@@ -517,7 +452,6 @@ impl Links {
                     }),
                 }
             }
-            Action::Fail(e) => Some(e),
             Action::Note(n) => {
                 if let Some(obs) = self.obs.get() {
                     match n {
@@ -688,11 +622,10 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
         // `Shard` frame decoded from it.
         let frame = match rx.recv() {
             Ok(Some(f)) => f,
+            // An EOF after the peer's goodbye is clean; any other end is
+            // `Control`'s to judge (noise once the run is over).
             Ok(None) => {
-                let clean = peer.bye.load(Ordering::Acquire)
-                    || links.quiesced.load(Ordering::Acquire)
-                    || links.done.load(Ordering::Acquire);
-                if !clean {
+                if !peer.bye.load(Ordering::Acquire) {
                     links.fail(ClusterError::PeerLost {
                         node: from_node,
                         detail: "connection closed without a goodbye".into(),
@@ -701,12 +634,10 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
                 return wire;
             }
             Err(e) => {
-                if !links.done.load(Ordering::Acquire) {
-                    links.fail(ClusterError::PeerLost {
-                        node: from_node,
-                        detail: format!("receive failed: {e}"),
-                    });
-                }
+                links.fail(ClusterError::PeerLost {
+                    node: from_node,
+                    detail: format!("receive failed: {e}"),
+                });
                 return wire;
             }
         };
@@ -792,10 +723,10 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
 /// encodes each straight into the edge's one reusable [`FrameBatch`],
 /// and writes the window as **one flush** ([`FrameTx::send_batch`]: on
 /// a stream transport, one `write` — a window that outgrows
-/// [`COALESCE_BYTES`] flushes early). When the lane goes empty the
-/// writer parks with a bounded tick and absorbs the old heartbeat
-/// thread's job: keep an idle edge warm every `heartbeat_ms` and
-/// declare the peer lost after `peer_deadline_ms` of receive silence. The [`EgressItem::Close`] sentinel (pushed by
+/// [`COALESCE_BYTES`] flushes early), stamping the edge's
+/// `last_tx_ms`. When the lane goes empty the writer parks until a push
+/// wakes it: heartbeats are `Control`'s to send, through the lane like
+/// any frame. The [`EgressItem::Close`] sentinel (pushed by
 /// `finish` after the last data frame) drains the FIFO, appends
 /// [`NetMsg::Bye`] on a clean run, flushes, closes, and exits — Bye
 /// stays last on the wire.
@@ -808,7 +739,7 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
     // write and one clock read behind it, then everything that is per
     // flush rather than per frame — the flush count, `queued` (how deep
     // `take` found the lane when this window opened) against the
-    // egress high-water mark, the heartbeat clock and (obs on) the
+    // egress high-water mark, the edge's `last_tx_ms` and (obs on) the
     // latency, which spans `send_batch` and nothing else: the exact
     // syscall cost the batch pays. What a failed write means is the
     // caller's policy.
@@ -822,22 +753,20 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
         let written = Instant::now();
         tx.wire.flushes_tx += 1;
         tx.wire.egress_hwm = tx.wire.egress_hwm.max(queued);
-        tx.last_tx_ms = links.ms_at(written);
+        peer.last_tx_ms
+            .store(links.ms_at(written), Ordering::Relaxed);
         if let (Some(po), Some(t0)) = (&pobs, t0) {
             po.record_flush(written.duration_since(t0).as_nanos() as u64, queued);
         }
         Ok(())
     };
-    // What a failed write means, window or heartbeat.
+    // What a failed write means.
     let send_failed = |e: std::io::Error| {
         links.fail(ClusterError::PeerLost {
             node,
             detail: format!("send failed: {e}"),
         })
     };
-    let hb = links.spec.timeouts.heartbeat_ms;
-    let deadline = links.spec.timeouts.peer_deadline_ms();
-    let tick = Duration::from_millis(if hb > 0 { (hb / 4).clamp(1, 50) } else { 200 });
     let mut conn = Some(conn);
     // Every frame this edge sends is encoded into, and written from,
     // this one buffer; it grows to the largest window seen and stays.
@@ -845,7 +774,6 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
     let mut tx = Egress {
         // The handshake frame consumed sequence 0 in this direction.
         next_seq: 1,
-        last_tx_ms: 0,
         wire: WireSnapshot::default(),
     };
     // The window `take` moves out of the lane (capacity persists).
@@ -905,42 +833,12 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
         if popped {
             continue;
         }
-
-        // Idle: the heartbeat/liveness duties the dedicated thread
-        // used to carry. A heartbeat advances the sequence stream, so
-        // a dropped frame surfaces as a gap within one interval even
-        // on an otherwise quiet edge.
-        if hb > 0
-            && conn.is_some()
-            && !links.done.load(Ordering::Acquire)
-            && !links.quiesced.load(Ordering::Acquire)
-        {
-            let now = links.now_ms();
-            if now.saturating_sub(tx.last_tx_ms) >= hb {
-                batch.clear();
-                stage(links, node, &NetMsg::Heartbeat, &mut batch, &mut tx);
-                let c = conn.as_mut().expect("checked above");
-                if let Err(e) = flush(c.as_mut(), &batch, &mut tx, 0) {
-                    conn = None;
-                    send_failed(e);
-                }
-            }
-            let silent = now.saturating_sub(peer.last_rx_ms.load(Ordering::Relaxed));
-            if silent >= deadline {
-                links.fail(ClusterError::PeerLost {
-                    node,
-                    detail: format!("no frames for {silent} ms (heartbeat deadline {deadline} ms)"),
-                });
-            }
-        }
-
         // Go idle under the lane's lock — unless a push raced in, which
-        // `rest` sees — then park until a producer wakes us (or the tick
-        // elapses: the heartbeat clock needs a bounded sleep). A push
+        // `rest` sees — then park until a producer wakes us. A push
         // that lands after `rest` finds us idle and unparks; std's park
         // token makes that unpark stick even if it beats the park.
         if !peer.egress.rest(false) {
-            std::thread::park_timeout(tick);
+            std::thread::park();
         }
     }
 }
@@ -950,8 +848,6 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
 struct Egress {
     /// Sequence number of the next frame on this edge.
     next_seq: u64,
-    /// Link-clock milliseconds of the last flush (the heartbeat clock).
-    last_tx_ms: u64,
     /// This edge's egress ledger.
     wire: WireSnapshot,
 }
@@ -960,8 +856,10 @@ struct Egress {
 /// the flush buffer, counting it in `tx.wire`: every frame on the total
 /// ledger, run traffic on the deterministic one, and a shipped envelope
 /// — visible right here, in the `Shard{Arrive}` being encoded — on the
-/// context ledger. A message too large to frame (only a frozen shard
-/// can be) fails the run typed and consumes no sequence number.
+/// context ledger. A frozen shard is encoded here once, and with obs on
+/// the source's ring learns its size from that frame before it leaves.
+/// A message too large to frame (only a frozen shard can be) fails the
+/// run typed and consumes no sequence number.
 fn stage(links: &Links, node: usize, msg: &NetMsg, batch: &mut FrameBatch, tx: &mut Egress) {
     let len = match batch.push_with(|b| msg.encode_into(tx.next_seq, b)) {
         Ok(len) => len as u64,
@@ -987,27 +885,36 @@ fn stage(links: &Links, node: usize, msg: &NetMsg, batch: &mut FrameBatch, tx: &
         tx.wire.arrives_tx += 1;
         tx.wire.context_bytes_tx += arrive.context_payload_len() as u64;
     }
+    if let (NetMsg::HandoffTransfer { state, .. }, Some(obs)) = (msg, links.obs.get()) {
+        let bytes = batch.frames().last().map_or(0, transfer_state_len) as u64;
+        obs.node_event(
+            em2_obs::EventKind::HandoffFreeze,
+            u64::from(state.shard),
+            bytes,
+        );
+    }
 }
 
-/// The node's one timer thread. `Control` owns the two deadlines —
-/// the run deadline armed when this node closes admission, and on the
-/// coordinator the per-handoff budget — each stamped by the event that
-/// arms it, but it cannot wake itself, so this thread supplies the
-/// `Tick`s: it parks until the earliest deadline (indefinitely when
-/// there is none), and is unparked when an event arms an earlier one
-/// and by `finish`. On expiry `Control` fails the run typed: `finish`
-/// returns instead of hanging, and a participant dead mid-transfer is
-/// a bounded error.
+/// The node's one timer thread. `Control` owns every deadline (run,
+/// handoff, and per edge heartbeat due and peer silence) but cannot
+/// wake itself, so this thread feeds it `Tick`s carrying the runtime's
+/// census and every edge's clocks, and `Control` answers with
+/// heartbeats or the run's failure. It parks until the earliest
+/// deadline (indefinitely when there is none), is unparked when an
+/// event arms an earlier one and by `finish`, and exits once the run is
+/// over — the workers stop only then, or on a task panic, which
+/// `finish` re-raises.
 fn ticker_loop(links: &Links) {
-    loop {
-        if links.done.load(Ordering::Acquire)
-            || links.quiesced.load(Ordering::Acquire)
-            || links.lock_failure().is_some()
-        {
-            return;
-        }
+    let load = |clock: &AtomicU64| clock.load(Ordering::Relaxed);
+    let clocks = |p: &Peer| (load(&p.last_rx_ms), load(&p.last_tx_ms));
+    while !links.lock_control().over() {
         let backlog = links.backlog();
-        links.control(Event::Tick { backlog });
+        let edges = links
+            .peers
+            .iter()
+            .map(|p| p.as_ref().map_or((0, 0), clocks));
+        let edges = edges.collect();
+        links.control(Event::Tick { backlog, edges });
         // An arm that lands after this read unparks us; the token
         // makes the park below return at once.
         let next = links.lock_control().next_deadline_ms();
@@ -1244,7 +1151,7 @@ impl NodeRuntime {
             nodes,
             spec.total_shards,
             barrier_quotas,
-            spec.timeouts.run_ms,
+            spec.timeouts,
         );
         let links = Arc::new(Links {
             me: node,
@@ -1252,9 +1159,6 @@ impl NodeRuntime {
             control: Mutex::new(control),
             peers,
             inbox: OnceLock::new(),
-            failure: Mutex::new(None),
-            quiesced: AtomicBool::new(false),
-            done: AtomicBool::new(false),
             epoch,
             obs: OnceLock::new(),
             ticker: OnceLock::new(),
@@ -1387,7 +1291,7 @@ impl NodeRuntime {
     /// Whether this node has already recorded a failure (the typed
     /// error itself is returned by [`NodeRuntime::finish`]).
     pub fn has_failed(&self) -> bool {
-        self.links.lock_failure().is_some()
+        self.links.lock_control().failure().is_some()
     }
 
     /// This node's live obs registry (`None` when obs is off). Sample
@@ -1416,12 +1320,13 @@ impl NodeRuntime {
         // Closing admission arms the run deadline (`timeout_ms`) in
         // the control plane. Blocks until the coordinator's quiesce
         // decision reaches the local workers (via our reader threads)
-        // — or until fail() forces the shutdown — and the workers exit.
+        // — or until a failure forces the shutdown — and the workers
+        // exit. Either way `Control` holds the run as over, so the
+        // ticker, woken, exits.
         let report = rt.finish();
-        self.links.done.store(true, Ordering::Release);
         self.ticker.thread().unpark();
         let ticker_panicked = self.ticker.join().is_err();
-        let failed = self.links.lock_failure().clone();
+        let failed = self.links.lock_control().failure().cloned();
         // Teardown: push the Close sentinel after everything already
         // queued — each writer drains its FIFO up to the sentinel,
         // appends Bye iff the run was clean (so peers can tell our EOF
@@ -1541,26 +1446,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn an_abort_pushed_behind_a_backlog_is_the_first_frame_on_the_wire() {
-        // Node 1 of 2 with no thread running: whatever is sent to node
-        // 0 waits in the lane for a writer that has not started.
+    /// Node 1 of 2 with no thread running: whatever is sent to node 0
+    /// waits in the lane for a writer that has not started.
+    fn leaf() -> Links {
         let spec = ClusterSpec::loopback(2, 4);
         let owners: Vec<u32> = (0..4).map(|s| spec.owner_of(s) as u32).collect();
-        let links = Links {
+        Links {
             me: 1,
             directory: Arc::new(ShardDirectory::new(1, 0, &owners)),
-            control: Mutex::new(Control::new(1, 2, 4, Vec::new(), 0)),
+            control: Mutex::new(Control::new(1, 2, 4, Vec::new(), spec.timeouts)),
             peers: vec![Some(Peer::new()), None],
             inbox: OnceLock::new(),
-            failure: Mutex::new(None),
-            quiesced: AtomicBool::new(false),
-            done: AtomicBool::new(false),
             epoch: Instant::now(),
             obs: OnceLock::new(),
             ticker: OnceLock::new(),
             spec,
-        };
+        }
+    }
+
+    #[test]
+    fn an_abort_pushed_behind_a_backlog_is_the_first_frame_on_the_wire() {
+        let links = leaf();
         let backlog = 2 * COALESCE_FRAMES + 5;
         for _ in 0..backlog {
             links.send_to(0, NetMsg::Retired);
@@ -1569,6 +1475,7 @@ mod tests {
         links.fail(ClusterError::Io {
             detail: "injected".into(),
         });
+        assert_eq!(links.lock_control().failure().map(|e| e.kind()), Some("io"));
         links.peer(0).egress.push(EgressItem::Close { bye: false });
 
         let wire = Arc::new(Mutex::new(Vec::new()));
@@ -1587,5 +1494,50 @@ mod tests {
                 (_, msg) => assert!(matches!(msg, NetMsg::Retired), "frame {i}: {msg:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_frozen_shard_is_encoded_once_and_its_size_reaches_the_ring() {
+        let dir = std::env::temp_dir().join(format!("em2-node-freeze-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let mut cfg = em2_obs::ObsConfig::on();
+        cfg.flight_dir = Some(dir.clone());
+        let obs = em2_obs::NodeObs::new(cfg, 4);
+        let links = leaf();
+        links.obs.set(Arc::clone(&obs)).expect("obs set once");
+        let state = em2_rt::wire::FrozenShard {
+            shard: 2,
+            heap: vec![(64, 7), (128, 9)],
+            natives: vec![3],
+            ..Default::default()
+        };
+        let (hid, encoded) = (1, state.encode().len());
+        let state = Box::new(state);
+        links.send_to(0, NetMsg::HandoffTransfer { hid, state });
+        links.peer(0).egress.push(EgressItem::Close { bye: true });
+
+        let wire = Arc::new(Mutex::new(Vec::new()));
+        writer_loop(&links, 0, Box::new(Capture(Arc::clone(&wire))));
+        let transfer = wire.lock().expect("capture")[0].len();
+        let dump = obs.flight_dump("test", "end", None, None).expect("dump");
+        let text = std::fs::read_to_string(dump.expect("first dump")).expect("read dump");
+        let _ = std::fs::remove_dir_all(&dir);
+        let freezes: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains(r#""ev":"handoff-freeze""#))
+            .collect();
+        assert_eq!(freezes.len(), 1, "{text}");
+        let at = freezes[0].find(r#""state_bytes":"#).expect("state_bytes") + 14;
+        let digits = freezes[0][at..].split(|c: char| !c.is_ascii_digit()).next();
+        let state_bytes: usize = digits.and_then(|d| d.parse().ok()).expect("a number");
+        assert!(freezes[0].contains(r#""shard":2"#), "{}", freezes[0]);
+        assert!(
+            0 < state_bytes && state_bytes <= transfer,
+            "{state_bytes} of {transfer}"
+        );
+        assert_eq!(
+            state_bytes, encoded,
+            "the state's own encoding, measured in the frame"
+        );
     }
 }

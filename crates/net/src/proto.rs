@@ -328,6 +328,14 @@ fn frame_into(seq: u64, b: &mut Vec<u8>, max_body: usize, body: impl FnOnce(&mut
     b[frame_at + CHECK_AT..frame_at + CHECK_END].copy_from_slice(&check.to_le_bytes());
 }
 
+/// The frozen state's bytes in an encoded `HandoffTransfer` frame:
+/// what follows the header, the tag and the handoff id.
+pub(crate) fn transfer_state_len(frame: &[u8]) -> usize {
+    let mut r = Cursor::new(&frame[CHECK_END..]);
+    let _ = (r.var(), r.u8(), r.var());
+    r.rest().len()
+}
+
 impl NetMsg {
     /// Append this message, as a frame payload carrying sequence number
     /// `seq`, to `b` — the egress writer's flush buffer on the hot path,
