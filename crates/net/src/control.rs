@@ -12,19 +12,19 @@
 //! Control::on(&mut self, dir: &ShardDirectory, now_ms: u64, ev: Event, out: &mut Vec<Action>)
 //! ```
 //!
-//! with no thread, socket, clock read or environment lookup inside:
-//! the driver's clock arrives with every event (`now_ms`; a deadline is
-//! stamped by the event that arms it, or read off the edge clocks a
-//! tick carries, and checked on [`Event::Tick`]), the runtime's
-//! freeze/install results arrive as [`Event::Froze`] /
-//! [`Event::Installed`], a failure a link thread observes arrives as
-//! [`Event::Fail`], and everything the node should *do* leaves as an
-//! [`Action`] for the driver (`node.rs`) to perform. `node.rs` holds
-//! one `Control` behind one mutex; `on` runs under it, so a decision
-//! and the directory writes it implies (`set_owner` at commit,
-//! `install` on an `EpochUpdate`) are atomic — check-and-park cannot
-//! interleave with install-and-drain because they are two calls of the
-//! same function. The data path never takes that lock.
+//! with no thread, socket, clock read or environment lookup inside
+//! (the per-edge rules, `edge.rs`, hold the same line): the driver's
+//! clock arrives with every event (`now_ms`; a deadline is stamped by
+//! the event that arms it, or read off the edge clocks a tick carries,
+//! and checked on [`Event::Tick`]); what only the runtime can answer
+//! (a freeze, an install, the census of an expired run) is asked for
+//! as an [`Action`] and answered as an event; a failure a link thread
+//! observes arrives as [`Event::Fail`]. `node.rs` holds one `Control`
+//! behind one mutex; `on` runs under it, so a decision and the
+//! directory writes it implies (`set_owner` at commit, `install` on an
+//! `EpochUpdate`) are atomic — check-and-park cannot interleave with
+//! install-and-drain because they are two calls of the same function.
+//! The data path never takes that lock.
 //!
 //! Node 0 is the coordinator. A frame it addresses to itself is
 //! handled on the spot by the same `on_msg` a peer's frame goes
@@ -92,13 +92,15 @@ pub(crate) enum Event {
     /// A thread observed a failure: a dead send, an EOF without a
     /// goodbye, an undecodable frame, a message the runtime refused.
     Fail(ClusterError),
-    /// A deadline may be due. `backlog` is the runtime's census at
-    /// this instant (it classifies a run timeout); `edges[n]` is the
-    /// edge to node `n`'s `(last_rx_ms, last_tx_ms)`: its last socket
-    /// read that brought a frame and its last flush (ours is ignored).
-    Tick {
+    /// A deadline may be due. `edges[n]` is the edge to node `n`'s
+    /// `(last_rx_ms, last_tx_ms)`: its last socket read that brought a
+    /// frame and its last flush (ours is ignored).
+    Tick { edges: Vec<(u64, u64)> },
+    /// The driver performed [`Action::Census`]: the runtime's census,
+    /// which classifies the run timeout `waited_ms` after it was armed.
+    Census {
+        waited_ms: u64,
         backlog: InboxBacklog,
-        edges: Vec<(u64, u64)>,
     },
 }
 
@@ -141,6 +143,9 @@ pub(crate) enum Action {
     /// Everything before this has been performed: feed `msg` back as
     /// an [`Event::Local`].
     Tell(NetMsg),
+    /// The run deadline expired `waited_ms` after it was armed: take
+    /// the runtime's census and report it as [`Event::Census`].
+    Census { waited_ms: u64 },
     /// Push `Abort{reason}` at the head of peer `to`'s egress FIFO: a
     /// failing cluster never waits behind a backlog of data frames.
     Abort { to: usize, reason: String },
@@ -292,9 +297,17 @@ impl Control {
             }
             Event::Installed { hid, shard } => self.installed(hid, shard, out),
             Event::Fail(err) => self.fail(err, out),
-            Event::Tick { backlog, edges } => {
-                self.tick(dir, &backlog, out);
+            Event::Tick { edges } => {
+                self.tick(out);
                 self.liveness(&edges, out);
+            }
+            Event::Census { waited_ms, backlog } => {
+                let detail = format!("local backlog: {}", self.census(dir, &backlog));
+                let err = match backlog.parked_barrier {
+                    0 => ClusterError::QuiesceTimeout { waited_ms, detail },
+                    _ => ClusterError::BarrierTimeout { waited_ms, detail },
+                };
+                self.fail(err, out);
             }
         }
     }
@@ -696,7 +709,7 @@ impl Control {
 
     // ------------------------------------------------------- deadlines
 
-    fn tick(&mut self, dir: &ShardDirectory, backlog: &InboxBacklog, out: &mut Vec<Action>) {
+    fn tick(&mut self, out: &mut Vec<Action>) {
         if self.over() {
             return;
         }
@@ -713,14 +726,9 @@ impl Control {
                 self.fail(ClusterError::Handoff { phase, detail }, out);
             }
         }
-        if let Some(waited_ms) = expire(&mut self.run_deadline, now_ms, self.timeouts.run_ms) {
-            let detail = format!("local backlog: {}", self.census(dir, backlog));
-            let err = if backlog.parked_barrier > 0 {
-                ClusterError::BarrierTimeout { waited_ms, detail }
-            } else {
-                ClusterError::QuiesceTimeout { waited_ms, detail }
-            };
-            self.fail(err, out);
+        let run = expire(&mut self.run_deadline, now_ms, self.timeouts.run_ms);
+        if let Some(waited_ms) = run.filter(|_| !self.over()) {
+            out.push(Action::Census { waited_ms });
         }
     }
 
@@ -875,13 +883,9 @@ mod tests {
         Event::Msg { from, msg }
     }
 
-    fn tick(parked_barrier: usize) -> Event {
-        let backlog = InboxBacklog {
-            parked_barrier,
-            ..InboxBacklog::default()
-        };
+    fn tick() -> Event {
         let edges = vec![(0, 0); 3];
-        Event::Tick { backlog, edges }
+        Event::Tick { edges }
     }
 
     // Message constructors (handoff id 1 and epoch 0 unless a test
@@ -1193,8 +1197,8 @@ mod tests {
         step_at(&mut c, &d, 40, Event::Local(request(2, 2)));
         let due = 40 + HANDOFF_TIMEOUT_MS;
         assert_eq!(c.next_deadline_ms(), Some(due));
-        assert_eq!(step_at(&mut c, &d, due - 1, tick(0)), vec![]);
-        let out = step_at(&mut c, &d, due, tick(0));
+        assert_eq!(step_at(&mut c, &d, due - 1, tick()), vec![]);
+        let out = step_at(&mut c, &d, due, tick());
         match failure(&out) {
             Some(ClusterError::Handoff { phase, detail }) => {
                 assert_eq!(phase, "transfer");
@@ -1202,7 +1206,7 @@ mod tests {
             }
             other => panic!("expected a handoff timeout, got {other:?}"),
         }
-        assert_eq!(step_at(&mut c, &d, 99_999, tick(0)), vec![], "fails once");
+        assert_eq!(step_at(&mut c, &d, 99_999, tick()), vec![], "fails once");
         assert!(c.handoff_note().expect("still active").contains("transfer"));
     }
 
@@ -1211,12 +1215,19 @@ mod tests {
         for parked in [0, 1] {
             let (mut c, d) = node(1);
             // Nothing is armed before the close.
-            assert_eq!(step_at(&mut c, &d, 5, tick(parked)), vec![]);
+            assert_eq!(step_at(&mut c, &d, 5, tick()), vec![]);
             let out = step_at(&mut c, &d, 10, Event::Local(closed(4)));
             assert_eq!(sends(&out), vec![(0, &closed(4))]);
             assert_eq!(c.next_deadline_ms(), Some(1_010));
-            assert_eq!(step_at(&mut c, &d, 1_009, tick(parked)), vec![]);
-            let out = step_at(&mut c, &d, 1_010, tick(parked));
+            assert_eq!(step_at(&mut c, &d, 1_009, tick()), vec![]);
+            let waited_ms = 1_000;
+            let out = step_at(&mut c, &d, 1_010, tick());
+            assert_eq!(out, [Action::Census { waited_ms }]);
+            let backlog = InboxBacklog {
+                parked_barrier: parked,
+                ..InboxBacklog::default()
+            };
+            let out = step_at(&mut c, &d, 1_010, Event::Census { waited_ms, backlog });
             let err = failure(&out).expect("deadline expired");
             assert_eq!(err.kind(), ["quiesce-timeout", "barrier-timeout"][parked]);
             assert!(err.to_string().contains(r#""kind":"census","node":1"#));
@@ -1226,7 +1237,7 @@ mod tests {
         step(&mut c, &d, Event::Local(closed(0)));
         assert!(quiesced(&step(&mut c, &d, from(0, NetMsg::Quiesce))));
         assert_eq!(c.next_deadline_ms(), None);
-        assert_eq!(step_at(&mut c, &d, 9_999, tick(0)), vec![]);
+        assert_eq!(step_at(&mut c, &d, 9_999, tick()), vec![]);
     }
 
     #[test]
@@ -1306,8 +1317,7 @@ mod tests {
     /// flushed at `tx[n]`.
     fn clocks(rx: [u64; 3], tx: [u64; 3]) -> Event {
         let edges = rx.into_iter().zip(tx).collect();
-        let backlog = InboxBacklog::default();
-        Event::Tick { backlog, edges }
+        Event::Tick { edges }
     }
 
     #[test]
@@ -1364,6 +1374,27 @@ mod tests {
         step_at(&mut c, &d, 4_950, Event::Local(closed(0)));
         step_at(&mut c, &d, 5_900, clocks([5_900; 3], [5_900; 3]));
         assert_eq!(c.next_deadline_ms(), Some(5_950), "the run's");
+    }
+
+    #[test]
+    fn ticks_before_the_run_deadline_ask_for_no_census() {
+        // Heartbeats on, every peer talking, a tick each millisecond
+        // from the close at 10 to the run deadline at 1,010.
+        let (mut c, d) = live(1);
+        step_at(&mut c, &d, 10, Event::Local(closed(0)));
+        let census = |out: &[Action]| {
+            let asks = out.iter().filter(|a| matches!(a, Action::Census { .. }));
+            asks.count()
+        };
+        let mut beats = 0;
+        for now in 11..1_010 {
+            let out = step_at(&mut c, &d, now, clocks([now; 3], [0; 3]));
+            beats += sends(&out).len();
+            assert_eq!(census(&out), 0, "a census asked for at {now}");
+        }
+        assert_eq!(beats, 2 * 10, "one heartbeat per interval on each edge");
+        let out = step_at(&mut c, &d, 1_010, clocks([1_010; 3], [1_010; 3]));
+        assert_eq!(census(&out), 1, "the deadline's: {out:?}");
     }
 
     #[test]
@@ -1433,7 +1464,7 @@ mod tests {
         let reason = "teardown".into();
         assert_eq!(step(&mut c, &d, from(2, NetMsg::Abort { reason })), vec![]);
         // No heartbeat and no silence either.
-        assert_eq!(step_at(&mut c, &d, 10 * H, tick(0)), vec![]);
+        assert_eq!(step_at(&mut c, &d, 10 * H, tick()), vec![]);
         assert_eq!(c.failure(), None);
         assert!(c.over());
     }

@@ -23,8 +23,8 @@
 //! * [`node`] — the [`NodeRuntime`]: one process's shard fleet wired
 //!   to its peers, with node 0 coordinating barriers, live shard
 //!   handoffs and the cluster-wide quiesce decision. Its threads are
-//!   drivers; the protocol itself is one sans-IO state machine
-//!   (`control.rs`: `Control::on(Event) -> Actions`, one lock);
+//!   drivers of sans-IO rules: each edge's in `edge.rs`, the protocol's
+//!   in `control.rs` (`Control::on(Event) -> Actions`, one lock);
 //! * [`run`] — [`ClusterRun`], the one entry point that replays a
 //!   traced workload across a cluster (optionally with live handoffs
 //!   and a fault plan);
@@ -79,6 +79,7 @@
 pub mod chaos;
 pub mod cluster;
 mod control;
+mod edge;
 pub mod error;
 pub mod node;
 pub mod proto;

@@ -1,61 +1,28 @@
-//! The node layer: connections, routing, and the threads that drive
-//! the control plane (barriers, live handoffs, quiesce) and fail fast.
+//! The node layer: one process's shard fleet wired to its peers, and
+//! the threads that drive its rules. The rules are sans-IO — what an
+//! edge does with a frame and how a connection opens are `edge.rs`'s,
+//! every decision is `control.rs`'s — so this module keeps drivers:
 //!
-//! A [`NodeRuntime`] wraps one `em2-rt` [`Runtime`] owning this
-//! process's shard range and wires it to its peers:
+//! * [`NodeRuntime`] brings the node up — it listens, dials every lower
+//!   id (sleeping through `edge::backoff` until the peer is up) and
+//!   exchanges the `edge::Greeting` — and tears it down;
+//! * `Links`, what the threads share, routes each message the runtime
+//!   forwards for a shard it does not own ([`em2_rt::NodeLink`]) onto
+//!   the owner peer's **egress lane** — the shard worker never touches
+//!   a socket or waits on a slow peer — and drives `Control`: it feeds
+//!   it what the threads observe and performs what it decides;
+//! * three loops: per peer, a **writer** that flushes its lane in
+//!   coalesced windows through `edge::Egress` and a **reader** that
+//!   hands each frame to `edge::Ingress` and delivers run traffic for a
+//!   shard we own through [`em2_rt::RemoteInbox`], the executor's
+//!   ordinary mailbox/waker seam (DESIGN.md §11); and one **ticker**
+//!   that feeds `Control` time.
 //!
-//! * **Connections.** Every node listens on its spec address; node `j`
-//!   dials every `i < j` (with jittered exponential backoff inside the
-//!   spec's connect budget — nodes come up in any order) and opens
-//!   with `Hello{node, wire_version, topology_digest}`; the acceptor
-//!   verifies and answers `HelloAck`. Version or topology mismatch
-//!   refuses the connection — two processes that disagree on shard
-//!   ownership must not exchange a single shard message.
-//! * **Routing.** The runtime hands any message addressed to a shard
-//!   it does not own to [`em2_rt::NodeLink::forward`]; the link looks
-//!   the current owner up in the epoch-versioned
-//!   [`em2_rt::ShardDirectory`], wraps the message
-//!   in [`NetMsg::Shard`] (stamped with the sender's epoch) and pushes
-//!   it onto the owner peer's **egress lane** (`em2_rt::mpsc`: one
-//!   short leaf lock around the queue and the writer's wake flag) —
-//!   the shard worker never touches a socket or waits on a slow peer.
-//!   One **writer thread per peer** moves a bounded window out of that
-//!   lane under one lock, assigns sequence numbers in queue order,
-//!   encodes the window straight into its one reusable flush
-//!   buffer, writes it with a single
-//!   [`crate::transport::FrameTx::send_batch`], and parks until a push
-//!   wakes it (DESIGN.md §11). One **reader thread per peer** decodes
-//!   frames in place and injects them through
-//!   [`em2_rt::RemoteInbox`] — the executor's ordinary mailbox/waker
-//!   seam; the workers never know a message crossed a process. The
-//!   link threads only move bytes and stamp their edge's clocks.
-//! * **The control plane.** Everything that is a *decision* — node 0
-//!   coordinating barriers, completion accounting and the cluster-wide
-//!   quiesce (DESIGN.md §9); **live shard handoffs** (`Prepare →
-//!   Freeze → Transfer → Commit`, one at a time, each commit bumping
-//!   the directory **epoch**); the epoch fence that buffers, parks,
-//!   bounces or re-routes an in-flight frame for a shard in motion so
-//!   that stale frames are never silently applied (DESIGN.md §13); the
-//!   run's first failure and quiesce; every deadline — is one sans-IO
-//!   state machine, `control.rs`: `Control::on(Event) -> Actions`
-//!   behind one lock. The threads here are its drivers: readers feed
-//!   it every frame their fast path (run traffic for a shard we own)
-//!   does not consume, any thread feeds it the failures it observes,
-//!   workers feed it barrier arrivals and retirements, one parked
-//!   ticker feeds it time and every edge's clocks, and
-//!   `Links::control` performs what it decides — sends (heartbeats
-//!   among them), deliveries, [`em2_rt::RemoteInbox`] freezes and
-//!   installs, the stop.
-//! * **Failure.** Nothing in this module panics or hangs on a sick
-//!   cluster (DESIGN.md §10). The first failure a node observes — a
-//!   dead send, an EOF without the protocol's goodbye, a checksum or
-//!   sequence-gap decode error, a silent peer, a control-plane
-//!   deadline — is recorded by `Control` as a typed [`ClusterError`],
-//!   an [`NetMsg::Abort`] is propagated (to the coordinator, which
-//!   rebroadcasts), the local workers are woken and drained through
-//!   [`em2_rt::RemoteInbox::begin_shutdown`], and
-//!   [`NodeRuntime::finish`] returns `Err` instead of counters that
-//!   never converged.
+//! Nothing here panics or hangs on a sick cluster (DESIGN.md §10): the
+//! first failure a node observes is `Control`'s, relayed as an
+//! [`NetMsg::Abort`], the local workers are drained, and
+//! [`NodeRuntime::finish`] returns it instead of counters that never
+//! converged.
 //!
 //! Counter exactness: decisions, counters, and run histograms are
 //! per-thread program-order functions (DESIGN.md §7); distribution
@@ -67,20 +34,20 @@
 
 use crate::cluster::ClusterSpec;
 use crate::control::{Action, Control, Event, Note};
+use crate::edge::{backoff, handshake_err, Egress, Greeting, Inbound, Ingress};
 use crate::error::ClusterError;
-use crate::proto::{transfer_state_len, NetMsg, NetView};
+use crate::proto::NetMsg;
 use crate::transport::{Duplex, FrameBatch, FrameRx, FrameTx, Transport};
-use em2_model::hash::{fnv1a, FNV1A_INIT};
-use em2_model::{DetRng, Fold, ThreadId};
+use em2_model::ThreadId;
 use em2_placement::Placement;
 use em2_rt::mpsc::MpscQueue;
-use em2_rt::wire::{WireEnvelope, WireMsg, WIRE_VERSION};
+use em2_rt::wire::{WireEnvelope, WireMsg};
 use em2_rt::{
-    InboxBacklog, NodeLink, NodeRole, RtConfig, RtReport, Runtime, ShardDirectory, TaskRegistry,
-    TaskSpec,
+    NodeLink, NodeRole, RtConfig, RtReport, Runtime, ShardDirectory, TaskRegistry, TaskSpec,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Frames one writer flush may coalesce (the bounded window that keeps
@@ -92,97 +59,15 @@ const COALESCE_FRAMES: usize = 64;
 /// must not buffer tens of MiB before the first byte moves).
 const COALESCE_BYTES: usize = 256 << 10;
 
-/// One node's wire telemetry. Every count is kept as plain memory by
-/// the thread that counts it — a writer its edge's egress, a reader its
-/// edge's ingress — handed back through that thread's `JoinHandle`, and
-/// summed by `finish()`: nothing on the data path touches a shared
-/// counter (DESIGN.md §11).
-///
-/// In `frames_tx`/`bytes_tx` (and their rx twins), control frames
-/// (heartbeats, aborts, goodbyes) are **excluded** so the fault-free
-/// frame counters are identical whether or not heartbeats run (the byte
-/// counters too, up to the width of the sequence varints a heartbeat
-/// shifted: a frame's size depends on its sequence number, and control
-/// frames take sequence slots); `frames_tx_total`/`bytes_tx_total`
-/// count every frame written after the handshake, control included —
-/// the honest egress ledger. `flushes_tx` and `egress_hwm` are
-/// timing-dependent (like wall clock): how frames pack into flushes and
-/// how deep queues get depends on scheduling, so they are telemetry,
-/// never part of an agreement check.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireSnapshot {
-    /// Frames sent to peers (control frames excluded).
-    pub frames_tx: u64,
-    /// Payload bytes sent (excluding the 4-byte frame header).
-    pub bytes_tx: u64,
-    /// Frames received from peers (control frames and duplicates
-    /// excluded).
-    pub frames_rx: u64,
-    /// Payload bytes received.
-    pub bytes_rx: u64,
-    /// Inbound frames dropped by sequence-number deduplication — zero
-    /// on a healthy network; nonzero proves the codec absorbed a
-    /// duplicate-delivery fault without disturbing the run.
-    pub dupes_rx: u64,
-    /// Task envelopes (migrations, evictions, seeds) sent cross-process.
-    pub arrives_tx: u64,
-    /// Serialized task-context bytes inside sent envelopes.
-    pub context_bytes_tx: u64,
-    /// Every frame written after the handshake, **control included** —
-    /// the total per-peer egress ledger (heartbeats, aborts, goodbyes
-    /// all cost wire time even though they are excluded from the
-    /// deterministic `frames_tx`).
-    pub frames_tx_total: u64,
-    /// Payload bytes of every written frame (control included).
-    pub bytes_tx_total: u64,
-    /// Coalesced flush batches written (≈ egress syscalls on stream
-    /// transports). Timing-dependent telemetry, like wall clock.
-    pub flushes_tx: u64,
-    /// Deepest any peer egress queue was found by its writer at the top
-    /// of a coalesce window (frames). Timing-dependent.
-    pub egress_hwm: u64,
-}
-
-impl WireSnapshot {
-    /// Every field with its summary-file key and how two shares of it
-    /// merge: counts sum, the high-water mark takes the max.
-    /// [`WireSnapshot::absorb`] and `CounterSummary`'s field table both
-    /// merge by this.
-    pub(crate) fn fields(&mut self) -> [(&'static str, &mut u64, Fold); 11] {
-        use Fold::{Max, Sum};
-        [
-            ("wire_frames_tx", &mut self.frames_tx, Sum),
-            ("wire_bytes_tx", &mut self.bytes_tx, Sum),
-            ("wire_frames_rx", &mut self.frames_rx, Sum),
-            ("wire_bytes_rx", &mut self.bytes_rx, Sum),
-            ("wire_dupes_rx", &mut self.dupes_rx, Sum),
-            ("wire_arrives_tx", &mut self.arrives_tx, Sum),
-            ("wire_context_bytes_tx", &mut self.context_bytes_tx, Sum),
-            ("wire_frames_tx_total", &mut self.frames_tx_total, Sum),
-            ("wire_bytes_tx_total", &mut self.bytes_tx_total, Sum),
-            ("wire_flushes_tx", &mut self.flushes_tx, Sum),
-            ("wire_egress_hwm", &mut self.egress_hwm, Max),
-        ]
-    }
-
-    /// Fold in another thread's share.
-    fn absorb(&mut self, o: &WireSnapshot) {
-        let mut o = *o;
-        for ((_, mine, fold), (_, theirs, _)) in self.fields().into_iter().zip(o.fields()) {
-            *mine = fold.apply(*mine, *theirs);
-        }
-    }
-}
+pub use crate::edge::WireSnapshot;
 
 /// What travels down a peer's egress queue.
 enum EgressItem {
     /// An encodable message; the writer assigns its sequence number at
     /// pop time.
     Msg(NetMsg),
-    /// Teardown sentinel, pushed by `finish` after everything else:
-    /// the writer drains the FIFO up to here, appends [`NetMsg::Bye`]
-    /// iff the run was clean, flushes, closes the connection, and
-    /// exits.
+    /// Teardown sentinel, pushed by `finish` after everything else;
+    /// `bye` iff the run was clean.
     Close { bye: bool },
 }
 
@@ -191,14 +76,13 @@ enum EgressItem {
 /// connection's send half is **owned by the writer thread** — no
 /// shared send state, so the producer side (`forward`, coordinator
 /// logic) only ever holds the lane's lock for one enqueue.
+#[derive(Default)]
 struct Peer {
     /// The egress lane; the writer is the single consumer. Its lock
     /// serializes pushes, and that FIFO order is what keeps Closed-
     /// after-last-Shard and Bye-last intact (DESIGN.md §11); only an
     /// Abort enters at the head. The push that finds the writer idle
-    /// unparks it; the writer goes idle through `rest` before it
-    /// parks, and std's park token covers an unpark that lands between
-    /// the two.
+    /// unparks it.
     egress: MpscQueue<EgressItem>,
     /// The writer thread's handle, registered by the thread itself
     /// before it first looks at a lane.
@@ -209,22 +93,9 @@ struct Peer {
     /// Milliseconds (since the link epoch) of the last flush toward
     /// this peer, stored by the writer.
     last_tx_ms: AtomicU64,
-    /// The peer announced a clean close ([`NetMsg::Bye`]); a
-    /// subsequent EOF is a shutdown, not a loss.
-    bye: AtomicBool,
 }
 
 impl Peer {
-    fn new() -> Peer {
-        Peer {
-            egress: MpscQueue::new(),
-            writer: OnceLock::new(),
-            last_rx_ms: AtomicU64::new(0),
-            last_tx_ms: AtomicU64::new(0),
-            bye: AtomicBool::new(false),
-        }
-    }
-
     /// Unpark the writer. Before it has registered there is nobody to
     /// unpark: it has not looked at the lane yet and will find the item.
     fn unpark_writer(&self) {
@@ -245,12 +116,10 @@ struct Links {
     /// handoff is observed atomically by workers, readers, and
     /// writers.
     directory: Arc<ShardDirectory>,
-    /// The control plane (`control.rs`): every decision about a frame
-    /// that is not run traffic for a shard we own, and the run state —
-    /// the first failure, quiesce, every deadline. The protocol's only
-    /// lock; the data path (`route_shard`, `send_to`, `forward_many`,
-    /// the writers) never takes it. Sends leave under it, so the lock
-    /// order is control → egress lane, and a lane's lock is a leaf.
+    /// The control plane, the protocol's only lock; the data path
+    /// (`route_shard`, `send_to`, `forward_many`, the writers) never
+    /// takes it. Sends leave under it, so the lock order is control →
+    /// egress lane, and a lane's lock is a leaf.
     control: Mutex<Control>,
     /// Indexed by node id; `None` at `me`.
     peers: Vec<Option<Peer>>,
@@ -298,12 +167,6 @@ impl Links {
         self.peers[node].as_ref().expect("no connection to self")
     }
 
-    /// The runtime's census of resident envelopes (empty before the
-    /// runtime is attached and after it is gone).
-    fn backlog(&self) -> InboxBacklog {
-        self.inbox.get().map(|i| i.backlog()).unwrap_or_default()
-    }
-
     /// The control plane, poison-tolerant: a panicking holder must
     /// not cascade into every other thread's error path.
     fn lock_control(&self) -> MutexGuard<'_, Control> {
@@ -332,7 +195,7 @@ impl Links {
     /// queue: pushed at the lane's head, it overtakes any backlog of
     /// data frames, under the lane's one wake protocol. Best-effort (a
     /// missing peer is ignored). If the writer then fails to flush it,
-    /// that is an ordinary `send_failed` → `fail`, which `Control`
+    /// that is an ordinary failed write → `fail`, which `Control`
     /// ignores — the failure that sent this Abort came first — so the
     /// failure path cannot recurse.
     fn send_abort(&self, node: usize, reason: String) {
@@ -410,6 +273,10 @@ impl Links {
                 None
             }
             Action::Tell(msg) => return self.control(Event::Local(msg)),
+            Action::Census { waited_ms } => {
+                let backlog = self.inbox().backlog();
+                return self.control(Event::Census { waited_ms, backlog });
+            }
             Action::Stop(failure) => {
                 if let Some(inbox) = self.inbox.get() {
                     inbox.begin_shutdown();
@@ -417,7 +284,7 @@ impl Links {
                 // The crash flight recorder, best-effort: post-mortem
                 // I/O must never mask the failure.
                 if let (Some(err), Some(obs)) = (&failure, self.obs.get()) {
-                    let backlog = self.backlog();
+                    let backlog = self.inbox.get().map(|i| i.backlog()).unwrap_or_default();
                     let census = self.lock_control().census(&self.directory, &backlog);
                     let peer = failure_peer(err);
                     if let Some(p) = peer {
@@ -433,11 +300,8 @@ impl Links {
                 let Some(frozen) = self.inbox().freeze_shard(shard as usize, to) else {
                     return false;
                 };
-                return self.control(Event::Froze {
-                    hid,
-                    to,
-                    state: Box::new(frozen),
-                });
+                let state = Box::new(frozen);
+                return self.control(Event::Froze { hid, to, state });
             }
             Action::Install { from, hid, state } => {
                 let shard = state.shard;
@@ -491,12 +355,8 @@ impl Links {
         // Epoch *before* owner: `ShardDirectory::install` publishes
         // the owners before the epoch, so reading in the opposite
         // order guarantees the stamp is never newer than the map that
-        // chose the route. The receiver's fence relies on that: a
-        // stamp ahead of the receiver's map then proves a committed
-        // epoch the receiver has not installed yet, so the receiver
-        // can safely park the frame until that `EpochUpdate` lands —
-        // a stamp newer than any real commit would make it park on an
-        // update that never arrives.
+        // chose the route — the proof the receiver's fence parks on
+        // (`Control::fence`).
         let epoch = self.directory.epoch();
         let owner = self.directory.owner_of(to) as usize;
         if owner == self.me {
@@ -598,18 +458,16 @@ impl NodeLink for Links {
 /// peer's [`NetMsg::Bye`] or the cluster's quiesce) or after recording
 /// a failure.
 ///
-/// The hot path takes only the target mailbox's lock and touches
-/// nothing else shared per frame: decode in place, sequence check, *we
-/// own the shard*, `inbox.deliver` of the view, whose task builder
-/// parses the continuation where the socket put it. The clock is read
-/// per socket read, not per frame: one reading stamps the edge's
-/// liveness and the arrival of every envelope that read brought in.
-/// Every other frame is an event for the control plane.
-fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> WireSnapshot {
-    // The handshake frame consumed sequence 0 in each direction.
-    let mut expected_seq: u64 = 1;
-    let peer = links.peer(from_node);
-    let mut wire = WireSnapshot::default();
+/// [`Ingress::take`] says what each frame asks for. The hot path takes
+/// only the target mailbox's lock: `inbox.deliver` of the view, whose
+/// task builder parses the continuation where the socket put it. The
+/// clock is read per socket read, not per frame: one reading stamps
+/// the edge's liveness and the arrival of every envelope that read
+/// brought in.
+fn reader_loop(links: &Links, from: usize, mut rx: Box<dyn FrameRx>) -> WireSnapshot {
+    let peer = links.peer(from);
+    let mut ingress = Ingress::new(from, links.spec.total_shards);
+    let owns = |shard: usize| links.directory.owner_of(shard) as usize == links.me;
     // When the bytes of the frame in hand reached this node.
     let mut received = Instant::now();
     loop {
@@ -622,23 +480,11 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
         // `Shard` frame decoded from it.
         let frame = match rx.recv() {
             Ok(Some(f)) => f,
-            // An EOF after the peer's goodbye is clean; any other end is
-            // `Control`'s to judge (noise once the run is over).
-            Ok(None) => {
-                if !peer.bye.load(Ordering::Acquire) {
-                    links.fail(ClusterError::PeerLost {
-                        node: from_node,
-                        detail: "connection closed without a goodbye".into(),
-                    });
+            end => {
+                if let Some(e) = ingress.ended(end.err()) {
+                    links.fail(e);
                 }
-                return wire;
-            }
-            Err(e) => {
-                links.fail(ClusterError::PeerLost {
-                    node: from_node,
-                    detail: format!("receive failed: {e}"),
-                });
-                return wire;
+                return ingress.wire;
             }
         };
         if reads {
@@ -646,67 +492,24 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
             peer.last_rx_ms
                 .store(links.ms_at(received), Ordering::Relaxed);
         }
-        let (seq, view) = match NetMsg::view(frame) {
-            Ok(x) => x,
-            Err(e) => {
-                links.fail(ClusterError::Codec {
-                    from: from_node,
-                    detail: e.to_string(),
-                });
-                return wire;
-            }
+        let failure = match ingress.take(frame, owns) {
+            Ok(Inbound::Deliver {
+                shard,
+                retries,
+                msg,
+            }) => links.deliver(from, shard, retries, msg, received).err(),
+            Ok(Inbound::Nothing) => None,
+            // A `Quiesce` keeps us reading to EOF so the close is
+            // clean; a failure (ours or an `Abort`) ends the stream.
+            Ok(Inbound::Control(msg)) => match links.control(Event::Msg { from, msg }) {
+                true => return ingress.wire,
+                false => None,
+            },
+            Err(e) => Some(e),
         };
-        if seq < expected_seq {
-            // A replayed frame: its sequence was already consumed, so
-            // dropping it is exactly once-delivery — this is why
-            // duplicate faults leave the E12 sum bit-equal.
-            wire.dupes_rx += 1;
-            continue;
-        }
-        if seq > expected_seq {
-            links.fail(ClusterError::Codec {
-                from: from_node,
-                detail: format!(
-                    "sequence gap from node {from_node}: expected {expected_seq}, got {seq} — \
-                     at least one frame was lost"
-                ),
-            });
-            return wire;
-        }
-        expected_seq += 1;
-        if !matches!(&view, NetView::Msg(m) if m.is_control()) {
-            wire.frames_rx += 1;
-            wire.bytes_rx += frame.len() as u64;
-        }
-        match view {
-            NetView::Shard {
-                to, retries, msg, ..
-            } if (to as usize) < links.spec.total_shards
-                && links.directory.owner_of(to as usize) as usize == links.me =>
-            {
-                if let Err(e) = links.deliver(from_node, to as usize, retries, msg, received) {
-                    links.fail(e);
-                    return wire;
-                }
-            }
-            // Pure liveness: `last_rx_ms` was refreshed by the read
-            // that brought it in.
-            NetView::Msg(NetMsg::Heartbeat) => {}
-            // EOF follows; the loop top takes the clean-close path.
-            NetView::Msg(NetMsg::Bye) => peer.bye.store(true, Ordering::Release),
-            // An owned copy for the control plane, which bounces or
-            // parks a frame for a shard we do not own. A `Quiesce`
-            // keeps us reading to EOF so the close is clean; a failure
-            // (ours or an `Abort`) ends the stream.
-            view => {
-                let msg = view.into_owned();
-                if links.control(Event::Msg {
-                    from: from_node,
-                    msg,
-                }) {
-                    return wire;
-                }
-            }
+        if let Some(e) = failure {
+            links.fail(e);
+            return ingress.wire;
         }
     }
 }
@@ -715,66 +518,63 @@ fn reader_loop(links: &Links, from_node: usize, mut rx: Box<dyn FrameRx>) -> Wir
 /// and the sole owner of the connection's send half and its sequence
 /// counter — sequence numbers are assigned in **queue order**, so the
 /// wire stream is gap-free by construction no matter how producers
-/// raced their pushes (DESIGN.md §11). Every frame it writes goes
-/// through [`stage`].
+/// raced their pushes (DESIGN.md §11).
 ///
 /// Each wakeup moves up to [`COALESCE_FRAMES`] frames out of the FIFO
 /// under one lock (an Abort, pushed at the head, leads its window),
-/// encodes each straight into the edge's one reusable [`FrameBatch`],
-/// and writes the window as **one flush** ([`FrameTx::send_batch`]: on
-/// a stream transport, one `write` — a window that outgrows
-/// [`COALESCE_BYTES`] flushes early), stamping the edge's
-/// `last_tx_ms`. When the lane goes empty the writer parks until a push
-/// wakes it: heartbeats are `Control`'s to send, through the lane like
-/// any frame. The [`EgressItem::Close`] sentinel (pushed by
-/// `finish` after the last data frame) drains the FIFO, appends
-/// [`NetMsg::Bye`] on a clean run, flushes, closes, and exits — Bye
-/// stays last on the wire.
+/// stages each through [`Egress::stage`] into the edge's one reusable
+/// [`FrameBatch`], and writes the window as **one flush**
+/// ([`FrameTx::send_batch`]: on a stream transport, one `write` — a
+/// window that outgrows [`COALESCE_BYTES`] flushes early). When the
+/// lane goes empty the writer parks until a push wakes it. The
+/// [`EgressItem::Close`] sentinel (pushed by `finish` after the last
+/// data frame) drains the FIFO, appends [`NetMsg::Bye`] on a clean
+/// run, flushes, closes, and exits — Bye stays last on the wire.
 fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapshot {
     let peer = links.peer(node);
     let _ = peer.writer.set(std::thread::current());
     // This edge's timing-plane handle (`None` when obs is off).
     let pobs = links.obs.get().map(|o| o.register_peer(node as u64));
-    // Every flush on this edge: one
-    // write and one clock read behind it, then everything that is per
-    // flush rather than per frame — the flush count, `queued` (how deep
-    // `take` found the lane when this window opened) against the
-    // egress high-water mark, the edge's `last_tx_ms` and (obs on) the
-    // latency, which spans `send_batch` and nothing else: the exact
-    // syscall cost the batch pays. What a failed write means is the
-    // caller's policy.
-    let flush = |c: &mut dyn FrameTx,
-                 batch: &FrameBatch,
-                 tx: &mut Egress,
-                 queued: u64|
-     -> std::io::Result<()> {
-        let t0 = pobs.as_ref().map(|_| Instant::now());
-        c.send_batch(batch)?;
-        let written = Instant::now();
-        tx.wire.flushes_tx += 1;
-        tx.wire.egress_hwm = tx.wire.egress_hwm.max(queued);
-        peer.last_tx_ms
-            .store(links.ms_at(written), Ordering::Relaxed);
-        if let (Some(po), Some(t0)) = (&pobs, t0) {
-            po.record_flush(written.duration_since(t0).as_nanos() as u64, queued);
-        }
-        Ok(())
-    };
-    // What a failed write means.
-    let send_failed = |e: std::io::Error| {
-        links.fail(ClusterError::PeerLost {
-            node,
-            detail: format!("send failed: {e}"),
-        })
-    };
     let mut conn = Some(conn);
+    let mut tx = Egress::new(node);
     // Every frame this edge sends is encoded into, and written from,
     // this one buffer; it grows to the largest window seen and stays.
     let mut batch = FrameBatch::default();
-    let mut tx = Egress {
-        // The handshake frame consumed sequence 0 in this direction.
-        next_seq: 1,
-        wire: WireSnapshot::default(),
+    // Encode one frame into the batch: a frame too large to send fails
+    // the run, and a frozen shard's size goes to the ring.
+    let stage = |msg: &NetMsg, batch: &mut FrameBatch, tx: &mut Egress| match tx.stage(msg, batch) {
+        Err(e) => links.fail(e),
+        Ok(freeze) => {
+            if let (Some((shard, bytes)), Some(obs)) = (freeze, links.obs.get()) {
+                let kind = em2_obs::EventKind::HandoffFreeze;
+                obs.node_event(kind, u64::from(shard), bytes);
+            }
+        }
+    };
+    // Write a non-empty batch out on a live connection, and empty it:
+    // one write and one clock read behind it, then what is per flush —
+    // the counts, `last_tx_ms` and (obs on) the latency of `send_batch`
+    // alone. A failed write drops the connection and fails the run.
+    let flush = |conn: &mut Option<Box<dyn FrameTx>>,
+                 batch: &mut FrameBatch,
+                 tx: &mut Egress,
+                 queued: u64| {
+        if let Some(c) = conn.as_mut().filter(|_| !batch.is_empty()) {
+            let t0 = pobs.as_ref().map(|_| Instant::now());
+            if let Err(e) = c.send_batch(batch) {
+                *conn = None;
+                links.fail(tx.lost(e));
+            } else {
+                let written = Instant::now();
+                tx.flushed(queued);
+                peer.last_tx_ms
+                    .store(links.ms_at(written), Ordering::Relaxed);
+                if let (Some(po), Some(t0)) = (&pobs, t0) {
+                    po.record_flush(written.duration_since(t0).as_nanos() as u64, queued);
+                }
+            }
+        }
+        batch.clear();
     };
     // The window `take` moves out of the lane (capacity persists).
     let mut window: Vec<EgressItem> = Vec::with_capacity(COALESCE_FRAMES);
@@ -783,138 +583,59 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
         // once.
         let queued = peer.egress.take(&mut window, COALESCE_FRAMES) as u64;
         let popped = !window.is_empty();
-        batch.clear();
         let mut close: Option<bool> = None;
         for item in window.drain(..) {
-            let msg = match item {
-                EgressItem::Msg(msg) => msg,
+            match item {
                 EgressItem::Close { bye } => {
                     close = Some(bye);
                     break;
                 }
-            };
-            // With the connection gone the queue still drains (and
-            // frees) so producers never back up.
-            let Some(c) = conn.as_mut() else { continue };
-            stage(links, node, &msg, &mut batch, &mut tx);
+                // With the connection gone the queue still drains (and
+                // frees) so producers never back up.
+                EgressItem::Msg(msg) if conn.is_some() => stage(&msg, &mut batch, &mut tx),
+                EgressItem::Msg(_) => {}
+            }
+            // The byte bound: a window of huge frames leaves in several
+            // writes instead of buffering them all.
             if batch.wire_len() >= COALESCE_BYTES {
-                // The byte bound: a window of huge frames leaves in
-                // several writes instead of buffering them all.
-                if let Err(e) = flush(c.as_mut(), &batch, &mut tx, queued) {
-                    conn = None;
-                    send_failed(e);
-                }
-                batch.clear();
+                flush(&mut conn, &mut batch, &mut tx, queued);
             }
         }
-
         if let Some(bye) = close {
+            if bye && conn.is_some() {
+                stage(&NetMsg::Bye, &mut batch, &mut tx);
+            }
+            flush(&mut conn, &mut batch, &mut tx, queued);
             if let Some(mut c) = conn.take() {
-                if bye {
-                    stage(links, node, &NetMsg::Bye, &mut batch, &mut tx);
-                }
-                if !batch.is_empty() {
-                    let _ = flush(c.as_mut(), &batch, &mut tx, queued);
-                }
                 let _ = c.close();
             }
             return tx.wire;
         }
-
-        if !batch.is_empty() {
-            let c = conn
-                .as_mut()
-                .expect("frames are only encoded with a live conn");
-            if let Err(e) = flush(c.as_mut(), &batch, &mut tx, queued) {
-                conn = None;
-                send_failed(e);
-            }
-        }
-        if popped {
-            continue;
-        }
-        // Go idle under the lane's lock — unless a push raced in, which
-        // `rest` sees — then park until a producer wakes us. A push
-        // that lands after `rest` finds us idle and unparks; std's park
-        // token makes that unpark stick even if it beats the park.
-        if !peer.egress.rest(false) {
+        flush(&mut conn, &mut batch, &mut tx, queued);
+        // Go idle under the lane's lock — unless this window took
+        // something, or a push raced in, which `rest` sees — then park
+        // until a producer wakes us. A push that lands after `rest`
+        // finds us idle and unparks; std's park token makes that unpark
+        // stick even if it beats the park.
+        if !popped && !peer.egress.rest(false) {
             std::thread::park();
         }
     }
 }
 
-/// What a writer thread owns besides its connection and its buffers:
-/// plain memory, read by nobody else until the thread returns `wire`.
-struct Egress {
-    /// Sequence number of the next frame on this edge.
-    next_seq: u64,
-    /// This edge's egress ledger.
-    wire: WireSnapshot,
-}
-
-/// Encode `msg` under the writer's next sequence number straight into
-/// the flush buffer, counting it in `tx.wire`: every frame on the total
-/// ledger, run traffic on the deterministic one, and a shipped envelope
-/// — visible right here, in the `Shard{Arrive}` being encoded — on the
-/// context ledger. A frozen shard is encoded here once, and with obs on
-/// the source's ring learns its size from that frame before it leaves.
-/// A message too large to frame (only a frozen shard can be) fails the
-/// run typed and consumes no sequence number.
-fn stage(links: &Links, node: usize, msg: &NetMsg, batch: &mut FrameBatch, tx: &mut Egress) {
-    let len = match batch.push_with(|b| msg.encode_into(tx.next_seq, b)) {
-        Ok(len) => len as u64,
-        Err(e) => {
-            return links.fail(ClusterError::PeerLost {
-                node,
-                detail: format!("send failed: {e}"),
-            })
-        }
-    };
-    tx.next_seq += 1;
-    tx.wire.frames_tx_total += 1;
-    tx.wire.bytes_tx_total += len;
-    if !msg.is_control() {
-        tx.wire.frames_tx += 1;
-        tx.wire.bytes_tx += len;
-    }
-    if let NetMsg::Shard {
-        msg: arrive @ WireMsg::Arrive(_),
-        ..
-    } = msg
-    {
-        tx.wire.arrives_tx += 1;
-        tx.wire.context_bytes_tx += arrive.context_payload_len() as u64;
-    }
-    if let (NetMsg::HandoffTransfer { state, .. }, Some(obs)) = (msg, links.obs.get()) {
-        let bytes = batch.frames().last().map_or(0, transfer_state_len) as u64;
-        obs.node_event(
-            em2_obs::EventKind::HandoffFreeze,
-            u64::from(state.shard),
-            bytes,
-        );
-    }
-}
-
-/// The node's one timer thread. `Control` owns every deadline (run,
-/// handoff, and per edge heartbeat due and peer silence) but cannot
-/// wake itself, so this thread feeds it `Tick`s carrying the runtime's
-/// census and every edge's clocks, and `Control` answers with
-/// heartbeats or the run's failure. It parks until the earliest
-/// deadline (indefinitely when there is none), is unparked when an
-/// event arms an earlier one and by `finish`, and exits once the run is
-/// over — the workers stop only then, or on a task panic, which
-/// `finish` re-raises.
+/// The node's one timer thread. `Control` owns every deadline but
+/// cannot wake itself, so this thread feeds it `Tick`s carrying every
+/// edge's clocks. It parks until the earliest deadline (indefinitely
+/// when there is none), is unparked when an event arms an earlier one
+/// and by `finish`, and exits once the run is over — the workers stop
+/// only then, or on a task panic, which `finish` re-raises.
 fn ticker_loop(links: &Links) {
     let load = |clock: &AtomicU64| clock.load(Ordering::Relaxed);
     let clocks = |p: &Peer| (load(&p.last_rx_ms), load(&p.last_tx_ms));
     while !links.lock_control().over() {
-        let backlog = links.backlog();
-        let edges = links
-            .peers
-            .iter()
-            .map(|p| p.as_ref().map_or((0, 0), clocks));
-        let edges = edges.collect();
-        links.control(Event::Tick { backlog, edges });
+        let edges = links.peers.iter();
+        let edges = edges.map(|p| p.as_ref().map_or((0, 0), clocks)).collect();
+        links.control(Event::Tick { edges });
         // An arm that lands after this read unparks us; the token
         // makes the park below return at once.
         let next = links.lock_control().next_deadline_ms();
@@ -957,10 +678,9 @@ pub struct NetReport {
 pub struct NodeRuntime {
     rt: Option<Runtime>,
     links: Arc<Links>,
-    readers: Vec<std::thread::JoinHandle<WireSnapshot>>,
-    writers: Vec<std::thread::JoinHandle<WireSnapshot>>,
-    ticker: std::thread::JoinHandle<()>,
-    node: usize,
+    /// Each peer's writer and reader, which hand back their ledgers.
+    edges: Vec<JoinHandle<WireSnapshot>>,
+    ticker: JoinHandle<()>,
     transport: &'static str,
 }
 
@@ -1017,134 +737,62 @@ impl NodeRuntime {
         scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
         barrier_quotas: Vec<usize>,
     ) -> Result<NodeRuntime, ClusterError> {
-        spec.validate()
-            .map_err(|e| ClusterError::Config { detail: e })?;
-        if node >= spec.num_nodes() {
-            return Err(ClusterError::Config {
-                detail: format!("node {node} not in a {}-node cluster", spec.num_nodes()),
-            });
+        let config = |detail| ClusterError::Config { detail };
+        spec.validate().map_err(config)?;
+        let nodes = spec.num_nodes();
+        if node >= nodes {
+            return Err(config(format!("node {node} not in a {nodes}-node cluster")));
         }
         if cfg.shards != spec.total_shards {
-            return Err(ClusterError::Config {
-                detail: format!(
-                    "cfg.shards ({}) != cluster shard count ({})",
-                    cfg.shards, spec.total_shards
-                ),
-            });
+            let (have, want) = (cfg.shards, spec.total_shards);
+            return Err(config(format!(
+                "cfg.shards ({have}) != cluster shard count ({want})"
+            )));
         }
-        let digest = spec.digest();
-        let nodes = spec.num_nodes();
-        let budget = Duration::from_millis(spec.timeouts.connect_ms.max(1));
-        let handshake_deadline = Instant::now() + budget;
-
-        // Accept from higher ids, dial lower ids.
-        let expected_inbound = nodes - 1 - node;
-        let mut acceptor = if expected_inbound > 0 {
-            Some(transport.listen(&spec.nodes[node].addr)?)
-        } else {
-            None
+        let greeting = Greeting {
+            me: node,
+            nodes,
+            digest: spec.digest(),
         };
+        let budget = Duration::from_millis(spec.timeouts.connect_ms.max(1));
+        let deadline = Instant::now() + budget;
 
+        // Listen, dial every lower id, then accept every higher one.
+        let inbound = nodes - 1 - node;
+        let listen = || transport.listen(&spec.nodes[node].addr);
+        let mut acceptor = (inbound > 0).then(listen).transpose()?;
         let mut conns: Vec<Option<Duplex>> = (0..nodes).map(|_| None).collect();
         for peer in 0..node {
-            let mut duplex =
-                connect_with_retry(&*transport, &spec.nodes[peer].addr, handshake_deadline)?;
-            duplex
-                .tx
-                .send_frame(
-                    &NetMsg::Hello {
-                        node: node as u32,
-                        wire_version: WIRE_VERSION,
-                        topology: digest,
-                    }
-                    .encode(0),
-                )
-                .map_err(|e| handshake_err(format!("sending Hello to node {peer}: {e}")))?;
-            match recv_handshake(&mut *duplex.rx, handshake_deadline)? {
-                NetMsg::HelloAck {
-                    node: n,
-                    topology: t,
-                } if n as usize == peer && t == digest => {}
-                other => {
-                    return Err(handshake_err(format!(
-                        "node {peer} answered {other:?} (topology digest {digest:#x})"
-                    )))
-                }
-            }
-            conns[peer] = Some(duplex);
+            let mut d = connect_with_retry(&*transport, &spec.nodes[peer].addr, deadline)?;
+            let sent = d.tx.send_frame(&greeting.hello());
+            sent.map_err(|e| handshake_err(format!("sending Hello to node {peer}: {e}")))?;
+            greeting.check(recv_handshake(&mut *d.rx, deadline)?, Some(peer), |_| false)?;
+            conns[peer] = Some(d);
         }
-        for _ in 0..expected_inbound {
-            let mut duplex = acceptor
+        for _ in 0..inbound {
+            let accepted = acceptor
                 .as_mut()
                 .expect("listening")
-                .accept_deadline(handshake_deadline)
-                .map_err(|e| handshake_err(format!("accepting a peer: {e}")))?;
-            let peer = match recv_handshake(&mut *duplex.rx, handshake_deadline)? {
-                NetMsg::Hello {
-                    node: n,
-                    wire_version,
-                    topology,
-                } => {
-                    if wire_version != WIRE_VERSION {
-                        return Err(handshake_err(format!(
-                            "node {n} speaks wire version {wire_version}, this build {WIRE_VERSION}"
-                        )));
-                    }
-                    if topology != digest {
-                        return Err(handshake_err(format!(
-                            "node {n} has topology digest {topology:#x}, this node {digest:#x}"
-                        )));
-                    }
-                    let n = n as usize;
-                    if n <= node || n >= nodes || conns[n].is_some() {
-                        return Err(handshake_err(format!("unexpected Hello from node {n}")));
-                    }
-                    n
-                }
-                other => return Err(handshake_err(format!("expected Hello, got {other:?}"))),
-            };
-            duplex
-                .tx
-                .send_frame(
-                    &NetMsg::HelloAck {
-                        node: node as u32,
-                        topology: digest,
-                    }
-                    .encode(0),
-                )
-                .map_err(|e| handshake_err(format!("answering node {peer}: {e}")))?;
-            conns[peer] = Some(duplex);
+                .accept_deadline(deadline);
+            let mut d = accepted.map_err(|e| handshake_err(format!("accepting a peer: {e}")))?;
+            let hello = recv_handshake(&mut *d.rx, deadline)?;
+            let peer = greeting.check(hello, None, |n| conns[n].is_some())?;
+            let sent = d.tx.send_frame(&greeting.ack());
+            sent.map_err(|e| handshake_err(format!("answering node {peer}: {e}")))?;
+            conns[peer] = Some(d);
         }
         drop(acceptor);
 
         let epoch = Instant::now();
-        let mut peers: Vec<Option<Peer>> = Vec::with_capacity(nodes);
-        let mut rxs: Vec<(usize, Box<dyn FrameRx>)> = Vec::new();
-        let mut txs: Vec<(usize, Box<dyn FrameTx>)> = Vec::new();
-        for (i, c) in conns.into_iter().enumerate() {
-            match c {
-                None => peers.push(None),
-                Some(mut d) => {
-                    // Clear any handshake receive deadline: run-phase
-                    // liveness belongs to heartbeats and the run deadline.
-                    let _ = d.rx.set_recv_timeout(None);
-                    peers.push(Some(Peer::new()));
-                    rxs.push((i, d.rx));
-                    txs.push((i, d.tx));
-                }
-            }
-        }
+        let peers = conns.iter().map(|c| c.as_ref().map(|_| Peer::default()));
+        let peers = peers.collect();
         // The directory starts from the spec's static assignment at
         // the spec's initial epoch; handoffs move it from there. One
         // Arc is shared by the runtime's send path and the link layer.
-        let owners: Vec<u32> = (0..spec.total_shards)
-            .map(|s| spec.owner_of(s) as u32)
-            .collect();
-        let directory = Arc::new(ShardDirectory::new(
-            node as u32,
-            spec.initial_epoch,
-            &owners,
-        ));
+        let owners = (0..spec.total_shards).map(|s| spec.owner_of(s) as u32);
+        let owners: Vec<u32> = owners.collect();
+        let directory = ShardDirectory::new(node as u32, spec.initial_epoch, &owners);
+        let directory = Arc::new(directory);
         let barriers = barrier_quotas.len();
         let control = Control::new(
             node,
@@ -1182,63 +830,42 @@ impl NodeRuntime {
         // consistently.
         if let Some(obs) = rt.obs() {
             obs.set_node(node as u64);
-            for (i, p) in links.peers.iter().enumerate() {
-                if p.is_some() {
-                    obs.register_peer(i as u64);
-                    obs.node_event(em2_obs::EventKind::PeerUp, i as u64, 0);
-                }
+            for i in (0..nodes as u64).filter(|&i| i != node as u64) {
+                obs.register_peer(i);
+                obs.node_event(em2_obs::EventKind::PeerUp, i, 0);
             }
             links.obs.set(obs).expect("obs set once");
         }
-        links
-            .inbox
-            .set(rt.remote_inbox(registry, scheme_factory))
-            .ok()
-            .expect("inbox set once");
+        let inbox = rt.remote_inbox(registry, scheme_factory);
+        links.inbox.set(inbox).ok().expect("inbox set once");
 
-        let kind_name = transport.kind();
         // The ticker first, registered before any reader can deliver
         // an event that arms a deadline.
         let ticker = {
             let links = Arc::clone(&links);
-            std::thread::Builder::new()
-                .name("em2-net-ticker".into())
-                .spawn(move || ticker_loop(&links))
-                .expect("spawn ticker")
+            spawn("em2-net-ticker".into(), move || ticker_loop(&links))
         };
-        links
-            .ticker
-            .set(ticker.thread().clone())
-            .expect("ticker set once");
-        let readers = rxs
-            .into_iter()
-            .map(|(peer, rx)| {
-                let links = Arc::clone(&links);
-                std::thread::Builder::new()
-                    .name(format!("em2-net-rx-{peer}"))
-                    .spawn(move || reader_loop(&links, peer, rx))
-                    .expect("spawn reader")
-            })
-            .collect();
-        let writers = txs
-            .into_iter()
-            .map(|(peer, tx)| {
-                let links = Arc::clone(&links);
-                std::thread::Builder::new()
-                    .name(format!("em2-net-tx-{peer}"))
-                    .spawn(move || writer_loop(&links, peer, tx))
-                    .expect("spawn writer")
-            })
-            .collect();
+        let ticker_thread = ticker.thread().clone();
+        links.ticker.set(ticker_thread).expect("ticker set once");
+        let mut edges = Vec::new();
+        for (peer, d) in conns.into_iter().enumerate() {
+            let Some(mut d) = d else { continue };
+            // Clear the handshake receive deadline: run-phase liveness
+            // belongs to heartbeats and the run deadline.
+            let _ = d.rx.set_recv_timeout(None);
+            let (rx_links, tx_links) = (Arc::clone(&links), Arc::clone(&links));
+            let read = move || reader_loop(&rx_links, peer, d.rx);
+            edges.push(spawn(format!("em2-net-rx-{peer}"), read));
+            let write = move || writer_loop(&tx_links, peer, d.tx);
+            edges.push(spawn(format!("em2-net-tx-{peer}"), write));
+        }
 
         Ok(NodeRuntime {
             rt: Some(rt),
             links,
-            readers,
-            writers,
+            edges,
             ticker,
-            node,
-            transport: kind_name,
+            transport: transport.kind(),
         })
     }
 
@@ -1339,12 +966,12 @@ impl NodeRuntime {
                 p.unpark_writer();
             }
         }
-        // Writers first; readers exit when peers close theirs (every
-        // node does this after its own finish, bounded by its own run
-        // deadline). Each hands back the ledger it kept.
+        // Writers exit at their sentinel; readers when peers close
+        // theirs (every node does this after its own finish, bounded by
+        // its own run deadline).
         let mut wire = WireSnapshot::default();
         let mut panicked = ticker_panicked;
-        for link_thread in self.writers.drain(..).chain(self.readers.drain(..)) {
+        for link_thread in self.edges.drain(..) {
             match link_thread.join() {
                 Ok(counted) => wire.absorb(&counted),
                 Err(_) => panicked = true,
@@ -1361,7 +988,7 @@ impl NodeRuntime {
         Ok(NetReport {
             rt: report,
             wire,
-            node: self.node,
+            node: self.links.me,
             nodes: self.links.spec.num_nodes(),
             transport: self.transport,
             epoch: self.links.directory.epoch(),
@@ -1372,62 +999,49 @@ impl NodeRuntime {
     }
 }
 
-fn handshake_err(msg: String) -> ClusterError {
-    ClusterError::Handshake { detail: msg }
+/// Start one of the node's threads, named `name`.
+fn spawn<T: Send + 'static>(name: String, f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
+    let spawned = std::thread::Builder::new().name(name).spawn(f);
+    spawned.expect("spawn a node thread")
 }
 
-/// Receive one handshake message with the remaining connect budget as
+/// Receive one handshake frame with the remaining connect budget as
 /// the read deadline — a peer that connects and then goes silent must
 /// not wedge the whole cluster's startup.
-fn recv_handshake(rx: &mut dyn FrameRx, deadline: Instant) -> Result<NetMsg, ClusterError> {
+fn recv_handshake(rx: &mut dyn FrameRx, deadline: Instant) -> Result<&[u8], ClusterError> {
     let left = deadline.saturating_duration_since(Instant::now());
     if left.is_zero() {
         return Err(handshake_err("connect budget exhausted".into()));
     }
     let _ = rx.set_recv_timeout(Some(left));
-    let frame = rx
-        .recv()
+    rx.recv()
         .map_err(|e| handshake_err(format!("receive failed: {e}")))?
-        .ok_or_else(|| handshake_err("peer closed during handshake".into()))?;
-    let (seq, msg) = NetMsg::decode(frame).map_err(|e| handshake_err(e.to_string()))?;
-    if seq != 0 {
-        return Err(handshake_err(format!(
-            "handshake frame carried sequence {seq}, expected 0"
-        )));
-    }
-    Ok(msg)
+        .ok_or_else(|| handshake_err("peer closed during handshake".into()))
 }
 
-/// Dial `addr` until it answers or the deadline passes, backing off
-/// exponentially (2 ms doubling to a 200 ms cap) with deterministic
-/// jitter seeded from the address — retries from many nodes spread
-/// out instead of stampeding the listener in lockstep.
+/// Dial `addr` until it answers or the deadline passes, sleeping
+/// through [`backoff`]'s schedule between refusals.
 fn connect_with_retry(
     transport: &dyn Transport,
     addr: &str,
     deadline: Instant,
 ) -> Result<Duplex, ClusterError> {
     let t0 = Instant::now();
-    let mut rng = DetRng::new(fnv1a(FNV1A_INIT, addr.as_bytes()));
-    let mut delay_ms: u64 = 2;
+    let mut wait = backoff(addr);
     loop {
-        match transport.connect(addr) {
+        let e = match transport.connect(addr) {
             Ok(d) => return Ok(d),
-            Err(e) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(ClusterError::ConnectTimeout {
-                        addr: addr.to_string(),
-                        waited_ms: t0.elapsed().as_millis() as u64,
-                        detail: e.to_string(),
-                    });
-                }
-                let jittered = delay_ms / 2 + rng.below(delay_ms / 2 + 1);
-                let left = deadline.saturating_duration_since(now);
-                std::thread::sleep(Duration::from_millis(jittered).min(left));
-                delay_ms = (delay_ms * 2).min(200);
-            }
+            Err(e) => e,
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(ClusterError::ConnectTimeout {
+                addr: addr.to_string(),
+                waited_ms: t0.elapsed().as_millis() as u64,
+                detail: e.to_string(),
+            });
         }
+        std::thread::sleep(wait(deadline - now));
     }
 }
 
@@ -1455,7 +1069,7 @@ mod tests {
             me: 1,
             directory: Arc::new(ShardDirectory::new(1, 0, &owners)),
             control: Mutex::new(Control::new(1, 2, 4, Vec::new(), spec.timeouts)),
-            peers: vec![Some(Peer::new()), None],
+            peers: vec![Some(Peer::default()), None],
             inbox: OnceLock::new(),
             epoch: Instant::now(),
             obs: OnceLock::new(),
