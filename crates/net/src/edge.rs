@@ -286,7 +286,6 @@ pub(crate) fn handshake_err(detail: String) -> ClusterError {
 /// `HelloAck{node, topology}`. A version or topology mismatch refuses
 /// the connection — two processes that disagree on shard ownership
 /// must not exchange a single shard message.
-#[derive(Clone, Copy, Debug)]
 pub(crate) struct Greeting {
     pub(crate) me: usize,
     pub(crate) nodes: usize,
