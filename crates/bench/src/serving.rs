@@ -5,6 +5,7 @@
 //! a real UDS cluster under an open-loop injector; the tests here pin
 //! that a 2-node cluster serving them sums to the single-process run.
 
+use em2_model::bytes::Writer;
 use em2_model::{Addr, DetRng};
 use em2_rt::{Op, Task};
 
@@ -44,7 +45,7 @@ impl KvRequest {
         }
     }
 
-    /// Rebuild a migrated-in request from its [`Task::context_bytes`]
+    /// Rebuild a migrated-in request from its [`Task::write_context`]
     /// (the receiving half of a cross-process migration — the KV
     /// service as a *distributed* service).
     pub fn from_context_bytes(ctx: &[u8]) -> Result<Self, String> {
@@ -96,14 +97,16 @@ impl Task for KvRequest {
     }
 
     fn context_bytes(&self) -> Vec<u8> {
+        em2_model::bytes::to_vec(25, |w| self.write_context(w))
+    }
+
+    fn write_context(&self, w: &mut Writer<'_>) {
         // hot + own + value + step: the live transaction state, 25
         // bytes — what a migration actually ships.
-        let mut b = Vec::with_capacity(25);
-        b.extend_from_slice(&self.hot.0.to_le_bytes());
-        b.extend_from_slice(&self.own.0.to_le_bytes());
-        b.extend_from_slice(&self.value.to_le_bytes());
-        b.push(self.step);
-        b
+        w.u64(self.hot.0);
+        w.u64(self.own.0);
+        w.u64(self.value);
+        w.u8(self.step);
     }
 
     fn context_len(&self) -> u64 {
@@ -142,6 +145,32 @@ mod tests {
             ));
         }
         rt.finish()
+    }
+
+    /// At every step, what a hop writes into its frame is the request's
+    /// context, `context_len` bytes of it, and the registry rebuilds the
+    /// same request from it.
+    #[test]
+    fn a_request_writes_its_context_at_every_step() {
+        let mut t = KvRequest::new(5, &mut DetRng::new(7));
+        let registry = kv_registry();
+        let mut reply = None;
+        loop {
+            let ctx = t.context_bytes();
+            let mut written = Vec::new();
+            let len = t.context_len() as usize;
+            em2_model::bytes::write_into(&mut written, len, |w| t.write_context(w));
+            assert_eq!((written.len(), &written), (len, &ctx));
+            let rebuilt = registry
+                .build(KvRequest::WIRE_KIND, &ctx)
+                .expect("rebuilds");
+            assert_eq!(rebuilt.context_bytes(), ctx);
+            match t.resume(reply) {
+                Op::Done => break,
+                Op::Write(_, v) => reply = Some(v),
+                _ => {}
+            }
+        }
     }
 
     #[test]

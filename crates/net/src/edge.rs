@@ -8,11 +8,12 @@
 //! is tested below without a thread.
 
 use crate::error::ClusterError;
-use crate::proto::{transfer_state_len, NetMsg, NetView};
+use crate::proto::{encode_shard, transfer_state_len, NetMsg, NetView};
 use crate::transport::FrameBatch;
 use em2_model::hash::{fnv1a, FNV1A_INIT};
 use em2_model::{DetRng, Fold};
 use em2_rt::wire::{WireEnvelope, WireMsg, WIRE_VERSION};
+use em2_rt::Outbound;
 use std::time::Duration;
 
 /// One node's wire telemetry. Every count is kept as plain memory by
@@ -223,12 +224,10 @@ impl Egress {
 
     /// Encode `msg` under the next sequence number straight into the
     /// flush buffer, counting it: every frame on the total ledger, run
-    /// traffic on the deterministic one, and a shipped envelope —
-    /// visible right here, in the `Shard{Arrive}` being encoded — on
-    /// the context ledger. A `HandoffTransfer` answers its shard and
-    /// the state's bytes, read off the one frame it is encoded into,
-    /// for the `HandoffFreeze` ring event. A message too large to frame
-    /// (only a frozen shard can be) fails the run and consumes no
+    /// traffic on the deterministic one. A `HandoffTransfer` answers its
+    /// shard and the state's bytes, read off the one frame it is encoded
+    /// into, for the `HandoffFreeze` ring event. A message too large to
+    /// frame (only a frozen shard can be) fails the run and consumes no
     /// sequence number.
     pub(crate) fn stage(
         &mut self,
@@ -236,29 +235,48 @@ impl Egress {
         batch: &mut FrameBatch,
     ) -> Result<Option<(u32, u64)>, ClusterError> {
         let pushed = batch.push_with(|b| msg.encode_into(self.next_seq, b));
+        self.count(pushed, msg.is_control())?;
+        if let NetMsg::HandoffTransfer { state, .. } = msg {
+            let bytes = batch.frames().last().map_or(0, transfer_state_len);
+            return Ok(Some((state.shard, bytes as u64)));
+        }
+        Ok(None)
+    }
+
+    /// [`Egress::stage`] for run traffic: a [`NetMsg::Shard`] frame for
+    /// shard `to`, written from the executor's own message
+    /// ([`encode_shard`]). A shipped envelope — visible right here —
+    /// also counts on the context ledger.
+    pub(crate) fn stage_shard(
+        &mut self,
+        to: u32,
+        epoch: u64,
+        retries: u32,
+        msg: &Outbound,
+        batch: &mut FrameBatch,
+    ) -> Result<(), ClusterError> {
+        let seq = self.next_seq;
+        let pushed = batch.push_with(|b| encode_shard(seq, b, to, epoch, retries, msg));
+        self.count(pushed, false)?;
+        if let Some(ctx) = msg.context_len() {
+            self.wire.arrives_tx += 1;
+            self.wire.context_bytes_tx += ctx as u64;
+        }
+        Ok(())
+    }
+
+    /// Count a frame `pushed` into the batch (its length, or why it
+    /// could not be) on the ledgers, and consume its sequence number.
+    fn count(&mut self, pushed: std::io::Result<usize>, control: bool) -> Result<(), ClusterError> {
         let len = pushed.map_err(|e| self.lost(e))? as u64;
         self.next_seq += 1;
         self.wire.frames_tx_total += 1;
         self.wire.bytes_tx_total += len;
-        if !msg.is_control() {
+        if !control {
             self.wire.frames_tx += 1;
             self.wire.bytes_tx += len;
         }
-        match msg {
-            NetMsg::Shard {
-                msg: arrive @ WireMsg::Arrive(_),
-                ..
-            } => {
-                self.wire.arrives_tx += 1;
-                self.wire.context_bytes_tx += arrive.context_payload_len() as u64;
-            }
-            NetMsg::HandoffTransfer { state, .. } => {
-                let bytes = batch.frames().last().map_or(0, transfer_state_len);
-                return Ok(Some((state.shard, bytes as u64)));
-            }
-            _ => {}
-        }
-        Ok(None)
+        Ok(())
     }
 
     /// What a failed write (or a frame too large to write) means.

@@ -43,7 +43,8 @@ use em2_placement::Placement;
 use em2_rt::mpsc::MpscQueue;
 use em2_rt::wire::{WireEnvelope, WireMsg};
 use em2_rt::{
-    NodeLink, NodeRole, RtConfig, RtReport, Runtime, ShardDirectory, TaskRegistry, TaskSpec,
+    NodeLink, NodeRole, Outbound, RtConfig, RtReport, Runtime, ShardDirectory, Stash, TaskRegistry,
+    TaskSpec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -61,10 +62,20 @@ const COALESCE_BYTES: usize = 256 << 10;
 
 pub use crate::edge::WireSnapshot;
 
-/// What travels down a peer's egress queue.
+/// What travels down a peer's egress queue. The writer assigns each
+/// frame's sequence number at pop time.
 enum EgressItem {
-    /// An encodable message; the writer assigns its sequence number at
-    /// pop time.
+    /// Run traffic for shard `to`, stamped with the sender's directory
+    /// `epoch` and the frame's re-route count: the executor's own
+    /// message, which the writer encodes as a [`NetMsg::Shard`] and then
+    /// hands back to the runtime ([`em2_rt::RemoteInbox::recycle`]).
+    Shard {
+        to: u32,
+        epoch: u64,
+        retries: u32,
+        msg: Outbound,
+    },
+    /// Any other frame.
     Msg(NetMsg),
     /// Teardown sentinel, pushed by `finish` after everything else;
     /// `bye` iff the run was clean.
@@ -117,7 +128,7 @@ struct Links {
     /// writers.
     directory: Arc<ShardDirectory>,
     /// The control plane, the protocol's only lock; the data path
-    /// (`route_shard`, `send_to`, `forward_many`, the writers) never
+    /// (`forward`, `send_to`, `forward_many`, the writers) never
     /// takes it. Sends leave under it, so the lock order is control →
     /// egress lane, and a lane's lock is a leaf.
     control: Mutex<Control>,
@@ -178,17 +189,22 @@ impl Links {
         self.control(Event::Fail(err));
     }
 
-    /// Enqueue one message on a peer's egress FIFO and, if that
-    /// found its writer idle, wake it. This is the whole hot path for a
+    /// Enqueue one frame on a peer's egress FIFO and, if that found
+    /// its writer idle, wake it. This is the whole hot path for a
     /// sender: one enqueue under the lane's lock plus at most one
     /// `unpark` — no syscall, no ledger, no blocking on a slow peer. A
     /// dead connection is the **writer's** discovery (it records the
     /// failure); producers cannot fail.
-    fn send_to(&self, node: usize, msg: NetMsg) {
+    fn push(&self, node: usize, item: EgressItem) {
         let peer = self.peer(node);
-        if peer.egress.push(EgressItem::Msg(msg)) {
+        if peer.egress.push(item) {
             peer.unpark_writer();
         }
+    }
+
+    /// [`Links::push`] of any frame but run traffic.
+    fn send_to(&self, node: usize, msg: NetMsg) {
+        self.push(node, EgressItem::Msg(msg));
     }
 
     /// [`Links::send_to`] for an [`NetMsg::Abort`], which jumps the
@@ -261,13 +277,18 @@ impl Links {
                 retries,
                 msg,
             } => self
-                .deliver(from, shard, retries, msg, Instant::now())
+                .deliver(from, shard, retries, msg, Instant::now(), None)
                 .err(),
+            // Rebuilt into the executor's form first, then routed as a
+            // worker's send is: into a mailbox here if this node owns
+            // the shard now, onto the owner's lane otherwise.
             Action::Route {
                 shard,
                 retries,
                 msg,
-            } => self.route_shard(shard, retries, msg).err(),
+            } => self
+                .deliver(self.me, shard, retries, msg, Instant::now(), None)
+                .err(),
             Action::ReleaseBarrier { k } => {
                 self.inbox().release_barrier(k);
                 None
@@ -331,7 +352,8 @@ impl Links {
 
     /// Hand one message — a view or owned — that node `from` sent (`me`:
     /// a local worker) to the local runtime, `received` being when it
-    /// reached this node. One it cannot rebuild is a codec failure.
+    /// reached this node; a reader passes its `stash` of spare envelope
+    /// boxes. One it cannot rebuild is a codec failure.
     fn deliver<B: AsRef<[u8]>>(
         &self,
         from: usize,
@@ -339,58 +361,49 @@ impl Links {
         retries: u32,
         msg: WireMsg<WireEnvelope<B>>,
         received: Instant,
+        stash: Option<&mut Stash>,
     ) -> Result<(), ClusterError> {
-        let delivered = self.inbox().deliver(shard, retries, msg, received);
+        let delivered = self.inbox().deliver(shard, retries, msg, received, stash);
         delivered.map(drop).map_err(|e| ClusterError::Codec {
             from,
             detail: format!("undeliverable message for shard {shard}: {e}"),
         })
     }
+}
 
-    /// Route one shard-addressed message by the current directory:
-    /// deliver locally if this node owns it (ownership can flip toward
-    /// us between enqueue and here), otherwise ship it to the owner
-    /// stamped with our epoch and the frame's re-route count.
-    fn route_shard(&self, to: usize, retries: u32, msg: WireMsg) -> Result<(), ClusterError> {
+impl NodeLink for Links {
+    /// Route one shard-addressed message by the current directory: ship
+    /// it to the owner stamped with our epoch and the frame's re-route
+    /// count, or — ownership flipped back toward us between the
+    /// runtime's check and here — hand it back to the local runtime
+    /// instead of bouncing it off a confused peer. The runtime passes
+    /// through the re-route count of the frame it was delivering (0 for
+    /// its own sends), so the bounce budget survives the local hop. A
+    /// dead connection is discovered (and recorded) by the owner peer's
+    /// writer; the worker notices the failure flag on its next poll.
+    fn forward(&self, to_shard: usize, retries: u32, msg: Outbound) {
         // Epoch *before* owner: `ShardDirectory::install` publishes
         // the owners before the epoch, so reading in the opposite
         // order guarantees the stamp is never newer than the map that
         // chose the route — the proof the receiver's fence parks on
         // (`Control::fence`).
         let epoch = self.directory.epoch();
-        let owner = self.directory.owner_of(to) as usize;
+        let owner = self.directory.owner_of(to_shard) as usize;
         if owner == self.me {
-            return self.deliver(self.me, to, retries, msg, Instant::now());
+            self.inbox().reroute(to_shard, retries, msg);
+            return;
         }
-        self.send_to(
-            owner,
-            NetMsg::Shard {
-                to: to as u32,
-                epoch,
-                retries,
-                msg,
-            },
-        );
-        Ok(())
-    }
-}
-
-impl NodeLink for Links {
-    fn forward(&self, to_shard: usize, retries: u32, msg: WireMsg) {
-        // A dead connection is discovered (and recorded) by the owner
-        // peer's writer; the worker notices the failure flag on its
-        // next poll. Ownership may have flipped back toward us between
-        // the runtime's check and here — route_shard delivers locally
-        // in that case instead of bouncing off a confused peer. The
-        // runtime passes through the re-route count of the frame it
-        // was delivering (0 for its own sends), so the bounce budget
-        // survives the local hop.
-        if let Err(e) = self.route_shard(to_shard, retries, msg) {
-            self.fail(e);
-        }
+        let to = to_shard as u32;
+        let item = EgressItem::Shard {
+            to,
+            epoch,
+            retries,
+            msg,
+        };
+        self.push(owner, item);
     }
 
-    fn forward_many(&self, msgs: &mut Vec<(usize, WireMsg)>) {
+    fn forward_many(&self, msgs: &mut Vec<(usize, Outbound)>) {
         // A shard's batch of remote replies: enqueue every message in
         // order, then wake each destination writer a push found idle —
         // after the whole batch, so the frames land in the writer's
@@ -401,7 +414,7 @@ impl NodeLink for Links {
         // One bit per destination node id below 64; a node past that
         // is woken per message, which is only less economical.
         let mut woken = 0u64;
-        let mut local: Vec<(usize, WireMsg)> = Vec::new();
+        let mut local: Vec<(usize, Outbound)> = Vec::new();
         for (to_shard, msg) in msgs.drain(..) {
             let owner = self.directory.owner_of(to_shard) as usize;
             if owner == self.me {
@@ -412,12 +425,12 @@ impl NodeLink for Links {
                 continue;
             }
             let peer = self.peer(owner);
-            let woke = peer.egress.push(EgressItem::Msg(NetMsg::Shard {
+            let woke = peer.egress.push(EgressItem::Shard {
                 to: to_shard as u32,
                 epoch,
                 retries: 0,
                 msg,
-            }));
+            });
             if woke {
                 match 1u64.checked_shl(owner as u32) {
                     Some(bit) => woken |= bit,
@@ -429,14 +442,8 @@ impl NodeLink for Links {
             self.peer(woken.trailing_zeros() as usize).unpark_writer();
             woken &= woken - 1;
         }
-        if local.is_empty() {
-            return;
-        }
-        let received = Instant::now();
         for (to_shard, msg) in local {
-            if let Err(e) = self.deliver(self.me, to_shard, 0, msg, received) {
-                self.fail(e);
-            }
+            self.inbox().reroute(to_shard, 0, msg);
         }
     }
 
@@ -460,13 +467,15 @@ impl NodeLink for Links {
 ///
 /// [`Ingress::take`] says what each frame asks for. The hot path takes
 /// only the target mailbox's lock: `inbox.deliver` of the view, whose
-/// task builder parses the continuation where the socket put it. The
+/// task builder parses the continuation where the socket put it, into
+/// an envelope box a send emptied, from the reader's own [`Stash`]. The
 /// clock is read per socket read, not per frame: one reading stamps
 /// the edge's liveness and the arrival of every envelope that read
 /// brought in.
 fn reader_loop(links: &Links, from: usize, mut rx: Box<dyn FrameRx>) -> WireSnapshot {
     let peer = links.peer(from);
     let mut ingress = Ingress::new(from, links.spec.total_shards);
+    let mut stash = Stash::default();
     let owns = |shard: usize| links.directory.owner_of(shard) as usize == links.me;
     // When the bytes of the frame in hand reached this node.
     let mut received = Instant::now();
@@ -497,7 +506,12 @@ fn reader_loop(links: &Links, from: usize, mut rx: Box<dyn FrameRx>) -> WireSnap
                 shard,
                 retries,
                 msg,
-            }) => links.deliver(from, shard, retries, msg, received).err(),
+            }) => {
+                let stash = Some(&mut stash);
+                links
+                    .deliver(from, shard, retries, msg, received, stash)
+                    .err()
+            }
             Ok(Inbound::Nothing) => None,
             // A `Quiesce` keeps us reading to EOF so the close is
             // clean; a failure (ours or an `Abort`) ends the stream.
@@ -522,11 +536,15 @@ fn reader_loop(links: &Links, from: usize, mut rx: Box<dyn FrameRx>) -> WireSnap
 ///
 /// Each wakeup moves up to [`COALESCE_FRAMES`] frames out of the FIFO
 /// under one lock (an Abort, pushed at the head, leads its window),
-/// stages each through [`Egress::stage`] into the edge's one reusable
-/// [`FrameBatch`], and writes the window as **one flush**
-/// ([`FrameTx::send_batch`]: on a stream transport, one `write` — a
-/// window that outgrows [`COALESCE_BYTES`] flushes early). When the
-/// lane goes empty the writer parks until a push wakes it. The
+/// stages each through [`Egress`] into the edge's one reusable
+/// [`FrameBatch`] — run traffic straight from the executor's message,
+/// its task writing its own context — and writes the window as **one
+/// flush** ([`FrameTx::send_batch`]: on a stream transport, one `write`
+/// — a window that outgrows [`COALESCE_BYTES`] flushes early). After
+/// each flush, the messages it carried go back to the runtime in one
+/// call ([`em2_rt::RemoteInbox::recycle`]), their envelope boxes to be
+/// refilled by a reader. When the lane goes empty the writer parks
+/// until a push wakes it. The
 /// [`EgressItem::Close`] sentinel (pushed by `finish` after the last
 /// data frame) drains the FIFO, appends [`NetMsg::Bye`] on a clean
 /// run, flushes, closes, and exits — Bye stays last on the wire.
@@ -554,9 +572,11 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
     // Write a non-empty batch out on a live connection, and empty it:
     // one write and one clock read behind it, then what is per flush —
     // the counts, `last_tx_ms` and (obs on) the latency of `send_batch`
-    // alone. A failed write drops the connection and fails the run.
+    // alone — and the runtime takes back the messages the batch
+    // carried. A failed write drops the connection and fails the run.
     let flush = |conn: &mut Option<Box<dyn FrameTx>>,
                  batch: &mut FrameBatch,
+                 spent: &mut Vec<Outbound>,
                  tx: &mut Egress,
                  queued: u64| {
         if let Some(c) = conn.as_mut().filter(|_| !batch.is_empty()) {
@@ -575,9 +595,14 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
             }
         }
         batch.clear();
+        if !spent.is_empty() {
+            links.inbox().recycle(spent);
+        }
     };
-    // The window `take` moves out of the lane (capacity persists).
+    // The window `take` moves out of the lane, and the run traffic of
+    // the batch in hand (capacities persist).
     let mut window: Vec<EgressItem> = Vec::with_capacity(COALESCE_FRAMES);
+    let mut spent: Vec<Outbound> = Vec::with_capacity(COALESCE_FRAMES);
     loop {
         // Move one coalesce window out under one lock and flush it
         // once.
@@ -592,26 +617,37 @@ fn writer_loop(links: &Links, node: usize, conn: Box<dyn FrameTx>) -> WireSnapsh
                 }
                 // With the connection gone the queue still drains (and
                 // frees) so producers never back up.
-                EgressItem::Msg(msg) if conn.is_some() => stage(&msg, &mut batch, &mut tx),
-                EgressItem::Msg(_) => {}
+                _ if conn.is_none() => {}
+                EgressItem::Shard {
+                    to,
+                    epoch,
+                    retries,
+                    msg,
+                } => {
+                    if let Err(e) = tx.stage_shard(to, epoch, retries, &msg, &mut batch) {
+                        links.fail(e);
+                    }
+                    spent.push(msg);
+                }
+                EgressItem::Msg(msg) => stage(&msg, &mut batch, &mut tx),
             }
             // The byte bound: a window of huge frames leaves in several
             // writes instead of buffering them all.
             if batch.wire_len() >= COALESCE_BYTES {
-                flush(&mut conn, &mut batch, &mut tx, queued);
+                flush(&mut conn, &mut batch, &mut spent, &mut tx, queued);
             }
         }
         if let Some(bye) = close {
             if bye && conn.is_some() {
                 stage(&NetMsg::Bye, &mut batch, &mut tx);
             }
-            flush(&mut conn, &mut batch, &mut tx, queued);
+            flush(&mut conn, &mut batch, &mut spent, &mut tx, queued);
             if let Some(mut c) = conn.take() {
                 let _ = c.close();
             }
             return tx.wire;
         }
-        flush(&mut conn, &mut batch, &mut tx, queued);
+        flush(&mut conn, &mut batch, &mut spent, &mut tx, queued);
         // Go idle under the lane's lock — unless this window took
         // something, or a push raced in, which `rest` sees — then park
         // until a producer wakes us. A push that lands after `rest`

@@ -39,7 +39,7 @@
 
 use em2_model::bytes::CodecError;
 use em2_rt::wire::{
-    write_into, Cursor, FrozenShard, WireEnvelope, WireError, WireMsg, Writer, VAR_MAX,
+    write_into, Cursor, Encode, FrozenShard, WireEnvelope, WireError, WireMsg, Writer, VAR_MAX,
 };
 
 /// Control-protocol version, the first byte of every frame; the
@@ -336,6 +336,41 @@ pub(crate) fn transfer_state_len(frame: &[u8]) -> usize {
     r.rest().len()
 }
 
+/// `[2][var to][var epoch][var retries][msg]`: the body of a
+/// [`NetMsg::Shard`], whichever form its message is in — the owned wire
+/// form, or the executor's own message ([`encode_shard`]).
+#[inline(always)]
+fn write_shard<M: Encode>(w: &mut Writer<'_>, to: u32, epoch: u64, retries: u32, msg: &M) {
+    w.u8(2);
+    w.var(u64::from(to));
+    w.var(epoch);
+    w.var(u64::from(retries));
+    msg.write(w);
+}
+
+/// Append a [`NetMsg::Shard`] frame carrying sequence number `seq` to
+/// `b`: the same bytes as that message with `msg`'s wire form, written
+/// from `msg` as it is. A writer encodes the executor's own message
+/// ([`em2_rt::Outbound`]) here, so a continuation is serialized once,
+/// by its task, into the flush buffer.
+pub fn encode_shard<M: Encode>(
+    seq: u64,
+    b: &mut Vec<u8>,
+    to: u32,
+    epoch: u64,
+    retries: u32,
+    msg: &M,
+) {
+    let max_body = 1 + 3 * VAR_MAX + msg.max_len();
+    frame_into(
+        seq,
+        b,
+        max_body,
+        #[inline(always)]
+        |w| write_shard(w, to, epoch, retries, msg),
+    );
+}
+
 impl NetMsg {
     /// Append this message, as a frame payload carrying sequence number
     /// `seq`, to `b` — the egress writer's flush buffer on the hot path,
@@ -402,13 +437,7 @@ impl NetMsg {
                 epoch,
                 retries,
                 msg,
-            } => {
-                w.u8(2);
-                w.var(u64::from(*to));
-                w.var(*epoch);
-                w.var(u64::from(*retries));
-                msg.write(w);
-            }
+            } => write_shard(w, *to, *epoch, *retries, msg),
             NetMsg::BarrierArrive { k } => {
                 w.u8(3);
                 w.var(u64::from(*k));

@@ -402,12 +402,16 @@ fn the_reader_drops_duplicates_bounces_parks_and_fails_on_a_gap() {
         reply_shard: 0,
         token,
     };
+    // A re-routed frame is rebuilt through the registry before it goes
+    // back on the lane, so its context is a real trace cursor: workload
+    // thread 2 at its start, 24 bytes.
+    let cursor = [2u8].into_iter().chain([0; 23]).collect::<Vec<u8>>();
     let arrive = |thread| {
         WireMsg::Arrive(WireEnvelope {
             thread,
             native: 0,
             task_kind: 1,
-            task_ctx: vec![0xA5; 40],
+            task_ctx: cursor.clone(),
             scheme_state: Vec::new(),
             pending_op: None,
             pending_reply: None,

@@ -14,7 +14,7 @@
 //!   parks its continuation, never a thread;
 //! * user code runs as **migratable task continuations**
 //!   ([`Task`]): sequential programs yielding memory operations, whose
-//!   live state serializes to a small context ([`Task::context_bytes`])
+//!   live state serializes to a small context ([`Task::write_context`])
 //!   — a trace-replay continuation is 24 bytes;
 //! * a non-local access consults a reused `em2-core`
 //!   [`em2_core::decision::DecisionScheme`] — one instance per thread,
@@ -72,6 +72,7 @@ pub use directory::ShardDirectory;
 pub use ledger::RunLedger;
 pub use runtime::{
     run_tasks, run_workload, InboxBacklog, NodeLink, NodeRole, RemoteInbox, RtConfig, RtReport,
-    Runtime, SchedStats, TaskSpec,
+    Runtime, SchedStats, Stash, TaskSpec,
 };
+pub use shard::Outbound;
 pub use task::{Op, Task, TaskRegistry, TraceTask};

@@ -3,7 +3,7 @@
 
 use crate::exec::{worker_loop, Sched};
 use crate::ledger::RunLedger;
-use crate::shard::{Envelope, Msg, ShardCore, Shared};
+use crate::shard::{Envelope, Msg, Outbound, ShardCore, Shared};
 use crate::task::{Task, TaskRegistry, TraceTask};
 use crate::wire::{WireEnvelope, WireError, WireMsg};
 use em2_core::decision::DecisionScheme;
@@ -31,7 +31,7 @@ pub trait NodeLink: Send + Sync {
     /// carried frame count when the runtime re-forwards a delivery
     /// that raced an outbound handoff, so the transport's per-frame
     /// bounce budget survives the detour through this node.
-    fn forward(&self, to_shard: usize, retries: u32, msg: WireMsg);
+    fn forward(&self, to_shard: usize, retries: u32, msg: Outbound);
 
     /// Ship a batch of inter-shard messages, each addressed to its own
     /// global shard id, **draining** `msgs` (the caller keeps the
@@ -41,7 +41,7 @@ pub trait NodeLink: Send + Sync {
     /// to enqueue contiguously and take one wakeup per peer (the
     /// runtime hands a whole mailbox batch's remote-access replies over
     /// in one call).
-    fn forward_many(&self, msgs: &mut Vec<(usize, WireMsg)>) {
+    fn forward_many(&self, msgs: &mut Vec<(usize, Outbound)>) {
         for (to, msg) in msgs.drain(..) {
             self.forward(to, 0, msg);
         }
@@ -107,7 +107,7 @@ impl Solo {
 }
 
 impl NodeLink for Solo {
-    fn forward(&self, to_shard: usize, _retries: u32, _msg: WireMsg) {
+    fn forward(&self, to_shard: usize, _retries: u32, _msg: Outbound) {
         unreachable!("shard {to_shard} left a one-node cluster");
     }
 
@@ -528,11 +528,8 @@ impl Runtime {
         registry: TaskRegistry,
         scheme_factory: impl Fn() -> Box<dyn DecisionScheme> + Send + Sync + 'static,
     ) -> RemoteInbox {
-        RemoteInbox {
-            shared: Arc::downgrade(self.shared.as_ref().expect("runtime is live")),
-            registry,
-            make_scheme: Box::new(scheme_factory),
-        }
+        let shared = self.shared.as_ref().expect("runtime is live");
+        RemoteInbox::new(shared, registry, Box::new(scheme_factory))
     }
 
     /// Submit one task; it is seeded at its native shard and starts
@@ -675,22 +672,75 @@ pub struct RemoteInbox {
     registry: TaskRegistry,
     /// Called by every reader thread, on every inbound arrival.
     make_scheme: Box<dyn Fn() -> Box<dyn DecisionScheme> + Send + Sync>,
+    spares: Spares,
+}
+
+/// A node's spare envelope boxes, emptied: what its writers hand back
+/// after a flush ([`RemoteInbox::recycle`]) and its readers refill
+/// ([`Stash`]). At most [`SPARE_CAP`], with room for all of them from
+/// the start.
+#[allow(clippy::vec_box)] // the boxes are what is kept
+type Spares = Mutex<Vec<Box<Envelope>>>;
+
+/// Most spare envelope boxes a node keeps: a flush that finds the list
+/// full frees the rest of its boxes. A box is 168 bytes, so a full
+/// list holds 42 KiB.
+const SPARE_CAP: usize = 256;
+
+/// Boxes a [`Stash`] takes from the node's spare list at once.
+const STASH_REFILL: usize = 32;
+
+/// A reader's private spare envelope boxes: [`RemoteInbox::deliver`]
+/// rebuilds an arrival into one of them instead of allocating. An empty
+/// stash refills from the node's spare list, up to [`STASH_REFILL`]
+/// boxes under one lock; with none left there either, the rebuild
+/// allocates.
+#[derive(Default)]
+#[allow(clippy::vec_box)] // the boxes are what is kept
+pub struct Stash(Vec<Box<Envelope>>);
+
+impl Stash {
+    fn take(&mut self, spares: &Spares) -> Option<Box<Envelope>> {
+        if self.0.is_empty() {
+            let mut spares = spares.lock().unwrap_or_else(|p| p.into_inner());
+            let at = spares.len().saturating_sub(STASH_REFILL);
+            self.0.extend(spares.drain(at..));
+        }
+        self.0.pop()
+    }
 }
 
 impl RemoteInbox {
+    fn new(
+        shared: &Arc<Shared>,
+        registry: TaskRegistry,
+        make_scheme: Box<dyn Fn() -> Box<dyn DecisionScheme> + Send + Sync>,
+    ) -> RemoteInbox {
+        RemoteInbox {
+            shared: Arc::downgrade(shared),
+            registry,
+            make_scheme,
+            spares: Mutex::new(Vec::with_capacity(SPARE_CAP)),
+        }
+    }
+
     /// Rebuild an envelope from its wire form, a view or owned: the
     /// task through the registry, the decision scheme through the
     /// factory + its shipped learned state, each parsing its bytes
     /// where they lie. `arrival` is when its bytes reached this node.
+    /// The envelope is written over `spare`, a box a send emptied, when
+    /// there is one: every field is overwritten, so nothing of the box's
+    /// last envelope survives.
     fn rebuild_envelope<B: AsRef<[u8]>>(
         &self,
         we: WireEnvelope<B>,
         arrival: Instant,
+        spare: Option<Box<Envelope>>,
     ) -> Result<Box<Envelope>, WireError> {
         let mut scheme = (self.make_scheme)();
         scheme.load_state(we.scheme_state.as_ref())?;
         let task = self.registry.build(we.task_kind, we.task_ctx.as_ref())?;
-        Ok(Box::new(Envelope {
+        let env = Envelope {
             thread: ThreadId(we.thread),
             native: CoreId(we.native),
             task,
@@ -704,7 +754,14 @@ impl RemoteInbox {
             parked_at: we.parked_at.map(|k| k as usize),
             run: we.run.map(|(c, len)| (CoreId(c), len)),
             journey: we.journey,
-        }))
+        };
+        Ok(match spare {
+            Some(mut b) => {
+                *b = env;
+                b
+            }
+            None => Box::new(env),
+        })
     }
 
     /// Inject one inter-shard message addressed to global shard `to`:
@@ -723,20 +780,54 @@ impl RemoteInbox {
     /// across the local hop. `received` is when the message reached
     /// this node — the transport reads the clock once per socket read
     /// and passes it down, so a batch of arrivals shares one reading —
-    /// and becomes a rebuilt envelope's latency epoch.
+    /// and becomes a rebuilt envelope's latency epoch. A reader passes
+    /// its `stash`: an arrival is rebuilt into a box a send emptied, and
+    /// allocates only its task. Without one, the envelope gets a box of
+    /// its own.
     pub fn deliver<B: AsRef<[u8]>>(
         &self,
         to: usize,
         retries: u32,
         msg: WireMsg<WireEnvelope<B>>,
         received: Instant,
+        stash: Option<&mut Stash>,
     ) -> Result<bool, WireError> {
         let Some(shared) = self.shared.upgrade() else {
             return Ok(false);
         };
-        let m = msg.try_map(|we| self.rebuild_envelope(we, received))?;
+        let m = msg.try_map(|we| {
+            let spare = stash.and_then(|s| s.take(&self.spares));
+            self.rebuild_envelope(we, received, spare)
+        })?;
         route(&shared, to, retries, m);
         Ok(true)
+    }
+
+    /// Hand back a message the link was given ([`NodeLink::forward`])
+    /// for a shard this node owns after all — ownership flipped toward
+    /// it between the runtime's check and the link's — through the same
+    /// send path as [`RemoteInbox::deliver`]'s.
+    pub fn reroute(&self, to: usize, retries: u32, msg: Outbound) -> bool {
+        let shared = self.shared.upgrade();
+        shared
+            .map(|s| route(&s, to, retries, msg.into_msg()))
+            .is_some()
+    }
+
+    /// Take back messages a transport has encoded and flushed: each
+    /// arrival's envelope box is emptied (its task, scheme and journey
+    /// dropped) and joins the node's spare list, for a reader's
+    /// [`Stash`] to refill. One lock per call, and nothing is dropped
+    /// under it: boxes past [`SPARE_CAP`] are freed after it. Drains
+    /// `spent`, whose allocation the caller keeps.
+    pub fn recycle(&self, spent: &mut Vec<Outbound>) {
+        spent.retain_mut(Outbound::empty);
+        if !spent.is_empty() {
+            let mut spares = self.spares.lock().unwrap_or_else(|p| p.into_inner());
+            let at = spent.len() - (SPARE_CAP - spares.len()).min(spent.len());
+            spares.extend(spent.drain(at..).filter_map(Outbound::into_spare));
+        }
+        spent.clear();
     }
 
     /// Mirror the run ledger's release of barrier `k`: set the local
@@ -795,7 +886,7 @@ impl RemoteInbox {
         let received = Instant::now();
         {
             let mut core = shared.cores[shard].lock().expect("shard core");
-            let mut rebuild = |we: WireEnvelope| self.rebuild_envelope(we, received);
+            let mut rebuild = |we: WireEnvelope| self.rebuild_envelope(we, received, None);
             core.install_frozen(frozen, &mut rebuild)?;
         }
         // Claim ownership only after the core is fully restored:
@@ -817,7 +908,7 @@ impl RemoteInbox {
         for msg in mailbox {
             // The backlog had reached its then-home; replaying it here
             // is a fresh route, so the bounce budget restarts at 0.
-            self.deliver(shard, 0, msg, received)?;
+            self.deliver(shard, 0, msg, received, None)?;
         }
         shared.kick(shard);
         Ok(true)
@@ -956,11 +1047,11 @@ mod tests {
             // Shard 1 is in flight from node 1: nobody here owns it.
             shared.directory = Arc::new(crate::directory::ShardDirectory::new(0, 0, &[0, 1]));
             let shared = Arc::new(shared);
-            let inbox = RemoteInbox {
-                shared: Arc::downgrade(&shared),
-                registry: TaskRegistry::for_workload(Arc::clone(&workload)),
-                make_scheme: Box::new(|| Box::new(em2_core::decision::AlwaysMigrate)),
-            };
+            let inbox = RemoteInbox::new(
+                &shared,
+                TaskRegistry::for_workload(Arc::clone(&workload)),
+                Box::new(|| Box::new(em2_core::decision::AlwaysMigrate)),
+            );
             let task = TraceTask::new(Arc::clone(&workload), ThreadId(0));
             let frozen = FrozenShard {
                 shard: 1,
@@ -1053,11 +1144,11 @@ mod tests {
         }
         // In: a node that owns both shards, reading each frame in place.
         let receiver = Arc::new(two_shards(256, Arc::new(Recording::default())));
-        let inbox = RemoteInbox {
-            shared: Arc::downgrade(&receiver),
-            registry: TaskRegistry::for_workload(Arc::clone(&workload)),
-            make_scheme: Box::new(move || Box::new(scheme())),
-        };
+        let inbox = RemoteInbox::new(
+            &receiver,
+            TaskRegistry::for_workload(Arc::clone(&workload)),
+            Box::new(move || Box::new(scheme())),
+        );
         // The same messages on the wire, written out field by field.
         let Msg::Arrive(env) = msgs().swap_remove(0) else {
             unreachable!("the first message arrives")
@@ -1102,13 +1193,131 @@ mod tests {
         for (to, msg) in shipped {
             let bytes = msg.encode();
             let view = WireMsg::view(&bytes).expect("decodes");
-            assert_eq!(inbox.deliver(to, 0, view, Instant::now()), Ok(true));
+            assert_eq!(inbox.deliver(to, 0, view, Instant::now(), None), Ok(true));
         }
         let mut arrived = Vec::new();
         while let Some(msg) = receiver.mailboxes[1].pop() {
             arrived.push(msg.map(|env| crate::shard::envelope_to_wire(*env)));
         }
         assert_eq!(arrived, expected);
+    }
+
+    /// A trace continuation's wire form: workload thread 0 at its start,
+    /// the rest of the envelope as `f` sets it.
+    fn wire_trace(f: impl FnOnce(&mut WireEnvelope)) -> WireEnvelope {
+        let workload = em2_trace::gen::micro::pingpong(1, 4, 10);
+        let mut we = WireEnvelope {
+            thread: 0,
+            native: 0,
+            task_kind: TraceTask::WIRE_KIND,
+            task_ctx: TraceTask::new(Arc::new(workload), ThreadId(0)).context_bytes(),
+            scheme_state: Vec::new(),
+            pending_op: None,
+            pending_reply: None,
+            parked_at: None,
+            run: None,
+            journey: crate::wire::Journey::default(),
+        };
+        f(&mut we);
+        we
+    }
+
+    /// An inbox on a node owning both shards, rebuilding trace tasks.
+    fn trace_inbox(shared: &Arc<Shared>) -> RemoteInbox {
+        let workload = Arc::new(em2_trace::gen::micro::pingpong(1, 4, 10));
+        let scheme = || Box::new(em2_core::decision::AlwaysMigrate) as Box<dyn DecisionScheme>;
+        RemoteInbox::new(
+            shared,
+            TaskRegistry::for_workload(workload),
+            Box::new(scheme),
+        )
+    }
+
+    /// A box a send emptied holds nothing its next envelope inherits:
+    /// rebuilt into it, an arrival equals the same arrival rebuilt into
+    /// a box of its own, field by field — journey, run, pending access
+    /// and reply, barrier park and arrival instant included — and the
+    /// box is the one the send gave back.
+    #[test]
+    fn an_envelope_rebuilt_into_a_spare_box_equals_one_built_fresh() {
+        let shared = Arc::new(two_shards(256, Arc::new(Recording::default())));
+        let inbox = trace_inbox(&shared);
+        let hop = |shard, cause| crate::wire::JourneyHop {
+            shard,
+            node: 1,
+            epoch: 4,
+            cause,
+        };
+        let first = wire_trace(|we| {
+            we.thread = 3;
+            we.native = 1;
+            we.pending_op = Some(crate::wire::WireOp::Write(64, 9));
+            we.pending_reply = Some(5);
+            we.parked_at = Some(2);
+            we.run = Some((1, 7));
+            we.journey.push(hop(1, crate::wire::HopCause::Submit));
+            we.journey.push(hop(0, crate::wire::HopCause::Migrate));
+        });
+        let second = wire_trace(|we| {
+            we.pending_op = Some(crate::wire::WireOp::Read(128));
+            we.journey.dropped = 900;
+        });
+        let t0 = Instant::now();
+        let sent = inbox.rebuild_envelope(first, t0, None).expect("rebuilds");
+        let at: *const Envelope = &*sent;
+        let mut spent = vec![Outbound::new(Msg::Arrive(sent))];
+        assert_eq!(spent[0].context_len(), Some(24), "the context, no hops");
+        inbox.recycle(&mut spent);
+        assert!(spent.is_empty(), "recycle drains");
+
+        let later = t0 + Duration::from_millis(3);
+        let mut stash = Stash::default();
+        let spare = stash.take(&inbox.spares).expect("the send's box");
+        let reused = inbox.rebuild_envelope(second.clone(), later, Some(spare));
+        let reused = reused.expect("rebuilds");
+        let fresh = inbox.rebuild_envelope(second.clone(), later, None);
+        let fresh = fresh.expect("rebuilds");
+        assert_eq!(&*reused as *const Envelope, at, "the same box");
+        assert_eq!(reused.arrival, fresh.arrival);
+        let (reused, fresh) = (
+            crate::shard::envelope_to_wire(*reused),
+            crate::shard::envelope_to_wire(*fresh),
+        );
+        assert_eq!(reused, fresh);
+        assert_eq!(reused, second);
+    }
+
+    /// Sends with no arrivals to take their boxes never grow a node's
+    /// spare list past its cap, and a reader's stash takes at most one
+    /// refill's worth.
+    #[test]
+    fn a_flood_of_sends_never_grows_the_spare_list_past_its_cap() {
+        let shared = Arc::new(two_shards(256, Arc::new(Recording::default())));
+        let inbox = trace_inbox(&shared);
+        let mut spent = Vec::new();
+        for flush in 0..3 * SPARE_CAP / 64 {
+            for _ in 0..64 {
+                let env = inbox.rebuild_envelope(wire_trace(|_| {}), Instant::now(), None);
+                spent.push(Outbound::new(Msg::Arrive(env.expect("rebuilds"))));
+            }
+            spent.push(Outbound::new(Msg::Response {
+                token: 1,
+                value: None,
+            }));
+            inbox.recycle(&mut spent);
+            assert!(spent.is_empty(), "recycle drains");
+            let spares = inbox.spares.lock().expect("spares").len();
+            assert_eq!(
+                spares,
+                SPARE_CAP.min(64 * (flush + 1)),
+                "after flush {flush}"
+            );
+        }
+        let mut stash = Stash::default();
+        assert!(stash.take(&inbox.spares).is_some());
+        assert_eq!(stash.0.len(), STASH_REFILL - 1);
+        let spares = inbox.spares.lock().expect("spares").len();
+        assert_eq!(spares, SPARE_CAP - STASH_REFILL);
     }
 
     /// Four producers stream numbered requests at shard 1 of a live
@@ -1160,7 +1369,7 @@ mod tests {
                             reply_shard: 0,
                             token: p * PER + i,
                         };
-                        let live = inbox.deliver(1, 0, msg, Instant::now());
+                        let live = inbox.deliver(1, 0, msg, Instant::now(), None);
                         assert_eq!(live, Ok(true));
                         sent.fetch_add(1, Ordering::Relaxed);
                     }

@@ -38,7 +38,7 @@ use crate::exec::Sched;
 use crate::mpsc::MpscQueue;
 use crate::runtime::NodeLink;
 use crate::task::{Op, Task};
-use crate::wire::{WireEnvelope, WireMsg, WireOp};
+use crate::wire::{Encode, EnvelopeForm, Head, WireEnvelope, WireMsg, WireOp, Writer};
 use em2_core::context::{Admission, ContextPool, GuestState};
 use em2_core::decision::{Decision, DecisionCtx, DecisionScheme};
 use em2_core::stats::FlowCounts;
@@ -103,39 +103,181 @@ pub(crate) struct Envelope {
 /// envelope.
 pub(crate) type Msg = WireMsg<Box<Envelope>>;
 
-/// Serialize an envelope for a cross-process hop. Every caller owns
-/// the envelope it ships (a send, or a freeze draining a queue), so
-/// the journey log moves into the wire form instead of being copied.
+/// The envelope's task kind on the wire.
 ///
 /// # Panics
 /// Panics if the task declares no [`Task::wire_kind`] — a task that
 /// cannot cross a process boundary was routed to a remote shard, which
 /// is a cluster-configuration bug (the data it touches must be homed
 /// on locally owned shards).
-pub(crate) fn envelope_to_wire(env: Envelope) -> WireEnvelope {
-    let task_kind = env.task.wire_kind().unwrap_or_else(|| {
+fn wire_kind(env: &Envelope) -> u32 {
+    env.task.wire_kind().unwrap_or_else(|| {
         panic!(
             "task for thread {:?} cannot cross a process boundary: Task::wire_kind() is None",
             env.thread
         )
-    });
-    let task_ctx = env.task.context_bytes();
-    debug_assert_eq!(
-        task_ctx.len() as u64,
-        env.task.context_len(),
-        "Task::context_len must equal context_bytes().len()"
-    );
+    })
+}
+
+/// Serialize an envelope into its owned wire form, for a frozen shard.
+/// The freeze owns the envelopes it drains, so the journey log moves
+/// into the wire form instead of being copied. A send does not come
+/// here: its transport writes the live envelope ([`Outbound`]).
+pub(crate) fn envelope_to_wire(env: Envelope) -> WireEnvelope {
+    let task_kind = wire_kind(&env);
+    let len = env.task.context_len() as usize;
     WireEnvelope {
         thread: env.thread.0,
         native: env.native.0,
         task_kind,
-        task_ctx,
+        task_ctx: em2_model::bytes::to_vec(len, |w| env.task.write_context(w)),
         scheme_state: env.scheme.state_bytes(),
         pending_op: env.pending_op.map(WireOp::from_op),
         pending_reply: env.pending_reply,
         parked_at: env.parked_at.map(|k| k as u32),
         run: env.run.map(|(c, len)| (c.0, len)),
         journey: env.journey,
+    }
+}
+
+/// A live envelope on its way to another node: the envelope, its task
+/// kind, and its scheme's learned state, taken at the send (a scheme
+/// serializes only into a buffer of its own; a stateless one's is
+/// empty and owns nothing). The task's context is written later,
+/// straight into the frame.
+pub(crate) struct Live {
+    env: Box<Envelope>,
+    kind: u32,
+    state: Vec<u8>,
+}
+
+impl EnvelopeForm for Live {
+    #[inline(always)]
+    fn head(&self) -> Head {
+        let env = &self.env;
+        Head {
+            thread: env.thread.0,
+            native: env.native.0,
+            task_kind: self.kind,
+            pending_op: env.pending_op.map(WireOp::from_op),
+            pending_reply: env.pending_reply,
+            parked_at: env.parked_at.map(|k| k as u32),
+            run: env.run.map(|(c, len)| (c.0, len)),
+        }
+    }
+
+    #[inline(always)]
+    fn ctx_len(&self) -> usize {
+        self.env.task.context_len() as usize
+    }
+
+    #[inline(always)]
+    fn write_ctx(&self, w: &mut Writer<'_>) {
+        self.env.task.write_context(w);
+    }
+
+    #[inline(always)]
+    fn state(&self) -> &[u8] {
+        &self.state
+    }
+
+    #[inline(always)]
+    fn journey(&self) -> &crate::wire::Journey {
+        &self.env.journey
+    }
+}
+
+/// A message leaving this node for a shard another node owns
+/// ([`crate::NodeLink::forward`]): the executor's own message, its
+/// continuation still live. The transport encodes it straight into its
+/// flush buffer ([`Encode`]: the task writes its context there, through
+/// [`Task::write_context`]) and then hands it back
+/// ([`crate::RemoteInbox::recycle`]), so the envelope's box carries the
+/// next continuation a reader rebuilds.
+pub struct Outbound(WireMsg<Live>);
+
+impl Outbound {
+    /// The message as it leaves a shard: an arrival's task kind and
+    /// scheme state are read here, on the sending worker (a task that
+    /// cannot cross a process boundary panics here, see [`wire_kind`]).
+    pub(crate) fn new(msg: Msg) -> Outbound {
+        Outbound(msg.map(|env| Live {
+            kind: wire_kind(&env),
+            state: env.scheme.state_bytes(),
+            env,
+        }))
+    }
+
+    /// An arrival's serialized task-context bytes (journey and scheme
+    /// state excluded) — what the transport's context ledger counts —
+    /// or `None` for a message that carries no continuation.
+    pub fn context_len(&self) -> Option<usize> {
+        match &self.0 {
+            WireMsg::Arrive(live) => Some(live.ctx_len()),
+            _ => None,
+        }
+    }
+
+    /// Back to the executor's message, for a local delivery.
+    pub(crate) fn into_msg(self) -> Msg {
+        self.0.map(|live| live.env)
+    }
+
+    /// Empty an arrival's envelope in place — drop its task, scheme and
+    /// journey, keeping the box — and say whether there is a box to
+    /// spare. Allocates nothing.
+    pub(crate) fn empty(&mut self) -> bool {
+        let WireMsg::Arrive(live) = &mut self.0 else {
+            return false;
+        };
+        live.env.empty();
+        live.state = Vec::new();
+        true
+    }
+
+    /// An emptied arrival's box ([`Outbound::empty`]).
+    pub(crate) fn into_spare(self) -> Option<Box<Envelope>> {
+        match self.0 {
+            WireMsg::Arrive(live) => Some(live.env),
+            _ => None,
+        }
+    }
+}
+
+impl Encode for Outbound {
+    #[inline(always)]
+    fn max_len(&self) -> usize {
+        crate::wire::msg_max_len(&self.0)
+    }
+
+    #[inline(always)]
+    fn write(&self, w: &mut Writer<'_>) {
+        crate::wire::write_msg(&self.0, w);
+    }
+}
+
+/// What an emptied envelope holds until a reader refills it: a task
+/// that is never run and owns nothing.
+struct Spent;
+
+impl Task for Spent {
+    fn resume(&mut self, _: Option<u64>) -> Op {
+        unreachable!("a spare envelope is refilled before it runs")
+    }
+
+    fn context_bytes(&self) -> Vec<u8> {
+        Vec::new()
+    }
+}
+
+impl Envelope {
+    /// Drop what the envelope owns, in place: the box stays, holding
+    /// nothing but plain fields until it is overwritten. Every
+    /// placeholder is zero-sized, so this allocates nothing.
+    fn empty(&mut self) {
+        self.task = Box::new(Spent);
+        self.scheme = Box::new(em2_core::decision::AlwaysMigrate);
+        self.journey = crate::wire::Journey::default();
     }
 }
 
@@ -231,8 +373,7 @@ impl Shared {
                 Err(refused) => msg = refused,
             }
         }
-        self.node
-            .forward(to, retries, msg.map(|env| envelope_to_wire(*env)));
+        self.node.forward(to, retries, Outbound::new(msg));
     }
 
     pub(crate) fn is_released(&self, k: usize) -> bool {
@@ -341,7 +482,7 @@ pub(crate) struct ShardCore {
     /// persists across batches) before the batch ends, so quiesce
     /// (which waits on the requester's retirement) can never observe a
     /// reply parked here.
-    remote_replies: Vec<(usize, WireMsg)>,
+    remote_replies: Vec<(usize, Outbound)>,
     /// This shard's timing-plane handle (`None` when obs is off — the
     /// hot path then pays one `Option` branch per hook). Never read by
     /// anything that feeds the deterministic counters.
@@ -660,8 +801,8 @@ impl ShardCore {
                     // egress pipeline (each stays its own wire frame,
                     // so the deterministic wire counters are
                     // untouched). Flushed at the end of this batch.
-                    self.remote_replies
-                        .push((reply_shard, WireMsg::Response { token, value }));
+                    let reply = Outbound::new(Msg::Response { token, value });
+                    self.remote_replies.push((reply_shard, reply));
                 }
             }
             Msg::Response { token, value } => {
@@ -1134,7 +1275,7 @@ pub(crate) mod tests {
     struct AllLocal;
 
     impl NodeLink for AllLocal {
-        fn forward(&self, to_shard: usize, _retries: u32, _msg: WireMsg) {
+        fn forward(&self, to_shard: usize, _retries: u32, _msg: Outbound) {
             panic!("shard {to_shard} is local");
         }
         fn barrier_arrive(&self, _k: usize) {}
@@ -1144,12 +1285,16 @@ pub(crate) mod tests {
 
     /// The link of a cluster in which another node owns shards: it
     /// records what it is asked to forward, through the trait's
-    /// provided `forward_many`.
+    /// provided `forward_many`, as the wire reads it back — encoded by
+    /// the transport's encoder and decoded owned.
     #[derive(Default)]
     pub(crate) struct Recording(pub(crate) Mutex<Vec<(usize, WireMsg)>>);
 
     impl NodeLink for Recording {
-        fn forward(&self, to_shard: usize, _retries: u32, msg: WireMsg) {
+        fn forward(&self, to_shard: usize, _retries: u32, msg: Outbound) {
+            let mut bytes = Vec::new();
+            crate::wire::write_into(&mut bytes, msg.max_len(), |w| msg.write(w));
+            let msg = WireMsg::decode(&bytes).expect("its own encoding");
             self.0.lock().expect("recording").push((to_shard, msg));
         }
         fn barrier_arrive(&self, _k: usize) {}

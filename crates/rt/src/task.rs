@@ -5,8 +5,9 @@
 //! operation, executes it (locally, by remote access, or by migrating
 //! the task to the operation's home shard), and resumes the task with
 //! the result. Everything the task needs to continue after a migration
-//! must live in its own state — [`Task::context_bytes`] serializes that
-//! state, and the runtime accounts its size as the migration payload
+//! must live in its own state — [`Task::write_context`] serializes that
+//! state into the frame a hop ships, and the runtime accounts its size
+//! as the migration payload
 //! (the paper's 1–2 Kbit architectural context; a trace replay context
 //! is ~24 bytes).
 //!
@@ -14,6 +15,7 @@
 //! memory in the paper's hardware, a [`TraceTask`]'s workload lives in
 //! an [`Arc`] shared by every shard, and only the cursor migrates.
 
+use em2_model::bytes::Writer;
 use em2_model::{Addr, ThreadId, WordMap};
 use em2_trace::Workload;
 use std::sync::Arc;
@@ -47,18 +49,33 @@ pub trait Task: Send {
     fn resume(&mut self, reply: Option<u64>) -> Op;
 
     /// Serialize the live continuation state — the bytes a migration
-    /// ships. Used for context-size accounting (and as an honesty
-    /// check that the state *is* serializable).
+    /// ships — as a fresh buffer: what a task builder
+    /// ([`TaskRegistry::register`]) parses back. A task that ships
+    /// implements it as [`Task::write_context`] into a buffer of its own.
     fn context_bytes(&self) -> Vec<u8>;
+
+    /// Write the live continuation state — exactly
+    /// [`Task::context_len`] bytes, the same bytes as
+    /// [`Task::context_bytes`] — through `w`, which is the frame being
+    /// built: a cross-node hop serializes the continuation once, into
+    /// the transport's flush buffer, and allocates nothing for it.
+    ///
+    /// The default is the one temporary bridge of this seam: it writes
+    /// [`Task::context_bytes`], allocating a buffer per hop, for tasks
+    /// that implement only that. Every task this workspace ships
+    /// overrides it.
+    fn write_context(&self, w: &mut Writer<'_>) {
+        w.bytes(&self.context_bytes());
+    }
 
     /// Size of the serialized context, in bytes. The runtime charges
     /// this on every migration and eviction — it is the hot accounting
     /// path, so override it whenever the size is known without
     /// serializing (the default materializes [`Task::context_bytes`]
     /// just to measure it and throws the allocation away). The
-    /// override must equal `context_bytes().len()`; the wire encoder
-    /// debug-asserts this, and `proptest_wire.rs` pins it for the
-    /// shipped tasks.
+    /// override must equal `context_bytes().len()`, which is what
+    /// [`Task::write_context`] writes; the wire encoder debug-asserts
+    /// it, and `proptest_wire.rs` pins both for the shipped tasks.
     fn context_len(&self) -> u64 {
         self.context_bytes().len() as u64
     }
@@ -218,14 +235,16 @@ impl Task for TraceTask {
     }
 
     fn context_bytes(&self) -> Vec<u8> {
+        em2_model::bytes::to_vec(24, |w| self.write_context(w))
+    }
+
+    fn write_context(&self, w: &mut Writer<'_>) {
         // thread (u32) + pos (u64) + next_barrier (u32) + acc (u64):
         // the full continuation state, 24 bytes.
-        let mut b = Vec::with_capacity(24);
-        b.extend_from_slice(&(self.thread as u32).to_le_bytes());
-        b.extend_from_slice(&(self.pos as u64).to_le_bytes());
-        b.extend_from_slice(&(self.next_barrier as u32).to_le_bytes());
-        b.extend_from_slice(&self.acc.to_le_bytes());
-        b
+        w.bytes(&(self.thread as u32).to_le_bytes());
+        w.u64(self.pos as u64);
+        w.bytes(&(self.next_barrier as u32).to_le_bytes());
+        w.u64(self.acc);
     }
 
     fn context_len(&self) -> u64 {

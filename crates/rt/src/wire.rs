@@ -43,7 +43,12 @@
 //! the envelope-carried decision scheme's learned state
 //! ([`em2_core::decision::DecisionScheme::state_bytes`]), and the
 //! runtime bookkeeping that travels with the task (pending arrival
-//! access, unconsumed reply, barrier park, in-progress run).
+//! access, unconsumed reply, barrier park, in-progress run). A node
+//! sends the live envelope, not this form: its transport writes an
+//! [`crate::Outbound`] through the same grammar ([`Encode`]), the task
+//! writing its context into the frame ([`crate::Task::write_context`]).
+//! The owned form is what a frozen shard ships and what a decode
+//! returns.
 
 use em2_core::decision::SchemeStateError;
 use em2_model::bytes::CodecError;
@@ -200,7 +205,7 @@ pub const JOURNEY_CAP: usize = 16;
 /// counts bit-for-bit, so the envelope encoding must not depend on an
 /// observability toggle. Only the ring dump itself is obs-gated.
 /// Journey bytes are excluded from the context-payload accounting
-/// ([`WireMsg::context_payload_len`] stays `task_ctx` only).
+/// ([`crate::Outbound::context_len`] counts the task's context only).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journey {
     /// The hops recorded and not yet handed to a trace ring, in order
@@ -384,7 +389,7 @@ pub struct WireEnvelope<B = Vec<u8>> {
     /// Registry tag identifying how to rebuild the task
     /// ([`crate::Task::wire_kind`]).
     pub task_kind: u32,
-    /// The serialized continuation ([`crate::Task::context_bytes`]).
+    /// The serialized continuation ([`crate::Task::write_context`]).
     pub task_ctx: B,
     /// The envelope-carried decision scheme's learned state
     /// ([`em2_core::decision::DecisionScheme::state_bytes`]).
@@ -402,46 +407,120 @@ pub struct WireEnvelope<B = Vec<u8>> {
     pub journey: Journey,
 }
 
-impl WireEnvelope {
+/// An envelope's fields that are not byte strings, in wire form: what
+/// the envelope grammar reads of either form besides its context, its
+/// scheme state and its journey.
+#[derive(Clone, Copy)]
+pub(crate) struct Head {
+    pub thread: u32,
+    pub native: u16,
+    pub task_kind: u32,
+    pub pending_op: Option<WireOp>,
+    pub pending_reply: Option<u64>,
+    pub parked_at: Option<u32>,
+    pub run: Option<(u16, u64)>,
+}
+
+/// An envelope in either form a node encodes: the wire form
+/// ([`WireEnvelope`], owned or a view) or the executor's live one, whose
+/// task writes its own context ([`crate::Task::write_context`]) into the
+/// frame. [`EnvelopeForm::write`] is the one envelope encoder — `Shard`,
+/// `Bounce` and `HandoffTransfer` frames all write through it — so the
+/// two forms cannot drift apart on the wire.
+pub(crate) trait EnvelopeForm {
+    fn head(&self) -> Head;
+    /// Bytes [`EnvelopeForm::write_ctx`] writes.
+    fn ctx_len(&self) -> usize;
+    fn write_ctx(&self, w: &mut Writer<'_>);
+    /// The decision scheme's learned state.
+    fn state(&self) -> &[u8];
+    fn journey(&self) -> &Journey;
+
     /// `[var thread][var native][var task_kind][ctx][state][u8 presence]`
     /// then whichever of `pending_op`, `pending_reply`, `parked_at` and
-    /// `run` the presence bits 0–3 name, then the journey.
+    /// `run` the presence bits 0–3 name, then the journey. Each byte
+    /// string is a varint length and its bytes.
     #[inline(always)]
     fn write(&self, w: &mut Writer<'_>) {
-        w.var(u64::from(self.thread));
-        w.var(u64::from(self.native));
-        w.var(u64::from(self.task_kind));
-        w.var_bytes(&self.task_ctx);
-        w.var_bytes(&self.scheme_state);
+        let h = self.head();
+        w.var(u64::from(h.thread));
+        w.var(u64::from(h.native));
+        w.var(u64::from(h.task_kind));
+        let len = self.ctx_len();
+        assert!(len <= MAX_CHUNK, "chunk exceeds the wire cap");
+        w.var(len as u64);
+        let at = w.written();
+        self.write_ctx(w);
+        debug_assert_eq!(
+            w.written() - at,
+            len,
+            "Task::write_context must write Task::context_len bytes"
+        );
+        w.var_bytes(self.state());
         w.presence([
-            self.pending_op.is_some(),
-            self.pending_reply.is_some(),
-            self.parked_at.is_some(),
-            self.run.is_some(),
+            h.pending_op.is_some(),
+            h.pending_reply.is_some(),
+            h.parked_at.is_some(),
+            h.run.is_some(),
         ]);
-        if let Some(op) = self.pending_op {
+        if let Some(op) = h.pending_op {
             op.write(w);
         }
-        if let Some(v) = self.pending_reply {
+        if let Some(v) = h.pending_reply {
             w.u64(v);
         }
-        if let Some(k) = self.parked_at {
+        if let Some(k) = h.parked_at {
             w.var(u64::from(k));
         }
-        if let Some((c, len)) = self.run {
+        if let Some((c, len)) = h.run {
             w.var(u64::from(c));
             w.var(len);
         }
-        self.journey.write(w);
+        self.journey().write(w);
     }
 
-    /// [`WireEnvelope::write`]'s upper bound: ten varints, nineteen
+    /// [`EnvelopeForm::write`]'s upper bound: ten varints, nineteen
     /// fixed bytes (presence, op tag, store and reply words, hop count),
     /// the byte strings, and each hop's three varints and cause.
     #[inline(always)]
     fn max_len(&self) -> usize {
-        let strings = self.task_ctx.len() + self.scheme_state.len();
-        10 * VAR_MAX + 19 + strings + self.journey.hops.len() * (3 * VAR_MAX + 1)
+        let strings = self.ctx_len() + self.state().len();
+        10 * VAR_MAX + 19 + strings + self.journey().hops.len() * (3 * VAR_MAX + 1)
+    }
+}
+
+impl<B: AsRef<[u8]>> EnvelopeForm for WireEnvelope<B> {
+    #[inline(always)]
+    fn head(&self) -> Head {
+        Head {
+            thread: self.thread,
+            native: self.native,
+            task_kind: self.task_kind,
+            pending_op: self.pending_op,
+            pending_reply: self.pending_reply,
+            parked_at: self.parked_at,
+            run: self.run,
+        }
+    }
+
+    #[inline(always)]
+    fn ctx_len(&self) -> usize {
+        self.task_ctx.as_ref().len()
+    }
+
+    #[inline(always)]
+    fn write_ctx(&self, w: &mut Writer<'_>) {
+        w.bytes(self.task_ctx.as_ref());
+    }
+
+    #[inline(always)]
+    fn state(&self) -> &[u8] {
+        self.scheme_state.as_ref()
+    }
+
+    #[inline(always)]
+    fn journey(&self) -> &Journey {
+        &self.journey
     }
 }
 
@@ -563,57 +642,83 @@ impl<A> WireMsg<A> {
     }
 }
 
+/// A runtime message that writes itself in the wire grammar: a
+/// [`WireMsg`] in wire form, or an [`crate::Outbound`] — the executor's
+/// own message, its continuation still live. Both write through one
+/// grammar, so a frame that embeds either (`em2-net`'s `Shard`) is the
+/// same bytes.
+pub trait Encode {
+    /// Most bytes [`Encode::write`] takes.
+    fn max_len(&self) -> usize;
+
+    /// Write this message through `w`, which has room for
+    /// [`Encode::max_len`] bytes: how a frame that embeds a message
+    /// writes it with its own fields, in one pass.
+    fn write(&self, w: &mut Writer<'_>);
+}
+
+/// The message grammar, over either envelope form: what [`Encode`]
+/// writes for a [`WireMsg`] and for an [`crate::Outbound`].
+#[inline(always)]
+pub(crate) fn write_msg<A: EnvelopeForm>(msg: &WireMsg<A>, w: &mut Writer<'_>) {
+    match msg {
+        WireMsg::Arrive(env) => {
+            w.u8(0);
+            env.write(w);
+        }
+        WireMsg::Request {
+            addr,
+            write,
+            reply_shard,
+            token,
+        } => {
+            w.u8(1);
+            w.var(*addr);
+            w.opt(*write, Writer::u64);
+            w.var(u64::from(*reply_shard));
+            w.var(u64::from(*token));
+        }
+        WireMsg::Response { token, value } => {
+            w.u8(2);
+            w.var(u64::from(*token));
+            w.opt(*value, Writer::u64);
+        }
+        WireMsg::BarrierRelease { idx } => {
+            w.u8(3);
+            w.var(u64::from(*idx));
+        }
+    }
+}
+
+/// Most bytes [`write_msg`] takes: the tag, then the fields at their
+/// widest.
+#[inline(always)]
+pub(crate) fn msg_max_len<A: EnvelopeForm>(msg: &WireMsg<A>) -> usize {
+    1 + match msg {
+        WireMsg::Arrive(env) => env.max_len(),
+        WireMsg::Request { .. } => 3 * VAR_MAX + 9,
+        WireMsg::Response { .. } => VAR_MAX + 9,
+        WireMsg::BarrierRelease { .. } => VAR_MAX,
+    }
+}
+
+impl Encode for WireMsg {
+    #[inline(always)]
+    fn max_len(&self) -> usize {
+        msg_max_len(self)
+    }
+
+    #[inline(always)]
+    fn write(&self, w: &mut Writer<'_>) {
+        write_msg(self, w);
+    }
+}
+
 impl WireMsg {
     /// Append the encoding of this message (its layout version is the
     /// connection's or the frozen shard's, stated once there).
     pub fn encode_into(&self, b: &mut Vec<u8>) {
         write_into(b, self.max_len(), |w| self.write(w));
-    }
-
-    /// Write this message through `w`, which has room for
-    /// [`WireMsg::max_len`] bytes: how a frame that embeds a message
-    /// (`em2-net`'s `Shard`) writes it with its own fields, in one pass.
-    #[inline(always)]
-    pub fn write(&self, w: &mut Writer<'_>) {
-        match self {
-            WireMsg::Arrive(env) => {
-                w.u8(0);
-                env.write(w);
-            }
-            WireMsg::Request {
-                addr,
-                write,
-                reply_shard,
-                token,
-            } => {
-                w.u8(1);
-                w.var(*addr);
-                w.opt(*write, Writer::u64);
-                w.var(u64::from(*reply_shard));
-                w.var(u64::from(*token));
-            }
-            WireMsg::Response { token, value } => {
-                w.u8(2);
-                w.var(u64::from(*token));
-                w.opt(*value, Writer::u64);
-            }
-            WireMsg::BarrierRelease { idx } => {
-                w.u8(3);
-                w.var(u64::from(*idx));
-            }
-        }
-    }
-
-    /// Most bytes [`WireMsg::write`] takes: the tag, then the fields at
-    /// their widest.
-    #[inline(always)]
-    pub fn max_len(&self) -> usize {
-        1 + match self {
-            WireMsg::Arrive(env) => env.max_len(),
-            WireMsg::Request { .. } => 3 * VAR_MAX + 9,
-            WireMsg::Response { .. } => VAR_MAX + 9,
-            WireMsg::BarrierRelease { .. } => VAR_MAX,
-        }
     }
 
     /// The encoding as a fresh buffer.
@@ -629,16 +734,6 @@ impl WireMsg {
         let msg = WireMsg::read(&mut r, WireEnvelope::into_owned)?;
         r.finish()?;
         Ok(msg)
-    }
-
-    /// The serialized task-context bytes this message carries (an
-    /// [`WireMsg::Arrive`]'s payload) — the "context bytes on the
-    /// wire" telemetry `em2-net` accounts per link.
-    pub fn context_payload_len(&self) -> usize {
-        match self {
-            WireMsg::Arrive(env) => env.task_ctx.len(),
-            _ => 0,
-        }
     }
 }
 
@@ -769,8 +864,8 @@ impl FrozenShard {
             + self.heap.len() * (VAR_MAX + 8)
             + self.natives.len() * VAR_MAX
             + self.guests.len() * (2 * VAR_MAX + 1)
-            + queued.map(WireEnvelope::max_len).sum::<usize>()
-            + self.mailbox.iter().map(WireMsg::max_len).sum::<usize>()
+            + queued.map(EnvelopeForm::max_len).sum::<usize>()
+            + self.mailbox.iter().map(Encode::max_len).sum::<usize>()
     }
 
     /// The versioned encoding as a fresh buffer.
@@ -1043,12 +1138,6 @@ mod tests {
                 tag: 3
             }))
         );
-    }
-
-    #[test]
-    fn journey_bytes_do_not_count_as_context_payload() {
-        let m = WireMsg::Arrive(sample_envelope());
-        assert_eq!(m.context_payload_len(), 5, "task_ctx only");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! messages round trip bit-exactly, and arbitrary *garbage* —
 //! truncations, mutations, random bytes — decodes to a typed error,
 //! never a panic, and the same one in place ([`WireMsg::view`]) as
-//! owned. Plus the `context_len` honesty property for the shipped task
-//! types.
+//! owned. Plus the `context_len` and `write_context` honesty property
+//! for the shipped task types.
 
 use em2_model::bytes::CodecError;
 use em2_model::ThreadId;
@@ -243,8 +243,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // The context_len override is the hot accounting path; it must
-        // equal the serialized length at *every* execution point, and
-        // the registry must rebuild an identical continuation.
+        // equal the serialized length at *every* execution point, what
+        // a hop writes into its frame must be those bytes, and the
+        // registry must rebuild an identical continuation.
         let w = Arc::new(micro::uniform(
             threads as usize, 4, 30, 64, 0.3, seed % 1000 + 1,
         ));
@@ -252,6 +253,9 @@ proptest! {
         let mut t = TraceTask::new(Arc::clone(&w), ThreadId(0));
         for _ in 0..steps {
             prop_assert_eq!(t.context_len(), t.context_bytes().len() as u64);
+            let mut written = Vec::new();
+            write_into(&mut written, t.context_len() as usize, |w| t.write_context(w));
+            prop_assert_eq!(&written, &t.context_bytes());
             let rebuilt = reg
                 .build(TraceTask::WIRE_KIND, &t.context_bytes())
                 .expect("valid context");

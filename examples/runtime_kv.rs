@@ -40,6 +40,7 @@
 //! listens on port 7600 + `i`.)
 
 use em2::core::decision::DecisionScheme;
+use em2::model::bytes::Writer;
 use em2::model::{Addr, CoreId, DetRng, ThreadId};
 use em2::net::{ClusterSpec, NodeRuntime, TransportKind};
 use em2::obs::{NodeObs, ObsConfig};
@@ -181,27 +182,28 @@ impl Task for KvClient {
     }
 
     fn context_bytes(&self) -> Vec<u8> {
+        em2::model::bytes::to_vec(81, |w| self.write_context(w))
+    }
+
+    fn write_context(&self, w: &mut Writer<'_>) {
         // The client's live registers: version, ops_left, verified,
         // state tag + operands, and the RNG state — 81 bytes, the
         // "small serialized context" migrations actually ship.
-        let mut b = Vec::with_capacity(81);
-        for w in self.rng.state() {
-            b.extend_from_slice(&w.to_le_bytes());
+        for word in self.rng.state() {
+            w.u64(word);
         }
-        b.extend_from_slice(&self.own_base.to_le_bytes());
-        b.extend_from_slice(&self.version.to_le_bytes());
-        b.extend_from_slice(&(self.ops_left as u64).to_le_bytes());
-        b.extend_from_slice(&self.verified.to_le_bytes());
+        w.u64(self.own_base);
+        w.u64(self.version);
+        w.u64(self.ops_left as u64);
+        w.u64(self.verified);
         let (tag, a, v): (u8, u64, u64) = match self.state {
             KvState::Idle => (0, 0, 0),
             KvState::ReadBack { key, want } => (1, key, want),
             KvState::Verify { want } => (2, 0, want),
         };
-        b.push(tag);
-        b.extend_from_slice(&a.to_le_bytes());
-        b.extend_from_slice(&v.to_le_bytes());
-        debug_assert_eq!(b.len() as u64, self.context_len());
-        b
+        w.u8(tag);
+        w.u64(a);
+        w.u64(v);
     }
 
     fn context_len(&self) -> u64 {
