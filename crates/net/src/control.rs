@@ -1522,7 +1522,7 @@ mod tests {
             }
         }
 
-        /// `Links::route_shard` (and the runtime's re-forward of a
+        /// `Links::forward` (and the runtime's re-forward of a
         /// delivery that lost a race with a freeze): epoch before
         /// owner, apply locally or ship stamped.
         fn route(&mut self, n: usize, shard: usize, retries: u32, msg: WireMsg) {

@@ -145,6 +145,7 @@ impl Ingress {
     /// Apply the receive rules to one frame; `owns(shard)` says whether
     /// this node owns an in-range shard now. A frame that does not
     /// decode, or that proves a lost frame, fails the run.
+    #[inline]
     pub(crate) fn take<'a>(
         &mut self,
         frame: &'a [u8],

@@ -409,7 +409,7 @@ impl NodeLink for Links {
         // after the whole batch, so the frames land in the writer's
         // window together and coalesce into one flush. Epoch read
         // before the owner loads — same stamp-not-newer-than-route rule
-        // as `route_shard`.
+        // as `forward`.
         let epoch = self.directory.epoch();
         // One bit per destination node id below 64; a node past that
         // is woken per message, which is only less economical.
@@ -468,7 +468,7 @@ impl NodeLink for Links {
 /// [`Ingress::take`] says what each frame asks for. The hot path takes
 /// only the target mailbox's lock: `inbox.deliver` of the view, whose
 /// task builder parses the continuation where the socket put it, into
-/// an envelope box a send emptied, from the reader's own [`Stash`]. The
+/// an envelope box a send gave back, from the reader's own [`Stash`]. The
 /// clock is read per socket read, not per frame: one reading stamps
 /// the edge's liveness and the arrival of every envelope that read
 /// brought in.

@@ -675,16 +675,15 @@ pub struct RemoteInbox {
     spares: Spares,
 }
 
-/// A node's spare envelope boxes, emptied: what its writers hand back
-/// after a flush ([`RemoteInbox::recycle`]) and its readers refill
-/// ([`Stash`]). At most [`SPARE_CAP`], with room for all of them from
-/// the start.
+/// A node's spare envelope boxes, each holding the envelope that last
+/// left in it: what its writers hand back after a flush
+/// ([`RemoteInbox::recycle`]) and its readers refill ([`Stash`]).
 #[allow(clippy::vec_box)] // the boxes are what is kept
 type Spares = Mutex<Vec<Box<Envelope>>>;
 
-/// Most spare envelope boxes a node keeps: a flush that finds the list
-/// full frees the rest of its boxes. A box is 168 bytes, so a full
-/// list holds 42 KiB.
+/// Most spare envelope boxes a node keeps (reserved up front): a flush
+/// that finds the list full frees the rest of its boxes. A full list
+/// holds 42 KiB of 168-byte boxes and the tasks they last carried.
 const SPARE_CAP: usize = 256;
 
 /// Boxes a [`Stash`] takes from the node's spare list at once.
@@ -728,15 +727,19 @@ impl RemoteInbox {
     /// task through the registry, the decision scheme through the
     /// factory + its shipped learned state, each parsing its bytes
     /// where they lie. `arrival` is when its bytes reached this node.
-    /// The envelope is written over `spare`, a box a send emptied, when
-    /// there is one: every field is overwritten, so nothing of the box's
-    /// last envelope survives.
+    /// It is written over `spare`, a box a send gave back, if any: the
+    /// box's last envelope is emptied first, on this thread, so the
+    /// task built next reuses the memory just freed, and every field
+    /// is then overwritten, so nothing of it survives.
     fn rebuild_envelope<B: AsRef<[u8]>>(
         &self,
         we: WireEnvelope<B>,
         arrival: Instant,
-        spare: Option<Box<Envelope>>,
+        mut spare: Option<Box<Envelope>>,
     ) -> Result<Box<Envelope>, WireError> {
+        if let Some(b) = spare.as_mut() {
+            b.empty();
+        }
         let mut scheme = (self.make_scheme)();
         scheme.load_state(we.scheme_state.as_ref())?;
         let task = self.registry.build(we.task_kind, we.task_ctx.as_ref())?;
@@ -781,9 +784,8 @@ impl RemoteInbox {
     /// this node — the transport reads the clock once per socket read
     /// and passes it down, so a batch of arrivals shares one reading —
     /// and becomes a rebuilt envelope's latency epoch. A reader passes
-    /// its `stash`: an arrival is rebuilt into a box a send emptied, and
-    /// allocates only its task. Without one, the envelope gets a box of
-    /// its own.
+    /// its `stash`: an arrival is rebuilt into a box a send gave back,
+    /// and allocates only its task; without one, it gets its own box.
     pub fn deliver<B: AsRef<[u8]>>(
         &self,
         to: usize,
@@ -815,13 +817,12 @@ impl RemoteInbox {
     }
 
     /// Take back messages a transport has encoded and flushed: each
-    /// arrival's envelope box is emptied (its task, scheme and journey
-    /// dropped) and joins the node's spare list, for a reader's
-    /// [`Stash`] to refill. One lock per call, and nothing is dropped
-    /// under it: boxes past [`SPARE_CAP`] are freed after it. Drains
-    /// `spent`, whose allocation the caller keeps.
+    /// arrival's box, its envelope still in it, joins the node's spare
+    /// list for a reader's [`Stash`]. One lock per call, and nothing is
+    /// dropped under it: boxes past [`SPARE_CAP`] are freed after it.
+    /// Drains `spent`, whose allocation the caller keeps.
     pub fn recycle(&self, spent: &mut Vec<Outbound>) {
-        spent.retain_mut(Outbound::empty);
+        spent.retain_mut(Outbound::shed);
         if !spent.is_empty() {
             let mut spares = self.spares.lock().unwrap_or_else(|p| p.into_inner());
             let at = spent.len() - (SPARE_CAP - spares.len()).min(spent.len());

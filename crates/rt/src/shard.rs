@@ -223,19 +223,17 @@ impl Outbound {
         self.0.map(|live| live.env)
     }
 
-    /// Empty an arrival's envelope in place — drop its task, scheme and
-    /// journey, keeping the box — and say whether there is a box to
-    /// spare. Allocates nothing.
-    pub(crate) fn empty(&mut self) -> bool {
+    /// Drop an arrival's scheme state, all it owns outside its box, and
+    /// say whether there is a box to spare. Allocates nothing.
+    pub(crate) fn shed(&mut self) -> bool {
         let WireMsg::Arrive(live) = &mut self.0 else {
             return false;
         };
-        live.env.empty();
         live.state = Vec::new();
         true
     }
 
-    /// An emptied arrival's box ([`Outbound::empty`]).
+    /// An arrival's box, its envelope still in it ([`Outbound::shed`]).
     pub(crate) fn into_spare(self) -> Option<Box<Envelope>> {
         match self.0 {
             WireMsg::Arrive(live) => Some(live.env),
@@ -256,7 +254,7 @@ impl Encode for Outbound {
     }
 }
 
-/// What an emptied envelope holds until a reader refills it: a task
+/// What an emptied envelope holds until it is overwritten: a task
 /// that is never run and owns nothing.
 struct Spent;
 
@@ -274,7 +272,7 @@ impl Envelope {
     /// Drop what the envelope owns, in place: the box stays, holding
     /// nothing but plain fields until it is overwritten. Every
     /// placeholder is zero-sized, so this allocates nothing.
-    fn empty(&mut self) {
+    pub(crate) fn empty(&mut self) {
         self.task = Box::new(Spent);
         self.scheme = Box::new(em2_core::decision::AlwaysMigrate);
         self.journey = crate::wire::Journey::default();
